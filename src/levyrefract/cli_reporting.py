@@ -24,6 +24,7 @@ from .levy_model import (
     EXACT,
     Exponential,
     HyperExponential,
+    InvalidParameter,
     JumpDiffusionSpec,
     PointMass,
     RngStream,
@@ -174,8 +175,11 @@ def _build_marks(prefix: str, items: dict):
         if len(params) < 4 or len(params) % 2:
             raise ValidationError(prefix + ".params",
                                   "need weight,rate pairs (at least two)")
-        return cls(tuple(params[0::2]), tuple(params[1::2]))
-    return cls(*params)
+        params = [tuple(params[0::2]), tuple(params[1::2])]
+    try:
+        return cls(*params)
+    except InvalidParameter as err:
+        raise ValidationError(prefix + ".params", str(err))
 
 
 def _build_spec(items: dict) -> JumpDiffusionSpec:
@@ -187,10 +191,9 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
         raise ValidationError("model.sigma", "must be >= 0")
     x0 = _to_float("model.x0", items.get("model.x0", "0"))
     comps = []
-    for i in range(1, 10):
-        prefix = f"model.jump{i}"
-        if not any(k.startswith(prefix + ".") for k in items):
-            continue
+    blocks = {key.split(".")[1] for key in items if key.startswith("model.jump")}
+    for block in sorted(blocks, key=lambda name: (int(name[4:]), name)):
+        prefix = "model." + block
         rate = _to_float(prefix + ".rate", items.get(prefix + ".rate", "nan"))
         if not rate > 0:
             raise ValidationError(prefix + ".rate", "must be > 0")
@@ -692,6 +695,8 @@ def _run_value_curve(cfg, outs, seed, n, k, threads, desk):
 
 
 def _run_alpha_convergence(cfg, outs, seed, n, k, threads, desk):
+    if cfg.spec.sigma != 0.0:
+        raise ValidationError("model.sigma", "the cap ladder needs sigma = 0")
     alphas = cfg.task_list("alphas")
     x = cfg.task_float("x")
     if x is None:
@@ -726,7 +731,7 @@ def _run_alpha_convergence(cfg, outs, seed, n, k, threads, desk):
 
 def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
     if cfg.spec.sigma != 0.0:
-        raise oracle.EngineUnavailable("property checks need sigma = 0")
+        raise ValidationError("model.sigma", "property checks need sigma = 0")
     b = cfg.task_float("b", 1.0)
     x = cfg.task_float("x", 0.5)
     horizon = min(cfg.horizon, 20.0)

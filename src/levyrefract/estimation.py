@@ -29,11 +29,12 @@ from .levy_model import (
     PointMass,
     RngStream,
     _compensated_drift,
+    _grid_increment_matrix,
     classify_case,
     sample_path,
 )
 from . import path_engine
-from .strategy_engine import StrategyParams
+from .strategy_engine import StrategyParams, euler_steps
 
 CHUNK = 256
 CENSOR_FACTOR = 10  # Euler censoring horizon multiple: weight exp(-q*dt*10K)
@@ -129,30 +130,6 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
     return engine
 
 
-def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, rng):
-    """(m, k) step-increment matrix for m paths; jumps binned rightward."""
-    dt = horizon / k
-
-    def draw(m):
-        incs = np.full((m, k), _compensated_drift(spec) * dt)
-        if spec.sigma > 0:
-            incs += spec.sigma * math.sqrt(dt) * rng.standard_normal((m, k))
-        for comp in spec.jump_components:
-            counts = rng.poisson(comp.rate * horizon, m)
-            tot = int(counts.sum())
-            if tot == 0:
-                continue
-            times = rng.uniform(0.0, horizon, tot)
-            marks = comp.marks.sample(tot, rng) * comp.sign
-            bins = np.minimum(np.ceil(times / dt).astype(int) - 1, k - 1)
-            bins = np.maximum(bins, 0)
-            rows = np.repeat(np.arange(m), counts)
-            np.add.at(incs, (rows, bins), marks)
-        return incs
-
-    return draw, dt
-
-
 def _chunk_rng(stream: RngStream, ci: int):
     return RngStream(seed=stream.seed, tag=stream.tag, index=stream.index + ci).generator()
 
@@ -223,22 +200,13 @@ def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, lo_idx, m):
 # Euler engine: threshold-free discrete recursion ---------------------------
 
 def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, lo_idx, m):
-    rng = _chunk_rng(stream, ci)
-    draw, dt = _grid_increment_matrix(spec, horizon, k, rng)
-    incs = draw(m)
-    xhat = np.cumsum(incs, axis=1)
-    xhat = np.concatenate((np.zeros((m, 1)), xhat), axis=1)[:, :k]
-    alpha, q = params.alpha, params.q
-    wt = np.empty((m, k))
-    lhat = np.zeros(m)
-    wt[:, 0] = 0.0
-    for j in range(1, k):
-        w = xhat[:, j] - lhat
+    incs = _grid_increment_matrix(spec, horizon, k, m, _chunk_rng(stream, ci))
+    dt = horizon / k
+    q = params.q
+    wt = np.zeros((m, k))
+    steps = euler_steps(0.0, incs, 0.0, params.alpha, dt, floor=False)
+    for j, (w, _, _) in enumerate(steps, start=1):
         wt[:, j] = w
-        if alpha == math.inf:
-            lhat = lhat + np.maximum(w, 0.0)
-        else:
-            lhat = lhat + alpha * dt * (w > 0.0)
     mins = np.minimum.accumulate(wt, axis=1)
     prev = np.concatenate((np.full((m, 1), np.inf), mins[:, :-1]), axis=1)
     caps = np.minimum(prev, 0.0)
@@ -448,25 +416,15 @@ def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
 
 
 def _euler_clock_chunk(spec, params, x, horizon, k, stream, ci, lo_idx, m):
-    rng = _chunk_rng(stream, ci)
-    draw, dt = _grid_increment_matrix(spec, horizon, k, rng)
-    incs = draw(m)
-    xhat = np.cumsum(incs, axis=1)
-    xhat = np.concatenate((np.zeros((m, 1)), xhat), axis=1)[:, :k]
-    alpha, q, b = params.alpha, params.q, params.b
-    lhat = np.zeros(m)
+    incs = _grid_increment_matrix(spec, horizon, k, m, _chunk_rng(stream, ci))
+    dt = horizon / k
+    q = params.q
     kstrict = np.full(m, -1)
     kweak = np.full(m, -1)
-    for j in range(1, k):
-        y = x + xhat[:, j] - lhat
-        hit_s = (y < 0.0) & (kstrict < 0)
-        hit_w = (y <= 0.0) & (kweak < 0)
-        kstrict[hit_s] = j
-        kweak[hit_w] = j
-        if alpha == math.inf:
-            lhat = lhat + np.maximum(y - b, 0.0)
-        else:
-            lhat = lhat + alpha * dt * (y > b)
+    steps = euler_steps(x, incs, params.b, params.alpha, dt, floor=False)
+    for j, (y, _, _) in enumerate(steps, start=1):
+        kstrict[(y < 0.0) & (kstrict < 0)] = j
+        kweak[(y <= 0.0) & (kweak < 0)] = j
     if x < 0:
         kstrict[:] = 0
         kweak[:] = 0
@@ -621,33 +579,18 @@ def _discounted_flow_capped(traj, q, t_stop):
 
 
 def _euler_value_chunk(spec, params, x, horizon, k, spliced, stream, ci, lo_idx, m):
-    rng = _chunk_rng(stream, ci)
-    draw, dt = _grid_increment_matrix(spec, horizon, k, rng)
-    incs = draw(m)
-    xhat = np.cumsum(incs, axis=1)
-    xhat = np.concatenate((np.zeros((m, 1)), xhat), axis=1)[:, :k]
-    alpha, q, b, beta = params.alpha, params.q, params.b, params.beta
-    lhat = np.zeros(m)
-    rhat = np.maximum(0.0, -(x + xhat[:, 0]))
+    incs = _grid_increment_matrix(spec, horizon, k, m, _chunk_rng(stream, ci))
+    dt = horizon / k
+    q, beta = params.q, params.beta
     acc = np.zeros(m)
     stopped = np.zeros(m, dtype=bool)
     splice_d = np.zeros(m)
-    for j in range(1, k):
-        state = x + xhat[:, j] - lhat
+    steps = euler_steps(x, incs, params.b, params.alpha, dt, floor=True)
+    for j, (state, dl, dr) in enumerate(steps, start=1):
+        disc = math.exp(-q * dt * j)
         if spliced:
-            hit = (state <= 0.0) & ~stopped
-            splice_d[hit] = math.exp(-q * dt * j)
-        live = ~stopped
-        s = state + rhat
-        neg = s < 0.0
-        above = (s > b) & ~neg
-        dl = np.where(above, np.maximum(s - b, 0.0) if alpha == math.inf
-                      else alpha * dt, 0.0)
-        newr = np.where(neg, -state, rhat)
-        dr = newr - rhat
-        acc += live * math.exp(-q * dt * j) * (dl - beta * dr)
-        lhat = lhat + np.where(live | ~spliced, dl, 0.0)
-        rhat = np.where(live | ~spliced, newr, rhat)
+            splice_d[(state <= 0.0) & ~stopped] = disc
+        acc += ~stopped * disc * (dl - beta * dr)
         if spliced:
             stopped |= (state <= 0.0)
     ncens = float(np.sum(~stopped)) if spliced else 0.0

@@ -533,12 +533,12 @@ class GridPath:
     @property
     def values(self) -> np.ndarray:
         """x0 + X-hat on the grid, length k+1 including the start."""
-        return self.x0 + np.concatenate(([0.0], np.cumsum(self.increments)))
+        return self.x0 + self.xhat
 
     @property
     def xhat(self) -> np.ndarray:
         """Centered path X-hat (starts at 0), length k+1."""
-        return self.values - self.x0
+        return np.concatenate(([0.0], np.cumsum(self.increments)))
 
 
 class Exact:
@@ -568,17 +568,41 @@ def _component_arrivals(rate, horizon, rng):
             times.append(t)
 
 
+def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """(m, k) step increments of m grid paths; jumps binned rightward.
+
+    Each step holds the compensated drift, the Gaussian part, and the jumps
+    in (t_{j-1}, t_j].  The draws come in a fixed order: all Gaussians, then
+    per jump component the Poisson counts of the m paths, the uniform jump
+    times and the marks.  This is the only grid sampler: sample_path(Grid)
+    and every Euler estimator draw through it.
+    """
+    dt = horizon / k
+    incs = np.full((m, k), _compensated_drift(spec) * dt)
+    if spec.sigma > 0:
+        incs += spec.sigma * math.sqrt(dt) * rng.standard_normal((m, k))
+    for comp in spec.jump_components:
+        counts = rng.poisson(comp.rate * horizon, m)
+        tot = int(counts.sum())
+        if tot == 0:
+            continue
+        times = rng.uniform(0.0, horizon, tot)
+        marks = comp.marks.sample(tot, rng) * comp.sign
+        bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
+        np.add.at(incs, (np.repeat(np.arange(m), counts), bins), marks)
+    return incs
+
+
 def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream):
     """Draw one path of X on [0, horizon].
 
-    Exact mode returns an EventPath; grid mode returns a GridPath whose
-    increments compose the compensated drift, the Gaussian part, and the
-    jumps binned into the step containing them.  Deterministic in stream.
+    Exact mode returns an EventPath; grid mode returns a GridPath, the
+    one-path case of _grid_increment_matrix.  Deterministic in stream.
     """
     if horizon <= 0:
         raise InvalidParameter("horizon", "horizon must be positive")
     rng = stream.generator()
-    delta = _compensated_drift(spec)
     if isinstance(mode, Exact):
         if spec.sigma > 0:
             raise ExactModeUnavailable("exact sampling needs sigma = 0")
@@ -597,20 +621,11 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
         else:
             times = np.empty(0)
             sizes = np.empty(0)
-        return EventPath(spec.x0, horizon, delta, times, sizes)
+        return EventPath(spec.x0, horizon, _compensated_drift(spec), times, sizes)
     if isinstance(mode, Grid):
-        k = mode.k
-        if k < 1:
+        if mode.k < 1:
             raise InvalidParameter("k", "grid steps must be >= 1")
-        dt = horizon / k
-        incs = np.full(k, delta * dt)
-        if spec.sigma > 0:
-            incs += spec.sigma * math.sqrt(dt) * rng.standard_normal(k)
-        for comp in spec.jump_components:
-            t = _component_arrivals(comp.rate, horizon, rng)
-            m = comp.sign * comp.marks.sample(t.size, rng)
-            if t.size:
-                bins = np.minimum(np.ceil(t / dt).astype(int), k) - 1
-                np.add.at(incs, bins, m)
-        return GridPath(spec.x0, horizon, k, incs)
+        incs = _grid_increment_matrix(spec, horizon, mode.k, 1, rng)[0]
+        return GridPath(spec.x0, horizon, mode.k, incs)
     raise InvalidParameter("mode", "mode must be Exact or Grid(k)")
+

@@ -445,16 +445,12 @@ def _decomposition_from(traj: RefractedPath, path: EventPath) -> FloorDecomposit
     )
 
 
-def running_floor_reflection(path) -> FloorDecomposition:
-    """Reflect a path at 0 by its running infimum and decompose the infimum.
-
-    Accepts an EventPath (constant drift) or any RefractedPath-like segment
-    curve with jumps implied by segment discontinuities.
-    """
-    if isinstance(path, EventPath):
-        traj = _sweep(path, None, 1.0, False, floor=True)
-        return _decomposition_from(traj, path)
-    return _floor_sweep_curve(path)
+def running_floor_reflection(path: EventPath) -> FloorDecomposition:
+    """Reflect an event path at 0 by its running infimum and decompose the
+    infimum."""
+    _require_event_path(path)
+    traj = _sweep(path, None, 1.0, False, floor=True)
+    return _decomposition_from(traj, path)
 
 
 def infimum_decomposition(path: EventPath, delta: float) -> FloorDecomposition:
@@ -468,77 +464,6 @@ def infimum_decomposition(path: EventPath, delta: float) -> FloorDecomposition:
     if abs(delta - path.drift) > EXACT_TOL:
         raise InvalidParameter("delta", "delta must match the path drift")
     return running_floor_reflection(path)
-
-
-def _floor_sweep_curve(curve: RefractedPath) -> FloorDecomposition:
-    """Floor reflection of a piecewise-linear cadlag curve at 0."""
-    rec = _SegRecorder()
-    occ_t0, occ_t1, occ_rate = [], [], []
-    atom_t, atom = [], []
-    n = len(curve.seg_t)
-    seg_end = np.append(curve.seg_t[1:], curve.horizon)
-    end_vals = curve.seg_v + curve.seg_slope * (seg_end - curve.seg_t)
-    v0 = float(curve.seg_v[0])
-    init = min(v0, 0.0)
-    z = max(v0, 0.0)
-    t = float(curve.seg_t[0])
-    for i in range(n):
-        s = float(curve.seg_slope[i])
-        te = float(seg_end[i])
-        while t < te:
-            if z == 0.0 and s <= 0:
-                occ_t0.append(t)
-                occ_t1.append(te)
-                occ_rate.append(s)
-                rec.add(t, 0.0, 0.0, BRANCH_FLOOR, 0.0, -min(s, 0.0))
-                t = te
-            elif z > 0.0 and s < 0:
-                t_hit = t + z / (-s)
-                if t_hit < te:
-                    rec.add(t, z, s, BRANCH_INTERIOR, 0.0, 0.0)
-                    t, z = t_hit, 0.0
-                else:
-                    rec.add(t, z, s, BRANCH_INTERIOR, 0.0, 0.0)
-                    z = z + s * (te - t)
-                    t = te
-            else:
-                rec.add(t, z, s, BRANCH_INTERIOR, 0.0, 0.0)
-                z = z + s * (te - t)
-                t = te
-        if i + 1 < n:
-            jump = float(curve.seg_v[i + 1] - end_vals[i])
-            if jump != 0.0:
-                znew = z + jump
-                if znew < 0.0:
-                    atom_t.append(te)
-                    atom.append(znew)
-                    znew = 0.0
-                z = znew
-            t = te
-    traj = RefractedPath(
-        horizon=curve.horizon,
-        seg_t=np.asarray(rec.t),
-        seg_v=np.asarray(rec.v),
-        seg_slope=np.asarray(rec.slope),
-        x0_minus=v0,
-        seg_branch=np.asarray(rec.branch, dtype=int),
-        seg_lrate=np.asarray(rec.lrate),
-        seg_rrate=np.asarray(rec.rrate),
-        crossing_times=np.empty(0),
-        r_atom_t=np.asarray(atom_t),
-        r_atom=-np.asarray(atom) if atom else np.empty(0),
-        l_atom_t=np.empty(0),
-        l_atom=np.empty(0),
-    )
-    return FloorDecomposition(
-        reflected=traj,
-        initial_part=init,
-        occupation_t0=np.asarray(occ_t0),
-        occupation_t1=np.asarray(occ_t1),
-        occupation_rate=np.asarray(occ_rate),
-        atom_t=np.asarray(atom_t),
-        atom=np.asarray(atom) if atom else np.empty(0),
-    )
 
 
 def dividend_integral_path(traj: RefractedPath) -> SegmentCurve:

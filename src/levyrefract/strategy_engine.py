@@ -70,9 +70,10 @@ class ControlledTrajectory:
     """Sampled controlled surplus with its cumulative dividend/injection flows.
 
     times holds the canonical sample grid (segment knots for the exact
-    engine, the uniform step grid for Euler).  branch records which regime
-    produced each point.  exact, when present, is the underlying closed-form
-    trajectory for follow-up computation.
+    engine, the uniform step grid for Euler) and driver the uncontrolled
+    surplus x + X on it.  branch records which regime produced each point.
+    exact, when present, is the underlying closed-form trajectory for
+    follow-up computation.
     """
 
     times: np.ndarray
@@ -80,20 +81,15 @@ class ControlledTrajectory:
     l: np.ndarray
     r: np.ndarray
     branch: np.ndarray
+    driver: np.ndarray
     horizon: float
     params: StrategyParams
     kind: str  # "exact" or "euler"
     exact: RefractedPath | None = None
-    driver_end: float = math.nan
 
     def budget_residual(self) -> float:
-        """Max |Z - (start + driver increment - L + R)| over the sample grid."""
-        if self.kind == "exact":
-            drv = self.exact.x0_minus
-            # reconstruct driver from Z + L - R and compare at the end point
-            recon = self.z + self.l - self.r
-            return float(abs(recon[-1] - self.driver_end)) if not math.isnan(self.driver_end) else 0.0
-        return 0.0
+        """Max |Z - (driver - L + R)| over the sample grid."""
+        return float(np.max(np.abs(self.z - (self.driver - self.l + self.r))))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -116,22 +112,20 @@ def apply_strategy_exact(path: EventPath, params: StrategyParams, case) -> Contr
     if path.horizon == math.inf:
         times = traj.seg_t
         branch = traj.seg_branch
-        drv_end = math.nan
     else:
         times = np.append(traj.seg_t, path.horizon)
         branch = np.append(traj.seg_branch, traj.seg_branch[-1])
-        drv_end = float(path.value_at(path.horizon))
     return ControlledTrajectory(
         times=times,
         z=traj.value_at(times),
         l=traj.dividends_at(times),
         r=traj.injections_at(times),
         branch=branch,
+        driver=path.value_at(times),
         horizon=path.horizon,
         params=params,
         kind="exact",
         exact=traj,
-        driver_end=drv_end,
     )
 
 
@@ -166,63 +160,79 @@ def first_passage_times(traj: ControlledTrajectory) -> PassageTimes:
     return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
 
 
-def _euler_xhat(spec: JumpDiffusionSpec, horizon: float, k: int, stream: RngStream,
-                grid_path: GridPath | None):
-    if grid_path is not None:
-        if grid_path.k != k:
-            raise InvalidParameter("grid_path", "step count mismatch")
-        gp = grid_path
-    else:
-        gp = sample_path(spec, horizon, Grid(k), stream)
-    # driver increments relative to the start: K points at times 0..(K-1)dt
-    vals = gp.values - gp.values[0]
-    return vals[:k], gp.dt
+def euler_steps(x: float, increments: np.ndarray, b: float, alpha: float,
+                dt: float, floor: bool):
+    """Three-branch Euler recursion, vectorised over the rows of increments.
+
+    increments is an (m, k) matrix of driver steps.  The centred driver X-hat
+    sits at knots 0..k-1 (a leading 0, then the cumulative increments); the
+    dividend account L-hat starts at 0 and the injection account R-hat at
+    the top-up max(0, -x).  At each step j = 1..k-1 the state
+    x + X-hat_j - L-hat is corrected to s = state + R-hat and takes one
+    branch: s < 0 tops R-hat up to -state (only when floor is set); s > b
+    pays one dividend step, alpha * dt, or s - b when alpha is infinite;
+    otherwise both accounts carry over.  Ties fall to the carry-over branch.
+
+    Before applying step j the generator yields (state, dl, dr): the state
+    and the dividend and injection steps.  Without floor, dr stays 0.
+    """
+    m, k = increments.shape
+    xhat = np.cumsum(increments, axis=1)  # column j - 1 is knot j
+    lhat = np.zeros(m)
+    rhat = np.full(m, max(0.0, -x)) if floor else None
+    dr = np.zeros(m)
+    for j in range(1, k):
+        state = x + xhat[:, j - 1] - lhat
+        s = state + rhat if floor else state
+        if alpha == math.inf:
+            dl = np.where(s > b, s - b, 0.0)
+        else:
+            dl = np.where(s > b, alpha * dt, 0.0)
+        if floor:
+            newr = np.where(s < 0.0, -state, rhat)
+            dr = newr - rhat
+        yield state, dl, dr
+        lhat = lhat + dl
+        if floor:
+            rhat = newr
 
 
 def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
                    horizon: float, k: int, stream: RngStream,
                    grid_path: GridPath | None = None) -> ControlledTrajectory:
-    """Discrete three-branch recursion for the controlled surplus.
+    """One path of the floored three-branch recursion: euler_steps at m = 1.
 
-    Per step: compute the uncorrected state s = x + X_k - L_{k-1} + R_{k-1};
-    s < 0 tops the injection account up to -(x + X_k - L_{k-1}); s > b pays
-    one step of dividends at the cap rate; otherwise both accounts carry
-    over.  Ties fall to the carry-over branch.  alpha = inf replaces the
-    fixed dividend step with projection onto b.
+    L-hat accumulates the dividend steps.  R-hat is read back as the running
+    maximum of the negative part of the state, the reflection identity the
+    top-up rule satisfies exactly, so a step is a top-up where R-hat grows.
     """
-    xs, dt = _euler_xhat(spec, horizon, k, stream, grid_path)
-    b, alpha = params.b, params.alpha
-    lhat = np.empty(k)
-    rhat = np.empty(k)
-    branch = np.empty(k, dtype=int)
-    lhat[0] = 0.0
-    rhat[0] = max(0.0, -(x + xs[0]))
-    branch[0] = BRANCH_FLOOR if rhat[0] > 0 else BRANCH_INTERIOR
-    for i in range(1, k):
-        s = x + xs[i] - lhat[i - 1] + rhat[i - 1]
-        if s < 0.0:
-            rhat[i] = -(x + xs[i] - lhat[i - 1])
-            lhat[i] = lhat[i - 1]
-            branch[i] = BRANCH_FLOOR
-        elif s > b:
-            lhat[i] = lhat[i - 1] + (alpha * dt if alpha != math.inf else s - b)
-            rhat[i] = rhat[i - 1]
-            branch[i] = BRANCH_ABOVE
-        else:
-            lhat[i] = lhat[i - 1]
-            rhat[i] = rhat[i - 1]
-            branch[i] = BRANCH_INTERIOR
-    z = x + xs - lhat + rhat
+    if grid_path is None:
+        grid_path = sample_path(spec, horizon, Grid(k), stream)
+    elif grid_path.k != k:
+        raise InvalidParameter("grid_path", "step count mismatch")
+    dt = grid_path.dt
+    state = np.full(k, float(x))
+    dl = np.zeros(k)
+    steps = euler_steps(x, grid_path.increments[None, :], params.b, params.alpha,
+                        dt, floor=True)
+    for j, (state_j, dl_j, _) in enumerate(steps, start=1):
+        state[j], dl[j] = state_j[0], dl_j[0]
+    lhat = np.cumsum(dl)
+    rhat = np.maximum.accumulate(np.where(state < 0.0, -state, 0.0))
+    topped = np.diff(rhat, prepend=0.0) > 0
+    branch = np.where(topped, BRANCH_FLOOR,
+                      np.where(dl > 0, BRANCH_ABOVE, BRANCH_INTERIOR))
+    driver = x + grid_path.xhat[:k]
     return ControlledTrajectory(
         times=np.arange(k) * dt,
-        z=z,
+        z=driver - lhat + rhat,
         l=lhat,
         r=rhat,
         branch=branch,
+        driver=driver,
         horizon=horizon,
         params=params,
         kind="euler",
-        driver_end=float(x + xs[-1]),
     )
 
 

@@ -84,6 +84,27 @@ class TestGrammar:
             load_config(BASE + line + "\n")
         assert err.value.field == field
 
+    def test_every_jump_block_is_read_in_numeric_order(self):
+        text = BASE
+        for i, rate in ((2, 1.0), (10, 50.0), (3, 2.0)):
+            text += ("model.jump%d.rate = %g\nmodel.jump%d.sign = -1\n"
+                     "model.jump%d.dist = pointmass\nmodel.jump%d.params = 1\n"
+                     % (i, rate, i, i, i))
+        comps = load_config(text).spec.jump_components
+        assert [c.rate for c in comps] == [1.0, 2.0, 50.0]
+
+    def test_bad_mark_parameter_names_the_field(self, tmp_path, capsys):
+        text = BASE + ("model.jump1.rate = 1\nmodel.jump1.sign = 1\n"
+                       "model.jump1.dist = uniform\nmodel.jump1.params = -1, 1\n")
+        with pytest.raises(ValidationError) as err:
+            load_config(text)
+        assert err.value.field == "model.jump1.params"
+        p = tmp_path / "c.cfg"
+        p.write_text(text)
+        assert main(["validate", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "model.jump1.params" in capsys.readouterr().err
+
     def test_file_and_text_sources_agree(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text(BASE)
@@ -277,6 +298,15 @@ class TestMain:
                      str(tmp_path / "out")])
         assert code == 2
         assert "mc.seed" in capsys.readouterr().err
+
+    def test_property_checks_on_a_diffusion_exit_two(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "model.sigma = 1\n")
+        code = main(["check-properties", "--config", str(p), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "model.sigma" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
     def test_seed_override(self, tmp_path):
         p = tmp_path / "c.cfg"

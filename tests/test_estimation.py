@@ -154,6 +154,44 @@ class TestRandomizedClock:
                         RngStream(124, tag=1))
 
 
+class TestEulerClock:
+    """The Euler clock against the exact one on a pure drift -1, where the
+    only gap is rounding the passage time up to the grid: a step or two,
+    so at most 2 * beta * q * dt in the transform."""
+
+    T, K = 4.0, 400
+
+    @pytest.mark.parametrize("x,tau", [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0),
+                                       (1.6, 0.6 / 1.5 + 1.0)])
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_matches_the_exact_clock(self, x, tau, p):
+        exact, euler = (
+            estimate_underline_nu(x, 1.0, p, params(), drift_only(-1.0), self.T,
+                                  8, RngStream(125, tag=1), k=self.K, engine=eng)
+            for eng in ("exact", "euler"))
+        assert exact.mean == pytest.approx(BETA * math.exp(-Q * tau), rel=1e-12)
+        assert abs(euler.mean - exact.mean) <= 2 * BETA * Q * self.T / self.K
+        assert euler.censored_fraction == 0.0
+
+    def test_pstar_agrees_with_the_exact_engine(self):
+        got = [solve_pstar(params(), drift_only(-1.0), 1.0, self.T, 8,
+                           RngStream(126, tag=1), k=self.K, engine=eng)
+               for eng in ("exact", "euler")]
+        assert got == [1.0, 1.0]
+
+    def test_two_workers_give_identical_results(self, ref_spec_gauss):
+        # N = 300 is two chunks, so the second worker's partial is merged
+        def run(threads):
+            est = estimate_underline_nu(0.8, 1.2, 0.4, params(), ref_spec_gauss,
+                                        5.0, 300, RngStream(127, tag=1), k=200,
+                                        threads=threads)
+            p = solve_pstar(params(), ref_spec_gauss, 0.5, 5.0, 300,
+                            RngStream(128, tag=1), k=200, threads=threads)
+            return est, p
+
+        assert run(1) == run(2)
+
+
 class TestValueEstimates:
     def test_perpetual_injection_value(self):
         est = estimate_value(0.0, 2.0, params(), drift_only(-1.0), math.inf,

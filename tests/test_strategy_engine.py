@@ -1,19 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, EventPath, GridPath, InvalidParameter, RngStream, classify_case,
-    sample_path,
+    EXACT, EventPath, Grid, GridPath, InvalidParameter, RngStream,
+    classify_case, sample_path,
 )
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR,
 )
 from levyrefract.strategy_engine import (
     ControlledTrajectory, PassageTimes, StrategyParams, apply_strategy_exact,
-    euler_exact_gap, first_passage_times, sample_randomized_passage,
-    simulate_euler,
+    euler_exact_gap, euler_steps, first_passage_times,
+    sample_randomized_passage, simulate_euler,
 )
 
 from conftest import drift_only
@@ -58,6 +59,10 @@ class TestExactStrategy:
         assert traj.l[i] == pytest.approx(1.0)
         assert traj.r[i] == pytest.approx(0.1)
         assert traj.budget_residual() <= 1e-12
+        # the residual reads every knot, not only the end point
+        z = traj.z.copy()
+        z[1] += 0.25
+        assert replace(traj, z=z).budget_residual() == pytest.approx(0.25)
 
     def test_infinite_cap_degenerates_to_the_band(self):
         p = drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])
@@ -186,6 +191,83 @@ class TestEulerRecursion:
             assert np.min(traj.z) >= 0.0
             assert np.all(np.diff(traj.l) >= 0)
             assert np.all(np.diff(traj.r) >= 0)
+            assert traj.budget_residual() <= 1e-12
+
+
+def reference_euler(x, xs, b, alpha, dt):
+    """Scalar three-branch loop, the reference for the vectorised kernel;
+    xs is the centred driver at knots 0..k-1."""
+    k = len(xs)
+    lhat = np.empty(k)
+    rhat = np.empty(k)
+    branch = np.empty(k, dtype=int)
+    lhat[0] = 0.0
+    rhat[0] = max(0.0, -(x + xs[0]))
+    branch[0] = BRANCH_FLOOR if rhat[0] > 0 else BRANCH_INTERIOR
+    for i in range(1, k):
+        s = x + xs[i] - lhat[i - 1] + rhat[i - 1]
+        if s < 0.0:
+            rhat[i] = -(x + xs[i] - lhat[i - 1])
+            lhat[i] = lhat[i - 1]
+            branch[i] = BRANCH_FLOOR
+        elif s > b:
+            lhat[i] = lhat[i - 1] + (alpha * dt if alpha != math.inf else s - b)
+            rhat[i] = rhat[i - 1]
+            branch[i] = BRANCH_ABOVE
+        else:
+            lhat[i] = lhat[i - 1]
+            rhat[i] = rhat[i - 1]
+            branch[i] = BRANCH_INTERIOR
+    z = x + xs - lhat + rhat
+    return z, lhat, rhat, branch
+
+
+def hand_grids():
+    # dyadic steps, so the state lands exactly on 0 and on b = 1.5
+    yield GridPath(0.0, 5.0, 5, np.array([-2.0, 1.0, 2.0, 0.0, -0.5]))
+    yield GridPath(0.0, 10.0, 10, np.array(
+        [0.25, 0.25, 0.5, -1.0, -0.5, 0.5, 1.0, 0.0, -2.0, 0.75]))
+    yield GridPath(0.0, 1.0, 1, np.array([3.0]))
+
+
+def random_grids(spec):
+    for i in range(20):
+        yield sample_path(spec, 5.0, Grid(300), RngStream(61, tag=2, index=i))
+
+
+class TestEulerKernel:
+    """simulate_euler runs euler_steps; it must reproduce the scalar loop
+    bit for bit."""
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("x", [-0.7, 0.0, 0.5, 1.5, 2.25])
+    def test_bitwise_equal_to_the_scalar_loop(self, ref_spec_gauss, x, alpha):
+        sp = params(b=1.5, alpha=alpha)
+        grids = list(hand_grids()) + list(random_grids(ref_spec_gauss))
+        for gp in grids:
+            traj = simulate_euler(x, sp, ref_spec_gauss, gp.horizon, gp.k,
+                                  RngStream(1), grid_path=gp)
+            xs = (gp.values - gp.values[0])[:gp.k]
+            z, lhat, rhat, branch = reference_euler(x, xs, sp.b, alpha, gp.dt)
+            assert traj.z.tobytes() == z.tobytes()
+            assert traj.l.tobytes() == lhat.tobytes()
+            assert traj.r.tobytes() == rhat.tobytes()
+            np.testing.assert_array_equal(traj.branch, branch)
+
+    def test_rows_are_independent(self, ref_spec_gauss):
+        incs = np.stack([gp.increments for gp in random_grids(ref_spec_gauss)])
+        batch = list(euler_steps(0.3, incs, 1.0, 0.5, 5.0 / 300, floor=True))
+        for i in range(0, len(incs), 7):
+            alone = euler_steps(0.3, incs[i:i + 1], 1.0, 0.5, 5.0 / 300, floor=True)
+            for got, want in zip(alone, batch):
+                for a, b in zip(got, want):
+                    assert a[0] == b[i]
+
+    def test_unfloored_recursion_never_injects(self):
+        incs = np.full((2, 6), -0.5)
+        for state, dl, dr in euler_steps(0.2, incs, 1.0, 0.5, 1.0, floor=False):
+            assert not dr.any() and not dl.any()
+        assert state[0] == pytest.approx(0.2 - 2.5)
 
 
 class TestEulerExactGap:
