@@ -26,7 +26,6 @@ from .levy_model import (
     EventPath,
     InvalidParameter,
     JumpDiffusionSpec,
-    PointMass,
     RngStream,
     _compensated_drift,
     _grid_increment_matrix,
@@ -34,7 +33,12 @@ from .levy_model import (
     sample_path,
 )
 from . import path_engine
-from .strategy_engine import StrategyParams, euler_steps
+from .strategy_engine import (
+    StrategyParams,
+    apply_strategy_exact,
+    euler_steps,
+    first_passage_times,
+)
 
 CHUNK = 256
 CENSOR_FACTOR = 10  # Euler censoring horizon multiple: weight exp(-q*dt*10K)
@@ -47,10 +51,6 @@ class NoCrossing(RuntimeError):
 
 class DegenerateDenominator(RuntimeError):
     """The two passage transforms coincide; the affine equation has no root."""
-
-
-class GridTooNarrow(ValueError):
-    """Evaluation grid does not span what the operator needs."""
 
 
 @dataclass(frozen=True)
@@ -512,8 +512,6 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
 # value estimation ----------------------------------------------------------
 
 def _exact_value_chunk(spec, params, x, horizon, spliced, stream, ci, lo_idx, m):
-    from .strategy_engine import apply_strategy_exact
-
     case = classify_case(spec, params.alpha)
     base = replace(spec, x0=float(x))
     q = params.q
@@ -525,57 +523,19 @@ def _exact_value_chunk(spec, params, x, horizon, spliced, stream, ci, lo_idx, m)
         st = RngStream(seed=stream.seed, tag=stream.tag, index=stream.index + lo_idx + i)
         path = sample_path(base, horizon, EXACT, st)
         traj = apply_strategy_exact(path, params, case)
-        ex = traj.exact
-        if not spliced:
-            dl, dr = ex.discounted_flow(q)
-            w = dl - params.beta * dr
-            s1 += w
-            s2 += w * w
-            continue
-        _, weak = _first_passage_below_floor(ex)
-        if weak == math.inf:
-            dl, dr = ex.discounted_flow(q)
-            w = dl - params.beta * dr
-            d = 0.0
+        # spliced runs stop at the first weak visit to 0; exp(-q * inf) = 0
+        stop = first_passage_times(traj).t_weak if spliced else math.inf
+        dl, dr = traj.exact.discounted_flow(q, min(stop, horizon))
+        w = dl - params.beta * dr
+        d = math.exp(-q * stop)
+        if spliced and stop == math.inf:
             ncens += 1.0
-        else:
-            dl, dr = _discounted_flow_capped(ex, q, weak)
-            w = dl - params.beta * dr
-            d = math.exp(-q * weak)
         s1 += w
         s2 += w * w
         sd1 += d
         sd2 += d * d
         cross += w * d
     return (np.asarray([s1, s2, sd1, sd2, cross]), np.asarray([ncens]))
-
-
-def _first_passage_below_floor(traj):
-    """Weak visit time of the floored trajectory to 0 (first knot at 0)."""
-    at = np.flatnonzero(traj.seg_v == 0.0)
-    weak = float(traj.seg_t[at[0]]) if at.size else math.inf
-    if traj.r_atom_t.size:
-        pos = traj.r_atom_t[traj.r_atom > 0]
-        if pos.size:
-            weak = min(weak, float(pos[0]))
-    return weak, weak
-
-
-def _discounted_flow_capped(traj, q, t_stop):
-    """Discounted dividend/injection flow over [0, t_stop], atoms at t_stop
-    included."""
-    t0 = traj.seg_t
-    t1 = np.append(traj.seg_t[1:], traj.horizon)
-    a = np.minimum(t0, t_stop)
-    b = np.minimum(t1, t_stop)
-    w = (np.exp(-q * a) - np.exp(-q * b)) / q
-    dl = float(np.sum(traj.seg_lrate * w))
-    dr = float(np.sum(traj.seg_rrate * w))
-    keep_l = traj.l_atom_t <= t_stop
-    keep_r = traj.r_atom_t <= t_stop
-    dl += float(np.sum(np.exp(-q * traj.l_atom_t[keep_l]) * traj.l_atom[keep_l]))
-    dr += float(np.sum(np.exp(-q * traj.r_atom_t[keep_r]) * traj.r_atom[keep_r]))
-    return dl, dr
 
 
 def _euler_value_chunk(spec, params, x, horizon, k, spliced, stream, ci, lo_idx, m):
@@ -625,7 +585,6 @@ def estimate_value(x: float, b: float, params: StrategyParams,
             raise InvalidParameter(
                 "horizon", "infinite horizon needs the exact engine, no jumps, direct method")
         case = classify_case(spec, pp.alpha)
-        from .strategy_engine import apply_strategy_exact
         path = EventPath(x0=float(x) if x >= 0 else 0.0, horizon=math.inf,
                          drift=_compensated_drift(spec),
                          times=np.empty(0), sizes=np.empty(0))
@@ -705,72 +664,3 @@ def value_curve_csv(rows) -> str:
     for x, b, est, method in rows:
         lines.append("%.17g,%.17g,%.17g,%.17g,%s" % (x, b, est.mean, est.std_error, method))
     return "\n".join(lines) + "\n"
-
-
-# generator residual --------------------------------------------------------
-
-@dataclass(frozen=True)
-class GeneratorReport:
-    xs: np.ndarray
-    fprime: np.ndarray
-    lf_minus_qf: np.ndarray
-    hjb_residual: np.ndarray
-
-
-def _extended_interp(xs, fs, beta, slope_hi):
-    x0, x1 = xs[0], xs[-1]
-    f0, f1 = fs[0], fs[-1]
-
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        out = np.interp(y, xs, fs)
-        lo = y < x0
-        hi = y > x1
-        out = np.where(lo, f0 + beta * (y - x0), out)
-        out = np.where(hi, f1 + slope_hi * (y - x1), out)
-        return out
-
-    return f
-
-
-def generator_residual(xs, fs, spec: JumpDiffusionSpec, params: StrategyParams,
-                       quad_points: int = 400) -> GeneratorReport:
-    """Discounted generator residual of a function given on a uniform grid.
-
-    Below the grid the function is extended affinely with slope beta (the
-    injection-cost slope), above with its terminal slope.  The jump averages
-    are computed by fixed-node quadrature against each mark density; the
-    drift term uses central differences.  hjb_residual adds the optimal
-    dividend-rate term alpha * max(0, 1 - f')."""
-    xs = np.asarray(xs, dtype=float)
-    fs = np.asarray(fs, dtype=float)
-    if len(xs) < 5:
-        raise GridTooNarrow("need at least 5 grid points")
-    h = np.diff(xs)
-    if np.max(np.abs(h - h[0])) > 1e-9 * max(abs(h[0]), 1.0):
-        raise InvalidParameter("xs", "grid must be uniform")
-    if params.b < xs[0] or params.b > xs[-1]:
-        raise GridTooNarrow("threshold outside the grid")
-    h = float(h[0])
-    fp = (fs[2:] - fs[:-2]) / (2 * h)
-    fpp = (fs[2:] - 2 * fs[1:-1] + fs[:-2]) / (h * h)
-    xi = xs[1:-1]
-    fi = fs[1:-1]
-    slope_hi = (fs[-1] - fs[-2]) / h
-    fext = _extended_interp(xs, fs, params.beta, slope_hi)
-    delta = _compensated_drift(spec)
-    lf = delta * fp + 0.5 * spec.sigma ** 2 * fpp
-    for comp in spec.jump_components:
-        if isinstance(comp.marks, PointMass):
-            avg = fext(xi + comp.sign * comp.marks.c)
-        else:
-            hi_q = comp.marks.quantile_hi()
-            nodes = (np.arange(quad_points) + 0.5) / quad_points * hi_q
-            wts = comp.marks.pdf_at(nodes) * hi_q / quad_points
-            # midpoint rule; renormalize the discretized mass to one
-            avg = fext(xi[:, None] + comp.sign * nodes[None, :]) @ wts / wts.sum()
-        lf = lf + comp.rate * (avg - fi)
-    res = lf - params.q * fi
-    alpha = params.alpha if params.alpha != math.inf else 0.0
-    hjb = res + alpha * np.maximum(0.0, 1.0 - fp)
-    return GeneratorReport(xs=xi, fprime=fp, lf_minus_qf=res, hjb_residual=hjb)

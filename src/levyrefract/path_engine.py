@@ -1,9 +1,12 @@
 """Exact pathwise transforms on bounded-variation paths.
 
-Everything here is an event-driven sweep over piecewise-linear cadlag
-trajectories: refraction at a threshold b, reflection at the floor 0, the
-combined refracted-reflected construction, and the decomposition of the
-running infimum into boundary time, initial part, and jump top-ups.
+One event-driven sweep over piecewise-linear cadlag trajectories serves
+every transform here: refraction at a threshold b, reflection at the floor
+0, the combined refracted-reflected construction, and their alpha = inf
+limits (reflection at b from above, and the two-sided band on [0, b]), in
+which an overshoot above b is paid at once as a lump dividend.  The running
+infimum of the floored path is decomposed into boundary time, initial part,
+and jump top-ups.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
 """
@@ -92,7 +95,7 @@ class RefractedPath(SegmentCurve):
     seg_branch holds the branch code of each segment, seg_lrate/seg_rrate the
     dividend and injection densities active on it.  Atom arrays carry lump
     injections (jump top-ups, and the initial top-up when the start is
-    negative) and, in the two-sided-reflection limit, lump dividends.
+    negative) and, in the alpha = inf reflection limits, lump dividends.
     """
 
     x0_minus: float = 0.0
@@ -128,23 +131,27 @@ class RefractedPath(SegmentCurve):
         return self._cum_rate(self.seg_rrate, self.r_atom_t, self.r_atom, t)
 
     def discounted_flow(self, q: float, horizon=None) -> tuple:
-        """(integral e^{-qt} dL, integral e^{-qt} dR) in closed form.
+        """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon], in
+        closed form.
 
-        horizon=None integrates to the path horizon; math.inf extends the
-        final segment forever (only meaningful for jump-free deterministic
-        paths, the caller is responsible).
+        horizon is a stop time at most the path horizon; atoms at the stop
+        time are included.  None integrates to the path horizon; math.inf
+        extends the final segment forever (only meaningful for jump-free
+        deterministic paths, the caller is responsible).
         """
         t_end = self.horizon if horizon is None else horizon
-        t0 = self.seg_t
-        t1 = np.append(self.seg_t[1:], min(t_end, self.horizon))
+        t0 = np.minimum(self.seg_t, t_end)
+        t1 = np.minimum(np.append(self.seg_t[1:], self.horizon), t_end)
         w = (np.exp(-q * t0) - np.exp(-q * t1)) / q
         dl = float(np.sum(self.seg_lrate * w))
         dr = float(np.sum(self.seg_rrate * w))
         if t_end == math.inf:
             dl += self.seg_lrate[-1] * math.exp(-q * self.seg_t[-1]) / q - self.seg_lrate[-1] * w[-1]
             dr += self.seg_rrate[-1] * math.exp(-q * self.seg_t[-1]) / q - self.seg_rrate[-1] * w[-1]
-        dl += float(np.sum(np.exp(-q * self.l_atom_t) * self.l_atom))
-        dr += float(np.sum(np.exp(-q * self.r_atom_t) * self.r_atom))
+        keep_l = self.l_atom_t <= t_end
+        keep_r = self.r_atom_t <= t_end
+        dl += float(np.sum(np.exp(-q * self.l_atom_t[keep_l]) * self.l_atom[keep_l]))
+        dr += float(np.sum(np.exp(-q * self.r_atom_t[keep_r]) * self.r_atom[keep_r]))
         return dl, dr
 
 
@@ -204,16 +211,16 @@ class _SegRecorder:
 
 def _regime(z, b, alpha, delta, sticky, floor):
     """(slope, dividend rate, injection rate, branch) for the current state."""
-    if b is not None and z > b:
+    if z > b:
         return delta - alpha, alpha, 0.0, BRANCH_ABOVE
-    if b is not None and z == b and (b > 0.0 or not floor):
+    if z == b and (b > 0.0 or not floor):
         if sticky:
             return 0.0, delta, 0.0, BRANCH_AT_B
         if delta > alpha:
             return delta - alpha, alpha, 0.0, BRANCH_ABOVE
         return delta, 0.0, 0.0, BRANCH_INTERIOR
     if floor and z == 0.0:
-        if b is not None and b == 0.0:
+        if b == 0.0:
             if sticky:
                 return 0.0, delta, 0.0, BRANCH_AT_B
             if delta > alpha:
@@ -228,27 +235,36 @@ def _regime(z, b, alpha, delta, sticky, floor):
 
 
 def _next_target(z, slope, b, floor):
-    if slope > 0:
-        if b is not None and z < b:
-            return b
-        return None
+    if slope > 0 and z < b:
+        return b
     if slope < 0:
-        if b is not None and z > b:
+        if z > b:
             return b
-        if floor and 0.0 < z and (b is None or z <= b):
+        if floor and 0.0 < z <= b:
             return 0.0
     return None
 
 
 def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
-    """Event-driven sweep shared by refraction and refraction-reflection."""
+    """The event sweep behind every transform: refraction at rate alpha above
+    b, optionally reflected at the floor 0.
+
+    b = math.inf sets no threshold.  alpha = math.inf is the reflection limit:
+    an overshoot above b, at the start or after a jump, is paid at once as a
+    lump dividend, so the path never sits above b.
+    """
     delta = path.drift
     horizon = path.horizon
+    band = alpha == math.inf
     rec = _SegRecorder()
     crossings = []
-    r_atom_t, r_atom = [], []
+    r_atom_t, r_atom, l_atom_t, l_atom = [], [], [], []
     t = 0.0
     z = path.x0
+    if band and z > b:
+        l_atom_t.append(0.0)
+        l_atom.append(z - b)
+        z = b
     if floor and z < 0.0:
         r_atom_t.append(0.0)
         r_atom.append(-z)
@@ -270,87 +286,7 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
         if sz is None:
             break
         z = z + sz
-        if floor and z < 0.0:
-            r_atom_t.append(te)
-            r_atom.append(-z)
-            z = 0.0
-    return RefractedPath(
-        horizon=horizon,
-        seg_t=np.asarray(rec.t),
-        seg_v=np.asarray(rec.v),
-        seg_slope=np.asarray(rec.slope),
-        x0_minus=path.x0,
-        seg_branch=np.asarray(rec.branch, dtype=int),
-        seg_lrate=np.asarray(rec.lrate),
-        seg_rrate=np.asarray(rec.rrate),
-        crossing_times=np.asarray(crossings),
-        r_atom_t=np.asarray(r_atom_t),
-        r_atom=np.asarray(r_atom),
-        l_atom_t=np.empty(0),
-        l_atom=np.empty(0),
-    )
-
-
-def _band_sweep(path: EventPath, b, floor: bool) -> RefractedPath:
-    """Reflection at the upper barrier b (and optionally at the floor 0).
-
-    The two-sided version realizes the infinite-rate dividend limit: drift
-    and jumps that would exit [0, b] are absorbed as lump dividends above and
-    lump injections below.
-    """
-    delta = path.drift
-    horizon = path.horizon
-    rec = _SegRecorder()
-    crossings = []
-    r_atom_t, r_atom, l_atom_t, l_atom = [], [], [], []
-    t = 0.0
-    z = path.x0
-    if z > b:
-        l_atom_t.append(0.0)
-        l_atom.append(z - b)
-        z = b
-    if floor and z < 0.0:
-        r_atom_t.append(0.0)
-        r_atom.append(-z)
-        z = 0.0
-
-    def regime(z):
-        if z == b:
-            if b == 0.0 and floor:
-                return 0.0, max(delta, 0.0), max(-delta, 0.0), BRANCH_AT_B
-            if delta > 0:
-                return 0.0, delta, 0.0, BRANCH_AT_B
-            return delta, 0.0, 0.0, BRANCH_INTERIOR
-        if floor and z == 0.0:
-            if delta < 0:
-                return 0.0, 0.0, -delta, BRANCH_FLOOR
-            if delta == 0:
-                return 0.0, 0.0, 0.0, BRANCH_FLOOR
-            return delta, 0.0, 0.0, BRANCH_INTERIOR
-        return delta, 0.0, 0.0, BRANCH_INTERIOR
-
-    events = list(zip(path.times, path.sizes)) + [(horizon, None)]
-    for te, sz in events:
-        while True:
-            slope, lr, rr, br = regime(z)
-            target = None
-            if slope > 0 and z < b:
-                target = b
-            elif slope < 0 and floor and z > 0:
-                target = 0.0
-            t_cross = t + (target - z) / slope if target is not None else math.inf
-            rec.add(t, z, slope, br, lr, rr)
-            if t_cross < te:
-                crossings.append(t_cross)
-                t, z = t_cross, target
-            else:
-                z = z + slope * (te - t)
-                t = te
-                break
-        if sz is None:
-            break
-        z = z + sz
-        if z > b:
+        if band and z > b:
             l_atom_t.append(te)
             l_atom.append(z - b)
             z = b
@@ -403,7 +339,7 @@ def refracted_reflected_exact(path: EventPath, b, alpha, case: CaseLabel):
     if b < 0:
         raise InvalidBarrier("barrier must be >= 0")
     if not (alpha > 0) or alpha == math.inf:
-        raise InvalidParameter("alpha", "finite alpha required; use the band sweep for alpha = inf")
+        raise InvalidParameter("alpha", "finite alpha required; use reflect_two_sided for alpha = inf")
     traj = _sweep(path, float(b), float(alpha), case.is_case2, floor=True)
     return traj, _decomposition_from(traj, path)
 
@@ -413,13 +349,13 @@ def reflect_two_sided(path: EventPath, b) -> RefractedPath:
     _require_event_path(path)
     if b < 0:
         raise InvalidBarrier("barrier must be >= 0")
-    return _band_sweep(path, float(b), floor=True)
+    return _sweep(path, float(b), math.inf, path.drift > 0, floor=True)
 
 
 def reflect_from_above(path: EventPath, b) -> RefractedPath:
     """Path reflected at b from above only (running-supremum pushdown)."""
     _require_event_path(path)
-    return _band_sweep(path, float(b), floor=False)
+    return _sweep(path, float(b), math.inf, path.drift > 0, floor=False)
 
 
 def _decomposition_from(traj: RefractedPath, path: EventPath) -> FloorDecomposition:
@@ -449,7 +385,7 @@ def running_floor_reflection(path: EventPath) -> FloorDecomposition:
     """Reflect an event path at 0 by its running infimum and decompose the
     infimum."""
     _require_event_path(path)
-    traj = _sweep(path, None, 1.0, False, floor=True)
+    traj = _sweep(path, math.inf, 1.0, False, floor=True)
     return _decomposition_from(traj, path)
 
 

@@ -139,19 +139,12 @@ def first_passage_times(traj: ControlledTrajectory) -> PassageTimes:
     """
     if traj.kind == "exact":
         ex = traj.exact
-        cands = []
-        if ex.r_atom_t.size:
-            pos = ex.r_atom_t[ex.r_atom > 0]
-            if pos.size:
-                cands.append(float(pos[0]))
-        active = ex.seg_rrate > 0
-        if np.any(active):
-            cands.append(float(ex.seg_t[np.argmax(active)]))
-        kappa = min(cands) if cands else math.inf
-        at_zero = ex.seg_v == 0.0
-        t_weak = float(ex.seg_t[np.argmax(at_zero)]) if np.any(at_zero) else math.inf
-        if ex.r_atom_t.size and (ex.r_atom > 0).any():
-            t_weak = min(t_weak, float(ex.r_atom_t[ex.r_atom > 0][0]))
+        lumps = ex.r_atom_t[ex.r_atom > 0]
+        lump = float(lumps[0]) if lumps.size else math.inf
+        pinned = np.flatnonzero(ex.seg_rrate > 0)
+        kappa = min(lump, float(ex.seg_t[pinned[0]]) if pinned.size else math.inf)
+        at_zero = np.flatnonzero(ex.seg_v == 0.0)
+        t_weak = min(lump, float(ex.seg_t[at_zero[0]]) if at_zero.size else math.inf)
         return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
     rinc = np.flatnonzero(traj.r > 0)
     kappa = float(traj.times[rinc[0]]) if rinc.size else math.inf

@@ -3,15 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from levyrefract.levy_model import (
-    InvalidParameter, JumpDiffusionSpec, PointMass, RngStream, Uniform,
-)
+from levyrefract.levy_model import InvalidParameter, RngStream
 from levyrefract.strategy_engine import StrategyParams
 from levyrefract.estimation import (
-    DegenerateDenominator, GridTooNarrow, NoCrossing, _compensated_drift,
-    _pav_nonincreasing, estimate_nu, estimate_underline_nu, estimate_value,
-    find_bstar, generator_residual, nu_curve, solve_pstar, value_curve,
-    value_curve_csv,
+    DegenerateDenominator, NoCrossing, _pav_nonincreasing, estimate_nu,
+    estimate_underline_nu, estimate_value, find_bstar, nu_curve,
+    solve_pstar, value_curve, value_curve_csv,
 )
 
 from conftest import drift_only
@@ -249,41 +246,3 @@ class TestValueEstimates:
         text = value_curve_csv(rows)
         assert text.splitlines()[0] == "x,b,v,se,method"
         assert text.splitlines()[1].endswith(",direct")
-
-
-class TestGeneratorResidual:
-    def test_affine_function_closed_form(self):
-        """Affine f: every jump average is exact under linear interpolation,
-        so the residual matches the closed form to rounding."""
-        spec = JumpDiffusionSpec(
-            gamma=0.2, sigma=0.0,
-            jump_components=((1.0, 1, Uniform(0.0, 1.0)),
-                             (0.7, -1, PointMass(0.5))))
-        xs = np.linspace(0.0, 2.0, 81)
-        fs = 3.0 + BETA * xs
-        rep = generator_residual(xs, fs, spec, params())
-        dc = _compensated_drift(spec)
-        want = dc * BETA + 1.0 * BETA * 0.5 - 0.7 * BETA * 0.5 - Q * fs[1:-1]
-        np.testing.assert_allclose(rep.lf_minus_qf, want, atol=1e-12)
-
-    def test_exponential_drift_solution_is_harmonic(self):
-        # C e^{-qx/|delta|} with C = -beta/q kills (L - q) for drift -1 and
-        # keeps f' above 1 on [0, 2], so the dividend term stays off
-        xs = np.linspace(0.0, 2.0, 81)
-        fs = (-BETA / Q) * np.exp(-Q * xs)
-        rep = generator_residual(xs, fs, drift_only(-1.0), params())
-        assert np.max(np.abs(rep.lf_minus_qf)) < 1e-5
-        np.testing.assert_allclose(rep.hjb_residual, rep.lf_minus_qf)
-
-    def test_narrow_grids_rejected(self):
-        with pytest.raises(GridTooNarrow):
-            generator_residual(np.linspace(0, 1, 4), np.zeros(4),
-                               drift_only(-1.0), params())
-        with pytest.raises(GridTooNarrow):
-            generator_residual(np.linspace(0, 0.5, 11), np.zeros(11),
-                               drift_only(-1.0), params(b=1.0))
-
-    def test_grid_must_be_uniform(self):
-        xs = np.array([0.0, 0.2, 0.5, 0.7, 0.9, 1.2])
-        with pytest.raises(InvalidParameter):
-            generator_residual(xs, np.zeros(6), drift_only(-1.0), params(b=0.5))

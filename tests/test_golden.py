@@ -1,7 +1,8 @@
 """Golden output digests and the worker-count determinism gate.
 
 Each case runs one subcommand at desk size through run_experiment and
-compares the sha256 of every CSV it writes with tests/golden/digests.json.
+compares the sha256 of every CSV and text report it writes with
+tests/golden/digests.json.
 Output bytes depend on the numpy version (its generators and reductions),
 so the digest comparison runs only under the version the file names; the
 1- against 2-worker byte comparison runs under any version.
@@ -48,15 +49,23 @@ task.b_grid = -1:0.05:3.5
 task.x_grid = -0.5:0.5:2.5
 task.b = 1.66
 task.competing_b = 1.1
+task.alphas = 0.5, 1, inf
+task.x = 0.5
 """
 
 # name -> (sigma, alpha, subcommand); sigma 0 runs the exact engine, sigma 1
 # the Euler engine.  N = 300 is two estimator chunks, so two workers merge.
+# The alpha = inf exact cases and the two oracle subcommands cover the
+# two-sided and from-above reflections.
 CASES = {
     "exact-nu-curve": (0, "0.5", "nu-curve"),
     "exact-bstar": (0, "0.5", "bstar"),
     "exact-value-curve": (0, "0.5", "value-curve"),
     "exact-sample-path": (0, "0.5", "sample-path"),
+    "exact-value-curve-inf": (0, "inf", "value-curve"),
+    "exact-sample-path-inf": (0, "inf", "sample-path"),
+    "check-properties": (0, "0.5", "check-properties"),
+    "alpha-convergence": (0, "0.5", "alpha-convergence"),
     "euler-nu-curve": (1, "0.5", "nu-curve"),
     "euler-nu-curve-inf": (1, "inf", "nu-curve"),
     "euler-bstar": (1, "0.5", "bstar"),
@@ -80,9 +89,9 @@ def run_case(name, out_dir, threads=1):
     return out
 
 
-def csv_digests(files):
+def output_digests(files):
     return {f: hashlib.sha256(b).hexdigest() for f, b in files.items()
-            if f.endswith(".csv")}
+            if f.endswith((".csv", ".txt"))}
 
 
 def load_golden():
@@ -96,7 +105,7 @@ def test_csv_digests_match_the_record(name, tmp_path):
     if golden["numpy"] != np.__version__:
         pytest.skip("digests recorded under numpy %s, running %s"
                     % (golden["numpy"], np.__version__))
-    assert csv_digests(run_case(name, str(tmp_path))) == golden["digests"][name]
+    assert output_digests(run_case(name, str(tmp_path))) == golden["digests"][name]
 
 
 @pytest.mark.parametrize("name", THREAD_CHECKED)
@@ -112,7 +121,7 @@ def record():
     digests = {}
     for name in sorted(CASES):
         with tempfile.TemporaryDirectory() as d:
-            digests[name] = csv_digests(run_case(name, d))
+            digests[name] = output_digests(run_case(name, d))
     doc = {"numpy": np.__version__, "digests": digests}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")

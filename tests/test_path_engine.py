@@ -200,6 +200,23 @@ class TestReflectionLimits:
         np.testing.assert_allclose(traj.l_atom_t, [0.0])
         np.testing.assert_allclose(traj.l_atom, [1.0])
 
+    def test_two_sided_at_zero_pins_at_the_floor(self):
+        """At b = 0 a falling path is pinned at 0, where it draws injections
+        at rate -delta: the two-sided limit labels that stretch BRANCH_FLOOR,
+        as the finite-rate sweep does at b = 0."""
+        delta = -0.5
+        p = drift_path(delta, 0.4, 3.0, jumps=[(1.0, 0.8), (2.0, -0.6)])
+        traj = reflect_two_sided(p, b=0.0)
+        refr, _ = refracted_reflected_exact(p, 0.0, 0.5, case_for(delta, 0.5))
+        for t in (traj, refr):
+            pinned = (t.seg_v == 0.0) & (t.seg_slope == 0.0)
+            assert pinned.any()
+            assert np.all(t.seg_branch[pinned] == BRANCH_FLOOR)
+            assert np.all(t.seg_rrate[pinned] == -delta)
+        np.testing.assert_allclose(traj.l_atom, [0.4, 0.8])
+        np.testing.assert_allclose(traj.r_atom_t, [2.0])
+        assert traj.injections_at(3.0) == pytest.approx(-delta * 3.0 + 0.6)
+
     def test_gap_to_the_band_limit_never_grows_with_alpha(self, ref_spec_bv):
         """Trajectories are ordered in alpha, so the one-sided gap to the
         rate-unbounded limit is non-increasing.  It need not vanish: an
@@ -295,14 +312,24 @@ class TestDividendIntegralPath:
         assert curve.end_value() == pytest.approx(traj.dividends_at(10.0))
 
     def test_discounted_flow_matches_quadrature(self, ref_spec_bv):
+        """Closed-form discounted flows against the midpoint rule on the
+        cumulative flows, up to the path horizon (None), an interior time,
+        and the times of the last injection and lump-dividend atoms, which
+        count at the stop time.  The two-sided limit carries lump dividends."""
         p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(91, tag=5, index=0))
-        traj, _ = refracted_reflected_exact(p, b=1.0, alpha=0.5,
+        refr, _ = refracted_reflected_exact(p, b=1.0, alpha=0.5,
                                             case=classify_case(ref_spec_bv, 0.5))
         q = 0.05
-        dl, dr = traj.discounted_flow(q)
-        grid = np.union1d(np.linspace(0, 5.0, 20001), traj.segment_times())
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        dl_num = np.sum(np.exp(-q * mids) * np.diff(traj.dividends_at(grid)))
-        dr_num = np.sum(np.exp(-q * mids) * np.diff(traj.injections_at(grid)))
-        assert dl == pytest.approx(dl_num, abs=2e-5)
-        assert dr == pytest.approx(dr_num, abs=2e-5)
+        for traj in (refr, reflect_two_sided(p, b=1.0)):
+            stops = [None, 2.3, *traj.r_atom_t[-1:], *traj.l_atom_t[-1:]]
+            assert len(stops) == (3 if traj is refr else 4)
+            for stop in stops:
+                dl, dr = traj.discounted_flow(q, stop)
+                end = 5.0 if stop is None else stop
+                knots = traj.segment_times()
+                grid = np.union1d(np.linspace(0, end, 20001), knots[knots <= end])
+                mids = 0.5 * (grid[:-1] + grid[1:])
+                dl_num = np.sum(np.exp(-q * mids) * np.diff(traj.dividends_at(grid)))
+                dr_num = np.sum(np.exp(-q * mids) * np.diff(traj.injections_at(grid)))
+                assert dl == pytest.approx(dl_num, abs=2e-5), stop
+                assert dr == pytest.approx(dr_num, abs=2e-5), stop
