@@ -35,8 +35,14 @@ from .levy_model import (
     sample_path,
     validate_spec,
 )
-from .strategy_engine import StrategyParams, apply_strategy_exact, simulate_euler
+from .strategy_engine import (
+    ControlledTrajectory,
+    StrategyParams,
+    apply_strategy_exact,
+    simulate_euler,
+)
 from .estimation import (
+    _engine_for,
     estimate_value,
     find_bstar,
     nu_curve,
@@ -292,8 +298,11 @@ def load_config(source: str) -> ExperimentConfig:
             _to_float("task." + key, task[key])
     if "b" in task and _to_float("task.b", task["b"]) < 0:
         raise ValidationError("task.b", "must be >= 0")
-    if "engine" in task and task["engine"].lower() not in ("auto", "exact", "euler"):
+    engine = task.get("engine", "auto").lower()
+    if engine not in ("auto", "exact", "euler"):
         raise ValidationError("task.engine", "must be auto, exact, or euler")
+    if engine == "exact" and spec.sigma != 0.0:
+        raise ValidationError("task.engine", "the exact engine needs model.sigma = 0")
     if "mode" in task and task["mode"].lower() not in ("crn", "independent"):
         raise ValidationError("task.mode", "must be crn or independent")
     if "method" in task and task["method"].lower() not in ("direct", "spliced"):
@@ -558,13 +567,6 @@ def _version() -> str:
     return __version__
 
 
-def _resolve_engine(cfg: ExperimentConfig) -> str:
-    eng = cfg.task_str("engine", "auto")
-    if eng == "auto":
-        return "exact" if cfg.spec.sigma == 0.0 else "euler"
-    return eng
-
-
 # subcommands ---------------------------------------------------------------
 
 def _run_validate(cfg, outs, seed, n, k, threads, desk):
@@ -576,7 +578,7 @@ def _run_validate(cfg, outs, seed, n, k, threads, desk):
         "case = %s" % case.label,
         "net_drift = %s" % ("none" if delta is None else "%.17g" % delta),
         "negative_jump_mean = %.17g" % rep.negative_jump_mean,
-        "engine = %s" % _resolve_engine(cfg),
+        "engine = %s" % _engine_for(cfg.spec, cfg.task_str("engine", "auto")),
     ]
     for note in rep.notes:
         lines.append("note = %s" % note)
@@ -590,11 +592,12 @@ def _run_sample_path(cfg, outs, seed, n, k, threads, desk):
         raise ValidationError("task.b", "missing")
     params = cfg.params_for(b)
     stream = RngStream(seed, tag=1)
-    eng = _resolve_engine(cfg)
+    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     if eng == "exact":
         case = classify_case(cfg.spec, cfg.alpha)
         path = sample_path(cfg.spec, cfg.horizon, EXACT, stream)
-        traj = apply_strategy_exact(path, params, case)
+        traj = ControlledTrajectory.from_exact(
+            path, apply_strategy_exact(path, params, case), params)
     else:
         traj = simulate_euler(cfg.spec.x0, params, cfg.spec, cfg.horizon, k, stream)
     plot = SvgPlot("Controlled surplus sample path", "t", "level")
@@ -622,7 +625,7 @@ def _nu_plot(curve, beta, title):
 
 def _run_nu_curve(cfg, outs, seed, n, k, threads, desk):
     bgrid = cfg.task_grid("b_grid")
-    eng = _resolve_engine(cfg)
+    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     curve = nu_curve(cfg.params_for(0.0), cfg.spec, bgrid, cfg.horizon, k, n,
                      RngStream(seed, tag=2), mode=cfg.task_str("mode", "crn"),
                      engine=eng, threads=threads)
@@ -634,7 +637,7 @@ def _run_nu_curve(cfg, outs, seed, n, k, threads, desk):
 
 def _run_bstar(cfg, outs, seed, n, k, threads, desk):
     bgrid = cfg.task_grid("b_grid")
-    eng = _resolve_engine(cfg)
+    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     res = find_bstar(cfg.params_for(0.0), cfg.spec, bgrid, cfg.horizon, k, n,
                      RngStream(seed, tag=2), mode=cfg.task_str("mode", "crn"),
                      engine=eng, threads=threads)
@@ -645,7 +648,7 @@ def _run_bstar(cfg, outs, seed, n, k, threads, desk):
 
 
 def _assemble_value_curves(cfg, seed, n, k, threads, bs, principal, xs, method):
-    eng = _resolve_engine(cfg)
+    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     stream = RngStream(seed, tag=3)
     rows = []
     curves = {}
@@ -754,7 +757,7 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
                        RngStream(seed, tag=8)).shifted(x)
     tk = apply_strategy_exact(path, cfg.params_for(b), case)
     tl = apply_strategy_exact(path.shifted(shift), cfg.params_for(b), case)
-    control = oracle.check_pair(tk.exact, tl.exact, 0.5 * shift, b)
+    control = oracle.check_pair(tk, tl, 0.5 * shift, b)
     lines = pair.summary_lines() + ladder.summary_lines()
     lines.append(("PASS" if char.ok else "FAIL") + " char_function")
     lines.append("PASS negative_control (fired %d violations)" % len(control)
@@ -774,7 +777,7 @@ def _run_reproduce(cfg, outs, seed, n, k, threads, desk):
                                horizon=cfg.horizon, k=cfg.k, n=cfg.n,
                                seed=seed, task={},
                                text_sha256=cfg.text_sha256)
-        eng = "exact" if spec.sigma == 0.0 else "euler"
+        eng = _engine_for(spec, "auto")
         engines.append(eng)
         bgrid = parse_grid("task.b_grid", f"-1:0.01:{bhi}")
         res = find_bstar(sub.params_for(0.0), spec, bgrid, sub.horizon, k, n,

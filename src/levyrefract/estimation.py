@@ -130,10 +130,6 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
     return engine
 
 
-def _chunk_rng(stream: RngStream, ci: int):
-    return RngStream(seed=stream.seed, tag=stream.tag, index=stream.index + ci).generator()
-
-
 # exact engine: threshold-free translated sweep -----------------------------
 
 def _min_episodes(traj):
@@ -177,8 +173,7 @@ def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, lo_idx, m):
     cens = np.zeros(nb)
     q = params.q
     for i in range(m):
-        st = RngStream(seed=stream.seed, tag=stream.tag, index=stream.index + lo_idx + i)
-        path = sample_path(base, horizon, EXACT, st)
+        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
         w = path_engine.refract_exact(path, 0.0, params.alpha, case)
         ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w)
         # grid levels are -b; episode j covers b in [-min(hi,0), -lo)
@@ -200,7 +195,7 @@ def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, lo_idx, m):
 # Euler engine: threshold-free discrete recursion ---------------------------
 
 def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, lo_idx, m):
-    incs = _grid_increment_matrix(spec, horizon, k, m, _chunk_rng(stream, ci))
+    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q = params.q
     wt = np.zeros((m, k))
@@ -365,37 +360,6 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 
 # randomized passage clock --------------------------------------------------
 
-def _first_passage_below(traj, level: float):
-    """(strict, weak) first passage of a piecewise-linear cadlag path below
-    level; math.inf when not reached by the horizon."""
-    seg_t = traj.seg_t
-    seg_v = traj.seg_v - level
-    slope = traj.seg_slope
-    ends = np.append(seg_t[1:], traj.horizon)
-    end_v = seg_v + slope * (ends - seg_t)
-    weak = math.inf
-    strict = math.inf
-    # knot values (post-jump) at or below the level
-    at = np.flatnonzero(seg_v <= 0.0)
-    if at.size:
-        weak = float(seg_t[at[0]])
-    under = np.flatnonzero(seg_v < 0.0)
-    if under.size:
-        strict = float(seg_t[under[0]])
-    # interior down-crossings that go strictly below before the segment ends
-    cross = np.flatnonzero((slope < 0.0) & (seg_v >= 0.0) & (end_v < 0.0))
-    if cross.size:
-        tc = seg_t[cross] + seg_v[cross] / (-slope[cross])
-        t = float(tc.min())
-        strict = min(strict, t)
-        weak = min(weak, t)
-    # a final segment gliding exactly onto the level at the horizon
-    last = len(seg_t) - 1
-    if slope[last] < 0.0 and seg_v[last] > 0.0 and end_v[last] == 0.0:
-        weak = min(weak, float(traj.horizon))
-    return strict, weak
-
-
 def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
     case = classify_case(spec, params.alpha)
     base = replace(spec, x0=float(x))
@@ -403,10 +367,9 @@ def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
     acc = np.zeros(5)  # sum ws, sum ws^2, sum wweak, sum wweak^2, sum ws*wweak
     ncens = 0.0
     for i in range(m):
-        st = RngStream(seed=stream.seed, tag=stream.tag, index=stream.index + lo_idx + i)
-        path = sample_path(base, horizon, EXACT, st)
-        y = path_engine.refract_exact(path, params.b, params.alpha, case)
-        strict, weak = _first_passage_below(y, 0.0)
+        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
+        pt = first_passage_times(apply_strategy_exact(path, params, case))
+        strict, weak = pt.kappa_strict, pt.t_weak
         ws = math.exp(-q * strict) if strict < math.inf else 0.0
         ww = math.exp(-q * weak) if weak < math.inf else 0.0
         if strict == math.inf or weak == math.inf:
@@ -416,7 +379,7 @@ def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
 
 
 def _euler_clock_chunk(spec, params, x, horizon, k, stream, ci, lo_idx, m):
-    incs = _grid_increment_matrix(spec, horizon, k, m, _chunk_rng(stream, ci))
+    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q = params.q
     kstrict = np.full(m, -1)
@@ -460,7 +423,9 @@ def estimate_underline_nu(x: float, bstar: float, p: float,
 
     The clock is the strict passage below 0 of the refracted process with
     probability p and the weak passage otherwise; the expectation over the
-    randomization is taken in closed form.
+    randomization is taken in closed form.  The exact engine reads both off
+    the floored strategy path, as kappa_strict and t_weak of
+    first_passage_times.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter("p", "probability must lie in [0, 1]")
@@ -520,12 +485,11 @@ def _exact_value_chunk(spec, params, x, horizon, spliced, stream, ci, lo_idx, m)
     cross = 0.0
     ncens = 0.0
     for i in range(m):
-        st = RngStream(seed=stream.seed, tag=stream.tag, index=stream.index + lo_idx + i)
-        path = sample_path(base, horizon, EXACT, st)
+        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
         traj = apply_strategy_exact(path, params, case)
         # spliced runs stop at the first weak visit to 0; exp(-q * inf) = 0
         stop = first_passage_times(traj).t_weak if spliced else math.inf
-        dl, dr = traj.exact.discounted_flow(q, min(stop, horizon))
+        dl, dr = traj.discounted_flow(q, min(stop, horizon))
         w = dl - params.beta * dr
         d = math.exp(-q * stop)
         if spliced and stop == math.inf:
@@ -539,7 +503,7 @@ def _exact_value_chunk(spec, params, x, horizon, spliced, stream, ci, lo_idx, m)
 
 
 def _euler_value_chunk(spec, params, x, horizon, k, spliced, stream, ci, lo_idx, m):
-    incs = _grid_increment_matrix(spec, horizon, k, m, _chunk_rng(stream, ci))
+    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q, beta = params.q, params.beta
     acc = np.zeros(m)
@@ -589,7 +553,7 @@ def estimate_value(x: float, b: float, params: StrategyParams,
                          drift=_compensated_drift(spec),
                          times=np.empty(0), sizes=np.empty(0))
         traj = apply_strategy_exact(path, pp, case)
-        dl, dr = traj.exact.discounted_flow(pp.q, horizon=math.inf)
+        dl, dr = traj.discounted_flow(pp.q, horizon=math.inf)
         w = dl - pp.beta * dr
         if x < 0:
             w += pp.beta * x

@@ -246,15 +246,15 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
         path = sample_path(base, horizon, EXACT, stream.for_path(i))
         tk = apply_strategy_exact(path.shifted(x + k), params, case)
         tl = apply_strategy_exact(path.shifted(x + l), params, case)
-        viol.extend(check_pair(tk.exact, tl.exact, shift, params.b))
+        viol.extend(check_pair(tk, tl, shift, params.b))
         viol.extend(_budget_violations(tk, path.shifted(x + k)))
     return CoupledPairReport(n_paths=n, shift=shift, violations=tuple(viol))
 
 
 def _budget_violations(traj, path, tol: float = EXACT_TOL):
-    ts = traj.exact.seg_t
-    lhs = traj.exact.value_at(ts)
-    rhs = path.value_at(ts) - traj.exact.dividends_at(ts) + traj.exact.injections_at(ts)
+    ts = traj.seg_t
+    lhs = traj.value_at(ts)
+    rhs = path.value_at(ts) - traj.dividends_at(ts) + traj.injections_at(ts)
     resid = np.abs(lhs - rhs)
     bad = resid > tol
     return [Violation(float(t), "budget", float(m)) for t, m in zip(ts[bad], resid[bad])]
@@ -300,7 +300,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
         for a in alphas:
             case = classify_case(spec, a)
             pp = StrategyParams(b=b, alpha=a, beta=beta, q=q)
-            trajs.append(apply_strategy_exact(path, pp, case).exact)
+            trajs.append(apply_strategy_exact(path, pp, case))
             if a == math.inf:
                 refr.append(reflect_from_above(path, b))
             else:

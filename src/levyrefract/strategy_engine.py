@@ -2,8 +2,11 @@
 
 A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
-non-negative.  The exact engine delegates to the event sweeps in path_engine;
-the Euler engine runs the discrete three-branch recursion on a time grid.
+non-negative.  The exact engine delegates to the event sweeps in path_engine:
+apply_strategy_exact returns the swept floored path itself, which the
+estimators and the property oracle read directly, and only sample-path
+samples it onto knots (ControlledTrajectory.from_exact).  The Euler engine
+runs the discrete three-branch recursion on a time grid.
 """
 
 from __future__ import annotations
@@ -72,8 +75,6 @@ class ControlledTrajectory:
     times holds the canonical sample grid (segment knots for the exact
     engine, the uniform step grid for Euler) and driver the uncontrolled
     surplus x + X on it.  branch records which regime produced each point.
-    exact, when present, is the underlying closed-form trajectory for
-    follow-up computation.
     """
 
     times: np.ndarray
@@ -85,7 +86,25 @@ class ControlledTrajectory:
     horizon: float
     params: StrategyParams
     kind: str  # "exact" or "euler"
-    exact: RefractedPath | None = None
+
+    @classmethod
+    def from_exact(cls, path: EventPath, traj: RefractedPath,
+                   params: StrategyParams) -> "ControlledTrajectory":
+        """Sample an exact trajectory and its driver path on the segment
+        knots and the (finite) horizon."""
+        times = np.append(traj.seg_t, path.horizon)
+        branch = np.append(traj.seg_branch, traj.seg_branch[-1])
+        return cls(
+            times=times,
+            z=traj.value_at(times),
+            l=traj.dividends_at(times),
+            r=traj.injections_at(times),
+            branch=branch,
+            driver=path.value_at(times),
+            horizon=path.horizon,
+            params=params,
+            kind="exact",
+        )
 
     def budget_residual(self) -> float:
         """Max |Z - (driver - L + R)| over the sample grid."""
@@ -99,52 +118,37 @@ class ControlledTrajectory:
         return buf.getvalue()
 
 
-def apply_strategy_exact(path: EventPath, params: StrategyParams, case) -> ControlledTrajectory:
-    """Run the threshold strategy along one event path, exactly.
+def apply_strategy_exact(path: EventPath, params: StrategyParams, case) -> RefractedPath:
+    """Run the threshold strategy along one event path, exactly: the swept
+    floored trajectory.
 
     Finite alpha refracts above b and reflects at 0; alpha = inf degenerates
     to two-sided reflection on [0, b] with lump dividends.
     """
     if params.alpha == math.inf:
-        traj = path_engine.reflect_two_sided(path, params.b)
-    else:
-        traj, _ = path_engine.refracted_reflected_exact(path, params.b, params.alpha, case)
-    if path.horizon == math.inf:
-        times = traj.seg_t
-        branch = traj.seg_branch
-    else:
-        times = np.append(traj.seg_t, path.horizon)
-        branch = np.append(traj.seg_branch, traj.seg_branch[-1])
-    return ControlledTrajectory(
-        times=times,
-        z=traj.value_at(times),
-        l=traj.dividends_at(times),
-        r=traj.injections_at(times),
-        branch=branch,
-        driver=path.value_at(times),
-        horizon=path.horizon,
-        params=params,
-        kind="exact",
-        exact=traj,
-    )
+        return path_engine.reflect_two_sided(path, params.b)
+    return path_engine.refracted_reflected_exact(path, params.b, params.alpha, case)[0]
 
 
-def first_passage_times(traj: ControlledTrajectory) -> PassageTimes:
+def first_passage_times(traj: RefractedPath | ControlledTrajectory) -> PassageTimes:
     """Passage readings off a controlled trajectory.
 
-    Exact engine: kappa is the first injection lump or the start of the first
-    floor-pinned stretch with a positive injection density; t_weak is the
-    first knot where Z sits at 0.  Euler engine: the step-index analogues in
-    grid time.
+    Exact engine, read off the swept floored path (a RefractedPath): kappa
+    is the first injection lump or the start of the first floor-pinned
+    stretch with a positive injection density, which is where the refracted
+    path without the floor first goes strictly below 0; t_weak is the first
+    lump or knot where the path sits at 0, its first visit.  These are the
+    strict and weak clocks of the randomized passage and the splice time
+    of the value estimators.  Euler engine (a ControlledTrajectory): the
+    step-index analogues in grid time.
     """
-    if traj.kind == "exact":
-        ex = traj.exact
-        lumps = ex.r_atom_t[ex.r_atom > 0]
+    if isinstance(traj, RefractedPath):
+        lumps = traj.r_atom_t[traj.r_atom > 0]
         lump = float(lumps[0]) if lumps.size else math.inf
-        pinned = np.flatnonzero(ex.seg_rrate > 0)
-        kappa = min(lump, float(ex.seg_t[pinned[0]]) if pinned.size else math.inf)
-        at_zero = np.flatnonzero(ex.seg_v == 0.0)
-        t_weak = min(lump, float(ex.seg_t[at_zero[0]]) if at_zero.size else math.inf)
+        pinned = np.flatnonzero(traj.seg_rrate > 0)
+        kappa = min(lump, float(traj.seg_t[pinned[0]]) if pinned.size else math.inf)
+        at_zero = np.flatnonzero(traj.seg_v == 0.0)
+        t_weak = min(lump, float(traj.seg_t[at_zero[0]]) if at_zero.size else math.inf)
         return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
     rinc = np.flatnonzero(traj.r > 0)
     kappa = float(traj.times[rinc[0]]) if rinc.size else math.inf
@@ -246,7 +250,5 @@ def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
     shifted = path.shifted(-path.x0)
     gp = shifted.to_grid(k)
     euler = simulate_euler(x, params, spec, horizon, k, stream, grid_path=gp)
-    exact_path = shifted.shifted(x)
-    traj = apply_strategy_exact(exact_path, params, case)
-    zex = traj.exact.value_at(euler.times)
+    zex = apply_strategy_exact(shifted.shifted(x), params, case).value_at(euler.times)
     return float(np.max(np.abs(euler.z - zex)))

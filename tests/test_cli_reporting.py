@@ -308,6 +308,16 @@ class TestMain:
         assert "model.sigma" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
+    @pytest.mark.parametrize("sub", ["sample-path", "nu-curve"])
+    def test_exact_engine_on_a_diffusion_exits_two(self, sub, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "model.sigma = 1\ntask.engine = exact\n"
+                     "task.b = 1.0\ntask.b_grid = 0:0.5:2\n")
+        code = main([sub, "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "task.engine" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
     def test_seed_override(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text(BASE)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from levyrefract.levy_model import InvalidParameter, RngStream
+from levyrefract.levy_model import (
+    InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
+)
 from levyrefract.strategy_engine import StrategyParams
 from levyrefract.estimation import (
     DegenerateDenominator, NoCrossing, _pav_nonincreasing, estimate_nu,
@@ -136,6 +138,21 @@ class TestRandomizedClock:
         p = solve_pstar(params(), drift_only(0.3), 0.0, 40.0, 64,
                         RngStream(122, tag=1))
         assert p == pytest.approx((BETA - 1.0) / BETA, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_up_jumps_parked_at_zero_never_pass_strictly(self, x):
+        """Case 2 at b = 0 with up-jumps only: the path drains onto 0 and
+        sticks there, so it never goes strictly below 0 and the strict
+        clock is censored on every path."""
+        spec = JumpDiffusionSpec(
+            gamma=0.7264702816749877, sigma=0.0,
+            jump_components=((0.32066539000328914, 1,
+                              Uniform(0.0625963023373811, 0.7273671791428004)),))
+        pp = StrategyParams(b=0.0, alpha=1.2845007357291955, beta=BETA, q=Q)
+        est = estimate_underline_nu(x, 0.0, 1.0, pp, spec, horizon=20, n=256,
+                                    stream=RngStream(129, tag=1))
+        assert est.mean == 0.0
+        assert est.censored_fraction == 1.0
 
     def test_strict_clock_never_late_enough_returns_one(self):
         # drift -1 from b: strict passage at b is immediate, transform 1

@@ -9,14 +9,17 @@ so the digest comparison runs only under the version the file names; the
 
 After a deliberate change of output bytes, re-record with
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
-and give the reason in CHANGES.md.
+and give the reason in CHANGES.md.  With names, only those cases are
+re-recorded and every other digest is kept byte for byte; with none, every
+case is.
 """
 
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -56,7 +59,8 @@ task.x = 0.5
 # name -> (sigma, alpha, subcommand); sigma 0 runs the exact engine, sigma 1
 # the Euler engine.  N = 300 is two estimator chunks, so two workers merge.
 # The alpha = inf exact cases and the two oracle subcommands cover the
-# two-sided and from-above reflections.
+# two-sided and from-above reflections.  reproduce-paper runs its own
+# reference models at desk scale; the model text sets T, K, N and the seed.
 CASES = {
     "exact-nu-curve": (0, "0.5", "nu-curve"),
     "exact-bstar": (0, "0.5", "bstar"),
@@ -72,7 +76,10 @@ CASES = {
     "euler-value-curve": (1, "0.5", "value-curve"),
     "euler-value-curve-inf": (1, "inf", "value-curve"),
     "euler-sample-path": (1, "0.5", "sample-path"),
+    "reproduce-paper": (0, "0.5", "reproduce-paper"),
 }
+
+DESK_SCALED = ("reproduce-paper",)
 
 THREAD_CHECKED = ("euler-nu-curve", "euler-value-curve", "euler-value-curve-inf")
 
@@ -81,7 +88,7 @@ def run_case(name, out_dir, threads=1):
     """{file name: bytes} of everything one case writes."""
     sigma, alpha, sub = CASES[name]
     run_experiment(load_config(_MODEL % (sigma, alpha)), sub, out_dir=out_dir,
-                   threads=threads)
+                   threads=threads, desk_scale=name in DESK_SCALED)
     out = {}
     for fname in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, fname), "rb") as fh:
@@ -117,15 +124,24 @@ def test_two_workers_write_the_same_bytes(name, tmp_path):
         assert one[fname] == two[fname], fname
 
 
-def record():
-    digests = {}
-    for name in sorted(CASES):
+def record(names=()):
+    """Re-record the named cases, or every case when none is named."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit("unknown golden case: " + ", ".join(unknown))
+    if names:
+        doc = load_golden()
+        if doc["numpy"] != np.__version__:
+            raise SystemExit("digests recorded under numpy %s, running %s: "
+                             "re-record every case" % (doc["numpy"], np.__version__))
+    else:
+        doc = {"numpy": np.__version__, "digests": {}}
+    for name in sorted(names or CASES):
         with tempfile.TemporaryDirectory() as d:
-            digests[name] = output_digests(run_case(name, d))
-    doc = {"numpy": np.__version__, "digests": digests}
+            doc["digests"][name] = output_digests(run_case(name, d))
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 if __name__ == "__main__":
-    record()
+    record(sys.argv[1:])

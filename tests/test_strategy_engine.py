@@ -9,8 +9,9 @@ from levyrefract.levy_model import (
     classify_case, sample_path,
 )
 from levyrefract.path_engine import (
-    BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR,
+    BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, refract_exact,
 )
+from levyrefract.properties_oracle import draw_random_bv_setup
 from levyrefract.strategy_engine import (
     ControlledTrajectory, PassageTimes, StrategyParams, apply_strategy_exact,
     euler_exact_gap, euler_steps, first_passage_times,
@@ -51,7 +52,9 @@ class TestStrategyParams:
 class TestExactStrategy:
     def test_matches_the_event_sweep(self):
         p = drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])
-        traj = apply_strategy_exact(p, params(b=1.0, alpha=0.4), case_for(1.0, 0.4))
+        pp = params(b=1.0, alpha=0.4)
+        traj = ControlledTrajectory.from_exact(
+            p, apply_strategy_exact(p, pp, case_for(1.0, 0.4)), pp)
         assert traj.kind == "exact"
         assert traj.times[-1] == 4.0
         i = np.searchsorted(traj.times, 4.0)
@@ -66,8 +69,9 @@ class TestExactStrategy:
 
     def test_infinite_cap_degenerates_to_the_band(self):
         p = drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])
-        traj = apply_strategy_exact(p, params(b=1.0, alpha=math.inf),
-                                    case_for(1.0, 1.0))
+        pp = params(b=1.0, alpha=math.inf)
+        traj = ControlledTrajectory.from_exact(
+            p, apply_strategy_exact(p, pp, case_for(1.0, 1.0)), pp)
         assert np.max(traj.z) <= 1.0 + 1e-12
         assert np.min(traj.z) >= -1e-12
         end = np.searchsorted(traj.times, 3.0)
@@ -78,13 +82,15 @@ class TestExactStrategy:
         case = classify_case(ref_spec_bv, 0.5)
         for i in range(30):
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(41, tag=6, index=i))
-            traj = apply_strategy_exact(p, params(b=1.2), case)
+            pp = params(b=1.2)
+            traj = ControlledTrajectory.from_exact(
+                p, apply_strategy_exact(p, pp, case), pp)
             assert traj.budget_residual() <= 1e-12
 
     def test_perpetual_negative_drift_injects_forever(self):
         p = drift_path(-1.0, 0.0, math.inf)
         traj = apply_strategy_exact(p, params(b=2.0), case_for(-1.0, 0.5))
-        dl, dr = traj.exact.discounted_flow(0.05, horizon=math.inf)
+        dl, dr = traj.discounted_flow(0.05, horizon=math.inf)
         assert dl == 0.0
         assert dr == pytest.approx(1.0 / 0.05, rel=1e-12)
 
@@ -127,6 +133,70 @@ class TestPassageTimes:
         draws = [sample_randomized_passage(pt, 0.5, s.for_path(i)) for i in range(400)]
         frac = np.mean(np.array(draws) == 3.0)
         assert 0.4 < frac < 0.6
+
+
+def first_passage_below_reference(traj, level):
+    """The unfloored strict/weak passage reader the exact clock used before
+    it read first_passage_times off the floored strategy path: (strict,
+    weak) first passage of a piecewise-linear cadlag path below level."""
+    seg_t = traj.seg_t
+    seg_v = traj.seg_v - level
+    slope = traj.seg_slope
+    ends = np.append(seg_t[1:], traj.horizon)
+    end_v = seg_v + slope * (ends - seg_t)
+    weak = math.inf
+    strict = math.inf
+    at = np.flatnonzero(seg_v <= 0.0)
+    if at.size:
+        weak = float(seg_t[at[0]])
+    under = np.flatnonzero(seg_v < 0.0)
+    if under.size:
+        strict = float(seg_t[under[0]])
+    cross = np.flatnonzero((slope < 0.0) & (seg_v >= 0.0) & (end_v < 0.0))
+    if cross.size:
+        tc = seg_t[cross] + seg_v[cross] / (-slope[cross])
+        t = float(tc.min())
+        strict = min(strict, t)
+        weak = min(weak, t)
+    last = len(seg_t) - 1
+    if slope[last] < 0.0 and seg_v[last] > 0.0 and end_v[last] == 0.0:
+        weak = min(weak, float(traj.horizon))
+    return strict, weak
+
+
+class TestPassageReaderParity:
+    def test_floored_path_reads_the_unfloored_clock(self):
+        """kappa_strict and t_weak of the floored strategy path equal the
+        unfloored reader on the refracted path, bitwise, on random models
+        with starts below 0, at 0, at b, inside (0, b) and above b.
+
+        Excluded: b = 0 in Case 2, where the unfloored path glides onto 0
+        and its end value rounds below 0, so the old reader reported a
+        strict passage the path never makes.  There the weak clocks agree
+        and the strict clock only moves later.
+        """
+        rng = np.random.default_rng(20261018)
+        n_pos = n_zero = n_fixed = 0
+        for d in range(4000):
+            spec, pp, *_ = draw_random_bv_setup(rng)
+            b = 0.0 if (d // 5) % 5 == 0 else pp.b
+            x = (-rng.uniform(0.05, 0.5), 0.0, b, rng.uniform() * b,
+                 b + rng.uniform(0.05, 1.0))[d % 5]
+            pp = replace(pp, b=b)
+            case = classify_case(spec, pp.alpha)
+            path = sample_path(replace(spec, x0=x), 10.0, EXACT,
+                               RngStream(77, tag=9, index=d))
+            strict, weak = first_passage_below_reference(
+                refract_exact(path, b, pp.alpha, case), 0.0)
+            pt = first_passage_times(apply_strategy_exact(path, pp, case))
+            if b == 0.0 and case.is_case2:
+                n_fixed += (pt.kappa_strict, pt.t_weak) != (strict, weak)
+                assert pt.t_weak == weak and pt.kappa_strict >= strict
+                continue
+            assert (pt.kappa_strict, pt.t_weak) == (strict, weak), d
+            n_pos += b > 0.0
+            n_zero += b == 0.0
+        assert n_pos >= 3000 and n_zero > 0 and n_fixed > 0
 
 
 class TestEulerRecursion:
