@@ -43,7 +43,6 @@ from .strategy_engine import (
 )
 from .estimation import (
     _engine_for,
-    estimate_value,
     find_bstar,
     nu_curve,
     value_curve,
@@ -648,23 +647,25 @@ def _run_bstar(cfg, outs, seed, n, k, threads, desk):
 
 
 def _assemble_value_curves(cfg, seed, n, k, threads, bs, principal, xs, method):
+    """Every curve of bs over xs, and the plot marker at x = b of each b
+    inside the x range, from one value_curve job."""
     eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
-    stream = RngStream(seed, tag=3)
-    rows = []
-    curves = {}
-    for b in bs:
-        params = cfg.params_for(float(b))
-        got = value_curve(xs, float(b), params, cfg.spec, cfg.horizon, k, n,
-                          stream, method=method, engine=eng, threads=threads)
-        curves[b] = got
-        rows.extend((x, float(b), est, method) for x, est in got)
+    marked = [b for b in bs if xs.size and xs[0] <= b <= xs[-1]]
+    got = value_curve(np.concatenate((np.tile(xs, len(bs)), marked)),
+                      np.concatenate((np.repeat(bs, xs.size), marked)),
+                      cfg.params_for(principal), cfg.spec, cfg.horizon, k, n,
+                      RngStream(seed, tag=3), method=method, engine=eng,
+                      threads=threads)
+    curves = [got[i * xs.size:(i + 1) * xs.size] for i in range(len(bs))]
+    marks = dict(zip(marked, got[len(bs) * xs.size:]))
+    rows = [(x, float(b), est, method) for b, curve in zip(bs, curves)
+            for x, est in curve]
     plot = SvgPlot("Value curves by threshold", "x", "value") if xs.size else None
     if plot is not None:
         ci = 0
-        for b in bs:
-            got = curves[b]
-            vx = [r[0] for r in got]
-            vy = [r[1].mean for r in got]
+        for b, curve in zip(bs, curves):
+            vx = [r[0] for r in curve]
+            vy = [r[1].mean for r in curve]
             if abs(b - principal) < 1e-12:
                 plot.line(vx, vy, _PALETTE[1], label="b = %g (principal)" % b,
                           width=2.3)
@@ -672,11 +673,8 @@ def _assemble_value_curves(cfg, seed, n, k, threads, bs, principal, xs, method):
                 ci += 1
                 plot.line(vx, vy, _PALETTE[(1 + ci) % len(_PALETTE)],
                           label="b = %g" % b, dashed=True, width=1.3)
-            if xs.size and xs[0] <= b <= xs[-1]:
-                est = estimate_value(float(b), float(b), cfg.params_for(float(b)),
-                                     cfg.spec, cfg.horizon, k, n, stream,
-                                     method=method, engine=eng, threads=threads)
-                plot.marker(float(b), est.mean,
+            if b in marks:
+                plot.marker(float(b), marks[b][1].mean,
                             _PALETTE[1] if abs(b - principal) < 1e-12 else "#555555")
     return rows, plot, eng
 
@@ -749,7 +747,7 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
                                      RngStream(seed, tag=6), beta=cfg.beta,
                                      q=cfg.q)
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
-                                      max(n, 10_000), RngStream(seed, tag=7))
+                                      max(n, 40_000), RngStream(seed, tag=7))
     # negative control: a correct coupled pair checked against a mis-stated
     # shift must break the budget relation on any model
     case = classify_case(cfg.spec, cfg.alpha)

@@ -6,6 +6,10 @@ form; the Euler engine runs the discrete recursions on a uniform grid.
 Common-random-number threshold curves exploit that the dividend recursion
 below the stopping time does not depend on the threshold once the state is
 translated, so one simulation sweep serves the whole threshold grid.
+Value curves run as one job over paths x starts x thresholds: a chunk
+samples each path once on the main stream and once on the at-0 anchor
+substream (an Euler chunk draws one increment matrix per stream) and reads
+every (x, b) point off those two samples, so one pool serves a curve set.
 
 Chunking is fixed (CHUNK paths per batch) and partial results are combined
 by a fixed-order pairwise tree, so results are bit-identical for any worker
@@ -406,6 +410,12 @@ def _euler_clock_chunk(spec, params, x, horizon, k, stream, ci, lo_idx, m):
 
 def _clock_moments(params, spec, x, horizon, k, n, stream, engine, threads):
     eng = _engine_for(spec, engine)
+    if eng == "euler" and params.b == 0.0 and classify_case(spec, params.alpha).is_case2:
+        # the exact clock stays parked at b = 0 while the net drift is paid
+        # out; the recursion steps below 0 instead and fires the strict clock
+        raise InvalidParameter(
+            "engine", "the Euler clock cannot stay at b = 0 on a Case-2 model; "
+                      "use the exact engine")
     if eng == "exact":
         worker = partial(_exact_clock_chunk, spec, params, x, horizon, stream)
     else:
@@ -475,72 +485,144 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
 
 
 # value estimation ----------------------------------------------------------
+#
+# A value job is two runs of (x, b, spliced) points: the positive starts on
+# the main stream and the at-0 anchors on their own substream.  Per run a
+# chunk returns a (J, 5) array of the moment sums of w, w^2, d, d^2 and w*d,
+# with w the discounted dividends minus beta-weighted injections up to the
+# stop and d the discount at the stop, and a (J,) count of censored paths.
 
-def _exact_value_chunk(spec, params, x, horizon, spliced, stream, ci, lo_idx, m):
+def _exact_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
     case = classify_case(spec, params.alpha)
-    base = replace(spec, x0=float(x))
+    base = replace(spec, x0=0.0)
     q = params.q
-    s1 = s2 = 0.0
-    sd1 = sd2 = 0.0  # splice discount moments
-    cross = 0.0
-    ncens = 0.0
+    pps = [replace(params, b=b) for _, b, _ in points]
+    acc = np.zeros((len(points), 5))
+    cens = np.zeros(len(points))
     for i in range(m):
+        # one sample per path, shifted to every start
         path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
-        traj = apply_strategy_exact(path, params, case)
-        # spliced runs stop at the first weak visit to 0; exp(-q * inf) = 0
-        stop = first_passage_times(traj).t_weak if spliced else math.inf
-        dl, dr = traj.discounted_flow(q, min(stop, horizon))
-        w = dl - params.beta * dr
-        d = math.exp(-q * stop)
-        if spliced and stop == math.inf:
-            ncens += 1.0
-        s1 += w
-        s2 += w * w
-        sd1 += d
-        sd2 += d * d
-        cross += w * d
-    return (np.asarray([s1, s2, sd1, sd2, cross]), np.asarray([ncens]))
+        for j, ((x, _, spliced), pp) in enumerate(zip(points, pps)):
+            traj = apply_strategy_exact(path.shifted(x), pp, case)
+            # spliced runs stop at the first weak visit to 0; exp(-q * inf) = 0
+            stop = first_passage_times(traj).t_weak if spliced else math.inf
+            dl, dr = traj.discounted_flow(q, min(stop, horizon))
+            w = dl - params.beta * dr
+            d = math.exp(-q * stop)
+            if spliced and stop == math.inf:
+                cens[j] += 1.0
+            acc[j] += (w, w * w, d, d * d, w * d)
+    return acc, cens
 
 
-def _euler_value_chunk(spec, params, x, horizon, k, spliced, stream, ci, lo_idx, m):
+def _euler_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q, beta = params.q, params.beta
-    acc = np.zeros(m)
-    stopped = np.zeros(m, dtype=bool)
-    splice_d = np.zeros(m)
-    steps = euler_steps(x, incs, params.b, params.alpha, dt, floor=True)
-    for j, (state, dl, dr) in enumerate(steps, start=1):
-        disc = math.exp(-q * dt * j)
-        if spliced:
-            splice_d[(state <= 0.0) & ~stopped] = disc
-        acc += ~stopped * disc * (dl - beta * dr)
-        if spliced:
-            stopped |= (state <= 0.0)
-    ncens = float(np.sum(~stopped)) if spliced else 0.0
-    s1 = float(acc.sum())
-    s2 = float((acc * acc).sum())
-    sd1 = float(splice_d.sum())
-    sd2 = float((splice_d * splice_d).sum())
-    cross = float((acc * splice_d).sum())
-    return np.asarray([s1, s2, sd1, sd2, cross]), np.asarray([ncens])
+    acc = np.zeros((len(points), 5))
+    cens = np.zeros(len(points))
+    for j, (x, b, spliced) in enumerate(points):
+        w = np.zeros(m)
+        stopped = np.zeros(m, dtype=bool)
+        splice_d = np.zeros(m)
+        steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
+        for step, (state, dl, dr) in enumerate(steps, start=1):
+            disc = math.exp(-q * dt * step)
+            if spliced:
+                splice_d[(state <= 0.0) & ~stopped] = disc
+            w += ~stopped * disc * (dl - beta * dr)
+            if spliced:
+                stopped |= (state <= 0.0)
+        cens[j] = float(np.sum(~stopped)) if spliced else 0.0
+        acc[j] = (w.sum(), (w * w).sum(), splice_d.sum(),
+                  (splice_d * splice_d).sum(), (w * splice_d).sum())
+    return acc, cens
 
 
-def estimate_value(x: float, b: float, params: StrategyParams,
-                   spec: JumpDiffusionSpec, horizon: float, k: int, n: int,
-                   stream: RngStream, method: str = "spliced",
-                   engine: str = "auto", threads: int = 1,
-                   v0_estimate: McEstimate | None = None) -> McEstimate:
-    """Expected discounted dividends minus beta-weighted injections.
+def _value_chunk(run_sums, spec, params, horizon, k, runs, ci, lo_idx, m):
+    # the runs sample one after the other, so an Euler chunk holds one
+    # (m, k) increment matrix at a time; an empty run samples nothing
+    out = ()
+    for stream, points in runs:
+        out += (run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m)
+                if points else (np.zeros((0, 5)), np.zeros(0)))
+    return out
 
-    method "direct" discounts the full trajectory to the horizon; "spliced"
-    stops at the first weak visit to 0 and splices the separately estimated
-    value at 0, which shares one substream across all x.  Starts below 0
-    return the affine extension value(0) + beta * x.  Curve sweeps can pass
-    the at-0 estimate through v0_estimate to avoid recomputing it per x; it
-    must come from this function at x=0 with the same stream tag offset.
+
+def _direct_estimate(sums, cens, n, stream_id):
+    mean = sums[0] / n
+    var = max(sums[1] / n - mean * mean, 0.0) * n / max(n - 1, 1)
+    return McEstimate(mean=float(mean), std_error=float(math.sqrt(var / n)),
+                      n=n, censored_fraction=float(cens) / n, stream_id=stream_id)
+
+
+def _spliced_estimate(sums, cens, n, v0, stream_id):
+    s1, s2, sd1, sd2, cross = sums
+    a_mean = s1 / n
+    d_mean = sd1 / n
+    # per-path variance of partial sum + splice discount * v0, v0 frozen
+    g1 = (s1 + sd1 * v0.mean) / n
+    g2 = (s2 + 2 * v0.mean * cross + v0.mean * v0.mean * sd2) / n
+    var = max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
+    se = math.sqrt(var / n + (d_mean * v0.std_error) ** 2)
+    return McEstimate(mean=float(a_mean + d_mean * v0.mean), std_error=float(se),
+                      n=n, censored_fraction=float(cens) / n, stream_id=stream_id)
+
+
+def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, threads):
+    """Finite-horizon estimates at every (x, b) point in one chunked job."""
+    anchor_stream = stream.with_tag(stream.tag + V0_TAG_OFFSET)
+    points = list(zip(xs, bs))
+    starts = tuple(dict.fromkeys((x, b, spliced) for x, b in points if x > 0))
+    anchors = tuple(dict.fromkeys((0.0, b, False) for x, b in points
+                                  if x <= 0 or spliced))
+    run_sums = _exact_run_sums if eng == "exact" else _euler_run_sums
+    worker = partial(_value_chunk, run_sums, spec, params, horizon, k,
+                     ((stream, starts), (anchor_stream, anchors)))
+    acc, cens, acc0, cens0 = _run_chunks(n, worker, threads)
+    v0 = {b: _direct_estimate(s, c, n, anchor_stream.id)
+          for (_, b, _), s, c in zip(anchors, acc0, cens0)}
+    at = {(x, b): (_spliced_estimate(s, c, n, v0[b], stream.id) if spliced
+                   else _direct_estimate(s, c, n, stream.id))
+          for (x, b, _), s, c in zip(starts, acc, cens)}
+    return [at[x, b] if x > 0 else v0[b] if x == 0 else
+            replace(v0[b], mean=v0[b].mean + params.beta * x, stream_id=stream.id)
+            for x, b in points]
+
+
+def _perpetual_value(x, pp, spec, stream):
+    path = EventPath(x0=x if x > 0 else 0.0, horizon=math.inf,
+                     drift=_compensated_drift(spec),
+                     times=np.empty(0), sizes=np.empty(0))
+    traj = apply_strategy_exact(path, pp, classify_case(spec, pp.alpha))
+    dl, dr = traj.discounted_flow(pp.q, horizon=math.inf)
+    w = dl - pp.beta * dr
+    if x < 0:
+        w += pp.beta * x
+    return McEstimate(mean=float(w), std_error=0.0, n=1,
+                      censored_fraction=0.0, stream_id=stream.id)
+
+
+def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
+                horizon: float, k: int, n: int, stream: RngStream,
+                method: str = "spliced", engine: str = "auto",
+                threads: int = 1):
+    """Expected discounted dividends minus beta-weighted injections at the
+    starts xs, as (x, McEstimate) rows.
+
+    b is one threshold or one per start: it broadcasts against xs, and every
+    (x, b) point is estimated in one chunked job.  Each path is sampled once
+    at 0 and shifted to every positive start.  Per threshold, one direct
+    estimate at 0 on its own substream (tag + V0_TAG_OFFSET) is the x = 0
+    point, gives the affine extension value(0) + beta * x below 0, and
+    anchors the splices: method "spliced" stops a positive start at its
+    first weak visit to 0 and splices in that anchor, "direct" discounts the
+    full trajectory to the horizon.  An infinite horizon is in closed form
+    (exact engine, no jumps, direct method).
     """
-    pp = replace(params, b=float(b))
+    xs, bs = (a.ravel().tolist() for a in np.broadcast_arrays(
+        np.asarray(xs, dtype=float), np.asarray(b, dtype=float)))
+    pps = {bb: replace(params, b=bb) for bb in bs}
     eng = _engine_for(spec, engine)
     if method not in ("direct", "spliced"):
         raise InvalidParameter("method", "method must be direct or spliced")
@@ -548,79 +630,21 @@ def estimate_value(x: float, b: float, params: StrategyParams,
         if eng != "exact" or spec.jump_components or method != "direct":
             raise InvalidParameter(
                 "horizon", "infinite horizon needs the exact engine, no jumps, direct method")
-        case = classify_case(spec, pp.alpha)
-        path = EventPath(x0=float(x) if x >= 0 else 0.0, horizon=math.inf,
-                         drift=_compensated_drift(spec),
-                         times=np.empty(0), sizes=np.empty(0))
-        traj = apply_strategy_exact(path, pp, case)
-        dl, dr = traj.discounted_flow(pp.q, horizon=math.inf)
-        w = dl - pp.beta * dr
-        if x < 0:
-            w += pp.beta * x
-        return McEstimate(mean=float(w), std_error=0.0, n=1,
-                          censored_fraction=0.0, stream_id=stream.id)
-    if x < 0:
-        at0 = v0_estimate
-        if at0 is None:
-            at0 = estimate_value(0.0, b, params, spec, horizon, k, n, stream,
-                                 method=method, engine=engine, threads=threads)
-        return McEstimate(mean=at0.mean + pp.beta * x,
-                          std_error=at0.std_error, n=n,
-                          censored_fraction=at0.censored_fraction,
-                          stream_id=stream.id)
-    spliced = method == "spliced" and x > 0.0
-    if eng == "exact":
-        worker = partial(_exact_value_chunk, spec, pp, x, horizon, spliced, stream)
+        ests = [_perpetual_value(x, pps[bb], spec, stream) for x, bb in zip(xs, bs)]
     else:
-        worker = partial(_euler_value_chunk, spec, pp, x, horizon, k, spliced, stream)
-    acc, cens = _run_chunks(n, worker, threads)
-    s1, s2, sd1, sd2, _cross = acc
-    if not spliced:
-        mean = s1 / n
-        var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1, 1)
-        return McEstimate(mean=float(mean), std_error=float(math.sqrt(var / n)),
-                          n=n, censored_fraction=float(cens[0]) / n,
-                          stream_id=stream.id)
-    v0 = v0_estimate
-    if v0 is None:
-        v0 = estimate_value(0.0, b, params, spec, horizon, k, n,
-                            stream.with_tag(stream.tag + V0_TAG_OFFSET),
-                            method="direct", engine=engine, threads=threads)
-    a_mean = s1 / n
-    d_mean = sd1 / n
-    # per-path variance of partial sum + splice discount * v0, v0 frozen
-    g1 = (s1 + sd1 * v0.mean) / n
-    g2 = (s2 + 2 * v0.mean * _cross + v0.mean * v0.mean * sd2) / n
-    var = max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
-    se = math.sqrt(var / n + (d_mean * v0.std_error) ** 2)
-    return McEstimate(mean=float(a_mean + d_mean * v0.mean), std_error=float(se),
-                      n=n, censored_fraction=float(cens[0]) / n,
-                      stream_id=stream.id)
+        ests = _value_job(xs, bs, params, spec, horizon, k, n, stream,
+                          method == "spliced", eng, threads)
+    # a grid's -0.0 start is reported as 0
+    return [(0.0 if x == 0 else x, est) for x, est in zip(xs, ests)]
 
 
-def value_curve(xs, b: float, params: StrategyParams, spec: JumpDiffusionSpec,
-                horizon: float, k: int, n: int, stream: RngStream,
-                method: str = "spliced", engine: str = "auto",
-                threads: int = 1):
-    """Value estimates over an x grid as (x, McEstimate) rows.
-
-    One at-0 estimate anchors the affine extension below 0, the x=0 point,
-    and every splice, so the curve is internally consistent; positive
-    starts share driving noise through the common stream.
-    """
-    xs = np.asarray(xs, dtype=float)
-    v0 = estimate_value(0.0, b, params, spec, horizon, k, n,
-                        stream.with_tag(stream.tag + V0_TAG_OFFSET),
-                        method="direct", engine=engine, threads=threads)
-    rows = []
-    for x in xs:
-        if x == 0.0:
-            rows.append((0.0, v0))
-            continue
-        rows.append((float(x), estimate_value(
-            float(x), b, params, spec, horizon, k, n, stream, method=method,
-            engine=engine, threads=threads, v0_estimate=v0)))
-    return rows
+def estimate_value(x: float, b: float, params: StrategyParams,
+                   spec: JumpDiffusionSpec, horizon: float, k: int, n: int,
+                   stream: RngStream, method: str = "spliced",
+                   engine: str = "auto", threads: int = 1) -> McEstimate:
+    """The value at one start: the one-point value_curve."""
+    return value_curve([x], b, params, spec, horizon, k, n, stream,
+                       method=method, engine=engine, threads=threads)[0][1]
 
 
 def value_curve_csv(rows) -> str:

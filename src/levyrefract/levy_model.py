@@ -79,13 +79,6 @@ class MarkDistribution:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
-    def pdf_at(self, x):
-        raise NotImplementedError
-
-    def quantile_hi(self) -> float:
-        """Upper point leaving at most ~1e-12 of mass above it."""
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Uniform(MarkDistribution):
@@ -119,13 +112,6 @@ class Uniform(MarkDistribution):
     def sample(self, n, rng):
         return self.a + (self.b - self.a) * rng.random(n)
 
-    def pdf_at(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where((x >= self.a) & (x <= self.b), 1.0 / (self.b - self.a), 0.0)
-
-    def quantile_hi(self):
-        return self.b
-
 
 @dataclass(frozen=True)
 class Exponential(MarkDistribution):
@@ -153,13 +139,6 @@ class Exponential(MarkDistribution):
     def sample(self, n, rng):
         # inverse CDF keeps the draw count per mark fixed at one uniform
         return -np.log1p(-rng.random(n)) / self.rho
-
-    def pdf_at(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x >= 0, self.rho * np.exp(-self.rho * np.maximum(x, 0.0)), 0.0)
-
-    def quantile_hi(self):
-        return -math.log(1e-12) / self.rho
 
 
 @dataclass(frozen=True)
@@ -203,13 +182,6 @@ class Weibull(MarkDistribution):
 
     def sample(self, n, rng):
         return self.scale * (-np.log1p(-rng.random(n))) ** (1.0 / self.shape)
-
-    def pdf_at(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x > 0, self._density(np.maximum(x, 1e-300)), 0.0)
-
-    def quantile_hi(self):
-        return self.scale * (-math.log(1e-12)) ** (1.0 / self.shape)
 
 
 @dataclass(frozen=True)
@@ -256,15 +228,6 @@ class HyperExponential(MarkDistribution):
         rates = np.asarray(self.rates)[comp]
         return -np.log1p(-rng.random(n)) / rates
 
-    def pdf_at(self, x):
-        x = np.asarray(x, dtype=float)
-        val = sum(w * r * np.exp(-r * np.maximum(x, 0.0))
-                  for w, r in zip(self.weights, self.rates))
-        return np.where(x >= 0, val, 0.0)
-
-    def quantile_hi(self):
-        return -math.log(1e-12) / min(self.rates)
-
 
 @dataclass(frozen=True)
 class PointMass(MarkDistribution):
@@ -289,9 +252,6 @@ class PointMass(MarkDistribution):
 
     def sample(self, n, rng):
         return np.full(n, self.c)
-
-    def quantile_hi(self):
-        return self.c
 
 
 def _quad_checked(f, a, b):
@@ -488,9 +448,6 @@ class EventPath:
         idx = np.searchsorted(self.times, t, side="left")
         jumps = np.concatenate(([0.0], np.cumsum(self.sizes)))
         return self.x0 + self.drift * t + jumps[idx]
-
-    def total_variation(self) -> float:
-        return abs(self.drift) * self.horizon + float(np.sum(np.abs(self.sizes)))
 
     def shifted(self, dx: float) -> "EventPath":
         """Same driving noise started from x0 + dx."""

@@ -20,8 +20,6 @@ import numpy as np
 
 from .levy_model import CaseLabel, EventPath, InvalidParameter
 
-EXACT_TOL = 1e-12
-
 
 class UnsupportedModel(RuntimeError):
     """Exact transform requested for a path the exact engine cannot carry."""
@@ -66,9 +64,6 @@ class SegmentCurve:
 
     def end_value(self) -> float:
         return float(self.seg_v[-1] + self.seg_slope[-1] * (self.horizon - self.seg_t[-1]))
-
-    def segment_times(self) -> np.ndarray:
-        return self.seg_t
 
     def running_inf_of_neg_part(self, ts):
         """inf over [0, t] of (value(s) and 0), exactly, for ascending ts.
@@ -387,19 +382,6 @@ def running_floor_reflection(path: EventPath) -> FloorDecomposition:
     _require_event_path(path)
     traj = _sweep(path, math.inf, 1.0, False, floor=True)
     return _decomposition_from(traj, path)
-
-
-def infimum_decomposition(path: EventPath, delta: float) -> FloorDecomposition:
-    """Three-part split of the running infimum of a constant-drift path.
-
-    delta must be the inter-jump drift of the path; the three components are
-    the boundary-time integral (only when delta < 0), the initial part
-    x0 wedge 0, and the jump top-up sum.
-    """
-    _require_event_path(path)
-    if abs(delta - path.drift) > EXACT_TOL:
-        raise InvalidParameter("delta", "delta must match the path drift")
-    return running_floor_reflection(path)
 
 
 def dividend_integral_path(traj: RefractedPath) -> SegmentCurve:

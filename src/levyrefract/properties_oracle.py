@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy import special
 
 from .levy_model import (
     EXACT,
@@ -35,6 +36,7 @@ from .path_engine import refract_exact, reflect_from_above
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
+CHAR_FALSE_ALARM = 1e-6  # family-wise false-alarm rate of the joint char test
 
 PAIR_PROPS = (
     "pair_budget", "pair_gap_range", "pair_gap_monotone",
@@ -144,12 +146,31 @@ class CharReport:
     lambdas: np.ndarray
     empirical: np.ndarray
     target: np.ndarray
-    std_errors: np.ndarray
+    std_errors: np.ndarray  # of the modulus, per frequency
+    covariance: np.ndarray  # of the mean's (real parts, imaginary parts)
 
     @property
     def ok(self) -> bool:
-        return bool(np.all(np.abs(self.empirical - self.target)
-                           <= 3.0 * self.std_errors + 1e-12))
+        """One joint test of the gap at every frequency.
+
+        The statistic d' C^+ d over the 2m real and imaginary parts of the
+        gap is asymptotically chi-square with as many degrees of freedom as
+        C has rank, so a correct sampler fails with probability about
+        CHAR_FALSE_ALARM, whatever m is.  Directions with a standard error below 1e-12 (no sample
+        variation: lambda = 0, the mirror of a -lambda, a model without
+        jumps or diffusion) must show no gap beyond 1e-12.
+        """
+        gap = self.empirical - self.target
+        w, v = np.linalg.eigh(self.covariance)
+        z = v.T @ np.concatenate((gap.real, gap.imag))
+        keep = w > max(1e-12 * w.max(), 1e-24)
+        if np.any(np.abs(z[~keep]) > 1e-12):
+            return False
+        if not keep.any():
+            return True
+        stat = float(np.sum(z[keep] ** 2 / w[keep]))
+        # chdtri is the inverse chi-square survival function
+        return bool(stat <= special.chdtri(int(keep.sum()), CHAR_FALSE_ALARM))
 
 
 def _probe_times(trajs, horizon):
@@ -350,7 +371,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
 def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
                         stream: RngStream) -> CharReport:
     """Empirical characteristic function of X_t against the analytic
-    exponent, three standard errors of the modulus."""
+    exponent, with the covariance of the joint test in CharReport.ok."""
     lambdas = np.asarray(lambdas, dtype=float)
     rng = stream.generator()
     xt = np.full(n, _compensated_drift(spec) * t)
@@ -364,14 +385,22 @@ def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
             idx = np.repeat(np.arange(n), counts)
             np.add.at(xt, idx, marks)
     target = np.exp(-t * characteristic_exponent(spec, lambdas))
-    emp = np.empty(len(lambdas), dtype=complex)
-    ses = np.empty(len(lambdas))
-    for i, lam in enumerate(lambdas):
-        ph = np.exp(1j * lam * xt)
-        emp[i] = ph.mean()
-        ses[i] = math.sqrt((ph.real.var() + ph.imag.var()) / n)
-    return CharReport(lambdas=lambdas, empirical=emp, target=target,
-                      std_errors=ses)
+    # moments of (cos, sin)(lambda X_t) over blocks of paths, so memory
+    # stays O(block * m) at any n
+    m = len(lambdas)
+    sums = np.zeros(2 * m)
+    prods = np.zeros((2 * m, 2 * m))
+    for lo in range(0, n, 4096):
+        arg = np.multiply.outer(xt[lo:lo + 4096], lambdas)
+        parts = np.concatenate((np.cos(arg), np.sin(arg)), axis=1)
+        sums += parts.sum(axis=0)
+        prods += parts.T @ parts
+    mean = sums / n
+    var = np.maximum(np.diag(prods) / n - mean ** 2, 0.0)
+    cov = (prods - n * np.outer(mean, mean)) / (max(n - 1, 1) * n)
+    return CharReport(lambdas=lambdas, empirical=mean[:m] + 1j * mean[m:],
+                      target=target, std_errors=np.sqrt((var[:m] + var[m:]) / n),
+                      covariance=cov)
 
 
 @dataclass(frozen=True)

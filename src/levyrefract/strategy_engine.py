@@ -233,15 +233,6 @@ def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
     )
 
 
-def sample_randomized_passage(passage: PassageTimes, p: float, stream: RngStream) -> float:
-    """Randomized passage clock: the strict time with probability p, else the
-    weak time."""
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParameter("p", "probability must lie in [0, 1]")
-    v = stream.generator().random()
-    return passage.kappa_strict if v < p else passage.t_weak
-
-
 def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
                     x: float, horizon: float, k: int, stream: RngStream) -> float:
     """Sup distance between the Euler recursion and the exact trajectory

@@ -20,8 +20,8 @@ from levyrefract.estimation import (DegenerateDenominator, estimate_nu,
 from levyrefract.levy_model import (EXACT, RngStream, classify_case, net_drift,
                                     sample_path)
 from levyrefract.path_engine import (construction_identity_residual,
-                                     infimum_decomposition,
-                                     refracted_reflected_exact)
+                                     refracted_reflected_exact,
+                                     running_floor_reflection)
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run,
@@ -89,13 +89,14 @@ def test_03_estimated_threshold_dominates_competitors(case1_search, case2_search
             ("gauss", case2_search, reference_case2_spec(), 800, 1200, 32)):
         bstar = search[0].bstar_hat
         xs = np.linspace(-1.0, 2.0 * bstar, 20)
-        stream = RngStream(SEED, tag=tag)
-        curves = {}
-        for b in (bstar / 3, 2 * bstar / 3, bstar, 4 * bstar / 3, 5 * bstar / 3):
-            rows = value_curve(xs, b, ref_params(), spec, 60.0, k, n, stream,
-                               threads=THREADS)
-            curves[b] = (np.array([r[1].mean for r in rows]),
-                         np.array([r[1].std_error for r in rows]))
+        bs = (bstar / 3, 2 * bstar / 3, bstar, 4 * bstar / 3, 5 * bstar / 3)
+        # one job: every curve on the same paths
+        rows = value_curve(np.tile(xs, len(bs)), np.repeat(bs, len(xs)),
+                           ref_params(), spec, 60.0, k, n,
+                           RngStream(SEED, tag=tag), threads=THREADS)
+        means = np.array([r[1].mean for r in rows]).reshape(len(bs), len(xs))
+        ses = np.array([r[1].std_error for r in rows]).reshape(len(bs), len(xs))
+        curves = dict(zip(bs, zip(means, ses)))
         vstar, sstar = curves[bstar]
         bad = 0
         for b, (vb, sb) in curves.items():
@@ -161,7 +162,7 @@ def test_05_randomized_models_pathwise_sweep():
         for i in range(20):
             path = sample_path(base, horizon, EXACT,
                                stream.with_tag(5).for_path(i)).shifted(x)
-            dec = infimum_decomposition(path, path.drift)
+            dec = running_floor_reflection(path)
             recon = path.value_at(probe) - dec.infimum_at(probe)
             r1 = float(np.max(np.abs(dec.reflected.value_at(probe) - recon)))
             traj, _ = refracted_reflected_exact(path, params.b, params.alpha,

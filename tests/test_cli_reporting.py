@@ -256,6 +256,22 @@ class TestRunValueCurve:
         bs = {float(row.split(",")[1]) for row in text.splitlines()[1:]}
         assert bs == {0.5, 1.0, 1.5}
 
+    def test_one_chunked_job_serves_every_curve_and_marker(self, tmp_path,
+                                                           monkeypatch):
+        from levyrefract import estimation
+        calls = []
+        run_chunks = estimation._run_chunks
+
+        def counted(n, worker, threads):
+            calls.append(n)
+            return run_chunks(n, worker, threads)
+
+        monkeypatch.setattr(estimation, "_run_chunks", counted)
+        cfg = base_cfg("task.b = 1\ntask.x_grid = -0.5:0.25:1.5\n"
+                       "task.competing_b = 0.6, 1.3\n")
+        run_experiment(cfg, "value-curve", out_dir=str(tmp_path))
+        assert calls == [64]
+
 
 class TestRunAlphaConvergence:
     def test_ladder_outputs(self, tmp_path):

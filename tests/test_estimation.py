@@ -193,6 +193,29 @@ class TestEulerClock:
                for eng in ("exact", "euler")]
         assert got == [1.0, 1.0]
 
+    def test_case2_at_zero_threshold_is_refused(self):
+        """Drift 0.3 inside (0, alpha] parked at b = 0: the exact clock
+        solves to (beta - 1) / beta, but the recursion cannot stay at 0 and
+        would answer 1, so the Euler engine is refused there.  Above the
+        cap (Case 1) the path leaves 0 and the Euler clock still runs."""
+        pp = params(b=0.0, alpha=0.5)
+        with pytest.raises(InvalidParameter) as err:
+            solve_pstar(pp, drift_only(0.3), 0.0, self.T, 8,
+                        RngStream(126, tag=1), k=self.K, engine="euler")
+        assert err.value.field_name == "engine"
+        with pytest.raises(InvalidParameter):
+            estimate_underline_nu(0.0, 0.0, 0.5, pp, drift_only(0.3), self.T,
+                                  8, RngStream(126, tag=1), k=self.K,
+                                  engine="euler")
+        # T = 40 makes the Euler censoring weight negligible
+        exact, euler = (
+            estimate_underline_nu(0.0, 0.0, 0.5, params(b=0.0, alpha=0.2),
+                                  drift_only(0.3), 40.0, 8,
+                                  RngStream(126, tag=1), k=self.K, engine=eng)
+            for eng in ("exact", "euler"))
+        assert exact.mean == pytest.approx(0.5 * BETA, rel=1e-12)
+        assert abs(euler.mean - exact.mean) <= 1e-6
+
     def test_two_workers_give_identical_results(self, ref_spec_gauss):
         # N = 300 is two chunks, so the second worker's partial is merged
         def run(threads):

@@ -1,7 +1,7 @@
 """Golden output digests and the worker-count determinism gate.
 
 Each case runs one subcommand at desk size through run_experiment and
-compares the sha256 of every CSV and text report it writes with
+compares the sha256 of every CSV, text report and SVG plot it writes with
 tests/golden/digests.json.
 Output bytes depend on the numpy version (its generators and reductions),
 so the digest comparison runs only under the version the file names; the
@@ -56,8 +56,9 @@ task.alphas = 0.5, 1, inf
 task.x = 0.5
 """
 
-# name -> (sigma, alpha, subcommand); sigma 0 runs the exact engine, sigma 1
-# the Euler engine.  N = 300 is two estimator chunks, so two workers merge.
+# name -> (sigma, alpha, subcommand[, extra config lines]); sigma 0 runs the
+# exact engine, sigma 1 the Euler engine.  N = 300 is two estimator chunks,
+# so two workers merge.
 # The alpha = inf exact cases and the two oracle subcommands cover the
 # two-sided and from-above reflections.  reproduce-paper runs its own
 # reference models at desk scale; the model text sets T, K, N and the seed.
@@ -65,6 +66,7 @@ CASES = {
     "exact-nu-curve": (0, "0.5", "nu-curve"),
     "exact-bstar": (0, "0.5", "bstar"),
     "exact-value-curve": (0, "0.5", "value-curve"),
+    "exact-value-curve-direct": (0, "0.5", "value-curve", "task.method = direct\n"),
     "exact-sample-path": (0, "0.5", "sample-path"),
     "exact-value-curve-inf": (0, "inf", "value-curve"),
     "exact-sample-path-inf": (0, "inf", "sample-path"),
@@ -74,6 +76,7 @@ CASES = {
     "euler-nu-curve-inf": (1, "inf", "nu-curve"),
     "euler-bstar": (1, "0.5", "bstar"),
     "euler-value-curve": (1, "0.5", "value-curve"),
+    "euler-value-curve-direct": (1, "0.5", "value-curve", "task.method = direct\n"),
     "euler-value-curve-inf": (1, "inf", "value-curve"),
     "euler-sample-path": (1, "0.5", "sample-path"),
     "reproduce-paper": (0, "0.5", "reproduce-paper"),
@@ -81,13 +84,17 @@ CASES = {
 
 DESK_SCALED = ("reproduce-paper",)
 
-THREAD_CHECKED = ("euler-nu-curve", "euler-value-curve", "euler-value-curve-inf")
+# every case whose subcommand takes --threads
+THREAD_CHECKED = ("exact-nu-curve", "exact-bstar", "exact-value-curve",
+                  "exact-value-curve-inf", "euler-nu-curve", "euler-bstar",
+                  "euler-value-curve", "euler-value-curve-inf", "reproduce-paper")
 
 
 def run_case(name, out_dir, threads=1):
     """{file name: bytes} of everything one case writes."""
-    sigma, alpha, sub = CASES[name]
-    run_experiment(load_config(_MODEL % (sigma, alpha)), sub, out_dir=out_dir,
+    sigma, alpha, sub, *extra = CASES[name]
+    text = _MODEL % (sigma, alpha) + "".join(extra)
+    run_experiment(load_config(text), sub, out_dir=out_dir,
                    threads=threads, desk_scale=name in DESK_SCALED)
     out = {}
     for fname in sorted(os.listdir(out_dir)):
@@ -98,7 +105,7 @@ def run_case(name, out_dir, threads=1):
 
 def output_digests(files):
     return {f: hashlib.sha256(b).hexdigest() for f, b in files.items()
-            if f.endswith((".csv", ".txt"))}
+            if f.endswith((".csv", ".txt", ".svg"))}
 
 
 def load_golden():

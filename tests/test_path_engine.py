@@ -10,7 +10,7 @@ from levyrefract.levy_model import (
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, InvalidBarrier,
     UnsupportedModel, construction_identity_residual, dividend_integral_path,
-    infimum_decomposition, reflect_from_above, reflect_two_sided,
+    reflect_from_above, reflect_two_sided,
     refract_exact, refracted_reflected_exact, running_floor_reflection,
 )
 
@@ -224,12 +224,12 @@ class TestReflectionLimits:
         finite rate."""
         p = sample_path(ref_spec_bv, 6.0, EXACT, RngStream(77, tag=3, index=4))
         limit = reflect_from_above(p, b=1.0)
-        ts = np.union1d(np.linspace(0, 6.0, 601), limit.segment_times())
+        ts = np.union1d(np.linspace(0, 6.0, 601), limit.seg_t)
         gaps = []
         for alpha in (1.0, 4.0, 16.0, 64.0):
             traj = refract_exact(p, b=1.0, alpha=alpha,
                                  case=classify_case(ref_spec_bv, alpha))
-            ts_a = np.union1d(ts, traj.segment_times())
+            ts_a = np.union1d(ts, traj.seg_t)
             diff = traj.value_at(ts_a) - limit.value_at(ts_a)
             assert np.min(diff) >= -1e-12
             gaps.append(np.max(diff))
@@ -241,8 +241,8 @@ class TestReflectionLimits:
         p = drift_path(1.2, 0.3, 6.0, jumps=[(1.5, -0.9), (3.0, -0.2), (4.2, -1.4)])
         limit = reflect_from_above(p, b=1.0)
         traj = refract_exact(p, b=1.0, alpha=2.0, case=case_for(1.2, 2.0))
-        ts = np.union1d(np.union1d(np.linspace(0, 6.0, 601), limit.segment_times()),
-                        traj.segment_times())
+        ts = np.union1d(np.union1d(np.linspace(0, 6.0, 601), limit.seg_t),
+                        traj.seg_t)
         np.testing.assert_allclose(traj.value_at(ts), limit.value_at(ts), atol=1e-12)
         np.testing.assert_allclose(traj.dividends_at(ts), limit.dividends_at(ts),
                                    atol=1e-12)
@@ -252,7 +252,7 @@ class TestReflectionLimits:
         traj = refract_exact(p, b=0.8, alpha=0.5, case=classify_case(ref_spec_bv, 0.5))
         # linear pieces attain extrema at segment ends, so a grid containing
         # every segment time sees the true minimum via left limits
-        grid = np.union1d(np.linspace(0, 5.0, 2001), traj.segment_times())
+        grid = np.union1d(np.linspace(0, 5.0, 2001), traj.seg_t)
         lows = np.minimum(np.minimum(traj.value_at(grid), traj.left_limit_at(grid)), 0.0)
         want = np.minimum.accumulate(lows)
         queries = np.array([0.7, 1.9, 3.3, 5.0])
@@ -285,7 +285,7 @@ class TestFloorDecomposition:
         for i in range(25):
             p = sample_path(ref_spec_bv, 4.0, EXACT, RngStream(55, tag=4, index=i))
             p = p.shifted(-0.8)
-            dec = infimum_decomposition(p, p.drift)
+            dec = running_floor_reflection(p)
             ts = np.linspace(0.0, 4.0, 41)
             total = (dec.boundary_integral_at(ts) + dec.initial_part
                      + dec.jump_sum_at(ts))
@@ -294,11 +294,6 @@ class TestFloorDecomposition:
                                        p.value_at(ts) - dec.infimum_at(ts),
                                        atol=1e-12)
             assert np.all(dec.reflected.value_at(ts) >= -1e-12)
-
-    def test_drift_argument_must_match_the_path(self):
-        p = drift_path(0.5, 0.0, 1.0)
-        with pytest.raises(InvalidParameter):
-            infimum_decomposition(p, 0.25)
 
 
 class TestDividendIntegralPath:
@@ -326,7 +321,7 @@ class TestDividendIntegralPath:
             for stop in stops:
                 dl, dr = traj.discounted_flow(q, stop)
                 end = 5.0 if stop is None else stop
-                knots = traj.segment_times()
+                knots = traj.seg_t
                 grid = np.union1d(np.linspace(0, end, 20001), knots[knots <= end])
                 mids = 0.5 * (grid[:-1] + grid[1:])
                 dl_num = np.sum(np.exp(-q * mids) * np.diff(traj.dividends_at(grid)))

@@ -154,7 +154,8 @@ class TestCharFunction:
                                   RngStream(332, tag=1))
         doctored = CharReport(lambdas=rep.lambdas,
                               empirical=rep.empirical + 0.2,
-                              target=rep.target, std_errors=rep.std_errors)
+                              target=rep.target, std_errors=rep.std_errors,
+                              covariance=rep.covariance)
         assert not doctored.ok
 
 

@@ -13,9 +13,8 @@ from levyrefract.path_engine import (
 )
 from levyrefract.properties_oracle import draw_random_bv_setup
 from levyrefract.strategy_engine import (
-    ControlledTrajectory, PassageTimes, StrategyParams, apply_strategy_exact,
-    euler_exact_gap, euler_steps, first_passage_times,
-    sample_randomized_passage, simulate_euler,
+    ControlledTrajectory, StrategyParams, apply_strategy_exact,
+    euler_exact_gap, euler_steps, first_passage_times, simulate_euler,
 )
 
 from conftest import drift_only
@@ -122,17 +121,6 @@ class TestPassageTimes:
         p = drift_path(1.0, 0.5, 4.0)
         pt = first_passage_times(apply_strategy_exact(p, params(), case_for(1.0, 0.5)))
         assert pt.kappa_strict == math.inf and pt.t_weak == math.inf
-
-    def test_randomized_clock_mixes_the_two_times(self):
-        pt = PassageTimes(kappa_strict=3.0, t_weak=1.0)
-        s = RngStream(7, tag=8, index=0)
-        assert sample_randomized_passage(pt, 1.0, s) == 3.0
-        assert sample_randomized_passage(pt, 0.0, s) == 1.0
-        with pytest.raises(InvalidParameter):
-            sample_randomized_passage(pt, 1.5, s)
-        draws = [sample_randomized_passage(pt, 0.5, s.for_path(i)) for i in range(400)]
-        frac = np.mean(np.array(draws) == 3.0)
-        assert 0.4 < frac < 0.6
 
 
 def first_passage_below_reference(traj, level):
