@@ -622,7 +622,6 @@ def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
     """
     xs, bs = (a.ravel().tolist() for a in np.broadcast_arrays(
         np.asarray(xs, dtype=float), np.asarray(b, dtype=float)))
-    pps = {bb: replace(params, b=bb) for bb in bs}
     eng = _engine_for(spec, engine)
     if method not in ("direct", "spliced"):
         raise InvalidParameter("method", "method must be direct or spliced")
@@ -630,7 +629,8 @@ def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
         if eng != "exact" or spec.jump_components or method != "direct":
             raise InvalidParameter(
                 "horizon", "infinite horizon needs the exact engine, no jumps, direct method")
-        ests = [_perpetual_value(x, pps[bb], spec, stream) for x, bb in zip(xs, bs)]
+        ests = [_perpetual_value(x, replace(params, b=bb), spec, stream)
+                for x, bb in zip(xs, bs)]
     else:
         ests = _value_job(xs, bs, params, spec, horizon, k, n, stream,
                           method == "spliced", eng, threads)

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .levy_model import (
     EXACT,
@@ -36,7 +35,7 @@ from .path_engine import refract_exact, reflect_from_above
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
-CHAR_FALSE_ALARM = 1e-6  # family-wise false-alarm rate of the joint char test
+CHAR_FALSE_ALARM = 1e-6  # family-wise false-alarm rate of the char-function test
 
 PAIR_PROPS = (
     "pair_budget", "pair_gap_range", "pair_gap_monotone",
@@ -146,31 +145,29 @@ class CharReport:
     lambdas: np.ndarray
     empirical: np.ndarray
     target: np.ndarray
-    std_errors: np.ndarray  # of the modulus, per frequency
-    covariance: np.ndarray  # of the mean's (real parts, imaginary parts)
+    tolerance: np.ndarray  # (2, m): bounds on the real and imaginary gaps
+
+    @property
+    def worst_ratio(self) -> float:
+        """Largest |gap| / tolerance over the real and imaginary parts."""
+        gap = self.empirical - self.target
+        return float(np.max(np.abs(np.stack((gap.real, gap.imag)))
+                            / self.tolerance))
 
     @property
     def ok(self) -> bool:
-        """One joint test of the gap at every frequency.
+        """Every real and imaginary part of the gap within its tolerance.
 
-        The statistic d' C^+ d over the 2m real and imaginary parts of the
-        gap is asymptotically chi-square with as many degrees of freedom as
-        C has rank, so a correct sampler fails with probability about
-        CHAR_FALSE_ALARM, whatever m is.  Directions with a standard error below 1e-12 (no sample
-        variation: lambda = 0, the mirror of a -lambda, a model without
-        jumps or diffusion) must show no gap beyond 1e-12.
+        Each part is a mean of n draws of cos or sin(lambda X_t), which lie
+        in [-1, 1], and its tolerance is the Bernstein bound at rate
+        CHAR_FALSE_ALARM / 2m with the variance the model gives.  A correct
+        sampler therefore fails with probability at most CHAR_FALSE_ALARM,
+        for every model, n and set of m frequencies: the bound holds at
+        finite n, lattice jump laws included, and a direction without
+        variation (lambda = 0, a model without jumps or diffusion) is held
+        to the range term 4 log(4m / CHAR_FALSE_ALARM) / 3n.
         """
-        gap = self.empirical - self.target
-        w, v = np.linalg.eigh(self.covariance)
-        z = v.T @ np.concatenate((gap.real, gap.imag))
-        keep = w > max(1e-12 * w.max(), 1e-24)
-        if np.any(np.abs(z[~keep]) > 1e-12):
-            return False
-        if not keep.any():
-            return True
-        stat = float(np.sum(z[keep] ** 2 / w[keep]))
-        # chdtri is the inverse chi-square survival function
-        return bool(stat <= special.chdtri(int(keep.sum()), CHAR_FALSE_ALARM))
+        return self.worst_ratio <= 1.0
 
 
 def _probe_times(trajs, horizon):
@@ -371,7 +368,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
 def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
                         stream: RngStream) -> CharReport:
     """Empirical characteristic function of X_t against the analytic
-    exponent, with the covariance of the joint test in CharReport.ok."""
+    exponent, with the tolerances of CharReport.ok."""
     lambdas = np.asarray(lambdas, dtype=float)
     rng = stream.generator()
     xt = np.full(n, _compensated_drift(spec) * t)
@@ -384,23 +381,19 @@ def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
             marks = comp.marks.sample(tot, rng) * comp.sign
             idx = np.repeat(np.arange(n), counts)
             np.add.at(xt, idx, marks)
+    emp = np.array([np.exp(1j * lam * xt).mean() for lam in lambdas])
     target = np.exp(-t * characteristic_exponent(spec, lambdas))
-    # moments of (cos, sin)(lambda X_t) over blocks of paths, so memory
-    # stays O(block * m) at any n
-    m = len(lambdas)
-    sums = np.zeros(2 * m)
-    prods = np.zeros((2 * m, 2 * m))
-    for lo in range(0, n, 4096):
-        arg = np.multiply.outer(xt[lo:lo + 4096], lambdas)
-        parts = np.concatenate((np.cos(arg), np.sin(arg)), axis=1)
-        sums += parts.sum(axis=0)
-        prods += parts.T @ parts
-    mean = sums / n
-    var = np.maximum(np.diag(prods) / n - mean ** 2, 0.0)
-    cov = (prods - n * np.outer(mean, mean)) / (max(n - 1, 1) * n)
-    return CharReport(lambdas=lambdas, empirical=mean[:m] + 1j * mean[m:],
-                      target=target, std_errors=np.sqrt((var[:m] + var[m:]) / n),
-                      covariance=cov)
+    # E cos^2 = (1 + Re phi(2 lambda)) / 2 and E sin^2 = (1 - Re phi(2 lambda)) / 2
+    double = np.exp(-t * characteristic_exponent(spec, 2.0 * lambdas)).real
+    var = np.maximum(np.stack(((1.0 + double) / 2.0 - target.real ** 2,
+                               (1.0 - double) / 2.0 - target.imag ** 2)), 0.0)
+    # Bernstein: a mean of n draws at most 2 from their mean and of variance
+    # var strays by eps with probability <= 2 exp(-n eps^2 / (2 var + 4 eps / 3))
+    log_term = math.log(4 * len(lambdas) / CHAR_FALSE_ALARM)
+    a = 4.0 * log_term / 3.0
+    tol = (a + np.sqrt(a * a + 8.0 * n * var * log_term)) / (2.0 * n)
+    return CharReport(lambdas=lambdas, empirical=emp, target=target,
+                      tolerance=tol)
 
 
 @dataclass(frozen=True)
