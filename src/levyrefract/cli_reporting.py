@@ -153,7 +153,8 @@ def parse_grid(key: str, val: str) -> np.ndarray:
         lo, step, hi = (_to_float(key, p) for p in parts)
         if step <= 0 or hi < lo:
             raise ValidationError(key, "need step > 0 and hi >= lo")
-        grid = np.round(np.arange(lo, hi + step * 0.5, step), 10)
+        # + 0.0 turns the -0.0 that rounding leaves at a zero crossing into 0.0
+        grid = np.round(np.arange(lo, hi + step * 0.5, step), 10) + 0.0
     else:
         grid = np.asarray([_to_float(key, p) for p in val.split(",")])
     if grid.size == 0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):

@@ -443,12 +443,6 @@ class EventPath:
         jumps = np.concatenate(([0.0], np.cumsum(self.sizes)))
         return self.x0 + self.drift * t + jumps[idx]
 
-    def left_limit_at(self, t):
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="left")
-        jumps = np.concatenate(([0.0], np.cumsum(self.sizes)))
-        return self.x0 + self.drift * t + jumps[idx]
-
     def shifted(self, dx: float) -> "EventPath":
         """Same driving noise started from x0 + dx."""
         return EventPath(self.x0 + dx, self.horizon, self.drift, self.times, self.sizes)
@@ -461,22 +455,11 @@ class EventPath:
         incs = np.diff(np.concatenate(([self.x0], vals)))
         return GridPath(self.x0, self.horizon, k, incs)
 
-    def to_csv(self, fname):
-        times = np.concatenate(([0.0], self.times, [self.horizon]))
-        lefts = np.concatenate(([self.x0], self.left_limit_at(self.times),
-                                [self.value_at(self.horizon)]))
-        jumps = np.concatenate(([0.0], self.sizes, [0.0]))
-        vals = np.concatenate(([self.x0], self.value_at(self.times),
-                               [self.value_at(self.horizon)]))
-        with open(fname, "w") as fh:
-            fh.write("time,left_limit,jump,value\n")
-            for row in zip(times, lefts, jumps, vals):
-                fh.write("%.17g,%.17g,%.17g,%.17g\n" % row)
-
 
 @dataclass(frozen=True)
 class GridPath:
-    """Uniform-grid increments; values[k] = x0 + sum of the first k increments."""
+    """Uniform-grid increments; the path at knot j is x0 + xhat[j], with
+    xhat[j] the sum of the first j increments."""
 
     x0: float
     horizon: float
@@ -486,11 +469,6 @@ class GridPath:
     @property
     def dt(self) -> float:
         return self.horizon / self.k
-
-    @property
-    def values(self) -> np.ndarray:
-        """x0 + X-hat on the grid, length k+1 including the start."""
-        return self.x0 + self.xhat
 
     @property
     def xhat(self) -> np.ndarray:

@@ -1,12 +1,13 @@
 """Exact pathwise transforms on bounded-variation paths.
 
 One event-driven sweep over piecewise-linear cadlag trajectories serves
-every transform here: refraction at a threshold b, reflection at the floor
-0, the combined refracted-reflected construction, and their alpha = inf
-limits (reflection at b from above, and the two-sided band on [0, b]), in
-which an overshoot above b is paid at once as a lump dividend.  The running
-infimum of the floored path is decomposed into boundary time, initial part,
-and jump top-ups.
+two transforms: refraction at rate alpha above a threshold b
+(refract_exact), and the same refraction reflected at the floor 0
+(refracted_reflected_exact).  Both take 0 < alpha <= inf; alpha = inf is
+the reflection limit at b, in which an overshoot above b is paid at once
+as a lump dividend, and b = inf sets no threshold.  floor_decomposition
+splits the running infimum of a floored path into boundary time, initial
+part, and jump top-ups; running_floor_reflection is its threshold-free case.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
 """
@@ -90,14 +91,12 @@ class RefractedPath(SegmentCurve):
     seg_branch holds the branch code of each segment, seg_lrate/seg_rrate the
     dividend and injection densities active on it.  Atom arrays carry lump
     injections (jump top-ups, and the initial top-up when the start is
-    negative) and, in the alpha = inf reflection limits, lump dividends.
+    negative) and, in the alpha = inf reflection limit, lump dividends.
     """
 
-    x0_minus: float = 0.0
     seg_branch: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
     seg_lrate: np.ndarray = field(default_factory=lambda: np.empty(0))
     seg_rrate: np.ndarray = field(default_factory=lambda: np.empty(0))
-    crossing_times: np.ndarray = field(default_factory=lambda: np.empty(0))
     r_atom_t: np.ndarray = field(default_factory=lambda: np.empty(0))
     r_atom: np.ndarray = field(default_factory=lambda: np.empty(0))
     l_atom_t: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -252,7 +251,6 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
     horizon = path.horizon
     band = alpha == math.inf
     rec = _SegRecorder()
-    crossings = []
     r_atom_t, r_atom, l_atom_t, l_atom = [], [], [], []
     t = 0.0
     z = path.x0
@@ -272,7 +270,6 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
             t_cross = t + (target - z) / slope if target is not None else math.inf
             rec.add(t, z, slope, br, lr, rr)
             if t_cross < te:
-                crossings.append(t_cross)
                 t, z = t_cross, target
             else:
                 z = z + slope * (te - t)
@@ -294,11 +291,9 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
         seg_t=np.asarray(rec.t),
         seg_v=np.asarray(rec.v),
         seg_slope=np.asarray(rec.slope),
-        x0_minus=path.x0,
         seg_branch=np.asarray(rec.branch, dtype=int),
         seg_lrate=np.asarray(rec.lrate),
         seg_rrate=np.asarray(rec.rrate),
-        crossing_times=np.asarray(crossings),
         r_atom_t=np.asarray(r_atom_t),
         r_atom=np.asarray(r_atom),
         l_atom_t=np.asarray(l_atom_t),
@@ -314,46 +309,34 @@ def _require_event_path(path):
 def refract_exact(path: EventPath, b: float, alpha: float, case: CaseLabel) -> RefractedPath:
     """Refracted trajectory: dividends at rate alpha skimmed above b.
 
-    In Case 2 the trajectory sticks at b (the drift exactly cancels there);
-    in Case 1 the threshold is crossed transversally.
+    In Case 2 the trajectory sticks at b (the drift lies in [0, alpha]);
+    in Case 1 the threshold is crossed transversally.  alpha = inf is
+    reflection at b from above: overshoots are paid as lump dividends.
     """
     _require_event_path(path)
-    if not (alpha > 0) or alpha == math.inf:
-        raise InvalidParameter("alpha", "refraction needs finite alpha > 0")
+    if not (alpha > 0):
+        raise InvalidParameter("alpha", "rate cap must be positive")
     return _sweep(path, float(b), float(alpha), case.is_case2, floor=False)
 
 
-def refracted_reflected_exact(path: EventPath, b, alpha, case: CaseLabel):
-    """Refraction above b combined with reflection at 0.
+def refracted_reflected_exact(path: EventPath, b, alpha, case: CaseLabel) -> RefractedPath:
+    """Refraction above b combined with reflection at 0: the floored
+    trajectory.
 
-    Returns the floored trajectory and the decomposition of its reflection
-    infimum.  For b = 0 this is the reflection of the alpha-killed path, with
-    the sticky dividend rate at the origin in Case 2.
+    For b = 0 this is the reflection of the alpha-killed path, with the
+    sticky dividend rate at the origin in Case 2.  alpha = inf is the
+    two-sided reflection on [0, b], with lump dividends at b.
     """
     _require_event_path(path)
     if b < 0:
         raise InvalidBarrier("barrier must be >= 0")
-    if not (alpha > 0) or alpha == math.inf:
-        raise InvalidParameter("alpha", "finite alpha required; use reflect_two_sided for alpha = inf")
-    traj = _sweep(path, float(b), float(alpha), case.is_case2, floor=True)
-    return traj, _decomposition_from(traj, path)
+    if not (alpha > 0):
+        raise InvalidParameter("alpha", "rate cap must be positive")
+    return _sweep(path, float(b), float(alpha), case.is_case2, floor=True)
 
 
-def reflect_two_sided(path: EventPath, b) -> RefractedPath:
-    """Double-barrier trajectory on [0, b]: the alpha = infinity limit."""
-    _require_event_path(path)
-    if b < 0:
-        raise InvalidBarrier("barrier must be >= 0")
-    return _sweep(path, float(b), math.inf, path.drift > 0, floor=True)
-
-
-def reflect_from_above(path: EventPath, b) -> RefractedPath:
-    """Path reflected at b from above only (running-supremum pushdown)."""
-    _require_event_path(path)
-    return _sweep(path, float(b), math.inf, path.drift > 0, floor=False)
-
-
-def _decomposition_from(traj: RefractedPath, path: EventPath) -> FloorDecomposition:
+def floor_decomposition(traj: RefractedPath, path: EventPath) -> FloorDecomposition:
+    """Decompose the reflection infimum of traj, the floored sweep of path."""
     pinned = traj.seg_rrate > 0
     rest = (traj.seg_branch == BRANCH_FLOOR) & ~pinned
     occ = pinned | rest
@@ -381,7 +364,7 @@ def running_floor_reflection(path: EventPath) -> FloorDecomposition:
     infimum."""
     _require_event_path(path)
     traj = _sweep(path, math.inf, 1.0, False, floor=True)
-    return _decomposition_from(traj, path)
+    return floor_decomposition(traj, path)
 
 
 def dividend_integral_path(traj: RefractedPath) -> SegmentCurve:

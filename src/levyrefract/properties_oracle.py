@@ -31,7 +31,7 @@ from .levy_model import (
     classify_case,
     sample_path,
 )
-from .path_engine import refract_exact, reflect_from_above
+from .path_engine import refract_exact
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
@@ -319,10 +319,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
             case = classify_case(spec, a)
             pp = StrategyParams(b=b, alpha=a, beta=beta, q=q)
             trajs.append(apply_strategy_exact(path, pp, case))
-            if a == math.inf:
-                refr.append(reflect_from_above(path, b))
-            else:
-                refr.append(refract_exact(path, b, a, case))
+            refr.append(refract_exact(path, b, a, case))
         ts = _probe_times(trajs + refr, horizon)
         zs = [t.value_at(ts) for t in trajs]
         ys = [t.value_at(ts) for t in refr]

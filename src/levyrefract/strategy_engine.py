@@ -2,8 +2,8 @@
 
 A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
-non-negative.  The exact engine delegates to the event sweeps in path_engine:
-apply_strategy_exact returns the swept floored path itself, which the
+non-negative.  The exact engine delegates to path_engine's floored
+transform: apply_strategy_exact returns the swept path itself, which the
 estimators and the property oracle read directly, and only sample-path
 samples it onto knots (ControlledTrajectory.from_exact).  The Euler engine
 runs the discrete three-branch recursion on a time grid.
@@ -30,11 +30,9 @@ from .levy_model import (
 from . import path_engine
 from .path_engine import (
     BRANCH_ABOVE,
-    BRANCH_AT_B,
     BRANCH_FLOOR,
     BRANCH_INTERIOR,
     RefractedPath,
-    UnsupportedModel,
 )
 
 
@@ -120,40 +118,31 @@ class ControlledTrajectory:
 
 def apply_strategy_exact(path: EventPath, params: StrategyParams, case) -> RefractedPath:
     """Run the threshold strategy along one event path, exactly: the swept
-    floored trajectory.
+    floored trajectory, refracted at rate alpha above b and reflected at 0.
 
-    Finite alpha refracts above b and reflects at 0; alpha = inf degenerates
-    to two-sided reflection on [0, b] with lump dividends.
+    alpha = inf is the two-sided reflection on [0, b] with lump dividends;
+    case decides whether the path sticks at b, for every alpha.
     """
-    if params.alpha == math.inf:
-        return path_engine.reflect_two_sided(path, params.b)
-    return path_engine.refracted_reflected_exact(path, params.b, params.alpha, case)[0]
+    return path_engine.refracted_reflected_exact(path, params.b, params.alpha, case)
 
 
-def first_passage_times(traj: RefractedPath | ControlledTrajectory) -> PassageTimes:
-    """Passage readings off a controlled trajectory.
+def first_passage_times(traj: RefractedPath) -> PassageTimes:
+    """Passage readings off the swept floored path of the exact engine.
 
-    Exact engine, read off the swept floored path (a RefractedPath): kappa
-    is the first injection lump or the start of the first floor-pinned
-    stretch with a positive injection density, which is where the refracted
-    path without the floor first goes strictly below 0; t_weak is the first
-    lump or knot where the path sits at 0, its first visit.  These are the
-    strict and weak clocks of the randomized passage and the splice time
-    of the value estimators.  Euler engine (a ControlledTrajectory): the
-    step-index analogues in grid time.
+    kappa is the first injection lump or the start of the first
+    floor-pinned stretch with a positive injection density, which is where
+    the refracted path without the floor first goes strictly below 0;
+    t_weak is the first lump or knot where the path sits at 0, its first
+    visit.  These are the strict and weak clocks of the randomized passage
+    and the splice time of the value estimators.  The Euler clock reads its
+    passages off the recursion itself.
     """
-    if isinstance(traj, RefractedPath):
-        lumps = traj.r_atom_t[traj.r_atom > 0]
-        lump = float(lumps[0]) if lumps.size else math.inf
-        pinned = np.flatnonzero(traj.seg_rrate > 0)
-        kappa = min(lump, float(traj.seg_t[pinned[0]]) if pinned.size else math.inf)
-        at_zero = np.flatnonzero(traj.seg_v == 0.0)
-        t_weak = min(lump, float(traj.seg_t[at_zero[0]]) if at_zero.size else math.inf)
-        return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
-    rinc = np.flatnonzero(traj.r > 0)
-    kappa = float(traj.times[rinc[0]]) if rinc.size else math.inf
-    zzero = np.flatnonzero(traj.z <= 0.0)
-    t_weak = float(traj.times[zzero[0]]) if zzero.size else math.inf
+    lumps = traj.r_atom_t[traj.r_atom > 0]
+    lump = float(lumps[0]) if lumps.size else math.inf
+    pinned = np.flatnonzero(traj.seg_rrate > 0)
+    kappa = min(lump, float(traj.seg_t[pinned[0]]) if pinned.size else math.inf)
+    at_zero = np.flatnonzero(traj.seg_v == 0.0)
+    t_weak = min(lump, float(traj.seg_t[at_zero[0]]) if at_zero.size else math.inf)
     return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
 
 
@@ -194,39 +183,49 @@ def euler_steps(x: float, increments: np.ndarray, b: float, alpha: float,
             rhat = newr
 
 
-def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
-                   horizon: float, k: int, stream: RngStream,
-                   grid_path: GridPath | None = None) -> ControlledTrajectory:
-    """One path of the floored three-branch recursion: euler_steps at m = 1.
+def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,
+                   dt: float):
+    """(driver, Z, L-hat, R-hat, dividend steps) of the floored three-branch
+    recursion, one row per row of increments, on knots 0..k-1.
 
     L-hat accumulates the dividend steps.  R-hat is read back as the running
     maximum of the negative part of the state, the reflection identity the
-    top-up rule satisfies exactly, so a step is a top-up where R-hat grows.
+    top-up rule satisfies exactly.
     """
+    m, k = increments.shape
+    state = np.full((m, k), float(x))
+    dl = np.zeros((m, k))
+    steps = euler_steps(x, increments, params.b, params.alpha, dt, floor=True)
+    for j, (state_j, dl_j, _) in enumerate(steps, start=1):
+        state[:, j], dl[:, j] = state_j, dl_j
+    lhat = np.cumsum(dl, axis=1)
+    rhat = np.maximum.accumulate(np.where(state < 0.0, -state, 0.0), axis=1)
+    driver = x + np.concatenate(
+        (np.zeros((m, 1)), np.cumsum(increments[:, :-1], axis=1)), axis=1)
+    return driver, driver - lhat + rhat, lhat, rhat, dl
+
+
+def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
+                   horizon: float, k: int, stream: RngStream,
+                   grid_path: GridPath | None = None) -> ControlledTrajectory:
+    """One path of the floored three-branch recursion: the one-row case of
+    _floored_euler.  A step is a top-up where R-hat grows."""
     if grid_path is None:
         grid_path = sample_path(spec, horizon, Grid(k), stream)
     elif grid_path.k != k:
         raise InvalidParameter("grid_path", "step count mismatch")
     dt = grid_path.dt
-    state = np.full(k, float(x))
-    dl = np.zeros(k)
-    steps = euler_steps(x, grid_path.increments[None, :], params.b, params.alpha,
-                        dt, floor=True)
-    for j, (state_j, dl_j, _) in enumerate(steps, start=1):
-        state[j], dl[j] = state_j[0], dl_j[0]
-    lhat = np.cumsum(dl)
-    rhat = np.maximum.accumulate(np.where(state < 0.0, -state, 0.0))
-    topped = np.diff(rhat, prepend=0.0) > 0
+    driver, z, lhat, rhat, dl = _floored_euler(x, params, grid_path.increments[None, :], dt)
+    topped = np.diff(rhat[0], prepend=0.0) > 0
     branch = np.where(topped, BRANCH_FLOOR,
-                      np.where(dl > 0, BRANCH_ABOVE, BRANCH_INTERIOR))
-    driver = x + grid_path.xhat[:k]
+                      np.where(dl[0] > 0, BRANCH_ABOVE, BRANCH_INTERIOR))
     return ControlledTrajectory(
         times=np.arange(k) * dt,
-        z=driver - lhat + rhat,
-        l=lhat,
-        r=rhat,
+        z=z[0],
+        l=lhat[0],
+        r=rhat[0],
         branch=branch,
-        driver=driver,
+        driver=driver[0],
         horizon=horizon,
         params=params,
         kind="euler",
@@ -234,12 +233,16 @@ def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
 
 
 def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
-                    x: float, horizon: float, k: int, stream: RngStream) -> float:
+                    x: float, horizon: float, k: int, n: int,
+                    stream: RngStream) -> np.ndarray:
     """Sup distance between the Euler recursion and the exact trajectory
-    driven by the same sampled path, discretized with shared noise."""
-    path = sample_path(spec, horizon, EXACT, stream)
-    shifted = path.shifted(-path.x0)
-    gp = shifted.to_grid(k)
-    euler = simulate_euler(x, params, spec, horizon, k, stream, grid_path=gp)
-    zex = apply_strategy_exact(shifted.shifted(x), params, case).value_at(euler.times)
-    return float(np.max(np.abs(euler.z - zex)))
+    driven by the same sampled path, discretized with shared noise, for the
+    n paths stream.for_path(i): one recursion pass over all n rows."""
+    paths = [sample_path(spec, horizon, EXACT, stream.for_path(i)) for i in range(n)]
+    paths = [p.shifted(-p.x0) for p in paths]
+    dt = horizon / k
+    z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in paths]), dt)[1]
+    times = np.arange(k) * dt
+    return np.array([
+        np.max(np.abs(z[i] - apply_strategy_exact(p.shifted(x), params, case).value_at(times)))
+        for i, p in enumerate(paths)])

@@ -126,6 +126,16 @@ class TestParseGrid:
     def test_list_form(self):
         np.testing.assert_allclose(parse_grid("g", "1, 2, 3.5"), [1, 2, 3.5])
 
+    def test_zero_crossing_is_positive_zero(self, tmp_path):
+        """Rounding arange's tiny negative value at the zero crossing leaves
+        -0.0, which nu-curve would write as -0."""
+        grid = parse_grid("g", "-0.09:0.01:0.02")
+        assert grid[9] == 0.0 and not np.signbit(grid[grid == 0.0]).any()
+        run_experiment(base_cfg("task.b_grid = -0.09:0.01:0.02\n"), "nu-curve",
+                       out_dir=str(tmp_path))
+        rows = (tmp_path / "nu_curve.csv").read_text().splitlines()
+        assert rows[10].split(",")[0] == "0"
+
     @pytest.mark.parametrize("bad", ["2:0.5:1", "1:0:2", "1:2", "3,2", ""])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):

@@ -170,7 +170,6 @@ class TestEventPath:
         p = self.path()
         assert p.value_at(0.0) == 1.0
         assert p.value_at(2.0) == pytest.approx(1.0 + 1.0 + 1.0)
-        assert p.left_limit_at(2.0) == pytest.approx(2.0)
         assert p.value_at(10.0) == pytest.approx(1 + 10.0 * 0.5 + 1.0 - 2.5)
 
     def test_shift_moves_every_value(self):
@@ -183,8 +182,8 @@ class TestEventPath:
         p = self.path()
         g = p.to_grid(40)
         ts = np.arange(41) * p.horizon / 40
-        assert g.values[0] == p.x0
-        np.testing.assert_allclose(g.values, p.value_at(ts), atol=1e-12)
+        assert g.x0 + g.xhat[0] == p.x0
+        np.testing.assert_allclose(g.x0 + g.xhat, p.value_at(ts), atol=1e-12)
 
     def test_event_times_must_increase(self):
         with pytest.raises(InvalidParameter):
@@ -242,7 +241,7 @@ class TestSampling:
         dt = horizon / k
         incs = np.concatenate([
             np.diff(sample_path(ref_spec_gauss, horizon, Grid(k),
-                                RngStream(14, tag=4, index=i)).values)
+                                RngStream(14, tag=4, index=i)).xhat)
             for i in range(n)])
         growth = 0.6 + (0.5 - math.gamma(1.5))
         se = incs.std(ddof=1) / math.sqrt(len(incs))
@@ -254,16 +253,8 @@ class TestSampling:
     def test_grid_values_start_at_x0(self):
         spec = drift_only(0.7, x0=1.2)
         g = sample_path(spec, 2.0, Grid(10), RngStream(1))
-        assert g.values[0] == 1.2
+        assert g.x0 + g.xhat[0] == 1.2
         assert g.xhat[0] == 0.0
-
-    def test_csv_round_trip_shape(self, ref_spec_bv, tmp_path):
-        p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(15))
-        fname = tmp_path / "p.csv"
-        p.to_csv(fname)
-        lines = fname.read_text().strip().splitlines()
-        assert lines[0] == "time,left_limit,jump,value"
-        assert len(lines) >= 2
 
 
 class TestRngStream:

@@ -9,9 +9,9 @@ from levyrefract.levy_model import (
 )
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, InvalidBarrier,
-    UnsupportedModel, construction_identity_residual, dividend_integral_path,
-    reflect_from_above, reflect_two_sided,
-    refract_exact, refracted_reflected_exact, running_floor_reflection,
+    UnsupportedModel, _sweep, construction_identity_residual,
+    dividend_integral_path, floor_decomposition, refract_exact,
+    refracted_reflected_exact, running_floor_reflection,
 )
 
 from conftest import drift_only
@@ -34,7 +34,7 @@ class TestRefractExact:
         traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
         ts = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
         np.testing.assert_allclose(traj.value_at(ts), [0.0, 0.5, 1.0, 1.6, 2.8])
-        np.testing.assert_allclose(traj.crossing_times, [1.0])
+        np.testing.assert_allclose(traj.seg_t, [0.0, 1.0])
         np.testing.assert_allclose(traj.dividends_at(ts), [0, 0, 0, 0.4, 1.2])
         np.testing.assert_allclose(traj.injections_at(ts), 0.0, atol=1e-15)
 
@@ -81,7 +81,7 @@ class TestRefractExact:
     def test_alpha_validation(self):
         p = drift_path(1.0, 0.0, 1.0)
         c = case_for(1.0, 0.4)
-        for bad in (0.0, -1.0, math.inf):
+        for bad in (0.0, -1.0, math.nan):
             with pytest.raises(InvalidParameter):
                 refract_exact(p, b=1.0, alpha=bad, case=c)
 
@@ -109,7 +109,7 @@ class TestRefractedReflected:
                                             case=case_for(1.0, 0.4))
 
     def test_jump_through_floor_tops_up(self):
-        p, (traj, dec) = self.hand_traj()
+        p, traj = self.hand_traj()
         ts = np.array([0.25, 1.0, 2.0, 2.5, 3.0, 4.0])
         np.testing.assert_allclose(traj.value_at(ts),
                                    [0.75, 1.3, 0.0, 0.5, 1.0, 1.6])
@@ -120,7 +120,7 @@ class TestRefractedReflected:
                                    [0, 0, 0.1, 0.1, 0.1, 0.1])
 
     def test_trajectory_is_driver_less_dividends_plus_injections(self):
-        p, (traj, dec) = self.hand_traj()
+        p, traj = self.hand_traj()
         ts = np.linspace(0.0, 4.0, 33)
         np.testing.assert_allclose(
             traj.value_at(ts),
@@ -129,8 +129,9 @@ class TestRefractedReflected:
 
     def test_pinned_at_floor_under_negative_drift(self):
         p = drift_path(-1.0, 0.5, 3.0)
-        traj, dec = refracted_reflected_exact(p, b=2.0, alpha=0.5,
-                                              case=case_for(-1.0, 0.5))
+        traj = refracted_reflected_exact(p, b=2.0, alpha=0.5,
+                                         case=case_for(-1.0, 0.5))
+        dec = floor_decomposition(traj, p)
         ts = np.array([0.25, 0.5, 1.5, 3.0])
         np.testing.assert_allclose(traj.value_at(ts), [0.25, 0.0, 0.0, 0.0])
         np.testing.assert_allclose(traj.injections_at(ts), [0.0, 0.0, 1.0, 2.5])
@@ -140,8 +141,9 @@ class TestRefractedReflected:
 
     def test_negative_start_is_topped_up_at_time_zero(self):
         p = drift_path(1.0, -0.3, 2.0)
-        traj, dec = refracted_reflected_exact(p, b=1.0, alpha=0.4,
-                                              case=case_for(1.0, 0.4))
+        traj = refracted_reflected_exact(p, b=1.0, alpha=0.4,
+                                         case=case_for(1.0, 0.4))
+        dec = floor_decomposition(traj, p)
         assert traj.value_at(0.0) == 0.0
         np.testing.assert_allclose(traj.r_atom_t, [0.0])
         np.testing.assert_allclose(traj.r_atom, [0.3])
@@ -155,8 +157,8 @@ class TestRefractedReflected:
     def test_zero_threshold_pays_flat_cap(self):
         """b = 0 with drift above the cap: dividends accrue at exactly alpha t."""
         p = drift_path(1.0, 0.0, 6.0, jumps=[(2.0, -3.0), (4.0, 0.5)])
-        traj, dec = refracted_reflected_exact(p, b=0.0, alpha=0.4,
-                                              case=case_for(1.0, 0.4))
+        traj = refracted_reflected_exact(p, b=0.0, alpha=0.4,
+                                         case=case_for(1.0, 0.4))
         ts = np.linspace(0.0, 6.0, 25)
         np.testing.assert_allclose(traj.dividends_at(ts), 0.4 * ts, atol=1e-12)
 
@@ -165,7 +167,7 @@ class TestRefractedReflected:
             case = classify_case(ref_spec_bv, alpha)
             for i in range(40):
                 p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(31, tag=2, index=i))
-                traj, _ = refracted_reflected_exact(p, b=b, alpha=alpha, case=case)
+                traj = refracted_reflected_exact(p, b=b, alpha=alpha, case=case)
                 assert construction_identity_residual(p, traj) <= 1e-12
 
 
@@ -175,7 +177,8 @@ class TestReflectionLimits:
 
     def test_two_sided_band(self):
         """Infinite-rate limit: lump dividends above b, lump injections below 0."""
-        traj = reflect_two_sided(self.band_path(), b=1.0)
+        traj = refracted_reflected_exact(self.band_path(), 1.0, math.inf,
+                                         case_for(1.0, math.inf))
         ts = np.array([0.25, 1.0, 2.0, 2.25, 2.5, 3.0])
         np.testing.assert_allclose(traj.value_at(ts),
                                    [0.75, 1.0, 0.0, 0.25, 1.0, 1.0])
@@ -187,7 +190,8 @@ class TestReflectionLimits:
         assert traj.injections_at(3.0) == pytest.approx(1.0)
 
     def test_from_above_leaves_the_floor_open(self):
-        traj = reflect_from_above(self.band_path(), b=1.0)
+        traj = refract_exact(self.band_path(), 1.0, math.inf,
+                             case_for(1.0, math.inf))
         ts = np.array([1.0, 2.0, 2.25, 2.5, 3.0])
         np.testing.assert_allclose(traj.value_at(ts), [1.0, -1.0, -0.75, 1.0, 1.0])
         np.testing.assert_allclose(traj.injections_at(ts), 0.0, atol=1e-15)
@@ -195,7 +199,8 @@ class TestReflectionLimits:
         assert traj.dividends_at(3.0) == pytest.approx(1.5 + 0.5 + 0.5)
 
     def test_start_above_barrier_pays_immediately(self):
-        traj = reflect_from_above(drift_path(0.2, 2.0, 1.0), b=1.0)
+        traj = refract_exact(drift_path(0.2, 2.0, 1.0), 1.0, math.inf,
+                             case_for(0.2, math.inf))
         assert traj.value_at(0.0) == 1.0
         np.testing.assert_allclose(traj.l_atom_t, [0.0])
         np.testing.assert_allclose(traj.l_atom, [1.0])
@@ -206,8 +211,9 @@ class TestReflectionLimits:
         as the finite-rate sweep does at b = 0."""
         delta = -0.5
         p = drift_path(delta, 0.4, 3.0, jumps=[(1.0, 0.8), (2.0, -0.6)])
-        traj = reflect_two_sided(p, b=0.0)
-        refr, _ = refracted_reflected_exact(p, 0.0, 0.5, case_for(delta, 0.5))
+        traj = refracted_reflected_exact(p, 0.0, math.inf,
+                                         case_for(delta, math.inf))
+        refr = refracted_reflected_exact(p, 0.0, 0.5, case_for(delta, 0.5))
         for t in (traj, refr):
             pinned = (t.seg_v == 0.0) & (t.seg_slope == 0.0)
             assert pinned.any()
@@ -223,7 +229,7 @@ class TestReflectionLimits:
         up-jump from just below b lands the same distance above b at every
         finite rate."""
         p = sample_path(ref_spec_bv, 6.0, EXACT, RngStream(77, tag=3, index=4))
-        limit = reflect_from_above(p, b=1.0)
+        limit = refract_exact(p, 1.0, math.inf, classify_case(ref_spec_bv, math.inf))
         ts = np.union1d(np.linspace(0, 6.0, 601), limit.seg_t)
         gaps = []
         for alpha in (1.0, 4.0, 16.0, 64.0):
@@ -239,7 +245,7 @@ class TestReflectionLimits:
         # with only downward jumps nothing ever lands above b, so once the
         # rate cap exceeds the drift the refracted and pushed-down paths agree
         p = drift_path(1.2, 0.3, 6.0, jumps=[(1.5, -0.9), (3.0, -0.2), (4.2, -1.4)])
-        limit = reflect_from_above(p, b=1.0)
+        limit = refract_exact(p, 1.0, math.inf, case_for(1.2, math.inf))
         traj = refract_exact(p, b=1.0, alpha=2.0, case=case_for(1.2, 2.0))
         ts = np.union1d(np.union1d(np.linspace(0, 6.0, 601), limit.seg_t),
                         traj.seg_t)
@@ -259,6 +265,56 @@ class TestReflectionLimits:
         got = traj.running_inf_of_neg_part(queries)
         for t, g in zip(queries, got):
             assert g == pytest.approx(want[grid <= t][-1], abs=1e-12)
+
+
+class TestInfiniteCapFold:
+    """alpha = inf runs through the two transforms, with stickiness at b
+    decided by the case label.  The reference is the rule the dedicated
+    reflection limits used: the lump-dividend sweep, sticky at b iff the
+    drift is positive."""
+
+    ARRAYS = ("seg_t", "seg_v", "seg_slope", "seg_branch", "seg_lrate",
+              "seg_rrate", "r_atom_t", "r_atom", "l_atom_t", "l_atom")
+
+    def test_case_label_reproduces_the_drift_sign_rule(self):
+        """Bitwise equal whenever delta != 0.  At delta = 0 the label says
+        Case 2, so a stretch parked at b reads BRANCH_AT_B, as at every
+        finite alpha, and every array is equal by ==."""
+        rng = np.random.default_rng(20261018)
+        drifts = (-1.3, -0.4, 0.0, 0.35, 1.1, None)
+        n_zero = n_relabel = 0
+        for d in range(4200):
+            delta = drifts[d % 6]
+            if delta is None:
+                delta = rng.uniform(-1.5, 1.5)
+            b = (0.0, 1.0, rng.uniform(0.1, 2.0))[(d // 6) % 3]
+            x = (-rng.uniform(0.05, 0.5), 0.0, b,
+                 b + rng.uniform(0.05, 1.0))[(d // 18) % 4]
+            times = np.sort(rng.uniform(0.0, 10.0, rng.poisson(8.0)))
+            path = EventPath(x0=x, horizon=10.0, drift=delta, times=times,
+                             sizes=rng.normal(0.0, 0.8, times.size))
+            case = case_for(delta, math.inf)
+            for floor in (False, True):
+                if floor:
+                    got = refracted_reflected_exact(path, b, math.inf, case)
+                else:
+                    got = refract_exact(path, b, math.inf, case)
+                want = _sweep(path, b, math.inf, path.drift > 0, floor)
+                assert got.horizon == want.horizon
+                for name in self.ARRAYS:
+                    g, w = getattr(got, name), getattr(want, name)
+                    if delta != 0.0:
+                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (d, name)
+                    elif name != "seg_branch":
+                        assert g.shape == w.shape and np.all(g == w), (d, name)
+                if delta == 0.0:
+                    n_zero += 1
+                    moved = got.seg_branch != want.seg_branch
+                    assert np.all(got.seg_branch[moved] == BRANCH_AT_B)
+                    assert np.all(np.isin(want.seg_branch[moved],
+                                          (BRANCH_INTERIOR, BRANCH_FLOOR)))
+                    n_relabel += bool(moved.any())
+        assert n_zero == 1400 and n_relabel > 0
 
 
 class TestFloorDecomposition:
@@ -312,10 +368,12 @@ class TestDividendIntegralPath:
         and the times of the last injection and lump-dividend atoms, which
         count at the stop time.  The two-sided limit carries lump dividends."""
         p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(91, tag=5, index=0))
-        refr, _ = refracted_reflected_exact(p, b=1.0, alpha=0.5,
-                                            case=classify_case(ref_spec_bv, 0.5))
+        refr = refracted_reflected_exact(p, b=1.0, alpha=0.5,
+                                         case=classify_case(ref_spec_bv, 0.5))
+        band = refracted_reflected_exact(p, 1.0, math.inf,
+                                         classify_case(ref_spec_bv, math.inf))
         q = 0.05
-        for traj in (refr, reflect_two_sided(p, b=1.0)):
+        for traj in (refr, band):
             stops = [None, 2.3, *traj.r_atom_t[-1:], *traj.l_atom_t[-1:]]
             assert len(stops) == (3 if traj is refr else 4)
             for stop in stops:

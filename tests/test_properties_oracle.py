@@ -49,8 +49,8 @@ class TestCoupledPair:
         viol = []
         for i in range(10):
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i))
-            t1, _ = refracted_reflected_exact(p, 1.0, 0.5, case)
-            t2, _ = refracted_reflected_exact(p.shifted(0.5), 2.5, 0.5, case)
+            t1 = refracted_reflected_exact(p, 1.0, 0.5, case)
+            t2 = refracted_reflected_exact(p.shifted(0.5), 2.5, 0.5, case)
             viol.extend(check_pair(t1, t2, 0.5, 1.0))
         assert len(viol) > 0
         props = {v.prop for v in viol}
@@ -88,8 +88,8 @@ class TestCoupledPair:
 class TestFixedCap:
     def test_zero_threshold_cap_rate(self):
         p = sample_path(drift_only(1.0), 6.0, EXACT, RngStream(310, tag=1))
-        traj, _ = refracted_reflected_exact(p, 0.0, 0.4,
-                                            classify_case(drift_only(1.0), 0.4))
+        traj = refracted_reflected_exact(p, 0.0, 0.4,
+                                         classify_case(drift_only(1.0), 0.4))
         assert fixed_cap_violations(traj, 0.4) == []
         wrong = fixed_cap_violations(traj, 0.3)
         assert wrong and all(v.prop == "cap_rate_dividends" for v in wrong)

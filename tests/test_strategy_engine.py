@@ -214,14 +214,6 @@ class TestEulerRecursion:
         np.testing.assert_allclose(traj.z, [1.0, 0.0, 1.0, 1.5, 1.5])
         np.testing.assert_allclose(traj.l, [0.0, 0.0, 0.0, 1.5, 1.5])
 
-    def test_euler_passage_times_in_grid_units(self):
-        gp = self.hand_grid()
-        traj = simulate_euler(1.0, params(b=1.5, alpha=0.5), drift_only(0.0),
-                              5.0, 5, RngStream(1), grid_path=gp)
-        pt = first_passage_times(traj)
-        assert pt.kappa_strict == pytest.approx(1.0)
-        assert pt.t_weak == pytest.approx(1.0)
-
     def test_negative_start_tops_up_at_step_zero(self):
         gp = GridPath(x0=0.0, horizon=2.0, k=2, increments=np.array([0.5, 0.5]))
         traj = simulate_euler(-0.7, params(), drift_only(0.0), 2.0, 2,
@@ -305,7 +297,8 @@ class TestEulerKernel:
         for gp in grids:
             traj = simulate_euler(x, sp, ref_spec_gauss, gp.horizon, gp.k,
                                   RngStream(1), grid_path=gp)
-            xs = (gp.values - gp.values[0])[:gp.k]
+            vals = gp.x0 + gp.xhat
+            xs = (vals - vals[0])[:gp.k]
             z, lhat, rhat, branch = reference_euler(x, xs, sp.b, alpha, gp.dt)
             assert traj.z.tobytes() == z.tobytes()
             assert traj.l.tobytes() == lhat.tobytes()
@@ -328,15 +321,38 @@ class TestEulerKernel:
         assert state[0] == pytest.approx(0.2 - 2.5)
 
 
+def one_path_gap(spec, sp, case, x, horizon, k, stream):
+    """The sup gap of one path through simulate_euler, the one-row case of
+    the recursion."""
+    path = sample_path(spec, horizon, EXACT, stream)
+    shifted = path.shifted(-path.x0)
+    euler = simulate_euler(x, sp, spec, horizon, k, stream,
+                           grid_path=shifted.to_grid(k))
+    zex = apply_strategy_exact(shifted.shifted(x), sp, case).value_at(euler.times)
+    return np.max(np.abs(euler.z - zex))
+
+
 class TestEulerExactGap:
     def test_gap_shrinks_in_mean_with_grid_refinement(self, ref_spec_bv):
         case = classify_case(ref_spec_bv, 0.5)
         sp = params(b=1.2)
         means = []
         for k in (50, 400, 3200):
-            gaps = [euler_exact_gap(ref_spec_bv, sp, case, 0.5, 5.0, k,
-                                    RngStream(47, tag=9, index=i))
-                    for i in range(30)]
+            gaps = euler_exact_gap(ref_spec_bv, sp, case, 0.5, 5.0, k, 30,
+                                   RngStream(47, tag=9))
             means.append(np.mean(gaps))
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.02
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("x", [-0.3, 0.5, 1.6])
+    def test_batch_equals_one_path_runs_bitwise(self, ref_spec_bv, x, alpha):
+        case = classify_case(ref_spec_bv, alpha)
+        sp = params(b=1.2, alpha=alpha)
+        stream = RngStream(48, tag=9)
+        for k in (50, 400):
+            gaps = euler_exact_gap(ref_spec_bv, sp, case, x, 5.0, k, 12, stream)
+            assert gaps.shape == (12,)
+            want = [one_path_gap(ref_spec_bv, sp, case, x, 5.0, k,
+                                 stream.for_path(i)) for i in range(12)]
+            assert gaps.tobytes() == np.array(want).tobytes()
