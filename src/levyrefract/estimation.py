@@ -8,8 +8,9 @@ below the stopping time does not depend on the threshold once the state is
 translated, so one simulation sweep serves the whole threshold grid.
 Value curves run as one job over paths x starts x thresholds: a chunk
 samples each path once on the main stream and once on the at-0 anchor
-substream (an Euler chunk draws one increment matrix per stream) and reads
-every (x, b) point off those two samples, so one pool serves a curve set.
+substream and reads every (x, b) point off those two samples, so one pool
+serves a curve set.  An Euler chunk draws one increment matrix per stream
+and makes one recursion pass over it, which steps every point together.
 
 Chunking is fixed (CHUNK paths per batch) and partial results are combined
 by a fixed-order pairwise tree, so results are bit-identical for any worker
@@ -516,26 +517,27 @@ def _exact_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
 
 
 def _euler_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
+    # one recursion pass steps every point: row j of each (J, m) array is
+    # point j, and its sums reduce along that contiguous row
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q, beta = params.q, params.beta
-    acc = np.zeros((len(points), 5))
-    cens = np.zeros(len(points))
-    for j, (x, b, spliced) in enumerate(points):
-        w = np.zeros(m)
-        stopped = np.zeros(m, dtype=bool)
-        splice_d = np.zeros(m)
-        steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
-        for step, (state, dl, dr) in enumerate(steps, start=1):
-            disc = math.exp(-q * dt * step)
-            if spliced:
-                splice_d[(state <= 0.0) & ~stopped] = disc
-            w += ~stopped * disc * (dl - beta * dr)
-            if spliced:
-                stopped |= (state <= 0.0)
-        cens[j] = float(np.sum(~stopped)) if spliced else 0.0
-        acc[j] = (w.sum(), (w * w).sum(), splice_d.sum(),
-                  (splice_d * splice_d).sum(), (w * splice_d).sum())
+    x, b, spliced = (np.array(c)[:, None] for c in zip(*points))
+    w = np.zeros((len(points), m))
+    stopped = np.zeros(w.shape, dtype=bool)
+    splice_d = np.zeros(w.shape)
+    steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
+    for step, (state, dl, dr) in enumerate(steps, start=1):
+        disc = math.exp(-q * dt * step)
+        # spliced points stop at the first weak visit to 0
+        hit = (state <= 0.0) & spliced
+        splice_d[hit & ~stopped] = disc
+        w += ~stopped * disc * (dl - beta * dr)
+        stopped |= hit
+    cens = np.sum(~stopped & spliced, axis=1, dtype=float)
+    wd = w * splice_d
+    acc = np.array([(wj.sum(), (wj * wj).sum(), dj.sum(), (dj * dj).sum(), wdj.sum())
+                    for wj, dj, wdj in zip(w, splice_d, wd)])
     return acc, cens
 
 

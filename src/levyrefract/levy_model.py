@@ -458,8 +458,8 @@ class EventPath:
 
 @dataclass(frozen=True)
 class GridPath:
-    """Uniform-grid increments; the path at knot j is x0 + xhat[j], with
-    xhat[j] the sum of the first j increments."""
+    """Uniform-grid increments; the path at knot j is x0 plus the sum of the
+    first j increments."""
 
     x0: float
     horizon: float
@@ -469,11 +469,6 @@ class GridPath:
     @property
     def dt(self) -> float:
         return self.horizon / self.k
-
-    @property
-    def xhat(self) -> np.ndarray:
-        """Centered path X-hat (starts at 0), length k+1."""
-        return np.concatenate(([0.0], np.cumsum(self.increments)))
 
 
 class Exact:

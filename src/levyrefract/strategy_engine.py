@@ -146,15 +146,17 @@ def first_passage_times(traj: RefractedPath) -> PassageTimes:
     return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
 
 
-def euler_steps(x: float, increments: np.ndarray, b: float, alpha: float,
-                dt: float, floor: bool):
+def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
+                floor: bool):
     """Three-branch Euler recursion, vectorised over the rows of increments.
 
-    increments is an (m, k) matrix of driver steps.  The centred driver X-hat
-    sits at knots 0..k-1 (a leading 0, then the cumulative increments); the
-    dividend account L-hat starts at 0 and the injection account R-hat at
-    the top-up max(0, -x).  At each step j = 1..k-1 the state
-    x + X-hat_j - L-hat is corrected to s = state + R-hat and takes one
+    increments is an (m, k) matrix of driver steps.  x and b are scalars or
+    (J, 1) arrays; they broadcast against the rows, so one pass serves every
+    (x, b) point and each yielded array has shape (J, m).  The centred driver
+    X-hat sits at knots 0..k-1 (a leading 0, then a running sum of the
+    increments); the dividend account L-hat starts at 0 and the injection
+    account R-hat at the top-up max(0, -x).  At each step j = 1..k-1 the
+    state x + X-hat_j - L-hat is corrected to s = state + R-hat and takes one
     branch: s < 0 tops R-hat up to -state (only when floor is set); s > b
     pays one dividend step, alpha * dt, or s - b when alpha is infinite;
     otherwise both accounts carry over.  Ties fall to the carry-over branch.
@@ -163,12 +165,13 @@ def euler_steps(x: float, increments: np.ndarray, b: float, alpha: float,
     and the dividend and injection steps.  Without floor, dr stays 0.
     """
     m, k = increments.shape
-    xhat = np.cumsum(increments, axis=1)  # column j - 1 is knot j
-    lhat = np.zeros(m)
-    rhat = np.full(m, max(0.0, -x)) if floor else None
-    dr = np.zeros(m)
+    xhat = np.full(m, -0.0)  # -0.0 + a == a bit for bit, as in np.cumsum
+    lhat = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(b), (m,)))
+    rhat = lhat + np.where(x < 0.0, -x, 0.0) if floor else None
+    dr = np.zeros_like(lhat)
     for j in range(1, k):
-        state = x + xhat[:, j - 1] - lhat
+        xhat += increments[:, j - 1]
+        state = x + xhat - lhat
         s = state + rhat if floor else state
         if alpha == math.inf:
             dl = np.where(s > b, s - b, 0.0)

@@ -5,11 +5,13 @@ import pytest
 
 from levyrefract.levy_model import (
     InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
+    _grid_increment_matrix,
 )
-from levyrefract.strategy_engine import StrategyParams
+from levyrefract import estimation
+from levyrefract.strategy_engine import StrategyParams, euler_steps
 from levyrefract.estimation import (
-    DegenerateDenominator, NoCrossing, _pav_nonincreasing, estimate_nu,
-    estimate_underline_nu, estimate_value, find_bstar, nu_curve,
+    DegenerateDenominator, NoCrossing, _euler_run_sums, _pav_nonincreasing,
+    estimate_nu, estimate_underline_nu, estimate_value, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
 
@@ -286,3 +288,58 @@ class TestValueEstimates:
         text = value_curve_csv(rows)
         assert text.splitlines()[0] == "x,b,v,se,method"
         assert text.splitlines()[1].endswith(",direct")
+
+
+def per_point_run_sums(spec, params, horizon, k, stream, points, ci, m):
+    """The per-point loop: one recursion pass for each (x, b) point, the
+    reference for the one-pass run sums."""
+    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
+    dt = horizon / k
+    q, beta = params.q, params.beta
+    acc = np.zeros((len(points), 5))
+    cens = np.zeros(len(points))
+    for j, (x, b, spliced) in enumerate(points):
+        w = np.zeros(m)
+        stopped = np.zeros(m, dtype=bool)
+        splice_d = np.zeros(m)
+        steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
+        for step, (state, dl, dr) in enumerate(steps, start=1):
+            disc = math.exp(-q * dt * step)
+            if spliced:
+                splice_d[(state <= 0.0) & ~stopped] = disc
+            w += ~stopped * disc * (dl - beta * dr)
+            if spliced:
+                stopped |= (state <= 0.0)
+        cens[j] = float(np.sum(~stopped)) if spliced else 0.0
+        acc[j] = (w.sum(), (w * w).sum(), splice_d.sum(),
+                  (splice_d * splice_d).sum(), (w * splice_d).sum())
+    return acc, cens
+
+
+class TestEulerRunSums:
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("spliced", [True, False])
+    @pytest.mark.parametrize("k", [50, 400])
+    def test_one_pass_equals_per_point_loop_bitwise(self, ref_spec_gauss, k,
+                                                    spliced, alpha, monkeypatch):
+        # starts below 0, at 0, at b, above b, and a shared start
+        points = [(x, b, spliced) for x, b in
+                  [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2),
+                   (1.2, 1.2), (2.5, 1.2), (0.6, 2.0)]]
+        pp = params(b=1.2, alpha=alpha)
+        stream = RngStream(140, tag=3)
+        want = per_point_run_sums(ref_spec_gauss, pp, 5.0, k, stream, points, 1, 256)
+        passes = []
+
+        def counted(*args, **kw):
+            passes.append(args)
+            return euler_steps(*args, **kw)
+
+        monkeypatch.setattr(estimation, "euler_steps", counted)
+        got = _euler_run_sums(ref_spec_gauss, pp, 5.0, k, stream, points, 1, 256, 256)
+        assert len(passes) == 1  # one recursion pass serves every point
+        assert got[0].shape == (len(points), 5)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        if spliced:
+            assert got[1].sum() < len(points) * 256

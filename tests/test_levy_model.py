@@ -182,8 +182,9 @@ class TestEventPath:
         p = self.path()
         g = p.to_grid(40)
         ts = np.arange(41) * p.horizon / 40
-        assert g.x0 + g.xhat[0] == p.x0
-        np.testing.assert_allclose(g.x0 + g.xhat, p.value_at(ts), atol=1e-12)
+        knots = np.concatenate(([0.0], np.cumsum(g.increments)))
+        assert g.x0 + knots[0] == p.x0
+        np.testing.assert_allclose(g.x0 + knots, p.value_at(ts), atol=1e-12)
 
     def test_event_times_must_increase(self):
         with pytest.raises(InvalidParameter):
@@ -240,8 +241,8 @@ class TestSampling:
         k, horizon, n = 64, 8.0, 1500
         dt = horizon / k
         incs = np.concatenate([
-            np.diff(sample_path(ref_spec_gauss, horizon, Grid(k),
-                                RngStream(14, tag=4, index=i)).xhat)
+            sample_path(ref_spec_gauss, horizon, Grid(k),
+                        RngStream(14, tag=4, index=i)).increments
             for i in range(n)])
         growth = 0.6 + (0.5 - math.gamma(1.5))
         se = incs.std(ddof=1) / math.sqrt(len(incs))
@@ -253,8 +254,8 @@ class TestSampling:
     def test_grid_values_start_at_x0(self):
         spec = drift_only(0.7, x0=1.2)
         g = sample_path(spec, 2.0, Grid(10), RngStream(1))
-        assert g.x0 + g.xhat[0] == 1.2
-        assert g.xhat[0] == 0.0
+        knots = np.concatenate(([0.0], np.cumsum(g.increments)))
+        assert g.x0 + knots[0] == 1.2
 
 
 class TestRngStream:

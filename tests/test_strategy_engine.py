@@ -297,8 +297,7 @@ class TestEulerKernel:
         for gp in grids:
             traj = simulate_euler(x, sp, ref_spec_gauss, gp.horizon, gp.k,
                                   RngStream(1), grid_path=gp)
-            vals = gp.x0 + gp.xhat
-            xs = (vals - vals[0])[:gp.k]
+            xs = np.concatenate(([0.0], np.cumsum(gp.increments)))[:gp.k]
             z, lhat, rhat, branch = reference_euler(x, xs, sp.b, alpha, gp.dt)
             assert traj.z.tobytes() == z.tobytes()
             assert traj.l.tobytes() == lhat.tobytes()
@@ -313,6 +312,24 @@ class TestEulerKernel:
             for got, want in zip(alone, batch):
                 for a, b in zip(got, want):
                     assert a[0] == b[i]
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("floor", [True, False])
+    def test_points_broadcast_like_scalar_runs(self, ref_spec_gauss, floor, alpha):
+        incs = np.stack([gp.increments for gp in random_grids(ref_spec_gauss)])
+        xs = [-0.7, 0.0, 0.0, 0.5, 1.5, 2.25]
+        bs = [1.5, 0.0, 1.5, 1.0, 1.5, 0.75]
+        batch = euler_steps(np.array(xs)[:, None], incs, np.array(bs)[:, None],
+                            alpha, 5.0 / 300, floor)
+        alone = [euler_steps(x, incs, b, alpha, 5.0 / 300, floor)
+                 for x, b in zip(xs, bs)]
+        for got in batch:
+            for j, want in enumerate([next(run) for run in alone]):
+                for a, w in zip(got, want):
+                    assert a.shape == (len(xs), len(incs))
+                    assert a[j].tobytes() == w.tobytes()
+        for run in alone:
+            assert next(run, None) is None
 
     def test_unfloored_recursion_never_injects(self):
         incs = np.full((2, 6), -0.5)
