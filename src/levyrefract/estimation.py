@@ -1,16 +1,21 @@
 """Monte Carlo estimation: passage laws, the optimal threshold, and values.
 
 Two engines sit behind every estimator.  The exact engine (available when
-sigma = 0) runs the event sweeps of path_engine and discounts in closed
-form; the Euler engine runs the discrete recursions on a uniform grid.
+sigma = 0) runs the event sweeps of path_engine; the Euler engine runs the
+discrete recursions on a uniform grid.  The exact value estimators and the
+randomized passage clock read no swept path: one lane-batched sweep
+(path_engine.floored_lane_sweep) steps every (path, start, threshold) lane
+of a chunk together and returns its discounted flows and passage times.
 Common-random-number threshold curves exploit that the dividend recursion
 below the stopping time does not depend on the threshold once the state is
 translated, so one simulation sweep serves the whole threshold grid.
 Value curves run as one job over paths x starts x thresholds: a chunk
 samples each path once on the main stream and once on the at-0 anchor
 substream and reads every (x, b) point off those two samples, so one pool
-serves a curve set.  An Euler chunk draws one increment matrix per stream
-and makes one recursion pass over it, which steps every point together.
+serves a curve set.  An exact chunk makes one lane-batched sweep per
+stream; an Euler chunk draws one increment matrix per stream and makes one
+recursion pass over it.  Either steps at most BLOCK_LANES lanes at once,
+in blocks of points that share the stream's sample.
 
 Chunking is fixed (CHUNK paths per batch) and partial results are combined
 by a fixed-order pairwise tree, so results are bit-identical for any worker
@@ -42,10 +47,10 @@ from .strategy_engine import (
     StrategyParams,
     apply_strategy_exact,
     euler_steps,
-    first_passage_times,
 )
 
 CHUNK = 256
+BLOCK_LANES = 2 ** 16  # (point, path) lanes a value chunk steps at once
 CENSOR_FACTOR = 10  # Euler censoring horizon multiple: weight exp(-q*dt*10K)
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
@@ -136,6 +141,12 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
 
 
 # exact engine: threshold-free translated sweep -----------------------------
+
+def _event_paths(spec, horizon, stream, lo_idx, m):
+    """The chunk's m event paths, sampled at 0."""
+    base = replace(spec, x0=0.0)
+    return [sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i)) for i in range(m)]
+
 
 def _min_episodes(traj):
     """Descent episodes of the running minimum of a piecewise-linear path.
@@ -366,20 +377,15 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 # randomized passage clock --------------------------------------------------
 
 def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
-    case = classify_case(spec, params.alpha)
-    base = replace(spec, x0=float(x))
-    q = params.q
-    acc = np.zeros(5)  # sum ws, sum ws^2, sum wweak, sum wweak^2, sum ws*wweak
-    ncens = 0.0
-    for i in range(m):
-        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
-        pt = first_passage_times(apply_strategy_exact(path, params, case))
-        strict, weak = pt.kappa_strict, pt.t_weak
-        ws = math.exp(-q * strict) if strict < math.inf else 0.0
-        ww = math.exp(-q * weak) if weak < math.inf else 0.0
-        if strict == math.inf or weak == math.inf:
-            ncens += 1.0
-        acc += (ws, ws * ws, ww, ww * ww, ws * ww)
+    fl = path_engine.floored_lane_sweep(
+        _event_paths(spec, horizon, stream, lo_idx, m), [x], [params.b], [False],
+        params.alpha, classify_case(spec, params.alpha), params.q)
+    strict, weak = fl.kappa_strict[0], fl.t_weak[0]
+    ws = np.exp(-params.q * strict)  # exp(-q * inf) = 0
+    ww = np.exp(-params.q * weak)
+    ncens = float(np.sum((strict == math.inf) | (weak == math.inf)))
+    acc = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
+                      (ws * ww).sum()])
     return acc, np.asarray([ncens])
 
 
@@ -435,8 +441,8 @@ def estimate_underline_nu(x: float, bstar: float, p: float,
     The clock is the strict passage below 0 of the refracted process with
     probability p and the weak passage otherwise; the expectation over the
     randomization is taken in closed form.  The exact engine reads both off
-    the floored strategy path, as kappa_strict and t_weak of
-    first_passage_times.
+    the lane-batched floored sweep, which gives the kappa_strict and t_weak
+    of first_passage_times.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter("p", "probability must lie in [0, 1]")
@@ -493,52 +499,61 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
 # with w the discounted dividends minus beta-weighted injections up to the
 # stop and d the discount at the stop, and a (J,) count of censored paths.
 
+def _moment_rows(w, d):
+    # each point's sums reduce along its own contiguous row
+    wd = w * d
+    return np.array([(wj.sum(), (wj * wj).sum(), dj.sum(), (dj * dj).sum(), wdj.sum())
+                     for wj, dj, wdj in zip(w, d, wd)])
+
+
+def _in_blocks(points, m, block_sums):
+    """block_sums over consecutive blocks of at most BLOCK_LANES lanes (and
+    at least one point), concatenated in point order.  Lanes are
+    independent, so the blocking never changes a byte."""
+    step = max(1, BLOCK_LANES // m)
+    parts = [block_sums(points[j:j + step]) for j in range(0, len(points), step)]
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def _exact_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
+    paths = _event_paths(spec, horizon, stream, lo_idx, m)
     case = classify_case(spec, params.alpha)
-    base = replace(spec, x0=0.0)
     q = params.q
-    pps = [replace(params, b=b) for _, b, _ in points]
-    acc = np.zeros((len(points), 5))
-    cens = np.zeros(len(points))
-    for i in range(m):
-        # one sample per path, shifted to every start
-        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
-        for j, ((x, _, spliced), pp) in enumerate(zip(points, pps)):
-            traj = apply_strategy_exact(path.shifted(x), pp, case)
-            # spliced runs stop at the first weak visit to 0; exp(-q * inf) = 0
-            stop = first_passage_times(traj).t_weak if spliced else math.inf
-            dl, dr = traj.discounted_flow(q, min(stop, horizon))
-            w = dl - params.beta * dr
-            d = math.exp(-q * stop)
-            if spliced and stop == math.inf:
-                cens[j] += 1.0
-            acc[j] += (w, w * w, d, d * d, w * d)
-    return acc, cens
+
+    def block_sums(block):
+        x, b, spliced = (np.array(c) for c in zip(*block))
+        fl = path_engine.floored_lane_sweep(paths, x, b, spliced, params.alpha, case, q)
+        # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
+        stop = np.where(spliced[:, None], fl.t_weak, math.inf)
+        cens = np.sum(stop == math.inf, axis=1, dtype=float) * spliced
+        return _moment_rows(fl.dl - params.beta * fl.dr, np.exp(-q * stop)), cens
+
+    return _in_blocks(points, m, block_sums)
 
 
 def _euler_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
-    # one recursion pass steps every point: row j of each (J, m) array is
-    # point j, and its sums reduce along that contiguous row
+    # one recursion pass per block steps every point: row j of each (J, m)
+    # array is point j; a block reuses the run's increment matrix
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q, beta = params.q, params.beta
-    x, b, spliced = (np.array(c)[:, None] for c in zip(*points))
-    w = np.zeros((len(points), m))
-    stopped = np.zeros(w.shape, dtype=bool)
-    splice_d = np.zeros(w.shape)
-    steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
-    for step, (state, dl, dr) in enumerate(steps, start=1):
-        disc = math.exp(-q * dt * step)
-        # spliced points stop at the first weak visit to 0
-        hit = (state <= 0.0) & spliced
-        splice_d[hit & ~stopped] = disc
-        w += ~stopped * disc * (dl - beta * dr)
-        stopped |= hit
-    cens = np.sum(~stopped & spliced, axis=1, dtype=float)
-    wd = w * splice_d
-    acc = np.array([(wj.sum(), (wj * wj).sum(), dj.sum(), (dj * dj).sum(), wdj.sum())
-                    for wj, dj, wdj in zip(w, splice_d, wd)])
-    return acc, cens
+
+    def block_sums(block):
+        x, b, spliced = (np.array(c)[:, None] for c in zip(*block))
+        w = np.zeros((len(block), m))
+        stopped = np.zeros(w.shape, dtype=bool)
+        splice_d = np.zeros(w.shape)
+        steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
+        for step, (state, dl, dr) in enumerate(steps, start=1):
+            disc = math.exp(-q * dt * step)
+            # spliced points stop at the first weak visit to 0
+            hit = (state <= 0.0) & spliced
+            splice_d[hit & ~stopped] = disc
+            w += ~stopped * disc * (dl - beta * dr)
+            stopped |= hit
+        return _moment_rows(w, splice_d), np.sum(~stopped & spliced, axis=1, dtype=float)
+
+    return _in_blocks(points, m, block_sums)
 
 
 def _value_chunk(run_sums, spec, params, horizon, k, runs, ci, lo_idx, m):

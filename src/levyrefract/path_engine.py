@@ -10,6 +10,9 @@ splits the running infimum of a floored path into boundary time, initial
 part, and jump top-ups; running_floor_reflection is its threshold-free case.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
+floored_lane_sweep runs the floored transform on many (path, start,
+threshold) lanes at once and keeps only discounted flows and passage
+times, for the Monte Carlo estimators.
 """
 
 from __future__ import annotations
@@ -333,6 +336,162 @@ def refracted_reflected_exact(path: EventPath, b, alpha, case: CaseLabel) -> Ref
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
     return _sweep(path, float(b), float(alpha), case.is_case2, floor=True)
+
+
+# Threshold or floor crossings a lane may make between two events.  On a
+# floored refracted path at most three regime changes fall between jumps.
+MAX_CROSSINGS = 3
+
+
+@dataclass(frozen=True)
+class LaneFlows:
+    """Readings of the lane-batched floored sweep, one (J, m) array each:
+    the discounted dividends and injections up to each lane's stop, and
+    the strict and weak passage times of first_passage_times (math.inf
+    when the event does not occur before the horizon)."""
+
+    dl: np.ndarray
+    dr: np.ndarray
+    kappa_strict: np.ndarray
+    t_weak: np.ndarray
+
+
+def _regime_table(alpha, delta, sticky):
+    """(slope, dividend rate, injection rate, target) rows of the floored
+    regimes, by state class: 0 interior, 1 above b, 2 at b > 0, 3 at 0 with
+    b > 0, 4 at 0 with b = 0.  Each row is _regime and _next_target at a
+    representative state of its class; target 1 is b, 2 is 0, 0 is none."""
+    rows = []
+    for z, b in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)):
+        slope, lrate, rrate, _ = _regime(z, b, alpha, delta, sticky, True)
+        target = _next_target(z, slope, b, True)
+        rows.append((slope, lrate, rrate, 0 if target is None else 1 if target == b else 2))
+    return np.array(rows).T
+
+
+def _lane_drift(t, z, te, b, zero_code, table, q, disc, weak, kappa, halt):
+    """Move every lane to its next crossing, or to te if none comes first,
+    with the arithmetic of _sweep.  zero_code is the class of the state 0:
+    3 where b > 0, and 2 where b = 0, which z == b adds up to 4.
+
+    Returns the new (t, z, discount), whether the lane crossed, the updated
+    weak and strict passage times, and the discounted dividend and
+    injection increments of the stretch (zero once a halting lane has
+    passed weakly).
+    """
+    at0 = z == 0.0
+    slope, lrate, rrate, target = table[:, (z > b) + 2 * (z == b) + at0 * zero_code]
+    target = np.where(target == 1, b, np.where(target == 2, 0.0, np.nan))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_cross = t + (target - z) / slope
+        crossed = t_cross < te  # False where there is no target
+        z_new = np.where(crossed, target, z + slope * (te - t))
+        t_new = np.where(crossed, t_cross, te)
+        d_new = np.exp(-q * t_new)
+        # a stretch of zero length is a segment _sweep overwrites
+        kept = t_new > t
+        weak = np.minimum(weak, np.where(kept & at0, t, np.inf))
+        kappa = np.minimum(kappa, np.where(kept & (rrate > 0.0), t, np.inf))
+        flows = kept & ~(halt & (weak < np.inf))
+        w = (disc - d_new) / q
+        dl = np.where(flows, lrate * w, 0.0)
+        dr = np.where(flows, rrate * w, 0.0)
+    return t_new, z_new, d_new, crossed, weak, kappa, dl, dr
+
+
+def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneFlows:
+    """The floored sweep of refracted_reflected_exact on every lane at once,
+    discounted as it goes.
+
+    Lane (j, i) runs paths[i].shifted(x[j]) with threshold b[j]; the paths
+    share drift and horizon, and x, b and spliced have length J.  Every
+    lane steps through each event column together: at most MAX_CROSSINGS
+    threshold or floor crossings, then the drift to the event and the jump.
+    No segment is recorded.  A spliced lane halts its flows at its weak
+    passage (atoms at that time included); the others discount to the
+    horizon.  A lane leaves the sweep after its drift to the horizon, or
+    once it has halted and its strict passage is known too.  Stop times
+    equal first_passage_times on the scalar sweep bit for bit; the flows
+    match discounted_flow up to summation order.
+    """
+    m, nx = len(paths), len(x)
+    counts = np.array([p.times.size for p in paths])
+    horizon, delta = paths[0].horizon, paths[0].drift
+    # event columns padded with the horizon: column counts[i] of path i is
+    # its drift to the horizon, and the zero jumps after it change nothing
+    ncol = int(counts.max()) + 1
+    tcols = np.full((ncol, m), float(horizon))
+    scols = np.zeros((ncol, m))
+    for i, p in enumerate(paths):
+        tcols[:counts[i], i] = p.times
+        scols[:counts[i], i] = p.sizes
+    dcols = np.exp(-q * tcols)
+    band = alpha == math.inf
+    table = _regime_table(alpha, delta, case.is_case2)
+    # lane j * m + i; the arrays hold the lanes still running
+    ids = np.arange(nx * m)
+    path = ids % m
+    end = counts[path]
+    bl = np.repeat(np.asarray(b, dtype=float), m)
+    zero_code = np.where(bl > 0.0, 3, 2)
+    halt = np.repeat(np.asarray(spliced, dtype=bool), m)
+    z = np.array([p.x0 for p in paths])[path] + np.repeat(np.asarray(x, dtype=float), m)
+    dl = np.zeros(z.shape)
+    if band:
+        dl = np.where(z > bl, z - bl, 0.0)
+        z = np.minimum(z, bl)
+    dr = np.where(z < 0.0, -z, 0.0)
+    weak = np.where(z < 0.0, 0.0, np.inf)
+    kappa = weak.copy()
+    z = np.maximum(z, 0.0)
+    t = np.zeros(z.shape)
+    disc = np.ones(z.shape)
+    out = np.empty((4, nx * m))
+    for e in range(ncol):
+        te = tcols[e, path]
+        t, z, disc, crossed, weak, kappa, inc_l, inc_r = _lane_drift(
+            t, z, te, bl, zero_code, table, q, disc, weak, kappa, halt)
+        dl += inc_l
+        dr += inc_r
+        at = np.flatnonzero(crossed)
+        for _ in range(MAX_CROSSINGS):
+            if not at.size:
+                break
+            (t[at], z[at], disc[at], crossed, weak[at], kappa[at],
+             inc_l, inc_r) = _lane_drift(t[at], z[at], te[at], bl[at], zero_code[at],
+                                         table, q, disc[at], weak[at], kappa[at], halt[at])
+            dl[at] += inc_l
+            dr[at] += inc_r
+            at = at[crossed]
+        if at.size:
+            raise RuntimeError("a lane crosses more than %d times between two events"
+                               % MAX_CROSSINGS)
+        z = z + scols[e, path]
+        dte = dcols[e, path]
+        flows = ~(halt & (weak < np.inf))
+        if band:
+            dl += np.where(flows & (z > bl), dte * (z - bl), 0.0)
+            z = np.minimum(z, bl)
+        under = z < 0.0
+        dr += np.where(flows & under, dte * -z, 0.0)
+        lump_t = np.where(under, te, np.inf)
+        weak = np.minimum(weak, lump_t)
+        kappa = np.minimum(kappa, lump_t)
+        z = np.maximum(z, 0.0)
+        # a lane is done after its drift to the horizon, and a halting lane
+        # once both its passage times are known (kappa >= t_weak)
+        done = (end <= e) | (halt & (kappa < np.inf))
+        if 8 * np.count_nonzero(done) >= done.size:
+            out[:, ids[done]] = dl[done], dr[done], kappa[done], weak[done]
+            keep = ~done
+            (t, z, disc, dl, dr, weak, kappa, ids, path, end, bl, zero_code,
+             halt) = (a[keep] for a in (t, z, disc, dl, dr, weak, kappa, ids, path,
+                                        end, bl, zero_code, halt))
+            if not ids.size:
+                break
+    out[:, ids] = dl, dr, kappa, weak
+    dl, dr, kappa, weak = out.reshape(4, nx, m)
+    return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
 
 
 def floor_decomposition(traj: RefractedPath, path: EventPath) -> FloorDecomposition:

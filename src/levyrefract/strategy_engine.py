@@ -4,9 +4,10 @@ A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
 non-negative.  The exact engine delegates to path_engine's floored
 transform: apply_strategy_exact returns the swept path itself, which the
-estimators and the property oracle read directly, and only sample-path
-samples it onto knots (ControlledTrajectory.from_exact).  The Euler engine
-runs the discrete three-branch recursion on a time grid.
+property oracle reads directly, and only sample-path samples it onto knots
+(ControlledTrajectory.from_exact).  The Monte Carlo estimators run the
+lane-batched sweep instead.  The Euler engine runs the discrete
+three-branch recursion on a time grid.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def first_passage_times(traj: RefractedPath) -> PassageTimes:
     the refracted path without the floor first goes strictly below 0;
     t_weak is the first lump or knot where the path sits at 0, its first
     visit.  These are the strict and weak clocks of the randomized passage
-    and the splice time of the value estimators.  The Euler clock reads its
-    passages off the recursion itself.
+    and the splice time of the value estimators, which read the same times
+    off path_engine.floored_lane_sweep.  The Euler clock reads its passages
+    off the recursion itself.
     """
     lumps = traj.r_atom_t[traj.r_atom > 0]
     lump = float(lumps[0]) if lumps.size else math.inf

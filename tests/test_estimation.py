@@ -1,16 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
-    _grid_increment_matrix,
+    EXACT, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
+    _grid_increment_matrix, classify_case, sample_path,
 )
 from levyrefract import estimation
-from levyrefract.strategy_engine import StrategyParams, euler_steps
+from levyrefract.strategy_engine import (
+    StrategyParams, apply_strategy_exact, euler_steps, first_passage_times,
+)
 from levyrefract.estimation import (
-    DegenerateDenominator, NoCrossing, _euler_run_sums, _pav_nonincreasing,
+    DegenerateDenominator, NoCrossing, _euler_run_sums, _exact_clock_chunk,
+    _exact_run_sums, _pav_nonincreasing,
     estimate_nu, estimate_underline_nu, estimate_value, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
@@ -170,6 +174,30 @@ class TestRandomizedClock:
                         RngStream(124, tag=1))
 
 
+class TestExactClockChunk:
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("x,b", [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0),
+                                     (0.6, 1.2), (1.2, 1.2), (2.5, 1.2)])
+    def test_reads_the_scalar_passage_times_bitwise(self, ref_spec_bv, x, b, alpha):
+        """Both clocks of the chunk's one batched sweep are the times
+        first_passage_times reads off each path's floored strategy path."""
+        pp = params(b=b, alpha=alpha)
+        stream = RngStream(150, tag=2)
+        case = classify_case(ref_spec_bv, alpha)
+        base = replace(ref_spec_bv, x0=x)
+        times = [first_passage_times(apply_strategy_exact(
+                     sample_path(base, 8.0, EXACT, stream.for_path(40 + i)), pp, case))
+                 for i in range(24)]
+        strict = np.array([pt.kappa_strict for pt in times])
+        weak = np.array([pt.t_weak for pt in times])
+        ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
+        want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
+                           (ws * ww).sum()])
+        acc, cens = _exact_clock_chunk(ref_spec_bv, pp, x, 8.0, stream, 0, 40, 24)
+        assert acc.tobytes() == want.tobytes()
+        assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
+
+
 class TestEulerClock:
     """The Euler clock against the exact one on a pure drift -1, where the
     only gap is rounding the passage time up to the grid: a step or two,
@@ -267,12 +295,17 @@ class TestValueEstimates:
                            2000, RngStream(134, tag=1), method="spliced")
         assert abs(d.mean - s.mean) <= 3.0 * (d.std_error + s.std_error)
 
-    def test_value_threads_bitwise_stable(self, ref_spec_bv):
-        a = estimate_value(0.5, 1.2, params(b=1.2), ref_spec_bv, 15.0, 0,
-                           1024, RngStream(135, tag=1), threads=1)
-        b = estimate_value(0.5, 1.2, params(b=1.2), ref_spec_bv, 15.0, 0,
-                           1024, RngStream(135, tag=1), threads=4)
-        assert a.mean == b.mean and a.std_error == b.std_error
+    @pytest.mark.parametrize("xs,bs,method,threads", [
+        ([0.5], 1.2, "spliced", 4),
+        # several starts and thresholds, the at-0 anchors included
+        ([-0.3, 0.0, 0.5, 1.2, 2.0, 0.5], [1.2, 1.2, 1.2, 1.2, 1.2, 0.6], "spliced", 2),
+        ([-0.3, 0.0, 0.5, 1.2, 2.0, 0.5], [1.2, 1.2, 1.2, 1.2, 1.2, 0.6], "direct", 2),
+    ], ids=["one-point", "curve-spliced", "curve-direct"])
+    def test_value_threads_bitwise_stable(self, ref_spec_bv, xs, bs, method, threads):
+        a, b = (value_curve(xs, bs, params(b=1.2), ref_spec_bv, 15.0, 0, 1024,
+                            RngStream(135, tag=1), method=method, threads=t)
+                for t in (1, threads))
+        assert a == b
 
     def test_method_name_checked(self, ref_spec_bv):
         with pytest.raises(InvalidParameter):
@@ -343,3 +376,32 @@ class TestEulerRunSums:
         assert got[1].tobytes() == want[1].tobytes()
         if spliced:
             assert got[1].sum() < len(points) * 256
+
+
+class TestValueBlocks:
+    @pytest.mark.parametrize("lanes", [1, 300])
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_blocking_never_changes_a_byte(self, ref_spec_bv, ref_spec_gauss,
+                                           engine, lanes, monkeypatch):
+        """Points run in blocks of at most BLOCK_LANES lanes (one point at
+        least): 1 lane is one point per block, 300 lanes two points of 128
+        paths.  An Euler run draws its increments once for every block."""
+        points = [(x, b, spliced) for x, b in
+                  [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2), (1.2, 1.2),
+                   (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
+        spec, run_sums = ((ref_spec_bv, _exact_run_sums) if engine == "exact"
+                          else (ref_spec_gauss, _euler_run_sums))
+        args = (spec, params(b=1.2), 5.0, 100, RngStream(141, tag=3), points, 1, 128, 128)
+        want = run_sums(*args)
+        draws = []
+
+        def counted(*a, **kw):
+            draws.append(a)
+            return _grid_increment_matrix(*a, **kw)
+
+        monkeypatch.setattr(estimation, "_grid_increment_matrix", counted)
+        monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
+        got = run_sums(*args)
+        assert len(draws) == (engine == "euler")
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()

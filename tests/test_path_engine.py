@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from levyrefract.levy_model import (
     EXACT, EventPath, InvalidParameter, RngStream, classify_case, sample_path,
 )
+from levyrefract import path_engine
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, InvalidBarrier,
     UnsupportedModel, _sweep, construction_identity_residual,
-    dividend_integral_path, floor_decomposition, refract_exact,
-    refracted_reflected_exact, running_floor_reflection,
+    dividend_integral_path, floor_decomposition, floored_lane_sweep,
+    refract_exact, refracted_reflected_exact, running_floor_reflection,
 )
+from levyrefract.strategy_engine import first_passage_times
 
 from conftest import drift_only
 
@@ -386,3 +388,65 @@ class TestDividendIntegralPath:
                 dr_num = np.sum(np.exp(-q * mids) * np.diff(traj.injections_at(grid)))
                 assert dl == pytest.approx(dl_num, abs=2e-5), stop
                 assert dr == pytest.approx(dr_num, abs=2e-5), stop
+
+
+class TestFlooredLaneSweep:
+    """The lane-batched sweep against the scalar one, lane by lane."""
+
+    H, Q = 10.0, 0.05
+    # starts below 0, at 0, at b, above b, and one inside (0, 1)
+    POINTS = [(x, b, spliced) for b in (0.0, 1.0)
+              for x in (-0.5, 0.0, b, b + 0.7, 0.4) for spliced in (True, False)]
+
+    def paths(self, delta):
+        # unequal event counts exercise the padding; the first path has no
+        # jumps, the second lands a lane parked at b = 1 exactly on 0
+        rng = np.random.default_rng(17)
+        out = [drift_path(delta, 0.0, self.H),
+               drift_path(delta, 0.0, self.H, jumps=[(1.0, -1.0), (2.5, 0.6)])]
+        for n in (3, 12, 7, 25, 1, 16):
+            times = np.sort(rng.uniform(0.0, self.H, n))
+            out.append(EventPath(0.0, self.H, delta, times, rng.normal(0.0, 0.9, n)))
+        return out
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, math.inf])
+    @pytest.mark.parametrize("delta", [-1.3, -0.4, 0.0, 0.35, 1.1])
+    def test_matches_the_scalar_sweep(self, delta, alpha):
+        paths = self.paths(delta)
+        case = case_for(delta, alpha)
+        x, b, spliced = (np.array(c) for c in zip(*self.POINTS))
+        got = floored_lane_sweep(paths, x, b, spliced, alpha, case, self.Q)
+        assert got.t_weak.shape == (len(self.POINTS), len(paths))
+        for j, (xj, bj, sj) in enumerate(self.POINTS):
+            for i, p in enumerate(paths):
+                traj = refracted_reflected_exact(p.shifted(xj), bj, alpha, case)
+                pt = first_passage_times(traj)
+                assert got.t_weak[j, i] == pt.t_weak
+                assert got.kappa_strict[j, i] == pt.kappa_strict
+                assert (got.t_weak[j, i] == math.inf) == (pt.t_weak == math.inf)
+                stop = pt.t_weak if sj else math.inf
+                dl, dr = traj.discounted_flow(self.Q, min(stop, self.H))
+                assert abs(got.dl[j, i] - dl) <= 1e-12
+                assert abs(got.dr[j, i] - dr) <= 1e-12
+
+    def test_a_zero_length_stretch_at_0_is_no_visit(self):
+        """A jump lands exactly on 0 and the drift reaches a tiny b at once:
+        _sweep overwrites the zero-length segment at 0, so the lane does not
+        visit 0 there."""
+        case, b = case_for(0.35, 0.3), 1e-300
+        z2 = float(refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), b, 0.3,
+                                             case).value_at(2.0))
+        p = drift_path(0.35, 0.0, 4.0, jumps=[(2.0, -z2)])
+        traj = refracted_reflected_exact(p.shifted(0.5), b, 0.3, case)
+        assert first_passage_times(traj).t_weak == math.inf
+        got = floored_lane_sweep([p], [0.5], [b], [True], 0.3, case, self.Q)
+        assert got.t_weak[0, 0] == math.inf
+
+    def test_a_lane_past_the_crossing_bound_raises(self, monkeypatch):
+        # from above b on a falling drift: down to b, then down to 0
+        p = drift_path(-1.3, 0.0, self.H)
+        args = ([p], [1.7], [1.0], [True], 0.5, case_for(-1.3, 0.5), self.Q)
+        assert floored_lane_sweep(*args).t_weak[0, 0] == pytest.approx(0.7 / 1.8 + 1 / 1.3)
+        monkeypatch.setattr(path_engine, "MAX_CROSSINGS", 1)
+        with pytest.raises(RuntimeError):
+            floored_lane_sweep(*args)
