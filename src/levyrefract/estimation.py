@@ -1,14 +1,14 @@
 """Monte Carlo estimation: passage laws, the optimal threshold, and values.
 
 Two engines sit behind every estimator.  The exact engine (available when
-sigma = 0) runs the event sweeps of path_engine; the Euler engine runs the
-discrete recursions on a uniform grid.  The exact value estimators and the
-randomized passage clock read no swept path: one lane-batched sweep
-(path_engine.floored_lane_sweep) steps every (path, start, threshold) lane
-of a chunk together and returns its discounted flows and passage times.
-Common-random-number threshold curves exploit that the dividend recursion
-below the stopping time does not depend on the threshold once the state is
-translated, so one simulation sweep serves the whole threshold grid.
+sigma = 0) runs the lane sweeps of path_engine and reads no swept path; the
+Euler engine runs the discrete recursions on a uniform grid.  Value runs
+and the randomized passage clock step every (path, start, threshold) lane
+of a chunk together (floored_lane_sweep).  Common-random-number threshold
+curves exploit that the dividend recursion below the stopping time does not
+depend on the threshold once the state is translated, so one sweep serves
+the whole grid: the exact search sums, path by path with np.bincount, the
+passages read off the record lows of the paths refracted at 0.
 Value curves run as one job over paths x starts x thresholds: a chunk
 samples each path once on the main stream and once on the at-0 anchor
 substream and reads every (x, b) point off those two samples, so one pool
@@ -28,6 +28,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -51,6 +52,7 @@ from .strategy_engine import (
 
 CHUNK = 256
 BLOCK_LANES = 2 ** 16  # (point, path) lanes a value chunk steps at once
+NU_BLOCK_STEPS = 512  # Euler steps whose running minima a nu chunk holds at once
 CENSOR_FACTOR = 10  # Euler censoring horizon multiple: weight exp(-q*dt*10K)
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
@@ -148,64 +150,22 @@ def _event_paths(spec, horizon, stream, lo_idx, m):
     return [sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i)) for i in range(m)]
 
 
-def _min_episodes(traj):
-    """Descent episodes of the running minimum of a piecewise-linear path.
-
-    Each episode covers min levels in (lo, hi] first crossed at time
-    t0 + (hi - level) * invrate; invrate = 0 marks an instantaneous (jump)
-    descent.  Levels are capped at 0: only the non-positive range matters.
-    """
-    seg_t = traj.seg_t
-    seg_v = traj.seg_v
-    slope = traj.seg_slope
-    ends = np.append(seg_t[1:], traj.horizon)
-    end_v = seg_v + slope * (ends - seg_t)
-    lo, hi, t0, invrate = [], [], [], []
-    m = 0.0
-    n = len(seg_t)
-    for i in range(n):
-        if slope[i] < 0 and end_v[i] < m:
-            tc = seg_t[i] + (seg_v[i] - m) / (-slope[i]) if seg_v[i] > m else seg_t[i]
-            lo.append(end_v[i])
-            hi.append(m)
-            t0.append(tc)
-            invrate.append(1.0 / (-slope[i]))
-            m = end_v[i]
-        if i + 1 < n and seg_v[i + 1] < m:
-            lo.append(seg_v[i + 1])
-            hi.append(m)
-            t0.append(seg_t[i + 1])
-            invrate.append(0.0)
-            m = seg_v[i + 1]
-    return (np.asarray(lo), np.asarray(hi), np.asarray(t0), np.asarray(invrate), m)
-
-
 def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, lo_idx, m):
-    case = classify_case(spec, params.alpha)
-    base = replace(spec, x0=0.0)
+    lows = path_engine.refracted_record_lows(
+        _event_paths(spec, horizon, stream, lo_idx, m), params.alpha,
+        classify_case(spec, params.alpha))
     nb = len(bgrid_pos)
-    sw = np.zeros(nb)
-    sw2 = np.zeros(nb)
-    cens = np.zeros(nb)
-    q = params.q
-    for i in range(m):
-        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
-        w = path_engine.refract_exact(path, 0.0, params.alpha, case)
-        ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w)
-        # grid levels are -b; episode j covers b in [-min(hi,0), -lo)
-        for j in range(len(ep_lo)):
-            b_lo = -min(ep_hi[j], 0.0)
-            b_hi = -ep_lo[j]
-            j0 = np.searchsorted(bgrid_pos, b_lo, side="left")
-            j1 = np.searchsorted(bgrid_pos, b_hi, side="left")
-            if j1 > j0:
-                kb = ep_t0[j] + (ep_hi[j] - (-bgrid_pos[j0:j1])) * ep_inv[j]
-                wj = np.exp(-q * kb)
-                sw[j0:j1] += wj
-                sw2[j0:j1] += wj * wj
-        jc = np.searchsorted(bgrid_pos, -final_min, side="left")
-        cens[jc:] += 1.0
-    return sw, sw2, cens
+    # episode k covers the thresholds in [-min(hi, 0), -lo): grid points j0..j1-1
+    j0 = np.searchsorted(bgrid_pos, -np.minimum(lows.hi, 0.0), side="left")
+    n = np.maximum(np.searchsorted(bgrid_pos, -lows.lo, side="left") - j0, 0)
+    ep = np.repeat(np.arange(n.size), n)
+    j = np.arange(ep.size) - np.repeat(np.cumsum(n) - n, n) + j0[ep]
+    w = np.exp(-params.q * (lows.t0[ep] + (lows.hi[ep] - (-bgrid_pos[j])) * lows.invrate[ep]))
+    jc = np.searchsorted(bgrid_pos, -lows.final_min, side="left")
+    # bincount adds in array order: per grid point, path by path
+    return (np.bincount(j, weights=w, minlength=nb),
+            np.bincount(j, weights=w * w, minlength=nb),
+            np.cumsum(np.bincount(jc, minlength=nb + 1))[:nb].astype(float))
 
 
 # Euler engine: threshold-free discrete recursion ---------------------------
@@ -214,17 +174,21 @@ def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, lo_idx, m):
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q = params.q
-    wt = np.zeros((m, k))
-    steps = euler_steps(0.0, incs, 0.0, params.alpha, dt, floor=False)
-    for j, (w, _, _) in enumerate(steps, start=1):
-        wt[:, j] = w
-    mins = np.minimum.accumulate(wt, axis=1)
-    prev = np.concatenate((np.full((m, 1), np.inf), mins[:, :-1]), axis=1)
-    caps = np.minimum(prev, 0.0)
-    mask = mins < caps
-    rows, cols = np.nonzero(mask)
-    rec_lo = mins[rows, cols]
-    rec_hi = caps[rows, cols]
+    # running minimum over knots 0..k-1, NU_BLOCK_STEPS at a time from the
+    # carried one; a record is a knot below the previous minimum capped at 0
+    knots = chain([np.zeros(m)], (w for w, _, _ in euler_steps(
+        0.0, incs, 0.0, params.alpha, dt, floor=False)))
+    low, recs = np.full((m, 1), np.inf), []
+    for c0 in range(0, k, NU_BLOCK_STEPS):
+        mins = np.minimum.accumulate(
+            np.column_stack([low] + list(islice(knots, NU_BLOCK_STEPS))), axis=1)
+        caps = np.minimum(mins[:, :-1], 0.0)
+        rows, cols = np.nonzero(mins[:, 1:] < caps)
+        recs.append((rows, cols + c0, mins[rows, cols + 1], caps[rows, cols]))
+        low = mins[:, -1:]
+    rows, cols, rec_lo, rec_hi = (np.concatenate(r) for r in zip(*recs))
+    order = np.lexsort((cols, rows))  # row-major, the order of the adds below
+    cols, rec_lo, rec_hi = cols[order], rec_lo[order], rec_hi[order]
     nb = len(bgrid_pos)
     dw = np.zeros(nb + 1)
     dw2 = np.zeros(nb + 1)
@@ -237,7 +201,7 @@ def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, lo_idx, m):
     np.add.at(dw2, j0, wrec * wrec)
     np.add.at(dw2, j1, -wrec * wrec)
     wc = math.exp(-q * dt * CENSOR_FACTOR * k)
-    jc = np.searchsorted(bgrid_pos, -mins[:, -1], side="left")
+    jc = np.searchsorted(bgrid_pos, -low[:, 0], side="left")
     np.add.at(dw, jc, wc)
     np.add.at(dw2, jc, wc * wc)
     np.add.at(dcens, jc, 1.0)

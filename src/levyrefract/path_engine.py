@@ -10,9 +10,10 @@ splits the running infimum of a floored path into boundary time, initial
 part, and jump top-ups; running_floor_reflection is its threshold-free case.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
-floored_lane_sweep runs the floored transform on many (path, start,
-threshold) lanes at once and keeps only discounted flows and passage
-times, for the Monte Carlo estimators.
+Two lane sweeps step many paths through padded event columns
+(_event_columns) at once and record no segment: floored_lane_sweep keeps
+the discounted flows and passage times of floored (path, start, threshold)
+lanes, and refracted_record_lows the record lows of refract_exact at b = 0.
 """
 
 from __future__ import annotations
@@ -356,15 +357,30 @@ class LaneFlows:
     t_weak: np.ndarray
 
 
-def _regime_table(alpha, delta, sticky):
-    """(slope, dividend rate, injection rate, target) rows of the floored
-    regimes, by state class: 0 interior, 1 above b, 2 at b > 0, 3 at 0 with
-    b > 0, 4 at 0 with b = 0.  Each row is _regime and _next_target at a
-    representative state of its class; target 1 is b, 2 is 0, 0 is none."""
+def _event_columns(paths):
+    """(counts, times, sizes): the events as (ncol, m) columns padded with
+    the horizon.  Column counts[i] of path i is its drift to the horizon,
+    and the zero jumps after it change nothing."""
+    counts = np.array([p.times.size for p in paths])
+    tcols = np.full((int(counts.max()) + 1, len(paths)), float(paths[0].horizon))
+    scols = np.zeros(tcols.shape)
+    for i, p in enumerate(paths):
+        tcols[:counts[i], i] = p.times
+        scols[:counts[i], i] = p.sizes
+    return counts, tcols, scols
+
+
+def _regime_table(alpha, delta, sticky, floor=True,
+                  states=((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))):
+    """(slope, dividend rate, injection rate, target) rows of the regimes, by
+    state class.  The floored classes are 0 interior, 1 above b, 2 at b > 0,
+    3 at 0 with b > 0, 4 at 0 with b = 0.  Each row is _regime and
+    _next_target at a representative (z, b) state of its class; target 1 is
+    b, 2 is 0, 0 is none."""
     rows = []
-    for z, b in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0)):
-        slope, lrate, rrate, _ = _regime(z, b, alpha, delta, sticky, True)
-        target = _next_target(z, slope, b, True)
+    for z, b in states:
+        slope, lrate, rrate, _ = _regime(z, b, alpha, delta, sticky, floor)
+        target = _next_target(z, slope, b, floor)
         rows.append((slope, lrate, rrate, 0 if target is None else 1 if target == b else 2))
     return np.array(rows).T
 
@@ -415,19 +431,10 @@ def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneF
     match discounted_flow up to summation order.
     """
     m, nx = len(paths), len(x)
-    counts = np.array([p.times.size for p in paths])
-    horizon, delta = paths[0].horizon, paths[0].drift
-    # event columns padded with the horizon: column counts[i] of path i is
-    # its drift to the horizon, and the zero jumps after it change nothing
-    ncol = int(counts.max()) + 1
-    tcols = np.full((ncol, m), float(horizon))
-    scols = np.zeros((ncol, m))
-    for i, p in enumerate(paths):
-        tcols[:counts[i], i] = p.times
-        scols[:counts[i], i] = p.sizes
+    counts, tcols, scols = _event_columns(paths)
     dcols = np.exp(-q * tcols)
     band = alpha == math.inf
-    table = _regime_table(alpha, delta, case.is_case2)
+    table = _regime_table(alpha, paths[0].drift, case.is_case2)
     # lane j * m + i; the arrays hold the lanes still running
     ids = np.arange(nx * m)
     path = ids % m
@@ -447,7 +454,7 @@ def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneF
     t = np.zeros(z.shape)
     disc = np.ones(z.shape)
     out = np.empty((4, nx * m))
-    for e in range(ncol):
+    for e in range(len(tcols)):
         te = tcols[e, path]
         t, z, disc, crossed, weak, kappa, inc_l, inc_r = _lane_drift(
             t, z, te, bl, zero_code, table, q, disc, weak, kappa, halt)
@@ -492,6 +499,75 @@ def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneF
     out[:, ids] = dl, dr, kappa, weak
     dl, dr, kappa, weak = out.reshape(4, nx, m)
     return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
+
+
+@dataclass(frozen=True)
+class RecordLows:
+    """Record lows of paths refracted at 0, path-major: episode k of path[k]
+    covers the levels in (lo, hi], level l first reached at t0 + (hi - l) *
+    invrate (0 for a jump).  final_min is each path's minimum, capped at 0."""
+
+    path: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    t0: np.ndarray
+    invrate: np.ndarray
+    final_min: np.ndarray
+
+
+def _low_stretch(t, z, te, last, low, slopes, crosses, ids, out):
+    """Move every lane to its crossing of 0, or to te if none comes first,
+    with the arithmetic of _sweep.  A stretch of positive length, or the last
+    of its path, is a segment of refract_exact: append to out the record
+    lows below low at its start (a jump) and along it.  Returns the new
+    (t, z, low) and whether the lane crossed."""
+    cls = (z >= 0.0).astype(int) + (z > 0.0)
+    slope = slopes[cls]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_cross = np.where(crosses[cls], t + (0.0 - z) / slope, np.inf)
+    crossed = t_cross < te
+    t_end = np.where(crossed, t_cross, te)
+    end_v = z + slope * (t_end - t)
+    kept = (t_end > t) | (last & ~crossed)
+    jump = kept & (t > 0.0) & (z < low)
+    k = np.flatnonzero(jump)
+    out.append((ids[k], z[k], low[k], t[k], np.zeros(k.size)))
+    low = np.where(jump, z, low)
+    k = np.flatnonzero(kept & (slope < 0.0) & (end_v < low))
+    tk, zk, lk, rate = t[k], z[k], low[k], -slope[k]
+    out.append((ids[k], end_v[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk), 1.0 / rate))
+    low[k] = end_v[k]
+    return t_end, np.where(crossed, 0.0, end_v), low, crossed
+
+
+def refracted_record_lows(paths, alpha, case: CaseLabel) -> RecordLows:
+    """The record lows of refract_exact(path, 0, alpha, case) for every path
+    (sharing drift and horizon), equal bit for bit to those read off its
+    segments.  The paths step through the padded event columns together:
+    per column the drift to the event, cut by at most one crossing of 0,
+    then the jump.  No segment is recorded."""
+    counts, tcols, scols = _event_columns(paths)
+    top = 0.0 if alpha == math.inf else math.inf  # a jump above it pays a lump
+    # unfloored at b = 0, by state class: 0 below 0, 1 at 0, 2 above 0
+    slopes, _, _, target = _regime_table(alpha, paths[0].drift, case.is_case2, False,
+                                         ((-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)))
+    ids = np.arange(len(paths))
+    z = np.array([0.0 if p.x0 > top else float(p.x0) for p in paths])
+    t, low, out = np.zeros(z.shape), np.zeros(z.shape), []
+    for e in range(len(tcols)):
+        te, last = tcols[e], counts == e
+        t, z, low, crossed = _low_stretch(t, z, te, last, low, slopes, target > 0, ids, out)
+        at = np.flatnonzero(crossed)
+        if at.size:
+            t[at], z[at], low[at], crossed = _low_stretch(
+                t[at], z[at], te[at], last[at], low[at], slopes, target > 0, ids[at], out)
+            if crossed.any():
+                raise RuntimeError("a path crosses 0 more than once between two events")
+        z = z + scols[e]
+        z = np.where(z > top, 0.0, z)
+    path, lo, hi, t0, invrate = (np.concatenate(c) for c in zip(*out))
+    order = np.argsort(path, kind="stable")
+    return RecordLows(path[order], lo[order], hi[order], t0[order], invrate[order], low)
 
 
 def floor_decomposition(traj: RefractedPath, path: EventPath) -> FloorDecomposition:

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
-    _grid_increment_matrix, classify_case, sample_path,
+    EXACT, EventPath, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
+    Weibull, _grid_increment_matrix, classify_case, net_drift, sample_path,
 )
-from levyrefract import estimation
+from levyrefract import estimation, path_engine
+from levyrefract.path_engine import refract_exact, refracted_record_lows
 from levyrefract.strategy_engine import (
     StrategyParams, apply_strategy_exact, euler_steps, first_passage_times,
 )
@@ -19,7 +20,7 @@ from levyrefract.estimation import (
     solve_pstar, value_curve, value_curve_csv,
 )
 
-from conftest import drift_only
+from conftest import REFERENCE_GAMMA, drift_only
 
 Q = 0.05
 BETA = 1.5
@@ -405,3 +406,232 @@ class TestValueBlocks:
         assert len(draws) == (engine == "euler")
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+# the exact threshold search -------------------------------------------------
+
+def _min_episodes(traj):
+    """Descent episodes of the running minimum of a piecewise-linear path.
+
+    Each episode covers min levels in (lo, hi] first crossed at time
+    t0 + (hi - level) * invrate; invrate = 0 marks an instantaneous (jump)
+    descent.  Levels are capped at 0: only the non-positive range matters.
+    """
+    seg_t = traj.seg_t
+    seg_v = traj.seg_v
+    slope = traj.seg_slope
+    ends = np.append(seg_t[1:], traj.horizon)
+    end_v = seg_v + slope * (ends - seg_t)
+    lo, hi, t0, invrate = [], [], [], []
+    m = 0.0
+    n = len(seg_t)
+    for i in range(n):
+        if slope[i] < 0 and end_v[i] < m:
+            tc = seg_t[i] + (seg_v[i] - m) / (-slope[i]) if seg_v[i] > m else seg_t[i]
+            lo.append(end_v[i])
+            hi.append(m)
+            t0.append(tc)
+            invrate.append(1.0 / (-slope[i]))
+            m = end_v[i]
+        if i + 1 < n and seg_v[i + 1] < m:
+            lo.append(seg_v[i + 1])
+            hi.append(m)
+            t0.append(seg_t[i + 1])
+            invrate.append(0.0)
+            m = seg_v[i + 1]
+    return (np.asarray(lo), np.asarray(hi), np.asarray(t0), np.asarray(invrate), m)
+
+
+def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, lo_idx, m):
+    """The per-path reference of the exact nu chunk: refract_exact at 0,
+    _min_episodes, and a loop over the episodes."""
+    case = classify_case(spec, params.alpha)
+    base = replace(spec, x0=0.0)
+    nb = len(bgrid_pos)
+    sw = np.zeros(nb)
+    sw2 = np.zeros(nb)
+    cens = np.zeros(nb)
+    q = params.q
+    for i in range(m):
+        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
+        w = refract_exact(path, 0.0, params.alpha, case)
+        ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w)
+        # grid levels are -b; episode j covers b in [-min(hi,0), -lo)
+        for j in range(len(ep_lo)):
+            b_lo = -min(ep_hi[j], 0.0)
+            b_hi = -ep_lo[j]
+            j0 = np.searchsorted(bgrid_pos, b_lo, side="left")
+            j1 = np.searchsorted(bgrid_pos, b_hi, side="left")
+            if j1 > j0:
+                kb = ep_t0[j] + (ep_hi[j] - (-bgrid_pos[j0:j1])) * ep_inv[j]
+                wj = np.exp(-q * kb)
+                sw[j0:j1] += wj
+                sw2[j0:j1] += wj * wj
+        jc = np.searchsorted(bgrid_pos, -final_min, side="left")
+        cens[jc:] += 1.0
+    return sw, sw2, cens
+
+
+def assert_lows_match_scalar(paths, alpha, case):
+    """refracted_record_lows equals _min_episodes of each refracted path."""
+    lows = refracted_record_lows(paths, alpha, case)
+    assert np.all(np.diff(lows.path) >= 0)  # path-major
+    for i, p in enumerate(paths):
+        *want, want_min = _min_episodes(refract_exact(p, 0.0, alpha, case))
+        mine = lows.path == i
+        for got, ref in zip((lows.lo, lows.hi, lows.t0, lows.invrate), want):
+            assert np.array_equal(got[mine], ref), i
+        assert lows.final_min[i] == want_min, i
+    return lows
+
+
+def spec_with_drift(delta):
+    """The reference jump mix with net drift delta."""
+    return JumpDiffusionSpec(
+        gamma=REFERENCE_GAMMA - 0.6 + delta, sigma=0.0,
+        jump_components=((1.0, 1, Uniform(0.0, 1.0)), (1.0, -1, Weibull(2.0, 1.0))))
+
+
+# net drift 0 exactly: the two compensations cancel
+ZERO_DRIFT = JumpDiffusionSpec(
+    gamma=0.0, sigma=0.0,
+    jump_components=((1.0, 1, Uniform(0.0, 1.0)), (1.0, -1, Uniform(0.0, 1.0))))
+
+
+class TestExactNuChunk:
+    """The record-low column sweep and its bincount reduction against the
+    per-path scalar reference, bit for bit."""
+
+    H = 20.0
+    # (spec, alpha): delta > alpha (Case 1); sticky at delta = 0 (Case 2);
+    # delta < 0 (Case 1); 0 < delta < alpha (Case 2); alpha = inf, where
+    # jumps above 0 are clamped, on both sides of delta = 0
+    REGIMES = {
+        "delta>alpha": (spec_with_drift(0.6), 0.3),
+        "sticky-delta=0": (ZERO_DRIFT, 0.5),
+        "delta<0": (spec_with_drift(-0.4), 0.5),
+        "0<delta<alpha": (spec_with_drift(0.6), 1.0),
+        "inf-delta>0": (spec_with_drift(0.6), math.inf),
+        "inf-delta<0": (spec_with_drift(-0.4), math.inf),
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_chunk_equals_the_scalar_reference(self, regime, seed):
+        spec, alpha = self.REGIMES[regime]
+        assert net_drift(ZERO_DRIFT) == 0.0
+        rng = np.random.default_rng(seed)
+        # b = 0 and random thresholds, some past every path's minimum
+        grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, 60))))
+        pp = params(alpha=alpha)
+        stream = RngStream(160 + seed, tag=4)
+        got = estimation._exact_nu_chunk(spec, pp, self.H, grid, stream, 0, 32 * seed, 48)
+        want = scalar_nu_chunk(spec, pp, self.H, grid, stream, 32 * seed, 48)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        paths = estimation._event_paths(spec, self.H, stream, 32 * seed, 48)
+        assert_lows_match_scalar(paths, alpha, classify_case(spec, alpha))
+
+    @pytest.mark.parametrize("alpha", [0.3, math.inf])
+    def test_no_path_below_zero(self, alpha):
+        """Up-jumps only and delta = 0.5: above the cap the path rises from
+        0, and at alpha = inf it stays at 0.  No episode at all, and every
+        path is censored at every threshold."""
+        spec = JumpDiffusionSpec(gamma=1.0, sigma=0.0,
+                                 jump_components=((1.0, 1, Uniform(0.0, 1.0)),))
+        grid = np.array([0.0, 0.5, 2.0])
+        stream = RngStream(170, tag=4)
+        paths = estimation._event_paths(spec, self.H, stream, 0, 16)
+        assert assert_lows_match_scalar(
+            paths, alpha, classify_case(spec, alpha)).path.size == 0
+        sw, sw2, cens = estimation._exact_nu_chunk(spec, params(alpha=alpha), self.H,
+                                                   grid, stream, 0, 0, 16)
+        assert np.array_equal(sw, np.zeros(3)) and np.array_equal(sw2, np.zeros(3))
+        assert np.array_equal(cens, np.full(3, 16.0))
+
+    @pytest.mark.parametrize("delta", [-0.5, 0.4])
+    def test_paths_without_events(self, delta):
+        grid = np.array([0.0, 1.0, 9.0, 11.0])
+        args = (drift_only(delta), params(alpha=0.3), self.H, grid, RngStream(171, tag=4))
+        got = estimation._exact_nu_chunk(*args, 0, 0, 4)
+        for g, w in zip(got, scalar_nu_chunk(*args, 0, 4)):
+            assert np.array_equal(g, w)
+        if delta < 0:  # at -0.5 the path reaches -10 at the horizon
+            np.testing.assert_allclose(got[0], 4 * np.exp(-Q * grid / 0.5) * (grid < 10),
+                                       rtol=1e-12)
+            assert np.array_equal(got[2], [0.0, 0.0, 0.0, 4.0])
+        else:
+            assert np.array_equal(got[0], np.zeros(4))
+            assert np.array_equal(got[2], np.full(4, 4.0))
+
+    @pytest.mark.parametrize("grid", [[], [0.0]], ids=["no-b>=0", "b=0"])
+    def test_degenerate_grids(self, ref_spec_bv, grid):
+        grid = np.array(grid)
+        args = (ref_spec_bv, params(alpha=0.3), self.H, grid, RngStream(172, tag=4))
+        got = estimation._exact_nu_chunk(*args, 0, 0, 24)
+        for g, w in zip(got, scalar_nu_chunk(*args, 0, 24)):
+            assert g.shape == grid.shape and np.array_equal(g, w)
+        curve = nu_curve(params(alpha=0.3), ref_spec_bv, np.array([-1.0, -0.5]),
+                         self.H, 0, 24, RngStream(172, tag=4))
+        assert np.array_equal(curve.values, [1.0, 1.0])
+
+    def test_closed_forms_of_a_hand_built_pair(self, monkeypatch):
+        """Drift -0.5 to the horizon 10: level -b is reached at b / 0.5.
+        The same drift with a jump of -2 at t = 3: the drift reaches -1.5,
+        the jump skips the levels down to -3.5 at time 3, and the drift
+        reaches -b at 3 + (b - 3.5) / 0.5 from there."""
+        d, te = 0.5, 3.0
+        paths = [EventPath(0.0, 10.0, -d, np.empty(0), np.empty(0)),
+                 EventPath(0.0, 10.0, -d, np.array([te]), np.array([-2.0]))]
+        case = classify_case(drift_only(-d), 0.5)
+        assert_lows_match_scalar(paths, 0.5, case)
+        grid = np.array([0.0, 0.7, 1.5, 2.0, 3.4, 4.0, 6.5, 8.0])
+        monkeypatch.setattr(estimation, "_event_paths", lambda *args: paths)
+        sw, sw2, cens = estimation._exact_nu_chunk(drift_only(-d), params(alpha=0.5), 10.0,
+                                                   grid, RngStream(174, tag=4), 0, 0, 2)
+        first = np.where(grid < 10 * d, np.exp(-Q * grid / d), 0.0)
+        second = np.where(grid <= 1.5, np.exp(-Q * grid / d),
+                          np.where(grid < 3.5, np.exp(-Q * te),
+                                   np.exp(-Q * (te + (grid - 3.5) / d)) * (grid < 7)))
+        np.testing.assert_allclose(sw, first + second, rtol=1e-12)
+        np.testing.assert_allclose(sw2, first ** 2 + second ** 2, rtol=1e-12)
+        # the minima at the horizon are -5 and -7
+        assert np.array_equal(cens, (grid >= 5) + (grid >= 7.0) * 1.0)
+
+    def test_zero_length_segments_and_edge_times(self):
+        """Knots refract_exact overwrites or keeps: a jump at the horizon
+        (the last segment has zero length and is kept), a jump at t = 0
+        (the first segment has zero length and is overwritten), starts
+        below and above 0, and a jump a hair below 0 that a rising drift
+        crosses back at once (again a zero-length segment)."""
+        h = 6.0
+        paths = [EventPath(0.0, h, -0.4, np.array([1.0, 2.0, 4.0]),
+                           np.array([0.3, -1.0, -0.5])),
+                 EventPath(0.0, h, -0.4, np.array([2.0, h]), np.array([-0.2, -3.0])),
+                 EventPath(0.0, h, -0.4, np.array([0.0, 1.5]), np.array([-0.7, 0.1])),
+                 EventPath(-0.3, h, -0.4, np.array([1.0]), np.array([-0.1])),
+                 EventPath(0.8, h, -0.4, np.array([0.5]), np.array([1.0])),
+                 EventPath(0.0, h, -0.4, np.array([1.0]), np.array([-1e-300]))]
+        for alpha in (0.3, 0.5, math.inf):
+            for delta in (-0.4, 0.2, 0.7):
+                moved = [replace(p, drift=delta) for p in paths]
+                assert_lows_match_scalar(moved, alpha, classify_case(drift_only(delta), alpha))
+
+    def test_a_second_crossing_raises(self, monkeypatch):
+        # a table in which the state 0 heads for 0 crosses at once, again
+        monkeypatch.setattr(path_engine, "_next_target", lambda z, slope, b, floor: 0.0)
+        with pytest.raises(RuntimeError):
+            refracted_record_lows([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))],
+                                  0.5, classify_case(drift_only(-0.5), 0.5))
+
+
+class TestEulerNuBlocks:
+    @pytest.mark.parametrize("width", [1, 3, 200])
+    def test_block_width_never_changes_a_byte(self, ref_spec_gauss, width, monkeypatch):
+        """The running minimum in blocks of 1, 3 and K = 200 steps."""
+        args = (ref_spec_gauss, params(alpha=0.5), 5.0, 200,
+                np.array([0.0, 0.3, 0.9, 1.6, 3.0]), RngStream(173, tag=4), 1, 64, 64)
+        want = estimation._euler_nu_chunk(*args)
+        monkeypatch.setattr(estimation, "NU_BLOCK_STEPS", width)
+        for g, w in zip(estimation._euler_nu_chunk(*args), want):
+            assert g.tobytes() == w.tobytes()
