@@ -209,9 +209,10 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
         comps.append((rate, sign, _build_marks(prefix, items)))
     spec = JumpDiffusionSpec(gamma=gamma, sigma=sigma,
                              jump_components=tuple(comps), x0=x0)
-    report = validate_spec(spec)
-    if not report.ok:
-        raise ValidationError("model", "; ".join(report.notes))
+    try:
+        validate_spec(spec)
+    except InvalidParameter as err:
+        raise ValidationError("model." + err.field_name, str(err))
     return spec
 
 
@@ -533,13 +534,11 @@ class _OutputSet:
         self.records = []
 
 
-def emit_outputs(outs: _OutputSet, base: str, csv_text: str,
-                 plot: SvgPlot | None, formats=("csv", "plot")):
-    """Write one result as CSV and/or SVG; a missing plot (empty result)
-    writes the CSV header file only."""
-    if "csv" in formats:
-        outs.write(base + ".csv", csv_text)
-    if "plot" in formats and plot is not None:
+def emit_outputs(outs: _OutputSet, base: str, csv_text: str, plot: SvgPlot | None):
+    """Write one result as CSV and SVG; a missing plot (empty result)
+    writes the CSV file only."""
+    outs.write(base + ".csv", csv_text)
+    if plot is not None:
         outs.write(base + ".svg", plot.render())
 
 

@@ -17,9 +17,11 @@ stream; an Euler chunk draws one increment matrix per stream and makes one
 recursion pass over it.  Either steps at most BLOCK_LANES lanes at once,
 in blocks of points that share the stream's sample.
 
-Chunking is fixed (CHUNK paths per batch) and partial results are combined
-by a fixed-order pairwise tree, so results are bit-identical for any worker
-count.
+Chunking is fixed (CHUNK paths per batch).  Chunk ci draws its m paths at
+once on the stream stream.for_path(ci), as event paths (exact) or as an
+increment matrix (Euler), from the one jump draw of levy_model.  Partial
+results are combined by a fixed-order pairwise tree, so results are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -124,12 +126,12 @@ def _tree_reduce(partials):
 
 def _run_chunks(n: int, worker, threads: int):
     n_chunks = (n + CHUNK - 1) // CHUNK
-    jobs = [(ci, ci * CHUNK, min(CHUNK, n - ci * CHUNK)) for ci in range(n_chunks)]
+    jobs = [(ci, min(CHUNK, n - ci * CHUNK)) for ci in range(n_chunks)]
     if threads <= 1:
-        partials = [worker(ci, lo, m) for ci, lo, m in jobs]
+        partials = [worker(ci, m) for ci, m in jobs]
     else:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(worker, ci, lo, m) for ci, lo, m in jobs]
+            futs = [ex.submit(worker, ci, m) for ci, m in jobs]
             partials = [f.result() for f in futs]
     return _tree_reduce(partials)
 
@@ -144,15 +146,15 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
 
 # exact engine: threshold-free translated sweep -----------------------------
 
-def _event_paths(spec, horizon, stream, lo_idx, m):
-    """The chunk's m event paths, sampled at 0."""
-    base = replace(spec, x0=0.0)
-    return [sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i)) for i in range(m)]
+def _event_paths(spec, horizon, stream, ci, m):
+    """Chunk ci's m event paths, sampled at 0 in one draw on its stream, as
+    an Euler chunk draws its increment matrix."""
+    return sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m)
 
 
-def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, lo_idx, m):
+def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     lows = path_engine.refracted_record_lows(
-        _event_paths(spec, horizon, stream, lo_idx, m), params.alpha,
+        _event_paths(spec, horizon, stream, ci, m), params.alpha,
         classify_case(spec, params.alpha))
     nb = len(bgrid_pos)
     # episode k covers the thresholds in [-min(hi, 0), -lo): grid points j0..j1-1
@@ -170,7 +172,7 @@ def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, lo_idx, m):
 
 # Euler engine: threshold-free discrete recursion ---------------------------
 
-def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, lo_idx, m):
+def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, m):
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q = params.q
@@ -340,9 +342,9 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 
 # randomized passage clock --------------------------------------------------
 
-def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
+def _exact_clock_chunk(spec, params, x, horizon, stream, ci, m):
     fl = path_engine.floored_lane_sweep(
-        _event_paths(spec, horizon, stream, lo_idx, m), [x], [params.b], [False],
+        _event_paths(spec, horizon, stream, ci, m), [x], [params.b], [False],
         params.alpha, classify_case(spec, params.alpha), params.q)
     strict, weak = fl.kappa_strict[0], fl.t_weak[0]
     ws = np.exp(-params.q * strict)  # exp(-q * inf) = 0
@@ -353,7 +355,7 @@ def _exact_clock_chunk(spec, params, x, horizon, stream, ci, lo_idx, m):
     return acc, np.asarray([ncens])
 
 
-def _euler_clock_chunk(spec, params, x, horizon, k, stream, ci, lo_idx, m):
+def _euler_clock_chunk(spec, params, x, horizon, k, stream, ci, m):
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     q = params.q
@@ -479,8 +481,8 @@ def _in_blocks(points, m, block_sums):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _exact_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
-    paths = _event_paths(spec, horizon, stream, lo_idx, m)
+def _exact_run_sums(spec, params, horizon, k, stream, points, ci, m):
+    paths = _event_paths(spec, horizon, stream, ci, m)
     case = classify_case(spec, params.alpha)
     q = params.q
 
@@ -495,7 +497,7 @@ def _exact_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
     return _in_blocks(points, m, block_sums)
 
 
-def _euler_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
+def _euler_run_sums(spec, params, horizon, k, stream, points, ci, m):
     # one recursion pass per block steps every point: row j of each (J, m)
     # array is point j; a block reuses the run's increment matrix
     incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
@@ -520,12 +522,12 @@ def _euler_run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m):
     return _in_blocks(points, m, block_sums)
 
 
-def _value_chunk(run_sums, spec, params, horizon, k, runs, ci, lo_idx, m):
+def _value_chunk(run_sums, spec, params, horizon, k, runs, ci, m):
     # the runs sample one after the other, so an Euler chunk holds one
     # (m, k) increment matrix at a time; an empty run samples nothing
     out = ()
     for stream, points in runs:
-        out += (run_sums(spec, params, horizon, k, stream, points, ci, lo_idx, m)
+        out += (run_sums(spec, params, horizon, k, stream, points, ci, m)
                 if points else (np.zeros((0, 5)), np.zeros(0)))
     return out
 

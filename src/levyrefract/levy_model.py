@@ -4,7 +4,10 @@ A model is a drift, an optional Gaussian coefficient, and a finite list of
 compound-Poisson jump components with signed marks.  This module validates
 models, computes the bounded-variation net drift, classifies the regime
 relative to a dividend cap, evaluates the characteristic exponent, and
-samples paths either exactly (sigma = 0) or on a uniform grid.
+samples paths either exactly (sigma = 0) or on a uniform grid.  Both
+samplers read one jump draw per stream (_jump_draw): Poisson counts of the
+m paths, uniform times and signed marks.  The grid bins it into steps; the
+exact mode sorts it into event paths.
 """
 
 from __future__ import annotations
@@ -485,17 +488,23 @@ class Grid:
 EXACT = Exact()
 
 
-def _component_arrivals(rate, horizon, rng):
-    # exponential inter-arrival draws in blocks until the horizon is passed
-    times = []
-    t = 0.0
-    while True:
-        block = rng.exponential(1.0 / rate, size=max(8, int(rate * horizon * 0.5) + 8))
-        for g in block:
-            t += g
-            if t > horizon:
-                return np.array(times)
-            times.append(t)
+def _jump_draw(spec: JumpDiffusionSpec, horizon: float, m: int, rng: np.random.Generator):
+    """The jumps of m paths on [0, horizon] as (path, time, size) arrays.
+
+    Per jump component, in order and skipping a component none of the m
+    paths jumps in: the Poisson counts of the m paths, uniform jump times
+    and signed marks.  Every sampler reads this one draw.
+    """
+    rows, times, sizes = [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]
+    for comp in spec.jump_components:
+        counts = rng.poisson(comp.rate * horizon, m)
+        tot = int(counts.sum())
+        if tot == 0:
+            continue
+        rows.append(np.repeat(np.arange(m), counts))
+        times.append(rng.uniform(0.0, horizon, tot))
+        sizes.append(comp.marks.sample(tot, rng) * comp.sign)
+    return tuple(np.concatenate(a) for a in (rows, times, sizes))
 
 
 def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
@@ -504,31 +513,26 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
 
     Each step holds the compensated drift, the Gaussian part, and the jumps
     in (t_{j-1}, t_j].  The draws come in a fixed order: all Gaussians, then
-    per jump component the Poisson counts of the m paths, the uniform jump
-    times and the marks.  This is the only grid sampler: sample_path(Grid)
-    and every Euler estimator draw through it.
+    _jump_draw.  This is the only grid sampler: sample_path(Grid) and every
+    Euler estimator draw through it.
     """
     dt = horizon / k
     incs = np.full((m, k), _compensated_drift(spec) * dt)
     if spec.sigma > 0:
         incs += spec.sigma * math.sqrt(dt) * rng.standard_normal((m, k))
-    for comp in spec.jump_components:
-        counts = rng.poisson(comp.rate * horizon, m)
-        tot = int(counts.sum())
-        if tot == 0:
-            continue
-        times = rng.uniform(0.0, horizon, tot)
-        marks = comp.marks.sample(tot, rng) * comp.sign
-        bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
-        np.add.at(incs, (np.repeat(np.arange(m), counts), bins), marks)
+    rows, times, sizes = _jump_draw(spec, horizon, m, rng)
+    bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
+    np.add.at(incs, (rows, bins), sizes)
     return incs
 
 
-def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream):
-    """Draw one path of X on [0, horizon].
+def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream,
+                m: int | None = None):
+    """Draw a path of X on [0, horizon].  Deterministic in stream.
 
-    Exact mode returns an EventPath; grid mode returns a GridPath, the
-    one-path case of _grid_increment_matrix.  Deterministic in stream.
+    Exact mode sorts _jump_draw into event paths: m = None returns one
+    EventPath, an integer m a list of m paths from the one stream.  Grid
+    mode returns a GridPath, the one-path case of _grid_increment_matrix.
     """
     if horizon <= 0:
         raise InvalidParameter("horizon", "horizon must be positive")
@@ -536,22 +540,19 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
     if isinstance(mode, Exact):
         if spec.sigma > 0:
             raise ExactModeUnavailable("exact sampling needs sigma = 0")
-        all_times = []
-        all_sizes = []
-        for comp in spec.jump_components:
-            t = _component_arrivals(comp.rate, horizon, rng)
-            m = comp.marks.sample(t.size, rng)
-            all_times.append(t)
-            all_sizes.append(comp.sign * m)
-        if all_times:
-            times = np.concatenate(all_times)
-            sizes = np.concatenate(all_sizes)
-            order = np.argsort(times, kind="stable")
-            times, sizes = times[order], sizes[order]
-        else:
-            times = np.empty(0)
-            sizes = np.empty(0)
-        return EventPath(spec.x0, horizon, _compensated_drift(spec), times, sizes)
+        n = 1 if m is None else m
+        if n < 1:
+            raise InvalidParameter("m", "path count must be >= 1")
+        rows, times, sizes = _jump_draw(spec, horizon, n, rng)
+        order = np.argsort(times)
+        order = order[np.argsort(rows[order], kind="stable")]  # by path, then time
+        cuts = np.cumsum(np.bincount(rows, minlength=n))[:-1]
+        drift = _compensated_drift(spec)
+        paths = [EventPath(spec.x0, horizon, drift, t, s)
+                 for t, s in zip(np.split(times[order], cuts), np.split(sizes[order], cuts))]
+        return paths[0] if m is None else paths
+    if m is not None:
+        raise InvalidParameter("m", "only exact mode draws several paths")
     if isinstance(mode, Grid):
         if mode.k < 1:
             raise InvalidParameter("k", "grid steps must be >= 1")

@@ -527,7 +527,8 @@ def _low_stretch(t, z, te, last, low, slopes, crosses, ids, out):
         t_cross = np.where(crosses[cls], t + (0.0 - z) / slope, np.inf)
     crossed = t_cross < te
     t_end = np.where(crossed, t_cross, te)
-    end_v = z + slope * (t_end - t)
+    # a crossing ends at 0 exactly, where _sweep starts its next knot
+    end_v = np.where(crossed, 0.0, z + slope * (te - t))
     kept = (t_end > t) | (last & ~crossed)
     jump = kept & (t > 0.0) & (z < low)
     k = np.flatnonzero(jump)
@@ -537,7 +538,7 @@ def _low_stretch(t, z, te, last, low, slopes, crosses, ids, out):
     tk, zk, lk, rate = t[k], z[k], low[k], -slope[k]
     out.append((ids[k], end_v[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk), 1.0 / rate))
     low[k] = end_v[k]
-    return t_end, np.where(crossed, 0.0, end_v), low, crossed
+    return t_end, end_v, low, crossed
 
 
 def refracted_record_lows(paths, alpha, case: CaseLabel) -> RecordLows:

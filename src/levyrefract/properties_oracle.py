@@ -26,7 +26,7 @@ from .levy_model import (
     RngStream,
     Uniform,
     Weibull,
-    _compensated_drift,
+    _grid_increment_matrix,
     characteristic_exponent,
     classify_case,
     sample_path,
@@ -258,10 +258,8 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
     case = classify_case(spec, params.alpha)
-    base = replace(spec, x0=0.0)
     viol = []
-    for i in range(n):
-        path = sample_path(base, horizon, EXACT, stream.for_path(i))
+    for path in sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n):
         tk = apply_strategy_exact(path.shifted(x + k), params, case)
         tl = apply_strategy_exact(path.shifted(x + l), params, case)
         viol.extend(check_pair(tk, tl, shift, params.b))
@@ -307,13 +305,11 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
         raise InvalidLadder("need at least two positive rungs")
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise InvalidLadder("rungs must be strictly increasing")
-    base = replace(spec, x0=0.0)
     m = len(alphas)
     viol = []
     sup_gap = np.zeros(m)
     vals = np.zeros((m, n))
-    for i in range(n):
-        path = sample_path(base, horizon, EXACT, stream.for_path(i)).shifted(x)
+    for i, path in enumerate(sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)):
         trajs, refr = [], []
         for a in alphas:
             case = classify_case(spec, a)
@@ -367,17 +363,8 @@ def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
     """Empirical characteristic function of X_t against the analytic
     exponent, with the tolerances of CharReport.ok."""
     lambdas = np.asarray(lambdas, dtype=float)
-    rng = stream.generator()
-    xt = np.full(n, _compensated_drift(spec) * t)
-    if spec.sigma > 0:
-        xt += spec.sigma * math.sqrt(t) * rng.standard_normal(n)
-    for comp in spec.jump_components:
-        counts = rng.poisson(comp.rate * t, n)
-        tot = int(counts.sum())
-        if tot:
-            marks = comp.marks.sample(tot, rng) * comp.sign
-            idx = np.repeat(np.arange(n), counts)
-            np.add.at(xt, idx, marks)
+    # X_t - x0 as the one-step grid of the estimators' sampler
+    xt = _grid_increment_matrix(spec, t, 1, n, stream.generator())[:, 0]
     emp = np.array([np.exp(1j * lam * xt).mean() for lam in lambdas])
     target = np.exp(-t * characteristic_exponent(spec, lambdas))
     # E cos^2 = (1 + Re phi(2 lambda)) / 2 and E sin^2 = (1 - Re phi(2 lambda)) / 2

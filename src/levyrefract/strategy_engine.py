@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -242,9 +242,8 @@ def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
                     stream: RngStream) -> np.ndarray:
     """Sup distance between the Euler recursion and the exact trajectory
     driven by the same sampled path, discretized with shared noise, for the
-    n paths stream.for_path(i): one recursion pass over all n rows."""
-    paths = [sample_path(spec, horizon, EXACT, stream.for_path(i)) for i in range(n)]
-    paths = [p.shifted(-p.x0) for p in paths]
+    n paths of one draw on stream: one recursion pass over all n rows."""
+    paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
     dt = horizon / k
     z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in paths]), dt)[1]
     times = np.arange(k) * dt

@@ -325,6 +325,16 @@ class TestMain:
         assert code == 2
         assert "mc.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [("model.gamma", "inf"), ("model.sigma", "inf"),
+                                           ("model.x0", "nan")])
+    def test_non_finite_model_value_exits_two(self, key, value, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(line + "\n" for line in BASE.splitlines()
+                             if not line.startswith(key)) + "%s = %s\n" % (key, value))
+        code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     def test_property_checks_on_a_diffusion_exit_two(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text(BASE + "model.sigma = 1\n")

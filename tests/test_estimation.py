@@ -186,15 +186,14 @@ class TestExactClockChunk:
         stream = RngStream(150, tag=2)
         case = classify_case(ref_spec_bv, alpha)
         base = replace(ref_spec_bv, x0=x)
-        times = [first_passage_times(apply_strategy_exact(
-                     sample_path(base, 8.0, EXACT, stream.for_path(40 + i)), pp, case))
-                 for i in range(24)]
+        times = [first_passage_times(apply_strategy_exact(path, pp, case))
+                 for path in sample_path(base, 8.0, EXACT, stream.for_path(3), 24)]
         strict = np.array([pt.kappa_strict for pt in times])
         weak = np.array([pt.t_weak for pt in times])
         ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
         want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
                            (ws * ww).sum()])
-        acc, cens = _exact_clock_chunk(ref_spec_bv, pp, x, 8.0, stream, 0, 40, 24)
+        acc, cens = _exact_clock_chunk(ref_spec_bv, pp, x, 8.0, stream, 3, 24)
         assert acc.tobytes() == want.tobytes()
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
 
@@ -370,7 +369,7 @@ class TestEulerRunSums:
             return euler_steps(*args, **kw)
 
         monkeypatch.setattr(estimation, "euler_steps", counted)
-        got = _euler_run_sums(ref_spec_gauss, pp, 5.0, k, stream, points, 1, 256, 256)
+        got = _euler_run_sums(ref_spec_gauss, pp, 5.0, k, stream, points, 1, 256)
         assert len(passes) == 1  # one recursion pass serves every point
         assert got[0].shape == (len(points), 5)
         assert got[0].tobytes() == want[0].tobytes()
@@ -392,7 +391,7 @@ class TestValueBlocks:
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
         spec, run_sums = ((ref_spec_bv, _exact_run_sums) if engine == "exact"
                           else (ref_spec_gauss, _euler_run_sums))
-        args = (spec, params(b=1.2), 5.0, 100, RngStream(141, tag=3), points, 1, 128, 128)
+        args = (spec, params(b=1.2), 5.0, 100, RngStream(141, tag=3), points, 1, 128)
         want = run_sums(*args)
         draws = []
 
@@ -410,18 +409,21 @@ class TestValueBlocks:
 
 # the exact threshold search -------------------------------------------------
 
-def _min_episodes(traj):
+def _min_episodes(traj, event_times):
     """Descent episodes of the running minimum of a piecewise-linear path.
 
     Each episode covers min levels in (lo, hi] first crossed at time
     t0 + (hi - level) * invrate; invrate = 0 marks an instantaneous (jump)
     descent.  Levels are capped at 0: only the non-positive range matters.
+    A segment cut by a crossing of 0 (a knot at 0 that is not an event
+    time) ends at 0.
     """
     seg_t = traj.seg_t
     seg_v = traj.seg_v
     slope = traj.seg_slope
     ends = np.append(seg_t[1:], traj.horizon)
-    end_v = seg_v + slope * (ends - seg_t)
+    crossing = (seg_v[1:] == 0.0) & ~np.isin(seg_t[1:], event_times)
+    end_v = np.where(np.append(crossing, False), 0.0, seg_v + slope * (ends - seg_t))
     lo, hi, t0, invrate = [], [], [], []
     m = 0.0
     n = len(seg_t)
@@ -442,8 +444,8 @@ def _min_episodes(traj):
     return (np.asarray(lo), np.asarray(hi), np.asarray(t0), np.asarray(invrate), m)
 
 
-def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, lo_idx, m):
-    """The per-path reference of the exact nu chunk: refract_exact at 0,
+def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
+    """The per-path reference of exact nu chunk ci: refract_exact at 0,
     _min_episodes, and a loop over the episodes."""
     case = classify_case(spec, params.alpha)
     base = replace(spec, x0=0.0)
@@ -452,10 +454,9 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, lo_idx, m):
     sw2 = np.zeros(nb)
     cens = np.zeros(nb)
     q = params.q
-    for i in range(m):
-        path = sample_path(base, horizon, EXACT, stream.for_path(lo_idx + i))
+    for path in sample_path(base, horizon, EXACT, stream.for_path(ci), m):
         w = refract_exact(path, 0.0, params.alpha, case)
-        ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w)
+        ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w, path.times)
         # grid levels are -b; episode j covers b in [-min(hi,0), -lo)
         for j in range(len(ep_lo)):
             b_lo = -min(ep_hi[j], 0.0)
@@ -477,7 +478,7 @@ def assert_lows_match_scalar(paths, alpha, case):
     lows = refracted_record_lows(paths, alpha, case)
     assert np.all(np.diff(lows.path) >= 0)  # path-major
     for i, p in enumerate(paths):
-        *want, want_min = _min_episodes(refract_exact(p, 0.0, alpha, case))
+        *want, want_min = _min_episodes(refract_exact(p, 0.0, alpha, case), p.times)
         mine = lows.path == i
         for got, ref in zip((lows.lo, lows.hi, lows.t0, lows.invrate), want):
             assert np.array_equal(got[mine], ref), i
@@ -525,11 +526,11 @@ class TestExactNuChunk:
         grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, 60))))
         pp = params(alpha=alpha)
         stream = RngStream(160 + seed, tag=4)
-        got = estimation._exact_nu_chunk(spec, pp, self.H, grid, stream, 0, 32 * seed, 48)
-        want = scalar_nu_chunk(spec, pp, self.H, grid, stream, 32 * seed, 48)
+        got = estimation._exact_nu_chunk(spec, pp, self.H, grid, stream, seed, 48)
+        want = scalar_nu_chunk(spec, pp, self.H, grid, stream, seed, 48)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        paths = estimation._event_paths(spec, self.H, stream, 32 * seed, 48)
+        paths = estimation._event_paths(spec, self.H, stream, seed, 48)
         assert_lows_match_scalar(paths, alpha, classify_case(spec, alpha))
 
     @pytest.mark.parametrize("alpha", [0.3, math.inf])
@@ -545,7 +546,7 @@ class TestExactNuChunk:
         assert assert_lows_match_scalar(
             paths, alpha, classify_case(spec, alpha)).path.size == 0
         sw, sw2, cens = estimation._exact_nu_chunk(spec, params(alpha=alpha), self.H,
-                                                   grid, stream, 0, 0, 16)
+                                                   grid, stream, 0, 16)
         assert np.array_equal(sw, np.zeros(3)) and np.array_equal(sw2, np.zeros(3))
         assert np.array_equal(cens, np.full(3, 16.0))
 
@@ -553,7 +554,7 @@ class TestExactNuChunk:
     def test_paths_without_events(self, delta):
         grid = np.array([0.0, 1.0, 9.0, 11.0])
         args = (drift_only(delta), params(alpha=0.3), self.H, grid, RngStream(171, tag=4))
-        got = estimation._exact_nu_chunk(*args, 0, 0, 4)
+        got = estimation._exact_nu_chunk(*args, 0, 4)
         for g, w in zip(got, scalar_nu_chunk(*args, 0, 4)):
             assert np.array_equal(g, w)
         if delta < 0:  # at -0.5 the path reaches -10 at the horizon
@@ -568,7 +569,7 @@ class TestExactNuChunk:
     def test_degenerate_grids(self, ref_spec_bv, grid):
         grid = np.array(grid)
         args = (ref_spec_bv, params(alpha=0.3), self.H, grid, RngStream(172, tag=4))
-        got = estimation._exact_nu_chunk(*args, 0, 0, 24)
+        got = estimation._exact_nu_chunk(*args, 0, 24)
         for g, w in zip(got, scalar_nu_chunk(*args, 0, 24)):
             assert g.shape == grid.shape and np.array_equal(g, w)
         curve = nu_curve(params(alpha=0.3), ref_spec_bv, np.array([-1.0, -0.5]),
@@ -588,7 +589,7 @@ class TestExactNuChunk:
         grid = np.array([0.0, 0.7, 1.5, 2.0, 3.4, 4.0, 6.5, 8.0])
         monkeypatch.setattr(estimation, "_event_paths", lambda *args: paths)
         sw, sw2, cens = estimation._exact_nu_chunk(drift_only(-d), params(alpha=0.5), 10.0,
-                                                   grid, RngStream(174, tag=4), 0, 0, 2)
+                                                   grid, RngStream(174, tag=4), 0, 2)
         first = np.where(grid < 10 * d, np.exp(-Q * grid / d), 0.0)
         second = np.where(grid <= 1.5, np.exp(-Q * grid / d),
                           np.where(grid < 3.5, np.exp(-Q * te),
@@ -597,6 +598,24 @@ class TestExactNuChunk:
         np.testing.assert_allclose(sw2, first ** 2 + second ** 2, rtol=1e-12)
         # the minima at the horizon are -5 and -7
         assert np.array_equal(cens, (grid >= 5) + (grid >= 7.0) * 1.0)
+
+    def test_a_drain_onto_zero_is_no_passage(self, monkeypatch):
+        """Case 2 at alpha = 1, net drift 0.3: parked at 0, an up-jump of
+        0.2 at t = 1 drains back at rate 0.7.  Its end, recomputed from the
+        crossing time, rounds to -5.6e-17; it must end at 0, so the path
+        never passes below 0 and is censored at every threshold."""
+        spec = drift_only(0.3)
+        case = classify_case(spec, 1.0)
+        assert case.is_case2
+        paths = [EventPath(0.0, 10.0, 0.3, np.array([1.0]), np.array([0.2]))]
+        lows = assert_lows_match_scalar(paths, 1.0, case)
+        assert lows.path.size == 0 and lows.final_min[0] == 0.0
+        monkeypatch.setattr(estimation, "_event_paths", lambda *args: paths)
+        grid = np.array([0.0, 0.5])
+        sw, sw2, cens = estimation._exact_nu_chunk(spec, params(alpha=1.0), 10.0, grid,
+                                                   RngStream(175, tag=4), 0, 1)
+        assert np.array_equal(sw, np.zeros(2)) and np.array_equal(sw2, np.zeros(2))
+        assert np.array_equal(cens, np.ones(2))
 
     def test_zero_length_segments_and_edge_times(self):
         """Knots refract_exact overwrites or keeps: a jump at the horizon
@@ -630,7 +649,7 @@ class TestEulerNuBlocks:
     def test_block_width_never_changes_a_byte(self, ref_spec_gauss, width, monkeypatch):
         """The running minimum in blocks of 1, 3 and K = 200 steps."""
         args = (ref_spec_gauss, params(alpha=0.5), 5.0, 200,
-                np.array([0.0, 0.3, 0.9, 1.6, 3.0]), RngStream(173, tag=4), 1, 64, 64)
+                np.array([0.0, 0.3, 0.9, 1.6, 3.0]), RngStream(173, tag=4), 1, 64)
         want = estimation._euler_nu_chunk(*args)
         monkeypatch.setattr(estimation, "NU_BLOCK_STEPS", width)
         for g, w in zip(estimation._euler_nu_chunk(*args), want):

@@ -58,12 +58,15 @@ task.x = 0.5
 
 # name -> (sigma, alpha, subcommand[, extra config lines]); sigma 0 runs the
 # exact engine, sigma 1 the Euler engine.  N = 300 is two estimator chunks,
-# so two workers merge.
+# so two workers merge.  At alpha = 1 the model is in Case 2 (net drift 0.6
+# in [0, alpha]), and the b grid holds b = 0, where the refracted path
+# parks at 0.
 # The alpha = inf exact cases and the two oracle subcommands cover the
 # two-sided and from-above reflections.  reproduce-paper runs its own
 # reference models at desk scale; the model text sets T, K, N and the seed.
 CASES = {
     "exact-nu-curve": (0, "0.5", "nu-curve"),
+    "exact-nu-curve-case2": (0, "1", "nu-curve"),
     "exact-bstar": (0, "0.5", "bstar"),
     "exact-value-curve": (0, "0.5", "value-curve"),
     "exact-value-curve-direct": (0, "0.5", "value-curve", "task.method = direct\n"),
@@ -85,9 +88,10 @@ CASES = {
 DESK_SCALED = ("reproduce-paper",)
 
 # every case whose subcommand takes --threads
-THREAD_CHECKED = ("exact-nu-curve", "exact-bstar", "exact-value-curve",
-                  "exact-value-curve-inf", "euler-nu-curve", "euler-bstar",
-                  "euler-value-curve", "euler-value-curve-inf", "reproduce-paper")
+THREAD_CHECKED = ("exact-nu-curve", "exact-nu-curve-case2", "exact-bstar",
+                  "exact-value-curve", "exact-value-curve-inf", "euler-nu-curve",
+                  "euler-bstar", "euler-value-curve", "euler-value-curve-inf",
+                  "reproduce-paper")
 
 
 def run_case(name, out_dir, threads=1):

@@ -20,6 +20,7 @@ from levyrefract.levy_model import (
     RngStream,
     Uniform,
     Weibull,
+    _grid_increment_matrix,
     characteristic_exponent,
     classify_case,
     net_drift,
@@ -250,6 +251,39 @@ class TestSampling:
         # var: sigma^2 dt + rate dt (E[U^2] + E[W^2]) to first order in dt
         want = dt * (1.0 + 1.0 / 3.0 + 1.0)
         assert incs.var() == pytest.approx(want, rel=0.08)
+
+    @pytest.mark.parametrize("spec_seed", [0, 1, 2])
+    def test_exact_paths_bin_to_the_grid_rows(self, spec_seed):
+        """At sigma = 0 both samplers read one jump draw: every exact path
+        of sample_path(..., m) on a k-step grid has the increments of its
+        row of _grid_increment_matrix on the same stream."""
+        rng = np.random.default_rng(spec_seed)
+        spec = JumpDiffusionSpec(
+            gamma=rng.uniform(-1.0, 1.0), sigma=0.0,
+            jump_components=((rng.uniform(0.2, 2.0), 1, Exponential(rng.uniform(0.5, 3.0))),
+                             (rng.uniform(0.2, 2.0), -1, Weibull(2.0, rng.uniform(0.3, 1.5))),
+                             (0.01, 1, PointMass(0.4))),
+            x0=rng.uniform(-1.0, 1.0))
+        stream = RngStream(15, tag=spec_seed)
+        for horizon, k, m in ((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3)):
+            paths = sample_path(spec, horizon, EXACT, stream, m)
+            incs = _grid_increment_matrix(spec, horizon, k, m, stream.generator())
+            assert len(paths) == m
+            for p, row in zip(paths, incs):
+                assert p.x0 == spec.x0
+                np.testing.assert_allclose(p.to_grid(k).increments, row, rtol=0, atol=1e-12)
+
+    def test_one_path_is_the_one_path_draw(self, ref_spec_bv):
+        stream = RngStream(16, tag=2)
+        one = sample_path(ref_spec_bv, 5.0, EXACT, stream)
+        (first,) = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1)
+        assert one.times.tobytes() == first.times.tobytes()
+        assert one.sizes.tobytes() == first.sizes.tobytes()
+
+    @pytest.mark.parametrize("mode,m", [(EXACT, 0), (Grid(4), 2)])
+    def test_bad_path_counts(self, ref_spec_bv, mode, m):
+        with pytest.raises(InvalidParameter):
+            sample_path(ref_spec_bv, 5.0, mode, RngStream(17), m)
 
     def test_grid_values_start_at_x0(self):
         spec = drift_only(0.7, x0=1.2)

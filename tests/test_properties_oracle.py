@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levyrefract import levy_model
 from levyrefract.levy_model import (
     EXACT, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
     classify_case, sample_path,
@@ -160,6 +161,20 @@ class TestCharFunction:
             rep = char_function_check(spec, 1.0, (0.5, 1.0, 2.0), 40000,
                                       RngStream(seed, tag=7))
             assert rep.ok, seed
+
+    def test_reads_the_estimators_jump_draw(self, ref_spec_bv, monkeypatch):
+        """X_t comes from the jump draw every sampler reads: marks scaled by
+        1.15 there must fail the check, on the same stream that passes."""
+        args = (ref_spec_bv, 1.0, (0.5, 1.0, 2.0), 20000, RngStream(333, tag=1))
+        assert char_function_check(*args).ok
+        draw = levy_model._jump_draw
+
+        def scaled(*a):
+            rows, times, sizes = draw(*a)
+            return rows, times, 1.15 * sizes
+
+        monkeypatch.setattr(levy_model, "_jump_draw", scaled)
+        assert not char_function_check(*args).ok
 
     def test_detects_a_shifted_target(self, ref_spec_bv):
         rep = char_function_check(ref_spec_bv, 1.0, (0.5, 1.0), 5000,

@@ -338,14 +338,12 @@ class TestEulerKernel:
         assert state[0] == pytest.approx(0.2 - 2.5)
 
 
-def one_path_gap(spec, sp, case, x, horizon, k, stream):
-    """The sup gap of one path through simulate_euler, the one-row case of
-    the recursion."""
-    path = sample_path(spec, horizon, EXACT, stream)
-    shifted = path.shifted(-path.x0)
+def one_path_gap(spec, sp, case, x, horizon, k, path, stream):
+    """The sup gap of one path, sampled at 0, through simulate_euler, the
+    one-row case of the recursion."""
     euler = simulate_euler(x, sp, spec, horizon, k, stream,
-                           grid_path=shifted.to_grid(k))
-    zex = apply_strategy_exact(shifted.shifted(x), sp, case).value_at(euler.times)
+                           grid_path=path.to_grid(k))
+    zex = apply_strategy_exact(path.shifted(x), sp, case).value_at(euler.times)
     return np.max(np.abs(euler.z - zex))
 
 
@@ -370,6 +368,7 @@ class TestEulerExactGap:
         for k in (50, 400):
             gaps = euler_exact_gap(ref_spec_bv, sp, case, x, 5.0, k, 12, stream)
             assert gaps.shape == (12,)
-            want = [one_path_gap(ref_spec_bv, sp, case, x, 5.0, k,
-                                 stream.for_path(i)) for i in range(12)]
+            paths = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, stream, 12)
+            want = [one_path_gap(ref_spec_bv, sp, case, x, 5.0, k, p, stream)
+                    for p in paths]
             assert gaps.tobytes() == np.array(want).tobytes()
