@@ -579,8 +579,6 @@ def _run_validate(cfg, outs, seed, n, k, threads, desk):
         "negative_jump_mean = %.17g" % rep.negative_jump_mean,
         "engine = %s" % _engine_for(cfg.spec, cfg.task_str("engine", "auto")),
     ]
-    for note in rep.notes:
-        lines.append("note = %s" % note)
     outs.write("validation.txt", "\n".join(lines) + "\n")
     return "none", "pass"
 

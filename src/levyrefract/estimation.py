@@ -1,27 +1,30 @@
 """Monte Carlo estimation: passage laws, the optimal threshold, and values.
 
-Two engines sit behind every estimator.  The exact engine (available when
-sigma = 0) runs the lane sweeps of path_engine and reads no swept path; the
-Euler engine runs the discrete recursions on a uniform grid.  Value runs
-and the randomized passage clock step every (path, start, threshold) lane
-of a chunk together (floored_lane_sweep).  Common-random-number threshold
-curves exploit that the dividend recursion below the stopping time does not
-depend on the threshold once the state is translated, so one sweep serves
-the whole grid: the exact search sums, path by path with np.bincount, the
-passages read off the record lows of the paths refracted at 0.
-Value curves run as one job over paths x starts x thresholds: a chunk
-samples each path once on the main stream and once on the at-0 anchor
-substream and reads every (x, b) point off those two samples, so one pool
-serves a curve set.  An exact chunk makes one lane-batched sweep per
-stream; an Euler chunk draws one increment matrix per stream and makes one
-recursion pass over it.  Either steps at most BLOCK_LANES lanes at once,
-in blocks of points that share the stream's sample.
+Two engines sit behind every estimator as one sampler and two readers.
+Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
+the one jump draw of levy_model: as event paths for the exact engine
+(sigma = 0), as an (m, k) increment matrix for the Euler engine.
+_chunk_readers is the one dispatch between the engines.  It reads the
+draw as LaneFlows, the discounted flows and passage times of floored
+(path, start, threshold) lanes (path_engine.floored_lane_sweep or
+strategy_engine.euler_lane_flows), and as RecordLows, the record lows of
+the paths refracted at 0 (path_engine.refracted_record_lows or
+strategy_engine.euler_record_lows).  Each estimator reduces those readings
+once, for both engines, and a passage that does not occur before the
+horizon weighs exp(-q * inf) = 0.
 
-Chunking is fixed (CHUNK paths per batch).  Chunk ci draws its m paths at
-once on the stream stream.for_path(ci), as event paths (exact) or as an
-increment matrix (Euler), from the one jump draw of levy_model.  Partial
-results are combined by a fixed-order pairwise tree, so results are
-bit-identical for any worker count.
+Common-random-number threshold curves exploit that the dividend recursion
+below the stopping time does not depend on the threshold once the state is
+translated, so the record lows of one path serve the whole grid, summed
+path by path with np.bincount.  Value curves run as one job over paths x
+starts x thresholds: a chunk draws once on the main stream and once on the
+at-0 anchor substream and reads every (x, b) point off those two draws, so
+one pool serves a curve set.  A run steps at most BLOCK_LANES lanes at
+once, in blocks of points that share the stream's draw.
+
+Chunking is fixed (CHUNK paths per batch).  Partial results are combined
+by a fixed-order pairwise tree, so results are bit-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import chain, islice
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,13 +52,12 @@ from . import path_engine
 from .strategy_engine import (
     StrategyParams,
     apply_strategy_exact,
-    euler_steps,
+    euler_lane_flows,
+    euler_record_lows,
 )
 
 CHUNK = 256
 BLOCK_LANES = 2 ** 16  # (point, path) lanes a value chunk steps at once
-NU_BLOCK_STEPS = 512  # Euler steps whose running minima a nu chunk holds at once
-CENSOR_FACTOR = 10  # Euler censoring horizon multiple: weight exp(-q*dt*10K)
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
 
@@ -144,18 +146,35 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
     return engine
 
 
-# exact engine: threshold-free translated sweep -----------------------------
-
-def _event_paths(spec, horizon, stream, ci, m):
-    """Chunk ci's m event paths, sampled at 0 in one draw on its stream, as
-    an Euler chunk draws its increment matrix."""
-    return sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m)
+class _Readers(NamedTuple):
+    lane_flows: Callable  # (x, b, spliced) -> path_engine.LaneFlows
+    record_lows: Callable  # () -> path_engine.RecordLows
 
 
-def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
-    lows = path_engine.refracted_record_lows(
-        _event_paths(spec, horizon, stream, ci, m), params.alpha,
-        classify_case(spec, params.alpha))
+def _chunk_readers(spec, params, horizon, k, eng, stream, ci, m) -> _Readers:
+    """Chunk ci's m paths, drawn at 0 in one call on stream.for_path(ci): as
+    event paths for the exact engine, as the (m, k) increment matrix for
+    Euler.  Returns the two readings of the draw: the LaneFlows of floored
+    (start, threshold) lanes, and the RecordLows of the paths refracted at
+    0.  Each reader holds the draw alive for as long as it is kept."""
+    if eng == "exact":
+        paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m)
+        case = classify_case(spec, params.alpha)
+        return _Readers(partial(path_engine.floored_lane_sweep, paths, alpha=params.alpha,
+                                case=case, q=params.q),
+                        partial(path_engine.refracted_record_lows, paths, params.alpha, case))
+    if k < 1:
+        raise InvalidParameter("k", "the Euler engine needs a positive step count")
+    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
+    dt = horizon / k
+    return _Readers(partial(euler_lane_flows, incs=incs, alpha=params.alpha, dt=dt, q=params.q),
+                    partial(euler_record_lows, incs, params.alpha, dt))
+
+
+# threshold-free translated sweep --------------------------------------------
+
+def _nu_chunk(draw, params, bgrid_pos, stream, ci, m):
+    lows = draw(stream, ci, m).record_lows()
     nb = len(bgrid_pos)
     # episode k covers the thresholds in [-min(hi, 0), -lo): grid points j0..j1-1
     j0 = np.searchsorted(bgrid_pos, -np.minimum(lows.hi, 0.0), side="left")
@@ -168,46 +187,6 @@ def _exact_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     return (np.bincount(j, weights=w, minlength=nb),
             np.bincount(j, weights=w * w, minlength=nb),
             np.cumsum(np.bincount(jc, minlength=nb + 1))[:nb].astype(float))
-
-
-# Euler engine: threshold-free discrete recursion ---------------------------
-
-def _euler_nu_chunk(spec, params, horizon, k, bgrid_pos, stream, ci, m):
-    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
-    dt = horizon / k
-    q = params.q
-    # running minimum over knots 0..k-1, NU_BLOCK_STEPS at a time from the
-    # carried one; a record is a knot below the previous minimum capped at 0
-    knots = chain([np.zeros(m)], (w for w, _, _ in euler_steps(
-        0.0, incs, 0.0, params.alpha, dt, floor=False)))
-    low, recs = np.full((m, 1), np.inf), []
-    for c0 in range(0, k, NU_BLOCK_STEPS):
-        mins = np.minimum.accumulate(
-            np.column_stack([low] + list(islice(knots, NU_BLOCK_STEPS))), axis=1)
-        caps = np.minimum(mins[:, :-1], 0.0)
-        rows, cols = np.nonzero(mins[:, 1:] < caps)
-        recs.append((rows, cols + c0, mins[rows, cols + 1], caps[rows, cols]))
-        low = mins[:, -1:]
-    rows, cols, rec_lo, rec_hi = (np.concatenate(r) for r in zip(*recs))
-    order = np.lexsort((cols, rows))  # row-major, the order of the adds below
-    cols, rec_lo, rec_hi = cols[order], rec_lo[order], rec_hi[order]
-    nb = len(bgrid_pos)
-    dw = np.zeros(nb + 1)
-    dw2 = np.zeros(nb + 1)
-    dcens = np.zeros(nb + 1)
-    j0 = np.searchsorted(bgrid_pos, -rec_hi, side="left")
-    j1 = np.searchsorted(bgrid_pos, -rec_lo, side="left")
-    wrec = np.exp(-q * dt * cols)
-    np.add.at(dw, j0, wrec)
-    np.add.at(dw, j1, -wrec)
-    np.add.at(dw2, j0, wrec * wrec)
-    np.add.at(dw2, j1, -wrec * wrec)
-    wc = math.exp(-q * dt * CENSOR_FACTOR * k)
-    jc = np.searchsorted(bgrid_pos, -low[:, 0], side="left")
-    np.add.at(dw, jc, wc)
-    np.add.at(dw2, jc, wc * wc)
-    np.add.at(dcens, jc, 1.0)
-    return dw, dw2, dcens
 
 
 def _finalize_curve(bgrid, sums, n, mode, stream_id):
@@ -257,13 +236,8 @@ def nu_curve(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
                        stream_id=stream.id)
     if mode != "crn":
         raise InvalidParameter("mode", "mode must be crn or independent")
-    if eng == "exact":
-        worker = partial(_exact_nu_chunk, spec, params, horizon, bpos, stream)
-    else:
-        worker = partial(_euler_nu_chunk, spec, params, horizon, k, bpos, stream)
-    sums = _run_chunks(n, worker, threads)
-    if eng == "euler":
-        sums = tuple(np.cumsum(d)[:-1] for d in sums)
+    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
+    sums = _run_chunks(n, partial(_nu_chunk, draw, params, bpos, stream), threads)
     return _finalize_curve(bgrid, sums, n, "crn", stream.id)
 
 
@@ -342,40 +316,12 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 
 # randomized passage clock --------------------------------------------------
 
-def _exact_clock_chunk(spec, params, x, horizon, stream, ci, m):
-    fl = path_engine.floored_lane_sweep(
-        _event_paths(spec, horizon, stream, ci, m), [x], [params.b], [False],
-        params.alpha, classify_case(spec, params.alpha), params.q)
+def _clock_chunk(draw, params, x, stream, ci, m):
+    fl = draw(stream, ci, m).lane_flows([x], [params.b], [False])
     strict, weak = fl.kappa_strict[0], fl.t_weak[0]
     ws = np.exp(-params.q * strict)  # exp(-q * inf) = 0
     ww = np.exp(-params.q * weak)
     ncens = float(np.sum((strict == math.inf) | (weak == math.inf)))
-    acc = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
-                      (ws * ww).sum()])
-    return acc, np.asarray([ncens])
-
-
-def _euler_clock_chunk(spec, params, x, horizon, k, stream, ci, m):
-    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
-    dt = horizon / k
-    q = params.q
-    kstrict = np.full(m, -1)
-    kweak = np.full(m, -1)
-    steps = euler_steps(x, incs, params.b, params.alpha, dt, floor=False)
-    for j, (y, _, _) in enumerate(steps, start=1):
-        kstrict[(y < 0.0) & (kstrict < 0)] = j
-        kweak[(y <= 0.0) & (kweak < 0)] = j
-    if x < 0:
-        kstrict[:] = 0
-        kweak[:] = 0
-    elif x == 0:
-        kweak[:] = 0
-    cap = CENSOR_FACTOR * k
-    ks = np.where(kstrict < 0, cap, kstrict)
-    kw = np.where(kweak < 0, cap, kweak)
-    ws = np.exp(-q * dt * ks)
-    ww = np.exp(-q * dt * kw)
-    ncens = float(np.sum((kstrict < 0) | (kweak < 0)))
     acc = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
                       (ws * ww).sum()])
     return acc, np.asarray([ncens])
@@ -389,12 +335,9 @@ def _clock_moments(params, spec, x, horizon, k, n, stream, engine, threads):
         raise InvalidParameter(
             "engine", "the Euler clock cannot stay at b = 0 on a Case-2 model; "
                       "use the exact engine")
-    if eng == "exact":
-        worker = partial(_exact_clock_chunk, spec, params, x, horizon, stream)
-    else:
-        worker = partial(_euler_clock_chunk, spec, params, x, horizon, k, stream)
-    acc, cens = _run_chunks(n, worker, threads)
-    return acc, float(cens[0]) / n, eng
+    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
+    acc, cens = _run_chunks(n, partial(_clock_chunk, draw, params, x, stream), threads)
+    return acc, float(cens[0]) / n
 
 
 def estimate_underline_nu(x: float, bstar: float, p: float,
@@ -406,17 +349,15 @@ def estimate_underline_nu(x: float, bstar: float, p: float,
 
     The clock is the strict passage below 0 of the refracted process with
     probability p and the weak passage otherwise; the expectation over the
-    randomization is taken in closed form.  The exact engine reads both off
-    the lane-batched floored sweep, which gives the kappa_strict and t_weak
-    of first_passage_times.
+    randomization is taken in closed form.  Both are read off the chunk's
+    LaneFlows: on the exact engine the kappa_strict and t_weak of
+    first_passage_times, on the Euler engine the knot times of the first
+    injection and the first visit to 0.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter("p", "probability must lie in [0, 1]")
     pp = replace(params, b=float(bstar))
-    eng = _engine_for(spec, engine)
-    if eng == "euler" and k <= 0:
-        raise InvalidParameter("k", "Euler engine needs a positive step count")
-    acc, cfr, eng = _clock_moments(pp, spec, x, horizon, k, n, stream, engine, threads)
+    acc, cfr = _clock_moments(pp, spec, x, horizon, k, n, stream, engine, threads)
     beta = params.beta
     sws, sws2, sww, sww2, swsww = acc
     mean = beta * (p * sws + (1 - p) * sww) / n
@@ -440,8 +381,7 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
     solved and clamped to [0, 1].
     """
     pp = replace(params, b=float(bstar))
-    acc, cfr, eng = _clock_moments(pp, spec, bstar, horizon, k, n, stream,
-                                   engine, threads)
+    acc, cfr = _clock_moments(pp, spec, bstar, horizon, k, n, stream, engine, threads)
     beta = params.beta
     sws, sws2, sww, sww2, _ = acc
     es = sws / n
@@ -481,14 +421,13 @@ def _in_blocks(points, m, block_sums):
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
-def _exact_run_sums(spec, params, horizon, k, stream, points, ci, m):
-    paths = _event_paths(spec, horizon, stream, ci, m)
-    case = classify_case(spec, params.alpha)
+def _run_sums(draw, params, stream, points, ci, m):
+    lane_flows = draw(stream, ci, m).lane_flows
     q = params.q
 
     def block_sums(block):
         x, b, spliced = (np.array(c) for c in zip(*block))
-        fl = path_engine.floored_lane_sweep(paths, x, b, spliced, params.alpha, case, q)
+        fl = lane_flows(x, b, spliced)
         # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
         stop = np.where(spliced[:, None], fl.t_weak, math.inf)
         cens = np.sum(stop == math.inf, axis=1, dtype=float) * spliced
@@ -497,37 +436,12 @@ def _exact_run_sums(spec, params, horizon, k, stream, points, ci, m):
     return _in_blocks(points, m, block_sums)
 
 
-def _euler_run_sums(spec, params, horizon, k, stream, points, ci, m):
-    # one recursion pass per block steps every point: row j of each (J, m)
-    # array is point j; a block reuses the run's increment matrix
-    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
-    dt = horizon / k
-    q, beta = params.q, params.beta
-
-    def block_sums(block):
-        x, b, spliced = (np.array(c)[:, None] for c in zip(*block))
-        w = np.zeros((len(block), m))
-        stopped = np.zeros(w.shape, dtype=bool)
-        splice_d = np.zeros(w.shape)
-        steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
-        for step, (state, dl, dr) in enumerate(steps, start=1):
-            disc = math.exp(-q * dt * step)
-            # spliced points stop at the first weak visit to 0
-            hit = (state <= 0.0) & spliced
-            splice_d[hit & ~stopped] = disc
-            w += ~stopped * disc * (dl - beta * dr)
-            stopped |= hit
-        return _moment_rows(w, splice_d), np.sum(~stopped & spliced, axis=1, dtype=float)
-
-    return _in_blocks(points, m, block_sums)
-
-
-def _value_chunk(run_sums, spec, params, horizon, k, runs, ci, m):
-    # the runs sample one after the other, so an Euler chunk holds one
-    # (m, k) increment matrix at a time; an empty run samples nothing
+def _value_chunk(draw, params, runs, ci, m):
+    # the runs draw one after the other, so an Euler chunk holds one (m, k)
+    # increment matrix at a time; an empty run draws nothing
     out = ()
     for stream, points in runs:
-        out += (run_sums(spec, params, horizon, k, stream, points, ci, m)
+        out += (_run_sums(draw, params, stream, points, ci, m)
                 if points else (np.zeros((0, 5)), np.zeros(0)))
     return out
 
@@ -559,9 +473,8 @@ def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, thread
     starts = tuple(dict.fromkeys((x, b, spliced) for x, b in points if x > 0))
     anchors = tuple(dict.fromkeys((0.0, b, False) for x, b in points
                                   if x <= 0 or spliced))
-    run_sums = _exact_run_sums if eng == "exact" else _euler_run_sums
-    worker = partial(_value_chunk, run_sums, spec, params, horizon, k,
-                     ((stream, starts), (anchor_stream, anchors)))
+    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
+    worker = partial(_value_chunk, draw, params, ((stream, starts), (anchor_stream, anchors)))
     acc, cens, acc0, cens0 = _run_chunks(n, worker, threads)
     v0 = {b: _direct_estimate(s, c, n, anchor_stream.id)
           for (_, b, _), s, c in zip(anchors, acc0, cens0)}

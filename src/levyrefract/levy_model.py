@@ -27,6 +27,10 @@ class InvalidParameter(ValueError):
         self.field_name = field_name
         super().__init__(message or f"invalid parameter: {field_name}")
 
+    def __reduce__(self):
+        # raised in a worker process, it comes back with its field name
+        return type(self), (self.field_name, str(self))
+
 
 class InfiniteNegativeMean(ValueError):
     """The negative-jump mark law has no finite mean.
@@ -61,8 +65,8 @@ class MarkDistribution:
     """Law of a positive jump size, before the component sign is applied.
 
     Subclasses provide the mean, the truncated mean E[M 1{M<1}] used by the
-    drift compensation, the characteristic function E[exp(iuM)], the CDF,
-    and inverse-CDF sampling.
+    drift compensation, the characteristic function E[exp(iuM)], and
+    inverse-CDF sampling.
     """
 
     def mean(self) -> float:
@@ -74,9 +78,6 @@ class MarkDistribution:
 
     def char(self, u):
         """E[exp(i u M)] for real u (scalar or array)."""
-        raise NotImplementedError
-
-    def cdf(self, x):
         raise NotImplementedError
 
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -109,9 +110,6 @@ class Uniform(MarkDistribution):
         out[nz] = (np.exp(iu * self.b) - np.exp(iu * self.a)) / (iu * (self.b - self.a))
         return out if out.shape else complex(out)
 
-    def cdf(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.a) / (self.b - self.a), 0.0, 1.0)
-
     def sample(self, n, rng):
         return self.a + (self.b - self.a) * rng.random(n)
 
@@ -134,10 +132,6 @@ class Exponential(MarkDistribution):
         u = np.asarray(u, dtype=float)
         out = self.rho / (self.rho - 1j * u)
         return out if out.shape else complex(out)
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 0.0, 1.0 - np.exp(-self.rho * np.maximum(x, 0.0)))
 
     def sample(self, n, rng):
         # inverse CDF keeps the draw count per mark fixed at one uniform
@@ -179,10 +173,6 @@ class Weibull(MarkDistribution):
             out[i] = re + 1j * im
         return out[0] if scalar else out
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x <= 0, 0.0, -np.expm1(-((np.maximum(x, 0.0) / self.scale) ** self.shape)))
-
     def sample(self, n, rng):
         return self.scale * (-np.log1p(-rng.random(n))) ** (1.0 / self.shape)
 
@@ -220,12 +210,6 @@ class HyperExponential(MarkDistribution):
         out = sum(w * (r / (r - 1j * u)) for w, r in zip(self.weights, self.rates))
         return out if np.shape(out) else complex(out)
 
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        pos = np.maximum(x, 0.0)
-        val = sum(w * (1.0 - np.exp(-r * pos)) for w, r in zip(self.weights, self.rates))
-        return np.where(x <= 0, 0.0, val)
-
     def sample(self, n, rng):
         comp = rng.choice(len(self.rates), size=n, p=np.asarray(self.weights))
         rates = np.asarray(self.rates)[comp]
@@ -249,9 +233,6 @@ class PointMass(MarkDistribution):
         u = np.asarray(u, dtype=float)
         out = np.exp(1j * u * self.c)
         return out if out.shape else complex(out)
-
-    def cdf(self, x):
-        return (np.asarray(x, dtype=float) >= self.c).astype(float)
 
     def sample(self, n, rng):
         return np.full(n, self.c)
@@ -301,7 +282,6 @@ class JumpDiffusionSpec:
 class ValidationReport:
     ok: bool
     negative_jump_mean: float
-    notes: tuple = ()
 
 
 def validate_spec(spec: JumpDiffusionSpec) -> ValidationReport:

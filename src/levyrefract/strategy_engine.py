@@ -7,7 +7,10 @@ transform: apply_strategy_exact returns the swept path itself, which the
 property oracle reads directly, and only sample-path samples it onto knots
 (ControlledTrajectory.from_exact).  The Monte Carlo estimators run the
 lane-batched sweep instead.  The Euler engine runs the discrete
-three-branch recursion on a time grid.
+three-branch recursion on a time grid (euler_steps), and its two readers
+give the estimators what the two lane sweeps of path_engine give them on
+event paths: euler_lane_flows the LaneFlows of floored lanes, and
+euler_record_lows the RecordLows of the paths refracted at 0.
 """
 
 from __future__ import annotations
@@ -35,6 +38,8 @@ from .path_engine import (
     BRANCH_INTERIOR,
     RefractedPath,
 )
+
+NU_BLOCK_STEPS = 512  # knots whose running minima euler_record_lows holds at once
 
 
 @dataclass(frozen=True)
@@ -136,8 +141,8 @@ def first_passage_times(traj: RefractedPath) -> PassageTimes:
     t_weak is the first lump or knot where the path sits at 0, its first
     visit.  These are the strict and weak clocks of the randomized passage
     and the splice time of the value estimators, which read the same times
-    off path_engine.floored_lane_sweep.  The Euler clock reads its passages
-    off the recursion itself.
+    off path_engine.floored_lane_sweep (euler_lane_flows on the Euler
+    engine).
     """
     lumps = traj.r_atom_t[traj.r_atom > 0]
     lump = float(lumps[0]) if lumps.size else math.inf
@@ -164,28 +169,106 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
     otherwise both accounts carry over.  Ties fall to the carry-over branch.
 
     Before applying step j the generator yields (state, dl, dr): the state
-    and the dividend and injection steps.  Without floor, dr stays 0.
+    and the dividend and injection steps.  Without floor, dr stays 0.  Every
+    step is computed in place, so the yielded arrays are overwritten at the
+    next step: a reader that keeps one must copy it.
     """
     m, k = increments.shape
     xhat = np.full(m, -0.0)  # -0.0 + a == a bit for bit, as in np.cumsum
     lhat = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(b), (m,)))
-    rhat = lhat + np.where(x < 0.0, -x, 0.0) if floor else None
-    dr = np.zeros_like(lhat)
+    rhat = lhat + np.where(x < 0.0, -x, 0.0)
+    state, dl, dr, newr = (np.zeros_like(lhat) for _ in range(4))
+    s = np.empty_like(lhat) if floor else state
+    flag = np.empty(lhat.shape, dtype=bool)
+    # masked stores by np.putmask: a ufunc with where= runs several times slower
     for j in range(1, k):
         xhat += increments[:, j - 1]
-        state = x + xhat - lhat
-        s = state + rhat if floor else state
+        np.add(x, xhat, out=state)
+        state -= lhat
+        if floor:
+            np.add(state, rhat, out=s)
         if alpha == math.inf:
-            dl = np.where(s > b, s - b, 0.0)
+            np.subtract(s, b, out=dl)
+            np.putmask(dl, np.less_equal(s, b, out=flag), 0.0)
         else:
-            dl = np.where(s > b, alpha * dt, 0.0)
+            np.multiply(np.greater(s, b, out=flag), alpha * dt, out=dl)
         if floor:
-            newr = np.where(s < 0.0, -state, rhat)
-            dr = newr - rhat
+            # R-hat becomes -state where s < 0; dr is its change
+            np.negative(state, out=newr)
+            np.putmask(newr, np.greater_equal(s, 0.0, out=flag), rhat)
+            np.subtract(newr, rhat, out=dr)
+            rhat, newr = newr, rhat
         yield state, dl, dr
-        lhat = lhat + dl
-        if floor:
-            rhat = newr
+        lhat += dl
+
+
+def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
+                     q: float) -> path_engine.LaneFlows:
+    """The floored recursion on every (start, threshold) lane at once, read
+    as path_engine.floored_lane_sweep reads the exact sweep.
+
+    Lane (j, i) runs row i of incs from x[j] with threshold b[j]; x, b and
+    spliced have length J, and each field has shape (J, m).  Step j is paid
+    at its knot time j * dt, discounted at exp(-q j dt), and it is the
+    passage time when it holds the lane's first injection (kappa_strict) or
+    its first state at or below 0 (t_weak); math.inf when none does.  A start
+    below 0 is topped up at time 0, undiscounted, and passes both ways at
+    time 0; a start at 0 visits 0 at time 0.  A spliced lane halts its flows
+    at its weak passage, that step's flows included.
+    """
+    x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
+    zeros = np.zeros((len(x), incs.shape[0]))
+    dl = zeros.copy()
+    dr = zeros + np.where(x < 0.0, -x, 0.0)
+    kappa = zeros + np.where(x < 0.0, 0.0, math.inf)
+    weak = zeros + np.where(x <= 0.0, 0.0, math.inf)
+    # the passages still to come, and the lanes whose flows still run
+    open_k, open_w = kappa == math.inf, weak == math.inf
+    free = ~spliced
+    live = free | open_w
+    disc, paid, hit = np.empty(zeros.shape), np.empty(zeros.shape), np.empty(zeros.shape, bool)
+    steps = euler_steps(x, incs, b, alpha, dt, floor=True)
+    for j, (state, step_l, step_r) in enumerate(steps, start=1):
+        t = dt * j
+        np.multiply(live, math.exp(-q * t), out=disc)
+        dl += np.multiply(step_l, disc, out=paid)
+        dr += np.multiply(step_r, disc, out=paid)
+        np.logical_and(open_k, np.greater(step_r, 0.0, out=hit), out=hit)
+        np.copyto(kappa, t, where=hit)
+        open_k ^= hit
+        np.logical_and(open_w, np.less_equal(state, 0.0, out=hit), out=hit)
+        np.copyto(weak, t, where=hit)
+        open_w ^= hit
+        np.logical_or(free, open_w, out=live)
+    return path_engine.LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=weak)
+
+
+def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.RecordLows:
+    """The record lows of the unfloored recursion refracted at 0 and started
+    at 0, one path per row of incs, as path_engine.refracted_record_lows
+    reads the exact paths.
+
+    Knot 0 is 0.  A knot below the minimum of the knots before it is a
+    record: a jump episode from that minimum down to the knot, first reached
+    at t0 = dt * knot (invrate 0).  The running minimum is taken over blocks
+    of NU_BLOCK_STEPS knots, into which each yielded state is copied.
+    """
+    m, k = incs.shape
+    steps = euler_steps(0.0, incs, 0.0, alpha, dt, floor=False)
+    block = np.zeros((min(NU_BLOCK_STEPS, k) + 1, m))  # row 0: the minimum so far
+    recs = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 2]
+    for c0 in range(1, k, NU_BLOCK_STEPS):
+        width = min(NU_BLOCK_STEPS, k - c0)
+        for c, (state, _, _) in zip(range(1, width + 1), steps):
+            block[c] = state
+        mins = np.minimum.accumulate(block[:width + 1], axis=0)
+        step, path = np.nonzero(mins[1:] < mins[:-1])
+        recs.append((path, c0 + step, mins[step + 1, path], mins[step, path]))
+        block[0] = mins[-1]
+    path, knot, lo, hi = (np.concatenate(c) for c in zip(*recs))
+    order = np.argsort(path, kind="stable")  # path-major, knots ascending
+    return path_engine.RecordLows(path[order], lo[order], hi[order], dt * knot[order],
+                                  np.zeros(path.size), block[0].copy())
 
 
 def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,

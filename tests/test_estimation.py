@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,14 +9,15 @@ from levyrefract.levy_model import (
     EXACT, EventPath, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
     Weibull, _grid_increment_matrix, classify_case, net_drift, sample_path,
 )
-from levyrefract import estimation, path_engine
+from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refract_exact, refracted_record_lows
 from levyrefract.strategy_engine import (
-    StrategyParams, apply_strategy_exact, euler_steps, first_passage_times,
+    StrategyParams, apply_strategy_exact, euler_lane_flows, euler_record_lows,
+    euler_steps, first_passage_times,
 )
 from levyrefract.estimation import (
-    DegenerateDenominator, NoCrossing, _euler_run_sums, _exact_clock_chunk,
-    _exact_run_sums, _pav_nonincreasing,
+    DegenerateDenominator, NoCrossing, _chunk_readers, _clock_chunk, _nu_chunk,
+    _pav_nonincreasing, _run_sums,
     estimate_nu, estimate_underline_nu, estimate_value, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
@@ -28,6 +30,20 @@ BETA = 1.5
 
 def params(b=1.0, alpha=0.5):
     return StrategyParams(b=b, alpha=alpha, beta=BETA, q=Q)
+
+
+def draw(spec, pp, horizon, k=0, engine="exact"):
+    """The estimators' chunk draw with its two readers."""
+    return partial(_chunk_readers, spec, pp, horizon, k, engine)
+
+
+def chunk_paths(spec, horizon, stream, ci, m):
+    """Chunk ci's exact paths, as _chunk_readers draws them."""
+    return sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m)
+
+
+def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
+    return _nu_chunk(draw(spec, pp, horizon), pp, grid, stream, ci, m)
 
 
 class TestPassageTransform:
@@ -193,7 +209,7 @@ class TestExactClockChunk:
         ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
         want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
                            (ws * ww).sum()])
-        acc, cens = _exact_clock_chunk(ref_spec_bv, pp, x, 8.0, stream, 3, 24)
+        acc, cens = _clock_chunk(draw(ref_spec_bv, pp, 8.0), pp, x, stream, 3, 24)
         assert acc.tobytes() == want.tobytes()
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
 
@@ -237,7 +253,6 @@ class TestEulerClock:
             estimate_underline_nu(0.0, 0.0, 0.5, pp, drift_only(0.3), self.T,
                                   8, RngStream(126, tag=1), k=self.K,
                                   engine="euler")
-        # T = 40 makes the Euler censoring weight negligible
         exact, euler = (
             estimate_underline_nu(0.0, 0.0, 0.5, params(b=0.0, alpha=0.2),
                                   drift_only(0.3), 40.0, 8,
@@ -257,6 +272,56 @@ class TestEulerClock:
             return est, p
 
         assert run(1) == run(2)
+
+
+class TestSharedNoise:
+    """At sigma = 0 an Euler chunk runs the exact chunk's paths binned to
+    its grid, and both engines give a passage missed before T the weight 0,
+    so on one stream the engines differ by the grid alone."""
+
+    @pytest.fixture(scope="class")
+    def gaps(self, ref_spec_bv):
+        pp = params(alpha=0.5)
+        stream = RngStream(3, tag=1)
+        grid = np.round(np.arange(0.0, 3.5, 0.1), 10)
+        clocks = [(x, 1.0, 0.5) for x in (0.5, 2.0)]
+
+        def run(k, engine):
+            nu = nu_curve(pp, ref_spec_bv, grid, 5.0, k, 512, stream, engine=engine)
+            clock = [estimate_underline_nu(x, b, p, pp, ref_spec_bv, 5.0, 512, stream,
+                                           k=k, engine=engine).mean for x, b, p in clocks]
+            return nu.values, np.array(clock)
+
+        exact = run(0, "exact")
+        return {k: [np.max(np.abs(eu - ex)) for eu, ex in zip(run(k, "euler"), exact)]
+                for k in (200, 2000)}
+
+    @pytest.mark.parametrize("reading", [0, 1], ids=["nu_curve", "underline_nu"])
+    def test_the_gap_closes_with_the_step_count(self, gaps, reading):
+        assert gaps[2000][reading] <= 0.005
+        assert gaps[2000][reading] < gaps[200][reading]
+
+
+STEPLESS_EULER_CALLS = {
+    "solve_pstar": lambda s, st: solve_pstar(params(), s, 1.0, 5.0, 64, st, k=0),
+    "nu_curve": lambda s, st: nu_curve(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
+    "find_bstar": lambda s, st: find_bstar(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
+    "estimate_nu": lambda s, st: estimate_nu(1.0, params(), s, 5.0, 0, 64, st),
+    "value_curve": lambda s, st: value_curve([0.5], 1.0, params(), s, 5.0, 0, 64, st),
+    "estimate_value": lambda s, st: estimate_value(0.5, 1.0, params(), s, 5.0, 0, 64, st),
+    "estimate_underline_nu": lambda s, st: estimate_underline_nu(
+        0.5, 1.0, 0.5, params(), s, 5.0, 64, st, k=0),
+    # two chunks on two workers: the error crosses the process boundary
+    "value_curve-2-workers": lambda s, st: value_curve(
+        [0.5], 1.0, params(), s, 5.0, 0, 300, st, threads=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPLESS_EULER_CALLS))
+def test_euler_estimators_refuse_a_grid_without_steps(ref_spec_gauss, name):
+    with pytest.raises(InvalidParameter) as err:
+        STEPLESS_EULER_CALLS[name](ref_spec_gauss, RngStream(142, tag=1))
+    assert err.value.field_name == "k"
 
 
 class TestValueEstimates:
@@ -323,30 +388,28 @@ class TestValueEstimates:
         assert text.splitlines()[1].endswith(",direct")
 
 
-def per_point_run_sums(spec, params, horizon, k, stream, points, ci, m):
-    """The per-point loop: one recursion pass for each (x, b) point, the
-    reference for the one-pass run sums."""
-    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
-    dt = horizon / k
-    q, beta = params.q, params.beta
-    acc = np.zeros((len(points), 5))
-    cens = np.zeros(len(points))
-    for j, (x, b, spliced) in enumerate(points):
-        w = np.zeros(m)
-        stopped = np.zeros(m, dtype=bool)
-        splice_d = np.zeros(m)
-        steps = euler_steps(x, incs, b, params.alpha, dt, floor=True)
-        for step, (state, dl, dr) in enumerate(steps, start=1):
-            disc = math.exp(-q * dt * step)
-            if spliced:
-                splice_d[(state <= 0.0) & ~stopped] = disc
-            w += ~stopped * disc * (dl - beta * dr)
-            if spliced:
-                stopped |= (state <= 0.0)
-        cens[j] = float(np.sum(~stopped)) if spliced else 0.0
-        acc[j] = (w.sum(), (w * w).sum(), splice_d.sum(),
-                  (splice_d * splice_d).sum(), (w * splice_d).sum())
-    return acc, cens
+def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q):
+    """The per-point reference of euler_lane_flows: one recursion pass for
+    each (x, b) point, read step by step with masks, as (J, m) arrays of
+    (dl, dr, kappa_strict, t_weak)."""
+    out = []
+    for x, b, halts in zip(xs, bs, spliced):
+        m = incs.shape[0]
+        dl = np.zeros(m)
+        dr = np.full(m, -x if x < 0.0 else 0.0)
+        kappa = np.full(m, 0.0 if x < 0.0 else math.inf)
+        weak = np.full(m, 0.0 if x <= 0.0 else math.inf)
+        steps = euler_steps(x, incs, b, alpha, dt, floor=True)
+        for j, (state, step_l, step_r) in enumerate(steps, start=1):
+            t = dt * j
+            disc = math.exp(-q * t)
+            live = (weak == math.inf) | (not halts)
+            dl[live] += step_l[live] * disc
+            dr[live] += step_r[live] * disc
+            weak[(state <= 0.0) & (weak == math.inf)] = t
+            kappa[(step_r > 0.0) & (kappa == math.inf)] = t
+        out.append((dl, dr, kappa, weak))
+    return tuple(np.array(f) for f in zip(*out))
 
 
 class TestEulerRunSums:
@@ -355,27 +418,34 @@ class TestEulerRunSums:
     @pytest.mark.parametrize("k", [50, 400])
     def test_one_pass_equals_per_point_loop_bitwise(self, ref_spec_gauss, k,
                                                     spliced, alpha, monkeypatch):
+        """euler_lane_flows reads every point off one recursion pass; each
+        of its four fields equals the per-point loop bit for bit."""
         # starts below 0, at 0, at b, above b, and a shared start
-        points = [(x, b, spliced) for x, b in
-                  [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2),
-                   (1.2, 1.2), (2.5, 1.2), (0.6, 2.0)]]
-        pp = params(b=1.2, alpha=alpha)
-        stream = RngStream(140, tag=3)
-        want = per_point_run_sums(ref_spec_gauss, pp, 5.0, k, stream, points, 1, 256)
+        xs, bs = zip(*[(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2),
+                       (1.2, 1.2), (2.5, 1.2), (0.6, 2.0)])
+        halts = [spliced] * len(xs)
+        incs = _grid_increment_matrix(ref_spec_gauss, 5.0, k, 256,
+                                      RngStream(140, tag=3).for_path(1).generator())
+        want = per_point_lane_flows(xs, bs, halts, incs, alpha, 5.0 / k, Q)
         passes = []
 
         def counted(*args, **kw):
             passes.append(args)
             return euler_steps(*args, **kw)
 
-        monkeypatch.setattr(estimation, "euler_steps", counted)
-        got = _euler_run_sums(ref_spec_gauss, pp, 5.0, k, stream, points, 1, 256)
+        monkeypatch.setattr(strategy_engine, "euler_steps", counted)
+        got = euler_lane_flows(xs, bs, halts, incs, alpha, 5.0 / k, Q)
         assert len(passes) == 1  # one recursion pass serves every point
-        assert got[0].shape == (len(points), 5)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
-        if spliced:
-            assert got[1].sum() < len(points) * 256
+        for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak), want):
+            assert g.shape == (len(xs), 256)
+            assert g.tobytes() == w.tobytes()
+        assert np.all(got.t_weak <= got.kappa_strict)
+        # lanes that start above 0 pass and miss both ways before T
+        for t in (got.kappa_strict[3:], got.t_weak[3:]):
+            assert np.any(t < math.inf) and np.any(t == math.inf)
+        if spliced:  # a halted lane adds no flow after its weak passage
+            assert np.array_equal(got.dl[0], np.zeros(256))
+            assert np.array_equal(got.dr[0], np.full(256, 0.4))
 
 
 class TestValueBlocks:
@@ -389,10 +459,10 @@ class TestValueBlocks:
         points = [(x, b, spliced) for x, b in
                   [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2), (1.2, 1.2),
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
-        spec, run_sums = ((ref_spec_bv, _exact_run_sums) if engine == "exact"
-                          else (ref_spec_gauss, _euler_run_sums))
-        args = (spec, params(b=1.2), 5.0, 100, RngStream(141, tag=3), points, 1, 128)
-        want = run_sums(*args)
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        pp = params(b=1.2)
+        args = (draw(spec, pp, 5.0, 100, engine), pp, RngStream(141, tag=3), points, 1, 128)
+        want = _run_sums(*args)
         draws = []
 
         def counted(*a, **kw):
@@ -401,7 +471,7 @@ class TestValueBlocks:
 
         monkeypatch.setattr(estimation, "_grid_increment_matrix", counted)
         monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
-        got = run_sums(*args)
+        got = _run_sums(*args)
         assert len(draws) == (engine == "euler")
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
@@ -526,11 +596,11 @@ class TestExactNuChunk:
         grid = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 12.0, 60))))
         pp = params(alpha=alpha)
         stream = RngStream(160 + seed, tag=4)
-        got = estimation._exact_nu_chunk(spec, pp, self.H, grid, stream, seed, 48)
+        got = exact_nu_chunk(spec, pp, self.H, grid, stream, seed, 48)
         want = scalar_nu_chunk(spec, pp, self.H, grid, stream, seed, 48)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-        paths = estimation._event_paths(spec, self.H, stream, seed, 48)
+        paths = chunk_paths(spec, self.H, stream, seed, 48)
         assert_lows_match_scalar(paths, alpha, classify_case(spec, alpha))
 
     @pytest.mark.parametrize("alpha", [0.3, math.inf])
@@ -542,11 +612,11 @@ class TestExactNuChunk:
                                  jump_components=((1.0, 1, Uniform(0.0, 1.0)),))
         grid = np.array([0.0, 0.5, 2.0])
         stream = RngStream(170, tag=4)
-        paths = estimation._event_paths(spec, self.H, stream, 0, 16)
+        paths = chunk_paths(spec, self.H, stream, 0, 16)
         assert assert_lows_match_scalar(
             paths, alpha, classify_case(spec, alpha)).path.size == 0
-        sw, sw2, cens = estimation._exact_nu_chunk(spec, params(alpha=alpha), self.H,
-                                                   grid, stream, 0, 16)
+        sw, sw2, cens = exact_nu_chunk(spec, params(alpha=alpha), self.H,
+                                       grid, stream, 0, 16)
         assert np.array_equal(sw, np.zeros(3)) and np.array_equal(sw2, np.zeros(3))
         assert np.array_equal(cens, np.full(3, 16.0))
 
@@ -554,7 +624,7 @@ class TestExactNuChunk:
     def test_paths_without_events(self, delta):
         grid = np.array([0.0, 1.0, 9.0, 11.0])
         args = (drift_only(delta), params(alpha=0.3), self.H, grid, RngStream(171, tag=4))
-        got = estimation._exact_nu_chunk(*args, 0, 4)
+        got = exact_nu_chunk(*args, 0, 4)
         for g, w in zip(got, scalar_nu_chunk(*args, 0, 4)):
             assert np.array_equal(g, w)
         if delta < 0:  # at -0.5 the path reaches -10 at the horizon
@@ -569,7 +639,7 @@ class TestExactNuChunk:
     def test_degenerate_grids(self, ref_spec_bv, grid):
         grid = np.array(grid)
         args = (ref_spec_bv, params(alpha=0.3), self.H, grid, RngStream(172, tag=4))
-        got = estimation._exact_nu_chunk(*args, 0, 24)
+        got = exact_nu_chunk(*args, 0, 24)
         for g, w in zip(got, scalar_nu_chunk(*args, 0, 24)):
             assert g.shape == grid.shape and np.array_equal(g, w)
         curve = nu_curve(params(alpha=0.3), ref_spec_bv, np.array([-1.0, -0.5]),
@@ -587,9 +657,9 @@ class TestExactNuChunk:
         case = classify_case(drift_only(-d), 0.5)
         assert_lows_match_scalar(paths, 0.5, case)
         grid = np.array([0.0, 0.7, 1.5, 2.0, 3.4, 4.0, 6.5, 8.0])
-        monkeypatch.setattr(estimation, "_event_paths", lambda *args: paths)
-        sw, sw2, cens = estimation._exact_nu_chunk(drift_only(-d), params(alpha=0.5), 10.0,
-                                                   grid, RngStream(174, tag=4), 0, 2)
+        monkeypatch.setattr(estimation, "sample_path", lambda *args: paths)
+        sw, sw2, cens = exact_nu_chunk(drift_only(-d), params(alpha=0.5), 10.0,
+                                       grid, RngStream(174, tag=4), 0, 2)
         first = np.where(grid < 10 * d, np.exp(-Q * grid / d), 0.0)
         second = np.where(grid <= 1.5, np.exp(-Q * grid / d),
                           np.where(grid < 3.5, np.exp(-Q * te),
@@ -610,10 +680,10 @@ class TestExactNuChunk:
         paths = [EventPath(0.0, 10.0, 0.3, np.array([1.0]), np.array([0.2]))]
         lows = assert_lows_match_scalar(paths, 1.0, case)
         assert lows.path.size == 0 and lows.final_min[0] == 0.0
-        monkeypatch.setattr(estimation, "_event_paths", lambda *args: paths)
+        monkeypatch.setattr(estimation, "sample_path", lambda *args: paths)
         grid = np.array([0.0, 0.5])
-        sw, sw2, cens = estimation._exact_nu_chunk(spec, params(alpha=1.0), 10.0, grid,
-                                                   RngStream(175, tag=4), 0, 1)
+        sw, sw2, cens = exact_nu_chunk(spec, params(alpha=1.0), 10.0, grid,
+                                       RngStream(175, tag=4), 0, 1)
         assert np.array_equal(sw, np.zeros(2)) and np.array_equal(sw2, np.zeros(2))
         assert np.array_equal(cens, np.ones(2))
 
@@ -644,13 +714,44 @@ class TestExactNuChunk:
                                   0.5, classify_case(drift_only(-0.5), 0.5))
 
 
+def knot_record_lows(incs, alpha, dt):
+    """The reference of euler_record_lows: every knot of the unfloored
+    recursion in one (m, k) matrix, filled by a plain per-step loop, and the
+    record lows read off each row: (path, lo, hi, t0, final_min)."""
+    m, k = incs.shape
+    knots = np.zeros((m, k))
+    for j, (state, _, _) in enumerate(euler_steps(0.0, incs, 0.0, alpha, dt, floor=False),
+                                      start=1):
+        knots[:, j] = state
+    path, lo, hi, t0 = [], [], [], []
+    final = np.zeros(m)
+    for i in range(m):
+        low = 0.0
+        for j in range(1, k):
+            if knots[i, j] < low:
+                path.append(i)
+                lo.append(knots[i, j])
+                hi.append(low)
+                t0.append(dt * j)
+                low = knots[i, j]
+        final[i] = low
+    return (np.array(path, dtype=int), np.array(lo), np.array(hi), np.array(t0), final)
+
+
 class TestEulerNuBlocks:
     @pytest.mark.parametrize("width", [1, 3, 200])
     def test_block_width_never_changes_a_byte(self, ref_spec_gauss, width, monkeypatch):
-        """The running minimum in blocks of 1, 3 and K = 200 steps."""
-        args = (ref_spec_gauss, params(alpha=0.5), 5.0, 200,
-                np.array([0.0, 0.3, 0.9, 1.6, 3.0]), RngStream(173, tag=4), 1, 64)
-        want = estimation._euler_nu_chunk(*args)
-        monkeypatch.setattr(estimation, "NU_BLOCK_STEPS", width)
-        for g, w in zip(estimation._euler_nu_chunk(*args), want):
-            assert g.tobytes() == w.tobytes()
+        """euler_record_lows with running minima over blocks of 1, 3 and
+        K = 200 knots equals the record lows read off the full knot matrix,
+        bit for bit."""
+        monkeypatch.setattr(strategy_engine, "NU_BLOCK_STEPS", width)
+        incs = _grid_increment_matrix(ref_spec_gauss, 5.0, 200, 64,
+                                      RngStream(173, tag=4).for_path(1).generator())
+        for alpha in (0.5, math.inf):
+            lows = euler_record_lows(incs, alpha, 5.0 / 200)
+            path, lo, hi, t0, final = knot_record_lows(incs, alpha, 5.0 / 200)
+            assert path.size > 64  # most paths set several records
+            for got, want in ((lows.path, path), (lows.lo, lo), (lows.hi, hi),
+                              (lows.t0, t0), (lows.invrate, np.zeros(path.size)),
+                              (lows.final_min, final)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -306,7 +306,9 @@ class TestEulerKernel:
 
     def test_rows_are_independent(self, ref_spec_gauss):
         incs = np.stack([gp.increments for gp in random_grids(ref_spec_gauss)])
-        batch = list(euler_steps(0.3, incs, 1.0, 0.5, 5.0 / 300, floor=True))
+        # the yielded arrays are overwritten at the next step: keep copies
+        batch = [tuple(a.copy() for a in step)
+                 for step in euler_steps(0.3, incs, 1.0, 0.5, 5.0 / 300, floor=True)]
         for i in range(0, len(incs), 7):
             alone = euler_steps(0.3, incs[i:i + 1], 1.0, 0.5, 5.0 / 300, floor=True)
             for got, want in zip(alone, batch):
