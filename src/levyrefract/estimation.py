@@ -317,7 +317,9 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 # randomized passage clock --------------------------------------------------
 
 def _clock_chunk(draw, params, x, stream, ci, m):
-    fl = draw(stream, ci, m).lane_flows([x], [params.b], [False])
+    # halting lanes leave the sweep once both clocks are known; halting
+    # gates only the flows, which the clock does not read
+    fl = draw(stream, ci, m).lane_flows([x], [params.b], [True])
     strict, weak = fl.kappa_strict[0], fl.t_weak[0]
     ws = np.exp(-params.q * strict)  # exp(-q * inf) = 0
     ww = np.exp(-params.q * weak)

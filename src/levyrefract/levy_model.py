@@ -280,7 +280,6 @@ class JumpDiffusionSpec:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    ok: bool
     negative_jump_mean: float
 
 
@@ -305,7 +304,7 @@ def validate_spec(spec: JumpDiffusionSpec) -> ValidationReport:
             raise InfiniteNegativeMean(f"component {i}: mark mean is not finite")
         if comp.sign < 0:
             neg_mean += comp.rate * m
-    return ValidationReport(ok=True, negative_jump_mean=neg_mean)
+    return ValidationReport(negative_jump_mean=neg_mean)
 
 
 def _compensated_drift(spec: JumpDiffusionSpec) -> float:

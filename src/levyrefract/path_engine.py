@@ -14,6 +14,8 @@ Two lane sweeps step many paths through padded event columns
 (_event_columns) at once and record no segment: floored_lane_sweep keeps
 the discounted flows and passage times of floored (path, start, threshold)
 lanes, and refracted_record_lows the record lows of refract_exact at b = 0.
+Lanes holds the lane bookkeeping that floored_lane_sweep shares with the
+Euler lane reader of strategy_engine.
 """
 
 from __future__ import annotations
@@ -357,6 +359,40 @@ class LaneFlows:
     t_weak: np.ndarray
 
 
+class Lanes:
+    """The bookkeeping of a lane sweep.  Lane j * m + i runs path i for
+    point j of nx; the sweep holds the lanes still running in 1-D arrays in
+    id order and drops the done ones once they are at least 1/8 of them.
+    Dropped lanes write their (dl, dr, kappa, weak) readings to a (4, nx * m)
+    output, and the lanes left at the end write theirs in flows."""
+
+    def __init__(self, nx: int, m: int):
+        self.ids = np.arange(nx * m)
+        self.path = self.ids % m  # the path index of each running lane
+        self._out = np.empty((4, nx * m))
+        self._shape = (nx, m)
+
+    def due(self, ndone) -> bool:
+        """Whether ndone done lanes are enough to drop."""
+        return 8 * ndone >= self.ids.size
+
+    def drop(self, done, *fields) -> np.ndarray:
+        """Write out the four fields of the done lanes and forget them.
+        done and the fields may be shaped (nx, m) until the first drop.
+        Returns the 1-D mask of the lanes kept."""
+        done = done.reshape(-1)
+        self._out[:, self.ids[done]] = [f.reshape(-1)[done] for f in fields]
+        keep = ~done
+        self.ids, self.path = self.ids[keep], self.path[keep]
+        return keep
+
+    def flows(self, dl, dr, kappa, weak) -> LaneFlows:
+        """The readings of every lane, those still running given here."""
+        self._out[:, self.ids] = [f.reshape(-1) for f in (dl, dr, kappa, weak)]
+        dl, dr, kappa, weak = self._out.reshape(4, *self._shape)
+        return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
+
+
 def _event_columns(paths):
     """(counts, times, sizes): the events as (ncol, m) columns padded with
     the horizon.  Column counts[i] of path i is its drift to the horizon,
@@ -435,14 +471,12 @@ def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneF
     dcols = np.exp(-q * tcols)
     band = alpha == math.inf
     table = _regime_table(alpha, paths[0].drift, case.is_case2)
-    # lane j * m + i; the arrays hold the lanes still running
-    ids = np.arange(nx * m)
-    path = ids % m
-    end = counts[path]
+    lanes = Lanes(nx, m)
+    end = counts[lanes.path]
     bl = np.repeat(np.asarray(b, dtype=float), m)
     zero_code = np.where(bl > 0.0, 3, 2)
     halt = np.repeat(np.asarray(spliced, dtype=bool), m)
-    z = np.array([p.x0 for p in paths])[path] + np.repeat(np.asarray(x, dtype=float), m)
+    z = np.array([p.x0 for p in paths])[lanes.path] + np.repeat(np.asarray(x, dtype=float), m)
     dl = np.zeros(z.shape)
     if band:
         dl = np.where(z > bl, z - bl, 0.0)
@@ -453,8 +487,8 @@ def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneF
     z = np.maximum(z, 0.0)
     t = np.zeros(z.shape)
     disc = np.ones(z.shape)
-    out = np.empty((4, nx * m))
     for e in range(len(tcols)):
+        path = lanes.path
         te = tcols[e, path]
         t, z, disc, crossed, weak, kappa, inc_l, inc_r = _lane_drift(
             t, z, te, bl, zero_code, table, q, disc, weak, kappa, halt)
@@ -488,17 +522,13 @@ def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneF
         # a lane is done after its drift to the horizon, and a halting lane
         # once both its passage times are known (kappa >= t_weak)
         done = (end <= e) | (halt & (kappa < np.inf))
-        if 8 * np.count_nonzero(done) >= done.size:
-            out[:, ids[done]] = dl[done], dr[done], kappa[done], weak[done]
-            keep = ~done
-            (t, z, disc, dl, dr, weak, kappa, ids, path, end, bl, zero_code,
-             halt) = (a[keep] for a in (t, z, disc, dl, dr, weak, kappa, ids, path,
-                                        end, bl, zero_code, halt))
-            if not ids.size:
+        if lanes.due(np.count_nonzero(done)):
+            keep = lanes.drop(done, dl, dr, kappa, weak)
+            (t, z, disc, dl, dr, weak, kappa, end, bl, zero_code, halt) = (
+                a[keep] for a in (t, z, disc, dl, dr, weak, kappa, end, bl, zero_code, halt))
+            if not lanes.ids.size:
                 break
-    out[:, ids] = dl, dr, kappa, weak
-    dl, dr, kappa, weak = out.reshape(4, nx, m)
-    return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
+    return lanes.flows(dl, dr, kappa, weak)
 
 
 @dataclass(frozen=True)

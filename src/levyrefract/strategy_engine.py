@@ -11,6 +11,13 @@ three-branch recursion on a time grid (euler_steps), and its two readers
 give the estimators what the two lane sweeps of path_engine give them on
 event paths: euler_lane_flows the LaneFlows of floored lanes, and
 euler_record_lows the RecordLows of the paths refracted at 0.
+
+euler_lane_flows shares the lane bookkeeping of the exact sweep
+(path_engine.Lanes): a spliced lane leaves the recursion once both its
+passage times are known, in drops of at least 1/8 of the lanes.
+Direct-method points and the at-0 anchors never stop, so they gain only
+from the calls a step skips once no lane has an open passage.  The lane
+arrays stay within the BLOCK_LANES lanes of an estimation block.
 """
 
 from __future__ import annotations
@@ -172,6 +179,12 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
     and the dividend and injection steps.  Without floor, dr stays 0.  Every
     step is computed in place, so the yielded arrays are overwritten at the
     next step: a reader that keeps one must copy it.
+
+    A reader may drop lanes by sending (keep, path) in place of next():
+    keep masks the lanes of the last step, flattened in row-major order,
+    and path gives the row of increments of each lane kept.  From then on
+    the arrays are 1-D over the kept lanes, and each lane reads its driver
+    from the running sum X-hat of its row.
     """
     m, k = increments.shape
     xhat = np.full(m, -0.0)  # -0.0 + a == a bit for bit, as in np.cumsum
@@ -180,10 +193,13 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
     state, dl, dr, newr = (np.zeros_like(lhat) for _ in range(4))
     s = np.empty_like(lhat) if floor else state
     flag = np.empty(lhat.shape, dtype=bool)
+    drive, path = xhat, None
     # masked stores by np.putmask: a ufunc with where= runs several times slower
     for j in range(1, k):
         xhat += increments[:, j - 1]
-        np.add(x, xhat, out=state)
+        if path is not None:
+            np.take(xhat, path, out=drive)
+        np.add(x, drive, out=state)
         state -= lhat
         if floor:
             np.add(state, rhat, out=s)
@@ -198,8 +214,16 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
             np.putmask(newr, np.greater_equal(s, 0.0, out=flag), rhat)
             np.subtract(newr, rhat, out=dr)
             rhat, newr = newr, rhat
-        yield state, dl, dr
+        sent = yield state, dl, dr
         lhat += dl
+        if sent is not None:
+            keep, path = sent
+            shape = lhat.shape
+            x, b, lhat, rhat, state, dl, dr, newr, s, flag = (
+                np.broadcast_to(a, shape).reshape(-1)[keep]
+                for a in (x, b, lhat, rhat, state, dl, dr, newr, s, flag))
+            s = s if floor else state
+            drive = np.empty(lhat.shape)
 
 
 def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
@@ -215,32 +239,69 @@ def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
     below 0 is topped up at time 0, undiscounted, and passes both ways at
     time 0; a start at 0 visits 0 at time 0.  A spliced lane halts its flows
     at its weak passage, that step's flows included.
+
+    Only the lanes still running are stepped.  A spliced lane is done once
+    both its passages are known, and the done lanes leave the recursion
+    with the rule and bookkeeping of the exact sweep (path_engine.Lanes):
+    once they are at least 1/8 of the lanes.  Until then a stopped lane
+    adds its steps at weight 0.  The other lanes run to the horizon, so
+    they gain only from the calls skipped once no lane has an open passage.
     """
     x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
-    zeros = np.zeros((len(x), incs.shape[0]))
+    m, k = incs.shape
+    zeros = np.zeros((len(x), m))
     dl = zeros.copy()
     dr = zeros + np.where(x < 0.0, -x, 0.0)
     kappa = zeros + np.where(x < 0.0, 0.0, math.inf)
     weak = zeros + np.where(x <= 0.0, 0.0, math.inf)
+    halt = np.broadcast_to(spliced, zeros.shape)
     # the passages still to come, and the lanes whose flows still run
     open_k, open_w = kappa == math.inf, weak == math.inf
-    free = ~spliced
+    free = ~halt
     live = free | open_w
+    # counts of the open passages, and of the halting lanes that have
+    # stopped their flows and that are done
+    nk, nw = np.count_nonzero(open_k), np.count_nonzero(open_w)
+    stopped, done = np.count_nonzero(~live), np.count_nonzero(halt & ~open_k)
+    lanes = path_engine.Lanes(len(x), m)
     disc, paid, hit = np.empty(zeros.shape), np.empty(zeros.shape), np.empty(zeros.shape, bool)
     steps = euler_steps(x, incs, b, alpha, dt, floor=True)
-    for j, (state, step_l, step_r) in enumerate(steps, start=1):
+    keep = None
+    for j in range(1, k):
+        state, step_l, step_r = steps.send(keep)
+        keep = None
         t = dt * j
-        np.multiply(live, math.exp(-q * t), out=disc)
-        dl += np.multiply(step_l, disc, out=paid)
-        dr += np.multiply(step_r, disc, out=paid)
-        np.logical_and(open_k, np.greater(step_r, 0.0, out=hit), out=hit)
-        np.copyto(kappa, t, where=hit)
-        open_k ^= hit
-        np.logical_and(open_w, np.less_equal(state, 0.0, out=hit), out=hit)
-        np.copyto(weak, t, where=hit)
-        open_w ^= hit
-        np.logical_or(free, open_w, out=live)
-    return path_engine.LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=weak)
+        w = math.exp(-q * t)
+        if stopped:
+            w = np.multiply(live, w, out=disc)
+        dl += np.multiply(step_l, w, out=paid)
+        dr += np.multiply(step_r, w, out=paid)
+        if nk:
+            np.logical_and(open_k, np.greater(step_r, 0.0, out=hit), out=hit)
+            n = np.count_nonzero(hit)
+            if n:
+                np.putmask(kappa, hit, t)
+                open_k ^= hit
+                nk -= n
+                done += np.count_nonzero(np.logical_and(hit, halt, out=hit))
+        if nw:
+            np.logical_and(open_w, np.less_equal(state, 0.0, out=hit), out=hit)
+            n = np.count_nonzero(hit)
+            if n:
+                np.putmask(weak, hit, t)
+                open_w ^= hit
+                nw -= n
+                stopped += np.count_nonzero(np.logical_and(hit, halt, out=hit))
+                np.logical_or(free, open_w, out=live)
+        if done and lanes.due(done):
+            kept = lanes.drop(halt & ~open_k, dl, dr, kappa, weak)
+            dl, dr, kappa, weak, open_k, open_w, halt, free, live, disc, paid, hit = (
+                a.reshape(-1)[kept] for a in (dl, dr, kappa, weak, open_k, open_w, halt,
+                                              free, live, disc, paid, hit))
+            if not lanes.ids.size:
+                break
+            stopped, done, keep = stopped - done, 0, (kept, lanes.path)
+    return lanes.flows(dl, dr, kappa, weak)
 
 
 def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.RecordLows:

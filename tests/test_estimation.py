@@ -214,6 +214,24 @@ class TestExactClockChunk:
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
 
 
+class TestClockLanes:
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_halting_lanes_read_the_unspliced_clocks(self, ref_spec_bv, ref_spec_gauss,
+                                                     engine, alpha):
+        """The clock reads its lanes as halting, so each leaves the sweep
+        once both its passages are known; halting gates the flows only,
+        so both clocks equal the unspliced reading byte for byte."""
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        pp = params(b=1.2, alpha=alpha)
+        readers = draw(spec, pp, 30.0, 1500, engine)(RngStream(151, tag=2), 3, 64)
+        for x in (-0.4, 0.0, 0.6, 1.2, 2.5):
+            halted = readers.lane_flows([x], [1.2], [True])
+            free = readers.lane_flows([x], [1.2], [False])
+            assert halted.kappa_strict.tobytes() == free.kappa_strict.tobytes()
+            assert halted.t_weak.tobytes() == free.t_weak.tobytes()
+
+
 class TestEulerClock:
     """The Euler clock against the exact one on a pure drift -1, where the
     only gap is rounding the passage time up to the grid: a step or two,
@@ -446,6 +464,55 @@ class TestEulerRunSums:
         if spliced:  # a halted lane adds no flow after its weak passage
             assert np.array_equal(got.dl[0], np.zeros(256))
             assert np.array_equal(got.dr[0], np.full(256, 0.4))
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    def test_stopped_lanes_are_dropped_not_masked(self, alpha):
+        """Every spliced lane injects by step 3 and the increments after
+        step 5 are NaN: the lanes leave the recursion before they read
+        them, where a weight of 0 would keep NaN * 0 = NaN."""
+        rng = np.random.default_rng(21)
+        incs = rng.normal(0.0, 0.1, (64, 40))
+        incs[:, 2] = -20.0
+        clean = incs.copy()
+        clean[:, 5:] = 0.0
+        incs[:, 5:] = np.nan
+        xs, bs = (-0.4, 0.0, 0.5, 2.0, 6.0), (1.2, 1.2, 0.0, 1.2, 1.2)
+        got = euler_lane_flows(xs, bs, [True] * 5, incs, alpha, 0.1, Q)
+        assert np.all(np.isfinite(got.dl)) and np.all(np.isfinite(got.dr))
+        assert np.all(got.kappa_strict <= 3 * 0.1)
+        want = euler_lane_flows(xs, bs, [True] * 5, clean, alpha, 0.1, Q)
+        for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak),
+                        (want.dl, want.dr, want.kappa_strict, want.t_weak)):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    def test_dropping_lanes_equals_per_point_loop_bitwise(self, ref_spec_gauss,
+                                                           alpha, monkeypatch):
+        """Over a long horizon the done lanes are dropped many times, while
+        unspliced lanes on the same paths, starts at and below 0 and
+        several thresholds per path keep running: every field equals the
+        per-point loop bit for bit."""
+        xs, bs, halts = zip(*[(0.5, 1.2, True), (2.5, 1.2, True), (0.6, 2.0, True),
+                              (0.0, 1.2, True), (-0.4, 1.2, True), (1.2, 1.2, True),
+                              (0.0, 1.2, False), (-0.4, 2.0, False), (2.5, 1.2, False)])
+        k, horizon = 2000, 100.0
+        incs = _grid_increment_matrix(ref_spec_gauss, horizon, k, 48,
+                                      RngStream(142, tag=3).for_path(2).generator())
+        want = per_point_lane_flows(xs, bs, halts, incs, alpha, horizon / k, Q)
+        drops = []
+        drop = path_engine.Lanes.drop
+
+        def counted(lanes, done, *fields):
+            drops.append(int(np.count_nonzero(done)))
+            return drop(lanes, done, *fields)
+
+        monkeypatch.setattr(path_engine.Lanes, "drop", counted)
+        got = euler_lane_flows(xs, bs, halts, incs, alpha, horizon / k, Q)
+        assert len(drops) >= 5
+        for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak), want):
+            assert g.tobytes() == w.tobytes()
+        # the unspliced lanes run to the horizon, so they are never dropped
+        assert sum(drops) <= 6 * 48
 
 
 class TestValueBlocks:
