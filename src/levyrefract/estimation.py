@@ -5,7 +5,7 @@ Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
 the one jump draw of levy_model: as event paths for the exact engine
 (sigma = 0), as an (m, k) increment matrix for the Euler engine.
 _chunk_readers is the one dispatch between the engines.  It reads the
-draw as LaneFlows, the discounted flows and passage times of floored
+draws of a batch of chunks as LaneFlows, the discounted flows and passage times of floored
 (path, start, threshold) lanes (path_engine.floored_lane_sweep or
 strategy_engine.euler_lane_flows), and as RecordLows, the record lows of
 the paths refracted at 0 (path_engine.refracted_record_lows or
@@ -17,13 +17,16 @@ Common-random-number threshold curves exploit that the dividend recursion
 below the stopping time does not depend on the threshold once the state is
 translated, so the record lows of one path serve the whole grid, summed
 path by path with np.bincount.  Value curves run as one job over paths x
-starts x thresholds: a chunk draws once on the main stream and once on the
+starts x thresholds: a batch draws once on the main stream and once on the
 at-0 anchor substream and reads every (x, b) point off those two draws, so
 one pool serves a curve set.  A run steps at most BLOCK_LANES lanes at
 once, in blocks of points that share the stream's draw.
 
-Chunking is fixed (CHUNK paths per batch).  Partial results are combined
-by a fixed-order pairwise tree, so results are bit-identical for any
+Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch of at most BATCH contiguous chunks as one lane
+set, and a run has at least min(threads, chunks) batches, so every worker
+computes.  Each estimator splits its readings back into chunks and returns
+one partial per chunk; the partials are combined by a fixed-order pairwise
+tree in chunk order, so results are bit-identical for any batching and any
 worker count.
 """
 
@@ -57,7 +60,8 @@ from .strategy_engine import (
 )
 
 CHUNK = 256
-BLOCK_LANES = 2 ** 16  # (point, path) lanes a value chunk steps at once
+BATCH = 8  # most contiguous chunks one worker call reads as one lane set
+BLOCK_LANES = 2 ** 16  # (point, path) lanes a value batch steps at once
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
 
@@ -126,16 +130,33 @@ def _tree_reduce(partials):
     return items[0]
 
 
+def _batches(n: int, threads: int):
+    """The (ci, m) chunks of n paths in contiguous batches of at most BATCH
+    chunks, and at least min(threads, chunks) batches, so that every worker
+    computes.  Batch sizes differ by one chunk at most."""
+    chunks = [(ci, min(CHUNK, n - ci * CHUNK)) for ci in range((n + CHUNK - 1) // CHUNK)]
+    nb = max(-(-len(chunks) // BATCH), min(threads, len(chunks)))
+    return [chunks[len(chunks) * i // nb:len(chunks) * (i + 1) // nb] for i in range(nb)]
+
+
+def _chunk_rows(chunks):
+    """The rows (paths) of each chunk of a batch read as one lane set."""
+    ends = np.cumsum([m for _, m in chunks])
+    return [slice(e - m, e) for (_, m), e in zip(chunks, ends.tolist())]
+
+
 def _run_chunks(n: int, worker, threads: int):
-    n_chunks = (n + CHUNK - 1) // CHUNK
-    jobs = [(ci, min(CHUNK, n - ci * CHUNK)) for ci in range(n_chunks)]
+    """worker(batch) returns one partial per chunk of the batch; the
+    partials are reduced in chunk order, so no byte depends on the batching
+    or the worker count."""
+    batches = _batches(n, threads)
     if threads <= 1:
-        partials = [worker(ci, m) for ci, m in jobs]
+        parts = [worker(batch) for batch in batches]
     else:
         with ProcessPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(worker, ci, m) for ci, m in jobs]
-            partials = [f.result() for f in futs]
-    return _tree_reduce(partials)
+            futs = [ex.submit(worker, batch) for batch in batches]
+            parts = [f.result() for f in futs]
+    return _tree_reduce(p for part in parts for p in part)
 
 
 def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
@@ -151,21 +172,28 @@ class _Readers(NamedTuple):
     record_lows: Callable  # () -> path_engine.RecordLows
 
 
-def _chunk_readers(spec, params, horizon, k, eng, stream, ci, m) -> _Readers:
-    """Chunk ci's m paths, drawn at 0 in one call on stream.for_path(ci): as
-    event paths for the exact engine, as the (m, k) increment matrix for
-    Euler.  Returns the two readings of the draw: the LaneFlows of floored
-    (start, threshold) lanes, and the RecordLows of the paths refracted at
-    0.  Each reader holds the draw alive for as long as it is kept."""
+def _chunk_readers(spec, params, horizon, k, eng, stream, chunks) -> _Readers:
+    """The paths of a batch of (ci, m) chunks, chunk ci's m paths drawn at 0
+    in one call on stream.for_path(ci), in chunk order: event paths for the
+    exact engine, rows of one (M, k) increment matrix for Euler, filled
+    chunk by chunk.  Returns the two readings of the whole batch: the
+    LaneFlows of floored (start, threshold) lanes, and the RecordLows of the
+    paths refracted at 0.  Each reader holds the draw alive for as long as
+    it is kept."""
     if eng == "exact":
-        paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m)
+        base = replace(spec, x0=0.0)
+        paths = [p for ci, m in chunks
+                 for p in sample_path(base, horizon, EXACT, stream.for_path(ci), m)]
         case = classify_case(spec, params.alpha)
         return _Readers(partial(path_engine.floored_lane_sweep, paths, alpha=params.alpha,
                                 case=case, q=params.q),
                         partial(path_engine.refracted_record_lows, paths, params.alpha, case))
     if k < 1:
         raise InvalidParameter("k", "the Euler engine needs a positive step count")
-    incs = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
+    rows = _chunk_rows(chunks)
+    incs = np.empty((rows[-1].stop, k))
+    for (ci, m), r in zip(chunks, rows):
+        incs[r] = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
     dt = horizon / k
     return _Readers(partial(euler_lane_flows, incs=incs, alpha=params.alpha, dt=dt, q=params.q),
                     partial(euler_record_lows, incs, params.alpha, dt))
@@ -173,20 +201,32 @@ def _chunk_readers(spec, params, horizon, k, eng, stream, ci, m) -> _Readers:
 
 # threshold-free translated sweep --------------------------------------------
 
-def _nu_chunk(draw, params, bgrid_pos, stream, ci, m):
-    lows = draw(stream, ci, m).record_lows()
+def _nu_sums(lows, bgrid_pos, q):
+    """One chunk's (sum w, sum w^2, censored count) per grid point."""
     nb = len(bgrid_pos)
     # episode k covers the thresholds in [-min(hi, 0), -lo): grid points j0..j1-1
     j0 = np.searchsorted(bgrid_pos, -np.minimum(lows.hi, 0.0), side="left")
     n = np.maximum(np.searchsorted(bgrid_pos, -lows.lo, side="left") - j0, 0)
     ep = np.repeat(np.arange(n.size), n)
     j = np.arange(ep.size) - np.repeat(np.cumsum(n) - n, n) + j0[ep]
-    w = np.exp(-params.q * (lows.t0[ep] + (lows.hi[ep] - (-bgrid_pos[j])) * lows.invrate[ep]))
+    w = np.exp(-q * (lows.t0[ep] + (lows.hi[ep] - (-bgrid_pos[j])) * lows.invrate[ep]))
     jc = np.searchsorted(bgrid_pos, -lows.final_min, side="left")
     # bincount adds in array order: per grid point, path by path
     return (np.bincount(j, weights=w, minlength=nb),
             np.bincount(j, weights=w * w, minlength=nb),
             np.cumsum(np.bincount(jc, minlength=nb + 1))[:nb].astype(float))
+
+
+def _nu_chunk(draw, params, bgrid_pos, stream, chunks):
+    # one sweep reads the batch; the lows are path-major, so each chunk's
+    # episodes are one run of them, reduced on their own
+    lows = draw(stream, chunks).record_lows()
+    rows = _chunk_rows(chunks)
+    cut = np.searchsorted(lows.path, [r.start for r in rows] + [rows[-1].stop]).tolist()
+    fields = (lows.path, lows.lo, lows.hi, lows.t0, lows.invrate)
+    return [_nu_sums(path_engine.RecordLows(*(f[a:z] for f in fields), lows.final_min[r]),
+                     bgrid_pos, params.q)
+            for a, z, r in zip(cut, cut[1:], rows)]
 
 
 def _finalize_curve(bgrid, sums, n, mode, stream_id):
@@ -316,17 +356,17 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 
 # randomized passage clock --------------------------------------------------
 
-def _clock_chunk(draw, params, x, stream, ci, m):
+def _clock_chunk(draw, params, x, stream, chunks):
     # halting lanes leave the sweep once both clocks are known; halting
     # gates only the flows, which the clock does not read
-    fl = draw(stream, ci, m).lane_flows([x], [params.b], [True])
+    fl = draw(stream, chunks).lane_flows([x], [params.b], [True])
     strict, weak = fl.kappa_strict[0], fl.t_weak[0]
     ws = np.exp(-params.q * strict)  # exp(-q * inf) = 0
     ww = np.exp(-params.q * weak)
-    ncens = float(np.sum((strict == math.inf) | (weak == math.inf)))
-    acc = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
-                      (ws * ww).sum()])
-    return acc, np.asarray([ncens])
+    terms = (ws, ws * ws, ww, ww * ww, ws * ww)
+    cens = (strict == math.inf) | (weak == math.inf)
+    return [(np.asarray([t[r].sum() for t in terms]), np.asarray([float(np.sum(cens[r]))]))
+            for r in _chunk_rows(chunks)]
 
 
 def _clock_moments(params, spec, x, horizon, k, n, stream, engine, threads):
@@ -402,10 +442,11 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
 # value estimation ----------------------------------------------------------
 #
 # A value job is two runs of (x, b, spliced) points: the positive starts on
-# the main stream and the at-0 anchors on their own substream.  Per run a
-# chunk returns a (J, 5) array of the moment sums of w, w^2, d, d^2 and w*d,
-# with w the discounted dividends minus beta-weighted injections up to the
-# stop and d the discount at the stop, and a (J,) count of censored paths.
+# the main stream and the at-0 anchors on their own substream.  Per run and
+# per chunk of a batch there is a (J, 5) array of the moment sums of w, w^2,
+# d, d^2 and w*d, with w the discounted dividends minus beta-weighted
+# injections up to the stop and d the discount at the stop, and a (J,)
+# count of censored paths.
 
 def _moment_rows(w, d):
     # each point's sums reduce along its own contiguous row
@@ -415,37 +456,40 @@ def _moment_rows(w, d):
 
 
 def _in_blocks(points, m, block_sums):
-    """block_sums over consecutive blocks of at most BLOCK_LANES lanes (and
-    at least one point), concatenated in point order.  Lanes are
-    independent, so the blocking never changes a byte."""
+    """block_sums over consecutive blocks of at most BLOCK_LANES lanes of m
+    paths each (and at least one point), concatenated in point order along
+    axis 1.  Lanes are independent, so the blocking never changes a byte."""
     step = max(1, BLOCK_LANES // m)
     parts = [block_sums(points[j:j + step]) for j in range(0, len(points), step)]
-    return tuple(np.concatenate(p) for p in zip(*parts))
+    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
 
 
-def _run_sums(draw, params, stream, points, ci, m):
-    lane_flows = draw(stream, ci, m).lane_flows
+def _run_sums(draw, params, stream, points, chunks):
+    """The (moment sums, censored counts) of every point, per chunk."""
+    lane_flows = draw(stream, chunks).lane_flows
     q = params.q
+    rows = _chunk_rows(chunks)
 
     def block_sums(block):
         x, b, spliced = (np.array(c) for c in zip(*block))
         fl = lane_flows(x, b, spliced)
         # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
         stop = np.where(spliced[:, None], fl.t_weak, math.inf)
-        cens = np.sum(stop == math.inf, axis=1, dtype=float) * spliced
-        return _moment_rows(fl.dl - params.beta * fl.dr, np.exp(-q * stop)), cens
+        w, d, censored = fl.dl - params.beta * fl.dr, np.exp(-q * stop), stop == math.inf
+        return (np.stack([_moment_rows(w[:, r], d[:, r]) for r in rows]),
+                np.stack([np.sum(censored[:, r], axis=1, dtype=float) * spliced
+                          for r in rows]))
 
-    return _in_blocks(points, m, block_sums)
+    return list(zip(*_in_blocks(points, rows[-1].stop, block_sums)))
 
 
-def _value_chunk(draw, params, runs, ci, m):
-    # the runs draw one after the other, so an Euler chunk holds one (m, k)
+def _value_chunk(draw, params, runs, chunks):
+    # the runs draw one after the other, so an Euler batch holds one
     # increment matrix at a time; an empty run draws nothing
-    out = ()
-    for stream, points in runs:
-        out += (_run_sums(draw, params, stream, points, ci, m)
-                if points else (np.zeros((0, 5)), np.zeros(0)))
-    return out
+    per_run = [_run_sums(draw, params, stream, points, chunks) if points
+               else [(np.zeros((0, 5)), np.zeros(0))] * len(chunks)
+               for stream, points in runs]
+    return [sum(parts, ()) for parts in zip(*per_run)]
 
 
 def _direct_estimate(sums, cens, n, stream_id):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.integrate import quad
 
 
 class InvalidParameter(ValueError):
@@ -239,6 +238,7 @@ class PointMass(MarkDistribution):
 
 
 def _quad_checked(f, a, b):
+    from scipy.integrate import quad  # only Weibull.char integrates; the import weighs ~25 MiB
     val, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
     if err > max(1e-10 * abs(val), 1e-11):
         raise QuadratureFailure(f"quadrature error estimate {err:.2e} for value {val:.6e}")

@@ -172,6 +172,33 @@ class TestReferenceConfigs:
         assert c1.spec.sigma == 0.0 and c2.spec.sigma == 1.0
         assert c2.task_float("b") == 2.15
 
+    def test_estimators_never_import_the_quadrature(self, tmp_path):
+        """Only Weibull.char integrates, so a fresh interpreter that loads
+        both shipped configs and runs a small bstar on each engine never
+        imports scipy.integrate."""
+        import subprocess
+        import sys
+        import levyrefract
+        src = os.path.dirname(os.path.dirname(levyrefract.__file__))
+        root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        script = "\n".join([
+            "import sys",
+            "sys.path.insert(0, %r)" % src,
+            "from levyrefract.cli_reporting import load_config, run_experiment",
+            "for i in (1, 2):",
+            "    path = %r %% i" % os.path.join(root, "paper_case%d.cfg"),
+            "    load_config(path)",
+            "    text = open(path).read().replace('mc.N = 100000', 'mc.N = 256')",
+            "    cfg = load_config(text.replace('grid.K = 10000', 'grid.K = 200'))",
+            "    assert cfg.n == 256 and cfg.k == 200",
+            "    run_experiment(cfg, 'bstar', out_dir=%r + str(i))" % str(tmp_path / "out"),
+            "print('scipy.integrate' in sys.modules)",
+        ])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"
+        assert sorted(os.listdir(tmp_path)) == ["out1", "out2"]
+
 
 class TestRunValidate:
     def test_writes_report_and_manifest(self, tmp_path):

@@ -17,7 +17,7 @@ from levyrefract.strategy_engine import (
 )
 from levyrefract.estimation import (
     DegenerateDenominator, NoCrossing, _chunk_readers, _clock_chunk, _nu_chunk,
-    _pav_nonincreasing, _run_sums,
+    _pav_nonincreasing, _run_sums, _value_chunk,
     estimate_nu, estimate_underline_nu, estimate_value, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
@@ -43,7 +43,9 @@ def chunk_paths(spec, horizon, stream, ci, m):
 
 
 def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
-    return _nu_chunk(draw(spec, pp, horizon), pp, grid, stream, ci, m)
+    """Exact nu chunk ci, read as a one-chunk batch."""
+    (sums,) = _nu_chunk(draw(spec, pp, horizon), pp, grid, stream, [(ci, m)])
+    return sums
 
 
 class TestPassageTransform:
@@ -209,7 +211,7 @@ class TestExactClockChunk:
         ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
         want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
                            (ws * ww).sum()])
-        acc, cens = _clock_chunk(draw(ref_spec_bv, pp, 8.0), pp, x, stream, 3, 24)
+        ((acc, cens),) = _clock_chunk(draw(ref_spec_bv, pp, 8.0), pp, x, stream, [(3, 24)])
         assert acc.tobytes() == want.tobytes()
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
 
@@ -224,7 +226,7 @@ class TestClockLanes:
         so both clocks equal the unspliced reading byte for byte."""
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2, alpha=alpha)
-        readers = draw(spec, pp, 30.0, 1500, engine)(RngStream(151, tag=2), 3, 64)
+        readers = draw(spec, pp, 30.0, 1500, engine)(RngStream(151, tag=2), [(3, 64)])
         for x in (-0.4, 0.0, 0.6, 1.2, 2.5):
             halted = readers.lane_flows([x], [1.2], [True])
             free = readers.lane_flows([x], [1.2], [False])
@@ -528,8 +530,8 @@ class TestValueBlocks:
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2)
-        args = (draw(spec, pp, 5.0, 100, engine), pp, RngStream(141, tag=3), points, 1, 128)
-        want = _run_sums(*args)
+        args = (draw(spec, pp, 5.0, 100, engine), pp, RngStream(141, tag=3), points, [(1, 128)])
+        (want,) = _run_sums(*args)
         draws = []
 
         def counted(*a, **kw):
@@ -538,10 +540,82 @@ class TestValueBlocks:
 
         monkeypatch.setattr(estimation, "_grid_increment_matrix", counted)
         monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
-        got = _run_sums(*args)
+        (got,) = _run_sums(*args)
         assert len(draws) == (engine == "euler")
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestBatches:
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_split_is_contiguous_bounded_and_keeps_workers_busy(self, threads, batch,
+                                                                monkeypatch):
+        monkeypatch.setattr(estimation, "BATCH", batch)
+        for n in (1, 255, 256, 257, 5 * 256 + 37, 17 * 256, 40 * 256 + 1):
+            batches = estimation._batches(n, threads)
+            chunks = [c for b in batches for c in b]
+            assert [ci for ci, _ in chunks] == list(range(len(chunks)))
+            assert [m for _, m in chunks[:-1]] == [256] * (len(chunks) - 1)
+            assert sum(m for _, m in chunks) == n
+            assert all(1 <= len(b) <= batch for b in batches)
+            assert len(batches) >= min(threads, len(chunks))
+
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_a_batch_reads_as_its_chunks(self, ref_spec_bv, ref_spec_gauss, engine):
+        """A 3-chunk batch, the last one short, gives the partials of three
+        one-chunk batches byte for byte."""
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        pp = params(b=1.2)
+        d = draw(spec, pp, 10.0, 60, engine)
+        stream = RngStream(180, tag=5)
+        chunks = [(2, 48), (3, 48), (4, 20)]
+        grid = np.linspace(0.0, 3.0, 13)
+        runs = ((stream, [(0.6, 1.2, True), (2.5, 2.0, False)]),
+                (stream.with_tag(9), [(0.0, 1.2, False)]))
+        for reader in (partial(_nu_chunk, d, pp, grid, stream),
+                       partial(_clock_chunk, d, pp, 0.6, stream),
+                       partial(_value_chunk, d, pp, runs)):
+            got = reader(chunks)
+            want = [part for c in chunks for part in reader([c])]
+            assert len(got) == len(want) == 3
+            for g, w in zip(got, want):
+                assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
+
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_no_byte_depends_on_batching_or_workers(self, ref_spec_bv, ref_spec_gauss,
+                                                    engine, monkeypatch):
+        """Six chunks, the last one short: batches of 1, 3 and BATCH
+        chunks at 1 and 2 workers give the same bytes.  A reduction that
+        summed across a chunk boundary would change the last bits."""
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        n, k, horizon = 5 * estimation.CHUNK + 37, 400, 8.0
+        pp = params(b=1.2)
+        stream = RngStream(181, tag=5)
+        grid = np.linspace(-0.5, 3.0, 15)
+        xs = [-0.4, 0.0, 0.6, 2.5]
+
+        def readings(threads):
+            curve = nu_curve(pp, spec, grid, horizon, k, n, stream, engine=engine,
+                             threads=threads)
+            out = [curve.values, curve.std_errors, curve.censored_fractions]
+            for method in ("spliced", "direct"):
+                rows = value_curve(xs, [1.2, 1.2, 2.0, 1.2], pp, spec, horizon, k, n,
+                                   stream, method=method, engine=engine, threads=threads)
+                out += [np.array([(e.mean, e.std_error, e.censored_fraction)
+                                  for _, e in rows])]
+            clock = estimate_underline_nu(0.6, 1.2, 0.3, pp, spec, horizon, n, stream,
+                                          k=k, engine=engine, threads=threads)
+            out += [np.array([clock.mean, clock.std_error, clock.censored_fraction])]
+            return [a.tobytes() for a in out]
+
+        seen = {}
+        for batch in (1, 3, estimation.BATCH):
+            monkeypatch.setattr(estimation, "BATCH", batch)
+            for threads in (1, 2):
+                seen[batch, threads] = readings(threads)
+        first = seen[1, 1]
+        assert all(got == first for got in seen.values())
 
 
 # the exact threshold search -------------------------------------------------
