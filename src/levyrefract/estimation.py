@@ -4,14 +4,13 @@ Two engines sit behind every estimator as one sampler and two readers.
 Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
 the one jump draw of levy_model: as event paths for the exact engine
 (sigma = 0), as an (m, k) increment matrix for the Euler engine.
-_chunk_readers is the one dispatch between the engines.  It reads the
-draws of a batch of chunks as LaneFlows, the discounted flows and passage times of floored
-(path, start, threshold) lanes (path_engine.floored_lane_sweep or
-strategy_engine.euler_lane_flows), and as RecordLows, the record lows of
-the paths refracted at 0 (path_engine.refracted_record_lows or
-strategy_engine.euler_record_lows).  Each estimator reduces those readings
-once, for both engines, and a passage that does not occur before the
-horizon weighs exp(-q * inf) = 0.
+_chunk_readers is the one dispatch between the engines.  It reads a
+batch of chunks as LaneFlows, the discounted flows and passage times of
+floored (path, start, threshold) lanes, and RecordLows, the record lows of
+the paths refracted at 0: the two readers of each engine's lane stepper,
+path_engine.event_steps or strategy_engine.euler_steps.  Each estimator
+reduces them once, for both engines; a passage that does not occur before
+the horizon weighs exp(-q * inf) = 0.
 
 Common-random-number threshold curves exploit that the dividend recursion
 below the stopping time does not depend on the threshold once the state is

@@ -10,12 +10,13 @@ splits the running infimum of a floored path into boundary time, initial
 part, and jump top-ups; running_floor_reflection is its threshold-free case.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
-Two lane sweeps step many paths through padded event columns
-(_event_columns) at once and record no segment: floored_lane_sweep keeps
-the discounted flows and passage times of floored (path, start, threshold)
-lanes, and refracted_record_lows the record lows of refract_exact at b = 0.
-Lanes holds the lane bookkeeping that floored_lane_sweep shares with the
-Euler lane reader of strategy_engine.
+The lane stepper event_steps, the counterpart of strategy_engine.euler_steps,
+runs that sweep on many lanes at once through padded event columns and
+records no segment.  Its readers floored_lane_sweep and
+refracted_record_lows keep the discounted flows and passage times of
+floored (path, start, threshold) lanes, and the record lows of
+refract_exact at b = 0.  Lanes holds the lane bookkeeping that
+floored_lane_sweep shares with the Euler lane reader of strategy_engine.
 """
 
 from __future__ import annotations
@@ -361,10 +362,10 @@ class LaneFlows:
 
 class Lanes:
     """The bookkeeping of a lane sweep.  Lane j * m + i runs path i for
-    point j of nx; the sweep holds the lanes still running in 1-D arrays in
-    id order and drops the done ones once they are at least 1/8 of them.
-    Dropped lanes write their (dl, dr, kappa, weak) readings to a (4, nx * m)
-    output, and the lanes left at the end write theirs in flows."""
+    point j of nx.  The sweep holds the running lanes in id order, (nx, m)
+    until its first drop and 1-D after, and drops the done ones once they
+    are at least 1/8 of them: they write their (dl, dr, kappa, weak) to a
+    (4, nx * m) output, and the lanes left at the end theirs in flows."""
 
     def __init__(self, nx: int, m: int):
         self.ids = np.arange(nx * m)
@@ -406,128 +407,143 @@ def _event_columns(paths):
     return counts, tcols, scols
 
 
-def _regime_table(alpha, delta, sticky, floor=True,
-                  states=((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, 0.0))):
-    """(slope, dividend rate, injection rate, target) rows of the regimes, by
-    state class.  The floored classes are 0 interior, 1 above b, 2 at b > 0,
-    3 at 0 with b > 0, 4 at 0 with b = 0.  Each row is _regime and
-    _next_target at a representative (z, b) state of its class; target 1 is
-    b, 2 is 0, 0 is none."""
+def _regime_table(alpha, delta, sticky, floor):
+    """(slope, dividend rate, injection rate, target) rows of _regime and
+    _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each at a
+    representative (z, b): 0 interior, 1 above b, 2 at b != 0, 3 at 0 below
+    b, 4 at 0 above b, 5 at 0 = b.  The target is inf for b, 0.0 for 0 and
+    nan for none.  Unfloored lanes leave out the term 3 (z == 0)."""
     rows = []
-    for z, b in states:
+    for z, b in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)):
         slope, lrate, rrate, _ = _regime(z, b, alpha, delta, sticky, floor)
         target = _next_target(z, slope, b, floor)
-        rows.append((slope, lrate, rrate, 0 if target is None else 1 if target == b else 2))
+        rows.append((slope, lrate, rrate,
+                     math.nan if target is None else math.inf if target == b else 0.0))
     return np.array(rows).T
 
 
-def _lane_drift(t, z, te, b, zero_code, table, q, disc, weak, kappa, halt):
-    """Move every lane to its next crossing, or to te if none comes first,
-    with the arithmetic of _sweep.  zero_code is the class of the state 0:
-    3 where b > 0, and 2 where b = 0, which z == b adds up to 4.
+def event_steps(columns, paths, x, b, alpha, case: CaseLabel, floor: bool):
+    """_sweep on every lane at once, with its arithmetic, recording no
+    segment.  columns are the padded event columns of _event_columns(paths),
+    whose paths share drift and horizon; x and b are scalars or (J, 1)
+    arrays.  Lane (j, i) runs path i from paths[i].x0 + x[j], refracted at
+    rate alpha above b[j] and, with floor, reflected at 0.
 
-    Returns the new (t, z, discount), whether the lane crossed, the updated
-    weak and strict passage times, and the discounted dividend and
-    injection increments of the stretch (zero once a halting lane has
-    passed weakly).
+    Yields (stretches, te, dividend, topup) for the start (te = 0) and then
+    per event column (te the event times).  stretches lists the drift
+    stretches to te in order: one for every lane, then one for each lane
+    that crossed b or 0 in the one before, at most MAX_CROSSINGS crossings
+    in all.  Each is (at, t, t_end, z, z_end, slope, lrate, rrate, kept):
+    the index of its lanes (Ellipsis for all), its times, values, slope and
+    rates, and whether _sweep keeps it as a segment.  dividend and topup are
+    the lumps at te, the overshoot above b when alpha = inf and the top-up
+    to 0 with floor, or None where none can occur.  The arrays have the
+    shape of paths[i].x0 + x, but te, the event sizes and the starts of
+    first stretches are per path, (m,).  A reader drops lanes by sending
+    (keep, path), as to euler_steps, and from then on every array is 1-D.
     """
-    at0 = z == 0.0
-    slope, lrate, rrate, target = table[:, (z > b) + 2 * (z == b) + at0 * zero_code]
-    target = np.where(target == 1, b, np.where(target == 2, 0.0, np.nan))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_cross = t + (target - z) / slope
-        crossed = t_cross < te  # False where there is no target
-        z_new = np.where(crossed, target, z + slope * (te - t))
-        t_new = np.where(crossed, t_cross, te)
-        d_new = np.exp(-q * t_new)
-        # a stretch of zero length is a segment _sweep overwrites
-        kept = t_new > t
-        weak = np.minimum(weak, np.where(kept & at0, t, np.inf))
-        kappa = np.minimum(kappa, np.where(kept & (rrate > 0.0), t, np.inf))
-        flows = kept & ~(halt & (weak < np.inf))
-        w = (disc - d_new) / q
-        dl = np.where(flows, lrate * w, 0.0)
-        dr = np.where(flows, rrate * w, 0.0)
-    return t_new, z_new, d_new, crossed, weak, kappa, dl, dr
+    counts, tcols, scols = columns
+    table = _regime_table(alpha, paths[0].drift, case.is_case2, floor)
+    z = np.array([p.x0 for p in paths]) + x
+    b = np.full(z.shape, b, dtype=float)
+    te, end, path = np.zeros(len(paths)), counts, None
+    for e in range(-1, len(tcols)):
+        stretches = []
+        if e >= 0:
+            t = te
+            te, s = (tcols[e], scols[e]) if path is None else (tcols[e, path], scols[e, path])
+            at, ts, zs, tes, bs, last = Ellipsis, t, z, te, b, end == e
+            for _ in range(MAX_CROSSINGS + 1):
+                cls = np.add(zs >= bs, zs == bs, dtype=np.int8)  # (z > b) + 2 (z == b)
+                if floor:
+                    cls += 3 * (zs == 0.0).view(np.int8)
+                slope, lrate, rrate, target = np.take(table, cls, axis=1)
+                target = np.where(target == math.inf, bs, target)
+                # a nan target, where there is none (as at slope 0), never crosses
+                t_cross = ts + (target - zs) / slope
+                crossed = t_cross < tes
+                t_end = np.where(crossed, t_cross, tes)
+                z_end = np.where(crossed, target, zs + slope * (tes - ts))
+                kept = (t_end > ts) | (last & ~crossed)
+                stretches.append((at, ts, t_end, zs, z_end, slope, lrate, rrate, kept))
+                if at is Ellipsis:
+                    z = z_end + s
+                else:
+                    z[at] = z_end + s
+                k = np.nonzero(crossed)
+                if not k[0].size:
+                    break
+                # the last index of a lane is its path while the lanes are
+                # (J, m), and the only one once they are 1-D
+                at = k if at is Ellipsis else tuple(i[k] for i in at)
+                ts, zs, bs = t_end[k], z_end[k], bs[k]
+                tes, last, s = tes[k[-1]], last[k[-1]], s[k[-1]]
+            else:
+                raise RuntimeError(f"a lane makes over {MAX_CROSSINGS} crossings between events")
+        dividend = topup = None
+        if alpha == math.inf:
+            dividend = np.maximum(z - b, 0.0)
+            z = np.minimum(z, b)
+        if floor:
+            topup = np.maximum(-z, 0.0)
+            z = np.maximum(z, 0.0)
+        sent = yield stretches, te, dividend, topup
+        if sent is not None:
+            keep, path = sent
+            te, z, b = (np.broadcast_to(a, z.shape).reshape(-1)[keep] for a in (te, z, b))
+            end = counts[path]
 
 
 def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneFlows:
-    """The floored sweep of refracted_reflected_exact on every lane at once,
-    discounted as it goes.
-
-    Lane (j, i) runs paths[i].shifted(x[j]) with threshold b[j]; the paths
-    share drift and horizon, and x, b and spliced have length J.  Every
-    lane steps through each event column together: at most MAX_CROSSINGS
-    threshold or floor crossings, then the drift to the event and the jump.
-    No segment is recorded.  A spliced lane halts its flows at its weak
-    passage (atoms at that time included); the others discount to the
-    horizon.  A lane leaves the sweep after its drift to the horizon, or
-    once it has halted and its strict passage is known too.  Stop times
-    equal first_passage_times on the scalar sweep bit for bit; the flows
-    match discounted_flow up to summation order.
+    """The LaneFlows reader of event_steps: refracted_reflected_exact on
+    every lane, lane (j, i) on paths[i].shifted(x[j]) with threshold b[j],
+    discounted as it goes.  x, b and spliced have length J.  A spliced lane
+    halts its flows at its weak passage (atoms at that time included); the
+    others discount to the horizon.  A lane leaves the sweep after its drift
+    to the horizon, or once it has halted and its strict passage is known
+    too.  Stop times equal first_passage_times on the scalar sweep bit for
+    bit; the flows match discounted_flow up to summation order.
     """
     m, nx = len(paths), len(x)
-    counts, tcols, scols = _event_columns(paths)
-    dcols = np.exp(-q * tcols)
-    band = alpha == math.inf
-    table = _regime_table(alpha, paths[0].drift, case.is_case2)
+    counts, tcols, _ = columns = _event_columns(paths)
     lanes = Lanes(nx, m)
-    end = counts[lanes.path]
-    bl = np.repeat(np.asarray(b, dtype=float), m)
-    zero_code = np.where(bl > 0.0, 3, 2)
-    halt = np.repeat(np.asarray(spliced, dtype=bool), m)
-    z = np.array([p.x0 for p in paths])[lanes.path] + np.repeat(np.asarray(x, dtype=float), m)
-    dl = np.zeros(z.shape)
-    if band:
-        dl = np.where(z > bl, z - bl, 0.0)
-        z = np.minimum(z, bl)
-    dr = np.where(z < 0.0, -z, 0.0)
-    weak = np.where(z < 0.0, 0.0, np.inf)
-    kappa = weak.copy()
-    z = np.maximum(z, 0.0)
-    t = np.zeros(z.shape)
-    disc = np.ones(z.shape)
-    for e in range(len(tcols)):
-        path = lanes.path
-        te = tcols[e, path]
-        t, z, disc, crossed, weak, kappa, inc_l, inc_r = _lane_drift(
-            t, z, te, bl, zero_code, table, q, disc, weak, kappa, halt)
-        dl += inc_l
-        dr += inc_r
-        at = np.flatnonzero(crossed)
-        for _ in range(MAX_CROSSINGS):
-            if not at.size:
-                break
-            (t[at], z[at], disc[at], crossed, weak[at], kappa[at],
-             inc_l, inc_r) = _lane_drift(t[at], z[at], te[at], bl[at], zero_code[at],
-                                         table, q, disc[at], weak[at], kappa[at], halt[at])
-            dl[at] += inc_l
-            dr[at] += inc_r
-            at = at[crossed]
-        if at.size:
-            raise RuntimeError("a lane crosses more than %d times between two events"
-                               % MAX_CROSSINGS)
-        z = z + scols[e, path]
-        dte = dcols[e, path]
-        flows = ~(halt & (weak < np.inf))
-        if band:
-            dl += np.where(flows & (z > bl), dte * (z - bl), 0.0)
-            z = np.minimum(z, bl)
-        under = z < 0.0
-        dr += np.where(flows & under, dte * -z, 0.0)
-        lump_t = np.where(under, te, np.inf)
-        weak = np.minimum(weak, lump_t)
-        kappa = np.minimum(kappa, lump_t)
-        z = np.maximum(z, 0.0)
+    halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
+    dl, dr, disc, kappa, weak = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, math.inf))
+    steps = event_steps(columns, paths, np.asarray(x, dtype=float)[:, None],
+                        np.asarray(b, dtype=float)[:, None], alpha, case, floor=True)
+    end, keep = counts, None
+    for e in range(-1, len(tcols)):
+        stretches, te, dividend, topup = steps.send(keep)
+        keep = None
+        for at, t, t_end, z, _, _, lrate, rrate, kept in stretches:
+            # views of every lane for the first stretch, which the stores
+            # below then skip, and copies of the crossed lanes after it
+            wk, kp, d = weak[at], kappa[at], disc[at]
+            np.minimum(wk, np.where(kept & (z == 0.0), t, math.inf), out=wk)
+            np.minimum(kp, np.where(kept & (rrate > 0.0), t, math.inf), out=kp)
+            flows = kept & ~(halt[at] & (wk < math.inf))
+            d_new = np.exp(-q * t_end)
+            w = (d - d_new) / q
+            weak[at], kappa[at], disc[at] = wk, kp, d_new
+            dl[at] += np.where(flows, lrate * w, 0.0)
+            dr[at] += np.where(flows, rrate * w, 0.0)
+        # every lane has drifted to te, and disc is its lumps' discount
+        flows = ~(halt & (weak < math.inf))
+        if dividend is not None:
+            dl += np.where(flows, disc * dividend, 0.0)
+        dr += np.where(flows, disc * topup, 0.0)
+        lump_t = np.where(topup > 0.0, te, math.inf)
+        weak, kappa = np.minimum(weak, lump_t), np.minimum(kappa, lump_t)
         # a lane is done after its drift to the horizon, and a halting lane
         # once both its passage times are known (kappa >= t_weak)
-        done = (end <= e) | (halt & (kappa < np.inf))
+        done = (end <= e) | (halt & (kappa < math.inf))
         if lanes.due(np.count_nonzero(done)):
-            keep = lanes.drop(done, dl, dr, kappa, weak)
-            (t, z, disc, dl, dr, weak, kappa, end, bl, zero_code, halt) = (
-                a[keep] for a in (t, z, disc, dl, dr, weak, kappa, end, bl, zero_code, halt))
+            kept = lanes.drop(done, dl, dr, kappa, weak)
+            dl, dr, disc, kappa, weak, halt = (
+                a.reshape(-1)[kept] for a in (dl, dr, disc, kappa, weak, halt))
             if not lanes.ids.size:
                 break
+            end, keep = counts[lanes.path], (kept, lanes.path)
     return lanes.flows(dl, dr, kappa, weak)
 
 
@@ -545,57 +561,27 @@ class RecordLows:
     final_min: np.ndarray
 
 
-def _low_stretch(t, z, te, last, low, slopes, crosses, ids, out):
-    """Move every lane to its crossing of 0, or to te if none comes first,
-    with the arithmetic of _sweep.  A stretch of positive length, or the last
-    of its path, is a segment of refract_exact: append to out the record
-    lows below low at its start (a jump) and along it.  Returns the new
-    (t, z, low) and whether the lane crossed."""
-    cls = (z >= 0.0).astype(int) + (z > 0.0)
-    slope = slopes[cls]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_cross = np.where(crosses[cls], t + (0.0 - z) / slope, np.inf)
-    crossed = t_cross < te
-    t_end = np.where(crossed, t_cross, te)
-    # a crossing ends at 0 exactly, where _sweep starts its next knot
-    end_v = np.where(crossed, 0.0, z + slope * (te - t))
-    kept = (t_end > t) | (last & ~crossed)
-    jump = kept & (t > 0.0) & (z < low)
-    k = np.flatnonzero(jump)
-    out.append((ids[k], z[k], low[k], t[k], np.zeros(k.size)))
-    low = np.where(jump, z, low)
-    k = np.flatnonzero(kept & (slope < 0.0) & (end_v < low))
-    tk, zk, lk, rate = t[k], z[k], low[k], -slope[k]
-    out.append((ids[k], end_v[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk), 1.0 / rate))
-    low[k] = end_v[k]
-    return t_end, end_v, low, crossed
-
-
 def refracted_record_lows(paths, alpha, case: CaseLabel) -> RecordLows:
-    """The record lows of refract_exact(path, 0, alpha, case) for every path
-    (sharing drift and horizon), equal bit for bit to those read off its
-    segments.  The paths step through the padded event columns together:
-    per column the drift to the event, cut by at most one crossing of 0,
-    then the jump.  No segment is recorded."""
-    counts, tcols, scols = _event_columns(paths)
-    top = 0.0 if alpha == math.inf else math.inf  # a jump above it pays a lump
-    # unfloored at b = 0, by state class: 0 below 0, 1 at 0, 2 above 0
-    slopes, _, _, target = _regime_table(alpha, paths[0].drift, case.is_case2, False,
-                                         ((-1.0, 0.0), (0.0, 0.0), (1.0, 0.0)))
-    ids = np.arange(len(paths))
-    z = np.array([0.0 if p.x0 > top else float(p.x0) for p in paths])
-    t, low, out = np.zeros(z.shape), np.zeros(z.shape), []
-    for e in range(len(tcols)):
-        te, last = tcols[e], counts == e
-        t, z, low, crossed = _low_stretch(t, z, te, last, low, slopes, target > 0, ids, out)
-        at = np.flatnonzero(crossed)
-        if at.size:
-            t[at], z[at], low[at], crossed = _low_stretch(
-                t[at], z[at], te[at], last[at], low[at], slopes, target > 0, ids[at], out)
-            if crossed.any():
-                raise RuntimeError("a path crosses 0 more than once between two events")
-        z = z + scols[e]
-        z = np.where(z > top, 0.0, z)
+    """The RecordLows reader of event_steps, one unfloored lane per path at
+    b = 0: the record lows of refract_exact(path, 0, alpha, case), equal bit
+    for bit to those read off its segments.  A kept stretch that starts
+    below the low after time 0 is a jump episode, one that falls below it a
+    drift episode."""
+    ids, low, out = np.arange(len(paths)), np.zeros(len(paths)), []
+    steps = event_steps(_event_columns(paths), paths, 0.0, 0.0, alpha, case, floor=False)
+    for stretches, _, _, _ in steps:
+        for at, t, _, z, z_end, slope, _, _, kept in stretches:
+            lane, lo = ids[at], low[at]
+            jump = kept & (t > 0.0) & (z < lo)
+            k = np.nonzero(jump)
+            out.append((lane[k], z[k], lo[k], t[k], np.zeros(k[0].size)))
+            np.putmask(lo, jump, z)
+            k = np.nonzero(kept & (slope < 0.0) & (z_end < lo))
+            tk, zk, lk, rate = t[k], z[k], lo[k], -slope[k]
+            out.append((lane[k], z_end[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk),
+                        1.0 / rate))
+            lo[k] = z_end[k]
+            low[at] = lo  # a view of every lane for the first stretch
     path, lo, hi, t0, invrate = (np.concatenate(c) for c in zip(*out))
     order = np.argsort(path, kind="stable")
     return RecordLows(path[order], lo[order], hi[order], t0[order], invrate[order], low)

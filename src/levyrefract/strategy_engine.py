@@ -8,11 +8,11 @@ property oracle reads directly, and only sample-path samples it onto knots
 (ControlledTrajectory.from_exact).  The Monte Carlo estimators run the
 lane-batched sweep instead.  The Euler engine runs the discrete
 three-branch recursion on a time grid (euler_steps), and its two readers
-give the estimators what the two lane sweeps of path_engine give them on
-event paths: euler_lane_flows the LaneFlows of floored lanes, and
+give the estimators what the two readers of path_engine.event_steps give
+them on event paths: euler_lane_flows the LaneFlows of floored lanes, and
 euler_record_lows the RecordLows of the paths refracted at 0.
 
-euler_lane_flows shares the lane bookkeeping of the exact sweep
+euler_lane_flows shares the lane bookkeeping of the exact flows reader
 (path_engine.Lanes): a spliced lane leaves the recursion once both its
 passage times are known, in drops of at least 1/8 of the lanes.
 Direct-method points and the at-0 anchors never stop, so they gain only
@@ -229,7 +229,7 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
 def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
                      q: float) -> path_engine.LaneFlows:
     """The floored recursion on every (start, threshold) lane at once, read
-    as path_engine.floored_lane_sweep reads the exact sweep.
+    as path_engine.floored_lane_sweep reads the exact lane stepper.
 
     Lane (j, i) runs row i of incs from x[j] with threshold b[j]; x, b and
     spliced have length J, and each field has shape (J, m).  Step j is paid
@@ -242,7 +242,7 @@ def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
 
     Only the lanes still running are stepped.  A spliced lane is done once
     both its passages are known, and the done lanes leave the recursion
-    with the rule and bookkeeping of the exact sweep (path_engine.Lanes):
+    with the rule and bookkeeping of the exact flows reader (path_engine.Lanes):
     once they are at least 1/8 of the lanes.  Until then a stopped lane
     adds its steps at weight 0.  The other lanes run to the horizon, so
     they gain only from the calls skipped once no lane has an open passage.

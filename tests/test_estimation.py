@@ -848,7 +848,10 @@ class TestExactNuChunk:
                 assert_lows_match_scalar(moved, alpha, classify_case(drift_only(delta), alpha))
 
     def test_a_second_crossing_raises(self, monkeypatch):
-        # a table in which the state 0 heads for 0 crosses at once, again
+        """A lane past path_engine.MAX_CROSSINGS crossings between two
+        events raises."""
+        # a table in which the state 0 heads for 0 crosses it at once, on
+        # every stretch, until the bound is passed
         monkeypatch.setattr(path_engine, "_next_target", lambda z, slope, b, floor: 0.0)
         with pytest.raises(RuntimeError):
             refracted_record_lows([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))],

@@ -390,13 +390,38 @@ class TestDividendIntegralPath:
                 assert dr == pytest.approx(dr_num, abs=2e-5), stop
 
 
+def stepper_lanes(paths, x, b, alpha, case, floor):
+    """What event_steps yields for lane (j, i), path i started at
+    paths[i].x0 + x[j] with threshold b[j], in the order it comes: the rows
+    (t, z, slope, lrate, rrate) of the stretches it keeps, and the rows
+    (time, size) of its nonzero dividend and top-up lumps."""
+    columns = path_engine._event_columns(paths)
+    lane_j, lane_i = np.indices((len(x), len(paths)))
+    got = [[([], [], []) for _ in paths] for _ in x]
+    steps = path_engine.event_steps(columns, paths, x[:, None], b[:, None], alpha, case, floor)
+    for stretches, te, dividend, topup in steps:
+        for at, t, _, z, _, slope, lrate, rrate, kept in stretches:
+            js, ids = lane_j[at], lane_i[at]
+            rows = (np.broadcast_to(a, js.shape)[kept] for a in (js, ids, t, z, slope, lrate, rrate))
+            for j, i, *row in zip(*rows):
+                got[j][i][0].append(row)
+        for lumps, into in ((dividend, 1), (topup, 2)):
+            if lumps is not None:
+                for j, i in zip(*np.nonzero(lumps)):
+                    got[j][i][into].append((te[i], lumps[j, i]))
+    return got
+
+
 class TestFlooredLaneSweep:
     """The lane-batched sweep against the scalar one, lane by lane."""
 
     H, Q = 10.0, 0.05
-    # starts below 0, at 0, at b, above b, and one inside (0, 1)
-    POINTS = [(x, b, spliced) for b in (0.0, 1.0)
-              for x in (-0.5, 0.0, b, b + 0.7, 0.4) for spliced in (True, False)]
+    # starts below 0, at 0, at b, above b, and one inside (0, 1); and
+    # b = inf, which sets no threshold
+    POINTS = ([(x, b, spliced) for b in (0.0, 1.0)
+               for x in (-0.5, 0.0, b, b + 0.7, 0.4) for spliced in (True, False)]
+              + [(x, math.inf, spliced) for x in (-0.5, 0.0, 0.4, 2.0)
+                 for spliced in (True, False)])
 
     def paths(self, delta):
         # unequal event counts exercise the padding; the first path has no
@@ -441,6 +466,45 @@ class TestFlooredLaneSweep:
         assert first_passage_times(traj).t_weak == math.inf
         got = floored_lane_sweep([p], [0.5], [b], [True], 0.3, case, self.Q)
         assert got.t_weak[0, 0] == math.inf
+
+    def test_an_event_at_the_horizon_that_lands_on_0_is_a_visit(self):
+        """The last segment of _sweep has zero length when the last event
+        falls at the horizon, and it is kept: a jump there onto 0 is the
+        lane's first visit to 0."""
+        case = case_for(0.35, 0.3)
+        z = refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), 1.0, 0.3, case).end_value()
+        p = drift_path(0.35, 0.0, 4.0, jumps=[(4.0, -z)])
+        traj = refracted_reflected_exact(p.shifted(0.5), 1.0, 0.3, case)
+        assert first_passage_times(traj).t_weak == 4.0
+        got = floored_lane_sweep([p], [0.5], [1.0], [True], 0.3, case, self.Q)
+        assert got.t_weak[0, 0] == 4.0
+
+    @pytest.mark.parametrize("floor", [True, False])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, math.inf])
+    @pytest.mark.parametrize("delta", [-1.3, -0.4, 0.0, 0.35, 1.1])
+    def test_the_stepper_reads_the_scalar_sweep_bitwise(self, delta, alpha, floor):
+        """Per lane, the stretches event_steps keeps are the segments of
+        _sweep, and its nonzero lumps are the atoms: floored lanes at the
+        (x, b) of POINTS, unfloored ones at b = 0 from each start."""
+        paths = self.paths(delta)
+        case = case_for(delta, alpha)
+        if floor:
+            points = sorted({(x, b) for x, b, _ in self.POINTS})
+        else:
+            points = [(x, 0.0) for x in sorted({x for x, _, _ in self.POINTS})]
+        x, b = (np.array(c) for c in zip(*points))
+        got = stepper_lanes(paths, x, b, alpha, case, floor)
+        for j, (xj, bj) in enumerate(points):
+            for i, p in enumerate(paths):
+                traj = _sweep(p.shifted(xj), bj, alpha, case.is_case2, floor)
+                segs, l_atoms, r_atoms = got[j][i]
+                want = (traj.seg_t, traj.seg_v, traj.seg_slope, traj.seg_lrate, traj.seg_rrate)
+                for column, ref in zip(np.reshape(segs, (-1, 5)).T, want):
+                    assert np.array_equal(column, ref), (j, i)
+                for atoms, ref in ((l_atoms, (traj.l_atom_t, traj.l_atom)),
+                                   (r_atoms, (traj.r_atom_t, traj.r_atom))):
+                    for column, r in zip(np.reshape(atoms, (-1, 2)).T, ref):
+                        assert np.array_equal(column, r), (j, i)
 
     def test_a_lane_past_the_crossing_bound_raises(self, monkeypatch):
         # from above b on a falling drift: down to b, then down to 0
