@@ -2,15 +2,17 @@
 
 Two engines sit behind every estimator as one sampler and two readers.
 Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
-the one jump draw of levy_model: as event paths for the exact engine
-(sigma = 0), as an (m, k) increment matrix for the Euler engine.
-_chunk_readers is the one dispatch between the engines.  It reads a
-batch of chunks as LaneFlows, the discounted flows and passage times of
-floored (path, start, threshold) lanes, and RecordLows, the record lows of
-the paths refracted at 0: the two readers of each engine's lane stepper,
-path_engine.event_steps or strategy_engine.euler_steps.  Each estimator
-reduces them once, for both engines; a passage that does not occur before
-the horizon weighs exp(-q * inf) = 0.
+the one jump draw of levy_model: as padded event columns (EventColumns)
+for the exact engine (sigma = 0), as an (m, k) increment matrix for the
+Euler engine; no Monte Carlo estimator builds an EventPath.
+_chunk_readers is the one dispatch between the engines.  It lays the
+chunks of a batch side by side, once, and reads them as LaneFlows, the
+discounted flows and passage times of floored (path, start, threshold)
+lanes, and RecordLows, the record lows of the paths refracted at 0: the
+two readers of each engine's lane stepper, path_engine.event_steps or
+strategy_engine.euler_steps.  Each estimator reduces them once, for both
+engines; a passage that does not occur before the horizon weighs
+exp(-q * inf) = 0.
 
 Common-random-number threshold curves exploit that the dividend recursion
 below the stopping time does not depend on the threshold once the state is
@@ -21,12 +23,12 @@ at-0 anchor substream and reads every (x, b) point off those two draws, so
 one pool serves a curve set.  A run steps at most BLOCK_LANES lanes at
 once, in blocks of points that share the stream's draw.
 
-Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch of at most BATCH contiguous chunks as one lane
-set, and a run has at least min(threads, chunks) batches, so every worker
-computes.  Each estimator splits its readings back into chunks and returns
-one partial per chunk; the partials are combined by a fixed-order pairwise
-tree in chunk order, so results are bit-identical for any batching and any
-worker count.
+Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
+of at most BATCH contiguous chunks as one lane set, and a run has at least
+min(threads, chunks) batches, so every worker computes.  Each estimator
+splits its readings back into chunks and returns one partial per chunk;
+the partials are combined by a fixed-order pairwise tree in chunk order, so
+results are bit-identical for any batching and any worker count.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ import numpy as np
 
 from .levy_model import (
     EXACT,
+    EventColumns,
     EventPath,
     InvalidParameter,
     JumpDiffusionSpec,
@@ -173,26 +176,26 @@ class _Readers(NamedTuple):
 
 def _chunk_readers(spec, params, horizon, k, eng, stream, chunks) -> _Readers:
     """The paths of a batch of (ci, m) chunks, chunk ci's m paths drawn at 0
-    in one call on stream.for_path(ci), in chunk order: event paths for the
-    exact engine, rows of one (M, k) increment matrix for Euler, filled
-    chunk by chunk.  Returns the two readings of the whole batch: the
-    LaneFlows of floored (start, threshold) lanes, and the RecordLows of the
-    paths refracted at 0.  Each reader holds the draw alive for as long as
-    it is kept."""
+    in one call on stream.for_path(ci), in chunk order: the columns of one
+    EventColumns for the exact engine, laid side by side, and the rows of
+    one (M, k) increment matrix for Euler, filled chunk by chunk.  Returns
+    the two readings of the whole batch: the LaneFlows of floored (start,
+    threshold) lanes, and the RecordLows of the paths refracted at 0.  Each
+    reader holds the draw alive for as long as it is kept."""
     if eng == "exact":
         base = replace(spec, x0=0.0)
-        paths = [p for ci, m in chunks
-                 for p in sample_path(base, horizon, EXACT, stream.for_path(ci), m)]
+        columns = EventColumns.side_by_side(
+            [sample_path(base, horizon, EXACT, stream.for_path(ci), m) for ci, m in chunks])
         case = classify_case(spec, params.alpha)
-        return _Readers(partial(path_engine.floored_lane_sweep, paths, alpha=params.alpha,
+        return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
                                 case=case, q=params.q),
-                        partial(path_engine.refracted_record_lows, paths, params.alpha, case))
+                        partial(path_engine.refracted_record_lows, columns, params.alpha, case))
     if k < 1:
         raise InvalidParameter("k", "the Euler engine needs a positive step count")
     rows = _chunk_rows(chunks)
     incs = np.empty((rows[-1].stop, k))
     for (ci, m), r in zip(chunks, rows):
-        incs[r] = _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator())
+        _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator(), out=incs[r])
     dt = horizon / k
     return _Readers(partial(euler_lane_flows, incs=incs, alpha=params.alpha, dt=dt, q=params.q),
                     partial(euler_record_lows, incs, params.alpha, dt))

@@ -7,7 +7,9 @@ relative to a dividend cap, evaluates the characteristic exponent, and
 samples paths either exactly (sigma = 0) or on a uniform grid.  Both
 samplers read one jump draw per stream (_jump_draw): Poisson counts of the
 m paths, uniform times and signed marks.  The grid bins it into steps; the
-exact mode sorts it into event paths.
+exact mode scatters it into EventColumns, the padded event columns that the
+lane stepper of path_engine reads, and EventColumns.paths() gives the
+same events as EventPaths.
 """
 
 from __future__ import annotations
@@ -453,6 +455,40 @@ class GridPath:
         return self.horizon / self.k
 
 
+@dataclass(frozen=True)
+class EventColumns:
+    """The events of m exact paths, which share drift and horizon, as padded
+    columns: path i starts at x0[i] and jumps by sizes[e, i] at times[e, i]
+    for e < counts[i].  The rows after its events, (ncol + 1, m) in all, are
+    (horizon, 0): row counts[i] is its drift to the horizon, and the zero
+    jumps after it change nothing."""
+
+    x0: np.ndarray
+    horizon: float
+    drift: float
+    counts: np.ndarray
+    times: np.ndarray
+    sizes: np.ndarray
+
+    def paths(self) -> list:
+        """The m paths as EventPaths."""
+        return [EventPath(x0, self.horizon, self.drift, self.times[:c, i], self.sizes[:c, i])
+                for i, (x0, c) in enumerate(zip(self.x0.tolist(), self.counts.tolist()))]
+
+    @classmethod
+    def side_by_side(cls, parts) -> "EventColumns":
+        """The paths of parts, which share drift and horizon, in order, as
+        one EventColumns: the copy of each part padded to the tallest."""
+        ends = np.cumsum([c.counts.size for c in parts]).tolist()
+        times = np.full((max(len(c.times) for c in parts), ends[-1]), float(parts[0].horizon))
+        sizes = np.zeros(times.shape)
+        for c, end in zip(parts, ends):
+            block = (slice(len(c.times)), slice(end - c.counts.size, end))
+            times[block], sizes[block] = c.times, c.sizes
+        return cls(np.concatenate([c.x0 for c in parts]), parts[0].horizon, parts[0].drift,
+                   np.concatenate([c.counts for c in parts]), times, sizes)
+
+
 class Exact:
     """Sampling mode marker: exact event-driven path (requires sigma = 0)."""
 
@@ -487,18 +523,23 @@ def _jump_draw(spec: JumpDiffusionSpec, horizon: float, m: int, rng: np.random.G
 
 
 def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
-                           rng: np.random.Generator) -> np.ndarray:
+                           rng: np.random.Generator, out=None) -> np.ndarray:
     """(m, k) step increments of m grid paths; jumps binned rightward.
 
     Each step holds the compensated drift, the Gaussian part, and the jumps
     in (t_{j-1}, t_j].  The draws come in a fixed order: all Gaussians, then
     _jump_draw.  This is the only grid sampler: sample_path(Grid) and every
-    Euler estimator draw through it.
+    Euler estimator draw through it.  out, a C-contiguous (m, k) array such
+    as a block of rows of a batch matrix, is filled and returned.
     """
     dt = horizon / k
-    incs = np.full((m, k), _compensated_drift(spec) * dt)
+    incs = np.empty((m, k)) if out is None else out
     if spec.sigma > 0:
-        incs += spec.sigma * math.sqrt(dt) * rng.standard_normal((m, k))
+        rng.standard_normal(out=incs)
+        incs *= spec.sigma * math.sqrt(dt)
+        incs += _compensated_drift(spec) * dt
+    else:
+        incs.fill(_compensated_drift(spec) * dt)
     rows, times, sizes = _jump_draw(spec, horizon, m, rng)
     bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
     np.add.at(incs, (rows, bins), sizes)
@@ -509,9 +550,10 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
                 m: int | None = None):
     """Draw a path of X on [0, horizon].  Deterministic in stream.
 
-    Exact mode sorts _jump_draw into event paths: m = None returns one
-    EventPath, an integer m a list of m paths from the one stream.  Grid
-    mode returns a GridPath, the one-path case of _grid_increment_matrix.
+    Exact mode scatters _jump_draw into EventColumns: an integer m gives
+    the columns of m paths from the one stream, m = None its one path as an
+    EventPath.  Grid mode returns a GridPath, the one-path case of
+    _grid_increment_matrix.
     """
     if horizon <= 0:
         raise InvalidParameter("horizon", "horizon must be positive")
@@ -523,13 +565,27 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
         if n < 1:
             raise InvalidParameter("m", "path count must be >= 1")
         rows, times, sizes = _jump_draw(spec, horizon, n, rng)
-        order = np.argsort(times)
-        order = order[np.argsort(rows[order], kind="stable")]  # by path, then time
-        cuts = np.cumsum(np.bincount(rows, minlength=n))[:-1]
-        drift = _compensated_drift(spec)
-        paths = [EventPath(spec.x0, horizon, drift, t, s)
-                 for t, s in zip(np.split(times[order], cuts), np.split(sizes[order], cuts))]
-        return paths[0] if m is None else paths
+        counts = np.bincount(rows, minlength=n)
+        order = np.argsort(rows, kind="stable")  # by path, in draw order
+        rows = rows[order]
+        times = times[order]
+        sizes = sizes[order]
+        # one scatter: event e of path i, in draw order, to row e of column
+        # i, padded with inf while sorting so that no event ties with the
+        # padding (uniform(0, horizon) can return the horizon); then each
+        # column is sorted by time.  The dels keep one copy of the draw.
+        cells = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * n + rows
+        del order, rows
+        shape = (int(counts.max()) + 1, n)
+        t, s = np.full(shape, math.inf), np.zeros(shape)
+        np.put(t, cells, times)
+        np.put(s, cells, sizes)
+        del times, sizes, cells
+        by_time = np.argsort(t, axis=0)
+        t, s = np.take_along_axis(t, by_time, 0), np.take_along_axis(s, by_time, 0)
+        columns = EventColumns(np.full(n, float(spec.x0)), horizon, _compensated_drift(spec),
+                               counts, np.minimum(t, horizon, out=t), s)
+        return columns.paths()[0] if m is None else columns
     if m is not None:
         raise InvalidParameter("m", "only exact mode draws several paths")
     if isinstance(mode, Grid):

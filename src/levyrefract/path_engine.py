@@ -11,11 +11,11 @@ part, and jump top-ups; running_floor_reflection is its threshold-free case.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
 The lane stepper event_steps, the counterpart of strategy_engine.euler_steps,
-runs that sweep on many lanes at once through padded event columns and
-records no segment.  Its readers floored_lane_sweep and
-refracted_record_lows keep the discounted flows and passage times of
-floored (path, start, threshold) lanes, and the record lows of
-refract_exact at b = 0.  Lanes holds the lane bookkeeping that
+runs that sweep on many lanes at once through the padded event columns of
+levy_model.EventColumns, the form sample_path draws, and records no
+segment.  Its readers floored_lane_sweep and refracted_record_lows keep
+the discounted flows and passage times of floored (path, start,
+threshold) lanes, and the record lows of refract_exact at b = 0.  Lanes holds the lane bookkeeping that
 floored_lane_sweep shares with the Euler lane reader of strategy_engine.
 """
 
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .levy_model import CaseLabel, EventPath, InvalidParameter
+from .levy_model import CaseLabel, EventColumns, EventPath, InvalidParameter
 
 
 class UnsupportedModel(RuntimeError):
@@ -394,19 +394,6 @@ class Lanes:
         return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
 
 
-def _event_columns(paths):
-    """(counts, times, sizes): the events as (ncol, m) columns padded with
-    the horizon.  Column counts[i] of path i is its drift to the horizon,
-    and the zero jumps after it change nothing."""
-    counts = np.array([p.times.size for p in paths])
-    tcols = np.full((int(counts.max()) + 1, len(paths)), float(paths[0].horizon))
-    scols = np.zeros(tcols.shape)
-    for i, p in enumerate(paths):
-        tcols[:counts[i], i] = p.times
-        scols[:counts[i], i] = p.sizes
-    return counts, tcols, scols
-
-
 def _regime_table(alpha, delta, sticky, floor):
     """(slope, dividend rate, injection rate, target) rows of _regime and
     _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each at a
@@ -422,12 +409,11 @@ def _regime_table(alpha, delta, sticky, floor):
     return np.array(rows).T
 
 
-def event_steps(columns, paths, x, b, alpha, case: CaseLabel, floor: bool):
+def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool):
     """_sweep on every lane at once, with its arithmetic, recording no
-    segment.  columns are the padded event columns of _event_columns(paths),
-    whose paths share drift and horizon; x and b are scalars or (J, 1)
-    arrays.  Lane (j, i) runs path i from paths[i].x0 + x[j], refracted at
-    rate alpha above b[j] and, with floor, reflected at 0.
+    segment.  x and b are scalars or (J, 1) arrays.  Lane (j, i) runs path
+    i of columns from columns.x0[i] + x[j], refracted at rate alpha above
+    b[j] and, with floor, reflected at 0.
 
     Yields (stretches, te, dividend, topup) for the start (te = 0) and then
     per event column (te the event times).  stretches lists the drift
@@ -438,15 +424,15 @@ def event_steps(columns, paths, x, b, alpha, case: CaseLabel, floor: bool):
     rates, and whether _sweep keeps it as a segment.  dividend and topup are
     the lumps at te, the overshoot above b when alpha = inf and the top-up
     to 0 with floor, or None where none can occur.  The arrays have the
-    shape of paths[i].x0 + x, but te, the event sizes and the starts of
+    shape of columns.x0 + x, but te, the event sizes and the starts of
     first stretches are per path, (m,).  A reader drops lanes by sending
     (keep, path), as to euler_steps, and from then on every array is 1-D.
     """
-    counts, tcols, scols = columns
-    table = _regime_table(alpha, paths[0].drift, case.is_case2, floor)
-    z = np.array([p.x0 for p in paths]) + x
+    counts, tcols, scols = columns.counts, columns.times, columns.sizes
+    table = _regime_table(alpha, columns.drift, case.is_case2, floor)
+    z = columns.x0 + x
     b = np.full(z.shape, b, dtype=float)
-    te, end, path = np.zeros(len(paths)), counts, None
+    te, end, path = np.zeros(counts.size), counts, None
     for e in range(-1, len(tcols)):
         stretches = []
         if e >= 0:
@@ -494,25 +480,25 @@ def event_steps(columns, paths, x, b, alpha, case: CaseLabel, floor: bool):
             end = counts[path]
 
 
-def floored_lane_sweep(paths, x, b, spliced, alpha, case: CaseLabel, q) -> LaneFlows:
+def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, case: CaseLabel,
+                       q) -> LaneFlows:
     """The LaneFlows reader of event_steps: refracted_reflected_exact on
-    every lane, lane (j, i) on paths[i].shifted(x[j]) with threshold b[j],
-    discounted as it goes.  x, b and spliced have length J.  A spliced lane
-    halts its flows at its weak passage (atoms at that time included); the
-    others discount to the horizon.  A lane leaves the sweep after its drift
+    every lane, lane (j, i) on path i of columns shifted by x[j], with
+    threshold b[j], discounted as it goes.  x, b and spliced have length J.
+    A spliced lane halts its flows at its weak passage (atoms at that time
+    included); the others discount to the horizon.  A lane leaves the sweep after its drift
     to the horizon, or once it has halted and its strict passage is known
     too.  Stop times equal first_passage_times on the scalar sweep bit for
     bit; the flows match discounted_flow up to summation order.
     """
-    m, nx = len(paths), len(x)
-    counts, tcols, _ = columns = _event_columns(paths)
+    counts, m, nx = columns.counts, columns.counts.size, len(x)
     lanes = Lanes(nx, m)
     halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
     dl, dr, disc, kappa, weak = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, math.inf))
-    steps = event_steps(columns, paths, np.asarray(x, dtype=float)[:, None],
+    steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
                         np.asarray(b, dtype=float)[:, None], alpha, case, floor=True)
     end, keep = counts, None
-    for e in range(-1, len(tcols)):
+    for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
         keep = None
         for at, t, t_end, z, _, _, lrate, rrate, kept in stretches:
@@ -561,14 +547,15 @@ class RecordLows:
     final_min: np.ndarray
 
 
-def refracted_record_lows(paths, alpha, case: CaseLabel) -> RecordLows:
-    """The RecordLows reader of event_steps, one unfloored lane per path at
-    b = 0: the record lows of refract_exact(path, 0, alpha, case), equal bit
-    for bit to those read off its segments.  A kept stretch that starts
-    below the low after time 0 is a jump episode, one that falls below it a
-    drift episode."""
-    ids, low, out = np.arange(len(paths)), np.zeros(len(paths)), []
-    steps = event_steps(_event_columns(paths), paths, 0.0, 0.0, alpha, case, floor=False)
+def refracted_record_lows(columns: EventColumns, alpha, case: CaseLabel) -> RecordLows:
+    """The RecordLows reader of event_steps, one unfloored lane per path of
+    columns at b = 0: the record lows of refract_exact(path, 0, alpha,
+    case), equal bit for bit to those read off its segments.  A kept
+    stretch that starts below the low after time 0 is a jump episode, one
+    that falls below it a drift episode."""
+    m = columns.counts.size
+    ids, low, out = np.arange(m), np.zeros(m), []
+    steps = event_steps(columns, 0.0, 0.0, alpha, case, floor=False)
     for stretches, _, _, _ in steps:
         for at, t, _, z, z_end, slope, _, _, kept in stretches:
             lane, lo = ids[at], low[at]

@@ -73,31 +73,14 @@ def violations_csv(violations) -> str:
     return buf.getvalue()
 
 
-def _counts(violations):
-    out = {}
-    for v in violations:
-        out[v.prop] = out.get(v.prop, 0) + 1
-    return out
+def _flag(prop, ts, magnitude, bad):
+    """A violation of prop at ts[i], of size magnitude[i], wherever bad[i]."""
+    return [Violation(float(t), prop, float(m)) for t, m in zip(ts[bad], magnitude[bad])]
 
 
-def _summary_lines(checked, violations):
-    counts = _counts(violations)
-    lines = []
-    for prop in checked:
-        n = counts.get(prop, 0)
-        if n:
-            worst = max(v.magnitude for v in violations if v.prop == prop)
-            lines.append("FAIL %s  violations=%d  max=%.3g" % (prop, n, worst))
-        else:
-            lines.append("PASS %s" % prop)
-    return lines
-
-
-@dataclass(frozen=True)
-class CoupledPairReport:
-    n_paths: int
-    shift: float
-    violations: tuple
+class _Checked:
+    """What a report tells of its violations, with CHECKED the properties
+    its summary lists in order."""
 
     @property
     def ok(self) -> bool:
@@ -105,39 +88,44 @@ class CoupledPairReport:
 
     @property
     def violation_counts(self):
-        return _counts(self.violations)
+        out = {}
+        for v in self.violations:
+            out[v.prop] = out.get(v.prop, 0) + 1
+        return out
 
     @property
     def max_magnitude(self) -> float:
         return max((v.magnitude for v in self.violations), default=0.0)
 
     def summary_lines(self):
-        return _summary_lines(PAIR_PROPS, self.violations)
+        counts, lines = self.violation_counts, []
+        for prop in self.CHECKED:
+            n = counts.get(prop, 0)
+            if n:
+                worst = max(v.magnitude for v in self.violations if v.prop == prop)
+                lines.append("FAIL %s  violations=%d  max=%.3g" % (prop, n, worst))
+            else:
+                lines.append("PASS %s" % prop)
+        return lines
 
 
 @dataclass(frozen=True)
-class AlphaLadderReport:
+class CoupledPairReport(_Checked):
+    CHECKED = PAIR_PROPS
+    n_paths: int
+    shift: float
+    violations: tuple
+
+
+@dataclass(frozen=True)
+class AlphaLadderReport(_Checked):
+    CHECKED = LADDER_PROPS
     n_paths: int
     alphas: tuple
     violations: tuple
     sup_gap_to_limit: tuple
     value_means: tuple
     value_ses: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    @property
-    def violation_counts(self):
-        return _counts(self.violations)
-
-    @property
-    def max_magnitude(self) -> float:
-        return max((v.magnitude for v in self.violations), default=0.0)
-
-    def summary_lines(self):
-        return _summary_lines(LADDER_PROPS, self.violations)
 
 
 @dataclass(frozen=True)
@@ -191,7 +179,6 @@ def check_pair(trajk, trajl, shift: float, b: float, tol: float = EXACT_TOL):
     one-knot slack: an increment between consecutive probe times is charged
     only if its condition fails at both endpoints.
     """
-    out = []
     if shift < 0:
         raise InvalidParameter("shift", "upper start must not be below lower start")
     horizon = trajk.horizon
@@ -201,46 +188,26 @@ def check_pair(trajk, trajl, shift: float, b: float, tol: float = EXACT_TOL):
     dz = zl - zk
     dl = trajl.dividends_at(ts) - trajk.dividends_at(ts)
     dr = trajl.injections_at(ts) - trajk.injections_at(ts)
-    # (1) conserved budget of the initial shift
+    inc, dec, rinc = np.diff(dz), np.diff(dl), np.diff(dr)
     resid = np.abs(dz + dl - dr - shift)
-    bad = resid > tol
-    for t, m in zip(ts[bad], resid[bad]):
-        out.append(Violation(float(t), "pair_budget", float(m)))
-    # (2) ordering gap shrinks, stays in [0, shift]
-    rng_bad = (dz < -tol) | (dz > shift + tol)
-    for t, m in zip(ts[rng_bad], np.maximum(-dz, dz - shift)[rng_bad]):
-        out.append(Violation(float(t), "pair_gap_range", float(m)))
-    inc = np.diff(dz)
-    mono_bad = inc > tol
-    for t, m in zip(ts[1:][mono_bad], inc[mono_bad]):
-        out.append(Violation(float(t), "pair_gap_monotone", float(m)))
-    # (3) dividend difference: range, monotone, support
-    rng_bad = (dl < -tol) | (dl > shift + tol)
-    for t, m in zip(ts[rng_bad], np.maximum(-dl, dl - shift)[rng_bad]):
-        out.append(Violation(float(t), "pair_div_range", float(m)))
-    dec = np.diff(dl)
-    mono_bad = dec < -tol
-    for t, m in zip(ts[1:][mono_bad], -dec[mono_bad]):
-        out.append(Violation(float(t), "pair_div_monotone", float(m)))
     cond_l = (zk <= b + tol) & (zl >= b - tol) & (zl - zk > tol)
-    grew = dec > tol
-    support_bad = grew & ~(cond_l[:-1] | cond_l[1:])
-    for t, m in zip(ts[1:][support_bad], dec[support_bad]):
-        out.append(Violation(float(t), "pair_div_support", float(m)))
+    cond_r = np.minimum(zk, trajk.left_limit_at(ts)) <= tol
+    # (1) conserved budget of the initial shift
+    out = _flag("pair_budget", ts, resid, resid > tol)
+    # (2) ordering gap shrinks, stays in [0, shift]
+    out += _flag("pair_gap_range", ts, np.maximum(-dz, dz - shift),
+                 (dz < -tol) | (dz > shift + tol))
+    out += _flag("pair_gap_monotone", ts[1:], inc, inc > tol)
+    # (3) dividend difference: range, monotone, support
+    out += _flag("pair_div_range", ts, np.maximum(-dl, dl - shift),
+                 (dl < -tol) | (dl > shift + tol))
+    out += _flag("pair_div_monotone", ts[1:], -dec, dec < -tol)
+    out += _flag("pair_div_support", ts[1:], dec, (dec > tol) & ~(cond_l[:-1] | cond_l[1:]))
     # (4) injection difference: range, monotone, support at the floor
-    rng_bad = (dr > tol) | (dr < -shift - tol)
-    for t, m in zip(ts[rng_bad], np.maximum(dr, -shift - dr)[rng_bad]):
-        out.append(Violation(float(t), "pair_inj_range", float(m)))
-    rinc = np.diff(dr)
-    mono_bad = rinc > tol
-    for t, m in zip(ts[1:][mono_bad], rinc[mono_bad]):
-        out.append(Violation(float(t), "pair_inj_monotone", float(m)))
-    zk_left = trajk.left_limit_at(ts)
-    cond_r = np.minimum(zk, zk_left) <= tol
-    fell = rinc < -tol
-    support_bad = fell & ~(cond_r[:-1] | cond_r[1:])
-    for t, m in zip(ts[1:][support_bad], -rinc[support_bad]):
-        out.append(Violation(float(t), "pair_inj_support", float(m)))
+    out += _flag("pair_inj_range", ts, np.maximum(dr, -shift - dr),
+                 (dr > tol) | (dr < -shift - tol))
+    out += _flag("pair_inj_monotone", ts[1:], rinc, rinc > tol)
+    out += _flag("pair_inj_support", ts[1:], -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:]))
     return out
 
 
@@ -259,7 +226,7 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
     case = classify_case(spec, params.alpha)
     viol = []
-    for path in sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n):
+    for path in sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths():
         tk = apply_strategy_exact(path.shifted(x + k), params, case)
         tl = apply_strategy_exact(path.shifted(x + l), params, case)
         viol.extend(check_pair(tk, tl, shift, params.b))
@@ -272,8 +239,7 @@ def _budget_violations(traj, path, tol: float = EXACT_TOL):
     lhs = traj.value_at(ts)
     rhs = path.value_at(ts) - traj.dividends_at(ts) + traj.injections_at(ts)
     resid = np.abs(lhs - rhs)
-    bad = resid > tol
-    return [Violation(float(t), "budget", float(m)) for t, m in zip(ts[bad], resid[bad])]
+    return _flag("budget", ts, resid, resid > tol)
 
 
 def fixed_cap_violations(traj, alpha: float, tol: float = EXACT_TOL):
@@ -281,9 +247,7 @@ def fixed_cap_violations(traj, alpha: float, tol: float = EXACT_TOL):
     exactly: L_t = alpha * t for all t."""
     ts = _probe_times((traj,), traj.horizon)
     resid = np.abs(traj.dividends_at(ts) - alpha * ts)
-    bad = resid > tol
-    return [Violation(float(t), "cap_rate_dividends", float(m))
-            for t, m in zip(ts[bad], resid[bad])]
+    return _flag("cap_rate_dividends", ts, resid, resid > tol)
 
 
 def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
@@ -309,7 +273,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     viol = []
     sup_gap = np.zeros(m)
     vals = np.zeros((m, n))
-    for i, path in enumerate(sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)):
+    for i, path in enumerate(sample_path(replace(spec, x0=x), horizon, EXACT, stream, n).paths()):
         trajs, refr = [], []
         for a in alphas:
             case = classify_case(spec, a)
@@ -328,22 +292,14 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
             for j in range(m):
                 sup_gap[j] = max(sup_gap[j], float(np.max(zs[j] - zs[-1])))
         for j in range(m - 1):
-            dy = ys[j] - ys[j + 1]
-            bad = dy < -EXACT_TOL
-            viol.extend(Violation(float(t), "ladder_refracted", float(-g))
-                        for t, g in zip(ts[bad], dy[bad]))
-            dz = zs[j] - zs[j + 1]
-            bad = dz < -EXACT_TOL
-            viol.extend(Violation(float(t), "ladder_surplus", float(-g))
-                        for t, g in zip(ts[bad], dz[bad]))
-            dl = ls[j] - ls[j + 1]
-            bad = dl > EXACT_TOL
-            viol.extend(Violation(float(t), "ladder_dividends", float(g))
-                        for t, g in zip(ts[bad], dl[bad]))
-            dr = rs[j] - rs[j + 1]
-            bad = dr > EXACT_TOL
-            viol.extend(Violation(float(t), "ladder_injections", float(g))
-                        for t, g in zip(ts[bad], dr[bad]))
+            # as the cap rises the refracted paths and the surpluses do not
+            # rise, and the dividends and injections do not fall
+            dy, dz = ys[j] - ys[j + 1], zs[j] - zs[j + 1]
+            dl, dr = ls[j] - ls[j + 1], rs[j] - rs[j + 1]
+            viol += (_flag("ladder_refracted", ts, -dy, dy < -EXACT_TOL)
+                     + _flag("ladder_surplus", ts, -dz, dz < -EXACT_TOL)
+                     + _flag("ladder_dividends", ts, dl, dl > EXACT_TOL)
+                     + _flag("ladder_injections", ts, dr, dr > EXACT_TOL))
     means = vals.mean(axis=1)
     ses = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(m)
     for j in range(m - 1):
@@ -381,18 +337,10 @@ def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
 
 
 @dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(_Checked):
+    CHECKED = ("value_cap", "value_affine_below", "value_slope_cap", "value_concavity",
+               "value_slope_below_one_inside", "value_slope_above_one_beyond")
     violations: tuple
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary_lines(self):
-        checked = ("value_cap", "value_affine_below", "value_slope_cap",
-                   "value_concavity", "value_slope_below_one_inside",
-                   "value_slope_above_one_beyond")
-        return _summary_lines(checked, self.violations)
 
 
 def value_shape_check(xs, means, ses, params: StrategyParams, bstar: float,
@@ -407,39 +355,25 @@ def value_shape_check(xs, means, ses, params: StrategyParams, bstar: float,
     xs = np.asarray(xs, dtype=float)
     means = np.asarray(means, dtype=float)
     ses = np.asarray(ses, dtype=float)
-    out = []
     cap = params.alpha / params.q if params.alpha != math.inf else math.inf
     over = means - (cap + slack_se * ses)
-    for x, m in zip(xs[over > 0], over[over > 0]):
-        out.append(Violation(float(x), "value_cap", float(m)))
+    out = _flag("value_cap", xs, over, over > 0)
     h = np.diff(xs)
     slopes = np.diff(means) / h
     sse = np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2) / h
     neg = xs[1:] <= 0
-    if np.any(neg):
-        resid = np.abs(slopes[neg] - params.beta)
-        bad = resid > 1e-9
-        for x, m in zip(xs[1:][neg][bad], resid[bad]):
-            out.append(Violation(float(x), "value_affine_below", float(m)))
+    resid = np.abs(slopes[neg] - params.beta)
+    out += _flag("value_affine_below", xs[1:][neg], resid, resid > 1e-9)
     over = slopes - (params.beta + slack_se * sse)
-    bad = over > 0
-    for x, m in zip(xs[1:][bad], over[bad]):
-        out.append(Violation(float(x), "value_slope_cap", float(m)))
+    out += _flag("value_slope_cap", xs[1:], over, over > 0)
     dec = np.diff(slopes) - slack_se * np.sqrt(sse[1:] ** 2 + sse[:-1] ** 2)
-    bad = dec > 0
-    for x, m in zip(xs[2:][bad], dec[bad]):
-        out.append(Violation(float(x), "value_concavity", float(m)))
+    out += _flag("value_concavity", xs[2:], dec, dec > 0)
     mid = (xs[1:] + xs[:-1]) * 0.5
-    inside = (mid > 0) & (mid <= bstar)
     under = (1.0 - slack_se * sse) - slopes
-    bad = inside & (under > 0)
-    for x, m in zip(mid[bad], under[bad]):
-        out.append(Violation(float(x), "value_slope_below_one_inside", float(m)))
-    beyond = mid > bstar
+    out += _flag("value_slope_below_one_inside", mid, under,
+                 (mid > 0) & (mid <= bstar) & (under > 0))
     over = slopes - (1.0 + slack_se * sse)
-    bad = beyond & (over > 0)
-    for x, m in zip(mid[bad], over[bad]):
-        out.append(Violation(float(x), "value_slope_above_one_beyond", float(m)))
+    out += _flag("value_slope_above_one_beyond", mid, over, (mid > bstar) & (over > 0))
     return ShapeReport(violations=tuple(out))
 
 

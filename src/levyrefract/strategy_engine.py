@@ -387,7 +387,7 @@ def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
     """Sup distance between the Euler recursion and the exact trajectory
     driven by the same sampled path, discretized with shared noise, for the
     n paths of one draw on stream: one recursion pass over all n rows."""
-    paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
+    paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths()
     dt = horizon / k
     z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in paths]), dt)[1]
     times = np.arange(k) * dt

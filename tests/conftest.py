@@ -1,8 +1,11 @@
 import os
 
+import numpy as np
 import pytest
 
-from levyrefract.levy_model import JumpDiffusionSpec, Uniform, Weibull
+from levyrefract.levy_model import (
+    EventColumns, EventPath, JumpDiffusionSpec, Uniform, Weibull, classify_case,
+)
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -43,3 +46,27 @@ def ref_spec_gauss(ref_spec_bv):
 
 def drift_only(delta: float, x0: float = 0.0) -> JumpDiffusionSpec:
     return JumpDiffusionSpec(gamma=delta, sigma=0.0, jump_components=(), x0=x0)
+
+
+def case_for(delta, alpha):
+    return classify_case(drift_only(delta), alpha)
+
+
+def drift_path(delta, x0, horizon, jumps=()):
+    times = np.array([t for t, _ in jumps])
+    sizes = np.array([s for _, s in jumps])
+    return EventPath(x0=x0, horizon=horizon, drift=delta, times=times, sizes=sizes)
+
+
+def event_columns(paths):
+    """Hand-built event paths, which share drift and horizon, packed as the
+    EventColumns that sample_path draws: each path's events, then rows of
+    (horizon, 0)."""
+    counts = np.array([p.times.size for p in paths])
+    times = np.full((int(counts.max()) + 1, len(paths)), float(paths[0].horizon))
+    sizes = np.zeros(times.shape)
+    for i, p in enumerate(paths):
+        times[:counts[i], i] = p.times
+        sizes[:counts[i], i] = p.sizes
+    return EventColumns(np.array([float(p.x0) for p in paths]), paths[0].horizon,
+                        paths[0].drift, counts, times, sizes)

@@ -22,7 +22,7 @@ from levyrefract.estimation import (
     solve_pstar, value_curve, value_curve_csv,
 )
 
-from conftest import REFERENCE_GAMMA, drift_only
+from conftest import REFERENCE_GAMMA, drift_only, event_columns
 
 Q = 0.05
 BETA = 1.5
@@ -39,7 +39,7 @@ def draw(spec, pp, horizon, k=0, engine="exact"):
 
 def chunk_paths(spec, horizon, stream, ci, m):
     """Chunk ci's exact paths, as _chunk_readers draws them."""
-    return sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m)
+    return sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m).paths()
 
 
 def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
@@ -205,7 +205,7 @@ class TestExactClockChunk:
         case = classify_case(ref_spec_bv, alpha)
         base = replace(ref_spec_bv, x0=x)
         times = [first_passage_times(apply_strategy_exact(path, pp, case))
-                 for path in sample_path(base, 8.0, EXACT, stream.for_path(3), 24)]
+                 for path in sample_path(base, 8.0, EXACT, stream.for_path(3), 24).paths()]
         strict = np.array([pt.kappa_strict for pt in times])
         weak = np.array([pt.t_weak for pt in times])
         ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
@@ -582,6 +582,41 @@ class TestBatches:
             for g, w in zip(got, want):
                 assert [a.tobytes() for a in g] == [a.tobytes() for a in w]
 
+    def test_an_exact_batch_is_its_chunks_side_by_side(self, ref_spec_bv):
+        """Both readers read one EventColumns: each chunk's columns as
+        sample_path draws them, and (horizon, 0) below a shorter chunk."""
+        pp, stream, chunks = params(b=1.2), RngStream(183, tag=5), [(2, 48), (3, 48), (4, 20)]
+        readers = draw(ref_spec_bv, pp, 10.0)(stream, chunks)
+        cols = readers.lane_flows.args[0]
+        assert readers.record_lows.args[0] is cols
+        assert np.array_equal(cols.x0, np.zeros(116))
+        heights = []
+        for (ci, m), r in zip(chunks, estimation._chunk_rows(chunks)):
+            part = sample_path(replace(ref_spec_bv, x0=0.0), 10.0, EXACT, stream.for_path(ci), m)
+            h = len(part.times)
+            assert np.array_equal(cols.counts[r], part.counts)
+            assert np.array_equal(cols.times[:h, r], part.times)
+            assert np.array_equal(cols.sizes[:h, r], part.sizes)
+            assert np.all(cols.times[h:, r] == 10.0) and np.all(cols.sizes[h:, r] == 0.0)
+            heights.append(h)
+        assert min(heights) < len(cols.times) == max(heights)
+
+    def test_the_exact_estimators_build_no_event_path(self, ref_spec_bv, monkeypatch):
+        """The exact engine reads the columns sample_path draws: a two-chunk
+        batch is laid side by side, and no EventPath is made."""
+        def refuse(self):
+            raise AssertionError("an EventPath was built")
+
+        monkeypatch.setattr(EventPath, "__post_init__", refuse)
+        pp, stream = params(b=1.2), RngStream(182, tag=5)
+        curve = nu_curve(pp, ref_spec_bv, np.linspace(0.0, 3.0, 7), 8.0, 0, 300, stream)
+        rows = value_curve([-0.4, 0.0, 0.6, 2.5], 1.2, pp, ref_spec_bv, 8.0, 0, 300, stream)
+        clock = estimate_underline_nu(0.6, 1.2, 0.5, pp, ref_spec_bv, 8.0, 300, stream)
+        assert np.all(np.isfinite(curve.values)) and len(rows) == 4
+        assert 0.0 < clock.mean < BETA
+        with pytest.raises(AssertionError):
+            sample_path(ref_spec_bv, 8.0, EXACT, stream)
+
     @pytest.mark.parametrize("engine", ["exact", "euler"])
     def test_no_byte_depends_on_batching_or_workers(self, ref_spec_bv, ref_spec_gauss,
                                                     engine, monkeypatch):
@@ -665,7 +700,7 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     sw2 = np.zeros(nb)
     cens = np.zeros(nb)
     q = params.q
-    for path in sample_path(base, horizon, EXACT, stream.for_path(ci), m):
+    for path in sample_path(base, horizon, EXACT, stream.for_path(ci), m).paths():
         w = refract_exact(path, 0.0, params.alpha, case)
         ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w, path.times)
         # grid levels are -b; episode j covers b in [-min(hi,0), -lo)
@@ -686,7 +721,7 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
 
 def assert_lows_match_scalar(paths, alpha, case):
     """refracted_record_lows equals _min_episodes of each refracted path."""
-    lows = refracted_record_lows(paths, alpha, case)
+    lows = refracted_record_lows(event_columns(paths), alpha, case)
     assert np.all(np.diff(lows.path) >= 0)  # path-major
     for i, p in enumerate(paths):
         *want, want_min = _min_episodes(refract_exact(p, 0.0, alpha, case), p.times)
@@ -798,7 +833,7 @@ class TestExactNuChunk:
         case = classify_case(drift_only(-d), 0.5)
         assert_lows_match_scalar(paths, 0.5, case)
         grid = np.array([0.0, 0.7, 1.5, 2.0, 3.4, 4.0, 6.5, 8.0])
-        monkeypatch.setattr(estimation, "sample_path", lambda *args: paths)
+        monkeypatch.setattr(estimation, "sample_path", lambda *args: event_columns(paths))
         sw, sw2, cens = exact_nu_chunk(drift_only(-d), params(alpha=0.5), 10.0,
                                        grid, RngStream(174, tag=4), 0, 2)
         first = np.where(grid < 10 * d, np.exp(-Q * grid / d), 0.0)
@@ -821,7 +856,7 @@ class TestExactNuChunk:
         paths = [EventPath(0.0, 10.0, 0.3, np.array([1.0]), np.array([0.2]))]
         lows = assert_lows_match_scalar(paths, 1.0, case)
         assert lows.path.size == 0 and lows.final_min[0] == 0.0
-        monkeypatch.setattr(estimation, "sample_path", lambda *args: paths)
+        monkeypatch.setattr(estimation, "sample_path", lambda *args: event_columns(paths))
         grid = np.array([0.0, 0.5])
         sw, sw2, cens = exact_nu_chunk(spec, params(alpha=1.0), 10.0, grid,
                                        RngStream(175, tag=4), 0, 1)
@@ -854,8 +889,9 @@ class TestExactNuChunk:
         # every stretch, until the bound is passed
         monkeypatch.setattr(path_engine, "_next_target", lambda z, slope, b, floor: 0.0)
         with pytest.raises(RuntimeError):
-            refracted_record_lows([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))],
-                                  0.5, classify_case(drift_only(-0.5), 0.5))
+            refracted_record_lows(
+                event_columns([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))]),
+                0.5, classify_case(drift_only(-0.5), 0.5))
 
 
 def knot_record_lows(incs, alpha, dt):

@@ -8,8 +8,10 @@ import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
+from levyrefract import levy_model
 from levyrefract.levy_model import (
     EXACT,
+    EventColumns,
     EventPath,
     Exponential,
     Grid,
@@ -21,6 +23,7 @@ from levyrefract.levy_model import (
     Uniform,
     Weibull,
     _grid_increment_matrix,
+    _jump_draw,
     characteristic_exponent,
     classify_case,
     net_drift,
@@ -265,7 +268,7 @@ class TestSampling:
             x0=rng.uniform(-1.0, 1.0))
         stream = RngStream(15, tag=spec_seed)
         for horizon, k, m in ((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3)):
-            paths = sample_path(spec, horizon, EXACT, stream, m)
+            paths = sample_path(spec, horizon, EXACT, stream, m).paths()
             incs = _grid_increment_matrix(spec, horizon, k, m, stream.generator())
             assert len(paths) == m
             for p, row in zip(paths, incs):
@@ -275,7 +278,7 @@ class TestSampling:
     def test_one_path_is_the_one_path_draw(self, ref_spec_bv):
         stream = RngStream(16, tag=2)
         one = sample_path(ref_spec_bv, 5.0, EXACT, stream)
-        (first,) = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1)
+        (first,) = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1).paths()
         assert one.times.tobytes() == first.times.tobytes()
         assert one.sizes.tobytes() == first.sizes.tobytes()
 
@@ -290,6 +293,73 @@ class TestSampling:
         knots = np.concatenate(([0.0], np.cumsum(g.increments)))
         assert g.x0 + knots[0] == 1.2
 
+
+class TestEventColumns:
+    """sample_path(..., EXACT, stream, m) as padded event columns."""
+
+    def test_a_drift_only_model_gives_one_row(self):
+        cols = sample_path(drift_only(0.4, x0=0.7), 3.0, EXACT, RngStream(18), 5)
+        assert isinstance(cols, EventColumns)
+        assert np.array_equal(cols.counts, np.zeros(5))
+        assert np.array_equal(cols.times, np.full((1, 5), 3.0))
+        assert np.array_equal(cols.sizes, np.zeros((1, 5)))
+        assert np.array_equal(cols.x0, np.full(5, 0.7))
+        assert (cols.horizon, cols.drift) == (3.0, 0.4)
+
+    def test_a_path_without_events_among_paths_that_jump(self):
+        spec = JumpDiffusionSpec(gamma=0.3, sigma=0.0,
+                                 jump_components=((0.4, -1, Uniform(0.0, 1.0)),))
+        cols = sample_path(spec, 2.0, EXACT, RngStream(19), 64)
+        assert 0 < np.count_nonzero(cols.counts == 0) < 64
+        for c, p in zip(cols.counts, cols.paths()):
+            assert p.times.size == p.sizes.size == c
+            assert np.all(p.sizes < 0.0)
+        quiet = np.flatnonzero(cols.counts == 0)
+        assert np.all(cols.times[:, quiet] == 2.0) and np.all(cols.sizes[:, quiet] == 0.0)
+
+    def test_rows_past_the_counts_are_padding(self, ref_spec_bv):
+        cols = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(20), 40)
+        assert cols.times.shape == cols.sizes.shape == (cols.counts.max() + 1, 40)
+        pad = np.arange(len(cols.times))[:, None] >= cols.counts
+        assert np.all(cols.times[pad] == 5.0) and np.all(cols.sizes[pad] == 0.0)
+        assert np.all(cols.times[~pad] < 5.0) and np.all(cols.sizes[~pad] != 0.0)
+
+    @pytest.mark.parametrize("m", [1, 7, 256])
+    def test_events_are_the_jump_draw_by_path_and_time(self, m):
+        """Three components, so the draw is not in path order; each path's
+        events are its draws sorted by time, bit for bit."""
+        spec = JumpDiffusionSpec(
+            gamma=0.2, sigma=0.0,
+            jump_components=((1.0, 1, Uniform(0.0, 1.0)), (0.7, -1, Weibull(2.0, 1.0)),
+                             (0.3, 1, Exponential(2.0))))
+        stream = RngStream(21, tag=m)
+        rows, times, sizes = _jump_draw(spec, 30.0, m, stream.generator())
+        order = np.lexsort((times, rows))
+        cuts = np.cumsum(np.bincount(rows, minlength=m))[:-1]
+        cols = sample_path(spec, 30.0, EXACT, stream, m)
+        want = zip(np.split(times[order], cuts), np.split(sizes[order], cuts))
+        for i, (t, s) in enumerate(want):
+            assert cols.times[:cols.counts[i], i].tobytes() == t.tobytes()
+            assert cols.sizes[:cols.counts[i], i].tobytes() == s.tobytes()
+
+    def test_an_event_at_the_horizon_stays_an_event(self, monkeypatch):
+        """uniform(0, H) can return H: such an event keeps its size and its
+        place before the padding, which has the same time.  Path 1 draws it
+        first of its 300 events and path 2 draws 600, so path 1 has 301
+        padding cells; an unstable sort of wide rows swaps such ties."""
+        rng = np.random.default_rng(23)
+        times = np.concatenate(([4.0], rng.uniform(0.0, 4.0, 899)))
+        sizes = rng.normal(size=900)
+        draw = (np.repeat([1, 2], [300, 600]), times, sizes)
+        monkeypatch.setattr(levy_model, "_jump_draw", lambda *args: draw)
+        cols = sample_path(drift_only(0.1), 4.0, EXACT, RngStream(22), 3)
+        assert np.array_equal(cols.counts, [0, 300, 600])
+        order = np.argsort(times[:300])
+        assert np.array_equal(cols.times[:300, 1], times[order])
+        assert np.array_equal(cols.sizes[:300, 1], sizes[order])
+        assert (cols.times[299, 1], cols.sizes[299, 1]) == (4.0, sizes[0])
+        assert np.all(cols.times[300:, 1] == 4.0) and np.all(cols.sizes[300:, 1] == 0.0)
+        assert cols.paths()[1].value_at(4.0) == pytest.approx(0.4 + sizes[:300].sum())
 
 class TestRngStream:
     def test_streams_are_stateless_and_keyed(self):

@@ -16,17 +16,7 @@ from levyrefract.path_engine import (
 )
 from levyrefract.strategy_engine import first_passage_times
 
-from conftest import drift_only
-
-
-def case_for(delta, alpha):
-    return classify_case(drift_only(delta), alpha)
-
-
-def drift_path(delta, x0, horizon, jumps=()):
-    times = np.array([t for t, _ in jumps])
-    sizes = np.array([s for _, s in jumps])
-    return EventPath(x0=x0, horizon=horizon, drift=delta, times=times, sizes=sizes)
+from conftest import case_for, drift_path, event_columns
 
 
 class TestRefractExact:
@@ -395,10 +385,10 @@ def stepper_lanes(paths, x, b, alpha, case, floor):
     paths[i].x0 + x[j] with threshold b[j], in the order it comes: the rows
     (t, z, slope, lrate, rrate) of the stretches it keeps, and the rows
     (time, size) of its nonzero dividend and top-up lumps."""
-    columns = path_engine._event_columns(paths)
     lane_j, lane_i = np.indices((len(x), len(paths)))
     got = [[([], [], []) for _ in paths] for _ in x]
-    steps = path_engine.event_steps(columns, paths, x[:, None], b[:, None], alpha, case, floor)
+    steps = path_engine.event_steps(event_columns(paths), x[:, None], b[:, None], alpha, case,
+                                    floor)
     for stretches, te, dividend, topup in steps:
         for at, t, _, z, _, slope, lrate, rrate, kept in stretches:
             js, ids = lane_j[at], lane_i[at]
@@ -440,7 +430,7 @@ class TestFlooredLaneSweep:
         paths = self.paths(delta)
         case = case_for(delta, alpha)
         x, b, spliced = (np.array(c) for c in zip(*self.POINTS))
-        got = floored_lane_sweep(paths, x, b, spliced, alpha, case, self.Q)
+        got = floored_lane_sweep(event_columns(paths), x, b, spliced, alpha, case, self.Q)
         assert got.t_weak.shape == (len(self.POINTS), len(paths))
         for j, (xj, bj, sj) in enumerate(self.POINTS):
             for i, p in enumerate(paths):
@@ -464,7 +454,7 @@ class TestFlooredLaneSweep:
         p = drift_path(0.35, 0.0, 4.0, jumps=[(2.0, -z2)])
         traj = refracted_reflected_exact(p.shifted(0.5), b, 0.3, case)
         assert first_passage_times(traj).t_weak == math.inf
-        got = floored_lane_sweep([p], [0.5], [b], [True], 0.3, case, self.Q)
+        got = floored_lane_sweep(event_columns([p]), [0.5], [b], [True], 0.3, case, self.Q)
         assert got.t_weak[0, 0] == math.inf
 
     def test_an_event_at_the_horizon_that_lands_on_0_is_a_visit(self):
@@ -476,7 +466,7 @@ class TestFlooredLaneSweep:
         p = drift_path(0.35, 0.0, 4.0, jumps=[(4.0, -z)])
         traj = refracted_reflected_exact(p.shifted(0.5), 1.0, 0.3, case)
         assert first_passage_times(traj).t_weak == 4.0
-        got = floored_lane_sweep([p], [0.5], [1.0], [True], 0.3, case, self.Q)
+        got = floored_lane_sweep(event_columns([p]), [0.5], [1.0], [True], 0.3, case, self.Q)
         assert got.t_weak[0, 0] == 4.0
 
     @pytest.mark.parametrize("floor", [True, False])
@@ -509,7 +499,7 @@ class TestFlooredLaneSweep:
     def test_a_lane_past_the_crossing_bound_raises(self, monkeypatch):
         # from above b on a falling drift: down to b, then down to 0
         p = drift_path(-1.3, 0.0, self.H)
-        args = ([p], [1.7], [1.0], [True], 0.5, case_for(-1.3, 0.5), self.Q)
+        args = (event_columns([p]), [1.7], [1.0], [True], 0.5, case_for(-1.3, 0.5), self.Q)
         assert floored_lane_sweep(*args).t_weak[0, 0] == pytest.approx(0.7 / 1.8 + 1 / 1.3)
         monkeypatch.setattr(path_engine, "MAX_CROSSINGS", 1)
         with pytest.raises(RuntimeError):

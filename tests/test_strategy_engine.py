@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, EventPath, Grid, GridPath, InvalidParameter, RngStream,
+    EXACT, Grid, GridPath, InvalidParameter, RngStream,
     classify_case, sample_path,
 )
 from levyrefract.path_engine import (
@@ -17,21 +17,11 @@ from levyrefract.strategy_engine import (
     euler_exact_gap, euler_steps, first_passage_times, simulate_euler,
 )
 
-from conftest import drift_only
+from conftest import case_for, drift_only, drift_path
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
     return StrategyParams(b=b, alpha=alpha, beta=beta, q=q)
-
-
-def case_for(delta, alpha):
-    return classify_case(drift_only(delta), alpha)
-
-
-def drift_path(delta, x0, horizon, jumps=()):
-    times = np.array([t for t, _ in jumps])
-    sizes = np.array([s for _, s in jumps])
-    return EventPath(x0=x0, horizon=horizon, drift=delta, times=times, sizes=sizes)
 
 
 class TestStrategyParams:
@@ -370,7 +360,7 @@ class TestEulerExactGap:
         for k in (50, 400):
             gaps = euler_exact_gap(ref_spec_bv, sp, case, x, 5.0, k, 12, stream)
             assert gaps.shape == (12,)
-            paths = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, stream, 12)
+            paths = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, stream, 12).paths()
             want = [one_path_gap(ref_spec_bv, sp, case, x, 5.0, k, p, stream)
                     for p in paths]
             assert gaps.tobytes() == np.array(want).tobytes()
