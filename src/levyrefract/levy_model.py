@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 
 class InvalidParameter(ValueError):
@@ -42,7 +41,7 @@ class InfiniteNegativeMean(ValueError):
 
 
 class QuadratureFailure(RuntimeError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """A quadrature rule could not reach the requested tolerance."""
 
 
 class ExactModeUnavailable(RuntimeError):
@@ -155,24 +154,34 @@ class Weibull(MarkDistribution):
         # E[M 1{M<1}] = scale * lower_incomplete_gamma(1 + 1/k, (1/scale)^k)
         a = 1.0 + 1.0 / self.shape
         z = (1.0 / self.scale) ** self.shape
-        return self.scale * math.gamma(a) * special.gammainc(a, z)
-
-    def _density(self, x):
-        k, lam = self.shape, self.scale
-        return (k / lam) * (x / lam) ** (k - 1.0) * np.exp(-((x / lam) ** k))
+        return self.scale * math.gamma(a) * _gammainc(a, z)
 
     def char(self, u):
         scalar = np.isscalar(u)
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        # truncate where the survival function is below 1e-18; the tail
-        # contribution is then smaller than the 1e-10 relative tolerance
-        x_max = self.scale * (41.5 ** (1.0 / self.shape))
-        out = np.empty(u.shape, dtype=complex)
-        for i, ui in enumerate(u):
-            re = _quad_checked(lambda x: self._density(x) * np.cos(ui * x), 0.0, x_max)
-            im = _quad_checked(lambda x: self._density(x) * np.sin(ui * x), 0.0, x_max)
-            out[i] = re + 1j * im
+        out = np.array([self._char_one(ui) for ui in u], dtype=complex)
         return out[0] if scalar else out
+
+    def _char_one(self, u):
+        # M = scale * S^(1/k) with S ~ Exp(1) on [0, 41.5] (e^-41.5 < 1e-18),
+        # by a tanh-sinh rule on t in [-4, 4] that clusters its nodes at the
+        # branch point of s^(1/k) at 0.  Each halving of h adds the odd nodes;
+        # dividing by the rule's own mass makes char(0) exactly 1.
+        re, im, mass, val = 0.0, 0.0, 0.0, None
+        for level in range(_TS_LEVELS + 1):
+            h = 2.0 ** -level
+            t = np.arange(h - 4.0, 4.0, 2 * h) if level else np.arange(-4.0, 4.5)
+            y = math.pi * np.sinh(t)
+            s = 41.5 / (1.0 + np.exp(-y))
+            p = s / (1.0 + np.exp(y)) * math.pi * np.cosh(t) * np.exp(-s)
+            arg = u * self.scale * s ** (1.0 / self.shape)
+            re += (p * np.cos(arg)).sum()
+            im += (p * np.sin(arg)).sum()
+            mass += p.sum()
+            prev, val = val, complex(re / mass, im / mass)
+            if prev is not None and abs(val - prev) <= _TS_TOL:
+                return val
+        raise QuadratureFailure(f"tanh-sinh levels differ by {abs(val - prev):.2e} at u = {u}")
 
     def sample(self, n, rng):
         return self.scale * (-np.log1p(-rng.random(n))) ** (1.0 / self.shape)
@@ -239,12 +248,38 @@ class PointMass(MarkDistribution):
         return np.full(n, self.c)
 
 
-def _quad_checked(f, a, b):
-    from scipy.integrate import quad  # only Weibull.char integrates; the import weighs ~25 MiB
-    val, err = quad(f, a, b, epsabs=1e-13, epsrel=1e-10, limit=200)
-    if err > max(1e-10 * abs(val), 1e-11):
-        raise QuadratureFailure(f"quadrature error estimate {err:.2e} for value {val:.6e}")
-    return val
+_TS_LEVELS = 13     # finest step 2^-13 of Weibull.char's rule: 65,536 nodes
+_TS_TOL = 1e-12     # two successive levels of the rule must agree this closely
+_EPS = 2.0 ** -53   # unit roundoff: the gamma series and fraction stop below it
+
+
+def _gammainc(a, z):
+    """Regularized lower incomplete gamma P(a, z) for a > 0 and z >= 0.
+
+    The power series for z <= a + 1 (Cephes igam_series), else one minus the
+    continued fraction for Q(a, z), evaluated by the modified Lentz method.
+    """
+    if z == 0.0:
+        return 0.0
+    fac = math.exp(a * math.log(z) - z - math.lgamma(a))  # z^a e^-z / Gamma(a)
+    if z <= a + 1.0:
+        r, term, total = a, 1.0, 1.0
+        while term > _EPS * total:
+            r += 1.0
+            term *= z / r
+            total += term
+        return total * fac / a
+    b, n, c = z + 1.0 - a, 0, math.inf
+    frac = step = d = 1.0 / b
+    while abs(step - 1.0) > _EPS:
+        n += 1
+        an = -n * (n - a)
+        b += 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        step = d * c
+        frac *= step
+    return 1.0 - frac * fac
 
 
 # ---------------------------------------------------------------------------

@@ -172,32 +172,35 @@ class TestReferenceConfigs:
         assert c1.spec.sigma == 0.0 and c2.spec.sigma == 1.0
         assert c2.task_float("b") == 2.15
 
-    def test_estimators_never_import_the_quadrature(self, tmp_path):
-        """Only Weibull.char integrates, so a fresh interpreter that loads
-        both shipped configs and runs a small bstar on each engine never
-        imports scipy.integrate."""
+    def test_no_subcommand_imports_scipy(self, tmp_path):
+        """scipy is a test-only reference: a fresh interpreter that imports
+        levyrefract and runs the subcommands at tiny N on the shipped configs,
+        on both engines, never loads a scipy module."""
         import subprocess
         import sys
         import levyrefract
         src = os.path.dirname(os.path.dirname(levyrefract.__file__))
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
+        runs = [(1, "validate"), (1, "sample-path"), (1, "nu-curve"), (1, "bstar"),
+                (2, "bstar"), (2, "value-curve"), (1, "check-properties")]
         script = "\n".join([
-            "import sys",
+            "import re, sys",
             "sys.path.insert(0, %r)" % src,
+            "import levyrefract",
             "from levyrefract.cli_reporting import load_config, run_experiment",
-            "for i in (1, 2):",
-            "    path = %r %% i" % os.path.join(root, "paper_case%d.cfg"),
-            "    load_config(path)",
-            "    text = open(path).read().replace('mc.N = 100000', 'mc.N = 256')",
-            "    cfg = load_config(text.replace('grid.K = 10000', 'grid.K = 200'))",
-            "    assert cfg.n == 256 and cfg.k == 200",
-            "    run_experiment(cfg, 'bstar', out_dir=%r + str(i))" % str(tmp_path / "out"),
-            "print('scipy.integrate' in sys.modules)",
+            "for i, sub in %r:" % runs,
+            "    text = open(%r %% i).read()" % os.path.join(root, "paper_case%d.cfg"),
+            "    text = text.replace('mc.N = 100000', 'mc.N = 64')",
+            "    text = text.replace('grid.K = 10000', 'grid.K = 100')",
+            "    cfg = load_config(re.sub(r'task.x_grid = .*', 'task.x_grid = 0:0.5:1', text))",
+            "    assert cfg.n == 64 and cfg.k == 100 and cfg.task_grid('x_grid').size == 3",
+            "    run_experiment(cfg, sub, out_dir=%r %% (i, sub))" % str(tmp_path / "%d-%s"),
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
         ])
         out = subprocess.run([sys.executable, "-c", script], capture_output=True,
                              text=True, check=True).stdout
-        assert out.strip() == "False"
-        assert sorted(os.listdir(tmp_path)) == ["out1", "out2"]
+        assert out.strip() == "[]"
+        assert sorted(os.listdir(tmp_path)) == sorted("%d-%s" % r for r in runs)
 
 
 class TestRunValidate:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +20,11 @@ from levyrefract.levy_model import (
     InvalidParameter,
     JumpDiffusionSpec,
     PointMass,
+    QuadratureFailure,
     RngStream,
     Uniform,
     Weibull,
+    _gammainc,
     _grid_increment_matrix,
     _jump_draw,
     characteristic_exponent,
@@ -55,6 +58,60 @@ class TestMarkDistributions:
             lambda x: x * scipy.stats.weibull_min.pdf(x, 1.4, scale=0.8), 0, 1)
         assert err < 1e-7
         assert d.truncated_mean() == pytest.approx(ref, abs=1e-7)
+
+    def test_weibull_truncated_mean_matches_scipy_bits(self):
+        want = 1.0 * math.gamma(1.5) * float(scipy.special.gammainc(1.5, 1.0))
+        assert Weibull(2.0, 1.0).truncated_mean() == want
+
+    def test_reference_drift_bits(self, ref_spec_bv):
+        weibull = 1.0 * math.gamma(1.5) * float(scipy.special.gammainc(1.5, 1.0))
+        want = REFERENCE_GAMMA - (1.0 * Uniform(0.0, 1.0).truncated_mean() - weibull)
+        assert net_drift(ref_spec_bv) == want == 0.6000000000000001
+
+    def test_gamma_ratio_vs_scipy(self):
+        a, z, got, want = [], [], [], []
+        for k in np.geomspace(0.2, 10.0, 21):
+            for lam in np.geomspace(0.05, 20.0, 21):
+                a.append(1.0 + 1.0 / float(k))
+                z.append((1.0 / float(lam)) ** float(k))
+                got.append(_gammainc(a[-1], z[-1]))
+                want.append(float(scipy.special.gammainc(a[-1], z[-1])))
+        a, z, got, want = map(np.asarray, (a, z, got, want))
+        # both branches, P near 0 (z << 1) and P rounding to 1 (z >> a)
+        assert (z <= a + 1).any() and (z > a + 1).any()
+        assert z.min() < 1e-12 and (want == 1.0).any()
+        np.testing.assert_array_equal(got[want == 1.0], 1.0)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+
+    def test_truncated_means_are_python_floats(self):
+        for d in (Uniform(0.0, 1.0), Uniform(1.5, 2.0), Exponential(1.7),
+                  Weibull(2.0, 1.0), Weibull(0.5, 3.0),
+                  HyperExponential((0.3, 0.7), (1.0, 3.0)), PointMass(0.4),
+                  PointMass(2.0)):
+            assert type(d.truncated_mean()) is float, d
+
+    @pytest.mark.parametrize("shape", [0.7, 1.0, 1.4, 2.0, 3.5, 6.0])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
+    def test_weibull_char_vs_quadrature(self, shape, scale):
+        us = np.array([-4.0, -1.0, 0.5, 2.0])
+        got = Weibull(shape, scale).char(us)
+
+        def dens(x):
+            return (shape / scale) * (x / scale) ** (shape - 1.0) \
+                * np.exp(-((x / scale) ** shape))
+
+        top = scale * 50.0 ** (1.0 / shape)  # survival e^-50
+        for u, g in zip(us, got):
+            re = scipy.integrate.quad(lambda x: dens(x) * np.cos(u * x), 0, top,
+                                      epsabs=1e-14, epsrel=1e-12, limit=1000)[0]
+            im = scipy.integrate.quad(lambda x: dens(x) * np.sin(u * x), 0, top,
+                                      epsabs=1e-14, epsrel=1e-12, limit=1000)[0]
+            assert abs(g - complex(re, im)) <= 1e-10, (u, g, re, im)
+
+    def test_weibull_char_unresolved_raises(self):
+        # u * scale = 100 under a shape-0.5 tail: the finest level cannot resolve it
+        with pytest.raises(QuadratureFailure):
+            Weibull(0.5, 5.0).char(20.0)
 
     def test_exponential_truncated_mean_vs_quadrature(self):
         d = Exponential(1.7)
