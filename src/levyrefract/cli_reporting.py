@@ -83,7 +83,7 @@ _CONTROL_KEYS = {"alpha", "beta", "q"}
 _GRID_KEYS = {"t", "k"}
 _MC_KEYS = {"n", "seed"}
 _TASK_KEYS = {"b_grid", "x_grid", "alphas", "competing_b", "b", "x",
-              "engine", "mode", "method"}
+              "engine", "method"}
 
 _DISTS = {
     "uniform": (Uniform, 2),
@@ -292,6 +292,8 @@ def load_config(source: str) -> ExperimentConfig:
     if "mc.seed" not in items:
         raise ValidationError("mc.seed", "missing")
     seed = _to_int("mc.seed", items["mc.seed"])
+    if seed < 0:
+        raise ValidationError("mc.seed", "must be >= 0")
     task = {key.split(".", 1)[1]: val for key, val in items.items()
             if key.startswith("task.")}
     for key in ("b", "x"):
@@ -304,8 +306,6 @@ def load_config(source: str) -> ExperimentConfig:
         raise ValidationError("task.engine", "must be auto, exact, or euler")
     if engine == "exact" and spec.sigma != 0.0:
         raise ValidationError("task.engine", "the exact engine needs model.sigma = 0")
-    if "mode" in task and task["mode"].lower() not in ("crn", "independent"):
-        raise ValidationError("task.mode", "must be crn or independent")
     if "method" in task and task["method"].lower() not in ("direct", "spliced"):
         raise ValidationError("task.method", "must be direct or spliced")
     return ExperimentConfig(
@@ -624,8 +624,7 @@ def _run_nu_curve(cfg, outs, seed, n, k, threads, desk):
     bgrid = cfg.task_grid("b_grid")
     eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     curve = nu_curve(cfg.params_for(0.0), cfg.spec, bgrid, cfg.horizon, k, n,
-                     RngStream(seed, tag=2), mode=cfg.task_str("mode", "crn"),
-                     engine=eng, threads=threads)
+                     RngStream(seed, tag=2), engine=eng, threads=threads)
     plot = _nu_plot(curve, cfg.beta, "Passage transform over thresholds") \
         if bgrid.size else None
     emit_outputs(outs, "nu_curve", curve.to_csv(), plot)
@@ -636,8 +635,7 @@ def _run_bstar(cfg, outs, seed, n, k, threads, desk):
     bgrid = cfg.task_grid("b_grid")
     eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     res = find_bstar(cfg.params_for(0.0), cfg.spec, bgrid, cfg.horizon, k, n,
-                     RngStream(seed, tag=2), mode=cfg.task_str("mode", "crn"),
-                     engine=eng, threads=threads)
+                     RngStream(seed, tag=2), engine=eng, threads=threads)
     outs.write("bstar.csv", res.to_csv())
     plot = _nu_plot(res.curve, cfg.beta, "Threshold estimate")
     emit_outputs(outs, "nu_curve", res.curve.to_csv(), plot)
@@ -705,9 +703,12 @@ def _run_alpha_convergence(cfg, outs, seed, n, k, threads, desk):
         raise ValidationError("task.b", "missing")
     n_paths = min(n, 2000)
     horizon = min(cfg.horizon, 30.0)
-    rep = oracle.alpha_ladder_run(cfg.spec, float(b), alphas, float(x), horizon,
-                                  n_paths, RngStream(seed, tag=4),
-                                  beta=cfg.beta, q=cfg.q)
+    try:
+        rep = oracle.alpha_ladder_run(cfg.spec, float(b), alphas, float(x), horizon,
+                                      n_paths, RngStream(seed, tag=4),
+                                      beta=cfg.beta, q=cfg.q)
+    except oracle.InvalidLadder as err:
+        raise ValidationError("task.alphas", str(err))
     lines = ["alpha,v,se,sup_gap_to_limit"]
     for a, v, s, g in zip(rep.alphas, rep.value_means, rep.value_ses,
                           rep.sup_gap_to_limit):
@@ -739,11 +740,13 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
     pair = oracle.coupled_pair_run(cfg.spec, cfg.params_for(b), x, 0.0, shift,
                                    horizon, n_pair, RngStream(seed, tag=5),
                                    relaxed=b == 0.0)
-    ladder = oracle.alpha_ladder_run(cfg.spec, b, [cfg.alpha, 2 * cfg.alpha,
-                                                   math.inf],
-                                     x, horizon, min(n_pair, 150),
-                                     RngStream(seed, tag=6), beta=cfg.beta,
-                                     q=cfg.q)
+    reports = [pair]
+    # alpha = inf leaves one distinct rate cap and no ladder to climb
+    rungs = sorted({cfg.alpha, 2 * cfg.alpha, math.inf})
+    if len(rungs) > 1:
+        reports.append(oracle.alpha_ladder_run(cfg.spec, b, rungs, x, horizon,
+                                               min(n_pair, 150), RngStream(seed, tag=6),
+                                               beta=cfg.beta, q=cfg.q))
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
                                       max(n, 40_000), RngStream(seed, tag=7))
     # negative control: a correct coupled pair checked against a mis-stated
@@ -754,14 +757,16 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
     tk = apply_strategy_exact(path, cfg.params_for(b), case)
     tl = apply_strategy_exact(path.shifted(shift), cfg.params_for(b), case)
     control = oracle.check_pair(tk, tl, 0.5 * shift, b)
-    lines = pair.summary_lines() + ladder.summary_lines()
+    lines = [line for rep in reports for line in rep.summary_lines()]
+    if len(rungs) == 1:
+        lines.append("SKIP alpha_ladder (control.alpha = inf leaves one rate cap)")
     lines.append(("PASS" if char.ok else "FAIL") + " char_function")
     lines.append("PASS negative_control (fired %d violations)" % len(control)
                  if control else "FAIL negative_control (silent)")
     outs.write("properties.txt", "\n".join(lines) + "\n")
-    viols = list(pair.violations) + list(ladder.violations)
+    viols = [v for rep in reports for v in rep.violations]
     outs.write("violations.csv", oracle.violations_csv(viols))
-    ok = pair.ok and ladder.ok and char.ok and bool(control)
+    ok = all(rep.ok for rep in reports) and char.ok and bool(control)
     return "exact", "pass" if ok else "fail"
 
 
@@ -821,6 +826,10 @@ def run_experiment(cfg: ExperimentConfig, subcommand: str, out_dir: str = ".",
     if subcommand not in _SUBS:
         raise ValueError("subcommand must be one of " + ", ".join(SUBCOMMANDS))
     eff_seed = cfg.seed if seed is None else int(seed)
+    if eff_seed < 0:
+        raise ValidationError("--seed", "must be >= 0")
+    if threads < 1:
+        raise ValidationError("--threads", "must be >= 1")
     n, k = cfg.n, cfg.k
     if desk_scale:
         n = min(n, DESK_N)

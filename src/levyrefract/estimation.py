@@ -14,14 +14,16 @@ strategy_engine.euler_steps.  Each estimator reduces them once, for both
 engines; a passage that does not occur before the horizon weighs
 exp(-q * inf) = 0.
 
-Common-random-number threshold curves exploit that the dividend recursion
-below the stopping time does not depend on the threshold once the state is
-translated, so the record lows of one path serve the whole grid, summed
-path by path with np.bincount.  Value curves run as one job over paths x
-starts x thresholds: a batch draws once on the main stream and once on the
-at-0 anchor substream and reads every (x, b) point off those two draws, so
-one pool serves a curve set.  A run steps at most BLOCK_LANES lanes at
-once, in blocks of points that share the stream's draw.
+The threshold search has one form, on common random numbers: the path
+refracted at b and started at b is the path refracted at 0 and started at
+0, shifted up by b, so the record lows of one path give nu at every grid
+point, summed path by path with np.bincount.  The curve is non-increasing
+path by path, and nu at one threshold is the one-point curve.  Value
+curves run as one job over paths x starts x thresholds: a batch draws once
+on the main stream and once on the at-0 anchor substream and reads every
+(x, b) point off those two draws, so one pool serves a curve set.  A run
+steps at most BLOCK_LANES lanes at once, in blocks of points that share
+the stream's draw.
 
 Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
 of at most BATCH contiguous chunks as one lane set, and a run has at least
@@ -90,7 +92,6 @@ class NuCurve:
     values: np.ndarray
     std_errors: np.ndarray
     censored_fractions: np.ndarray
-    mode: str  # "crn" or "independent"
     n: int
     stream_id: str
 
@@ -231,117 +232,39 @@ def _nu_chunk(draw, params, bgrid_pos, stream, chunks):
             for a, z, r in zip(cut, cut[1:], rows)]
 
 
-def _finalize_curve(bgrid, sums, n, mode, stream_id):
-    sw, sw2, cens = sums
-    values = np.ones(len(bgrid))
-    ses = np.zeros(len(bgrid))
-    cfr = np.zeros(len(bgrid))
-    pos_mask = bgrid >= 0.0
-    mean = sw / n
-    var = np.maximum(sw2 - sw * sw / n, 0.0) / max(n - 1, 1)
-    values[pos_mask] = mean
-    ses[pos_mask] = np.sqrt(var / n)
-    cfr[pos_mask] = cens / n
-    return NuCurve(grid=np.asarray(bgrid, dtype=float), values=values,
-                   std_errors=ses, censored_fractions=cfr, mode=mode, n=n,
-                   stream_id=stream_id)
-
-
 def nu_curve(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
              horizon: float, k: int, n: int, stream: RngStream,
-             mode: str = "crn", engine: str = "auto", threads: int = 1) -> NuCurve:
+             engine: str = "auto", threads: int = 1) -> NuCurve:
     """Discounted strict-passage transform over a threshold grid.
 
-    mode "crn" shares one driving sweep across the grid (pathwise monotone
-    curve); "independent" re-simulates each grid point with its own
-    substream.  Thresholds below 0 are not simulated: the transform is 1
-    there by convention.
+    One sweep of record lows per path serves every grid point, so the curve
+    is non-increasing path by path, and a one-point grid gives the same
+    value as that point of any grid on the same stream.  Thresholds below 0
+    are not simulated: the transform is 1 there by convention.
     """
     bgrid = np.asarray(bgrid, dtype=float)
     if bgrid.size and np.any(np.diff(bgrid) <= 0):
         raise InvalidParameter("grid", "threshold grid must be strictly increasing")
-    eng = _engine_for(spec, engine)
-    bpos = bgrid[bgrid >= 0.0]
-    if mode == "independent":
-        values = np.ones(len(bgrid))
-        ses = np.zeros(len(bgrid))
-        cfr = np.zeros(len(bgrid))
-        for idx in np.flatnonzero(bgrid >= 0.0):
-            sub = stream.with_tag(stream.tag + 1000 + int(idx))
-            est = estimate_nu(float(bgrid[idx]), params, spec, horizon, k, n, sub,
-                              engine=eng, threads=threads)
-            values[idx] = est.mean
-            ses[idx] = est.std_error
-            cfr[idx] = est.censored_fraction
-        return NuCurve(grid=bgrid, values=values, std_errors=ses,
-                       censored_fractions=cfr, mode="independent", n=n,
-                       stream_id=stream.id)
-    if mode != "crn":
-        raise InvalidParameter("mode", "mode must be crn or independent")
-    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
-    sums = _run_chunks(n, partial(_nu_chunk, draw, params, bpos, stream), threads)
-    return _finalize_curve(bgrid, sums, n, "crn", stream.id)
-
-
-def estimate_nu(b: float, params: StrategyParams, spec: JumpDiffusionSpec,
-                horizon: float, k: int, n: int, stream: RngStream,
-                engine: str = "auto", threads: int = 1) -> McEstimate:
-    """Single-threshold discounted strict-passage estimate."""
-    if b < 0:
-        return McEstimate(mean=1.0, std_error=0.0, n=n, censored_fraction=0.0,
-                          stream_id=stream.id)
-    pp = replace(params, b=float(b))
-    curve = nu_curve(pp, spec, np.asarray([float(b)]), horizon, k, n, stream,
-                     mode="crn", engine=engine, threads=threads)
-    return McEstimate(mean=float(curve.values[0]),
-                      std_error=float(curve.std_errors[0]), n=n,
-                      censored_fraction=float(curve.censored_fractions[0]),
-                      stream_id=stream.id)
-
-
-def _pav_nonincreasing(y: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Weighted least-squares projection onto non-increasing sequences."""
-    vals = []
-    wts = []
-    cnt = []
-    for yi, wi in zip(y, w):
-        vals.append(yi)
-        wts.append(wi)
-        cnt.append(1)
-        while len(vals) > 1 and vals[-2] < vals[-1]:
-            wtot = wts[-1] + wts[-2]
-            vnew = (vals[-1] * wts[-1] + vals[-2] * wts[-2]) / wtot
-            vals[-2:] = [vnew]
-            wts[-2:] = [wtot]
-            cnt[-2:] = [cnt[-1] + cnt[-2]]
-    out = np.empty(len(y))
-    pos = 0
-    for v, c in zip(vals, cnt):
-        out[pos:pos + c] = v
-        pos += c
-    return out
+    pos = bgrid >= 0.0
+    draw = partial(_chunk_readers, spec, params, horizon, k, _engine_for(spec, engine))
+    sw, sw2, cens = _run_chunks(n, partial(_nu_chunk, draw, params, bgrid[pos], stream), threads)
+    values, ses, cfr = np.ones(bgrid.size), np.zeros(bgrid.size), np.zeros(bgrid.size)
+    values[pos] = sw / n
+    ses[pos] = np.sqrt(np.maximum(sw2 - sw * sw / n, 0.0) / max(n - 1, 1) / n)
+    cfr[pos] = cens / n
+    return NuCurve(grid=bgrid, values=values, std_errors=ses, censored_fractions=cfr,
+                   n=n, stream_id=stream.id)
 
 
 def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
                horizon: float, k: int, n: int, stream: RngStream,
-               mode: str = "crn", engine: str = "auto",
-               threads: int = 1) -> BstarResult:
+               engine: str = "auto", threads: int = 1) -> BstarResult:
     """Smallest grid threshold where beta times the passage transform drops
-    below 1, with a 3-standard-error localization interval.
-
-    Independent-mode curves are isotonized (non-increasing) before the
-    crossing is read off.
-    """
-    curve = nu_curve(params, spec, bgrid, horizon, k, n, stream, mode=mode,
+    below 1, with a 3-standard-error localization interval."""
+    curve = nu_curve(params, spec, bgrid, horizon, k, n, stream,
                      engine=engine, threads=threads)
     beta = params.beta
-    vals = curve.values.copy()
-    if mode == "independent":
-        pos = curve.grid >= 0.0
-        se = curve.std_errors[pos]
-        wts = np.where(se > 0, np.where(se > 0, se, 1.0) ** -2.0, 1.0)
-        vals[pos] = _pav_nonincreasing(vals[pos], wts)
-    cand = (curve.grid > 0.0) & (beta * vals < 1.0)
+    cand = (curve.grid > 0.0) & (beta * curve.values < 1.0)
     if not np.any(cand):
         raise NoCrossing("beta * nu stays >= 1 on the whole grid")
     bstar = float(curve.grid[np.argmax(cand)])
@@ -580,15 +503,6 @@ def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
                           method == "spliced", eng, threads)
     # a grid's -0.0 start is reported as 0
     return [(0.0 if x == 0 else x, est) for x, est in zip(xs, ests)]
-
-
-def estimate_value(x: float, b: float, params: StrategyParams,
-                   spec: JumpDiffusionSpec, horizon: float, k: int, n: int,
-                   stream: RngStream, method: str = "spliced",
-                   engine: str = "auto", threads: int = 1) -> McEstimate:
-    """The value at one start: the one-point value_curve."""
-    return value_curve([x], b, params, spec, horizon, k, n, stream,
-                       method=method, engine=engine, threads=threads)[0][1]
 
 
 def value_curve_csv(rows) -> str:

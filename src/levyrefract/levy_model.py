@@ -57,6 +57,14 @@ def _finite(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
 
 
+def _require_finite_mean(marks, field_name: str):
+    try:
+        mean = marks.mean()
+    except OverflowError:
+        mean = math.inf
+    _require(math.isfinite(mean), field_name, "the mark mean overflows a float")
+
+
 # ---------------------------------------------------------------------------
 # mark distributions
 
@@ -92,6 +100,7 @@ class Uniform(MarkDistribution):
     def __post_init__(self):
         _require(_finite(self.a) and self.a >= 0, "a", "Uniform lower bound must be >= 0")
         _require(_finite(self.b) and self.b > self.a, "b", "Uniform upper bound must exceed the lower")
+        _require_finite_mean(self, "b")
 
     def mean(self):
         return 0.5 * (self.a + self.b)
@@ -120,6 +129,7 @@ class Exponential(MarkDistribution):
 
     def __post_init__(self):
         _require(_finite(self.rho) and self.rho > 0, "rho", "Exponential rate must be positive")
+        _require_finite_mean(self, "rho")
 
     def mean(self):
         return 1.0 / self.rho
@@ -146,6 +156,7 @@ class Weibull(MarkDistribution):
     def __post_init__(self):
         _require(_finite(self.shape) and self.shape > 0, "shape", "Weibull shape must be positive")
         _require(_finite(self.scale) and self.scale > 0, "scale", "Weibull scale must be positive")
+        _require_finite_mean(self, "shape")
 
     def mean(self):
         return self.scale * math.gamma(1.0 + 1.0 / self.shape)
@@ -153,7 +164,10 @@ class Weibull(MarkDistribution):
     def truncated_mean(self):
         # E[M 1{M<1}] = scale * lower_incomplete_gamma(1 + 1/k, (1/scale)^k)
         a = 1.0 + 1.0 / self.shape
-        z = (1.0 / self.scale) ** self.shape
+        try:
+            z = (1.0 / self.scale) ** self.shape
+        except OverflowError:  # every mark lies below 1
+            z = math.inf
         return self.scale * math.gamma(a) * _gammainc(a, z)
 
     def char(self, u):
@@ -207,6 +221,7 @@ class HyperExponential(MarkDistribution):
                  "mixture rates must be positive")
         _require(all(r1 < r2 for r1, r2 in zip(self.rates, self.rates[1:])),
                  "rates", "mixture rates must be strictly increasing")
+        _require_finite_mean(self, "rates")
 
     def mean(self):
         return sum(w / r for w, r in zip(self.weights, self.rates))
@@ -259,8 +274,8 @@ def _gammainc(a, z):
     The power series for z <= a + 1 (Cephes igam_series), else one minus the
     continued fraction for Q(a, z), evaluated by the modified Lentz method.
     """
-    if z == 0.0:
-        return 0.0
+    if z == 0.0 or z == math.inf:  # P(a, 0) = 0 and P(a, inf) = 1
+        return float(z > 0.0)
     fac = math.exp(a * math.log(z) - z - math.lgamma(a))  # z^a e^-z / Gamma(a)
     if z <= a + 1.0:
         r, term, total = a, 1.0, 1.0

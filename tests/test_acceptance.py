@@ -14,9 +14,8 @@ import pytest
 
 from levyrefract.cli_reporting import (load_config, reference_case1_spec,
                                        reference_case2_spec, run_experiment)
-from levyrefract.estimation import (DegenerateDenominator, estimate_nu,
-                                    estimate_underline_nu, estimate_value,
-                                    find_bstar, solve_pstar, value_curve)
+from levyrefract.estimation import (DegenerateDenominator, estimate_underline_nu,
+                                    find_bstar, nu_curve, solve_pstar, value_curve)
 from levyrefract.levy_model import (EXACT, RngStream, classify_case, net_drift,
                                     sample_path)
 from levyrefract.path_engine import (construction_identity_residual,
@@ -115,20 +114,20 @@ def test_04_drift_only_closed_forms():
     desc = drift_only(-1.0)
     errs = []
     for b in (2.0, 5.0):
-        est = estimate_nu(b, ref_params(), desc, 100.0, 0, 64,
-                          RngStream(SEED, tag=41 + int(b)))
+        est = nu_curve(ref_params(), desc, [b], 100.0, 0, 64,
+                       RngStream(SEED, tag=41 + int(b)))
         want = math.exp(-0.05 * b)
-        errs.append(abs(est.mean - want) / want)
+        errs.append(abs(est.values[0] - want) / want)
     grid = np.round(np.arange(7.0, 9.0 + 1e-9, 0.01), 2)
     res = find_bstar(ref_params(), desc, grid, 100.0, 0, 64,
                      RngStream(SEED, tag=44))
     # beta * exp(-q b) crosses 1 at ln(1.5)/0.05, next grid point is 8.11
     errs.append(abs(res.bstar_hat - 8.11))
-    v0 = estimate_value(0.0, 1.0, ref_params(), desc, math.inf, 0, 1,
-                        RngStream(SEED, tag=45), method="direct")
+    v0 = value_curve([0.0], 1.0, ref_params(), desc, math.inf, 0, 1,
+                     RngStream(SEED, tag=45), method="direct")[0][1]
     errs.append(abs(v0.mean - (-30.0)) / 30.0)
-    vcap = estimate_value(0.0, 0.0, ref_params(), drift_only(2.0), math.inf,
-                          0, 1, RngStream(SEED, tag=46), method="direct")
+    vcap = value_curve([0.0], 0.0, ref_params(), drift_only(2.0), math.inf,
+                       0, 1, RngStream(SEED, tag=46), method="direct")[0][1]
     errs.append(abs(vcap.mean - 10.0) / 10.0)
     ok = max(errs) < TOL
     detail = ("passage transform, threshold, perpetual values on drift-only "

@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
 
+from levyrefract import cli_reporting
 from levyrefract.cli_reporting import (
     ParseError, SUBCOMMANDS, SvgPlot, ValidationError, load_config, main,
     parse_grid, reference_case1_spec, reference_case2_spec,
@@ -47,9 +49,26 @@ class TestGrammar:
         with pytest.raises(ParseError):
             load_config(BASE + "mc.N = 9\n")
 
-    def test_unknown_key(self):
-        with pytest.raises(ParseError):
-            load_config(BASE + "mc.paths = 9\n")
+    @pytest.mark.parametrize("line", ["mc.paths = 9", "task.mode = crn"])
+    def test_unknown_key(self, line):
+        with pytest.raises(ParseError, match="unknown key"):
+            load_config(BASE + line + "\n")
+
+    def test_readme_grammar_shows_every_key(self):
+        """Every key the parser accepts appears in README's config grammar
+        block, and the block is itself a valid config."""
+        with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
+                  encoding="utf-8") as fh:
+            block = fh.read().split("## Config grammar", 1)[1].split("```")[1]
+        load_config(block)
+        shown = {re.sub(r"^model\.jump\d+\.", "model.jump.", key)
+                 for key in cli_reporting._parse_items(block)}
+        accepted = {"%s.%s" % (section, key) for section, keys in (
+            ("model", cli_reporting._MODEL_KEYS), ("model.jump", cli_reporting._JUMP_KEYS),
+            ("control", cli_reporting._CONTROL_KEYS), ("grid", cli_reporting._GRID_KEYS),
+            ("mc", cli_reporting._MC_KEYS), ("task", cli_reporting._TASK_KEYS))
+            for key in keys}
+        assert accepted - shown == set()
 
     def test_unknown_distribution(self):
         text = BASE + ("model.jump1.rate = 1\nmodel.jump1.sign = 1\n"
@@ -66,6 +85,7 @@ class TestGrammar:
         (("control.beta = 1.5", "control.beta = 1.0"), "control.beta"),
         (("control.alpha = 0.5", "control.alpha = -1"), "control.alpha"),
         (("control.q = 0.05", "control.q = inf"), "control.q"),
+        (("mc.seed = 77", "mc.seed = -5"), "mc.seed"),
     ])
     def test_validation_field_addresses(self, mangle, field):
         old, new = mangle
@@ -76,7 +96,6 @@ class TestGrammar:
     @pytest.mark.parametrize("line,field", [
         ("task.b = -0.5", "task.b"),
         ("task.engine = gpu", "task.engine"),
-        ("task.mode = both", "task.mode"),
         ("task.method = magic", "task.method"),
     ])
     def test_task_field_addresses(self, line, field):
@@ -93,9 +112,13 @@ class TestGrammar:
         comps = load_config(text).spec.jump_components
         assert [c.rate for c in comps] == [1.0, 2.0, 50.0]
 
-    def test_bad_mark_parameter_names_the_field(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dist,params", [
+        ("uniform", "-1, 1"),
+        # legal parameters whose mean overflows a float
+        ("weibull", "0.001, 1"), ("exponential", "1e-320")])
+    def test_bad_mark_parameter_names_the_field(self, dist, params, tmp_path, capsys):
         text = BASE + ("model.jump1.rate = 1\nmodel.jump1.sign = 1\n"
-                       "model.jump1.dist = uniform\nmodel.jump1.params = -1, 1\n")
+                       "model.jump1.dist = %s\nmodel.jump1.params = %s\n" % (dist, params))
         with pytest.raises(ValidationError) as err:
             load_config(text)
         assert err.value.field == "model.jump1.params"
@@ -325,6 +348,16 @@ class TestRunAlphaConvergence:
         assert all(line.startswith("PASS")
                    for line in (tmp_path / "alpha_ladder.txt").read_text().splitlines())
 
+    @pytest.mark.parametrize("alphas", ["2, 1", "2"])
+    def test_a_ladder_of_fewer_than_two_rising_caps_exits_two(self, alphas, tmp_path,
+                                                              capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "task.alphas = %s\ntask.b = 1\ntask.x = 0.5\n" % alphas)
+        code = main(["alpha-convergence", "--config", str(p), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "task.alphas" in capsys.readouterr().err
+
 
 class TestRunCheckProperties:
     def test_all_properties_pass_and_control_fires(self, tmp_path):
@@ -334,6 +367,15 @@ class TestRunCheckProperties:
         text = (tmp_path / "properties.txt").read_text()
         assert "PASS negative_control (fired" in text
         assert "FAIL" not in text
+
+    def test_an_infinite_cap_skips_the_ladder(self, tmp_path):
+        cfg = load_config(BASE.replace("control.alpha = 0.5", "control.alpha = inf")
+                          + "task.b = 1\ntask.x = 0.5\n")
+        man = run_experiment(cfg, "check-properties", out_dir=str(tmp_path))
+        assert man.status == "pass"
+        lines = (tmp_path / "properties.txt").read_text().splitlines()
+        assert "SKIP alpha_ladder (control.alpha = inf leaves one rate cap)" in lines
+        assert not [line for line in lines if "ladder_" in line]
 
 
 class TestMain:
@@ -383,6 +425,23 @@ class TestMain:
         assert code == 2
         assert "task.engine" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+
+    def test_a_weibull_cutoff_past_a_float_validates(self, tmp_path):
+        # (1/scale)^shape overflows, and every mark lies below 1
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1).replace("model.jump2.params = 2, 1",
+                                                      "model.jump2.params = 40, 1e-10"))
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "0")])
+    def test_bad_run_numbers_exit_two(self, flag, value, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "task.b_grid = 0:0.5:2\n")
+        code = main(["nu-curve", "--config", str(p), flag, value, "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         p = tmp_path / "c.cfg"

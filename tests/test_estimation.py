@@ -17,8 +17,7 @@ from levyrefract.strategy_engine import (
 )
 from levyrefract.estimation import (
     DegenerateDenominator, NoCrossing, _chunk_readers, _clock_chunk, _nu_chunk,
-    _pav_nonincreasing, _run_sums, _value_chunk,
-    estimate_nu, estimate_underline_nu, estimate_value, find_bstar, nu_curve,
+    _run_sums, _value_chunk, estimate_underline_nu, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
 
@@ -52,40 +51,47 @@ class TestPassageTransform:
     def test_deterministic_descent_gives_exponential(self):
         """Pure drift -1: passage below -b happens at time b exactly."""
         for b in (0.5, 2.0, 7.0):
-            est = estimate_nu(b, params(), drift_only(-1.0), 20.0, 0, 64,
-                              RngStream(100, tag=1))
-            assert est.mean == pytest.approx(math.exp(-Q * b), rel=1e-12)
+            est = nu_curve(params(), drift_only(-1.0), [b], 20.0, 0, 64,
+                           RngStream(100, tag=1))
+            assert est.values[0] == pytest.approx(math.exp(-Q * b), rel=1e-12)
             # deterministic passage; variance is pure rounding noise
-            assert est.std_error < 1e-7
-            assert est.censored_fraction == 0.0
+            assert est.std_errors[0] < 1e-7
+            assert est.censored_fractions[0] == 0.0
 
     def test_euler_engine_agrees_on_the_drift_path(self):
-        est = estimate_nu(2.0, params(), drift_only(-1.0), 20.0, 1000, 32,
-                          RngStream(100, tag=1), engine="euler")
-        assert est.mean == pytest.approx(math.exp(-Q * 2.0), rel=1e-6)
+        est = nu_curve(params(), drift_only(-1.0), [2.0], 20.0, 1000, 32,
+                       RngStream(100, tag=1), engine="euler")
+        assert est.values[0] == pytest.approx(math.exp(-Q * 2.0), rel=1e-6)
 
     def test_horizon_censoring(self):
-        est = estimate_nu(25.0, params(), drift_only(-1.0), 20.0, 0, 64,
-                          RngStream(100, tag=1))
-        assert est.mean == 0.0
-        assert est.censored_fraction == 1.0
+        est = nu_curve(params(), drift_only(-1.0), [25.0], 20.0, 0, 64,
+                       RngStream(100, tag=1))
+        assert est.values[0] == 0.0
+        assert est.censored_fractions[0] == 1.0
 
     def test_negative_threshold_is_one_by_convention(self):
-        est = estimate_nu(-0.5, params(), drift_only(-1.0), 20.0, 0, 64,
-                          RngStream(100, tag=1))
-        assert est.mean == 1.0 and est.std_error == 0.0
+        est = nu_curve(params(), drift_only(-1.0), [-0.5], 20.0, 0, 64,
+                       RngStream(100, tag=1))
+        assert est.values[0] == 1.0 and est.std_errors[0] == 0.0
 
-    def test_curve_point_matches_single_estimate(self, ref_spec_bv):
+    @pytest.mark.parametrize("spec,k,engine", [
+        ("ref_spec_bv", 0, "exact"), ("ref_spec_gauss", 400, "euler")])
+    def test_one_point_curves_equal_the_grid_curve(self, request, spec, k, engine):
+        """The translation identity: one record-low sweep gives nu at every
+        threshold, so each grid point is bit for bit its one-point curve."""
+        spec = request.getfixturevalue(spec)
         s = RngStream(101, tag=1)
-        curve = nu_curve(params(), ref_spec_bv, np.array([0.5, 1.0, 1.5]),
-                         15.0, 0, 512, s)
-        single = estimate_nu(1.0, params(), ref_spec_bv, 15.0, 0, 512, s)
-        assert curve.values[1] == single.mean
-        assert curve.std_errors[1] == single.std_error
+        grid = np.array([-0.5, 0.0, 0.5, 1.0, 1.5, 3.0])
+        curve = nu_curve(params(), spec, grid, 15.0, k, 300, s, engine=engine)
+        for i, b in enumerate(grid):
+            single = nu_curve(params(), spec, [b], 15.0, k, 300, s, engine=engine)
+            assert single.values[0] == curve.values[i]
+            assert single.std_errors[0] == curve.std_errors[i]
+            assert single.censored_fractions[0] == curve.censored_fractions[i]
 
     def test_shared_noise_curve_is_monotone_pathwise(self, ref_spec_bv):
         curve = nu_curve(params(), ref_spec_bv, np.linspace(0.0, 3.0, 31),
-                         15.0, 0, 512, RngStream(102, tag=1), mode="crn")
+                         15.0, 0, 512, RngStream(102, tag=1))
         assert np.all(np.diff(curve.values) <= 1e-15)
         assert np.all(curve.values <= 1.0) and np.all(curve.values >= 0.0)
 
@@ -124,24 +130,6 @@ class TestThresholdSearch:
         with pytest.raises(NoCrossing):
             find_bstar(params(), drift_only(-1.0), grid, 30.0, 0, 64,
                        RngStream(111, tag=1))
-
-    def test_isotonic_projection(self):
-        y = np.array([3.0, 1.0, 2.0, 0.5])
-        w = np.ones(4)
-        out = _pav_nonincreasing(y, w)
-        np.testing.assert_allclose(out, [3.0, 1.5, 1.5, 0.5])
-        assert np.all(np.diff(out) <= 0)
-        # already monotone: unchanged
-        z = np.array([4.0, 2.0, 1.0])
-        np.testing.assert_allclose(_pav_nonincreasing(z, np.ones(3)), z)
-
-    def test_independent_mode_matches_on_noise_free_curves(self):
-        grid = np.round(np.arange(7.5, 8.6, 0.1), 10)
-        a = find_bstar(params(), drift_only(-1.0), grid, 30.0, 0, 32,
-                       RngStream(112, tag=1), mode="crn")
-        b = find_bstar(params(), drift_only(-1.0), grid, 30.0, 0, 32,
-                       RngStream(112, tag=1), mode="independent")
-        assert a.bstar_hat == b.bstar_hat
 
 
 class TestRandomizedClock:
@@ -326,9 +314,8 @@ STEPLESS_EULER_CALLS = {
     "solve_pstar": lambda s, st: solve_pstar(params(), s, 1.0, 5.0, 64, st, k=0),
     "nu_curve": lambda s, st: nu_curve(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
     "find_bstar": lambda s, st: find_bstar(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
-    "estimate_nu": lambda s, st: estimate_nu(1.0, params(), s, 5.0, 0, 64, st),
+    "nu_curve-one-point": lambda s, st: nu_curve(params(), s, [1.0], 5.0, 0, 64, st),
     "value_curve": lambda s, st: value_curve([0.5], 1.0, params(), s, 5.0, 0, 64, st),
-    "estimate_value": lambda s, st: estimate_value(0.5, 1.0, params(), s, 5.0, 0, 64, st),
     "estimate_underline_nu": lambda s, st: estimate_underline_nu(
         0.5, 1.0, 0.5, params(), s, 5.0, 64, st, k=0),
     # two chunks on two workers: the error crosses the process boundary
@@ -346,24 +333,24 @@ def test_euler_estimators_refuse_a_grid_without_steps(ref_spec_gauss, name):
 
 class TestValueEstimates:
     def test_perpetual_injection_value(self):
-        est = estimate_value(0.0, 2.0, params(), drift_only(-1.0), math.inf,
-                             0, 1, RngStream(130, tag=1), method="direct")
+        est = value_curve([0.0], 2.0, params(), drift_only(-1.0), math.inf,
+                          0, 1, RngStream(130, tag=1), method="direct")[0][1]
         assert est.mean == pytest.approx(-BETA / Q, rel=1e-12)  # -30
         assert est.std_error == 0.0
 
     def test_perpetual_capped_dividend_value(self):
-        est = estimate_value(0.0, 0.0, params(b=0.0, alpha=0.5),
-                             drift_only(2.0), math.inf, 0, 1,
-                             RngStream(131, tag=1), method="direct")
+        est = value_curve([0.0], 0.0, params(b=0.0, alpha=0.5),
+                          drift_only(2.0), math.inf, 0, 1,
+                          RngStream(131, tag=1), method="direct")[0][1]
         assert est.mean == pytest.approx(0.5 / Q, rel=1e-12)  # 10
 
     def test_infinite_horizon_guards(self, ref_spec_bv):
         with pytest.raises(InvalidParameter):
-            estimate_value(0.0, 1.0, params(), ref_spec_bv, math.inf, 0, 1,
-                           RngStream(132, tag=1), method="direct")
+            value_curve([0.0], 1.0, params(), ref_spec_bv, math.inf, 0, 1,
+                        RngStream(132, tag=1), method="direct")
         with pytest.raises(InvalidParameter):
-            estimate_value(0.0, 1.0, params(), drift_only(-1.0), math.inf, 0,
-                           1, RngStream(132, tag=1), method="spliced")
+            value_curve([0.0], 1.0, params(), drift_only(-1.0), math.inf, 0,
+                        1, RngStream(132, tag=1), method="spliced")
 
     def test_negative_start_is_affine(self, ref_spec_bv):
         rows = value_curve(np.array([-1.0, -0.25, 0.0]), 1.2, params(b=1.2),
@@ -374,10 +361,10 @@ class TestValueEstimates:
         assert rows[0][1].std_error == v0.std_error
 
     def test_spliced_agrees_with_direct(self, ref_spec_bv):
-        d = estimate_value(0.8, 1.2, params(b=1.2), ref_spec_bv, 60.0, 0,
-                           2000, RngStream(134, tag=1), method="direct")
-        s = estimate_value(0.8, 1.2, params(b=1.2), ref_spec_bv, 60.0, 0,
-                           2000, RngStream(134, tag=1), method="spliced")
+        d = value_curve([0.8], 1.2, params(b=1.2), ref_spec_bv, 60.0, 0,
+                        2000, RngStream(134, tag=1), method="direct")[0][1]
+        s = value_curve([0.8], 1.2, params(b=1.2), ref_spec_bv, 60.0, 0,
+                        2000, RngStream(134, tag=1), method="spliced")[0][1]
         assert abs(d.mean - s.mean) <= 3.0 * (d.std_error + s.std_error)
 
     @pytest.mark.parametrize("xs,bs,method,threads", [
@@ -394,14 +381,14 @@ class TestValueEstimates:
 
     def test_method_name_checked(self, ref_spec_bv):
         with pytest.raises(InvalidParameter):
-            estimate_value(0.5, 1.0, params(), ref_spec_bv, 10.0, 0, 8,
-                           RngStream(136, tag=1), method="other")
+            value_curve([0.5], 1.0, params(), ref_spec_bv, 10.0, 0, 8,
+                        RngStream(136, tag=1), method="other")
 
     def test_curve_csv(self):
         rows = [(0.5, 1.0,
-                 estimate_value(0.0, 2.0, params(), drift_only(-1.0),
-                                math.inf, 0, 1, RngStream(137, tag=1),
-                                method="direct"),
+                 value_curve([0.0], 2.0, params(), drift_only(-1.0),
+                             math.inf, 0, 1, RngStream(137, tag=1),
+                             method="direct")[0][1],
                  "direct")]
         text = value_curve_csv(rows)
         assert text.splitlines()[0] == "x,b,v,se,method"

@@ -68,6 +68,13 @@ class TestMarkDistributions:
         want = REFERENCE_GAMMA - (1.0 * Uniform(0.0, 1.0).truncated_mean() - weibull)
         assert net_drift(ref_spec_bv) == want == 0.6000000000000001
 
+    @pytest.mark.parametrize("scale", [1e-10, 1e-320])
+    def test_weibull_truncated_mean_past_an_overflowing_cutoff(self, scale):
+        # (1/scale)^shape overflows a float (1/1e-320 is inf itself): every
+        # mark lies below 1, and the truncated mean is the mean
+        d = Weibull(40.0, scale)
+        assert d.truncated_mean() == d.mean() == scale * math.gamma(1.025)
+
     def test_gamma_ratio_vs_scipy(self):
         a, z, got, want = [], [], [], []
         for k in np.geomspace(0.2, 10.0, 21):
@@ -160,6 +167,11 @@ class TestMarkDistributions:
             Exponential(-1.0)
         with pytest.raises(InvalidParameter):
             Weibull(0.0, 1.0)
+        # legal parameters whose mean overflows a float
+        for make in (lambda: Weibull(0.001, 1.0), lambda: Exponential(1e-320),
+                     lambda: HyperExponential((0.5, 0.5), (1e-320, 1.0))):
+            with pytest.raises(InvalidParameter):
+                make()
 
 
 class TestCharacteristicExponent:
