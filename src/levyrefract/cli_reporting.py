@@ -42,6 +42,7 @@ from .strategy_engine import (
     simulate_euler,
 )
 from .estimation import (
+    NoCrossing,
     _engine_for,
     find_bstar,
     nu_curve,
@@ -197,8 +198,9 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
         raise ValidationError("model.sigma", "must be >= 0")
     x0 = _to_float("model.x0", items.get("model.x0", "0"))
     comps = []
-    blocks = {key.split(".")[1] for key in items if key.startswith("model.jump")}
-    for block in sorted(blocks, key=lambda name: (int(name[4:]), name)):
+    blocks = sorted({key.split(".")[1] for key in items if key.startswith("model.jump")},
+                    key=lambda name: (int(name[4:]), name))
+    for block in blocks:
         prefix = "model." + block
         rate = _to_float(prefix + ".rate", items.get(prefix + ".rate", "nan"))
         if not rate > 0:
@@ -212,7 +214,10 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
     try:
         validate_spec(spec)
     except InvalidParameter as err:
-        raise ValidationError("model." + err.field_name, str(err))
+        field = err.field_name
+        if field.startswith("jump_components["):
+            field = blocks[int(field[16:-1])]  # component i is the i-th block
+        raise ValidationError("model." + field, str(err))
     return spec
 
 
@@ -756,7 +761,7 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
                        RngStream(seed, tag=8)).shifted(x)
     tk = apply_strategy_exact(path, cfg.params_for(b), case)
     tl = apply_strategy_exact(path.shifted(shift), cfg.params_for(b), case)
-    control = oracle.check_pair(tk, tl, 0.5 * shift, b)
+    control = oracle.check_pair([tk], [tl], 0.5 * shift, b)
     lines = [line for rep in reports for line in rep.summary_lines()]
     if len(rungs) == 1:
         lines.append("SKIP alpha_ladder (control.alpha = inf leaves one rate cap)")
@@ -871,6 +876,9 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
+    except NoCrossing as err:
+        print("no result: %s" % err, file=sys.stderr)
+        return 1
     for rec in manifest.outputs:
         print("wrote %s" % os.path.join(out_dir, rec["file"]))
     print("wrote %s" % os.path.join(out_dir, "run_manifest.json"))

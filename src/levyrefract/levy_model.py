@@ -356,6 +356,8 @@ def validate_spec(spec: JumpDiffusionSpec) -> ValidationReport:
             raise InfiniteNegativeMean(f"component {i}: mark mean is not finite")
         if comp.sign < 0:
             neg_mean += comp.rate * m
+            _require(math.isfinite(neg_mean), f"jump_components[{i}]",
+                     "the total negative-jump mean overflows a float")
     return ValidationReport(negative_jump_mean=neg_mean)
 
 

@@ -10,6 +10,8 @@ splits the running infimum of a floored path into boundary time, initial
 part, and jump top-ups; running_floor_reflection is its threshold-free case.
 Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
+The sweep steps one path on Python floats and records every segment; it is
+the lane stepper's bit-for-bit reference and the property oracle's source.
 The lane stepper event_steps, the counterpart of strategy_engine.euler_steps,
 runs that sweep on many lanes at once through the padded event columns of
 levy_model.EventColumns, the form sample_path draws, and records no
@@ -191,25 +193,6 @@ class FloorDecomposition:
         return self.boundary_integral_at(t) + self.initial_part + self.jump_sum_at(t)
 
 
-class _SegRecorder:
-    def __init__(self):
-        self.t, self.v, self.slope = [], [], []
-        self.branch, self.lrate, self.rrate = [], [], []
-
-    def add(self, t, v, slope, branch, lrate, rrate):
-        if self.t and t == self.t[-1]:
-            # zero-length segment: overwrite instead of duplicating the knot
-            self.v[-1], self.slope[-1] = v, slope
-            self.branch[-1], self.lrate[-1], self.rrate[-1] = branch, lrate, rrate
-            return
-        self.t.append(t)
-        self.v.append(v)
-        self.slope.append(slope)
-        self.branch.append(branch)
-        self.lrate.append(lrate)
-        self.rrate.append(rrate)
-
-
 def _regime(z, b, alpha, delta, sticky, floor):
     """(slope, dividend rate, injection rate, branch) for the current state."""
     if z > b:
@@ -248,19 +231,20 @@ def _next_target(z, slope, b, floor):
 
 def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
     """The event sweep behind every transform: refraction at rate alpha above
-    b, optionally reflected at the floor 0.
+    b, optionally reflected at the floor 0.  It steps on Python floats, with
+    the arithmetic of numpy float64, and appends each segment as it starts.
 
     b = math.inf sets no threshold.  alpha = math.inf is the reflection limit:
     an overshoot above b, at the start or after a jump, is paid at once as a
     lump dividend, so the path never sits above b.
     """
-    delta = path.drift
-    horizon = path.horizon
+    delta = float(path.drift)
+    horizon = float(path.horizon)
     band = alpha == math.inf
-    rec = _SegRecorder()
+    seg_t, seg_v, seg_slope, seg_branch, seg_lrate, seg_rrate = [], [], [], [], [], []
     r_atom_t, r_atom, l_atom_t, l_atom = [], [], [], []
     t = 0.0
-    z = path.x0
+    z = float(path.x0)
     if band and z > b:
         l_atom_t.append(0.0)
         l_atom.append(z - b)
@@ -269,13 +253,23 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
         r_atom_t.append(0.0)
         r_atom.append(-z)
         z = 0.0
-    events = list(zip(path.times, path.sizes)) + [(horizon, None)]
+    events = list(zip(path.times.tolist(), path.sizes.tolist())) + [(horizon, None)]
     for te, sz in events:
         while True:
             slope, lr, rr, br = _regime(z, b, alpha, delta, sticky, floor)
             target = _next_target(z, slope, b, floor)
             t_cross = t + (target - z) / slope if target is not None else math.inf
-            rec.add(t, z, slope, br, lr, rr)
+            if seg_t and seg_t[-1] == t:
+                # zero-length segment: overwrite instead of duplicating the knot
+                seg_v[-1], seg_slope[-1], seg_branch[-1], seg_lrate[-1], seg_rrate[-1] = (
+                    z, slope, br, lr, rr)
+            else:
+                seg_t.append(t)
+                seg_v.append(z)
+                seg_slope.append(slope)
+                seg_branch.append(br)
+                seg_lrate.append(lr)
+                seg_rrate.append(rr)
             if t_cross < te:
                 t, z = t_cross, target
             else:
@@ -295,12 +289,12 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
             z = 0.0
     return RefractedPath(
         horizon=horizon,
-        seg_t=np.asarray(rec.t),
-        seg_v=np.asarray(rec.v),
-        seg_slope=np.asarray(rec.slope),
-        seg_branch=np.asarray(rec.branch, dtype=int),
-        seg_lrate=np.asarray(rec.lrate),
-        seg_rrate=np.asarray(rec.rrate),
+        seg_t=np.asarray(seg_t),
+        seg_v=np.asarray(seg_v),
+        seg_slope=np.asarray(seg_slope),
+        seg_branch=np.asarray(seg_branch, dtype=int),
+        seg_lrate=np.asarray(seg_lrate),
+        seg_rrate=np.asarray(seg_rrate),
         r_atom_t=np.asarray(r_atom_t),
         r_atom=np.asarray(r_atom),
         l_atom_t=np.asarray(l_atom_t),

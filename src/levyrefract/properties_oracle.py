@@ -7,6 +7,10 @@ conserved shift budget, trajectories under growing rate caps are ordered
 and converge to the reflected limit, and the empirical characteristic
 function matches the analytic exponent.  Exact-engine checks use absolute
 tolerance 1e-9.
+
+The checks read the swept trajectories BLOCK paths at a time, in one
+vectorised pass per block that repeats the RefractedPath methods bit for
+bit, so no result depends on how paths fall into blocks.
 """
 
 from __future__ import annotations
@@ -158,57 +162,152 @@ class CharReport:
         return self.worst_ratio <= 1.0
 
 
-def _probe_times(trajs, horizon):
-    knots = [t.seg_t for t in trajs]
-    knots.append(np.asarray([horizon]))
-    for t in trajs:
-        if t.r_atom_t.size:
-            knots.append(t.r_atom_t)
-        if t.l_atom_t.size:
-            knots.append(t.l_atom_t)
-    ts = np.unique(np.concatenate(knots))
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    return np.unique(np.concatenate((ts, mids)))
+# Paths checked at once: a block's probe tables grow with it.
+BLOCK = 32
+
+_FIELDS = ("seg_t", "seg_v", "seg_slope", "seg_lrate", "seg_rrate",
+           "r_atom_t", "r_atom", "l_atom_t", "l_atom")
 
 
-def check_pair(trajk, trajl, shift: float, b: float, tol: float = EXACT_TOL):
-    """Order/budget/support relations between two coupled trajectories whose
-    drivers differ by a constant shift >= 0.
+def _joined(objs, name):
+    """The arrays name of objs end to end, and their lengths."""
+    arrays = [getattr(o, name) for o in objs]
+    return np.concatenate(arrays), np.array([a.size for a in arrays])
 
-    Returns a list of violations.  The support conditions are checked with
-    one-knot slack: an increment between consecutive probe times is charged
-    only if its condition fails at both endpoints.
+
+def _path_cumsum(values, lengths):
+    """0 followed by np.cumsum of each path's run of joined values, for every
+    path end to end, so that the sum of the first k entries of path p is at
+    index k + p (+ the entries of the paths before p).  A zero-padded (path,
+    entry) table summed along its rows gives the bits of the per-path
+    np.cumsum."""
+    table = np.zeros((lengths.size, lengths.max(initial=0) + 1))
+    table[:, 1:][np.arange(1, table.shape[1]) <= lengths[:, None]] = values
+    return np.cumsum(table, axis=1)[np.arange(table.shape[1]) <= lengths[:, None]]
+
+
+class _Block:
+    """The trajectories of a block of paths, read at every path's probes at
+    once: roles[r][i] is the RefractedPath of role r on path i, and
+    drivers[i], if given, the EventPath that roles[0][i] was swept from.
+
+    A path's probes are the knots and atom times of its trajectories, the
+    horizon and the midpoints between them; t and path hold them in (path,
+    t) order.  One lexsort places every knot, atom and event among them, so
+    the segment or atom in force at a probe is a count in integers (a float
+    offset per path would merge nearby times), and the readers repeat the
+    arithmetic of the RefractedPath and EventPath methods bit for bit.
+    """
+
+    def __init__(self, roles, drivers=()):
+        n, self.drivers, self.horizon = len(roles[0]), drivers, roles[0][0].horizon
+        self.fields = [{f: _joined(trajs, f) for f in _FIELDS} for trajs in roles]
+        # per role its knots and atoms, then the drivers' events (knots of role 0)
+        srcs = [fs[f] for fs in self.fields for f in ("seg_t", "r_atom_t", "l_atom_t")]
+        srcs += [_joined(drivers, "times")] if drivers else []
+        times = np.concatenate([np.full(n, self.horizon)] + [t for t, _ in srcs])
+        rows = np.concatenate([np.arange(n)] + [np.repeat(np.arange(n), c) for _, c in srcs])
+        order = np.lexsort((times, rows))
+        ts, ps = times[order], rows[order]
+        new = np.append(True, (ts[1:] != ts[:-1]) | (ps[1:] != ps[:-1]))
+        kt, kp = ts[new], ps[new]
+        mid = 0.5 * (kt[:-1] + kt[1:])
+        # a midpoint that rounds onto a knot adds no probe
+        has_mid = (kp[1:] == kp[:-1]) & (mid != kt[:-1]) & (mid != kt[1:])
+        gaps = np.flatnonzero(has_mid) + 1
+        self.t, self.path = np.insert(kt, gaps, mid[has_mid]), np.insert(kp, gaps, kp[gaps])
+        self.same = self.path[1:] == self.path[:-1]  # probes j and j + 1 on one path
+        at = np.arange(kt.size) + np.append(0, np.cumsum(has_mid))  # knots among the probes
+        pos = at[np.cumsum(new) - 1][np.argsort(order)]  # each entry's probe
+        # per source: its entries at each probe, up to it, and on earlier paths
+        self.counts = []
+        for (_, c), p in zip(srcs, np.split(pos[n:], np.cumsum([t.size for t, _ in srcs]))):
+            hits = np.bincount(p, minlength=self.t.size)
+            self.counts.append((hits, np.cumsum(hits), (np.cumsum(c) - c)[self.path]))
+
+    def value(self, r, left=False):
+        """value_at of role r, or left_limit_at with left."""
+        hits, upto, before = self.counts[3 * r]
+        i = np.maximum(upto - hits - 1, before) if left else upto - 1
+        (seg_t, _), (seg_v, _), (slope, _) = (self.fields[r][f] for f in _FIELDS[:3])
+        return seg_v[i] + slope[i] * (self.t - seg_t[i])
+
+    def flows(self, r):
+        """dividends_at and injections_at of role r."""
+        f, i = self.fields[r], self.counts[3 * r][1] - 1
+        seg_t, n_seg = f["seg_t"]
+        ends = np.cumsum(n_seg) - 1
+        dt = np.append(seg_t[1:] - seg_t[:-1], 0.0)
+        dt[ends] = self.horizon - seg_t[ends]
+        dt = np.where(np.isfinite(dt), dt, 0.0)  # an infinite-horizon tail is never read
+        out = []
+        for rate, atom, source in (("seg_lrate", "l_atom", 2), ("seg_rrate", "r_atom", 1)):
+            rates, _ = f[rate]
+            lumps = _path_cumsum(*f[atom])[self.counts[3 * r + source][1] + self.path]
+            out.append(_path_cumsum(rates * dt, n_seg)[i + self.path]
+                       + rates[i] * (self.t - seg_t[i]) + lumps)
+        return out
+
+    def driver(self):
+        """value_at of the drivers."""
+        x0, drift = np.array([(d.x0, d.drift) for d in self.drivers]).T
+        return (x0[self.path] + drift[self.path] * self.t
+                + _path_cumsum(*_joined(self.drivers, "sizes"))[self.counts[-1][1] + self.path])
+
+    def violations(self, rows):
+        """The Violations of rows (prop, magnitude, bad) by path, row, time;
+        a row on the increments between probes is charged at the later."""
+        found = []
+        for k, (prop, mag, bad) in enumerate(rows):
+            if bad.size < self.t.size:
+                bad, mag = np.append(False, bad & self.same), np.append(0.0, mag)
+            found += [(p, k, j, prop, m) for p, j, m in zip(
+                self.path[bad].tolist(), np.flatnonzero(bad).tolist(), mag[bad].tolist())]
+        return [Violation(float(self.t[j]), prop, m) for _, _, j, prop, m in sorted(found)]
+
+
+def check_pair(trajk, trajl, shift: float, b: float, drivers=(), tol: float = EXACT_TOL):
+    """Order/budget/support relations between coupled trajectories, for a
+    block of paths at once: trajk[i] and trajl[i] are swept on one driver
+    from starts a constant shift >= 0 apart.  Given drivers, the budget row
+    also checks z = X - L + R at the knots of trajk[i], X being drivers[i].
+
+    Returns the violations by path, then property, then time.  The support
+    conditions are checked with one-knot slack: an increment between
+    consecutive probe times is charged only if its condition fails at both
+    endpoints.  The dividend support reads the gap or its left limit: at
+    alpha = inf a jump that lifts both paths past b pays the gap it closes.
     """
     if shift < 0:
         raise InvalidParameter("shift", "upper start must not be below lower start")
-    horizon = trajk.horizon
-    ts = _probe_times((trajk, trajl), horizon)
-    zk = trajk.value_at(ts)
-    zl = trajl.value_at(ts)
-    dz = zl - zk
-    dl = trajl.dividends_at(ts) - trajk.dividends_at(ts)
-    dr = trajl.injections_at(ts) - trajk.injections_at(ts)
+    blk = _Block((trajk, trajl), drivers)
+    zk, zl, zk_left = blk.value(0), blk.value(1), blk.value(0, left=True)
+    (lk, rk), (ll, rl) = blk.flows(0), blk.flows(1)
+    dz, dl, dr = zl - zk, ll - lk, rl - rk
     inc, dec, rinc = np.diff(dz), np.diff(dl), np.diff(dr)
     resid = np.abs(dz + dl - dr - shift)
-    cond_l = (zk <= b + tol) & (zl >= b - tol) & (zl - zk > tol)
-    cond_r = np.minimum(zk, trajk.left_limit_at(ts)) <= tol
-    # (1) conserved budget of the initial shift
-    out = _flag("pair_budget", ts, resid, resid > tol)
-    # (2) ordering gap shrinks, stays in [0, shift]
-    out += _flag("pair_gap_range", ts, np.maximum(-dz, dz - shift),
-                 (dz < -tol) | (dz > shift + tol))
-    out += _flag("pair_gap_monotone", ts[1:], inc, inc > tol)
-    # (3) dividend difference: range, monotone, support
-    out += _flag("pair_div_range", ts, np.maximum(-dl, dl - shift),
-                 (dl < -tol) | (dl > shift + tol))
-    out += _flag("pair_div_monotone", ts[1:], -dec, dec < -tol)
-    out += _flag("pair_div_support", ts[1:], dec, (dec > tol) & ~(cond_l[:-1] | cond_l[1:]))
-    # (4) injection difference: range, monotone, support at the floor
-    out += _flag("pair_inj_range", ts, np.maximum(dr, -shift - dr),
-                 (dr > tol) | (dr < -shift - tol))
-    out += _flag("pair_inj_monotone", ts[1:], rinc, rinc > tol)
-    out += _flag("pair_inj_support", ts[1:], -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:]))
-    return out
+    gap = np.maximum(dz, blk.value(1, left=True) - zk_left)
+    cond_l = (zk <= b + tol) & (zl >= b - tol) & (gap > tol)
+    cond_r = np.minimum(zk, zk_left) <= tol
+    rows = [
+        # (1) conserved budget of the initial shift
+        ("pair_budget", resid, resid > tol),
+        # (2) ordering gap shrinks, stays in [0, shift]
+        ("pair_gap_range", np.maximum(-dz, dz - shift), (dz < -tol) | (dz > shift + tol)),
+        ("pair_gap_monotone", inc, inc > tol),
+        # (3) dividend difference: range, monotone, support
+        ("pair_div_range", np.maximum(-dl, dl - shift), (dl < -tol) | (dl > shift + tol)),
+        ("pair_div_monotone", -dec, dec < -tol),
+        ("pair_div_support", dec, (dec > tol) & ~(cond_l[:-1] | cond_l[1:])),
+        # (4) injection difference: range, monotone, support at the floor
+        ("pair_inj_range", np.maximum(dr, -shift - dr), (dr > tol) | (dr < -shift - tol)),
+        ("pair_inj_monotone", rinc, rinc > tol),
+        ("pair_inj_support", -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:])),
+    ]
+    if drivers:
+        budget = np.abs(zk - (blk.driver() - lk + rk))
+        rows.append(("budget", budget, (budget > tol) & (blk.counts[0][0] > 0)))
+    return blk.violations(rows)
 
 
 def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
@@ -225,29 +324,23 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
     case = classify_case(spec, params.alpha)
+    paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths()
     viol = []
-    for path in sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths():
-        tk = apply_strategy_exact(path.shifted(x + k), params, case)
-        tl = apply_strategy_exact(path.shifted(x + l), params, case)
-        viol.extend(check_pair(tk, tl, shift, params.b))
-        viol.extend(_budget_violations(tk, path.shifted(x + k)))
+    for start in range(0, n, BLOCK):
+        block = paths[start:start + BLOCK]
+        drivers = [path.shifted(x + k) for path in block]
+        tk = [apply_strategy_exact(path, params, case) for path in drivers]
+        tl = [apply_strategy_exact(path.shifted(x + l), params, case) for path in block]
+        viol += check_pair(tk, tl, shift, params.b, drivers)
     return CoupledPairReport(n_paths=n, shift=shift, violations=tuple(viol))
-
-
-def _budget_violations(traj, path, tol: float = EXACT_TOL):
-    ts = traj.seg_t
-    lhs = traj.value_at(ts)
-    rhs = path.value_at(ts) - traj.dividends_at(ts) + traj.injections_at(ts)
-    resid = np.abs(lhs - rhs)
-    return _flag("budget", ts, resid, resid > tol)
 
 
 def fixed_cap_violations(traj, alpha: float, tol: float = EXACT_TOL):
     """For b = 0 with drift above the cap, dividends accrue at the cap rate
     exactly: L_t = alpha * t for all t."""
-    ts = _probe_times((traj,), traj.horizon)
-    resid = np.abs(traj.dividends_at(ts) - alpha * ts)
-    return _flag("cap_rate_dividends", ts, resid, resid > tol)
+    blk = _Block(([traj],))
+    resid = np.abs(blk.flows(0)[0] - alpha * blk.t)
+    return blk.violations([("cap_rate_dividends", resid, resid > tol)])
 
 
 def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
@@ -273,33 +366,34 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     viol = []
     sup_gap = np.zeros(m)
     vals = np.zeros((m, n))
-    for i, path in enumerate(sample_path(replace(spec, x0=x), horizon, EXACT, stream, n).paths()):
-        trajs, refr = [], []
-        for a in alphas:
-            case = classify_case(spec, a)
-            pp = StrategyParams(b=b, alpha=a, beta=beta, q=q)
-            trajs.append(apply_strategy_exact(path, pp, case))
-            refr.append(refract_exact(path, b, a, case))
-        ts = _probe_times(trajs + refr, horizon)
-        zs = [t.value_at(ts) for t in trajs]
-        ys = [t.value_at(ts) for t in refr]
-        ls = [t.dividends_at(ts) for t in trajs]
-        rs = [t.injections_at(ts) for t in trajs]
+    rungs = [(a, classify_case(spec, a)) for a in alphas]
+    paths = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n).paths()
+    for start in range(0, n, BLOCK):
+        block = paths[start:start + BLOCK]
+        trajs = [[apply_strategy_exact(path, StrategyParams(b=b, alpha=a, beta=beta, q=q), case)
+                  for path in block] for a, case in rungs]
+        refr = [[refract_exact(path, b, a, case) for path in block] for a, case in rungs]
+        blk = _Block(trajs + refr)
+        zs = [blk.value(j) for j in range(m)]
+        ys = [blk.value(m + j) for j in range(m)]
+        ls, rs = zip(*(blk.flows(j) for j in range(m)))
         for j in range(m):
-            dl_j, dr_j = trajs[j].discounted_flow(q)
-            vals[j, i] = dl_j - beta * dr_j
+            vals[j, start:start + len(block)] = [
+                dl - beta * dr for dl, dr in (traj.discounted_flow(q) for traj in trajs[j])]
         if alphas[-1] == math.inf:
             for j in range(m):
                 sup_gap[j] = max(sup_gap[j], float(np.max(zs[j] - zs[-1])))
+        rows = []
         for j in range(m - 1):
             # as the cap rises the refracted paths and the surpluses do not
             # rise, and the dividends and injections do not fall
             dy, dz = ys[j] - ys[j + 1], zs[j] - zs[j + 1]
             dl, dr = ls[j] - ls[j + 1], rs[j] - rs[j + 1]
-            viol += (_flag("ladder_refracted", ts, -dy, dy < -EXACT_TOL)
-                     + _flag("ladder_surplus", ts, -dz, dz < -EXACT_TOL)
-                     + _flag("ladder_dividends", ts, dl, dl > EXACT_TOL)
-                     + _flag("ladder_injections", ts, dr, dr > EXACT_TOL))
+            rows += [("ladder_refracted", -dy, dy < -EXACT_TOL),
+                     ("ladder_surplus", -dz, dz < -EXACT_TOL),
+                     ("ladder_dividends", dl, dl > EXACT_TOL),
+                     ("ladder_injections", dr, dr > EXACT_TOL)]
+        viol += blk.violations(rows)
     means = vals.mean(axis=1)
     ses = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(m)
     for j in range(m - 1):

@@ -189,7 +189,7 @@ def test_05_randomized_models_pathwise_sweep():
             tk = apply_strategy_exact(cpath.shifted(x + k), params, case)
             tl = apply_strategy_exact(cpath.shifted(x + l), params, case)
             controls += 2
-            fired += bool(check_pair(tk, tl, 0.5 * shift, params.b))
+            fired += bool(check_pair([tk], [tl], 0.5 * shift, params.b))
             if capped:
                 fired += bool(fixed_cap_violations(traj0, 1.5 * params.alpha))
             else:

@@ -377,6 +377,15 @@ class TestRunCheckProperties:
         assert "SKIP alpha_ladder (control.alpha = inf leaves one rate cap)" in lines
         assert not [line for line in lines if "ladder_" in line]
 
+    def test_an_infinite_cap_passes_on_the_case1_model(self, tmp_path, capsys):
+        # jumps that lift both coupled paths past b pay the gap they close
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1, n=200).replace("control.alpha = 0.5",
+                                                             "control.alpha = inf"))
+        assert main(["check-properties", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 0
+        assert "PASS pair_div_support" in capsys.readouterr().out
+
 
 class TestMain:
     def test_exit_zero_and_echo(self, tmp_path, capsys):
@@ -432,6 +441,22 @@ class TestMain:
         p.write_text(reference_config_text(1).replace("model.jump2.params = 2, 1",
                                                       "model.jump2.params = 40, 1e-10"))
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+
+    def test_an_infinite_negative_jump_mean_exits_two(self, tmp_path, capsys):
+        # each mark mean is finite, and their rate-weighted sum is not
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1)
+                     .replace("model.jump2.rate = 1.0", "model.jump2.rate = 10")
+                     .replace("model.jump2.params = 2, 1", "model.jump2.params = 1, 1e308"))
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "model.jump2:" in capsys.readouterr().err
+
+    def test_no_crossing_exits_one_with_the_reason(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "task.b_grid = 0:0.5:3\n")
+        assert main(["bstar", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        assert "beta * nu stays >= 1 on the whole grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "0")])
     def test_bad_run_numbers_exit_two(self, flag, value, tmp_path, capsys):

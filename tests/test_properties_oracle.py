@@ -1,23 +1,24 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levyrefract import levy_model
+from levyrefract import levy_model, properties_oracle
 from levyrefract.levy_model import (
     EXACT, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
     classify_case, sample_path,
 )
-from levyrefract.path_engine import refracted_reflected_exact
+from levyrefract.path_engine import refract_exact, refracted_reflected_exact
 from levyrefract.properties_oracle import (
-    CharReport, EngineUnavailable, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
-    Violation, alpha_ladder_run, char_function_check, check_pair,
+    BLOCK, CharReport, EngineUnavailable, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
+    Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
     coupled_pair_run, draw_random_bv_setup, fixed_cap_violations,
     value_shape_check, violations_csv,
 )
-from levyrefract.strategy_engine import StrategyParams
+from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
-from conftest import drift_only
+from conftest import case_for, drift_only, drift_path
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
@@ -37,10 +38,11 @@ class TestCoupledPair:
         assert all(line.startswith("PASS ") for line in rep.summary_lines())
         assert len(rep.summary_lines()) == len(PAIR_PROPS)
 
-    def test_clean_on_jump_models(self, ref_spec_bv):
-        rep = coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 5.0,
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    def test_clean_on_jump_models(self, ref_spec_bv, alpha):
+        rep = coupled_pair_run(ref_spec_bv, params(b=1.2, alpha=alpha), 0.4, 0.0, 0.6, 5.0,
                                25, RngStream(301, tag=1))
-        assert rep.ok
+        assert rep.ok, rep.violation_counts
 
     def test_mismatched_barriers_fire(self, ref_spec_bv):
         # same driver refracted at different thresholds is not a valid
@@ -52,7 +54,7 @@ class TestCoupledPair:
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i))
             t1 = refracted_reflected_exact(p, 1.0, 0.5, case)
             t2 = refracted_reflected_exact(p.shifted(0.5), 2.5, 0.5, case)
-            viol.extend(check_pair(t1, t2, 0.5, 1.0))
+            viol.extend(check_pair([t1], [t2], 0.5, 1.0))
         assert len(viol) > 0
         props = {v.prop for v in viol}
         assert props <= set(PAIR_PROPS)
@@ -84,6 +86,180 @@ class TestCoupledPair:
         lines = text.strip().splitlines()
         assert lines[0] == "time,property,magnitude"
         assert lines[1].split(",")[1] == "pair_budget"
+
+    def test_a_jump_past_b_at_an_infinite_cap_pays_the_gap(self):
+        """At alpha = inf a jump that lifts both paths past b pays each
+        overshoot as a lump, so the dividend gap grows by the surplus gap
+        the jump closes.  That is supported: the gap was open just before."""
+        case = case_for(-0.1, math.inf)
+        path = drift_path(-0.1, 0.2, 3.0, jumps=((1.0, 2.0),))
+        tk = refracted_reflected_exact(path, 1.0, math.inf, case)
+        tl = refracted_reflected_exact(path.shifted(0.4), 1.0, math.inf, case)
+        assert tl.dividends_at(1.0) - tk.dividends_at(1.0) == pytest.approx(0.4)
+        assert check_pair([tk], [tl], 0.4, 1.0) == []
+
+    def test_a_dividend_gap_rise_away_from_b_fires(self):
+        """Negative control of the dividend support: the upper path pays at
+        its own threshold 1 while the check's b is 3, so the dividend gap
+        rises while neither path is at b."""
+        case = case_for(1.0, 0.5)
+        path = drift_path(1.0, 0.0, 1.5)
+        tk = refracted_reflected_exact(path, 5.0, 0.5, case)
+        tl = refracted_reflected_exact(path.shifted(0.5), 1.0, 0.5, case)
+        viol = check_pair([tk], [tl], 0.5, 3.0)
+        assert viol and {v.prop for v in viol} == {"pair_div_support"}
+        assert all(0.5 < v.time <= 1.5 for v in viol)
+
+
+def _probe_times(trajs, horizon):
+    """The probe times of one path: its trajectories' knots and atom times,
+    the horizon, and the midpoints between them."""
+    knots = [t.seg_t for t in trajs] + [np.asarray([horizon])]
+    knots += [t.r_atom_t for t in trajs] + [t.l_atom_t for t in trajs]
+    ts = np.unique(np.concatenate(knots))
+    return np.unique(np.concatenate((ts, 0.5 * (ts[:-1] + ts[1:]))))
+
+
+def _pair_check(trajk, trajl, shift, b, driver=None, tol=1e-9):
+    """One pair at a time, on the RefractedPath methods: the relations of
+    check_pair, in its order."""
+    ts = _probe_times((trajk, trajl), trajk.horizon)
+    out = []
+
+    def flag(prop, t, magnitude, bad):
+        out.extend(Violation(float(x), prop, float(m)) for x, m in zip(t[bad], magnitude[bad]))
+
+    zk, zl = trajk.value_at(ts), trajl.value_at(ts)
+    dz = zl - zk
+    dl = trajl.dividends_at(ts) - trajk.dividends_at(ts)
+    dr = trajl.injections_at(ts) - trajk.injections_at(ts)
+    inc, dec, rinc = np.diff(dz), np.diff(dl), np.diff(dr)
+    resid = np.abs(dz + dl - dr - shift)
+    gap = np.maximum(dz, trajl.left_limit_at(ts) - trajk.left_limit_at(ts))
+    cond_l = (zk <= b + tol) & (zl >= b - tol) & (gap > tol)
+    cond_r = np.minimum(zk, trajk.left_limit_at(ts)) <= tol
+    flag("pair_budget", ts, resid, resid > tol)
+    flag("pair_gap_range", ts, np.maximum(-dz, dz - shift), (dz < -tol) | (dz > shift + tol))
+    flag("pair_gap_monotone", ts[1:], inc, inc > tol)
+    flag("pair_div_range", ts, np.maximum(-dl, dl - shift), (dl < -tol) | (dl > shift + tol))
+    flag("pair_div_monotone", ts[1:], -dec, dec < -tol)
+    flag("pair_div_support", ts[1:], dec, (dec > tol) & ~(cond_l[:-1] | cond_l[1:]))
+    flag("pair_inj_range", ts, np.maximum(dr, -shift - dr), (dr > tol) | (dr < -shift - tol))
+    flag("pair_inj_monotone", ts[1:], rinc, rinc > tol)
+    flag("pair_inj_support", ts[1:], -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:]))
+    if driver is not None:
+        kt = trajk.seg_t
+        budget = np.abs(trajk.value_at(kt) - (driver.value_at(kt) - trajk.dividends_at(kt)
+                                               + trajk.injections_at(kt)))
+        flag("budget", kt, budget, budget > tol)
+    return out
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _edge_paths(horizon):
+    """Paths without events, with an event at 0 on a start below the floor
+    (two injection atoms at 0), and with an event at the horizon."""
+    return [drift_path(0.3, 0.5, horizon), drift_path(-0.4, -0.3, horizon),
+            drift_path(0.2, -0.5, horizon, jumps=((0.0, -0.4), (1.0, 2.5))),
+            drift_path(0.2, 2.5, horizon, jumps=((0.5, -0.7), (horizon, 3.0)))]
+
+
+class TestBlockCheck:
+    def blocks(self):
+        """(paths, b, alpha, case) blocks: random models at their own and
+        at an infinite cap, at their b and at b = 0, and the edge paths."""
+        rng = np.random.default_rng(41)
+        for j in range(8):
+            spec, pp, x, _, _ = draw_random_bv_setup(rng)
+            paths = sample_path(replace(spec, x0=x), 4.0, EXACT, RngStream(350, tag=j), 6).paths()
+            for b in (pp.b, 0.0):
+                for alpha in (pp.alpha, math.inf):
+                    yield paths, b, alpha, classify_case(spec, alpha)
+        for b, alpha in ((1.0, 0.5), (1.0, math.inf), (0.0, math.inf)):
+            yield _edge_paths(3.0), b, alpha, case_for(0.2, alpha)
+
+    def test_readings_are_bit_equal_to_the_trajectory_methods(self):
+        for paths, b, alpha, case in self.blocks():
+            roles = ([refracted_reflected_exact(p, b, alpha, case) for p in paths],
+                     [refract_exact(p.shifted(0.3), b, alpha, case) for p in paths])
+            blk = _Block(roles, paths)
+            readings = [(blk.value(r), blk.value(r, left=True), *blk.flows(r)) for r in (0, 1)]
+            driver = blk.driver()
+            for i, path in enumerate(paths):
+                on = blk.path == i
+                ts = _probe_times((roles[0][i], roles[1][i]), path.horizon)
+                np.testing.assert_array_equal(_bits(blk.t[on]), _bits(ts))
+                np.testing.assert_array_equal(_bits(driver[on]), _bits(path.value_at(ts)))
+                np.testing.assert_array_equal(blk.counts[0][0][on] > 0,
+                                              np.isin(ts, roles[0][i].seg_t))
+                for (z, z_left, div, inj), traj in zip(readings, (roles[0][i], roles[1][i])):
+                    np.testing.assert_array_equal(_bits(z[on]), _bits(traj.value_at(ts)))
+                    np.testing.assert_array_equal(_bits(z_left[on]),
+                                                  _bits(traj.left_limit_at(ts)))
+                    np.testing.assert_array_equal(_bits(div[on]), _bits(traj.dividends_at(ts)))
+                    np.testing.assert_array_equal(_bits(inj[on]),
+                                                  _bits(traj.injections_at(ts)))
+
+    def test_two_injection_atoms_at_time_zero_are_both_read(self):
+        path = _edge_paths(3.0)[2]
+        traj = refracted_reflected_exact(path, 1.0, 0.5, case_for(0.2, 0.5))
+        assert traj.r_atom_t.tolist()[:2] == [0.0, 0.0]
+        assert _Block(([traj],)).flows(0)[1][0] == pytest.approx(0.9)
+
+    def test_violations_match_the_pair_by_pair_check(self):
+        """A mis-stated shift and a driver off by 0.01: many violations, in
+        the order and with the values of the one-pair check, for blocks of
+        every size."""
+        rng = np.random.default_rng(42)
+        for j in range(6):
+            spec, pp, x, k, l = draw_random_bv_setup(rng)
+            for alpha in (pp.alpha, math.inf):
+                p2 = replace(pp, alpha=alpha)
+                case = classify_case(spec, alpha)
+                paths = sample_path(replace(spec, x0=0.0), 4.0, EXACT, RngStream(351, tag=j),
+                                    2 * BLOCK + 3).paths()
+                tk = [apply_strategy_exact(p.shifted(x + k), p2, case) for p in paths]
+                tl = [apply_strategy_exact(p.shifted(x + l), p2, case) for p in paths]
+                drivers = [p.shifted(x + k + 0.01) for p in paths]
+                shift = 0.5 * (l - k)
+                want = []
+                for a, b, d in zip(tk, tl, drivers):
+                    want += _pair_check(a, b, shift, pp.b, d)
+                assert {v.prop for v in want} >= {"pair_budget", "budget"}
+                assert check_pair(tk, tl, shift, pp.b, drivers) == want
+                got = []
+                for s in range(0, len(paths), BLOCK):
+                    got += check_pair(tk[s:s + BLOCK], tl[s:s + BLOCK], shift, pp.b,
+                                      drivers[s:s + BLOCK])
+                assert got == want
+
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1])
+    def test_runs_do_not_depend_on_the_blocks(self, n, ref_spec_bv, monkeypatch):
+        """The runs with trajectories shifted off their drivers, and with
+        refracted rungs shifted up with the cap, so that the budget and the
+        ladder rows fire: the same reports one path at a time."""
+        sweep, refract = apply_strategy_exact, refract_exact
+        monkeypatch.setattr(properties_oracle, "apply_strategy_exact",
+                            lambda p, pp, case: sweep(p.shifted(0.05), pp, case))
+        monkeypatch.setattr(properties_oracle, "refract_exact",
+                            lambda p, b, a, case: refract(p.shifted(0.1 * min(a, 4.0)), b, a,
+                                                          case))
+
+        def runs():
+            pair = coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 4.0, n,
+                                    RngStream(352, tag=1))
+            ladder = alpha_ladder_run(ref_spec_bv, 1.0, (0.5, 2.0, math.inf), 0.5, 4.0, n,
+                                      RngStream(352, tag=2))
+            return pair, ladder
+
+        blocked = runs()
+        monkeypatch.setattr(properties_oracle, "BLOCK", 1)
+        assert runs() == blocked
+        assert {v.prop for v in blocked[0].violations} == {"budget"}
+        assert "ladder_refracted" in {v.prop for v in blocked[1].violations}
 
 
 class TestFixedCap:
