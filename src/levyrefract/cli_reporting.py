@@ -301,11 +301,15 @@ def load_config(source: str) -> ExperimentConfig:
         raise ValidationError("mc.seed", "must be >= 0")
     task = {key.split(".", 1)[1]: val for key, val in items.items()
             if key.startswith("task.")}
-    for key in ("b", "x"):
-        if key in task:
-            _to_float("task." + key, task[key])
-    if "b" in task and _to_float("task.b", task["b"]) < 0:
-        raise ValidationError("task.b", "must be >= 0")
+    if "x" in task and not math.isfinite(_to_float("task.x", task["x"])):
+        raise ValidationError("task.x", "must be finite")
+    if "b" in task and not 0 <= _to_float("task.b", task["b"]) < math.inf:
+        raise ValidationError("task.b", "must be finite and >= 0")
+    if "competing_b" in task and not all(
+            0 <= b < math.inf for b in _to_list("task.competing_b", task["competing_b"])):
+        raise ValidationError("task.competing_b", "each must be finite and >= 0")
+    if "alphas" in task and not all(a > 0 for a in _to_list("task.alphas", task["alphas"])):
+        raise ValidationError("task.alphas", "each rate cap must be > 0 (inf allowed)")
     engine = task.get("engine", "auto").lower()
     if engine not in ("auto", "exact", "euler"):
         raise ValidationError("task.engine", "must be auto, exact, or euler")

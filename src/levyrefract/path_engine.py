@@ -12,19 +12,23 @@ Crossing times of linear segments are solved in closed form, so the only
 error is float arithmetic; identity checks use absolute tolerance 1e-12.
 The sweep steps one path on Python floats and records every segment; it is
 the lane stepper's bit-for-bit reference and the property oracle's source.
+Swept trajectories are read in one way only: a SegmentTable joins a block
+of them end to end, and read_segments gives their values, left limits,
+dividends and injections, and their drivers, at probe times.
 The lane stepper event_steps, the counterpart of strategy_engine.euler_steps,
 runs that sweep on many lanes at once through the padded event columns of
 levy_model.EventColumns, the form sample_path draws, and records no
 segment.  Its readers floored_lane_sweep and refracted_record_lows keep
 the discounted flows and passage times of floored (path, start,
-threshold) lanes, and the record lows of refract_exact at b = 0.  Lanes holds the lane bookkeeping that
-floored_lane_sweep shares with the Euler lane reader of strategy_engine.
+threshold) lanes, and the record lows of refract_exact at b = 0.  Lanes
+holds the lane bookkeeping that floored_lane_sweep shares with the Euler
+lane reader of strategy_engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,91 +51,30 @@ BRANCH_FLOOR = 3      # pinned at 0
 
 
 @dataclass(frozen=True)
-class SegmentCurve:
-    """Piecewise-linear cadlag curve: value(t) = seg_v[i] + seg_slope[i]*(t - seg_t[i]).
+class RefractedPath:
+    """Refracted (optionally floored) trajectory with regime bookkeeping.
 
-    seg_t is strictly increasing and starts at 0; discontinuities appear as a
-    mismatch between the end of one segment and the start of the next.
+    A piecewise-linear cadlag curve: on segment i, from seg_t[i] (strictly
+    increasing from 0) to the next knot, the value is seg_v[i] +
+    seg_slope[i] * (t - seg_t[i]); a jump shows as a mismatch between the
+    end of one segment and the start of the next.  seg_branch holds the
+    branch code of each segment, seg_lrate/seg_rrate the dividend and
+    injection densities active on it.  Atom arrays carry lump injections
+    (jump top-ups, and the initial top-up when the start is negative) and,
+    in the alpha = inf reflection limit, lump dividends.
     """
 
     horizon: float
     seg_t: np.ndarray
     seg_v: np.ndarray
     seg_slope: np.ndarray
-
-    def _index(self, t):
-        return np.clip(np.searchsorted(self.seg_t, t, side="right") - 1, 0, len(self.seg_t) - 1)
-
-    def value_at(self, t):
-        t = np.asarray(t, dtype=float)
-        i = self._index(t)
-        return self.seg_v[i] + self.seg_slope[i] * (t - self.seg_t[i])
-
-    def left_limit_at(self, t):
-        t = np.asarray(t, dtype=float)
-        i = np.clip(np.searchsorted(self.seg_t, t, side="left") - 1, 0, len(self.seg_t) - 1)
-        return self.seg_v[i] + self.seg_slope[i] * (t - self.seg_t[i])
-
-    def end_value(self) -> float:
-        return float(self.seg_v[-1] + self.seg_slope[-1] * (self.horizon - self.seg_t[-1]))
-
-    def running_inf_of_neg_part(self, ts):
-        """inf over [0, t] of (value(s) and 0), exactly, for ascending ts.
-
-        Linear pieces attain extrema at endpoints, so the running infimum is
-        the cumulative minimum over segment starts/ends plus the partial
-        current segment.
-        """
-        starts = self.seg_v
-        ends = np.append(self.seg_v[:-1] + self.seg_slope[:-1] * np.diff(self.seg_t),
-                         self.end_value())
-        closed = np.minimum.accumulate(np.minimum(np.minimum(starts, ends), 0.0))
-        ts = np.asarray(ts, dtype=float)
-        i = self._index(ts)
-        partial = np.minimum(self.seg_v[i], self.seg_v[i] + self.seg_slope[i] * (ts - self.seg_t[i]))
-        prev = np.where(i > 0, closed[np.maximum(i - 1, 0)], 0.0)
-        return np.minimum(prev, np.minimum(partial, 0.0))
-
-
-@dataclass(frozen=True)
-class RefractedPath(SegmentCurve):
-    """Refracted (optionally floored) trajectory with regime bookkeeping.
-
-    seg_branch holds the branch code of each segment, seg_lrate/seg_rrate the
-    dividend and injection densities active on it.  Atom arrays carry lump
-    injections (jump top-ups, and the initial top-up when the start is
-    negative) and, in the alpha = inf reflection limit, lump dividends.
-    """
-
-    seg_branch: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-    seg_lrate: np.ndarray = field(default_factory=lambda: np.empty(0))
-    seg_rrate: np.ndarray = field(default_factory=lambda: np.empty(0))
-    r_atom_t: np.ndarray = field(default_factory=lambda: np.empty(0))
-    r_atom: np.ndarray = field(default_factory=lambda: np.empty(0))
-    l_atom_t: np.ndarray = field(default_factory=lambda: np.empty(0))
-    l_atom: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def _cum_rate(self, rates, atom_t, atom, t):
-        dt = np.append(np.diff(self.seg_t), self.horizon - self.seg_t[-1])
-        # the final entry is never indexed; keep an infinite-horizon tail out
-        dt = np.where(np.isfinite(dt), dt, 0.0)
-        cum = np.concatenate(([0.0], np.cumsum(rates * dt)))
-        t = np.asarray(t, dtype=float)
-        i = self._index(t)
-        out = cum[i] + rates[i] * (t - self.seg_t[i])
-        if atom_t.size:
-            out = out + np.cumsum(atom)[np.clip(
-                np.searchsorted(atom_t, t, side="right") - 1, -1, len(atom) - 1)] * (
-                np.searchsorted(atom_t, t, side="right") > 0)
-        return out
-
-    def dividends_at(self, t):
-        """Cumulative dividends L_t."""
-        return self._cum_rate(self.seg_lrate, self.l_atom_t, self.l_atom, t)
-
-    def injections_at(self, t):
-        """Cumulative injections R_t."""
-        return self._cum_rate(self.seg_rrate, self.r_atom_t, self.r_atom, t)
+    seg_branch: np.ndarray
+    seg_lrate: np.ndarray
+    seg_rrate: np.ndarray
+    r_atom_t: np.ndarray
+    r_atom: np.ndarray
+    l_atom_t: np.ndarray
+    l_atom: np.ndarray
 
     def discounted_flow(self, q: float, horizon=None) -> tuple:
         """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon], in
@@ -156,6 +99,107 @@ class RefractedPath(SegmentCurve):
         dl += float(np.sum(np.exp(-q * self.l_atom_t[keep_l]) * self.l_atom[keep_l]))
         dr += float(np.sum(np.exp(-q * self.r_atom_t[keep_r]) * self.r_atom[keep_r]))
         return dl, dr
+
+
+def path_keys(path, t):
+    """Integer keys that order the pairs (path[j], t[j]) as (path, t),
+    exactly: path * (the number of distinct times) + the rank of t[j] among
+    them, from one sort of t.  A float offset per path would merge nearby
+    times.  Returns the keys and the distinct times in order."""
+    times, rank = np.unique(t, return_inverse=True)
+    return np.asarray(path) * times.size + rank, times
+
+
+# The fields of a RefractedPath that a SegmentTable joins.
+TABLE_FIELDS = ("seg_t", "seg_v", "seg_slope", "seg_lrate", "seg_rrate",
+                "r_atom_t", "r_atom", "l_atom_t", "l_atom")
+
+
+class SegmentTable:
+    """The RefractedPaths trajs of a block, which share a horizon, joined
+    end to end: one concatenation per field of TABLE_FIELDS, counts[:, i]
+    the knots, injection atoms and dividend atoms of path i, and sources the
+    (times, path) of the knots, of the injection atoms and of the dividend
+    atoms, each in (path, t) order."""
+
+    def __init__(self, trajs):
+        self.horizon = trajs[0].horizon
+        for name in TABLE_FIELDS:
+            setattr(self, name, np.concatenate([getattr(t, name) for t in trajs]))
+        self.counts = np.array([[t.seg_t.size, t.r_atom_t.size, t.l_atom_t.size]
+                                for t in trajs]).T
+        self.sources = [(times, np.repeat(np.arange(len(trajs)), c)) for times, c
+                        in zip((self.seg_t, self.r_atom_t, self.l_atom_t), self.counts)]
+
+
+@dataclass(frozen=True)
+class SegmentReading:
+    """A SegmentTable read at probes: the value z, its left limit z_left,
+    the cumulative dividends l and injections r, and whether a knot falls
+    at the probe."""
+
+    z: np.ndarray
+    z_left: np.ndarray
+    l: np.ndarray
+    r: np.ndarray
+    knot: np.ndarray
+
+
+def _lumps(values, counts, path, upto):
+    """The sum of the entries of path path[j] among the first upto[j] of
+    values, which holds the paths' entries end to end, counts[i] of them for
+    path i, added in the order of np.cumsum: a zero-padded (path, entry)
+    table summed along its rows."""
+    table = np.zeros((counts.size, counts.max(initial=0) + 1))
+    table[:, 1:][np.arange(1, table.shape[1]) <= counts[:, None]] = values
+    return np.cumsum(table, axis=1)[path, upto - (np.cumsum(counts) - counts)[path]]
+
+
+def read_segments(tables, path, t, drivers=()):
+    """The SegmentReading of each table at the probes (path[j], t[j]), t >= 0,
+    and with drivers, the EventPaths of the tables' paths, the driver X
+    there as well (else None).
+
+    The path_keys of the probes and of every knot, atom and event, from one
+    sort per call, place each path's entries among its probes by binary
+    search, so the entries up to a probe, and strictly before it, are counts
+    in integers.  z is read off the segment in force, z_left off the one
+    before a knot at the probe, and the flows, atoms and events add up as
+    lumps, each path's in order: every reading is bit-equal to a per-path
+    searchsorted and cumsum.
+    """
+    path, t = np.asarray(path), np.asarray(t, dtype=float)
+    srcs = [src for tab in tables for src in tab.sources]
+    if drivers:
+        n_ev = np.array([d.times.size for d in drivers])
+        srcs.append((np.concatenate([d.times for d in drivers]),
+                     np.repeat(np.arange(n_ev.size), n_ev)))
+    keys, _ = path_keys(np.concatenate([path] + [p for _, p in srcs]),
+                        np.concatenate([t] + [s for s, _ in srcs]))
+    probes, *keys = np.split(keys, np.cumsum([t.size] + [s.size for s, _ in srcs])[:-1])
+    readings = []
+    for j, tab in enumerate(tables):
+        (seg, r_at, l_at), (n_seg, n_r, n_l), seg_t = keys[3 * j:3 * j + 3], tab.counts, tab.seg_t
+        ends = np.cumsum(n_seg) - 1  # each path's last segment
+        upto, below = (np.searchsorted(seg, probes, side) for side in ("right", "left"))
+        i, left = upto - 1, np.maximum(below - 1, (ends + 1 - n_seg)[path])
+        dt = np.diff(seg_t, append=0.0)
+        dt[ends] = tab.horizon - seg_t[ends]
+        dt = np.where(np.isfinite(dt), dt, 0.0)  # an infinite-horizon tail is never read
+        l, r = (_lumps(rate * dt, n_seg, path, i) + rate[i] * (t - seg_t[i])
+                + _lumps(atom, n_atom, path, np.searchsorted(at, probes, "right"))
+                for rate, atom, n_atom, at in ((tab.seg_lrate, tab.l_atom, n_l, l_at),
+                                               (tab.seg_rrate, tab.r_atom, n_r, r_at)))
+        readings.append(SegmentReading(
+            z=tab.seg_v[i] + tab.seg_slope[i] * (t - seg_t[i]),
+            z_left=tab.seg_v[left] + tab.seg_slope[left] * (t - seg_t[left]),
+            l=l, r=r, knot=upto > below))
+    if not drivers:
+        return readings, None
+    x0, drift = np.array([(d.x0, d.drift) for d in drivers]).T
+    sizes = np.concatenate([d.sizes for d in drivers])
+    upto = np.searchsorted(keys[-1], probes, "right")
+    return readings, x0[path] + drift[path] * t + _lumps(sizes, n_ev, path, upto)
 
 
 @dataclass(frozen=True)
@@ -287,19 +331,9 @@ def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPat
             r_atom_t.append(te)
             r_atom.append(-z)
             z = 0.0
-    return RefractedPath(
-        horizon=horizon,
-        seg_t=np.asarray(seg_t),
-        seg_v=np.asarray(seg_v),
-        seg_slope=np.asarray(seg_slope),
-        seg_branch=np.asarray(seg_branch, dtype=int),
-        seg_lrate=np.asarray(seg_lrate),
-        seg_rrate=np.asarray(seg_rrate),
-        r_atom_t=np.asarray(r_atom_t),
-        r_atom=np.asarray(r_atom),
-        l_atom_t=np.asarray(l_atom_t),
-        l_atom=np.asarray(l_atom),
-    )
+    # the lists in the order of the RefractedPath fields
+    return RefractedPath(horizon, *map(np.asarray, (seg_t, seg_v, seg_slope, seg_branch, seg_lrate,
+                                                    seg_rrate, r_atom_t, r_atom, l_atom_t, l_atom)))
 
 
 def _require_event_path(path):
@@ -598,29 +632,3 @@ def running_floor_reflection(path: EventPath) -> FloorDecomposition:
     _require_event_path(path)
     traj = _sweep(path, math.inf, 1.0, False, floor=True)
     return floor_decomposition(traj, path)
-
-
-def dividend_integral_path(traj: RefractedPath) -> SegmentCurve:
-    """The cumulative dividend stream L as a continuous segment curve."""
-    dt = np.append(np.diff(traj.seg_t), traj.horizon - traj.seg_t[-1])
-    cum = np.concatenate(([0.0], np.cumsum(traj.seg_lrate * dt)))[:-1]
-    return SegmentCurve(traj.horizon, traj.seg_t, cum, traj.seg_lrate)
-
-
-def construction_identity_residual(path: EventPath, traj: RefractedPath) -> float:
-    """Max residual of the pathwise construction identity at segment times.
-
-    The floored trajectory must equal the dividend-depleted driver minus the
-    running infimum of its negative part; this recomputes the right side
-    independently of the sweep's own injection bookkeeping.
-    """
-    lcurve = dividend_integral_path(traj)
-    # A = X - L as a segment curve aligned with traj segments
-    ts = traj.seg_t
-    a_v = path.value_at(ts) - lcurve.value_at(ts)
-    a_slope = np.full(len(ts), path.drift) - traj.seg_lrate
-    acurve = SegmentCurve(traj.horizon, ts, a_v, a_slope)
-    probe = np.unique(np.concatenate((ts, path.times, [traj.horizon])))
-    inf_part = acurve.running_inf_of_neg_part(probe)
-    recon = acurve.value_at(probe) - inf_part
-    return float(np.max(np.abs(recon - traj.value_at(probe))))

@@ -8,9 +8,9 @@ and converge to the reflected limit, and the empirical characteristic
 function matches the analytic exponent.  Exact-engine checks use absolute
 tolerance 1e-9.
 
-The checks read the swept trajectories BLOCK paths at a time, in one
-vectorised pass per block that repeats the RefractedPath methods bit for
-bit, so no result depends on how paths fall into blocks.
+The checks read the swept trajectories BLOCK paths at a time, each block
+in one pass of path_engine.read_segments at every probe time of its paths,
+so no result depends on how paths fall into blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .levy_model import (
     classify_case,
     sample_path,
 )
-from .path_engine import refract_exact
+from .path_engine import SegmentTable, path_keys, read_segments, refract_exact
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
@@ -165,94 +165,35 @@ class CharReport:
 # Paths checked at once: a block's probe tables grow with it.
 BLOCK = 32
 
-_FIELDS = ("seg_t", "seg_v", "seg_slope", "seg_lrate", "seg_rrate",
-           "r_atom_t", "r_atom", "l_atom_t", "l_atom")
-
-
-def _joined(objs, name):
-    """The arrays name of objs end to end, and their lengths."""
-    arrays = [getattr(o, name) for o in objs]
-    return np.concatenate(arrays), np.array([a.size for a in arrays])
-
-
-def _path_cumsum(values, lengths):
-    """0 followed by np.cumsum of each path's run of joined values, for every
-    path end to end, so that the sum of the first k entries of path p is at
-    index k + p (+ the entries of the paths before p).  A zero-padded (path,
-    entry) table summed along its rows gives the bits of the per-path
-    np.cumsum."""
-    table = np.zeros((lengths.size, lengths.max(initial=0) + 1))
-    table[:, 1:][np.arange(1, table.shape[1]) <= lengths[:, None]] = values
-    return np.cumsum(table, axis=1)[np.arange(table.shape[1]) <= lengths[:, None]]
-
 
 class _Block:
     """The trajectories of a block of paths, read at every path's probes at
     once: roles[r][i] is the RefractedPath of role r on path i, and
-    drivers[i], if given, the EventPath that roles[0][i] was swept from.
+    drivers[i], if given, the EventPath of path i.
 
     A path's probes are the knots and atom times of its trajectories, the
     horizon and the midpoints between them; t and path hold them in (path,
-    t) order.  One lexsort places every knot, atom and event among them, so
-    the segment or atom in force at a probe is a count in integers (a float
-    offset per path would merge nearby times), and the readers repeat the
-    arithmetic of the RefractedPath and EventPath methods bit for bit.
+    t) order.  readings[r] is the SegmentReading of role r there and driver
+    the drivers' values, both from path_engine.read_segments.
     """
 
     def __init__(self, roles, drivers=()):
-        n, self.drivers, self.horizon = len(roles[0]), drivers, roles[0][0].horizon
-        self.fields = [{f: _joined(trajs, f) for f in _FIELDS} for trajs in roles]
-        # per role its knots and atoms, then the drivers' events (knots of role 0)
-        srcs = [fs[f] for fs in self.fields for f in ("seg_t", "r_atom_t", "l_atom_t")]
-        srcs += [_joined(drivers, "times")] if drivers else []
-        times = np.concatenate([np.full(n, self.horizon)] + [t for t, _ in srcs])
-        rows = np.concatenate([np.arange(n)] + [np.repeat(np.arange(n), c) for _, c in srcs])
-        order = np.lexsort((times, rows))
-        ts, ps = times[order], rows[order]
-        new = np.append(True, (ts[1:] != ts[:-1]) | (ps[1:] != ps[:-1]))
-        kt, kp = ts[new], ps[new]
+        tables = [SegmentTable(trajs) for trajs in roles]
+        n = len(roles[0])
+        srcs = [(np.full(n, tables[0].horizon), np.arange(n))]
+        srcs += [src for tab in tables for src in tab.sources]
+        keys, times = path_keys(np.concatenate([p for _, p in srcs]),
+                                np.concatenate([t for t, _ in srcs]))
+        keys = np.sort(keys)
+        kp, kt = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], times.size)
+        kt = times[kt]
         mid = 0.5 * (kt[:-1] + kt[1:])
         # a midpoint that rounds onto a knot adds no probe
         has_mid = (kp[1:] == kp[:-1]) & (mid != kt[:-1]) & (mid != kt[1:])
         gaps = np.flatnonzero(has_mid) + 1
         self.t, self.path = np.insert(kt, gaps, mid[has_mid]), np.insert(kp, gaps, kp[gaps])
         self.same = self.path[1:] == self.path[:-1]  # probes j and j + 1 on one path
-        at = np.arange(kt.size) + np.append(0, np.cumsum(has_mid))  # knots among the probes
-        pos = at[np.cumsum(new) - 1][np.argsort(order)]  # each entry's probe
-        # per source: its entries at each probe, up to it, and on earlier paths
-        self.counts = []
-        for (_, c), p in zip(srcs, np.split(pos[n:], np.cumsum([t.size for t, _ in srcs]))):
-            hits = np.bincount(p, minlength=self.t.size)
-            self.counts.append((hits, np.cumsum(hits), (np.cumsum(c) - c)[self.path]))
-
-    def value(self, r, left=False):
-        """value_at of role r, or left_limit_at with left."""
-        hits, upto, before = self.counts[3 * r]
-        i = np.maximum(upto - hits - 1, before) if left else upto - 1
-        (seg_t, _), (seg_v, _), (slope, _) = (self.fields[r][f] for f in _FIELDS[:3])
-        return seg_v[i] + slope[i] * (self.t - seg_t[i])
-
-    def flows(self, r):
-        """dividends_at and injections_at of role r."""
-        f, i = self.fields[r], self.counts[3 * r][1] - 1
-        seg_t, n_seg = f["seg_t"]
-        ends = np.cumsum(n_seg) - 1
-        dt = np.append(seg_t[1:] - seg_t[:-1], 0.0)
-        dt[ends] = self.horizon - seg_t[ends]
-        dt = np.where(np.isfinite(dt), dt, 0.0)  # an infinite-horizon tail is never read
-        out = []
-        for rate, atom, source in (("seg_lrate", "l_atom", 2), ("seg_rrate", "r_atom", 1)):
-            rates, _ = f[rate]
-            lumps = _path_cumsum(*f[atom])[self.counts[3 * r + source][1] + self.path]
-            out.append(_path_cumsum(rates * dt, n_seg)[i + self.path]
-                       + rates[i] * (self.t - seg_t[i]) + lumps)
-        return out
-
-    def driver(self):
-        """value_at of the drivers."""
-        x0, drift = np.array([(d.x0, d.drift) for d in self.drivers]).T
-        return (x0[self.path] + drift[self.path] * self.t
-                + _path_cumsum(*_joined(self.drivers, "sizes"))[self.counts[-1][1] + self.path])
+        self.readings, self.driver = read_segments(tables, self.path, self.t, drivers)
 
     def violations(self, rows):
         """The Violations of rows (prop, magnitude, bad) by path, row, time;
@@ -281,14 +222,13 @@ def check_pair(trajk, trajl, shift: float, b: float, drivers=(), tol: float = EX
     if shift < 0:
         raise InvalidParameter("shift", "upper start must not be below lower start")
     blk = _Block((trajk, trajl), drivers)
-    zk, zl, zk_left = blk.value(0), blk.value(1), blk.value(0, left=True)
-    (lk, rk), (ll, rl) = blk.flows(0), blk.flows(1)
-    dz, dl, dr = zl - zk, ll - lk, rl - rk
+    rk, rl = blk.readings
+    dz, dl, dr = rl.z - rk.z, rl.l - rk.l, rl.r - rk.r
     inc, dec, rinc = np.diff(dz), np.diff(dl), np.diff(dr)
     resid = np.abs(dz + dl - dr - shift)
-    gap = np.maximum(dz, blk.value(1, left=True) - zk_left)
-    cond_l = (zk <= b + tol) & (zl >= b - tol) & (gap > tol)
-    cond_r = np.minimum(zk, zk_left) <= tol
+    gap = np.maximum(dz, rl.z_left - rk.z_left)
+    cond_l = (rk.z <= b + tol) & (rl.z >= b - tol) & (gap > tol)
+    cond_r = np.minimum(rk.z, rk.z_left) <= tol
     rows = [
         # (1) conserved budget of the initial shift
         ("pair_budget", resid, resid > tol),
@@ -305,8 +245,8 @@ def check_pair(trajk, trajl, shift: float, b: float, drivers=(), tol: float = EX
         ("pair_inj_support", -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:])),
     ]
     if drivers:
-        budget = np.abs(zk - (blk.driver() - lk + rk))
-        rows.append(("budget", budget, (budget > tol) & (blk.counts[0][0] > 0)))
+        budget = np.abs(rk.z - (blk.driver - rk.l + rk.r))
+        rows.append(("budget", budget, (budget > tol) & rk.knot))
     return blk.violations(rows)
 
 
@@ -324,23 +264,16 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
     case = classify_case(spec, params.alpha)
-    paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths()
+    cols = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
+    lower = replace(cols, x0=cols.x0 + (x + k)).paths()
+    upper = replace(cols, x0=cols.x0 + (x + l)).paths()
     viol = []
     for start in range(0, n, BLOCK):
-        block = paths[start:start + BLOCK]
-        drivers = [path.shifted(x + k) for path in block]
+        drivers = lower[start:start + BLOCK]
         tk = [apply_strategy_exact(path, params, case) for path in drivers]
-        tl = [apply_strategy_exact(path.shifted(x + l), params, case) for path in block]
+        tl = [apply_strategy_exact(path, params, case) for path in upper[start:start + BLOCK]]
         viol += check_pair(tk, tl, shift, params.b, drivers)
     return CoupledPairReport(n_paths=n, shift=shift, violations=tuple(viol))
-
-
-def fixed_cap_violations(traj, alpha: float, tol: float = EXACT_TOL):
-    """For b = 0 with drift above the cap, dividends accrue at the cap rate
-    exactly: L_t = alpha * t for all t."""
-    blk = _Block(([traj],))
-    resid = np.abs(blk.flows(0)[0] - alpha * blk.t)
-    return blk.violations([("cap_rate_dividends", resid, resid > tol)])
 
 
 def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
@@ -374,21 +307,19 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
                   for path in block] for a, case in rungs]
         refr = [[refract_exact(path, b, a, case) for path in block] for a, case in rungs]
         blk = _Block(trajs + refr)
-        zs = [blk.value(j) for j in range(m)]
-        ys = [blk.value(m + j) for j in range(m)]
-        ls, rs = zip(*(blk.flows(j) for j in range(m)))
+        zs, ys = blk.readings[:m], blk.readings[m:]
         for j in range(m):
             vals[j, start:start + len(block)] = [
                 dl - beta * dr for dl, dr in (traj.discounted_flow(q) for traj in trajs[j])]
         if alphas[-1] == math.inf:
             for j in range(m):
-                sup_gap[j] = max(sup_gap[j], float(np.max(zs[j] - zs[-1])))
+                sup_gap[j] = max(sup_gap[j], float(np.max(zs[j].z - zs[-1].z)))
         rows = []
         for j in range(m - 1):
             # as the cap rises the refracted paths and the surpluses do not
             # rise, and the dividends and injections do not fall
-            dy, dz = ys[j] - ys[j + 1], zs[j] - zs[j + 1]
-            dl, dr = ls[j] - ls[j + 1], rs[j] - rs[j + 1]
+            dy, dz = ys[j].z - ys[j + 1].z, zs[j].z - zs[j + 1].z
+            dl, dr = zs[j].l - zs[j + 1].l, zs[j].r - zs[j + 1].r
             rows += [("ladder_refracted", -dy, dy < -EXACT_TOL),
                      ("ladder_surplus", -dz, dz < -EXACT_TOL),
                      ("ladder_dividends", dl, dl > EXACT_TOL),

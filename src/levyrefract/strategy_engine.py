@@ -4,8 +4,8 @@ A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
 non-negative.  The exact engine delegates to path_engine's floored
 transform: apply_strategy_exact returns the swept path itself, which the
-property oracle reads directly, and only sample-path samples it onto knots
-(ControlledTrajectory.from_exact).  The Monte Carlo estimators run the
+property oracle and sample-path (ControlledTrajectory.from_exact) read
+through path_engine.read_segments.  The Monte Carlo estimators run the
 lane-batched sweep instead.  The Euler engine runs the discrete
 three-branch recursion on a time grid (euler_steps), and its two readers
 give the estimators what the two readers of path_engine.event_steps give
@@ -44,6 +44,7 @@ from .path_engine import (
     BRANCH_FLOOR,
     BRANCH_INTERIOR,
     RefractedPath,
+    SegmentTable,
 )
 
 NU_BLOCK_STEPS = 512  # knots whose running minima euler_record_lows holds at once
@@ -105,13 +106,15 @@ class ControlledTrajectory:
         knots and the (finite) horizon."""
         times = np.append(traj.seg_t, path.horizon)
         branch = np.append(traj.seg_branch, traj.seg_branch[-1])
+        (got,), driver = path_engine.read_segments(
+            [SegmentTable([traj])], np.zeros(times.size, dtype=int), times, [path])
         return cls(
             times=times,
-            z=traj.value_at(times),
-            l=traj.dividends_at(times),
-            r=traj.injections_at(times),
+            z=got.z,
+            l=got.l,
+            r=got.r,
             branch=branch,
-            driver=path.value_at(times),
+            driver=driver,
             horizon=path.horizon,
             params=params,
             kind="exact",
@@ -386,11 +389,12 @@ def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
                     stream: RngStream) -> np.ndarray:
     """Sup distance between the Euler recursion and the exact trajectory
     driven by the same sampled path, discretized with shared noise, for the
-    n paths of one draw on stream: one recursion pass over all n rows."""
+    n paths of one draw on stream: one recursion pass over all n rows, and
+    one read of their swept trajectories at its knots."""
     paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths()
     dt = horizon / k
     z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in paths]), dt)[1]
-    times = np.arange(k) * dt
-    return np.array([
-        np.max(np.abs(z[i] - apply_strategy_exact(p.shifted(x), params, case).value_at(times)))
-        for i, p in enumerate(paths)])
+    table = SegmentTable([apply_strategy_exact(p.shifted(x), params, case) for p in paths])
+    (got,), _ = path_engine.read_segments([table], np.repeat(np.arange(n), k),
+                                          np.tile(np.arange(k) * dt, n))
+    return np.max(np.abs(z - got.z.reshape(n, k)), axis=1)

@@ -18,19 +18,18 @@ from levyrefract.estimation import (DegenerateDenominator, estimate_underline_nu
                                     find_bstar, nu_curve, solve_pstar, value_curve)
 from levyrefract.levy_model import (EXACT, RngStream, classify_case, net_drift,
                                     sample_path)
-from levyrefract.path_engine import (construction_identity_residual,
-                                     refracted_reflected_exact,
+from levyrefract.path_engine import (refracted_reflected_exact,
                                      running_floor_reflection)
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run,
                                            draw_random_bv_setup,
-                                           fixed_cap_violations,
                                            value_shape_check)
 from levyrefract.strategy_engine import (StrategyParams, apply_strategy_exact,
                                          euler_exact_gap)
 
 from conftest import FULL_SCALE, drift_only, record_acceptance
+from oracles import construction_identity_residual, fixed_cap_violations, value_at
 
 SEED = 20260822
 THREADS = 4
@@ -163,7 +162,7 @@ def test_05_randomized_models_pathwise_sweep():
                                stream.with_tag(5).for_path(i)).shifted(x)
             dec = running_floor_reflection(path)
             recon = path.value_at(probe) - dec.infimum_at(probe)
-            r1 = float(np.max(np.abs(dec.reflected.value_at(probe) - recon)))
+            r1 = float(np.max(np.abs(value_at(dec.reflected, probe) - recon)))
             traj = refracted_reflected_exact(path, params.b, params.alpha,
                                              case)
             r2 = construction_identity_residual(path, traj)

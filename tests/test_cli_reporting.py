@@ -95,6 +95,15 @@ class TestGrammar:
 
     @pytest.mark.parametrize("line,field", [
         ("task.b = -0.5", "task.b"),
+        ("task.b = nan", "task.b"),
+        ("task.b = inf", "task.b"),
+        ("task.competing_b = 0.5, -1", "task.competing_b"),
+        ("task.competing_b = nan", "task.competing_b"),
+        ("task.x = nan", "task.x"),
+        ("task.x = -inf", "task.x"),
+        ("task.alphas = 0.5, nan", "task.alphas"),
+        ("task.alphas = 0, 1", "task.alphas"),
+        ("task.alphas = -inf, 1", "task.alphas"),
         ("task.engine = gpu", "task.engine"),
         ("task.method = magic", "task.method"),
     ])
@@ -357,6 +366,18 @@ class TestRunAlphaConvergence:
                      str(tmp_path / "out")])
         assert code == 2
         assert "task.alphas" in capsys.readouterr().err
+
+
+    def test_a_start_that_is_not_a_number_exits_two(self, tmp_path, capsys):
+        """alpha-convergence from task.x = nan used to pass every row on
+        all-zero values."""
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "task.alphas = 0.5, 1, inf\ntask.b = 1\ntask.x = nan\n")
+        code = main(["alpha-convergence", "--config", str(p), "--out",
+                     str(tmp_path / "out")])
+        assert code == 2
+        assert "task.x" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "alpha_ladder.csv").exists()
 
 
 class TestRunCheckProperties:

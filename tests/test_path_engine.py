@@ -10,13 +10,18 @@ from levyrefract.levy_model import (
 from levyrefract import path_engine
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, InvalidBarrier,
-    UnsupportedModel, _sweep, construction_identity_residual,
-    dividend_integral_path, floor_decomposition, floored_lane_sweep,
-    refract_exact, refracted_reflected_exact, running_floor_reflection,
+    SegmentTable, UnsupportedModel, _sweep, floor_decomposition, floored_lane_sweep,
+    read_segments, refract_exact, refracted_reflected_exact, running_floor_reflection,
 )
-from levyrefract.strategy_engine import first_passage_times
+from levyrefract.strategy_engine import (
+    ControlledTrajectory, StrategyParams, first_passage_times,
+)
 
 from conftest import case_for, drift_path, event_columns
+from oracles import (
+    construction_identity_residual, dividend_integral_path, dividends_at, end_value,
+    injections_at, left_limit_at, running_inf_of_neg_part, value_at,
+)
 
 
 class TestRefractExact:
@@ -25,10 +30,10 @@ class TestRefractExact:
         p = drift_path(1.0, 0.0, 4.0)
         traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
         ts = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
-        np.testing.assert_allclose(traj.value_at(ts), [0.0, 0.5, 1.0, 1.6, 2.8])
+        np.testing.assert_allclose(value_at(traj, ts), [0.0, 0.5, 1.0, 1.6, 2.8])
         np.testing.assert_allclose(traj.seg_t, [0.0, 1.0])
-        np.testing.assert_allclose(traj.dividends_at(ts), [0, 0, 0, 0.4, 1.2])
-        np.testing.assert_allclose(traj.injections_at(ts), 0.0, atol=1e-15)
+        np.testing.assert_allclose(dividends_at(traj, ts), [0, 0, 0, 0.4, 1.2])
+        np.testing.assert_allclose(injections_at(traj, ts), 0.0, atol=1e-15)
 
     def test_discounted_dividends_closed_form(self):
         p = drift_path(1.0, 0.0, 4.0)
@@ -47,21 +52,21 @@ class TestRefractExact:
         traj = refract_exact(p, b=1.0, alpha=0.4, case=case)
         tb = 1.0 / 0.3
         ts = np.array([1.0, tb, 5.0, 10.0])
-        np.testing.assert_allclose(traj.value_at(ts), [0.3, 1.0, 1.0, 1.0])
-        np.testing.assert_allclose(traj.dividends_at(ts),
+        np.testing.assert_allclose(value_at(traj, ts), [0.3, 1.0, 1.0, 1.0])
+        np.testing.assert_allclose(dividends_at(traj, ts),
                                    [0.0, 0.0, 0.3 * (5 - tb), 0.3 * (10 - tb)])
         assert traj.seg_branch[-1] == BRANCH_AT_B
 
     def test_sticky_jump_knockdown_and_return(self):
         p = drift_path(0.3, 0.0, 10.0, jumps=[(5.0, -0.6)])
         traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(0.3, 0.4))
-        assert traj.value_at(5.0) == pytest.approx(0.4)
-        assert traj.left_limit_at(5.0) == pytest.approx(1.0)
-        assert traj.value_at(7.0) == pytest.approx(1.0)
+        assert value_at(traj, 5.0) == pytest.approx(0.4)
+        assert left_limit_at(traj, 5.0) == pytest.approx(1.0)
+        assert value_at(traj, 7.0) == pytest.approx(1.0)
         # no dividends while recovering on (5, 7)
-        assert traj.dividends_at(7.0) == pytest.approx(traj.dividends_at(5.0))
+        assert dividends_at(traj, 7.0) == pytest.approx(dividends_at(traj, 5.0))
         tb = 1.0 / 0.3
-        assert traj.dividends_at(10.0) == pytest.approx(0.3 * (5 - tb) + 0.3 * 3)
+        assert dividends_at(traj, 10.0) == pytest.approx(0.3 * (5 - tb) + 0.3 * 3)
 
     def test_perpetual_sticky_flow(self):
         # started at the threshold, the sticky stream pays delta forever
@@ -90,8 +95,8 @@ class TestRefractExact:
         traj = refract_exact(p, b=b, alpha=alpha, case=case_for(delta, alpha))
         tb = (b - x0) / delta
         want = x0 + delta * t if t <= tb else b + (delta - alpha) * (t - tb)
-        assert traj.value_at(t) == pytest.approx(want, abs=1e-12)
-        assert traj.dividends_at(t) == pytest.approx(alpha * max(t - tb, 0.0), abs=1e-12)
+        assert value_at(traj, t) == pytest.approx(want, abs=1e-12)
+        assert dividends_at(traj, t) == pytest.approx(alpha * max(t - tb, 0.0), abs=1e-12)
 
 
 class TestRefractedReflected:
@@ -103,20 +108,20 @@ class TestRefractedReflected:
     def test_jump_through_floor_tops_up(self):
         p, traj = self.hand_traj()
         ts = np.array([0.25, 1.0, 2.0, 2.5, 3.0, 4.0])
-        np.testing.assert_allclose(traj.value_at(ts),
+        np.testing.assert_allclose(value_at(traj, ts),
                                    [0.75, 1.3, 0.0, 0.5, 1.0, 1.6])
         np.testing.assert_allclose(traj.r_atom_t, [2.0])
         np.testing.assert_allclose(traj.r_atom, [0.1])
-        np.testing.assert_allclose(traj.dividends_at(4.0), 0.4 * 1.5 + 0.4 * 1.0)
-        np.testing.assert_allclose(traj.injections_at(ts),
+        np.testing.assert_allclose(dividends_at(traj, 4.0), 0.4 * 1.5 + 0.4 * 1.0)
+        np.testing.assert_allclose(injections_at(traj, ts),
                                    [0, 0, 0.1, 0.1, 0.1, 0.1])
 
     def test_trajectory_is_driver_less_dividends_plus_injections(self):
         p, traj = self.hand_traj()
         ts = np.linspace(0.0, 4.0, 33)
         np.testing.assert_allclose(
-            traj.value_at(ts),
-            p.value_at(ts) - traj.dividends_at(ts) + traj.injections_at(ts),
+            value_at(traj, ts),
+            p.value_at(ts) - dividends_at(traj, ts) + injections_at(traj, ts),
             atol=1e-12)
 
     def test_pinned_at_floor_under_negative_drift(self):
@@ -125,8 +130,8 @@ class TestRefractedReflected:
                                          case=case_for(-1.0, 0.5))
         dec = floor_decomposition(traj, p)
         ts = np.array([0.25, 0.5, 1.5, 3.0])
-        np.testing.assert_allclose(traj.value_at(ts), [0.25, 0.0, 0.0, 0.0])
-        np.testing.assert_allclose(traj.injections_at(ts), [0.0, 0.0, 1.0, 2.5])
+        np.testing.assert_allclose(value_at(traj, ts), [0.25, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(injections_at(traj, ts), [0.0, 0.0, 1.0, 2.5])
         assert traj.seg_branch[-1] == BRANCH_FLOOR
         np.testing.assert_allclose(dec.infimum_at(ts), [0.0, 0.0, -1.0, -2.5])
         np.testing.assert_allclose(dec.boundary_integral_at(ts), [0.0, 0.0, -1.0, -2.5])
@@ -136,7 +141,7 @@ class TestRefractedReflected:
         traj = refracted_reflected_exact(p, b=1.0, alpha=0.4,
                                          case=case_for(1.0, 0.4))
         dec = floor_decomposition(traj, p)
-        assert traj.value_at(0.0) == 0.0
+        assert value_at(traj, 0.0) == 0.0
         np.testing.assert_allclose(traj.r_atom_t, [0.0])
         np.testing.assert_allclose(traj.r_atom, [0.3])
         assert dec.initial_part == pytest.approx(-0.3)
@@ -152,7 +157,7 @@ class TestRefractedReflected:
         traj = refracted_reflected_exact(p, b=0.0, alpha=0.4,
                                          case=case_for(1.0, 0.4))
         ts = np.linspace(0.0, 6.0, 25)
-        np.testing.assert_allclose(traj.dividends_at(ts), 0.4 * ts, atol=1e-12)
+        np.testing.assert_allclose(dividends_at(traj, ts), 0.4 * ts, atol=1e-12)
 
     def test_construction_residual_on_sampled_paths(self, ref_spec_bv):
         for alpha, b in ((0.5, 1.2), (0.7, 0.8)):
@@ -172,28 +177,28 @@ class TestReflectionLimits:
         traj = refracted_reflected_exact(self.band_path(), 1.0, math.inf,
                                          case_for(1.0, math.inf))
         ts = np.array([0.25, 1.0, 2.0, 2.25, 2.5, 3.0])
-        np.testing.assert_allclose(traj.value_at(ts),
+        np.testing.assert_allclose(value_at(traj, ts),
                                    [0.75, 1.0, 0.0, 0.25, 1.0, 1.0])
         np.testing.assert_allclose(traj.l_atom_t, [2.5])
         np.testing.assert_allclose(traj.l_atom, [1.5])
         np.testing.assert_allclose(traj.r_atom_t, [2.0])
         np.testing.assert_allclose(traj.r_atom, [1.0])
-        assert traj.dividends_at(3.0) == pytest.approx(1.5 + 1.5 + 0.5)
-        assert traj.injections_at(3.0) == pytest.approx(1.0)
+        assert dividends_at(traj, 3.0) == pytest.approx(1.5 + 1.5 + 0.5)
+        assert injections_at(traj, 3.0) == pytest.approx(1.0)
 
     def test_from_above_leaves_the_floor_open(self):
         traj = refract_exact(self.band_path(), 1.0, math.inf,
                              case_for(1.0, math.inf))
         ts = np.array([1.0, 2.0, 2.25, 2.5, 3.0])
-        np.testing.assert_allclose(traj.value_at(ts), [1.0, -1.0, -0.75, 1.0, 1.0])
-        np.testing.assert_allclose(traj.injections_at(ts), 0.0, atol=1e-15)
+        np.testing.assert_allclose(value_at(traj, ts), [1.0, -1.0, -0.75, 1.0, 1.0])
+        np.testing.assert_allclose(injections_at(traj, ts), 0.0, atol=1e-15)
         np.testing.assert_allclose(traj.l_atom, [0.5])
-        assert traj.dividends_at(3.0) == pytest.approx(1.5 + 0.5 + 0.5)
+        assert dividends_at(traj, 3.0) == pytest.approx(1.5 + 0.5 + 0.5)
 
     def test_start_above_barrier_pays_immediately(self):
         traj = refract_exact(drift_path(0.2, 2.0, 1.0), 1.0, math.inf,
                              case_for(0.2, math.inf))
-        assert traj.value_at(0.0) == 1.0
+        assert value_at(traj, 0.0) == 1.0
         np.testing.assert_allclose(traj.l_atom_t, [0.0])
         np.testing.assert_allclose(traj.l_atom, [1.0])
 
@@ -213,7 +218,7 @@ class TestReflectionLimits:
             assert np.all(t.seg_rrate[pinned] == -delta)
         np.testing.assert_allclose(traj.l_atom, [0.4, 0.8])
         np.testing.assert_allclose(traj.r_atom_t, [2.0])
-        assert traj.injections_at(3.0) == pytest.approx(-delta * 3.0 + 0.6)
+        assert injections_at(traj, 3.0) == pytest.approx(-delta * 3.0 + 0.6)
 
     def test_gap_to_the_band_limit_never_grows_with_alpha(self, ref_spec_bv):
         """Trajectories are ordered in alpha, so the one-sided gap to the
@@ -228,7 +233,7 @@ class TestReflectionLimits:
             traj = refract_exact(p, b=1.0, alpha=alpha,
                                  case=classify_case(ref_spec_bv, alpha))
             ts_a = np.union1d(ts, traj.seg_t)
-            diff = traj.value_at(ts_a) - limit.value_at(ts_a)
+            diff = value_at(traj, ts_a) - value_at(limit, ts_a)
             assert np.min(diff) >= -1e-12
             gaps.append(np.max(diff))
         assert all(g1 >= g2 - 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
@@ -241,8 +246,8 @@ class TestReflectionLimits:
         traj = refract_exact(p, b=1.0, alpha=2.0, case=case_for(1.2, 2.0))
         ts = np.union1d(np.union1d(np.linspace(0, 6.0, 601), limit.seg_t),
                         traj.seg_t)
-        np.testing.assert_allclose(traj.value_at(ts), limit.value_at(ts), atol=1e-12)
-        np.testing.assert_allclose(traj.dividends_at(ts), limit.dividends_at(ts),
+        np.testing.assert_allclose(value_at(traj, ts), value_at(limit, ts), atol=1e-12)
+        np.testing.assert_allclose(dividends_at(traj, ts), dividends_at(limit, ts),
                                    atol=1e-12)
 
     def test_running_inf_matches_brute_force(self, ref_spec_bv):
@@ -251,10 +256,10 @@ class TestReflectionLimits:
         # linear pieces attain extrema at segment ends, so a grid containing
         # every segment time sees the true minimum via left limits
         grid = np.union1d(np.linspace(0, 5.0, 2001), traj.seg_t)
-        lows = np.minimum(np.minimum(traj.value_at(grid), traj.left_limit_at(grid)), 0.0)
+        lows = np.minimum(np.minimum(value_at(traj, grid), left_limit_at(traj, grid)), 0.0)
         want = np.minimum.accumulate(lows)
         queries = np.array([0.7, 1.9, 3.3, 5.0])
-        got = traj.running_inf_of_neg_part(queries)
+        got = running_inf_of_neg_part(traj, queries)
         for t, g in zip(queries, got):
             assert g == pytest.approx(want[grid <= t][-1], abs=1e-12)
 
@@ -318,7 +323,7 @@ class TestFloorDecomposition:
         np.testing.assert_allclose(dec.jump_sum_at(ts), [0, -0.5, -0.5, -0.7, -0.7])
         np.testing.assert_allclose(dec.boundary_integral_at(ts), 0.0, atol=1e-15)
         assert dec.initial_part == 0.0
-        np.testing.assert_allclose(dec.reflected.value_at(ts),
+        np.testing.assert_allclose(value_at(dec.reflected, ts),
                                    p.value_at(ts) - dec.infimum_at(ts), atol=1e-12)
 
     def test_boundary_component_accrues_only_at_the_floor(self):
@@ -327,7 +332,7 @@ class TestFloorDecomposition:
         assert dec.boundary_integral_at(0.75) == pytest.approx(-0.1)
         assert dec.boundary_integral_at(3.0) == pytest.approx(-0.2)
         assert dec.infimum_at(3.0) == pytest.approx(-0.2)
-        assert dec.reflected.value_at(3.0) == pytest.approx(0.2)
+        assert value_at(dec.reflected, 3.0) == pytest.approx(0.2)
 
     def test_three_components_sum_to_the_infimum(self, ref_spec_bv):
         for i in range(25):
@@ -338,10 +343,10 @@ class TestFloorDecomposition:
             total = (dec.boundary_integral_at(ts) + dec.initial_part
                      + dec.jump_sum_at(ts))
             np.testing.assert_allclose(dec.infimum_at(ts), total, atol=1e-12)
-            np.testing.assert_allclose(dec.reflected.value_at(ts),
+            np.testing.assert_allclose(value_at(dec.reflected, ts),
                                        p.value_at(ts) - dec.infimum_at(ts),
                                        atol=1e-12)
-            assert np.all(dec.reflected.value_at(ts) >= -1e-12)
+            assert np.all(value_at(dec.reflected, ts) >= -1e-12)
 
 
 class TestDividendIntegralPath:
@@ -350,9 +355,9 @@ class TestDividendIntegralPath:
         traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(0.3, 0.4))
         curve = dividend_integral_path(traj)
         ts = np.linspace(0.0, 10.0, 101)
-        np.testing.assert_allclose(curve.value_at(ts), traj.dividends_at(ts),
+        np.testing.assert_allclose(value_at(curve, ts), dividends_at(traj, ts),
                                    atol=1e-12)
-        assert curve.end_value() == pytest.approx(traj.dividends_at(10.0))
+        assert end_value(curve) == pytest.approx(dividends_at(traj, 10.0))
 
     def test_discounted_flow_matches_quadrature(self, ref_spec_bv):
         """Closed-form discounted flows against the midpoint rule on the
@@ -374,10 +379,82 @@ class TestDividendIntegralPath:
                 knots = traj.seg_t
                 grid = np.union1d(np.linspace(0, end, 20001), knots[knots <= end])
                 mids = 0.5 * (grid[:-1] + grid[1:])
-                dl_num = np.sum(np.exp(-q * mids) * np.diff(traj.dividends_at(grid)))
-                dr_num = np.sum(np.exp(-q * mids) * np.diff(traj.injections_at(grid)))
+                dl_num = np.sum(np.exp(-q * mids) * np.diff(dividends_at(traj, grid)))
+                dr_num = np.sum(np.exp(-q * mids) * np.diff(injections_at(traj, grid)))
                 assert dl == pytest.approx(dl_num, abs=2e-5), stop
                 assert dr == pytest.approx(dr_num, abs=2e-5), stop
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+class TestReadSegments:
+    """The block reader against the one-path references, bit for bit."""
+
+    @staticmethod
+    def read(trajs, path, t, drivers=()):
+        """read_segments on a table of trajs, checked path by path."""
+        path, t = np.asarray(path), np.asarray(t, dtype=float)
+        (got,), driver = read_segments([SegmentTable(trajs)], path, t, drivers)
+        for i, traj in enumerate(trajs):
+            on, ts = path == i, t[path == i]
+            for mine, ref in ((got.z, value_at), (got.z_left, left_limit_at),
+                              (got.l, dividends_at), (got.r, injections_at)):
+                np.testing.assert_array_equal(_bits(mine[on]), _bits(ref(traj, ts)))
+            np.testing.assert_array_equal(got.knot[on], np.isin(ts, traj.seg_t))
+            if drivers:
+                np.testing.assert_array_equal(_bits(driver[on]),
+                                              _bits(drivers[i].value_at(ts)))
+        return got
+
+    @staticmethod
+    def probes(trajs, extra=()):
+        """Every knot and atom time of every path of trajs on each of them,
+        with extra, in (path, t) order."""
+        ts = np.unique(np.concatenate([np.asarray(extra, dtype=float)] + [
+            np.concatenate((tr.seg_t, tr.r_atom_t, tr.l_atom_t)) for tr in trajs]))
+        return np.repeat(np.arange(len(trajs)), ts.size), np.tile(ts, len(trajs))
+
+    def test_knots_one_ulp_apart(self):
+        """Events at 1, at the next double above it and at the one below it,
+        on the paths of one block: no two of them merge."""
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        paths = [drift_path(0.5, 0.2, 3.0, jumps=((1.0, -0.9), (up, 1.6))),
+                 drift_path(0.5, 0.2, 3.0, jumps=((down, -0.4),)),
+                 drift_path(0.5, -0.1, 3.0, jumps=((down, 2.0), (1.0, -3.0), (up, 0.5)))]
+        case = case_for(0.5, math.inf)
+        trajs = [refracted_reflected_exact(p, 1.0, math.inf, case) for p in paths]
+        assert {1.0, up} <= set(trajs[0].seg_t.tolist())
+        assert {down, 1.0, up} <= set(trajs[2].seg_t.tolist())
+        got = self.read(trajs, *self.probes(trajs, np.linspace(0.0, 3.0, 7)), drivers=paths)
+        # each knot is found once, on its own path
+        assert got.knot.sum() == sum(tr.seg_t.size for tr in trajs)
+
+    def test_a_probe_on_another_paths_knot(self):
+        """Path 0 jumps at 1.5 and path 1 does not: path 1 read at 1.5 sees
+        no knot there, and its left limit is its value."""
+        paths = [drift_path(0.3, 0.5, 3.0, jumps=((1.5, -0.8),)), drift_path(0.3, 0.5, 3.0)]
+        trajs = [refracted_reflected_exact(p, 1.0, 0.2, case_for(0.3, 0.2)) for p in paths]
+        got = self.read(trajs, [0, 1, 1], [1.5, 1.0, 1.5], drivers=paths)
+        assert got.knot.tolist() == [True, False, False]
+        assert got.z_left[2] == got.z[2] and got.z_left[0] != got.z[0]
+
+    def test_a_one_path_table_at_its_knots_and_horizon(self):
+        """sample-path reads a table of one path at its knots and the
+        horizon; with an event at the horizon the last two probes are
+        equal."""
+        path = drift_path(0.2, 2.5, 3.0, jumps=((0.5, -0.7), (1.2, -2.4), (3.0, 3.0)))
+        case = case_for(0.2, 0.5)
+        traj = refracted_reflected_exact(path, 1.0, 0.5, case)
+        times = np.append(traj.seg_t, path.horizon)
+        assert times[-1] == times[-2]
+        got = self.read([traj], np.zeros(times.size, dtype=int), times, drivers=[path])
+        pp = StrategyParams(b=1.0, alpha=0.5, beta=1.5, q=0.05)
+        sampled = ControlledTrajectory.from_exact(path, traj, pp)
+        for mine, ref in ((sampled.z, got.z), (sampled.l, got.l), (sampled.r, got.r),
+                          (sampled.driver, path.value_at(times))):
+            np.testing.assert_array_equal(_bits(mine), _bits(ref))
 
 
 def stepper_lanes(paths, x, b, alpha, case, floor):
@@ -449,8 +526,8 @@ class TestFlooredLaneSweep:
         _sweep overwrites the zero-length segment at 0, so the lane does not
         visit 0 there."""
         case, b = case_for(0.35, 0.3), 1e-300
-        z2 = float(refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), b, 0.3,
-                                             case).value_at(2.0))
+        z2 = float(value_at(refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), b, 0.3,
+                                                      case), 2.0))
         p = drift_path(0.35, 0.0, 4.0, jumps=[(2.0, -z2)])
         traj = refracted_reflected_exact(p.shifted(0.5), b, 0.3, case)
         assert first_passage_times(traj).t_weak == math.inf
@@ -462,7 +539,7 @@ class TestFlooredLaneSweep:
         falls at the horizon, and it is kept: a jump there onto 0 is the
         lane's first visit to 0."""
         case = case_for(0.35, 0.3)
-        z = refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), 1.0, 0.3, case).end_value()
+        z = end_value(refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), 1.0, 0.3, case))
         p = drift_path(0.35, 0.0, 4.0, jumps=[(4.0, -z)])
         traj = refracted_reflected_exact(p.shifted(0.5), 1.0, 0.3, case)
         assert first_passage_times(traj).t_weak == 4.0

@@ -1,4 +1,6 @@
+import ast
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,16 +11,20 @@ from levyrefract.levy_model import (
     EXACT, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
     classify_case, sample_path,
 )
-from levyrefract.path_engine import refract_exact, refracted_reflected_exact
+from levyrefract.path_engine import (
+    SegmentTable, read_segments, refract_exact, refracted_reflected_exact,
+)
 from levyrefract.properties_oracle import (
     BLOCK, CharReport, EngineUnavailable, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
-    coupled_pair_run, draw_random_bv_setup, fixed_cap_violations,
-    value_shape_check, violations_csv,
+    coupled_pair_run, draw_random_bv_setup, value_shape_check, violations_csv,
 )
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
 from conftest import case_for, drift_only, drift_path
+from oracles import (
+    dividends_at, fixed_cap_violations, injections_at, left_limit_at, value_at,
+)
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
@@ -95,7 +101,7 @@ class TestCoupledPair:
         path = drift_path(-0.1, 0.2, 3.0, jumps=((1.0, 2.0),))
         tk = refracted_reflected_exact(path, 1.0, math.inf, case)
         tl = refracted_reflected_exact(path.shifted(0.4), 1.0, math.inf, case)
-        assert tl.dividends_at(1.0) - tk.dividends_at(1.0) == pytest.approx(0.4)
+        assert dividends_at(tl, 1.0) - dividends_at(tk, 1.0) == pytest.approx(0.4)
         assert check_pair([tk], [tl], 0.4, 1.0) == []
 
     def test_a_dividend_gap_rise_away_from_b_fires(self):
@@ -121,7 +127,7 @@ def _probe_times(trajs, horizon):
 
 
 def _pair_check(trajk, trajl, shift, b, driver=None, tol=1e-9):
-    """One pair at a time, on the RefractedPath methods: the relations of
+    """One pair at a time, on the one-path references: the relations of
     check_pair, in its order."""
     ts = _probe_times((trajk, trajl), trajk.horizon)
     out = []
@@ -129,15 +135,15 @@ def _pair_check(trajk, trajl, shift, b, driver=None, tol=1e-9):
     def flag(prop, t, magnitude, bad):
         out.extend(Violation(float(x), prop, float(m)) for x, m in zip(t[bad], magnitude[bad]))
 
-    zk, zl = trajk.value_at(ts), trajl.value_at(ts)
+    zk, zl = value_at(trajk, ts), value_at(trajl, ts)
     dz = zl - zk
-    dl = trajl.dividends_at(ts) - trajk.dividends_at(ts)
-    dr = trajl.injections_at(ts) - trajk.injections_at(ts)
+    dl = dividends_at(trajl, ts) - dividends_at(trajk, ts)
+    dr = injections_at(trajl, ts) - injections_at(trajk, ts)
     inc, dec, rinc = np.diff(dz), np.diff(dl), np.diff(dr)
     resid = np.abs(dz + dl - dr - shift)
-    gap = np.maximum(dz, trajl.left_limit_at(ts) - trajk.left_limit_at(ts))
+    gap = np.maximum(dz, left_limit_at(trajl, ts) - left_limit_at(trajk, ts))
     cond_l = (zk <= b + tol) & (zl >= b - tol) & (gap > tol)
-    cond_r = np.minimum(zk, trajk.left_limit_at(ts)) <= tol
+    cond_r = np.minimum(zk, left_limit_at(trajk, ts)) <= tol
     flag("pair_budget", ts, resid, resid > tol)
     flag("pair_gap_range", ts, np.maximum(-dz, dz - shift), (dz < -tol) | (dz > shift + tol))
     flag("pair_gap_monotone", ts[1:], inc, inc > tol)
@@ -149,8 +155,8 @@ def _pair_check(trajk, trajl, shift, b, driver=None, tol=1e-9):
     flag("pair_inj_support", ts[1:], -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:]))
     if driver is not None:
         kt = trajk.seg_t
-        budget = np.abs(trajk.value_at(kt) - (driver.value_at(kt) - trajk.dividends_at(kt)
-                                               + trajk.injections_at(kt)))
+        budget = np.abs(value_at(trajk, kt) - (driver.value_at(kt) - dividends_at(trajk, kt)
+                                               + injections_at(trajk, kt)))
         flag("budget", kt, budget, budget > tol)
     return out
 
@@ -181,33 +187,34 @@ class TestBlockCheck:
         for b, alpha in ((1.0, 0.5), (1.0, math.inf), (0.0, math.inf)):
             yield _edge_paths(3.0), b, alpha, case_for(0.2, alpha)
 
-    def test_readings_are_bit_equal_to_the_trajectory_methods(self):
+    def test_readings_are_bit_equal_to_the_references(self):
         for paths, b, alpha, case in self.blocks():
             roles = ([refracted_reflected_exact(p, b, alpha, case) for p in paths],
                      [refract_exact(p.shifted(0.3), b, alpha, case) for p in paths])
             blk = _Block(roles, paths)
-            readings = [(blk.value(r), blk.value(r, left=True), *blk.flows(r)) for r in (0, 1)]
-            driver = blk.driver()
             for i, path in enumerate(paths):
                 on = blk.path == i
                 ts = _probe_times((roles[0][i], roles[1][i]), path.horizon)
                 np.testing.assert_array_equal(_bits(blk.t[on]), _bits(ts))
-                np.testing.assert_array_equal(_bits(driver[on]), _bits(path.value_at(ts)))
-                np.testing.assert_array_equal(blk.counts[0][0][on] > 0,
+                np.testing.assert_array_equal(_bits(blk.driver[on]), _bits(path.value_at(ts)))
+                np.testing.assert_array_equal(blk.readings[0].knot[on],
                                               np.isin(ts, roles[0][i].seg_t))
-                for (z, z_left, div, inj), traj in zip(readings, (roles[0][i], roles[1][i])):
-                    np.testing.assert_array_equal(_bits(z[on]), _bits(traj.value_at(ts)))
-                    np.testing.assert_array_equal(_bits(z_left[on]),
-                                                  _bits(traj.left_limit_at(ts)))
-                    np.testing.assert_array_equal(_bits(div[on]), _bits(traj.dividends_at(ts)))
-                    np.testing.assert_array_equal(_bits(inj[on]),
-                                                  _bits(traj.injections_at(ts)))
+                for got, trajs in zip(blk.readings, roles):
+                    traj = trajs[i]
+                    np.testing.assert_array_equal(_bits(got.z[on]), _bits(value_at(traj, ts)))
+                    np.testing.assert_array_equal(_bits(got.z_left[on]),
+                                                  _bits(left_limit_at(traj, ts)))
+                    np.testing.assert_array_equal(_bits(got.l[on]),
+                                                  _bits(dividends_at(traj, ts)))
+                    np.testing.assert_array_equal(_bits(got.r[on]),
+                                                  _bits(injections_at(traj, ts)))
 
     def test_two_injection_atoms_at_time_zero_are_both_read(self):
         path = _edge_paths(3.0)[2]
         traj = refracted_reflected_exact(path, 1.0, 0.5, case_for(0.2, 0.5))
         assert traj.r_atom_t.tolist()[:2] == [0.0, 0.0]
-        assert _Block(([traj],)).flows(0)[1][0] == pytest.approx(0.9)
+        (got,), _ = read_segments([SegmentTable([traj])], [0], [0.0])
+        assert got.r[0] == pytest.approx(0.9)
 
     def test_violations_match_the_pair_by_pair_check(self):
         """A mis-stated shift and a driver off by 0.01: many violations, in
@@ -451,3 +458,15 @@ class TestRandomizedSweep:
             assert 0.25 <= pp.alpha <= 1.6
             assert pp.beta > 1 and pp.q > 0
             assert k == 0.0 and 0.0 < l < pp.b
+
+
+def test_the_oracle_names_no_segment_field():
+    """properties_oracle leaves the segment layout to path_engine: it reads
+    no seg_*, r_atom* or l_atom* field, by attribute or by name."""
+    with open(properties_oracle.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = [(n.lineno, n.attr) for n in ast.walk(tree) if isinstance(n, ast.Attribute)]
+    names += [(n.lineno, n.value) for n in ast.walk(tree)
+              if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+    assert [(line, name) for line, name in names
+            if re.fullmatch(r"(seg_|r_atom|l_atom)\w*", name)] == []

@@ -18,6 +18,7 @@ from levyrefract.strategy_engine import (
 )
 
 from conftest import case_for, drift_only, drift_path
+from oracles import value_at
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
@@ -335,7 +336,7 @@ def one_path_gap(spec, sp, case, x, horizon, k, path, stream):
     one-row case of the recursion."""
     euler = simulate_euler(x, sp, spec, horizon, k, stream,
                            grid_path=path.to_grid(k))
-    zex = apply_strategy_exact(path.shifted(x), sp, case).value_at(euler.times)
+    zex = value_at(apply_strategy_exact(path.shifted(x), sp, case), euler.times)
     return np.max(np.abs(euler.z - zex))
 
 
