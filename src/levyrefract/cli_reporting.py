@@ -601,9 +601,9 @@ def _run_sample_path(cfg, outs, seed, n, k, threads, desk):
     eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     if eng == "exact":
         case = classify_case(cfg.spec, cfg.alpha)
-        path = sample_path(cfg.spec, cfg.horizon, EXACT, stream)
+        columns = sample_path(cfg.spec, cfg.horizon, EXACT, stream, 1)
         traj = ControlledTrajectory.from_exact(
-            path, apply_strategy_exact(path, params, case), params)
+            columns, apply_strategy_exact(columns, params, case), params)
     else:
         traj = simulate_euler(cfg.spec.x0, params, cfg.spec, cfg.horizon, k, stream)
     plot = SvgPlot("Controlled surplus sample path", "t", "level")
@@ -761,11 +761,11 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
     # negative control: a correct coupled pair checked against a mis-stated
     # shift must break the budget relation on any model
     case = classify_case(cfg.spec, cfg.alpha)
-    path = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT,
-                       RngStream(seed, tag=8)).shifted(x)
-    tk = apply_strategy_exact(path, cfg.params_for(b), case)
-    tl = apply_strategy_exact(path.shifted(shift), cfg.params_for(b), case)
-    control = oracle.check_pair([tk], [tl], 0.5 * shift, b)
+    cols = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT, RngStream(seed, tag=8), 1)
+    lower = replace(cols, x0=cols.x0 + x)
+    tk = apply_strategy_exact(lower, cfg.params_for(b), case)
+    tl = apply_strategy_exact(replace(lower, x0=lower.x0 + shift), cfg.params_for(b), case)
+    control = oracle.check_pair(tk, tl, 0.5 * shift, b)
     lines = [line for rep in reports for line in rep.summary_lines()]
     if len(rungs) == 1:
         lines.append("SKIP alpha_ladder (control.alpha = inf leaves one rate cap)")

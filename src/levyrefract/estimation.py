@@ -46,7 +46,6 @@ import numpy as np
 from .levy_model import (
     EXACT,
     EventColumns,
-    EventPath,
     InvalidParameter,
     JumpDiffusionSpec,
     RngStream,
@@ -317,9 +316,9 @@ def estimate_underline_nu(x: float, bstar: float, p: float,
     The clock is the strict passage below 0 of the refracted process with
     probability p and the weak passage otherwise; the expectation over the
     randomization is taken in closed form.  Both are read off the chunk's
-    LaneFlows: on the exact engine the kappa_strict and t_weak of
-    first_passage_times, on the Euler engine the knot times of the first
-    injection and the first visit to 0.
+    LaneFlows: on the exact engine the first injection and the first visit
+    to 0 of the floored trajectory, on the Euler engine the knot times of
+    the first injection and the first visit to 0.
     """
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter("p", "probability must lie in [0, 1]")
@@ -458,11 +457,11 @@ def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, thread
 
 
 def _perpetual_value(x, pp, spec, stream):
-    path = EventPath(x0=x if x > 0 else 0.0, horizon=math.inf,
-                     drift=_compensated_drift(spec),
-                     times=np.empty(0), sizes=np.empty(0))
-    traj = apply_strategy_exact(path, pp, classify_case(spec, pp.alpha))
-    dl, dr = traj.discounted_flow(pp.q, horizon=math.inf)
+    # one jump-free path, whose only row is the drift to the infinite horizon
+    columns = EventColumns(np.array([x if x > 0 else 0.0]), math.inf, _compensated_drift(spec),
+                           np.zeros(1, dtype=int), np.full((1, 1), math.inf), np.zeros((1, 1)))
+    table = apply_strategy_exact(columns, pp, classify_case(spec, pp.alpha))
+    (dl,), (dr,) = table.discounted_flow(pp.q, horizon=math.inf)
     w = dl - pp.beta * dr
     if x < 0:
         w += pp.beta * x

@@ -479,10 +479,6 @@ class EventPath:
         jumps = np.concatenate(([0.0], np.cumsum(self.sizes)))
         return self.x0 + self.drift * t + jumps[idx]
 
-    def shifted(self, dx: float) -> "EventPath":
-        """Same driving noise started from x0 + dx."""
-        return EventPath(self.x0 + dx, self.horizon, self.drift, self.times, self.sizes)
-
     def to_grid(self, k: int) -> "GridPath":
         """Evaluate on a uniform k-step grid (shared-noise discretization)."""
         dt = self.horizon / k
@@ -526,6 +522,12 @@ class EventColumns:
         """The m paths as EventPaths."""
         return [EventPath(x0, self.horizon, self.drift, self.times[:c, i], self.sizes[:c, i])
                 for i, (x0, c) in enumerate(zip(self.x0.tolist(), self.counts.tolist()))]
+
+    def block(self, start: int, stop: int) -> "EventColumns":
+        """Paths start to stop - 1 as EventColumns, with all the rows."""
+        cols = slice(start, stop)
+        return EventColumns(self.x0[cols], self.horizon, self.drift, self.counts[cols],
+                            self.times[:, cols], self.sizes[:, cols])
 
     @classmethod
     def side_by_side(cls, parts) -> "EventColumns":

@@ -1,28 +1,27 @@
 """Exact pathwise transforms on bounded-variation paths.
 
-One event-driven sweep over piecewise-linear cadlag trajectories serves
-two transforms: refraction at rate alpha above a threshold b
-(refract_exact), and the same refraction reflected at the floor 0
-(refracted_reflected_exact).  Both take 0 < alpha <= inf; alpha = inf is
-the reflection limit at b, in which an overshoot above b is paid at once
-as a lump dividend, and b = inf sets no threshold.  floor_decomposition
-splits the running infimum of a floored path into boundary time, initial
-part, and jump top-ups; running_floor_reflection is its threshold-free case.
-Crossing times of linear segments are solved in closed form, so the only
-error is float arithmetic; identity checks use absolute tolerance 1e-12.
-The sweep steps one path on Python floats and records every segment; it is
-the lane stepper's bit-for-bit reference and the property oracle's source.
-Swept trajectories are read in one way only: a SegmentTable joins a block
-of them end to end, and read_segments gives their values, left limits,
-dividends and injections, and their drivers, at probe times.
-The lane stepper event_steps, the counterpart of strategy_engine.euler_steps,
-runs that sweep on many lanes at once through the padded event columns of
-levy_model.EventColumns, the form sample_path draws, and records no
-segment.  Its readers floored_lane_sweep and refracted_record_lows keep
-the discounted flows and passage times of floored (path, start,
-threshold) lanes, and the record lows of refract_exact at b = 0.  Lanes
-holds the lane bookkeeping that floored_lane_sweep shares with the Euler
-lane reader of strategy_engine.
+One event sweep, event_steps, serves every exact transform.  It steps the
+paths of levy_model.EventColumns, the padded event columns sample_path
+draws, all at once as lanes: refraction at rate alpha above a threshold b
+and, with the floor, reflection at 0.  It takes 0 < alpha <= inf; alpha =
+inf is the reflection limit at b, in which an overshoot above b is paid at
+once as a lump dividend, and b = inf sets no threshold.  Crossing times of
+linear segments are solved in closed form, so the only error is float
+arithmetic; identity checks use absolute tolerance 1e-12.  event_steps is
+the counterpart of strategy_engine.euler_steps and records nothing; three
+readers keep what their callers need of its lanes:
+
+- trajectory_table keeps the trajectories themselves, as a SegmentTable
+  of their segments and atoms.  refract_exact and
+  refracted_reflected_exact return it, and read_segments reads it at
+  probe times: values, left limits, dividends and injections, and the
+  drivers;
+- floored_lane_sweep keeps the discounted flows and passage times of
+  floored (path, start, threshold) lanes;
+- refracted_record_lows keeps the record lows of refract_exact at b = 0.
+
+Lanes holds the lane bookkeeping that floored_lane_sweep shares with the
+Euler lane reader of strategy_engine.
 """
 
 from __future__ import annotations
@@ -32,11 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_model import CaseLabel, EventColumns, EventPath, InvalidParameter
-
-
-class UnsupportedModel(RuntimeError):
-    """Exact transform requested for a path the exact engine cannot carry."""
+from .levy_model import CaseLabel, EventColumns, InvalidParameter
 
 
 class InvalidBarrier(ValueError):
@@ -49,19 +44,26 @@ BRANCH_ABOVE = 1      # above b, draining at delta - alpha
 BRANCH_AT_B = 2       # sticky at b (Case 2)
 BRANCH_FLOOR = 3      # pinned at 0
 
+# The fields of a SegmentTable by kind: the segments, the injection atoms
+# and the dividend atoms, counted by rows 0, 1 and 2 of its counts.
+TABLE_FIELDS = (("seg_t", "seg_v", "seg_slope", "seg_branch", "seg_lrate", "seg_rrate"),
+                ("r_atom_t", "r_atom"), ("l_atom_t", "l_atom"))
+
 
 @dataclass(frozen=True)
-class RefractedPath:
-    """Refracted (optionally floored) trajectory with regime bookkeeping.
+class SegmentTable:
+    """The swept trajectories of m paths that share a horizon, path-major.
 
-    A piecewise-linear cadlag curve: on segment i, from seg_t[i] (strictly
-    increasing from 0) to the next knot, the value is seg_v[i] +
-    seg_slope[i] * (t - seg_t[i]); a jump shows as a mismatch between the
-    end of one segment and the start of the next.  seg_branch holds the
-    branch code of each segment, seg_lrate/seg_rrate the dividend and
-    injection densities active on it.  Atom arrays carry lump injections
-    (jump top-ups, and the initial top-up when the start is negative) and,
-    in the alpha = inf reflection limit, lump dividends.
+    Each path is a piecewise-linear cadlag curve: on segment k, from
+    seg_t[k] (strictly increasing from 0 on each path) to the path's next
+    knot or the horizon, the value is seg_v[k] + seg_slope[k] * (t -
+    seg_t[k]); a jump shows as a mismatch between the end of one segment
+    and the start of the next.  seg_branch holds the branch code of each
+    segment, seg_lrate/seg_rrate the dividend and injection densities
+    active on it.  The atom arrays carry lump injections (jump top-ups, and
+    the initial top-up when the start is negative) and, in the alpha = inf
+    reflection limit, lump dividends.  counts[:, i] holds the segments,
+    injection atoms and dividend atoms of path i, each path's in time order.
     """
 
     horizon: float
@@ -75,30 +77,63 @@ class RefractedPath:
     r_atom: np.ndarray
     l_atom_t: np.ndarray
     l_atom: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def sources(self):
+        """The (times, path) of the knots, the injection atoms and the
+        dividend atoms, each in (path, t) order."""
+        paths = np.arange(self.counts.shape[1])
+        return [(getattr(self, names[0]), np.repeat(paths, c))
+                for names, c in zip(TABLE_FIELDS, self.counts)]
+
+    def _offsets(self):
+        """offsets[k, i]: the first entry of kind k of path i; column m the end."""
+        return np.concatenate((np.zeros((3, 1), dtype=int), np.cumsum(self.counts, axis=1)),
+                              axis=1)
+
+    def block(self, start: int, stop: int) -> "SegmentTable":
+        """The table of paths start to stop - 1."""
+        start, stop, _ = slice(start, stop).indices(self.counts.shape[1])
+        offs = self._offsets()
+        fields = {name: getattr(self, name)[offs[k, start]:offs[k, stop]]
+                  for k, names in enumerate(TABLE_FIELDS) for name in names}
+        return SegmentTable(self.horizon, counts=self.counts[:, start:stop], **fields)
 
     def discounted_flow(self, q: float, horizon=None) -> tuple:
-        """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon], in
-        closed form.
+        """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon] of
+        each path, in closed form, as two (m,) arrays.
 
-        horizon is a stop time at most the path horizon; atoms at the stop
-        time are included.  None integrates to the path horizon; math.inf
-        extends the final segment forever (only meaningful for jump-free
-        deterministic paths, the caller is responsible).
+        horizon is a stop time at most the table's horizon; atoms at the
+        stop time are included.  None integrates to the table's horizon;
+        math.inf extends each final segment forever (only meaningful for
+        jump-free deterministic paths, the caller is responsible).  Each
+        path is summed on its own, so its flows do not depend on the other
+        paths of the table.
         """
         t_end = self.horizon if horizon is None else horizon
-        t0 = np.minimum(self.seg_t, t_end)
-        t1 = np.minimum(np.append(self.seg_t[1:], self.horizon), t_end)
-        w = (np.exp(-q * t0) - np.exp(-q * t1)) / q
-        dl = float(np.sum(self.seg_lrate * w))
-        dr = float(np.sum(self.seg_rrate * w))
-        if t_end == math.inf:
-            dl += self.seg_lrate[-1] * math.exp(-q * self.seg_t[-1]) / q - self.seg_lrate[-1] * w[-1]
-            dr += self.seg_rrate[-1] * math.exp(-q * self.seg_t[-1]) / q - self.seg_rrate[-1] * w[-1]
-        keep_l = self.l_atom_t <= t_end
-        keep_r = self.r_atom_t <= t_end
-        dl += float(np.sum(np.exp(-q * self.l_atom_t[keep_l]) * self.l_atom[keep_l]))
-        dr += float(np.sum(np.exp(-q * self.r_atom_t[keep_r]) * self.r_atom[keep_r]))
-        return dl, dr
+        offs = self._offsets().T.tolist()
+        out = np.empty((2, self.counts.shape[1]))
+        for i in range(self.counts.shape[1]):
+            (s0, r0, l0), (s1, r1, l1) = offs[i], offs[i + 1]
+            seg_t, lrate, rrate = (a[s0:s1] for a in (self.seg_t, self.seg_lrate,
+                                                      self.seg_rrate))
+            t0 = np.minimum(seg_t, t_end)
+            t1 = np.minimum(np.append(seg_t[1:], self.horizon), t_end)
+            w = (np.exp(-q * t0) - np.exp(-q * t1)) / q
+            dl = float(np.sum(lrate * w))
+            dr = float(np.sum(rrate * w))
+            if t_end == math.inf:
+                dl += lrate[-1] * math.exp(-q * seg_t[-1]) / q - lrate[-1] * w[-1]
+                dr += rrate[-1] * math.exp(-q * seg_t[-1]) / q - rrate[-1] * w[-1]
+            l_atom_t, l_atom = self.l_atom_t[l0:l1], self.l_atom[l0:l1]
+            r_atom_t, r_atom = self.r_atom_t[r0:r1], self.r_atom[r0:r1]
+            keep_l = l_atom_t <= t_end
+            keep_r = r_atom_t <= t_end
+            dl += float(np.sum(np.exp(-q * l_atom_t[keep_l]) * l_atom[keep_l]))
+            dr += float(np.sum(np.exp(-q * r_atom_t[keep_r]) * r_atom[keep_r]))
+            out[:, i] = dl, dr
+        return out[0], out[1]
 
 
 def path_keys(path, t):
@@ -108,28 +143,6 @@ def path_keys(path, t):
     times.  Returns the keys and the distinct times in order."""
     times, rank = np.unique(t, return_inverse=True)
     return np.asarray(path) * times.size + rank, times
-
-
-# The fields of a RefractedPath that a SegmentTable joins.
-TABLE_FIELDS = ("seg_t", "seg_v", "seg_slope", "seg_lrate", "seg_rrate",
-                "r_atom_t", "r_atom", "l_atom_t", "l_atom")
-
-
-class SegmentTable:
-    """The RefractedPaths trajs of a block, which share a horizon, joined
-    end to end: one concatenation per field of TABLE_FIELDS, counts[:, i]
-    the knots, injection atoms and dividend atoms of path i, and sources the
-    (times, path) of the knots, of the injection atoms and of the dividend
-    atoms, each in (path, t) order."""
-
-    def __init__(self, trajs):
-        self.horizon = trajs[0].horizon
-        for name in TABLE_FIELDS:
-            setattr(self, name, np.concatenate([getattr(t, name) for t in trajs]))
-        self.counts = np.array([[t.seg_t.size, t.r_atom_t.size, t.l_atom_t.size]
-                                for t in trajs]).T
-        self.sources = [(times, np.repeat(np.arange(len(trajs)), c)) for times, c
-                        in zip((self.seg_t, self.r_atom_t, self.l_atom_t), self.counts)]
 
 
 @dataclass(frozen=True)
@@ -155,9 +168,9 @@ def _lumps(values, counts, path, upto):
     return np.cumsum(table, axis=1)[path, upto - (np.cumsum(counts) - counts)[path]]
 
 
-def read_segments(tables, path, t, drivers=()):
+def read_segments(tables, path, t, drivers=None):
     """The SegmentReading of each table at the probes (path[j], t[j]), t >= 0,
-    and with drivers, the EventPaths of the tables' paths, the driver X
+    and with drivers, the EventColumns of the tables' paths, the driver X
     there as well (else None).
 
     The path_keys of the probes and of every knot, atom and event, from one
@@ -170,10 +183,11 @@ def read_segments(tables, path, t, drivers=()):
     """
     path, t = np.asarray(path), np.asarray(t, dtype=float)
     srcs = [src for tab in tables for src in tab.sources]
-    if drivers:
-        n_ev = np.array([d.times.size for d in drivers])
-        srcs.append((np.concatenate([d.times for d in drivers]),
-                     np.repeat(np.arange(n_ev.size), n_ev)))
+    if drivers is not None:
+        # each path's events, path-major, off the padded columns
+        on = (np.arange(len(drivers.times))[:, None] < drivers.counts).T
+        srcs.append((drivers.times.T[on], np.repeat(np.arange(drivers.counts.size),
+                                                    drivers.counts)))
     keys, _ = path_keys(np.concatenate([path] + [p for _, p in srcs]),
                         np.concatenate([t] + [s for s, _ in srcs]))
     probes, *keys = np.split(keys, np.cumsum([t.size] + [s.size for s, _ in srcs])[:-1])
@@ -194,47 +208,12 @@ def read_segments(tables, path, t, drivers=()):
             z=tab.seg_v[i] + tab.seg_slope[i] * (t - seg_t[i]),
             z_left=tab.seg_v[left] + tab.seg_slope[left] * (t - seg_t[left]),
             l=l, r=r, knot=upto > below))
-    if not drivers:
+    if drivers is None:
         return readings, None
-    x0, drift = np.array([(d.x0, d.drift) for d in drivers]).T
-    sizes = np.concatenate([d.sizes for d in drivers])
     upto = np.searchsorted(keys[-1], probes, "right")
-    return readings, x0[path] + drift[path] * t + _lumps(sizes, n_ev, path, upto)
-
-
-@dataclass(frozen=True)
-class FloorDecomposition:
-    """Running-infimum decomposition of a floored path.
-
-    infimum_at(t) = boundary_integral_at(t) + initial_part + jump_sum_at(t),
-    and reflected value = driver value - infimum.  Occupation intervals store
-    the driver slope active while the reflected path sat at the floor; only
-    negative slopes contribute to the boundary integral.
-    """
-
-    reflected: RefractedPath
-    initial_part: float
-    occupation_t0: np.ndarray
-    occupation_t1: np.ndarray
-    occupation_rate: np.ndarray
-    atom_t: np.ndarray
-    atom: np.ndarray  # each entry is (reflected left limit + jump) wedge 0, so <= 0
-
-    def boundary_integral_at(self, t):
-        t = np.asarray(t, dtype=float)
-        dur = np.clip(np.minimum(t[..., None], self.occupation_t1) - self.occupation_t0, 0.0, None)
-        return np.sum(np.minimum(self.occupation_rate, 0.0) * dur, axis=-1)
-
-    def jump_sum_at(self, t):
-        t = np.asarray(t, dtype=float)
-        if not self.atom_t.size:
-            return np.zeros(t.shape)
-        cum = np.cumsum(self.atom)
-        i = np.searchsorted(self.atom_t, t, side="right")
-        return np.where(i > 0, cum[np.maximum(i - 1, 0)], 0.0)
-
-    def infimum_at(self, t):
-        return self.boundary_integral_at(t) + self.initial_part + self.jump_sum_at(t)
+    sizes = drivers.sizes.T[on]
+    return readings, (drivers.x0[path] + drivers.drift * t
+                      + _lumps(sizes, drivers.counts, path, upto))
 
 
 def _regime(z, b, alpha, delta, sticky, floor):
@@ -273,101 +252,34 @@ def _next_target(z, slope, b, floor):
     return None
 
 
-def _sweep(path: EventPath, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
-    """The event sweep behind every transform: refraction at rate alpha above
-    b, optionally reflected at the floor 0.  It steps on Python floats, with
-    the arithmetic of numpy float64, and appends each segment as it starts.
+def refract_exact(columns: EventColumns, b: float, alpha: float,
+                  case: CaseLabel) -> SegmentTable:
+    """Refracted trajectories of the paths of columns: dividends at rate
+    alpha skimmed above b.
 
-    b = math.inf sets no threshold.  alpha = math.inf is the reflection limit:
-    an overshoot above b, at the start or after a jump, is paid at once as a
-    lump dividend, so the path never sits above b.
-    """
-    delta = float(path.drift)
-    horizon = float(path.horizon)
-    band = alpha == math.inf
-    seg_t, seg_v, seg_slope, seg_branch, seg_lrate, seg_rrate = [], [], [], [], [], []
-    r_atom_t, r_atom, l_atom_t, l_atom = [], [], [], []
-    t = 0.0
-    z = float(path.x0)
-    if band and z > b:
-        l_atom_t.append(0.0)
-        l_atom.append(z - b)
-        z = b
-    if floor and z < 0.0:
-        r_atom_t.append(0.0)
-        r_atom.append(-z)
-        z = 0.0
-    events = list(zip(path.times.tolist(), path.sizes.tolist())) + [(horizon, None)]
-    for te, sz in events:
-        while True:
-            slope, lr, rr, br = _regime(z, b, alpha, delta, sticky, floor)
-            target = _next_target(z, slope, b, floor)
-            t_cross = t + (target - z) / slope if target is not None else math.inf
-            if seg_t and seg_t[-1] == t:
-                # zero-length segment: overwrite instead of duplicating the knot
-                seg_v[-1], seg_slope[-1], seg_branch[-1], seg_lrate[-1], seg_rrate[-1] = (
-                    z, slope, br, lr, rr)
-            else:
-                seg_t.append(t)
-                seg_v.append(z)
-                seg_slope.append(slope)
-                seg_branch.append(br)
-                seg_lrate.append(lr)
-                seg_rrate.append(rr)
-            if t_cross < te:
-                t, z = t_cross, target
-            else:
-                z = z + slope * (te - t)
-                t = te
-                break
-        if sz is None:
-            break
-        z = z + sz
-        if band and z > b:
-            l_atom_t.append(te)
-            l_atom.append(z - b)
-            z = b
-        if floor and z < 0.0:
-            r_atom_t.append(te)
-            r_atom.append(-z)
-            z = 0.0
-    # the lists in the order of the RefractedPath fields
-    return RefractedPath(horizon, *map(np.asarray, (seg_t, seg_v, seg_slope, seg_branch, seg_lrate,
-                                                    seg_rrate, r_atom_t, r_atom, l_atom_t, l_atom)))
-
-
-def _require_event_path(path):
-    if not isinstance(path, EventPath):
-        raise UnsupportedModel("exact transforms need an event path (sigma = 0 model)")
-
-
-def refract_exact(path: EventPath, b: float, alpha: float, case: CaseLabel) -> RefractedPath:
-    """Refracted trajectory: dividends at rate alpha skimmed above b.
-
-    In Case 2 the trajectory sticks at b (the drift lies in [0, alpha]);
+    In Case 2 a trajectory sticks at b (the drift lies in [0, alpha]);
     in Case 1 the threshold is crossed transversally.  alpha = inf is
     reflection at b from above: overshoots are paid as lump dividends.
     """
-    _require_event_path(path)
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
-    return _sweep(path, float(b), float(alpha), case.is_case2, floor=False)
+    return trajectory_table(columns, float(b), float(alpha), case, floor=False)
 
 
-def refracted_reflected_exact(path: EventPath, b, alpha, case: CaseLabel) -> RefractedPath:
+def refracted_reflected_exact(columns: EventColumns, b, alpha,
+                              case: CaseLabel) -> SegmentTable:
     """Refraction above b combined with reflection at 0: the floored
-    trajectory.
+    trajectories of the paths of columns.
 
     For b = 0 this is the reflection of the alpha-killed path, with the
     sticky dividend rate at the origin in Case 2.  alpha = inf is the
     two-sided reflection on [0, b], with lump dividends at b.
     """
-    _require_event_path(path)
     if b < 0:
         raise InvalidBarrier("barrier must be >= 0")
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
-    return _sweep(path, float(b), float(alpha), case.is_case2, floor=True)
+    return trajectory_table(columns, float(b), float(alpha), case, floor=True)
 
 
 # Threshold or floor crossings a lane may make between two events.  On a
@@ -379,8 +291,10 @@ MAX_CROSSINGS = 3
 class LaneFlows:
     """Readings of the lane-batched floored sweep, one (J, m) array each:
     the discounted dividends and injections up to each lane's stop, and
-    the strict and weak passage times of first_passage_times (math.inf
-    when the event does not occur before the horizon)."""
+    the strict and weak passage times (math.inf when the event does not
+    occur before the horizon): the first injection, a top-up lump or the
+    start of a stretch with a positive injection density, and the first
+    visit to 0, a lump or the start of a stretch at 0."""
 
     dl: np.ndarray
     dr: np.ndarray
@@ -423,23 +337,23 @@ class Lanes:
 
 
 def _regime_table(alpha, delta, sticky, floor):
-    """(slope, dividend rate, injection rate, target) rows of _regime and
-    _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each at a
+    """(slope, dividend rate, injection rate, branch, target) rows of _regime
+    and _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each at a
     representative (z, b): 0 interior, 1 above b, 2 at b != 0, 3 at 0 below
     b, 4 at 0 above b, 5 at 0 = b.  The target is inf for b, 0.0 for 0 and
     nan for none.  Unfloored lanes leave out the term 3 (z == 0)."""
     rows = []
     for z, b in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)):
-        slope, lrate, rrate, _ = _regime(z, b, alpha, delta, sticky, floor)
+        slope, lrate, rrate, branch = _regime(z, b, alpha, delta, sticky, floor)
         target = _next_target(z, slope, b, floor)
-        rows.append((slope, lrate, rrate,
+        rows.append((slope, lrate, rrate, branch,
                      math.nan if target is None else math.inf if target == b else 0.0))
     return np.array(rows).T
 
 
 def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool):
-    """_sweep on every lane at once, with its arithmetic, recording no
-    segment.  x and b are scalars or (J, 1) arrays.  Lane (j, i) runs path
+    """The event sweep, on every lane at once, recording no segment.  x and
+    b are scalars or (J, 1) arrays.  Lane (j, i) runs path
     i of columns from columns.x0[i] + x[j], refracted at rate alpha above
     b[j] and, with floor, reflected at 0.
 
@@ -447,9 +361,11 @@ def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool
     per event column (te the event times).  stretches lists the drift
     stretches to te in order: one for every lane, then one for each lane
     that crossed b or 0 in the one before, at most MAX_CROSSINGS crossings
-    in all.  Each is (at, t, t_end, z, z_end, slope, lrate, rrate, kept):
-    the index of its lanes (Ellipsis for all), its times, values, slope and
-    rates, and whether _sweep keeps it as a segment.  dividend and topup are
+    in all.  Each is (at, t, t_end, z, z_end, slope, lrate, rrate, branch,
+    kept): the index of its lanes (Ellipsis for all), its times, values,
+    slope, rates and branch code (as a float), and whether it is a segment
+    of the trajectory: a stretch of zero length is not, unless it is the
+    last drift to the horizon.  dividend and topup are
     the lumps at te, the overshoot above b when alpha = inf and the top-up
     to 0 with floor, or None where none can occur.  The arrays have the
     shape of columns.x0 + x, but te, the event sizes and the starts of
@@ -471,7 +387,7 @@ def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool
                 cls = np.add(zs >= bs, zs == bs, dtype=np.int8)  # (z > b) + 2 (z == b)
                 if floor:
                     cls += 3 * (zs == 0.0).view(np.int8)
-                slope, lrate, rrate, target = np.take(table, cls, axis=1)
+                slope, lrate, rrate, branch, target = np.take(table, cls, axis=1)
                 target = np.where(target == math.inf, bs, target)
                 # a nan target, where there is none (as at slope 0), never crosses
                 t_cross = ts + (target - zs) / slope
@@ -479,7 +395,7 @@ def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool
                 t_end = np.where(crossed, t_cross, tes)
                 z_end = np.where(crossed, target, zs + slope * (tes - ts))
                 kept = (t_end > ts) | (last & ~crossed)
-                stretches.append((at, ts, t_end, zs, z_end, slope, lrate, rrate, kept))
+                stretches.append((at, ts, t_end, zs, z_end, slope, lrate, rrate, branch, kept))
                 if at is Ellipsis:
                     z = z_end + s
                 else:
@@ -508,6 +424,48 @@ def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool
             end = counts[path]
 
 
+def trajectory_table(columns: EventColumns, b, alpha, case: CaseLabel,
+                     floor: bool) -> SegmentTable:
+    """The SegmentTable reader of event_steps: one lane per path of columns,
+    started at columns.x0 bit for bit (x = -0.0, and a + -0.0 == a), and
+    refracted at rate alpha above b and, with floor, reflected at 0.
+
+    Per event column it keeps each stretch that is a segment, and each lump
+    above 0 as an atom at the column's time: the dividend at alpha = inf and
+    the top-up with floor.  One stable sort by lane then makes the table
+    path-major, each path's entries in the order they came.  A drift to an
+    infinite horizon ends at 0 * inf or inf - inf, which is neither a
+    segment nor a lump; numpy is told not to warn of it.
+    """
+    lanes = np.arange(columns.counts.size)
+    # per kind, one list per field: the lanes, then the fields in table order
+    segs = [[] for _ in range(7)]
+    r_atoms, l_atoms = ([[np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]]
+                        for _ in range(2))
+    # None leaves numpy's setting as it is
+    with np.errstate(invalid="ignore" if columns.horizon == math.inf else None):
+        for stretches, te, dividend, topup in event_steps(columns, -0.0, b, alpha, case,
+                                                          floor):
+            for at, t, _, z, _, slope, lrate, rrate, branch, kept in stretches:
+                for into, a in zip(segs, (lanes[at], t, z, slope, branch, lrate, rrate)):
+                    into.append(a[kept])
+            for into, lumps in ((r_atoms, topup), (l_atoms, dividend)):
+                if lumps is not None:
+                    (k,) = np.nonzero(lumps > 0.0)
+                    for field, a in zip(into, (k, te[k], lumps[k])):
+                        field.append(a)
+    fields, counts = [], []
+    for lane, *values in (segs, r_atoms, l_atoms):
+        lane = np.concatenate(lane)
+        order = np.argsort(lane, kind="stable")
+        counts.append(np.bincount(lane, minlength=lanes.size))
+        for field in values:  # one field at a time, to hold one copy of the table
+            fields.append(np.concatenate(field)[order])
+            field.clear()
+    fields[3] = fields[3].astype(int)  # seg_branch
+    return SegmentTable(columns.horizon, *fields, counts=np.array(counts))
+
+
 def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, case: CaseLabel,
                        q) -> LaneFlows:
     """The LaneFlows reader of event_steps: refracted_reflected_exact on
@@ -516,8 +474,9 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, case: CaseLa
     A spliced lane halts its flows at its weak passage (atoms at that time
     included); the others discount to the horizon.  A lane leaves the sweep after its drift
     to the horizon, or once it has halted and its strict passage is known
-    too.  Stop times equal first_passage_times on the scalar sweep bit for
-    bit; the flows match discounted_flow up to summation order.
+    too.  Stop times equal those read off the trajectory_table of the same
+    lanes bit for bit; the flows match its discounted_flow up to summation
+    order.
     """
     counts, m, nx = columns.counts, columns.counts.size, len(x)
     lanes = Lanes(nx, m)
@@ -529,7 +488,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, case: CaseLa
     for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
         keep = None
-        for at, t, t_end, z, _, _, lrate, rrate, kept in stretches:
+        for at, t, t_end, z, _, _, lrate, rrate, _, kept in stretches:
             # views of every lane for the first stretch, which the stores
             # below then skip, and copies of the crossed lanes after it
             wk, kp, d = weak[at], kappa[at], disc[at]
@@ -577,15 +536,15 @@ class RecordLows:
 
 def refracted_record_lows(columns: EventColumns, alpha, case: CaseLabel) -> RecordLows:
     """The RecordLows reader of event_steps, one unfloored lane per path of
-    columns at b = 0: the record lows of refract_exact(path, 0, alpha,
-    case), equal bit for bit to those read off its segments.  A kept
+    columns at b = 0: the record lows of refract_exact(columns, 0,
+    alpha, case), equal bit for bit to those read off its segments.  A kept
     stretch that starts below the low after time 0 is a jump episode, one
     that falls below it a drift episode."""
     m = columns.counts.size
     ids, low, out = np.arange(m), np.zeros(m), []
     steps = event_steps(columns, 0.0, 0.0, alpha, case, floor=False)
     for stretches, _, _, _ in steps:
-        for at, t, _, z, z_end, slope, _, _, kept in stretches:
+        for at, t, _, z, z_end, slope, _, _, _, kept in stretches:
             lane, lo = ids[at], low[at]
             jump = kept & (t > 0.0) & (z < lo)
             k = np.nonzero(jump)
@@ -600,35 +559,3 @@ def refracted_record_lows(columns: EventColumns, alpha, case: CaseLabel) -> Reco
     path, lo, hi, t0, invrate = (np.concatenate(c) for c in zip(*out))
     order = np.argsort(path, kind="stable")
     return RecordLows(path[order], lo[order], hi[order], t0[order], invrate[order], low)
-
-
-def floor_decomposition(traj: RefractedPath, path: EventPath) -> FloorDecomposition:
-    """Decompose the reflection infimum of traj, the floored sweep of path."""
-    pinned = traj.seg_rrate > 0
-    rest = (traj.seg_branch == BRANCH_FLOOR) & ~pinned
-    occ = pinned | rest
-    t0 = traj.seg_t[occ]
-    t1 = np.append(traj.seg_t[1:], traj.horizon)[occ]
-    # driver slope while at the floor: injections accrue at its negative part
-    rate = np.where(pinned[occ], -traj.seg_rrate[occ], 0.0)
-    init = min(path.x0, 0.0)
-    at0 = traj.r_atom_t == 0.0
-    jump_t = traj.r_atom_t[~at0]
-    jump_v = -traj.r_atom[~at0]
-    return FloorDecomposition(
-        reflected=traj,
-        initial_part=init,
-        occupation_t0=t0,
-        occupation_t1=t1,
-        occupation_rate=rate,
-        atom_t=jump_t,
-        atom=jump_v,
-    )
-
-
-def running_floor_reflection(path: EventPath) -> FloorDecomposition:
-    """Reflect an event path at 0 by its running infimum and decompose the
-    infimum."""
-    _require_event_path(path)
-    traj = _sweep(path, math.inf, 1.0, False, floor=True)
-    return floor_decomposition(traj, path)

@@ -8,9 +8,10 @@ and converge to the reflected limit, and the empirical characteristic
 function matches the analytic exponent.  Exact-engine checks use absolute
 tolerance 1e-9.
 
-The checks read the swept trajectories BLOCK paths at a time, each block
-in one pass of path_engine.read_segments at every probe time of its paths,
-so no result depends on how paths fall into blocks.
+Each run sweeps every role once, over all its paths, into one
+path_engine.SegmentTable, and reads the tables BLOCK paths at a time, each
+block in one pass of path_engine.read_segments at every probe time of its
+paths, so no result depends on how paths fall into blocks.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .levy_model import (
     classify_case,
     sample_path,
 )
-from .path_engine import SegmentTable, path_keys, read_segments, refract_exact
+from .path_engine import path_keys, read_segments, refract_exact
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
@@ -168,8 +169,8 @@ BLOCK = 32
 
 class _Block:
     """The trajectories of a block of paths, read at every path's probes at
-    once: roles[r][i] is the RefractedPath of role r on path i, and
-    drivers[i], if given, the EventPath of path i.
+    once: tables[r] is the SegmentTable of role r on the block's paths, and
+    drivers, if given, their EventColumns.
 
     A path's probes are the knots and atom times of its trajectories, the
     horizon and the midpoints between them; t and path hold them in (path,
@@ -177,9 +178,8 @@ class _Block:
     the drivers' values, both from path_engine.read_segments.
     """
 
-    def __init__(self, roles, drivers=()):
-        tables = [SegmentTable(trajs) for trajs in roles]
-        n = len(roles[0])
+    def __init__(self, tables, drivers=None):
+        n = tables[0].counts.shape[1]
         srcs = [(np.full(n, tables[0].horizon), np.arange(n))]
         srcs += [src for tab in tables for src in tab.sources]
         keys, times = path_keys(np.concatenate([p for _, p in srcs]),
@@ -207,11 +207,13 @@ class _Block:
         return [Violation(float(self.t[j]), prop, m) for _, _, j, prop, m in sorted(found)]
 
 
-def check_pair(trajk, trajl, shift: float, b: float, drivers=(), tol: float = EXACT_TOL):
+def check_pair(tablek, tablel, shift: float, b: float, drivers=None,
+               tol: float = EXACT_TOL):
     """Order/budget/support relations between coupled trajectories, for a
-    block of paths at once: trajk[i] and trajl[i] are swept on one driver
-    from starts a constant shift >= 0 apart.  Given drivers, the budget row
-    also checks z = X - L + R at the knots of trajk[i], X being drivers[i].
+    block of paths at once: path i of the SegmentTables tablek and tablel is
+    swept on one driver from starts a constant shift >= 0 apart.  Given
+    drivers, the EventColumns of tablek, the budget row also checks z = X -
+    L + R at the knots of tablek, X being the driver.
 
     Returns the violations by path, then property, then time.  The support
     conditions are checked with one-knot slack: an increment between
@@ -221,7 +223,7 @@ def check_pair(trajk, trajl, shift: float, b: float, drivers=(), tol: float = EX
     """
     if shift < 0:
         raise InvalidParameter("shift", "upper start must not be below lower start")
-    blk = _Block((trajk, trajl), drivers)
+    blk = _Block((tablek, tablel), drivers)
     rk, rl = blk.readings
     dz, dl, dr = rl.z - rk.z, rl.l - rk.l, rl.r - rk.r
     inc, dec, rinc = np.diff(dz), np.diff(dl), np.diff(dr)
@@ -244,7 +246,7 @@ def check_pair(trajk, trajl, shift: float, b: float, drivers=(), tol: float = EX
         ("pair_inj_monotone", rinc, rinc > tol),
         ("pair_inj_support", -rinc, (rinc < -tol) & ~(cond_r[:-1] | cond_r[1:])),
     ]
-    if drivers:
+    if drivers is not None:
         budget = np.abs(rk.z - (blk.driver - rk.l + rk.r))
         rows.append(("budget", budget, (budget > tol) & rk.knot))
     return blk.violations(rows)
@@ -265,14 +267,14 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
     case = classify_case(spec, params.alpha)
     cols = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
-    lower = replace(cols, x0=cols.x0 + (x + k)).paths()
-    upper = replace(cols, x0=cols.x0 + (x + l)).paths()
+    lower = replace(cols, x0=cols.x0 + (x + k))
+    tk = apply_strategy_exact(lower, params, case)
+    tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), params, case)
     viol = []
     for start in range(0, n, BLOCK):
-        drivers = lower[start:start + BLOCK]
-        tk = [apply_strategy_exact(path, params, case) for path in drivers]
-        tl = [apply_strategy_exact(path, params, case) for path in upper[start:start + BLOCK]]
-        viol += check_pair(tk, tl, shift, params.b, drivers)
+        stop = start + BLOCK
+        viol += check_pair(tk.block(start, stop), tl.block(start, stop), shift, params.b,
+                           lower.block(start, stop))
     return CoupledPairReport(n_paths=n, shift=shift, violations=tuple(viol))
 
 
@@ -300,17 +302,16 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     sup_gap = np.zeros(m)
     vals = np.zeros((m, n))
     rungs = [(a, classify_case(spec, a)) for a in alphas]
-    paths = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n).paths()
+    cols = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)
+    trajs = [apply_strategy_exact(cols, StrategyParams(b=b, alpha=a, beta=beta, q=q), case)
+             for a, case in rungs]
+    refr = [refract_exact(cols, b, a, case) for a, case in rungs]
+    for j, table in enumerate(trajs):
+        dl, dr = table.discounted_flow(q)
+        vals[j] = dl - beta * dr
     for start in range(0, n, BLOCK):
-        block = paths[start:start + BLOCK]
-        trajs = [[apply_strategy_exact(path, StrategyParams(b=b, alpha=a, beta=beta, q=q), case)
-                  for path in block] for a, case in rungs]
-        refr = [[refract_exact(path, b, a, case) for path in block] for a, case in rungs]
-        blk = _Block(trajs + refr)
+        blk = _Block([table.block(start, start + BLOCK) for table in trajs + refr])
         zs, ys = blk.readings[:m], blk.readings[m:]
-        for j in range(m):
-            vals[j, start:start + len(block)] = [
-                dl - beta * dr for dl, dr in (traj.discounted_flow(q) for traj in trajs[j])]
         if alphas[-1] == math.inf:
             for j in range(m):
                 sup_gap[j] = max(sup_gap[j], float(np.max(zs[j].z - zs[-1].z)))

@@ -3,10 +3,11 @@
 A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
 non-negative.  The exact engine delegates to path_engine's floored
-transform: apply_strategy_exact returns the swept path itself, which the
-property oracle and sample-path (ControlledTrajectory.from_exact) read
-through path_engine.read_segments.  The Monte Carlo estimators run the
-lane-batched sweep instead.  The Euler engine runs the discrete
+transform: apply_strategy_exact returns the SegmentTable of the swept
+paths of one EventColumns draw, which the property oracle, sample-path
+(ControlledTrajectory.from_exact) and euler_exact_gap read through
+path_engine.read_segments.  The Monte Carlo estimators run the flows
+reader of the same lane stepper instead.  The Euler engine runs the discrete
 three-branch recursion on a time grid (euler_steps), and its two readers
 give the estimators what the two readers of path_engine.event_steps give
 them on event paths: euler_lane_flows the LaneFlows of floored lanes, and
@@ -30,7 +31,7 @@ import numpy as np
 
 from .levy_model import (
     EXACT,
-    EventPath,
+    EventColumns,
     GridPath,
     Grid,
     InvalidParameter,
@@ -39,13 +40,7 @@ from .levy_model import (
     sample_path,
 )
 from . import path_engine
-from .path_engine import (
-    BRANCH_ABOVE,
-    BRANCH_FLOOR,
-    BRANCH_INTERIOR,
-    RefractedPath,
-    SegmentTable,
-)
+from .path_engine import BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, SegmentTable
 
 NU_BLOCK_STEPS = 512  # knots whose running minima euler_record_lows holds at once
 
@@ -69,18 +64,6 @@ class StrategyParams:
 
 
 @dataclass(frozen=True)
-class PassageTimes:
-    """kappa_strict: first injection activity; t_weak: first visit to 0.
-
-    t_weak <= kappa_strict always; both are math.inf when the event does not
-    occur before the horizon.
-    """
-
-    kappa_strict: float
-    t_weak: float
-
-
-@dataclass(frozen=True)
 class ControlledTrajectory:
     """Sampled controlled surplus with its cumulative dividend/injection flows.
 
@@ -100,14 +83,14 @@ class ControlledTrajectory:
     kind: str  # "exact" or "euler"
 
     @classmethod
-    def from_exact(cls, path: EventPath, traj: RefractedPath,
+    def from_exact(cls, columns: EventColumns, table: SegmentTable,
                    params: StrategyParams) -> "ControlledTrajectory":
-        """Sample an exact trajectory and its driver path on the segment
-        knots and the (finite) horizon."""
-        times = np.append(traj.seg_t, path.horizon)
-        branch = np.append(traj.seg_branch, traj.seg_branch[-1])
+        """Sample the exact trajectory table of the one path of columns, and
+        that path, on the segment knots and the (finite) horizon."""
+        times = np.append(table.seg_t, table.horizon)
+        branch = np.append(table.seg_branch, table.seg_branch[-1])
         (got,), driver = path_engine.read_segments(
-            [SegmentTable([traj])], np.zeros(times.size, dtype=int), times, [path])
+            [table], np.zeros(times.size, dtype=int), times, columns)
         return cls(
             times=times,
             z=got.z,
@@ -115,7 +98,7 @@ class ControlledTrajectory:
             r=got.r,
             branch=branch,
             driver=driver,
-            horizon=path.horizon,
+            horizon=table.horizon,
             params=params,
             kind="exact",
         )
@@ -132,35 +115,16 @@ class ControlledTrajectory:
         return buf.getvalue()
 
 
-def apply_strategy_exact(path: EventPath, params: StrategyParams, case) -> RefractedPath:
-    """Run the threshold strategy along one event path, exactly: the swept
-    floored trajectory, refracted at rate alpha above b and reflected at 0.
+def apply_strategy_exact(columns: EventColumns, params: StrategyParams,
+                         case) -> SegmentTable:
+    """Run the threshold strategy along the event paths of columns, exactly:
+    the swept floored trajectories, refracted at rate alpha above b and
+    reflected at 0.
 
     alpha = inf is the two-sided reflection on [0, b] with lump dividends;
     case decides whether the path sticks at b, for every alpha.
     """
-    return path_engine.refracted_reflected_exact(path, params.b, params.alpha, case)
-
-
-def first_passage_times(traj: RefractedPath) -> PassageTimes:
-    """Passage readings off the swept floored path of the exact engine.
-
-    kappa is the first injection lump or the start of the first
-    floor-pinned stretch with a positive injection density, which is where
-    the refracted path without the floor first goes strictly below 0;
-    t_weak is the first lump or knot where the path sits at 0, its first
-    visit.  These are the strict and weak clocks of the randomized passage
-    and the splice time of the value estimators, which read the same times
-    off path_engine.floored_lane_sweep (euler_lane_flows on the Euler
-    engine).
-    """
-    lumps = traj.r_atom_t[traj.r_atom > 0]
-    lump = float(lumps[0]) if lumps.size else math.inf
-    pinned = np.flatnonzero(traj.seg_rrate > 0)
-    kappa = min(lump, float(traj.seg_t[pinned[0]]) if pinned.size else math.inf)
-    at_zero = np.flatnonzero(traj.seg_v == 0.0)
-    t_weak = min(lump, float(traj.seg_t[at_zero[0]]) if at_zero.size else math.inf)
-    return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
+    return path_engine.refracted_reflected_exact(columns, params.b, params.alpha, case)
 
 
 def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
@@ -390,11 +354,12 @@ def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
     """Sup distance between the Euler recursion and the exact trajectory
     driven by the same sampled path, discretized with shared noise, for the
     n paths of one draw on stream: one recursion pass over all n rows, and
-    one read of their swept trajectories at its knots."""
-    paths = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n).paths()
+    one table of their swept trajectories, read at its knots."""
+    columns = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
     dt = horizon / k
-    z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in paths]), dt)[1]
-    table = SegmentTable([apply_strategy_exact(p.shifted(x), params, case) for p in paths])
+    z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in columns.paths()]),
+                       dt)[1]
+    table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params, case)
     (got,), _ = path_engine.read_segments([table], np.repeat(np.arange(n), k),
                                           np.tile(np.arange(k) * dt, n))
     return np.max(np.abs(z - got.z.reshape(n, k)), axis=1)

@@ -70,3 +70,12 @@ def event_columns(paths):
         sizes[:counts[i], i] = p.sizes
     return EventColumns(np.array([float(p.x0) for p in paths]), paths[0].horizon,
                         paths[0].drift, counts, times, sizes)
+
+
+def one_path(transform):
+    """A path transform of path_engine or strategy_engine, which sweeps the
+    paths of EventColumns into a SegmentTable, as a transform of one
+    EventPath: the src reader on event_columns([path]).  The one-path table
+    has the fields of the path's trajectory, and its discounted_flow gives
+    arrays of one entry."""
+    return lambda path, *args, **kwargs: transform(event_columns([path]), *args, **kwargs)

@@ -18,8 +18,7 @@ from levyrefract.estimation import (DegenerateDenominator, estimate_underline_nu
                                     find_bstar, nu_curve, solve_pstar, value_curve)
 from levyrefract.levy_model import (EXACT, RngStream, classify_case, net_drift,
                                     sample_path)
-from levyrefract.path_engine import (refracted_reflected_exact,
-                                     running_floor_reflection)
+from levyrefract.path_engine import refracted_reflected_exact
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run,
@@ -28,8 +27,9 @@ from levyrefract.properties_oracle import (alpha_ladder_run,
 from levyrefract.strategy_engine import (StrategyParams, apply_strategy_exact,
                                          euler_exact_gap)
 
-from conftest import FULL_SCALE, drift_only, record_acceptance
-from oracles import construction_identity_residual, fixed_cap_violations, value_at
+from conftest import FULL_SCALE, drift_only, event_columns, record_acceptance
+from oracles import (construction_identity_residual, fixed_cap_violations,
+                     running_floor_reflection, value_at)
 
 SEED = 20260822
 THREADS = 4
@@ -157,25 +157,26 @@ def test_05_randomized_models_pathwise_sweep():
                     if v.prop != "ladder_value_monotone")
         base = replace(spec, x0=0.0)
         case = classify_case(spec, params.alpha)
-        for i in range(20):
-            path = sample_path(base, horizon, EXACT,
-                               stream.with_tag(5).for_path(i)).shifted(x)
+        paths = [sample_path(replace(base, x0=x), horizon, EXACT,
+                             stream.with_tag(5).for_path(i)) for i in range(20)]
+        table = refracted_reflected_exact(event_columns(paths), params.b,
+                                          params.alpha, case)
+        for i, path in enumerate(paths):
             dec = running_floor_reflection(path)
             recon = path.value_at(probe) - dec.infimum_at(probe)
             r1 = float(np.max(np.abs(value_at(dec.reflected, probe) - recon)))
-            traj = refracted_reflected_exact(path, params.b, params.alpha,
-                                             case)
-            r2 = construction_identity_residual(path, traj)
+            r2 = construction_identity_residual(path, table.block(i, i + 1))
             if max(r1, r2) > TOL:
                 n_viol += 1
                 worst = max(worst, r1, r2)
         capped = net_drift(spec) > params.alpha
         if capped:
+            table0 = refracted_reflected_exact(
+                event_columns([sample_path(replace(base, x0=abs(x)), horizon, EXACT,
+                                           stream.with_tag(6).for_path(i))
+                               for i in range(10)]), 0.0, params.alpha, case)
             for i in range(10):
-                path = sample_path(base, horizon, EXACT,
-                                   stream.with_tag(6).for_path(i)).shifted(abs(x))
-                traj0 = refracted_reflected_exact(path, 0.0, params.alpha,
-                                                  case)
+                traj0 = table0.block(i, i + 1)
                 viol.extend(fixed_cap_violations(traj0, params.alpha))
         n_viol += len(viol)
         worst = max(worst, max((v.magnitude for v in viol), default=0.0))
@@ -184,17 +185,17 @@ def test_05_randomized_models_pathwise_sweep():
             # relation, and a mis-stated cap or a mismatched driver must
             # break its identity
             shift = l - k
-            cpath = sample_path(base, horizon, EXACT, stream.with_tag(7))
-            tk = apply_strategy_exact(cpath.shifted(x + k), params, case)
-            tl = apply_strategy_exact(cpath.shifted(x + l), params, case)
+            cpath = sample_path(base, horizon, EXACT, stream.with_tag(7), 1)
+            tk = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + k)), params, case)
+            tl = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + l)), params, case)
             controls += 2
-            fired += bool(check_pair([tk], [tl], 0.5 * shift, params.b))
+            fired += bool(check_pair(tk, tl, 0.5 * shift, params.b))
             if capped:
                 fired += bool(fixed_cap_violations(traj0, 1.5 * params.alpha))
             else:
-                other = refracted_reflected_exact(path.shifted(1.0),
-                                                  params.b, params.alpha,
-                                                  case)
+                other = refracted_reflected_exact(
+                    event_columns([replace(path, x0=path.x0 + 1.0)]), params.b,
+                    params.alpha, case)
                 fired += construction_identity_residual(path, other) > TOL
     ok = n_viol == 0 and fired == controls
     detail = ("%d models x ~100 paths: %d violations (worst %.1e); negative "

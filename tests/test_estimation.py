@@ -13,7 +13,7 @@ from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refract_exact, refracted_record_lows
 from levyrefract.strategy_engine import (
     StrategyParams, apply_strategy_exact, euler_lane_flows, euler_record_lows,
-    euler_steps, first_passage_times,
+    euler_steps,
 )
 from levyrefract.estimation import (
     DegenerateDenominator, NoCrossing, _chunk_readers, _clock_chunk, _nu_chunk,
@@ -22,6 +22,7 @@ from levyrefract.estimation import (
 )
 
 from conftest import REFERENCE_GAMMA, drift_only, event_columns
+from oracles import first_passage_times
 
 Q = 0.05
 BETA = 1.5
@@ -192,8 +193,9 @@ class TestExactClockChunk:
         stream = RngStream(150, tag=2)
         case = classify_case(ref_spec_bv, alpha)
         base = replace(ref_spec_bv, x0=x)
-        times = [first_passage_times(apply_strategy_exact(path, pp, case))
-                 for path in sample_path(base, 8.0, EXACT, stream.for_path(3), 24).paths()]
+        table = apply_strategy_exact(sample_path(base, 8.0, EXACT, stream.for_path(3), 24), pp,
+                                     case)
+        times = [first_passage_times(table.block(i, i + 1)) for i in range(24)]
         strict = np.array([pt.kappa_strict for pt in times])
         weak = np.array([pt.t_weak for pt in times])
         ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
@@ -687,8 +689,10 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     sw2 = np.zeros(nb)
     cens = np.zeros(nb)
     q = params.q
-    for path in sample_path(base, horizon, EXACT, stream.for_path(ci), m).paths():
-        w = refract_exact(path, 0.0, params.alpha, case)
+    cols = sample_path(base, horizon, EXACT, stream.for_path(ci), m)
+    table = refract_exact(cols, 0.0, params.alpha, case)
+    for i, path in enumerate(cols.paths()):
+        w = table.block(i, i + 1)
         ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w, path.times)
         # grid levels are -b; episode j covers b in [-min(hi,0), -lo)
         for j in range(len(ep_lo)):
@@ -708,10 +712,12 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
 
 def assert_lows_match_scalar(paths, alpha, case):
     """refracted_record_lows equals _min_episodes of each refracted path."""
-    lows = refracted_record_lows(event_columns(paths), alpha, case)
+    cols = event_columns(paths)
+    lows = refracted_record_lows(cols, alpha, case)
+    table = refract_exact(cols, 0.0, alpha, case)
     assert np.all(np.diff(lows.path) >= 0)  # path-major
     for i, p in enumerate(paths):
-        *want, want_min = _min_episodes(refract_exact(p, 0.0, alpha, case), p.times)
+        *want, want_min = _min_episodes(table.block(i, i + 1), p.times)
         mine = lows.path == i
         for got, ref in zip((lows.lo, lows.hi, lows.t0, lows.invrate), want):
             assert np.array_equal(got[mine], ref), i

@@ -1,6 +1,7 @@
 """Model layer: mark distributions, exponent, sampling, rng streams."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -246,7 +247,7 @@ class TestEventPath:
 
     def test_shift_moves_every_value(self):
         p = self.path()
-        q = p.shifted(0.7)
+        q = replace(p, x0=p.x0 + 0.7)
         ts = np.linspace(0, 10, 23)
         np.testing.assert_allclose(q.value_at(ts), p.value_at(ts) + 0.7)
 

@@ -1,34 +1,40 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from levyrefract.estimation import value_curve
 from levyrefract.levy_model import (
     EXACT, EventPath, InvalidParameter, RngStream, classify_case, sample_path,
 )
 from levyrefract import path_engine
 from levyrefract.path_engine import (
-    BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, InvalidBarrier,
-    SegmentTable, UnsupportedModel, _sweep, floor_decomposition, floored_lane_sweep,
-    read_segments, refract_exact, refracted_reflected_exact, running_floor_reflection,
+    BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS, InvalidBarrier,
+    floored_lane_sweep, read_segments, refract_exact, refracted_reflected_exact,
+    trajectory_table,
 )
-from levyrefract.strategy_engine import (
-    ControlledTrajectory, StrategyParams, first_passage_times,
+from levyrefract.properties_oracle import draw_random_bv_setup
+from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
+
+from conftest import case_for, drift_only, drift_path, event_columns, one_path
+from oracles import (
+    _sweep, construction_identity_residual, dividend_integral_path, dividends_at, end_value,
+    first_passage_times, floor_decomposition, injections_at, left_limit_at, reference_table,
+    running_floor_reflection, running_inf_of_neg_part, value_at,
 )
 
-from conftest import case_for, drift_path, event_columns
-from oracles import (
-    construction_identity_residual, dividend_integral_path, dividends_at, end_value,
-    injections_at, left_limit_at, running_inf_of_neg_part, value_at,
-)
+# the transforms on one EventPath, through the src reader
+refract = one_path(refract_exact)
+floored = one_path(refracted_reflected_exact)
 
 
 class TestRefractExact:
     def test_transversal_crossing_ramp_then_drain(self):
         """delta above the cap: slope delta below b, delta - alpha above."""
         p = drift_path(1.0, 0.0, 4.0)
-        traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
+        traj = refract(p, b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
         ts = np.array([0.0, 0.5, 1.0, 2.0, 4.0])
         np.testing.assert_allclose(value_at(traj, ts), [0.0, 0.5, 1.0, 1.6, 2.8])
         np.testing.assert_allclose(traj.seg_t, [0.0, 1.0])
@@ -37,9 +43,9 @@ class TestRefractExact:
 
     def test_discounted_dividends_closed_form(self):
         p = drift_path(1.0, 0.0, 4.0)
-        traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
+        traj = refract(p, b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
         q = 0.05
-        dl, dr = traj.discounted_flow(q)
+        (dl,), (dr,) = traj.discounted_flow(q)
         assert dl == pytest.approx(0.4 * (math.exp(-q) - math.exp(-4 * q)) / q, rel=1e-12)
         assert dr == 0.0
 
@@ -49,7 +55,7 @@ class TestRefractExact:
         p = drift_path(0.3, 0.0, 10.0)
         case = case_for(0.3, 0.4)
         assert case.is_case2
-        traj = refract_exact(p, b=1.0, alpha=0.4, case=case)
+        traj = refract(p, b=1.0, alpha=0.4, case=case)
         tb = 1.0 / 0.3
         ts = np.array([1.0, tb, 5.0, 10.0])
         np.testing.assert_allclose(value_at(traj, ts), [0.3, 1.0, 1.0, 1.0])
@@ -59,7 +65,7 @@ class TestRefractExact:
 
     def test_sticky_jump_knockdown_and_return(self):
         p = drift_path(0.3, 0.0, 10.0, jumps=[(5.0, -0.6)])
-        traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(0.3, 0.4))
+        traj = refract(p, b=1.0, alpha=0.4, case=case_for(0.3, 0.4))
         assert value_at(traj, 5.0) == pytest.approx(0.4)
         assert left_limit_at(traj, 5.0) == pytest.approx(1.0)
         assert value_at(traj, 7.0) == pytest.approx(1.0)
@@ -71,8 +77,8 @@ class TestRefractExact:
     def test_perpetual_sticky_flow(self):
         # started at the threshold, the sticky stream pays delta forever
         p = drift_path(0.3, 1.0, 10.0)
-        traj = refract_exact(p, b=1.0, alpha=0.5, case=case_for(0.3, 0.5))
-        dl, dr = traj.discounted_flow(0.05, horizon=math.inf)
+        traj = refract(p, b=1.0, alpha=0.5, case=case_for(0.3, 0.5))
+        (dl,), _ = traj.discounted_flow(0.05, horizon=math.inf)
         assert dl == pytest.approx(0.3 / 0.05, rel=1e-12)
 
     def test_alpha_validation(self):
@@ -80,11 +86,7 @@ class TestRefractExact:
         c = case_for(1.0, 0.4)
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(InvalidParameter):
-                refract_exact(p, b=1.0, alpha=bad, case=c)
-
-    def test_rejects_non_event_input(self):
-        with pytest.raises(UnsupportedModel):
-            refract_exact(object(), b=1.0, alpha=0.4, case=case_for(1.0, 0.4))
+                refract(p, b=1.0, alpha=bad, case=c)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.05, 0.95), st.floats(0.1, 8.0))
@@ -92,7 +94,7 @@ class TestRefractExact:
         """Jump-free trajectory: ramp at delta to b, then drain at delta - alpha."""
         delta, b = 1.2, 1.0
         p = drift_path(delta, x0, 8.0)
-        traj = refract_exact(p, b=b, alpha=alpha, case=case_for(delta, alpha))
+        traj = refract(p, b=b, alpha=alpha, case=case_for(delta, alpha))
         tb = (b - x0) / delta
         want = x0 + delta * t if t <= tb else b + (delta - alpha) * (t - tb)
         assert value_at(traj, t) == pytest.approx(want, abs=1e-12)
@@ -102,7 +104,7 @@ class TestRefractExact:
 class TestRefractedReflected:
     def hand_traj(self):
         p = drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])
-        return p, refracted_reflected_exact(p, b=1.0, alpha=0.4,
+        return p, floored(p, b=1.0, alpha=0.4,
                                             case=case_for(1.0, 0.4))
 
     def test_jump_through_floor_tops_up(self):
@@ -126,7 +128,7 @@ class TestRefractedReflected:
 
     def test_pinned_at_floor_under_negative_drift(self):
         p = drift_path(-1.0, 0.5, 3.0)
-        traj = refracted_reflected_exact(p, b=2.0, alpha=0.5,
+        traj = floored(p, b=2.0, alpha=0.5,
                                          case=case_for(-1.0, 0.5))
         dec = floor_decomposition(traj, p)
         ts = np.array([0.25, 0.5, 1.5, 3.0])
@@ -138,7 +140,7 @@ class TestRefractedReflected:
 
     def test_negative_start_is_topped_up_at_time_zero(self):
         p = drift_path(1.0, -0.3, 2.0)
-        traj = refracted_reflected_exact(p, b=1.0, alpha=0.4,
+        traj = floored(p, b=1.0, alpha=0.4,
                                          case=case_for(1.0, 0.4))
         dec = floor_decomposition(traj, p)
         assert value_at(traj, 0.0) == 0.0
@@ -149,12 +151,12 @@ class TestRefractedReflected:
     def test_negative_barrier_rejected(self):
         p = drift_path(1.0, 0.0, 1.0)
         with pytest.raises(InvalidBarrier):
-            refracted_reflected_exact(p, b=-0.5, alpha=0.4, case=case_for(1.0, 0.4))
+            floored(p, b=-0.5, alpha=0.4, case=case_for(1.0, 0.4))
 
     def test_zero_threshold_pays_flat_cap(self):
         """b = 0 with drift above the cap: dividends accrue at exactly alpha t."""
         p = drift_path(1.0, 0.0, 6.0, jumps=[(2.0, -3.0), (4.0, 0.5)])
-        traj = refracted_reflected_exact(p, b=0.0, alpha=0.4,
+        traj = floored(p, b=0.0, alpha=0.4,
                                          case=case_for(1.0, 0.4))
         ts = np.linspace(0.0, 6.0, 25)
         np.testing.assert_allclose(dividends_at(traj, ts), 0.4 * ts, atol=1e-12)
@@ -164,7 +166,7 @@ class TestRefractedReflected:
             case = classify_case(ref_spec_bv, alpha)
             for i in range(40):
                 p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(31, tag=2, index=i))
-                traj = refracted_reflected_exact(p, b=b, alpha=alpha, case=case)
+                traj = floored(p, b=b, alpha=alpha, case=case)
                 assert construction_identity_residual(p, traj) <= 1e-12
 
 
@@ -174,7 +176,7 @@ class TestReflectionLimits:
 
     def test_two_sided_band(self):
         """Infinite-rate limit: lump dividends above b, lump injections below 0."""
-        traj = refracted_reflected_exact(self.band_path(), 1.0, math.inf,
+        traj = floored(self.band_path(), 1.0, math.inf,
                                          case_for(1.0, math.inf))
         ts = np.array([0.25, 1.0, 2.0, 2.25, 2.5, 3.0])
         np.testing.assert_allclose(value_at(traj, ts),
@@ -187,7 +189,7 @@ class TestReflectionLimits:
         assert injections_at(traj, 3.0) == pytest.approx(1.0)
 
     def test_from_above_leaves_the_floor_open(self):
-        traj = refract_exact(self.band_path(), 1.0, math.inf,
+        traj = refract(self.band_path(), 1.0, math.inf,
                              case_for(1.0, math.inf))
         ts = np.array([1.0, 2.0, 2.25, 2.5, 3.0])
         np.testing.assert_allclose(value_at(traj, ts), [1.0, -1.0, -0.75, 1.0, 1.0])
@@ -196,7 +198,7 @@ class TestReflectionLimits:
         assert dividends_at(traj, 3.0) == pytest.approx(1.5 + 0.5 + 0.5)
 
     def test_start_above_barrier_pays_immediately(self):
-        traj = refract_exact(drift_path(0.2, 2.0, 1.0), 1.0, math.inf,
+        traj = refract(drift_path(0.2, 2.0, 1.0), 1.0, math.inf,
                              case_for(0.2, math.inf))
         assert value_at(traj, 0.0) == 1.0
         np.testing.assert_allclose(traj.l_atom_t, [0.0])
@@ -208,9 +210,9 @@ class TestReflectionLimits:
         as the finite-rate sweep does at b = 0."""
         delta = -0.5
         p = drift_path(delta, 0.4, 3.0, jumps=[(1.0, 0.8), (2.0, -0.6)])
-        traj = refracted_reflected_exact(p, 0.0, math.inf,
+        traj = floored(p, 0.0, math.inf,
                                          case_for(delta, math.inf))
-        refr = refracted_reflected_exact(p, 0.0, 0.5, case_for(delta, 0.5))
+        refr = floored(p, 0.0, 0.5, case_for(delta, 0.5))
         for t in (traj, refr):
             pinned = (t.seg_v == 0.0) & (t.seg_slope == 0.0)
             assert pinned.any()
@@ -226,11 +228,11 @@ class TestReflectionLimits:
         up-jump from just below b lands the same distance above b at every
         finite rate."""
         p = sample_path(ref_spec_bv, 6.0, EXACT, RngStream(77, tag=3, index=4))
-        limit = refract_exact(p, 1.0, math.inf, classify_case(ref_spec_bv, math.inf))
+        limit = refract(p, 1.0, math.inf, classify_case(ref_spec_bv, math.inf))
         ts = np.union1d(np.linspace(0, 6.0, 601), limit.seg_t)
         gaps = []
         for alpha in (1.0, 4.0, 16.0, 64.0):
-            traj = refract_exact(p, b=1.0, alpha=alpha,
+            traj = refract(p, b=1.0, alpha=alpha,
                                  case=classify_case(ref_spec_bv, alpha))
             ts_a = np.union1d(ts, traj.seg_t)
             diff = value_at(traj, ts_a) - value_at(limit, ts_a)
@@ -242,8 +244,8 @@ class TestReflectionLimits:
         # with only downward jumps nothing ever lands above b, so once the
         # rate cap exceeds the drift the refracted and pushed-down paths agree
         p = drift_path(1.2, 0.3, 6.0, jumps=[(1.5, -0.9), (3.0, -0.2), (4.2, -1.4)])
-        limit = refract_exact(p, 1.0, math.inf, case_for(1.2, math.inf))
-        traj = refract_exact(p, b=1.0, alpha=2.0, case=case_for(1.2, 2.0))
+        limit = refract(p, 1.0, math.inf, case_for(1.2, math.inf))
+        traj = refract(p, b=1.0, alpha=2.0, case=case_for(1.2, 2.0))
         ts = np.union1d(np.union1d(np.linspace(0, 6.0, 601), limit.seg_t),
                         traj.seg_t)
         np.testing.assert_allclose(value_at(traj, ts), value_at(limit, ts), atol=1e-12)
@@ -252,7 +254,7 @@ class TestReflectionLimits:
 
     def test_running_inf_matches_brute_force(self, ref_spec_bv):
         p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(78, tag=3, index=9))
-        traj = refract_exact(p, b=0.8, alpha=0.5, case=classify_case(ref_spec_bv, 0.5))
+        traj = refract(p, b=0.8, alpha=0.5, case=classify_case(ref_spec_bv, 0.5))
         # linear pieces attain extrema at segment ends, so a grid containing
         # every segment time sees the true minimum via left limits
         grid = np.union1d(np.linspace(0, 5.0, 2001), traj.seg_t)
@@ -279,7 +281,8 @@ class TestInfiniteCapFold:
         finite alpha, and every array is equal by ==."""
         rng = np.random.default_rng(20261018)
         drifts = (-1.3, -0.4, 0.0, 0.35, 1.1, None)
-        n_zero = n_relabel = 0
+        # the paths of each (drift, threshold) in one table
+        groups = {}
         for d in range(4200):
             delta = drifts[d % 6]
             if delta is None:
@@ -288,29 +291,33 @@ class TestInfiniteCapFold:
             x = (-rng.uniform(0.05, 0.5), 0.0, b,
                  b + rng.uniform(0.05, 1.0))[(d // 18) % 4]
             times = np.sort(rng.uniform(0.0, 10.0, rng.poisson(8.0)))
-            path = EventPath(x0=x, horizon=10.0, drift=delta, times=times,
-                             sizes=rng.normal(0.0, 0.8, times.size))
+            groups.setdefault((delta, b), []).append(EventPath(
+                x0=x, horizon=10.0, drift=delta, times=times,
+                sizes=rng.normal(0.0, 0.8, times.size)))
+        n_zero = n_relabel = 0
+        for (delta, b), paths in groups.items():
             case = case_for(delta, math.inf)
             for floor in (False, True):
-                if floor:
-                    got = refracted_reflected_exact(path, b, math.inf, case)
-                else:
-                    got = refract_exact(path, b, math.inf, case)
-                want = _sweep(path, b, math.inf, path.drift > 0, floor)
-                assert got.horizon == want.horizon
-                for name in self.ARRAYS:
-                    g, w = getattr(got, name), getattr(want, name)
-                    if delta != 0.0:
-                        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (d, name)
-                    elif name != "seg_branch":
-                        assert g.shape == w.shape and np.all(g == w), (d, name)
-                if delta == 0.0:
-                    n_zero += 1
-                    moved = got.seg_branch != want.seg_branch
-                    assert np.all(got.seg_branch[moved] == BRANCH_AT_B)
-                    assert np.all(np.isin(want.seg_branch[moved],
-                                          (BRANCH_INTERIOR, BRANCH_FLOOR)))
-                    n_relabel += bool(moved.any())
+                transform = refracted_reflected_exact if floor else refract_exact
+                table = transform(event_columns(paths), b, math.inf, case)
+                for i, path in enumerate(paths):
+                    got = table.block(i, i + 1)
+                    want = _sweep(path, b, math.inf, path.drift > 0, floor)
+                    assert got.horizon == want.horizon
+                    for name in self.ARRAYS:
+                        g, w = getattr(got, name), getattr(want, name)
+                        if delta != 0.0:
+                            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (
+                                delta, b, i, name)
+                        elif name != "seg_branch":
+                            assert g.shape == w.shape and np.all(g == w), (delta, b, i, name)
+                    if delta == 0.0:
+                        n_zero += 1
+                        moved = got.seg_branch != want.seg_branch
+                        assert np.all(got.seg_branch[moved] == BRANCH_AT_B)
+                        assert np.all(np.isin(want.seg_branch[moved],
+                                              (BRANCH_INTERIOR, BRANCH_FLOOR)))
+                        n_relabel += bool(moved.any())
         assert n_zero == 1400 and n_relabel > 0
 
 
@@ -337,7 +344,7 @@ class TestFloorDecomposition:
     def test_three_components_sum_to_the_infimum(self, ref_spec_bv):
         for i in range(25):
             p = sample_path(ref_spec_bv, 4.0, EXACT, RngStream(55, tag=4, index=i))
-            p = p.shifted(-0.8)
+            p = replace(p, x0=p.x0 - 0.8)
             dec = running_floor_reflection(p)
             ts = np.linspace(0.0, 4.0, 41)
             total = (dec.boundary_integral_at(ts) + dec.initial_part
@@ -352,7 +359,7 @@ class TestFloorDecomposition:
 class TestDividendIntegralPath:
     def test_matches_cumulative_dividends(self):
         p = drift_path(0.3, 0.0, 10.0, jumps=[(5.0, -0.6)])
-        traj = refract_exact(p, b=1.0, alpha=0.4, case=case_for(0.3, 0.4))
+        traj = refract(p, b=1.0, alpha=0.4, case=case_for(0.3, 0.4))
         curve = dividend_integral_path(traj)
         ts = np.linspace(0.0, 10.0, 101)
         np.testing.assert_allclose(value_at(curve, ts), dividends_at(traj, ts),
@@ -365,16 +372,16 @@ class TestDividendIntegralPath:
         and the times of the last injection and lump-dividend atoms, which
         count at the stop time.  The two-sided limit carries lump dividends."""
         p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(91, tag=5, index=0))
-        refr = refracted_reflected_exact(p, b=1.0, alpha=0.5,
+        refr = floored(p, b=1.0, alpha=0.5,
                                          case=classify_case(ref_spec_bv, 0.5))
-        band = refracted_reflected_exact(p, 1.0, math.inf,
+        band = floored(p, 1.0, math.inf,
                                          classify_case(ref_spec_bv, math.inf))
         q = 0.05
         for traj in (refr, band):
             stops = [None, 2.3, *traj.r_atom_t[-1:], *traj.l_atom_t[-1:]]
             assert len(stops) == (3 if traj is refr else 4)
             for stop in stops:
-                dl, dr = traj.discounted_flow(q, stop)
+                (dl,), (dr,) = traj.discounted_flow(q, stop)
                 end = 5.0 if stop is None else stop
                 knots = traj.seg_t
                 grid = np.union1d(np.linspace(0, end, 20001), knots[knots <= end])
@@ -385,6 +392,86 @@ class TestDividendIntegralPath:
                 assert dr == pytest.approx(dr_num, abs=2e-5), stop
 
 
+def assert_table_is_the_reference(table, paths, b, alpha, case, floor):
+    """Every field of table, sign bits included, and its counts equal the
+    _sweep trajectories of paths joined end to end."""
+    want = reference_table(paths, b, alpha, case, floor)
+    assert table.horizon == paths[0].horizon
+    for name in (name for names in TABLE_FIELDS for name in names):
+        got, ref = getattr(table, name), want[name]
+        assert got.dtype == ref.dtype and got.shape == ref.shape, name
+        assert np.array_equal(got, ref), name
+        assert np.array_equal(np.signbit(got), np.signbit(ref)), name
+    assert np.array_equal(table.counts, want["counts"])
+
+
+class TestTrajectoryTable:
+    """The table reader of event_steps against the scalar sweep _sweep, the
+    reference it replaces, bit for bit."""
+
+    def test_random_models_bitwise(self):
+        """Random models at b = 0, at their own b and at b = inf, at their
+        own cap and at an infinite one, with and without the floor, from
+        starts below 0, at 0, at b, inside (0, b) and above b."""
+        rng = np.random.default_rng(20261019)
+        n_models = n_atoms = n_branches = 0
+        for j in range(120):
+            spec, pp, x, _, _ = draw_random_bv_setup(rng)
+            cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
+            cols = replace(cols, x0=np.array([x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b]))
+            paths = cols.paths()
+            for b in (0.0, pp.b, math.inf):
+                for alpha in (pp.alpha, math.inf):
+                    case = classify_case(spec, alpha)
+                    for floor in (False, True):
+                        table = trajectory_table(cols, b, alpha, case, floor)
+                        assert_table_is_the_reference(table, paths, b, alpha, case, floor)
+                        n_atoms += table.r_atom.size + table.l_atom.size
+                        n_branches |= np.bitwise_or.reduce(1 << table.seg_branch)
+            n_models += 1
+        assert n_models >= 100 and n_atoms > 0 and n_branches == 0b1111
+
+    @pytest.mark.parametrize("b,jump_at", [(1e-300, 2.0), (1.0, 4.0)])
+    def test_zero_length_segments(self, b, jump_at):
+        """The two zero-length segments of the lane sweep's tests: a jump
+        onto 0 from which the drift reaches a tiny b at once (_sweep
+        overwrites the segment at 0), and a jump onto 0 at the horizon (the
+        last segment has zero length and is kept)."""
+        case = case_for(0.35, 0.3)
+        to_zero = float(value_at(floored(drift_path(0.35, 0.5, 4.0), b, 0.3, case), jump_at))
+        p = drift_path(0.35, 0.5, 4.0, jumps=[(jump_at, -to_zero)])
+        for floor in (False, True):
+            table = trajectory_table(event_columns([p]), b, 0.3, case, floor)
+            assert_table_is_the_reference(table, [p], b, 0.3, case, floor)
+            # one knot at the jump: at b, where it overwrote the one at 0,
+            # or at 0 at the horizon
+            assert table.seg_v[table.seg_t == jump_at].tolist() == [b if jump_at < 4.0 else 0.0]
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_horizon_without_warnings(self):
+        """The perpetual values of the drift-only acceptance checks run
+        without a numpy warning, and every drift-only table at an infinite
+        horizon equals the reference, with its flows to infinity."""
+        for delta, b, want in ((-1.0, 1.0, -30.0), (2.0, 0.0, 10.0)):
+            pp = StrategyParams(b=b, alpha=0.5, beta=1.5, q=0.05)
+            ((_, est),) = value_curve([0.0], b, pp, drift_only(delta), math.inf, 0, 1,
+                                      RngStream(361, tag=1), method="direct")
+            assert est.mean == pytest.approx(want, rel=1e-12)
+        for delta in (-1.0, 0.0, 0.3, 2.0):
+            for alpha in (0.5, math.inf):
+                case = case_for(delta, alpha)
+                for b in (0.0, 1.0, math.inf):
+                    for floor in (False, True):
+                        paths = [drift_path(delta, x, math.inf) for x in (-0.5, 0.0, 0.5, 1.0, 3.0)]
+                        table = trajectory_table(event_columns(paths), b, alpha, case, floor)
+                        assert_table_is_the_reference(table, paths, b, alpha, case, floor)
+                        got = table.discounted_flow(0.05, math.inf)
+                        for i, p in enumerate(paths):
+                            ref = _sweep(p, b, alpha, case.is_case2, floor)
+                            want = ref.discounted_flow(0.05, math.inf)
+                            assert _bits([f[i] for f in got]).tolist() == _bits(want).tolist()
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -393,28 +480,31 @@ class TestReadSegments:
     """The block reader against the one-path references, bit for bit."""
 
     @staticmethod
-    def read(trajs, path, t, drivers=()):
-        """read_segments on a table of trajs, checked path by path."""
+    def read(table, path, t, drivers=None):
+        """read_segments on table, checked path by path against the one-path
+        references on each path's block of it."""
         path, t = np.asarray(path), np.asarray(t, dtype=float)
-        (got,), driver = read_segments([SegmentTable(trajs)], path, t, drivers)
-        for i, traj in enumerate(trajs):
+        (got,), driver = read_segments([table], path, t, drivers)
+        for i in range(table.counts.shape[1]):
+            traj = table.block(i, i + 1)
             on, ts = path == i, t[path == i]
             for mine, ref in ((got.z, value_at), (got.z_left, left_limit_at),
                               (got.l, dividends_at), (got.r, injections_at)):
                 np.testing.assert_array_equal(_bits(mine[on]), _bits(ref(traj, ts)))
             np.testing.assert_array_equal(got.knot[on], np.isin(ts, traj.seg_t))
-            if drivers:
+            if drivers is not None:
                 np.testing.assert_array_equal(_bits(driver[on]),
-                                              _bits(drivers[i].value_at(ts)))
+                                              _bits(drivers.paths()[i].value_at(ts)))
         return got
 
     @staticmethod
-    def probes(trajs, extra=()):
-        """Every knot and atom time of every path of trajs on each of them,
+    def probes(table, extra=()):
+        """Every knot and atom time of every path of table on each of them,
         with extra, in (path, t) order."""
-        ts = np.unique(np.concatenate([np.asarray(extra, dtype=float)] + [
-            np.concatenate((tr.seg_t, tr.r_atom_t, tr.l_atom_t)) for tr in trajs]))
-        return np.repeat(np.arange(len(trajs)), ts.size), np.tile(ts, len(trajs))
+        ts = np.unique(np.concatenate([np.asarray(extra, dtype=float), table.seg_t,
+                                       table.r_atom_t, table.l_atom_t]))
+        m = table.counts.shape[1]
+        return np.repeat(np.arange(m), ts.size), np.tile(ts, m)
 
     def test_knots_one_ulp_apart(self):
         """Events at 1, at the next double above it and at the one below it,
@@ -424,19 +514,21 @@ class TestReadSegments:
                  drift_path(0.5, 0.2, 3.0, jumps=((down, -0.4),)),
                  drift_path(0.5, -0.1, 3.0, jumps=((down, 2.0), (1.0, -3.0), (up, 0.5)))]
         case = case_for(0.5, math.inf)
-        trajs = [refracted_reflected_exact(p, 1.0, math.inf, case) for p in paths]
-        assert {1.0, up} <= set(trajs[0].seg_t.tolist())
-        assert {down, 1.0, up} <= set(trajs[2].seg_t.tolist())
-        got = self.read(trajs, *self.probes(trajs, np.linspace(0.0, 3.0, 7)), drivers=paths)
+        cols = event_columns(paths)
+        table = refracted_reflected_exact(cols, 1.0, math.inf, case)
+        assert {1.0, up} <= set(table.block(0, 1).seg_t.tolist())
+        assert {down, 1.0, up} <= set(table.block(2, 3).seg_t.tolist())
+        got = self.read(table, *self.probes(table, np.linspace(0.0, 3.0, 7)), drivers=cols)
         # each knot is found once, on its own path
-        assert got.knot.sum() == sum(tr.seg_t.size for tr in trajs)
+        assert got.knot.sum() == table.seg_t.size
 
     def test_a_probe_on_another_paths_knot(self):
         """Path 0 jumps at 1.5 and path 1 does not: path 1 read at 1.5 sees
         no knot there, and its left limit is its value."""
-        paths = [drift_path(0.3, 0.5, 3.0, jumps=((1.5, -0.8),)), drift_path(0.3, 0.5, 3.0)]
-        trajs = [refracted_reflected_exact(p, 1.0, 0.2, case_for(0.3, 0.2)) for p in paths]
-        got = self.read(trajs, [0, 1, 1], [1.5, 1.0, 1.5], drivers=paths)
+        cols = event_columns([drift_path(0.3, 0.5, 3.0, jumps=((1.5, -0.8),)),
+                              drift_path(0.3, 0.5, 3.0)])
+        table = refracted_reflected_exact(cols, 1.0, 0.2, case_for(0.3, 0.2))
+        got = self.read(table, [0, 1, 1], [1.5, 1.0, 1.5], drivers=cols)
         assert got.knot.tolist() == [True, False, False]
         assert got.z_left[2] == got.z[2] and got.z_left[0] != got.z[0]
 
@@ -445,13 +537,13 @@ class TestReadSegments:
         horizon; with an event at the horizon the last two probes are
         equal."""
         path = drift_path(0.2, 2.5, 3.0, jumps=((0.5, -0.7), (1.2, -2.4), (3.0, 3.0)))
-        case = case_for(0.2, 0.5)
-        traj = refracted_reflected_exact(path, 1.0, 0.5, case)
+        cols = event_columns([path])
+        traj = refracted_reflected_exact(cols, 1.0, 0.5, case_for(0.2, 0.5))
         times = np.append(traj.seg_t, path.horizon)
         assert times[-1] == times[-2]
-        got = self.read([traj], np.zeros(times.size, dtype=int), times, drivers=[path])
+        got = self.read(traj, np.zeros(times.size, dtype=int), times, drivers=cols)
         pp = StrategyParams(b=1.0, alpha=0.5, beta=1.5, q=0.05)
-        sampled = ControlledTrajectory.from_exact(path, traj, pp)
+        sampled = ControlledTrajectory.from_exact(cols, traj, pp)
         for mine, ref in ((sampled.z, got.z), (sampled.l, got.l), (sampled.r, got.r),
                           (sampled.driver, path.value_at(times))):
             np.testing.assert_array_equal(_bits(mine), _bits(ref))
@@ -460,16 +552,17 @@ class TestReadSegments:
 def stepper_lanes(paths, x, b, alpha, case, floor):
     """What event_steps yields for lane (j, i), path i started at
     paths[i].x0 + x[j] with threshold b[j], in the order it comes: the rows
-    (t, z, slope, lrate, rrate) of the stretches it keeps, and the rows
-    (time, size) of its nonzero dividend and top-up lumps."""
+    (t, z, slope, lrate, rrate, branch) of the stretches it keeps, and the
+    rows (time, size) of its nonzero dividend and top-up lumps."""
     lane_j, lane_i = np.indices((len(x), len(paths)))
     got = [[([], [], []) for _ in paths] for _ in x]
     steps = path_engine.event_steps(event_columns(paths), x[:, None], b[:, None], alpha, case,
                                     floor)
     for stretches, te, dividend, topup in steps:
-        for at, t, _, z, _, slope, lrate, rrate, kept in stretches:
+        for at, t, _, z, _, slope, lrate, rrate, branch, kept in stretches:
             js, ids = lane_j[at], lane_i[at]
-            rows = (np.broadcast_to(a, js.shape)[kept] for a in (js, ids, t, z, slope, lrate, rrate))
+            rows = (np.broadcast_to(a, js.shape)[kept]
+                    for a in (js, ids, t, z, slope, lrate, rrate, branch))
             for j, i, *row in zip(*rows):
                 got[j][i][0].append(row)
         for lumps, into in ((dividend, 1), (topup, 2)):
@@ -511,7 +604,7 @@ class TestFlooredLaneSweep:
         assert got.t_weak.shape == (len(self.POINTS), len(paths))
         for j, (xj, bj, sj) in enumerate(self.POINTS):
             for i, p in enumerate(paths):
-                traj = refracted_reflected_exact(p.shifted(xj), bj, alpha, case)
+                traj = _sweep(replace(p, x0=p.x0 + xj), bj, alpha, case.is_case2, True)
                 pt = first_passage_times(traj)
                 assert got.t_weak[j, i] == pt.t_weak
                 assert got.kappa_strict[j, i] == pt.kappa_strict
@@ -526,10 +619,10 @@ class TestFlooredLaneSweep:
         _sweep overwrites the zero-length segment at 0, so the lane does not
         visit 0 there."""
         case, b = case_for(0.35, 0.3), 1e-300
-        z2 = float(value_at(refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), b, 0.3,
+        z2 = float(value_at(floored(drift_path(0.35, 0.5, 4.0), b, 0.3,
                                                       case), 2.0))
         p = drift_path(0.35, 0.0, 4.0, jumps=[(2.0, -z2)])
-        traj = refracted_reflected_exact(p.shifted(0.5), b, 0.3, case)
+        traj = floored(replace(p, x0=0.5), b, 0.3, case)
         assert first_passage_times(traj).t_weak == math.inf
         got = floored_lane_sweep(event_columns([p]), [0.5], [b], [True], 0.3, case, self.Q)
         assert got.t_weak[0, 0] == math.inf
@@ -539,9 +632,9 @@ class TestFlooredLaneSweep:
         falls at the horizon, and it is kept: a jump there onto 0 is the
         lane's first visit to 0."""
         case = case_for(0.35, 0.3)
-        z = end_value(refracted_reflected_exact(drift_path(0.35, 0.5, 4.0), 1.0, 0.3, case))
+        z = end_value(floored(drift_path(0.35, 0.5, 4.0), 1.0, 0.3, case))
         p = drift_path(0.35, 0.0, 4.0, jumps=[(4.0, -z)])
-        traj = refracted_reflected_exact(p.shifted(0.5), 1.0, 0.3, case)
+        traj = floored(replace(p, x0=0.5), 1.0, 0.3, case)
         assert first_passage_times(traj).t_weak == 4.0
         got = floored_lane_sweep(event_columns([p]), [0.5], [1.0], [True], 0.3, case, self.Q)
         assert got.t_weak[0, 0] == 4.0
@@ -563,10 +656,11 @@ class TestFlooredLaneSweep:
         got = stepper_lanes(paths, x, b, alpha, case, floor)
         for j, (xj, bj) in enumerate(points):
             for i, p in enumerate(paths):
-                traj = _sweep(p.shifted(xj), bj, alpha, case.is_case2, floor)
+                traj = _sweep(replace(p, x0=p.x0 + xj), bj, alpha, case.is_case2, floor)
                 segs, l_atoms, r_atoms = got[j][i]
-                want = (traj.seg_t, traj.seg_v, traj.seg_slope, traj.seg_lrate, traj.seg_rrate)
-                for column, ref in zip(np.reshape(segs, (-1, 5)).T, want):
+                want = (traj.seg_t, traj.seg_v, traj.seg_slope, traj.seg_lrate, traj.seg_rrate,
+                        traj.seg_branch)
+                for column, ref in zip(np.reshape(segs, (-1, 6)).T, want):
                     assert np.array_equal(column, ref), (j, i)
                 for atoms, ref in ((l_atoms, (traj.l_atom_t, traj.l_atom)),
                                    (r_atoms, (traj.r_atom_t, traj.r_atom))):

@@ -11,9 +11,7 @@ from levyrefract.levy_model import (
     EXACT, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
     classify_case, sample_path,
 )
-from levyrefract.path_engine import (
-    SegmentTable, read_segments, refract_exact, refracted_reflected_exact,
-)
+from levyrefract.path_engine import read_segments, refract_exact, refracted_reflected_exact
 from levyrefract.properties_oracle import (
     BLOCK, CharReport, EngineUnavailable, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
@@ -21,10 +19,14 @@ from levyrefract.properties_oracle import (
 )
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
-from conftest import case_for, drift_only, drift_path
+from conftest import case_for, drift_only, drift_path, event_columns, one_path
 from oracles import (
     dividends_at, fixed_cap_violations, injections_at, left_limit_at, value_at,
 )
+
+
+# the floored transform on one EventPath, through the src reader
+floored = one_path(refracted_reflected_exact)
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
@@ -57,10 +59,10 @@ class TestCoupledPair:
         pp1, pp2 = params(b=1.0), params(b=2.5)
         viol = []
         for i in range(10):
-            p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i))
+            p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i), 1)
             t1 = refracted_reflected_exact(p, 1.0, 0.5, case)
-            t2 = refracted_reflected_exact(p.shifted(0.5), 2.5, 0.5, case)
-            viol.extend(check_pair([t1], [t2], 0.5, 1.0))
+            t2 = refracted_reflected_exact(replace(p, x0=p.x0 + 0.5), 2.5, 0.5, case)
+            viol.extend(check_pair(t1, t2, 0.5, 1.0))
         assert len(viol) > 0
         props = {v.prop for v in viol}
         assert props <= set(PAIR_PROPS)
@@ -99,10 +101,10 @@ class TestCoupledPair:
         the jump closes.  That is supported: the gap was open just before."""
         case = case_for(-0.1, math.inf)
         path = drift_path(-0.1, 0.2, 3.0, jumps=((1.0, 2.0),))
-        tk = refracted_reflected_exact(path, 1.0, math.inf, case)
-        tl = refracted_reflected_exact(path.shifted(0.4), 1.0, math.inf, case)
+        tk = floored(path, 1.0, math.inf, case)
+        tl = floored(replace(path, x0=path.x0 + 0.4), 1.0, math.inf, case)
         assert dividends_at(tl, 1.0) - dividends_at(tk, 1.0) == pytest.approx(0.4)
-        assert check_pair([tk], [tl], 0.4, 1.0) == []
+        assert check_pair(tk, tl, 0.4, 1.0) == []
 
     def test_a_dividend_gap_rise_away_from_b_fires(self):
         """Negative control of the dividend support: the upper path pays at
@@ -110,9 +112,9 @@ class TestCoupledPair:
         rises while neither path is at b."""
         case = case_for(1.0, 0.5)
         path = drift_path(1.0, 0.0, 1.5)
-        tk = refracted_reflected_exact(path, 5.0, 0.5, case)
-        tl = refracted_reflected_exact(path.shifted(0.5), 1.0, 0.5, case)
-        viol = check_pair([tk], [tl], 0.5, 3.0)
+        tk = floored(path, 5.0, 0.5, case)
+        tl = floored(replace(path, x0=path.x0 + 0.5), 1.0, 0.5, case)
+        viol = check_pair(tk, tl, 0.5, 3.0)
         assert viol and {v.prop for v in viol} == {"pair_div_support"}
         assert all(0.5 < v.time <= 1.5 for v in viol)
 
@@ -175,32 +177,32 @@ def _edge_paths(horizon):
 
 class TestBlockCheck:
     def blocks(self):
-        """(paths, b, alpha, case) blocks: random models at their own and
+        """(columns, b, alpha, case) blocks: random models at their own and
         at an infinite cap, at their b and at b = 0, and the edge paths."""
         rng = np.random.default_rng(41)
         for j in range(8):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
-            paths = sample_path(replace(spec, x0=x), 4.0, EXACT, RngStream(350, tag=j), 6).paths()
+            cols = sample_path(replace(spec, x0=x), 4.0, EXACT, RngStream(350, tag=j), 6)
             for b in (pp.b, 0.0):
                 for alpha in (pp.alpha, math.inf):
-                    yield paths, b, alpha, classify_case(spec, alpha)
+                    yield cols, b, alpha, classify_case(spec, alpha)
         for b, alpha in ((1.0, 0.5), (1.0, math.inf), (0.0, math.inf)):
-            yield _edge_paths(3.0), b, alpha, case_for(0.2, alpha)
+            yield event_columns(_edge_paths(3.0)), b, alpha, case_for(0.2, alpha)
 
     def test_readings_are_bit_equal_to_the_references(self):
-        for paths, b, alpha, case in self.blocks():
-            roles = ([refracted_reflected_exact(p, b, alpha, case) for p in paths],
-                     [refract_exact(p.shifted(0.3), b, alpha, case) for p in paths])
-            blk = _Block(roles, paths)
-            for i, path in enumerate(paths):
+        for cols, b, alpha, case in self.blocks():
+            roles = (refracted_reflected_exact(cols, b, alpha, case),
+                     refract_exact(replace(cols, x0=cols.x0 + 0.3), b, alpha, case))
+            blk = _Block(roles, cols)
+            for i, path in enumerate(cols.paths()):
                 on = blk.path == i
-                ts = _probe_times((roles[0][i], roles[1][i]), path.horizon)
+                trajs = [table.block(i, i + 1) for table in roles]
+                ts = _probe_times(trajs, path.horizon)
                 np.testing.assert_array_equal(_bits(blk.t[on]), _bits(ts))
                 np.testing.assert_array_equal(_bits(blk.driver[on]), _bits(path.value_at(ts)))
                 np.testing.assert_array_equal(blk.readings[0].knot[on],
-                                              np.isin(ts, roles[0][i].seg_t))
-                for got, trajs in zip(blk.readings, roles):
-                    traj = trajs[i]
+                                              np.isin(ts, trajs[0].seg_t))
+                for got, traj in zip(blk.readings, trajs):
                     np.testing.assert_array_equal(_bits(got.z[on]), _bits(value_at(traj, ts)))
                     np.testing.assert_array_equal(_bits(got.z_left[on]),
                                                   _bits(left_limit_at(traj, ts)))
@@ -211,9 +213,9 @@ class TestBlockCheck:
 
     def test_two_injection_atoms_at_time_zero_are_both_read(self):
         path = _edge_paths(3.0)[2]
-        traj = refracted_reflected_exact(path, 1.0, 0.5, case_for(0.2, 0.5))
+        traj = floored(path, 1.0, 0.5, case_for(0.2, 0.5))
         assert traj.r_atom_t.tolist()[:2] == [0.0, 0.0]
-        (got,), _ = read_segments([SegmentTable([traj])], [0], [0.0])
+        (got,), _ = read_segments([traj], [0], [0.0])
         assert got.r[0] == pytest.approx(0.9)
 
     def test_violations_match_the_pair_by_pair_check(self):
@@ -226,21 +228,21 @@ class TestBlockCheck:
             for alpha in (pp.alpha, math.inf):
                 p2 = replace(pp, alpha=alpha)
                 case = classify_case(spec, alpha)
-                paths = sample_path(replace(spec, x0=0.0), 4.0, EXACT, RngStream(351, tag=j),
-                                    2 * BLOCK + 3).paths()
-                tk = [apply_strategy_exact(p.shifted(x + k), p2, case) for p in paths]
-                tl = [apply_strategy_exact(p.shifted(x + l), p2, case) for p in paths]
-                drivers = [p.shifted(x + k + 0.01) for p in paths]
+                cols = sample_path(replace(spec, x0=0.0), 4.0, EXACT, RngStream(351, tag=j),
+                                   2 * BLOCK + 3)
+                tk = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + k)), p2, case)
+                tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), p2, case)
+                drivers = replace(cols, x0=cols.x0 + (x + k + 0.01))
                 shift = 0.5 * (l - k)
                 want = []
-                for a, b, d in zip(tk, tl, drivers):
-                    want += _pair_check(a, b, shift, pp.b, d)
+                for i, d in enumerate(drivers.paths()):
+                    want += _pair_check(tk.block(i, i + 1), tl.block(i, i + 1), shift, pp.b, d)
                 assert {v.prop for v in want} >= {"pair_budget", "budget"}
                 assert check_pair(tk, tl, shift, pp.b, drivers) == want
                 got = []
-                for s in range(0, len(paths), BLOCK):
-                    got += check_pair(tk[s:s + BLOCK], tl[s:s + BLOCK], shift, pp.b,
-                                      drivers[s:s + BLOCK])
+                for s in range(0, cols.counts.size, BLOCK):
+                    got += check_pair(tk.block(s, s + BLOCK), tl.block(s, s + BLOCK), shift,
+                                      pp.b, drivers.block(s, s + BLOCK))
                 assert got == want
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1])
@@ -250,10 +252,10 @@ class TestBlockCheck:
         ladder rows fire: the same reports one path at a time."""
         sweep, refract = apply_strategy_exact, refract_exact
         monkeypatch.setattr(properties_oracle, "apply_strategy_exact",
-                            lambda p, pp, case: sweep(p.shifted(0.05), pp, case))
+                            lambda c, pp, case: sweep(replace(c, x0=c.x0 + 0.05), pp, case))
         monkeypatch.setattr(properties_oracle, "refract_exact",
-                            lambda p, b, a, case: refract(p.shifted(0.1 * min(a, 4.0)), b, a,
-                                                          case))
+                            lambda c, b, a, case: refract(replace(c, x0=c.x0 + 0.1 * min(a, 4.0)),
+                                                          b, a, case))
 
         def runs():
             pair = coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 4.0, n,
@@ -271,7 +273,7 @@ class TestBlockCheck:
 
 class TestFixedCap:
     def test_zero_threshold_cap_rate(self):
-        p = sample_path(drift_only(1.0), 6.0, EXACT, RngStream(310, tag=1))
+        p = sample_path(drift_only(1.0), 6.0, EXACT, RngStream(310, tag=1), 1)
         traj = refracted_reflected_exact(p, 0.0, 0.4,
                                          classify_case(drift_only(1.0), 0.4))
         assert fixed_cap_violations(traj, 0.4) == []

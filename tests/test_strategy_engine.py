@@ -14,11 +14,15 @@ from levyrefract.path_engine import (
 from levyrefract.properties_oracle import draw_random_bv_setup
 from levyrefract.strategy_engine import (
     ControlledTrajectory, StrategyParams, apply_strategy_exact,
-    euler_exact_gap, euler_steps, first_passage_times, simulate_euler,
+    euler_exact_gap, euler_steps, simulate_euler,
 )
 
-from conftest import case_for, drift_only, drift_path
-from oracles import value_at
+from conftest import case_for, drift_only, drift_path, event_columns, one_path
+from oracles import first_passage_times, value_at
+
+# the transforms on one EventPath, through the src reader
+refract = one_path(refract_exact)
+strategy = one_path(apply_strategy_exact)
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
@@ -41,7 +45,7 @@ class TestStrategyParams:
 
 class TestExactStrategy:
     def test_matches_the_event_sweep(self):
-        p = drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])
+        p = event_columns([drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])])
         pp = params(b=1.0, alpha=0.4)
         traj = ControlledTrajectory.from_exact(
             p, apply_strategy_exact(p, pp, case_for(1.0, 0.4)), pp)
@@ -58,7 +62,7 @@ class TestExactStrategy:
         assert replace(traj, z=z).budget_residual() == pytest.approx(0.25)
 
     def test_infinite_cap_degenerates_to_the_band(self):
-        p = drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])
+        p = event_columns([drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])])
         pp = params(b=1.0, alpha=math.inf)
         traj = ControlledTrajectory.from_exact(
             p, apply_strategy_exact(p, pp, case_for(1.0, 1.0)), pp)
@@ -71,7 +75,7 @@ class TestExactStrategy:
     def test_budget_residual_on_sampled_paths(self, ref_spec_bv):
         case = classify_case(ref_spec_bv, 0.5)
         for i in range(30):
-            p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(41, tag=6, index=i))
+            p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(41, tag=6, index=i), 1)
             pp = params(b=1.2)
             traj = ControlledTrajectory.from_exact(
                 p, apply_strategy_exact(p, pp, case), pp)
@@ -79,8 +83,8 @@ class TestExactStrategy:
 
     def test_perpetual_negative_drift_injects_forever(self):
         p = drift_path(-1.0, 0.0, math.inf)
-        traj = apply_strategy_exact(p, params(b=2.0), case_for(-1.0, 0.5))
-        dl, dr = traj.discounted_flow(0.05, horizon=math.inf)
+        traj = strategy(p, params(b=2.0), case_for(-1.0, 0.5))
+        (dl,), (dr,) = traj.discounted_flow(0.05, horizon=math.inf)
         assert dl == 0.0
         assert dr == pytest.approx(1.0 / 0.05, rel=1e-12)
 
@@ -88,14 +92,14 @@ class TestExactStrategy:
 class TestPassageTimes:
     def test_pinned_floor_reads_the_stretch_start(self):
         p = drift_path(-1.0, 0.5, 3.0)
-        traj = apply_strategy_exact(p, params(b=2.0), case_for(-1.0, 0.5))
+        traj = strategy(p, params(b=2.0), case_for(-1.0, 0.5))
         pt = first_passage_times(traj)
         assert pt.kappa_strict == pytest.approx(0.5)
         assert pt.t_weak == pytest.approx(0.5)
 
     def test_jump_atom_reads_the_jump_time(self):
         p = drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])
-        traj = apply_strategy_exact(p, params(b=1.0, alpha=0.4), case_for(1.0, 0.4))
+        traj = strategy(p, params(b=1.0, alpha=0.4), case_for(1.0, 0.4))
         pt = first_passage_times(traj)
         assert pt.kappa_strict == pytest.approx(2.0)
         assert pt.t_weak == pytest.approx(2.0)
@@ -103,14 +107,14 @@ class TestPassageTimes:
     def test_touch_without_injection_separates_weak_and_strict(self):
         # jump lands exactly on 0, then the drift recovers: visited but no top-up
         p = drift_path(1.0, 1.0, 4.0, jumps=[(0.5, -1.5)])
-        traj = apply_strategy_exact(p, params(b=5.0), case_for(1.0, 0.5))
+        traj = strategy(p, params(b=5.0), case_for(1.0, 0.5))
         pt = first_passage_times(traj)
         assert pt.t_weak == pytest.approx(0.5)
         assert pt.kappa_strict == math.inf
 
     def test_no_visit_gives_infinite_times(self):
         p = drift_path(1.0, 0.5, 4.0)
-        pt = first_passage_times(apply_strategy_exact(p, params(), case_for(1.0, 0.5)))
+        pt = first_passage_times(strategy(p, params(), case_for(1.0, 0.5)))
         assert pt.kappa_strict == math.inf and pt.t_weak == math.inf
 
 
@@ -166,8 +170,8 @@ class TestPassageReaderParity:
             path = sample_path(replace(spec, x0=x), 10.0, EXACT,
                                RngStream(77, tag=9, index=d))
             strict, weak = first_passage_below_reference(
-                refract_exact(path, b, pp.alpha, case), 0.0)
-            pt = first_passage_times(apply_strategy_exact(path, pp, case))
+                refract(path, b, pp.alpha, case), 0.0)
+            pt = first_passage_times(strategy(path, pp, case))
             if b == 0.0 and case.is_case2:
                 n_fixed += (pt.kappa_strict, pt.t_weak) != (strict, weak)
                 assert pt.t_weak == weak and pt.kappa_strict >= strict
@@ -336,7 +340,7 @@ def one_path_gap(spec, sp, case, x, horizon, k, path, stream):
     one-row case of the recursion."""
     euler = simulate_euler(x, sp, spec, horizon, k, stream,
                            grid_path=path.to_grid(k))
-    zex = value_at(apply_strategy_exact(path.shifted(x), sp, case), euler.times)
+    zex = value_at(strategy(replace(path, x0=path.x0 + x), sp, case), euler.times)
     return np.max(np.abs(euler.z - zex))
 
 
