@@ -49,7 +49,6 @@ from .levy_model import (
     InvalidParameter,
     JumpDiffusionSpec,
     RngStream,
-    _compensated_drift,
     _grid_increment_matrix,
     classify_case,
     sample_path,
@@ -57,7 +56,6 @@ from .levy_model import (
 from . import path_engine
 from .strategy_engine import (
     StrategyParams,
-    apply_strategy_exact,
     euler_lane_flows,
     euler_record_lows,
 )
@@ -456,19 +454,6 @@ def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, thread
             for x, b in points]
 
 
-def _perpetual_value(x, pp, spec, stream):
-    # one jump-free path, whose only row is the drift to the infinite horizon
-    columns = EventColumns(np.array([x if x > 0 else 0.0]), math.inf, _compensated_drift(spec),
-                           np.zeros(1, dtype=int), np.full((1, 1), math.inf), np.zeros((1, 1)))
-    table = apply_strategy_exact(columns, pp, classify_case(spec, pp.alpha))
-    (dl,), (dr,) = table.discounted_flow(pp.q, horizon=math.inf)
-    w = dl - pp.beta * dr
-    if x < 0:
-        w += pp.beta * x
-    return McEstimate(mean=float(w), std_error=0.0, n=1,
-                      censored_fraction=0.0, stream_id=stream.id)
-
-
 def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
                 horizon: float, k: int, n: int, stream: RngStream,
                 method: str = "spliced", engine: str = "auto",
@@ -483,23 +468,16 @@ def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
     point, gives the affine extension value(0) + beta * x below 0, and
     anchors the splices: method "spliced" stops a positive start at its
     first weak visit to 0 and splices in that anchor, "direct" discounts the
-    full trajectory to the horizon.  An infinite horizon is in closed form
-    (exact engine, no jumps, direct method).
+    full trajectory to the horizon.  The horizon is finite, so each value is
+    the perpetual one less the discounted tail after it.
     """
     xs, bs = (a.ravel().tolist() for a in np.broadcast_arrays(
         np.asarray(xs, dtype=float), np.asarray(b, dtype=float)))
     eng = _engine_for(spec, engine)
     if method not in ("direct", "spliced"):
         raise InvalidParameter("method", "method must be direct or spliced")
-    if horizon == math.inf:
-        if eng != "exact" or spec.jump_components or method != "direct":
-            raise InvalidParameter(
-                "horizon", "infinite horizon needs the exact engine, no jumps, direct method")
-        ests = [_perpetual_value(x, replace(params, b=bb), spec, stream)
-                for x, bb in zip(xs, bs)]
-    else:
-        ests = _value_job(xs, bs, params, spec, horizon, k, n, stream,
-                          method == "spliced", eng, threads)
+    ests = _value_job(xs, bs, params, spec, horizon, k, n, stream,
+                      method == "spliced", eng, threads)
     # a grid's -0.0 start is reported as 0
     return [(0.0 if x == 0 else x, est) for x, est in zip(xs, ests)]
 

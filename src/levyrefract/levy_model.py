@@ -53,6 +53,11 @@ def _require(cond: bool, field_name: str, message: str):
         raise InvalidParameter(field_name, message)
 
 
+def _require_horizon(horizon):
+    """Every sampler draws on [0, horizon] for a horizon in (0, inf)."""
+    _require(0.0 < horizon < math.inf, "horizon", "horizon must be positive and finite")
+
+
 def _finite(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and math.isfinite(x)
 
@@ -586,6 +591,7 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
     Euler estimator draw through it.  out, a C-contiguous (m, k) array such
     as a block of rows of a batch matrix, is filled and returned.
     """
+    _require_horizon(horizon)
     dt = horizon / k
     incs = np.empty((m, k)) if out is None else out
     if spec.sigma > 0:
@@ -609,8 +615,7 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
     EventPath.  Grid mode returns a GridPath, the one-path case of
     _grid_increment_matrix.
     """
-    if horizon <= 0:
-        raise InvalidParameter("horizon", "horizon must be positive")
+    _require_horizon(horizon)
     rng = stream.generator()
     if isinstance(mode, Exact):
         if spec.sigma > 0:

@@ -52,7 +52,7 @@ TABLE_FIELDS = (("seg_t", "seg_v", "seg_slope", "seg_branch", "seg_lrate", "seg_
 
 @dataclass(frozen=True)
 class SegmentTable:
-    """The swept trajectories of m paths that share a horizon, path-major.
+    """The swept trajectories of m paths that share a finite horizon, path-major.
 
     Each path is a piecewise-linear cadlag curve: on segment k, from
     seg_t[k] (strictly increasing from 0 on each path) to the path's next
@@ -100,40 +100,28 @@ class SegmentTable:
                   for k, names in enumerate(TABLE_FIELDS) for name in names}
         return SegmentTable(self.horizon, counts=self.counts[:, start:stop], **fields)
 
-    def discounted_flow(self, q: float, horizon=None) -> tuple:
+    def discounted_flow(self, q: float) -> tuple:
         """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon] of
         each path, in closed form, as two (m,) arrays.
 
-        horizon is a stop time at most the table's horizon; atoms at the
-        stop time are included.  None integrates to the table's horizon;
-        math.inf extends each final segment forever (only meaningful for
-        jump-free deterministic paths, the caller is responsible).  Each
-        path is summed on its own, so its flows do not depend on the other
-        paths of the table.
+        One exp pass covers every knot, segment end and atom; np.bincount
+        then adds each path's segment terms and then its atom terms in
+        order, so a path's flows do not depend on the other paths.
         """
-        t_end = self.horizon if horizon is None else horizon
-        offs = self._offsets().T.tolist()
-        out = np.empty((2, self.counts.shape[1]))
-        for i in range(self.counts.shape[1]):
-            (s0, r0, l0), (s1, r1, l1) = offs[i], offs[i + 1]
-            seg_t, lrate, rrate = (a[s0:s1] for a in (self.seg_t, self.seg_lrate,
-                                                      self.seg_rrate))
-            t0 = np.minimum(seg_t, t_end)
-            t1 = np.minimum(np.append(seg_t[1:], self.horizon), t_end)
-            w = (np.exp(-q * t0) - np.exp(-q * t1)) / q
-            dl = float(np.sum(lrate * w))
-            dr = float(np.sum(rrate * w))
-            if t_end == math.inf:
-                dl += lrate[-1] * math.exp(-q * seg_t[-1]) / q - lrate[-1] * w[-1]
-                dr += rrate[-1] * math.exp(-q * seg_t[-1]) / q - rrate[-1] * w[-1]
-            l_atom_t, l_atom = self.l_atom_t[l0:l1], self.l_atom[l0:l1]
-            r_atom_t, r_atom = self.r_atom_t[r0:r1], self.r_atom[r0:r1]
-            keep_l = l_atom_t <= t_end
-            keep_r = r_atom_t <= t_end
-            dl += float(np.sum(np.exp(-q * l_atom_t[keep_l]) * l_atom[keep_l]))
-            dr += float(np.sum(np.exp(-q * r_atom_t[keep_r]) * r_atom[keep_r]))
-            out[:, i] = dl, dr
-        return out[0], out[1]
+        (seg_t, seg_path), (r_t, r_path), (l_t, l_path) = self.sources
+        ns, nr = seg_t.size, r_t.size
+        # the start and end of each segment, each path's last ending at the
+        # horizon, and each atom; then e^{-qt} in place, as tables are large
+        d = np.concatenate((seg_t, np.roll(seg_t, -1), r_t, l_t))
+        d[ns + np.cumsum(self.counts[0]) - 1] = self.horizon
+        np.exp(np.multiply(d, -q, out=d), out=d)
+        w, d1, r_d, l_d = np.split(d, np.cumsum((ns, ns, nr)))
+        np.subtract(w, d1, out=w)
+        w /= q
+        return tuple(np.bincount(np.concatenate((seg_path, path)),
+                                 np.concatenate((rate * w, disc * atom)), self.counts.shape[1])
+                     for rate, path, disc, atom in ((self.seg_lrate, l_path, l_d, self.l_atom),
+                                                    (self.seg_rrate, r_path, r_d, self.r_atom)))
 
 
 def path_keys(path, t):
@@ -199,7 +187,6 @@ def read_segments(tables, path, t, drivers=None):
         i, left = upto - 1, np.maximum(below - 1, (ends + 1 - n_seg)[path])
         dt = np.diff(seg_t, append=0.0)
         dt[ends] = tab.horizon - seg_t[ends]
-        dt = np.where(np.isfinite(dt), dt, 0.0)  # an infinite-horizon tail is never read
         l, r = (_lumps(rate * dt, n_seg, path, i) + rate[i] * (t - seg_t[i])
                 + _lumps(atom, n_atom, path, np.searchsorted(at, probes, "right"))
                 for rate, atom, n_atom, at in ((tab.seg_lrate, tab.l_atom, n_l, l_at),
@@ -433,27 +420,22 @@ def trajectory_table(columns: EventColumns, b, alpha, case: CaseLabel,
     Per event column it keeps each stretch that is a segment, and each lump
     above 0 as an atom at the column's time: the dividend at alpha = inf and
     the top-up with floor.  One stable sort by lane then makes the table
-    path-major, each path's entries in the order they came.  A drift to an
-    infinite horizon ends at 0 * inf or inf - inf, which is neither a
-    segment nor a lump; numpy is told not to warn of it.
+    path-major, each path's entries in the order they came.
     """
     lanes = np.arange(columns.counts.size)
     # per kind, one list per field: the lanes, then the fields in table order
     segs = [[] for _ in range(7)]
     r_atoms, l_atoms = ([[np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]]
                         for _ in range(2))
-    # None leaves numpy's setting as it is
-    with np.errstate(invalid="ignore" if columns.horizon == math.inf else None):
-        for stretches, te, dividend, topup in event_steps(columns, -0.0, b, alpha, case,
-                                                          floor):
-            for at, t, _, z, _, slope, lrate, rrate, branch, kept in stretches:
-                for into, a in zip(segs, (lanes[at], t, z, slope, branch, lrate, rrate)):
-                    into.append(a[kept])
-            for into, lumps in ((r_atoms, topup), (l_atoms, dividend)):
-                if lumps is not None:
-                    (k,) = np.nonzero(lumps > 0.0)
-                    for field, a in zip(into, (k, te[k], lumps[k])):
-                        field.append(a)
+    for stretches, te, dividend, topup in event_steps(columns, -0.0, b, alpha, case, floor):
+        for at, t, _, z, _, slope, lrate, rrate, branch, kept in stretches:
+            for into, a in zip(segs, (lanes[at], t, z, slope, branch, lrate, rrate)):
+                into.append(a[kept])
+        for into, lumps in ((r_atoms, topup), (l_atoms, dividend)):
+            if lumps is not None:
+                (k,) = np.nonzero(lumps > 0.0)
+                for field, a in zip(into, (k, te[k], lumps[k])):
+                    field.append(a)
     fields, counts = [], []
     for lane, *values in (segs, r_atoms, l_atoms):
         lane = np.concatenate(lane)

@@ -6,7 +6,8 @@ construction must satisfy path by path: shifted starts stay ordered with a
 conserved shift budget, trajectories under growing rate caps are ordered
 and converge to the reflected limit, and the empirical characteristic
 function matches the analytic exponent.  Exact-engine checks use absolute
-tolerance 1e-9.
+tolerance 1e-9; they draw through levy_model.sample_path, which raises
+ExactModeUnavailable for a model with sigma > 0.
 
 Each run sweeps every role once, over all its paths, into one
 path_engine.SegmentTable, and reads the tables BLOCK paths at a time, each
@@ -53,10 +54,6 @@ LADDER_PROPS = (
     "ladder_refracted", "ladder_surplus", "ladder_dividends",
     "ladder_injections", "ladder_value_monotone",
 )
-
-
-class EngineUnavailable(RuntimeError):
-    """Pathwise checks need the exact engine: sigma must be 0."""
 
 
 class InvalidLadder(ValueError):
@@ -260,8 +257,6 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     The shift l - k must lie strictly inside (0, b); relaxed lifts that to
     any l >= k, including the degenerate equal-start pair.
     """
-    if spec.sigma != 0.0:
-        raise EngineUnavailable("coupled pair checks need sigma = 0")
     shift = l - k
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
@@ -290,8 +285,6 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     and discounted values must not decrease along the ladder within paired
     noise.
     """
-    if spec.sigma != 0.0:
-        raise EngineUnavailable("ladder checks need sigma = 0")
     alphas = tuple(float(a) for a in alphas)
     if len(alphas) < 2 or any(a <= 0 for a in alphas):
         raise InvalidLadder("need at least two positive rungs")

@@ -48,22 +48,24 @@ class RefractedPath:
     l_atom: np.ndarray
 
     def discounted_flow(self, q: float, horizon=None) -> tuple:
-        """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon], in
-        closed form, as SegmentTable.discounted_flow gives them per path."""
+        """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon],
+        atoms at horizon included, in closed form: the segment terms and
+        then the atom terms added one by one, in time order.  At the
+        trajectory's own horizon (None) SegmentTable.discounted_flow gives
+        these flows per path, bit for bit."""
         t_end = self.horizon if horizon is None else horizon
         t0 = np.minimum(self.seg_t, t_end)
         t1 = np.minimum(np.append(self.seg_t[1:], self.horizon), t_end)
         w = (np.exp(-q * t0) - np.exp(-q * t1)) / q
-        dl = float(np.sum(self.seg_lrate * w))
-        dr = float(np.sum(self.seg_rrate * w))
-        if t_end == math.inf:
-            dl += self.seg_lrate[-1] * math.exp(-q * self.seg_t[-1]) / q - self.seg_lrate[-1] * w[-1]
-            dr += self.seg_rrate[-1] * math.exp(-q * self.seg_t[-1]) / q - self.seg_rrate[-1] * w[-1]
-        keep_l = self.l_atom_t <= t_end
-        keep_r = self.r_atom_t <= t_end
-        dl += float(np.sum(np.exp(-q * self.l_atom_t[keep_l]) * self.l_atom[keep_l]))
-        dr += float(np.sum(np.exp(-q * self.r_atom_t[keep_r]) * self.r_atom[keep_r]))
-        return dl, dr
+        flows = []
+        for rate, atom_t, atom in ((self.seg_lrate, self.l_atom_t, self.l_atom),
+                                   (self.seg_rrate, self.r_atom_t, self.r_atom)):
+            keep = atom_t <= t_end
+            total = 0.0
+            for term in np.concatenate((rate * w, np.exp(-q * atom_t[keep]) * atom[keep])):
+                total += term
+            flows.append(float(total))
+        return tuple(flows)
 
 
 def _sweep(path, b, alpha, sticky: bool, floor: bool) -> RefractedPath:

@@ -122,15 +122,16 @@ def test_04_drift_only_closed_forms():
                      RngStream(SEED, tag=44))
     # beta * exp(-q b) crosses 1 at ln(1.5)/0.05, next grid point is 8.11
     errs.append(abs(res.bstar_hat - 8.11))
-    v0 = value_curve([0.0], 1.0, ref_params(), desc, math.inf, 0, 1,
+    # the perpetual values at T = 1000, where e^{-qT} ~ 2e-22 is below their last bit
+    v0 = value_curve([0.0], 1.0, ref_params(), desc, 1000.0, 0, 1,
                      RngStream(SEED, tag=45), method="direct")[0][1]
     errs.append(abs(v0.mean - (-30.0)) / 30.0)
-    vcap = value_curve([0.0], 0.0, ref_params(), drift_only(2.0), math.inf,
+    vcap = value_curve([0.0], 0.0, ref_params(), drift_only(2.0), 1000.0,
                        0, 1, RngStream(SEED, tag=46), method="direct")[0][1]
     errs.append(abs(vcap.mean - 10.0) / 10.0)
     ok = max(errs) < TOL
-    detail = ("passage transform, threshold, perpetual values on drift-only "
-              "models: max err %.2e (limit 1e-09)" % max(errs))
+    detail = ("passage transform, threshold, perpetual values at T = 1000 on "
+              "drift-only models: max err %.2e (limit 1e-09)" % max(errs))
     assert record_acceptance(4, ok, detail), detail
 
 

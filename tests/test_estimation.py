@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, EventPath, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
+    EXACT, EventPath, Grid, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
     Weibull, _grid_increment_matrix, classify_case, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refract_exact, refracted_record_lows
+from levyrefract.properties_oracle import alpha_ladder_run, coupled_pair_run
 from levyrefract.strategy_engine import (
     StrategyParams, apply_strategy_exact, euler_lane_flows, euler_record_lows,
     euler_steps,
@@ -26,6 +27,9 @@ from oracles import first_passage_times
 
 Q = 0.05
 BETA = 1.5
+# e^{-Q T} is about 2e-22 here, below the last bit of the perpetual values
+# -BETA / Q and alpha / Q, so a value at T is the perpetual one
+PERPETUAL_T = 1000.0
 
 
 def params(b=1.0, alpha=0.5):
@@ -333,26 +337,55 @@ def test_euler_estimators_refuse_a_grid_without_steps(ref_spec_gauss, name):
     assert err.value.field_name == "k"
 
 
+HORIZON_CALLS = {
+    "nu_curve": lambda s, k, h: nu_curve(params(), s, [0.5, 1.0], h, k, 8,
+                                         RngStream(143, tag=1)),
+    "value_curve-direct": lambda s, k, h: value_curve([0.0, 0.5], 1.0, params(), s, h, k, 8,
+                                                      RngStream(143, tag=1), method="direct"),
+    "value_curve-spliced": lambda s, k, h: value_curve([0.0, 0.5], 1.0, params(), s, h, k, 8,
+                                                       RngStream(143, tag=1), method="spliced"),
+    "coupled_pair_run": lambda s, k, h: coupled_pair_run(s, params(), 0.0, 0.0, 0.4, h, 2,
+                                                         RngStream(143, tag=1)),
+    "alpha_ladder_run": lambda s, k, h: alpha_ladder_run(s, 1.0, (0.5, 1.0), 0.0, h, 2,
+                                                         RngStream(143, tag=1)),
+    "sample_path": lambda s, k, h: sample_path(s, h, Grid(k) if k else EXACT,
+                                               RngStream(143, tag=1)),
+}
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("engine", ["exact", "euler"])
+@pytest.mark.parametrize("name", sorted(HORIZON_CALLS))
+def test_a_horizon_outside_0_inf_is_refused(ref_spec_bv, ref_spec_gauss, name, engine,
+                                            horizon):
+    """Every sampler refuses the horizon, naming it, before it draws; the
+    pathwise runs on the diffusion model refuse it before the model."""
+    spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 10)
+    with pytest.raises(InvalidParameter) as err:
+        HORIZON_CALLS[name](spec, k, horizon)
+    assert err.value.field_name == "horizon"
+
+
 class TestValueEstimates:
     def test_perpetual_injection_value(self):
-        est = value_curve([0.0], 2.0, params(), drift_only(-1.0), math.inf,
+        est = value_curve([0.0], 2.0, params(), drift_only(-1.0), PERPETUAL_T,
                           0, 1, RngStream(130, tag=1), method="direct")[0][1]
         assert est.mean == pytest.approx(-BETA / Q, rel=1e-12)  # -30
         assert est.std_error == 0.0
 
     def test_perpetual_capped_dividend_value(self):
         est = value_curve([0.0], 0.0, params(b=0.0, alpha=0.5),
-                          drift_only(2.0), math.inf, 0, 1,
+                          drift_only(2.0), PERPETUAL_T, 0, 1,
                           RngStream(131, tag=1), method="direct")[0][1]
         assert est.mean == pytest.approx(0.5 / Q, rel=1e-12)  # 10
 
     def test_infinite_horizon_guards(self, ref_spec_bv):
-        with pytest.raises(InvalidParameter):
-            value_curve([0.0], 1.0, params(), ref_spec_bv, math.inf, 0, 1,
-                        RngStream(132, tag=1), method="direct")
-        with pytest.raises(InvalidParameter):
-            value_curve([0.0], 1.0, params(), drift_only(-1.0), math.inf, 0,
-                        1, RngStream(132, tag=1), method="spliced")
+        for spec, method in ((ref_spec_bv, "direct"), (drift_only(-1.0), "direct"),
+                             (drift_only(-1.0), "spliced")):
+            with pytest.raises(InvalidParameter) as err:
+                value_curve([0.0], 1.0, params(), spec, math.inf, 0, 1,
+                            RngStream(132, tag=1), method=method)
+            assert err.value.field_name == "horizon"
 
     def test_negative_start_is_affine(self, ref_spec_bv):
         rows = value_curve(np.array([-1.0, -0.25, 0.0]), 1.2, params(b=1.2),
@@ -389,7 +422,7 @@ class TestValueEstimates:
     def test_curve_csv(self):
         rows = [(0.5, 1.0,
                  value_curve([0.0], 2.0, params(), drift_only(-1.0),
-                             math.inf, 0, 1, RngStream(137, tag=1),
+                             PERPETUAL_T, 0, 1, RngStream(137, tag=1),
                              method="direct")[0][1],
                  "direct")]
         text = value_curve_csv(rows)

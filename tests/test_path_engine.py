@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from levyrefract.estimation import value_curve
 from levyrefract.levy_model import (
     EXACT, EventPath, InvalidParameter, RngStream, classify_case, sample_path,
 )
@@ -18,7 +17,7 @@ from levyrefract.path_engine import (
 from levyrefract.properties_oracle import draw_random_bv_setup
 from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
-from conftest import case_for, drift_only, drift_path, event_columns, one_path
+from conftest import case_for, drift_path, event_columns, one_path
 from oracles import (
     _sweep, construction_identity_residual, dividend_integral_path, dividends_at, end_value,
     first_passage_times, floor_decomposition, injections_at, left_limit_at, reference_table,
@@ -75,10 +74,11 @@ class TestRefractExact:
         assert dividends_at(traj, 10.0) == pytest.approx(0.3 * (5 - tb) + 0.3 * 3)
 
     def test_perpetual_sticky_flow(self):
-        # started at the threshold, the sticky stream pays delta forever
-        p = drift_path(0.3, 1.0, 10.0)
+        # started at the threshold, the sticky stream pays delta for good:
+        # e^{-0.05 * 1000} ~ 2e-22 is below the last bit of 0.3 / 0.05
+        p = drift_path(0.3, 1.0, 1000.0)
         traj = refract(p, b=1.0, alpha=0.5, case=case_for(0.3, 0.5))
-        (dl,), _ = traj.discounted_flow(0.05, horizon=math.inf)
+        (dl,), _ = traj.discounted_flow(0.05)
         assert dl == pytest.approx(0.3 / 0.05, rel=1e-12)
 
     def test_alpha_validation(self):
@@ -368,20 +368,22 @@ class TestDividendIntegralPath:
 
     def test_discounted_flow_matches_quadrature(self, ref_spec_bv):
         """Closed-form discounted flows against the midpoint rule on the
-        cumulative flows, up to the path horizon (None), an interior time,
-        and the times of the last injection and lump-dividend atoms, which
-        count at the stop time.  The two-sided limit carries lump dividends."""
+        cumulative flows: the table's up to the path horizon (None), and the
+        reference's up to an interior time and the times of the last
+        injection and lump-dividend atoms, which count at the stop time.
+        The two-sided limit carries lump dividends."""
         p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(91, tag=5, index=0))
-        refr = floored(p, b=1.0, alpha=0.5,
-                                         case=classify_case(ref_spec_bv, 0.5))
-        band = floored(p, 1.0, math.inf,
-                                         classify_case(ref_spec_bv, math.inf))
         q = 0.05
-        for traj in (refr, band):
+        for alpha in (0.5, math.inf):
+            case = classify_case(ref_spec_bv, alpha)
+            traj, ref = floored(p, 1.0, alpha, case), _sweep(p, 1.0, alpha, case.is_case2, True)
             stops = [None, 2.3, *traj.r_atom_t[-1:], *traj.l_atom_t[-1:]]
-            assert len(stops) == (3 if traj is refr else 4)
+            assert len(stops) == (3 if alpha == 0.5 else 4)
             for stop in stops:
-                (dl,), (dr,) = traj.discounted_flow(q, stop)
+                if stop is None:
+                    (dl,), (dr,) = traj.discounted_flow(q)
+                else:
+                    dl, dr = ref.discounted_flow(q, stop)
                 end = 5.0 if stop is None else stop
                 knots = traj.seg_t
                 grid = np.union1d(np.linspace(0, end, 20001), knots[knots <= end])
@@ -405,6 +407,18 @@ def assert_table_is_the_reference(table, paths, b, alpha, case, floor):
     assert np.array_equal(table.counts, want["counts"])
 
 
+def assert_flows_are_the_reference(table, paths, b, alpha, case, floor, q) -> int:
+    """The discounted flows of table equal, bit for bit, those of the
+    _sweep trajectory of each path, added up in order.  Returns the number
+    of paths without atoms."""
+    got, n_flat = table.discounted_flow(q), 0
+    for i, p in enumerate(paths):
+        ref = _sweep(p, b, alpha, case.is_case2, floor)
+        assert _bits([f[i] for f in got]).tolist() == _bits(ref.discounted_flow(q)).tolist(), i
+        n_flat += not (ref.l_atom.size or ref.r_atom.size)
+    return n_flat
+
+
 class TestTrajectoryTable:
     """The table reader of event_steps against the scalar sweep _sweep, the
     reference it replaces, bit for bit."""
@@ -414,7 +428,7 @@ class TestTrajectoryTable:
         own cap and at an infinite one, with and without the floor, from
         starts below 0, at 0, at b, inside (0, b) and above b."""
         rng = np.random.default_rng(20261019)
-        n_models = n_atoms = n_branches = 0
+        n_models = n_atoms = n_branches = n_flat = 0
         for j in range(120):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
             cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
@@ -426,10 +440,16 @@ class TestTrajectoryTable:
                     for floor in (False, True):
                         table = trajectory_table(cols, b, alpha, case, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, case, floor)
+                        n_flat += assert_flows_are_the_reference(table, paths, b, alpha, case,
+                                                                 floor, pp.q)
                         n_atoms += table.r_atom.size + table.l_atom.size
                         n_branches |= np.bitwise_or.reduce(1 << table.seg_branch)
+                        # a one-path table adds up its path alone
+                        one = trajectory_table(cols.block(2, 3), b, alpha, case, floor)
+                        assert_flows_are_the_reference(one, paths[2:3], b, alpha, case, floor,
+                                                       pp.q)
             n_models += 1
-        assert n_models >= 100 and n_atoms > 0 and n_branches == 0b1111
+        assert n_models >= 100 and n_atoms > 0 and n_branches == 0b1111 and n_flat > 0
 
     @pytest.mark.parametrize("b,jump_at", [(1e-300, 2.0), (1.0, 4.0)])
     def test_zero_length_segments(self, b, jump_at):
@@ -448,28 +468,18 @@ class TestTrajectoryTable:
             assert table.seg_v[table.seg_t == jump_at].tolist() == [b if jump_at < 4.0 else 0.0]
 
     @pytest.mark.filterwarnings("error")
-    def test_infinite_horizon_without_warnings(self):
-        """The perpetual values of the drift-only acceptance checks run
-        without a numpy warning, and every drift-only table at an infinite
-        horizon equals the reference, with its flows to infinity."""
-        for delta, b, want in ((-1.0, 1.0, -30.0), (2.0, 0.0, 10.0)):
-            pp = StrategyParams(b=b, alpha=0.5, beta=1.5, q=0.05)
-            ((_, est),) = value_curve([0.0], b, pp, drift_only(delta), math.inf, 0, 1,
-                                      RngStream(361, tag=1), method="direct")
-            assert est.mean == pytest.approx(want, rel=1e-12)
+    def test_drift_only_tables_without_warnings(self):
+        """Every drift-only table at a long horizon equals the reference,
+        with its flows, without a numpy warning."""
         for delta in (-1.0, 0.0, 0.3, 2.0):
             for alpha in (0.5, math.inf):
                 case = case_for(delta, alpha)
                 for b in (0.0, 1.0, math.inf):
                     for floor in (False, True):
-                        paths = [drift_path(delta, x, math.inf) for x in (-0.5, 0.0, 0.5, 1.0, 3.0)]
+                        paths = [drift_path(delta, x, 50.0) for x in (-0.5, 0.0, 0.5, 1.0, 3.0)]
                         table = trajectory_table(event_columns(paths), b, alpha, case, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, case, floor)
-                        got = table.discounted_flow(0.05, math.inf)
-                        for i, p in enumerate(paths):
-                            ref = _sweep(p, b, alpha, case.is_case2, floor)
-                            want = ref.discounted_flow(0.05, math.inf)
-                            assert _bits([f[i] for f in got]).tolist() == _bits(want).tolist()
+                        assert_flows_are_the_reference(table, paths, b, alpha, case, floor, 0.05)
 
 
 def _bits(a):

@@ -8,12 +8,12 @@ import pytest
 
 from levyrefract import levy_model, properties_oracle
 from levyrefract.levy_model import (
-    EXACT, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
+    EXACT, ExactModeUnavailable, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
     classify_case, sample_path,
 )
 from levyrefract.path_engine import read_segments, refract_exact, refracted_reflected_exact
 from levyrefract.properties_oracle import (
-    BLOCK, CharReport, EngineUnavailable, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
+    BLOCK, CharReport, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
     coupled_pair_run, draw_random_bv_setup, value_shape_check, violations_csv,
 )
@@ -81,7 +81,7 @@ class TestCoupledPair:
         assert rep.ok and rep.shift == 0.0
 
     def test_diffusion_models_rejected(self, ref_spec_gauss):
-        with pytest.raises(EngineUnavailable):
+        with pytest.raises(ExactModeUnavailable):
             coupled_pair_run(ref_spec_gauss, params(), 0.0, 0.0, 0.5, 3.0, 2,
                              RngStream(305, tag=1))
 
@@ -319,7 +319,7 @@ class TestAlphaLadder:
                              2, s)
 
     def test_diffusion_models_rejected(self, ref_spec_gauss):
-        with pytest.raises(EngineUnavailable):
+        with pytest.raises(ExactModeUnavailable):
             alpha_ladder_run(ref_spec_gauss, 1.0, (0.5, 1.0), 0.0, 2.0, 2,
                              RngStream(323, tag=1))
 

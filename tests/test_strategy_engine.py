@@ -82,9 +82,10 @@ class TestExactStrategy:
             assert traj.budget_residual() <= 1e-12
 
     def test_perpetual_negative_drift_injects_forever(self):
-        p = drift_path(-1.0, 0.0, math.inf)
+        # e^{-0.05 * 1000} ~ 2e-22 is below the last bit of 1 / 0.05
+        p = drift_path(-1.0, 0.0, 1000.0)
         traj = strategy(p, params(b=2.0), case_for(-1.0, 0.5))
-        (dl,), (dr,) = traj.discounted_flow(0.05, horizon=math.inf)
+        (dl,), (dr,) = traj.discounted_flow(0.05)
         assert dl == 0.0
         assert dr == pytest.approx(1.0 / 0.05, rel=1e-12)
 
