@@ -23,6 +23,7 @@ import numpy as np
 from .levy_model import (
     EXACT,
     Exponential,
+    Grid,
     HyperExponential,
     InvalidParameter,
     JumpDiffusionSpec,
@@ -339,36 +340,6 @@ def reference_case2_spec() -> JumpDiffusionSpec:
     return replace(reference_case1_spec(), sigma=1.0)
 
 
-def reference_config_text(case: int, n: int = 100_000, k: int = 10_000,
-                          seed: int = 20260101) -> str:
-    sigma = 0 if case == 1 else 1
-    bhi = 3.49 if case == 1 else 3.99
-    return "\n".join([
-        f"model.gamma = {REFERENCE_GAMMA!r}",
-        f"model.sigma = {sigma}",
-        "model.jump1.rate = 1.0",
-        "model.jump1.sign = +1",
-        "model.jump1.dist = uniform",
-        "model.jump1.params = 0, 1",
-        "model.jump2.rate = 1.0",
-        "model.jump2.sign = -1",
-        "model.jump2.dist = weibull",
-        "model.jump2.params = 2, 1",
-        "control.alpha = 0.5",
-        "control.beta = 1.5",
-        "control.q = 0.05",
-        "grid.T = 100",
-        f"grid.K = {k}",
-        f"mc.N = {n}",
-        f"mc.seed = {seed}",
-        f"task.b_grid = -1:0.01:{bhi}",
-        f"task.x_grid = -1:0.05:{bhi}",
-        "task.alphas = 0.5, 2, 8, 32, inf",
-        "task.x = 0.5",
-        f"task.b = {1.66 if case == 1 else 2.15}",
-    ]) + "\n"
-
-
 # SVG plots -----------------------------------------------------------------
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
@@ -605,7 +576,8 @@ def _run_sample_path(cfg, outs, seed, n, k, threads, desk):
         traj = ControlledTrajectory.from_exact(
             columns, apply_strategy_exact(columns, params, case), params)
     else:
-        traj = simulate_euler(cfg.spec.x0, params, cfg.spec, cfg.horizon, k, stream)
+        incs = sample_path(cfg.spec, cfg.horizon, Grid(k), stream)[0]
+        traj = simulate_euler(cfg.spec.x0, params, incs, cfg.horizon / k)
     plot = SvgPlot("Controlled surplus sample path", "t", "level")
     plot.line(traj.times, traj.z, _PALETTE[0], label="surplus")
     plot.line(traj.times, traj.l, _PALETTE[2], label="dividends", dashed=True)

@@ -4,7 +4,7 @@ Two engines sit behind every estimator as one sampler and two readers.
 Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
 the one jump draw of levy_model: as padded event columns (EventColumns)
 for the exact engine (sigma = 0), as an (m, k) increment matrix for the
-Euler engine; no Monte Carlo estimator builds an EventPath.
+Euler engine, the one draw format of each engine.
 _chunk_readers is the one dispatch between the engines.  It lays the
 chunks of a batch side by side, once, and reads them as LaneFlows, the
 discounted flows and passage times of floored (path, start, threshold)

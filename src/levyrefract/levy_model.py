@@ -4,18 +4,18 @@ A model is a drift, an optional Gaussian coefficient, and a finite list of
 compound-Poisson jump components with signed marks.  This module validates
 models, computes the bounded-variation net drift, classifies the regime
 relative to a dividend cap, evaluates the characteristic exponent, and
-samples paths either exactly (sigma = 0) or on a uniform grid.  Both
-samplers read one jump draw per stream (_jump_draw): Poisson counts of the
-m paths, uniform times and signed marks.  The grid bins it into steps; the
-exact mode scatters it into EventColumns, the padded event columns that the
-lane stepper of path_engine reads, and EventColumns.paths() gives the
-same events as EventPaths.
+samples m paths at once, in one draw format per engine: exactly (sigma = 0)
+as EventColumns, the padded event columns that the lane stepper of
+path_engine reads, or on a uniform grid as an (m, k) increment matrix.
+Both samplers read one jump draw per stream (_jump_draw): Poisson counts
+of the m paths, uniform times and signed marks.  The grid bins it into
+steps; the exact mode scatters it into the columns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,14 +30,6 @@ class InvalidParameter(ValueError):
     def __reduce__(self):
         # raised in a worker process, it comes back with its field name
         return type(self), (self.field_name, str(self))
-
-
-class InfiniteNegativeMean(ValueError):
-    """The negative-jump mark law has no finite mean.
-
-    Not reachable with the built-in mark families, which all have finite
-    means; the check exists so extension distributions are still caught.
-    """
 
 
 class QuadratureFailure(RuntimeError):
@@ -103,8 +95,10 @@ class Uniform(MarkDistribution):
     b: float
 
     def __post_init__(self):
-        _require(_finite(self.a) and self.a >= 0, "a", "Uniform lower bound must be >= 0")
-        _require(_finite(self.b) and self.b > self.a, "b", "Uniform upper bound must exceed the lower")
+        _require(_finite(self.a) and self.a >= 0, "a",
+                 "Uniform lower bound must be finite and >= 0")
+        _require(_finite(self.b) and self.b > self.a, "b",
+                 "Uniform upper bound must be finite and exceed the lower")
         _require_finite_mean(self, "b")
 
     def mean(self):
@@ -133,7 +127,8 @@ class Exponential(MarkDistribution):
     rho: float
 
     def __post_init__(self):
-        _require(_finite(self.rho) and self.rho > 0, "rho", "Exponential rate must be positive")
+        _require(_finite(self.rho) and self.rho > 0, "rho",
+                 "Exponential rate must be positive and finite")
         _require_finite_mean(self, "rho")
 
     def mean(self):
@@ -159,8 +154,10 @@ class Weibull(MarkDistribution):
     scale: float
 
     def __post_init__(self):
-        _require(_finite(self.shape) and self.shape > 0, "shape", "Weibull shape must be positive")
-        _require(_finite(self.scale) and self.scale > 0, "scale", "Weibull scale must be positive")
+        _require(_finite(self.shape) and self.shape > 0, "shape",
+                 "Weibull shape must be positive and finite")
+        _require(_finite(self.scale) and self.scale > 0, "scale",
+                 "Weibull scale must be positive and finite")
         _require_finite_mean(self, "shape")
 
     def mean(self):
@@ -219,11 +216,11 @@ class HyperExponential(MarkDistribution):
         _require(len(self.weights) == len(self.rates) and len(self.rates) > 0,
                  "weights", "weights and rates must be equal-length and non-empty")
         _require(all(_finite(w) and w > 0 for w in self.weights), "weights",
-                 "mixture weights must be positive")
+                 "mixture weights must be positive and finite")
         _require(abs(sum(self.weights) - 1.0) <= 1e-9, "weights",
                  "mixture weights must sum to 1")
         _require(all(_finite(r) and r > 0 for r in self.rates), "rates",
-                 "mixture rates must be positive")
+                 "mixture rates must be positive and finite")
         _require(all(r1 < r2 for r1, r2 in zip(self.rates, self.rates[1:])),
                  "rates", "mixture rates must be strictly increasing")
         _require_finite_mean(self, "rates")
@@ -251,7 +248,7 @@ class PointMass(MarkDistribution):
     c: float
 
     def __post_init__(self):
-        _require(_finite(self.c) and self.c > 0, "c", "point mass must be positive")
+        _require(_finite(self.c) and self.c > 0, "c", "point mass must be positive and finite")
 
     def mean(self):
         return self.c
@@ -357,8 +354,7 @@ def validate_spec(spec: JumpDiffusionSpec) -> ValidationReport:
         _require(isinstance(comp.marks, MarkDistribution), "marks",
                  f"component {i}: marks must be a MarkDistribution")
         m = comp.marks.mean()
-        if not math.isfinite(m):
-            raise InfiniteNegativeMean(f"component {i}: mark mean is not finite")
+        _require(math.isfinite(m), f"jump_components[{i}]", "the mark mean must be finite")
         if comp.sign < 0:
             neg_mean += comp.rate * m
             _require(math.isfinite(neg_mean), f"jump_components[{i}]",
@@ -457,58 +453,6 @@ class RngStream:
 
 
 @dataclass(frozen=True)
-class EventPath:
-    """Exact bounded-variation path: constant drift between timestamped jumps.
-
-    Value at t is x0 + drift*t + sum of jumps at times <= t (right-continuous).
-    """
-
-    x0: float
-    horizon: float
-    drift: float
-    times: np.ndarray = field(default_factory=lambda: np.empty(0))
-    sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.sizes, dtype=float)
-        if t.size and not np.all(np.diff(t) > 0):
-            raise InvalidParameter("times", "event times must be strictly increasing")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "sizes", s)
-
-    def value_at(self, t):
-        """Right-continuous value X_t."""
-        t = np.asarray(t, dtype=float)
-        idx = np.searchsorted(self.times, t, side="right")
-        jumps = np.concatenate(([0.0], np.cumsum(self.sizes)))
-        return self.x0 + self.drift * t + jumps[idx]
-
-    def to_grid(self, k: int) -> "GridPath":
-        """Evaluate on a uniform k-step grid (shared-noise discretization)."""
-        dt = self.horizon / k
-        grid = dt * np.arange(1, k + 1)
-        vals = self.value_at(grid)
-        incs = np.diff(np.concatenate(([self.x0], vals)))
-        return GridPath(self.x0, self.horizon, k, incs)
-
-
-@dataclass(frozen=True)
-class GridPath:
-    """Uniform-grid increments; the path at knot j is x0 plus the sum of the
-    first j increments."""
-
-    x0: float
-    horizon: float
-    k: int
-    increments: np.ndarray
-
-    @property
-    def dt(self) -> float:
-        return self.horizon / self.k
-
-
-@dataclass(frozen=True)
 class EventColumns:
     """The events of m exact paths, which share drift and horizon, as padded
     columns: path i starts at x0[i] and jumps by sizes[e, i] at times[e, i]
@@ -522,11 +466,6 @@ class EventColumns:
     counts: np.ndarray
     times: np.ndarray
     sizes: np.ndarray
-
-    def paths(self) -> list:
-        """The m paths as EventPaths."""
-        return [EventPath(x0, self.horizon, self.drift, self.times[:c, i], self.sizes[:c, i])
-                for i, (x0, c) in enumerate(zip(self.x0.tolist(), self.counts.tolist()))]
 
     def block(self, start: int, stop: int) -> "EventColumns":
         """Paths start to stop - 1 as EventColumns, with all the rows."""
@@ -607,50 +546,44 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
 
 
 def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream,
-                m: int | None = None):
-    """Draw a path of X on [0, horizon].  Deterministic in stream.
+                m: int = 1):
+    """Draw m paths of X on [0, horizon] from the one stream.  Deterministic
+    in stream.
 
-    Exact mode scatters _jump_draw into EventColumns: an integer m gives
-    the columns of m paths from the one stream, m = None its one path as an
-    EventPath.  Grid mode returns a GridPath, the one-path case of
+    Exact mode scatters _jump_draw into the EventColumns of the m paths;
+    Grid(k) mode returns the (m, k) increment matrix of
     _grid_increment_matrix.
     """
     _require_horizon(horizon)
+    if m < 1:
+        raise InvalidParameter("m", "path count must be >= 1")
     rng = stream.generator()
-    if isinstance(mode, Exact):
-        if spec.sigma > 0:
-            raise ExactModeUnavailable("exact sampling needs sigma = 0")
-        n = 1 if m is None else m
-        if n < 1:
-            raise InvalidParameter("m", "path count must be >= 1")
-        rows, times, sizes = _jump_draw(spec, horizon, n, rng)
-        counts = np.bincount(rows, minlength=n)
-        order = np.argsort(rows, kind="stable")  # by path, in draw order
-        rows = rows[order]
-        times = times[order]
-        sizes = sizes[order]
-        # one scatter: event e of path i, in draw order, to row e of column
-        # i, padded with inf while sorting so that no event ties with the
-        # padding (uniform(0, horizon) can return the horizon); then each
-        # column is sorted by time.  The dels keep one copy of the draw.
-        cells = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * n + rows
-        del order, rows
-        shape = (int(counts.max()) + 1, n)
-        t, s = np.full(shape, math.inf), np.zeros(shape)
-        np.put(t, cells, times)
-        np.put(s, cells, sizes)
-        del times, sizes, cells
-        by_time = np.argsort(t, axis=0)
-        t, s = np.take_along_axis(t, by_time, 0), np.take_along_axis(s, by_time, 0)
-        columns = EventColumns(np.full(n, float(spec.x0)), horizon, _compensated_drift(spec),
-                               counts, np.minimum(t, horizon, out=t), s)
-        return columns.paths()[0] if m is None else columns
-    if m is not None:
-        raise InvalidParameter("m", "only exact mode draws several paths")
     if isinstance(mode, Grid):
         if mode.k < 1:
             raise InvalidParameter("k", "grid steps must be >= 1")
-        incs = _grid_increment_matrix(spec, horizon, mode.k, 1, rng)[0]
-        return GridPath(spec.x0, horizon, mode.k, incs)
-    raise InvalidParameter("mode", "mode must be Exact or Grid(k)")
-
+        return _grid_increment_matrix(spec, horizon, mode.k, m, rng)
+    if not isinstance(mode, Exact):
+        raise InvalidParameter("mode", "mode must be Exact or Grid(k)")
+    if spec.sigma > 0:
+        raise ExactModeUnavailable("exact sampling needs sigma = 0")
+    rows, times, sizes = _jump_draw(spec, horizon, m, rng)
+    counts = np.bincount(rows, minlength=m)
+    order = np.argsort(rows, kind="stable")  # by path, in draw order
+    rows = rows[order]
+    times = times[order]
+    sizes = sizes[order]
+    # one scatter: event e of path i, in draw order, to row e of column
+    # i, padded with inf while sorting so that no event ties with the
+    # padding (uniform(0, horizon) can return the horizon); then each
+    # column is sorted by time.  The dels keep one copy of the draw.
+    cells = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * m + rows
+    del order, rows
+    shape = (int(counts.max()) + 1, m)
+    t, s = np.full(shape, math.inf), np.zeros(shape)
+    np.put(t, cells, times)
+    np.put(s, cells, sizes)
+    del times, sizes, cells
+    by_time = np.argsort(t, axis=0)
+    t, s = np.take_along_axis(t, by_time, 0), np.take_along_axis(s, by_time, 0)
+    return EventColumns(np.full(m, float(spec.x0)), horizon, _compensated_drift(spec),
+                        counts, np.minimum(t, horizon, out=t), s)

@@ -25,13 +25,9 @@ import numpy as np
 
 from .levy_model import (
     EXACT,
-    Exponential,
     InvalidParameter,
     JumpDiffusionSpec,
-    PointMass,
     RngStream,
-    Uniform,
-    Weibull,
     _grid_increment_matrix,
     characteristic_exponent,
     classify_case,
@@ -394,39 +390,3 @@ def value_shape_check(xs, means, ses, params: StrategyParams, bstar: float,
     over = slopes - (1.0 + slack_se * sse)
     out += _flag("value_slope_above_one_beyond", mid, over, (mid > bstar) & (over > 0))
     return ShapeReport(violations=tuple(out))
-
-
-def draw_random_bv_setup(rng: np.random.Generator):
-    """Random bounded-variation model plus a compatible strategy and starts.
-
-    Used by the randomized pathwise sweep: models span both drift regimes,
-    all mark families, and one- or two-component jump mixes.
-    """
-
-    def draw_marks():
-        u = rng.random()
-        if u < 0.25:
-            a = rng.uniform(0.0, 0.4)
-            return Uniform(a, a + rng.uniform(0.3, 1.2))
-        if u < 0.5:
-            return Exponential(rng.uniform(0.6, 2.5))
-        if u < 0.75:
-            return Weibull(rng.uniform(0.8, 2.5), rng.uniform(0.4, 1.3))
-        return PointMass(rng.uniform(0.2, 1.0))
-
-    comps = []
-    n_comp = 1 + int(rng.random() < 0.6)
-    signs = [1, -1] if n_comp == 2 else [1 if rng.random() < 0.5 else -1]
-    for sg in signs:
-        comps.append((rng.uniform(0.2, 1.3), sg, draw_marks()))
-    gamma = rng.uniform(-1.5, 1.5)
-    spec = JumpDiffusionSpec(gamma=gamma, sigma=0.0,
-                             jump_components=tuple(comps), x0=0.0)
-    alpha = rng.uniform(0.25, 1.6)
-    b = rng.uniform(0.3, 2.0)
-    params = StrategyParams(b=b, alpha=alpha, beta=rng.uniform(1.1, 2.5),
-                            q=rng.uniform(0.02, 0.2))
-    x = rng.uniform(-0.5, 1.5)
-    k = 0.0
-    l = rng.uniform(0.05, 0.95) * b
-    return spec, params, x, k, l

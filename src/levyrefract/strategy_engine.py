@@ -2,16 +2,18 @@
 
 A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
-non-negative.  The exact engine delegates to path_engine's floored
-transform: apply_strategy_exact returns the SegmentTable of the swept
-paths of one EventColumns draw, which the property oracle, sample-path
-(ControlledTrajectory.from_exact) and euler_exact_gap read through
-path_engine.read_segments.  The Monte Carlo estimators run the flows
-reader of the same lane stepper instead.  The Euler engine runs the discrete
-three-branch recursion on a time grid (euler_steps), and its two readers
-give the estimators what the two readers of path_engine.event_steps give
-them on event paths: euler_lane_flows the LaneFlows of floored lanes, and
-euler_record_lows the RecordLows of the paths refracted at 0.
+non-negative.  This module reads draws and never samples: each engine
+takes the one draw format of levy_model.sample_path.  The exact engine
+delegates to path_engine's floored transform: apply_strategy_exact returns
+the SegmentTable of the swept paths of one EventColumns draw, which the
+property oracle, sample-path (ControlledTrajectory.from_exact) and
+euler_exact_gap read through path_engine.read_segments.  The Monte Carlo
+estimators run the flows reader of the same lane stepper instead.  The
+Euler engine runs the discrete three-branch recursion on the rows of an
+increment matrix (euler_steps), and its two readers give the estimators
+what the two readers of path_engine.event_steps give them on event paths:
+euler_lane_flows the LaneFlows of floored lanes, and euler_record_lows the
+RecordLows of the paths refracted at 0.
 
 euler_lane_flows shares the lane bookkeeping of the exact flows reader
 (path_engine.Lanes): a spliced lane leaves the recursion once both its
@@ -29,16 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .levy_model import (
-    EXACT,
-    EventColumns,
-    GridPath,
-    Grid,
-    InvalidParameter,
-    JumpDiffusionSpec,
-    RngStream,
-    sample_path,
-)
+from .levy_model import EventColumns, InvalidParameter
 from . import path_engine
 from .path_engine import BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, SegmentTable
 
@@ -78,7 +71,6 @@ class ControlledTrajectory:
     r: np.ndarray
     branch: np.ndarray
     driver: np.ndarray
-    horizon: float
     params: StrategyParams
     kind: str  # "exact" or "euler"
 
@@ -98,14 +90,9 @@ class ControlledTrajectory:
             r=got.r,
             branch=branch,
             driver=driver,
-            horizon=table.horizon,
             params=params,
             kind="exact",
         )
-
-    def budget_residual(self) -> float:
-        """Max |Z - (driver - L + R)| over the sample grid."""
-        return float(np.max(np.abs(self.z - (self.driver - self.l + self.r))))
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -321,17 +308,13 @@ def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,
     return driver, driver - lhat + rhat, lhat, rhat, dl
 
 
-def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
-                   horizon: float, k: int, stream: RngStream,
-                   grid_path: GridPath | None = None) -> ControlledTrajectory:
-    """One path of the floored three-branch recursion: the one-row case of
-    _floored_euler.  A step is a top-up where R-hat grows."""
-    if grid_path is None:
-        grid_path = sample_path(spec, horizon, Grid(k), stream)
-    elif grid_path.k != k:
-        raise InvalidParameter("grid_path", "step count mismatch")
-    dt = grid_path.dt
-    driver, z, lhat, rhat, dl = _floored_euler(x, params, grid_path.increments[None, :], dt)
+def simulate_euler(x: float, params: StrategyParams, increments: np.ndarray,
+                   dt: float) -> ControlledTrajectory:
+    """One path of the floored three-branch recursion on one row of k
+    increments, steps of length dt: the one-row case of _floored_euler.  A
+    step is a top-up where R-hat grows."""
+    k = increments.size
+    driver, z, lhat, rhat, dl = _floored_euler(x, params, increments[None, :], dt)
     topped = np.diff(rhat[0], prepend=0.0) > 0
     branch = np.where(topped, BRANCH_FLOOR,
                       np.where(dl[0] > 0, BRANCH_ABOVE, BRANCH_INTERIOR))
@@ -342,24 +325,24 @@ def simulate_euler(x: float, params: StrategyParams, spec: JumpDiffusionSpec,
         r=rhat[0],
         branch=branch,
         driver=driver[0],
-        horizon=horizon,
         params=params,
         kind="euler",
     )
 
 
-def euler_exact_gap(spec: JumpDiffusionSpec, params: StrategyParams, case,
-                    x: float, horizon: float, k: int, n: int,
-                    stream: RngStream) -> np.ndarray:
+def euler_exact_gap(columns: EventColumns, params: StrategyParams, case,
+                    x: float, k: int) -> np.ndarray:
     """Sup distance between the Euler recursion and the exact trajectory
-    driven by the same sampled path, discretized with shared noise, for the
-    n paths of one draw on stream: one recursion pass over all n rows, and
-    one table of their swept trajectories, read at its knots."""
-    columns = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
-    dt = horizon / k
-    z = _floored_euler(x, params, np.stack([p.to_grid(k).increments for p in columns.paths()]),
-                       dt)[1]
+    started at x, for each path of columns (drawn at x0 = 0), over the knots
+    0..k-1 of a k-step grid: one read of the paths' swept table at knots
+    0..k gives the exact surplus and the driver, whose steps between knots
+    are the Euler increments (shared noise), for one recursion pass over
+    all the paths."""
+    n, dt = columns.counts.size, columns.horizon / k
     table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params, case)
-    (got,), _ = path_engine.read_segments([table], np.repeat(np.arange(n), k),
-                                          np.tile(np.arange(k) * dt, n))
-    return np.max(np.abs(z - got.z.reshape(n, k)), axis=1)
+    (got,), driver = path_engine.read_segments(
+        [table], np.repeat(np.arange(n), k + 1), np.tile(np.arange(k + 1) * dt, n), columns)
+    driver = driver.reshape(n, k + 1)
+    driver[:, 0] = columns.x0
+    z = _floored_euler(x, params, np.diff(driver, axis=1), dt)[1]
+    return np.max(np.abs(z - got.z.reshape(n, k + 1)[:, :k]), axis=1)

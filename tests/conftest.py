@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EventColumns, EventPath, JumpDiffusionSpec, Uniform, Weibull, classify_case,
+    EXACT, EventColumns, JumpDiffusionSpec, Uniform, Weibull, classify_case, sample_path,
 )
+
+from oracles import EventPath, event_paths
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -56,6 +58,12 @@ def drift_path(delta, x0, horizon, jumps=()):
     times = np.array([t for t, _ in jumps])
     sizes = np.array([s for _, s in jumps])
     return EventPath(x0=x0, horizon=horizon, drift=delta, times=times, sizes=sizes)
+
+
+def draw_path(spec, horizon, stream) -> EventPath:
+    """The one exact path that sample_path draws on stream, as an EventPath:
+    column 0 of its one-path EventColumns."""
+    return event_paths(sample_path(spec, horizon, EXACT, stream))[0]
 
 
 def event_columns(paths):

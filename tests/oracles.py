@@ -1,5 +1,10 @@
-"""The one-path scalar sweep, pure reference readers of swept
-trajectories, and test-only checks.
+"""The one-path reference formats and readers, the one-path scalar sweep,
+and test-only checks and fixtures.
+
+EventPath is one exact path: the hand-built path format of the tests, and
+the reference reader of one column of levy_model.EventColumns
+(event_paths).  Its to_grid gives the path's increments on a uniform grid,
+the reference for strategy_engine.euler_exact_gap's shared noise.
 
 _sweep is the event sweep of path_engine.event_steps written for one
 EventPath on Python floats, with the arithmetic of numpy float64; it
@@ -16,18 +21,69 @@ cumsum per call, and the tests hold the block reader to them bit for bit.
 They take a RefractedPath or a one-path SegmentTable, which have the same
 fields.  The construction identity residual recomputes a floored
 trajectory from its driver and dividends, independently of the sweep's
-injection bookkeeping.
+injection bookkeeping, and budget_residual checks the budget of a
+ControlledTrajectory.  draw_random_bv_setup draws the random models of the
+randomized sweeps, and reference_config_text writes the reference
+experiment as config text.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from levyrefract.cli_reporting import REFERENCE_GAMMA
+from levyrefract.levy_model import (
+    Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform, Weibull,
+)
 from levyrefract.path_engine import (
     BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime,
 )
 from levyrefract.properties_oracle import EXACT_TOL, _Block
+from levyrefract.strategy_engine import StrategyParams
+
+
+@dataclass(frozen=True)
+class EventPath:
+    """Exact bounded-variation path: constant drift between timestamped jumps.
+
+    Value at t is x0 + drift*t + sum of jumps at times <= t (right-continuous).
+    """
+
+    x0: float
+    horizon: float
+    drift: float
+    times: np.ndarray = field(default_factory=lambda: np.empty(0))
+    sizes: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)
+        s = np.asarray(self.sizes, dtype=float)
+        if t.size and not np.all(np.diff(t) > 0):
+            raise InvalidParameter("times", "event times must be strictly increasing")
+        object.__setattr__(self, "times", t)
+        object.__setattr__(self, "sizes", s)
+
+    def value_at(self, t):
+        """Right-continuous value X_t."""
+        t = np.asarray(t, dtype=float)
+        idx = np.searchsorted(self.times, t, side="right")
+        jumps = np.concatenate(([0.0], np.cumsum(self.sizes)))
+        return self.x0 + self.drift * t + jumps[idx]
+
+    def to_grid(self, k: int) -> np.ndarray:
+        """The k increments of the path on a uniform k-step grid
+        (shared-noise discretization)."""
+        dt = self.horizon / k
+        vals = self.value_at(dt * np.arange(1, k + 1))
+        return np.diff(np.concatenate(([self.x0], vals)))
+
+
+def event_paths(columns) -> list:
+    """The m paths of an EventColumns as EventPaths."""
+    return [EventPath(x0, columns.horizon, columns.drift, columns.times[:c, i],
+                      columns.sizes[:c, i])
+            for i, (x0, c) in enumerate(zip(columns.x0.tolist(), columns.counts.tolist()))]
 
 
 @dataclass(frozen=True)
@@ -352,3 +408,76 @@ def fixed_cap_violations(traj, alpha: float, tol: float = EXACT_TOL):
     blk = _Block([traj])
     resid = np.abs(blk.readings[0].l - alpha * blk.t)
     return blk.violations([("cap_rate_dividends", resid, resid > tol)])
+
+
+def budget_residual(traj) -> float:
+    """Max |Z - (driver - L + R)| of a ControlledTrajectory over its sample
+    grid."""
+    return float(np.max(np.abs(traj.z - (traj.driver - traj.l + traj.r))))
+
+
+def draw_random_bv_setup(rng: np.random.Generator):
+    """Random bounded-variation model plus a compatible strategy and starts.
+
+    Used by the randomized pathwise sweep: models span both drift regimes,
+    all mark families, and one- or two-component jump mixes.
+    """
+
+    def draw_marks():
+        u = rng.random()
+        if u < 0.25:
+            a = rng.uniform(0.0, 0.4)
+            return Uniform(a, a + rng.uniform(0.3, 1.2))
+        if u < 0.5:
+            return Exponential(rng.uniform(0.6, 2.5))
+        if u < 0.75:
+            return Weibull(rng.uniform(0.8, 2.5), rng.uniform(0.4, 1.3))
+        return PointMass(rng.uniform(0.2, 1.0))
+
+    comps = []
+    n_comp = 1 + int(rng.random() < 0.6)
+    signs = [1, -1] if n_comp == 2 else [1 if rng.random() < 0.5 else -1]
+    for sg in signs:
+        comps.append((rng.uniform(0.2, 1.3), sg, draw_marks()))
+    gamma = rng.uniform(-1.5, 1.5)
+    spec = JumpDiffusionSpec(gamma=gamma, sigma=0.0,
+                             jump_components=tuple(comps), x0=0.0)
+    alpha = rng.uniform(0.25, 1.6)
+    b = rng.uniform(0.3, 2.0)
+    params = StrategyParams(b=b, alpha=alpha, beta=rng.uniform(1.1, 2.5),
+                            q=rng.uniform(0.02, 0.2))
+    x = rng.uniform(-0.5, 1.5)
+    k = 0.0
+    l = rng.uniform(0.05, 0.95) * b
+    return spec, params, x, k, l
+
+
+def reference_config_text(case: int, n: int = 100_000, k: int = 10_000,
+                          seed: int = 20260101) -> str:
+    """The reference experiment of case 1 or 2 as config text."""
+    sigma = 0 if case == 1 else 1
+    bhi = 3.49 if case == 1 else 3.99
+    return "\n".join([
+        f"model.gamma = {REFERENCE_GAMMA!r}",
+        f"model.sigma = {sigma}",
+        "model.jump1.rate = 1.0",
+        "model.jump1.sign = +1",
+        "model.jump1.dist = uniform",
+        "model.jump1.params = 0, 1",
+        "model.jump2.rate = 1.0",
+        "model.jump2.sign = -1",
+        "model.jump2.dist = weibull",
+        "model.jump2.params = 2, 1",
+        "control.alpha = 0.5",
+        "control.beta = 1.5",
+        "control.q = 0.05",
+        "grid.T = 100",
+        f"grid.K = {k}",
+        f"mc.N = {n}",
+        f"mc.seed = {seed}",
+        f"task.b_grid = -1:0.01:{bhi}",
+        f"task.x_grid = -1:0.05:{bhi}",
+        "task.alphas = 0.5, 2, 8, 32, inf",
+        "task.x = 0.5",
+        f"task.b = {1.66 if case == 1 else 2.15}",
+    ]) + "\n"

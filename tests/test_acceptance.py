@@ -22,14 +22,13 @@ from levyrefract.path_engine import refracted_reflected_exact
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run,
-                                           draw_random_bv_setup,
                                            value_shape_check)
 from levyrefract.strategy_engine import (StrategyParams, apply_strategy_exact,
                                          euler_exact_gap)
 
-from conftest import FULL_SCALE, drift_only, event_columns, record_acceptance
-from oracles import (construction_identity_residual, fixed_cap_violations,
-                     running_floor_reflection, value_at)
+from conftest import FULL_SCALE, draw_path, drift_only, event_columns, record_acceptance
+from oracles import (construction_identity_residual, draw_random_bv_setup,
+                     fixed_cap_violations, running_floor_reflection, value_at)
 
 SEED = 20260822
 THREADS = 4
@@ -158,8 +157,8 @@ def test_05_randomized_models_pathwise_sweep():
                     if v.prop != "ladder_value_monotone")
         base = replace(spec, x0=0.0)
         case = classify_case(spec, params.alpha)
-        paths = [sample_path(replace(base, x0=x), horizon, EXACT,
-                             stream.with_tag(5).for_path(i)) for i in range(20)]
+        paths = [draw_path(replace(base, x0=x), horizon, stream.with_tag(5).for_path(i))
+                 for i in range(20)]
         table = refracted_reflected_exact(event_columns(paths), params.b,
                                           params.alpha, case)
         for i, path in enumerate(paths):
@@ -173,8 +172,8 @@ def test_05_randomized_models_pathwise_sweep():
         capped = net_drift(spec) > params.alpha
         if capped:
             table0 = refracted_reflected_exact(
-                event_columns([sample_path(replace(base, x0=abs(x)), horizon, EXACT,
-                                           stream.with_tag(6).for_path(i))
+                event_columns([draw_path(replace(base, x0=abs(x)), horizon,
+                                         stream.with_tag(6).for_path(i))
                                for i in range(10)]), 0.0, params.alpha, case)
             for i in range(10):
                 traj0 = table0.block(i, i + 1)
@@ -232,8 +231,8 @@ def test_07_euler_gap_shrinks_with_step_count():
     pp = ref_params(1.66)
     means = []
     for k in (100, 1000, 10000):
-        gaps = euler_exact_gap(spec, pp, case, 1.0, 10.0, k, 100,
-                               RngStream(SEED, tag=70 + k))
+        cols = sample_path(replace(spec, x0=0.0), 10.0, EXACT, RngStream(SEED, tag=70 + k), 100)
+        gaps = euler_exact_gap(cols, pp, case, 1.0, k)
         means.append(float(np.mean(gaps)))
     ok = means[0] > means[1] > means[2]
     detail = ("mean sup gap over 100 shared-noise paths: "

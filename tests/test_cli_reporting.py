@@ -1,5 +1,4 @@
 import json
-import math
 import os
 import re
 
@@ -9,11 +8,12 @@ import pytest
 from levyrefract import cli_reporting
 from levyrefract.cli_reporting import (
     ParseError, SUBCOMMANDS, SvgPlot, ValidationError, load_config, main,
-    parse_grid, reference_case1_spec, reference_case2_spec,
-    reference_config_text, run_experiment,
+    parse_grid, reference_case1_spec, reference_case2_spec, run_experiment,
 )
 from levyrefract.estimation import NoCrossing
-from levyrefract.levy_model import net_drift
+from levyrefract.levy_model import MarkDistribution, net_drift
+
+from oracles import reference_config_text
 
 BASE = """\
 model.gamma = -1.0
@@ -471,6 +471,34 @@ class TestMain:
                      .replace("model.jump2.params = 2, 1", "model.jump2.params = 1, 1e308"))
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "model.jump2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_a_non_finite_point_mass_says_finite(self, value, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1)
+                     .replace("model.jump2.dist = weibull", "model.jump2.dist = pointmass")
+                     .replace("model.jump2.params = 2, 1", "model.jump2.params = " + value))
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "model.jump2.params" in err and "finite" in err
+
+    @pytest.mark.parametrize("sign", ["+1", "-1"])
+    def test_an_infinite_mark_mean_exits_two(self, sign, tmp_path, capsys, monkeypatch):
+        """A mark law whose mean is not finite, which no built-in family
+        has, is refused naming its jump block."""
+        class HeavyTail(MarkDistribution):
+            def mean(self):
+                return float("inf")
+
+        build = cli_reporting._build_marks
+        monkeypatch.setattr(cli_reporting, "_build_marks", lambda prefix, items: (
+            HeavyTail() if prefix == "model.jump2" else build(prefix, items)))
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1).replace("model.jump2.sign = -1",
+                                                      "model.jump2.sign = " + sign))
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "model.jump2:" in err and "finite" in err
 
     def test_no_crossing_exits_one_with_the_reason(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"

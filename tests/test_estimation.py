@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, EventPath, Grid, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
+    EXACT, EventColumns, Grid, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
     Weibull, _grid_increment_matrix, classify_case, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
@@ -23,7 +23,7 @@ from levyrefract.estimation import (
 )
 
 from conftest import REFERENCE_GAMMA, drift_only, event_columns
-from oracles import first_passage_times
+from oracles import EventPath, event_paths, first_passage_times
 
 Q = 0.05
 BETA = 1.5
@@ -43,7 +43,7 @@ def draw(spec, pp, horizon, k=0, engine="exact"):
 
 def chunk_paths(spec, horizon, stream, ci, m):
     """Chunk ci's exact paths, as _chunk_readers draws them."""
-    return sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m).paths()
+    return event_paths(sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m))
 
 
 def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
@@ -623,21 +623,25 @@ class TestBatches:
             heights.append(h)
         assert min(heights) < len(cols.times) == max(heights)
 
-    def test_the_exact_estimators_build_no_event_path(self, ref_spec_bv, monkeypatch):
-        """The exact engine reads the columns sample_path draws: a two-chunk
-        batch is laid side by side, and no EventPath is made."""
-        def refuse(self):
-            raise AssertionError("an EventPath was built")
+    def test_the_exact_estimators_read_event_columns(self, ref_spec_bv, monkeypatch):
+        """The exact engine reads the columns sample_path draws, one call
+        per chunk of a two-chunk batch."""
+        draws = []
 
-        monkeypatch.setattr(EventPath, "__post_init__", refuse)
+        def columns(*args):
+            draws.append(sample_path(*args))
+            assert type(draws[-1]) is EventColumns and draws[-1].counts.size == args[4]
+            return draws[-1]
+
+        monkeypatch.setattr(estimation, "sample_path", columns)
         pp, stream = params(b=1.2), RngStream(182, tag=5)
         curve = nu_curve(pp, ref_spec_bv, np.linspace(0.0, 3.0, 7), 8.0, 0, 300, stream)
+        assert len(draws) == 2
         rows = value_curve([-0.4, 0.0, 0.6, 2.5], 1.2, pp, ref_spec_bv, 8.0, 0, 300, stream)
         clock = estimate_underline_nu(0.6, 1.2, 0.5, pp, ref_spec_bv, 8.0, 300, stream)
         assert np.all(np.isfinite(curve.values)) and len(rows) == 4
         assert 0.0 < clock.mean < BETA
-        with pytest.raises(AssertionError):
-            sample_path(ref_spec_bv, 8.0, EXACT, stream)
+        assert len(draws) > 4
 
     @pytest.mark.parametrize("engine", ["exact", "euler"])
     def test_no_byte_depends_on_batching_or_workers(self, ref_spec_bv, ref_spec_gauss,
@@ -724,7 +728,7 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     q = params.q
     cols = sample_path(base, horizon, EXACT, stream.for_path(ci), m)
     table = refract_exact(cols, 0.0, params.alpha, case)
-    for i, path in enumerate(cols.paths()):
+    for i, path in enumerate(event_paths(cols)):
         w = table.block(i, i + 1)
         ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w, path.times)
         # grid levels are -b; episode j covers b in [-min(hi,0), -lo)

@@ -14,12 +14,12 @@ from levyrefract import levy_model
 from levyrefract.levy_model import (
     EXACT,
     EventColumns,
-    EventPath,
     Exponential,
     Grid,
     HyperExponential,
     InvalidParameter,
     JumpDiffusionSpec,
+    MarkDistribution,
     PointMass,
     QuadratureFailure,
     RngStream,
@@ -34,7 +34,8 @@ from levyrefract.levy_model import (
     sample_path,
     validate_spec,
 )
-from conftest import REFERENCE_GAMMA, drift_only
+from conftest import REFERENCE_GAMMA, draw_path, drift_only
+from oracles import EventPath, event_paths
 
 # mass of Weibull(2,1) below 1, integral of x f(x) on [0,1), frozen from an
 # independent quadrature
@@ -174,6 +175,20 @@ class TestMarkDistributions:
             with pytest.raises(InvalidParameter):
                 make()
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("make,field", [
+        (lambda v: Uniform(v, 2.0), "a"), (lambda v: Uniform(0.0, v), "b"),
+        (lambda v: Exponential(v), "rho"),
+        (lambda v: Weibull(v, 1.0), "shape"), (lambda v: Weibull(2.0, v), "scale"),
+        (lambda v: HyperExponential((v,), (1.0,)), "weights"),
+        (lambda v: HyperExponential((1.0,), (v,)), "rates"),
+        (lambda v: PointMass(v), "c"),
+    ])
+    def test_non_finite_parameters_say_finite(self, make, field, bad):
+        with pytest.raises(InvalidParameter, match="finite") as err:
+            make(bad)
+        assert err.value.field_name == field
+
 
 class TestCharacteristicExponent:
     def test_zero_frequency_is_zero(self, ref_spec_bv):
@@ -233,6 +248,21 @@ class TestNetDriftAndCase:
         rep = validate_spec(ref_spec_bv)
         assert rep.negative_jump_mean == pytest.approx(math.gamma(1.5), abs=1e-9)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_an_infinite_mark_mean_names_its_component(self, sign):
+        """A mark law outside the built-in families whose mean is not
+        finite is refused as an invalid parameter of its component, for
+        either sign."""
+        class HeavyTail(MarkDistribution):
+            def mean(self):
+                return math.inf
+
+        spec = JumpDiffusionSpec(gamma=0.1, jump_components=(
+            (1.0, 1, Uniform(0.0, 1.0)), (0.5, sign, HeavyTail())))
+        with pytest.raises(InvalidParameter, match="finite") as err:
+            validate_spec(spec)
+        assert err.value.field_name == "jump_components[1]"
+
 
 class TestEventPath:
     def path(self):
@@ -253,11 +283,10 @@ class TestEventPath:
 
     def test_grid_restriction_agrees_with_values(self):
         p = self.path()
-        g = p.to_grid(40)
+        incs = p.to_grid(40)
         ts = np.arange(41) * p.horizon / 40
-        knots = np.concatenate(([0.0], np.cumsum(g.increments)))
-        assert g.x0 + knots[0] == p.x0
-        np.testing.assert_allclose(g.x0 + knots, p.value_at(ts), atol=1e-12)
+        knots = np.concatenate(([0.0], np.cumsum(incs)))
+        np.testing.assert_allclose(p.x0 + knots, p.value_at(ts), atol=1e-12)
 
     def test_event_times_must_increase(self):
         with pytest.raises(InvalidParameter):
@@ -283,8 +312,8 @@ class TestSampling:
         n, horizon = 3000, 4.0
         counts = np.empty(n)
         for i in range(n):
-            p = sample_path(ref_spec_bv, horizon, EXACT, RngStream(11, tag=1, index=i))
-            counts[i] = len(p.times)
+            cols = sample_path(ref_spec_bv, horizon, EXACT, RngStream(11, tag=1, index=i))
+            counts[i] = cols.counts[0]
         # both components at rate 1: total rate 2
         lam = 2 * horizon
         assert counts.mean() == pytest.approx(lam, abs=4 * math.sqrt(lam / n))
@@ -293,7 +322,7 @@ class TestSampling:
     def test_exact_interarrivals_exponential(self, ref_spec_bv):
         gaps = []
         for i in range(400):
-            p = sample_path(ref_spec_bv, 50.0, EXACT, RngStream(12, tag=2, index=i))
+            p = draw_path(ref_spec_bv, 50.0, RngStream(12, tag=2, index=i))
             gaps.extend(np.diff(p.times))
         stat = scipy.stats.kstest(np.asarray(gaps), scipy.stats.expon(scale=0.5).cdf)
         assert stat.pvalue > 0.01
@@ -304,8 +333,7 @@ class TestSampling:
         growth = 0.6 + (0.5 - math.gamma(1.5))
         n = 4000
         ends = np.array([
-            sample_path(ref_spec_bv, horizon, EXACT,
-                        RngStream(13, tag=3, index=i)).value_at(horizon)
+            draw_path(ref_spec_bv, horizon, RngStream(13, tag=3, index=i)).value_at(horizon)
             for i in range(n)])
         se = ends.std(ddof=1) / math.sqrt(n)
         assert ends.mean() == pytest.approx(growth * horizon, abs=4 * se)
@@ -314,8 +342,7 @@ class TestSampling:
         k, horizon, n = 64, 8.0, 1500
         dt = horizon / k
         incs = np.concatenate([
-            sample_path(ref_spec_gauss, horizon, Grid(k),
-                        RngStream(14, tag=4, index=i)).increments
+            sample_path(ref_spec_gauss, horizon, Grid(k), RngStream(14, tag=4, index=i))[0]
             for i in range(n)])
         growth = 0.6 + (0.5 - math.gamma(1.5))
         se = incs.std(ddof=1) / math.sqrt(len(incs))
@@ -338,30 +365,42 @@ class TestSampling:
             x0=rng.uniform(-1.0, 1.0))
         stream = RngStream(15, tag=spec_seed)
         for horizon, k, m in ((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3)):
-            paths = sample_path(spec, horizon, EXACT, stream, m).paths()
+            paths = event_paths(sample_path(spec, horizon, EXACT, stream, m))
             incs = _grid_increment_matrix(spec, horizon, k, m, stream.generator())
             assert len(paths) == m
             for p, row in zip(paths, incs):
                 assert p.x0 == spec.x0
-                np.testing.assert_allclose(p.to_grid(k).increments, row, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(p.to_grid(k), row, rtol=0, atol=1e-12)
 
     def test_one_path_is_the_one_path_draw(self, ref_spec_bv):
+        """Without m, exact mode draws the one-column EventColumns of m = 1."""
         stream = RngStream(16, tag=2)
         one = sample_path(ref_spec_bv, 5.0, EXACT, stream)
-        (first,) = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1).paths()
-        assert one.times.tobytes() == first.times.tobytes()
-        assert one.sizes.tobytes() == first.sizes.tobytes()
+        first = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1)
+        assert isinstance(one, EventColumns) and one.counts.size == 1
+        for name in ("x0", "counts", "times", "sizes"):
+            assert getattr(one, name).tobytes() == getattr(first, name).tobytes()
+        assert (one.horizon, one.drift) == (first.horizon, first.drift)
 
-    @pytest.mark.parametrize("mode,m", [(EXACT, 0), (Grid(4), 2)])
+    @pytest.mark.parametrize("spec_name", ["ref_spec_bv", "ref_spec_gauss"])
+    @pytest.mark.parametrize("k,m", [(1, 1), (7, 5), (300, 1)])
+    def test_grid_mode_is_the_increment_matrix(self, request, spec_name, k, m):
+        """Grid(k) mode returns the (m, k) matrix of _grid_increment_matrix
+        on the stream's generator, bit for bit, and no other format."""
+        spec = request.getfixturevalue(spec_name)
+        stream = RngStream(24, tag=k, index=m)
+        got = sample_path(spec, 5.0, Grid(k), stream, m)
+        want = _grid_increment_matrix(spec, 5.0, k, m, stream.generator())
+        assert type(got) is np.ndarray and got.shape == (m, k)
+        assert got.tobytes() == want.tobytes()
+        one = _grid_increment_matrix(spec, 5.0, k, 1, stream.generator())
+        assert sample_path(spec, 5.0, Grid(k), stream).tobytes() == one.tobytes()
+
+    @pytest.mark.parametrize("mode,m", [(EXACT, 0), (Grid(4), 0), (EXACT, -1), (Grid(4), -3)])
     def test_bad_path_counts(self, ref_spec_bv, mode, m):
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(InvalidParameter) as err:
             sample_path(ref_spec_bv, 5.0, mode, RngStream(17), m)
-
-    def test_grid_values_start_at_x0(self):
-        spec = drift_only(0.7, x0=1.2)
-        g = sample_path(spec, 2.0, Grid(10), RngStream(1))
-        knots = np.concatenate(([0.0], np.cumsum(g.increments)))
-        assert g.x0 + knots[0] == 1.2
+        assert err.value.field_name == "m"
 
 
 class TestEventColumns:
@@ -381,7 +420,7 @@ class TestEventColumns:
                                  jump_components=((0.4, -1, Uniform(0.0, 1.0)),))
         cols = sample_path(spec, 2.0, EXACT, RngStream(19), 64)
         assert 0 < np.count_nonzero(cols.counts == 0) < 64
-        for c, p in zip(cols.counts, cols.paths()):
+        for c, p in zip(cols.counts, event_paths(cols)):
             assert p.times.size == p.sizes.size == c
             assert np.all(p.sizes < 0.0)
         quiet = np.flatnonzero(cols.counts == 0)
@@ -429,7 +468,7 @@ class TestEventColumns:
         assert np.array_equal(cols.sizes[:300, 1], sizes[order])
         assert (cols.times[299, 1], cols.sizes[299, 1]) == (4.0, sizes[0])
         assert np.all(cols.times[300:, 1] == 4.0) and np.all(cols.sizes[300:, 1] == 0.0)
-        assert cols.paths()[1].value_at(4.0) == pytest.approx(0.4 + sizes[:300].sum())
+        assert event_paths(cols)[1].value_at(4.0) == pytest.approx(0.4 + sizes[:300].sum())
 
 class TestRngStream:
     def test_streams_are_stateless_and_keyed(self):

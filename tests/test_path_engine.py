@@ -6,22 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyrefract.levy_model import (
-    EXACT, EventPath, InvalidParameter, RngStream, classify_case, sample_path,
+    EXACT, InvalidParameter, RngStream, classify_case, sample_path,
 )
 from levyrefract import path_engine
 from levyrefract.path_engine import (
-    BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS, InvalidBarrier,
+    BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS, InvalidBarrier,
     floored_lane_sweep, read_segments, refract_exact, refracted_reflected_exact,
     trajectory_table,
 )
-from levyrefract.properties_oracle import draw_random_bv_setup
 from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
-from conftest import case_for, drift_path, event_columns, one_path
+from conftest import case_for, draw_path, drift_path, event_columns, one_path
 from oracles import (
-    _sweep, construction_identity_residual, dividend_integral_path, dividends_at, end_value,
-    first_passage_times, floor_decomposition, injections_at, left_limit_at, reference_table,
-    running_floor_reflection, running_inf_of_neg_part, value_at,
+    EventPath, _sweep, construction_identity_residual, dividend_integral_path, dividends_at,
+    draw_random_bv_setup, end_value, event_paths, first_passage_times, floor_decomposition,
+    injections_at, left_limit_at, reference_table, running_floor_reflection,
+    running_inf_of_neg_part, value_at,
 )
 
 # the transforms on one EventPath, through the src reader
@@ -165,7 +165,7 @@ class TestRefractedReflected:
         for alpha, b in ((0.5, 1.2), (0.7, 0.8)):
             case = classify_case(ref_spec_bv, alpha)
             for i in range(40):
-                p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(31, tag=2, index=i))
+                p = draw_path(ref_spec_bv, 5.0, RngStream(31, tag=2, index=i))
                 traj = floored(p, b=b, alpha=alpha, case=case)
                 assert construction_identity_residual(p, traj) <= 1e-12
 
@@ -227,7 +227,7 @@ class TestReflectionLimits:
         rate-unbounded limit is non-increasing.  It need not vanish: an
         up-jump from just below b lands the same distance above b at every
         finite rate."""
-        p = sample_path(ref_spec_bv, 6.0, EXACT, RngStream(77, tag=3, index=4))
+        p = draw_path(ref_spec_bv, 6.0, RngStream(77, tag=3, index=4))
         limit = refract(p, 1.0, math.inf, classify_case(ref_spec_bv, math.inf))
         ts = np.union1d(np.linspace(0, 6.0, 601), limit.seg_t)
         gaps = []
@@ -253,7 +253,7 @@ class TestReflectionLimits:
                                    atol=1e-12)
 
     def test_running_inf_matches_brute_force(self, ref_spec_bv):
-        p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(78, tag=3, index=9))
+        p = draw_path(ref_spec_bv, 5.0, RngStream(78, tag=3, index=9))
         traj = refract(p, b=0.8, alpha=0.5, case=classify_case(ref_spec_bv, 0.5))
         # linear pieces attain extrema at segment ends, so a grid containing
         # every segment time sees the true minimum via left limits
@@ -343,7 +343,7 @@ class TestFloorDecomposition:
 
     def test_three_components_sum_to_the_infimum(self, ref_spec_bv):
         for i in range(25):
-            p = sample_path(ref_spec_bv, 4.0, EXACT, RngStream(55, tag=4, index=i))
+            p = draw_path(ref_spec_bv, 4.0, RngStream(55, tag=4, index=i))
             p = replace(p, x0=p.x0 - 0.8)
             dec = running_floor_reflection(p)
             ts = np.linspace(0.0, 4.0, 41)
@@ -372,7 +372,7 @@ class TestDividendIntegralPath:
         reference's up to an interior time and the times of the last
         injection and lump-dividend atoms, which count at the stop time.
         The two-sided limit carries lump dividends."""
-        p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(91, tag=5, index=0))
+        p = draw_path(ref_spec_bv, 5.0, RngStream(91, tag=5, index=0))
         q = 0.05
         for alpha in (0.5, math.inf):
             case = classify_case(ref_spec_bv, alpha)
@@ -433,7 +433,7 @@ class TestTrajectoryTable:
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
             cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
             cols = replace(cols, x0=np.array([x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b]))
-            paths = cols.paths()
+            paths = event_paths(cols)
             for b in (0.0, pp.b, math.inf):
                 for alpha in (pp.alpha, math.inf):
                     case = classify_case(spec, alpha)
@@ -504,7 +504,7 @@ class TestReadSegments:
             np.testing.assert_array_equal(got.knot[on], np.isin(ts, traj.seg_t))
             if drivers is not None:
                 np.testing.assert_array_equal(_bits(driver[on]),
-                                              _bits(drivers.paths()[i].value_at(ts)))
+                                              _bits(event_paths(drivers)[i].value_at(ts)))
         return got
 
     @staticmethod

@@ -15,13 +15,14 @@ from levyrefract.path_engine import read_segments, refract_exact, refracted_refl
 from levyrefract.properties_oracle import (
     BLOCK, CharReport, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
-    coupled_pair_run, draw_random_bv_setup, value_shape_check, violations_csv,
+    coupled_pair_run, value_shape_check, violations_csv,
 )
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
 from conftest import case_for, drift_only, drift_path, event_columns, one_path
 from oracles import (
-    dividends_at, fixed_cap_violations, injections_at, left_limit_at, value_at,
+    dividends_at, draw_random_bv_setup, event_paths, fixed_cap_violations, injections_at,
+    left_limit_at, value_at,
 )
 
 
@@ -194,7 +195,7 @@ class TestBlockCheck:
             roles = (refracted_reflected_exact(cols, b, alpha, case),
                      refract_exact(replace(cols, x0=cols.x0 + 0.3), b, alpha, case))
             blk = _Block(roles, cols)
-            for i, path in enumerate(cols.paths()):
+            for i, path in enumerate(event_paths(cols)):
                 on = blk.path == i
                 trajs = [table.block(i, i + 1) for table in roles]
                 ts = _probe_times(trajs, path.horizon)
@@ -235,7 +236,7 @@ class TestBlockCheck:
                 drivers = replace(cols, x0=cols.x0 + (x + k + 0.01))
                 shift = 0.5 * (l - k)
                 want = []
-                for i, d in enumerate(drivers.paths()):
+                for i, d in enumerate(event_paths(drivers)):
                     want += _pair_check(tk.block(i, i + 1), tl.block(i, i + 1), shift, pp.b, d)
                 assert {v.prop for v in want} >= {"pair_budget", "budget"}
                 assert check_pair(tk, tl, shift, pp.b, drivers) == want

@@ -5,20 +5,20 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, Grid, GridPath, InvalidParameter, RngStream,
-    classify_case, sample_path,
+    EXACT, Grid, InvalidParameter, RngStream, classify_case, sample_path,
 )
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, refract_exact,
 )
-from levyrefract.properties_oracle import draw_random_bv_setup
 from levyrefract.strategy_engine import (
     ControlledTrajectory, StrategyParams, apply_strategy_exact,
     euler_exact_gap, euler_steps, simulate_euler,
 )
 
-from conftest import case_for, drift_only, drift_path, event_columns, one_path
-from oracles import first_passage_times, value_at
+from conftest import case_for, draw_path, drift_path, event_columns, one_path
+from oracles import (
+    budget_residual, draw_random_bv_setup, event_paths, first_passage_times, value_at,
+)
 
 # the transforms on one EventPath, through the src reader
 refract = one_path(refract_exact)
@@ -55,11 +55,11 @@ class TestExactStrategy:
         assert traj.z[i] == pytest.approx(1.6)
         assert traj.l[i] == pytest.approx(1.0)
         assert traj.r[i] == pytest.approx(0.1)
-        assert traj.budget_residual() <= 1e-12
+        assert budget_residual(traj) <= 1e-12
         # the residual reads every knot, not only the end point
         z = traj.z.copy()
         z[1] += 0.25
-        assert replace(traj, z=z).budget_residual() == pytest.approx(0.25)
+        assert budget_residual(replace(traj, z=z)) == pytest.approx(0.25)
 
     def test_infinite_cap_degenerates_to_the_band(self):
         p = event_columns([drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])])
@@ -79,7 +79,7 @@ class TestExactStrategy:
             pp = params(b=1.2)
             traj = ControlledTrajectory.from_exact(
                 p, apply_strategy_exact(p, pp, case), pp)
-            assert traj.budget_residual() <= 1e-12
+            assert budget_residual(traj) <= 1e-12
 
     def test_perpetual_negative_drift_injects_forever(self):
         # e^{-0.05 * 1000} ~ 2e-22 is below the last bit of 1 / 0.05
@@ -168,8 +168,7 @@ class TestPassageReaderParity:
                  b + rng.uniform(0.05, 1.0))[d % 5]
             pp = replace(pp, b=b)
             case = classify_case(spec, pp.alpha)
-            path = sample_path(replace(spec, x0=x), 10.0, EXACT,
-                               RngStream(77, tag=9, index=d))
+            path = draw_path(replace(spec, x0=x), 10.0, RngStream(77, tag=9, index=d))
             strict, weak = first_passage_below_reference(
                 refract(path, b, pp.alpha, case), 0.0)
             pt = first_passage_times(strategy(path, pp, case))
@@ -183,16 +182,13 @@ class TestPassageReaderParity:
         assert n_pos >= 3000 and n_zero > 0 and n_fixed > 0
 
 
-class TestEulerRecursion:
-    def hand_grid(self):
-        incs = np.array([-2.0, 1.0, 2.0, 0.0, -0.5])
-        return GridPath(x0=0.0, horizon=5.0, k=5, increments=incs)
+HAND_INCS = np.array([-2.0, 1.0, 2.0, 0.0, -0.5])  # five steps of length 1
 
+
+class TestEulerRecursion:
     def test_three_branch_recursion_by_hand(self):
         """One step per branch: top-up, carry-over, capped dividend."""
-        gp = self.hand_grid()
-        traj = simulate_euler(1.0, params(b=1.5, alpha=0.5), drift_only(0.0),
-                              5.0, 5, RngStream(1), grid_path=gp)
+        traj = simulate_euler(1.0, params(b=1.5, alpha=0.5), HAND_INCS, 1.0)
         np.testing.assert_allclose(traj.times, [0, 1, 2, 3, 4])
         np.testing.assert_allclose(traj.z, [1.0, 0.0, 1.0, 2.5, 2.0])
         np.testing.assert_allclose(traj.l, [0.0, 0.0, 0.0, 0.5, 1.0])
@@ -203,41 +199,31 @@ class TestEulerRecursion:
              BRANCH_ABOVE])
 
     def test_infinite_cap_projects_onto_the_threshold(self):
-        gp = self.hand_grid()
-        traj = simulate_euler(1.0, params(b=1.5, alpha=math.inf), drift_only(0.0),
-                              5.0, 5, RngStream(1), grid_path=gp)
+        traj = simulate_euler(1.0, params(b=1.5, alpha=math.inf), HAND_INCS, 1.0)
         # last step ties with b exactly and carries over
         np.testing.assert_allclose(traj.z, [1.0, 0.0, 1.0, 1.5, 1.5])
         np.testing.assert_allclose(traj.l, [0.0, 0.0, 0.0, 1.5, 1.5])
 
     def test_negative_start_tops_up_at_step_zero(self):
-        gp = GridPath(x0=0.0, horizon=2.0, k=2, increments=np.array([0.5, 0.5]))
-        traj = simulate_euler(-0.7, params(), drift_only(0.0), 2.0, 2,
-                              RngStream(1), grid_path=gp)
+        traj = simulate_euler(-0.7, params(), np.array([0.5, 0.5]), 1.0)
         assert traj.r[0] == pytest.approx(0.7)
         assert traj.z[0] == 0.0
         assert traj.branch[0] == BRANCH_FLOOR
 
-    def test_grid_path_step_count_must_match(self):
-        with pytest.raises(InvalidParameter):
-            simulate_euler(1.0, params(), drift_only(0.0), 5.0, 10,
-                           RngStream(1), grid_path=self.hand_grid())
-
     def test_csv_shape(self):
-        traj = simulate_euler(1.0, params(b=1.5, alpha=0.5), drift_only(0.0),
-                              5.0, 5, RngStream(1), grid_path=self.hand_grid())
+        traj = simulate_euler(1.0, params(b=1.5, alpha=0.5), HAND_INCS, 1.0)
         lines = traj.to_csv().strip().splitlines()
         assert lines[0] == "t,Z,L,R,branch"
         assert len(lines) == 6
 
     def test_budget_identity_on_sampled_grids(self, ref_spec_bv):
         for i in range(10):
-            s = RngStream(43, tag=7, index=i)
-            traj = simulate_euler(0.5, params(b=1.2), ref_spec_bv, 5.0, 500, s)
+            incs = sample_path(ref_spec_bv, 5.0, Grid(500), RngStream(43, tag=7, index=i))[0]
+            traj = simulate_euler(0.5, params(b=1.2), incs, 5.0 / 500)
             assert np.min(traj.z) >= 0.0
             assert np.all(np.diff(traj.l) >= 0)
             assert np.all(np.diff(traj.r) >= 0)
-            assert traj.budget_residual() <= 1e-12
+            assert budget_residual(traj) <= 1e-12
 
 
 def reference_euler(x, xs, b, alpha, dt):
@@ -269,16 +255,17 @@ def reference_euler(x, xs, b, alpha, dt):
 
 
 def hand_grids():
-    # dyadic steps, so the state lands exactly on 0 and on b = 1.5
-    yield GridPath(0.0, 5.0, 5, np.array([-2.0, 1.0, 2.0, 0.0, -0.5]))
-    yield GridPath(0.0, 10.0, 10, np.array(
-        [0.25, 0.25, 0.5, -1.0, -0.5, 0.5, 1.0, 0.0, -2.0, 0.75]))
-    yield GridPath(0.0, 1.0, 1, np.array([3.0]))
+    """(increments, dt) of unit steps; dyadic, so the state lands exactly
+    on 0 and on b = 1.5."""
+    yield HAND_INCS, 1.0
+    yield np.array([0.25, 0.25, 0.5, -1.0, -0.5, 0.5, 1.0, 0.0, -2.0, 0.75]), 1.0
+    yield np.array([3.0]), 1.0
 
 
 def random_grids(spec):
+    """(increments, dt) of 20 one-path draws of 300 steps on [0, 5]."""
     for i in range(20):
-        yield sample_path(spec, 5.0, Grid(300), RngStream(61, tag=2, index=i))
+        yield sample_path(spec, 5.0, Grid(300), RngStream(61, tag=2, index=i))[0], 5.0 / 300
 
 
 class TestEulerKernel:
@@ -290,18 +277,17 @@ class TestEulerKernel:
     def test_bitwise_equal_to_the_scalar_loop(self, ref_spec_gauss, x, alpha):
         sp = params(b=1.5, alpha=alpha)
         grids = list(hand_grids()) + list(random_grids(ref_spec_gauss))
-        for gp in grids:
-            traj = simulate_euler(x, sp, ref_spec_gauss, gp.horizon, gp.k,
-                                  RngStream(1), grid_path=gp)
-            xs = np.concatenate(([0.0], np.cumsum(gp.increments)))[:gp.k]
-            z, lhat, rhat, branch = reference_euler(x, xs, sp.b, alpha, gp.dt)
+        for incs, dt in grids:
+            traj = simulate_euler(x, sp, incs, dt)
+            xs = np.concatenate(([0.0], np.cumsum(incs)))[:incs.size]
+            z, lhat, rhat, branch = reference_euler(x, xs, sp.b, alpha, dt)
             assert traj.z.tobytes() == z.tobytes()
             assert traj.l.tobytes() == lhat.tobytes()
             assert traj.r.tobytes() == rhat.tobytes()
             np.testing.assert_array_equal(traj.branch, branch)
 
     def test_rows_are_independent(self, ref_spec_gauss):
-        incs = np.stack([gp.increments for gp in random_grids(ref_spec_gauss)])
+        incs = np.stack([row for row, _ in random_grids(ref_spec_gauss)])
         # the yielded arrays are overwritten at the next step: keep copies
         batch = [tuple(a.copy() for a in step)
                  for step in euler_steps(0.3, incs, 1.0, 0.5, 5.0 / 300, floor=True)]
@@ -314,7 +300,7 @@ class TestEulerKernel:
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("floor", [True, False])
     def test_points_broadcast_like_scalar_runs(self, ref_spec_gauss, floor, alpha):
-        incs = np.stack([gp.increments for gp in random_grids(ref_spec_gauss)])
+        incs = np.stack([row for row, _ in random_grids(ref_spec_gauss)])
         xs = [-0.7, 0.0, 0.0, 0.5, 1.5, 2.25]
         bs = [1.5, 0.0, 1.5, 1.0, 1.5, 0.75]
         batch = euler_steps(np.array(xs)[:, None], incs, np.array(bs)[:, None],
@@ -336,11 +322,10 @@ class TestEulerKernel:
         assert state[0] == pytest.approx(0.2 - 2.5)
 
 
-def one_path_gap(spec, sp, case, x, horizon, k, path, stream):
+def one_path_gap(sp, case, x, k, path):
     """The sup gap of one path, sampled at 0, through simulate_euler, the
-    one-row case of the recursion."""
-    euler = simulate_euler(x, sp, spec, horizon, k, stream,
-                           grid_path=path.to_grid(k))
+    one-row case of the recursion, on the path's increments from to_grid."""
+    euler = simulate_euler(x, sp, path.to_grid(k), path.horizon / k)
     zex = value_at(strategy(replace(path, x0=path.x0 + x), sp, case), euler.times)
     return np.max(np.abs(euler.z - zex))
 
@@ -350,9 +335,9 @@ class TestEulerExactGap:
         case = classify_case(ref_spec_bv, 0.5)
         sp = params(b=1.2)
         means = []
+        cols = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, RngStream(47, tag=9), 30)
         for k in (50, 400, 3200):
-            gaps = euler_exact_gap(ref_spec_bv, sp, case, 0.5, 5.0, k, 30,
-                                   RngStream(47, tag=9))
+            gaps = euler_exact_gap(cols, sp, case, 0.5, k)
             means.append(np.mean(gaps))
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.02
@@ -362,11 +347,9 @@ class TestEulerExactGap:
     def test_batch_equals_one_path_runs_bitwise(self, ref_spec_bv, x, alpha):
         case = classify_case(ref_spec_bv, alpha)
         sp = params(b=1.2, alpha=alpha)
-        stream = RngStream(48, tag=9)
+        cols = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, RngStream(48, tag=9), 12)
         for k in (50, 400):
-            gaps = euler_exact_gap(ref_spec_bv, sp, case, x, 5.0, k, 12, stream)
+            gaps = euler_exact_gap(cols, sp, case, x, k)
             assert gaps.shape == (12,)
-            paths = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, stream, 12).paths()
-            want = [one_path_gap(ref_spec_bv, sp, case, x, 5.0, k, p, stream)
-                    for p in paths]
+            want = [one_path_gap(sp, case, x, k, p) for p in event_paths(cols)]
             assert gaps.tobytes() == np.array(want).tobytes()
