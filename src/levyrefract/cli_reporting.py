@@ -31,7 +31,7 @@ from .levy_model import (
     RngStream,
     Uniform,
     Weibull,
-    classify_case,
+    is_case2,
     net_drift,
     sample_path,
     validate_spec,
@@ -311,6 +311,9 @@ def load_config(source: str) -> ExperimentConfig:
         raise ValidationError("task.competing_b", "each must be finite and >= 0")
     if "alphas" in task and not all(a > 0 for a in _to_list("task.alphas", task["alphas"])):
         raise ValidationError("task.alphas", "each rate cap must be > 0 (inf allowed)")
+    for key in ("b_grid", "x_grid"):
+        if key in task:
+            parse_grid("task." + key, task[key])
     engine = task.get("engine", "auto").lower()
     if engine not in ("auto", "exact", "euler"):
         raise ValidationError("task.engine", "must be auto, exact, or euler")
@@ -550,11 +553,10 @@ def _version() -> str:
 
 def _run_validate(cfg, outs, seed, n, k, threads, desk):
     rep = validate_spec(cfg.spec)
-    case = classify_case(cfg.spec, cfg.alpha)
     delta = net_drift(cfg.spec)
     lines = [
         "ok = true",  # validate_spec raises on every failed check
-        "case = %s" % case.label,
+        "case = Case%d" % (2 if is_case2(delta, cfg.alpha) else 1),
         "net_drift = %s" % ("none" if delta is None else "%.17g" % delta),
         "negative_jump_mean = %.17g" % rep.negative_jump_mean,
         "engine = %s" % _engine_for(cfg.spec, cfg.task_str("engine", "auto")),
@@ -571,10 +573,8 @@ def _run_sample_path(cfg, outs, seed, n, k, threads, desk):
     stream = RngStream(seed, tag=1)
     eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
     if eng == "exact":
-        case = classify_case(cfg.spec, cfg.alpha)
         columns = sample_path(cfg.spec, cfg.horizon, EXACT, stream, 1)
-        traj = ControlledTrajectory.from_exact(
-            columns, apply_strategy_exact(columns, params, case), params)
+        traj = ControlledTrajectory.from_exact(columns, apply_strategy_exact(columns, params))
     else:
         incs = sample_path(cfg.spec, cfg.horizon, Grid(k), stream)[0]
         traj = simulate_euler(cfg.spec.x0, params, incs, cfg.horizon / k)
@@ -732,11 +732,10 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
                                       max(n, 40_000), RngStream(seed, tag=7))
     # negative control: a correct coupled pair checked against a mis-stated
     # shift must break the budget relation on any model
-    case = classify_case(cfg.spec, cfg.alpha)
     cols = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT, RngStream(seed, tag=8), 1)
     lower = replace(cols, x0=cols.x0 + x)
-    tk = apply_strategy_exact(lower, cfg.params_for(b), case)
-    tl = apply_strategy_exact(replace(lower, x0=lower.x0 + shift), cfg.params_for(b), case)
+    tk = apply_strategy_exact(lower, cfg.params_for(b))
+    tl = apply_strategy_exact(replace(lower, x0=lower.x0 + shift), cfg.params_for(b))
     control = oracle.check_pair(tk, tl, 0.5 * shift, b)
     lines = [line for rep in reports for line in rep.summary_lines()]
     if len(rungs) == 1:

@@ -50,7 +50,8 @@ from .levy_model import (
     JumpDiffusionSpec,
     RngStream,
     _grid_increment_matrix,
-    classify_case,
+    is_case2,
+    net_drift,
     sample_path,
 )
 from . import path_engine
@@ -78,9 +79,7 @@ class DegenerateDenominator(RuntimeError):
 class McEstimate:
     mean: float
     std_error: float
-    n: int
     censored_fraction: float
-    stream_id: str
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,6 @@ class NuCurve:
     values: np.ndarray
     std_errors: np.ndarray
     censored_fractions: np.ndarray
-    n: int
-    stream_id: str
 
     def to_csv(self) -> str:
         lines = ["b,nu,se"]
@@ -184,10 +181,9 @@ def _chunk_readers(spec, params, horizon, k, eng, stream, chunks) -> _Readers:
         base = replace(spec, x0=0.0)
         columns = EventColumns.side_by_side(
             [sample_path(base, horizon, EXACT, stream.for_path(ci), m) for ci, m in chunks])
-        case = classify_case(spec, params.alpha)
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
-                                case=case, q=params.q),
-                        partial(path_engine.refracted_record_lows, columns, params.alpha, case))
+                                q=params.q),
+                        partial(path_engine.refracted_record_lows, columns, params.alpha))
     if k < 1:
         raise InvalidParameter("k", "the Euler engine needs a positive step count")
     rows = _chunk_rows(chunks)
@@ -249,8 +245,7 @@ def nu_curve(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
     values[pos] = sw / n
     ses[pos] = np.sqrt(np.maximum(sw2 - sw * sw / n, 0.0) / max(n - 1, 1) / n)
     cfr[pos] = cens / n
-    return NuCurve(grid=bgrid, values=values, std_errors=ses, censored_fractions=cfr,
-                   n=n, stream_id=stream.id)
+    return NuCurve(grid=bgrid, values=values, std_errors=ses, censored_fractions=cfr)
 
 
 def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
@@ -293,7 +288,7 @@ def _clock_chunk(draw, params, x, stream, chunks):
 
 def _clock_moments(params, spec, x, horizon, k, n, stream, engine, threads):
     eng = _engine_for(spec, engine)
-    if eng == "euler" and params.b == 0.0 and classify_case(spec, params.alpha).is_case2:
+    if eng == "euler" and params.b == 0.0 and is_case2(net_drift(spec), params.alpha):
         # the exact clock stays parked at b = 0 while the net drift is paid
         # out; the recursion steps below 0 instead and fires the strict clock
         raise InvalidParameter(
@@ -330,8 +325,7 @@ def estimate_underline_nu(x: float, bstar: float, p: float,
     m1 = (p * sws + (1 - p) * sww) / n
     var = max(m2 - m1 * m1, 0.0) * n / max(n - 1, 1)
     return McEstimate(mean=float(mean),
-                      std_error=float(beta * math.sqrt(var / n)),
-                      n=n, censored_fraction=cfr, stream_id=stream.id)
+                      std_error=float(beta * math.sqrt(var / n)), censored_fraction=cfr)
 
 
 def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
@@ -414,14 +408,14 @@ def _value_chunk(draw, params, runs, chunks):
     return [sum(parts, ()) for parts in zip(*per_run)]
 
 
-def _direct_estimate(sums, cens, n, stream_id):
+def _direct_estimate(sums, cens, n):
     mean = sums[0] / n
     var = max(sums[1] / n - mean * mean, 0.0) * n / max(n - 1, 1)
     return McEstimate(mean=float(mean), std_error=float(math.sqrt(var / n)),
-                      n=n, censored_fraction=float(cens) / n, stream_id=stream_id)
+                      censored_fraction=float(cens) / n)
 
 
-def _spliced_estimate(sums, cens, n, v0, stream_id):
+def _spliced_estimate(sums, cens, n, v0):
     s1, s2, sd1, sd2, cross = sums
     a_mean = s1 / n
     d_mean = sd1 / n
@@ -431,7 +425,7 @@ def _spliced_estimate(sums, cens, n, v0, stream_id):
     var = max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
     se = math.sqrt(var / n + (d_mean * v0.std_error) ** 2)
     return McEstimate(mean=float(a_mean + d_mean * v0.mean), std_error=float(se),
-                      n=n, censored_fraction=float(cens) / n, stream_id=stream_id)
+                      censored_fraction=float(cens) / n)
 
 
 def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, threads):
@@ -444,14 +438,11 @@ def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, thread
     draw = partial(_chunk_readers, spec, params, horizon, k, eng)
     worker = partial(_value_chunk, draw, params, ((stream, starts), (anchor_stream, anchors)))
     acc, cens, acc0, cens0 = _run_chunks(n, worker, threads)
-    v0 = {b: _direct_estimate(s, c, n, anchor_stream.id)
-          for (_, b, _), s, c in zip(anchors, acc0, cens0)}
-    at = {(x, b): (_spliced_estimate(s, c, n, v0[b], stream.id) if spliced
-                   else _direct_estimate(s, c, n, stream.id))
+    v0 = {b: _direct_estimate(s, c, n) for (_, b, _), s, c in zip(anchors, acc0, cens0)}
+    at = {(x, b): (_spliced_estimate(s, c, n, v0[b]) if spliced else _direct_estimate(s, c, n))
           for (x, b, _), s, c in zip(starts, acc, cens)}
     return [at[x, b] if x > 0 else v0[b] if x == 0 else
-            replace(v0[b], mean=v0[b].mean + params.beta * x, stream_id=stream.id)
-            for x, b in points]
+            replace(v0[b], mean=v0[b].mean + params.beta * x) for x, b in points]
 
 
 def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,

@@ -2,10 +2,11 @@
 
 A model is a drift, an optional Gaussian coefficient, and a finite list of
 compound-Poisson jump components with signed marks.  This module validates
-models, computes the bounded-variation net drift, classifies the regime
-relative to a dividend cap, evaluates the characteristic exponent, and
-samples m paths at once, in one draw format per engine: exactly (sigma = 0)
-as EventColumns, the padded event columns that the lane stepper of
+models, computes the bounded-variation net drift and the regime it puts a
+refracted path in for a dividend cap (is_case2, one predicate of the drift
+and the cap), evaluates the characteristic exponent, and samples m paths
+at once, in one draw format per engine: exactly (sigma = 0) as
+EventColumns, the padded event columns that the lane stepper of
 path_engine reads, or on a uniform grid as an (m, k) increment matrix.
 Both samplers read one jump draw per stream (_jump_draw): Poisson counts
 of the m paths, uniform times and signed marks.  The grid bins it into
@@ -378,29 +379,11 @@ def net_drift(spec: JumpDiffusionSpec):
     return _compensated_drift(spec)
 
 
-@dataclass(frozen=True)
-class CaseLabel:
-    """Regime label with the computed net drift (None when sigma > 0)."""
-
-    label: str  # "Case1" or "Case2"
-    delta: float | None = None
-
-    @property
-    def is_case2(self) -> bool:
-        return self.label == "Case2"
-
-
-def classify_case(spec: JumpDiffusionSpec, alpha) -> CaseLabel:
-    """Case2 iff sigma = 0 and the net drift lies in [0, alpha]; else Case1.
-
-    alpha may be math.inf, in which case only delta >= 0 is needed.
-    """
-    delta = net_drift(spec)
-    if delta is None:
-        return CaseLabel("Case1", None)
-    if 0.0 <= delta <= alpha:
-        return CaseLabel("Case2", delta)
-    return CaseLabel("Case1", delta)
+def is_case2(delta, alpha) -> bool:
+    """Case 2, where a refracted path sticks at b: a net drift delta (None
+    when sigma > 0) in [0, alpha], for 0 < alpha <= inf.  Otherwise Case 1,
+    where the path crosses b."""
+    return delta is not None and 0.0 <= delta <= alpha
 
 
 def characteristic_exponent(spec: JumpDiffusionSpec, lam):

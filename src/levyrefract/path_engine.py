@@ -5,11 +5,13 @@ paths of levy_model.EventColumns, the padded event columns sample_path
 draws, all at once as lanes: refraction at rate alpha above a threshold b
 and, with the floor, reflection at 0.  It takes 0 < alpha <= inf; alpha =
 inf is the reflection limit at b, in which an overshoot above b is paid at
-once as a lump dividend, and b = inf sets no threshold.  Crossing times of
-linear segments are solved in closed form, so the only error is float
-arithmetic; identity checks use absolute tolerance 1e-12.  event_steps is
-the counterpart of strategy_engine.euler_steps and records nothing; three
-readers keep what their callers need of its lanes:
+once as a lump dividend, and b = inf sets no threshold.  The case is read
+off the draw: a path sticks at b in Case 2, when the net drift
+columns.drift lies in [0, alpha] (levy_model.is_case2), and crosses b in
+Case 1.  Crossing times of linear segments are solved in closed form, so
+the only error is float arithmetic; identity checks use absolute tolerance
+1e-12.  event_steps is the counterpart of strategy_engine.euler_steps and
+records nothing; three readers keep what their callers need of its lanes:
 
 - trajectory_table keeps the trajectories themselves, as a SegmentTable
   of their segments and atoms.  refract_exact and
@@ -31,11 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_model import CaseLabel, EventColumns, InvalidParameter
-
-
-class InvalidBarrier(ValueError):
-    """Reflection barrier must be non-negative."""
+from .levy_model import EventColumns, InvalidParameter, is_case2
 
 
 # branch codes recorded per segment
@@ -239,8 +237,7 @@ def _next_target(z, slope, b, floor):
     return None
 
 
-def refract_exact(columns: EventColumns, b: float, alpha: float,
-                  case: CaseLabel) -> SegmentTable:
+def refract_exact(columns: EventColumns, b: float, alpha: float) -> SegmentTable:
     """Refracted trajectories of the paths of columns: dividends at rate
     alpha skimmed above b.
 
@@ -250,11 +247,10 @@ def refract_exact(columns: EventColumns, b: float, alpha: float,
     """
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
-    return trajectory_table(columns, float(b), float(alpha), case, floor=False)
+    return trajectory_table(columns, float(b), float(alpha), floor=False)
 
 
-def refracted_reflected_exact(columns: EventColumns, b, alpha,
-                              case: CaseLabel) -> SegmentTable:
+def refracted_reflected_exact(columns: EventColumns, b, alpha) -> SegmentTable:
     """Refraction above b combined with reflection at 0: the floored
     trajectories of the paths of columns.
 
@@ -263,10 +259,10 @@ def refracted_reflected_exact(columns: EventColumns, b, alpha,
     two-sided reflection on [0, b], with lump dividends at b.
     """
     if b < 0:
-        raise InvalidBarrier("barrier must be >= 0")
+        raise InvalidParameter("b", "threshold must be >= 0")
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
-    return trajectory_table(columns, float(b), float(alpha), case, floor=True)
+    return trajectory_table(columns, float(b), float(alpha), floor=True)
 
 
 # Threshold or floor crossings a lane may make between two events.  On a
@@ -323,13 +319,14 @@ class Lanes:
         return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
 
 
-def _regime_table(alpha, delta, sticky, floor):
+def _regime_table(alpha, delta, floor):
     """(slope, dividend rate, injection rate, branch, target) rows of _regime
-    and _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each at a
-    representative (z, b): 0 interior, 1 above b, 2 at b != 0, 3 at 0 below
-    b, 4 at 0 above b, 5 at 0 = b.  The target is inf for b, 0.0 for 0 and
-    nan for none.  Unfloored lanes leave out the term 3 (z == 0)."""
-    rows = []
+    and _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each
+    at a representative (z, b): 0 interior, 1 above b, 2 at b != 0, 3 at 0
+    below b, 4 at 0 above b, 5 at 0 = b.  A drift delta in [0, alpha] sticks
+    at b (is_case2).  The target is inf for b, 0.0 for 0 and nan for none.
+    Unfloored lanes leave out the term 3 (z == 0)."""
+    rows, sticky = [], is_case2(delta, alpha)
     for z, b in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)):
         slope, lrate, rrate, branch = _regime(z, b, alpha, delta, sticky, floor)
         target = _next_target(z, slope, b, floor)
@@ -338,11 +335,12 @@ def _regime_table(alpha, delta, sticky, floor):
     return np.array(rows).T
 
 
-def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool):
+def event_steps(columns: EventColumns, x, b, alpha, floor: bool):
     """The event sweep, on every lane at once, recording no segment.  x and
-    b are scalars or (J, 1) arrays.  Lane (j, i) runs path
-    i of columns from columns.x0[i] + x[j], refracted at rate alpha above
-    b[j] and, with floor, reflected at 0.
+    b are scalars or (J, 1) arrays.  Lane (j, i) runs path i of columns
+    from columns.x0[i] + x[j], refracted at rate alpha above b[j] and, with
+    floor, reflected at 0.  The case is read off the draw: a lane sticks at
+    b when is_case2(columns.drift, alpha).
 
     Yields (stretches, te, dividend, topup) for the start (te = 0) and then
     per event column (te the event times).  stretches lists the drift
@@ -360,7 +358,7 @@ def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool
     (keep, path), as to euler_steps, and from then on every array is 1-D.
     """
     counts, tcols, scols = columns.counts, columns.times, columns.sizes
-    table = _regime_table(alpha, columns.drift, case.is_case2, floor)
+    table = _regime_table(alpha, columns.drift, floor)
     z = columns.x0 + x
     b = np.full(z.shape, b, dtype=float)
     te, end, path = np.zeros(counts.size), counts, None
@@ -411,8 +409,7 @@ def event_steps(columns: EventColumns, x, b, alpha, case: CaseLabel, floor: bool
             end = counts[path]
 
 
-def trajectory_table(columns: EventColumns, b, alpha, case: CaseLabel,
-                     floor: bool) -> SegmentTable:
+def trajectory_table(columns: EventColumns, b, alpha, floor: bool) -> SegmentTable:
     """The SegmentTable reader of event_steps: one lane per path of columns,
     started at columns.x0 bit for bit (x = -0.0, and a + -0.0 == a), and
     refracted at rate alpha above b and, with floor, reflected at 0.
@@ -427,7 +424,7 @@ def trajectory_table(columns: EventColumns, b, alpha, case: CaseLabel,
     segs = [[] for _ in range(7)]
     r_atoms, l_atoms = ([[np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]]
                         for _ in range(2))
-    for stretches, te, dividend, topup in event_steps(columns, -0.0, b, alpha, case, floor):
+    for stretches, te, dividend, topup in event_steps(columns, -0.0, b, alpha, floor):
         for at, t, _, z, _, slope, lrate, rrate, branch, kept in stretches:
             for into, a in zip(segs, (lanes[at], t, z, slope, branch, lrate, rrate)):
                 into.append(a[kept])
@@ -448,8 +445,7 @@ def trajectory_table(columns: EventColumns, b, alpha, case: CaseLabel,
     return SegmentTable(columns.horizon, *fields, counts=np.array(counts))
 
 
-def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, case: CaseLabel,
-                       q) -> LaneFlows:
+def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q) -> LaneFlows:
     """The LaneFlows reader of event_steps: refracted_reflected_exact on
     every lane, lane (j, i) on path i of columns shifted by x[j], with
     threshold b[j], discounted as it goes.  x, b and spliced have length J.
@@ -465,7 +461,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, case: CaseLa
     halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
     dl, dr, disc, kappa, weak = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, math.inf))
     steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
-                        np.asarray(b, dtype=float)[:, None], alpha, case, floor=True)
+                        np.asarray(b, dtype=float)[:, None], alpha, floor=True)
     end, keep = counts, None
     for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
@@ -516,15 +512,15 @@ class RecordLows:
     final_min: np.ndarray
 
 
-def refracted_record_lows(columns: EventColumns, alpha, case: CaseLabel) -> RecordLows:
+def refracted_record_lows(columns: EventColumns, alpha) -> RecordLows:
     """The RecordLows reader of event_steps, one unfloored lane per path of
     columns at b = 0: the record lows of refract_exact(columns, 0,
-    alpha, case), equal bit for bit to those read off its segments.  A kept
+    alpha), equal bit for bit to those read off its segments.  A kept
     stretch that starts below the low after time 0 is a jump episode, one
     that falls below it a drift episode."""
     m = columns.counts.size
     ids, low, out = np.arange(m), np.zeros(m), []
-    steps = event_steps(columns, 0.0, 0.0, alpha, case, floor=False)
+    steps = event_steps(columns, 0.0, 0.0, alpha, floor=False)
     for stretches, _, _, _ in steps:
         for at, t, _, z, z_end, slope, _, _, _, kept in stretches:
             lane, lo = ids[at], low[at]

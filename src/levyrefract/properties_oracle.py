@@ -30,7 +30,6 @@ from .levy_model import (
     RngStream,
     _grid_increment_matrix,
     characteristic_exponent,
-    classify_case,
     sample_path,
 )
 from .path_engine import path_keys, read_segments, refract_exact
@@ -256,11 +255,10 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     shift = l - k
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
-    case = classify_case(spec, params.alpha)
     cols = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
     lower = replace(cols, x0=cols.x0 + (x + k))
-    tk = apply_strategy_exact(lower, params, case)
-    tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), params, case)
+    tk = apply_strategy_exact(lower, params)
+    tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), params)
     viol = []
     for start in range(0, n, BLOCK):
         stop = start + BLOCK
@@ -290,11 +288,10 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     viol = []
     sup_gap = np.zeros(m)
     vals = np.zeros((m, n))
-    rungs = [(a, classify_case(spec, a)) for a in alphas]
     cols = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)
-    trajs = [apply_strategy_exact(cols, StrategyParams(b=b, alpha=a, beta=beta, q=q), case)
-             for a, case in rungs]
-    refr = [refract_exact(cols, b, a, case) for a, case in rungs]
+    trajs = [apply_strategy_exact(cols, StrategyParams(b=b, alpha=a, beta=beta, q=q))
+             for a in alphas]
+    refr = [refract_exact(cols, b, a) for a in alphas]
     for j, table in enumerate(trajs):
         dl, dr = table.discounted_flow(q)
         vals[j] = dl - beta * dr

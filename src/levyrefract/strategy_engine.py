@@ -71,12 +71,9 @@ class ControlledTrajectory:
     r: np.ndarray
     branch: np.ndarray
     driver: np.ndarray
-    params: StrategyParams
-    kind: str  # "exact" or "euler"
 
     @classmethod
-    def from_exact(cls, columns: EventColumns, table: SegmentTable,
-                   params: StrategyParams) -> "ControlledTrajectory":
+    def from_exact(cls, columns: EventColumns, table: SegmentTable) -> "ControlledTrajectory":
         """Sample the exact trajectory table of the one path of columns, and
         that path, on the segment knots and the (finite) horizon."""
         times = np.append(table.seg_t, table.horizon)
@@ -90,8 +87,6 @@ class ControlledTrajectory:
             r=got.r,
             branch=branch,
             driver=driver,
-            params=params,
-            kind="exact",
         )
 
     def to_csv(self) -> str:
@@ -102,16 +97,16 @@ class ControlledTrajectory:
         return buf.getvalue()
 
 
-def apply_strategy_exact(columns: EventColumns, params: StrategyParams,
-                         case) -> SegmentTable:
+def apply_strategy_exact(columns: EventColumns, params: StrategyParams) -> SegmentTable:
     """Run the threshold strategy along the event paths of columns, exactly:
     the swept floored trajectories, refracted at rate alpha above b and
     reflected at 0.
 
-    alpha = inf is the two-sided reflection on [0, b] with lump dividends;
-    case decides whether the path sticks at b, for every alpha.
+    alpha = inf is the two-sided reflection on [0, b] with lump dividends.
+    For every alpha the paths stick at b when the draw's drift lies in
+    [0, alpha] (Case 2, levy_model.is_case2).
     """
-    return path_engine.refracted_reflected_exact(columns, params.b, params.alpha, case)
+    return path_engine.refracted_reflected_exact(columns, params.b, params.alpha)
 
 
 def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
@@ -325,13 +320,11 @@ def simulate_euler(x: float, params: StrategyParams, increments: np.ndarray,
         r=rhat[0],
         branch=branch,
         driver=driver[0],
-        params=params,
-        kind="euler",
     )
 
 
-def euler_exact_gap(columns: EventColumns, params: StrategyParams, case,
-                    x: float, k: int) -> np.ndarray:
+def euler_exact_gap(columns: EventColumns, params: StrategyParams, x: float,
+                    k: int) -> np.ndarray:
     """Sup distance between the Euler recursion and the exact trajectory
     started at x, for each path of columns (drawn at x0 = 0), over the knots
     0..k-1 of a k-step grid: one read of the paths' swept table at knots
@@ -339,7 +332,7 @@ def euler_exact_gap(columns: EventColumns, params: StrategyParams, case,
     are the Euler increments (shared noise), for one recursion pass over
     all the paths."""
     n, dt = columns.counts.size, columns.horizon / k
-    table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params, case)
+    table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params)
     (got,), driver = path_engine.read_segments(
         [table], np.repeat(np.arange(n), k + 1), np.tile(np.arange(k + 1) * dt, n), columns)
     driver = driver.reshape(n, k + 1)

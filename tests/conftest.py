@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, EventColumns, JumpDiffusionSpec, Uniform, Weibull, classify_case, sample_path,
+    EXACT, EventColumns, JumpDiffusionSpec, Uniform, Weibull, sample_path,
 )
 
 from oracles import EventPath, event_paths
@@ -48,10 +48,6 @@ def ref_spec_gauss(ref_spec_bv):
 
 def drift_only(delta: float, x0: float = 0.0) -> JumpDiffusionSpec:
     return JumpDiffusionSpec(gamma=delta, sigma=0.0, jump_components=(), x0=x0)
-
-
-def case_for(delta, alpha):
-    return classify_case(drift_only(delta), alpha)
 
 
 def drift_path(delta, x0, horizon, jumps=()):

@@ -8,8 +8,10 @@ the reference for strategy_engine.euler_exact_gap's shared noise.
 
 _sweep is the event sweep of path_engine.event_steps written for one
 EventPath on Python floats, with the arithmetic of numpy float64; it
-appends each segment as it starts.  The tests hold every SegmentTable of
-path_engine.trajectory_table to it bit for bit.  reference_table joins its
+appends each segment as it starts.  It takes whether the path sticks at b
+as a flag, which sticks gives by a rule written apart from the src one.
+The tests hold every SegmentTable of path_engine.trajectory_table to it
+bit for bit.  reference_table joins its
 trajectories of several paths into the fields of a SegmentTable.
 first_passage_times reads the two passage clocks off one floored
 trajectory, and floor_decomposition splits the running infimum of a
@@ -188,10 +190,16 @@ def _sweep(path, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
                                                     seg_rrate, r_atom_t, r_atom, l_atom_t, l_atom)))
 
 
-def reference_table(paths, b, alpha, case, floor: bool):
+def sticks(path, alpha) -> bool:
+    """Case 2, written apart from levy_model.is_case2: a refracted path
+    sticks at b when its drift lies in [0, alpha]."""
+    return 0.0 <= path.drift <= alpha
+
+
+def reference_table(paths, b, alpha, floor: bool):
     """The _sweep trajectories of paths joined end to end as the fields of
     a SegmentTable: a dict of each field and counts."""
-    trajs = [_sweep(p, float(b), float(alpha), case.is_case2, floor) for p in paths]
+    trajs = [_sweep(p, float(b), float(alpha), sticks(p, alpha), floor) for p in paths]
     out = {name: np.concatenate([getattr(t, name) for t in trajs])
            for names in TABLE_FIELDS for name in names}
     out["counts"] = np.array([[getattr(t, names[0]).size for t in trajs]

@@ -16,8 +16,7 @@ from levyrefract.cli_reporting import (load_config, reference_case1_spec,
                                        reference_case2_spec, run_experiment)
 from levyrefract.estimation import (DegenerateDenominator, estimate_underline_nu,
                                     find_bstar, nu_curve, solve_pstar, value_curve)
-from levyrefract.levy_model import (EXACT, RngStream, classify_case, net_drift,
-                                    sample_path)
+from levyrefract.levy_model import EXACT, RngStream, net_drift, sample_path
 from levyrefract.path_engine import refracted_reflected_exact
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
@@ -156,11 +155,10 @@ def test_05_randomized_models_pathwise_sweep():
         viol.extend(v for v in lad.violations
                     if v.prop != "ladder_value_monotone")
         base = replace(spec, x0=0.0)
-        case = classify_case(spec, params.alpha)
         paths = [draw_path(replace(base, x0=x), horizon, stream.with_tag(5).for_path(i))
                  for i in range(20)]
         table = refracted_reflected_exact(event_columns(paths), params.b,
-                                          params.alpha, case)
+                                          params.alpha)
         for i, path in enumerate(paths):
             dec = running_floor_reflection(path)
             recon = path.value_at(probe) - dec.infimum_at(probe)
@@ -174,7 +172,7 @@ def test_05_randomized_models_pathwise_sweep():
             table0 = refracted_reflected_exact(
                 event_columns([draw_path(replace(base, x0=abs(x)), horizon,
                                          stream.with_tag(6).for_path(i))
-                               for i in range(10)]), 0.0, params.alpha, case)
+                               for i in range(10)]), 0.0, params.alpha)
             for i in range(10):
                 traj0 = table0.block(i, i + 1)
                 viol.extend(fixed_cap_violations(traj0, params.alpha))
@@ -186,8 +184,8 @@ def test_05_randomized_models_pathwise_sweep():
             # break its identity
             shift = l - k
             cpath = sample_path(base, horizon, EXACT, stream.with_tag(7), 1)
-            tk = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + k)), params, case)
-            tl = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + l)), params, case)
+            tk = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + k)), params)
+            tl = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + l)), params)
             controls += 2
             fired += bool(check_pair(tk, tl, 0.5 * shift, params.b))
             if capped:
@@ -195,7 +193,7 @@ def test_05_randomized_models_pathwise_sweep():
             else:
                 other = refracted_reflected_exact(
                     event_columns([replace(path, x0=path.x0 + 1.0)]), params.b,
-                    params.alpha, case)
+                    params.alpha)
                 fired += construction_identity_residual(path, other) > TOL
     ok = n_viol == 0 and fired == controls
     detail = ("%d models x ~100 paths: %d violations (worst %.1e); negative "
@@ -227,12 +225,11 @@ def test_06_value_rises_along_the_cap_ladder():
 
 def test_07_euler_gap_shrinks_with_step_count():
     spec = reference_case1_spec()
-    case = classify_case(spec, 0.5)
     pp = ref_params(1.66)
     means = []
     for k in (100, 1000, 10000):
         cols = sample_path(replace(spec, x0=0.0), 10.0, EXACT, RngStream(SEED, tag=70 + k), 100)
-        gaps = euler_exact_gap(cols, pp, case, 1.0, k)
+        gaps = euler_exact_gap(cols, pp, 1.0, k)
         means.append(float(np.mean(gaps)))
     ok = means[0] > means[1] > means[2]
     detail = ("mean sup gap over 100 shared-noise paths: "

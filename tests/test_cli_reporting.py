@@ -427,6 +427,19 @@ class TestMain:
         assert code == 2
         assert "mc.seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("task.x", "inf"), ("task.b", "-1"), ("task.competing_b", "1,inf"),
+        ("task.alphas", "0.5,0"), ("task.engine", "fast"), ("task.method", "mixed"),
+        ("task.b_grid", "3:1:0"), ("task.x_grid", "a,b")])
+    def test_a_malformed_task_key_exits_two(self, key, value, tmp_path, capsys):
+        """validate reads every task key it is given, used by its subcommand
+        or not, and refuses a malformed one by name."""
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "%s = %s\n" % (key, value))
+        code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert key in capsys.readouterr().err
+
     @pytest.mark.parametrize("key,value", [("model.gamma", "inf"), ("model.sigma", "inf"),
                                            ("model.x0", "nan")])
     def test_non_finite_model_value_exits_two(self, key, value, tmp_path, capsys):

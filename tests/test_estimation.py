@@ -7,7 +7,7 @@ import pytest
 
 from levyrefract.levy_model import (
     EXACT, EventColumns, Grid, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
-    Weibull, _grid_increment_matrix, classify_case, net_drift, sample_path,
+    Weibull, _grid_increment_matrix, is_case2, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refract_exact, refracted_record_lows
@@ -195,10 +195,8 @@ class TestExactClockChunk:
         first_passage_times reads off each path's floored strategy path."""
         pp = params(b=b, alpha=alpha)
         stream = RngStream(150, tag=2)
-        case = classify_case(ref_spec_bv, alpha)
         base = replace(ref_spec_bv, x0=x)
-        table = apply_strategy_exact(sample_path(base, 8.0, EXACT, stream.for_path(3), 24), pp,
-                                     case)
+        table = apply_strategy_exact(sample_path(base, 8.0, EXACT, stream.for_path(3), 24), pp)
         times = [first_passage_times(table.block(i, i + 1)) for i in range(24)]
         strict = np.array([pt.kappa_strict for pt in times])
         weak = np.array([pt.t_weak for pt in times])
@@ -719,7 +717,6 @@ def _min_episodes(traj, event_times):
 def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     """The per-path reference of exact nu chunk ci: refract_exact at 0,
     _min_episodes, and a loop over the episodes."""
-    case = classify_case(spec, params.alpha)
     base = replace(spec, x0=0.0)
     nb = len(bgrid_pos)
     sw = np.zeros(nb)
@@ -727,7 +724,7 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     cens = np.zeros(nb)
     q = params.q
     cols = sample_path(base, horizon, EXACT, stream.for_path(ci), m)
-    table = refract_exact(cols, 0.0, params.alpha, case)
+    table = refract_exact(cols, 0.0, params.alpha)
     for i, path in enumerate(event_paths(cols)):
         w = table.block(i, i + 1)
         ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w, path.times)
@@ -747,11 +744,11 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     return sw, sw2, cens
 
 
-def assert_lows_match_scalar(paths, alpha, case):
+def assert_lows_match_scalar(paths, alpha):
     """refracted_record_lows equals _min_episodes of each refracted path."""
     cols = event_columns(paths)
-    lows = refracted_record_lows(cols, alpha, case)
-    table = refract_exact(cols, 0.0, alpha, case)
+    lows = refracted_record_lows(cols, alpha)
+    table = refract_exact(cols, 0.0, alpha)
     assert np.all(np.diff(lows.path) >= 0)  # path-major
     for i, p in enumerate(paths):
         *want, want_min = _min_episodes(table.block(i, i + 1), p.times)
@@ -807,7 +804,7 @@ class TestExactNuChunk:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         paths = chunk_paths(spec, self.H, stream, seed, 48)
-        assert_lows_match_scalar(paths, alpha, classify_case(spec, alpha))
+        assert_lows_match_scalar(paths, alpha)
 
     @pytest.mark.parametrize("alpha", [0.3, math.inf])
     def test_no_path_below_zero(self, alpha):
@@ -819,8 +816,7 @@ class TestExactNuChunk:
         grid = np.array([0.0, 0.5, 2.0])
         stream = RngStream(170, tag=4)
         paths = chunk_paths(spec, self.H, stream, 0, 16)
-        assert assert_lows_match_scalar(
-            paths, alpha, classify_case(spec, alpha)).path.size == 0
+        assert assert_lows_match_scalar(paths, alpha).path.size == 0
         sw, sw2, cens = exact_nu_chunk(spec, params(alpha=alpha), self.H,
                                        grid, stream, 0, 16)
         assert np.array_equal(sw, np.zeros(3)) and np.array_equal(sw2, np.zeros(3))
@@ -860,8 +856,7 @@ class TestExactNuChunk:
         d, te = 0.5, 3.0
         paths = [EventPath(0.0, 10.0, -d, np.empty(0), np.empty(0)),
                  EventPath(0.0, 10.0, -d, np.array([te]), np.array([-2.0]))]
-        case = classify_case(drift_only(-d), 0.5)
-        assert_lows_match_scalar(paths, 0.5, case)
+        assert_lows_match_scalar(paths, 0.5)
         grid = np.array([0.0, 0.7, 1.5, 2.0, 3.4, 4.0, 6.5, 8.0])
         monkeypatch.setattr(estimation, "sample_path", lambda *args: event_columns(paths))
         sw, sw2, cens = exact_nu_chunk(drift_only(-d), params(alpha=0.5), 10.0,
@@ -881,10 +876,9 @@ class TestExactNuChunk:
         crossing time, rounds to -5.6e-17; it must end at 0, so the path
         never passes below 0 and is censored at every threshold."""
         spec = drift_only(0.3)
-        case = classify_case(spec, 1.0)
-        assert case.is_case2
+        assert is_case2(net_drift(spec), 1.0)
         paths = [EventPath(0.0, 10.0, 0.3, np.array([1.0]), np.array([0.2]))]
-        lows = assert_lows_match_scalar(paths, 1.0, case)
+        lows = assert_lows_match_scalar(paths, 1.0)
         assert lows.path.size == 0 and lows.final_min[0] == 0.0
         monkeypatch.setattr(estimation, "sample_path", lambda *args: event_columns(paths))
         grid = np.array([0.0, 0.5])
@@ -910,7 +904,7 @@ class TestExactNuChunk:
         for alpha in (0.3, 0.5, math.inf):
             for delta in (-0.4, 0.2, 0.7):
                 moved = [replace(p, drift=delta) for p in paths]
-                assert_lows_match_scalar(moved, alpha, classify_case(drift_only(delta), alpha))
+                assert_lows_match_scalar(moved, alpha)
 
     def test_a_second_crossing_raises(self, monkeypatch):
         """A lane past path_engine.MAX_CROSSINGS crossings between two
@@ -921,7 +915,7 @@ class TestExactNuChunk:
         with pytest.raises(RuntimeError):
             refracted_record_lows(
                 event_columns([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))]),
-                0.5, classify_case(drift_only(-0.5), 0.5))
+                0.5)
 
 
 def knot_record_lows(incs, alpha, dt):

@@ -29,7 +29,7 @@ from levyrefract.levy_model import (
     _grid_increment_matrix,
     _jump_draw,
     characteristic_exponent,
-    classify_case,
+    is_case2,
     net_drift,
     sample_path,
     validate_spec,
@@ -236,13 +236,23 @@ class TestNetDriftAndCase:
     def test_gaussian_has_no_net_drift(self, ref_spec_gauss):
         assert net_drift(ref_spec_gauss) is None
 
-    def test_classification_table(self, ref_spec_bv, ref_spec_gauss):
+    @pytest.mark.parametrize("delta,alpha,want", [
+        (0.0, 0.5, True), (0.3, 0.5, True), (0.5, 0.5, True),
+        (np.nextafter(0.0, -1.0), 0.5, False), (np.nextafter(0.5, 1.0), 0.5, False),
+        (-1.0, 0.5, False), (0.0, math.inf, True), (1e308, math.inf, True),
+        (np.nextafter(0.0, -1.0), math.inf, False), (None, 0.5, False),
+        (None, math.inf, False)])
+    def test_is_case2_table(self, delta, alpha, want):
+        """Case 2 is a net drift in [0, alpha], both ends included, for a
+        finite or an infinite cap; a model with sigma > 0 has no net drift
+        (None) and is in Case 1."""
+        assert is_case2(delta, alpha) == want
+
+    def test_reference_models_by_case(self, ref_spec_bv, ref_spec_gauss):
         # net drift 0.6 exceeds the 0.5 cap: sticky regime needs delta <= alpha
-        assert classify_case(ref_spec_bv, 0.5).label == "Case1"
-        assert classify_case(ref_spec_bv, 0.7).label == "Case2"
-        assert classify_case(ref_spec_gauss, 0.5).label == "Case1"
-        assert classify_case(drift_only(-1.0), 0.5).label == "Case1"
-        assert classify_case(drift_only(1.0), math.inf).label == "Case2"
+        assert not is_case2(net_drift(ref_spec_bv), 0.5)
+        assert is_case2(net_drift(ref_spec_bv), 0.7)
+        assert not is_case2(net_drift(ref_spec_gauss), 0.5)
 
     def test_validate_spec_reports_negative_jump_mean(self, ref_spec_bv):
         rep = validate_spec(ref_spec_bv)

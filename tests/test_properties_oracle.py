@@ -9,7 +9,7 @@ import pytest
 from levyrefract import levy_model, properties_oracle
 from levyrefract.levy_model import (
     EXACT, ExactModeUnavailable, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
-    classify_case, sample_path,
+    sample_path,
 )
 from levyrefract.path_engine import read_segments, refract_exact, refracted_reflected_exact
 from levyrefract.properties_oracle import (
@@ -19,7 +19,7 @@ from levyrefract.properties_oracle import (
 )
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
-from conftest import case_for, drift_only, drift_path, event_columns, one_path
+from conftest import drift_only, drift_path, event_columns, one_path
 from oracles import (
     dividends_at, draw_random_bv_setup, event_paths, fixed_cap_violations, injections_at,
     left_limit_at, value_at,
@@ -56,13 +56,12 @@ class TestCoupledPair:
     def test_mismatched_barriers_fire(self, ref_spec_bv):
         # same driver refracted at different thresholds is not a valid
         # coupled pair; the detector must notice
-        case = classify_case(ref_spec_bv, 0.5)
         pp1, pp2 = params(b=1.0), params(b=2.5)
         viol = []
         for i in range(10):
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i), 1)
-            t1 = refracted_reflected_exact(p, 1.0, 0.5, case)
-            t2 = refracted_reflected_exact(replace(p, x0=p.x0 + 0.5), 2.5, 0.5, case)
+            t1 = refracted_reflected_exact(p, 1.0, 0.5)
+            t2 = refracted_reflected_exact(replace(p, x0=p.x0 + 0.5), 2.5, 0.5)
             viol.extend(check_pair(t1, t2, 0.5, 1.0))
         assert len(viol) > 0
         props = {v.prop for v in viol}
@@ -100,10 +99,9 @@ class TestCoupledPair:
         """At alpha = inf a jump that lifts both paths past b pays each
         overshoot as a lump, so the dividend gap grows by the surplus gap
         the jump closes.  That is supported: the gap was open just before."""
-        case = case_for(-0.1, math.inf)
         path = drift_path(-0.1, 0.2, 3.0, jumps=((1.0, 2.0),))
-        tk = floored(path, 1.0, math.inf, case)
-        tl = floored(replace(path, x0=path.x0 + 0.4), 1.0, math.inf, case)
+        tk = floored(path, 1.0, math.inf)
+        tl = floored(replace(path, x0=path.x0 + 0.4), 1.0, math.inf)
         assert dividends_at(tl, 1.0) - dividends_at(tk, 1.0) == pytest.approx(0.4)
         assert check_pair(tk, tl, 0.4, 1.0) == []
 
@@ -111,10 +109,9 @@ class TestCoupledPair:
         """Negative control of the dividend support: the upper path pays at
         its own threshold 1 while the check's b is 3, so the dividend gap
         rises while neither path is at b."""
-        case = case_for(1.0, 0.5)
         path = drift_path(1.0, 0.0, 1.5)
-        tk = floored(path, 5.0, 0.5, case)
-        tl = floored(replace(path, x0=path.x0 + 0.5), 1.0, 0.5, case)
+        tk = floored(path, 5.0, 0.5)
+        tl = floored(replace(path, x0=path.x0 + 0.5), 1.0, 0.5)
         viol = check_pair(tk, tl, 0.5, 3.0)
         assert viol and {v.prop for v in viol} == {"pair_div_support"}
         assert all(0.5 < v.time <= 1.5 for v in viol)
@@ -178,7 +175,7 @@ def _edge_paths(horizon):
 
 class TestBlockCheck:
     def blocks(self):
-        """(columns, b, alpha, case) blocks: random models at their own and
+        """(columns, b, alpha) blocks: random models at their own and
         at an infinite cap, at their b and at b = 0, and the edge paths."""
         rng = np.random.default_rng(41)
         for j in range(8):
@@ -186,14 +183,14 @@ class TestBlockCheck:
             cols = sample_path(replace(spec, x0=x), 4.0, EXACT, RngStream(350, tag=j), 6)
             for b in (pp.b, 0.0):
                 for alpha in (pp.alpha, math.inf):
-                    yield cols, b, alpha, classify_case(spec, alpha)
+                    yield cols, b, alpha
         for b, alpha in ((1.0, 0.5), (1.0, math.inf), (0.0, math.inf)):
-            yield event_columns(_edge_paths(3.0)), b, alpha, case_for(0.2, alpha)
+            yield event_columns(_edge_paths(3.0)), b, alpha
 
     def test_readings_are_bit_equal_to_the_references(self):
-        for cols, b, alpha, case in self.blocks():
-            roles = (refracted_reflected_exact(cols, b, alpha, case),
-                     refract_exact(replace(cols, x0=cols.x0 + 0.3), b, alpha, case))
+        for cols, b, alpha in self.blocks():
+            roles = (refracted_reflected_exact(cols, b, alpha),
+                     refract_exact(replace(cols, x0=cols.x0 + 0.3), b, alpha))
             blk = _Block(roles, cols)
             for i, path in enumerate(event_paths(cols)):
                 on = blk.path == i
@@ -214,7 +211,7 @@ class TestBlockCheck:
 
     def test_two_injection_atoms_at_time_zero_are_both_read(self):
         path = _edge_paths(3.0)[2]
-        traj = floored(path, 1.0, 0.5, case_for(0.2, 0.5))
+        traj = floored(path, 1.0, 0.5)
         assert traj.r_atom_t.tolist()[:2] == [0.0, 0.0]
         (got,), _ = read_segments([traj], [0], [0.0])
         assert got.r[0] == pytest.approx(0.9)
@@ -228,11 +225,10 @@ class TestBlockCheck:
             spec, pp, x, k, l = draw_random_bv_setup(rng)
             for alpha in (pp.alpha, math.inf):
                 p2 = replace(pp, alpha=alpha)
-                case = classify_case(spec, alpha)
                 cols = sample_path(replace(spec, x0=0.0), 4.0, EXACT, RngStream(351, tag=j),
                                    2 * BLOCK + 3)
-                tk = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + k)), p2, case)
-                tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), p2, case)
+                tk = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + k)), p2)
+                tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), p2)
                 drivers = replace(cols, x0=cols.x0 + (x + k + 0.01))
                 shift = 0.5 * (l - k)
                 want = []
@@ -253,10 +249,9 @@ class TestBlockCheck:
         ladder rows fire: the same reports one path at a time."""
         sweep, refract = apply_strategy_exact, refract_exact
         monkeypatch.setattr(properties_oracle, "apply_strategy_exact",
-                            lambda c, pp, case: sweep(replace(c, x0=c.x0 + 0.05), pp, case))
+                            lambda c, pp: sweep(replace(c, x0=c.x0 + 0.05), pp))
         monkeypatch.setattr(properties_oracle, "refract_exact",
-                            lambda c, b, a, case: refract(replace(c, x0=c.x0 + 0.1 * min(a, 4.0)),
-                                                          b, a, case))
+                            lambda c, b, a: refract(replace(c, x0=c.x0 + 0.1 * min(a, 4.0)), b, a))
 
         def runs():
             pair = coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 4.0, n,
@@ -275,8 +270,7 @@ class TestBlockCheck:
 class TestFixedCap:
     def test_zero_threshold_cap_rate(self):
         p = sample_path(drift_only(1.0), 6.0, EXACT, RngStream(310, tag=1), 1)
-        traj = refracted_reflected_exact(p, 0.0, 0.4,
-                                         classify_case(drift_only(1.0), 0.4))
+        traj = refracted_reflected_exact(p, 0.0, 0.4)
         assert fixed_cap_violations(traj, 0.4) == []
         wrong = fixed_cap_violations(traj, 0.3)
         assert wrong and all(v.prop == "cap_rate_dividends" for v in wrong)

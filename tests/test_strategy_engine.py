@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, Grid, InvalidParameter, RngStream, classify_case, sample_path,
+    EXACT, Grid, InvalidParameter, RngStream, sample_path,
 )
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, refract_exact,
@@ -15,9 +15,9 @@ from levyrefract.strategy_engine import (
     euler_exact_gap, euler_steps, simulate_euler,
 )
 
-from conftest import case_for, draw_path, drift_path, event_columns, one_path
+from conftest import draw_path, drift_path, event_columns, one_path
 from oracles import (
-    budget_residual, draw_random_bv_setup, event_paths, first_passage_times, value_at,
+    budget_residual, draw_random_bv_setup, event_paths, first_passage_times, sticks, value_at,
 )
 
 # the transforms on one EventPath, through the src reader
@@ -47,9 +47,7 @@ class TestExactStrategy:
     def test_matches_the_event_sweep(self):
         p = event_columns([drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])])
         pp = params(b=1.0, alpha=0.4)
-        traj = ControlledTrajectory.from_exact(
-            p, apply_strategy_exact(p, pp, case_for(1.0, 0.4)), pp)
-        assert traj.kind == "exact"
+        traj = ControlledTrajectory.from_exact(p, apply_strategy_exact(p, pp))
         assert traj.times[-1] == 4.0
         i = np.searchsorted(traj.times, 4.0)
         assert traj.z[i] == pytest.approx(1.6)
@@ -64,8 +62,7 @@ class TestExactStrategy:
     def test_infinite_cap_degenerates_to_the_band(self):
         p = event_columns([drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])])
         pp = params(b=1.0, alpha=math.inf)
-        traj = ControlledTrajectory.from_exact(
-            p, apply_strategy_exact(p, pp, case_for(1.0, 1.0)), pp)
+        traj = ControlledTrajectory.from_exact(p, apply_strategy_exact(p, pp))
         assert np.max(traj.z) <= 1.0 + 1e-12
         assert np.min(traj.z) >= -1e-12
         end = np.searchsorted(traj.times, 3.0)
@@ -73,18 +70,16 @@ class TestExactStrategy:
         assert traj.r[end] == pytest.approx(1.0)
 
     def test_budget_residual_on_sampled_paths(self, ref_spec_bv):
-        case = classify_case(ref_spec_bv, 0.5)
         for i in range(30):
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(41, tag=6, index=i), 1)
             pp = params(b=1.2)
-            traj = ControlledTrajectory.from_exact(
-                p, apply_strategy_exact(p, pp, case), pp)
+            traj = ControlledTrajectory.from_exact(p, apply_strategy_exact(p, pp))
             assert budget_residual(traj) <= 1e-12
 
     def test_perpetual_negative_drift_injects_forever(self):
         # e^{-0.05 * 1000} ~ 2e-22 is below the last bit of 1 / 0.05
         p = drift_path(-1.0, 0.0, 1000.0)
-        traj = strategy(p, params(b=2.0), case_for(-1.0, 0.5))
+        traj = strategy(p, params(b=2.0))
         (dl,), (dr,) = traj.discounted_flow(0.05)
         assert dl == 0.0
         assert dr == pytest.approx(1.0 / 0.05, rel=1e-12)
@@ -93,14 +88,14 @@ class TestExactStrategy:
 class TestPassageTimes:
     def test_pinned_floor_reads_the_stretch_start(self):
         p = drift_path(-1.0, 0.5, 3.0)
-        traj = strategy(p, params(b=2.0), case_for(-1.0, 0.5))
+        traj = strategy(p, params(b=2.0))
         pt = first_passage_times(traj)
         assert pt.kappa_strict == pytest.approx(0.5)
         assert pt.t_weak == pytest.approx(0.5)
 
     def test_jump_atom_reads_the_jump_time(self):
         p = drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])
-        traj = strategy(p, params(b=1.0, alpha=0.4), case_for(1.0, 0.4))
+        traj = strategy(p, params(b=1.0, alpha=0.4))
         pt = first_passage_times(traj)
         assert pt.kappa_strict == pytest.approx(2.0)
         assert pt.t_weak == pytest.approx(2.0)
@@ -108,14 +103,14 @@ class TestPassageTimes:
     def test_touch_without_injection_separates_weak_and_strict(self):
         # jump lands exactly on 0, then the drift recovers: visited but no top-up
         p = drift_path(1.0, 1.0, 4.0, jumps=[(0.5, -1.5)])
-        traj = strategy(p, params(b=5.0), case_for(1.0, 0.5))
+        traj = strategy(p, params(b=5.0))
         pt = first_passage_times(traj)
         assert pt.t_weak == pytest.approx(0.5)
         assert pt.kappa_strict == math.inf
 
     def test_no_visit_gives_infinite_times(self):
         p = drift_path(1.0, 0.5, 4.0)
-        pt = first_passage_times(strategy(p, params(), case_for(1.0, 0.5)))
+        pt = first_passage_times(strategy(p, params()))
         assert pt.kappa_strict == math.inf and pt.t_weak == math.inf
 
 
@@ -167,12 +162,11 @@ class TestPassageReaderParity:
             x = (-rng.uniform(0.05, 0.5), 0.0, b, rng.uniform() * b,
                  b + rng.uniform(0.05, 1.0))[d % 5]
             pp = replace(pp, b=b)
-            case = classify_case(spec, pp.alpha)
             path = draw_path(replace(spec, x0=x), 10.0, RngStream(77, tag=9, index=d))
             strict, weak = first_passage_below_reference(
-                refract(path, b, pp.alpha, case), 0.0)
-            pt = first_passage_times(strategy(path, pp, case))
-            if b == 0.0 and case.is_case2:
+                refract(path, b, pp.alpha), 0.0)
+            pt = first_passage_times(strategy(path, pp))
+            if b == 0.0 and sticks(path, pp.alpha):
                 n_fixed += (pt.kappa_strict, pt.t_weak) != (strict, weak)
                 assert pt.t_weak == weak and pt.kappa_strict >= strict
                 continue
@@ -322,22 +316,21 @@ class TestEulerKernel:
         assert state[0] == pytest.approx(0.2 - 2.5)
 
 
-def one_path_gap(sp, case, x, k, path):
+def one_path_gap(sp, x, k, path):
     """The sup gap of one path, sampled at 0, through simulate_euler, the
     one-row case of the recursion, on the path's increments from to_grid."""
     euler = simulate_euler(x, sp, path.to_grid(k), path.horizon / k)
-    zex = value_at(strategy(replace(path, x0=path.x0 + x), sp, case), euler.times)
+    zex = value_at(strategy(replace(path, x0=path.x0 + x), sp), euler.times)
     return np.max(np.abs(euler.z - zex))
 
 
 class TestEulerExactGap:
     def test_gap_shrinks_in_mean_with_grid_refinement(self, ref_spec_bv):
-        case = classify_case(ref_spec_bv, 0.5)
         sp = params(b=1.2)
         means = []
         cols = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, RngStream(47, tag=9), 30)
         for k in (50, 400, 3200):
-            gaps = euler_exact_gap(cols, sp, case, 0.5, k)
+            gaps = euler_exact_gap(cols, sp, 0.5, k)
             means.append(np.mean(gaps))
         assert means[0] > means[1] > means[2]
         assert means[2] < 0.02
@@ -345,11 +338,10 @@ class TestEulerExactGap:
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("x", [-0.3, 0.5, 1.6])
     def test_batch_equals_one_path_runs_bitwise(self, ref_spec_bv, x, alpha):
-        case = classify_case(ref_spec_bv, alpha)
         sp = params(b=1.2, alpha=alpha)
         cols = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, RngStream(48, tag=9), 12)
         for k in (50, 400):
-            gaps = euler_exact_gap(cols, sp, case, x, k)
+            gaps = euler_exact_gap(cols, sp, x, k)
             assert gaps.shape == (12,)
-            want = [one_path_gap(sp, case, x, k, p) for p in event_paths(cols)]
+            want = [one_path_gap(sp, x, k, p) for p in event_paths(cols)]
             assert gaps.tobytes() == np.array(want).tobytes()
