@@ -1,7 +1,10 @@
 """Config-driven experiment runner with CSV and SVG emission.
 
 Config files are flat `section.key = value` documents; the grammar is
-documented in the README.  Every run writes its outputs plus a
+documented in the README.  Each value is parsed and checked once, when
+load_config reads it into ExperimentConfig: _KEYS declares every key
+outside model. with its field, parse, legal values and default, and the
+subcommands read typed fields only.  Every run writes its outputs plus a
 run_manifest.json recording the config hash, seed, engine, version, and
 file digests.  Reruns with the same config and seed produce byte-identical
 CSVs regardless of thread count.
@@ -16,7 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -81,11 +85,6 @@ class ValidationError(ValueError):
 
 _MODEL_KEYS = {"gamma", "sigma", "x0"}
 _JUMP_KEYS = {"rate", "sign", "dist", "params"}
-_CONTROL_KEYS = {"alpha", "beta", "q"}
-_GRID_KEYS = {"t", "k"}
-_MC_KEYS = {"n", "seed"}
-_TASK_KEYS = {"b_grid", "x_grid", "alphas", "competing_b", "b", "x",
-              "engine", "method"}
 
 _DISTS = {
     "uniform": (Uniform, 2),
@@ -94,6 +93,97 @@ _DISTS = {
     "pointmass": (PointMass, 1),
     "hyperexponential": (HyperExponential, -1),
 }
+
+
+def _to_float(key: str, val: str) -> float:
+    try:
+        return float(val)
+    except ValueError:
+        raise ValidationError(key, f"not a number: {val!r}")
+
+
+def _to_int(key: str, val: str) -> int:
+    f = _to_float(key, val)
+    if not f.is_integer():
+        raise ValidationError(key, f"not an integer: {val!r}")
+    return int(f)
+
+
+def _to_floats(key: str, val: str) -> tuple:
+    return tuple(_to_float(key, p) for p in val.split(","))
+
+
+def _lowered(key: str, val: str) -> str:
+    return val.lower()
+
+
+def _range_grid(lo: float, step: float, hi: float) -> np.ndarray:
+    """lo, lo + step, ... up to hi inclusive, rounded to 10 decimals."""
+    # + 0.0 turns the -0.0 that rounding leaves at a zero crossing into 0.0
+    return np.round(np.arange(lo, hi + step * 0.5, step), 10) + 0.0
+
+
+def parse_grid(key: str, val: str) -> np.ndarray:
+    """lo:step:hi inclusive range, or a comma list; finite and strictly
+    increasing."""
+    ranged = ":" in val
+    nums = [_to_float(key, p) for p in val.split(":" if ranged else ",")]
+    if ranged and len(nums) != 3:
+        raise ValidationError(key, "range must be lo:step:hi")
+    if not all(map(math.isfinite, nums)):
+        raise ValidationError(key, "every number must be finite")
+    if ranged:
+        lo, step, hi = nums
+        if step <= 0 or hi < lo:
+            raise ValidationError(key, "need step > 0 and hi >= lo")
+        grid = _range_grid(lo, step, hi)
+    else:
+        grid = np.asarray(nums)
+    if grid.size == 0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):
+        raise ValidationError(key, "grid must be non-empty and strictly increasing")
+    return grid
+
+
+_REQUIRED = object()
+
+
+class _Key(NamedTuple):
+    """One config key outside model.: the name errors give it, the
+    ExperimentConfig field it fills, its parse, its default (_REQUIRED if it
+    has none), and its legal values."""
+    name: str
+    field: str
+    parse: Callable  # (name, text) -> value, raising ValidationError(name)
+    default: object
+    ok: Callable = lambda value: True  # whether a parsed value is legal
+    rule: str = ""  # what a legal value is
+
+
+_KEYS = {key.name.lower(): key for key in (
+    _Key("control.alpha", "alpha", _to_float, _REQUIRED, lambda a: a > 0,
+         "must be > 0 (inf allowed)"),
+    _Key("control.beta", "beta", _to_float, _REQUIRED, lambda b: b > 1, "must be > 1"),
+    _Key("control.q", "q", _to_float, _REQUIRED, lambda q: 0 < q < math.inf,
+         "must be positive and finite"),
+    _Key("grid.T", "horizon", _to_float, _REQUIRED, lambda t: 0 < t < math.inf,
+         "must be positive and finite"),
+    _Key("grid.K", "k", _to_int, _REQUIRED, lambda k: k >= 1, "must be >= 1"),
+    _Key("mc.N", "n", _to_int, _REQUIRED, lambda n: n >= 1, "must be >= 1"),
+    _Key("mc.seed", "seed", _to_int, _REQUIRED, lambda s: s >= 0, "must be >= 0"),
+    _Key("task.b", "b", _to_float, None, lambda b: 0 <= b < math.inf,
+         "must be finite and >= 0"),
+    _Key("task.x", "x", _to_float, None, math.isfinite, "must be finite"),
+    _Key("task.b_grid", "b_grid", parse_grid, None),
+    _Key("task.x_grid", "x_grid", parse_grid, None),
+    _Key("task.alphas", "alphas", _to_floats, None, lambda al: all(a > 0 for a in al),
+         "each rate cap must be > 0 (inf allowed)"),
+    _Key("task.competing_b", "competing_b", _to_floats, (),
+         lambda bs: all(0 <= b < math.inf for b in bs), "each must be finite and >= 0"),
+    _Key("task.method", "method", _lowered, "spliced", lambda m: m in ("direct", "spliced"),
+         "must be direct or spliced"),
+    # load_config checks and resolves it against the model with _engine_for
+    _Key("task.engine", "engine", _lowered, "auto"),
+)}
 
 
 def _parse_items(text: str):
@@ -113,6 +203,8 @@ def _parse_items(text: str):
             raise ParseError(f"line {lineno}: duplicate key {key}")
         items[key] = val
     for key in items:
+        if key in _KEYS:
+            continue
         parts = key.split(".")
         if parts[0] == "model":
             if len(parts) == 2 and parts[1] in _MODEL_KEYS:
@@ -120,52 +212,8 @@ def _parse_items(text: str):
             if (len(parts) == 3 and parts[1].startswith("jump")
                     and parts[1][4:].isdigit() and parts[2] in _JUMP_KEYS):
                 continue
-        elif parts[0] == "control" and len(parts) == 2 and parts[1] in _CONTROL_KEYS:
-            continue
-        elif parts[0] == "grid" and len(parts) == 2 and parts[1] in _GRID_KEYS:
-            continue
-        elif parts[0] == "mc" and len(parts) == 2 and parts[1] in _MC_KEYS:
-            continue
-        elif parts[0] == "task" and len(parts) == 2 and parts[1] in _TASK_KEYS:
-            continue
         raise ParseError(f"unknown key {key}")
     return items
-
-
-def _to_float(key: str, val: str) -> float:
-    try:
-        return float(val)
-    except ValueError:
-        raise ValidationError(key, f"not a number: {val!r}")
-
-
-def _to_int(key: str, val: str) -> int:
-    f = _to_float(key, val)
-    if not f.is_integer():
-        raise ValidationError(key, f"not an integer: {val!r}")
-    return int(f)
-
-
-def parse_grid(key: str, val: str) -> np.ndarray:
-    """lo:step:hi inclusive range, or a comma list; strictly increasing."""
-    if ":" in val:
-        parts = val.split(":")
-        if len(parts) != 3:
-            raise ValidationError(key, "range must be lo:step:hi")
-        lo, step, hi = (_to_float(key, p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise ValidationError(key, "need step > 0 and hi >= lo")
-        # + 0.0 turns the -0.0 that rounding leaves at a zero crossing into 0.0
-        grid = np.round(np.arange(lo, hi + step * 0.5, step), 10) + 0.0
-    else:
-        grid = np.asarray([_to_float(key, p) for p in val.split(",")])
-    if grid.size == 0 or (grid.size > 1 and np.any(np.diff(grid) <= 0)):
-        raise ValidationError(key, "grid must be non-empty and strictly increasing")
-    return grid
-
-
-def _to_list(key: str, val: str):
-    return [_to_float(key, p) for p in val.split(",")]
 
 
 def _build_marks(prefix: str, items: dict):
@@ -176,7 +224,7 @@ def _build_marks(prefix: str, items: dict):
     if dist not in _DISTS:
         raise ValidationError(prefix + ".dist", f"unknown distribution {dist!r}")
     cls, npar = _DISTS[dist]
-    params = _to_list(prefix + ".params", items.get(prefix + ".params", ""))
+    params = _to_floats(prefix + ".params", items.get(prefix + ".params", ""))
     if npar >= 0 and len(params) != npar:
         raise ValidationError(prefix + ".params", f"{dist} takes {npar} parameters")
     if dist == "hyperexponential":
@@ -224,6 +272,10 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A run's model, strategy, sizes and task values, each parsed and
+    checked once by load_config.  A key the config leaves out takes its
+    _KEYS default, None where a subcommand may need it; engine is exact or
+    euler."""
     spec: JumpDiffusionSpec
     alpha: float
     beta: float
@@ -232,29 +284,25 @@ class ExperimentConfig:
     k: int
     n: int
     seed: int
-    task: dict = field(default_factory=dict)
-    text_sha256: str = ""
+    b: float | None
+    x: float | None
+    b_grid: np.ndarray | None
+    x_grid: np.ndarray | None
+    alphas: tuple | None
+    competing_b: tuple
+    method: str
+    engine: str
+    text_sha256: str
 
     def params_for(self, b: float) -> StrategyParams:
         return StrategyParams(b=b, alpha=self.alpha, beta=self.beta, q=self.q)
 
-    def task_float(self, key: str, default=None):
-        if key not in self.task:
-            return default
-        return _to_float("task." + key, self.task[key])
-
-    def task_grid(self, key: str):
-        if key not in self.task:
-            raise ValidationError("task." + key, "missing")
-        return parse_grid("task." + key, self.task[key])
-
-    def task_list(self, key: str):
-        if key not in self.task:
-            raise ValidationError("task." + key, "missing")
-        return _to_list("task." + key, self.task[key])
-
-    def task_str(self, key: str, default: str) -> str:
-        return self.task.get(key, default).lower()
+    def need(self, name: str):
+        """Task value name; a run that needs it refuses a config without it."""
+        value = getattr(self, name)
+        if value is None:
+            raise ValidationError("task." + name, "missing")
+        return value
 
 
 def load_config(source: str) -> ExperimentConfig:
@@ -268,63 +316,22 @@ def load_config(source: str) -> ExperimentConfig:
         text = source
     items = _parse_items(text)
     spec = _build_spec(items)
-    for key in ("control.alpha", "control.beta", "control.q"):
-        if key not in items:
-            raise ValidationError(key, "missing")
-    alpha = _to_float("control.alpha", items["control.alpha"])
-    if not alpha > 0:
-        raise ValidationError("control.alpha", "must be > 0 (inf allowed)")
-    beta = _to_float("control.beta", items["control.beta"])
-    if not beta > 1:
-        raise ValidationError("control.beta", "must be > 1")
-    q = _to_float("control.q", items["control.q"])
-    if not (q > 0 and math.isfinite(q)):
-        raise ValidationError("control.q", "must be positive and finite")
-    if "grid.t" not in items:
-        raise ValidationError("grid.T", "missing")
-    horizon = _to_float("grid.T", items["grid.t"])
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValidationError("grid.T", "must be positive and finite")
-    if "grid.k" not in items:
-        raise ValidationError("grid.K", "missing")
-    k = _to_int("grid.K", items["grid.k"])
-    if k < 1:
-        raise ValidationError("grid.K", "must be >= 1")
-    if "mc.n" not in items:
-        raise ValidationError("mc.N", "missing")
-    n = _to_int("mc.N", items["mc.n"])
-    if n < 1:
-        raise ValidationError("mc.N", "must be >= 1")
-    if "mc.seed" not in items:
-        raise ValidationError("mc.seed", "missing")
-    seed = _to_int("mc.seed", items["mc.seed"])
-    if seed < 0:
-        raise ValidationError("mc.seed", "must be >= 0")
-    task = {key.split(".", 1)[1]: val for key, val in items.items()
-            if key.startswith("task.")}
-    if "x" in task and not math.isfinite(_to_float("task.x", task["x"])):
-        raise ValidationError("task.x", "must be finite")
-    if "b" in task and not 0 <= _to_float("task.b", task["b"]) < math.inf:
-        raise ValidationError("task.b", "must be finite and >= 0")
-    if "competing_b" in task and not all(
-            0 <= b < math.inf for b in _to_list("task.competing_b", task["competing_b"])):
-        raise ValidationError("task.competing_b", "each must be finite and >= 0")
-    if "alphas" in task and not all(a > 0 for a in _to_list("task.alphas", task["alphas"])):
-        raise ValidationError("task.alphas", "each rate cap must be > 0 (inf allowed)")
-    for key in ("b_grid", "x_grid"):
-        if key in task:
-            parse_grid("task." + key, task[key])
-    engine = task.get("engine", "auto").lower()
-    if engine not in ("auto", "exact", "euler"):
-        raise ValidationError("task.engine", "must be auto, exact, or euler")
-    if engine == "exact" and spec.sigma != 0.0:
-        raise ValidationError("task.engine", "the exact engine needs model.sigma = 0")
-    if "method" in task and task["method"].lower() not in ("direct", "spliced"):
-        raise ValidationError("task.method", "must be direct or spliced")
-    return ExperimentConfig(
-        spec=spec, alpha=alpha, beta=beta, q=q, horizon=horizon, k=k, n=n,
-        seed=seed, task=task,
-        text_sha256=hashlib.sha256(text.encode()).hexdigest())
+    values = {}
+    for item, key in _KEYS.items():
+        if item not in items:
+            if key.default is _REQUIRED:
+                raise ValidationError(key.name, "missing")
+            values[key.field] = key.default
+            continue
+        values[key.field] = key.parse(key.name, items[item])
+        if not key.ok(values[key.field]):
+            raise ValidationError(key.name, key.rule)
+    try:
+        values["engine"] = _engine_for(spec, values["engine"])
+    except InvalidParameter as err:
+        raise ValidationError("task.engine", str(err))
+    return ExperimentConfig(spec=spec, **values,
+                            text_sha256=hashlib.sha256(text.encode()).hexdigest())
 
 
 # reference experiment factories -------------------------------------------
@@ -497,16 +504,14 @@ class _OutputSet:
         self.out_dir = out_dir
         self.records = []
 
-    def write(self, name: str, text: str) -> str:
+    def write(self, name: str, text: str):
         os.makedirs(self.out_dir, exist_ok=True)
-        path = os.path.join(self.out_dir, name)
         data = text.encode()
-        with open(path, "wb") as fh:
+        with open(os.path.join(self.out_dir, name), "wb") as fh:
             fh.write(data)
         self.records.append({"file": name,
                              "sha256": hashlib.sha256(data).hexdigest(),
                              "bytes": len(data)})
-        return path
 
     def discard_all(self):
         for rec in self.records:
@@ -517,12 +522,10 @@ class _OutputSet:
         self.records = []
 
 
-def emit_outputs(outs: _OutputSet, base: str, csv_text: str, plot: SvgPlot | None):
-    """Write one result as CSV and SVG; a missing plot (empty result)
-    writes the CSV file only."""
+def emit_outputs(outs: _OutputSet, base: str, csv_text: str, plot: SvgPlot):
+    """Write one result as CSV and SVG."""
     outs.write(base + ".csv", csv_text)
-    if plot is not None:
-        outs.write(base + ".svg", plot.render())
+    outs.write(base + ".svg", plot.render())
 
 
 @dataclass(frozen=True)
@@ -537,21 +540,12 @@ class RunManifest:
     outputs: tuple
 
     def to_json(self) -> str:
-        doc = {"subcommand": self.subcommand, "config_sha256": self.config_sha256,
-               "seed": self.seed, "engine": self.engine,
-               "desk_scale": self.desk_scale, "version": self.version,
-               "status": self.status, "outputs": list(self.outputs)}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _version() -> str:
-    from levyrefract import __version__
-    return __version__
+        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
 
 
 # subcommands ---------------------------------------------------------------
 
-def _run_validate(cfg, outs, seed, n, k, threads, desk):
+def _run_validate(cfg, outs, threads, desk):
     rep = validate_spec(cfg.spec)
     delta = net_drift(cfg.spec)
     lines = [
@@ -559,25 +553,21 @@ def _run_validate(cfg, outs, seed, n, k, threads, desk):
         "case = Case%d" % (2 if is_case2(delta, cfg.alpha) else 1),
         "net_drift = %s" % ("none" if delta is None else "%.17g" % delta),
         "negative_jump_mean = %.17g" % rep.negative_jump_mean,
-        "engine = %s" % _engine_for(cfg.spec, cfg.task_str("engine", "auto")),
+        "engine = %s" % cfg.engine,
     ]
     outs.write("validation.txt", "\n".join(lines) + "\n")
     return "none", "pass"
 
 
-def _run_sample_path(cfg, outs, seed, n, k, threads, desk):
-    b = cfg.task_float("b")
-    if b is None:
-        raise ValidationError("task.b", "missing")
-    params = cfg.params_for(b)
-    stream = RngStream(seed, tag=1)
-    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
-    if eng == "exact":
+def _run_sample_path(cfg, outs, threads, desk):
+    params = cfg.params_for(cfg.need("b"))
+    stream = RngStream(cfg.seed, tag=1)
+    if cfg.engine == "exact":
         columns = sample_path(cfg.spec, cfg.horizon, EXACT, stream, 1)
         traj = ControlledTrajectory.from_exact(columns, apply_strategy_exact(columns, params))
     else:
-        incs = sample_path(cfg.spec, cfg.horizon, Grid(k), stream)[0]
-        traj = simulate_euler(cfg.spec.x0, params, incs, cfg.horizon / k)
+        incs = sample_path(cfg.spec, cfg.horizon, Grid(cfg.k), stream)[0]
+        traj = simulate_euler(cfg.spec.x0, params, incs, cfg.horizon / cfg.k)
     plot = SvgPlot("Controlled surplus sample path", "t", "level")
     plot.line(traj.times, traj.z, _PALETTE[0], label="surplus")
     plot.line(traj.times, traj.l, _PALETTE[2], label="dividends", dashed=True)
@@ -585,7 +575,7 @@ def _run_sample_path(cfg, outs, seed, n, k, threads, desk):
     plot.hline(params.b, label="threshold b")
     plot.hline(0.0, color="#bbbbbb")
     emit_outputs(outs, "sample_path", traj.to_csv(), plot)
-    return eng, "pass"
+    return cfg.engine, "pass"
 
 
 def _nu_plot(curve, beta, title):
@@ -594,99 +584,78 @@ def _nu_plot(curve, beta, title):
     plot.line(grid, curve.values, _PALETTE[0], label="nu estimate")
     plot.hline(1.0 / beta, label="1/beta")
     cross = (grid > 0) & (beta * curve.values < 1.0)
-    if grid.size and np.any(cross):
+    if np.any(cross):
         i = int(np.argmax(cross))
         plot.marker(float(grid[i]), float(curve.values[i]), _PALETTE[1],
                     label="(b*, nu(b*))")
     return plot
 
 
-def _run_nu_curve(cfg, outs, seed, n, k, threads, desk):
-    bgrid = cfg.task_grid("b_grid")
-    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
-    curve = nu_curve(cfg.params_for(0.0), cfg.spec, bgrid, cfg.horizon, k, n,
-                     RngStream(seed, tag=2), engine=eng, threads=threads)
-    plot = _nu_plot(curve, cfg.beta, "Passage transform over thresholds") \
-        if bgrid.size else None
+def _run_nu_curve(cfg, outs, threads, desk):
+    curve = nu_curve(cfg.params_for(0.0), cfg.spec, cfg.need("b_grid"), cfg.horizon,
+                     cfg.k, cfg.n, RngStream(cfg.seed, tag=2), engine=cfg.engine,
+                     threads=threads)
+    plot = _nu_plot(curve, cfg.beta, "Passage transform over thresholds")
     emit_outputs(outs, "nu_curve", curve.to_csv(), plot)
-    return eng, "pass"
+    return cfg.engine, "pass"
 
 
-def _run_bstar(cfg, outs, seed, n, k, threads, desk):
-    bgrid = cfg.task_grid("b_grid")
-    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
-    res = find_bstar(cfg.params_for(0.0), cfg.spec, bgrid, cfg.horizon, k, n,
-                     RngStream(seed, tag=2), engine=eng, threads=threads)
+def _run_bstar(cfg, outs, threads, desk):
+    res = find_bstar(cfg.params_for(0.0), cfg.spec, cfg.need("b_grid"), cfg.horizon,
+                     cfg.k, cfg.n, RngStream(cfg.seed, tag=2), engine=cfg.engine,
+                     threads=threads)
     outs.write("bstar.csv", res.to_csv())
     plot = _nu_plot(res.curve, cfg.beta, "Threshold estimate")
     emit_outputs(outs, "nu_curve", res.curve.to_csv(), plot)
-    return eng, "pass"
+    return cfg.engine, "pass"
 
 
-def _assemble_value_curves(cfg, seed, n, k, threads, bs, principal, xs, method):
+def _assemble_value_curves(cfg, threads, bs, principal, xs, method):
     """Every curve of bs over xs, and the plot marker at x = b of each b
     inside the x range, from one value_curve job."""
-    eng = _engine_for(cfg.spec, cfg.task_str("engine", "auto"))
-    marked = [b for b in bs if xs.size and xs[0] <= b <= xs[-1]]
+    marked = [b for b in bs if xs[0] <= b <= xs[-1]]
     got = value_curve(np.concatenate((np.tile(xs, len(bs)), marked)),
                       np.concatenate((np.repeat(bs, xs.size), marked)),
-                      cfg.params_for(principal), cfg.spec, cfg.horizon, k, n,
-                      RngStream(seed, tag=3), method=method, engine=eng,
+                      cfg.params_for(principal), cfg.spec, cfg.horizon, cfg.k, cfg.n,
+                      RngStream(cfg.seed, tag=3), method=method, engine=cfg.engine,
                       threads=threads)
     curves = [got[i * xs.size:(i + 1) * xs.size] for i in range(len(bs))]
     marks = dict(zip(marked, got[len(bs) * xs.size:]))
     rows = [(x, float(b), est, method) for b, curve in zip(bs, curves)
             for x, est in curve]
-    plot = SvgPlot("Value curves by threshold", "x", "value") if xs.size else None
-    if plot is not None:
-        ci = 0
-        for b, curve in zip(bs, curves):
-            vx = [r[0] for r in curve]
-            vy = [r[1].mean for r in curve]
-            if abs(b - principal) < 1e-12:
-                plot.line(vx, vy, _PALETTE[1], label="b = %g (principal)" % b,
-                          width=2.3)
-            else:
-                ci += 1
-                plot.line(vx, vy, _PALETTE[(1 + ci) % len(_PALETTE)],
-                          label="b = %g" % b, dashed=True, width=1.3)
-            if b in marks:
-                plot.marker(float(b), marks[b][1].mean,
-                            _PALETTE[1] if abs(b - principal) < 1e-12 else "#555555")
-    return rows, plot, eng
+    plot = SvgPlot("Value curves by threshold", "x", "value")
+    ci = 0
+    for b, curve in zip(bs, curves):
+        vx = [r[0] for r in curve]
+        vy = [r[1].mean for r in curve]
+        if abs(b - principal) < 1e-12:
+            plot.line(vx, vy, _PALETTE[1], label="b = %g (principal)" % b,
+                      width=2.3)
+        else:
+            ci += 1
+            plot.line(vx, vy, _PALETTE[(1 + ci) % len(_PALETTE)],
+                      label="b = %g" % b, dashed=True, width=1.3)
+        if b in marks:
+            plot.marker(float(b), marks[b][1].mean,
+                        _PALETTE[1] if abs(b - principal) < 1e-12 else "#555555")
+    return rows, plot
 
 
-def _run_value_curve(cfg, outs, seed, n, k, threads, desk):
-    b = cfg.task_float("b")
-    if b is None:
-        raise ValidationError("task.b", "missing")
-    xs = cfg.task_grid("x_grid")
-    competing = []
-    if "competing_b" in cfg.task:
-        competing = cfg.task_list("competing_b")
-    method = cfg.task_str("method", "spliced")
-    bs = [float(b)] + [float(c) for c in competing]
-    rows, plot, eng = _assemble_value_curves(cfg, seed, n, k, threads, bs,
-                                             float(b), xs, method)
+def _run_value_curve(cfg, outs, threads, desk):
+    b = cfg.need("b")
+    rows, plot = _assemble_value_curves(cfg, threads, [b, *cfg.competing_b], b,
+                                        cfg.need("x_grid"), cfg.method)
     emit_outputs(outs, "value_curves", value_curve_csv(rows), plot)
-    return eng, "pass"
+    return cfg.engine, "pass"
 
 
-def _run_alpha_convergence(cfg, outs, seed, n, k, threads, desk):
+def _run_alpha_convergence(cfg, outs, threads, desk):
     if cfg.spec.sigma != 0.0:
         raise ValidationError("model.sigma", "the cap ladder needs sigma = 0")
-    alphas = cfg.task_list("alphas")
-    x = cfg.task_float("x")
-    if x is None:
-        raise ValidationError("task.x", "missing")
-    b = cfg.task_float("b")
-    if b is None:
-        raise ValidationError("task.b", "missing")
-    n_paths = min(n, 2000)
-    horizon = min(cfg.horizon, 30.0)
+    alphas, x, b = cfg.need("alphas"), cfg.need("x"), cfg.need("b")
     try:
-        rep = oracle.alpha_ladder_run(cfg.spec, float(b), alphas, float(x), horizon,
-                                      n_paths, RngStream(seed, tag=4),
+        rep = oracle.alpha_ladder_run(cfg.spec, b, alphas, x, min(cfg.horizon, 30.0),
+                                      min(cfg.n, 2000), RngStream(cfg.seed, tag=4),
                                       beta=cfg.beta, q=cfg.q)
     except oracle.InvalidLadder as err:
         raise ValidationError("task.alphas", str(err))
@@ -710,29 +679,29 @@ def _run_alpha_convergence(cfg, outs, seed, n, k, threads, desk):
     return "exact", "pass" if rep.ok else "fail"
 
 
-def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
+def _run_check_properties(cfg, outs, threads, desk):
     if cfg.spec.sigma != 0.0:
         raise ValidationError("model.sigma", "property checks need sigma = 0")
-    b = cfg.task_float("b", 1.0)
-    x = cfg.task_float("x", 0.5)
+    b = 1.0 if cfg.b is None else cfg.b
+    x = 0.5 if cfg.x is None else cfg.x
     horizon = min(cfg.horizon, 20.0)
-    n_pair = min(n, 300)
+    n_pair = min(cfg.n, 300)
     shift = 0.5 * b if b > 0 else 0.5
     pair = oracle.coupled_pair_run(cfg.spec, cfg.params_for(b), x, 0.0, shift,
-                                   horizon, n_pair, RngStream(seed, tag=5),
+                                   horizon, n_pair, RngStream(cfg.seed, tag=5),
                                    relaxed=b == 0.0)
     reports = [pair]
     # alpha = inf leaves one distinct rate cap and no ladder to climb
     rungs = sorted({cfg.alpha, 2 * cfg.alpha, math.inf})
     if len(rungs) > 1:
         reports.append(oracle.alpha_ladder_run(cfg.spec, b, rungs, x, horizon,
-                                               min(n_pair, 150), RngStream(seed, tag=6),
+                                               min(n_pair, 150), RngStream(cfg.seed, tag=6),
                                                beta=cfg.beta, q=cfg.q))
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
-                                      max(n, 40_000), RngStream(seed, tag=7))
+                                      max(cfg.n, 40_000), RngStream(cfg.seed, tag=7))
     # negative control: a correct coupled pair checked against a mis-stated
     # shift must break the budget relation on any model
-    cols = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT, RngStream(seed, tag=8), 1)
+    cols = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT, RngStream(cfg.seed, tag=8), 1)
     lower = replace(cols, x0=cols.x0 + x)
     tk = apply_strategy_exact(lower, cfg.params_for(b))
     tl = apply_strategy_exact(replace(lower, x0=lower.x0 + shift), cfg.params_for(b))
@@ -750,20 +719,14 @@ def _run_check_properties(cfg, outs, seed, n, k, threads, desk):
     return "exact", "pass" if ok else "fail"
 
 
-def _run_reproduce(cfg, outs, seed, n, k, threads, desk):
-    engines = []
-    for tag_base, name, spec, bhi in ((10, "case1", reference_case1_spec(), 3.49),
-                                      (20, "case2", reference_case2_spec(), 3.99)):
-        sub = ExperimentConfig(spec=spec, alpha=0.5, beta=1.5, q=0.05,
-                               horizon=cfg.horizon, k=cfg.k, n=cfg.n,
-                               seed=seed, task={},
-                               text_sha256=cfg.text_sha256)
-        eng = _engine_for(spec, "auto")
-        engines.append(eng)
-        bgrid = parse_grid("task.b_grid", f"-1:0.01:{bhi}")
-        res = find_bstar(sub.params_for(0.0), spec, bgrid, sub.horizon, k, n,
-                         RngStream(seed, tag=tag_base), engine=eng,
-                         threads=threads)
+def _run_reproduce(cfg, outs, threads, desk):
+    cases = ((10, "case1", reference_case1_spec(), 3.49, "exact"),
+             (20, "case2", reference_case2_spec(), 3.99, "euler"))
+    for tag_base, name, spec, bhi, eng in cases:
+        sub = replace(cfg, spec=spec, alpha=0.5, beta=1.5, q=0.05, engine=eng)
+        res = find_bstar(sub.params_for(0.0), spec, _range_grid(-1.0, 0.01, bhi),
+                         sub.horizon, sub.k, sub.n, RngStream(sub.seed, tag=tag_base),
+                         engine=eng, threads=threads)
         outs.write(f"bstar_{name}.csv", res.to_csv())
         emit_outputs(outs, f"nu_curve_{name}", res.curve.to_csv(),
                      _nu_plot(res.curve, sub.beta,
@@ -771,16 +734,13 @@ def _run_reproduce(cfg, outs, seed, n, k, threads, desk):
         bst = res.bstar_hat
         bs = sorted({round(bst * f, 2) for f in
                      (1 / 3, 2 / 3, 1.0, 4 / 3, 5 / 3)})
-        step = 0.25 if desk else 0.01
-        xs = parse_grid("task.x_grid", f"-1:{step}:{bhi}")
-        n_val = min(n, 2000) if desk else n
-        rows, plot, _ = _assemble_value_curves(
-            sub, seed + tag_base, n_val, k, threads, bs, round(bst, 2), xs,
-            "spliced")
-        if plot is not None:
-            plot.title = f"Value curves ({name})"
+        xs = _range_grid(-1.0, 0.25 if desk else 0.01, bhi)
+        rows, plot = _assemble_value_curves(
+            replace(sub, seed=sub.seed + tag_base, n=min(sub.n, 2000) if desk else sub.n),
+            threads, bs, round(bst, 2), xs, "spliced")
+        plot.title = f"Value curves ({name})"
         emit_outputs(outs, f"value_curves_{name}", value_curve_csv(rows), plot)
-    return "+".join(engines), "pass"
+    return "+".join(case[-1] for case in cases), "pass"
 
 
 _SUBS = {
@@ -803,27 +763,25 @@ def run_experiment(cfg: ExperimentConfig, subcommand: str, out_dir: str = ".",
     Partial outputs are removed if the run raises.  The manifest lists every
     file written with its digest; thread count never changes output bytes.
     """
+    from levyrefract import __version__
     if subcommand not in _SUBS:
         raise ValueError("subcommand must be one of " + ", ".join(SUBCOMMANDS))
-    eff_seed = cfg.seed if seed is None else int(seed)
-    if eff_seed < 0:
+    cfg = replace(cfg, seed=cfg.seed if seed is None else int(seed))
+    if cfg.seed < 0:
         raise ValidationError("--seed", "must be >= 0")
     if threads < 1:
         raise ValidationError("--threads", "must be >= 1")
-    n, k = cfg.n, cfg.k
     if desk_scale:
-        n = min(n, DESK_N)
-        k = min(k, DESK_K)
+        cfg = replace(cfg, n=min(cfg.n, DESK_N), k=min(cfg.k, DESK_K))
     outs = _OutputSet(out_dir)
     try:
-        engine, status = _SUBS[subcommand](cfg, outs, eff_seed, n, k,
-                                           threads, desk_scale)
+        engine, status = _SUBS[subcommand](cfg, outs, threads, desk_scale)
     except BaseException:
         outs.discard_all()
         raise
     manifest = RunManifest(subcommand=subcommand, config_sha256=cfg.text_sha256,
-                           seed=eff_seed, engine=engine, desk_scale=desk_scale,
-                           version=_version(), status=status,
+                           seed=cfg.seed, engine=engine, desk_scale=desk_scale,
+                           version=__version__, status=status,
                            outputs=tuple(outs.records))
     with open(os.path.join(out_dir, "run_manifest.json"), "w", encoding="utf-8") as fh:
         fh.write(manifest.to_json())

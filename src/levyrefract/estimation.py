@@ -157,10 +157,12 @@ def _run_chunks(n: int, worker, threads: int):
 
 
 def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
+    if engine not in ("auto", "exact", "euler"):
+        raise InvalidParameter("engine", "must be auto, exact, or euler")
     if engine == "auto":
         return "exact" if spec.sigma == 0.0 else "euler"
     if engine == "exact" and spec.sigma != 0.0:
-        raise InvalidParameter("engine", "exact engine needs sigma = 0")
+        raise InvalidParameter("engine", "the exact engine needs sigma = 0")
     return engine
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import pytest
 
 from levyrefract import cli_reporting
 from levyrefract.cli_reporting import (
-    ParseError, SUBCOMMANDS, SvgPlot, ValidationError, load_config, main,
+    ExperimentConfig, ParseError, SUBCOMMANDS, SvgPlot, ValidationError, load_config, main,
     parse_grid, reference_case1_spec, reference_case2_spec, run_experiment,
 )
 from levyrefract.estimation import NoCrossing
@@ -39,7 +40,7 @@ class TestGrammar:
         assert cfg.horizon == 20.0
         assert cfg.n == 64 and cfg.seed == 77
         assert cfg.params_for(2.0).b == 2.0
-        assert cfg.task_float("b") == 1.0
+        assert cfg.b == 1.0
 
     def test_missing_equals(self):
         with pytest.raises(ParseError):
@@ -56,19 +57,30 @@ class TestGrammar:
 
     def test_readme_grammar_shows_every_key(self):
         """Every key the parser accepts appears in README's config grammar
-        block, and the block is itself a valid config."""
+        block, the block is itself a valid config, and the section names
+        every distribution as the parser spells it."""
         with open(os.path.join(os.path.dirname(__file__), "..", "README.md"),
                   encoding="utf-8") as fh:
-            block = fh.read().split("## Config grammar", 1)[1].split("```")[1]
+            grammar = fh.read().split("## Config grammar", 1)[1].split("\n## ", 1)[0]
+        block = grammar.split("```")[1]
         load_config(block)
         shown = {re.sub(r"^model\.jump\d+\.", "model.jump.", key)
                  for key in cli_reporting._parse_items(block)}
         accepted = {"%s.%s" % (section, key) for section, keys in (
-            ("model", cli_reporting._MODEL_KEYS), ("model.jump", cli_reporting._JUMP_KEYS),
-            ("control", cli_reporting._CONTROL_KEYS), ("grid", cli_reporting._GRID_KEYS),
-            ("mc", cli_reporting._MC_KEYS), ("task", cli_reporting._TASK_KEYS))
-            for key in keys}
+            ("model", cli_reporting._MODEL_KEYS), ("model.jump", cli_reporting._JUMP_KEYS))
+            for key in keys} | set(cli_reporting._KEYS)
         assert accepted - shown == set()
+        assert [d for d in cli_reporting._DISTS if not re.search(r"`%s\b" % d, grammar)] == []
+
+    def test_every_key_fills_one_config_field(self):
+        """The declaration of the keys outside model. and ExperimentConfig
+        agree: each key fills its own field, and each field but the model
+        and the text digest has a key."""
+        filled = [key.field for key in cli_reporting._KEYS.values()]
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(filled) == len(set(filled))
+        assert set(filled) == fields - {"spec", "text_sha256"}
+        assert all(name == key.name.lower() for name, key in cli_reporting._KEYS.items())
 
     def test_unknown_distribution(self):
         text = BASE + ("model.jump1.rate = 1\nmodel.jump1.sign = 1\n"
@@ -168,7 +180,9 @@ class TestParseGrid:
         rows = (tmp_path / "nu_curve.csv").read_text().splitlines()
         assert rows[10].split(",")[0] == "0"
 
-    @pytest.mark.parametrize("bad", ["2:0.5:1", "1:0:2", "1:2", "3,2", ""])
+    @pytest.mark.parametrize("bad", ["2:0.5:1", "1:0:2", "1:2", "3,2", "",
+                                     "0, nan, 1", "0, inf", "0.5, inf", "0:0.5:inf",
+                                     "-inf:1:0", "0:inf:1", "nan:1:2"])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_grid("g", bad)
@@ -176,10 +190,10 @@ class TestParseGrid:
     def test_reference_grids_have_the_advertised_sizes(self):
         c1 = load_config(reference_config_text(1))
         c2 = load_config(reference_config_text(2))
-        assert c1.task_grid("b_grid").size == 450
-        assert c2.task_grid("b_grid").size == 500
-        assert c1.task_grid("b_grid")[0] == -1.0
-        assert c1.task_grid("b_grid")[-1] == pytest.approx(3.49)
+        assert c1.b_grid.size == 450
+        assert c2.b_grid.size == 500
+        assert c1.b_grid[0] == -1.0
+        assert c1.b_grid[-1] == pytest.approx(3.49)
 
 
 class TestReferenceConfigs:
@@ -194,7 +208,7 @@ class TestReferenceConfigs:
         cfg = load_config(reference_config_text(1, n=500, k=100))
         assert cfg.n == 500 and cfg.k == 100
         assert cfg.alpha == 0.5 and cfg.beta == 1.5 and cfg.q == 0.05
-        assert cfg.task_float("b") == 1.66
+        assert cfg.b == 1.66
 
     def test_shipped_configs_load(self):
         root = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -202,7 +216,7 @@ class TestReferenceConfigs:
         c2 = load_config(os.path.join(root, "paper_case2.cfg"))
         assert c1.n == 100_000 and c1.k == 10_000
         assert c1.spec.sigma == 0.0 and c2.spec.sigma == 1.0
-        assert c2.task_float("b") == 2.15
+        assert c2.b == 2.15
 
     def test_no_subcommand_imports_scipy(self, tmp_path):
         """scipy is a test-only reference: a fresh interpreter that imports
@@ -225,7 +239,7 @@ class TestReferenceConfigs:
             "    text = text.replace('mc.N = 100000', 'mc.N = 64')",
             "    text = text.replace('grid.K = 10000', 'grid.K = 100')",
             "    cfg = load_config(re.sub(r'task.x_grid = .*', 'task.x_grid = 0:0.5:1', text))",
-            "    assert cfg.n == 64 and cfg.k == 100 and cfg.task_grid('x_grid').size == 3",
+            "    assert cfg.n == 64 and cfg.k == 100 and cfg.x_grid.size == 3",
             "    run_experiment(cfg, sub, out_dir=%r %% (i, sub))" % str(tmp_path / "%d-%s"),
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))",
         ])
@@ -430,7 +444,8 @@ class TestMain:
     @pytest.mark.parametrize("key,value", [
         ("task.x", "inf"), ("task.b", "-1"), ("task.competing_b", "1,inf"),
         ("task.alphas", "0.5,0"), ("task.engine", "fast"), ("task.method", "mixed"),
-        ("task.b_grid", "3:1:0"), ("task.x_grid", "a,b")])
+        ("task.b_grid", "3:1:0"), ("task.x_grid", "a,b"), ("task.x_grid", "0, nan, 1"),
+        ("task.x_grid", "0, inf"), ("task.b_grid", "0.5, inf"), ("task.b_grid", "0:0.5:inf")])
     def test_a_malformed_task_key_exits_two(self, key, value, tmp_path, capsys):
         """validate reads every task key it is given, used by its subcommand
         or not, and refuses a malformed one by name."""
@@ -439,6 +454,22 @@ class TestMain:
         code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out")])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sub,key", [
+        ("sample-path", "b"), ("nu-curve", "b_grid"), ("bstar", "b_grid"),
+        ("value-curve", "b"), ("value-curve", "x_grid"), ("alpha-convergence", "alphas"),
+        ("alpha-convergence", "x"), ("alpha-convergence", "b")])
+    def test_a_missing_task_key_exits_two(self, sub, key, tmp_path, capsys):
+        """A subcommand run without a task key it needs names the key and
+        writes nothing."""
+        task = {"b": "1", "x": "0.5", "b_grid": "0:0.5:2", "x_grid": "0:0.5:1",
+                "alphas": "0.5, 1, inf"}
+        del task[key]
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "".join("task.%s = %s\n" % kv for kv in task.items()))
+        assert main([sub, "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "task.%s: missing" % key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key,value", [("model.gamma", "inf"), ("model.sigma", "inf"),
                                            ("model.x0", "nan")])

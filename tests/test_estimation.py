@@ -364,6 +364,27 @@ def test_a_horizon_outside_0_inf_is_refused(ref_spec_bv, ref_spec_gauss, name, e
     assert err.value.field_name == "horizon"
 
 
+ENGINE_CALLS = {
+    "nu_curve": lambda s, e: nu_curve(params(), s, [0.5, 1.0], 5.0, 10, 8,
+                                      RngStream(144, tag=1), engine=e),
+    "find_bstar": lambda s, e: find_bstar(params(), s, [0.5, 1.0], 5.0, 10, 8,
+                                          RngStream(144, tag=1), engine=e),
+    "value_curve": lambda s, e: value_curve([0.5], 1.0, params(), s, 5.0, 10, 8,
+                                            RngStream(144, tag=1), engine=e),
+    "estimate_underline_nu": lambda s, e: estimate_underline_nu(
+        0.5, 1.0, 0.5, params(), s, 5.0, 8, RngStream(144, tag=1), k=10, engine=e),
+}
+
+
+@pytest.mark.parametrize("engine", ["exat", "Exact", "", "gpu"])
+@pytest.mark.parametrize("name", sorted(ENGINE_CALLS))
+def test_an_unknown_engine_is_refused(ref_spec_bv, name, engine):
+    """A misspelt engine used to run the Euler recursion."""
+    with pytest.raises(InvalidParameter) as err:
+        ENGINE_CALLS[name](ref_spec_bv, engine)
+    assert err.value.field_name == "engine"
+
+
 class TestValueEstimates:
     def test_perpetual_injection_value(self):
         est = value_curve([0.0], 2.0, params(), drift_only(-1.0), PERPETUAL_T,
