@@ -59,6 +59,7 @@ from . import properties_oracle as oracle
 OUT_DIR_ENV = "LEVYREFRACT_OUT"
 DESK_N = 10_000
 DESK_K = 2_000
+_MAX_RANGE_POINTS = 10 ** 6  # most points a lo:step:hi grid may hold
 
 # Truncated-drift coefficient for the built-in reference experiments: the
 # value that puts the slope between jumps at exactly 0.6 for unit-rate
@@ -136,6 +137,9 @@ def parse_grid(key: str, val: str) -> np.ndarray:
         lo, step, hi = nums
         if step <= 0 or hi < lo:
             raise ValidationError(key, "need step > 0 and hi >= lo")
+        # checked before arange, which would overflow or allocate the range
+        if not (math.isfinite(hi + step * 0.5) and (hi - lo) / step + 1 <= _MAX_RANGE_POINTS):
+            raise ValidationError(key, "a range holds at most %d points" % _MAX_RANGE_POINTS)
         grid = _range_grid(lo, step, hi)
     else:
         grid = np.asarray(nums)
@@ -243,20 +247,15 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
         raise ValidationError("model.gamma", "missing")
     gamma = _to_float("model.gamma", items["model.gamma"])
     sigma = _to_float("model.sigma", items.get("model.sigma", "0"))
-    if sigma < 0:
-        raise ValidationError("model.sigma", "must be >= 0")
     x0 = _to_float("model.x0", items.get("model.x0", "0"))
     comps = []
     blocks = sorted({key.split(".")[1] for key in items if key.startswith("model.jump")},
                     key=lambda name: (int(name[4:]), name))
     for block in blocks:
         prefix = "model." + block
+        # a missing rate or sign is one validate_spec refuses
         rate = _to_float(prefix + ".rate", items.get(prefix + ".rate", "nan"))
-        if not rate > 0:
-            raise ValidationError(prefix + ".rate", "must be > 0")
         sign = _to_int(prefix + ".sign", items.get(prefix + ".sign", "0"))
-        if sign not in (1, -1):
-            raise ValidationError(prefix + ".sign", "must be +1 or -1")
         comps.append((rate, sign, _build_marks(prefix, items)))
     spec = JumpDiffusionSpec(gamma=gamma, sigma=sigma,
                              jump_components=tuple(comps), x0=x0)
@@ -265,7 +264,8 @@ def _build_spec(items: dict) -> JumpDiffusionSpec:
     except InvalidParameter as err:
         field = err.field_name
         if field.startswith("jump_components["):
-            field = blocks[int(field[16:-1])]  # component i is the i-th block
+            i, _, suffix = field[16:].partition("]")
+            field = blocks[int(i)] + suffix  # component i is the i-th block
         raise ValidationError("model." + field, str(err))
     return spec
 
@@ -353,10 +353,10 @@ def reference_case2_spec() -> JumpDiffusionSpec:
 # SVG plots -----------------------------------------------------------------
 
 def _nice_ticks(lo: float, hi: float, target: int = 5):
-    span = hi - lo
-    if span <= 0:
+    if hi <= lo:
         return [lo]
-    raw = span / target
+    # (hi - lo) / target, halved first so that no finite range overflows
+    raw = (hi / 2 - lo / 2) / target * 2
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -365,7 +365,7 @@ def _nice_ticks(lo: float, hi: float, target: int = 5):
     first = math.ceil(lo / step) * step
     ticks = []
     t = first
-    while t <= hi + step * 1e-9:
+    while t <= min(hi + step * 1e-9, sys.float_info.max):
         ticks.append(round(t, 12) + 0.0)
         t += step
     return ticks
@@ -412,23 +412,27 @@ class SvgPlot:
         ay = np.concatenate(ys)
         x0, x1 = float(ax.min()), float(ax.max())
         y0, y1 = float(ay.min()), float(ay.max())
-        if x1 - x0 <= 0:
+        if x1 <= x0:
             x0, x1 = x0 - 0.5, x1 + 0.5
-        if y1 - y0 <= 0:
+        if y1 <= y0:
             y0, y1 = y0 - 0.5, y1 + 0.5
-        px, py = 0.04 * (x1 - x0), 0.06 * (y1 - y0)
-        return x0 - px, x1 + px, y0 - py, y1 + py
+        # pad by 4 % and 6 % of the spans, from half spans so that no finite
+        # range overflows, and keep the padded bounds finite
+        px, py = 0.08 * (x1 / 2 - x0 / 2), 0.12 * (y1 / 2 - y0 / 2)
+        big = sys.float_info.max
+        return max(x0 - px, -big), min(x1 + px, big), max(y0 - py, -big), min(y1 + py, big)
 
     def render(self) -> str:
         x0, x1, y0, y1 = self._bounds()
         iw = self.W - self.ML - self.MR
         ih = self.H - self.MT - self.MB
 
+        # ratios of half differences: the same quotients, and none overflows
         def tx(x):
-            return self.ML + (x - x0) / (x1 - x0) * iw
+            return self.ML + (x / 2 - x0 / 2) / (x1 / 2 - x0 / 2) * iw
 
         def ty(y):
-            return self.MT + (y1 - y) / (y1 - y0) * ih
+            return self.MT + (y1 / 2 - y / 2) / (y1 / 2 - y0 / 2) * ih
 
         out = io.StringIO()
         out.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.W}" '

@@ -10,8 +10,10 @@ chunks of a batch side by side, once, and reads them as LaneFlows, the
 discounted flows and passage times of floored (path, start, threshold)
 lanes, and RecordLows, the record lows of the paths refracted at 0: the
 two readers of each engine's lane stepper, path_engine.event_steps or
-strategy_engine.euler_steps.  Each estimator reduces them once, for both
-engines; a passage that does not occur before the horizon weighs
+strategy_engine.euler_steps.  Values and the randomized clock are one lane
+run over LaneFlows with two term readers, and _estimate builds every
+McEstimate from its moment sums; the threshold search reduces RecordLows
+on its own.  A passage that does not occur before the horizon weighs
 exp(-q * inf) = 0.
 
 The threshold search has one form, on common random numbers: the path
@@ -273,22 +275,78 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
                        curve=curve, n=n, stream_id=stream.id)
 
 
-# randomized passage clock --------------------------------------------------
+# lane runs: values and the clock --------------------------------------------
+#
+# Values and the randomized clock are one lane run with two term readers.
+# A run reads the LaneFlows of its (x, b, spliced) points and, per point
+# and per chunk of a batch, sums a, a^2, d, d^2 and a*d into a (J, 5) array,
+# with a (J,) count of censored paths.  For a value a is the discounted
+# dividends minus beta-weighted injections up to the stop and d the
+# discount at the stop; for the clock a and d are the discounts at the
+# strict and the weak passage.  _estimate reads every estimate, of
+# ca * a + cd * d, off those sums.  A value job is two runs: the positive
+# starts on the main stream and the at-0 anchors on their own substream.
 
-def _clock_chunk(draw, params, x, stream, chunks):
+def _value_terms(params, fl, spliced):
+    # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
+    stop = np.where(spliced[:, None], fl.t_weak, math.inf)
+    return (fl.dl - params.beta * fl.dr, np.exp(-params.q * stop),
+            spliced[:, None] & (stop == math.inf))
+
+
+def _clock_terms(params, fl, spliced):
     # halting lanes leave the sweep once both clocks are known; halting
     # gates only the flows, which the clock does not read
-    fl = draw(stream, chunks).lane_flows([x], [params.b], [True])
-    strict, weak = fl.kappa_strict[0], fl.t_weak[0]
-    ws = np.exp(-params.q * strict)  # exp(-q * inf) = 0
-    ww = np.exp(-params.q * weak)
-    terms = (ws, ws * ws, ww, ww * ww, ws * ww)
-    cens = (strict == math.inf) | (weak == math.inf)
-    return [(np.asarray([t[r].sum() for t in terms]), np.asarray([float(np.sum(cens[r]))]))
-            for r in _chunk_rows(chunks)]
+    strict, weak = fl.kappa_strict, fl.t_weak
+    return (np.exp(-params.q * strict), np.exp(-params.q * weak),
+            (strict == math.inf) | (weak == math.inf))
 
 
-def _clock_moments(params, spec, x, horizon, k, n, stream, engine, threads):
+def _run_sums(draw, terms, stream, points, chunks):
+    """The (moment sums, censored counts) of every point, per chunk.  Points
+    step in blocks of at most BLOCK_LANES lanes (and at least one point) on
+    one draw; lanes are independent, so the blocking never changes a byte,
+    and a run without points draws nothing."""
+    rows = _chunk_rows(chunks)
+    sums, cens = np.zeros((len(rows), len(points), 5)), np.zeros((len(rows), len(points)))
+    lane_flows = draw(stream, chunks).lane_flows if points else None
+    step = max(1, BLOCK_LANES // rows[-1].stop)
+    for j in range(0, len(points), step):
+        x, b, spliced = (np.array(c) for c in zip(*points[j:j + step]))
+        a, d, censored = terms(lane_flows(x, b, spliced), spliced)
+        moments = (a, a * a, d, d * d, a * d)
+        for c, r in enumerate(rows):
+            # each point's sums reduce along its own contiguous row
+            sums[c, j:j + step] = np.stack([t[:, r].sum(axis=1) for t in moments], axis=1)
+            cens[c, j:j + step] = censored[:, r].sum(axis=1)
+    return list(zip(sums, cens))
+
+
+def _value_chunk(draw, terms, runs, chunks):
+    # the runs draw one after the other, so an Euler batch holds one
+    # increment matrix at a time
+    per_run = [_run_sums(draw, terms, stream, points, chunks) for stream, points in runs]
+    return [sum(parts, ()) for parts in zip(*per_run)]
+
+
+def _estimate(sums, cens, n, ca=1.0, cd=0.0, cd_se=0.0):
+    """The estimate of ca * a + cd * d from one point's moment sums, with
+    the variance of a frozen cd of standard error cd_se added."""
+    s1, s2, sd1, sd2, cross = sums
+    d_mean = sd1 / n
+    g1 = (ca * s1 + sd1 * cd) / n
+    g2 = (ca * ca * s2 + 2 * ca * cd * cross + cd * cd * sd2) / n
+    var = max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
+    se = math.sqrt(var / n + (d_mean * cd_se) ** 2)
+    return McEstimate(mean=float(ca * s1 / n + d_mean * cd), std_error=float(se),
+                      censored_fraction=float(cens) / n)
+
+
+# randomized passage clock --------------------------------------------------
+
+def _clock_sums(params, spec, x, horizon, k, n, stream, engine, threads):
+    """The moment sums and censored count of the clock started at x: a
+    one-point spliced run whose terms are exp(-q kappa) and exp(-q tau)."""
     eng = _engine_for(spec, engine)
     if eng == "euler" and params.b == 0.0 and is_case2(net_drift(spec), params.alpha):
         # the exact clock stays parked at b = 0 while the net drift is paid
@@ -297,8 +355,10 @@ def _clock_moments(params, spec, x, horizon, k, n, stream, engine, threads):
             "engine", "the Euler clock cannot stay at b = 0 on a Case-2 model; "
                       "use the exact engine")
     draw = partial(_chunk_readers, spec, params, horizon, k, eng)
-    acc, cens = _run_chunks(n, partial(_clock_chunk, draw, params, x, stream), threads)
-    return acc, float(cens[0]) / n
+    runs = ((stream, [(x, params.b, True)]),)
+    (acc,), (cens,) = _run_chunks(
+        n, partial(_value_chunk, draw, partial(_clock_terms, params), runs), threads)
+    return acc, cens
 
 
 def estimate_underline_nu(x: float, bstar: float, p: float,
@@ -318,16 +378,8 @@ def estimate_underline_nu(x: float, bstar: float, p: float,
     if not (0.0 <= p <= 1.0):
         raise InvalidParameter("p", "probability must lie in [0, 1]")
     pp = replace(params, b=float(bstar))
-    acc, cfr = _clock_moments(pp, spec, x, horizon, k, n, stream, engine, threads)
-    beta = params.beta
-    sws, sws2, sww, sww2, swsww = acc
-    mean = beta * (p * sws + (1 - p) * sww) / n
-    # var of p*ws + (1-p)*ww per path
-    m2 = (p * p * sws2 + (1 - p) * (1 - p) * sww2 + 2 * p * (1 - p) * swsww) / n
-    m1 = (p * sws + (1 - p) * sww) / n
-    var = max(m2 - m1 * m1, 0.0) * n / max(n - 1, 1)
-    return McEstimate(mean=float(mean),
-                      std_error=float(beta * math.sqrt(var / n)), censored_fraction=cfr)
+    acc, cens = _clock_sums(pp, spec, x, horizon, k, n, stream, engine, threads)
+    return _estimate(acc, cens, n, params.beta * p, params.beta * (1 - p))
 
 
 def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
@@ -341,16 +393,13 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
     solved and clamped to [0, 1].
     """
     pp = replace(params, b=float(bstar))
-    acc, cfr = _clock_moments(pp, spec, bstar, horizon, k, n, stream, engine, threads)
+    acc, cens = _clock_sums(pp, spec, bstar, horizon, k, n, stream, engine, threads)
     beta = params.beta
-    sws, sws2, sww, sww2, _ = acc
-    es = sws / n
-    ew = sww / n
-    ses = math.sqrt(max(sws2 / n - es * es, 0.0) / n)
-    sew = math.sqrt(max(sww2 / n - ew * ew, 0.0) / n)
-    if beta * es >= 1.0 - 3.0 * beta * ses:
+    strict, weak = _estimate(acc, cens, n), _estimate(acc, cens, n, 0.0, 1.0)
+    es, ew = strict.mean, weak.mean
+    if beta * es >= 1.0 - 3.0 * beta * strict.std_error:
         return 1.0
-    if abs(ew - es) <= 3.0 * (ses + sew):
+    if abs(ew - es) <= 3.0 * (strict.std_error + weak.std_error):
         raise DegenerateDenominator(
             "weak and strict transforms indistinguishable at this sample size")
     p = (beta * ew - 1.0) / (beta * (ew - es))
@@ -358,77 +407,6 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
 
 
 # value estimation ----------------------------------------------------------
-#
-# A value job is two runs of (x, b, spliced) points: the positive starts on
-# the main stream and the at-0 anchors on their own substream.  Per run and
-# per chunk of a batch there is a (J, 5) array of the moment sums of w, w^2,
-# d, d^2 and w*d, with w the discounted dividends minus beta-weighted
-# injections up to the stop and d the discount at the stop, and a (J,)
-# count of censored paths.
-
-def _moment_rows(w, d):
-    # each point's sums reduce along its own contiguous row
-    wd = w * d
-    return np.array([(wj.sum(), (wj * wj).sum(), dj.sum(), (dj * dj).sum(), wdj.sum())
-                     for wj, dj, wdj in zip(w, d, wd)])
-
-
-def _in_blocks(points, m, block_sums):
-    """block_sums over consecutive blocks of at most BLOCK_LANES lanes of m
-    paths each (and at least one point), concatenated in point order along
-    axis 1.  Lanes are independent, so the blocking never changes a byte."""
-    step = max(1, BLOCK_LANES // m)
-    parts = [block_sums(points[j:j + step]) for j in range(0, len(points), step)]
-    return tuple(np.concatenate(p, axis=1) for p in zip(*parts))
-
-
-def _run_sums(draw, params, stream, points, chunks):
-    """The (moment sums, censored counts) of every point, per chunk."""
-    lane_flows = draw(stream, chunks).lane_flows
-    q = params.q
-    rows = _chunk_rows(chunks)
-
-    def block_sums(block):
-        x, b, spliced = (np.array(c) for c in zip(*block))
-        fl = lane_flows(x, b, spliced)
-        # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
-        stop = np.where(spliced[:, None], fl.t_weak, math.inf)
-        w, d, censored = fl.dl - params.beta * fl.dr, np.exp(-q * stop), stop == math.inf
-        return (np.stack([_moment_rows(w[:, r], d[:, r]) for r in rows]),
-                np.stack([np.sum(censored[:, r], axis=1, dtype=float) * spliced
-                          for r in rows]))
-
-    return list(zip(*_in_blocks(points, rows[-1].stop, block_sums)))
-
-
-def _value_chunk(draw, params, runs, chunks):
-    # the runs draw one after the other, so an Euler batch holds one
-    # increment matrix at a time; an empty run draws nothing
-    per_run = [_run_sums(draw, params, stream, points, chunks) if points
-               else [(np.zeros((0, 5)), np.zeros(0))] * len(chunks)
-               for stream, points in runs]
-    return [sum(parts, ()) for parts in zip(*per_run)]
-
-
-def _direct_estimate(sums, cens, n):
-    mean = sums[0] / n
-    var = max(sums[1] / n - mean * mean, 0.0) * n / max(n - 1, 1)
-    return McEstimate(mean=float(mean), std_error=float(math.sqrt(var / n)),
-                      censored_fraction=float(cens) / n)
-
-
-def _spliced_estimate(sums, cens, n, v0):
-    s1, s2, sd1, sd2, cross = sums
-    a_mean = s1 / n
-    d_mean = sd1 / n
-    # per-path variance of partial sum + splice discount * v0, v0 frozen
-    g1 = (s1 + sd1 * v0.mean) / n
-    g2 = (s2 + 2 * v0.mean * cross + v0.mean * v0.mean * sd2) / n
-    var = max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
-    se = math.sqrt(var / n + (d_mean * v0.std_error) ** 2)
-    return McEstimate(mean=float(a_mean + d_mean * v0.mean), std_error=float(se),
-                      censored_fraction=float(cens) / n)
-
 
 def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, threads):
     """Finite-horizon estimates at every (x, b) point in one chunked job."""
@@ -438,11 +416,12 @@ def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, thread
     anchors = tuple(dict.fromkeys((0.0, b, False) for x, b in points
                                   if x <= 0 or spliced))
     draw = partial(_chunk_readers, spec, params, horizon, k, eng)
-    worker = partial(_value_chunk, draw, params, ((stream, starts), (anchor_stream, anchors)))
+    worker = partial(_value_chunk, draw, partial(_value_terms, params),
+                     ((stream, starts), (anchor_stream, anchors)))
     acc, cens, acc0, cens0 = _run_chunks(n, worker, threads)
-    v0 = {b: _direct_estimate(s, c, n) for (_, b, _), s, c in zip(anchors, acc0, cens0)}
-    at = {(x, b): (_spliced_estimate(s, c, n, v0[b]) if spliced else _direct_estimate(s, c, n))
-          for (x, b, _), s, c in zip(starts, acc, cens)}
+    v0 = {b: _estimate(s, c, n) for (_, b, _), s, c in zip(anchors, acc0, cens0)}
+    at = {(x, b): _estimate(s, c, n, 1.0, v0[b].mean, v0[b].std_error) if spliced
+          else _estimate(s, c, n) for (x, b, _), s, c in zip(starts, acc, cens)}
     return [at[x, b] if x > 0 else v0[b] if x == 0 else
             replace(v0[b], mean=v0[b].mean + params.beta * x) for x, b in points]
 

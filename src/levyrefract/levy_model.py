@@ -349,9 +349,9 @@ def validate_spec(spec: JumpDiffusionSpec) -> ValidationReport:
     _require(_finite(spec.x0), "x0", "x0 must be finite")
     neg_mean = 0.0
     for i, comp in enumerate(spec.jump_components):
-        _require(_finite(comp.rate) and comp.rate > 0, "rate",
-                 f"component {i}: rate must be positive")
-        _require(comp.sign in (-1, 1), "sign", f"component {i}: sign must be +1 or -1")
+        _require(_finite(comp.rate) and comp.rate > 0, f"jump_components[{i}].rate",
+                 "rate must be positive and finite")
+        _require(comp.sign in (-1, 1), f"jump_components[{i}].sign", "sign must be +1 or -1")
         _require(isinstance(comp.marks, MarkDistribution), "marks",
                  f"component {i}: marks must be a MarkDistribution")
         m = comp.marks.mean()

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 
@@ -182,10 +183,18 @@ class TestParseGrid:
 
     @pytest.mark.parametrize("bad", ["2:0.5:1", "1:0:2", "1:2", "3,2", "",
                                      "0, nan, 1", "0, inf", "0.5, inf", "0:0.5:inf",
-                                     "-inf:1:0", "0:inf:1", "nan:1:2"])
+                                     "-inf:1:0", "0:inf:1", "nan:1:2",
+                                     # overflowing ranges, then 1e300 and 2e6 points
+                                     "0:1e308:1.7e308", "-1e308:1:1e308", "0:1e-300:1",
+                                     "0:5e-7:1"])
     def test_rejects(self, bad):
         with pytest.raises(ValidationError):
             parse_grid("g", bad)
+
+    def test_a_range_holds_at_most_a_million_points(self):
+        assert parse_grid("g", "0:1:999999").size == 10 ** 6
+        with pytest.raises(ValidationError, match="at most 1000000 points"):
+            parse_grid("g", "0:1:1000000")
 
     def test_reference_grids_have_the_advertised_sizes(self):
         c1 = load_config(reference_config_text(1))
@@ -445,7 +454,9 @@ class TestMain:
         ("task.x", "inf"), ("task.b", "-1"), ("task.competing_b", "1,inf"),
         ("task.alphas", "0.5,0"), ("task.engine", "fast"), ("task.method", "mixed"),
         ("task.b_grid", "3:1:0"), ("task.x_grid", "a,b"), ("task.x_grid", "0, nan, 1"),
-        ("task.x_grid", "0, inf"), ("task.b_grid", "0.5, inf"), ("task.b_grid", "0:0.5:inf")])
+        ("task.x_grid", "0, inf"), ("task.b_grid", "0.5, inf"), ("task.b_grid", "0:0.5:inf"),
+        ("task.b_grid", "0:1e308:1.7e308"), ("task.b_grid", "-1e308:1:1e308"),
+        ("task.b_grid", "0:1e-300:1")])
     def test_a_malformed_task_key_exits_two(self, key, value, tmp_path, capsys):
         """validate reads every task key it is given, used by its subcommand
         or not, and refuses a malformed one by name."""
@@ -480,6 +491,33 @@ class TestMain:
         code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out")])
         assert code == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("model.jump1.rate", "inf"), ("model.jump1.rate", "nan"), ("model.jump1.rate", "-1"),
+        ("model.jump1.rate", None), ("model.jump1.sign", "2"), ("model.jump1.sign", None),
+        ("model.jump3.rate", "inf"), ("model.jump3.sign", None), ("model.sigma", "-1")])
+    def test_a_bad_jump_or_sigma_value_exits_two(self, key, value, tmp_path, capsys):
+        """A jump block's rate or sign, bad or missing, is named as its own
+        key, in a config of one block and as the second of two."""
+        blocks = ("jump1", "jump3") if key.startswith("model.jump3") else ("jump1",)
+        lines = ["model.%s.%s = %s" % (j, k, v) for j in blocks for k, v in
+                 (("rate", "1"), ("sign", "-1"), ("dist", "exponential"), ("params", "2"))]
+        lines = [line for line in lines if not line.startswith(key + " ")]
+        if value is not None:
+            lines.append("%s = %s" % (key, value))
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "".join(line + "\n" for line in lines))
+        code = main(["validate", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "%s: " % key in capsys.readouterr().err
+
+    def test_a_huge_finite_axis_range_is_plotted(self, tmp_path):
+        """Axis spans near the largest double used to overflow to inf."""
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE + "task.x_grid = 1e300, 1.7e308\ntask.b = 1\n")
+        assert main(["value-curve", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        svg = (tmp_path / "out" / "value_curves.svg").read_text()
+        assert svg_numbers(svg) and all(map(math.isfinite, svg_numbers(svg)))
 
     def test_property_checks_on_a_diffusion_exit_two(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
@@ -575,7 +613,22 @@ class TestMain:
                                "check-properties", "reproduce-paper")
 
 
+def svg_numbers(svg):
+    """Every number in every attribute of an SVG text, inf and nan included."""
+    return [float(v) for attr in re.findall(r'="([^"]*)"', svg)
+            for v in re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan", attr)]
+
+
 class TestSvgPlot:
+    @pytest.mark.parametrize("lo,hi", [(-1.7e308, 1.7e308), (0.0, 1.7976931348623157e308)])
+    def test_a_huge_finite_range_has_finite_coordinates(self, lo, hi):
+        p = SvgPlot("wide", "x", "y")
+        p.line(np.array([lo, hi]), np.array([hi, lo]), "#336699", label="a")
+        p.hline(lo)
+        p.marker(hi, hi)
+        numbers = svg_numbers(p.render())
+        assert len(numbers) > 20 and all(map(math.isfinite, numbers))
+
     def test_render_is_deterministic_and_self_contained(self):
         def build():
             p = SvgPlot("demo", "x", "y")

@@ -1,6 +1,8 @@
+import ast
 import math
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from levyrefract.strategy_engine import (
     euler_steps,
 )
 from levyrefract.estimation import (
-    DegenerateDenominator, NoCrossing, _chunk_readers, _clock_chunk, _nu_chunk,
-    _run_sums, _value_chunk, estimate_underline_nu, find_bstar, nu_curve,
+    DegenerateDenominator, NoCrossing, _chunk_readers, _clock_terms, _estimate, _nu_chunk,
+    _run_sums, _value_chunk, _value_terms, estimate_underline_nu, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
 
@@ -30,6 +32,7 @@ BETA = 1.5
 # e^{-Q T} is about 2e-22 here, below the last bit of the perpetual values
 # -BETA / Q and alpha / Q, so a value at T is the perpetual one
 PERPETUAL_T = 1000.0
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def params(b=1.0, alpha=0.5):
@@ -203,7 +206,8 @@ class TestExactClockChunk:
         ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
         want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
                            (ws * ww).sum()])
-        ((acc, cens),) = _clock_chunk(draw(ref_spec_bv, pp, 8.0), pp, x, stream, [(3, 24)])
+        ((acc, cens),) = _run_sums(draw(ref_spec_bv, pp, 8.0), partial(_clock_terms, pp),
+                                   stream, [(x, b, True)], [(3, 24)])
         assert acc.tobytes() == want.tobytes()
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
 
@@ -571,7 +575,8 @@ class TestValueBlocks:
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2)
-        args = (draw(spec, pp, 5.0, 100, engine), pp, RngStream(141, tag=3), points, [(1, 128)])
+        args = (draw(spec, pp, 5.0, 100, engine), partial(_value_terms, pp),
+                RngStream(141, tag=3), points, [(1, 128)])
         (want,) = _run_sums(*args)
         draws = []
 
@@ -585,6 +590,57 @@ class TestValueBlocks:
         assert len(draws) == (engine == "euler")
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestEstimate:
+    """_estimate against numpy's two-pass mean and variance of the per-path
+    combination ca * a + cd * d, which it never forms."""
+
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    @pytest.mark.parametrize("ca,cd,cd_se", [(1.0, 0.0, 0.0), (1.0, -3.7, 0.25),
+                                             (0.3, 0.7, 0.0), (BETA * 0.3, BETA * 0.7, 0.0)])
+    def test_matches_the_two_pass_moments(self, n, ca, cd, cd_se):
+        rng = np.random.default_rng(n)
+        a = rng.normal(2.0, 3.0, n)
+        d = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
+        cens = float(np.sum(d == 0.0))
+        sums = np.array([a.sum(), (a * a).sum(), d.sum(), (d * d).sum(), (a * d).sum()])
+        est = _estimate(sums, cens, n, ca, cd, cd_se)
+        g = ca * a + cd * d
+        se = math.sqrt(np.var(g, ddof=1) / n + (d.mean() * cd_se) ** 2)
+        assert est.mean == pytest.approx(g.mean(), rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-12)
+        assert est.censored_fraction == cens / n
+
+    def test_only_estimate_builds_an_mc_estimate(self):
+        """Every McEstimate of src/ is built by _estimate, so the estimate's
+        algebra is written in one place."""
+        builders = [fn for path in sorted(SRC.rglob("*.py"))
+                    for fn in mc_estimate_builders(path.read_text(encoding="utf-8"))]
+        assert builders == ["_estimate"]
+
+    def test_the_guard_sees_every_call(self):
+        source = ("def f():\n    def g():\n        return McEstimate(1, 2, 3)\n"
+                  "    return g\nx = m.McEstimate(0, 0, 0)\n")
+        assert mc_estimate_builders(source) == ["g", None]
+
+
+def mc_estimate_builders(source: str) -> list:
+    """The function around each McEstimate( call of a module, in source
+    order; None for a call outside any function."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, ast.Call) and "McEstimate" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            found.append(fn)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return found
 
 
 class TestBatches:
@@ -615,8 +671,9 @@ class TestBatches:
         runs = ((stream, [(0.6, 1.2, True), (2.5, 2.0, False)]),
                 (stream.with_tag(9), [(0.0, 1.2, False)]))
         for reader in (partial(_nu_chunk, d, pp, grid, stream),
-                       partial(_clock_chunk, d, pp, 0.6, stream),
-                       partial(_value_chunk, d, pp, runs)):
+                       partial(_value_chunk, d, partial(_clock_terms, pp),
+                               ((stream, [(0.6, 1.2, True)]),)),
+                       partial(_value_chunk, d, partial(_value_terms, pp), runs)):
             got = reader(chunks)
             want = [part for c in chunks for part in reader([c])]
             assert len(got) == len(want) == 3
