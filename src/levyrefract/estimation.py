@@ -6,15 +6,15 @@ the one jump draw of levy_model: as padded event columns (EventColumns)
 for the exact engine (sigma = 0), as an (m, k) increment matrix for the
 Euler engine, the one draw format of each engine.
 _chunk_readers is the one dispatch between the engines.  It lays the
-chunks of a batch side by side, once, and reads them as LaneFlows, the
-discounted flows and passage times of floored (path, start, threshold)
-lanes, and RecordLows, the record lows of the paths refracted at 0: the
-two readers of each engine's lane stepper, path_engine.event_steps or
-strategy_engine.euler_steps.  Values and the randomized clock are one lane
-run over LaneFlows with two term readers, and _estimate builds every
-McEstimate from its moment sums; the threshold search reduces RecordLows
-on its own.  A passage that does not occur before the horizon weighs
-exp(-q * inf) = 0.
+chunks of a batch, on every stream of a job, side by side, once, and
+reads them as LaneFlows, the discounted flows and passage times of
+floored (path, start, threshold) lanes, and RecordLows, the record lows of
+the paths refracted at 0: the two readers of each engine's lane stepper,
+path_engine.event_steps or strategy_engine.euler_steps.  Values and the
+randomized clock are one lane run over LaneFlows with two term readers,
+and _estimate builds every McEstimate from its moment sums; the threshold
+search reduces RecordLows on its own.  A passage that does not occur
+before the horizon weighs exp(-q * inf) = 0.
 
 The threshold search has one form, on common random numbers: the path
 refracted at b and started at b is the path refracted at 0 and started at
@@ -22,14 +22,15 @@ refracted at b and started at b is the path refracted at 0 and started at
 point, summed path by path with np.bincount.  The curve is non-increasing
 path by path, and nu at one threshold is the one-point curve.  Value
 curves run as one job over paths x starts x thresholds: a batch draws once
-on the main stream and once on the at-0 anchor substream and reads every
-(x, b) point off those two draws, so one pool serves a curve set.  A run
-steps at most BLOCK_LANES lanes at once, in blocks of points that share
-the stream's draw.
+on the main stream and once on the at-0 anchor substream and steps every
+(x, b) point, each on its draw, in one lane pass over both, so one pool
+serves a curve set.  A run steps at most BLOCK_LANES lanes at once, in
+blocks of points.
 
 Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
-of at most BATCH contiguous chunks as one lane set, and a run has at least
-min(threads, chunks) batches, so every worker computes.  Each estimator
+of at most BATCH contiguous chunk draws as one lane set (BATCH // 2 chunks
+per stream of a value job), and a run has at least min(threads, chunks)
+batches, so every worker computes.  Each estimator
 splits its readings back into chunks and returns one partial per chunk;
 the partials are combined by a fixed-order pairwise tree in chunk order, so
 results are bit-identical for any batching and any worker count.
@@ -64,7 +65,7 @@ from .strategy_engine import (
 )
 
 CHUNK = 256
-BATCH = 8  # most contiguous chunks one worker call reads as one lane set
+BATCH = 8  # most chunk draws one worker call reads as one lane set
 BLOCK_LANES = 2 ** 16  # (point, path) lanes a value batch steps at once
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
@@ -129,12 +130,14 @@ def _tree_reduce(partials):
     return items[0]
 
 
-def _batches(n: int, threads: int):
-    """The (ci, m) chunks of n paths in contiguous batches of at most BATCH
-    chunks, and at least min(threads, chunks) batches, so that every worker
-    computes.  Batch sizes differ by one chunk at most."""
+def _batches(n: int, threads: int, draws: int = 1):
+    """The (ci, m) chunks of n paths, each drawn on draws streams, in
+    contiguous batches of at most BATCH // draws chunks (one at least), and
+    at least min(threads, chunks) batches, so that every worker computes.
+    Batch sizes differ by one chunk at most."""
     chunks = [(ci, min(CHUNK, n - ci * CHUNK)) for ci in range((n + CHUNK - 1) // CHUNK)]
-    nb = max(-(-len(chunks) // BATCH), min(threads, len(chunks)))
+    cap = max(1, BATCH // max(1, draws))
+    nb = max(-(-len(chunks) // cap), min(threads, len(chunks)))
     return [chunks[len(chunks) * i // nb:len(chunks) * (i + 1) // nb] for i in range(nb)]
 
 
@@ -144,11 +147,11 @@ def _chunk_rows(chunks):
     return [slice(e - m, e) for (_, m), e in zip(chunks, ends.tolist())]
 
 
-def _run_chunks(n: int, worker, threads: int):
-    """worker(batch) returns one partial per chunk of the batch; the
-    partials are reduced in chunk order, so no byte depends on the batching
-    or the worker count."""
-    batches = _batches(n, threads)
+def _run_chunks(n: int, worker, threads: int, draws: int = 1):
+    """worker(batch) returns one partial per chunk of the batch, which it
+    draws on draws streams; the partials are reduced in chunk order, so no
+    byte depends on the batching or the worker count."""
+    batches = _batches(n, threads, draws)
     if threads <= 1:
         parts = [worker(batch) for batch in batches]
     else:
@@ -169,33 +172,38 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
 
 
 class _Readers(NamedTuple):
-    lane_flows: Callable  # (x, b, spliced) -> path_engine.LaneFlows
+    lane_flows: Callable  # (x, b, spliced, path=) -> path_engine.LaneFlows
     record_lows: Callable  # () -> path_engine.RecordLows
 
 
-def _chunk_readers(spec, params, horizon, k, eng, stream, chunks) -> _Readers:
-    """The paths of a batch of (ci, m) chunks, chunk ci's m paths drawn at 0
-    in one call on stream.for_path(ci), in chunk order: the columns of one
-    EventColumns for the exact engine, laid side by side, and the rows of
-    one (M, k) increment matrix for Euler, filled chunk by chunk.  Returns
-    the two readings of the whole batch: the LaneFlows of floored (start,
-    threshold) lanes, and the RecordLows of the paths refracted at 0.  Each
-    reader holds the draw alive for as long as it is kept."""
+def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
+    """The paths of a batch of (ci, m) chunks on each stream s of a job,
+    chunk ci's m paths drawn at 0 in one call on s.for_path(ci), stream by
+    stream and in chunk order: the columns of one EventColumns for the
+    exact engine, laid side by side, and the rows of one (S * M, k)
+    increment matrix for Euler, filled chunk by chunk; draw s is paths
+    s * M to s * M + M.  Returns the two readings of the lane set: the
+    LaneFlows of floored (start, threshold) lanes, each on the path of the
+    lane set it is given, and the RecordLows of the paths refracted at 0.
+    Each reader holds the draws alive for as long as it is kept."""
+    rows = _chunk_rows(chunks)
+    m = rows[-1].stop
     if eng == "exact":
         base = replace(spec, x0=0.0)
-        columns = EventColumns.side_by_side(
-            [sample_path(base, horizon, EXACT, stream.for_path(ci), m) for ci, m in chunks])
+        columns = EventColumns.side_by_side([sample_path(base, horizon, EXACT, s.for_path(ci), mi)
+                                             for s in streams for ci, mi in chunks])
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
                                 q=params.q),
                         partial(path_engine.refracted_record_lows, columns, params.alpha))
     if k < 1:
         raise InvalidParameter("k", "the Euler engine needs a positive step count")
-    rows = _chunk_rows(chunks)
-    incs = np.empty((rows[-1].stop, k))
-    for (ci, m), r in zip(chunks, rows):
-        _grid_increment_matrix(spec, horizon, k, m, stream.for_path(ci).generator(), out=incs[r])
+    incs = np.empty((len(streams) * m, k))
+    for s, stream in enumerate(streams):
+        for (ci, mi), r in zip(chunks, rows):
+            _grid_increment_matrix(spec, horizon, k, mi, stream.for_path(ci).generator(),
+                                   out=incs[s * m + r.start:s * m + r.stop])
     dt = horizon / k
-    return _Readers(partial(euler_lane_flows, incs=incs, alpha=params.alpha, dt=dt, q=params.q),
+    return _Readers(partial(euler_lane_flows, incs, alpha=params.alpha, dt=dt, q=params.q),
                     partial(euler_record_lows, incs, params.alpha, dt))
 
 
@@ -220,7 +228,7 @@ def _nu_sums(lows, bgrid_pos, q):
 def _nu_chunk(draw, params, bgrid_pos, stream, chunks):
     # one sweep reads the batch; the lows are path-major, so each chunk's
     # episodes are one run of them, reduced on their own
-    lows = draw(stream, chunks).record_lows()
+    lows = draw((stream,), chunks).record_lows()
     rows = _chunk_rows(chunks)
     cut = np.searchsorted(lows.path, [r.start for r in rows] + [rows[-1].stop]).tolist()
     fields = (lows.path, lows.lo, lows.hi, lows.t0, lows.invrate)
@@ -278,14 +286,15 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 # lane runs: values and the clock --------------------------------------------
 #
 # Values and the randomized clock are one lane run with two term readers.
-# A run reads the LaneFlows of its (x, b, spliced) points and, per point
-# and per chunk of a batch, sums a, a^2, d, d^2 and a*d into a (J, 5) array,
-# with a (J,) count of censored paths.  For a value a is the discounted
-# dividends minus beta-weighted injections up to the stop and d the
-# discount at the stop; for the clock a and d are the discounts at the
+# A run reads the LaneFlows of its (x, b, spliced, draw) points and, per
+# point and per chunk of a batch, sums a, a^2, d, d^2 and a*d into a (J, 5)
+# array, with a (J,) count of censored paths.  For a value a is the
+# discounted dividends minus beta-weighted injections up to the stop and d
+# the discount at the stop; for the clock a and d are the discounts at the
 # strict and the weak passage.  _estimate reads every estimate, of
-# ca * a + cd * d, off those sums.  A value job is two runs: the positive
-# starts on the main stream and the at-0 anchors on their own substream.
+# ca * a + cd * d, off those sums.  A value job is one run on two draws:
+# the positive starts read the main stream's and the at-0 anchors their
+# substream's.
 
 def _value_terms(params, fl, spliced):
     # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
@@ -302,31 +311,28 @@ def _clock_terms(params, fl, spliced):
             (strict == math.inf) | (weak == math.inf))
 
 
-def _run_sums(draw, terms, stream, points, chunks):
-    """The (moment sums, censored counts) of every point, per chunk.  Points
-    step in blocks of at most BLOCK_LANES lanes (and at least one point) on
-    one draw; lanes are independent, so the blocking never changes a byte,
-    and a run without points draws nothing."""
+def _run_sums(draw, terms, streams, points, chunks):
+    """The (moment sums, censored counts) of every (x, b, spliced, s) point,
+    on the M paths drawn on streams[s], per chunk: lane (j, i) runs path
+    s_j * M + i of the lane set.  Points step in blocks of at most
+    BLOCK_LANES lanes (and at least one point), one pass each; lanes are
+    independent, so the blocking never changes a byte, and a run without
+    points draws nothing."""
     rows = _chunk_rows(chunks)
+    m = rows[-1].stop
     sums, cens = np.zeros((len(rows), len(points), 5)), np.zeros((len(rows), len(points)))
-    lane_flows = draw(stream, chunks).lane_flows if points else None
-    step = max(1, BLOCK_LANES // rows[-1].stop)
+    lane_flows = draw(streams, chunks).lane_flows if points else None
+    step = max(1, BLOCK_LANES // m)
     for j in range(0, len(points), step):
-        x, b, spliced = (np.array(c) for c in zip(*points[j:j + step]))
-        a, d, censored = terms(lane_flows(x, b, spliced), spliced)
+        x, b, spliced, s = (np.array(c) for c in zip(*points[j:j + step]))
+        fl = lane_flows(x, b, spliced, path=s[:, None] * m + np.arange(m))
+        a, d, censored = terms(fl, spliced)
         moments = (a, a * a, d, d * d, a * d)
         for c, r in enumerate(rows):
             # each point's sums reduce along its own contiguous row
             sums[c, j:j + step] = np.stack([t[:, r].sum(axis=1) for t in moments], axis=1)
             cens[c, j:j + step] = censored[:, r].sum(axis=1)
     return list(zip(sums, cens))
-
-
-def _value_chunk(draw, terms, runs, chunks):
-    # the runs draw one after the other, so an Euler batch holds one
-    # increment matrix at a time
-    per_run = [_run_sums(draw, terms, stream, points, chunks) for stream, points in runs]
-    return [sum(parts, ()) for parts in zip(*per_run)]
 
 
 def _estimate(sums, cens, n, ca=1.0, cd=0.0, cd_se=0.0):
@@ -355,9 +361,8 @@ def _clock_sums(params, spec, x, horizon, k, n, stream, engine, threads):
             "engine", "the Euler clock cannot stay at b = 0 on a Case-2 model; "
                       "use the exact engine")
     draw = partial(_chunk_readers, spec, params, horizon, k, eng)
-    runs = ((stream, [(x, params.b, True)]),)
-    (acc,), (cens,) = _run_chunks(
-        n, partial(_value_chunk, draw, partial(_clock_terms, params), runs), threads)
+    (acc,), (cens,) = _run_chunks(n, partial(_run_sums, draw, partial(_clock_terms, params),
+                                             (stream,), [(x, params.b, True, 0)]), threads)
     return acc, cens
 
 
@@ -410,16 +415,17 @@ def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
 
 def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, threads):
     """Finite-horizon estimates at every (x, b) point in one chunked job."""
-    anchor_stream = stream.with_tag(stream.tag + V0_TAG_OFFSET)
     points = list(zip(xs, bs))
-    starts = tuple(dict.fromkeys((x, b, spliced) for x, b in points if x > 0))
-    anchors = tuple(dict.fromkeys((0.0, b, False) for x, b in points
-                                  if x <= 0 or spliced))
-    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
-    worker = partial(_value_chunk, draw, partial(_value_terms, params),
-                     ((stream, starts), (anchor_stream, anchors)))
-    acc, cens, acc0, cens0 = _run_chunks(n, worker, threads)
-    v0 = {b: _estimate(s, c, n) for (_, b, _), s, c in zip(anchors, acc0, cens0)}
+    starts = list(dict.fromkeys((x, b, spliced) for x, b in points if x > 0))
+    anchors = list(dict.fromkeys((0.0, b, False) for x, b in points if x <= 0 or spliced))
+    anchor_stream = stream.with_tag(stream.tag + V0_TAG_OFFSET)
+    runs = [(s, pts) for s, pts in ((stream, starts), (anchor_stream, anchors)) if pts]
+    worker = partial(_run_sums, partial(_chunk_readers, spec, params, horizon, k, eng),
+                     partial(_value_terms, params), tuple(s for s, _ in runs),
+                     [p + (d,) for d, (_, pts) in enumerate(runs) for p in pts])
+    acc, cens = _run_chunks(n, worker, threads, len(runs))
+    ns = len(starts)
+    v0 = {b: _estimate(s, c, n) for (_, b, _), s, c in zip(anchors, acc[ns:], cens[ns:])}
     at = {(x, b): _estimate(s, c, n, 1.0, v0[b].mean, v0[b].std_error) if spliced
           else _estimate(s, c, n) for (x, b, _), s, c in zip(starts, acc, cens)}
     return [at[x, b] if x > 0 else v0[b] if x == 0 else

@@ -451,10 +451,12 @@ class EventColumns:
     sizes: np.ndarray
 
     def block(self, start: int, stop: int) -> "EventColumns":
-        """Paths start to stop - 1 as EventColumns, with all the rows."""
+        """Paths start to stop - 1 as EventColumns, with the rows they use."""
         cols = slice(start, stop)
-        return EventColumns(self.x0[cols], self.horizon, self.drift, self.counts[cols],
-                            self.times[:, cols], self.sizes[:, cols])
+        counts = self.counts[cols]
+        rows = slice(counts.max(initial=0) + 1)
+        return EventColumns(self.x0[cols], self.horizon, self.drift, counts,
+                            self.times[rows, cols], self.sizes[rows, cols])
 
     @classmethod
     def side_by_side(cls, parts) -> "EventColumns":
@@ -485,22 +487,20 @@ EXACT = Exact()
 
 
 def _jump_draw(spec: JumpDiffusionSpec, horizon: float, m: int, rng: np.random.Generator):
-    """The jumps of m paths on [0, horizon] as (path, time, size) arrays.
+    """Yield the jumps of m paths on [0, horizon] as (path, time, size)
+    arrays, one triple per jump component as it is drawn.
 
     Per jump component, in order and skipping a component none of the m
     paths jumps in: the Poisson counts of the m paths, uniform jump times
     and signed marks.  Every sampler reads this one draw.
     """
-    rows, times, sizes = [np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]
     for comp in spec.jump_components:
         counts = rng.poisson(comp.rate * horizon, m)
         tot = int(counts.sum())
         if tot == 0:
             continue
-        rows.append(np.repeat(np.arange(m), counts))
-        times.append(rng.uniform(0.0, horizon, tot))
-        sizes.append(comp.marks.sample(tot, rng) * comp.sign)
-    return tuple(np.concatenate(a) for a in (rows, times, sizes))
+        yield (np.repeat(np.arange(m), counts), rng.uniform(0.0, horizon, tot),
+               comp.marks.sample(tot, rng) * comp.sign)
 
 
 def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
@@ -509,7 +509,8 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
 
     Each step holds the compensated drift, the Gaussian part, and the jumps
     in (t_{j-1}, t_j].  The draws come in a fixed order: all Gaussians, then
-    _jump_draw.  This is the only grid sampler: sample_path(Grid) and every
+    _jump_draw, each component binned as it is drawn, in the order of the
+    whole draw.  This is the only grid sampler: sample_path(Grid) and every
     Euler estimator draw through it.  out, a C-contiguous (m, k) array such
     as a block of rows of a batch matrix, is filled and returned.
     """
@@ -522,9 +523,9 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
         incs += _compensated_drift(spec) * dt
     else:
         incs.fill(_compensated_drift(spec) * dt)
-    rows, times, sizes = _jump_draw(spec, horizon, m, rng)
-    bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
-    np.add.at(incs, (rows, bins), sizes)
+    for rows, times, sizes in _jump_draw(spec, horizon, m, rng):
+        bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
+        np.add.at(incs, (rows, bins), sizes)
     return incs
 
 
@@ -549,7 +550,8 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
         raise InvalidParameter("mode", "mode must be Exact or Grid(k)")
     if spec.sigma > 0:
         raise ExactModeUnavailable("exact sampling needs sigma = 0")
-    rows, times, sizes = _jump_draw(spec, horizon, m, rng)
+    rows, times, sizes = (np.concatenate(a) for a in zip(
+        (np.empty(0, dtype=int), np.empty(0), np.empty(0)), *_jump_draw(spec, horizon, m, rng)))
     counts = np.bincount(rows, minlength=m)
     order = np.argsort(rows, kind="stable")  # by path, in draw order
     rows = rows[order]

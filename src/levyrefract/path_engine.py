@@ -287,14 +287,17 @@ class LaneFlows:
 
 class Lanes:
     """The bookkeeping of a lane sweep.  Lane j * m + i runs path i for
-    point j of nx.  The sweep holds the running lanes in id order, (nx, m)
-    until its first drop and 1-D after, and drops the done ones once they
-    are at least 1/8 of them: they write their (dl, dr, kappa, weak) to a
-    (4, nx * m) output, and the lanes left at the end theirs in flows."""
+    point j of nx, or path[j, i] of an (nx, m) array path, as when the
+    points of a block read different draws laid side by side.  The sweep
+    holds the running lanes in id order, (nx, m) until its first drop and
+    1-D after, and drops the done ones once they are at least 1/8 of them:
+    they write their (dl, dr, kappa, weak) to a (4, nx * m) output, and the
+    lanes left at the end theirs in flows."""
 
-    def __init__(self, nx: int, m: int):
+    def __init__(self, nx: int, m: int, path=None):
         self.ids = np.arange(nx * m)
-        self.path = self.ids % m  # the path index of each running lane
+        # the path index of each running lane
+        self.path = self.ids % m if path is None else np.reshape(path, -1)
         self._out = np.empty((4, nx * m))
         self._shape = (nx, m)
 
@@ -335,7 +338,7 @@ def _regime_table(alpha, delta, floor):
     return np.array(rows).T
 
 
-def event_steps(columns: EventColumns, x, b, alpha, floor: bool):
+def event_steps(columns: EventColumns, x, b, alpha, floor: bool, path=None):
     """The event sweep, on every lane at once, recording no segment.  x and
     b are scalars or (J, 1) arrays.  Lane (j, i) runs path i of columns
     from columns.x0[i] + x[j], refracted at rate alpha above b[j] and, with
@@ -356,12 +359,15 @@ def event_steps(columns: EventColumns, x, b, alpha, floor: bool):
     shape of columns.x0 + x, but te, the event sizes and the starts of
     first stretches are per path, (m,).  A reader drops lanes by sending
     (keep, path), as to euler_steps, and from then on every array is 1-D.
+    Given path, a (J, m) or 1-D array of path indices, lane l runs path
+    path[l] and every array has its shape.
     """
     counts, tcols, scols = columns.counts, columns.times, columns.sizes
     table = _regime_table(alpha, columns.drift, floor)
-    z = columns.x0 + x
+    x0, end = (columns.x0, counts) if path is None else (columns.x0[path], counts[path])
+    z = x0 + x
     b = np.full(z.shape, b, dtype=float)
-    te, end, path = np.zeros(counts.size), counts, None
+    te = np.zeros(end.shape)
     for e in range(-1, len(tcols)):
         stretches = []
         if e >= 0:
@@ -388,11 +394,10 @@ def event_steps(columns: EventColumns, x, b, alpha, floor: bool):
                 k = np.nonzero(crossed)
                 if not k[0].size:
                     break
-                # the last index of a lane is its path while the lanes are
-                # (J, m), and the only one once they are 1-D
+                # te, last and s of (m,) paths take a lane's last index, its path
                 at = k if at is Ellipsis else tuple(i[k] for i in at)
                 ts, zs, bs = t_end[k], z_end[k], bs[k]
-                tes, last, s = tes[k[-1]], last[k[-1]], s[k[-1]]
+                tes, last, s = (a[k[-a.ndim:]] for a in (tes, last, s))
             else:
                 raise RuntimeError(f"a lane makes over {MAX_CROSSINGS} crossings between events")
         dividend = topup = None
@@ -445,10 +450,11 @@ def trajectory_table(columns: EventColumns, b, alpha, floor: bool) -> SegmentTab
     return SegmentTable(columns.horizon, *fields, counts=np.array(counts))
 
 
-def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q) -> LaneFlows:
+def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None) -> LaneFlows:
     """The LaneFlows reader of event_steps: refracted_reflected_exact on
-    every lane, lane (j, i) on path i of columns shifted by x[j], with
-    threshold b[j], discounted as it goes.  x, b and spliced have length J.
+    every lane, lane (j, i) on path i of columns, or path[j, i] of a (J, m)
+    array path, shifted by x[j], with threshold b[j], discounted as it
+    goes.  x, b and spliced have length J.
     A spliced lane halts its flows at its weak passage (atoms at that time
     included); the others discount to the horizon.  A lane leaves the sweep after its drift
     to the horizon, or once it has halted and its strict passage is known
@@ -456,13 +462,16 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q) -> LaneFl
     lanes bit for bit; the flows match its discounted_flow up to summation
     order.
     """
-    counts, m, nx = columns.counts, columns.counts.size, len(x)
-    lanes = Lanes(nx, m)
+    if path is not None:  # step only the paths the lanes read
+        lo = path.min()
+        columns, path = columns.block(lo, path.max() + 1), path - lo
+    counts, nx, m = columns.counts, len(x), columns.counts.size if path is None else path.shape[1]
+    lanes = Lanes(nx, m, path)
     halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
     dl, dr, disc, kappa, weak = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, math.inf))
     steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
-                        np.asarray(b, dtype=float)[:, None], alpha, floor=True)
-    end, keep = counts, None
+                        np.asarray(b, dtype=float)[:, None], alpha, True, path)
+    end, keep = counts if path is None else counts[path], None
     for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
         keep = None

@@ -12,7 +12,8 @@ ExactModeUnavailable for a model with sigma > 0.
 Each run sweeps every role once, over all its paths, into one
 path_engine.SegmentTable, and reads the tables BLOCK paths at a time, each
 block in one pass of path_engine.read_segments at every probe time of its
-paths, so no result depends on how paths fall into blocks.
+paths, so no result depends on how paths fall into blocks (nor, for the
+alpha ladder, into runs of LADDER_RUN paths).
 """
 
 from __future__ import annotations
@@ -157,6 +158,8 @@ class CharReport:
 
 # Paths checked at once: a block's probe tables grow with it.
 BLOCK = 32
+# Paths the alpha ladder sweeps at once, a multiple of BLOCK: its 2m tables grow with it.
+LADDER_RUN = 6 * BLOCK
 
 
 class _Block:
@@ -289,29 +292,32 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     sup_gap = np.zeros(m)
     vals = np.zeros((m, n))
     cols = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)
-    trajs = [apply_strategy_exact(cols, StrategyParams(b=b, alpha=a, beta=beta, q=q))
-             for a in alphas]
-    refr = [refract_exact(cols, b, a) for a in alphas]
-    for j, table in enumerate(trajs):
-        dl, dr = table.discounted_flow(q)
-        vals[j] = dl - beta * dr
-    for start in range(0, n, BLOCK):
-        blk = _Block([table.block(start, start + BLOCK) for table in trajs + refr])
-        zs, ys = blk.readings[:m], blk.readings[m:]
-        if alphas[-1] == math.inf:
-            for j in range(m):
-                sup_gap[j] = max(sup_gap[j], float(np.max(zs[j].z - zs[-1].z)))
-        rows = []
-        for j in range(m - 1):
-            # as the cap rises the refracted paths and the surpluses do not
-            # rise, and the dividends and injections do not fall
-            dy, dz = ys[j].z - ys[j + 1].z, zs[j].z - zs[j + 1].z
-            dl, dr = zs[j].l - zs[j + 1].l, zs[j].r - zs[j + 1].r
-            rows += [("ladder_refracted", -dy, dy < -EXACT_TOL),
-                     ("ladder_surplus", -dz, dz < -EXACT_TOL),
-                     ("ladder_dividends", dl, dl > EXACT_TOL),
-                     ("ladder_injections", dr, dr > EXACT_TOL)]
-        viol += blk.violations(rows)
+    for r0 in range(0, n, LADDER_RUN):
+        run = cols.block(r0, r0 + LADDER_RUN)
+        trajs = [apply_strategy_exact(run, StrategyParams(b=b, alpha=a, beta=beta, q=q))
+                 for a in alphas]
+        refr = [refract_exact(run, b, a) for a in alphas]
+        for j, table in enumerate(trajs):
+            dl, dr = table.discounted_flow(q)
+            vals[j, r0:r0 + LADDER_RUN] = dl - beta * dr
+        for start in range(0, run.counts.size, BLOCK):
+            blk = _Block([table.block(start, start + BLOCK) for table in trajs + refr])
+            zs, ys = blk.readings[:m], blk.readings[m:]
+            if alphas[-1] == math.inf:
+                for j in range(m):
+                    sup_gap[j] = max(sup_gap[j], float(np.max(zs[j].z - zs[-1].z)))
+            rows = []
+            for j in range(m - 1):
+                # as the cap rises the refracted paths and the surpluses do
+                # not rise, and the dividends and injections do not fall
+                dy, dz = ys[j].z - ys[j + 1].z, zs[j].z - zs[j + 1].z
+                dl, dr = zs[j].l - zs[j + 1].l, zs[j].r - zs[j + 1].r
+                rows += [("ladder_refracted", -dy, dy < -EXACT_TOL),
+                         ("ladder_surplus", -dz, dz < -EXACT_TOL),
+                         ("ladder_dividends", dl, dl > EXACT_TOL),
+                         ("ladder_injections", dr, dr > EXACT_TOL)]
+            viol += blk.violations(rows)
+        del trajs, refr, blk  # before the next run's tables are swept
     means = vals.mean(axis=1)
     ses = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(m)
     for j in range(m - 1):

@@ -110,7 +110,7 @@ def apply_strategy_exact(columns: EventColumns, params: StrategyParams) -> Segme
 
 
 def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
-                floor: bool):
+                floor: bool, path=None):
     """Three-branch Euler recursion, vectorised over the rows of increments.
 
     increments is an (m, k) matrix of driver steps.  x and b are scalars or
@@ -133,16 +133,18 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
     keep masks the lanes of the last step, flattened in row-major order,
     and path gives the row of increments of each lane kept.  From then on
     the arrays are 1-D over the kept lanes, and each lane reads its driver
-    from the running sum X-hat of its row.
+    from the running sum X-hat of its row.  Given path, a (J, m) or 1-D
+    array of rows, lane l reads row path[l] from the start, and every
+    array has the shape of path.
     """
     m, k = increments.shape
     xhat = np.full(m, -0.0)  # -0.0 + a == a bit for bit, as in np.cumsum
-    lhat = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(b), (m,)))
+    drive = xhat if path is None else np.empty(path.shape)
+    lhat = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(b), drive.shape))
     rhat = lhat + np.where(x < 0.0, -x, 0.0)
     state, dl, dr, newr = (np.zeros_like(lhat) for _ in range(4))
     s = np.empty_like(lhat) if floor else state
     flag = np.empty(lhat.shape, dtype=bool)
-    drive, path = xhat, None
     # masked stores by np.putmask: a ufunc with where= runs several times slower
     for j in range(1, k):
         xhat += increments[:, j - 1]
@@ -175,13 +177,14 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
             drive = np.empty(lhat.shape)
 
 
-def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
-                     q: float) -> path_engine.LaneFlows:
+def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
+                     q: float, path=None) -> path_engine.LaneFlows:
     """The floored recursion on every (start, threshold) lane at once, read
     as path_engine.floored_lane_sweep reads the exact lane stepper.
 
-    Lane (j, i) runs row i of incs from x[j] with threshold b[j]; x, b and
-    spliced have length J, and each field has shape (J, m).  Step j is paid
+    Lane (j, i) runs row i of incs, or row path[j, i] of a (J, m) array
+    path, from x[j] with threshold b[j]; x, b and spliced have length J,
+    and each field has shape (J, m).  Step j is paid
     at its knot time j * dt, discounted at exp(-q j dt), and it is the
     passage time when it holds the lane's first injection (kappa_strict) or
     its first state at or below 0 (t_weak); math.inf when none does.  A start
@@ -197,8 +200,10 @@ def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
     they gain only from the calls skipped once no lane has an open passage.
     """
     x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
-    m, k = incs.shape
-    zeros = np.zeros((len(x), m))
+    if path is not None:  # step only the rows the lanes read
+        lo = path.min()
+        incs, path = incs[lo:path.max() + 1], path - lo
+    zeros = np.zeros((len(x), len(incs) if path is None else path.shape[1]))
     dl = zeros.copy()
     dr = zeros + np.where(x < 0.0, -x, 0.0)
     kappa = zeros + np.where(x < 0.0, 0.0, math.inf)
@@ -212,11 +217,11 @@ def euler_lane_flows(x, b, spliced, incs: np.ndarray, alpha: float, dt: float,
     # stopped their flows and that are done
     nk, nw = np.count_nonzero(open_k), np.count_nonzero(open_w)
     stopped, done = np.count_nonzero(~live), np.count_nonzero(halt & ~open_k)
-    lanes = path_engine.Lanes(len(x), m)
+    lanes = path_engine.Lanes(*zeros.shape, path)
     disc, paid, hit = np.empty(zeros.shape), np.empty(zeros.shape), np.empty(zeros.shape, bool)
-    steps = euler_steps(x, incs, b, alpha, dt, floor=True)
+    steps = euler_steps(x, incs, b, alpha, dt, True, path)
     keep = None
-    for j in range(1, k):
+    for j in range(1, incs.shape[1]):
         state, step_l, step_r = steps.send(keep)
         keep = None
         t = dt * j

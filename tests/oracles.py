@@ -26,7 +26,9 @@ trajectory from its driver and dividends, independently of the sweep's
 injection bookkeeping, and budget_residual checks the budget of a
 ControlledTrajectory.  draw_random_bv_setup draws the random models of the
 randomized sweeps, and reference_config_text writes the reference
-experiment as config text.
+experiment as config text.  concatenated_grid_increments bins the whole
+jump draw of the grid sampler in one np.add.at, the reference for the
+sampler's binning of each component as it is drawn.
 """
 
 import math
@@ -37,6 +39,7 @@ import numpy as np
 from levyrefract.cli_reporting import REFERENCE_GAMMA
 from levyrefract.levy_model import (
     Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform, Weibull,
+    _compensated_drift, _jump_draw,
 )
 from levyrefract.path_engine import (
     BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime,
@@ -422,6 +425,22 @@ def budget_residual(traj) -> float:
     """Max |Z - (driver - L + R)| of a ControlledTrajectory over its sample
     grid."""
     return float(np.max(np.abs(traj.z - (traj.driver - traj.l + traj.r))))
+
+
+def concatenated_grid_increments(spec, horizon, k, m, rng):
+    """The (m, k) grid increments of m paths: the Gaussians, then the whole
+    jump draw concatenated and binned rightward in one np.add.at."""
+    dt = horizon / k
+    drift = _compensated_drift(spec) * dt
+    if spec.sigma > 0:
+        incs = rng.standard_normal((m, k)) * (spec.sigma * math.sqrt(dt)) + drift
+    else:
+        incs = np.full((m, k), drift)
+    rows, times, sizes = (np.concatenate(a) for a in zip(
+        (np.empty(0, dtype=int), np.empty(0), np.empty(0)), *_jump_draw(spec, horizon, m, rng)))
+    bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
+    np.add.at(incs, (rows, bins), sizes)
+    return incs
 
 
 def draw_random_bv_setup(rng: np.random.Generator):

@@ -357,9 +357,9 @@ class TestRunValueCurve:
         calls = []
         run_chunks = estimation._run_chunks
 
-        def counted(n, worker, threads):
+        def counted(n, worker, threads, draws=1):
             calls.append(n)
-            return run_chunks(n, worker, threads)
+            return run_chunks(n, worker, threads, draws)
 
         monkeypatch.setattr(estimation, "_run_chunks", counted)
         cfg = base_cfg("task.b = 1\ntask.x_grid = -0.5:0.25:1.5\n"

@@ -1,5 +1,6 @@
 import ast
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -20,7 +21,7 @@ from levyrefract.strategy_engine import (
 )
 from levyrefract.estimation import (
     DegenerateDenominator, NoCrossing, _chunk_readers, _clock_terms, _estimate, _nu_chunk,
-    _run_sums, _value_chunk, _value_terms, estimate_underline_nu, find_bstar, nu_curve,
+    _run_sums, _value_terms, estimate_underline_nu, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
 
@@ -207,7 +208,7 @@ class TestExactClockChunk:
         want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
                            (ws * ww).sum()])
         ((acc, cens),) = _run_sums(draw(ref_spec_bv, pp, 8.0), partial(_clock_terms, pp),
-                                   stream, [(x, b, True)], [(3, 24)])
+                                   (stream,), [(x, b, True, 0)], [(3, 24)])
         assert acc.tobytes() == want.tobytes()
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
 
@@ -222,7 +223,7 @@ class TestClockLanes:
         so both clocks equal the unspliced reading byte for byte."""
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2, alpha=alpha)
-        readers = draw(spec, pp, 30.0, 1500, engine)(RngStream(151, tag=2), [(3, 64)])
+        readers = draw(spec, pp, 30.0, 1500, engine)((RngStream(151, tag=2),), [(3, 64)])
         for x in (-0.4, 0.0, 0.6, 1.2, 2.5):
             halted = readers.lane_flows([x], [1.2], [True])
             free = readers.lane_flows([x], [1.2], [False])
@@ -499,7 +500,7 @@ class TestEulerRunSums:
             return euler_steps(*args, **kw)
 
         monkeypatch.setattr(strategy_engine, "euler_steps", counted)
-        got = euler_lane_flows(xs, bs, halts, incs, alpha, 5.0 / k, Q)
+        got = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q)
         assert len(passes) == 1  # one recursion pass serves every point
         for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak), want):
             assert g.shape == (len(xs), 256)
@@ -524,10 +525,10 @@ class TestEulerRunSums:
         clean[:, 5:] = 0.0
         incs[:, 5:] = np.nan
         xs, bs = (-0.4, 0.0, 0.5, 2.0, 6.0), (1.2, 1.2, 0.0, 1.2, 1.2)
-        got = euler_lane_flows(xs, bs, [True] * 5, incs, alpha, 0.1, Q)
+        got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q)
         assert np.all(np.isfinite(got.dl)) and np.all(np.isfinite(got.dr))
         assert np.all(got.kappa_strict <= 3 * 0.1)
-        want = euler_lane_flows(xs, bs, [True] * 5, clean, alpha, 0.1, Q)
+        want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q)
         for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak),
                         (want.dl, want.dr, want.kappa_strict, want.t_weak)):
             assert g.tobytes() == w.tobytes()
@@ -554,7 +555,7 @@ class TestEulerRunSums:
             return drop(lanes, done, *fields)
 
         monkeypatch.setattr(path_engine.Lanes, "drop", counted)
-        got = euler_lane_flows(xs, bs, halts, incs, alpha, horizon / k, Q)
+        got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q)
         assert len(drops) >= 5
         for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak), want):
             assert g.tobytes() == w.tobytes()
@@ -570,13 +571,13 @@ class TestValueBlocks:
         """Points run in blocks of at most BLOCK_LANES lanes (one point at
         least): 1 lane is one point per block, 300 lanes two points of 128
         paths.  An Euler run draws its increments once for every block."""
-        points = [(x, b, spliced) for x, b in
+        points = [(x, b, spliced, 0) for x, b in
                   [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2), (1.2, 1.2),
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2)
         args = (draw(spec, pp, 5.0, 100, engine), partial(_value_terms, pp),
-                RngStream(141, tag=3), points, [(1, 128)])
+                (RngStream(141, tag=3),), points, [(1, 128)])
         (want,) = _run_sums(*args)
         draws = []
 
@@ -590,6 +591,109 @@ class TestValueBlocks:
         assert len(draws) == (engine == "euler")
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestOneLanePass:
+    """A value batch steps its starts, on the main stream, and its at-0
+    anchors, on their substream, in one lane pass over both draws."""
+
+    POINTS = [(-0.4, 1.2, True), (0.0, 1.2, False), (0.6, 1.2, True), (2.5, 2.0, False),
+              (1.2, 1.2, True), (0.0, 0.0, False), (0.6, 2.0, True), (2.5, 1.2, True)]
+    # the traced peak of the two-draw Euler batch below, in bytes (9.38 MiB,
+    # measured with numpy 2.4)
+    TWO_DRAW_EULER_PEAK = 9_840_000
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_a_mixed_block_reads_each_draws_own_lanes(self, ref_spec_bv, ref_spec_gauss,
+                                                       engine, alpha, monkeypatch):
+        """Points alternate between two draws, so the block's stepper reads
+        each lane's path off a (J, m) path array; spliced lanes drop along
+        the way.  Every field of every lane equals that of the same point
+        run on its draw alone, drawn on its own stream, bit for bit."""
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        pp = params(b=1.2, alpha=alpha)
+        stream = RngStream(190, tag=4)
+        streams = (stream, stream.with_tag(4 + estimation.V0_TAG_OFFSET))
+        chunks = [(2, 48), (3, 20)]
+        d = draw(spec, pp, 30.0, 1500, engine)
+        module, name = ((path_engine, "event_steps") if engine == "exact"
+                        else (strategy_engine, "euler_steps"))
+        steps, drop, paths, drops = getattr(module, name), path_engine.Lanes.drop, [], []
+
+        def stepper(*args):
+            paths.append(args[-1])
+            return steps(*args)
+
+        def counted(lanes, done, *fields):
+            drops.append(np.count_nonzero(done))
+            return drop(lanes, done, *fields)
+
+        monkeypatch.setattr(module, name, stepper)
+        monkeypatch.setattr(path_engine.Lanes, "drop", counted)
+        x, b, spliced = zip(*self.POINTS)
+        on = [j % 2 for j in range(len(x))]
+        got = d(streams, chunks).lane_flows(x, b, spliced,
+                                            path=np.array(on)[:, None] * 68 + np.arange(68))
+        assert len(paths) == 1 and paths[0].shape == (len(x), 68)
+        assert np.array_equal(paths[0][1], np.arange(68, 136)) and len(drops) >= 2
+        for s, alone in enumerate(d((st,), chunks) for st in streams):
+            js = [j for j in range(len(x)) if on[j] == s]
+            want = alone.lane_flows(*([c[j] for j in js] for c in (x, b, spliced)))
+            for name in ("dl", "dr", "kappa_strict", "t_weak"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert g.shape == (len(x), 68)
+                assert g[js].tobytes() == w.tobytes(), (s, name)
+
+    @pytest.mark.parametrize("lanes", [2 * 256, 2 ** 16])
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_a_value_batch_makes_one_stepper_per_block(self, ref_spec_bv, ref_spec_gauss,
+                                                       engine, lanes, monkeypatch):
+        """One batch of 256 paths per draw: three starts and one anchor
+        make one block, one stepper, on both draws; at two points per
+        block, two steppers, the first on the main draw's paths alone and
+        the second on both draws.  The bytes do not depend on the
+        blocking."""
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        module, name = ((path_engine, "event_steps") if engine == "exact"
+                        else (strategy_engine, "euler_steps"))
+        steps = getattr(module, name)
+        made = []
+
+        def counted(*args, **kw):
+            made.append(args)
+            return steps(*args, **kw)
+
+        args = ([-0.4, 0.0, 0.6, 1.5, 2.5], 1.2, params(b=1.2), spec, 5.0, 100, 256,
+                RngStream(191, tag=4))
+        want = value_curve(*args, engine=engine)
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
+        got = value_curve(*args, engine=engine)
+        widths = [a[0].counts.size if engine == "exact" else len(a[1]) for a in made]
+        assert widths == ([512] if lanes == 2 ** 16 else [256, 512])
+        assert got == want
+
+    def test_a_two_draw_euler_batch_holds_two_matrices(self, ref_spec_gauss):
+        """The traced peak of one value batch on two draws of 256 paths at
+        K = 2,000: the (512, 2000) increment matrix, 7.8 MiB, and the lane
+        arrays.  The bound is the measured peak plus 10 %, so a change that
+        holds a third copy of the draws fails it."""
+        pp = StrategyParams(b=2.15, alpha=0.5, beta=BETA, q=Q)
+        xs = np.arange(-1.0, 3.99, 0.75)
+        points = ([(x, b, True, 0) for b in (1.45, 2.15, 2.9) for x in xs if x > 0]
+                  + [(0.0, b, False, 1) for b in (1.45, 2.15, 2.9)])
+        stream = RngStream(192, tag=4)
+        args = (draw(ref_spec_gauss, pp, 100.0, 2000, "euler"), partial(_value_terms, pp),
+                (stream, stream.with_tag(4 + estimation.V0_TAG_OFFSET)), points, [(0, 256)])
+        tracemalloc.start()
+        try:
+            _run_sums(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak >= 512 * 2000 * 8
+        assert peak <= self.TWO_DRAW_EULER_PEAK * 1.1
 
 
 class TestEstimate:
@@ -658,6 +762,24 @@ class TestBatches:
             assert all(1 <= len(b) <= batch for b in batches)
             assert len(batches) >= min(threads, len(chunks))
 
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_two_draws_halve_the_batch(self, threads, batch, monkeypatch):
+        """A batch on two draws holds at most BATCH // 2 chunks per draw
+        (one at least), under the same contiguity and every-worker-busy
+        rules; at 2 workers and N <= 8 chunks, the batches of one draw."""
+        monkeypatch.setattr(estimation, "BATCH", batch)
+        for n in (1, 255, 256, 257, 5 * 256 + 37, 17 * 256, 40 * 256 + 1):
+            batches = estimation._batches(n, threads, 2)
+            chunks = [c for b in batches for c in b]
+            assert [ci for ci, _ in chunks] == list(range(len(chunks)))
+            assert [m for _, m in chunks[:-1]] == [256] * (len(chunks) - 1)
+            assert sum(m for _, m in chunks) == n
+            assert all(1 <= len(b) <= max(1, batch // 2) for b in batches)
+            assert len(batches) >= min(threads, len(chunks))
+            if batch == 8 and threads == 2 and n <= 8 * 256:
+                assert batches == estimation._batches(n, threads)
+
     @pytest.mark.parametrize("engine", ["exact", "euler"])
     def test_a_batch_reads_as_its_chunks(self, ref_spec_bv, ref_spec_gauss, engine):
         """A 3-chunk batch, the last one short, gives the partials of three
@@ -668,12 +790,12 @@ class TestBatches:
         stream = RngStream(180, tag=5)
         chunks = [(2, 48), (3, 48), (4, 20)]
         grid = np.linspace(0.0, 3.0, 13)
-        runs = ((stream, [(0.6, 1.2, True), (2.5, 2.0, False)]),
-                (stream.with_tag(9), [(0.0, 1.2, False)]))
+        points = [(0.6, 1.2, True, 0), (2.5, 2.0, False, 0), (0.0, 1.2, False, 1)]
         for reader in (partial(_nu_chunk, d, pp, grid, stream),
-                       partial(_value_chunk, d, partial(_clock_terms, pp),
-                               ((stream, [(0.6, 1.2, True)]),)),
-                       partial(_value_chunk, d, partial(_value_terms, pp), runs)):
+                       partial(_run_sums, d, partial(_clock_terms, pp), (stream,),
+                               [(0.6, 1.2, True, 0)]),
+                       partial(_run_sums, d, partial(_value_terms, pp),
+                               (stream, stream.with_tag(9)), points)):
             got = reader(chunks)
             want = [part for c in chunks for part in reader([c])]
             assert len(got) == len(want) == 3
@@ -684,7 +806,7 @@ class TestBatches:
         """Both readers read one EventColumns: each chunk's columns as
         sample_path draws them, and (horizon, 0) below a shorter chunk."""
         pp, stream, chunks = params(b=1.2), RngStream(183, tag=5), [(2, 48), (3, 48), (4, 20)]
-        readers = draw(ref_spec_bv, pp, 10.0)(stream, chunks)
+        readers = draw(ref_spec_bv, pp, 10.0)((stream,), chunks)
         cols = readers.lane_flows.args[0]
         assert readers.record_lows.args[0] is cols
         assert np.array_equal(cols.x0, np.zeros(116))

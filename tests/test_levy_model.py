@@ -35,7 +35,7 @@ from levyrefract.levy_model import (
     validate_spec,
 )
 from conftest import REFERENCE_GAMMA, draw_path, drift_only
-from oracles import EventPath, event_paths
+from oracles import EventPath, concatenated_grid_increments, event_paths
 
 # mass of Weibull(2,1) below 1, integral of x f(x) on [0,1), frozen from an
 # independent quadrature
@@ -382,6 +382,24 @@ class TestSampling:
                 assert p.x0 == spec.x0
                 np.testing.assert_allclose(p.to_grid(k), row, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_binning_each_component_equals_binning_the_whole_draw(self, sigma):
+        """Each jump component is binned as it is drawn, in draw order, so
+        the matrix equals the concatenate-then-bin reference bit for bit:
+        three components, one too rare to jump on these paths, and
+        hyperexponential marks."""
+        spec = JumpDiffusionSpec(
+            gamma=0.3, sigma=sigma,
+            jump_components=((1.2, 1, Uniform(0.0, 1.0)), (1e-12, -1, Exponential(1.0)),
+                             (0.8, -1, HyperExponential((0.3, 0.7), (0.5, 2.0)))))
+        for seed, (horizon, k, m) in enumerate(((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3))):
+            rng = RngStream(26, tag=seed).generator
+            got = _grid_increment_matrix(spec, horizon, k, m, rng())
+            assert got.tobytes() == concatenated_grid_increments(spec, horizon, k, m,
+                                                                 rng()).tobytes()
+            # the rare component draws no jump and yields nothing
+            assert len(list(_jump_draw(spec, horizon, m, rng()))) == 2
+
     def test_one_path_is_the_one_path_draw(self, ref_spec_bv):
         """Without m, exact mode draws the one-column EventColumns of m = 1."""
         stream = RngStream(16, tag=2)
@@ -442,6 +460,13 @@ class TestEventColumns:
         pad = np.arange(len(cols.times))[:, None] >= cols.counts
         assert np.all(cols.times[pad] == 5.0) and np.all(cols.sizes[pad] == 0.0)
         assert np.all(cols.times[~pad] < 5.0) and np.all(cols.sizes[~pad] != 0.0)
+        # a block of paths keeps the rows its paths use
+        for start, stop in ((0, 40), (3, 9), (39, 40)):
+            blk = cols.block(start, stop)
+            h = cols.counts[start:stop].max() + 1
+            assert blk.times.shape == blk.sizes.shape == (h, stop - start)
+            assert np.array_equal(blk.times, cols.times[:h, start:stop])
+            assert np.array_equal(blk.sizes, cols.sizes[:h, start:stop])
 
     @pytest.mark.parametrize("m", [1, 7, 256])
     def test_events_are_the_jump_draw_by_path_and_time(self, m):
@@ -452,7 +477,8 @@ class TestEventColumns:
             jump_components=((1.0, 1, Uniform(0.0, 1.0)), (0.7, -1, Weibull(2.0, 1.0)),
                              (0.3, 1, Exponential(2.0))))
         stream = RngStream(21, tag=m)
-        rows, times, sizes = _jump_draw(spec, 30.0, m, stream.generator())
+        rows, times, sizes = (np.concatenate(a)
+                              for a in zip(*_jump_draw(spec, 30.0, m, stream.generator())))
         order = np.lexsort((times, rows))
         cuts = np.cumsum(np.bincount(rows, minlength=m))[:-1]
         cols = sample_path(spec, 30.0, EXACT, stream, m)
@@ -470,7 +496,7 @@ class TestEventColumns:
         times = np.concatenate(([4.0], rng.uniform(0.0, 4.0, 899)))
         sizes = rng.normal(size=900)
         draw = (np.repeat([1, 2], [300, 600]), times, sizes)
-        monkeypatch.setattr(levy_model, "_jump_draw", lambda *args: draw)
+        monkeypatch.setattr(levy_model, "_jump_draw", lambda *args: iter([draw]))
         cols = sample_path(drift_only(0.1), 4.0, EXACT, RngStream(22), 3)
         assert np.array_equal(cols.counts, [0, 300, 600])
         order = np.argsort(times[:300])

@@ -246,7 +246,8 @@ class TestBlockCheck:
     def test_runs_do_not_depend_on_the_blocks(self, n, ref_spec_bv, monkeypatch):
         """The runs with trajectories shifted off their drivers, and with
         refracted rungs shifted up with the cap, so that the budget and the
-        ladder rows fire: the same reports one path at a time."""
+        ladder rows fire: the same reports one path at a time, and with the
+        ladder swept one path per run."""
         sweep, refract = apply_strategy_exact, refract_exact
         monkeypatch.setattr(properties_oracle, "apply_strategy_exact",
                             lambda c, pp: sweep(replace(c, x0=c.x0 + 0.05), pp))
@@ -262,6 +263,8 @@ class TestBlockCheck:
 
         blocked = runs()
         monkeypatch.setattr(properties_oracle, "BLOCK", 1)
+        assert runs() == blocked
+        monkeypatch.setattr(properties_oracle, "LADDER_RUN", 1)
         assert runs() == blocked
         assert {v.prop for v in blocked[0].violations} == {"budget"}
         assert "ladder_refracted" in {v.prop for v in blocked[1].violations}
@@ -350,8 +353,8 @@ class TestCharFunction:
         draw = levy_model._jump_draw
 
         def scaled(*a):
-            rows, times, sizes = draw(*a)
-            return rows, times, 1.15 * sizes
+            for rows, times, sizes in draw(*a):
+                yield rows, times, 1.15 * sizes
 
         monkeypatch.setattr(levy_model, "_jump_draw", scaled)
         assert not char_function_check(*args).ok
