@@ -26,6 +26,7 @@ import numpy as np
 
 from .levy_model import (
     EXACT,
+    EventColumns,
     Exponential,
     Grid,
     HyperExponential,
@@ -703,13 +704,12 @@ def _run_check_properties(cfg, outs, threads, desk):
                                                beta=cfg.beta, q=cfg.q))
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
                                       max(cfg.n, 40_000), RngStream(cfg.seed, tag=7))
-    # negative control: a correct coupled pair checked against a mis-stated
-    # shift must break the budget relation on any model
+    # negative control: a correct pair must break the budget of a mis-stated shift
     cols = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT, RngStream(cfg.seed, tag=8), 1)
     lower = replace(cols, x0=cols.x0 + x)
-    tk = apply_strategy_exact(lower, cfg.params_for(b))
-    tl = apply_strategy_exact(replace(lower, x0=lower.x0 + shift), cfg.params_for(b))
-    control = oracle.check_pair(tk, tl, 0.5 * shift, b)
+    both = apply_strategy_exact(EventColumns.side_by_side(
+        [lower, replace(lower, x0=lower.x0 + shift)]), cfg.params_for(b))
+    control = oracle.check_pair(both.block(0, 1), both.block(1, 2), 0.5 * shift, b)
     lines = [line for rep in reports for line in rep.summary_lines()]
     if len(rungs) == 1:
         lines.append("SKIP alpha_ladder (control.alpha = inf leaves one rate cap)")

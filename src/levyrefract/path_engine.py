@@ -3,9 +3,10 @@
 One event sweep, event_steps, serves every exact transform.  It steps the
 paths of levy_model.EventColumns, the padded event columns sample_path
 draws, all at once as lanes: refraction at rate alpha above a threshold b
-and, with the floor, reflection at 0.  It takes 0 < alpha <= inf; alpha =
-inf is the reflection limit at b, in which an overshoot above b is paid at
-once as a lump dividend, and b = inf sets no threshold.  The case is read
+and, with the floor, reflection at 0, each row of lanes with its own b,
+alpha and floor.  It takes 0 < alpha <= inf; alpha = inf is the reflection
+limit at b, where an overshoot above b is paid at once as a lump dividend,
+and b = inf sets no threshold.  The case is read
 off the draw: a path sticks at b in Case 2, when the net drift
 columns.drift lies in [0, alpha] (levy_model.is_case2), and crosses b in
 Case 1.  Crossing times of linear segments are solved in closed form, so
@@ -13,11 +14,11 @@ the only error is float arithmetic; identity checks use absolute tolerance
 1e-12.  event_steps is the counterpart of strategy_engine.euler_steps and
 records nothing; three readers keep what their callers need of its lanes:
 
-- trajectory_table keeps the trajectories themselves, as a SegmentTable
-  of their segments and atoms.  refract_exact and
-  refracted_reflected_exact return it, and read_segments reads it at
-  probe times: values, left limits, dividends and injections, and the
-  drivers;
+- trajectory_table keeps the trajectories themselves, one SegmentTable
+  of their segments and atoms per role, from one sweep.  refract_exact
+  and refracted_reflected_exact are its one-role calls, and read_segments
+  reads the tables at probe times: values, left limits, dividends and
+  injections, and the drivers;
 - floored_lane_sweep keeps the discounted flows and passage times of
   floored (path, start, threshold) lanes;
 - refracted_record_lows keeps the record lows of refract_exact at b = 0.
@@ -135,13 +136,13 @@ def path_keys(path, t):
 class SegmentReading:
     """A SegmentTable read at probes: the value z, its left limit z_left,
     the cumulative dividends l and injections r, and whether a knot falls
-    at the probe."""
+    at the probe; all but z are None on a table read for z alone."""
 
     z: np.ndarray
-    z_left: np.ndarray
-    l: np.ndarray
-    r: np.ndarray
-    knot: np.ndarray
+    z_left: np.ndarray = None
+    l: np.ndarray = None
+    r: np.ndarray = None
+    knot: np.ndarray = None
 
 
 def _lumps(values, counts, path, upto):
@@ -154,35 +155,48 @@ def _lumps(values, counts, path, upto):
     return np.cumsum(table, axis=1)[path, upto - (np.cumsum(counts) - counts)[path]]
 
 
-def read_segments(tables, path, t, drivers=None):
-    """The SegmentReading of each table at the probes (path[j], t[j]), t >= 0,
-    and with drivers, the EventColumns of the tables' paths, the driver X
-    there as well (else None).
-
-    The path_keys of the probes and of every knot, atom and event, from one
-    sort per call, place each path's entries among its probes by binary
-    search, so the entries up to a probe, and strictly before it, are counts
-    in integers.  z is read off the segment in force, z_left off the one
-    before a knot at the probe, and the flows, atoms and events add up as
-    lumps, each path's in order: every reading is bit-equal to a per-path
-    searchsorted and cumsum.
-    """
-    path, t = np.asarray(path), np.asarray(t, dtype=float)
+def table_entries(tables, drivers=None):
+    """The (times, path) of every table's knots, injection and dividend atoms,
+    and the (times, path, sizes) of the events of drivers: (path, t) order."""
     srcs = [src for tab in tables for src in tab.sources]
     if drivers is not None:
         # each path's events, path-major, off the padded columns
         on = (np.arange(len(drivers.times))[:, None] < drivers.counts).T
         srcs.append((drivers.times.T[on], np.repeat(np.arange(drivers.counts.size),
-                                                    drivers.counts)))
-    keys, _ = path_keys(np.concatenate([path] + [p for _, p in srcs]),
-                        np.concatenate([t] + [s for s, _ in srcs]))
-    probes, *keys = np.split(keys, np.cumsum([t.size] + [s.size for s, _ in srcs])[:-1])
+                                                    drivers.counts), drivers.sizes.T[on]))
+    return srcs
+
+
+def read_segments(tables, path, t, drivers=None, full=None, keys=None):
+    """The SegmentReading of each table at the probes (path[j], t[j]), t >= 0,
+    and with drivers, the EventColumns of the tables' paths, the driver X
+    there as well (else None).  Tables from full on are read for z alone.
+
+    Integer keys that order the probes and the table_entries as (path, t),
+    the path_keys of one sort or the keys a caller sorted, place each path's
+    entries among its probes by binary search, so the entries up to a probe,
+    and strictly before it, are counts in integers.  z is read off the
+    segment in force, z_left off the one before a knot at the probe, and the
+    flows, atoms and events add up as lumps, each path's in order: every
+    reading is bit-equal to a per-path searchsorted and cumsum.
+    """
+    path, t = np.asarray(path), np.asarray(t, dtype=float)
+    srcs = table_entries(tables, drivers)
+    if keys is None:
+        keys, _ = path_keys(np.concatenate([path] + [src[1] for src in srcs]),
+                            np.concatenate([t] + [src[0] for src in srcs]))
+    probes, *keys = np.split(keys, np.cumsum([t.size] + [src[0].size for src in srcs])[:-1])
     readings = []
     for j, tab in enumerate(tables):
         (seg, r_at, l_at), (n_seg, n_r, n_l), seg_t = keys[3 * j:3 * j + 3], tab.counts, tab.seg_t
+        i = np.searchsorted(seg, probes, "right") - 1
+        z = tab.seg_v[i] + tab.seg_slope[i] * (t - seg_t[i])
+        if full is not None and j >= full:
+            readings.append(SegmentReading(z))
+            continue
         ends = np.cumsum(n_seg) - 1  # each path's last segment
-        upto, below = (np.searchsorted(seg, probes, side) for side in ("right", "left"))
-        i, left = upto - 1, np.maximum(below - 1, (ends + 1 - n_seg)[path])
+        below = np.searchsorted(seg, probes, "left")
+        left = np.maximum(below - 1, (ends + 1 - n_seg)[path])
         dt = np.diff(seg_t, append=0.0)
         dt[ends] = tab.horizon - seg_t[ends]
         l, r = (_lumps(rate * dt, n_seg, path, i) + rate[i] * (t - seg_t[i])
@@ -190,15 +204,13 @@ def read_segments(tables, path, t, drivers=None):
                 for rate, atom, n_atom, at in ((tab.seg_lrate, tab.l_atom, n_l, l_at),
                                                (tab.seg_rrate, tab.r_atom, n_r, r_at)))
         readings.append(SegmentReading(
-            z=tab.seg_v[i] + tab.seg_slope[i] * (t - seg_t[i]),
-            z_left=tab.seg_v[left] + tab.seg_slope[left] * (t - seg_t[left]),
-            l=l, r=r, knot=upto > below))
+            z=z, z_left=tab.seg_v[left] + tab.seg_slope[left] * (t - seg_t[left]),
+            l=l, r=r, knot=i >= below))
     if drivers is None:
         return readings, None
     upto = np.searchsorted(keys[-1], probes, "right")
-    sizes = drivers.sizes.T[on]
     return readings, (drivers.x0[path] + drivers.drift * t
-                      + _lumps(sizes, drivers.counts, path, upto))
+                      + _lumps(srcs[-1][2], drivers.counts, path, upto))
 
 
 def _regime(z, b, alpha, delta, sticky, floor):
@@ -247,7 +259,7 @@ def refract_exact(columns: EventColumns, b: float, alpha: float) -> SegmentTable
     """
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
-    return trajectory_table(columns, float(b), float(alpha), floor=False)
+    return trajectory_table(columns, b, alpha, False)[0]
 
 
 def refracted_reflected_exact(columns: EventColumns, b, alpha) -> SegmentTable:
@@ -262,7 +274,7 @@ def refracted_reflected_exact(columns: EventColumns, b, alpha) -> SegmentTable:
         raise InvalidParameter("b", "threshold must be >= 0")
     if not (alpha > 0):
         raise InvalidParameter("alpha", "rate cap must be positive")
-    return trajectory_table(columns, float(b), float(alpha), floor=True)
+    return trajectory_table(columns, b, alpha, True)[0]
 
 
 # Threshold or floor crossings a lane may make between two events.  On a
@@ -338,12 +350,13 @@ def _regime_table(alpha, delta, floor):
     return np.array(rows).T
 
 
-def event_steps(columns: EventColumns, x, b, alpha, floor: bool, path=None):
-    """The event sweep, on every lane at once, recording no segment.  x and
-    b are scalars or (J, 1) arrays.  Lane (j, i) runs path i of columns
-    from columns.x0[i] + x[j], refracted at rate alpha above b[j] and, with
-    floor, reflected at 0.  The case is read off the draw: a lane sticks at
-    b when is_case2(columns.drift, alpha).
+def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
+    """The event sweep, on every lane at once, recording no segment.  x, b,
+    alpha and floor are scalars or (J, 1) arrays.  Lane (j, i) runs path i of
+    columns from columns.x0[i] + x[j], refracted at rate alpha[j] above b[j]
+    and, with floor[j], reflected at 0.  The case is read off the draw: a
+    lane sticks at b when is_case2(columns.drift, alpha).  Rows with their
+    own alpha or floor read stacked per-row _regime_tables, caps and floors.
 
     Yields (stretches, te, dividend, topup) for the start (te = 0) and then
     per event column (te the event times).  stretches lists the drift
@@ -353,32 +366,40 @@ def event_steps(columns: EventColumns, x, b, alpha, floor: bool, path=None):
     kept): the index of its lanes (Ellipsis for all), its times, values,
     slope, rates and branch code (as a float), and whether it is a segment
     of the trajectory: a stretch of zero length is not, unless it is the
-    last drift to the horizon.  dividend and topup are
-    the lumps at te, the overshoot above b when alpha = inf and the top-up
-    to 0 with floor, or None where none can occur.  The arrays have the
-    shape of columns.x0 + x, but te, the event sizes and the starts of
-    first stretches are per path, (m,).  A reader drops lanes by sending
-    (keep, path), as to euler_steps, and from then on every array is 1-D.
-    Given path, a (J, m) or 1-D array of path indices, lane l runs path
-    path[l] and every array has its shape.
+    last drift to the horizon.  dividend and topup are the lumps at te, the
+    overshoot above the cap and the top-up to the floor, or None where none
+    can occur.  The arrays have the shape of columns.x0 + x, but te, the
+    event sizes and the starts of first stretches are per path, (m,).  A
+    reader drops lanes by sending (keep, path), as to euler_steps, and from
+    then on every array is 1-D.  Given path, a (J, m) or 1-D array of path
+    indices, lane l runs path path[l] and every array has its shape.
     """
     counts, tcols, scols = columns.counts, columns.times, columns.sizes
-    table = _regime_table(alpha, columns.drift, floor)
     x0, end = (columns.x0, counts) if path is None else (columns.x0[path], counts[path])
     z = x0 + x
     b = np.full(z.shape, b, dtype=float)
+    if np.ndim(alpha) or np.ndim(floor):  # a regime table, cap and floor per row
+        alpha, floor = np.broadcast_arrays(np.asarray(alpha, dtype=float), floor)
+        table = np.hstack([_regime_table(a, columns.drift, f) for a, f in zip(alpha.flat, floor.flat)])
+        role = np.broadcast_to(6 * np.arange(alpha.size).reshape(alpha.shape), z.shape)
+        cap, lo = np.where(alpha == math.inf, b, math.inf), np.where(floor, 0.0, -math.inf)
+        floor = floor.any()  # the rows of an unfloored table repeat at z == 0
+    else:
+        table, role = _regime_table(alpha, columns.drift, floor), None
+        cap, lo = (b if alpha == math.inf else None), (0.0 if floor else None)
     te = np.zeros(end.shape)
     for e in range(-1, len(tcols)):
         stretches = []
         if e >= 0:
             t = te
             te, s = (tcols[e], scols[e]) if path is None else (tcols[e, path], scols[e, path])
-            at, ts, zs, tes, bs, last = Ellipsis, t, z, te, b, end == e
+            at, ts, zs, tes, bs, rs, last = Ellipsis, t, z, te, b, role, end == e
             for _ in range(MAX_CROSSINGS + 1):
                 cls = np.add(zs >= bs, zs == bs, dtype=np.int8)  # (z > b) + 2 (z == b)
                 if floor:
                     cls += 3 * (zs == 0.0).view(np.int8)
-                slope, lrate, rrate, branch, target = np.take(table, cls, axis=1)
+                slope, lrate, rrate, branch, target = np.take(
+                    table, cls if rs is None else cls + rs, axis=1)
                 target = np.where(target == math.inf, bs, target)
                 # a nan target, where there is none (as at slope 0), never crosses
                 t_cross = ts + (target - zs) / slope
@@ -396,58 +417,71 @@ def event_steps(columns: EventColumns, x, b, alpha, floor: bool, path=None):
                     break
                 # te, last and s of (m,) paths take a lane's last index, its path
                 at = k if at is Ellipsis else tuple(i[k] for i in at)
-                ts, zs, bs = t_end[k], z_end[k], bs[k]
+                ts, zs, bs, rs = t_end[k], z_end[k], bs[k], None if rs is None else rs[k]
                 tes, last, s = (a[k[-a.ndim:]] for a in (tes, last, s))
             else:
                 raise RuntimeError(f"a lane makes over {MAX_CROSSINGS} crossings between events")
         dividend = topup = None
-        if alpha == math.inf:
-            dividend = np.maximum(z - b, 0.0)
-            z = np.minimum(z, b)
-        if floor:
-            topup = np.maximum(-z, 0.0)
-            z = np.maximum(z, 0.0)
+        if cap is not None:
+            dividend = np.maximum(z - cap, 0.0)
+            z = np.minimum(z, cap)
+        if lo is not None:
+            topup = np.maximum(lo - z, 0.0)
+            z = np.maximum(z, lo)
         sent = yield stretches, te, dividend, topup
         if sent is not None:
             keep, path = sent
-            te, z, b = (np.broadcast_to(a, z.shape).reshape(-1)[keep] for a in (te, z, b))
+            te, z, b, *rows = (np.broadcast_to(a, z.shape).reshape(-1)[keep]
+                               for a in (te, z, b) + (() if role is None else (cap, lo, role)))
+            cap, lo, role = rows or (None if cap is None else b, lo, None)
             end = counts[path]
 
 
-def trajectory_table(columns: EventColumns, b, alpha, floor: bool) -> SegmentTable:
-    """The SegmentTable reader of event_steps: one lane per path of columns,
-    started at columns.x0 bit for bit (x = -0.0, and a + -0.0 == a), and
-    refracted at rate alpha above b and, with floor, reflected at 0.
+def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
+    """The SegmentTable reader of event_steps, one table per role j of the
+    J entries of b, alpha and floor, from one sweep: one lane per role and
+    path of columns, started at columns.x0 bit for bit (x = -0.0, and a +
+    -0.0 == a), refracted at rate alpha[j] above b[j] and, with floor[j],
+    reflected at 0.
 
-    Per event column it keeps each stretch that is a segment, and each lump
-    above 0 as an atom at the column's time: the dividend at alpha = inf and
-    the top-up with floor.  One stable sort by lane then makes the table
-    path-major, each path's entries in the order they came.
+    Per event column it keeps the lane, time, value and branch of each
+    segment (the role's _regime_table gives slope and rates by branch) and
+    each lump above 0 as an atom at the column's time.  One stable sort by
+    lane orders each role's entries path-major, each path's as they came.
     """
-    lanes = np.arange(columns.counts.size)
-    # per kind, one list per field: the lanes, then the fields in table order
-    segs = [[] for _ in range(7)]
-    r_atoms, l_atoms = ([[np.empty(0, dtype=int)], [np.empty(0)], [np.empty(0)]]
-                        for _ in range(2))
-    for stretches, te, dividend, topup in event_steps(columns, -0.0, b, alpha, floor):
-        for at, t, _, z, _, slope, lrate, rrate, branch, kept in stretches:
-            for into, a in zip(segs, (lanes[at], t, z, slope, branch, lrate, rrate)):
-                into.append(a[kept])
+    x, b, alpha, floor = np.broadcast_arrays(*(np.reshape(a, (-1, 1))
+                                               for a in (-0.0, b, alpha, floor)))
+    by_branch = np.zeros((b.size, 3, 4))  # role, (slope, lrate, rrate), branch
+    for rates, a, f in zip(by_branch, alpha.flat, floor.flat):
+        rows = _regime_table(a, columns.drift, f)
+        rates[:, rows[3].astype(int)] = rows[:3]
+    # roles that share alpha or floor pass it as a scalar, as the estimators do
+    alpha, floor = (a.flat[0] if (a == a.flat[0]).all() else a for a in (alpha, floor))
+    lanes = np.arange(b.size * columns.counts.size, dtype=np.int32).reshape(b.size, -1)
+    segs = [[] for _ in range(4)]  # per kind, one list per field: the lanes, then the fields
+    r_atoms, l_atoms = ([[lanes[:0, 0]], [np.empty(0)], [np.empty(0)]] for _ in range(2))
+    for stretches, te, dividend, topup in event_steps(columns, x, b, alpha, floor):
+        for at, t, _, z, _, _, _, _, branch, kept in stretches:
+            k = np.nonzero(kept)  # t of a first stretch is per path, (m,)
+            for into, a in zip(segs, (lanes[at], t, z, branch.astype(np.int8))):
+                into.append(a[k[-a.ndim:]])
         for into, lumps in ((r_atoms, topup), (l_atoms, dividend)):
             if lumps is not None:
-                (k,) = np.nonzero(lumps > 0.0)
-                for field, a in zip(into, (k, te[k], lumps[k])):
+                k = np.nonzero(lumps > 0.0)
+                for field, a in zip(into, (lanes[k], te[k[-1]], lumps[k])):
                     field.append(a)
     fields, counts = [], []
     for lane, *values in (segs, r_atoms, l_atoms):
         lane = np.concatenate(lane)
-        order = np.argsort(lane, kind="stable")
-        counts.append(np.bincount(lane, minlength=lanes.size))
-        for field in values:  # one field at a time, to hold one copy of the table
-            fields.append(np.concatenate(field)[order])
+        counts.append(np.bincount(lane, minlength=lanes.size).reshape(lanes.shape))
+        order = np.split(np.argsort(lane, kind="stable"), np.cumsum(counts[-1].sum(axis=1))[:-1])
+        for field in values:
+            field[:] = [np.concatenate(field)]  # its pieces freed
+            fields.append([field[0][o] for o in order])
             field.clear()
-    fields[3] = fields[3].astype(int)  # seg_branch
-    return SegmentTable(columns.horizon, *fields, counts=np.array(counts))
+    return [SegmentTable(columns.horizon, seg_t, seg_v, rates[0, br], br.astype(int),
+                         *rates[1:, br], *atoms, counts=np.array(n))
+            for (seg_t, seg_v, br, *atoms), rates, n in zip(zip(*fields), by_branch, zip(*counts))]
 
 
 def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None) -> LaneFlows:

@@ -9,11 +9,11 @@ function matches the analytic exponent.  Exact-engine checks use absolute
 tolerance 1e-9; they draw through levy_model.sample_path, which raises
 ExactModeUnavailable for a model with sigma > 0.
 
-Each run sweeps every role once, over all its paths, into one
-path_engine.SegmentTable, and reads the tables BLOCK paths at a time, each
-block in one pass of path_engine.read_segments at every probe time of its
-paths, so no result depends on how paths fall into blocks (nor, for the
-alpha ladder, into runs of LADDER_RUN paths).
+Each run sweeps all its roles (two starts, or every rung floored and
+refracted) over all its paths in one event_steps pass, and reads the tables
+BLOCK paths at a time, each block in one pass of path_engine.read_segments
+at every probe time of its paths, so no result depends on how paths fall
+into blocks (nor, for the alpha ladder, into runs of LADDER_RUN paths).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 
 from .levy_model import (
     EXACT,
+    EventColumns,
     InvalidParameter,
     JumpDiffusionSpec,
     RngStream,
@@ -33,7 +34,7 @@ from .levy_model import (
     characteristic_exponent,
     sample_path,
 )
-from .path_engine import path_keys, read_segments, refract_exact
+from .path_engine import path_keys, read_segments, table_entries, trajectory_table
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
@@ -169,26 +170,31 @@ class _Block:
 
     A path's probes are the knots and atom times of its trajectories, the
     horizon and the midpoints between them; t and path hold them in (path,
-    t) order.  readings[r] is the SegmentReading of role r there and driver
-    the drivers' values, both from path_engine.read_segments.
+    t) order.  readings[r] is the SegmentReading of role r there (of z alone
+    from role full on) and driver the drivers' values, both from
+    path_engine.read_segments on the one sort of the block's times: their
+    path_keys doubled, a midpoint between times[r - 1] and times[r] at 2r - 1.
     """
 
-    def __init__(self, tables, drivers=None):
+    def __init__(self, tables, drivers=None, full=None):
         n = tables[0].counts.shape[1]
-        srcs = [(np.full(n, tables[0].horizon), np.arange(n))]
-        srcs += [src for tab in tables for src in tab.sources]
-        keys, times = path_keys(np.concatenate([p for _, p in srcs]),
-                                np.concatenate([t for t, _ in srcs]))
-        keys = np.sort(keys)
-        kp, kt = np.divmod(keys[np.append(True, keys[1:] != keys[:-1])], times.size)
+        srcs = [(np.full(n, tables[0].horizon), np.arange(n))] + table_entries(tables, drivers)
+        keys, times = path_keys(np.concatenate([src[1] for src in srcs]),
+                                np.concatenate([src[0] for src in srcs]))
+        u = np.sort(keys[:keys.size - (0 if drivers is None else srcs[-1][0].size)])
+        u = u[np.append(True, u[1:] != u[:-1])]  # the distinct (path, t) of knots and atoms
+        kp, kt = np.divmod(u, times.size)
         kt = times[kt]
         mid = 0.5 * (kt[:-1] + kt[1:])
         # a midpoint that rounds onto a knot adds no probe
         has_mid = (kp[1:] == kp[:-1]) & (mid != kt[:-1]) & (mid != kt[1:])
-        gaps = np.flatnonzero(has_mid) + 1
-        self.t, self.path = np.insert(kt, gaps, mid[has_mid]), np.insert(kp, gaps, kp[gaps])
+        gaps, mid = np.flatnonzero(has_mid) + 1, mid[has_mid]
+        self.t, self.path = np.insert(kt, gaps, mid), np.insert(kp, gaps, kp[gaps])
+        at = np.searchsorted(times, mid)
+        probes = np.insert(2 * u, gaps, 2 * (kp[gaps] * times.size + at) - (times[at] != mid))
         self.same = self.path[1:] == self.path[:-1]  # probes j and j + 1 on one path
-        self.readings, self.driver = read_segments(tables, self.path, self.t, drivers)
+        self.readings, self.driver = read_segments(tables, self.path, self.t, drivers, full,
+                                                   np.concatenate((probes, 2 * keys[n:])))
 
     def violations(self, rows):
         """The Violations of rows (prop, magnitude, bad) by path, row, time;
@@ -260,8 +266,9 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
     cols = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
     lower = replace(cols, x0=cols.x0 + (x + k))
-    tk = apply_strategy_exact(lower, params)
-    tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), params)
+    both = apply_strategy_exact(  # one sweep of the two starts
+        EventColumns.side_by_side([lower, replace(cols, x0=cols.x0 + (x + l))]), params)
+    tk, tl = both.block(0, n), both.block(n, 2 * n)
     viol = []
     for start in range(0, n, BLOCK):
         stop = start + BLOCK
@@ -277,10 +284,10 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
 
     Checks, pairwise along the ladder on shared noise: the refracted driver
     is pointwise ordered, the floored surplus is ordered, cumulative
-    dividends and injections grow with the cap.  When the last rung is
-    math.inf the sup gap of each surplus to the reflected limit is recorded,
-    and discounted values must not decrease along the ladder within paired
-    noise.
+    dividends and injections grow with the cap.  The sup gap of each
+    surplus to the reflected limit is recorded when the last rung is
+    math.inf, and is nan otherwise; discounted values must not decrease
+    along the ladder within paired noise.
     """
     alphas = tuple(float(a) for a in alphas)
     if len(alphas) < 2 or any(a <= 0 for a in alphas):
@@ -289,19 +296,18 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
         raise InvalidLadder("rungs must be strictly increasing")
     m = len(alphas)
     viol = []
-    sup_gap = np.zeros(m)
+    sup_gap = np.full(m, 0.0 if alphas[-1] == math.inf else math.nan)
     vals = np.zeros((m, n))
     cols = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)
+    StrategyParams(b=b, alpha=alphas[0], beta=beta, q=q)  # refuses b, beta and q
     for r0 in range(0, n, LADDER_RUN):
-        run = cols.block(r0, r0 + LADDER_RUN)
-        trajs = [apply_strategy_exact(run, StrategyParams(b=b, alpha=a, beta=beta, q=q))
-                 for a in alphas]
-        refr = [refract_exact(run, b, a) for a in alphas]
-        for j, table in enumerate(trajs):
-            dl, dr = table.discounted_flow(q)
+        tables = trajectory_table(  # the floored rungs, then the refracted ones
+            cols.block(r0, r0 + LADDER_RUN), b, alphas + alphas, [True] * m + [False] * m)
+        for j in range(m):
+            dl, dr = tables[j].discounted_flow(q)
             vals[j, r0:r0 + LADDER_RUN] = dl - beta * dr
-        for start in range(0, run.counts.size, BLOCK):
-            blk = _Block([table.block(start, start + BLOCK) for table in trajs + refr])
+        for start in range(0, tables[0].counts.shape[1], BLOCK):
+            blk = _Block([table.block(start, start + BLOCK) for table in tables], full=m)
             zs, ys = blk.readings[:m], blk.readings[m:]
             if alphas[-1] == math.inf:
                 for j in range(m):
@@ -317,7 +323,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
                          ("ladder_dividends", dl, dl > EXACT_TOL),
                          ("ladder_injections", dr, dr > EXACT_TOL)]
             viol += blk.violations(rows)
-        del trajs, refr, blk  # before the next run's tables are swept
+        del tables, blk  # before the next run's tables are swept
     means = vals.mean(axis=1)
     ses = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(m)
     for j in range(m - 1):

@@ -380,6 +380,20 @@ class TestRunAlphaConvergence:
         assert all(line.startswith("PASS")
                    for line in (tmp_path / "alpha_ladder.txt").read_text().splitlines())
 
+    @pytest.mark.parametrize("alphas", ["0.5, 2", "0.5, 2, inf"])
+    def test_the_gap_column_reads_nan_without_an_infinite_rung(self, alphas, tmp_path):
+        """A ladder without an infinite rung measures no gap to the limit:
+        its rows write nan there, not 0."""
+        cfg = load_config(reference_config_text(1, n=40).replace(
+            "task.alphas = 0.5, 2, 8, 32, inf", "task.alphas = " + alphas))
+        run_experiment(cfg, "alpha-convergence", out_dir=str(tmp_path))
+        rows = (tmp_path / "alpha_ladder.csv").read_text().splitlines()[1:]
+        gaps = [row.split(",")[3] for row in rows]
+        if alphas.endswith("inf"):
+            assert "nan" not in gaps and gaps[-1] == "0" and float(gaps[0]) > 0.0
+        else:
+            assert gaps == ["nan", "nan"]
+
     @pytest.mark.parametrize("alphas", ["2, 1", "2"])
     def test_a_ladder_of_fewer_than_two_rising_caps_exits_two(self, alphas, tmp_path,
                                                               capsys):

@@ -425,20 +425,20 @@ class TestTrajectoryTable:
             for drift in (0.0, pp.alpha):
                 edge = replace(cols, drift=drift)
                 for floor in (False, True):
-                    table = trajectory_table(edge, pp.b, pp.alpha, floor)
+                    (table,) = trajectory_table(edge, pp.b, pp.alpha, floor)
                     assert_table_is_the_reference(table, event_paths(edge), pp.b, pp.alpha,
                                                   floor)
             for b in (0.0, pp.b, math.inf):
                 for alpha in (pp.alpha, math.inf):
                     for floor in (False, True):
-                        table = trajectory_table(cols, b, alpha, floor)
+                        (table,) = trajectory_table(cols, b, alpha, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
                         n_flat += assert_flows_are_the_reference(table, paths, b, alpha,
                                                                  floor, pp.q)
                         n_atoms += table.r_atom.size + table.l_atom.size
                         n_branches |= np.bitwise_or.reduce(1 << table.seg_branch)
                         # a one-path table adds up its path alone
-                        one = trajectory_table(cols.block(2, 3), b, alpha, floor)
+                        (one,) = trajectory_table(cols.block(2, 3), b, alpha, floor)
                         assert_flows_are_the_reference(one, paths[2:3], b, alpha, floor,
                                                        pp.q)
             n_models += 1
@@ -453,7 +453,7 @@ class TestTrajectoryTable:
         to_zero = float(value_at(floored(drift_path(0.35, 0.5, 4.0), b, 0.3), jump_at))
         p = drift_path(0.35, 0.5, 4.0, jumps=[(jump_at, -to_zero)])
         for floor in (False, True):
-            table = trajectory_table(event_columns([p]), b, 0.3, floor)
+            (table,) = trajectory_table(event_columns([p]), b, 0.3, floor)
             assert_table_is_the_reference(table, [p], b, 0.3, floor)
             # one knot at the jump: at b, where it overwrote the one at 0,
             # or at 0 at the horizon
@@ -468,9 +468,35 @@ class TestTrajectoryTable:
                 for b in (0.0, 1.0, math.inf):
                     for floor in (False, True):
                         paths = [drift_path(delta, x, 50.0) for x in (-0.5, 0.0, 0.5, 1.0, 3.0)]
-                        table = trajectory_table(event_columns(paths), b, alpha, floor)
+                        (table,) = trajectory_table(event_columns(paths), b, alpha, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
                         assert_flows_are_the_reference(table, paths, b, alpha, floor, 0.05)
+
+    def test_the_roles_of_one_sweep_are_their_own_tables(self):
+        """Every role of one multi-role call is, field by field and byte for
+        byte, the table of its own one-role call: random models, rungs at
+        the model's cap, twice it and inf, floored and not, at b = 0 and at
+        the model's b, on the model's drift and on the Case-2 drift alpha
+        (sticky at b on every rung), from starts below 0, at 0, inside (0,
+        b), at b and above b."""
+        names = [name for kind in TABLE_FIELDS for name in kind] + ["counts"]
+        rng = np.random.default_rng(20261020)
+        n_roles = n_sticky = 0
+        for j in range(30):
+            spec, pp, x, _, _ = draw_random_bv_setup(rng)
+            cols = sample_path(spec, 5.0, EXACT, RngStream(361, tag=j), 5)
+            for drift in (cols.drift, pp.alpha):
+                edge = replace(cols, drift=drift,
+                               x0=np.array([-0.3, 0.0, 0.5 * pp.b, pp.b, pp.b + 0.4]))
+                roles = [(b, a, f) for b in (0.0, pp.b) for f in (True, False)
+                         for a in (pp.alpha, 2.0 * pp.alpha, math.inf)]
+                for table, role in zip(trajectory_table(edge, *zip(*roles)), roles):
+                    (one,) = trajectory_table(edge, *role)
+                    for name in names:
+                        assert getattr(table, name).tobytes() == getattr(one, name).tobytes()
+                    n_roles += 1
+                    n_sticky += bool(np.any(table.seg_branch == BRANCH_AT_B))
+        assert n_roles == 30 * 2 * 12 and n_sticky > 0
 
 
 def _bits(a):

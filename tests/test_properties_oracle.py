@@ -1,19 +1,22 @@
 import ast
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from levyrefract import levy_model, properties_oracle
+from levyrefract import levy_model, path_engine, properties_oracle
 from levyrefract.levy_model import (
-    EXACT, ExactModeUnavailable, InvalidParameter, JumpDiffusionSpec, PointMass, RngStream,
-    sample_path,
+    EXACT, EventColumns, ExactModeUnavailable, InvalidParameter, JumpDiffusionSpec, PointMass,
+    RngStream, sample_path,
 )
-from levyrefract.path_engine import read_segments, refract_exact, refracted_reflected_exact
+from levyrefract.path_engine import (
+    TABLE_FIELDS, read_segments, refract_exact, refracted_reflected_exact, trajectory_table,
+)
 from levyrefract.properties_oracle import (
-    BLOCK, CharReport, InvalidLadder, LADDER_PROPS, PAIR_PROPS,
+    BLOCK, CharReport, InvalidLadder, LADDER_PROPS, LADDER_RUN, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
     coupled_pair_run, value_shape_check, violations_csv,
 )
@@ -247,12 +250,21 @@ class TestBlockCheck:
         """The runs with trajectories shifted off their drivers, and with
         refracted rungs shifted up with the cap, so that the budget and the
         ladder rows fire: the same reports one path at a time, and with the
-        ladder swept one path per run."""
-        sweep, refract = apply_strategy_exact, refract_exact
+        ladder swept one path per run.  The faults go in at the one sweep
+        of each run: the pair's starts and the ladder's floored rungs start
+        0.05 high, its refracted rungs 0.1 min(alpha, 4)."""
+        pair_sweep, ladder_sweep = apply_strategy_exact, trajectory_table
+
+        def ladder_shifted(c, b, alpha, floor):
+            up = np.where(floor, 0.05, 0.1 * np.minimum(alpha, 4.0))[:, None]
+            lanes = EventColumns.side_by_side([replace(c, x0=c.x0 + u) for u in up])
+            m = c.counts.size
+            return [t.block(j * m, (j + 1) * m)
+                    for j, t in enumerate(ladder_sweep(lanes, b, alpha, floor))]
+
         monkeypatch.setattr(properties_oracle, "apply_strategy_exact",
-                            lambda c, pp: sweep(replace(c, x0=c.x0 + 0.05), pp))
-        monkeypatch.setattr(properties_oracle, "refract_exact",
-                            lambda c, b, a: refract(replace(c, x0=c.x0 + 0.1 * min(a, 4.0)), b, a))
+                            lambda c, pp: pair_sweep(replace(c, x0=c.x0 + 0.05), pp))
+        monkeypatch.setattr(properties_oracle, "trajectory_table", ladder_shifted)
 
         def runs():
             pair = coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 4.0, n,
@@ -268,6 +280,82 @@ class TestBlockCheck:
         assert runs() == blocked
         assert {v.prop for v in blocked[0].violations} == {"budget"}
         assert "ladder_refracted" in {v.prop for v in blocked[1].violations}
+
+
+class TestOneSweepPerRun:
+    """Each run steps all its roles as lanes of one event_steps generator,
+    and each block sorts its times once."""
+
+    @pytest.fixture
+    def sweeps(self, monkeypatch):
+        """The (columns, alpha, floor) of every event_steps generator made."""
+        made, steps = [], path_engine.event_steps
+
+        def counted(columns, x, b, alpha, floor, path=None):
+            made.append((columns, alpha, floor))
+            return steps(columns, x, b, alpha, floor, path)
+
+        monkeypatch.setattr(path_engine, "event_steps", counted)
+        return made
+
+    def test_a_pair_run_is_one_sweep(self, ref_spec_bv, sweeps):
+        n = 2 * BLOCK + 3
+        coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 4.0, n, RngStream(353, tag=1))
+        assert [c.counts.size for c, _, _ in sweeps] == [2 * n]
+
+    def test_a_ladder_run_is_one_sweep_of_every_rung(self, ref_spec_bv, sweeps):
+        """Five rungs make ten roles, floored then refracted, in each run."""
+        rungs = (0.5, 2.0, 8.0, 32.0, math.inf)
+        alpha_ladder_run(ref_spec_bv, 1.0, rungs, 0.5, 3.0, LADDER_RUN + 5, RngStream(353, tag=2))
+        assert [c.counts.size for c, _, _ in sweeps] == [LADDER_RUN, 5]
+        for _, alpha, floor in sweeps:
+            assert alpha.ravel().tolist() == list(rungs) * 2
+            assert floor.ravel().tolist() == [True] * 5 + [False] * 5
+
+    def test_check_properties_sweeps_once_per_run(self, sweeps, tmp_path):
+        """The pair, the ladder and the negative control of one
+        check-properties run: three sweeps, the control's of its two
+        starts."""
+        from levyrefract.cli_reporting import load_config, run_experiment
+        from oracles import reference_config_text
+        run_experiment(load_config(reference_config_text(1, n=40)), "check-properties",
+                       out_dir=str(tmp_path))
+        assert [c.counts.size for c, _, _ in sweeps] == [80, 40, 2]
+
+    def test_a_block_sorts_its_times_once(self, ref_spec_bv, monkeypatch):
+        """One path_keys per block, none in read_segments; the refracted
+        rung read for z alone has the z of its full reading."""
+        cols = sample_path(ref_spec_bv, 4.0, EXACT, RngStream(353, tag=3), 6)
+        roles = (refracted_reflected_exact(cols, 1.0, 0.5), refract_exact(cols, 1.0, 0.5))
+        full = _Block(roles, cols)
+        calls, keys = [], properties_oracle.path_keys
+        for module in (path_engine, properties_oracle):
+            monkeypatch.setattr(module, "path_keys", lambda *a: calls.append(a) or keys(*a))
+        blk = _Block(roles, cols, full=1)
+        assert len(calls) == 1
+        for got, want in zip(blk.readings, full.readings):
+            assert got.z.tobytes() == want.z.tobytes()
+        assert blk.readings[0].l.tobytes() == full.readings[0].l.tobytes()
+        assert blk.readings[1].l is None and blk.readings[1].knot is None
+
+    def test_a_ladder_run_holds_one_copy_of_its_tables(self, ref_spec_bv):
+        """One run of LADDER_RUN paths at horizon 30 with ten roles: the
+        sweep's traced peak stays within 1.5 times the tables it returns:
+        1.2 times today, and 1.7 for a reader that kept all seven fields of
+        every role's stretches, rather than the lane, time, value and
+        branch."""
+        cols = sample_path(replace(ref_spec_bv, x0=0.5), 30.0, EXACT, RngStream(353, tag=4),
+                           LADDER_RUN)
+        rungs = (0.5, 2.0, 8.0, 32.0, math.inf)
+        tracemalloc.start()
+        try:
+            tables = trajectory_table(cols, 1.66, rungs * 2, [True] * 5 + [False] * 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(getattr(t, name).nbytes for t in tables
+                   for kind in TABLE_FIELDS for name in kind)
+        assert held > 4 * 2 ** 20 and peak < 1.5 * held
 
 
 class TestFixedCap:
@@ -303,6 +391,17 @@ class TestAlphaLadder:
         # gaps to the limit shrink along the ladder
         g = rep.sup_gap_to_limit
         assert g[0] >= g[1] >= g[2] >= g[3] == 0.0
+
+    @pytest.mark.parametrize("rungs", [(0.5, 2.0), (0.5, 2.0, math.inf)])
+    def test_a_gap_to_the_limit_needs_an_infinite_rung(self, ref_spec_bv, rungs):
+        """With an infinite rung every gap is measured, the last 0; without
+        one none is, and every gap reads nan rather than 0."""
+        rep = alpha_ladder_run(ref_spec_bv, 1.0, rungs, 0.5, 6.0, 20, RngStream(321, tag=2))
+        gaps = np.array(rep.sup_gap_to_limit)
+        if rungs[-1] == math.inf:
+            assert np.all(np.isfinite(gaps)) and gaps[0] > 0.0 and gaps[-1] == 0.0
+        else:
+            assert np.all(np.isnan(gaps))
 
     def test_ladder_validation(self):
         s = RngStream(322, tag=1)
