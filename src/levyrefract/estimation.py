@@ -16,6 +16,14 @@ and _estimate builds every McEstimate from its moment sums; the threshold
 search reduces RecordLows on its own.  A passage that does not occur
 before the horizon weighs exp(-q * inf) = 0.
 
+Every value and clock estimate is controlled by a martingale.  Each lane
+of LaneFlows carries c, the discounted compensated driver integral
+e^{-qt} (dX_t - mu dt) up to its stop, mu = E[X_1] (levy_model.mean_drift):
+mean 0 by optional stopping at a bounded time, and tied to every payoff,
+since a fall in X forces injections and a rise pays dividends (Henderson
+and Glynn, Math. Oper. Res. 2002).  _estimate regresses each point's g on c
+after the chunk-order reduction.  nu and b* are not controlled.
+
 The threshold search has one form, on common random numbers: the path
 refracted at b and started at b is the path refracted at 0 and started at
 0, shifted up by b, so the record lows of one path give nu at every grid
@@ -54,6 +62,7 @@ from .levy_model import (
     RngStream,
     _grid_increment_matrix,
     is_case2,
+    mean_drift,
     net_drift,
     sample_path,
 )
@@ -67,6 +76,7 @@ from .strategy_engine import (
 CHUNK = 256
 BATCH = 8  # most chunk draws one worker call reads as one lane set
 BLOCK_LANES = 2 ** 16  # (point, path) lanes a value batch steps at once
+CONTROL_RTOL = 1e-9  # Var(c) over mean(c^2) below which the control is constant
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
 
@@ -193,7 +203,7 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
         columns = EventColumns.side_by_side([sample_path(base, horizon, EXACT, s.for_path(ci), mi)
                                              for s in streams for ci, mi in chunks])
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
-                                q=params.q),
+                                q=params.q, mu=mean_drift(spec)),
                         partial(path_engine.refracted_record_lows, columns, params.alpha))
     if k < 1:
         raise InvalidParameter("k", "the Euler engine needs a positive step count")
@@ -203,7 +213,8 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
             _grid_increment_matrix(spec, horizon, k, mi, stream.for_path(ci).generator(),
                                    out=incs[s * m + r.start:s * m + r.stop])
     dt = horizon / k
-    return _Readers(partial(euler_lane_flows, incs, alpha=params.alpha, dt=dt, q=params.q),
+    return _Readers(partial(euler_lane_flows, incs, alpha=params.alpha, dt=dt, q=params.q,
+                            mu=mean_drift(spec)),
                     partial(euler_record_lows, incs, params.alpha, dt))
 
 
@@ -287,14 +298,14 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 #
 # Values and the randomized clock are one lane run with two term readers.
 # A run reads the LaneFlows of its (x, b, spliced, draw) points and, per
-# point and per chunk of a batch, sums a, a^2, d, d^2 and a*d into a (J, 5)
-# array, with a (J,) count of censored paths.  For a value a is the
-# discounted dividends minus beta-weighted injections up to the stop and d
-# the discount at the stop; for the clock a and d are the discounts at the
-# strict and the weak passage.  _estimate reads every estimate, of
-# ca * a + cd * d, off those sums.  A value job is one run on two draws:
-# the positive starts read the main stream's and the at-0 anchors their
-# substream's.
+# point and per chunk of a batch, sums a, a^2, d, d^2, a*d and, with the
+# lane's control c, c, c^2, a*c and d*c into a (J, 9) array, with a (J,)
+# count of censored paths.  For a value a is the discounted dividends minus
+# beta-weighted injections up to the stop and d the discount at the stop;
+# for the clock a and d are the discounts at the strict and the weak
+# passage.  _estimate reads every estimate, of ca * a + cd * d controlled
+# by c, off those sums.  A value job is one run on two draws: the positive
+# starts read the main stream's and the at-0 anchors their substream's.
 
 def _value_terms(params, fl, spliced):
     # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
@@ -320,31 +331,54 @@ def _run_sums(draw, terms, streams, points, chunks):
     points draws nothing."""
     rows = _chunk_rows(chunks)
     m = rows[-1].stop
-    sums, cens = np.zeros((len(rows), len(points), 5)), np.zeros((len(rows), len(points)))
+    sums, cens = np.zeros((len(rows), len(points), 9)), np.zeros((len(rows), len(points)))
     lane_flows = draw(streams, chunks).lane_flows if points else None
     step = max(1, BLOCK_LANES // m)
     for j in range(0, len(points), step):
         x, b, spliced, s = (np.array(c) for c in zip(*points[j:j + step]))
         fl = lane_flows(x, b, spliced, path=s[:, None] * m + np.arange(m))
         a, d, censored = terms(fl, spliced)
-        moments = (a, a * a, d, d * d, a * d)
-        for c, r in enumerate(rows):
+        c = fl.c
+        moments = (a, a * a, d, d * d, a * d, c, c * c, a * c, d * c)
+        for ci, r in enumerate(rows):
             # each point's sums reduce along its own contiguous row
-            sums[c, j:j + step] = np.stack([t[:, r].sum(axis=1) for t in moments], axis=1)
-            cens[c, j:j + step] = censored[:, r].sum(axis=1)
+            sums[ci, j:j + step] = np.stack([t[:, r].sum(axis=1) for t in moments], axis=1)
+            cens[ci, j:j + step] = censored[:, r].sum(axis=1)
     return list(zip(sums, cens))
 
 
 def _estimate(sums, cens, n, ca=1.0, cd=0.0, cd_se=0.0):
-    """The estimate of ca * a + cd * d from one point's moment sums, with
-    the variance of a frozen cd of standard error cd_se added."""
-    s1, s2, sd1, sd2, cross = sums
+    """The estimate of g = ca * a + cd * d from one point's moment sums,
+    controlled by the lanes' c, with the variance of a frozen cd of
+    standard error cd_se added.
+
+    The control has mean 0, so g - theta * c has g's mean for any theta;
+    theta = Cov(g, c) / Var(c) minimizes its variance, which is then
+    Var(g) - theta * Cov(g, c) on n - 2 degrees of freedom.  theta is
+    solved here, from the sums reduced in chunk order, so no byte depends
+    on the batching or the worker count.  A spliced value passes its
+    anchor's estimate as cd and cd_se: its SE is sqrt(Var(g - theta * c) /
+    n + (mean d * cd_se)^2), the anchor frozen, with the anchor's own
+    controlled SE.  Without a usable control theta is 0 and the estimate is
+    the plain mean with its n - 1 variance, as before the control: when
+    n < 3, or when c takes one value on every path, as on a model without
+    noise (c = 0) or when every path stops at one time before any jump.
+    Then the sample Var(c) and Cov(g, c) are rounding noise, so a Var(c)
+    at most CONTROL_RTOL of the mean of c^2 counts as 0."""
+    s1, s2, sd1, sd2, cross, c1, c2, ac, dc = sums
     d_mean = sd1 / n
     g1 = (ca * s1 + sd1 * cd) / n
     g2 = (ca * ca * s2 + 2 * ca * cd * cross + cd * cd * sd2) / n
-    var = max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
+    mean, var = ca * s1 / n + d_mean * cd, max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
+    c_mean = c1 / n
+    c_var = c2 / n - c_mean * c_mean
+    if n >= 3 and c_var > CONTROL_RTOL * c2 / n:
+        cov = (ca * ac + cd * dc) / n - g1 * c_mean
+        theta = cov / c_var
+        mean -= theta * c_mean
+        var = max(g2 - g1 * g1 - theta * cov, 0.0) * n / (n - 2)
     se = math.sqrt(var / n + (d_mean * cd_se) ** 2)
-    return McEstimate(mean=float(ca * s1 / n + d_mean * cd), std_error=float(se),
+    return McEstimate(mean=float(mean), std_error=float(se),
                       censored_fraction=float(cens) / n)
 
 

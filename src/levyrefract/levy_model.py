@@ -4,8 +4,9 @@ A model is a drift, an optional Gaussian coefficient, and a finite list of
 compound-Poisson jump components with signed marks.  This module validates
 models, computes the bounded-variation net drift and the regime it puts a
 refracted path in for a dividend cap (is_case2, one predicate of the drift
-and the cap), evaluates the characteristic exponent, and samples m paths
-at once, in one draw format per engine: exactly (sigma = 0) as
+and the cap), and the mean drift E[X_1] that centres the estimators'
+control (mean_drift), evaluates the characteristic exponent, and samples
+m paths at once, in one draw format per engine: exactly (sigma = 0) as
 EventColumns, the padded event columns that the lane stepper of
 path_engine reads, or on a uniform grid as an (m, k) increment matrix.
 Both samplers read one jump draw per stream (_jump_draw): Poisson counts
@@ -377,6 +378,13 @@ def net_drift(spec: JumpDiffusionSpec):
     if spec.sigma > 0:
         return None
     return _compensated_drift(spec)
+
+
+def mean_drift(spec: JumpDiffusionSpec) -> float:
+    """mu = E[X_1 - x0]: the slope between jumps plus the mean jump flow
+    sum rate * sign * mean; exactly the slope when there are no jumps."""
+    return _compensated_drift(spec) + sum(c.rate * c.sign * c.marks.mean()
+                                          for c in spec.jump_components)
 
 
 def is_case2(delta, alpha) -> bool:

@@ -19,8 +19,8 @@ records nothing; three readers keep what their callers need of its lanes:
   and refracted_reflected_exact are its one-role calls, and read_segments
   reads the tables at probe times: values, left limits, dividends and
   injections, and the drivers;
-- floored_lane_sweep keeps the discounted flows and passage times of
-  floored (path, start, threshold) lanes;
+- floored_lane_sweep keeps the discounted flows, passage times and
+  martingale controls of floored (path, start, threshold) lanes;
 - refracted_record_lows keeps the record lows of refract_exact at b = 0.
 
 Lanes holds the lane bookkeeping that floored_lane_sweep shares with the
@@ -289,12 +289,16 @@ class LaneFlows:
     the strict and weak passage times (math.inf when the event does not
     occur before the horizon): the first injection, a top-up lump or the
     start of a stretch with a positive injection density, and the first
-    visit to 0, a lump or the start of a stretch at 0."""
+    visit to 0, a lump or the start of a stretch at 0.  c is the discounted
+    compensated driver, integral e^{-qt} (dX_t - mu dt) up to the lane's
+    stop (the weak passage of a halting lane, else the horizon), with mean 0
+    by optional stopping: the martingale control of the estimators."""
 
     dl: np.ndarray
     dr: np.ndarray
     kappa_strict: np.ndarray
     t_weak: np.ndarray
+    c: np.ndarray
 
 
 class Lanes:
@@ -303,14 +307,14 @@ class Lanes:
     points of a block read different draws laid side by side.  The sweep
     holds the running lanes in id order, (nx, m) until its first drop and
     1-D after, and drops the done ones once they are at least 1/8 of them:
-    they write their (dl, dr, kappa, weak) to a (4, nx * m) output, and the
-    lanes left at the end theirs in flows."""
+    they write their (dl, dr, kappa, weak, c) to a (5, nx * m) output, and
+    the lanes left at the end theirs in flows."""
 
     def __init__(self, nx: int, m: int, path=None):
         self.ids = np.arange(nx * m)
         # the path index of each running lane
         self.path = self.ids % m if path is None else np.reshape(path, -1)
-        self._out = np.empty((4, nx * m))
+        self._out = np.empty((5, nx * m))
         self._shape = (nx, m)
 
     def due(self, ndone) -> bool:
@@ -318,7 +322,7 @@ class Lanes:
         return 8 * ndone >= self.ids.size
 
     def drop(self, done, *fields) -> np.ndarray:
-        """Write out the four fields of the done lanes and forget them.
+        """Write out the five fields of the done lanes and forget them.
         done and the fields may be shaped (nx, m) until the first drop.
         Returns the 1-D mask of the lanes kept."""
         done = done.reshape(-1)
@@ -327,11 +331,11 @@ class Lanes:
         self.ids, self.path = self.ids[keep], self.path[keep]
         return keep
 
-    def flows(self, dl, dr, kappa, weak) -> LaneFlows:
+    def flows(self, dl, dr, kappa, weak, c) -> LaneFlows:
         """The readings of every lane, those still running given here."""
-        self._out[:, self.ids] = [f.reshape(-1) for f in (dl, dr, kappa, weak)]
-        dl, dr, kappa, weak = self._out.reshape(4, *self._shape)
-        return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa))
+        self._out[:, self.ids] = [f.reshape(-1) for f in (dl, dr, kappa, weak, c)]
+        dl, dr, kappa, weak, c = self._out.reshape(5, *self._shape)
+        return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa), c=c)
 
 
 def _regime_table(alpha, delta, floor):
@@ -484,7 +488,8 @@ def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
             for (seg_t, seg_v, br, *atoms), rates, n in zip(zip(*fields), by_branch, zip(*counts))]
 
 
-def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None) -> LaneFlows:
+def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
+                       path=None) -> LaneFlows:
     """The LaneFlows reader of event_steps: refracted_reflected_exact on
     every lane, lane (j, i) on path i of columns, or path[j, i] of a (J, m)
     array path, shifted by x[j], with threshold b[j], discounted as it
@@ -495,6 +500,12 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None
     too.  Stop times equal those read off the trajectory_table of the same
     lanes bit for bit; the flows match its discounted_flow up to summation
     order.
+
+    The control c of a lane with stop tau is sum e^{-q t_i} s_i over the
+    events of its path at t_i <= tau, the jump that causes a passage
+    included, read off one running sum per path, less the compensator
+    (mu - drift) (1 - e^{-q tau}) / q of the mean drift mu; the drift
+    cancels, and a model without jumps has c = 0 exactly.
     """
     if path is not None:  # step only the paths the lanes read
         lo = path.min()
@@ -502,13 +513,17 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None
     counts, nx, m = columns.counts, len(x), columns.counts.size if path is None else path.shape[1]
     lanes = Lanes(nx, m, path)
     halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
-    dl, dr, disc, kappa, weak = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, math.inf))
+    dl, dr, disc, kappa, weak, c = (np.full((nx, m), v)
+                                    for v in (0.0, 0.0, 1.0, math.inf, math.inf, 0.0))
+    jumps = np.zeros(counts.size)  # sum e^{-q t_i} s_i so far, per path
     steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
                         np.asarray(b, dtype=float)[:, None], alpha, True, path)
     end, keep = counts if path is None else counts[path], None
     for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
         keep = None
+        if e >= 0:
+            jumps += np.exp(-q * columns.times[e]) * columns.sizes[e]
         for at, t, t_end, z, _, _, lrate, rrate, _, kept in stretches:
             # views of every lane for the first stretch, which the stores
             # below then skip, and copies of the crossed lanes after it
@@ -523,6 +538,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None
             dr[at] += np.where(flows, rrate * w, 0.0)
         # every lane has drifted to te, and disc is its lumps' discount
         flows = ~(halt & (weak < math.inf))
+        np.putmask(c, flows, jumps[lanes.path].reshape(c.shape))
         if dividend is not None:
             dl += np.where(flows, disc * dividend, 0.0)
         dr += np.where(flows, disc * topup, 0.0)
@@ -532,13 +548,17 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, path=None
         # once both its passage times are known (kappa >= t_weak)
         done = (end <= e) | (halt & (kappa < math.inf))
         if lanes.due(np.count_nonzero(done)):
-            kept = lanes.drop(done, dl, dr, kappa, weak)
-            dl, dr, disc, kappa, weak, halt = (
-                a.reshape(-1)[kept] for a in (dl, dr, disc, kappa, weak, halt))
+            kept = lanes.drop(done, dl, dr, kappa, weak, c)
+            dl, dr, disc, kappa, weak, halt, c = (
+                a.reshape(-1)[kept] for a in (dl, dr, disc, kappa, weak, halt, c))
             if not lanes.ids.size:
                 break
             end, keep = counts[lanes.path], (kept, lanes.path)
-    return lanes.flows(dl, dr, kappa, weak)
+    fl = lanes.flows(dl, dr, kappa, weak, c)
+    stop = np.where(np.asarray(spliced)[:, None], np.minimum(fl.t_weak, columns.horizon),
+                    columns.horizon)
+    fl.c[:] -= (mu - columns.drift) * -np.expm1(-q * stop) / q
+    return fl
 
 
 @dataclass(frozen=True)

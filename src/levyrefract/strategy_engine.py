@@ -6,8 +6,8 @@ non-negative.  This module reads draws and never samples: each engine
 takes the one draw format of levy_model.sample_path.  The exact engine
 delegates to path_engine's floored transform: apply_strategy_exact returns
 the SegmentTable of the swept paths of one EventColumns draw, which the
-property oracle, sample-path (ControlledTrajectory.from_exact) and
-euler_exact_gap read through path_engine.read_segments.  The Monte Carlo
+property oracle and sample-path (ControlledTrajectory.from_exact) read
+through path_engine.read_segments.  The Monte Carlo
 estimators run the flows reader of the same lane stepper instead.  The
 Euler engine runs the discrete three-branch recursion on the rows of an
 increment matrix (euler_steps), and its two readers give the estimators
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -178,7 +178,7 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
 
 
 def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
-                     q: float, path=None) -> path_engine.LaneFlows:
+                     q: float, mu: float, path=None) -> path_engine.LaneFlows:
     """The floored recursion on every (start, threshold) lane at once, read
     as path_engine.floored_lane_sweep reads the exact lane stepper.
 
@@ -198,6 +198,14 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     once they are at least 1/8 of the lanes.  Until then a stopped lane
     adds its steps at weight 0.  The other lanes run to the horizon, so
     they gain only from the calls skipped once no lane has an open passage.
+
+    The control c is the martingale transform sum over steps j up to the
+    lane's stop of exp(-q (j - 1) dt) (incs[j - 1] - mu dt), discounted at
+    the left knot: the weak passage of a halting lane, else the last knot.
+    Each increment has mean mu dt, as the binned jumps have the exact law,
+    so c has mean 0, and a model without noise has c = 0 exactly.  It is
+    read at each stop off one running sum per row, which adds one centred,
+    discounted increment per step.
     """
     x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
     if path is not None:  # step only the rows the lanes read
@@ -219,11 +227,15 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     stopped, done = np.count_nonzero(~live), np.count_nonzero(halt & ~open_k)
     lanes = path_engine.Lanes(*zeros.shape, path)
     disc, paid, hit = np.empty(zeros.shape), np.empty(zeros.shape), np.empty(zeros.shape, bool)
+    # drive: each row's control to step j
+    k = incs.shape[1]
+    c, drive, w_left = zeros.copy(), np.zeros(len(incs)), np.exp(-q * (dt * np.arange(k)))
     steps = euler_steps(x, incs, b, alpha, dt, True, path)
     keep = None
-    for j in range(1, incs.shape[1]):
+    for j in range(1, k):
         state, step_l, step_r = steps.send(keep)
         keep = None
+        drive += (incs[:, j - 1] - mu * dt) * w_left[j - 1]
         t = dt * j
         w = math.exp(-q * t)
         if stopped:
@@ -245,17 +257,21 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
                 np.putmask(weak, hit, t)
                 open_w ^= hit
                 nw -= n
-                stopped += np.count_nonzero(np.logical_and(hit, halt, out=hit))
+                # a halting lane's control stops with its flows
+                at = np.flatnonzero(np.logical_and(hit, halt, out=hit))
+                c.reshape(-1)[at] = drive[lanes.path[at]]
+                stopped += at.size
                 np.logical_or(free, open_w, out=live)
         if done and lanes.due(done):
-            kept = lanes.drop(halt & ~open_k, dl, dr, kappa, weak)
-            dl, dr, kappa, weak, open_k, open_w, halt, free, live, disc, paid, hit = (
+            kept = lanes.drop(halt & ~open_k, dl, dr, kappa, weak, c)
+            dl, dr, kappa, weak, open_k, open_w, halt, free, live, disc, paid, hit, c = (
                 a.reshape(-1)[kept] for a in (dl, dr, kappa, weak, open_k, open_w, halt,
-                                              free, live, disc, paid, hit))
+                                              free, live, disc, paid, hit, c))
             if not lanes.ids.size:
                 break
             stopped, done, keep = stopped - done, 0, (kept, lanes.path)
-    return lanes.flows(dl, dr, kappa, weak)
+    np.putmask(c, live, drive[lanes.path].reshape(c.shape))  # lanes run to the last knot
+    return lanes.flows(dl, dr, kappa, weak, c)
 
 
 def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.RecordLows:
@@ -326,21 +342,3 @@ def simulate_euler(x: float, params: StrategyParams, increments: np.ndarray,
         branch=branch,
         driver=driver[0],
     )
-
-
-def euler_exact_gap(columns: EventColumns, params: StrategyParams, x: float,
-                    k: int) -> np.ndarray:
-    """Sup distance between the Euler recursion and the exact trajectory
-    started at x, for each path of columns (drawn at x0 = 0), over the knots
-    0..k-1 of a k-step grid: one read of the paths' swept table at knots
-    0..k gives the exact surplus and the driver, whose steps between knots
-    are the Euler increments (shared noise), for one recursion pass over
-    all the paths."""
-    n, dt = columns.counts.size, columns.horizon / k
-    table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params)
-    (got,), driver = path_engine.read_segments(
-        [table], np.repeat(np.arange(n), k + 1), np.tile(np.arange(k + 1) * dt, n), columns)
-    driver = driver.reshape(n, k + 1)
-    driver[:, 0] = columns.x0
-    z = _floored_euler(x, params, np.diff(driver, axis=1), dt)[1]
-    return np.max(np.abs(z - got.z.reshape(n, k + 1)[:, :k]), axis=1)

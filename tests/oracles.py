@@ -4,7 +4,7 @@ and test-only checks and fixtures.
 EventPath is one exact path: the hand-built path format of the tests, and
 the reference reader of one column of levy_model.EventColumns
 (event_paths).  Its to_grid gives the path's increments on a uniform grid,
-the reference for strategy_engine.euler_exact_gap's shared noise.
+the reference for euler_exact_gap's shared noise.
 
 _sweep is the event sweep of path_engine.event_steps written for one
 EventPath on Python floats, with the arithmetic of numpy float64; it
@@ -28,11 +28,13 @@ ControlledTrajectory.  draw_random_bv_setup draws the random models of the
 randomized sweeps, and reference_config_text writes the reference
 experiment as config text.  concatenated_grid_increments bins the whole
 jump draw of the grid sampler in one np.add.at, the reference for the
-sampler's binning of each component as it is drawn.
+sampler's binning of each component as it is drawn.  euler_exact_gap
+measures the Euler recursion against the exact trajectories on shared
+noise.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -42,10 +44,10 @@ from levyrefract.levy_model import (
     _compensated_drift, _jump_draw,
 )
 from levyrefract.path_engine import (
-    BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime,
+    BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime, read_segments,
 )
 from levyrefract.properties_oracle import EXACT_TOL, _Block
-from levyrefract.strategy_engine import StrategyParams
+from levyrefract.strategy_engine import StrategyParams, _floored_euler, apply_strategy_exact
 
 
 @dataclass(frozen=True)
@@ -508,3 +510,20 @@ def reference_config_text(case: int, n: int = 100_000, k: int = 10_000,
         "task.x = 0.5",
         f"task.b = {1.66 if case == 1 else 2.15}",
     ]) + "\n"
+
+
+def euler_exact_gap(columns, params: StrategyParams, x: float, k: int) -> np.ndarray:
+    """Sup distance between the Euler recursion and the exact trajectory
+    started at x, for each path of columns (drawn at x0 = 0), over the knots
+    0..k-1 of a k-step grid: one read of the paths' swept table at knots
+    0..k gives the exact surplus and the driver, whose steps between knots
+    are the Euler increments (shared noise), for one recursion pass over
+    all the paths."""
+    n, dt = columns.counts.size, columns.horizon / k
+    table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params)
+    (got,), driver = read_segments(
+        [table], np.repeat(np.arange(n), k + 1), np.tile(np.arange(k + 1) * dt, n), columns)
+    driver = driver.reshape(n, k + 1)
+    driver[:, 0] = columns.x0
+    z = _floored_euler(x, params, np.diff(driver, axis=1), dt)[1]
+    return np.max(np.abs(z - got.z.reshape(n, k + 1)[:, :k]), axis=1)

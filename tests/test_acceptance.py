@@ -22,12 +22,12 @@ from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run,
                                            value_shape_check)
-from levyrefract.strategy_engine import (StrategyParams, apply_strategy_exact,
-                                         euler_exact_gap)
+from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
 from conftest import FULL_SCALE, draw_path, drift_only, event_columns, record_acceptance
 from oracles import (construction_identity_residual, draw_random_bv_setup,
-                     fixed_cap_violations, running_floor_reflection, value_at)
+                     euler_exact_gap, fixed_cap_violations, running_floor_reflection,
+                     value_at)
 
 SEED = 20260822
 THREADS = 4

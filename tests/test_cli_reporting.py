@@ -368,6 +368,81 @@ class TestRunValueCurve:
         assert calls == [64]
 
 
+    NOISY = ("model.gamma = 0.7210553083590153\nmodel.sigma = %d\n"
+             "model.jump1.rate = 1.0\nmodel.jump1.sign = -1\n"
+             "model.jump1.dist = weibull\nmodel.jump1.params = 2, 1\n")
+    TASK = "task.b = 1\ntask.x_grid = -0.5:0.5:1.5\ntask.competing_b = 0.5\n"
+
+    @pytest.mark.parametrize("method", ["spliced", "direct"])
+    def test_a_model_without_noise_writes_the_uncontrolled_bytes(self, tmp_path,
+                                                               monkeypatch, method):
+        """On a drift-only model every lane's control is 0, so theta is 0
+        and value-curve writes the bytes of the estimator without the
+        control; on a model with jumps the control moves them."""
+        from levyrefract import estimation
+        estimate = estimation._estimate
+
+        def uncontrolled(sums, *args):
+            return estimate(np.concatenate((sums[:5], np.zeros(4))), *args)
+
+        def run(text, out):
+            run_experiment(load_config(text), "value-curve", out_dir=str(tmp_path / out))
+            return (tmp_path / out / "value_curves.csv").read_bytes()
+
+        drift = BASE + self.TASK + "task.method = %s\n" % method
+        noisy = BASE.replace("model.gamma = -1.0\n", self.NOISY % 0) + self.TASK
+        controlled = run(drift, "a"), run(noisy, "b")
+        monkeypatch.setattr(estimation, "_estimate", uncontrolled)
+        assert run(drift, "c") == controlled[0]
+        assert run(noisy, "d") != controlled[1]
+
+    @pytest.mark.parametrize("n", [64, 300, 1000])
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    @pytest.mark.parametrize("method", ["spliced", "direct"])
+    def test_paths_that_stop_before_any_jump_write_the_uncontrolled_bytes(
+            self, tmp_path, monkeypatch, engine, method, n):
+        """With jumps too rare to occur, every lane stops before its first
+        jump at a time it shares with every path: its control is the same
+        nonzero compensator on every path, so its sample variance is
+        rounding noise, theta is 0 and value-curve writes the bytes of the
+        estimator without the control."""
+        from levyrefract import estimation
+        estimate, controls = estimation._estimate, []
+
+        def uncontrolled(sums, *args):
+            return estimate(np.concatenate((sums[:5], np.zeros(4))), *args)
+
+        def recorded(sums, *args):
+            controls.append(sums[5])
+            return estimate(sums, *args)
+
+        def run(out):
+            text = (BASE.replace("model.gamma = -1.0\n", self.NOISY % 0)
+                    .replace("jump1.rate = 1.0", "jump1.rate = 1e-9").replace("mc.N = 64", "mc.N = %d" % n)
+                    + self.TASK + "task.method = %s\ntask.engine = %s\n" % (method, engine))
+            run_experiment(load_config(text), "value-curve", out_dir=str(tmp_path / out))
+            return (tmp_path / out / "value_curves.csv").read_bytes()
+
+        monkeypatch.setattr(estimation, "_estimate", recorded)
+        controlled = run("a")
+        assert controls and all(c != 0.0 for c in controls)
+        monkeypatch.setattr(estimation, "_estimate", uncontrolled)
+        assert run("b") == controlled
+
+    @pytest.mark.parametrize("sigma", [0, 1])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_paths_give_finite_errors(self, tmp_path, n, sigma):
+        """mc.N = 1 and 2 are legal: below three paths theta is 0, and
+        value-curve exits 0 with a finite standard error at every point."""
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE.replace("model.gamma = -1.0\n", self.NOISY % sigma)
+                     .replace("mc.N = 64", "mc.N = %d" % n) + self.TASK)
+        assert main(["value-curve", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "value_curves.csv").read_text().splitlines()[1:]
+        assert len(rows) == 10  # five starts on each of two thresholds
+        assert all(math.isfinite(float(r.split(",")[3])) for r in rows)
+
+
 class TestRunAlphaConvergence:
     def test_ladder_outputs(self, tmp_path):
         cfg = base_cfg("task.alphas = 0.5, 1, inf\ntask.b = 1\ntask.x = 0.5\n")

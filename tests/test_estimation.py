@@ -10,7 +10,7 @@ import pytest
 
 from levyrefract.levy_model import (
     EXACT, EventColumns, Grid, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
-    Weibull, _grid_increment_matrix, is_case2, net_drift, sample_path,
+    Weibull, _grid_increment_matrix, is_case2, mean_drift, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refract_exact, refracted_record_lows
@@ -20,8 +20,8 @@ from levyrefract.strategy_engine import (
     euler_steps,
 )
 from levyrefract.estimation import (
-    DegenerateDenominator, NoCrossing, _chunk_readers, _clock_terms, _estimate, _nu_chunk,
-    _run_sums, _value_terms, estimate_underline_nu, find_bstar, nu_curve,
+    DegenerateDenominator, McEstimate, NoCrossing, _chunk_readers, _clock_terms, _estimate,
+    _nu_chunk, _run_sums, _value_terms, estimate_underline_nu, find_bstar, nu_curve,
     solve_pstar, value_curve, value_curve_csv,
 )
 
@@ -209,8 +209,16 @@ class TestExactClockChunk:
                            (ws * ww).sum()])
         ((acc, cens),) = _run_sums(draw(ref_spec_bv, pp, 8.0), partial(_clock_terms, pp),
                                    (stream,), [(x, b, True, 0)], [(3, 24)])
-        assert acc.tobytes() == want.tobytes()
+        assert acc[0, :5].tobytes() == want.tobytes()
         assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
+        # the control stops at the weak passage, the jump there included
+        tau = np.minimum(weak, 8.0)
+        jump_mean = mean_drift(ref_spec_bv) - net_drift(ref_spec_bv)
+        c = np.array([np.sum(np.exp(-Q * p.times[p.times <= t]) * p.sizes[p.times <= t])
+                      for p, t in zip(chunk_paths(ref_spec_bv, 8.0, stream, 3, 24), tau)])
+        c -= jump_mean * -np.expm1(-Q * tau) / Q
+        np.testing.assert_allclose(acc[0, 5:], [c.sum(), (c * c).sum(), (ws * c).sum(),
+                                             (ww * c).sum()], rtol=1e-12, atol=1e-12)
 
 
 class TestClockLanes:
@@ -454,28 +462,34 @@ class TestValueEstimates:
         assert text.splitlines()[1].endswith(",direct")
 
 
-def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q):
+def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q, mu):
     """The per-point reference of euler_lane_flows: one recursion pass for
     each (x, b) point, read step by step with masks, as (J, m) arrays of
-    (dl, dr, kappa_strict, t_weak)."""
+    (dl, dr, kappa_strict, t_weak, c)."""
     out = []
     for x, b, halts in zip(xs, bs, spliced):
         m = incs.shape[0]
-        dl = np.zeros(m)
+        dl, c, drive = np.zeros(m), np.zeros(m), np.zeros(m)
         dr = np.full(m, -x if x < 0.0 else 0.0)
         kappa = np.full(m, 0.0 if x < 0.0 else math.inf)
         weak = np.full(m, 0.0 if x <= 0.0 else math.inf)
+        w_left = np.exp(-q * (dt * np.arange(incs.shape[1])))
         steps = euler_steps(x, incs, b, alpha, dt, floor=True)
         for j, (state, step_l, step_r) in enumerate(steps, start=1):
             t = dt * j
             disc = math.exp(-q * t)
+            drive = drive + (incs[:, j - 1] - mu * dt) * w_left[j - 1]
             live = (weak == math.inf) | (not halts)
             dl[live] += step_l[live] * disc
             dr[live] += step_r[live] * disc
+            c[live] = drive[live]  # a halted lane's control stops with its flows
             weak[(state <= 0.0) & (weak == math.inf)] = t
             kappa[(step_r > 0.0) & (kappa == math.inf)] = t
-        out.append((dl, dr, kappa, weak))
+        out.append((dl, dr, kappa, weak, c))
     return tuple(np.array(f) for f in zip(*out))
+
+
+FIELDS = ("dl", "dr", "kappa_strict", "t_weak", "c")
 
 
 class TestEulerRunSums:
@@ -492,7 +506,8 @@ class TestEulerRunSums:
         halts = [spliced] * len(xs)
         incs = _grid_increment_matrix(ref_spec_gauss, 5.0, k, 256,
                                       RngStream(140, tag=3).for_path(1).generator())
-        want = per_point_lane_flows(xs, bs, halts, incs, alpha, 5.0 / k, Q)
+        mu = mean_drift(ref_spec_gauss)
+        want = per_point_lane_flows(xs, bs, halts, incs, alpha, 5.0 / k, Q, mu)
         passes = []
 
         def counted(*args, **kw):
@@ -500,9 +515,9 @@ class TestEulerRunSums:
             return euler_steps(*args, **kw)
 
         monkeypatch.setattr(strategy_engine, "euler_steps", counted)
-        got = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q)
+        got = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q, mu)
         assert len(passes) == 1  # one recursion pass serves every point
-        for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak), want):
+        for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.shape == (len(xs), 256)
             assert g.tobytes() == w.tobytes()
         assert np.all(got.t_weak <= got.kappa_strict)
@@ -512,6 +527,10 @@ class TestEulerRunSums:
         if spliced:  # a halted lane adds no flow after its weak passage
             assert np.array_equal(got.dl[0], np.zeros(256))
             assert np.array_equal(got.dr[0], np.full(256, 0.4))
+        else:  # every lane's control runs to the last knot: one sum per row
+            dt = 5.0 / k
+            c = (incs[:, :-1] - mu * dt) @ np.exp(-Q * dt * np.arange(k - 1))
+            np.testing.assert_allclose(got.c, np.tile(c, (len(xs), 1)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     def test_stopped_lanes_are_dropped_not_masked(self, alpha):
@@ -525,13 +544,12 @@ class TestEulerRunSums:
         clean[:, 5:] = 0.0
         incs[:, 5:] = np.nan
         xs, bs = (-0.4, 0.0, 0.5, 2.0, 6.0), (1.2, 1.2, 0.0, 1.2, 1.2)
-        got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q)
-        assert np.all(np.isfinite(got.dl)) and np.all(np.isfinite(got.dr))
+        got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0)
+        assert all(np.all(np.isfinite(f)) for f in (got.dl, got.dr, got.c))
         assert np.all(got.kappa_strict <= 3 * 0.1)
-        want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q)
-        for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak),
-                        (want.dl, want.dr, want.kappa_strict, want.t_weak)):
-            assert g.tobytes() == w.tobytes()
+        want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0)
+        for f in FIELDS:
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     def test_dropping_lanes_equals_per_point_loop_bitwise(self, ref_spec_gauss,
@@ -546,7 +564,7 @@ class TestEulerRunSums:
         k, horizon = 2000, 100.0
         incs = _grid_increment_matrix(ref_spec_gauss, horizon, k, 48,
                                       RngStream(142, tag=3).for_path(2).generator())
-        want = per_point_lane_flows(xs, bs, halts, incs, alpha, horizon / k, Q)
+        want = per_point_lane_flows(xs, bs, halts, incs, alpha, horizon / k, Q, 0.3)
         drops = []
         drop = path_engine.Lanes.drop
 
@@ -555,9 +573,9 @@ class TestEulerRunSums:
             return drop(lanes, done, *fields)
 
         monkeypatch.setattr(path_engine.Lanes, "drop", counted)
-        got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q)
+        got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q, 0.3)
         assert len(drops) >= 5
-        for g, w in zip((got.dl, got.dr, got.kappa_strict, got.t_weak), want):
+        for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.tobytes() == w.tobytes()
         # the unspliced lanes run to the horizon, so they are never dropped
         assert sum(drops) <= 6 * 48
@@ -640,7 +658,7 @@ class TestOneLanePass:
         for s, alone in enumerate(d((st,), chunks) for st in streams):
             js = [j for j in range(len(x)) if on[j] == s]
             want = alone.lane_flows(*([c[j] for j in js] for c in (x, b, spliced)))
-            for name in ("dl", "dr", "kappa_strict", "t_weak"):
+            for name in FIELDS:
                 g, w = getattr(got, name), getattr(want, name)
                 assert g.shape == (len(x), 68)
                 assert g[js].tobytes() == w.tobytes(), (s, name)
@@ -696,25 +714,102 @@ class TestOneLanePass:
         assert peak <= self.TWO_DRAW_EULER_PEAK * 1.1
 
 
-class TestEstimate:
-    """_estimate against numpy's two-pass mean and variance of the per-path
-    combination ca * a + cd * d, which it never forms."""
+def moment_sums(a, d, c):
+    """One point's moment sums, in the order _run_sums writes them."""
+    return np.array([a.sum(), (a * a).sum(), d.sum(), (d * d).sum(), (a * d).sum(),
+                     c.sum(), (c * c).sum(), (a * c).sum(), (d * c).sum()])
 
-    @pytest.mark.parametrize("n", [2, 7, 300])
+
+class TestEstimate:
+    """_estimate against numpy's two-pass regression of the per-path
+    combination g = ca * a + cd * d on the control c, which it never forms."""
+
+    @pytest.mark.parametrize("control", ["correlated", "zero"])
+    @pytest.mark.parametrize("n", [2, 3, 7, 300])
     @pytest.mark.parametrize("ca,cd,cd_se", [(1.0, 0.0, 0.0), (1.0, -3.7, 0.25),
                                              (0.3, 0.7, 0.0), (BETA * 0.3, BETA * 0.7, 0.0)])
-    def test_matches_the_two_pass_moments(self, n, ca, cd, cd_se):
+    def test_matches_the_two_pass_moments(self, n, ca, cd, cd_se, control):
         rng = np.random.default_rng(n)
         a = rng.normal(2.0, 3.0, n)
         d = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
+        c = (a - 2.0 + rng.normal(0.0, 1.0, n)) if control == "correlated" else np.zeros(n)
         cens = float(np.sum(d == 0.0))
-        sums = np.array([a.sum(), (a * a).sum(), d.sum(), (d * d).sum(), (a * d).sum()])
-        est = _estimate(sums, cens, n, ca, cd, cd_se)
+        est = _estimate(moment_sums(a, d, c), cens, n, ca, cd, cd_se)
         g = ca * a + cd * d
-        se = math.sqrt(np.var(g, ddof=1) / n + (d.mean() * cd_se) ** 2)
+        if n >= 3 and control == "correlated":
+            theta = np.cov(g, c)[0, 1] / np.var(c, ddof=1)
+            g = g - theta * c
+            var = np.sum((g - g.mean()) ** 2) / (n - 2)
+        else:  # no control: the plain mean and its n - 1 variance
+            var = np.var(g, ddof=1)
+        se = math.sqrt(var / n + (d.mean() * cd_se) ** 2)
         assert est.mean == pytest.approx(g.mean(), rel=1e-12)
         assert est.std_error == pytest.approx(se, rel=1e-12)
         assert est.censored_fraction == cens / n
+
+    def test_a_zero_control_is_the_plain_estimate_bit_for_bit(self):
+        """With c = 0 (a model without noise) theta is 0 and the estimate is
+        the plain one of five moment sums, so such bytes never move."""
+        rng = np.random.default_rng(5)
+        a, d = rng.normal(2.0, 3.0, 50), rng.uniform(0.0, 1.0, 50)
+        sums = moment_sums(a, d, np.zeros(50))
+        s1, s2, sd1, sd2, cross = sums[:5]
+        g1, g2 = (s1 + sd1 * 0.7) / 50, (s2 + 2 * 0.7 * cross + 0.49 * sd2) / 50
+        want = McEstimate(mean=s1 / 50 + sd1 / 50 * 0.7,
+                          std_error=math.sqrt(max(g2 - g1 * g1, 0.0) * 50 / 49 / 50),
+                          censored_fraction=0.0)
+        assert _estimate(sums, 0.0, 50, 1.0, 0.7) == want
+
+    def test_a_constant_control_is_the_plain_estimate_bit_for_bit(self):
+        """A control with one nonzero value on every path (every path stops
+        at one time before any jump) has a sample variance of rounding
+        noise, of either sign; theta is 0 and the estimate the plain one."""
+        rng = np.random.default_rng(6)
+        positive = 0
+        for n in (3, 7, 64, 300, 1000):
+            a, d = rng.normal(2.0, 3.0, n), rng.uniform(0.0, 1.0, n)
+            plain = _estimate(moment_sums(a, d, np.zeros(n)), 0.0, n, 1.0, 0.7)
+            for k in (-1e-9, 0.1, -0.37, 3.3):
+                sums = moment_sums(a, d, np.full(n, k))
+                positive += sums[6] / n - (sums[5] / n) ** 2 > 0.0
+                assert _estimate(sums, 0.0, n, 1.0, 0.7) == plain, (n, k)
+        assert positive  # the case a test of Var(c) > 0 alone lets through
+
+    @pytest.mark.parametrize("engine,spec", [("exact", "bv"), ("euler", "bv"),
+                                             ("euler", "gauss")])
+    def test_the_control_has_mean_0(self, ref_spec_bv, ref_spec_gauss, engine, spec):
+        """E[c] = 0 on halting (spliced) and horizon lanes, as an estimate
+        without bias needs: each lane's sample mean over 4096 paths lies
+        within 4 SE of 0.  A wrong mu or compensator moves it by many."""
+        pp = params(b=1.2)
+        spec = ref_spec_bv if spec == "bv" else ref_spec_gauss
+        readers = draw(spec, pp, 10.0, 200, engine)((RngStream(194, tag=4),), [(0, 4096)])
+        fl = readers.lane_flows((0.0, 0.6, 2.5, 0.6, 2.5), (1.2,) * 5,
+                                (False, True, True, False, False))
+        assert np.all(fl.c.std(axis=1) > 0.1)
+        t = fl.c.mean(axis=1) / (fl.c.std(axis=1, ddof=1) / math.sqrt(4096))
+        assert np.all(np.abs(t) <= 4.0), t
+
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_the_control_cuts_the_variance_and_a_permuted_one_does_not(
+            self, ref_spec_bv, ref_spec_gauss, engine):
+        """The negative control: c permuted across paths keeps its law but
+        loses its tie to each path's g, so the variance of every point of a
+        value run stays within 5 % of the uncontrolled one, where the
+        matched control cuts it."""
+        pp = params(b=1.2)
+        spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
+        readers = draw(spec, pp, 40.0, 400, engine)((RngStream(193, tag=4),), [(0, 2048)])
+        xs, bs, spliced = (0.0, 0.6, 1.2, 2.5, 0.6), (1.2,) * 5, (False, True, True, True, False)
+        fl = readers.lane_flows(xs, bs, spliced)
+        a, d, _ = _value_terms(pp, fl, np.array(spliced))
+        shuffled = np.random.default_rng(3).permutation(fl.c.T).T
+        for j in range(len(xs)):
+            plain = _estimate(moment_sums(a[j], d[j], np.zeros(2048)), 0.0, 2048)
+            matched = _estimate(moment_sums(a[j], d[j], fl.c[j]), 0.0, 2048)
+            permuted = _estimate(moment_sums(a[j], d[j], shuffled[j]), 0.0, 2048)
+            assert matched.std_error < 0.5 * plain.std_error, j
+            assert abs(permuted.std_error ** 2 / plain.std_error ** 2 - 1.0) <= 0.05, j
 
     def test_only_estimate_builds_an_mc_estimate(self):
         """Every McEstimate of src/ is built by _estimate, so the estimate's

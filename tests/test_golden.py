@@ -89,9 +89,9 @@ DESK_SCALED = ("reproduce-paper",)
 
 # every case whose subcommand takes --threads
 THREAD_CHECKED = ("exact-nu-curve", "exact-nu-curve-case2", "exact-bstar",
-                  "exact-value-curve", "exact-value-curve-inf", "euler-nu-curve",
-                  "euler-bstar", "euler-value-curve", "euler-value-curve-inf",
-                  "reproduce-paper")
+                  "exact-value-curve", "exact-value-curve-direct", "exact-value-curve-inf",
+                  "euler-nu-curve", "euler-nu-curve-inf", "euler-bstar", "euler-value-curve",
+                  "euler-value-curve-direct", "euler-value-curve-inf", "reproduce-paper")
 
 
 def run_case(name, out_dir, threads=1):
@@ -124,6 +124,12 @@ def test_csv_digests_match_the_record(name, tmp_path):
         pytest.skip("digests recorded under numpy %s, running %s"
                     % (golden["numpy"], np.__version__))
     assert output_digests(run_case(name, str(tmp_path))) == golden["digests"][name]
+
+
+def test_every_case_that_takes_threads_is_thread_checked():
+    takes = {name for name, (_, _, sub, *_) in CASES.items()
+             if sub not in ("sample-path", "check-properties", "alpha-convergence")}
+    assert takes == set(THREAD_CHECKED)
 
 
 @pytest.mark.parametrize("name", THREAD_CHECKED)

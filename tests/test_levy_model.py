@@ -30,6 +30,7 @@ from levyrefract.levy_model import (
     _jump_draw,
     characteristic_exponent,
     is_case2,
+    mean_drift,
     net_drift,
     sample_path,
     validate_spec,
@@ -227,6 +228,42 @@ class TestCharacteristicExponent:
         b = complex(characteristic_exponent(dn, 0.7))
         assert a.real == pytest.approx(b.real, abs=1e-14)
         assert a.imag == pytest.approx(-b.imag, abs=1e-14)
+
+
+def random_marks(rng):
+    kind = rng.integers(5)
+    if kind == 0:
+        lo = rng.uniform(0.0, 2.0)
+        return Uniform(lo, lo + rng.uniform(0.1, 2.0))
+    if kind == 1:
+        return Exponential(rng.uniform(0.5, 4.0))
+    if kind == 2:
+        return Weibull(rng.uniform(0.7, 3.0), rng.uniform(0.3, 2.0))
+    if kind == 3:
+        return PointMass(rng.uniform(0.1, 2.5))
+    return HyperExponential(tuple(rng.dirichlet([1.0, 1.0])),
+                            tuple(np.sort(rng.uniform(0.5, 5.0, 2))))
+
+
+class TestMeanDrift:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_is_the_derivative_of_the_exponent_at_0(self, seed):
+        """mu = E[X_1] = i Psi'(0), read off the characteristic exponent by
+        a central difference on random models: the mean of the control
+        variate is 0 only with this mu, which no estimate can show."""
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            comps = tuple((rng.uniform(0.1, 3.0), int(rng.choice([-1, 1])), random_marks(rng))
+                          for _ in range(rng.integers(0, 4)))
+            spec = JumpDiffusionSpec(gamma=rng.normal(0.0, 2.0), jump_components=comps,
+                                     sigma=float(rng.choice([0.0, rng.uniform(0.1, 2.0)])))
+            h = 1e-4
+            want = (1j * (characteristic_exponent(spec, h)
+                          - characteristic_exponent(spec, -h)) / (2 * h)).real
+            assert mean_drift(spec) == pytest.approx(want, rel=1e-5, abs=1e-5)
+
+    def test_without_jumps_is_gamma(self):
+        assert mean_drift(JumpDiffusionSpec(gamma=-0.7, sigma=1.3)) == -0.7
 
 
 class TestNetDriftAndCase:

@@ -624,7 +624,8 @@ class TestFlooredLaneSweep:
     def test_matches_the_scalar_sweep(self, delta, alpha):
         paths = self.paths(delta)
         x, b, spliced = (np.array(c) for c in zip(*self.POINTS))
-        got = floored_lane_sweep(event_columns(paths), x, b, spliced, alpha, self.Q)
+        mu = delta + 0.25  # a mean drift with a jump part
+        got = floored_lane_sweep(event_columns(paths), x, b, spliced, alpha, self.Q, mu)
         assert got.t_weak.shape == (len(self.POINTS), len(paths))
         for j, (xj, bj, sj) in enumerate(self.POINTS):
             for i, p in enumerate(paths):
@@ -637,6 +638,13 @@ class TestFlooredLaneSweep:
                 dl, dr = traj.discounted_flow(self.Q, min(stop, self.H))
                 assert abs(got.dl[j, i] - dl) <= 1e-12
                 assert abs(got.dr[j, i] - dr) <= 1e-12
+                # the control: the jumps up to the stop, the one at it
+                # included, and the drift's excess over mu, discounted
+                tau = min(stop, self.H)
+                on = p.times <= tau
+                c = (np.sum(np.exp(-self.Q * p.times[on]) * p.sizes[on])
+                     + (delta - mu) * (1.0 - math.exp(-self.Q * tau)) / self.Q)
+                assert abs(got.c[j, i] - c) <= 1e-12
 
     def test_a_zero_length_stretch_at_0_is_no_visit(self):
         """A jump lands exactly on 0 and the drift reaches a tiny b at once:
@@ -647,7 +655,7 @@ class TestFlooredLaneSweep:
         p = drift_path(0.35, 0.0, 4.0, jumps=[(2.0, -z2)])
         traj = floored(replace(p, x0=0.5), b, 0.3)
         assert first_passage_times(traj).t_weak == math.inf
-        got = floored_lane_sweep(event_columns([p]), [0.5], [b], [True], 0.3, self.Q)
+        got = floored_lane_sweep(event_columns([p]), [0.5], [b], [True], 0.3, self.Q, 0.0)
         assert got.t_weak[0, 0] == math.inf
 
     def test_an_event_at_the_horizon_that_lands_on_0_is_a_visit(self):
@@ -658,7 +666,7 @@ class TestFlooredLaneSweep:
         p = drift_path(0.35, 0.0, 4.0, jumps=[(4.0, -z)])
         traj = floored(replace(p, x0=0.5), 1.0, 0.3)
         assert first_passage_times(traj).t_weak == 4.0
-        got = floored_lane_sweep(event_columns([p]), [0.5], [1.0], [True], 0.3, self.Q)
+        got = floored_lane_sweep(event_columns([p]), [0.5], [1.0], [True], 0.3, self.Q, 0.0)
         assert got.t_weak[0, 0] == 4.0
 
     @pytest.mark.parametrize("floor", [True, False])
@@ -691,7 +699,7 @@ class TestFlooredLaneSweep:
     def test_a_lane_past_the_crossing_bound_raises(self, monkeypatch):
         # from above b on a falling drift: down to b, then down to 0
         p = drift_path(-1.3, 0.0, self.H)
-        args = (event_columns([p]), [1.7], [1.0], [True], 0.5, self.Q)
+        args = (event_columns([p]), [1.7], [1.0], [True], 0.5, self.Q, 0.0)
         assert floored_lane_sweep(*args).t_weak[0, 0] == pytest.approx(0.7 / 1.8 + 1 / 1.3)
         monkeypatch.setattr(path_engine, "MAX_CROSSINGS", 1)
         with pytest.raises(RuntimeError):

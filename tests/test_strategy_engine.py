@@ -11,13 +11,13 @@ from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, refract_exact,
 )
 from levyrefract.strategy_engine import (
-    ControlledTrajectory, StrategyParams, apply_strategy_exact,
-    euler_exact_gap, euler_steps, simulate_euler,
+    ControlledTrajectory, StrategyParams, apply_strategy_exact, euler_steps, simulate_euler,
 )
 
 from conftest import draw_path, drift_path, event_columns, one_path
 from oracles import (
-    budget_residual, draw_random_bv_setup, event_paths, first_passage_times, sticks, value_at,
+    budget_residual, draw_random_bv_setup, euler_exact_gap, event_paths, first_passage_times,
+    sticks, value_at,
 )
 
 # the transforms on one EventPath, through the src reader
