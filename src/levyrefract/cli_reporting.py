@@ -167,7 +167,8 @@ class _Key(NamedTuple):
 _KEYS = {key.name.lower(): key for key in (
     _Key("control.alpha", "alpha", _to_float, _REQUIRED, lambda a: a > 0,
          "must be > 0 (inf allowed)"),
-    _Key("control.beta", "beta", _to_float, _REQUIRED, lambda b: b > 1, "must be > 1"),
+    _Key("control.beta", "beta", _to_float, _REQUIRED, lambda b: 1 < b < math.inf,
+         "must be > 1 and finite"),
     _Key("control.q", "q", _to_float, _REQUIRED, lambda q: 0 < q < math.inf,
          "must be positive and finite"),
     _Key("grid.T", "horizon", _to_float, _REQUIRED, lambda t: 0 < t < math.inf,

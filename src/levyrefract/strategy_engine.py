@@ -15,11 +15,12 @@ what the two readers of path_engine.event_steps give them on event paths:
 euler_lane_flows the LaneFlows of floored lanes, and euler_record_lows the
 RecordLows of the paths refracted at 0.
 
+euler_steps advances its lanes BLOCK_KNOTS knots at a time and steps only
+the lanes whose block its certificate leaves open; the readers take whole
+blocks, and every reading equals that of one-knot steps bit for bit.
 euler_lane_flows shares the lane bookkeeping of the exact flows reader
-(path_engine.Lanes): a spliced lane leaves the recursion once both its
-passage times are known, in drops of at least 1/8 of the lanes.
-Direct-method points and the at-0 anchors never stop, so they gain only
-from the calls a step skips once no lane has an open passage.  The lane
+(path_engine.Lanes): a spliced lane leaves at a block edge once both its
+passage times are known, in drops of at least 1/8 of the lanes.  The lane
 arrays stay within the BLOCK_LANES lanes of an estimation block.
 """
 
@@ -35,14 +36,14 @@ from .levy_model import EventColumns, InvalidParameter
 from . import path_engine
 from .path_engine import BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, SegmentTable
 
-NU_BLOCK_STEPS = 512  # knots whose running minima euler_record_lows holds at once
+BLOCK_KNOTS = 16  # knots the Euler recursion and its readers advance at once
 
 
 @dataclass(frozen=True)
 class StrategyParams:
     b: float
     alpha: float  # dividend rate cap, math.inf allowed
-    beta: float   # injection unit cost, > 1
+    beta: float   # injection unit cost, > 1 and finite
     q: float      # discount rate, > 0
 
     def __post_init__(self):
@@ -50,8 +51,8 @@ class StrategyParams:
             raise InvalidParameter("b", "threshold must be >= 0")
         if not (self.alpha > 0):
             raise InvalidParameter("alpha", "rate cap must be positive")
-        if not (self.beta > 1):
-            raise InvalidParameter("beta", "injection cost must exceed 1")
+        if not (1 < self.beta < math.inf):
+            raise InvalidParameter("beta", "injection cost must exceed 1 and be finite")
         if not (self.q > 0) or self.q == math.inf:
             raise InvalidParameter("q", "discount rate must be positive and finite")
 
@@ -109,72 +110,123 @@ def apply_strategy_exact(columns: EventColumns, params: StrategyParams) -> Segme
     return path_engine.refracted_reflected_exact(columns, params.b, params.alpha)
 
 
+def _sum_down(a: np.ndarray) -> np.ndarray:
+    """The columns of a summed down their rows in order, (a[0] + a[1]) + ...
+    np.add.reduce adds row after row down the slow axis 0 of two or more
+    C-contiguous columns, but sums a fast axis pairwise."""
+    if a.shape[1] < 2:
+        return np.cumsum(a, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(a), axis=0)
+
+
+def _certify(d, x, b, lhat, rhat, row, floor, ramp):
+    """(step, above): the lanes a block of X-hat (d, a row per knot) steps,
+    and those that pay at every knot.  While the accounts carry over,
+    s = ((x + X-hat_j) - L-hat) + R-hat is monotone in X-hat_j, rounding
+    included, so a floored lane with s in (0, b] at its row's extremes of
+    X-hat carries over, exactly.  A paying lane's s_j is x + X-hat_j - L-hat
+    - ramp[j] + R-hat (ramp[j] = j alpha dt) up to (w + 32) ulps of its
+    terms' magnitudes, within big for blocks under 8,000 knots: a lane whose
+    least such s clears b by big pays at every knot.  ramp is None when
+    alpha is infinite."""
+    w, dmin, dmax = len(d), d.min(0), d.max(0)
+    todo = np.ones(row.size, dtype=bool)
+    if floor:
+        lo, hi = (np.add(x, f[row]) - lhat + rhat for f in (dmin, dmax))
+        todo = ~((lo > 0.0) & (hi <= b))
+    if ramp is None:
+        return todo.nonzero()[0], np.empty(0, dtype=int)
+    big = (np.abs(x) + lhat + rhat + np.maximum(-dmin, dmax)[row] + ramp[w, 0]) * 2.0 ** -40
+    low = np.add(x, (d - ramp[:w]).min(0)[row]) - lhat + rhat
+    above = (low - b > big).nonzero()[0]
+    todo[above] = False
+    return todo.nonzero()[0], above
+
+
+def _step(out, step, b, lhat, rhat, floor, pay):
+    """Step the lanes step knot by knot from out[0] = x + X-hat: out gets
+    their states, dividend and injection steps, lhat and rhat their ends."""
+    bs, lh, rh = b[step], lhat[step], rhat[step]
+    s, newr, flag = np.empty(step.size), np.empty(step.size), np.empty(step.size, dtype=bool)
+    if not floor:
+        out[2] = 0.0
+    # max(s - b, 0) is s - b where s > b: a sum of floats has the sign of its exact value
+    for state, dl, dr in zip(*out):
+        state -= lh
+        s = np.add(state, rh, out=s) if floor else state
+        if pay == math.inf:
+            np.maximum(np.subtract(s, bs, out=dl), 0.0, out=dl)
+        else:
+            np.multiply(np.greater(s, bs, out=flag), pay, out=dl)
+        if floor:
+            # R-hat rises to -state where s < 0, dr = -s (a tie may give -0.0)
+            np.maximum(rh, np.negative(state, out=dr), out=newr)
+            np.subtract(newr, rh, out=dr)
+            rh, newr = newr, rh
+        lh += dl
+    lhat[step], rhat[step] = lh, rh
+
+
 def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
                 floor: bool, path=None):
-    """Three-branch Euler recursion, vectorised over the rows of increments.
+    """Three-branch Euler recursion, vectorised over the rows of increments
+    and advanced BLOCK_KNOTS knots at a time.
 
     increments is an (m, k) matrix of driver steps.  x and b are scalars or
     (J, 1) arrays; they broadcast against the rows, so one pass serves every
-    (x, b) point and each yielded array has shape (J, m).  The centred driver
-    X-hat sits at knots 0..k-1 (a leading 0, then a running sum of the
-    increments); the dividend account L-hat starts at 0 and the injection
-    account R-hat at the top-up max(0, -x).  At each step j = 1..k-1 the
-    state x + X-hat_j - L-hat is corrected to s = state + R-hat and takes one
+    (x, b) point: lane (j, i), in row-major order, runs row i from x[j] with
+    threshold b[j].  The centred driver X-hat sits at knots 0..k-1 (a
+    leading 0, then a running sum of the increments); the dividend account
+    L-hat starts at 0 and the injection account R-hat at the top-up
+    max(0, -x), or 0 without floor.  At each step j = 1..k-1 the state
+    x + X-hat_j - L-hat is corrected to s = state + R-hat and takes one
     branch: s < 0 tops R-hat up to -state (only when floor is set); s > b
     pays one dividend step, alpha * dt, or s - b when alpha is infinite;
     otherwise both accounts carry over.  Ties fall to the carry-over branch.
 
-    Before applying step j the generator yields (state, dl, dr): the state
-    and the dividend and injection steps.  Without floor, dr stays 0.  Every
-    step is computed in place, so the yielded arrays are overwritten at the
-    next step: a reader that keeps one must copy it.
+    Each block is certified lane by lane (_certify): a floored lane whose s
+    stays in (0, b] carries over, and with finite alpha one whose s stays
+    above b pays alpha * dt at every knot.  The other lanes step knot by
+    knot (_step).  Per block of w knots the generator yields (lanes, state,
+    dl, dr, above): the stepped lanes' flat indices and states (before
+    R-hat), dividend and injection steps, (w, len(lanes)) in one buffer
+    overwritten at the next block, and the lanes that pay at every knot.
 
     A reader may drop lanes by sending (keep, path) in place of next():
-    keep masks the lanes of the last step, flattened in row-major order,
-    and path gives the row of increments of each lane kept.  From then on
-    the arrays are 1-D over the kept lanes, and each lane reads its driver
-    from the running sum X-hat of its row.  Given path, a (J, m) or 1-D
-    array of rows, lane l reads row path[l] from the start, and every
-    array has the shape of path.
+    keep masks the current lanes, and path gives the row of increments of
+    each lane kept.  Given path, a (J, m) or 1-D array of rows, lane l reads
+    row path[l] from the start.
     """
     m, k = increments.shape
-    xhat = np.full(m, -0.0)  # -0.0 + a == a bit for bit, as in np.cumsum
-    drive = xhat if path is None else np.empty(path.shape)
-    lhat = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(b), drive.shape))
-    rhat = lhat + np.where(x < 0.0, -x, 0.0)
-    state, dl, dr, newr = (np.zeros_like(lhat) for _ in range(4))
-    s = np.empty_like(lhat) if floor else state
-    flag = np.empty(lhat.shape, dtype=bool)
-    # masked stores by np.putmask: a ufunc with where= runs several times slower
-    for j in range(1, k):
-        xhat += increments[:, j - 1]
-        if path is not None:
-            np.take(xhat, path, out=drive)
-        np.add(x, drive, out=state)
-        state -= lhat
-        if floor:
-            np.add(state, rhat, out=s)
-        if alpha == math.inf:
-            np.subtract(s, b, out=dl)
-            np.putmask(dl, np.less_equal(s, b, out=flag), 0.0)
-        else:
-            np.multiply(np.greater(s, b, out=flag), alpha * dt, out=dl)
-        if floor:
-            # R-hat becomes -state where s < 0; dr is its change
-            np.negative(state, out=newr)
-            np.putmask(newr, np.greater_equal(s, 0.0, out=flag), rhat)
-            np.subtract(newr, rhat, out=dr)
-            rhat, newr = newr, rhat
-        sent = yield state, dl, dr
-        lhat += dl
+    rows = np.arange(m) if path is None else path
+    shape = np.broadcast_shapes(np.shape(x), np.shape(b), np.shape(rows))
+    row, x, b = (np.broadcast_to(a, shape).reshape(-1) for a in (rows, x, b))
+    lhat, rhat = np.zeros(row.size), np.where(floor & (x < 0.0), -x, 0.0)
+    pay, buf = alpha * dt, np.empty(0)
+    ramp = pay * np.arange(BLOCK_KNOTS + 1)[:, None] if alpha < math.inf else None
+    xhat = np.empty((min(BLOCK_KNOTS, k) + 1, m))  # over the block, row 0 its left knot
+    xhat[0] = -0.0  # -0.0 + a == a bit for bit
+    for j0 in range(1, k, BLOCK_KNOTS):
+        w = min(BLOCK_KNOTS, k - j0)
+        d = xhat[:w + 1]
+        for r in range(w):
+            np.add(d[r], increments[:, j0 - 1 + r], out=d[r + 1])
+        d, xhat[0] = d[1:], d[w]
+        step, above = _certify(d, x, b, lhat, rhat, row, floor, ramp)
+        paid = lhat[above]
+        for _ in range(w):
+            paid += pay
+        lhat[above] = paid
+        if buf.size < 3 * w * step.size:
+            buf = np.empty(3 * BLOCK_KNOTS * step.size)
+        out = buf[:3 * w * step.size].reshape(3, w, step.size)
+        d.take(row[step], axis=1, out=out[0])
+        out[0] += x[step]
+        _step(out, step, b, lhat, rhat, floor, pay)
+        sent = yield step, *out, above
         if sent is not None:
-            keep, path = sent
-            shape = lhat.shape
-            x, b, lhat, rhat, state, dl, dr, newr, s, flag = (
-                np.broadcast_to(a, shape).reshape(-1)[keep]
-                for a in (x, b, lhat, rhat, state, dl, dr, newr, s, flag))
-            s = s if floor else state
-            drive = np.empty(lhat.shape)
+            keep, row = sent
+            x, b, lhat, rhat, row = x[keep], b[keep], lhat[keep], rhat[keep], np.reshape(row, -1)
 
 
 def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
@@ -192,85 +244,90 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     time 0; a start at 0 visits 0 at time 0.  A spliced lane halts its flows
     at its weak passage, that step's flows included.
 
-    Only the lanes still running are stepped.  A spliced lane is done once
-    both its passages are known, and the done lanes leave the recursion
-    with the rule and bookkeeping of the exact flows reader (path_engine.Lanes):
-    once they are at least 1/8 of the lanes.  Until then a stopped lane
-    adds its steps at weight 0.  The other lanes run to the horizon, so
-    they gain only from the calls skipped once no lane has an open passage.
+    Each block is read at once: a passage is the first knot of a stepped
+    lane that holds it, and a lane's discounted steps join its accounts in
+    the order of the recursion, by one sum down the block (_sum_down).  A
+    spliced lane is done once both its passages are known; the done lanes
+    leave at a block edge by the rule of the exact flows reader
+    (path_engine.Lanes), once they are at least 1/8 of the lanes, and until
+    then a stopped lane's accounts are put back after each block.
 
     The control c is the martingale transform sum over steps j up to the
     lane's stop of exp(-q (j - 1) dt) (incs[j - 1] - mu dt), discounted at
     the left knot: the weak passage of a halting lane, else the last knot.
     Each increment has mean mu dt, as the binned jumps have the exact law,
     so c has mean 0, and a model without noise has c = 0 exactly.  It is
-    read at each stop off one running sum per row, which adds one centred,
-    discounted increment per step.
+    read at each stop off one running sum per row, one sum down each block.
     """
     x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
     if path is not None:  # step only the rows the lanes read
         lo = path.min()
         incs, path = incs[lo:path.max() + 1], path - lo
-    zeros = np.zeros((len(x), len(incs) if path is None else path.shape[1]))
-    dl = zeros.copy()
-    dr = zeros + np.where(x < 0.0, -x, 0.0)
-    kappa = zeros + np.where(x < 0.0, 0.0, math.inf)
-    weak = zeros + np.where(x <= 0.0, 0.0, math.inf)
-    halt = np.broadcast_to(spliced, zeros.shape)
+    m, k = incs.shape
+    per = m if path is None else path.shape[1]  # lanes per point
+    lanes = path_engine.Lanes(len(x), per, path)
+    dl, c, dr, kappa, weak, halt = (np.repeat(a, per) for a in (
+        np.zeros(x.shape), np.zeros(x.shape), np.where(x < 0.0, -x, 0.0),
+        np.where(x < 0.0, 0.0, math.inf), np.where(x <= 0.0, 0.0, math.inf), spliced))
     # the passages still to come, and the lanes whose flows still run
     open_k, open_w = kappa == math.inf, weak == math.inf
-    free = ~halt
-    live = free | open_w
-    # counts of the open passages, and of the halting lanes that have
-    # stopped their flows and that are done
-    nk, nw = np.count_nonzero(open_k), np.count_nonzero(open_w)
-    stopped, done = np.count_nonzero(~live), np.count_nonzero(halt & ~open_k)
-    lanes = path_engine.Lanes(*zeros.shape, path)
-    disc, paid, hit = np.empty(zeros.shape), np.empty(zeros.shape), np.empty(zeros.shape, bool)
-    # drive: each row's control to step j
-    k = incs.shape[1]
-    c, drive, w_left = zeros.copy(), np.zeros(len(incs)), np.exp(-q * (dt * np.arange(k)))
+    live = ~halt | open_w
+    nk, nw, done = (np.count_nonzero(a) for a in (open_k, open_w, halt & ~open_k))
+    t = dt * np.arange(k)
+    disc, w_left = np.array([math.exp(-q * tj) for tj in t.tolist()]), np.exp(-q * t)
+    ctl = np.zeros((min(BLOCK_KNOTS, k) + 1, m))  # each row's control, row 0 at the last block
     steps = euler_steps(x, incs, b, alpha, dt, True, path)
     keep = None
-    for j in range(1, k):
-        state, step_l, step_r = steps.send(keep)
-        keep = None
-        drive += (incs[:, j - 1] - mu * dt) * w_left[j - 1]
-        t = dt * j
-        w = math.exp(-q * t)
-        if stopped:
-            w = np.multiply(live, w, out=disc)
-        dl += np.multiply(step_l, w, out=paid)
-        dr += np.multiply(step_r, w, out=paid)
-        if nk:
-            np.logical_and(open_k, np.greater(step_r, 0.0, out=hit), out=hit)
-            n = np.count_nonzero(hit)
-            if n:
-                np.putmask(kappa, hit, t)
-                open_k ^= hit
-                nk -= n
-                done += np.count_nonzero(np.logical_and(hit, halt, out=hit))
-        if nw:
-            np.logical_and(open_w, np.less_equal(state, 0.0, out=hit), out=hit)
-            n = np.count_nonzero(hit)
-            if n:
-                np.putmask(weak, hit, t)
-                open_w ^= hit
-                nw -= n
-                # a halting lane's control stops with its flows
-                at = np.flatnonzero(np.logical_and(hit, halt, out=hit))
-                c.reshape(-1)[at] = drive[lanes.path[at]]
-                stopped += at.size
-                np.logical_or(free, open_w, out=live)
+    for j0 in range(1, k, BLOCK_KNOTS):
+        at, state, step_l, step_r, above = steps.send(keep)
+        keep, w, knots = None, len(state), slice(j0, j0 + len(state))
+        g = ctl[:w + 1]
+        np.subtract(incs[:, j0 - 1:j0 - 1 + w].T, mu * dt, out=g[1:])
+        g[1:] *= w_left[j0 - 1:j0 - 1 + w, None]
+        stopped = at[~live[at]]
+        held = dl[stopped], dr[stopped]
+        inj = (np.fmax.reduce(step_r, axis=0, initial=0.0) > 0.0).nonzero()[0]
+        got = inj[open_k[at[inj]]] if nk else inj[:0]
+        if got.size:
+            lane = at[got]
+            kappa[lane] = t[knots][(step_r[:, got] > 0.0).argmax(0)]
+            open_k[lane], nk, done = False, nk - got.size, done + np.count_nonzero(halt[lane])
+        # the knots each stepped lane adds: a halting lane's stop at its weak passage
+        upto = np.full(at.size, w)
+        got = (np.fmin.reduce(state, axis=0, initial=math.inf) <= 0.0).nonzero()[0] if nw else inj[:0]
+        got = got[open_w[at[got]]]
+        if got.size:
+            first, lane = (state[:, got] <= 0.0).argmax(0), at[got]
+            weak[lane], open_w[lane], nw = t[knots][first], False, nw - got.size
+            h = halt[lane]
+            got, first, lane = got[h], first[h] + 1, lane[h]
+            c[lane] = np.cumsum(g[:, lanes.path[lane]], axis=0)[first, np.arange(lane.size)]
+            live[lane], upto[got] = False, first
+        for acc, paid, sel in ((dl, step_l, slice(None)), (dr, step_r, inj)):
+            paid = paid[:, sel]
+            paid *= disc[knots, None]
+            part = (upto[sel] < w).nonzero()[0]
+            if part.size:
+                cut = paid[:, part]
+                np.putmask(cut, np.arange(w)[:, None] >= upto[sel][part], 0.0)
+                paid[:, part] = cut
+            paid[0] += acc[at[sel]]  # (p_1 + acc) + p_2 + ...
+            acc[at[sel]] = _sum_down(paid)
+        dl[stopped], dr[stopped] = held
+        above = above[live[above]]
+        total = dl[above]
+        for paid in (alpha * dt * disc[knots]).tolist() if above.size else ():
+            total += paid
+        dl[above] = total
+        ctl[0] = _sum_down(g)
         if done and lanes.due(done):
             kept = lanes.drop(halt & ~open_k, dl, dr, kappa, weak, c)
-            dl, dr, kappa, weak, open_k, open_w, halt, free, live, disc, paid, hit, c = (
-                a.reshape(-1)[kept] for a in (dl, dr, kappa, weak, open_k, open_w, halt,
-                                              free, live, disc, paid, hit, c))
+            dl, dr, kappa, weak, open_k, open_w, halt, live, c = (
+                a[kept] for a in (dl, dr, kappa, weak, open_k, open_w, halt, live, c))
             if not lanes.ids.size:
                 break
-            stopped, done, keep = stopped - done, 0, (kept, lanes.path)
-    np.putmask(c, live, drive[lanes.path].reshape(c.shape))  # lanes run to the last knot
+            done, keep = 0, (kept, lanes.path)
+    np.putmask(c, live, ctl[0][lanes.path])  # lanes run to the last knot
     return lanes.flows(dl, dr, kappa, weak, c)
 
 
@@ -281,25 +338,25 @@ def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.
 
     Knot 0 is 0.  A knot below the minimum of the knots before it is a
     record: a jump episode from that minimum down to the knot, first reached
-    at t0 = dt * knot (invrate 0).  The running minimum is taken over blocks
-    of NU_BLOCK_STEPS knots, into which each yielded state is copied.
+    at t0 = dt * knot (invrate 0).  A lane that pays at every knot of a
+    block stays above 0, and a block whose stepped minimum stays at or above
+    the running minimum adds no record.
     """
     m, k = incs.shape
-    steps = euler_steps(0.0, incs, 0.0, alpha, dt, floor=False)
-    block = np.zeros((min(NU_BLOCK_STEPS, k) + 1, m))  # row 0: the minimum so far
+    low = np.zeros(m)  # the running minimum
     recs = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 2]
-    for c0 in range(1, k, NU_BLOCK_STEPS):
-        width = min(NU_BLOCK_STEPS, k - c0)
-        for c, (state, _, _) in zip(range(1, width + 1), steps):
-            block[c] = state
-        mins = np.minimum.accumulate(block[:width + 1], axis=0)
-        step, path = np.nonzero(mins[1:] < mins[:-1])
-        recs.append((path, c0 + step, mins[step + 1, path], mins[step, path]))
-        block[0] = mins[-1]
+    steps = euler_steps(0.0, incs, 0.0, alpha, dt, floor=False)
+    for j0, (at, state, _, _, _) in zip(range(1, k, BLOCK_KNOTS), steps):
+        new = np.flatnonzero(state.min(0, initial=math.inf) < low[at])
+        path = at[new]
+        mins = np.minimum.accumulate(np.vstack((low[path], state[:, new])), axis=0)
+        step, col = np.nonzero(mins[1:] < mins[:-1])
+        recs.append((path[col], j0 + step, mins[step + 1, col], mins[step, col]))
+        low[path] = mins[-1]
     path, knot, lo, hi = (np.concatenate(c) for c in zip(*recs))
     order = np.argsort(path, kind="stable")  # path-major, knots ascending
     return path_engine.RecordLows(path[order], lo[order], hi[order], dt * knot[order],
-                                  np.zeros(path.size), block[0].copy())
+                                  np.zeros(path.size), low)
 
 
 def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,
@@ -307,20 +364,22 @@ def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,
     """(driver, Z, L-hat, R-hat, dividend steps) of the floored three-branch
     recursion, one row per row of increments, on knots 0..k-1.
 
-    L-hat accumulates the dividend steps.  R-hat is read back as the running
-    maximum of the negative part of the state, the reflection identity the
+    L-hat accumulates the dividend steps, written a block at a time.  R-hat
+    is read back as the running maximum of the negative part of the state,
+    the driver less L-hat at the knot before: the reflection identity the
     top-up rule satisfies exactly.
     """
     m, k = increments.shape
-    state = np.full((m, k), float(x))
     dl = np.zeros((m, k))
     steps = euler_steps(x, increments, params.b, params.alpha, dt, floor=True)
-    for j, (state_j, dl_j, _) in enumerate(steps, start=1):
-        state[:, j], dl[:, j] = state_j, dl_j
+    for j0, (at, _, dl_block, _, above) in zip(range(1, k, BLOCK_KNOTS), steps):
+        dl[at, j0:j0 + len(dl_block)] = dl_block.T
+        dl[above, j0:j0 + len(dl_block)] = params.alpha * dt
     lhat = np.cumsum(dl, axis=1)
-    rhat = np.maximum.accumulate(np.where(state < 0.0, -state, 0.0), axis=1)
     driver = x + np.concatenate(
         (np.zeros((m, 1)), np.cumsum(increments[:, :-1], axis=1)), axis=1)
+    state = driver - np.pad(lhat[:, :-1], ((0, 0), (1, 0)))
+    rhat = np.maximum.accumulate(np.where(state < 0.0, -state, 0.0), axis=1)
     return driver, driver - lhat + rhat, lhat, rhat, dl
 
 

@@ -30,7 +30,7 @@ experiment as config text.  concatenated_grid_increments bins the whole
 jump draw of the grid sampler in one np.add.at, the reference for the
 sampler's binning of each component as it is drawn.  euler_exact_gap
 measures the Euler recursion against the exact trajectories on shared
-noise.
+noise, and euler_knots reads the block-stepped recursion knot by knot.
 """
 
 import math
@@ -527,3 +527,18 @@ def euler_exact_gap(columns, params: StrategyParams, x: float, k: int) -> np.nda
     driver[:, 0] = columns.x0
     z = _floored_euler(x, params, np.diff(driver, axis=1), dt)[1]
     return np.max(np.abs(z - got.z.reshape(n, k + 1)[:, :k]), axis=1)
+
+
+def euler_knots(steps, shape, pay):
+    """The blocks of strategy_engine.euler_steps read knot by knot: per knot
+    (state, dl, dr), each of the lane shape.  The lanes that a block does
+    not step have state NaN there, and dl = pay (alpha * dt) for those
+    that pay it at every knot.  Every array is new."""
+    n = math.prod(shape)
+    for lanes, *block, above in steps:
+        for knot in zip(*block):
+            out = (np.full(n, math.nan), np.zeros(n), np.zeros(n))
+            out[1][above] = pay
+            for o, v in zip(out, knot):
+                o[lanes] = v
+            yield tuple(o.reshape(shape) for o in out)

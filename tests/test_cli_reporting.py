@@ -96,6 +96,7 @@ class TestGrammar:
         (("grid.T = 20", "# gone"), "grid.T"),
         (("mc.N = 64", "mc.N = 0"), "mc.N"),
         (("control.beta = 1.5", "control.beta = 1.0"), "control.beta"),
+        (("control.beta = 1.5", "control.beta = inf"), "control.beta"),
         (("control.alpha = 0.5", "control.alpha = -1"), "control.alpha"),
         (("control.q = 0.05", "control.q = inf"), "control.q"),
         (("mc.seed = 77", "mc.seed = -5"), "mc.seed"),
@@ -538,6 +539,16 @@ class TestMain:
                      str(tmp_path / "out")])
         assert code == 2
         assert "mc.seed" in capsys.readouterr().err
+
+    def test_an_infinite_injection_cost_exits_two(self, tmp_path, capsys):
+        """value-curve with control.beta = inf once ran and wrote the value
+        dl - inf * 0 = NaN, then died plotting it with exit 1."""
+        p = tmp_path / "c.cfg"
+        p.write_text(BASE.replace("control.beta = 1.5", "control.beta = inf")
+                     + "task.b = 1.0\ntask.x_grid = 0:0.5:1\n")
+        code = main(["value-curve", "--config", str(p), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "control.beta" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("task.x", "inf"), ("task.b", "-1"), ("task.competing_b", "1,inf"),

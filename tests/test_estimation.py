@@ -26,7 +26,7 @@ from levyrefract.estimation import (
 )
 
 from conftest import REFERENCE_GAMMA, drift_only, event_columns
-from oracles import EventPath, event_paths, first_passage_times
+from oracles import EventPath, euler_knots, event_paths, first_passage_times
 
 Q = 0.05
 BETA = 1.5
@@ -474,7 +474,7 @@ def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q, mu):
         kappa = np.full(m, 0.0 if x < 0.0 else math.inf)
         weak = np.full(m, 0.0 if x <= 0.0 else math.inf)
         w_left = np.exp(-q * (dt * np.arange(incs.shape[1])))
-        steps = euler_steps(x, incs, b, alpha, dt, floor=True)
+        steps = euler_knots(euler_steps(x, incs, b, alpha, dt, floor=True), (m,), alpha * dt)
         for j, (state, step_l, step_r) in enumerate(steps, start=1):
             t = dt * j
             disc = math.exp(-q * t)
@@ -535,8 +535,9 @@ class TestEulerRunSums:
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     def test_stopped_lanes_are_dropped_not_masked(self, alpha):
         """Every spliced lane injects by step 3 and the increments after
-        step 5 are NaN: the lanes leave the recursion before they read
-        them, where a weight of 0 would keep NaN * 0 = NaN."""
+        step 5 are NaN: the lanes leave the recursion at the next block
+        edge, and the steps they read after their stop never reach their
+        accounts, where a weight of 0 would keep NaN * 0 = NaN."""
         rng = np.random.default_rng(21)
         incs = rng.normal(0.0, 0.1, (64, 40))
         incs[:, 2] = -20.0
@@ -574,7 +575,7 @@ class TestEulerRunSums:
 
         monkeypatch.setattr(path_engine.Lanes, "drop", counted)
         got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q, 0.3)
-        assert len(drops) >= 5
+        assert len(drops) >= 4  # at block edges, where the 1/8 rule takes more at once
         for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.tobytes() == w.tobytes()
         # the unspliced lanes run to the horizon, so they are never dropped
@@ -1219,8 +1220,9 @@ def knot_record_lows(incs, alpha, dt):
     record lows read off each row: (path, lo, hi, t0, final_min)."""
     m, k = incs.shape
     knots = np.zeros((m, k))
-    for j, (state, _, _) in enumerate(euler_steps(0.0, incs, 0.0, alpha, dt, floor=False),
-                                      start=1):
+    steps = euler_knots(euler_steps(0.0, incs, 0.0, alpha, dt, floor=False), (m,),
+                        alpha * dt)
+    for j, (state, _, _) in enumerate(steps, start=1):
         knots[:, j] = state
     path, lo, hi, t0 = [], [], [], []
     final = np.zeros(m)
@@ -1238,12 +1240,13 @@ def knot_record_lows(incs, alpha, dt):
 
 
 class TestEulerNuBlocks:
-    @pytest.mark.parametrize("width", [1, 3, 200])
+    WIDTHS = [1, 3, 8, 16, 32, 200]
+
+    @pytest.mark.parametrize("width", WIDTHS)
     def test_block_width_never_changes_a_byte(self, ref_spec_gauss, width, monkeypatch):
-        """euler_record_lows with running minima over blocks of 1, 3 and
-        K = 200 knots equals the record lows read off the full knot matrix,
-        bit for bit."""
-        monkeypatch.setattr(strategy_engine, "NU_BLOCK_STEPS", width)
+        """euler_record_lows on blocks of 1 to K = 200 knots equals the
+        record lows read off the full knot matrix, bit for bit."""
+        monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
         incs = _grid_increment_matrix(ref_spec_gauss, 5.0, 200, 64,
                                       RngStream(173, tag=4).for_path(1).generator())
         for alpha in (0.5, math.inf):
@@ -1254,3 +1257,27 @@ class TestEulerNuBlocks:
                               (lows.t0, t0), (lows.invrate, np.zeros(path.size)),
                               (lows.final_min, final)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_block_width_never_changes_the_flows(self, ref_spec_gauss, width, alpha,
+                                                 monkeypatch):
+        """euler_lane_flows on spliced and direct lanes, starts at, below and
+        above 0 and b, and simulate_euler give the bytes of the default
+        block width at every width."""
+        xs, bs, halts = zip(*[(-0.4, 1.2, True), (0.0, 1.2, True), (0.0, 0.0, False),
+                              (0.6, 1.2, True), (1.2, 1.2, False), (2.5, 1.2, True)])
+        incs = _grid_increment_matrix(ref_spec_gauss, 5.0, 200, 32,
+                                      RngStream(174, tag=4).for_path(1).generator())
+        pp, mu = params(b=1.2, alpha=alpha), mean_drift(ref_spec_gauss)
+
+        def run():
+            flows = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / 200, Q, mu)
+            paths = [strategy_engine.simulate_euler(x, pp, incs[i], 5.0 / 200)
+                     for x in (-0.4, 0.5, 1.2, 2.5) for i in range(0, 32, 8)]
+            return ([getattr(flows, f).tobytes() for f in FIELDS]
+                    + [getattr(p, f).tobytes() for p in paths for f in ("z", "l", "r", "branch")])
+
+        want = run()
+        monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
+        assert run() == want

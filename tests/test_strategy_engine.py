@@ -10,14 +10,16 @@ from levyrefract.levy_model import (
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, refract_exact,
 )
+from levyrefract import strategy_engine
 from levyrefract.strategy_engine import (
-    ControlledTrajectory, StrategyParams, apply_strategy_exact, euler_steps, simulate_euler,
+    ControlledTrajectory, StrategyParams, _sum_down, apply_strategy_exact, euler_steps,
+    simulate_euler,
 )
 
 from conftest import draw_path, drift_path, event_columns, one_path
 from oracles import (
-    budget_residual, draw_random_bv_setup, euler_exact_gap, event_paths, first_passage_times,
-    sticks, value_at,
+    budget_residual, draw_random_bv_setup, euler_exact_gap, euler_knots, event_paths,
+    first_passage_times, sticks, value_at,
 )
 
 # the transforms on one EventPath, through the src reader
@@ -35,7 +37,7 @@ class TestStrategyParams:
 
     @pytest.mark.parametrize("kw", [
         dict(b=-0.1), dict(alpha=0.0), dict(alpha=-2.0),
-        dict(beta=1.0), dict(beta=0.5), dict(q=0.0), dict(q=-0.05),
+        dict(beta=1.0), dict(beta=0.5), dict(beta=math.inf), dict(q=0.0), dict(q=-0.05),
         dict(q=math.inf),
     ])
     def test_rejects_bad_fields(self, kw):
@@ -220,19 +222,19 @@ class TestEulerRecursion:
             assert budget_residual(traj) <= 1e-12
 
 
-def reference_euler(x, xs, b, alpha, dt):
+def reference_euler(x, xs, b, alpha, dt, floor=True):
     """Scalar three-branch loop, the reference for the vectorised kernel;
-    xs is the centred driver at knots 0..k-1."""
+    xs is the centred driver at knots 0..k-1.  Without floor R-hat stays 0."""
     k = len(xs)
     lhat = np.empty(k)
     rhat = np.empty(k)
     branch = np.empty(k, dtype=int)
     lhat[0] = 0.0
-    rhat[0] = max(0.0, -(x + xs[0]))
+    rhat[0] = max(0.0, -(x + xs[0])) if floor else 0.0
     branch[0] = BRANCH_FLOOR if rhat[0] > 0 else BRANCH_INTERIOR
     for i in range(1, k):
         s = x + xs[i] - lhat[i - 1] + rhat[i - 1]
-        if s < 0.0:
+        if floor and s < 0.0:
             rhat[i] = -(x + xs[i] - lhat[i - 1])
             lhat[i] = lhat[i - 1]
             branch[i] = BRANCH_FLOOR
@@ -282,14 +284,15 @@ class TestEulerKernel:
 
     def test_rows_are_independent(self, ref_spec_gauss):
         incs = np.stack([row for row, _ in random_grids(ref_spec_gauss)])
-        # the yielded arrays are overwritten at the next step: keep copies
-        batch = [tuple(a.copy() for a in step)
-                 for step in euler_steps(0.3, incs, 1.0, 0.5, 5.0 / 300, floor=True)]
+        dt = 5.0 / 300
+        batch = list(euler_knots(euler_steps(0.3, incs, 1.0, 0.5, dt, floor=True),
+                                 (len(incs),), 0.5 * dt))
         for i in range(0, len(incs), 7):
-            alone = euler_steps(0.3, incs[i:i + 1], 1.0, 0.5, 5.0 / 300, floor=True)
+            alone = euler_knots(euler_steps(0.3, incs[i:i + 1], 1.0, 0.5, dt, floor=True),
+                                (1,), 0.5 * dt)
             for got, want in zip(alone, batch):
                 for a, b in zip(got, want):
-                    assert a[0] == b[i]
+                    assert a.tobytes() == b[i:i + 1].tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("floor", [True, False])
@@ -297,9 +300,10 @@ class TestEulerKernel:
         incs = np.stack([row for row, _ in random_grids(ref_spec_gauss)])
         xs = [-0.7, 0.0, 0.0, 0.5, 1.5, 2.25]
         bs = [1.5, 0.0, 1.5, 1.0, 1.5, 0.75]
-        batch = euler_steps(np.array(xs)[:, None], incs, np.array(bs)[:, None],
-                            alpha, 5.0 / 300, floor)
-        alone = [euler_steps(x, incs, b, alpha, 5.0 / 300, floor)
+        dt = 5.0 / 300
+        batch = euler_knots(euler_steps(np.array(xs)[:, None], incs, np.array(bs)[:, None],
+                                        alpha, dt, floor), (len(xs), len(incs)), alpha * dt)
+        alone = [euler_knots(euler_steps(x, incs, b, alpha, dt, floor), (len(incs),), alpha * dt)
                  for x, b in zip(xs, bs)]
         for got in batch:
             for j, want in enumerate([next(run) for run in alone]):
@@ -311,9 +315,75 @@ class TestEulerKernel:
 
     def test_unfloored_recursion_never_injects(self):
         incs = np.full((2, 6), -0.5)
-        for state, dl, dr in euler_steps(0.2, incs, 1.0, 0.5, 1.0, floor=False):
+        for state, dl, dr in euler_knots(euler_steps(0.2, incs, 1.0, 0.5, 1.0, floor=False),
+                                         (2,), 0.5):
             assert not dr.any() and not dl.any()
         assert state[0] == pytest.approx(0.2 - 2.5)
+
+
+class TestSumDown:
+    @pytest.mark.parametrize("layout", ["C", "F", "transposed", "gathered"])
+    @pytest.mark.parametrize("cols", [0, 1, 2, 300])
+    def test_adds_each_column_row_after_row(self, cols, layout):
+        """_sum_down equals a loop that adds the rows in order, bit for bit,
+        whatever the layout: np.add.reduce would sum a fast axis pairwise."""
+        rng = np.random.default_rng(cols)
+        a = rng.normal(size=(201, cols)) * 10.0 ** rng.integers(-8, 8, size=(201, cols))
+        a = {"C": a, "F": np.asfortranarray(a), "transposed": np.ascontiguousarray(a.T).T,
+             "gathered": np.concatenate((a, a), axis=1)[:, np.arange(cols)]}[layout]
+        want = a[0].copy()
+        for r in a[1:]:
+            want = want + r
+        assert _sum_down(a).tobytes() == want.tobytes()
+
+
+class TestEulerBlockEdges:
+    """Dyadic unit-step grids put lanes exactly on 0 and on b = 1.5 at many
+    knots, so at some block width each sits on the first or the last knot
+    of a block, where the block's certificate meets its extremes."""
+
+    XS = (-0.5, 0.0, 0.5, 1.5, 2.0)
+
+    @staticmethod
+    def grids():
+        """12 rows of 40 steps from {-1.5, -0.5, 0, 0.5, 1.5}, and the
+        driver at knots 0..39."""
+        incs = np.random.default_rng(5).choice([-1.5, -0.5, 0.0, 0.5, 1.5], size=(12, 40))
+        return incs, np.concatenate((np.zeros((12, 1)), np.cumsum(incs[:, :-1], axis=1)), axis=1)
+
+    def knots(self, floor, alpha):
+        incs = self.grids()[0]
+        return [list(euler_knots(euler_steps(x, incs, 1.5, alpha, 1.0, floor), (12,), alpha))
+                for x in self.XS]
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 16])
+    def test_lanes_on_0_and_b_at_block_edges(self, width, alpha, monkeypatch):
+        """With floor on and off: every dividend and injection step equals
+        that of one-knot blocks bit for bit and that of the scalar loop, and
+        the floored trajectory equals the scalar loop's bit for bit."""
+        monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", 1)
+        one = {floor: self.knots(floor, alpha) for floor in (True, False)}
+        monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
+        incs, drivers = self.grids()
+        sp, edges = params(b=1.5, alpha=alpha), {0.0: 0, 1.5: 0}
+        for floor in (True, False):
+            for x, got, want in zip(self.XS, self.knots(floor, alpha), one[floor]):
+                for g, w in zip(got, want):
+                    assert g[1].tobytes() == w[1].tobytes() and g[2].tobytes() == w[2].tobytes()
+                for i, (row, xs) in enumerate(zip(incs, drivers)):
+                    z, lhat, rhat, branch = reference_euler(x, xs, 1.5, alpha, 1.0, floor)
+                    assert np.array([k[1][i] for k in got]).tobytes() == np.diff(lhat).tobytes()
+                    if floor:  # dr by value: a tie of np.maximum may give -0.0 for 0.0
+                        assert np.array_equal([k[2][i] for k in got], np.diff(rhat))
+                        traj = simulate_euler(x, sp, row, 1.0)
+                        for a, r in ((traj.z, z), (traj.l, lhat), (traj.r, rhat), (traj.branch, branch)):
+                            assert a.tobytes() == r.tobytes()
+                    # knots 1..39 run in blocks j0, j0 + 1, ..., j0 + width - 1
+                    edge = ((np.arange(1, 40) - 1) % width == 0) | (np.arange(1, 40) % width == 0)
+                    for level in edges:
+                        edges[level] += np.count_nonzero((z[1:] == level) & edge)
+        assert edges[0.0] >= 20 and edges[1.5] >= 20
 
 
 def one_path_gap(sp, x, k, path):
