@@ -7,16 +7,15 @@ for the exact engine (sigma = 0), as an (m, k) increment matrix for the
 Euler engine, the one draw format of each engine.
 _chunk_readers is the one dispatch between the engines.  It lays the
 chunks of a batch, on every stream of a job, side by side, once, and
-reads them as LaneFlows, the discounted flows and passage times of
+reads them as LaneFlows, the discounted flows and weak passage times of
 floored (path, start, threshold) lanes, and RecordLows, the record lows of
 the paths refracted at 0: the two readers of each engine's lane stepper,
-path_engine.event_steps or strategy_engine.euler_steps.  Values and the
-randomized clock are one lane run over LaneFlows with two term readers,
-and _estimate builds every McEstimate from its moment sums; the threshold
-search reduces RecordLows on its own.  A passage that does not occur
-before the horizon weighs exp(-q * inf) = 0.
+path_engine.event_steps or strategy_engine.euler_steps.  Values are one
+lane run over LaneFlows, and _estimate builds every McEstimate from its
+moment sums; the threshold search reduces RecordLows on its own.  A
+passage that does not occur before the horizon weighs exp(-q * inf) = 0.
 
-Every value and clock estimate is controlled by a martingale.  Each lane
+Every value estimate is controlled by a martingale.  Each lane
 of LaneFlows carries c, the discounted compensated driver integral
 e^{-qt} (dX_t - mu dt) up to its stop, mu = E[X_1] (levy_model.mean_drift):
 mean 0 by optional stopping at a bounded time, and tied to every payoff,
@@ -61,9 +60,7 @@ from .levy_model import (
     JumpDiffusionSpec,
     RngStream,
     _grid_increment_matrix,
-    is_case2,
     mean_drift,
-    net_drift,
     sample_path,
 )
 from . import path_engine
@@ -82,10 +79,6 @@ V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
 class NoCrossing(RuntimeError):
     """The discounted-passage curve never crosses the 1/beta level."""
-
-
-class DegenerateDenominator(RuntimeError):
-    """The two passage transforms coincide; the affine equation has no root."""
 
 
 @dataclass(frozen=True)
@@ -255,10 +248,13 @@ def nu_curve(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
 
     One sweep of record lows per path serves every grid point, so the curve
     is non-increasing path by path, and a one-point grid gives the same
-    value as that point of any grid on the same stream.  Thresholds below 0
-    are not simulated: the transform is 1 there by convention.
+    value as that point of any grid on the same stream.  The grid is finite
+    and strictly increasing.  Thresholds below 0 are not simulated: the
+    transform is 1 there by convention.
     """
     bgrid = np.asarray(bgrid, dtype=float)
+    if not np.all(np.isfinite(bgrid)):
+        raise InvalidParameter("grid", "threshold grid must be finite")
     if bgrid.size and np.any(np.diff(bgrid) <= 0):
         raise InvalidParameter("grid", "threshold grid must be strictly increasing")
     pos = bgrid >= 0.0
@@ -294,18 +290,16 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
                        curve=curve, n=n, stream_id=stream.id)
 
 
-# lane runs: values and the clock --------------------------------------------
+# value lane runs -----------------------------------------------------------
 #
-# Values and the randomized clock are one lane run with two term readers.
 # A run reads the LaneFlows of its (x, b, spliced, draw) points and, per
 # point and per chunk of a batch, sums a, a^2, d, d^2, a*d and, with the
 # lane's control c, c, c^2, a*c and d*c into a (J, 9) array, with a (J,)
-# count of censored paths.  For a value a is the discounted dividends minus
-# beta-weighted injections up to the stop and d the discount at the stop;
-# for the clock a and d are the discounts at the strict and the weak
-# passage.  _estimate reads every estimate, of ca * a + cd * d controlled
-# by c, off those sums.  A value job is one run on two draws: the positive
-# starts read the main stream's and the at-0 anchors their substream's.
+# count of censored paths: a is the discounted dividends minus
+# beta-weighted injections up to the stop and d the discount at the stop.
+# _estimate reads every estimate, of a + cd * d controlled by c, off those
+# sums.  A value job is one run on two draws: the positive starts read the
+# main stream's and the at-0 anchors their substream's.
 
 def _value_terms(params, fl, spliced):
     # spliced points stop at the first weak visit to 0; exp(-q * inf) = 0
@@ -314,15 +308,7 @@ def _value_terms(params, fl, spliced):
             spliced[:, None] & (stop == math.inf))
 
 
-def _clock_terms(params, fl, spliced):
-    # halting lanes leave the sweep once both clocks are known; halting
-    # gates only the flows, which the clock does not read
-    strict, weak = fl.kappa_strict, fl.t_weak
-    return (np.exp(-params.q * strict), np.exp(-params.q * weak),
-            (strict == math.inf) | (weak == math.inf))
-
-
-def _run_sums(draw, terms, streams, points, chunks):
+def _run_sums(draw, params, streams, points, chunks):
     """The (moment sums, censored counts) of every (x, b, spliced, s) point,
     on the M paths drawn on streams[s], per chunk: lane (j, i) runs path
     s_j * M + i of the lane set.  Points step in blocks of at most
@@ -337,7 +323,7 @@ def _run_sums(draw, terms, streams, points, chunks):
     for j in range(0, len(points), step):
         x, b, spliced, s = (np.array(c) for c in zip(*points[j:j + step]))
         fl = lane_flows(x, b, spliced, path=s[:, None] * m + np.arange(m))
-        a, d, censored = terms(fl, spliced)
+        a, d, censored = _value_terms(params, fl, spliced)
         c = fl.c
         moments = (a, a * a, d, d * d, a * d, c, c * c, a * c, d * c)
         for ci, r in enumerate(rows):
@@ -347,8 +333,8 @@ def _run_sums(draw, terms, streams, points, chunks):
     return list(zip(sums, cens))
 
 
-def _estimate(sums, cens, n, ca=1.0, cd=0.0, cd_se=0.0):
-    """The estimate of g = ca * a + cd * d from one point's moment sums,
+def _estimate(sums, cens, n, cd=0.0, cd_se=0.0):
+    """The estimate of g = a + cd * d from one point's moment sums,
     controlled by the lanes' c, with the variance of a frozen cd of
     standard error cd_se added.
 
@@ -367,82 +353,19 @@ def _estimate(sums, cens, n, ca=1.0, cd=0.0, cd_se=0.0):
     at most CONTROL_RTOL of the mean of c^2 counts as 0."""
     s1, s2, sd1, sd2, cross, c1, c2, ac, dc = sums
     d_mean = sd1 / n
-    g1 = (ca * s1 + sd1 * cd) / n
-    g2 = (ca * ca * s2 + 2 * ca * cd * cross + cd * cd * sd2) / n
-    mean, var = ca * s1 / n + d_mean * cd, max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
+    g1 = (s1 + sd1 * cd) / n
+    g2 = (s2 + 2 * cd * cross + cd * cd * sd2) / n
+    mean, var = s1 / n + d_mean * cd, max(g2 - g1 * g1, 0.0) * n / max(n - 1, 1)
     c_mean = c1 / n
     c_var = c2 / n - c_mean * c_mean
     if n >= 3 and c_var > CONTROL_RTOL * c2 / n:
-        cov = (ca * ac + cd * dc) / n - g1 * c_mean
+        cov = (ac + cd * dc) / n - g1 * c_mean
         theta = cov / c_var
         mean -= theta * c_mean
         var = max(g2 - g1 * g1 - theta * cov, 0.0) * n / (n - 2)
     se = math.sqrt(var / n + (d_mean * cd_se) ** 2)
     return McEstimate(mean=float(mean), std_error=float(se),
                       censored_fraction=float(cens) / n)
-
-
-# randomized passage clock --------------------------------------------------
-
-def _clock_sums(params, spec, x, horizon, k, n, stream, engine, threads):
-    """The moment sums and censored count of the clock started at x: a
-    one-point spliced run whose terms are exp(-q kappa) and exp(-q tau)."""
-    eng = _engine_for(spec, engine)
-    if eng == "euler" and params.b == 0.0 and is_case2(net_drift(spec), params.alpha):
-        # the exact clock stays parked at b = 0 while the net drift is paid
-        # out; the recursion steps below 0 instead and fires the strict clock
-        raise InvalidParameter(
-            "engine", "the Euler clock cannot stay at b = 0 on a Case-2 model; "
-                      "use the exact engine")
-    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
-    (acc,), (cens,) = _run_chunks(n, partial(_run_sums, draw, partial(_clock_terms, params),
-                                             (stream,), [(x, params.b, True, 0)]), threads)
-    return acc, cens
-
-
-def estimate_underline_nu(x: float, bstar: float, p: float,
-                          params: StrategyParams, spec: JumpDiffusionSpec,
-                          horizon: float, n: int, stream: RngStream,
-                          k: int = 0, engine: str = "auto",
-                          threads: int = 1) -> McEstimate:
-    """beta-scaled discounted randomized passage clock started at x.
-
-    The clock is the strict passage below 0 of the refracted process with
-    probability p and the weak passage otherwise; the expectation over the
-    randomization is taken in closed form.  Both are read off the chunk's
-    LaneFlows: on the exact engine the first injection and the first visit
-    to 0 of the floored trajectory, on the Euler engine the knot times of
-    the first injection and the first visit to 0.
-    """
-    if not (0.0 <= p <= 1.0):
-        raise InvalidParameter("p", "probability must lie in [0, 1]")
-    pp = replace(params, b=float(bstar))
-    acc, cens = _clock_sums(pp, spec, x, horizon, k, n, stream, engine, threads)
-    return _estimate(acc, cens, n, params.beta * p, params.beta * (1 - p))
-
-
-def solve_pstar(params: StrategyParams, spec: JumpDiffusionSpec, bstar: float,
-                horizon: float, n: int, stream: RngStream, k: int = 0,
-                engine: str = "auto", threads: int = 1):
-    """Randomization probability making the clock transform hit 1/beta.
-
-    Started at the threshold: if even the strict clock keeps the transform
-    at or above 1 (within 3 standard errors), the answer is 1.  Otherwise
-    the affine interpolation between the weak and strict transforms is
-    solved and clamped to [0, 1].
-    """
-    pp = replace(params, b=float(bstar))
-    acc, cens = _clock_sums(pp, spec, bstar, horizon, k, n, stream, engine, threads)
-    beta = params.beta
-    strict, weak = _estimate(acc, cens, n), _estimate(acc, cens, n, 0.0, 1.0)
-    es, ew = strict.mean, weak.mean
-    if beta * es >= 1.0 - 3.0 * beta * strict.std_error:
-        return 1.0
-    if abs(ew - es) <= 3.0 * (strict.std_error + weak.std_error):
-        raise DegenerateDenominator(
-            "weak and strict transforms indistinguishable at this sample size")
-    p = (beta * ew - 1.0) / (beta * (ew - es))
-    return float(min(1.0, max(0.0, p)))
 
 
 # value estimation ----------------------------------------------------------
@@ -455,12 +378,12 @@ def _value_job(xs, bs, params, spec, horizon, k, n, stream, spliced, eng, thread
     anchor_stream = stream.with_tag(stream.tag + V0_TAG_OFFSET)
     runs = [(s, pts) for s, pts in ((stream, starts), (anchor_stream, anchors)) if pts]
     worker = partial(_run_sums, partial(_chunk_readers, spec, params, horizon, k, eng),
-                     partial(_value_terms, params), tuple(s for s, _ in runs),
+                     params, tuple(s for s, _ in runs),
                      [p + (d,) for d, (_, pts) in enumerate(runs) for p in pts])
     acc, cens = _run_chunks(n, worker, threads, len(runs))
     ns = len(starts)
     v0 = {b: _estimate(s, c, n) for (_, b, _), s, c in zip(anchors, acc[ns:], cens[ns:])}
-    at = {(x, b): _estimate(s, c, n, 1.0, v0[b].mean, v0[b].std_error) if spliced
+    at = {(x, b): _estimate(s, c, n, v0[b].mean, v0[b].std_error) if spliced
           else _estimate(s, c, n) for (x, b, _), s, c in zip(starts, acc, cens)}
     return [at[x, b] if x > 0 else v0[b] if x == 0 else
             replace(v0[b], mean=v0[b].mean + params.beta * x) for x, b in points]
@@ -481,10 +404,15 @@ def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
     anchors the splices: method "spliced" stops a positive start at its
     first weak visit to 0 and splices in that anchor, "direct" discounts the
     full trajectory to the horizon.  The horizon is finite, so each value is
-    the perpetual one less the discounted tail after it.
+    the perpetual one less the discounted tail after it.  Every threshold
+    is at least 0 (inf sets none) and every start finite.
     """
     xs, bs = (a.ravel().tolist() for a in np.broadcast_arrays(
         np.asarray(xs, dtype=float), np.asarray(b, dtype=float)))
+    if not all(t >= 0 for t in bs):
+        raise InvalidParameter("b", "threshold must be >= 0 (inf sets none)")
+    if not all(map(math.isfinite, xs)):
+        raise InvalidParameter("x", "every start must be finite")
     eng = _engine_for(spec, engine)
     if method not in ("direct", "spliced"):
         raise InvalidParameter("method", "method must be direct or spliced")

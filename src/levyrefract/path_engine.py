@@ -15,13 +15,14 @@ the only error is float arithmetic; identity checks use absolute tolerance
 records nothing; three readers keep what their callers need of its lanes:
 
 - trajectory_table keeps the trajectories themselves, one SegmentTable
-  of their segments and atoms per role, from one sweep.  refract_exact
-  and refracted_reflected_exact are its one-role calls, and read_segments
-  reads the tables at probe times: values, left limits, dividends and
-  injections, and the drivers;
-- floored_lane_sweep keeps the discounted flows, passage times and
+  of their segments and atoms per role, from one sweep.
+  refracted_reflected_exact is its one-role floored call, and
+  read_segments reads the tables at probe times: values, left limits,
+  dividends and injections, and the drivers;
+- floored_lane_sweep keeps the discounted flows, weak passage times and
   martingale controls of floored (path, start, threshold) lanes;
-- refracted_record_lows keeps the record lows of refract_exact at b = 0.
+- refracted_record_lows keeps the record lows of the paths refracted at
+  b = 0, without floor.
 
 Lanes holds the lane bookkeeping that floored_lane_sweep shares with the
 Euler lane reader of strategy_engine.
@@ -249,19 +250,6 @@ def _next_target(z, slope, b, floor):
     return None
 
 
-def refract_exact(columns: EventColumns, b: float, alpha: float) -> SegmentTable:
-    """Refracted trajectories of the paths of columns: dividends at rate
-    alpha skimmed above b.
-
-    In Case 2 a trajectory sticks at b (the drift lies in [0, alpha]);
-    in Case 1 the threshold is crossed transversally.  alpha = inf is
-    reflection at b from above: overshoots are paid as lump dividends.
-    """
-    if not (alpha > 0):
-        raise InvalidParameter("alpha", "rate cap must be positive")
-    return trajectory_table(columns, b, alpha, False)[0]
-
-
 def refracted_reflected_exact(columns: EventColumns, b, alpha) -> SegmentTable:
     """Refraction above b combined with reflection at 0: the floored
     trajectories of the paths of columns.
@@ -286,17 +274,15 @@ MAX_CROSSINGS = 3
 class LaneFlows:
     """Readings of the lane-batched floored sweep, one (J, m) array each:
     the discounted dividends and injections up to each lane's stop, and
-    the strict and weak passage times (math.inf when the event does not
-    occur before the horizon): the first injection, a top-up lump or the
-    start of a stretch with a positive injection density, and the first
-    visit to 0, a lump or the start of a stretch at 0.  c is the discounted
-    compensated driver, integral e^{-qt} (dX_t - mu dt) up to the lane's
-    stop (the weak passage of a halting lane, else the horizon), with mean 0
-    by optional stopping: the martingale control of the estimators."""
+    the weak passage time, the first visit to 0, a top-up lump or the start
+    of a stretch at 0 (math.inf when none occurs before the horizon).  c is
+    the discounted compensated driver, integral e^{-qt} (dX_t - mu dt) up
+    to the lane's stop (the weak passage of a halting lane, else the
+    horizon), with mean 0 by optional stopping: the martingale control of
+    the estimators."""
 
     dl: np.ndarray
     dr: np.ndarray
-    kappa_strict: np.ndarray
     t_weak: np.ndarray
     c: np.ndarray
 
@@ -307,14 +293,14 @@ class Lanes:
     points of a block read different draws laid side by side.  The sweep
     holds the running lanes in id order, (nx, m) until its first drop and
     1-D after, and drops the done ones once they are at least 1/8 of them:
-    they write their (dl, dr, kappa, weak, c) to a (5, nx * m) output, and
-    the lanes left at the end theirs in flows."""
+    they write their (dl, dr, weak, c) to a (4, nx * m) output, and the
+    lanes left at the end theirs in flows."""
 
     def __init__(self, nx: int, m: int, path=None):
         self.ids = np.arange(nx * m)
         # the path index of each running lane
         self.path = self.ids % m if path is None else np.reshape(path, -1)
-        self._out = np.empty((5, nx * m))
+        self._out = np.empty((4, nx * m))
         self._shape = (nx, m)
 
     def due(self, ndone) -> bool:
@@ -322,7 +308,7 @@ class Lanes:
         return 8 * ndone >= self.ids.size
 
     def drop(self, done, *fields) -> np.ndarray:
-        """Write out the five fields of the done lanes and forget them.
+        """Write out the four fields of the done lanes and forget them.
         done and the fields may be shaped (nx, m) until the first drop.
         Returns the 1-D mask of the lanes kept."""
         done = done.reshape(-1)
@@ -331,11 +317,10 @@ class Lanes:
         self.ids, self.path = self.ids[keep], self.path[keep]
         return keep
 
-    def flows(self, dl, dr, kappa, weak, c) -> LaneFlows:
+    def flows(self, dl, dr, weak, c) -> LaneFlows:
         """The readings of every lane, those still running given here."""
-        self._out[:, self.ids] = [f.reshape(-1) for f in (dl, dr, kappa, weak, c)]
-        dl, dr, kappa, weak, c = self._out.reshape(5, *self._shape)
-        return LaneFlows(dl=dl, dr=dr, kappa_strict=kappa, t_weak=np.minimum(weak, kappa), c=c)
+        self._out[:, self.ids] = [f.reshape(-1) for f in (dl, dr, weak, c)]
+        return LaneFlows(*self._out.reshape(4, *self._shape))
 
 
 def _regime_table(alpha, delta, floor):
@@ -495,11 +480,11 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
     array path, shifted by x[j], with threshold b[j], discounted as it
     goes.  x, b and spliced have length J.
     A spliced lane halts its flows at its weak passage (atoms at that time
-    included); the others discount to the horizon.  A lane leaves the sweep after its drift
-    to the horizon, or once it has halted and its strict passage is known
-    too.  Stop times equal those read off the trajectory_table of the same
-    lanes bit for bit; the flows match its discounted_flow up to summation
-    order.
+    included) and is done there; the others discount to the horizon.  A
+    lane leaves the sweep once it is done, and the sweep ends once every
+    lane is.  Stop times equal those read off the trajectory_table of the
+    same lanes bit for bit; the flows match its discounted_flow up to
+    summation order.
 
     The control c of a lane with stop tau is sum e^{-q t_i} s_i over the
     events of its path at t_i <= tau, the jump that causes a passage
@@ -513,8 +498,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
     counts, nx, m = columns.counts, len(x), columns.counts.size if path is None else path.shape[1]
     lanes = Lanes(nx, m, path)
     halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
-    dl, dr, disc, kappa, weak, c = (np.full((nx, m), v)
-                                    for v in (0.0, 0.0, 1.0, math.inf, math.inf, 0.0))
+    dl, dr, disc, weak, c = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, 0.0))
     jumps = np.zeros(counts.size)  # sum e^{-q t_i} s_i so far, per path
     steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
                         np.asarray(b, dtype=float)[:, None], alpha, True, path)
@@ -527,13 +511,12 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
         for at, t, t_end, z, _, _, lrate, rrate, _, kept in stretches:
             # views of every lane for the first stretch, which the stores
             # below then skip, and copies of the crossed lanes after it
-            wk, kp, d = weak[at], kappa[at], disc[at]
+            wk, d = weak[at], disc[at]
             np.minimum(wk, np.where(kept & (z == 0.0), t, math.inf), out=wk)
-            np.minimum(kp, np.where(kept & (rrate > 0.0), t, math.inf), out=kp)
             flows = kept & ~(halt[at] & (wk < math.inf))
             d_new = np.exp(-q * t_end)
             w = (d - d_new) / q
-            weak[at], kappa[at], disc[at] = wk, kp, d_new
+            weak[at], disc[at] = wk, d_new
             dl[at] += np.where(flows, lrate * w, 0.0)
             dr[at] += np.where(flows, rrate * w, 0.0)
         # every lane has drifted to te, and disc is its lumps' discount
@@ -542,19 +525,18 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
         if dividend is not None:
             dl += np.where(flows, disc * dividend, 0.0)
         dr += np.where(flows, disc * topup, 0.0)
-        lump_t = np.where(topup > 0.0, te, math.inf)
-        weak, kappa = np.minimum(weak, lump_t), np.minimum(kappa, lump_t)
+        weak = np.minimum(weak, np.where(topup > 0.0, te, math.inf))
         # a lane is done after its drift to the horizon, and a halting lane
-        # once both its passage times are known (kappa >= t_weak)
-        done = (end <= e) | (halt & (kappa < math.inf))
+        # at its weak passage
+        done = (end <= e) | (halt & (weak < math.inf))
         if lanes.due(np.count_nonzero(done)):
-            kept = lanes.drop(done, dl, dr, kappa, weak, c)
-            dl, dr, disc, kappa, weak, halt, c = (
-                a.reshape(-1)[kept] for a in (dl, dr, disc, kappa, weak, halt, c))
+            kept = lanes.drop(done, dl, dr, weak, c)
+            dl, dr, disc, weak, halt, c = (
+                a.reshape(-1)[kept] for a in (dl, dr, disc, weak, halt, c))
             if not lanes.ids.size:
                 break
             end, keep = counts[lanes.path], (kept, lanes.path)
-    fl = lanes.flows(dl, dr, kappa, weak, c)
+    fl = lanes.flows(dl, dr, weak, c)
     stop = np.where(np.asarray(spliced)[:, None], np.minimum(fl.t_weak, columns.horizon),
                     columns.horizon)
     fl.c[:] -= (mu - columns.drift) * -np.expm1(-q * stop) / q
@@ -577,8 +559,8 @@ class RecordLows:
 
 def refracted_record_lows(columns: EventColumns, alpha) -> RecordLows:
     """The RecordLows reader of event_steps, one unfloored lane per path of
-    columns at b = 0: the record lows of refract_exact(columns, 0,
-    alpha), equal bit for bit to those read off its segments.  A kept
+    columns at b = 0: the record lows of trajectory_table(columns, 0,
+    alpha, False), equal bit for bit to those read off its segments.  A kept
     stretch that starts below the low after time 0 is a jump episode, one
     that falls below it a drift episode."""
     m = columns.counts.size

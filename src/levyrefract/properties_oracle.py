@@ -72,11 +72,6 @@ def violations_csv(violations) -> str:
     return buf.getvalue()
 
 
-def _flag(prop, ts, magnitude, bad):
-    """A violation of prop at ts[i], of size magnitude[i], wherever bad[i]."""
-    return [Violation(float(t), prop, float(m)) for t, m in zip(ts[bad], magnitude[bad])]
-
-
 class _Checked:
     """What a report tells of its violations, with CHECKED the properties
     its summary lists in order."""
@@ -91,10 +86,6 @@ class _Checked:
         for v in self.violations:
             out[v.prop] = out.get(v.prop, 0) + 1
         return out
-
-    @property
-    def max_magnitude(self) -> float:
-        return max((v.magnitude for v in self.violations), default=0.0)
 
     def summary_lines(self):
         counts, lines = self.violation_counts, []
@@ -358,44 +349,3 @@ def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
     tol = (a + np.sqrt(a * a + 8.0 * n * var * log_term)) / (2.0 * n)
     return CharReport(lambdas=lambdas, empirical=emp, target=target,
                       tolerance=tol)
-
-
-@dataclass(frozen=True)
-class ShapeReport(_Checked):
-    CHECKED = ("value_cap", "value_affine_below", "value_slope_cap", "value_concavity",
-               "value_slope_below_one_inside", "value_slope_above_one_beyond")
-    violations: tuple
-
-
-def value_shape_check(xs, means, ses, params: StrategyParams, bstar: float,
-                      slack_se: float = 3.0) -> ShapeReport:
-    """Shape of an estimated value curve on an x grid.
-
-    Checks the global bound alpha/q, concavity of the increments within
-    noise, slope bounds (at most beta everywhere, at least 1 up to the
-    threshold, at most 1 beyond), and exact affinity with slope beta below
-    0 where the estimator extends linearly.
-    """
-    xs = np.asarray(xs, dtype=float)
-    means = np.asarray(means, dtype=float)
-    ses = np.asarray(ses, dtype=float)
-    cap = params.alpha / params.q if params.alpha != math.inf else math.inf
-    over = means - (cap + slack_se * ses)
-    out = _flag("value_cap", xs, over, over > 0)
-    h = np.diff(xs)
-    slopes = np.diff(means) / h
-    sse = np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2) / h
-    neg = xs[1:] <= 0
-    resid = np.abs(slopes[neg] - params.beta)
-    out += _flag("value_affine_below", xs[1:][neg], resid, resid > 1e-9)
-    over = slopes - (params.beta + slack_se * sse)
-    out += _flag("value_slope_cap", xs[1:], over, over > 0)
-    dec = np.diff(slopes) - slack_se * np.sqrt(sse[1:] ** 2 + sse[:-1] ** 2)
-    out += _flag("value_concavity", xs[2:], dec, dec > 0)
-    mid = (xs[1:] + xs[:-1]) * 0.5
-    under = (1.0 - slack_se * sse) - slopes
-    out += _flag("value_slope_below_one_inside", mid, under,
-                 (mid > 0) & (mid <= bstar) & (under > 0))
-    over = slopes - (1.0 + slack_se * sse)
-    out += _flag("value_slope_above_one_beyond", mid, over, (mid > bstar) & (over > 0))
-    return ShapeReport(violations=tuple(out))

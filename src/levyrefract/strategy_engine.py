@@ -237,18 +237,17 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     Lane (j, i) runs row i of incs, or row path[j, i] of a (J, m) array
     path, from x[j] with threshold b[j]; x, b and spliced have length J,
     and each field has shape (J, m).  Step j is paid
-    at its knot time j * dt, discounted at exp(-q j dt), and it is the
-    passage time when it holds the lane's first injection (kappa_strict) or
-    its first state at or below 0 (t_weak); math.inf when none does.  A start
-    below 0 is topped up at time 0, undiscounted, and passes both ways at
-    time 0; a start at 0 visits 0 at time 0.  A spliced lane halts its flows
-    at its weak passage, that step's flows included.
+    at its knot time j * dt, discounted at exp(-q j dt), and it is the weak
+    passage time (t_weak) when it holds the lane's first state at or below
+    0; math.inf when none does.  A start below 0 is topped up at time 0,
+    undiscounted, and a start at or below 0 passes at time 0.  A spliced
+    lane halts its flows at its weak passage, that step's flows included,
+    and is done there.
 
     Each block is read at once: a passage is the first knot of a stepped
     lane that holds it, and a lane's discounted steps join its accounts in
-    the order of the recursion, by one sum down the block (_sum_down).  A
-    spliced lane is done once both its passages are known; the done lanes
-    leave at a block edge by the rule of the exact flows reader
+    the order of the recursion, by one sum down the block (_sum_down).  The
+    done lanes leave at a block edge by the rule of the exact flows reader
     (path_engine.Lanes), once they are at least 1/8 of the lanes, and until
     then a stopped lane's accounts are put back after each block.
 
@@ -266,13 +265,13 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     m, k = incs.shape
     per = m if path is None else path.shape[1]  # lanes per point
     lanes = path_engine.Lanes(len(x), per, path)
-    dl, c, dr, kappa, weak, halt = (np.repeat(a, per) for a in (
+    dl, c, dr, weak, halt = (np.repeat(a, per) for a in (
         np.zeros(x.shape), np.zeros(x.shape), np.where(x < 0.0, -x, 0.0),
-        np.where(x < 0.0, 0.0, math.inf), np.where(x <= 0.0, 0.0, math.inf), spliced))
-    # the passages still to come, and the lanes whose flows still run
-    open_k, open_w = kappa == math.inf, weak == math.inf
+        np.where(x <= 0.0, 0.0, math.inf), spliced))
+    # the weak passages still to come, and the lanes whose flows still run
+    open_w = weak == math.inf
     live = ~halt | open_w
-    nk, nw, done = (np.count_nonzero(a) for a in (open_k, open_w, halt & ~open_k))
+    nw, done = np.count_nonzero(open_w), np.count_nonzero(~live)
     t = dt * np.arange(k)
     disc, w_left = np.array([math.exp(-q * tj) for tj in t.tolist()]), np.exp(-q * t)
     ctl = np.zeros((min(BLOCK_KNOTS, k) + 1, m))  # each row's control, row 0 at the last block
@@ -287,11 +286,6 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
         stopped = at[~live[at]]
         held = dl[stopped], dr[stopped]
         inj = (np.fmax.reduce(step_r, axis=0, initial=0.0) > 0.0).nonzero()[0]
-        got = inj[open_k[at[inj]]] if nk else inj[:0]
-        if got.size:
-            lane = at[got]
-            kappa[lane] = t[knots][(step_r[:, got] > 0.0).argmax(0)]
-            open_k[lane], nk, done = False, nk - got.size, done + np.count_nonzero(halt[lane])
         # the knots each stepped lane adds: a halting lane's stop at its weak passage
         upto = np.full(at.size, w)
         got = (np.fmin.reduce(state, axis=0, initial=math.inf) <= 0.0).nonzero()[0] if nw else inj[:0]
@@ -302,7 +296,7 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
             h = halt[lane]
             got, first, lane = got[h], first[h] + 1, lane[h]
             c[lane] = np.cumsum(g[:, lanes.path[lane]], axis=0)[first, np.arange(lane.size)]
-            live[lane], upto[got] = False, first
+            live[lane], upto[got], done = False, first, done + lane.size
         for acc, paid, sel in ((dl, step_l, slice(None)), (dr, step_r, inj)):
             paid = paid[:, sel]
             paid *= disc[knots, None]
@@ -321,14 +315,14 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
         dl[above] = total
         ctl[0] = _sum_down(g)
         if done and lanes.due(done):
-            kept = lanes.drop(halt & ~open_k, dl, dr, kappa, weak, c)
-            dl, dr, kappa, weak, open_k, open_w, halt, live, c = (
-                a[kept] for a in (dl, dr, kappa, weak, open_k, open_w, halt, live, c))
+            kept = lanes.drop(~live, dl, dr, weak, c)
+            dl, dr, weak, open_w, halt, live, c = (
+                a[kept] for a in (dl, dr, weak, open_w, halt, live, c))
             if not lanes.ids.size:
                 break
             done, keep = 0, (kept, lanes.path)
     np.putmask(c, live, ctl[0][lanes.path])  # lanes run to the last knot
-    return lanes.flows(dl, dr, kappa, weak, c)
+    return lanes.flows(dl, dr, weak, c)
 
 
 def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.RecordLows:

@@ -6,6 +6,7 @@ import pytest
 from levyrefract.levy_model import (
     EXACT, EventColumns, JumpDiffusionSpec, Uniform, Weibull, sample_path,
 )
+from levyrefract.path_engine import trajectory_table
 
 from oracles import EventPath, event_paths
 
@@ -74,6 +75,12 @@ def event_columns(paths):
         sizes[:counts[i], i] = p.sizes
     return EventColumns(np.array([float(p.x0) for p in paths]), paths[0].horizon,
                         paths[0].drift, counts, times, sizes)
+
+
+def refract_exact(columns, b, alpha):
+    """The refracted trajectories of the paths of columns, without floor:
+    the one-role trajectory_table."""
+    return trajectory_table(columns, b, alpha, False)[0]
 
 
 def one_path(transform):

@@ -13,9 +13,19 @@ as a flag, which sticks gives by a rule written apart from the src one.
 The tests hold every SegmentTable of path_engine.trajectory_table to it
 bit for bit.  reference_table joins its
 trajectories of several paths into the fields of a SegmentTable.
-first_passage_times reads the two passage clocks off one floored
-trajectory, and floor_decomposition splits the running infimum of a
-floored path into boundary time, initial part and jump top-ups.
+first_passage_times reads the two passage clocks off every path of a
+floored table at once, and floor_decomposition splits the running infimum
+of a floored path into boundary time, initial part and jump top-ups.
+
+The randomized passage clock of the paper's theorem (Kyprianou, Loeffen and
+Perez, J. Appl. Prob. 2012) is an oracle here: estimate_underline_nu and
+solve_pstar read the strict and weak passages per chunk off the
+trajectory_table of the estimators' own draws, with first_passage_times,
+and regress on the martingale control by numpy's two-pass moments.  They
+share the event sweep with the value estimators, not its lane reader, so
+acceptance test_09 holds the value curve's slope against a second reader.
+value_shape_check tests an estimated value curve against the shape the
+theorem gives it.
 
 path_engine.read_segments reads a block of trajectories at once; the
 readers here read one path, or a SegmentCurve, with a searchsorted and a
@@ -35,18 +45,20 @@ noise, and euler_knots reads the block-stepped recursion knot by knot.
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from levyrefract.cli_reporting import REFERENCE_GAMMA
+from levyrefract.estimation import BATCH, CHUNK, CONTROL_RTOL, McEstimate
 from levyrefract.levy_model import (
-    Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform, Weibull,
-    _compensated_drift, _jump_draw,
+    EXACT, EventColumns, Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform,
+    Weibull, _compensated_drift, _jump_draw, mean_drift, sample_path,
 )
 from levyrefract.path_engine import (
-    BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime, read_segments,
+    BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime, read_segments, trajectory_table,
 )
-from levyrefract.properties_oracle import EXACT_TOL, _Block
+from levyrefract.properties_oracle import EXACT_TOL, Violation, _Block, _Checked
 from levyrefract.strategy_engine import StrategyParams, _floored_euler, apply_strategy_exact
 
 
@@ -96,7 +108,7 @@ def event_paths(columns) -> list:
 @dataclass(frozen=True)
 class RefractedPath:
     """The trajectory _sweep records for one path, with the fields of a
-    one-path SegmentTable but counts."""
+    one-path SegmentTable."""
 
     horizon: float
     seg_t: np.ndarray
@@ -109,6 +121,11 @@ class RefractedPath:
     r_atom: np.ndarray
     l_atom_t: np.ndarray
     l_atom: np.ndarray
+
+    @property
+    def counts(self) -> np.ndarray:
+        """The (3, 1) counts of the one-path SegmentTable it mirrors."""
+        return np.array([[getattr(self, names[0]).size] for names in TABLE_FIELDS])
 
     def discounted_flow(self, q: float, horizon=None) -> tuple:
         """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon],
@@ -212,37 +229,163 @@ def reference_table(paths, b, alpha, floor: bool):
     return out
 
 
-@dataclass(frozen=True)
-class PassageTimes:
-    """kappa_strict: first injection activity; t_weak: first visit to 0.
+class PassageTimes(NamedTuple):
+    """kappa_strict: first injection activity; t_weak: first visit to 0,
+    one entry per path.
 
     t_weak <= kappa_strict always; both are math.inf when the event does not
     occur before the horizon.
     """
 
-    kappa_strict: float
-    t_weak: float
+    kappa_strict: np.ndarray
+    t_weak: np.ndarray
 
 
 def first_passage_times(traj) -> PassageTimes:
-    """Passage readings off one swept floored path.
+    """Passage readings off every path of a swept floored table, or of one
+    RefractedPath, at once.
 
     kappa is the first injection lump or the start of the first
     floor-pinned stretch with a positive injection density, which is where
     the refracted path without the floor first goes strictly below 0;
     t_weak is the first lump or knot where the path sits at 0, its first
-    visit.  These are the strict and weak clocks of the randomized passage
-    and the splice time of the value estimators, which read the same times
-    off path_engine.floored_lane_sweep (euler_lane_flows on the Euler
-    engine).
+    visit.  These are the strict and weak clocks of the randomized passage;
+    t_weak is the splice time of the value estimators, which read it off
+    path_engine.floored_lane_sweep (euler_lane_flows on the Euler engine).
+    The entries of each path are in time order, so its first hit is the
+    first entry of its run among the hits.
     """
-    lumps = traj.r_atom_t[traj.r_atom > 0]
-    lump = float(lumps[0]) if lumps.size else math.inf
-    pinned = np.flatnonzero(traj.seg_rrate > 0)
-    kappa = min(lump, float(traj.seg_t[pinned[0]]) if pinned.size else math.inf)
-    at_zero = np.flatnonzero(traj.seg_v == 0.0)
-    t_weak = min(lump, float(traj.seg_t[at_zero[0]]) if at_zero.size else math.inf)
-    return PassageTimes(kappa_strict=kappa, t_weak=min(t_weak, kappa))
+    m = traj.counts.shape[1]
+
+    def first(t, n, hit):
+        out, path = np.full(m, math.inf), np.repeat(np.arange(m), n)[hit]
+        new = np.flatnonzero(np.diff(path, prepend=-1))
+        out[path[new]] = t[hit][new]
+        return out
+
+    n_seg, n_r = traj.counts[:2]
+    lump = first(traj.r_atom_t, n_r, traj.r_atom > 0)
+    kappa = np.minimum(lump, first(traj.seg_t, n_seg, traj.seg_rrate > 0))
+    t_weak = np.minimum(lump, first(traj.seg_t, n_seg, traj.seg_v == 0.0))
+    return PassageTimes(kappa, np.minimum(t_weak, kappa))
+
+
+class DegenerateDenominator(RuntimeError):
+    """The two passage transforms coincide; the affine equation has no root."""
+
+
+def clock_readings(params: StrategyParams, spec, x: float, horizon: float, n: int,
+                   stream):
+    """The strict and weak passage times and the control c of the floored
+    strategy started at x, on the n exact paths the estimators draw: chunk
+    ci's CHUNK paths at 0 on stream.for_path(ci), shifted by x, swept
+    BATCH chunks side by side.  c is the discounted compensated driver up
+    to the weak passage (the horizon if none), summed over the padded event
+    columns."""
+    base, mu, q, chunks = replace(spec, x0=0.0), mean_drift(spec), params.q, -(-n // CHUNK)
+    out = []
+    for c0 in range(0, chunks, BATCH):
+        cols = EventColumns.side_by_side([
+            sample_path(base, horizon, EXACT, stream.for_path(ci), min(CHUNK, n - ci * CHUNK))
+            for ci in range(c0, min(c0 + BATCH, chunks))])
+        (table,) = trajectory_table(replace(cols, x0=cols.x0 + x), params.b, params.alpha, True)
+        kappa, tau = first_passage_times(table)
+        stop = np.minimum(tau, horizon)
+        jumps = np.sum(np.exp(-q * cols.times) * cols.sizes * (cols.times <= stop), axis=0)
+        out.append((kappa, tau, jumps - (mu - cols.drift) * -np.expm1(-q * stop) / q))
+    return (np.concatenate(a) for a in zip(*out))
+
+
+def controlled_estimate(g, c, censored) -> McEstimate:
+    """The mean of g and its SE, controlled by c: numpy's two-pass
+    regression on n - 2 degrees of freedom, or the plain mean and its
+    n - 1 variance when n < 3 or c is constant to rounding."""
+    n = g.size
+    if n >= 3 and np.var(c) > CONTROL_RTOL * np.mean(c * c):
+        g = g - np.cov(g, c)[0, 1] / np.var(c, ddof=1) * c
+        se = math.sqrt(np.sum((g - g.mean()) ** 2) / (n - 2) / n)
+    else:
+        se = float(np.std(g, ddof=1)) / math.sqrt(n) if n > 1 else 0.0
+    return McEstimate(float(g.mean()), se, float(np.mean(censored)))
+
+
+def estimate_underline_nu(x: float, bstar: float, p: float, params: StrategyParams, spec,
+                          horizon: float, n: int, stream) -> McEstimate:
+    """beta-scaled discounted randomized passage clock started at x, on the
+    exact engine: the strict passage below 0 with probability p and the
+    weak one otherwise, the randomization taken in closed form, beta * (p
+    e^{-q kappa} + (1 - p) e^{-q tau})."""
+    kappa, tau, c = clock_readings(replace(params, b=float(bstar)), spec, x, horizon, n, stream)
+    g = params.beta * (p * np.exp(-params.q * kappa) + (1 - p) * np.exp(-params.q * tau))
+    return controlled_estimate(g, c, (kappa == math.inf) | (tau == math.inf))
+
+
+def solve_pstar(params: StrategyParams, spec, bstar: float, horizon: float, n: int,
+                stream) -> float:
+    """Randomization probability making the clock transform hit 1/beta.
+
+    Started at the threshold: if even the strict clock keeps the transform
+    at or above 1 (within 3 standard errors), the answer is 1.  Otherwise
+    the affine interpolation between the weak and strict transforms is
+    solved and clamped to [0, 1].
+    """
+    kappa, tau, c = clock_readings(replace(params, b=float(bstar)), spec, bstar, horizon, n,
+                                   stream)
+    strict, weak = (controlled_estimate(np.exp(-params.q * t), c, t == math.inf)
+                    for t in (kappa, tau))
+    beta, es, ew = params.beta, strict.mean, weak.mean
+    if beta * es >= 1.0 - 3.0 * beta * strict.std_error:
+        return 1.0
+    if abs(ew - es) <= 3.0 * (strict.std_error + weak.std_error):
+        raise DegenerateDenominator(
+            "weak and strict transforms indistinguishable at this sample size")
+    return float(min(1.0, max(0.0, (beta * ew - 1.0) / (beta * (ew - es)))))
+
+
+def _flag(prop, ts, magnitude, bad):
+    """A violation of prop at ts[i], of size magnitude[i], wherever bad[i]."""
+    return [Violation(float(t), prop, float(m)) for t, m in zip(ts[bad], magnitude[bad])]
+
+
+@dataclass(frozen=True)
+class ShapeReport(_Checked):
+    CHECKED = ("value_cap", "value_affine_below", "value_slope_cap", "value_concavity",
+               "value_slope_below_one_inside", "value_slope_above_one_beyond")
+    violations: tuple
+
+
+def value_shape_check(xs, means, ses, params: StrategyParams, bstar: float,
+                      slack_se: float = 3.0) -> ShapeReport:
+    """Shape of an estimated value curve on an x grid.
+
+    Checks the global bound alpha/q, concavity of the increments within
+    noise, slope bounds (at most beta everywhere, at least 1 up to the
+    threshold, at most 1 beyond), and exact affinity with slope beta below
+    0 where the estimator extends linearly.
+    """
+    xs = np.asarray(xs, dtype=float)
+    means = np.asarray(means, dtype=float)
+    ses = np.asarray(ses, dtype=float)
+    cap = params.alpha / params.q if params.alpha != math.inf else math.inf
+    over = means - (cap + slack_se * ses)
+    out = _flag("value_cap", xs, over, over > 0)
+    h = np.diff(xs)
+    slopes = np.diff(means) / h
+    sse = np.sqrt(ses[1:] ** 2 + ses[:-1] ** 2) / h
+    neg = xs[1:] <= 0
+    resid = np.abs(slopes[neg] - params.beta)
+    out += _flag("value_affine_below", xs[1:][neg], resid, resid > 1e-9)
+    over = slopes - (params.beta + slack_se * sse)
+    out += _flag("value_slope_cap", xs[1:], over, over > 0)
+    dec = np.diff(slopes) - slack_se * np.sqrt(sse[1:] ** 2 + sse[:-1] ** 2)
+    out += _flag("value_concavity", xs[2:], dec, dec > 0)
+    mid = (xs[1:] + xs[:-1]) * 0.5
+    under = (1.0 - slack_se * sse) - slopes
+    out += _flag("value_slope_below_one_inside", mid, under,
+                 (mid > 0) & (mid <= bstar) & (under > 0))
+    over = slopes - (1.0 + slack_se * sse)
+    out += _flag("value_slope_above_one_beyond", mid, over, (mid > bstar) & (over > 0))
+    return ShapeReport(violations=tuple(out))
 
 
 @dataclass(frozen=True)

@@ -14,20 +14,19 @@ import pytest
 
 from levyrefract.cli_reporting import (load_config, reference_case1_spec,
                                        reference_case2_spec, run_experiment)
-from levyrefract.estimation import (DegenerateDenominator, estimate_underline_nu,
-                                    find_bstar, nu_curve, solve_pstar, value_curve)
+from levyrefract.estimation import find_bstar, nu_curve, value_curve
 from levyrefract.levy_model import EXACT, RngStream, net_drift, sample_path
 from levyrefract.path_engine import refracted_reflected_exact
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
-                                           coupled_pair_run,
-                                           value_shape_check)
+                                           coupled_pair_run)
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
 from conftest import FULL_SCALE, draw_path, drift_only, event_columns, record_acceptance
-from oracles import (construction_identity_residual, draw_random_bv_setup,
-                     euler_exact_gap, fixed_cap_violations, running_floor_reflection,
-                     value_at)
+from oracles import (DegenerateDenominator, construction_identity_residual,
+                     draw_random_bv_setup, estimate_underline_nu, euler_exact_gap,
+                     fixed_cap_violations, running_floor_reflection, solve_pstar,
+                     value_at, value_shape_check)
 
 SEED = 20260822
 THREADS = 4
@@ -253,6 +252,10 @@ def test_08_characteristic_function_both_models():
 
 
 def test_09_value_slope_matches_the_passage_clock(case1_search):
+    """The paper's theorem: the value curve's slope is beta times the
+    randomized passage clock.  The clock is the oracle of tests/oracles.py,
+    which reads its passages off trajectory tables of the same event sweep,
+    not the lane reader the value curve runs on."""
     bstar = case1_search[0].bstar_hat
     spec = reference_case1_spec()
     pp = ref_params()
@@ -266,8 +269,7 @@ def test_09_value_slope_matches_the_passage_clock(case1_search):
                    "value_concavity"}
     n_shape = sum(v.prop in shape_props for v in shape.violations)
     try:
-        p = solve_pstar(pp, spec, bstar, 40.0, 8000, RngStream(SEED, tag=92),
-                        threads=THREADS)
+        p = solve_pstar(pp, spec, bstar, 40.0, 8000, RngStream(SEED, tag=92))
     except DegenerateDenominator:
         # strict and weak passage coincide, the mixture weight is irrelevant
         p = 1.0
@@ -280,8 +282,7 @@ def test_09_value_slope_matches_the_passage_clock(case1_search):
     worst = 0.0
     for j, idx in enumerate(sel):
         u = estimate_underline_nu(float(mids[idx]), bstar, p, pp, spec, 40.0,
-                                  4000, RngStream(SEED, tag=930 + j),
-                                  threads=THREADS)
+                                  4000, RngStream(SEED, tag=930 + j))
         budget = 3.0 * math.sqrt(slope_se[idx] ** 2 + u.std_error ** 2)
         gap = abs(slopes[idx] - u.mean)
         worst = max(worst, gap / budget)

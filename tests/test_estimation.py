@@ -13,20 +13,22 @@ from levyrefract.levy_model import (
     Weibull, _grid_increment_matrix, is_case2, mean_drift, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
-from levyrefract.path_engine import refract_exact, refracted_record_lows
+from levyrefract.path_engine import refracted_record_lows
 from levyrefract.properties_oracle import alpha_ladder_run, coupled_pair_run
 from levyrefract.strategy_engine import (
     StrategyParams, apply_strategy_exact, euler_lane_flows, euler_record_lows,
     euler_steps,
 )
 from levyrefract.estimation import (
-    DegenerateDenominator, McEstimate, NoCrossing, _chunk_readers, _clock_terms, _estimate,
-    _nu_chunk, _run_sums, _value_terms, estimate_underline_nu, find_bstar, nu_curve,
-    solve_pstar, value_curve, value_curve_csv,
+    McEstimate, NoCrossing, _chunk_readers, _estimate, _nu_chunk, _run_sums, _value_terms,
+    find_bstar, nu_curve, value_curve, value_curve_csv,
 )
 
-from conftest import REFERENCE_GAMMA, drift_only, event_columns
-from oracles import EventPath, euler_knots, event_paths, first_passage_times
+from conftest import REFERENCE_GAMMA, drift_only, event_columns, refract_exact
+from oracles import (
+    DegenerateDenominator, EventPath, estimate_underline_nu, euler_knots, event_paths,
+    first_passage_times, solve_pstar,
+)
 
 Q = 0.05
 BETA = 1.5
@@ -142,16 +144,14 @@ class TestThresholdSearch:
 
 
 class TestRandomizedClock:
+    """Closed forms of the randomized passage clock, the oracle of
+    acceptance test_09."""
+
     def test_start_below_zero_pays_beta_immediately(self):
         est = estimate_underline_nu(-0.5, 1.0, 0.5, params(), drift_only(-1.0),
                                     20.0, 32, RngStream(120, tag=1))
         assert est.mean == pytest.approx(BETA, rel=1e-12)
         assert est.std_error == 0.0
-
-    def test_probability_bounds(self):
-        with pytest.raises(InvalidParameter):
-            estimate_underline_nu(0.5, 1.0, 1.2, params(), drift_only(-1.0),
-                                  20.0, 32, RngStream(121, tag=1))
 
     def test_sticky_origin_solves_to_one_third(self):
         """Drift inside (0, alpha] parked at b = 0: the weak clock fires at
@@ -190,113 +190,82 @@ class TestRandomizedClock:
                         RngStream(124, tag=1))
 
 
-class TestExactClockChunk:
+class TestExactSplicedChunk:
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("x,b", [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0),
                                      (0.6, 1.2), (1.2, 1.2), (2.5, 1.2)])
-    def test_reads_the_scalar_passage_times_bitwise(self, ref_spec_bv, x, b, alpha):
-        """Both clocks of the chunk's one batched sweep are the times
-        first_passage_times reads off each path's floored strategy path."""
+    def test_reads_the_scalar_weak_passage_bitwise(self, ref_spec_bv, x, b, alpha):
+        """The stop of a spliced value lane in the chunk's one batched sweep
+        is the weak passage first_passage_times reads off each path's
+        floored strategy path."""
         pp = params(b=b, alpha=alpha)
         stream = RngStream(150, tag=2)
         base = replace(ref_spec_bv, x0=x)
         table = apply_strategy_exact(sample_path(base, 8.0, EXACT, stream.for_path(3), 24), pp)
-        times = [first_passage_times(table.block(i, i + 1)) for i in range(24)]
-        strict = np.array([pt.kappa_strict for pt in times])
-        weak = np.array([pt.t_weak for pt in times])
-        ws, ww = np.exp(-Q * strict), np.exp(-Q * weak)
-        want = np.asarray([ws.sum(), (ws * ws).sum(), ww.sum(), (ww * ww).sum(),
-                           (ws * ww).sum()])
-        ((acc, cens),) = _run_sums(draw(ref_spec_bv, pp, 8.0), partial(_clock_terms, pp),
-                                   (stream,), [(x, b, True, 0)], [(3, 24)])
-        assert acc[0, :5].tobytes() == want.tobytes()
-        assert cens[0] == np.sum((strict == math.inf) | (weak == math.inf))
+        weak = first_passage_times(table).t_weak
+        ww = np.exp(-Q * weak)
+        ((acc, cens),) = _run_sums(draw(ref_spec_bv, pp, 8.0), pp, (stream,),
+                                   [(x, b, True, 0)], [(3, 24)])
+        assert acc[0, 2:4].tobytes() == np.asarray([ww.sum(), (ww * ww).sum()]).tobytes()
+        assert cens[0] == np.sum(weak == math.inf)
         # the control stops at the weak passage, the jump there included
         tau = np.minimum(weak, 8.0)
         jump_mean = mean_drift(ref_spec_bv) - net_drift(ref_spec_bv)
         c = np.array([np.sum(np.exp(-Q * p.times[p.times <= t]) * p.sizes[p.times <= t])
                       for p, t in zip(chunk_paths(ref_spec_bv, 8.0, stream, 3, 24), tau)])
         c -= jump_mean * -np.expm1(-Q * tau) / Q
-        np.testing.assert_allclose(acc[0, 5:], [c.sum(), (c * c).sum(), (ws * c).sum(),
-                                             (ww * c).sum()], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(acc[0, [5, 6, 8]], [c.sum(), (c * c).sum(), (ww * c).sum()],
+                                   rtol=1e-12, atol=1e-12)
 
 
-class TestClockLanes:
+class TestHaltingLanes:
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("engine", ["exact", "euler"])
-    def test_halting_lanes_read_the_unspliced_clocks(self, ref_spec_bv, ref_spec_gauss,
-                                                     engine, alpha):
-        """The clock reads its lanes as halting, so each leaves the sweep
-        once both its passages are known; halting gates the flows only,
-        so both clocks equal the unspliced reading byte for byte."""
+    def test_halting_lanes_read_the_unspliced_weak_passage(self, ref_spec_bv, ref_spec_gauss,
+                                                           engine, alpha):
+        """A halting lane leaves the sweep at its weak passage; halting
+        gates the flows only, so its passage equals the unspliced reading
+        byte for byte."""
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2, alpha=alpha)
         readers = draw(spec, pp, 30.0, 1500, engine)((RngStream(151, tag=2),), [(3, 64)])
         for x in (-0.4, 0.0, 0.6, 1.2, 2.5):
             halted = readers.lane_flows([x], [1.2], [True])
             free = readers.lane_flows([x], [1.2], [False])
-            assert halted.kappa_strict.tobytes() == free.kappa_strict.tobytes()
             assert halted.t_weak.tobytes() == free.t_weak.tobytes()
 
+    def test_the_exact_sweep_ends_once_every_lane_has_passed(self, monkeypatch):
+        """The Case-2 model at b = 0 with up-jumps only, as in
+        TestRandomizedClock: spliced lanes drain onto 0, park there and
+        never inject.  Each is done at its weak passage, so the sweep reads
+        no event column past the one that ends the last lane's passage."""
+        spec = JumpDiffusionSpec(
+            gamma=0.7264702816749877, sigma=0.0,
+            jump_components=((0.32066539000328914, 1,
+                              Uniform(0.0625963023373811, 0.7273671791428004)),))
+        pp = StrategyParams(b=0.0, alpha=1.2845007357291955, beta=BETA, q=Q)
+        cols = sample_path(spec, 20.0, EXACT, RngStream(129, tag=1), 256)
+        x = np.array([0.0, 0.5, 1.0])
+        want = np.stack([first_passage_times(apply_strategy_exact(
+            replace(cols, x0=cols.x0 + xj), pp)).t_weak for xj in x])
+        steps, sends = path_engine.event_steps, []
 
-class TestEulerClock:
-    """The Euler clock against the exact one on a pure drift -1, where the
-    only gap is rounding the passage time up to the grid: a step or two,
-    so at most 2 * beta * q * dt in the transform."""
+        def counted(*args):
+            gen = steps(*args)
 
-    T, K = 4.0, 400
+            class Counted:
+                def send(self, keep):
+                    sends.append(keep)
+                    return gen.send(keep)
 
-    @pytest.mark.parametrize("x,tau", [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0),
-                                       (1.6, 0.6 / 1.5 + 1.0)])
-    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
-    def test_matches_the_exact_clock(self, x, tau, p):
-        exact, euler = (
-            estimate_underline_nu(x, 1.0, p, params(), drift_only(-1.0), self.T,
-                                  8, RngStream(125, tag=1), k=self.K, engine=eng)
-            for eng in ("exact", "euler"))
-        assert exact.mean == pytest.approx(BETA * math.exp(-Q * tau), rel=1e-12)
-        assert abs(euler.mean - exact.mean) <= 2 * BETA * Q * self.T / self.K
-        assert euler.censored_fraction == 0.0
+            return Counted()
 
-    def test_pstar_agrees_with_the_exact_engine(self):
-        got = [solve_pstar(params(), drift_only(-1.0), 1.0, self.T, 8,
-                           RngStream(126, tag=1), k=self.K, engine=eng)
-               for eng in ("exact", "euler")]
-        assert got == [1.0, 1.0]
-
-    def test_case2_at_zero_threshold_is_refused(self):
-        """Drift 0.3 inside (0, alpha] parked at b = 0: the exact clock
-        solves to (beta - 1) / beta, but the recursion cannot stay at 0 and
-        would answer 1, so the Euler engine is refused there.  Above the
-        cap (Case 1) the path leaves 0 and the Euler clock still runs."""
-        pp = params(b=0.0, alpha=0.5)
-        with pytest.raises(InvalidParameter) as err:
-            solve_pstar(pp, drift_only(0.3), 0.0, self.T, 8,
-                        RngStream(126, tag=1), k=self.K, engine="euler")
-        assert err.value.field_name == "engine"
-        with pytest.raises(InvalidParameter):
-            estimate_underline_nu(0.0, 0.0, 0.5, pp, drift_only(0.3), self.T,
-                                  8, RngStream(126, tag=1), k=self.K,
-                                  engine="euler")
-        exact, euler = (
-            estimate_underline_nu(0.0, 0.0, 0.5, params(b=0.0, alpha=0.2),
-                                  drift_only(0.3), 40.0, 8,
-                                  RngStream(126, tag=1), k=self.K, engine=eng)
-            for eng in ("exact", "euler"))
-        assert exact.mean == pytest.approx(0.5 * BETA, rel=1e-12)
-        assert abs(euler.mean - exact.mean) <= 1e-6
-
-    def test_two_workers_give_identical_results(self, ref_spec_gauss):
-        # N = 300 is two chunks, so the second worker's partial is merged
-        def run(threads):
-            est = estimate_underline_nu(0.8, 1.2, 0.4, params(), ref_spec_gauss,
-                                        5.0, 300, RngStream(127, tag=1), k=200,
-                                        threads=threads)
-            p = solve_pstar(params(), ref_spec_gauss, 0.5, 5.0, 300,
-                            RngStream(128, tag=1), k=200, threads=threads)
-            return est, p
-
-        assert run(1) == run(2)
+        monkeypatch.setattr(path_engine, "event_steps", counted)
+        got = path_engine.floored_lane_sweep(cols, x, [0.0] * 3, [True] * 3, pp.alpha, Q, 0.0)
+        assert got.t_weak.tobytes() == want.tobytes() and np.all(want < 20.0)
+        # the start, then each column up to the last lane's passage
+        last = max(np.searchsorted(cols.times[:, i], t) for i, t in enumerate(want.max(0)))
+        assert len(sends) == last + 2 < len(cols.times) + 1
 
 
 class TestSharedNoise:
@@ -304,37 +273,23 @@ class TestSharedNoise:
     its grid, and both engines give a passage missed before T the weight 0,
     so on one stream the engines differ by the grid alone."""
 
-    @pytest.fixture(scope="class")
-    def gaps(self, ref_spec_bv):
+    def test_the_gap_closes_with_the_step_count(self, ref_spec_bv):
         pp = params(alpha=0.5)
         stream = RngStream(3, tag=1)
         grid = np.round(np.arange(0.0, 3.5, 0.1), 10)
-        clocks = [(x, 1.0, 0.5) for x in (0.5, 2.0)]
-
-        def run(k, engine):
-            nu = nu_curve(pp, ref_spec_bv, grid, 5.0, k, 512, stream, engine=engine)
-            clock = [estimate_underline_nu(x, b, p, pp, ref_spec_bv, 5.0, 512, stream,
-                                           k=k, engine=engine).mean for x, b, p in clocks]
-            return nu.values, np.array(clock)
-
-        exact = run(0, "exact")
-        return {k: [np.max(np.abs(eu - ex)) for eu, ex in zip(run(k, "euler"), exact)]
+        exact = nu_curve(pp, ref_spec_bv, grid, 5.0, 0, 512, stream, engine="exact").values
+        gaps = {k: np.max(np.abs(nu_curve(pp, ref_spec_bv, grid, 5.0, k, 512, stream,
+                                          engine="euler").values - exact))
                 for k in (200, 2000)}
-
-    @pytest.mark.parametrize("reading", [0, 1], ids=["nu_curve", "underline_nu"])
-    def test_the_gap_closes_with_the_step_count(self, gaps, reading):
-        assert gaps[2000][reading] <= 0.005
-        assert gaps[2000][reading] < gaps[200][reading]
+        assert gaps[2000] <= 0.005
+        assert gaps[2000] < gaps[200]
 
 
 STEPLESS_EULER_CALLS = {
-    "solve_pstar": lambda s, st: solve_pstar(params(), s, 1.0, 5.0, 64, st, k=0),
     "nu_curve": lambda s, st: nu_curve(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
     "find_bstar": lambda s, st: find_bstar(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
     "nu_curve-one-point": lambda s, st: nu_curve(params(), s, [1.0], 5.0, 0, 64, st),
     "value_curve": lambda s, st: value_curve([0.5], 1.0, params(), s, 5.0, 0, 64, st),
-    "estimate_underline_nu": lambda s, st: estimate_underline_nu(
-        0.5, 1.0, 0.5, params(), s, 5.0, 64, st, k=0),
     # two chunks on two workers: the error crosses the process boundary
     "value_curve-2-workers": lambda s, st: value_curve(
         [0.5], 1.0, params(), s, 5.0, 0, 300, st, threads=2),
@@ -384,9 +339,43 @@ ENGINE_CALLS = {
                                           RngStream(144, tag=1), engine=e),
     "value_curve": lambda s, e: value_curve([0.5], 1.0, params(), s, 5.0, 10, 8,
                                             RngStream(144, tag=1), engine=e),
-    "estimate_underline_nu": lambda s, e: estimate_underline_nu(
-        0.5, 1.0, 0.5, params(), s, 5.0, 8, RngStream(144, tag=1), k=10, engine=e),
 }
+
+
+BAD_INPUT_CALLS = {
+    "value_curve-b-below-0": ("b", lambda s, k, st: value_curve(
+        [0.0, 0.5], -1.0, params(), s, 5.0, k, 8, st)),
+    "value_curve-b-nan": ("b", lambda s, k, st: value_curve(
+        [0.0, 0.5], [1.0, math.nan], params(), s, 5.0, k, 8, st)),
+    "value_curve-x-inf": ("x", lambda s, k, st: value_curve(
+        [0.5, math.inf], 1.0, params(), s, 5.0, k, 8, st)),
+    "value_curve-x-nan": ("x", lambda s, k, st: value_curve(
+        [math.nan], 1.0, params(), s, 5.0, k, 8, st, method="direct")),
+    "nu_curve-grid-nan": ("grid", lambda s, k, st: nu_curve(
+        params(), s, [0.5, math.nan], 5.0, k, 8, st)),
+    "nu_curve-grid-only-nan": ("grid", lambda s, k, st: nu_curve(
+        params(), s, [math.nan], 5.0, k, 8, st)),
+    "find_bstar-grid-inf": ("grid", lambda s, k, st: find_bstar(
+        params(), s, [0.5, math.inf], 5.0, k, 8, st)),
+}
+
+
+@pytest.mark.parametrize("engine", ["exact", "euler"])
+@pytest.mark.parametrize("name", sorted(BAD_INPUT_CALLS))
+def test_a_bad_threshold_start_or_grid_is_refused_before_a_draw(
+        ref_spec_bv, ref_spec_gauss, name, engine, monkeypatch):
+    """Inputs the CLI refuses used to run and return numbers: a threshold
+    below 0 or NaN, a start that is not finite, a grid point that is not."""
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(estimation, "sample_path", no_draw)
+    monkeypatch.setattr(estimation, "_grid_increment_matrix", no_draw)
+    spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 10)
+    field, call = BAD_INPUT_CALLS[name]
+    with pytest.raises(InvalidParameter) as err:
+        call(spec, k, RngStream(145, tag=1))
+    assert err.value.field_name == field
 
 
 @pytest.mark.parametrize("engine", ["exat", "Exact", "", "gpu"])
@@ -465,13 +454,12 @@ class TestValueEstimates:
 def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q, mu):
     """The per-point reference of euler_lane_flows: one recursion pass for
     each (x, b) point, read step by step with masks, as (J, m) arrays of
-    (dl, dr, kappa_strict, t_weak, c)."""
+    (dl, dr, t_weak, c)."""
     out = []
     for x, b, halts in zip(xs, bs, spliced):
         m = incs.shape[0]
         dl, c, drive = np.zeros(m), np.zeros(m), np.zeros(m)
         dr = np.full(m, -x if x < 0.0 else 0.0)
-        kappa = np.full(m, 0.0 if x < 0.0 else math.inf)
         weak = np.full(m, 0.0 if x <= 0.0 else math.inf)
         w_left = np.exp(-q * (dt * np.arange(incs.shape[1])))
         steps = euler_knots(euler_steps(x, incs, b, alpha, dt, floor=True), (m,), alpha * dt)
@@ -484,12 +472,11 @@ def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q, mu):
             dr[live] += step_r[live] * disc
             c[live] = drive[live]  # a halted lane's control stops with its flows
             weak[(state <= 0.0) & (weak == math.inf)] = t
-            kappa[(step_r > 0.0) & (kappa == math.inf)] = t
-        out.append((dl, dr, kappa, weak, c))
+        out.append((dl, dr, weak, c))
     return tuple(np.array(f) for f in zip(*out))
 
 
-FIELDS = ("dl", "dr", "kappa_strict", "t_weak", "c")
+FIELDS = ("dl", "dr", "t_weak", "c")
 
 
 class TestEulerRunSums:
@@ -499,7 +486,7 @@ class TestEulerRunSums:
     def test_one_pass_equals_per_point_loop_bitwise(self, ref_spec_gauss, k,
                                                     spliced, alpha, monkeypatch):
         """euler_lane_flows reads every point off one recursion pass; each
-        of its four fields equals the per-point loop bit for bit."""
+        of its fields equals the per-point loop bit for bit."""
         # starts below 0, at 0, at b, above b, and a shared start
         xs, bs = zip(*[(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2),
                        (1.2, 1.2), (2.5, 1.2), (0.6, 2.0)])
@@ -520,10 +507,8 @@ class TestEulerRunSums:
         for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.shape == (len(xs), 256)
             assert g.tobytes() == w.tobytes()
-        assert np.all(got.t_weak <= got.kappa_strict)
-        # lanes that start above 0 pass and miss both ways before T
-        for t in (got.kappa_strict[3:], got.t_weak[3:]):
-            assert np.any(t < math.inf) and np.any(t == math.inf)
+        # lanes that start above 0 pass and miss before T
+        assert np.any(got.t_weak[3:] < math.inf) and np.any(got.t_weak[3:] == math.inf)
         if spliced:  # a halted lane adds no flow after its weak passage
             assert np.array_equal(got.dl[0], np.zeros(256))
             assert np.array_equal(got.dr[0], np.full(256, 0.4))
@@ -534,7 +519,7 @@ class TestEulerRunSums:
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     def test_stopped_lanes_are_dropped_not_masked(self, alpha):
-        """Every spliced lane injects by step 3 and the increments after
+        """Every spliced lane passes by step 3 and the increments after
         step 5 are NaN: the lanes leave the recursion at the next block
         edge, and the steps they read after their stop never reach their
         accounts, where a weight of 0 would keep NaN * 0 = NaN."""
@@ -547,7 +532,7 @@ class TestEulerRunSums:
         xs, bs = (-0.4, 0.0, 0.5, 2.0, 6.0), (1.2, 1.2, 0.0, 1.2, 1.2)
         got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0)
         assert all(np.all(np.isfinite(f)) for f in (got.dl, got.dr, got.c))
-        assert np.all(got.kappa_strict <= 3 * 0.1)
+        assert np.all(got.t_weak <= 3 * 0.1)
         want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0)
         for f in FIELDS:
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
@@ -595,8 +580,8 @@ class TestValueBlocks:
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         pp = params(b=1.2)
-        args = (draw(spec, pp, 5.0, 100, engine), partial(_value_terms, pp),
-                (RngStream(141, tag=3),), points, [(1, 128)])
+        args = (draw(spec, pp, 5.0, 100, engine), pp, (RngStream(141, tag=3),), points,
+                [(1, 128)])
         (want,) = _run_sums(*args)
         draws = []
 
@@ -703,7 +688,7 @@ class TestOneLanePass:
         points = ([(x, b, True, 0) for b in (1.45, 2.15, 2.9) for x in xs if x > 0]
                   + [(0.0, b, False, 1) for b in (1.45, 2.15, 2.9)])
         stream = RngStream(192, tag=4)
-        args = (draw(ref_spec_gauss, pp, 100.0, 2000, "euler"), partial(_value_terms, pp),
+        args = (draw(ref_spec_gauss, pp, 100.0, 2000, "euler"), pp,
                 (stream, stream.with_tag(4 + estimation.V0_TAG_OFFSET)), points, [(0, 256)])
         tracemalloc.start()
         try:
@@ -723,20 +708,19 @@ def moment_sums(a, d, c):
 
 class TestEstimate:
     """_estimate against numpy's two-pass regression of the per-path
-    combination g = ca * a + cd * d on the control c, which it never forms."""
+    combination g = a + cd * d on the control c, which it never forms."""
 
     @pytest.mark.parametrize("control", ["correlated", "zero"])
     @pytest.mark.parametrize("n", [2, 3, 7, 300])
-    @pytest.mark.parametrize("ca,cd,cd_se", [(1.0, 0.0, 0.0), (1.0, -3.7, 0.25),
-                                             (0.3, 0.7, 0.0), (BETA * 0.3, BETA * 0.7, 0.0)])
-    def test_matches_the_two_pass_moments(self, n, ca, cd, cd_se, control):
+    @pytest.mark.parametrize("cd,cd_se", [(0.0, 0.0), (-3.7, 0.25), (0.7, 0.0)])
+    def test_matches_the_two_pass_moments(self, n, cd, cd_se, control):
         rng = np.random.default_rng(n)
         a = rng.normal(2.0, 3.0, n)
         d = rng.uniform(0.0, 1.0, n) * (rng.uniform(size=n) < 0.8)
         c = (a - 2.0 + rng.normal(0.0, 1.0, n)) if control == "correlated" else np.zeros(n)
         cens = float(np.sum(d == 0.0))
-        est = _estimate(moment_sums(a, d, c), cens, n, ca, cd, cd_se)
-        g = ca * a + cd * d
+        est = _estimate(moment_sums(a, d, c), cens, n, cd, cd_se)
+        g = a + cd * d
         if n >= 3 and control == "correlated":
             theta = np.cov(g, c)[0, 1] / np.var(c, ddof=1)
             g = g - theta * c
@@ -759,7 +743,7 @@ class TestEstimate:
         want = McEstimate(mean=s1 / 50 + sd1 / 50 * 0.7,
                           std_error=math.sqrt(max(g2 - g1 * g1, 0.0) * 50 / 49 / 50),
                           censored_fraction=0.0)
-        assert _estimate(sums, 0.0, 50, 1.0, 0.7) == want
+        assert _estimate(sums, 0.0, 50, 0.7) == want
 
     def test_a_constant_control_is_the_plain_estimate_bit_for_bit(self):
         """A control with one nonzero value on every path (every path stops
@@ -769,11 +753,11 @@ class TestEstimate:
         positive = 0
         for n in (3, 7, 64, 300, 1000):
             a, d = rng.normal(2.0, 3.0, n), rng.uniform(0.0, 1.0, n)
-            plain = _estimate(moment_sums(a, d, np.zeros(n)), 0.0, n, 1.0, 0.7)
+            plain = _estimate(moment_sums(a, d, np.zeros(n)), 0.0, n, 0.7)
             for k in (-1e-9, 0.1, -0.37, 3.3):
                 sums = moment_sums(a, d, np.full(n, k))
                 positive += sums[6] / n - (sums[5] / n) ** 2 > 0.0
-                assert _estimate(sums, 0.0, n, 1.0, 0.7) == plain, (n, k)
+                assert _estimate(sums, 0.0, n, 0.7) == plain, (n, k)
         assert positive  # the case a test of Var(c) > 0 alone lets through
 
     @pytest.mark.parametrize("engine,spec", [("exact", "bv"), ("euler", "bv"),
@@ -888,10 +872,7 @@ class TestBatches:
         grid = np.linspace(0.0, 3.0, 13)
         points = [(0.6, 1.2, True, 0), (2.5, 2.0, False, 0), (0.0, 1.2, False, 1)]
         for reader in (partial(_nu_chunk, d, pp, grid, stream),
-                       partial(_run_sums, d, partial(_clock_terms, pp), (stream,),
-                               [(0.6, 1.2, True, 0)]),
-                       partial(_run_sums, d, partial(_value_terms, pp),
-                               (stream, stream.with_tag(9)), points)):
+                       partial(_run_sums, d, pp, (stream, stream.with_tag(9)), points)):
             got = reader(chunks)
             want = [part for c in chunks for part in reader([c])]
             assert len(got) == len(want) == 3
@@ -932,10 +913,8 @@ class TestBatches:
         curve = nu_curve(pp, ref_spec_bv, np.linspace(0.0, 3.0, 7), 8.0, 0, 300, stream)
         assert len(draws) == 2
         rows = value_curve([-0.4, 0.0, 0.6, 2.5], 1.2, pp, ref_spec_bv, 8.0, 0, 300, stream)
-        clock = estimate_underline_nu(0.6, 1.2, 0.5, pp, ref_spec_bv, 8.0, 300, stream)
         assert np.all(np.isfinite(curve.values)) and len(rows) == 4
-        assert 0.0 < clock.mean < BETA
-        assert len(draws) > 4
+        assert len(draws) == 6  # the value job's two chunks on its two draws
 
     @pytest.mark.parametrize("engine", ["exact", "euler"])
     def test_no_byte_depends_on_batching_or_workers(self, ref_spec_bv, ref_spec_gauss,
@@ -959,9 +938,6 @@ class TestBatches:
                                    stream, method=method, engine=engine, threads=threads)
                 out += [np.array([(e.mean, e.std_error, e.censored_fraction)
                                   for _, e in rows])]
-            clock = estimate_underline_nu(0.6, 1.2, 0.3, pp, spec, horizon, n, stream,
-                                          k=k, engine=engine, threads=threads)
-            out += [np.array([clock.mean, clock.std_error, clock.censored_fraction])]
             return [a.tobytes() for a in out]
 
         seen = {}

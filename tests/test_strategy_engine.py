@@ -7,16 +7,14 @@ import pytest
 from levyrefract.levy_model import (
     EXACT, Grid, InvalidParameter, RngStream, sample_path,
 )
-from levyrefract.path_engine import (
-    BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR, refract_exact,
-)
+from levyrefract.path_engine import BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR
 from levyrefract import strategy_engine
 from levyrefract.strategy_engine import (
     ControlledTrajectory, StrategyParams, _sum_down, apply_strategy_exact, euler_steps,
     simulate_euler,
 )
 
-from conftest import draw_path, drift_path, event_columns, one_path
+from conftest import draw_path, drift_path, event_columns, one_path, refract_exact
 from oracles import (
     budget_residual, draw_random_bv_setup, euler_exact_gap, euler_knots, event_paths,
     first_passage_times, sticks, value_at,
@@ -90,30 +88,27 @@ class TestExactStrategy:
 class TestPassageTimes:
     def test_pinned_floor_reads_the_stretch_start(self):
         p = drift_path(-1.0, 0.5, 3.0)
-        traj = strategy(p, params(b=2.0))
-        pt = first_passage_times(traj)
-        assert pt.kappa_strict == pytest.approx(0.5)
-        assert pt.t_weak == pytest.approx(0.5)
+        (kappa,), (weak,) = first_passage_times(strategy(p, params(b=2.0)))
+        assert kappa == pytest.approx(0.5)
+        assert weak == pytest.approx(0.5)
 
     def test_jump_atom_reads_the_jump_time(self):
         p = drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])
-        traj = strategy(p, params(b=1.0, alpha=0.4))
-        pt = first_passage_times(traj)
-        assert pt.kappa_strict == pytest.approx(2.0)
-        assert pt.t_weak == pytest.approx(2.0)
+        (kappa,), (weak,) = first_passage_times(strategy(p, params(b=1.0, alpha=0.4)))
+        assert kappa == pytest.approx(2.0)
+        assert weak == pytest.approx(2.0)
 
     def test_touch_without_injection_separates_weak_and_strict(self):
         # jump lands exactly on 0, then the drift recovers: visited but no top-up
         p = drift_path(1.0, 1.0, 4.0, jumps=[(0.5, -1.5)])
-        traj = strategy(p, params(b=5.0))
-        pt = first_passage_times(traj)
-        assert pt.t_weak == pytest.approx(0.5)
-        assert pt.kappa_strict == math.inf
+        (kappa,), (weak,) = first_passage_times(strategy(p, params(b=5.0)))
+        assert weak == pytest.approx(0.5)
+        assert kappa == math.inf
 
     def test_no_visit_gives_infinite_times(self):
         p = drift_path(1.0, 0.5, 4.0)
-        pt = first_passage_times(strategy(p, params()))
-        assert pt.kappa_strict == math.inf and pt.t_weak == math.inf
+        (kappa,), (weak,) = first_passage_times(strategy(p, params()))
+        assert kappa == math.inf and weak == math.inf
 
 
 def first_passage_below_reference(traj, level):
@@ -167,12 +162,12 @@ class TestPassageReaderParity:
             path = draw_path(replace(spec, x0=x), 10.0, RngStream(77, tag=9, index=d))
             strict, weak = first_passage_below_reference(
                 refract(path, b, pp.alpha), 0.0)
-            pt = first_passage_times(strategy(path, pp))
+            (kappa,), (tau,) = first_passage_times(strategy(path, pp))
             if b == 0.0 and sticks(path, pp.alpha):
-                n_fixed += (pt.kappa_strict, pt.t_weak) != (strict, weak)
-                assert pt.t_weak == weak and pt.kappa_strict >= strict
+                n_fixed += (kappa, tau) != (strict, weak)
+                assert tau == weak and kappa >= strict
                 continue
-            assert (pt.kappa_strict, pt.t_weak) == (strict, weak), d
+            assert (kappa, tau) == (strict, weak), d
             n_pos += b > 0.0
             n_zero += b == 0.0
         assert n_pos >= 3000 and n_zero > 0 and n_fixed > 0
