@@ -190,6 +190,34 @@ class TestRandomizedClock:
                         RngStream(124, tag=1))
 
 
+class TestPureDriftPassage:
+    """A pure drift -1 from x with b = 1 and alpha = 0.5 crosses 0 once,
+    transversally, at tau: x below b, else (x - b) / 1.5 + b.  Both
+    passages are that crossing, and the Euler engine rounds it up to its
+    grid: a step or two."""
+
+    T, K = 4.0, 400
+    STARTS = [(0.0, 0.0), (0.5, 0.5), (1.0, 1.0), (1.6, 0.6 / 1.5 + 1.0)]
+
+    @pytest.mark.parametrize("x,tau", STARTS)
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    def test_the_clock_has_the_closed_form(self, x, tau, p):
+        est = estimate_underline_nu(x, 1.0, p, params(), drift_only(-1.0), self.T, 8,
+                                    RngStream(125, tag=1))
+        assert est.mean == pytest.approx(BETA * math.exp(-Q * tau), rel=1e-12)
+        assert est.censored_fraction == 0.0
+
+    @pytest.mark.parametrize("x,tau", STARTS)
+    def test_euler_lanes_pass_within_two_steps_of_the_exact_lanes(self, x, tau):
+        dt = self.T / self.K
+        exact, euler = (
+            draw(drift_only(-1.0), params(), self.T, k, engine)(
+                (RngStream(125, tag=1),), [(0, 8)]).lane_flows([x], [1.0], [True]).t_weak
+            for k, engine in ((0, "exact"), (self.K, "euler")))
+        np.testing.assert_allclose(exact, tau, rtol=1e-12, atol=1e-12)
+        assert np.all(euler >= exact - 1e-12) and np.all(euler <= exact + 2 * dt)
+
+
 class TestExactSplicedChunk:
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("x,b", [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0),
