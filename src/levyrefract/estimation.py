@@ -11,23 +11,23 @@ reads them as LaneFlows, the discounted flows and weak passage times of
 floored (path, start, threshold) lanes, and RecordLows, the record lows of
 the paths refracted at 0: the two readers of each engine's lane stepper,
 path_engine.event_steps or strategy_engine.euler_steps.  Values are one
-lane run over LaneFlows, and _estimate builds every McEstimate from its
-moment sums; the threshold search reduces RecordLows on its own.  A
+lane run over LaneFlows and nu one reduction of RecordLows, each to the
+moment sums of which _estimate builds every McEstimate.  A
 passage that does not occur before the horizon weighs exp(-q * inf) = 0.
 
-Every value estimate is controlled by a martingale.  Each lane
-of LaneFlows carries c, the discounted compensated driver integral
-e^{-qt} (dX_t - mu dt) up to its stop, mu = E[X_1] (levy_model.mean_drift):
-mean 0 by optional stopping at a bounded time, and tied to every payoff,
-since a fall in X forces injections and a rise pays dividends (Henderson
-and Glynn, Math. Oper. Res. 2002).  _estimate regresses each point's g on c
-after the chunk-order reduction.  nu and b* are not controlled.
+Every estimate is controlled by a martingale.  Each lane of LaneFlows and
+each passage of RecordLows carries c, the discounted compensated driver
+integral e^{-qt} (dX_t - mu dt) up to its stop, mu = E[X_1]
+(levy_model.mean_drift): mean 0 by optional stopping at a bounded time, and
+tied to every payoff, since a fall in X forces injections and a rise pays
+dividends (Henderson and Glynn, Math. Oper. Res. 2002).  _estimate
+regresses each point's g on c after the chunk-order reduction.
 
 The threshold search has one form, on common random numbers: the path
 refracted at b and started at b is the path refracted at 0 and started at
 0, shifted up by b, so the record lows of one path give nu at every grid
-point, summed path by path with np.bincount.  The curve is non-increasing
-path by path, and nu at one threshold is the one-point curve.  Value
+point, summed path by path down to the deepest one.  The terms fall path
+by path in b, and nu at one threshold is the one-point curve.  Value
 curves run as one job over paths x starts x thresholds: a batch draws once
 on the main stream and once on the at-0 anchor substream and steps every
 (x, b) point, each on its draw, in one lane pass over both, so one pool
@@ -66,6 +66,7 @@ from .levy_model import (
 from . import path_engine
 from .strategy_engine import (
     StrategyParams,
+    _sum_down,
     euler_lane_flows,
     euler_record_lows,
 )
@@ -176,7 +177,7 @@ def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
 
 class _Readers(NamedTuple):
     lane_flows: Callable  # (x, b, spliced, path=) -> path_engine.LaneFlows
-    record_lows: Callable  # () -> path_engine.RecordLows
+    record_lows: Callable  # (depth) -> path_engine.RecordLows
 
 
 def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
@@ -197,7 +198,8 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
                                              for s in streams for ci, mi in chunks])
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
                                 q=params.q, mu=mean_drift(spec)),
-                        partial(path_engine.refracted_record_lows, columns, params.alpha))
+                        partial(path_engine.refracted_record_lows, columns, params.alpha,
+                                params.q, mean_drift(spec)))
     if k < 1:
         raise InvalidParameter("k", "the Euler engine needs a positive step count")
     incs = np.empty((len(streams) * m, k))
@@ -208,36 +210,37 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     dt = horizon / k
     return _Readers(partial(euler_lane_flows, incs, alpha=params.alpha, dt=dt, q=params.q,
                             mu=mean_drift(spec)),
-                    partial(euler_record_lows, incs, params.alpha, dt))
+                    partial(euler_record_lows, incs, params.alpha, dt, params.q, mean_drift(spec)))
 
 
 # threshold-free translated sweep --------------------------------------------
 
-def _nu_sums(lows, bgrid_pos, q):
-    """One chunk's (sum w, sum w^2, censored count) per grid point."""
-    nb = len(bgrid_pos)
-    # episode k covers the thresholds in [-min(hi, 0), -lo): grid points j0..j1-1
-    j0 = np.searchsorted(bgrid_pos, -np.minimum(lows.hi, 0.0), side="left")
-    n = np.maximum(np.searchsorted(bgrid_pos, -lows.lo, side="left") - j0, 0)
-    ep = np.repeat(np.arange(n.size), n)
-    j = np.arange(ep.size) - np.repeat(np.cumsum(n) - n, n) + j0[ep]
-    w = np.exp(-q * (lows.t0[ep] + (lows.hi[ep] - (-bgrid_pos[j])) * lows.invrate[ep]))
-    jc = np.searchsorted(bgrid_pos, -lows.final_min, side="left")
-    # bincount adds in array order: per grid point, path by path
-    return (np.bincount(j, weights=w, minlength=nb),
-            np.bincount(j, weights=w * w, minlength=nb),
-            np.cumsum(np.bincount(jc, minlength=nb + 1))[:nb].astype(float))
+def _nu_sums(lows, part, m, bgrid_pos, q):
+    """The (moment sums, censored count) per grid point b of the m paths of
+    the episodes part (a slice) of lows, those of _run_sums: a = w = e^{-q
+    kappa(b)} and d = 0, with c the control at kappa(b), at the horizon (w =
+    0) on a path that does not pass below -b."""
+    lo, hi, t0, invrate, c = (getattr(lows, f)[part] for f in ("lo", "hi", "t0", "invrate", "c"))
+    # a path's episodes cover the thresholds [0, inf) in turn, episode k
+    # those in [-min(hi, 0), -lo): grid points j0..j1-1
+    j0 = np.searchsorted(bgrid_pos, -np.minimum(hi, 0.0))
+    n = np.maximum(np.searchsorted(bgrid_pos, -lo) - j0, 0)
+    # (path, point) tables of the covering episode's fields, summed path by path
+    t0, hi, invrate, c = (np.repeat(a, n).reshape(m, len(bgrid_pos)) for a in (t0, hi, invrate, c))
+    w = np.exp(-q * (t0 + (hi - (-bgrid_pos)) * invrate))
+    c += lows.drain * w
+    sums = np.zeros((len(bgrid_pos), 9))
+    sums[:, [0, 1, 5, 6, 7]] = np.transpose([_sum_down(t) for t in (w, w * w, c, c * c, w * c)])
+    return sums, np.count_nonzero(t0 == math.inf, axis=0).astype(float)
 
 
 def _nu_chunk(draw, params, bgrid_pos, stream, chunks):
-    # one sweep reads the batch; the lows are path-major, so each chunk's
-    # episodes are one run of them, reduced on their own
-    lows = draw((stream,), chunks).record_lows()
+    # one sweep reads the batch, down to the deepest point; the lows are
+    # path-major, so each chunk's episodes are one run of them, reduced alone
+    lows = draw((stream,), chunks).record_lows(np.max(bgrid_pos, initial=-math.inf))
     rows = _chunk_rows(chunks)
     cut = np.searchsorted(lows.path, [r.start for r in rows] + [rows[-1].stop]).tolist()
-    fields = (lows.path, lows.lo, lows.hi, lows.t0, lows.invrate)
-    return [_nu_sums(path_engine.RecordLows(*(f[a:z] for f in fields), lows.final_min[r]),
-                     bgrid_pos, params.q)
+    return [_nu_sums(lows, slice(a, z), r.stop - r.start, bgrid_pos, params.q)
             for a, z, r in zip(cut, cut[1:], rows)]
 
 
@@ -246,25 +249,24 @@ def nu_curve(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
              engine: str = "auto", threads: int = 1) -> NuCurve:
     """Discounted strict-passage transform over a threshold grid.
 
-    One sweep of record lows per path serves every grid point, so the curve
-    is non-increasing path by path, and a one-point grid gives the same
-    value as that point of any grid on the same stream.  The grid is finite
-    and strictly increasing.  Thresholds below 0 are not simulated: the
-    transform is 1 there by convention.
+    One sweep of record lows per path serves every grid point, each point
+    controlled by _estimate, so a one-point grid gives the same value as
+    that point of any grid on the same stream.  The grid is non-empty,
+    finite and strictly increasing.  Thresholds below 0 are not simulated:
+    the transform is 1 there by convention.
     """
     bgrid = np.asarray(bgrid, dtype=float)
-    if not np.all(np.isfinite(bgrid)):
-        raise InvalidParameter("grid", "threshold grid must be finite")
-    if bgrid.size and np.any(np.diff(bgrid) <= 0):
+    if not bgrid.size or not np.all(np.isfinite(bgrid)):
+        raise InvalidParameter("grid", "threshold grid must be non-empty and finite")
+    if np.any(np.diff(bgrid) <= 0):
         raise InvalidParameter("grid", "threshold grid must be strictly increasing")
     pos = bgrid >= 0.0
     draw = partial(_chunk_readers, spec, params, horizon, k, _engine_for(spec, engine))
-    sw, sw2, cens = _run_chunks(n, partial(_nu_chunk, draw, params, bgrid[pos], stream), threads)
-    values, ses, cfr = np.ones(bgrid.size), np.zeros(bgrid.size), np.zeros(bgrid.size)
-    values[pos] = sw / n
-    ses[pos] = np.sqrt(np.maximum(sw2 - sw * sw / n, 0.0) / max(n - 1, 1) / n)
-    cfr[pos] = cens / n
-    return NuCurve(grid=bgrid, values=values, std_errors=ses, censored_fractions=cfr)
+    sums, cens = _run_chunks(n, partial(_nu_chunk, draw, params, bgrid[pos], stream), threads)
+    curve = np.tile([1.0, 0.0, 0.0], (bgrid.size, 1))
+    for i, est in zip(np.flatnonzero(pos), map(partial(_estimate, n=n), sums.tolist(), cens)):
+        curve[i] = est.mean, est.std_error, est.censored_fraction
+    return NuCurve(bgrid, *curve.T.copy())
 
 
 def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,

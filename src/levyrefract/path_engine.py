@@ -547,38 +547,57 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
 class RecordLows:
     """Record lows of paths refracted at 0, path-major: episode k of path[k]
     covers the levels in (lo, hi], level l first reached at t0 + (hi - l) *
-    invrate (0 for a jump).  final_min is each path's minimum, capped at 0."""
+    invrate (0 for a jump), and its last episode, at t0 = inf, the levels
+    below its minimum (capped at 0, or below -depth where it left the
+    sweep).  At the passage kappa of a level the control, the discounted
+    compensated driver integral e^{-qs} (dX_s - mu ds) up to kappa or the
+    horizon, is c + drain e^{-q kappa}, drain = (mu - drift) / q."""
 
     path: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     t0: np.ndarray
     invrate: np.ndarray
-    final_min: np.ndarray
+    c: np.ndarray
+    drain: float = 0.0
 
 
-def refracted_record_lows(columns: EventColumns, alpha) -> RecordLows:
+def refracted_record_lows(columns: EventColumns, alpha, q, mu, depth=math.inf) -> RecordLows:
     """The RecordLows reader of event_steps, one unfloored lane per path of
     columns at b = 0: the record lows of trajectory_table(columns, 0,
     alpha, False), equal bit for bit to those read off its segments.  A kept
     stretch that starts below the low after time 0 is a jump episode, one
-    that falls below it a drift episode."""
-    m = columns.counts.size
-    ids, low, out = np.arange(m), np.zeros(m), []
-    steps = event_steps(columns, 0.0, 0.0, alpha, floor=False)
-    for stretches, _, _, _ in steps:
+    that falls below it a drift episode.  c is each lane's running sum of
+    e^{-q t_i} s_i over its jumps so far, less drain, and the lanes below
+    -depth leave once they are at least 1/8 of them."""
+    m, drain, out = columns.counts.size, (mu - columns.drift) / q, []
+    ids, low, jumps, final = np.arange(m), np.zeros(m), np.full(m, -drain), np.zeros((2, m))
+    steps, keep = event_steps(columns, 0.0, 0.0, alpha, floor=False), None
+    for e in range(-1, len(columns.times)):
+        stretches, te, _, _ = steps.send(keep)
         for at, t, _, z, z_end, slope, _, _, _, kept in stretches:
-            lane, lo = ids[at], low[at]
+            lane, lo, js = ids[at], low[at], jumps[at]
             jump = kept & (t > 0.0) & (z < lo)
             k = np.nonzero(jump)
-            out.append((lane[k], z[k], lo[k], t[k], np.zeros(k[0].size)))
+            out.append((lane[k], z[k], lo[k], t[k], np.zeros(k[0].size), js[k]))
             np.putmask(lo, jump, z)
             k = np.nonzero(kept & (slope < 0.0) & (z_end < lo))
             tk, zk, lk, rate = t[k], z[k], lo[k], -slope[k]
             out.append((lane[k], z_end[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk),
-                        1.0 / rate))
+                        1.0 / rate, js[k]))
             lo[k] = z_end[k]
             low[at] = lo  # a view of every lane for the first stretch
-    path, lo, hi, t0, invrate = (np.concatenate(c) for c in zip(*out))
+        jumps += np.exp(-q * te) * columns.sizes[e, ids] if e >= 0 else 0.0
+        deep, keep = low < -depth, None
+        if 8 * np.count_nonzero(deep) >= ids.size:
+            final[:, ids[deep]] = low[deep], jumps[deep]
+            ids, low, jumps = ids[~deep], low[~deep], jumps[~deep]
+            if not ids.size:
+                break
+            keep = (~deep, ids)
+    final[:, ids] = low, jumps
+    out.append((np.arange(m), np.full(m, -math.inf), final[0], np.full(m, math.inf), np.zeros(m),
+                final[1] + drain * math.exp(-q * columns.horizon)))
+    path, lo, hi, t0, invrate, c = (np.concatenate(a) for a in zip(*out))
     order = np.argsort(path, kind="stable")
-    return RecordLows(path[order], lo[order], hi[order], t0[order], invrate[order], low)
+    return RecordLows(path[order], lo[order], hi[order], t0[order], invrate[order], c[order], drain)

@@ -325,7 +325,8 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     return lanes.flows(dl, dr, weak, c)
 
 
-def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.RecordLows:
+def euler_record_lows(incs: np.ndarray, alpha: float, dt: float, q: float, mu: float,
+                      depth=math.inf) -> path_engine.RecordLows:
     """The record lows of the unfloored recursion refracted at 0 and started
     at 0, one path per row of incs, as path_engine.refracted_record_lows
     reads the exact paths.
@@ -334,23 +335,41 @@ def euler_record_lows(incs: np.ndarray, alpha: float, dt: float) -> path_engine.
     record: a jump episode from that minimum down to the knot, first reached
     at t0 = dt * knot (invrate 0).  A lane that pays at every knot of a
     block stays above 0, and a block whose stepped minimum stays at or above
-    the running minimum adds no record.
+    the running minimum adds no record.  The control at knot j is that of
+    euler_lane_flows, sum over i < j of exp(-q i dt) (incs[i] - mu dt), in
+    the order of a row's cumsum (drain 0).  The lanes below -depth leave at
+    a block edge once they are at least 1/8 of them.
     """
     m, k = incs.shape
-    low = np.zeros(m)  # the running minimum
-    recs = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 2]
-    steps = euler_steps(0.0, incs, 0.0, alpha, dt, floor=False)
-    for j0, (at, state, _, _, _) in zip(range(1, k, BLOCK_KNOTS), steps):
-        new = np.flatnonzero(state.min(0, initial=math.inf) < low[at])
-        path = at[new]
+    row, low = np.arange(m), np.zeros(m)  # each lane's row, and each row's low
+    w_left = np.exp(-q * dt * np.arange(k))
+    ctl = np.zeros((min(BLOCK_KNOTS, k) + 1, m))  # each row's control, row 0 at the last block
+    recs, steps, keep = [], euler_steps(0.0, incs, 0.0, alpha, dt, floor=False), None
+    for j0 in range(1, k, BLOCK_KNOTS):
+        at, state, _, _, _ = steps.send(keep)
+        keep, w = None, len(state)
+        g = ctl[:w + 1]
+        np.subtract(incs[:, j0 - 1:j0 - 1 + w].T, mu * dt, out=g[1:])
+        g[1:] *= w_left[j0 - 1:j0 - 1 + w, None]
+        new = np.flatnonzero(state.min(0, initial=math.inf) < low[row[at]])
+        path = row[at[new]]
         mins = np.minimum.accumulate(np.vstack((low[path], state[:, new])), axis=0)
         step, col = np.nonzero(mins[1:] < mins[:-1])
-        recs.append((path[col], j0 + step, mins[step + 1, col], mins[step, col]))
+        recs.append((path[col], dt * (j0 + step), mins[step + 1, col], mins[step, col],
+                     np.cumsum(g[:, path], axis=0)[step + 1, col]))
         low[path] = mins[-1]
-    path, knot, lo, hi = (np.concatenate(c) for c in zip(*recs))
+        ctl[0] = _sum_down(g)
+        deep = low[row] < -depth
+        if 8 * np.count_nonzero(deep) >= row.size:
+            row = row[~deep]
+            if not row.size:
+                break
+            keep = (~deep, row)
+    recs.append((np.arange(m), np.full(m, math.inf), np.full(m, -math.inf), low, ctl[0]))
+    path, t0, lo, hi, c = (np.concatenate(a) for a in zip(*recs))
     order = np.argsort(path, kind="stable")  # path-major, knots ascending
-    return path_engine.RecordLows(path[order], lo[order], hi[order], dt * knot[order],
-                                  np.zeros(path.size), low)
+    return path_engine.RecordLows(path[order], lo[order], hi[order], t0[order],
+                                  np.zeros(path.size), c[order])
 
 
 def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,

@@ -13,21 +13,22 @@ from levyrefract.levy_model import (
     Weibull, _grid_increment_matrix, is_case2, mean_drift, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
-from levyrefract.path_engine import refracted_record_lows
+from levyrefract.path_engine import refracted_record_lows, trajectory_table
 from levyrefract.properties_oracle import alpha_ladder_run, coupled_pair_run
 from levyrefract.strategy_engine import (
     StrategyParams, apply_strategy_exact, euler_lane_flows, euler_record_lows,
     euler_steps,
 )
 from levyrefract.estimation import (
-    McEstimate, NoCrossing, _chunk_readers, _estimate, _nu_chunk, _run_sums, _value_terms,
+    McEstimate, NoCrossing, _chunk_readers, _estimate, _nu_chunk, _nu_sums, _run_sums,
+    _value_terms,
     find_bstar, nu_curve, value_curve, value_curve_csv,
 )
 
 from conftest import REFERENCE_GAMMA, drift_only, event_columns, refract_exact
 from oracles import (
-    DegenerateDenominator, EventPath, estimate_underline_nu, euler_knots, event_paths,
-    first_passage_times, solve_pstar,
+    DegenerateDenominator, EventPath, draw_random_bv_setup, estimate_underline_nu, euler_knots,
+    event_paths, first_passage_times, solve_pstar,
 )
 
 Q = 0.05
@@ -53,9 +54,10 @@ def chunk_paths(spec, horizon, stream, ci, m):
 
 
 def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
-    """Exact nu chunk ci, read as a one-chunk batch."""
-    (sums,) = _nu_chunk(draw(spec, pp, horizon), pp, grid, stream, [(ci, m)])
-    return sums
+    """Exact nu chunk ci, read as a one-chunk batch: (sum w, sum w^2,
+    censored count) per grid point."""
+    ((sums, cens),) = _nu_chunk(draw(spec, pp, horizon), pp, grid, stream, [(ci, m)])
+    return sums[:, 0], sums[:, 1], cens
 
 
 class TestPassageTransform:
@@ -101,10 +103,15 @@ class TestPassageTransform:
             assert single.censored_fractions[0] == curve.censored_fractions[i]
 
     def test_shared_noise_curve_is_monotone_pathwise(self, ref_spec_bv):
-        curve = nu_curve(params(), ref_spec_bv, np.linspace(0.0, 3.0, 31),
-                         15.0, 0, 512, RngStream(102, tag=1))
-        assert np.all(np.diff(curve.values) <= 1e-15)
-        assert np.all(curve.values <= 1.0) and np.all(curve.values >= 0.0)
+        """The passage terms w fall path by path in b, so their sum does;
+        the controlled curve need not, and stays within a few SE of it."""
+        grid, stream = np.linspace(0.0, 3.0, 31), RngStream(102, tag=1)
+        sw, sw2, _ = exact_nu_chunk(ref_spec_bv, params(), 15.0, grid, stream, 0, 256)
+        assert np.all(np.diff(sw) <= 0.0)
+        curve = nu_curve(params(), ref_spec_bv, grid, 15.0, 0, 256, stream)
+        # the two differ by theta * mean(c), whose SD is below the plain SE
+        plain_se = np.sqrt((sw2 - sw * sw / 256) / 255 / 256)
+        assert np.all(np.abs(curve.values - sw / 256) <= 4 * plain_se)
 
     def test_grid_must_increase(self, ref_spec_bv):
         with pytest.raises(InvalidParameter):
@@ -385,6 +392,10 @@ BAD_INPUT_CALLS = {
         params(), s, [math.nan], 5.0, k, 8, st)),
     "find_bstar-grid-inf": ("grid", lambda s, k, st: find_bstar(
         params(), s, [0.5, math.inf], 5.0, k, 8, st)),
+    "nu_curve-grid-empty": ("grid", lambda s, k, st: nu_curve(
+        params(), s, [], 5.0, k, 8, st)),
+    "find_bstar-grid-empty": ("grid", lambda s, k, st: find_bstar(
+        params(), s, np.empty(0), 5.0, k, 8, st)),
 }
 
 
@@ -393,7 +404,8 @@ BAD_INPUT_CALLS = {
 def test_a_bad_threshold_start_or_grid_is_refused_before_a_draw(
         ref_spec_bv, ref_spec_gauss, name, engine, monkeypatch):
     """Inputs the CLI refuses used to run and return numbers: a threshold
-    below 0 or NaN, a start that is not finite, a grid point that is not."""
+    below 0 or NaN, a start that is not finite, a grid point that is not,
+    and an empty grid."""
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before refusing")
 
@@ -1044,18 +1056,36 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     return sw, sw2, cens
 
 
-def assert_lows_match_scalar(paths, alpha):
-    """refracted_record_lows equals _min_episodes of each refracted path."""
+def compensated_jumps(p, t, mu):
+    """The control of path p at the times t: the discounted jumps at or
+    before each, less the compensator (mu - drift) (1 - e^{-qt}) / q."""
+    t = np.asarray(t, dtype=float)
+    disc = np.exp(-Q * p.times) * p.sizes
+    return (np.sum(disc * (p.times <= t[..., None]), axis=-1)
+            - (mu - p.drift) * (1.0 - np.exp(-Q * t)) / Q)
+
+
+def assert_lows_match_scalar(paths, alpha, mu=0.3):
+    """refracted_record_lows equals _min_episodes of each refracted path,
+    and its controls are the compensated jumps up to each episode's start
+    and up to the horizon."""
     cols = event_columns(paths)
-    lows = refracted_record_lows(cols, alpha)
+    lows = refracted_record_lows(cols, alpha, Q, mu)
     table = refract_exact(cols, 0.0, alpha)
     assert np.all(np.diff(lows.path) >= 0)  # path-major
+    assert lows.drain == (mu - cols.drift) / Q
     for i, p in enumerate(paths):
         *want, want_min = _min_episodes(table.block(i, i + 1), p.times)
+        # the path's episodes, then its horizon: the levels below its minimum
+        want = [np.append(a, v) for a, v in zip(want, (-math.inf, want_min, math.inf, 0.0))]
         mine = lows.path == i
         for got, ref in zip((lows.lo, lows.hi, lows.t0, lows.invrate), want):
             assert np.array_equal(got[mine], ref), i
-        assert lows.final_min[i] == want_min, i
+        # the control at an episode's start t0, where a drift episode sets
+        # off, and at the horizon
+        stop = np.minimum(want[2], p.horizon)
+        np.testing.assert_allclose(lows.c[mine] + lows.drain * np.exp(-Q * want[2]),
+                                   compensated_jumps(p, stop, mu), rtol=0, atol=1e-12)
     return lows
 
 
@@ -1116,7 +1146,7 @@ class TestExactNuChunk:
         grid = np.array([0.0, 0.5, 2.0])
         stream = RngStream(170, tag=4)
         paths = chunk_paths(spec, self.H, stream, 0, 16)
-        assert assert_lows_match_scalar(paths, alpha).path.size == 0
+        assert np.all(assert_lows_match_scalar(paths, alpha).t0 == math.inf)
         sw, sw2, cens = exact_nu_chunk(spec, params(alpha=alpha), self.H,
                                        grid, stream, 0, 16)
         assert np.array_equal(sw, np.zeros(3)) and np.array_equal(sw2, np.zeros(3))
@@ -1179,7 +1209,7 @@ class TestExactNuChunk:
         assert is_case2(net_drift(spec), 1.0)
         paths = [EventPath(0.0, 10.0, 0.3, np.array([1.0]), np.array([0.2]))]
         lows = assert_lows_match_scalar(paths, 1.0)
-        assert lows.path.size == 0 and lows.final_min[0] == 0.0
+        assert lows.t0.tolist() == [math.inf] and lows.hi[0] == 0.0
         monkeypatch.setattr(estimation, "sample_path", lambda *args: event_columns(paths))
         grid = np.array([0.0, 0.5])
         sw, sw2, cens = exact_nu_chunk(spec, params(alpha=1.0), 10.0, grid,
@@ -1215,32 +1245,34 @@ class TestExactNuChunk:
         with pytest.raises(RuntimeError):
             refracted_record_lows(
                 event_columns([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))]),
-                0.5)
+                0.5, Q, -0.5)
 
 
-def knot_record_lows(incs, alpha, dt):
+def knot_record_lows(incs, alpha, dt, mu=0.0):
     """The reference of euler_record_lows: every knot of the unfloored
     recursion in one (m, k) matrix, filled by a plain per-step loop, and the
-    record lows read off each row: (path, lo, hi, t0, final_min)."""
+    record lows read off each row, then its horizon: (path, lo, hi, t0, c),
+    the controls read off one cumsum per row of the discounted centred
+    increments."""
     m, k = incs.shape
+    ctl = np.cumsum((incs - mu * dt) * np.exp(-Q * dt * np.arange(k)), axis=1)
+    ctl = np.hstack((np.zeros((m, 1)), ctl))  # column j: the control at knot j
     knots = np.zeros((m, k))
     steps = euler_knots(euler_steps(0.0, incs, 0.0, alpha, dt, floor=False), (m,),
                         alpha * dt)
     for j, (state, _, _) in enumerate(steps, start=1):
         knots[:, j] = state
-    path, lo, hi, t0 = [], [], [], []
-    final = np.zeros(m)
+    eps = []
     for i in range(m):
         low = 0.0
         for j in range(1, k):
             if knots[i, j] < low:
-                path.append(i)
-                lo.append(knots[i, j])
-                hi.append(low)
-                t0.append(dt * j)
+                eps.append((i, knots[i, j], low, dt * j, ctl[i, j]))
                 low = knots[i, j]
-        final[i] = low
-    return (np.array(path, dtype=int), np.array(lo), np.array(hi), np.array(t0), final)
+        # the levels below the row's minimum are not reached before the horizon
+        eps.append((i, -math.inf, low, math.inf, ctl[i, k - 1]))
+    path, *fields = zip(*eps)
+    return (np.array(path, dtype=int),) + tuple(np.array(f) for f in fields)
 
 
 class TestEulerNuBlocks:
@@ -1249,17 +1281,20 @@ class TestEulerNuBlocks:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_block_width_never_changes_a_byte(self, ref_spec_gauss, width, monkeypatch):
         """euler_record_lows on blocks of 1 to K = 200 knots equals the
-        record lows read off the full knot matrix, bit for bit."""
+        record lows read off the full knot matrix, and its controls a per-row
+        cumsum, bit for bit."""
         monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
         incs = _grid_increment_matrix(ref_spec_gauss, 5.0, 200, 64,
                                       RngStream(173, tag=4).for_path(1).generator())
+        mu = mean_drift(ref_spec_gauss)
         for alpha in (0.5, math.inf):
-            lows = euler_record_lows(incs, alpha, 5.0 / 200)
-            path, lo, hi, t0, final = knot_record_lows(incs, alpha, 5.0 / 200)
-            assert path.size > 64  # most paths set several records
+            lows = euler_record_lows(incs, alpha, 5.0 / 200, Q, mu)
+            path, lo, hi, t0, c = knot_record_lows(incs, alpha, 5.0 / 200, mu)
+            assert path.size > 2 * 64  # most paths set several records
+            assert lows.drain == 0.0
             for got, want in ((lows.path, path), (lows.lo, lo), (lows.hi, hi),
                               (lows.t0, t0), (lows.invrate, np.zeros(path.size)),
-                              (lows.final_min, final)):
+                              (lows.c, c)):
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
@@ -1285,3 +1320,125 @@ class TestEulerNuBlocks:
         want = run()
         monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
         assert run() == want
+
+
+# the martingale control of nu --------------------------------------------------
+
+def per_path_terms(lows, grid, q):
+    """(w, c) of every (path, grid point), (2, m, nb): each path read by
+    _nu_sums as a one-path chunk."""
+    cut = np.searchsorted(lows.path, np.arange(lows.path[-1] + 2))
+    return np.stack([_nu_sums(lows, slice(a, z), 1, grid, q)[0][:, [0, 5]].T
+                     for a, z in zip(cut, cut[1:])], axis=1)
+
+
+def oracle_terms(cols, grid, pp, mu):
+    """(w, c) of every (path, grid point) off the trajectory_table of the
+    floored paths started at b and refracted at b: kappa(b) is their strict
+    passage below 0 (first_passage_times), and c the compensated jumps up
+    to kappa(b), or to the horizon when it does not occur."""
+    w, c = np.zeros((2, cols.counts.size, len(grid)))
+    for j, b in enumerate(grid):
+        (table,) = trajectory_table(replace(cols, x0=cols.x0 + b), b, pp.alpha, True)
+        kappa = first_passage_times(table).kappa_strict
+        stop = np.minimum(kappa, cols.horizon)
+        jumps = np.sum(np.exp(-pp.q * cols.times) * cols.sizes * (cols.times <= stop), axis=0)
+        w[:, j] = np.exp(-pp.q * kappa)
+        c[:, j] = jumps - (mu - cols.drift) * -np.expm1(-pp.q * stop) / pp.q
+    return w, c
+
+
+def random_two_sided(seed):
+    """A random two-sided bounded-variation model and its strategy."""
+    rng = np.random.default_rng(seed)
+    while True:
+        spec, pp, *_ = draw_random_bv_setup(rng)
+        if len(spec.jump_components) == 2:
+            return spec, pp
+
+
+class TestNuControl:
+    """nu is controlled by the compensated driver at kappa(b): the control
+    is read right, has mean 0, is tied to w, and the depth at which a
+    sweep stops changes no byte."""
+
+    H = 20.0
+
+    @pytest.mark.parametrize("case", ["random-%d" % i for i in range(6)]
+                             + ["delta<0", "inf-delta<0", "0<delta<alpha"])
+    def test_control_at_the_passage_matches_the_oracle(self, case):
+        """Per path and grid point, w and c equal those read off the
+        trajectory_table and first_passage_times of the floored path
+        started at b, to 1e-12; drift records (delta < 0) included."""
+        if case.startswith("random"):
+            spec, pp = random_two_sided(int(case[7:]))
+        else:
+            spec, alpha = TestExactNuChunk.REGIMES[case]
+            pp = params(alpha=alpha)
+        mu, stream = mean_drift(spec), RngStream(190, tag=4)
+        # and a point out of reach, where c is read at the horizon
+        grid = np.concatenate(([0.0], np.sort(np.random.default_rng(7).uniform(0.0, 4.0, 7)),
+                               [100.0]))
+        cols = _chunk_readers(spec, pp, self.H, 0, "exact", (stream,), [(0, 48)]).record_lows.args[0]
+        lows = refracted_record_lows(cols, pp.alpha, pp.q, mu)
+        assert (lows.invrate > 0).any() == (cols.drift < 0)  # drift records below 0
+        got = per_path_terms(lows, grid, pp.q)
+        want = oracle_terms(cols, grid, pp, mu)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(got[1], want[1], rtol=0, atol=1e-12)
+        assert (want[0] == 0).any() and (want[0] > 0).any()
+
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    def test_a_permuted_control_leaves_the_variance(self, ref_spec_bv, ref_spec_gauss, engine):
+        """Negative control: c permuted across paths is tied to nothing, and
+        regressing w on it leaves the variance within 5 %; the control in
+        place divides it by more than 2."""
+        spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 200)
+        pp, n, grid = params(), 2048, np.array([1.0, 2.0])
+        lows = _chunk_readers(spec, pp, self.H, k, engine, (RngStream(191, tag=4),),
+                              [(0, n)]).record_lows()
+        w, c = per_path_terms(lows, grid, pp.q)
+        perm = c[np.random.default_rng(3).permutation(n)]
+        for j in range(len(grid)):
+            var = {}
+            for name, cj in (("plain", np.zeros(n)), ("permuted", perm[:, j]), ("control", c[:, j])):
+                wj = w[:, j]
+                sums = [wj.sum(), (wj * wj).sum(), 0.0, 0.0, 0.0, cj.sum(), (cj * cj).sum(),
+                        (wj * cj).sum(), 0.0]
+                var[name] = _estimate(sums, 0.0, n).std_error ** 2
+            assert var["permuted"] == pytest.approx(var["plain"], rel=0.05)
+            assert var["control"] < var["plain"] / 2
+
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    @pytest.mark.parametrize("drift", [-1.0, 0.4])
+    def test_without_noise_the_plain_mean_comes_back(self, engine, drift):
+        """On a drift-only model c = 0 exactly, so theta = 0: the curve is
+        the plain mean of w with its n - 1 variance."""
+        spec, k, n, stream = drift_only(drift), 500, 64, RngStream(192, tag=4)
+        grid = np.array([0.5, 2.0, 30.0])
+        lows = _chunk_readers(spec, params(), self.H, k, engine, (stream,), [(0, n)]).record_lows()
+        assert not lows.c.any()
+        curve = nu_curve(params(), spec, grid, self.H, k, n, stream, engine=engine)
+        w, _ = per_path_terms(lows, grid, Q)
+        for j in range(len(grid)):
+            # w and w^2 summed path by path, and no control
+            plain = _estimate([np.cumsum(w[:, j])[-1], np.cumsum(w[:, j] ** 2)[-1]] + [0.0] * 7,
+                              0.0, n)
+            assert curve.values[j] == plain.mean == pytest.approx(np.mean(w[:, j]), rel=1e-14)
+            assert curve.std_errors[j] == plain.std_error
+
+    @pytest.mark.parametrize("engine", ["exact", "euler"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_the_depth_changes_no_byte(self, ref_spec_bv, ref_spec_gauss, engine, seed):
+        """A path that leaves the sweep below the deepest grid point has
+        passed every point: with and without the depth, every chunk's sums
+        and censored counts are equal bit for bit on random grids."""
+        spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 300)
+        pp, rng = params(), np.random.default_rng(seed)
+        grid = np.sort(rng.uniform(0.0, rng.uniform(0.5, 4.0), rng.integers(1, 40)))
+        readers = _chunk_readers(spec, pp, self.H, k, engine, (RngStream(193 + seed, tag=4),),
+                                 [(0, 256)])
+        deep, full = readers.record_lows(grid[-1]), readers.record_lows()
+        assert deep.path.size < full.path.size  # paths did leave
+        got, want = (_nu_sums(lows, slice(None), 256, grid, pp.q) for lows in (deep, full))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
