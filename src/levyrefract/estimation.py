@@ -30,14 +30,14 @@ point, summed path by path down to the deepest one.  The terms fall path
 by path in b, and nu at one threshold is the one-point curve.  Value
 curves run as one job over paths x starts x thresholds: a batch draws once
 on the main stream and once on the at-0 anchor substream and steps every
-(x, b) point, each on its draw, in one lane pass over both, so one pool
-serves a curve set.  A run steps at most BLOCK_LANES lanes at once, in
-blocks of points.
+(x, b) point, each on its draw, in one lane pass over both, so one set
+of forked workers serves a curve set.  A run steps at most BLOCK_LANES
+lanes at once, in blocks of points.
 
 Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
 of at most BATCH contiguous chunk draws as one lane set (BATCH // 2 chunks
-per stream of a value job), and a run has at least min(threads, chunks)
-batches, so every worker computes.  Each estimator
+per stream of a value job), and a run has at least min(threads, CPUs,
+chunks) batches, so every worker computes.  Each estimator
 splits its readings back into chunks and returns one partial per chunk;
 the partials are combined by a fixed-order pairwise tree in chunk order, so
 results are bit-identical for any batching and any worker count.
@@ -46,7 +46,9 @@ results are bit-identical for any batching and any worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import os
+import pickle
+import signal
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
@@ -74,6 +76,7 @@ from .strategy_engine import (
 CHUNK = 256
 BATCH = 8  # most chunk draws one worker call reads as one lane set
 BLOCK_LANES = 2 ** 16  # (point, path) lanes a value batch steps at once
+NU_BLOCK_BYTES = 2 ** 20  # bytes of one (path, grid point) table of _nu_sums
 CONTROL_RTOL = 1e-9  # Var(c) over mean(c^2) below which the control is constant
 V0_TAG_OFFSET = 7919  # substream tag shift for the internal value-at-zero run
 
@@ -125,12 +128,8 @@ def _tree_reduce(partials):
     if not items:
         raise ValueError("no partial results")
     while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(tuple(a + b for a, b in zip(items[i], items[i + 1])))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
+        odd = items[-1:] if len(items) % 2 else []
+        items = [tuple(a + b for a, b in zip(x, y)) for x, y in zip(items[::2], items[1::2])] + odd
     return items[0]
 
 
@@ -154,15 +153,53 @@ def _chunk_rows(chunks):
 def _run_chunks(n: int, worker, threads: int, draws: int = 1):
     """worker(batch) returns one partial per chunk of the batch, which it
     draws on draws streams; the partials are reduced in chunk order, so no
-    byte depends on the batching or the worker count."""
+    byte depends on the batching or the worker count.  w = min(threads,
+    CPUs, batches) forked workers share the batches, worker i computing
+    batches i, i + w, ..., and each sends its partials, or its error, back
+    as one pickle on its pipe.  All are reaped before this returns or
+    raises, those not heard from killed first; without os.fork the batches
+    run in this process."""
+    threads = min(threads, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                  else os.cpu_count() or 1)
     batches = _batches(n, threads, draws)
-    if threads <= 1:
-        parts = [worker(batch) for batch in batches]
-    else:
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            futs = [ex.submit(worker, batch) for batch in batches]
-            parts = [f.result() for f in futs]
-    return _tree_reduce(p for part in parts for p in part)
+    w = min(threads, len(batches)) if hasattr(os, "fork") else 1
+    if w <= 1:
+        return _tree_reduce(p for batch in batches for p in worker(batch))
+    procs, outs, codes = [], [], []
+    try:
+        for i in range(w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    with os.fdopen(wr, "wb") as pipe:
+                        try:
+                            out = [worker(batch) for batch in batches[i::w]]
+                            pipe.write(b"+" + pickle.dumps(out))
+                        except BaseException as err:  # an interrupt too: the parent raises it
+                            pipe.write(b"!" + pickle.dumps(err))
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            procs.append((pid, os.fdopen(r, "rb")))
+        for _, pipe in procs:
+            outs.append(pipe.read())
+            if outs[-1][:1] != b"+":
+                break
+    finally:
+        for k, (pid, pipe) in enumerate(procs):
+            pipe.close()
+            if k >= len(outs):  # not heard from, after a failure or an interrupt
+                os.kill(pid, signal.SIGKILL)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for out, code in zip(outs, codes):
+        if code or not out:
+            raise RuntimeError("a worker ended without a result: %s" % (
+                signal.Signals(-code).name if code < 0 else "exit code %d" % code))
+        if out[:1] == b"!":
+            raise pickle.loads(out[1:])
+    parts = [pickle.loads(out[1:]) for out in outs]
+    return _tree_reduce(p for j in range(len(batches)) for p in parts[j % w][j // w])
 
 
 def _engine_for(spec: JumpDiffusionSpec, engine: str) -> str:
@@ -194,8 +231,9 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     m = rows[-1].stop
     if eng == "exact":
         base = replace(spec, x0=0.0)
-        columns = EventColumns.side_by_side([sample_path(base, horizon, EXACT, s.for_path(ci), mi)
-                                             for s in streams for ci, mi in chunks])
+        columns = EventColumns.side_by_side((sample_path(base, horizon, EXACT, s.for_path(ci), mi)
+                                             for s in streams for ci, mi in chunks),
+                                            len(streams) * m)
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
                                 q=params.q, mu=mean_drift(spec)),
                         partial(path_engine.refracted_record_lows, columns, params.alpha,
@@ -219,19 +257,25 @@ def _nu_sums(lows, part, m, bgrid_pos, q):
     """The (moment sums, censored count) per grid point b of the m paths of
     the episodes part (a slice) of lows, those of _run_sums: a = w = e^{-q
     kappa(b)} and d = 0, with c the control at kappa(b), at the horizon (w =
-    0) on a path that does not pass below -b."""
+    0) on a path that does not pass below -b, read in grid blocks of
+    NU_BLOCK_BYTES tables: a point's sums run down its own column."""
     lo, hi, t0, invrate, c = (getattr(lows, f)[part] for f in ("lo", "hi", "t0", "invrate", "c"))
-    # a path's episodes cover the thresholds [0, inf) in turn, episode k
-    # those in [-min(hi, 0), -lo): grid points j0..j1-1
-    j0 = np.searchsorted(bgrid_pos, -np.minimum(hi, 0.0))
-    n = np.maximum(np.searchsorted(bgrid_pos, -lo) - j0, 0)
-    # (path, point) tables of the covering episode's fields, summed path by path
-    t0, hi, invrate, c = (np.repeat(a, n).reshape(m, len(bgrid_pos)) for a in (t0, hi, invrate, c))
-    w = np.exp(-q * (t0 + (hi - (-bgrid_pos)) * invrate))
-    c += lows.drain * w
-    sums = np.zeros((len(bgrid_pos), 9))
-    sums[:, [0, 1, 5, 6, 7]] = np.transpose([_sum_down(t) for t in (w, w * w, c, c * c, w * c)])
-    return sums, np.count_nonzero(t0 == math.inf, axis=0).astype(float)
+    sums, cens = np.zeros((len(bgrid_pos), 9)), np.zeros(len(bgrid_pos))
+    step = max(1, NU_BLOCK_BYTES // (8 * m))
+    for g in range(0, len(bgrid_pos), step):
+        grid = bgrid_pos[g:g + step]
+        # a path's episodes cover the thresholds [0, inf) in turn, episode k
+        # those in [-min(hi, 0), -lo): grid points j0..j1-1 of the block
+        j0 = np.searchsorted(grid, -np.minimum(hi, 0.0))
+        n = np.maximum(np.searchsorted(grid, -lo) - j0, 0)
+        # (path, point) tables of the covering episode's fields, summed path by path
+        tt, hh, rr, cc = (np.repeat(a, n).reshape(m, len(grid)) for a in (t0, hi, invrate, c))
+        w = np.exp(-q * (tt + (hh - (-grid)) * rr))
+        cc += lows.drain * w
+        sums[g:g + step, [0, 1, 5, 6, 7]] = np.transpose(
+            [_sum_down(t) for t in (w, w * w, cc, cc * cc, w * cc)])
+        cens[g:g + step] = np.count_nonzero(tt == math.inf, axis=0)
+    return sums, cens
 
 
 def _nu_chunk(draw, params, bgrid_pos, stream, chunks):

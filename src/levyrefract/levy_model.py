@@ -467,17 +467,33 @@ class EventColumns:
                             self.times[rows, cols], self.sizes[rows, cols])
 
     @classmethod
-    def side_by_side(cls, parts) -> "EventColumns":
-        """The paths of parts, which share drift and horizon, in order, as
-        one EventColumns: the copy of each part padded to the tallest."""
-        ends = np.cumsum([c.counts.size for c in parts]).tolist()
-        times = np.full((max(len(c.times) for c in parts), ends[-1]), float(parts[0].horizon))
-        sizes = np.zeros(times.shape)
-        for c, end in zip(parts, ends):
-            block = (slice(len(c.times)), slice(end - c.counts.size, end))
-            times[block], sizes[block] = c.times, c.sizes
-        return cls(np.concatenate([c.x0 for c in parts]), parts[0].horizon, parts[0].drift,
-                   np.concatenate([c.counts for c in parts]), times, sizes)
+    def side_by_side(cls, parts, m=None) -> "EventColumns":
+        """The m paths (by default, of a list) of parts, which share drift
+        and horizon, in order, as one EventColumns padded to the tallest.
+        Each part is copied in before the next is read, into rows that
+        start a sixth above the first part's height and grow, by one
+        copy, only for a taller part; the result is their view."""
+        parts = parts if m else list(parts)
+        m = m or sum(c.counts.size for c in parts)
+        times = sizes = np.empty((0, m))
+        heads, blocks = [], []  # each part's (x0, counts) and (rows, columns)
+        for c in parts:
+            h, end = len(c.times), sum(len(x) for x, _ in heads)
+            if h > len(times):
+                top = max((r.stop for r, _ in blocks), default=0)
+                grown = np.empty((2, h + h // 6 + 4, m))
+                grown[0, :top, :end], grown[1, :top, :end] = times[:top, :end], sizes[:top, :end]
+                times, sizes = grown
+            blocks.append((slice(h), slice(end, end + c.counts.size)))
+            times[blocks[-1]], sizes[blocks[-1]] = c.times, c.sizes
+            heads.append((c.x0, c.counts))
+            horizon, drift = c.horizon, c.drift
+            del c  # the next part is drawn without this one
+        top = max(r.stop for r, _ in blocks)
+        for r, cols in blocks:
+            times[r.stop:top, cols], sizes[r.stop:top, cols] = horizon, 0.0
+        x0, counts = (np.concatenate(a) for a in zip(*heads))
+        return cls(x0, horizon, drift, counts, times[:top], sizes[:top])
 
 
 class Exact:

@@ -352,6 +352,38 @@ class TestRunValueCurve:
         bs = {float(row.split(",")[1]) for row in text.splitlines()[1:]}
         assert bs == {0.5, 1.0, 1.5}
 
+    def test_workers_fork_without_a_process_pool(self, tmp_path):
+        """A fresh interpreter that imports levyrefract and runs a 2-worker
+        value-curve on a shipped config, two chunks at N = 300, forks its
+        workers itself: no concurrent.futures or multiprocessing module is
+        ever loaded."""
+        import subprocess
+        import sys
+        import levyrefract
+        src = os.path.dirname(os.path.dirname(levyrefract.__file__))
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "paper_case2.cfg")
+        script = "\n".join([
+            "import os, re, sys",
+            "sys.path.insert(0, %r)" % src,
+            "import levyrefract",
+            "from levyrefract.cli_reporting import load_config, run_experiment",
+            "fork, forks = os.fork, []",
+            "os.fork = lambda: forks.append(1) or fork()",
+            "text = open(%r).read()" % cfg,
+            "text = text.replace('mc.N = 100000', 'mc.N = 300')",
+            "text = text.replace('grid.K = 10000', 'grid.K = 100')",
+            "cfg = load_config(re.sub(r'task.x_grid = .*', 'task.x_grid = 0:0.5:1', text))",
+            "assert cfg.n == 300 and cfg.k == 100",
+            "run_experiment(cfg, 'value-curve', out_dir=%r, threads=2)" % str(tmp_path),
+            "print(len(forks), sorted(m for m in sys.modules",
+            "                        if m.startswith(('concurrent', 'multiprocessing'))))",
+        ])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                             text=True, check=True).stdout
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert out.strip() == "%d []" % (2 if cpus >= 2 else 0)
+        assert (tmp_path / "value_curves.csv").is_file()
+
     def test_one_chunked_job_serves_every_curve_and_marker(self, tmp_path,
                                                            monkeypatch):
         from levyrefract import estimation

@@ -1,5 +1,7 @@
 import ast
 import math
+import os
+import signal
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -740,6 +742,57 @@ class TestOneLanePass:
         assert peak <= self.TWO_DRAW_EULER_PEAK * 1.1
 
 
+class TestNuBatchMemory:
+    """An exact nu batch holds one copy of its draws, and a fine grid is
+    read in blocks of grid points."""
+
+    # the traced peak of the 8-chunk batch below, in bytes (1.57 times its
+    # 8.06 MB of columns, measured with numpy 2.4)
+    EXACT_BATCH_PEAK = 12_680_000
+
+    def test_an_exact_batch_is_copied_in_as_it_is_drawn(self, ref_spec_bv):
+        """The traced peak of one nu batch of 8 chunks x 256 paths at T =
+        100: the columns, their slack rows and the sweep.  The bound is the
+        measured peak plus 10 %, and that peak lies below 1.6 times the
+        column bytes, so a batch that holds its chunk draws beside their
+        side-by-side copy (1.99 times here) fails it."""
+        pp, stream = params(b=1.66), RngStream(7, tag=1)
+        chunks = [(ci, 256) for ci in range(8)]
+        d = draw(ref_spec_bv, pp, 100.0)
+        grid = np.round(np.arange(0.0, 3.495, 0.01), 10)
+        cols = d((stream,), chunks).record_lows.args[0]
+        column_bytes = cols.times.nbytes + cols.sizes.nbytes
+        del cols
+        tracemalloc.start()
+        try:
+            _nu_chunk(d, pp, grid, stream, chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert self.EXACT_BATCH_PEAK < 1.6 * column_bytes
+        assert column_bytes <= peak <= self.EXACT_BATCH_PEAK * 1.1
+
+    def test_a_fine_grid_is_read_in_blocks(self, ref_spec_bv):
+        """nu_curve on 20,000 points at N = 256 traces at most 16 MB (a
+        (path, point) table of the whole grid is 41 MB), and every point
+        equals bit for bit that point of a 350-point grid, one block, on
+        the same stream."""
+        pp, stream = params(b=1.66), RngStream(8, tag=1)
+        grid = np.linspace(0.0, 3.49, 20_000)
+        tracemalloc.start()
+        try:
+            fine = nu_curve(pp, ref_spec_bv, grid, 100.0, 0, 256, stream)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16e6
+        assert 350 * 256 * 8 <= estimation.NU_BLOCK_BYTES < grid.size * 256 * 8
+        pick = np.linspace(0, grid.size - 1, 350).round().astype(int)
+        coarse = nu_curve(pp, ref_spec_bv, grid[pick], 100.0, 0, 256, stream)
+        for name in ("values", "std_errors", "censored_fractions"):
+            assert getattr(fine, name)[pick].tobytes() == getattr(coarse, name).tobytes()
+
+
 def moment_sums(a, d, c):
     """One point's moment sums, in the order _run_sums writes them."""
     return np.array([a.sum(), (a * a).sum(), d.sum(), (d * d).sum(), (a * d).sum(),
@@ -987,6 +1040,76 @@ class TestBatches:
                 seen[batch, threads] = readings(threads)
         first = seen[1, 1]
         assert all(got == first for got in seen.values())
+
+
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def chunk_ids(batch):
+    """A cheap worker: one partial per chunk, its index."""
+    return [(np.array([float(ci)]),) for ci, _ in batch]
+
+
+class TestForkedWorkers:
+    """_run_chunks forks its workers, reaps every one, and brings their
+    errors back."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The pids os.fork returns to this process."""
+        fork, pids = os.fork, []
+
+        def recorded():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recorded)
+        return pids
+
+    @pytest.mark.skipif(CPUS < 2, reason="one CPU plans one worker, in this process")
+    @pytest.mark.parametrize("dies", [False, True])
+    def test_every_worker_is_reaped(self, forked, dies):
+        """Two chunks on two workers: the second SIGKILLs itself or not.
+        Either way both forked pids are reaped when _run_chunks returns or
+        raises, and a worker that dies raises a RuntimeError naming its
+        signal."""
+        parent = os.getpid()
+
+        def worker(batch):
+            if dies and batch[0][0] == 1 and os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return chunk_ids(batch)
+
+        if dies:
+            with pytest.raises(RuntimeError, match="SIGKILL"):
+                estimation._run_chunks(2 * estimation.CHUNK, worker, 2)
+        else:
+            assert estimation._run_chunks(2 * estimation.CHUNK, worker, 2)[0].tolist() == [1.0]
+        assert len(forked) == 2
+        for pid in forked:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_the_workers_are_capped_at_the_cpus(self, monkeypatch):
+        """threads = 10^4 plans the batches of min(10^4, CPUs) workers, the
+        same as the capped count.  os.fork is taken away, so the batches
+        run in this process and nothing is forked."""
+        monkeypatch.delattr(os, "fork")
+        batches, plans = estimation._batches, []
+
+        def planned(n, threads, draws=1):
+            plans.append(threads)
+            return batches(n, threads, draws)
+
+        monkeypatch.setattr(estimation, "_batches", planned)
+        n = 10 ** 5
+        got = estimation._run_chunks(n, chunk_ids, 10 ** 4)
+        assert plans == [min(10 ** 4, CPUS)]
+        assert got[0].tolist() == [float(sum(range(-(-n // estimation.CHUNK))))]
+        # uncapped, the plan would be one batch per chunk: 391 of them
+        assert len(batches(n, CPUS)) < len(batches(n, 10 ** 4)) == 391
 
 
 # the exact threshold search -------------------------------------------------

@@ -29,7 +29,7 @@ EXEMPT = {
     **{"levy_model.MarkDistribution." + name: "interface stub: every law overrides it"
        for name in ("mean", "truncated_mean", "char", "sample")},
     "levy_model.InvalidParameter.__reduce__":
-        "runs only when a pool worker sends the error back, so never at threads = 1",
+        "runs only when a forked worker sends the error back, so never at threads = 1",
 }
 
 
