@@ -15,8 +15,7 @@ the only error is float arithmetic; identity checks use absolute tolerance
 records nothing; three readers keep what their callers need of its lanes:
 
 - trajectory_table keeps the trajectories themselves, one SegmentTable
-  of their segments and atoms per role, from one sweep.
-  refracted_reflected_exact is its one-role floored call, and
+  of their segments and atoms per role, from one sweep, and
   read_segments reads the tables at probe times: values, left limits,
   dividends and injections, and the drivers;
 - floored_lane_sweep keeps the discounted flows, weak passage times and
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy_model import EventColumns, InvalidParameter, is_case2
+from .levy_model import EventColumns, is_case2
 
 
 # branch codes recorded per segment
@@ -214,57 +213,6 @@ def read_segments(tables, path, t, drivers=None, full=None, keys=None):
                       + _lumps(srcs[-1][2], drivers.counts, path, upto))
 
 
-def _regime(z, b, alpha, delta, sticky, floor):
-    """(slope, dividend rate, injection rate, branch) for the current state."""
-    if z > b:
-        return delta - alpha, alpha, 0.0, BRANCH_ABOVE
-    if z == b and (b > 0.0 or not floor):
-        if sticky:
-            return 0.0, delta, 0.0, BRANCH_AT_B
-        if delta > alpha:
-            return delta - alpha, alpha, 0.0, BRANCH_ABOVE
-        return delta, 0.0, 0.0, BRANCH_INTERIOR
-    if floor and z == 0.0:
-        if b == 0.0:
-            if sticky:
-                return 0.0, delta, 0.0, BRANCH_AT_B
-            if delta > alpha:
-                return delta - alpha, alpha, 0.0, BRANCH_ABOVE
-            return 0.0, 0.0, -delta, BRANCH_FLOOR
-        if delta > 0:
-            return delta, 0.0, 0.0, BRANCH_INTERIOR
-        if delta == 0:
-            return 0.0, 0.0, 0.0, BRANCH_FLOOR
-        return 0.0, 0.0, -delta, BRANCH_FLOOR
-    return delta, 0.0, 0.0, BRANCH_INTERIOR
-
-
-def _next_target(z, slope, b, floor):
-    if slope > 0 and z < b:
-        return b
-    if slope < 0:
-        if z > b:
-            return b
-        if floor and 0.0 < z <= b:
-            return 0.0
-    return None
-
-
-def refracted_reflected_exact(columns: EventColumns, b, alpha) -> SegmentTable:
-    """Refraction above b combined with reflection at 0: the floored
-    trajectories of the paths of columns.
-
-    For b = 0 this is the reflection of the alpha-killed path, with the
-    sticky dividend rate at the origin in Case 2.  alpha = inf is the
-    two-sided reflection on [0, b], with lump dividends at b.
-    """
-    if b < 0:
-        raise InvalidParameter("b", "threshold must be >= 0")
-    if not (alpha > 0):
-        raise InvalidParameter("alpha", "rate cap must be positive")
-    return trajectory_table(columns, b, alpha, True)[0]
-
-
 # Threshold or floor crossings a lane may make between two events.  On a
 # floored refracted path at most three regime changes fall between jumps.
 MAX_CROSSINGS = 3
@@ -323,20 +271,29 @@ class Lanes:
         return LaneFlows(*self._out.reshape(4, *self._shape))
 
 
-def _regime_table(alpha, delta, floor):
-    """(slope, dividend rate, injection rate, branch, target) rows of _regime
-    and _next_target by state class (z > b) + 2 (z == b) + 3 (z == 0), each
-    at a representative (z, b): 0 interior, 1 above b, 2 at b != 0, 3 at 0
-    below b, 4 at 0 above b, 5 at 0 = b.  A drift delta in [0, alpha] sticks
-    at b (is_case2).  The target is inf for b, 0.0 for 0 and nan for none.
-    Unfloored lanes leave out the term 3 (z == 0)."""
-    rows, sticky = [], is_case2(delta, alpha)
-    for z, b in ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0)):
-        slope, lrate, rrate, branch = _regime(z, b, alpha, delta, sticky, floor)
-        target = _next_target(z, slope, b, floor)
-        rows.append((slope, lrate, rrate, branch,
-                     math.nan if target is None else math.inf if target == b else 0.0))
-    return np.array(rows).T
+def _regime_table(alphas, delta, floors):
+    """The regime rule in closed form: (slope, dividend rate, injection
+    rate, branch, target) rows by state class, 0 below b, 1 above b, 2 at
+    b != 0, 3 at 0 below b, 4 at 0 above b, 5 at 0 = b, in a block of six
+    columns per row r of lanes for its cap alphas[r] and floor floors[r]
+    (column 6 r + class).  Below b a lane drifts at delta, above b at delta
+    - alpha, paying alpha.  At b it sticks, paying delta, in Case 2
+    (is_case2), and else moves as above b if delta > alpha, as below b if
+    not.  Held at 0 it is injected at -delta.  The target is inf for b, 0.0
+    for 0 and nan for none.  Unfloored rows repeat classes 0-2 at 3-5."""
+    cols, nan = [], math.nan
+    for alpha, floor in zip(*(a.flat for a in np.broadcast_arrays(
+            np.asarray(alphas, dtype=float), floors))):
+        below = (delta, 0.0, 0.0, BRANCH_INTERIOR,
+                 math.inf if delta > 0 else 0.0 if floor and delta < 0 else nan)
+        above = (delta - alpha, alpha, 0.0, BRANCH_ABOVE, math.inf if delta < alpha else nan)
+        held = (0.0, 0.0, 0.0 - delta, BRANCH_FLOOR, nan)  # read where delta <= 0
+        # at b a lane sticks, or moves as above b; None where it falls
+        at_b = ((0.0, delta, 0.0, BRANCH_AT_B, nan) if is_case2(delta, alpha)
+                else above if delta > alpha else None)
+        free = (below, above, at_b or below)
+        cols += free + ((below if delta > 0 else held, above, at_b or held) if floor else free)
+    return np.array(cols).T
 
 
 def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
@@ -344,8 +301,8 @@ def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
     alpha and floor are scalars or (J, 1) arrays.  Lane (j, i) runs path i of
     columns from columns.x0[i] + x[j], refracted at rate alpha[j] above b[j]
     and, with floor[j], reflected at 0.  The case is read off the draw: a
-    lane sticks at b when is_case2(columns.drift, alpha).  Rows with their
-    own alpha or floor read stacked per-row _regime_tables, caps and floors.
+    lane sticks at b when is_case2(columns.drift, alpha).  Each row reads
+    its block of one _regime_table, the first when all share alpha and floor.
 
     Yields (stretches, te, dividend, topup) for the start (te = 0) and then
     per event column (te the event times).  stretches lists the drift
@@ -367,15 +324,12 @@ def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
     x0, end = (columns.x0, counts) if path is None else (columns.x0[path], counts[path])
     z = x0 + x
     b = np.full(z.shape, b, dtype=float)
-    if np.ndim(alpha) or np.ndim(floor):  # a regime table, cap and floor per row
-        alpha, floor = np.broadcast_arrays(np.asarray(alpha, dtype=float), floor)
-        table = np.hstack([_regime_table(a, columns.drift, f) for a, f in zip(alpha.flat, floor.flat)])
+    alpha, floor = np.broadcast_arrays(np.asarray(alpha, dtype=float), floor)
+    table, role = _regime_table(alpha, columns.drift, floor), None
+    if (alpha != alpha.flat[0]).any() or (floor != floor.flat[0]).any():
         role = np.broadcast_to(6 * np.arange(alpha.size).reshape(alpha.shape), z.shape)
-        cap, lo = np.where(alpha == math.inf, b, math.inf), np.where(floor, 0.0, -math.inf)
-        floor = floor.any()  # the rows of an unfloored table repeat at z == 0
-    else:
-        table, role = _regime_table(alpha, columns.drift, floor), None
-        cap, lo = (b if alpha == math.inf else None), (0.0 if floor else None)
+    cap = np.where(alpha == math.inf, b, math.inf) if (alpha == math.inf).any() else None
+    lo = np.where(floor, 0.0, -math.inf) if floor.any() else None
     te = np.zeros(end.shape)
     for e in range(-1, len(tcols)):
         stretches = []
@@ -385,7 +339,7 @@ def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
             at, ts, zs, tes, bs, rs, last = Ellipsis, t, z, te, b, role, end == e
             for _ in range(MAX_CROSSINGS + 1):
                 cls = np.add(zs >= bs, zs == bs, dtype=np.int8)  # (z > b) + 2 (z == b)
-                if floor:
+                if lo is not None:  # unfloored rows repeat their classes at z == 0
                     cls += 3 * (zs == 0.0).view(np.int8)
                 slope, lrate, rrate, branch, target = np.take(
                     table, cls if rs is None else cls + rs, axis=1)
@@ -420,9 +374,9 @@ def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
         sent = yield stretches, te, dividend, topup
         if sent is not None:
             keep, path = sent
-            te, z, b, *rows = (np.broadcast_to(a, z.shape).reshape(-1)[keep]
-                               for a in (te, z, b) + (() if role is None else (cap, lo, role)))
-            cap, lo, role = rows or (None if cap is None else b, lo, None)
+            te, z, b, cap, lo, role = (  # a shared floor, and None, stay as they are
+                a if np.ndim(a) == 0 else np.broadcast_to(a, z.shape).reshape(-1)[keep]
+                for a in (te, z, b, cap, lo, role))
             end = counts[path]
 
 
@@ -441,11 +395,9 @@ def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
     x, b, alpha, floor = np.broadcast_arrays(*(np.reshape(a, (-1, 1))
                                                for a in (-0.0, b, alpha, floor)))
     by_branch = np.zeros((b.size, 3, 4))  # role, (slope, lrate, rrate), branch
-    for rates, a, f in zip(by_branch, alpha.flat, floor.flat):
-        rows = _regime_table(a, columns.drift, f)
-        rates[:, rows[3].astype(int)] = rows[:3]
-    # roles that share alpha or floor pass it as a scalar, as the estimators do
-    alpha, floor = (a.flat[0] if (a == a.flat[0]).all() else a for a in (alpha, floor))
+    table = _regime_table(alpha, columns.drift, floor).reshape(5, b.size, 6)
+    for rates, (*rows, branch, _) in zip(by_branch, table.transpose(1, 0, 2)):
+        rates[:, branch.astype(int)] = rows
     lanes = np.arange(b.size * columns.counts.size, dtype=np.int32).reshape(b.size, -1)
     segs = [[] for _ in range(4)]  # per kind, one list per field: the lanes, then the fields
     r_atoms, l_atoms = ([[lanes[:0, 0]], [np.empty(0)], [np.empty(0)]] for _ in range(2))
@@ -475,7 +427,7 @@ def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
 
 def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
                        path=None) -> LaneFlows:
-    """The LaneFlows reader of event_steps: refracted_reflected_exact on
+    """The LaneFlows reader of event_steps: the floored trajectory_table on
     every lane, lane (j, i) on path i of columns, or path[j, i] of a (J, m)
     array path, shifted by x[j], with threshold b[j], discounted as it
     goes.  x, b and spliced have length J.

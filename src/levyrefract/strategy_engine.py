@@ -4,8 +4,8 @@ A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
 non-negative.  This module reads draws and never samples: each engine
 takes the one draw format of levy_model.sample_path.  The exact engine
-delegates to path_engine's floored transform: apply_strategy_exact returns
-the SegmentTable of the swept paths of one EventColumns draw, which the
+sweeps with path_engine.trajectory_table: apply_strategy_exact returns the
+floored SegmentTable of the swept paths of one EventColumns draw, which the
 property oracle and sample-path (ControlledTrajectory.from_exact) read
 through path_engine.read_segments.  The Monte Carlo
 estimators run the flows reader of the same lane stepper instead.  The
@@ -107,7 +107,7 @@ def apply_strategy_exact(columns: EventColumns, params: StrategyParams) -> Segme
     For every alpha the paths stick at b when the draw's drift lies in
     [0, alpha] (Case 2, levy_model.is_case2).
     """
-    return path_engine.refracted_reflected_exact(columns, params.b, params.alpha)
+    return path_engine.trajectory_table(columns, params.b, params.alpha, True)[0]
 
 
 def _sum_down(a: np.ndarray) -> np.ndarray:

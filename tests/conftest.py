@@ -83,6 +83,12 @@ def refract_exact(columns, b, alpha):
     return trajectory_table(columns, b, alpha, False)[0]
 
 
+def refracted_reflected_exact(columns, b, alpha):
+    """The floored trajectories of the paths of columns, refracted above b
+    and reflected at 0: the one-role floored trajectory_table."""
+    return trajectory_table(columns, b, alpha, True)[0]
+
+
 def one_path(transform):
     """A path transform of path_engine or strategy_engine, which sweeps the
     paths of EventColumns into a SegmentTable, as a transform of one

@@ -8,10 +8,13 @@ the reference for euler_exact_gap's shared noise.
 
 _sweep is the event sweep of path_engine.event_steps written for one
 EventPath on Python floats, with the arithmetic of numpy float64; it
-appends each segment as it starts.  It takes whether the path sticks at b
-as a flag, which sticks gives by a rule written apart from the src one.
-The tests hold every SegmentTable of path_engine.trajectory_table to it
-bit for bit.  reference_table joins its
+appends each segment as it starts.  The whole regime rule it steps by is
+written apart from the src one, path_engine._regime_table: _regime gives
+the slope, rates and branch of a state, _next_target the level the drift
+heads for, and sticks whether the path sticks at b, which _sweep takes as
+a flag; a guard test keeps them off every src function.  The tests hold
+every SegmentTable of path_engine.trajectory_table to _sweep bit for bit,
+and the regime table to _regime and _next_target.  reference_table joins its
 trajectories of several paths into the fields of a SegmentTable.
 first_passage_times reads the two passage clocks off every path of a
 floored table at once, and floor_decomposition splits the running infimum
@@ -56,7 +59,8 @@ from levyrefract.levy_model import (
     Weibull, _compensated_drift, _jump_draw, mean_drift, sample_path,
 )
 from levyrefract.path_engine import (
-    BRANCH_FLOOR, TABLE_FIELDS, _next_target, _regime, read_segments, trajectory_table,
+    BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS, read_segments,
+    trajectory_table,
 )
 from levyrefract.properties_oracle import EXACT_TOL, Violation, _Block, _Checked
 from levyrefract.strategy_engine import StrategyParams, _floored_euler, apply_strategy_exact
@@ -146,6 +150,42 @@ class RefractedPath:
                 total += term
             flows.append(float(total))
         return tuple(flows)
+
+
+def _regime(z, b, alpha, delta, sticky, floor):
+    """(slope, dividend rate, injection rate, branch) for the current state."""
+    if z > b:
+        return delta - alpha, alpha, 0.0, BRANCH_ABOVE
+    if z == b and (b > 0.0 or not floor):
+        if sticky:
+            return 0.0, delta, 0.0, BRANCH_AT_B
+        if delta > alpha:
+            return delta - alpha, alpha, 0.0, BRANCH_ABOVE
+        return delta, 0.0, 0.0, BRANCH_INTERIOR
+    if floor and z == 0.0:
+        if b == 0.0:
+            if sticky:
+                return 0.0, delta, 0.0, BRANCH_AT_B
+            if delta > alpha:
+                return delta - alpha, alpha, 0.0, BRANCH_ABOVE
+            return 0.0, 0.0, -delta, BRANCH_FLOOR
+        if delta > 0:
+            return delta, 0.0, 0.0, BRANCH_INTERIOR
+        if delta == 0:
+            return 0.0, 0.0, 0.0, BRANCH_FLOOR
+        return 0.0, 0.0, -delta, BRANCH_FLOOR
+    return delta, 0.0, 0.0, BRANCH_INTERIOR
+
+
+def _next_target(z, slope, b, floor):
+    if slope > 0 and z < b:
+        return b
+    if slope < 0:
+        if z > b:
+            return b
+        if floor and 0.0 < z <= b:
+            return 0.0
+    return None
 
 
 def _sweep(path, b, alpha, sticky: bool, floor: bool) -> RefractedPath:

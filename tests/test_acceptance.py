@@ -16,13 +16,13 @@ from levyrefract.cli_reporting import (load_config, reference_case1_spec,
                                        reference_case2_spec, run_experiment)
 from levyrefract.estimation import find_bstar, nu_curve, value_curve
 from levyrefract.levy_model import EXACT, RngStream, net_drift, sample_path
-from levyrefract.path_engine import refracted_reflected_exact
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run)
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
-from conftest import FULL_SCALE, draw_path, drift_only, event_columns, record_acceptance
+from conftest import (FULL_SCALE, draw_path, drift_only, event_columns, record_acceptance,
+                      refracted_reflected_exact)
 from oracles import (DegenerateDenominator, construction_identity_residual,
                      draw_random_bv_setup, estimate_underline_nu, euler_exact_gap,
                      fixed_cap_violations, running_floor_reflection, solve_pstar,

@@ -1362,9 +1362,16 @@ class TestExactNuChunk:
     def test_a_second_crossing_raises(self, monkeypatch):
         """A lane past path_engine.MAX_CROSSINGS crossings between two
         events raises."""
-        # a table in which the state 0 heads for 0 crosses it at once, on
-        # every stretch, until the bound is passed
-        monkeypatch.setattr(path_engine, "_next_target", lambda z, slope, b, floor: 0.0)
+        # a table in which every state heads for 0: the lane at 0 crosses
+        # it at once, on every stretch, until the bound is passed
+        table = path_engine._regime_table
+
+        def heading_for_0(*args):
+            rows = table(*args)
+            rows[4] = 0.0
+            return rows
+
+        monkeypatch.setattr(path_engine, "_regime_table", heading_for_0)
         with pytest.raises(RuntimeError):
             refracted_record_lows(
                 event_columns([EventPath(0.0, 1.0, -0.5, np.empty(0), np.empty(0))]),

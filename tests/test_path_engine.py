@@ -1,3 +1,6 @@
+import dis
+import inspect
+import itertools
 import math
 from dataclasses import replace
 
@@ -11,13 +14,15 @@ from levyrefract.levy_model import (
 from levyrefract import path_engine
 from levyrefract.path_engine import (
     BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS,
-    floored_lane_sweep, read_segments, refracted_reflected_exact, trajectory_table,
+    _regime_table, floored_lane_sweep, read_segments, trajectory_table,
 )
-from levyrefract.strategy_engine import ControlledTrajectory
+from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
-from conftest import draw_path, drift_path, event_columns, one_path, refract_exact
+from conftest import (
+    draw_path, drift_path, event_columns, one_path, refract_exact, refracted_reflected_exact,
+)
 from oracles import (
-    EventPath, _sweep, construction_identity_residual, dividend_integral_path, dividends_at,
+    EventPath, _next_target, _regime, _sweep, construction_identity_residual, dividend_integral_path, dividends_at,
     draw_random_bv_setup, end_value, event_paths, first_passage_times, floor_decomposition,
     injections_at, left_limit_at, reference_table, running_floor_reflection,
     running_inf_of_neg_part, sticks, value_at,
@@ -79,10 +84,11 @@ class TestRefractExact:
         assert dl == pytest.approx(0.3 / 0.05, rel=1e-12)
 
     def test_alpha_validation(self):
-        p = drift_path(1.0, 0.0, 1.0)
+        """The floored strategy, which apply_strategy_exact sweeps, takes no
+        cap that is not positive."""
         for bad in (0.0, -1.0, math.nan):
             with pytest.raises(InvalidParameter):
-                floored(p, b=1.0, alpha=bad)
+                StrategyParams(b=1.0, alpha=bad, beta=1.5, q=0.05)
 
     @settings(max_examples=50, deadline=None)
     @given(st.floats(0.0, 1.0), st.floats(0.05, 0.95), st.floats(0.1, 8.0))
@@ -142,9 +148,9 @@ class TestRefractedReflected:
         assert dec.initial_part == pytest.approx(-0.3)
 
     def test_negative_barrier_rejected(self):
-        p = drift_path(1.0, 0.0, 1.0)
+        """The floored strategy takes no threshold below the floor."""
         with pytest.raises(InvalidParameter) as err:
-            floored(p, b=-0.5, alpha=0.4)
+            StrategyParams(b=-0.5, alpha=0.4, beta=1.5, q=0.05)
         assert err.value.field_name == "b"
 
     def test_zero_threshold_pays_flat_cap(self):
@@ -496,6 +502,87 @@ class TestTrajectoryTable:
                     n_roles += 1
                     n_sticky += bool(np.any(table.seg_branch == BRANCH_AT_B))
         assert n_roles == 30 * 2 * 12 and n_sticky > 0
+
+
+# drifts and caps at the edges of each regime, signed zeros and subnormals
+# included, and a representative (z, b) of each state class (z > b) + 2
+# (z == b) + 3 (z == 0)
+DELTAS = (-2.0, -0.5, -1e-300, -0.0, 0.0, 1e-300, 0.3, 0.5, 0.7, 5.0)
+ALPHAS = (1e-300, 0.3, 0.5, 2.0, math.inf)
+CLASS_POINTS = ((0.5, 1.0), (2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (0.0, -1.0), (0.0, 0.0))
+
+
+def scalar_regime_table(alpha, delta, floor):
+    """The six state-class columns of one row of lanes off the oracle's
+    scalar rule, each at its representative (z, b): (slope, dividend rate,
+    injection rate, branch, target), the target inf for b, 0.0 for 0 and
+    nan for none."""
+    sticky, cols = sticks(EventPath(0.0, 1.0, delta), alpha), []
+    for z, b in CLASS_POINTS:
+        slope, lrate, rrate, branch = _regime(z, b, alpha, delta, sticky, floor)
+        target = _next_target(z, slope, b, floor)
+        cols.append((slope, lrate, rrate, branch,
+                     math.nan if target is None else math.inf if target == b else 0.0))
+    return np.array(cols).T
+
+
+def global_names(fn):
+    """The global names that fn's code, nested code included, loads."""
+    codes, names = [fn.__code__], set()
+    while codes:
+        code = codes.pop()
+        names |= {ins.argval for ins in dis.get_instructions(code)
+                  if ins.opname in ("LOAD_GLOBAL", "LOAD_NAME")}
+        codes += [c for c in code.co_consts if inspect.iscode(c)]
+    return names
+
+
+class TestRegimeTable:
+    """path_engine._regime_table, the closed-form rule of every exact lane,
+    against the scalar rule of the reference sweep, which shares no code
+    with it."""
+
+    @pytest.mark.parametrize("delta", DELTAS)
+    def test_is_the_scalar_rule(self, delta):
+        """Byte for byte, so signed zeros and nan placement count, at every
+        cap, floored and not."""
+        for alpha in ALPHAS:
+            for floor in (False, True):
+                got, want = _regime_table(alpha, delta, floor), scalar_regime_table(
+                    alpha, delta, floor)
+                assert got.shape == want.shape == (5, 6)
+                assert got.tobytes() == want.tobytes(), (alpha, floor)
+
+    def test_rows_are_their_tables_side_by_side(self):
+        """A two-row call is the two one-row tables side by side."""
+        rows = list(itertools.product(ALPHAS, (False, True)))
+        for delta in DELTAS:
+            for (a1, f1), (a2, f2) in itertools.combinations(rows, 2):
+                got = _regime_table([a1, a2], delta, [f1, f2])
+                want = np.hstack((_regime_table(a1, delta, f1), _regime_table(a2, delta, f2)))
+                assert got.tobytes() == want.tobytes() and got.shape == (5, 12)
+
+    def test_the_reference_sweep_shares_no_rule_with_src(self):
+        """_sweep, sticks and the oracle functions they call load no name
+        that resolves to a function, class or module of levyrefract, so a
+        wrong regime rule in src cannot hide in its own reference.  The
+        BRANCH_* codes and TABLE_FIELDS are shared constants."""
+        todo, seen, shared = [_sweep, sticks], set(), []
+        while todo:
+            fn = todo.pop()
+            seen.add(fn)
+            for name in global_names(fn):
+                obj = fn.__globals__.get(name)
+                if not (inspect.isfunction(obj) or inspect.isclass(obj)
+                        or inspect.ismodule(obj)):
+                    continue  # a constant, which may be shared
+                where = obj.__name__ if inspect.ismodule(obj) else obj.__module__
+                if where.split(".")[0] == "levyrefract":
+                    shared.append((fn.__name__, name, where))
+                elif inspect.isfunction(obj) and where == fn.__module__ and obj not in seen:
+                    todo.append(obj)
+        assert not shared
+        assert {_regime, _next_target, sticks} <= seen
 
 
 def _bits(a):

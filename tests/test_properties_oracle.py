@@ -12,9 +12,7 @@ from levyrefract.levy_model import (
     EXACT, EventColumns, ExactModeUnavailable, InvalidParameter, JumpDiffusionSpec, PointMass,
     RngStream, sample_path,
 )
-from levyrefract.path_engine import (
-    TABLE_FIELDS, read_segments, refracted_reflected_exact, trajectory_table,
-)
+from levyrefract.path_engine import TABLE_FIELDS, read_segments, trajectory_table
 from levyrefract.properties_oracle import (
     BLOCK, CharReport, InvalidLadder, LADDER_PROPS, LADDER_RUN, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
@@ -22,7 +20,9 @@ from levyrefract.properties_oracle import (
 )
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
-from conftest import drift_only, drift_path, event_columns, one_path, refract_exact
+from conftest import (
+    drift_only, drift_path, event_columns, one_path, refract_exact, refracted_reflected_exact,
+)
 from oracles import (
     dividends_at, draw_random_bv_setup, event_paths, fixed_cap_violations, injections_at,
     left_limit_at, value_at, value_shape_check,
