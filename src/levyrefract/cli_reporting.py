@@ -60,12 +60,9 @@ from . import properties_oracle as oracle
 OUT_DIR_ENV = "LEVYREFRACT_OUT"
 DESK_N = 10_000
 DESK_K = 2_000
+DESK_VALUE_N = 2_000  # reproduce-paper's value curves at desk scale
+DESK_X_STEP = 0.25  # and their x step, over the range of task.x_grid
 _MAX_RANGE_POINTS = 10 ** 6  # most points a lo:step:hi grid may hold
-
-# Truncated-drift coefficient for the built-in reference experiments: the
-# value that puts the slope between jumps at exactly 0.6 for unit-rate
-# Uniform(0,1) up-jumps against unit-rate Weibull(2,1) down-jumps.
-REFERENCE_GAMMA = 0.7210553083590153
 
 SUBCOMMANDS = ("validate", "sample-path", "nu-curve", "bstar", "value-curve",
                "alpha-convergence", "check-properties", "reproduce-paper")
@@ -309,8 +306,8 @@ class ExperimentConfig:
 
 def load_config(source: str) -> ExperimentConfig:
     """Read a config from a file path or directly from config text."""
-    if "\n" not in source and "=" not in source:
-        if not os.path.exists(source):
+    if "\n" not in source and (os.path.isfile(source) or "=" not in source):
+        if not os.path.isfile(source):
             raise ParseError(f"no such config file: {source}")
         with open(source, encoding="utf-8") as fh:
             text = fh.read()
@@ -334,22 +331,6 @@ def load_config(source: str) -> ExperimentConfig:
         raise ValidationError("task.engine", str(err))
     return ExperimentConfig(spec=spec, **values,
                             text_sha256=hashlib.sha256(text.encode()).hexdigest())
-
-
-# reference experiment factories -------------------------------------------
-
-def reference_case1_spec() -> JumpDiffusionSpec:
-    """Bounded-variation reference model: slope 0.6 between jumps, unit-rate
-    Uniform(0,1) up-jumps, unit-rate Weibull(2,1) down-jumps."""
-    return JumpDiffusionSpec(
-        gamma=REFERENCE_GAMMA, sigma=0.0,
-        jump_components=((1.0, 1, Uniform(0.0, 1.0)),
-                         (1.0, -1, Weibull(2.0, 1.0))))
-
-
-def reference_case2_spec() -> JumpDiffusionSpec:
-    """Same jumps with a unit Gaussian part (unbounded variation)."""
-    return replace(reference_case1_spec(), sigma=1.0)
 
 
 # SVG plots -----------------------------------------------------------------
@@ -606,13 +587,19 @@ def _run_nu_curve(cfg, outs, threads, desk):
     return cfg.engine, "pass"
 
 
-def _run_bstar(cfg, outs, threads, desk):
+def _bstar(cfg, outs, threads) -> float:
+    """Write bstar.csv and the nu curve it was read from; return b*."""
     res = find_bstar(cfg.params_for(0.0), cfg.spec, cfg.need("b_grid"), cfg.horizon,
                      cfg.k, cfg.n, RngStream(cfg.seed, tag=2), engine=cfg.engine,
                      threads=threads)
     outs.write("bstar.csv", res.to_csv())
     plot = _nu_plot(res.curve, cfg.beta, "Threshold estimate")
     emit_outputs(outs, "nu_curve", res.curve.to_csv(), plot)
+    return res.bstar_hat
+
+
+def _run_bstar(cfg, outs, threads, desk):
+    _bstar(cfg, outs, threads)
     return cfg.engine, "pass"
 
 
@@ -725,27 +712,16 @@ def _run_check_properties(cfg, outs, threads, desk):
 
 
 def _run_reproduce(cfg, outs, threads, desk):
-    cases = ((10, "case1", reference_case1_spec(), 3.49, "exact"),
-             (20, "case2", reference_case2_spec(), 3.99, "euler"))
-    for tag_base, name, spec, bhi, eng in cases:
-        sub = replace(cfg, spec=spec, alpha=0.5, beta=1.5, q=0.05, engine=eng)
-        res = find_bstar(sub.params_for(0.0), spec, _range_grid(-1.0, 0.01, bhi),
-                         sub.horizon, sub.k, sub.n, RngStream(sub.seed, tag=tag_base),
-                         engine=eng, threads=threads)
-        outs.write(f"bstar_{name}.csv", res.to_csv())
-        emit_outputs(outs, f"nu_curve_{name}", res.curve.to_csv(),
-                     _nu_plot(res.curve, sub.beta,
-                              f"Passage transform ({name})"))
-        bst = res.bstar_hat
-        bs = sorted({round(bst * f, 2) for f in
-                     (1 / 3, 2 / 3, 1.0, 4 / 3, 5 / 3)})
-        xs = _range_grid(-1.0, 0.25 if desk else 0.01, bhi)
-        rows, plot = _assemble_value_curves(
-            replace(sub, seed=sub.seed + tag_base, n=min(sub.n, 2000) if desk else sub.n),
-            threads, bs, round(bst, 2), xs, "spliced")
-        plot.title = f"Value curves ({name})"
-        emit_outputs(outs, f"value_curves_{name}", value_curve_csv(rows), plot)
-    return "+".join(case[-1] for case in cases), "pass"
+    """bstar, then the value curves of thresholds b* x {1/3, ..., 5/3}."""
+    xs = cfg.need("x_grid")
+    bst = _bstar(cfg, outs, threads)
+    bs = sorted({round(bst * f, 2) for f in (1 / 3, 2 / 3, 1.0, 4 / 3, 5 / 3)})
+    if desk:
+        xs = _range_grid(xs[0], DESK_X_STEP, xs[-1])
+        cfg = replace(cfg, n=min(cfg.n, DESK_VALUE_N))
+    rows, plot = _assemble_value_curves(cfg, threads, bs, round(bst, 2), xs, cfg.method)
+    emit_outputs(outs, "value_curves", value_curve_csv(rows), plot)
+    return cfg.engine, "pass"
 
 
 _SUBS = {

@@ -3,12 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from levyrefract.levy_model import (
-    EXACT, EventColumns, JumpDiffusionSpec, Uniform, Weibull, sample_path,
-)
+from levyrefract.cli_reporting import load_config
+from levyrefract.levy_model import EXACT, EventColumns, JumpDiffusionSpec, sample_path
 from levyrefract.path_engine import trajectory_table
 
-from oracles import EventPath, event_paths
+from oracles import EventPath, event_paths, reference_config_text
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -26,25 +25,23 @@ def pytest_terminal_summary(terminalreporter):
         for _, line in sorted(ACCEPTANCE_LINES):
             terminalreporter.write_line(line)
 
-# Truncated-drift coefficient that puts the slope between jumps at 0.6 for
-# the reference jump mix (unit-rate Uniform(0,1) up, Weibull(2,1) down).
-REFERENCE_GAMMA = 0.7210553083590153
+# The shipped reference models: unit-rate Uniform(0,1) up-jumps against
+# unit-rate Weibull(2,1) down-jumps, with sigma = 0 (case 1) or 1 (case 2).
+# Their truncated-drift coefficient puts the slope between jumps at 0.6.
+REFERENCE_SPECS = {case: load_config(reference_config_text(case)).spec for case in (1, 2)}
+REFERENCE_GAMMA = REFERENCE_SPECS[1].gamma
 
 FULL_SCALE = os.environ.get("LEVYREFRACT_FULL_SCALE", "") not in ("", "0")
 
 
 @pytest.fixture(scope="session")
 def ref_spec_bv():
-    return JumpDiffusionSpec(
-        gamma=REFERENCE_GAMMA, sigma=0.0,
-        jump_components=((1.0, 1, Uniform(0.0, 1.0)),
-                         (1.0, -1, Weibull(2.0, 1.0))))
+    return REFERENCE_SPECS[1]
 
 
 @pytest.fixture(scope="session")
-def ref_spec_gauss(ref_spec_bv):
-    from dataclasses import replace
-    return replace(ref_spec_bv, sigma=1.0)
+def ref_spec_gauss():
+    return REFERENCE_SPECS[2]
 
 
 def drift_only(delta: float, x0: float = 0.0) -> JumpDiffusionSpec:

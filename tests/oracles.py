@@ -38,8 +38,8 @@ fields.  The construction identity residual recomputes a floored
 trajectory from its driver and dividends, independently of the sweep's
 injection bookkeeping, and budget_residual checks the budget of a
 ControlledTrajectory.  draw_random_bv_setup draws the random models of the
-randomized sweeps, and reference_config_text writes the reference
-experiment as config text.  concatenated_grid_increments bins the whole
+randomized sweeps, and reference_config_text reads a shipped config
+with some of its keys set.  concatenated_grid_increments bins the whole
 jump draw of the grid sampler in one np.add.at, the reference for the
 sampler's binning of each component as it is drawn.  euler_exact_gap
 measures the Euler recursion against the exact trajectories on shared
@@ -48,11 +48,11 @@ noise, and euler_knots reads the block-stepped recursion knot by knot.
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from levyrefract.cli_reporting import REFERENCE_GAMMA
 from levyrefract.estimation import BATCH, CHUNK, CONTROL_RTOL, McEstimate
 from levyrefract.levy_model import (
     EXACT, EventColumns, Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform,
@@ -64,6 +64,8 @@ from levyrefract.path_engine import (
 )
 from levyrefract.properties_oracle import EXACT_TOL, Violation, _Block, _Checked
 from levyrefract.strategy_engine import StrategyParams, _floored_euler, apply_strategy_exact
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 @dataclass(frozen=True)
@@ -664,35 +666,14 @@ def draw_random_bv_setup(rng: np.random.Generator):
     return spec, params, x, k, l
 
 
-def reference_config_text(case: int, n: int = 100_000, k: int = 10_000,
-                          seed: int = 20260101) -> str:
-    """The reference experiment of case 1 or 2 as config text."""
-    sigma = 0 if case == 1 else 1
-    bhi = 3.49 if case == 1 else 3.99
-    return "\n".join([
-        f"model.gamma = {REFERENCE_GAMMA!r}",
-        f"model.sigma = {sigma}",
-        "model.jump1.rate = 1.0",
-        "model.jump1.sign = +1",
-        "model.jump1.dist = uniform",
-        "model.jump1.params = 0, 1",
-        "model.jump2.rate = 1.0",
-        "model.jump2.sign = -1",
-        "model.jump2.dist = weibull",
-        "model.jump2.params = 2, 1",
-        "control.alpha = 0.5",
-        "control.beta = 1.5",
-        "control.q = 0.05",
-        "grid.T = 100",
-        f"grid.K = {k}",
-        f"mc.N = {n}",
-        f"mc.seed = {seed}",
-        f"task.b_grid = -1:0.01:{bhi}",
-        f"task.x_grid = -1:0.05:{bhi}",
-        "task.alphas = 0.5, 2, 8, 32, inf",
-        "task.x = 0.5",
-        f"task.b = {1.66 if case == 1 else 2.15}",
-    ]) + "\n"
+def reference_config_text(case: int, **keys) -> str:
+    """configs/paper_case{case}.cfg with the given keys set: a key the file
+    holds keeps its line, a new one is appended."""
+    lines = []
+    for line in (CONFIGS / ("paper_case%d.cfg" % case)).read_text().splitlines():
+        key = line.split("=", 1)[0].strip()
+        lines.append("%s = %s" % (key, keys.pop(key)) if key in keys else line)
+    return "\n".join(lines + ["%s = %s" % kv for kv in keys.items()]) + "\n"
 
 
 def euler_exact_gap(columns, params: StrategyParams, x: float, k: int) -> np.ndarray:

@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from levyrefract.cli_reporting import (load_config, reference_case1_spec,
-                                       reference_case2_spec, run_experiment)
+from levyrefract.cli_reporting import load_config, run_experiment
 from levyrefract.estimation import find_bstar, nu_curve, value_curve
 from levyrefract.levy_model import EXACT, RngStream, net_drift, sample_path
 from levyrefract.properties_oracle import (alpha_ladder_run,
@@ -21,8 +20,8 @@ from levyrefract.properties_oracle import (alpha_ladder_run,
                                            coupled_pair_run)
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
-from conftest import (FULL_SCALE, draw_path, drift_only, event_columns, record_acceptance,
-                      refracted_reflected_exact)
+from conftest import (FULL_SCALE, REFERENCE_SPECS, draw_path, drift_only, event_columns,
+                      record_acceptance, refracted_reflected_exact)
 from oracles import (DegenerateDenominator, construction_identity_residual,
                      draw_random_bv_setup, estimate_underline_nu, euler_exact_gap,
                      fixed_cap_violations, running_floor_reflection, solve_pstar,
@@ -41,7 +40,7 @@ def ref_params(b: float = 1.0) -> StrategyParams:
 def case1_search():
     n = 100_000 if FULL_SCALE else 10_000
     grid = np.round(np.arange(-1.0, 3.49 + 1e-9, 0.01), 2)
-    res = find_bstar(ref_params(), reference_case1_spec(), grid, 100.0, 0, n,
+    res = find_bstar(ref_params(), REFERENCE_SPECS[1], grid, 100.0, 0, n,
                      RngStream(SEED, tag=11), engine="exact", threads=THREADS)
     return res, n
 
@@ -50,7 +49,7 @@ def case1_search():
 def case2_search():
     n = 100_000 if FULL_SCALE else 20_000
     grid = np.round(np.arange(-1.0, 3.99 + 1e-9, 0.01), 2)
-    res = find_bstar(ref_params(), reference_case2_spec(), grid, 100.0,
+    res = find_bstar(ref_params(), REFERENCE_SPECS[2], grid, 100.0,
                      10_000, n, RngStream(SEED, tag=21), engine="euler",
                      threads=THREADS)
     return res, n
@@ -80,8 +79,8 @@ def test_03_estimated_threshold_dominates_competitors(case1_search, case2_search
     parts = []
     misses = 0
     for label, search, spec, n, k, tag in (
-            ("bv", case1_search, reference_case1_spec(), 1000, 0, 31),
-            ("gauss", case2_search, reference_case2_spec(), 800, 1200, 32)):
+            ("bv", case1_search, REFERENCE_SPECS[1], 1000, 0, 31),
+            ("gauss", case2_search, REFERENCE_SPECS[2], 800, 1200, 32)):
         bstar = search[0].bstar_hat
         xs = np.linspace(-1.0, 2.0 * bstar, 20)
         bs = (bstar / 3, 2 * bstar / 3, bstar, 4 * bstar / 3, 5 * bstar / 3)
@@ -206,7 +205,7 @@ def test_06_value_rises_along_the_cap_ladder():
     near = []
     far = []
     for xi, x in enumerate((0.5, 1.0, 2.0)):
-        rep = alpha_ladder_run(reference_case1_spec(), 1.66, rungs, x, 15.0,
+        rep = alpha_ladder_run(REFERENCE_SPECS[1], 1.66, rungs, x, 15.0,
                                1200, RngStream(SEED, tag=60 + xi),
                                beta=1.5, q=0.05)
         n_viol += len(rep.violations)
@@ -223,7 +222,7 @@ def test_06_value_rises_along_the_cap_ladder():
 
 
 def test_07_euler_gap_shrinks_with_step_count():
-    spec = reference_case1_spec()
+    spec = REFERENCE_SPECS[1]
     pp = ref_params(1.66)
     means = []
     for k in (100, 1000, 10000):
@@ -240,8 +239,8 @@ def test_08_characteristic_function_both_models():
     lams = np.linspace(-3.0, 3.0, 13)
     ok = True
     worst = 0.0
-    for tag, spec in ((81, reference_case1_spec()),
-                      (82, reference_case2_spec())):
+    for tag, spec in ((81, REFERENCE_SPECS[1]),
+                      (82, REFERENCE_SPECS[2])):
         rep = char_function_check(spec, 1.0, lams, 100_000,
                                   RngStream(SEED, tag=tag))
         ok = ok and rep.ok
@@ -257,7 +256,7 @@ def test_09_value_slope_matches_the_passage_clock(case1_search):
     which reads its passages off trajectory tables of the same event sweep,
     not the lane reader the value curve runs on."""
     bstar = case1_search[0].bstar_hat
-    spec = reference_case1_spec()
+    spec = REFERENCE_SPECS[1]
     pp = ref_params()
     xs = np.round(np.arange(-0.5, 3.5 + 1e-9, 0.2), 10)
     rows = value_curve(xs, bstar, pp, spec, 60.0, 0, 4000,

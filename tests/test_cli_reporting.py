@@ -10,12 +10,12 @@ import pytest
 from levyrefract import cli_reporting
 from levyrefract.cli_reporting import (
     ExperimentConfig, ParseError, SUBCOMMANDS, SvgPlot, ValidationError, load_config, main,
-    parse_grid, reference_case1_spec, reference_case2_spec, run_experiment,
+    parse_grid, run_experiment,
 )
 from levyrefract.estimation import NoCrossing
 from levyrefract.levy_model import MarkDistribution, net_drift
 
-from oracles import reference_config_text
+from oracles import CONFIGS, reference_config_text
 
 BASE = """\
 model.gamma = -1.0
@@ -163,6 +163,15 @@ class TestGrammar:
         with pytest.raises(ParseError):
             load_config("/no/such/file.cfg")
 
+    def test_a_path_with_an_equals_sign_is_read_as_a_file(self, tmp_path):
+        p = tmp_path / "a=b" / "c.cfg"
+        p.parent.mkdir()
+        p.write_text(BASE)
+        assert load_config(str(p)).text_sha256 == load_config(BASE).text_sha256
+        assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
+        with pytest.raises(ParseError, match="unknown key"):
+            load_config(str(p.parent / "missing.cfg"))
+
 
 class TestParseGrid:
     def test_range_form(self):
@@ -208,22 +217,23 @@ class TestParseGrid:
 
 class TestReferenceConfigs:
     def test_reference_models(self):
-        s1 = reference_case1_spec()
-        s2 = reference_case2_spec()
+        """The shipped configs: the same jumps, sigma 0 and 1, and a slope of
+        0.6 between the jumps of case 1."""
+        s1, s2 = (load_config(str(CONFIGS / ("paper_case%d.cfg" % c))).spec for c in (1, 2))
         assert s1.sigma == 0.0 and s2.sigma == 1.0
+        assert dataclasses.replace(s2, sigma=0.0) == s1
         assert net_drift(s1) == pytest.approx(0.6, abs=1e-12)
         assert net_drift(s2) is None
 
     def test_reference_text_loads(self):
-        cfg = load_config(reference_config_text(1, n=500, k=100))
+        cfg = load_config(reference_config_text(1, **{"mc.N": 500, "grid.K": 100}))
         assert cfg.n == 500 and cfg.k == 100
         assert cfg.alpha == 0.5 and cfg.beta == 1.5 and cfg.q == 0.05
         assert cfg.b == 1.66
 
     def test_shipped_configs_load(self):
-        root = os.path.join(os.path.dirname(__file__), "..", "configs")
-        c1 = load_config(os.path.join(root, "paper_case1.cfg"))
-        c2 = load_config(os.path.join(root, "paper_case2.cfg"))
+        c1 = load_config(str(CONFIGS / "paper_case1.cfg"))
+        c2 = load_config(str(CONFIGS / "paper_case2.cfg"))
         assert c1.n == 100_000 and c1.k == 10_000
         assert c1.spec.sigma == 0.0 and c2.spec.sigma == 1.0
         assert c2.b == 2.15
@@ -276,7 +286,7 @@ class TestRunValidate:
         assert doc["outputs"][0]["sha256"] == digest
 
     def test_diffusion_model_reports_no_net_drift(self, tmp_path):
-        cfg = load_config(reference_config_text(2, n=10, k=10))
+        cfg = load_config(reference_config_text(2, **{"mc.N": 10, "grid.K": 10}))
         run_experiment(cfg, "validate", out_dir=str(tmp_path))
         text = (tmp_path / "validation.txt").read_text()
         assert "net_drift = none" in text
@@ -492,8 +502,7 @@ class TestRunAlphaConvergence:
     def test_the_gap_column_reads_nan_without_an_infinite_rung(self, alphas, tmp_path):
         """A ladder without an infinite rung measures no gap to the limit:
         its rows write nan there, not 0."""
-        cfg = load_config(reference_config_text(1, n=40).replace(
-            "task.alphas = 0.5, 2, 8, 32, inf", "task.alphas = " + alphas))
+        cfg = load_config(reference_config_text(1, **{"mc.N": 40, "task.alphas": alphas}))
         run_experiment(cfg, "alpha-convergence", out_dir=str(tmp_path))
         rows = (tmp_path / "alpha_ladder.csv").read_text().splitlines()[1:]
         gaps = [row.split(",")[3] for row in rows]
@@ -546,8 +555,7 @@ class TestRunCheckProperties:
     def test_an_infinite_cap_passes_on_the_case1_model(self, tmp_path, capsys):
         # jumps that lift both coupled paths past b pay the gap they close
         p = tmp_path / "c.cfg"
-        p.write_text(reference_config_text(1, n=200).replace("control.alpha = 0.5",
-                                                             "control.alpha = inf"))
+        p.write_text(reference_config_text(1, **{"mc.N": 200, "control.alpha": "inf"}))
         assert main(["check-properties", "--config", str(p), "--out",
                      str(tmp_path / "out")]) == 0
         assert "PASS pair_div_support" in capsys.readouterr().out
@@ -673,25 +681,22 @@ class TestMain:
     def test_a_weibull_cutoff_past_a_float_validates(self, tmp_path):
         # (1/scale)^shape overflows, and every mark lies below 1
         p = tmp_path / "c.cfg"
-        p.write_text(reference_config_text(1).replace("model.jump2.params = 2, 1",
-                                                      "model.jump2.params = 40, 1e-10"))
+        p.write_text(reference_config_text(1, **{"model.jump2.params": "40, 1e-10"}))
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 0
 
     def test_an_infinite_negative_jump_mean_exits_two(self, tmp_path, capsys):
         # each mark mean is finite, and their rate-weighted sum is not
         p = tmp_path / "c.cfg"
-        p.write_text(reference_config_text(1)
-                     .replace("model.jump2.rate = 1.0", "model.jump2.rate = 10")
-                     .replace("model.jump2.params = 2, 1", "model.jump2.params = 1, 1e308"))
+        p.write_text(reference_config_text(1, **{"model.jump2.rate": 10,
+                                                 "model.jump2.params": "1, 1e308"}))
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         assert "model.jump2:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_a_non_finite_point_mass_says_finite(self, value, tmp_path, capsys):
         p = tmp_path / "c.cfg"
-        p.write_text(reference_config_text(1)
-                     .replace("model.jump2.dist = weibull", "model.jump2.dist = pointmass")
-                     .replace("model.jump2.params = 2, 1", "model.jump2.params = " + value))
+        p.write_text(reference_config_text(1, **{"model.jump2.dist": "pointmass",
+                                                 "model.jump2.params": value}))
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "model.jump2.params" in err and "finite" in err
@@ -708,8 +713,7 @@ class TestMain:
         monkeypatch.setattr(cli_reporting, "_build_marks", lambda prefix, items: (
             HeavyTail() if prefix == "model.jump2" else build(prefix, items)))
         p = tmp_path / "c.cfg"
-        p.write_text(reference_config_text(1).replace("model.jump2.sign = -1",
-                                                      "model.jump2.sign = " + sign))
+        p.write_text(reference_config_text(1, **{"model.jump2.sign": sign}))
         assert main(["validate", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "model.jump2:" in err and "finite" in err
@@ -782,15 +786,61 @@ class TestSvgPlot:
 
 class TestReproduceTiny:
     def test_case1_desk_run(self, tmp_path):
-        cfg = load_config(
-            reference_config_text(1, n=80, k=200, seed=5)
-            .replace("grid.T = 100", "grid.T = 20"))
+        cfg = load_config(reference_config_text(
+            1, **{"mc.N": 80, "grid.K": 200, "mc.seed": 5, "grid.T": 20}))
         man = run_experiment(cfg, "reproduce-paper", out_dir=str(tmp_path),
                              desk_scale=True)
-        assert man.status == "pass"
+        assert man.status == "pass" and man.engine == "exact"
         names = {r["file"] for r in man.outputs}
-        assert {"bstar_case1.csv", "nu_curve_case1.csv", "nu_curve_case1.svg",
-                "value_curves_case1.csv", "value_curves_case1.svg"} <= names
-        bstar = float((tmp_path / "bstar_case1.csv")
-                      .read_text().splitlines()[1].split(",")[0])
+        assert names == {"bstar.csv", "nu_curve.csv", "nu_curve.svg",
+                         "value_curves.csv", "value_curves.svg"}
+        bstar = float((tmp_path / "bstar.csv").read_text().splitlines()[1].split(",")[0])
         assert 0.5 < bstar < 3.0
+
+
+# small enough for a test, large enough for beta * nu to cross 1 on both engines
+SMALL_REPRODUCE = {"grid.T": 20, "grid.K": 200, "mc.N": 300,
+                   "task.b_grid": "-1:0.05:3.5", "task.x_grid": "-0.5:0.5:2.5"}
+
+
+def run_outputs(text, sub, out_dir, threads=1):
+    """{file name: bytes} of the outputs of one desk-scale run."""
+    man = run_experiment(load_config(text), sub, out_dir=str(out_dir), threads=threads,
+                         desk_scale=True)
+    return {r["file"]: (out_dir / r["file"]).read_bytes() for r in man.outputs}
+
+
+class TestReproduceReadsItsConfig:
+    """reproduce-paper is bstar on its config, then value curves around the
+    b* it found, on both engines."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_its_threshold_search_is_bstar(self, case, threads, tmp_path):
+        text = reference_config_text(case, **SMALL_REPRODUCE)
+        bstar = run_outputs(text, "bstar", tmp_path / "bstar", threads)
+        both = run_outputs(text, "reproduce-paper", tmp_path / "both", threads)
+        assert set(bstar) == {"bstar.csv", "nu_curve.csv", "nu_curve.svg"}
+        assert {name: both[name] for name in bstar} == bstar
+        assert set(both) - set(bstar) == {"value_curves.csv", "value_curves.svg"}
+
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_a_changed_rate_cap_changes_every_output(self, case, tmp_path):
+        one, other = (run_outputs(reference_config_text(case, **SMALL_REPRODUCE,
+                                                        **{"control.alpha": alpha}),
+                                  "reproduce-paper", tmp_path / alpha)
+                      for alpha in ("0.5", "0.7"))
+        assert set(one) == set(other)
+        assert all(one[name] != other[name] for name in one)
+
+    @pytest.mark.parametrize("key", ["task.b_grid", "task.x_grid"])
+    @pytest.mark.parametrize("case", [1, 2])
+    def test_a_missing_grid_exits_two_naming_it(self, case, key, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(line + "\n" for line in
+                             reference_config_text(case, **SMALL_REPRODUCE).splitlines()
+                             if not line.startswith(key)))
+        assert main(["reproduce-paper", "--config", str(p), "--desk-scale",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert key + ": missing" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")

@@ -62,8 +62,10 @@ task.x = 0.5
 # in [0, alpha]), and the b grid holds b = 0, where the refracted path
 # parks at 0.
 # The alpha = inf exact cases and the two oracle subcommands cover the
-# two-sided and from-above reflections.  reproduce-paper runs its own
-# reference models at desk scale; the model text sets T, K, N and the seed.
+# two-sided reflection on [0, b], which pays dividends in lumps.  The two
+# reproduce-paper cases run the model text at desk scale: bstar on the b
+# grid, then value curves at five thresholds around b* over the range of
+# the x grid at step 0.25.
 CASES = {
     "exact-nu-curve": (0, "0.5", "nu-curve"),
     "exact-nu-curve-case2": (0, "1", "nu-curve"),
@@ -83,15 +85,17 @@ CASES = {
     "euler-value-curve-inf": (1, "inf", "value-curve"),
     "euler-sample-path": (1, "0.5", "sample-path"),
     "reproduce-paper": (0, "0.5", "reproduce-paper"),
+    "reproduce-paper-euler": (1, "0.5", "reproduce-paper"),
 }
 
-DESK_SCALED = ("reproduce-paper",)
+DESK_SCALED = ("reproduce-paper", "reproduce-paper-euler")
 
 # every case whose subcommand takes --threads
 THREAD_CHECKED = ("exact-nu-curve", "exact-nu-curve-case2", "exact-bstar",
                   "exact-value-curve", "exact-value-curve-direct", "exact-value-curve-inf",
                   "euler-nu-curve", "euler-nu-curve-inf", "euler-bstar", "euler-value-curve",
-                  "euler-value-curve-direct", "euler-value-curve-inf", "reproduce-paper")
+                  "euler-value-curve-direct", "euler-value-curve-inf", "reproduce-paper",
+                  "reproduce-paper-euler")
 
 
 def run_case(name, out_dir, threads=1):

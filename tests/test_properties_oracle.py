@@ -317,8 +317,8 @@ class TestOneSweepPerRun:
         starts."""
         from levyrefract.cli_reporting import load_config, run_experiment
         from oracles import reference_config_text
-        run_experiment(load_config(reference_config_text(1, n=40)), "check-properties",
-                       out_dir=str(tmp_path))
+        cfg = load_config(reference_config_text(1, **{"mc.N": 40}))
+        run_experiment(cfg, "check-properties", out_dir=str(tmp_path))
         assert [c.counts.size for c, _, _ in sweeps] == [80, 40, 2]
 
     def test_a_block_sorts_its_times_once(self, ref_spec_bv, monkeypatch):

@@ -14,12 +14,12 @@ in that run, save the EXEMPT ones, each listed with its reason.
 
 import inspect
 import sys
-from pathlib import Path
 
 import levyrefract
 from levyrefract import cli_reporting
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+from oracles import reference_config_text
+
 SMALL = {"mc.N": "16", "grid.K": "50", "grid.T": "5"}
 # one law of each name the config grammar knows, as the up-jump component
 MARK_LAWS = {"uniform": "0, 1", "exponential": "2", "weibull": "2, 1",
@@ -61,33 +61,24 @@ def defined_functions() -> dict:
     return found
 
 
-def config_text(case: int, **keys) -> str:
-    """A shipped config with the given keys set, SMALL's first."""
-    keys = {**SMALL, **keys}
-    lines = []
-    for line in (CONFIGS / ("paper_case%d.cfg" % case)).read_text().splitlines():
-        key = line.split("=", 1)[0].strip()
-        lines.append("%s = %s" % (key, keys.pop(key)) if key in keys else line)
-    return "\n".join(lines + ["%s = %s" % kv for kv in keys.items()]) + "\n"
-
-
 def run_everything(tmp_path):
     """Every run the module docstring lists, through main(), as the CLI
     makes it; returns the exit code of the bad config."""
     runs = []
     for case in (1, 2):
         for extra in ({}, {"control.alpha": "inf", "task.method": "direct"}):
-            runs += [(sub, config_text(case, **extra)) for sub in cli_reporting.SUBCOMMANDS]
+            runs += [(sub, reference_config_text(case, **SMALL, **extra))
+                     for sub in cli_reporting.SUBCOMMANDS]
     for law, params in MARK_LAWS.items():
-        runs.append(("check-properties", config_text(
-            1, **{"model.jump1.dist": law, "model.jump1.params": params})))
+        runs.append(("check-properties", reference_config_text(
+            1, **SMALL, **{"model.jump1.dist": law, "model.jump1.params": params})))
     for i, (sub, text) in enumerate(runs):
         cfg = tmp_path / ("run%d.cfg" % i)
         cfg.write_text(text)
         cli_reporting.main([sub, "--config", str(cfg), "--threads", "1", "--desk-scale",
                             "--out", str(tmp_path / ("run%d" % i))])
     # a uniform law with its ends swapped, which the law itself refuses
-    bad = config_text(1, **{"model.jump1.params": "1, 0"})
+    bad = reference_config_text(1, **SMALL, **{"model.jump1.params": "1, 0"})
     return cli_reporting.main(["validate", "--config", bad, "--out", str(tmp_path / "bad")])
 
 
