@@ -26,7 +26,6 @@ import numpy as np
 
 from .levy_model import (
     EXACT,
-    EventColumns,
     Exponential,
     Grid,
     HyperExponential,
@@ -551,7 +550,8 @@ def _run_sample_path(cfg, outs, threads, desk):
     stream = RngStream(cfg.seed, tag=1)
     if cfg.engine == "exact":
         columns = sample_path(cfg.spec, cfg.horizon, EXACT, stream, 1)
-        traj = ControlledTrajectory.from_exact(columns, apply_strategy_exact(columns, params))
+        (table,) = apply_strategy_exact(columns, cfg.spec.x0, params)
+        traj = ControlledTrajectory.from_exact(columns, cfg.spec.x0, table)
     else:
         incs = sample_path(cfg.spec, cfg.horizon, Grid(cfg.k), stream)[0]
         traj = simulate_euler(cfg.spec.x0, params, incs, cfg.horizon / cfg.k)
@@ -693,11 +693,10 @@ def _run_check_properties(cfg, outs, threads, desk):
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
                                       max(cfg.n, 40_000), RngStream(cfg.seed, tag=7))
     # negative control: a correct pair must break the budget of a mis-stated shift
-    cols = sample_path(replace(cfg.spec, x0=0.0), horizon, EXACT, RngStream(cfg.seed, tag=8), 1)
-    lower = replace(cols, x0=cols.x0 + x)
-    both = apply_strategy_exact(EventColumns.side_by_side(
-        [lower, replace(lower, x0=lower.x0 + shift)]), cfg.params_for(b))
-    control = oracle.check_pair(both.block(0, 1), both.block(1, 2), 0.5 * shift, b)
+    cols = sample_path(cfg.spec, horizon, EXACT, RngStream(cfg.seed, tag=8), 1)
+    # the draw's 0 shifted by x (a -0.0 start is 0.0), and by shift more
+    tk, tl = apply_strategy_exact(cols, [0.0 + x, 0.0 + x + shift], cfg.params_for(b))
+    control = oracle.check_pair(tk, tl, 0.5 * shift, b)
     lines = [line for rep in reports for line in rep.summary_lines()]
     if len(rungs) == 1:
         lines.append("SKIP alpha_ladder (control.alpha = inf leaves one rate cap)")
@@ -804,7 +803,3 @@ def main(argv=None) -> int:
     if manifest.status != "pass":
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -36,11 +36,12 @@ lanes at once, in blocks of points.
 
 Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
 of at most BATCH contiguous chunk draws as one lane set (BATCH // 2 chunks
-per stream of a value job), and a run has at least min(threads, CPUs,
-chunks) batches, so every worker computes.  Each estimator
-splits its readings back into chunks and returns one partial per chunk;
-the partials are combined by a fixed-order pairwise tree in chunk order, so
-results are bit-identical for any batching and any worker count.
+per stream of a value job), and a run has a multiple of min(threads, CPUs,
+chunks) batches where the chunks allow, so every worker computes as much.
+Each estimator splits its readings back into chunks and returns one
+partial per chunk; the partials are combined by a fixed-order pairwise
+tree in chunk order, so results are bit-identical for any batching and any
+worker count.
 """
 
 from __future__ import annotations
@@ -135,12 +136,13 @@ def _tree_reduce(partials):
 
 def _batches(n: int, threads: int, draws: int = 1):
     """The (ci, m) chunks of n paths, each drawn on draws streams, in
-    contiguous batches of at most BATCH // draws chunks (one at least), and
-    at least min(threads, chunks) batches, so that every worker computes.
-    Batch sizes differ by one chunk at most."""
+    contiguous batches of at most BATCH // draws chunks (one at least), as
+    few as that allows, rounded up to a multiple of w = min(threads, chunks)
+    where the chunks allow, so that the w workers compute as much.  Batch
+    sizes differ by one chunk at most."""
     chunks = [(ci, min(CHUNK, n - ci * CHUNK)) for ci in range((n + CHUNK - 1) // CHUNK)]
-    cap = max(1, BATCH // max(1, draws))
-    nb = max(-(-len(chunks) // cap), min(threads, len(chunks)))
+    cap, w = max(1, BATCH // max(1, draws)), max(1, min(threads, len(chunks)))
+    nb = min(-(-max(-(-len(chunks) // cap), w) // w) * w, len(chunks))
     return [chunks[len(chunks) * i // nb:len(chunks) * (i + 1) // nb] for i in range(nb)]
 
 
@@ -219,7 +221,7 @@ class _Readers(NamedTuple):
 
 def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     """The paths of a batch of (ci, m) chunks on each stream s of a job,
-    chunk ci's m paths drawn at 0 in one call on s.for_path(ci), stream by
+    chunk ci's m paths of X - x0 drawn in one call on s.for_path(ci), stream by
     stream and in chunk order: the columns of one EventColumns for the
     exact engine, laid side by side, and the rows of one (S * M, k)
     increment matrix for Euler, filled chunk by chunk; draw s is paths
@@ -230,8 +232,7 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     rows = _chunk_rows(chunks)
     m = rows[-1].stop
     if eng == "exact":
-        base = replace(spec, x0=0.0)
-        columns = EventColumns.side_by_side((sample_path(base, horizon, EXACT, s.for_path(ci), mi)
+        columns = EventColumns.side_by_side((sample_path(spec, horizon, EXACT, s.for_path(ci), mi)
                                              for s in streams for ci, mi in chunks),
                                             len(streams) * m)
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,

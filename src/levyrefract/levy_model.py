@@ -6,11 +6,12 @@ models, computes the bounded-variation net drift and the regime it puts a
 refracted path in for a dividend cap (is_case2, one predicate of the drift
 and the cap), and the mean drift E[X_1] that centres the estimators'
 control (mean_drift), evaluates the characteristic exponent, and samples
-m paths at once, in one draw format per engine: exactly (sigma = 0) as
-EventColumns, the padded event columns that the lane stepper of
-path_engine reads, or on a uniform grid as an (m, k) increment matrix.
-Both samplers read one jump draw per stream (_jump_draw): Poisson counts
-of the m paths, uniform times and signed marks.  The grid bins it into
+m paths of X - x0 at once, whatever start a reader gives them, in one
+draw format per engine: exactly (sigma = 0) as EventColumns, the padded
+event columns that the lane stepper of path_engine reads, or on a uniform
+grid as an (m, k) increment matrix.  Both samplers read one jump draw per
+stream (_jump_draw): Poisson counts of the m paths, uniform times and
+signed marks.  The grid bins it into
 steps; the exact mode scatters it into the columns.
 """
 
@@ -445,13 +446,12 @@ class RngStream:
 
 @dataclass(frozen=True)
 class EventColumns:
-    """The events of m exact paths, which share drift and horizon, as padded
-    columns: path i starts at x0[i] and jumps by sizes[e, i] at times[e, i]
-    for e < counts[i].  The rows after its events, (ncol + 1, m) in all, are
-    (horizon, 0): row counts[i] is its drift to the horizon, and the zero
-    jumps after it change nothing."""
+    """The events of m exact paths of X - x0, which share drift and horizon,
+    as padded columns: path i jumps by sizes[e, i] at times[e, i] for e <
+    counts[i], and the lanes that sweep it carry its start.  The rows after
+    its events, (ncol + 1, m) in all, are (horizon, 0): row counts[i] is its
+    drift to the horizon, and the zero jumps after it change nothing."""
 
-    x0: np.ndarray
     horizon: float
     drift: float
     counts: np.ndarray
@@ -463,22 +463,20 @@ class EventColumns:
         cols = slice(start, stop)
         counts = self.counts[cols]
         rows = slice(counts.max(initial=0) + 1)
-        return EventColumns(self.x0[cols], self.horizon, self.drift, counts,
+        return EventColumns(self.horizon, self.drift, counts,
                             self.times[rows, cols], self.sizes[rows, cols])
 
     @classmethod
-    def side_by_side(cls, parts, m=None) -> "EventColumns":
-        """The m paths (by default, of a list) of parts, which share drift
-        and horizon, in order, as one EventColumns padded to the tallest.
-        Each part is copied in before the next is read, into rows that
-        start a sixth above the first part's height and grow, by one
-        copy, only for a taller part; the result is their view."""
-        parts = parts if m else list(parts)
-        m = m or sum(c.counts.size for c in parts)
+    def side_by_side(cls, parts, m) -> "EventColumns":
+        """The m paths of the stream parts, which share drift and horizon, in
+        order, as one EventColumns padded to the tallest.  Each part is
+        copied in before the next is read, into rows that start a sixth
+        above the first part's height and grow, by one copy, only for a
+        taller part; the result is their view."""
         times = sizes = np.empty((0, m))
-        heads, blocks = [], []  # each part's (x0, counts) and (rows, columns)
+        counts, blocks = [], []  # each part's counts and (rows, columns)
         for c in parts:
-            h, end = len(c.times), sum(len(x) for x, _ in heads)
+            h, end = len(c.times), sum(n.size for n in counts)
             if h > len(times):
                 top = max((r.stop for r, _ in blocks), default=0)
                 grown = np.empty((2, h + h // 6 + 4, m))
@@ -486,14 +484,13 @@ class EventColumns:
                 times, sizes = grown
             blocks.append((slice(h), slice(end, end + c.counts.size)))
             times[blocks[-1]], sizes[blocks[-1]] = c.times, c.sizes
-            heads.append((c.x0, c.counts))
+            counts.append(c.counts)
             horizon, drift = c.horizon, c.drift
             del c  # the next part is drawn without this one
         top = max(r.stop for r, _ in blocks)
         for r, cols in blocks:
             times[r.stop:top, cols], sizes[r.stop:top, cols] = horizon, 0.0
-        x0, counts = (np.concatenate(a) for a in zip(*heads))
-        return cls(x0, horizon, drift, counts, times[:top], sizes[:top])
+        return cls(horizon, drift, np.concatenate(counts), times[:top], sizes[:top])
 
 
 class Exact:
@@ -547,16 +544,18 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
         incs += _compensated_drift(spec) * dt
     else:
         incs.fill(_compensated_drift(spec) * dt)
+    flat = incs.reshape(-1)
+    assert np.may_share_memory(flat, incs)  # a view, as incs is C-contiguous
     for rows, times, sizes in _jump_draw(spec, horizon, m, rng):
         bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
-        np.add.at(incs, (rows, bins), sizes)
+        np.add.at(flat, rows * k + bins, sizes)  # the adds of the 2-D call, in its order
     return incs
 
 
 def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream,
                 m: int = 1):
-    """Draw m paths of X on [0, horizon] from the one stream.  Deterministic
-    in stream.
+    """Draw m paths of X - x0 on [0, horizon] from the one stream.
+    Deterministic in stream.
 
     Exact mode scatters _jump_draw into the EventColumns of the m paths;
     Grid(k) mode returns the (m, k) increment matrix of
@@ -574,25 +573,27 @@ def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream
         raise InvalidParameter("mode", "mode must be Exact or Grid(k)")
     if spec.sigma > 0:
         raise ExactModeUnavailable("exact sampling needs sigma = 0")
-    rows, times, sizes = (np.concatenate(a) for a in zip(
-        (np.empty(0, dtype=int), np.empty(0), np.empty(0)), *_jump_draw(spec, horizon, m, rng)))
-    counts = np.bincount(rows, minlength=m)
-    order = np.argsort(rows, kind="stable")  # by path, in draw order
-    rows = rows[order]
-    times = times[order]
-    sizes = sizes[order]
-    # one scatter: event e of path i, in draw order, to row e of column
-    # i, padded with inf while sorting so that no event ties with the
-    # padding (uniform(0, horizon) can return the horizon); then each
-    # column is sorted by time.  The dels keep one copy of the draw.
-    cells = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * m + rows
-    del order, rows
-    shape = (int(counts.max()) + 1, m)
-    t, s = np.full(shape, math.inf), np.zeros(shape)
-    np.put(t, cells, times)
-    np.put(s, cells, sizes)
-    del times, sizes, cells
-    by_time = np.argsort(t, axis=0)
-    t, s = np.take_along_axis(t, by_time, 0), np.take_along_axis(s, by_time, 0)
-    return EventColumns(np.full(m, float(spec.x0)), horizon, _compensated_drift(spec),
-                        counts, np.minimum(t, horizon, out=t), s)
+    parts = list(_jump_draw(spec, horizon, m, rng))
+    per = [np.bincount(rows, minlength=m) for rows, _, _ in parts]
+    counts = sum(per, np.zeros(m, dtype=int))
+    width = int(counts.max()) + 1
+    # path i's events in row i of (m, width) tables, each component freed
+    # once scattered, padded with inf so that no event ties with the padding
+    # (uniform(0, horizon) can return the horizon): a sort of the rows by
+    # time and a take by its transposed index give the (width, m) columns
+    t, s = np.full((m, width), math.inf), np.zeros((m, width))
+    first = np.arange(m) * width  # each path's next free cell
+    while parts:
+        (rows, times, sizes), n = parts.pop(0), per.pop(0)
+        cells = np.take(first - (np.cumsum(n) - n), rows, out=rows)  # rows, overwritten
+        cells += np.arange(cells.size)
+        t.put(cells, times)
+        s.put(cells, sizes)
+        first += n
+        del rows, times, sizes, cells
+    by_time = np.argsort(t, axis=1)
+    by_time += np.arange(0, m * width, width)[:, None]
+    t = t.take(by_time.T)
+    s = s.take(by_time.T)
+    return EventColumns(horizon, _compensated_drift(spec), counts,
+                        np.minimum(t, horizon, out=t), s)

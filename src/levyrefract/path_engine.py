@@ -1,17 +1,17 @@
 """Exact pathwise transforms on bounded-variation paths.
 
 One event sweep, event_steps, serves every exact transform.  It steps the
-paths of levy_model.EventColumns, the padded event columns sample_path
-draws, all at once as lanes: refraction at rate alpha above a threshold b
-and, with the floor, reflection at 0, each row of lanes with its own b,
-alpha and floor.  It takes 0 < alpha <= inf; alpha = inf is the reflection
-limit at b, where an overshoot above b is paid at once as a lump dividend,
-and b = inf sets no threshold.  The case is read
-off the draw: a path sticks at b in Case 2, when the net drift
-columns.drift lies in [0, alpha] (levy_model.is_case2), and crosses b in
-Case 1.  Crossing times of linear segments are solved in closed form, so
-the only error is float arithmetic; identity checks use absolute tolerance
-1e-12.  event_steps is the counterpart of strategy_engine.euler_steps and
+paths of levy_model.EventColumns, the padded event columns of X - x0 that
+sample_path draws, all at once as lanes, each row of lanes from its own
+start x (two starts on one draw are two rows): refraction at rate alpha
+above a threshold b and, with the floor, reflection at 0.  It takes 0 <
+alpha <= inf; alpha = inf is the reflection limit at b, where an overshoot
+above b is paid at once as a lump dividend, and b = inf sets no threshold.
+The case is read off the draw: a path sticks at b in Case 2, when the net
+drift columns.drift lies in [0, alpha] (levy_model.is_case2), and crosses
+b in Case 1.  Crossing times of linear segments are solved in closed form,
+so the only error is float arithmetic; identity checks use absolute
+tolerance 1e-12.  event_steps is the counterpart of strategy_engine.euler_steps and
 records nothing; three readers keep what their callers need of its lanes:
 
 - trajectory_table keeps the trajectories themselves, one SegmentTable
@@ -157,20 +157,22 @@ def _lumps(values, counts, path, upto):
 
 def table_entries(tables, drivers=None):
     """The (times, path) of every table's knots, injection and dividend atoms,
-    and the (times, path, sizes) of the events of drivers: (path, t) order."""
+    and the (times, path, sizes) of the events of drivers' columns: (path, t) order."""
     srcs = [src for tab in tables for src in tab.sources]
     if drivers is not None:
         # each path's events, path-major, off the padded columns
-        on = (np.arange(len(drivers.times))[:, None] < drivers.counts).T
-        srcs.append((drivers.times.T[on], np.repeat(np.arange(drivers.counts.size),
-                                                    drivers.counts), drivers.sizes.T[on]))
+        cols = drivers[0]
+        on = (np.arange(len(cols.times))[:, None] < cols.counts).T
+        srcs.append((cols.times.T[on], np.repeat(np.arange(cols.counts.size), cols.counts),
+                     cols.sizes.T[on]))
     return srcs
 
 
 def read_segments(tables, path, t, drivers=None, full=None, keys=None):
     """The SegmentReading of each table at the probes (path[j], t[j]), t >= 0,
-    and with drivers, the EventColumns of the tables' paths, the driver X
-    there as well (else None).  Tables from full on are read for z alone.
+    and with drivers, the EventColumns of the tables' paths and the start x
+    of them all as a pair (columns, x), the driver x + X there as well (else
+    None).  Tables from full on are read for z alone.
 
     Integer keys that order the probes and the table_entries as (path, t),
     the path_keys of one sort or the keys a caller sorted, place each path's
@@ -208,9 +210,8 @@ def read_segments(tables, path, t, drivers=None, full=None, keys=None):
             l=l, r=r, knot=i >= below))
     if drivers is None:
         return readings, None
-    upto = np.searchsorted(keys[-1], probes, "right")
-    return readings, (drivers.x0[path] + drivers.drift * t
-                      + _lumps(srcs[-1][2], drivers.counts, path, upto))
+    (columns, x), upto = drivers, np.searchsorted(keys[-1], probes, "right")
+    return readings, x + columns.drift * t + _lumps(srcs[-1][2], columns.counts, path, upto)
 
 
 # Threshold or floor crossings a lane may make between two events.  On a
@@ -236,20 +237,19 @@ class LaneFlows:
 
 
 class Lanes:
-    """The bookkeeping of a lane sweep.  Lane j * m + i runs path i for
-    point j of nx, or path[j, i] of an (nx, m) array path, as when the
-    points of a block read different draws laid side by side.  The sweep
+    """The bookkeeping of a lane sweep.  Lane j * m + i runs path[j, i] of
+    the (nx, m) array path: point j of nx reads m paths, as when the points
+    of a block read different draws laid side by side.  The sweep
     holds the running lanes in id order, (nx, m) until its first drop and
     1-D after, and drops the done ones once they are at least 1/8 of them:
     they write their (dl, dr, weak, c) to a (4, nx * m) output, and the
     lanes left at the end theirs in flows."""
 
-    def __init__(self, nx: int, m: int, path=None):
-        self.ids = np.arange(nx * m)
-        # the path index of each running lane
-        self.path = self.ids % m if path is None else np.reshape(path, -1)
-        self._out = np.empty((4, nx * m))
-        self._shape = (nx, m)
+    def __init__(self, path):
+        self.ids = np.arange(path.size)
+        self.path = np.reshape(path, -1)  # the path index of each running lane
+        self._out = np.empty((4, path.size))
+        self._shape = path.shape
 
     def due(self, ndone) -> bool:
         """Whether ndone done lanes are enough to drop."""
@@ -299,8 +299,8 @@ def _regime_table(alphas, delta, floors):
 def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
     """The event sweep, on every lane at once, recording no segment.  x, b,
     alpha and floor are scalars or (J, 1) arrays.  Lane (j, i) runs path i of
-    columns from columns.x0[i] + x[j], refracted at rate alpha[j] above b[j]
-    and, with floor[j], reflected at 0.  The case is read off the draw: a
+    columns from x[j], refracted at rate alpha[j] above b[j] and, with
+    floor[j], reflected at 0.  The case is read off the draw: a
     lane sticks at b when is_case2(columns.drift, alpha).  Each row reads
     its block of one _regime_table, the first when all share alpha and floor.
 
@@ -314,15 +314,15 @@ def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
     of the trajectory: a stretch of zero length is not, unless it is the
     last drift to the horizon.  dividend and topup are the lumps at te, the
     overshoot above the cap and the top-up to the floor, or None where none
-    can occur.  The arrays have the shape of columns.x0 + x, but te, the
+    can occur.  The arrays have the lane shape, (m,) or (J, m), but te, the
     event sizes and the starts of first stretches are per path, (m,).  A
     reader drops lanes by sending (keep, path), as to euler_steps, and from
     then on every array is 1-D.  Given path, a (J, m) or 1-D array of path
     indices, lane l runs path path[l] and every array has its shape.
     """
     counts, tcols, scols = columns.counts, columns.times, columns.sizes
-    x0, end = (columns.x0, counts) if path is None else (columns.x0[path], counts[path])
-    z = x0 + x
+    end = counts if path is None else counts[path]
+    z = np.full(np.broadcast_shapes(np.shape(x), end.shape), x, dtype=float)
     b = np.full(z.shape, b, dtype=float)
     alpha, floor = np.broadcast_arrays(np.asarray(alpha, dtype=float), floor)
     table, role = _regime_table(alpha, columns.drift, floor), None
@@ -380,12 +380,12 @@ def event_steps(columns: EventColumns, x, b, alpha, floor, path=None):
             end = counts[path]
 
 
-def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
+def trajectory_table(columns: EventColumns, x, b, alpha, floor) -> list:
     """The SegmentTable reader of event_steps, one table per role j of the
-    J entries of b, alpha and floor, from one sweep: one lane per role and
-    path of columns, started at columns.x0 bit for bit (x = -0.0, and a +
-    -0.0 == a), refracted at rate alpha[j] above b[j] and, with floor[j],
-    reflected at 0.
+    J entries of x, b, alpha and floor, from one sweep: one lane per role and
+    path of columns, started at x[j], refracted at rate alpha[j] above b[j]
+    and, with floor[j], reflected at 0.  Roles at two starts are the shifted
+    starts of one draw.
 
     Per event column it keeps the lane, time, value and branch of each
     segment (the role's _regime_table gives slope and rates by branch) and
@@ -393,7 +393,7 @@ def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
     lane orders each role's entries path-major, each path's as they came.
     """
     x, b, alpha, floor = np.broadcast_arrays(*(np.reshape(a, (-1, 1))
-                                               for a in (-0.0, b, alpha, floor)))
+                                               for a in (x, b, alpha, floor)))
     by_branch = np.zeros((b.size, 3, 4))  # role, (slope, lrate, rrate), branch
     table = _regime_table(alpha, columns.drift, floor).reshape(5, b.size, 6)
     for rates, (*rows, branch, _) in zip(by_branch, table.transpose(1, 0, 2)):
@@ -426,11 +426,11 @@ def trajectory_table(columns: EventColumns, b, alpha, floor) -> list:
 
 
 def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
-                       path=None) -> LaneFlows:
+                       path) -> LaneFlows:
     """The LaneFlows reader of event_steps: the floored trajectory_table on
-    every lane, lane (j, i) on path i of columns, or path[j, i] of a (J, m)
-    array path, shifted by x[j], with threshold b[j], discounted as it
-    goes.  x, b and spliced have length J.
+    every lane, lane (j, i) on path[j, i] of columns for the (J, m) array
+    path, started at x[j], with threshold b[j], discounted as it goes.  x, b
+    and spliced have length J.
     A spliced lane halts its flows at its weak passage (atoms at that time
     included) and is done there; the others discount to the horizon.  A
     lane leaves the sweep once it is done, and the sweep ends once every
@@ -444,17 +444,16 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
     (mu - drift) (1 - e^{-q tau}) / q of the mean drift mu; the drift
     cancels, and a model without jumps has c = 0 exactly.
     """
-    if path is not None:  # step only the paths the lanes read
-        lo = path.min()
-        columns, path = columns.block(lo, path.max() + 1), path - lo
-    counts, nx, m = columns.counts, len(x), columns.counts.size if path is None else path.shape[1]
-    lanes = Lanes(nx, m, path)
+    lo = path.min()  # step only the paths the lanes read
+    columns, path = columns.block(lo, path.max() + 1), path - lo
+    counts, (nx, m) = columns.counts, path.shape
+    lanes = Lanes(path)
     halt = np.repeat(np.asarray(spliced, dtype=bool), m).reshape(nx, m)
     dl, dr, disc, weak, c = (np.full((nx, m), v) for v in (0.0, 0.0, 1.0, math.inf, 0.0))
     jumps = np.zeros(counts.size)  # sum e^{-q t_i} s_i so far, per path
     steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
                         np.asarray(b, dtype=float)[:, None], alpha, True, path)
-    end, keep = counts if path is None else counts[path], None
+    end, keep = counts[path], None
     for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
         keep = None
@@ -516,8 +515,9 @@ class RecordLows:
 
 def refracted_record_lows(columns: EventColumns, alpha, q, mu, depth=math.inf) -> RecordLows:
     """The RecordLows reader of event_steps, one unfloored lane per path of
-    columns at b = 0: the record lows of trajectory_table(columns, 0,
-    alpha, False), equal bit for bit to those read off its segments.  A kept
+    columns started at 0 and refracted at b = 0: the record lows of
+    trajectory_table(columns, 0.0, 0.0, alpha, False), equal bit for bit to
+    those read off its segments.  A kept
     stretch that starts below the low after time 0 is a jump episode, one
     that falls below it a drift episode.  c is each lane's running sum of
     e^{-q t_i} s_i over its jumps so far, less drain, and the lanes below

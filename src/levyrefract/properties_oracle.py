@@ -10,23 +10,23 @@ tolerance 1e-9; they draw through levy_model.sample_path, which raises
 ExactModeUnavailable for a model with sigma > 0.
 
 Each run sweeps all its roles (two starts, or every rung floored and
-refracted) over all its paths in one event_steps pass, and reads the tables
-BLOCK paths at a time, each block in one pass of path_engine.read_segments
-at every probe time of its paths, so no result depends on how paths fall
-into blocks (nor, for the alpha ladder, into runs of LADDER_RUN paths).
+refracted) over its one draw of X - x0 in one event_steps pass, and reads
+the tables BLOCK paths at a time, each block in one pass of
+path_engine.read_segments at every probe time of its paths, so no result
+depends on how paths fall into blocks (nor, for the alpha ladder, into
+runs of LADDER_RUN paths).
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .levy_model import (
     EXACT,
-    EventColumns,
     InvalidParameter,
     JumpDiffusionSpec,
     RngStream,
@@ -157,7 +157,8 @@ LADDER_RUN = 6 * BLOCK
 class _Block:
     """The trajectories of a block of paths, read at every path's probes at
     once: tables[r] is the SegmentTable of role r on the block's paths, and
-    drivers, if given, their EventColumns.
+    drivers, if given, their EventColumns and start, as read_segments takes
+    them.
 
     A path's probes are the knots and atom times of its trajectories, the
     horizon and the midpoints between them; t and path hold them in (path,
@@ -199,13 +200,13 @@ class _Block:
         return [Violation(float(self.t[j]), prop, m) for _, _, j, prop, m in sorted(found)]
 
 
-def check_pair(tablek, tablel, shift: float, b: float, drivers=None,
-               tol: float = EXACT_TOL):
+def check_pair(tablek, tablel, shift: float, b: float, drivers=None):
     """Order/budget/support relations between coupled trajectories, for a
     block of paths at once: path i of the SegmentTables tablek and tablel is
     swept on one driver from starts a constant shift >= 0 apart.  Given
-    drivers, the EventColumns of tablek, the budget row also checks z = X -
-    L + R at the knots of tablek, X being the driver.
+    drivers, the EventColumns of tablek and its start x as a pair, the
+    budget row also checks z = x + X - L + R at the knots of tablek, X
+    being the driver.  The tolerance is EXACT_TOL.
 
     Returns the violations by path, then property, then time.  The support
     conditions are checked with one-knot slack: an increment between
@@ -215,6 +216,7 @@ def check_pair(tablek, tablel, shift: float, b: float, drivers=None,
     """
     if shift < 0:
         raise InvalidParameter("shift", "upper start must not be below lower start")
+    tol = EXACT_TOL
     blk = _Block((tablek, tablel), drivers)
     rk, rl = blk.readings
     dz, dl, dr = rl.z - rk.z, rl.l - rk.l, rl.r - rk.r
@@ -255,16 +257,14 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     shift = l - k
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
-    cols = sample_path(replace(spec, x0=0.0), horizon, EXACT, stream, n)
-    lower = replace(cols, x0=cols.x0 + (x + k))
-    both = apply_strategy_exact(  # one sweep of the two starts
-        EventColumns.side_by_side([lower, replace(cols, x0=cols.x0 + (x + l))]), params)
-    tk, tl = both.block(0, n), both.block(n, 2 * n)
+    cols = sample_path(spec, horizon, EXACT, stream, n)
+    lower = 0.0 + (x + k)  # the draws' 0 shifted by x + k: a -0.0 start is 0.0
+    tk, tl = apply_strategy_exact(cols, [lower, 0.0 + (x + l)], params)  # one sweep of both
     viol = []
     for start in range(0, n, BLOCK):
         stop = start + BLOCK
         viol += check_pair(tk.block(start, stop), tl.block(start, stop), shift, params.b,
-                           lower.block(start, stop))
+                           (cols.block(start, stop), lower))
     return CoupledPairReport(n_paths=n, shift=shift, violations=tuple(viol))
 
 
@@ -289,11 +289,11 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     viol = []
     sup_gap = np.full(m, 0.0 if alphas[-1] == math.inf else math.nan)
     vals = np.zeros((m, n))
-    cols = sample_path(replace(spec, x0=x), horizon, EXACT, stream, n)
+    cols = sample_path(spec, horizon, EXACT, stream, n)
     StrategyParams(b=b, alpha=alphas[0], beta=beta, q=q)  # refuses b, beta and q
     for r0 in range(0, n, LADDER_RUN):
-        tables = trajectory_table(  # the floored rungs, then the refracted ones
-            cols.block(r0, r0 + LADDER_RUN), b, alphas + alphas, [True] * m + [False] * m)
+        tables = trajectory_table(  # the floored rungs, then the refracted ones, all from x
+            cols.block(r0, r0 + LADDER_RUN), x, b, alphas + alphas, [True] * m + [False] * m)
         for j in range(m):
             dl, dr = tables[j].discounted_flow(q)
             vals[j, r0:r0 + LADDER_RUN] = dl - beta * dr

@@ -3,12 +3,13 @@
 A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
 non-negative.  This module reads draws and never samples: each engine
-takes the one draw format of levy_model.sample_path.  The exact engine
-sweeps with path_engine.trajectory_table: apply_strategy_exact returns the
-floored SegmentTable of the swept paths of one EventColumns draw, which the
-property oracle and sample-path (ControlledTrajectory.from_exact) read
-through path_engine.read_segments.  The Monte Carlo
-estimators run the flows reader of the same lane stepper instead.  The
+takes the one draw format of levy_model.sample_path, a draw of X - x0,
+and its starts apart.  The exact engine sweeps with
+path_engine.trajectory_table: apply_strategy_exact returns the floored
+SegmentTable of one EventColumns draw per start, which the property
+oracle and sample-path (ControlledTrajectory.from_exact) read through
+path_engine.read_segments.  The Monte Carlo estimators run the flows
+reader of the same lane stepper instead.  The
 Euler engine runs the discrete three-branch recursion on the rows of an
 increment matrix (euler_steps), and its two readers give the estimators
 what the two readers of path_engine.event_steps give them on event paths:
@@ -74,13 +75,13 @@ class ControlledTrajectory:
     driver: np.ndarray
 
     @classmethod
-    def from_exact(cls, columns: EventColumns, table: SegmentTable) -> "ControlledTrajectory":
+    def from_exact(cls, columns: EventColumns, x, table: SegmentTable) -> "ControlledTrajectory":
         """Sample the exact trajectory table of the one path of columns, and
-        that path, on the segment knots and the (finite) horizon."""
+        that path from x, on the segment knots and the (finite) horizon."""
         times = np.append(table.seg_t, table.horizon)
         branch = np.append(table.seg_branch, table.seg_branch[-1])
         (got,), driver = path_engine.read_segments(
-            [table], np.zeros(times.size, dtype=int), times, columns)
+            [table], np.zeros(times.size, dtype=int), times, (columns, x))
         return cls(
             times=times,
             z=got.z,
@@ -98,16 +99,16 @@ class ControlledTrajectory:
         return buf.getvalue()
 
 
-def apply_strategy_exact(columns: EventColumns, params: StrategyParams) -> SegmentTable:
-    """Run the threshold strategy along the event paths of columns, exactly:
-    the swept floored trajectories, refracted at rate alpha above b and
-    reflected at 0.
+def apply_strategy_exact(columns: EventColumns, x, params: StrategyParams) -> list:
+    """Run the threshold strategy along the event paths of columns, exactly,
+    from each start of x (one or a sequence): one floored SegmentTable per
+    start from one sweep, refracted at rate alpha above b and reflected at 0.
 
     alpha = inf is the two-sided reflection on [0, b] with lump dividends.
     For every alpha the paths stick at b when the draw's drift lies in
     [0, alpha] (Case 2, levy_model.is_case2).
     """
-    return path_engine.trajectory_table(columns, params.b, params.alpha, True)[0]
+    return path_engine.trajectory_table(columns, x, params.b, params.alpha, True)
 
 
 def _sum_down(a: np.ndarray) -> np.ndarray:
@@ -230,13 +231,13 @@ def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
 
 
 def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
-                     q: float, mu: float, path=None) -> path_engine.LaneFlows:
+                     q: float, mu: float, path) -> path_engine.LaneFlows:
     """The floored recursion on every (start, threshold) lane at once, read
     as path_engine.floored_lane_sweep reads the exact lane stepper.
 
-    Lane (j, i) runs row i of incs, or row path[j, i] of a (J, m) array
-    path, from x[j] with threshold b[j]; x, b and spliced have length J,
-    and each field has shape (J, m).  Step j is paid
+    Lane (j, i) runs row path[j, i] of incs for the (J, m) array path, from
+    x[j] with threshold b[j]; x, b and spliced have length J, and each
+    field has shape (J, m).  Step j is paid
     at its knot time j * dt, discounted at exp(-q j dt), and it is the weak
     passage time (t_weak) when it holds the lane's first state at or below
     0; math.inf when none does.  A start below 0 is topped up at time 0,
@@ -259,12 +260,10 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     read at each stop off one running sum per row, one sum down each block.
     """
     x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
-    if path is not None:  # step only the rows the lanes read
-        lo = path.min()
-        incs, path = incs[lo:path.max() + 1], path - lo
-    m, k = incs.shape
-    per = m if path is None else path.shape[1]  # lanes per point
-    lanes = path_engine.Lanes(len(x), per, path)
+    lo = path.min()  # step only the rows the lanes read
+    incs, path = incs[lo:path.max() + 1], path - lo
+    (m, k), per = incs.shape, path.shape[1]  # per: lanes per point
+    lanes = path_engine.Lanes(path)
     dl, c, dr, weak, halt = (np.repeat(a, per) for a in (
         np.zeros(x.shape), np.zeros(x.shape), np.where(x < 0.0, -x, 0.0),
         np.where(x <= 0.0, 0.0, math.inf), spliced))

@@ -5,7 +5,7 @@ import pytest
 
 from levyrefract.cli_reporting import load_config
 from levyrefract.levy_model import EXACT, EventColumns, JumpDiffusionSpec, sample_path
-from levyrefract.path_engine import trajectory_table
+from levyrefract.path_engine import TABLE_FIELDS, SegmentTable, trajectory_table
 
 from oracles import EventPath, event_paths, reference_config_text
 
@@ -55,41 +55,61 @@ def drift_path(delta, x0, horizon, jumps=()):
 
 
 def draw_path(spec, horizon, stream) -> EventPath:
-    """The one exact path that sample_path draws on stream, as an EventPath:
-    column 0 of its one-path EventColumns."""
-    return event_paths(sample_path(spec, horizon, EXACT, stream))[0]
+    """The one exact path that sample_path draws on stream, as an EventPath
+    from spec.x0: column 0 of its one-path EventColumns."""
+    return event_paths(sample_path(spec, horizon, EXACT, stream), spec.x0)[0]
 
 
 def event_columns(paths):
-    """Hand-built event paths, which share drift and horizon, packed as the
-    EventColumns that sample_path draws: each path's events, then rows of
-    (horizon, 0)."""
+    """The events of hand-built event paths, which share drift and horizon,
+    packed as the EventColumns that sample_path draws: each path's events,
+    then rows of (horizon, 0).  The starts stay with the paths."""
     counts = np.array([p.times.size for p in paths])
     times = np.full((int(counts.max()) + 1, len(paths)), float(paths[0].horizon))
     sizes = np.zeros(times.shape)
     for i, p in enumerate(paths):
         times[:counts[i], i] = p.times
         sizes[:counts[i], i] = p.sizes
-    return EventColumns(np.array([float(p.x0) for p in paths]), paths[0].horizon,
-                        paths[0].drift, counts, times, sizes)
+    return EventColumns(paths[0].horizon, paths[0].drift, counts, times, sizes)
 
 
-def refract_exact(columns, b, alpha):
-    """The refracted trajectories of the paths of columns, without floor:
-    the one-role trajectory_table."""
-    return trajectory_table(columns, b, alpha, False)[0]
+def refract_exact(columns, x, b, alpha):
+    """The refracted trajectories of the paths of columns from x, without
+    floor: the one-role trajectory_table."""
+    return trajectory_table(columns, x, b, alpha, False)[0]
 
 
-def refracted_reflected_exact(columns, b, alpha):
-    """The floored trajectories of the paths of columns, refracted above b
-    and reflected at 0: the one-role floored trajectory_table."""
-    return trajectory_table(columns, b, alpha, True)[0]
+def refracted_reflected_exact(columns, x, b, alpha):
+    """The floored trajectories of the paths of columns from x, refracted
+    above b and reflected at 0: the one-role floored trajectory_table."""
+    return trajectory_table(columns, x, b, alpha, True)[0]
+
+
+def every_path(nx, m):
+    """The (nx, m) path array of lanes that run all m paths at each of nx
+    points, as the lane readers take it."""
+    return np.tile(np.arange(m), (nx, 1))
 
 
 def one_path(transform):
     """A path transform of path_engine or strategy_engine, which sweeps the
-    paths of EventColumns into a SegmentTable, as a transform of one
-    EventPath: the src reader on event_columns([path]).  The one-path table
-    has the fields of the path's trajectory, and its discounted_flow gives
-    arrays of one entry."""
-    return lambda path, *args, **kwargs: transform(event_columns([path]), *args, **kwargs)
+    paths of EventColumns from a start into a SegmentTable, as a transform
+    of one EventPath: the src reader on event_columns([path]) from path.x0.
+    The one-path table has the fields of the path's trajectory, and its
+    discounted_flow gives arrays of one entry."""
+    return lambda path, *args, **kwargs: transform(event_columns([path]), path.x0, *args,
+                                                   **kwargs)
+
+
+def own_starts(paths, b, alpha, floor):
+    """The trajectory_table of paths, hand-built paths that share drift and
+    horizon, each from its own start, as one SegmentTable: one sweep of the
+    distinct starts (signed zeros apart) as roles, path i read off the role
+    of its start."""
+    starts = np.array([float(p.x0) for p in paths])
+    _, first, role = np.unique(starts.view(np.int64), return_index=True, return_inverse=True)
+    tables = trajectory_table(event_columns(paths), starts[first], b, alpha, floor)
+    own = [tables[r].block(i, i + 1) for i, r in enumerate(role.reshape(-1).tolist())]
+    return SegmentTable(paths[0].horizon, counts=np.hstack([t.counts for t in own]),
+                        **{name: np.concatenate([getattr(t, name) for t in own])
+                           for names in TABLE_FIELDS for name in names})

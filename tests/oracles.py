@@ -41,7 +41,9 @@ ControlledTrajectory.  draw_random_bv_setup draws the random models of the
 randomized sweeps, and reference_config_text reads a shipped config
 with some of its keys set.  concatenated_grid_increments bins the whole
 jump draw of the grid sampler in one np.add.at, the reference for the
-sampler's binning of each component as it is drawn.  euler_exact_gap
+sampler's binning of each component as it is drawn, and
+column_sorted_columns is the exact sampler that sorted columns, the
+reference of the one that sorts path-major rows.  euler_exact_gap
 measures the Euler recursion against the exact trajectories on shared
 noise, and euler_knots reads the block-stepped recursion knot by knot.
 """
@@ -104,11 +106,24 @@ class EventPath:
         return np.diff(np.concatenate(([self.x0], vals)))
 
 
-def event_paths(columns) -> list:
-    """The m paths of an EventColumns as EventPaths."""
+def event_paths(columns, x0=0.0) -> list:
+    """The m paths of an EventColumns, each started at x0, as EventPaths."""
     return [EventPath(x0, columns.horizon, columns.drift, columns.times[:c, i],
                       columns.sizes[:c, i])
-            for i, (x0, c) in enumerate(zip(columns.x0.tolist(), columns.counts.tolist()))]
+            for i, c in enumerate(columns.counts.tolist())]
+
+
+def columns_side_by_side(parts):
+    """EventColumns laid side by side by copying each whole: every part's
+    rows padded to the tallest with (horizon, 0) rows, then joined.  The
+    reference for EventColumns.side_by_side, and the copy construction
+    that swept one draw from a second start before a start was a lane's."""
+    top = max(len(c.times) for c in parts)
+    times, sizes = (np.hstack([np.vstack((getattr(c, name), np.full(
+        (top - len(c.times), c.counts.size), fill))) for c in parts])
+        for name, fill in (("times", parts[0].horizon), ("sizes", 0.0)))
+    return EventColumns(parts[0].horizon, parts[0].drift,
+                        np.concatenate([c.counts for c in parts]), times, sizes)
 
 
 @dataclass(frozen=True)
@@ -207,13 +222,17 @@ def _sweep(path, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
     r_atom_t, r_atom, l_atom_t, l_atom = [], [], [], []
     t = 0.0
     z = float(path.x0)
-    if band and z > b:
-        l_atom_t.append(0.0)
-        l_atom.append(z - b)
+    # a bound reached is held at its own zero: -0.0 at b = 0.0 or at the
+    # floor becomes 0.0, as np.minimum and np.maximum return the bound
+    if band and z >= b:
+        if z > b:
+            l_atom_t.append(0.0)
+            l_atom.append(z - b)
         z = b
-    if floor and z < 0.0:
-        r_atom_t.append(0.0)
-        r_atom.append(-z)
+    if floor and z <= 0.0:
+        if z < 0.0:
+            r_atom_t.append(0.0)
+            r_atom.append(-z)
         z = 0.0
     events = list(zip(path.times.tolist(), path.sizes.tolist())) + [(horizon, None)]
     for te, sz in events:
@@ -241,13 +260,15 @@ def _sweep(path, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
         if sz is None:
             break
         z = z + sz
-        if band and z > b:
-            l_atom_t.append(te)
-            l_atom.append(z - b)
+        if band and z >= b:
+            if z > b:
+                l_atom_t.append(te)
+                l_atom.append(z - b)
             z = b
-        if floor and z < 0.0:
-            r_atom_t.append(te)
-            r_atom.append(-z)
+        if floor and z <= 0.0:
+            if z < 0.0:
+                r_atom_t.append(te)
+                r_atom.append(-z)
             z = 0.0
     # the lists in the order of the RefractedPath fields
     return RefractedPath(horizon, *map(np.asarray, (seg_t, seg_v, seg_slope, seg_branch, seg_lrate,
@@ -324,13 +345,13 @@ def clock_readings(params: StrategyParams, spec, x: float, horizon: float, n: in
     BATCH chunks side by side.  c is the discounted compensated driver up
     to the weak passage (the horizon if none), summed over the padded event
     columns."""
-    base, mu, q, chunks = replace(spec, x0=0.0), mean_drift(spec), params.q, -(-n // CHUNK)
+    mu, q, chunks = mean_drift(spec), params.q, -(-n // CHUNK)
     out = []
     for c0 in range(0, chunks, BATCH):
-        cols = EventColumns.side_by_side([
-            sample_path(base, horizon, EXACT, stream.for_path(ci), min(CHUNK, n - ci * CHUNK))
+        cols = columns_side_by_side([
+            sample_path(spec, horizon, EXACT, stream.for_path(ci), min(CHUNK, n - ci * CHUNK))
             for ci in range(c0, min(c0 + BATCH, chunks))])
-        (table,) = trajectory_table(replace(cols, x0=cols.x0 + x), params.b, params.alpha, True)
+        (table,) = trajectory_table(cols, x, params.b, params.alpha, True)
         kappa, tau = first_passage_times(table)
         stop = np.minimum(tau, horizon)
         jumps = np.sum(np.exp(-q * cols.times) * cols.sizes * (cols.times <= stop), axis=0)
@@ -630,6 +651,27 @@ def concatenated_grid_increments(spec, horizon, k, m, rng):
     return incs
 
 
+def column_sorted_columns(spec, horizon, m, stream) -> EventColumns:
+    """The exact sampler as it was before it sorted path-major rows: the
+    whole jump draw concatenated and stably sorted by path, scattered into
+    (width, m) columns padded with inf, each column sorted by time.  The
+    bytes reference of sample_path(spec, horizon, EXACT, stream, m)."""
+    rows, times, sizes = (np.concatenate(a) for a in zip(
+        (np.empty(0, dtype=int), np.empty(0), np.empty(0)),
+        *_jump_draw(spec, horizon, m, stream.generator())))
+    counts = np.bincount(rows, minlength=m)
+    order = np.argsort(rows, kind="stable")
+    rows, times, sizes = rows[order], times[order], sizes[order]
+    cells = (np.arange(rows.size) - (np.cumsum(counts) - counts)[rows]) * m + rows
+    shape = (int(counts.max()) + 1, m)
+    t, s = np.full(shape, math.inf), np.zeros(shape)
+    np.put(t, cells, times)
+    np.put(s, cells, sizes)
+    by_time = np.argsort(t, axis=0)
+    t, s = np.take_along_axis(t, by_time, 0), np.take_along_axis(s, by_time, 0)
+    return EventColumns(horizon, _compensated_drift(spec), counts, np.minimum(t, horizon), s)
+
+
 def draw_random_bv_setup(rng: np.random.Generator):
     """Random bounded-variation model plus a compatible strategy and starts.
 
@@ -678,17 +720,18 @@ def reference_config_text(case: int, **keys) -> str:
 
 def euler_exact_gap(columns, params: StrategyParams, x: float, k: int) -> np.ndarray:
     """Sup distance between the Euler recursion and the exact trajectory
-    started at x, for each path of columns (drawn at x0 = 0), over the knots
-    0..k-1 of a k-step grid: one read of the paths' swept table at knots
-    0..k gives the exact surplus and the driver, whose steps between knots
-    are the Euler increments (shared noise), for one recursion pass over
-    all the paths."""
+    started at x, for each path of columns, over the knots 0..k-1 of a
+    k-step grid: one read of the paths' swept table at knots 0..k gives the
+    exact surplus and the driver X - x0, whose steps between knots are the
+    Euler increments (shared noise), for one recursion pass over all the
+    paths."""
     n, dt = columns.counts.size, columns.horizon / k
-    table = apply_strategy_exact(replace(columns, x0=columns.x0 + x), params)
+    (table,) = apply_strategy_exact(columns, x, params)
     (got,), driver = read_segments(
-        [table], np.repeat(np.arange(n), k + 1), np.tile(np.arange(k + 1) * dt, n), columns)
+        [table], np.repeat(np.arange(n), k + 1), np.tile(np.arange(k + 1) * dt, n),
+        (columns, 0.0))
     driver = driver.reshape(n, k + 1)
-    driver[:, 0] = columns.x0
+    driver[:, 0] = 0.0
     z = _floored_euler(x, params, np.diff(driver, axis=1), dt)[1]
     return np.max(np.abs(z - got.z.reshape(n, k + 1)[:, :k]), axis=1)
 

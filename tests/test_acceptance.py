@@ -152,11 +152,9 @@ def test_05_randomized_models_pathwise_sweep():
         # is a property of near-optimal thresholds, not of arbitrary draws
         viol.extend(v for v in lad.violations
                     if v.prop != "ladder_value_monotone")
-        base = replace(spec, x0=0.0)
-        paths = [draw_path(replace(base, x0=x), horizon, stream.with_tag(5).for_path(i))
+        paths = [draw_path(replace(spec, x0=x), horizon, stream.with_tag(5).for_path(i))
                  for i in range(20)]
-        table = refracted_reflected_exact(event_columns(paths), params.b,
-                                          params.alpha)
+        table = refracted_reflected_exact(event_columns(paths), x, params.b, params.alpha)
         for i, path in enumerate(paths):
             dec = running_floor_reflection(path)
             recon = path.value_at(probe) - dec.infimum_at(probe)
@@ -168,9 +166,8 @@ def test_05_randomized_models_pathwise_sweep():
         capped = net_drift(spec) > params.alpha
         if capped:
             table0 = refracted_reflected_exact(
-                event_columns([draw_path(replace(base, x0=abs(x)), horizon,
-                                         stream.with_tag(6).for_path(i))
-                               for i in range(10)]), 0.0, params.alpha)
+                event_columns([draw_path(spec, horizon, stream.with_tag(6).for_path(i))
+                               for i in range(10)]), abs(x), 0.0, params.alpha)
             for i in range(10):
                 traj0 = table0.block(i, i + 1)
                 viol.extend(fixed_cap_violations(traj0, params.alpha))
@@ -181,17 +178,15 @@ def test_05_randomized_models_pathwise_sweep():
             # relation, and a mis-stated cap or a mismatched driver must
             # break its identity
             shift = l - k
-            cpath = sample_path(base, horizon, EXACT, stream.with_tag(7), 1)
-            tk = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + k)), params)
-            tl = apply_strategy_exact(replace(cpath, x0=cpath.x0 + (x + l)), params)
+            cpath = sample_path(spec, horizon, EXACT, stream.with_tag(7), 1)
+            tk, tl = apply_strategy_exact(cpath, [x + k, x + l], params)
             controls += 2
             fired += bool(check_pair(tk, tl, 0.5 * shift, params.b))
             if capped:
                 fired += bool(fixed_cap_violations(traj0, 1.5 * params.alpha))
             else:
-                other = refracted_reflected_exact(
-                    event_columns([replace(path, x0=path.x0 + 1.0)]), params.b,
-                    params.alpha)
+                other = refracted_reflected_exact(event_columns([path]), path.x0 + 1.0,
+                                                  params.b, params.alpha)
                 fired += construction_identity_residual(path, other) > TOL
     ok = n_viol == 0 and fired == controls
     detail = ("%d models x ~100 paths: %d violations (worst %.1e); negative "
@@ -226,7 +221,7 @@ def test_07_euler_gap_shrinks_with_step_count():
     pp = ref_params(1.66)
     means = []
     for k in (100, 1000, 10000):
-        cols = sample_path(replace(spec, x0=0.0), 10.0, EXACT, RngStream(SEED, tag=70 + k), 100)
+        cols = sample_path(spec, 10.0, EXACT, RngStream(SEED, tag=70 + k), 100)
         gaps = euler_exact_gap(cols, pp, 1.0, k)
         means.append(float(np.mean(gaps)))
     ok = means[0] > means[1] > means[2]

@@ -269,6 +269,23 @@ class TestReferenceConfigs:
         assert sorted(os.listdir(tmp_path)) == sorted("%d-%s" % r for r in runs)
 
 
+    def test_python_m_runs_the_command_line(self, tmp_path):
+        """python -m levyrefract is the levy-refract command: a validate
+        run exits 0, and no RuntimeWarning of runpy (turned into an error)
+        stops it."""
+        import subprocess
+        import sys
+        import levyrefract
+        src = os.path.dirname(os.path.dirname(levyrefract.__file__))
+        cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "paper_case1.cfg")
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "levyrefract",
+                              "validate", "--config", cfg, "--out", str(tmp_path)],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert os.path.exists(tmp_path / "validation.txt")
+
+
 class TestRunValidate:
     def test_writes_report_and_manifest(self, tmp_path):
         man = run_experiment(base_cfg(), "validate", out_dir=str(tmp_path))

@@ -27,7 +27,7 @@ from levyrefract.estimation import (
     find_bstar, nu_curve, value_curve, value_curve_csv,
 )
 
-from conftest import REFERENCE_GAMMA, drift_only, event_columns, refract_exact
+from conftest import REFERENCE_GAMMA, drift_only, event_columns, every_path, refract_exact
 from oracles import (
     DegenerateDenominator, EventPath, draw_random_bv_setup, estimate_underline_nu, euler_knots,
     event_paths, first_passage_times, solve_pstar,
@@ -52,7 +52,7 @@ def draw(spec, pp, horizon, k=0, engine="exact"):
 
 def chunk_paths(spec, horizon, stream, ci, m):
     """Chunk ci's exact paths, as _chunk_readers draws them."""
-    return event_paths(sample_path(replace(spec, x0=0.0), horizon, EXACT, stream.for_path(ci), m))
+    return event_paths(sample_path(spec, horizon, EXACT, stream.for_path(ci), m))
 
 
 def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
@@ -221,7 +221,8 @@ class TestPureDriftPassage:
         dt = self.T / self.K
         exact, euler = (
             draw(drift_only(-1.0), params(), self.T, k, engine)(
-                (RngStream(125, tag=1),), [(0, 8)]).lane_flows([x], [1.0], [True]).t_weak
+                (RngStream(125, tag=1),), [(0, 8)]).lane_flows(
+                    [x], [1.0], [True], path=every_path(1, 8)).t_weak
             for k, engine in ((0, "exact"), (self.K, "euler")))
         np.testing.assert_allclose(exact, tau, rtol=1e-12, atol=1e-12)
         assert np.all(euler >= exact - 1e-12) and np.all(euler <= exact + 2 * dt)
@@ -237,8 +238,8 @@ class TestExactSplicedChunk:
         floored strategy path."""
         pp = params(b=b, alpha=alpha)
         stream = RngStream(150, tag=2)
-        base = replace(ref_spec_bv, x0=x)
-        table = apply_strategy_exact(sample_path(base, 8.0, EXACT, stream.for_path(3), 24), pp)
+        (table,) = apply_strategy_exact(sample_path(ref_spec_bv, 8.0, EXACT, stream.for_path(3), 24),
+                                        x, pp)
         weak = first_passage_times(table).t_weak
         ww = np.exp(-Q * weak)
         ((acc, cens),) = _run_sums(draw(ref_spec_bv, pp, 8.0), pp, (stream,),
@@ -267,8 +268,8 @@ class TestHaltingLanes:
         pp = params(b=1.2, alpha=alpha)
         readers = draw(spec, pp, 30.0, 1500, engine)((RngStream(151, tag=2),), [(3, 64)])
         for x in (-0.4, 0.0, 0.6, 1.2, 2.5):
-            halted = readers.lane_flows([x], [1.2], [True])
-            free = readers.lane_flows([x], [1.2], [False])
+            halted = readers.lane_flows([x], [1.2], [True], path=every_path(1, 64))
+            free = readers.lane_flows([x], [1.2], [False], path=every_path(1, 64))
             assert halted.t_weak.tobytes() == free.t_weak.tobytes()
 
     def test_the_exact_sweep_ends_once_every_lane_has_passed(self, monkeypatch):
@@ -283,8 +284,8 @@ class TestHaltingLanes:
         pp = StrategyParams(b=0.0, alpha=1.2845007357291955, beta=BETA, q=Q)
         cols = sample_path(spec, 20.0, EXACT, RngStream(129, tag=1), 256)
         x = np.array([0.0, 0.5, 1.0])
-        want = np.stack([first_passage_times(apply_strategy_exact(
-            replace(cols, x0=cols.x0 + xj), pp)).t_weak for xj in x])
+        want = np.stack([first_passage_times(table).t_weak
+                         for table in apply_strategy_exact(cols, x, pp)])
         steps, sends = path_engine.event_steps, []
 
         def counted(*args):
@@ -298,7 +299,8 @@ class TestHaltingLanes:
             return Counted()
 
         monkeypatch.setattr(path_engine, "event_steps", counted)
-        got = path_engine.floored_lane_sweep(cols, x, [0.0] * 3, [True] * 3, pp.alpha, Q, 0.0)
+        got = path_engine.floored_lane_sweep(cols, x, [0.0] * 3, [True] * 3, pp.alpha, Q, 0.0,
+                                             every_path(3, 256))
         assert got.t_weak.tobytes() == want.tobytes() and np.all(want < 20.0)
         # the start, then each column up to the last lane's passage
         last = max(np.searchsorted(cols.times[:, i], t) for i, t in enumerate(want.max(0)))
@@ -544,7 +546,7 @@ class TestEulerRunSums:
             return euler_steps(*args, **kw)
 
         monkeypatch.setattr(strategy_engine, "euler_steps", counted)
-        got = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q, mu)
+        got = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q, mu, every_path(7, 256))
         assert len(passes) == 1  # one recursion pass serves every point
         for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.shape == (len(xs), 256)
@@ -572,10 +574,10 @@ class TestEulerRunSums:
         clean[:, 5:] = 0.0
         incs[:, 5:] = np.nan
         xs, bs = (-0.4, 0.0, 0.5, 2.0, 6.0), (1.2, 1.2, 0.0, 1.2, 1.2)
-        got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0)
+        got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0, every_path(5, 64))
         assert all(np.all(np.isfinite(f)) for f in (got.dl, got.dr, got.c))
         assert np.all(got.t_weak <= 3 * 0.1)
-        want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0)
+        want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0, every_path(5, 64))
         for f in FIELDS:
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
 
@@ -601,7 +603,7 @@ class TestEulerRunSums:
             return drop(lanes, done, *fields)
 
         monkeypatch.setattr(path_engine.Lanes, "drop", counted)
-        got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q, 0.3)
+        got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q, 0.3, every_path(9, 48))
         assert len(drops) >= 4  # at block edges, where the 1/8 rule takes more at once
         for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.tobytes() == w.tobytes()
@@ -685,7 +687,8 @@ class TestOneLanePass:
         assert np.array_equal(paths[0][1], np.arange(68, 136)) and len(drops) >= 2
         for s, alone in enumerate(d((st,), chunks) for st in streams):
             js = [j for j in range(len(x)) if on[j] == s]
-            want = alone.lane_flows(*([c[j] for j in js] for c in (x, b, spliced)))
+            want = alone.lane_flows(*([c[j] for j in js] for c in (x, b, spliced)),
+                                    path=every_path(len(js), 68))
             for name in FIELDS:
                 g, w = getattr(got, name), getattr(want, name)
                 assert g.shape == (len(x), 68)
@@ -863,7 +866,7 @@ class TestEstimate:
         spec = ref_spec_bv if spec == "bv" else ref_spec_gauss
         readers = draw(spec, pp, 10.0, 200, engine)((RngStream(194, tag=4),), [(0, 4096)])
         fl = readers.lane_flows((0.0, 0.6, 2.5, 0.6, 2.5), (1.2,) * 5,
-                                (False, True, True, False, False))
+                                (False, True, True, False, False), path=every_path(5, 4096))
         assert np.all(fl.c.std(axis=1) > 0.1)
         t = fl.c.mean(axis=1) / (fl.c.std(axis=1, ddof=1) / math.sqrt(4096))
         assert np.all(np.abs(t) <= 4.0), t
@@ -879,7 +882,7 @@ class TestEstimate:
         spec = ref_spec_bv if engine == "exact" else ref_spec_gauss
         readers = draw(spec, pp, 40.0, 400, engine)((RngStream(193, tag=4),), [(0, 2048)])
         xs, bs, spliced = (0.0, 0.6, 1.2, 2.5, 0.6), (1.2,) * 5, (False, True, True, True, False)
-        fl = readers.lane_flows(xs, bs, spliced)
+        fl = readers.lane_flows(xs, bs, spliced, path=every_path(5, 2048))
         a, d, _ = _value_terms(pp, fl, np.array(spliced))
         shuffled = np.random.default_rng(3).permutation(fl.c.T).T
         for j in range(len(xs)):
@@ -953,6 +956,33 @@ class TestBatches:
             if batch == 8 and threads == 2 and n <= 8 * 256:
                 assert batches == estimation._batches(n, threads)
 
+    @pytest.mark.parametrize("n,threads,draws,plan", [
+        (10 ** 4, 2, 1, [6, 7, 7, 6, 7, 7]),   # desk nu: 20:20 chunks per worker, not 24:16
+        (16 * 256, 2, 1, [8, 8]),              # bstar-exact
+        (512, 2, 2, [1, 1]),                   # a value job
+        (17 * 256, 2, 1, [4, 4, 4, 5]),        # 3 batches of at most 8 round up to 4
+        (17 * 256, 3, 1, [5, 6, 6]),
+        (3 * 256, 2, 1, [1, 2]),
+        (3 * 256, 2, 8, [1, 1, 1]),            # 3 chunks cannot make 4 batches
+        (5 * 256, 1, 1, [5]),
+        (20 * 256, 4, 2, [2, 3] * 4),          # 5 batches of at most 4 round up to 8
+    ])
+    def test_the_plan_is_a_multiple_of_the_workers(self, n, threads, draws, plan):
+        """The batch sizes of some plans: as few batches as BATCH // draws
+        allows, rounded up to a multiple of the workers while there are
+        chunks to fill them."""
+        assert [len(b) for b in estimation._batches(n, threads, draws)] == plan
+
+    def test_two_workers_write_the_bytes_of_one(self, ref_spec_bv):
+        """The desk nu plan (6 batches for 2 workers) gives the curve of one
+        worker, byte for byte."""
+        args = (params(), ref_spec_bv, np.linspace(0.0, 3.0, 7), 10.0, 0, 40 * 256,
+                RngStream(184, tag=5))
+        one, two = (nu_curve(*args, threads=t) for t in (1, 2))
+        assert len(estimation._batches(40 * 256, 2)) == 6
+        for f in ("values", "std_errors", "censored_fractions"):
+            assert getattr(one, f).tobytes() == getattr(two, f).tobytes()
+
     @pytest.mark.parametrize("engine", ["exact", "euler"])
     def test_a_batch_reads_as_its_chunks(self, ref_spec_bv, ref_spec_gauss, engine):
         """A 3-chunk batch, the last one short, gives the partials of three
@@ -979,10 +1009,10 @@ class TestBatches:
         readers = draw(ref_spec_bv, pp, 10.0)((stream,), chunks)
         cols = readers.lane_flows.args[0]
         assert readers.record_lows.args[0] is cols
-        assert np.array_equal(cols.x0, np.zeros(116))
+        assert not hasattr(cols, "x0")  # a draw carries no start
         heights = []
         for (ci, m), r in zip(chunks, estimation._chunk_rows(chunks)):
-            part = sample_path(replace(ref_spec_bv, x0=0.0), 10.0, EXACT, stream.for_path(ci), m)
+            part = sample_path(ref_spec_bv, 10.0, EXACT, stream.for_path(ci), m)
             h = len(part.times)
             assert np.array_equal(cols.counts[r], part.counts)
             assert np.array_equal(cols.times[:h, r], part.times)
@@ -1152,14 +1182,13 @@ def _min_episodes(traj, event_times):
 def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     """The per-path reference of exact nu chunk ci: refract_exact at 0,
     _min_episodes, and a loop over the episodes."""
-    base = replace(spec, x0=0.0)
     nb = len(bgrid_pos)
     sw = np.zeros(nb)
     sw2 = np.zeros(nb)
     cens = np.zeros(nb)
     q = params.q
-    cols = sample_path(base, horizon, EXACT, stream.for_path(ci), m)
-    table = refract_exact(cols, 0.0, params.alpha)
+    cols = sample_path(spec, horizon, EXACT, stream.for_path(ci), m)
+    table = refract_exact(cols, 0.0, 0.0, params.alpha)
     for i, path in enumerate(event_paths(cols)):
         w = table.block(i, i + 1)
         ep_lo, ep_hi, ep_t0, ep_inv, final_min = _min_episodes(w, path.times)
@@ -1194,7 +1223,7 @@ def assert_lows_match_scalar(paths, alpha, mu=0.3):
     and up to the horizon."""
     cols = event_columns(paths)
     lows = refracted_record_lows(cols, alpha, Q, mu)
-    table = refract_exact(cols, 0.0, alpha)
+    table = refract_exact(cols, 0.0, 0.0, alpha)
     assert np.all(np.diff(lows.path) >= 0)  # path-major
     assert lows.drain == (mu - cols.drift) / Q
     for i, p in enumerate(paths):
@@ -1342,17 +1371,17 @@ class TestExactNuChunk:
 
     def test_zero_length_segments_and_edge_times(self):
         """Knots refract_exact overwrites or keeps: a jump at the horizon
-        (the last segment has zero length and is kept), a jump at t = 0
-        (the first segment has zero length and is overwritten), starts
-        below and above 0, and a jump a hair below 0 that a rising drift
+        (the last segment has zero length and is kept), jumps at t = 0
+        (the first segment has zero length and is overwritten), down to
+        -0.3 and up to 0.8, and a jump a hair below 0 that a rising drift
         crosses back at once (again a zero-length segment)."""
         h = 6.0
         paths = [EventPath(0.0, h, -0.4, np.array([1.0, 2.0, 4.0]),
                            np.array([0.3, -1.0, -0.5])),
                  EventPath(0.0, h, -0.4, np.array([2.0, h]), np.array([-0.2, -3.0])),
                  EventPath(0.0, h, -0.4, np.array([0.0, 1.5]), np.array([-0.7, 0.1])),
-                 EventPath(-0.3, h, -0.4, np.array([1.0]), np.array([-0.1])),
-                 EventPath(0.8, h, -0.4, np.array([0.5]), np.array([1.0])),
+                 EventPath(0.0, h, -0.4, np.array([0.0, 1.0]), np.array([-0.3, -0.1])),
+                 EventPath(0.0, h, -0.4, np.array([0.0, 0.5]), np.array([0.8, 1.0])),
                  EventPath(0.0, h, -0.4, np.array([1.0]), np.array([-1e-300]))]
         for alpha in (0.3, 0.5, math.inf):
             for delta in (-0.4, 0.2, 0.7):
@@ -1441,7 +1470,8 @@ class TestEulerNuBlocks:
         pp, mu = params(b=1.2, alpha=alpha), mean_drift(ref_spec_gauss)
 
         def run():
-            flows = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / 200, Q, mu)
+            flows = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / 200, Q, mu,
+                                     every_path(6, 32))
             paths = [strategy_engine.simulate_euler(x, pp, incs[i], 5.0 / 200)
                      for x in (-0.4, 0.5, 1.2, 2.5) for i in range(0, 32, 8)]
             return ([getattr(flows, f).tobytes() for f in FIELDS]
@@ -1468,8 +1498,7 @@ def oracle_terms(cols, grid, pp, mu):
     passage below 0 (first_passage_times), and c the compensated jumps up
     to kappa(b), or to the horizon when it does not occur."""
     w, c = np.zeros((2, cols.counts.size, len(grid)))
-    for j, b in enumerate(grid):
-        (table,) = trajectory_table(replace(cols, x0=cols.x0 + b), b, pp.alpha, True)
+    for j, table in enumerate(trajectory_table(cols, grid, grid, pp.alpha, True)):
         kappa = first_passage_times(table).kappa_strict
         stop = np.minimum(kappa, cols.horizon)
         jumps = np.sum(np.exp(-pp.q * cols.times) * cols.sizes * (cols.times <= stop), axis=0)

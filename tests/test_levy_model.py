@@ -1,7 +1,7 @@
 """Model layer: mark distributions, exponent, sampling, rng streams."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,6 +25,7 @@ from levyrefract.levy_model import (
     RngStream,
     Uniform,
     Weibull,
+    _compensated_drift,
     _gammainc,
     _grid_increment_matrix,
     _jump_draw,
@@ -36,7 +37,10 @@ from levyrefract.levy_model import (
     validate_spec,
 )
 from conftest import REFERENCE_GAMMA, draw_path, drift_only
-from oracles import EventPath, concatenated_grid_increments, event_paths
+from oracles import (
+    EventPath, column_sorted_columns, columns_side_by_side, concatenated_grid_increments,
+    event_paths,
+)
 
 # mass of Weibull(2,1) below 1, integral of x f(x) on [0,1), frozen from an
 # independent quadrature
@@ -402,7 +406,7 @@ class TestSampling:
     def test_exact_paths_bin_to_the_grid_rows(self, spec_seed):
         """At sigma = 0 both samplers read one jump draw: every exact path
         of sample_path(..., m) on a k-step grid has the increments of its
-        row of _grid_increment_matrix on the same stream."""
+        row of _grid_increment_matrix on the same stream, whatever x0."""
         rng = np.random.default_rng(spec_seed)
         spec = JumpDiffusionSpec(
             gamma=rng.uniform(-1.0, 1.0), sigma=0.0,
@@ -416,7 +420,6 @@ class TestSampling:
             incs = _grid_increment_matrix(spec, horizon, k, m, stream.generator())
             assert len(paths) == m
             for p, row in zip(paths, incs):
-                assert p.x0 == spec.x0
                 np.testing.assert_allclose(p.to_grid(k), row, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
@@ -437,13 +440,35 @@ class TestSampling:
             # the rare component draws no jump and yields nothing
             assert len(list(_jump_draw(spec, horizon, m, rng()))) == 2
 
+    def test_flat_binning_is_the_two_dimensional_call(self):
+        """_grid_increment_matrix bins each component with one np.add.at on
+        the flat view of the matrix: the adds of np.add.at on (row, bin)
+        pairs, in their order, so the bytes are equal; jumps pile up in few
+        cells.  Filled as a block of rows of a larger matrix, the block is
+        written in place; a matrix that is not C-contiguous is refused."""
+        spec = JumpDiffusionSpec(
+            gamma=0.3, sigma=0.0,
+            jump_components=((40.0, 1, Uniform(0.0, 1.0)), (30.0, -1, Exponential(2.0))))
+        for horizon, k, m in ((20.0, 500, 64), (1.0, 1, 300), (3.0, 7, 5)):
+            rng = RngStream(27, tag=k).generator
+            want = np.full((m, k), _compensated_drift(spec) * (horizon / k))
+            for rows, times, sizes in _jump_draw(spec, horizon, m, rng()):
+                bins = np.clip(np.ceil(times / (horizon / k)).astype(int) - 1, 0, k - 1)
+                np.add.at(want, (rows, bins), sizes)
+            assert _grid_increment_matrix(spec, horizon, k, m, rng()).tobytes() == want.tobytes()
+            batch = np.zeros((m + 3, k))
+            got = _grid_increment_matrix(spec, horizon, k, m, rng(), out=batch[2:m + 2])
+            assert got.base is batch and batch[2:m + 2].tobytes() == want.tobytes()
+        with pytest.raises(AssertionError):
+            _grid_increment_matrix(spec, 3.0, 7, 5, rng(), out=np.zeros((7, 5)).T)
+
     def test_one_path_is_the_one_path_draw(self, ref_spec_bv):
         """Without m, exact mode draws the one-column EventColumns of m = 1."""
         stream = RngStream(16, tag=2)
         one = sample_path(ref_spec_bv, 5.0, EXACT, stream)
         first = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1)
         assert isinstance(one, EventColumns) and one.counts.size == 1
-        for name in ("x0", "counts", "times", "sizes"):
+        for name in ("counts", "times", "sizes"):
             assert getattr(one, name).tobytes() == getattr(first, name).tobytes()
         assert (one.horizon, one.drift) == (first.horizon, first.drift)
 
@@ -477,8 +502,20 @@ class TestEventColumns:
         assert np.array_equal(cols.counts, np.zeros(5))
         assert np.array_equal(cols.times, np.full((1, 5), 3.0))
         assert np.array_equal(cols.sizes, np.zeros((1, 5)))
-        assert np.array_equal(cols.x0, np.full(5, 0.7))
         assert (cols.horizon, cols.drift) == (3.0, 0.4)
+
+    def test_a_draw_holds_no_start(self, ref_spec_bv):
+        """sample_path draws X - x0: the columns of every x0 are those of
+        x0 = 0, byte for byte, and EventColumns has no start field."""
+        stream = RngStream(20, tag=3)
+        at0 = sample_path(ref_spec_bv, 5.0, EXACT, stream, 7)
+        for x0 in (-0.7, -0.0, 1.3):
+            got = sample_path(replace(ref_spec_bv, x0=x0), 5.0, EXACT, stream, 7)
+            assert all(getattr(got, f).tobytes() == getattr(at0, f).tobytes()
+                       for f in ("counts", "times", "sizes"))
+            assert (got.horizon, got.drift) == (at0.horizon, at0.drift)
+        assert [f.name for f in fields(EventColumns)] == [
+            "horizon", "drift", "counts", "times", "sizes"]
 
     def test_a_path_without_events_among_paths_that_jump(self):
         spec = JumpDiffusionSpec(gamma=0.3, sigma=0.0,
@@ -523,6 +560,47 @@ class TestEventColumns:
         for i, (t, s) in enumerate(want):
             assert cols.times[:cols.counts[i], i].tobytes() == t.tobytes()
             assert cols.sizes[:cols.counts[i], i].tobytes() == s.tobytes()
+
+    def test_streamed_parts_side_by_side_are_the_copies(self, ref_spec_bv):
+        """EventColumns.side_by_side of parts streamed one by one, taller
+        parts after shorter ones, equals the parts padded and joined by
+        whole copies."""
+        parts = [sample_path(ref_spec_bv, 5.0, EXACT, RngStream(30, tag=i), m)
+                 for i, m in enumerate((1, 9, 3, 40))]
+        heights = [len(p.times) for p in parts]
+        assert heights[0] < heights[1] and max(heights[:3]) < heights[3]
+        got = EventColumns.side_by_side(iter(parts), 53)
+        want = columns_side_by_side(parts)
+        for name in ("counts", "times", "sizes"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert (got.horizon, got.drift) == (want.horizon, want.drift)
+
+    def test_row_sorted_columns_are_the_column_sorted_ones(self):
+        """The sampler sorts each path's events in a contiguous row and
+        transposes by one take: byte for byte the columns of the sampler
+        that sorted them in place, on 300 random models of zero to three
+        components of every mark law, at m = 1, 2, 7 and 256 and horizons
+        0.5, 5 and 100."""
+        laws = (lambda r: Uniform(0.0, r.uniform(0.2, 1.5)),
+                lambda r: Exponential(r.uniform(0.5, 3.0)),
+                lambda r: Weibull(r.uniform(0.8, 2.5), r.uniform(0.4, 1.3)),
+                lambda r: HyperExponential((0.4, 0.6), (r.uniform(0.3, 1.0), r.uniform(1.5, 4.0))),
+                lambda r: PointMass(r.uniform(0.2, 1.0)))
+        rng = np.random.default_rng(29)
+        n_empty = 0
+        for j in range(300):
+            comps = tuple((rng.uniform(0.05, 2.0), int(rng.choice((-1, 1))),
+                           laws[rng.integers(5)](rng)) for _ in range(rng.integers(4)))
+            spec = JumpDiffusionSpec(gamma=rng.uniform(-1, 1), sigma=0.0, jump_components=comps)
+            m, horizon = (1, 2, 7, 256)[j % 4], (0.5, 5.0, 100.0)[j % 3]
+            stream = RngStream(28, tag=j)
+            got = sample_path(spec, horizon, EXACT, stream, m)
+            want = column_sorted_columns(spec, horizon, m, stream)
+            for name in ("counts", "times", "sizes"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
+            assert (got.horizon, got.drift) == (want.horizon, want.drift)
+            n_empty += len(comps) == 0
+        assert 0 < n_empty < 300
 
     def test_an_event_at_the_horizon_stays_an_event(self, monkeypatch):
         """uniform(0, H) can return H: such an event keeps its size and its

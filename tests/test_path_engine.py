@@ -19,7 +19,8 @@ from levyrefract.path_engine import (
 from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
 from conftest import (
-    draw_path, drift_path, event_columns, one_path, refract_exact, refracted_reflected_exact,
+    draw_path, drift_path, event_columns, every_path, one_path, own_starts, refract_exact,
+    refracted_reflected_exact,
 )
 from oracles import (
     EventPath, _next_target, _regime, _sweep, construction_identity_residual, dividend_integral_path, dividends_at,
@@ -290,8 +291,7 @@ class TestInfiniteCapFold:
         n_zero = n_relabel = 0
         for (delta, b), paths in groups.items():
             for floor in (False, True):
-                transform = refracted_reflected_exact if floor else refract_exact
-                table = transform(event_columns(paths), b, math.inf)
+                table = own_starts(paths, b, math.inf, floor)
                 for i, path in enumerate(paths):
                     got = table.block(i, i + 1)
                     want = _sweep(path, b, math.inf, path.drift > 0, floor)
@@ -425,25 +425,24 @@ class TestTrajectoryTable:
         for j in range(120):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
             cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
-            cols = replace(cols, x0=np.array([x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b]))
-            paths = event_paths(cols)
+            starts = (x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b)
+            paths = [replace(p, x0=s) for p, s in zip(event_paths(cols), starts)]
             for drift in (0.0, pp.alpha):
-                edge = replace(cols, drift=drift)
+                edge = [replace(p, drift=drift) for p in paths]
                 for floor in (False, True):
-                    (table,) = trajectory_table(edge, pp.b, pp.alpha, floor)
-                    assert_table_is_the_reference(table, event_paths(edge), pp.b, pp.alpha,
-                                                  floor)
+                    table = own_starts(edge, pp.b, pp.alpha, floor)
+                    assert_table_is_the_reference(table, edge, pp.b, pp.alpha, floor)
             for b in (0.0, pp.b, math.inf):
                 for alpha in (pp.alpha, math.inf):
                     for floor in (False, True):
-                        (table,) = trajectory_table(cols, b, alpha, floor)
+                        table = own_starts(paths, b, alpha, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
                         n_flat += assert_flows_are_the_reference(table, paths, b, alpha,
                                                                  floor, pp.q)
                         n_atoms += table.r_atom.size + table.l_atom.size
                         n_branches |= np.bitwise_or.reduce(1 << table.seg_branch)
                         # a one-path table adds up its path alone
-                        (one,) = trajectory_table(cols.block(2, 3), b, alpha, floor)
+                        (one,) = trajectory_table(cols.block(2, 3), pp.b, b, alpha, floor)
                         assert_flows_are_the_reference(one, paths[2:3], b, alpha, floor,
                                                        pp.q)
             n_models += 1
@@ -458,7 +457,7 @@ class TestTrajectoryTable:
         to_zero = float(value_at(floored(drift_path(0.35, 0.5, 4.0), b, 0.3), jump_at))
         p = drift_path(0.35, 0.5, 4.0, jumps=[(jump_at, -to_zero)])
         for floor in (False, True):
-            (table,) = trajectory_table(event_columns([p]), b, 0.3, floor)
+            (table,) = trajectory_table(event_columns([p]), p.x0, b, 0.3, floor)
             assert_table_is_the_reference(table, [p], b, 0.3, floor)
             # one knot at the jump: at b, where it overwrote the one at 0,
             # or at 0 at the horizon
@@ -473,7 +472,7 @@ class TestTrajectoryTable:
                 for b in (0.0, 1.0, math.inf):
                     for floor in (False, True):
                         paths = [drift_path(delta, x, 50.0) for x in (-0.5, 0.0, 0.5, 1.0, 3.0)]
-                        (table,) = trajectory_table(event_columns(paths), b, alpha, floor)
+                        table = own_starts(paths, b, alpha, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
                         assert_flows_are_the_reference(table, paths, b, alpha, floor, 0.05)
 
@@ -483,18 +482,18 @@ class TestTrajectoryTable:
         the model's cap, twice it and inf, floored and not, at b = 0 and at
         the model's b, on the model's drift and on the Case-2 drift alpha
         (sticky at b on every rung), from starts below 0, at 0, inside (0,
-        b), at b and above b."""
+        b), at b and above b, the roles taking them in turn."""
         names = [name for kind in TABLE_FIELDS for name in kind] + ["counts"]
         rng = np.random.default_rng(20261020)
         n_roles = n_sticky = 0
         for j in range(30):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
             cols = sample_path(spec, 5.0, EXACT, RngStream(361, tag=j), 5)
+            starts = (-0.3, 0.0, 0.5 * pp.b, pp.b, pp.b + 0.4)
             for drift in (cols.drift, pp.alpha):
-                edge = replace(cols, drift=drift,
-                               x0=np.array([-0.3, 0.0, 0.5 * pp.b, pp.b, pp.b + 0.4]))
-                roles = [(b, a, f) for b in (0.0, pp.b) for f in (True, False)
-                         for a in (pp.alpha, 2.0 * pp.alpha, math.inf)]
+                edge = replace(cols, drift=drift)
+                roles = [(starts[k % 5], b, a, f) for k, (b, f, a) in enumerate(itertools.product(
+                    (0.0, pp.b), (True, False), (pp.alpha, 2.0 * pp.alpha, math.inf)))]
                 for table, role in zip(trajectory_table(edge, *zip(*roles)), roles):
                     (one,) = trajectory_table(edge, *role)
                     for name in names:
@@ -595,7 +594,8 @@ class TestReadSegments:
     @staticmethod
     def read(table, path, t, drivers=None):
         """read_segments on table, checked path by path against the one-path
-        references on each path's block of it."""
+        references on each path's block of it; drivers the pair (columns,
+        start) of read_segments."""
         path, t = np.asarray(path), np.asarray(t, dtype=float)
         (got,), driver = read_segments([table], path, t, drivers)
         for i in range(table.counts.shape[1]):
@@ -607,7 +607,7 @@ class TestReadSegments:
             np.testing.assert_array_equal(got.knot[on], np.isin(ts, traj.seg_t))
             if drivers is not None:
                 np.testing.assert_array_equal(_bits(driver[on]),
-                                              _bits(event_paths(drivers)[i].value_at(ts)))
+                                              _bits(event_paths(*drivers)[i].value_at(ts)))
         return got
 
     @staticmethod
@@ -626,11 +626,11 @@ class TestReadSegments:
         paths = [drift_path(0.5, 0.2, 3.0, jumps=((1.0, -0.9), (up, 1.6))),
                  drift_path(0.5, 0.2, 3.0, jumps=((down, -0.4),)),
                  drift_path(0.5, -0.1, 3.0, jumps=((down, 2.0), (1.0, -3.0), (up, 0.5)))]
-        cols = event_columns(paths)
-        table = refracted_reflected_exact(cols, 1.0, math.inf)
+        table = own_starts(paths, 1.0, math.inf, True)
         assert {1.0, up} <= set(table.block(0, 1).seg_t.tolist())
         assert {down, 1.0, up} <= set(table.block(2, 3).seg_t.tolist())
-        got = self.read(table, *self.probes(table, np.linspace(0.0, 3.0, 7)), drivers=cols)
+        got = self.read(table, *self.probes(table, np.linspace(0.0, 3.0, 7)),
+                        drivers=(event_columns(paths), 0.2))
         # each knot is found once, on its own path
         assert got.knot.sum() == table.seg_t.size
 
@@ -639,8 +639,8 @@ class TestReadSegments:
         no knot there, and its left limit is its value."""
         cols = event_columns([drift_path(0.3, 0.5, 3.0, jumps=((1.5, -0.8),)),
                               drift_path(0.3, 0.5, 3.0)])
-        table = refracted_reflected_exact(cols, 1.0, 0.2)
-        got = self.read(table, [0, 1, 1], [1.5, 1.0, 1.5], drivers=cols)
+        table = refracted_reflected_exact(cols, 0.5, 1.0, 0.2)
+        got = self.read(table, [0, 1, 1], [1.5, 1.0, 1.5], drivers=(cols, 0.5))
         assert got.knot.tolist() == [True, False, False]
         assert got.z_left[2] == got.z[2] and got.z_left[0] != got.z[0]
 
@@ -650,19 +650,19 @@ class TestReadSegments:
         equal."""
         path = drift_path(0.2, 2.5, 3.0, jumps=((0.5, -0.7), (1.2, -2.4), (3.0, 3.0)))
         cols = event_columns([path])
-        traj = refracted_reflected_exact(cols, 1.0, 0.5)
+        traj = refracted_reflected_exact(cols, 2.5, 1.0, 0.5)
         times = np.append(traj.seg_t, path.horizon)
         assert times[-1] == times[-2]
-        got = self.read(traj, np.zeros(times.size, dtype=int), times, drivers=cols)
-        sampled = ControlledTrajectory.from_exact(cols, traj)
+        got = self.read(traj, np.zeros(times.size, dtype=int), times, drivers=(cols, 2.5))
+        sampled = ControlledTrajectory.from_exact(cols, 2.5, traj)
         for mine, ref in ((sampled.z, got.z), (sampled.l, got.l), (sampled.r, got.r),
                           (sampled.driver, path.value_at(times))):
             np.testing.assert_array_equal(_bits(mine), _bits(ref))
 
 
 def stepper_lanes(paths, x, b, alpha, floor):
-    """What event_steps yields for lane (j, i), path i started at
-    paths[i].x0 + x[j] with threshold b[j], in the order it comes: the rows
+    """What event_steps yields for lane (j, i), path i started at x[j] with
+    threshold b[j], in the order it comes: the rows
     (t, z, slope, lrate, rrate, branch) of the stretches it keeps, and the
     rows (time, size) of its nonzero dividend and top-up lumps."""
     lane_j, lane_i = np.indices((len(x), len(paths)))
@@ -711,7 +711,8 @@ class TestFlooredLaneSweep:
         paths = self.paths(delta)
         x, b, spliced = (np.array(c) for c in zip(*self.POINTS))
         mu = delta + 0.25  # a mean drift with a jump part
-        got = floored_lane_sweep(event_columns(paths), x, b, spliced, alpha, self.Q, mu)
+        got = floored_lane_sweep(event_columns(paths), x, b, spliced, alpha, self.Q, mu,
+                                 every_path(len(x), len(paths)))
         assert got.t_weak.shape == (len(self.POINTS), len(paths))
         for j, (xj, bj, sj) in enumerate(self.POINTS):
             for i, p in enumerate(paths):
@@ -740,7 +741,8 @@ class TestFlooredLaneSweep:
         p = drift_path(0.35, 0.0, 4.0, jumps=[(2.0, -z2)])
         traj = floored(replace(p, x0=0.5), b, 0.3)
         assert first_passage_times(traj).t_weak[0] == math.inf
-        got = floored_lane_sweep(event_columns([p]), [0.5], [b], [True], 0.3, self.Q, 0.0)
+        got = floored_lane_sweep(event_columns([p]), [0.5], [b], [True], 0.3, self.Q, 0.0,
+                                 every_path(1, 1))
         assert got.t_weak[0, 0] == math.inf
 
     def test_an_event_at_the_horizon_that_lands_on_0_is_a_visit(self):
@@ -751,7 +753,8 @@ class TestFlooredLaneSweep:
         p = drift_path(0.35, 0.0, 4.0, jumps=[(4.0, -z)])
         traj = floored(replace(p, x0=0.5), 1.0, 0.3)
         assert first_passage_times(traj).t_weak[0] == 4.0
-        got = floored_lane_sweep(event_columns([p]), [0.5], [1.0], [True], 0.3, self.Q, 0.0)
+        got = floored_lane_sweep(event_columns([p]), [0.5], [1.0], [True], 0.3, self.Q, 0.0,
+                                 every_path(1, 1))
         assert got.t_weak[0, 0] == 4.0
 
     @pytest.mark.parametrize("floor", [True, False])
@@ -784,7 +787,7 @@ class TestFlooredLaneSweep:
     def test_a_lane_past_the_crossing_bound_raises(self, monkeypatch):
         # from above b on a falling drift: down to b, then down to 0
         p = drift_path(-1.3, 0.0, self.H)
-        args = (event_columns([p]), [1.7], [1.0], [True], 0.5, self.Q, 0.0)
+        args = (event_columns([p]), [1.7], [1.0], [True], 0.5, self.Q, 0.0, every_path(1, 1))
         assert floored_lane_sweep(*args).t_weak[0, 0] == pytest.approx(0.7 / 1.8 + 1 / 1.3)
         monkeypatch.setattr(path_engine, "MAX_CROSSINGS", 1)
         with pytest.raises(RuntimeError):

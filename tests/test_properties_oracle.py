@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import re
 import tracemalloc
@@ -9,8 +10,8 @@ import pytest
 
 from levyrefract import levy_model, path_engine, properties_oracle
 from levyrefract.levy_model import (
-    EXACT, EventColumns, ExactModeUnavailable, InvalidParameter, JumpDiffusionSpec, PointMass,
-    RngStream, sample_path,
+    EXACT, ExactModeUnavailable, Exponential, HyperExponential, InvalidParameter,
+    JumpDiffusionSpec, PointMass, RngStream, Uniform, Weibull, is_case2, net_drift, sample_path,
 )
 from levyrefract.path_engine import TABLE_FIELDS, read_segments, trajectory_table
 from levyrefract.properties_oracle import (
@@ -21,11 +22,13 @@ from levyrefract.properties_oracle import (
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
 from conftest import (
-    drift_only, drift_path, event_columns, one_path, refract_exact, refracted_reflected_exact,
+    drift_only, drift_path, event_columns, one_path, own_starts, refract_exact,
+    refracted_reflected_exact,
 )
 from oracles import (
-    dividends_at, draw_random_bv_setup, event_paths, fixed_cap_violations, injections_at,
-    left_limit_at, value_at, value_shape_check,
+    columns_side_by_side, dividends_at, draw_random_bv_setup, event_paths, fixed_cap_violations,
+    injections_at, left_limit_at, reference_config_text, reference_table, value_at,
+    value_shape_check,
 )
 
 
@@ -62,8 +65,8 @@ class TestCoupledPair:
         viol = []
         for i in range(10):
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i), 1)
-            t1 = refracted_reflected_exact(p, 1.0, 0.5)
-            t2 = refracted_reflected_exact(replace(p, x0=p.x0 + 0.5), 2.5, 0.5)
+            t1 = refracted_reflected_exact(p, 0.0, 1.0, 0.5)
+            t2 = refracted_reflected_exact(p, 0.5, 2.5, 0.5)
             viol.extend(check_pair(t1, t2, 0.5, 1.0))
         assert len(viol) > 0
         props = {v.prop for v in viol}
@@ -177,24 +180,28 @@ def _edge_paths(horizon):
 
 class TestBlockCheck:
     def blocks(self):
-        """(columns, b, alpha) blocks: random models at their own and
-        at an infinite cap, at their b and at b = 0, and the edge paths."""
+        """(paths, b, alpha) blocks: random models from one start at their
+        own and at an infinite cap, at their b and at b = 0, and the edge
+        paths, each from its own start."""
         rng = np.random.default_rng(41)
         for j in range(8):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
-            cols = sample_path(replace(spec, x0=x), 4.0, EXACT, RngStream(350, tag=j), 6)
+            paths = event_paths(sample_path(spec, 4.0, EXACT, RngStream(350, tag=j), 6), x)
             for b in (pp.b, 0.0):
                 for alpha in (pp.alpha, math.inf):
-                    yield cols, b, alpha
+                    yield paths, b, alpha
         for b, alpha in ((1.0, 0.5), (1.0, math.inf), (0.0, math.inf)):
-            yield event_columns(_edge_paths(3.0)), b, alpha
+            yield _edge_paths(3.0), b, alpha
 
     def test_readings_are_bit_equal_to_the_references(self):
-        for cols, b, alpha in self.blocks():
-            roles = (refracted_reflected_exact(cols, b, alpha),
-                     refract_exact(replace(cols, x0=cols.x0 + 0.3), b, alpha))
-            blk = _Block(roles, cols)
-            for i, path in enumerate(event_paths(cols)):
+        """The roles from each path's start, and 0.3 above it; the drivers
+        read from the first path's start."""
+        for paths, b, alpha in self.blocks():
+            roles = (own_starts(paths, b, alpha, True),
+                     own_starts([replace(p, x0=p.x0 + 0.3) for p in paths], b, alpha, False))
+            drivers = (event_columns(paths), paths[0].x0)
+            blk = _Block(roles, drivers)
+            for i, path in enumerate(event_paths(*drivers)):
                 on = blk.path == i
                 trajs = [table.block(i, i + 1) for table in roles]
                 ts = _probe_times(trajs, path.horizon)
@@ -227,21 +234,19 @@ class TestBlockCheck:
             spec, pp, x, k, l = draw_random_bv_setup(rng)
             for alpha in (pp.alpha, math.inf):
                 p2 = replace(pp, alpha=alpha)
-                cols = sample_path(replace(spec, x0=0.0), 4.0, EXACT, RngStream(351, tag=j),
-                                   2 * BLOCK + 3)
-                tk = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + k)), p2)
-                tl = apply_strategy_exact(replace(cols, x0=cols.x0 + (x + l)), p2)
-                drivers = replace(cols, x0=cols.x0 + (x + k + 0.01))
+                cols = sample_path(spec, 4.0, EXACT, RngStream(351, tag=j), 2 * BLOCK + 3)
+                tk, tl = apply_strategy_exact(cols, [x + k, x + l], p2)
+                drivers = (cols, x + k + 0.01)
                 shift = 0.5 * (l - k)
                 want = []
-                for i, d in enumerate(event_paths(drivers)):
+                for i, d in enumerate(event_paths(*drivers)):
                     want += _pair_check(tk.block(i, i + 1), tl.block(i, i + 1), shift, pp.b, d)
                 assert {v.prop for v in want} >= {"pair_budget", "budget"}
                 assert check_pair(tk, tl, shift, pp.b, drivers) == want
                 got = []
                 for s in range(0, cols.counts.size, BLOCK):
                     got += check_pair(tk.block(s, s + BLOCK), tl.block(s, s + BLOCK), shift,
-                                      pp.b, drivers.block(s, s + BLOCK))
+                                      pp.b, (cols.block(s, s + BLOCK), drivers[1]))
                 assert got == want
 
     @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK + 1])
@@ -254,15 +259,12 @@ class TestBlockCheck:
         0.05 high, its refracted rungs 0.1 min(alpha, 4)."""
         pair_sweep, ladder_sweep = apply_strategy_exact, trajectory_table
 
-        def ladder_shifted(c, b, alpha, floor):
-            up = np.where(floor, 0.05, 0.1 * np.minimum(alpha, 4.0))[:, None]
-            lanes = EventColumns.side_by_side([replace(c, x0=c.x0 + u) for u in up])
-            m = c.counts.size
-            return [t.block(j * m, (j + 1) * m)
-                    for j, t in enumerate(ladder_sweep(lanes, b, alpha, floor))]
+        def ladder_shifted(c, x, b, alpha, floor):
+            up = np.where(floor, 0.05, 0.1 * np.minimum(alpha, 4.0))
+            return ladder_sweep(c, np.add(x, up), b, alpha, floor)
 
         monkeypatch.setattr(properties_oracle, "apply_strategy_exact",
-                            lambda c, pp: pair_sweep(replace(c, x0=c.x0 + 0.05), pp))
+                            lambda c, x, pp: pair_sweep(c, np.add(x, 0.05), pp))
         monkeypatch.setattr(properties_oracle, "trajectory_table", ladder_shifted)
 
         def runs():
@@ -281,56 +283,152 @@ class TestBlockCheck:
         assert "ladder_refracted" in {v.prop for v in blocked[1].violations}
 
 
+MARK_LAWS = (Uniform(0.0, 1.0), Exponential(1.5), Weibull(2.0, 1.0),
+             HyperExponential((0.3, 0.7), (0.5, 2.0)), PointMass(0.6))
+SHIFTED_STARTS = (-0.7, -0.0, 0.0, 1.3)
+
+
+def two_sided(marks, delta):
+    """Up- and down-jumps of one mark law, at net drift delta."""
+    spec = JumpDiffusionSpec(gamma=0.0, jump_components=((1.0, 1, marks), (1.2, -1, marks)))
+    return replace(spec, gamma=delta - net_drift(spec))
+
+
+class TestShiftedStarts:
+    """A second start on one draw is a second role of its sweep.  The
+    reference is the copy construction that came before: the draw laid
+    twice side by side, each copy read from its own start."""
+
+    ALPHA = 0.8
+
+    @pytest.mark.parametrize("alpha", [ALPHA, math.inf])
+    @pytest.mark.parametrize("case", [1, 2])
+    @pytest.mark.parametrize("law", range(len(MARK_LAWS)))
+    def test_two_roles_are_the_side_by_side_copies(self, law, case, alpha):
+        """Every pair of starts, signed zeros included, floored and not, at
+        b = 0 and b = 1, at the cap and at an infinite one: each role's
+        table equals its copy's block of the doubled draw and the scalar
+        sweep of each path from that start, field by field and byte for
+        byte."""
+        spec = two_sided(MARK_LAWS[law], 0.4 if case == 2 else 1.3)
+        assert is_case2(net_drift(spec), self.ALPHA) == (case == 2)
+        n = 9
+        cols = sample_path(spec, 6.0, EXACT, RngStream(370 + case, tag=law), n)
+        copies, paths = columns_side_by_side([cols, cols]), event_paths(cols)
+        assert cols.counts.sum() > 0
+        names = [name for kind in TABLE_FIELDS for name in kind]
+        for starts in itertools.combinations(SHIFTED_STARTS, 2):
+            for b, floor in itertools.product((0.0, 1.0), (True, False)):
+                got = trajectory_table(cols, starts, b, alpha, floor)
+                ref = trajectory_table(copies, starts, b, alpha, floor)
+                for j, (table, x) in enumerate(zip(got, starts)):
+                    copy = ref[j].block(j * n, (j + 1) * n)
+                    scalar = reference_table([replace(p, x0=x) for p in paths], b, alpha, floor)
+                    for name in names + ["counts"]:
+                        mine = getattr(table, name).tobytes()
+                        assert mine == getattr(copy, name).tobytes(), (starts, j, name)
+                        assert mine == scalar[name].astype(getattr(table, name).dtype).tobytes()
+
+    @pytest.mark.parametrize("x", SHIFTED_STARTS)
+    def test_the_negative_control_is_the_copy_construction(self, x, tmp_path):
+        """check-properties' negative control, its lower start 0.0 + x as
+        the draw's 0 shifted by x, fires the violations of the copy
+        construction, and they are many."""
+        from levyrefract.cli_reporting import load_config, run_experiment
+        cfg = load_config(reference_config_text(1, **{"mc.N": 20, "task.x": repr(x)}))
+        run_experiment(cfg, "check-properties", out_dir=str(tmp_path))
+        fired = re.search(r"negative_control \(fired (\d+)", (tmp_path / "properties.txt")
+                          .read_text())
+        b, shift = cfg.b, 0.5 * cfg.b
+        cols = sample_path(cfg.spec, min(cfg.horizon, 20.0), EXACT, RngStream(cfg.seed, tag=8), 1)
+        lower = 0.0 + x
+        both = trajectory_table(columns_side_by_side([cols, cols]), [lower, lower + shift], b,
+                                cfg.alpha, True)
+        want = check_pair(both[0].block(0, 1), both[1].block(1, 2), 0.5 * shift, b)
+        assert fired and int(fired.group(1)) == len(want) > 0
+
+    @pytest.mark.parametrize("x", SHIFTED_STARTS)
+    def test_a_pair_run_is_the_copy_construction(self, x):
+        """coupled_pair_run's report, with its driver started 0.05 off the
+        lower start so that the budget row fires, equals that of the copy
+        construction."""
+        spec, pp, n = two_sided(MARK_LAWS[0], 0.4), params(b=1.2), 2 * BLOCK + 3
+        stream = RngStream(371, tag=5)
+        read = properties_oracle.check_pair
+
+        def off(tk, tl, shift, b, drivers):
+            return read(tk, tl, shift, b, (drivers[0], drivers[1] + 0.05))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(properties_oracle, "check_pair", off)
+            rep = coupled_pair_run(spec, pp, x, 0.0, 0.6, 4.0, n, stream)
+        cols = sample_path(spec, 4.0, EXACT, stream, n)
+        lower, upper = 0.0 + (x + 0.0), 0.0 + (x + 0.6)
+        both = trajectory_table(columns_side_by_side([cols, cols]), [lower, upper], pp.b,
+                                pp.alpha, True)
+        tk, tl = both[0].block(0, n), both[1].block(n, 2 * n)
+        want = []
+        for s in range(0, n, BLOCK):
+            want += check_pair(tk.block(s, s + BLOCK), tl.block(s, s + BLOCK), 0.6, pp.b,
+                               (cols.block(s, s + BLOCK), lower + 0.05))
+        assert rep.violations == tuple(want) and {v.prop for v in want} == {"budget"}
+
+
 class TestOneSweepPerRun:
     """Each run steps all its roles as lanes of one event_steps generator,
     and each block sorts its times once."""
 
     @pytest.fixture
     def sweeps(self, monkeypatch):
-        """The (columns, alpha, floor) of every event_steps generator made."""
+        """The (columns, x, alpha, floor) of every event_steps generator made."""
         made, steps = [], path_engine.event_steps
 
         def counted(columns, x, b, alpha, floor, path=None):
-            made.append((columns, alpha, floor))
+            made.append((columns, x, alpha, floor))
             return steps(columns, x, b, alpha, floor, path)
 
         monkeypatch.setattr(path_engine, "event_steps", counted)
         return made
 
     def test_a_pair_run_is_one_sweep(self, ref_spec_bv, sweeps):
+        """The one draw of the pair's paths, at its two starts."""
         n = 2 * BLOCK + 3
         coupled_pair_run(ref_spec_bv, params(b=1.2), 0.4, 0.0, 0.6, 4.0, n, RngStream(353, tag=1))
-        assert [c.counts.size for c, _, _ in sweeps] == [2 * n]
+        assert [(c.counts.size, np.ravel(x).tolist()) for c, x, _, _ in sweeps] == [
+            (n, [0.4, 1.0])]
 
     def test_a_ladder_run_is_one_sweep_of_every_rung(self, ref_spec_bv, sweeps):
         """Five rungs make ten roles, floored then refracted, in each run."""
         rungs = (0.5, 2.0, 8.0, 32.0, math.inf)
         alpha_ladder_run(ref_spec_bv, 1.0, rungs, 0.5, 3.0, LADDER_RUN + 5, RngStream(353, tag=2))
-        assert [c.counts.size for c, _, _ in sweeps] == [LADDER_RUN, 5]
-        for _, alpha, floor in sweeps:
+        assert [c.counts.size for c, _, _, _ in sweeps] == [LADDER_RUN, 5]
+        for _, x, alpha, floor in sweeps:
+            assert np.ravel(x).tolist() == [0.5] * 10
             assert alpha.ravel().tolist() == list(rungs) * 2
             assert floor.ravel().tolist() == [True] * 5 + [False] * 5
 
     def test_check_properties_sweeps_once_per_run(self, sweeps, tmp_path):
         """The pair, the ladder and the negative control of one
-        check-properties run: three sweeps, the control's of its two
-        starts."""
+        check-properties run: three sweeps, the pair's and the control's
+        of one draw at two starts."""
         from levyrefract.cli_reporting import load_config, run_experiment
         from oracles import reference_config_text
         cfg = load_config(reference_config_text(1, **{"mc.N": 40}))
         run_experiment(cfg, "check-properties", out_dir=str(tmp_path))
-        assert [c.counts.size for c, _, _ in sweeps] == [80, 40, 2]
+        assert [(c.counts.size, np.size(x)) for c, x, _, _ in sweeps] == [
+            (40, 2), (40, 6), (1, 2)]
 
     def test_a_block_sorts_its_times_once(self, ref_spec_bv, monkeypatch):
         """One path_keys per block, none in read_segments; the refracted
         rung read for z alone has the z of its full reading."""
         cols = sample_path(ref_spec_bv, 4.0, EXACT, RngStream(353, tag=3), 6)
-        roles = (refracted_reflected_exact(cols, 1.0, 0.5), refract_exact(cols, 1.0, 0.5))
-        full = _Block(roles, cols)
+        roles = (refracted_reflected_exact(cols, 0.0, 1.0, 0.5),
+                 refract_exact(cols, 0.0, 1.0, 0.5))
+        full = _Block(roles, (cols, 0.0))
         calls, keys = [], properties_oracle.path_keys
         for module in (path_engine, properties_oracle):
             monkeypatch.setattr(module, "path_keys", lambda *a: calls.append(a) or keys(*a))
-        blk = _Block(roles, cols, full=1)
+        blk = _Block(roles, (cols, 0.0), full=1)
         assert len(calls) == 1
         for got, want in zip(blk.readings, full.readings):
             assert got.z.tobytes() == want.z.tobytes()
@@ -343,12 +441,11 @@ class TestOneSweepPerRun:
         1.2 times today, and 1.7 for a reader that kept all seven fields of
         every role's stretches, rather than the lane, time, value and
         branch."""
-        cols = sample_path(replace(ref_spec_bv, x0=0.5), 30.0, EXACT, RngStream(353, tag=4),
-                           LADDER_RUN)
+        cols = sample_path(ref_spec_bv, 30.0, EXACT, RngStream(353, tag=4), LADDER_RUN)
         rungs = (0.5, 2.0, 8.0, 32.0, math.inf)
         tracemalloc.start()
         try:
-            tables = trajectory_table(cols, 1.66, rungs * 2, [True] * 5 + [False] * 5)
+            tables = trajectory_table(cols, 0.5, 1.66, rungs * 2, [True] * 5 + [False] * 5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -360,7 +457,7 @@ class TestOneSweepPerRun:
 class TestFixedCap:
     def test_zero_threshold_cap_rate(self):
         p = sample_path(drift_only(1.0), 6.0, EXACT, RngStream(310, tag=1), 1)
-        traj = refracted_reflected_exact(p, 0.0, 0.4)
+        traj = refracted_reflected_exact(p, 0.0, 0.0, 0.4)
         assert fixed_cap_violations(traj, 0.4) == []
         wrong = fixed_cap_violations(traj, 0.3)
         assert wrong and all(v.prop == "cap_rate_dividends" for v in wrong)

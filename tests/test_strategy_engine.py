@@ -22,7 +22,13 @@ from oracles import (
 
 # the transforms on one EventPath, through the src reader
 refract = one_path(refract_exact)
-strategy = one_path(apply_strategy_exact)
+strategy = one_path(lambda columns, x, pp: apply_strategy_exact(columns, x, pp)[0])
+
+
+def sampled(columns, x, pp):
+    """What sample-path samples: the one path of columns from x under pp."""
+    (table,) = apply_strategy_exact(columns, x, pp)
+    return ControlledTrajectory.from_exact(columns, x, table)
 
 
 def params(b=1.0, alpha=0.5, beta=1.5, q=0.05):
@@ -47,7 +53,7 @@ class TestExactStrategy:
     def test_matches_the_event_sweep(self):
         p = event_columns([drift_path(1.0, 0.5, 4.0, jumps=[(2.0, -2.0)])])
         pp = params(b=1.0, alpha=0.4)
-        traj = ControlledTrajectory.from_exact(p, apply_strategy_exact(p, pp))
+        traj = sampled(p, 0.5, pp)
         assert traj.times[-1] == 4.0
         i = np.searchsorted(traj.times, 4.0)
         assert traj.z[i] == pytest.approx(1.6)
@@ -62,7 +68,7 @@ class TestExactStrategy:
     def test_infinite_cap_degenerates_to_the_band(self):
         p = event_columns([drift_path(1.0, 0.5, 3.0, jumps=[(2.0, -2.0), (2.5, 2.0)])])
         pp = params(b=1.0, alpha=math.inf)
-        traj = ControlledTrajectory.from_exact(p, apply_strategy_exact(p, pp))
+        traj = sampled(p, 0.5, pp)
         assert np.max(traj.z) <= 1.0 + 1e-12
         assert np.min(traj.z) >= -1e-12
         end = np.searchsorted(traj.times, 3.0)
@@ -73,7 +79,7 @@ class TestExactStrategy:
         for i in range(30):
             p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(41, tag=6, index=i), 1)
             pp = params(b=1.2)
-            traj = ControlledTrajectory.from_exact(p, apply_strategy_exact(p, pp))
+            traj = sampled(p, ref_spec_bv.x0, pp)
             assert budget_residual(traj) <= 1e-12
 
     def test_perpetual_negative_drift_injects_forever(self):
@@ -385,7 +391,7 @@ def one_path_gap(sp, x, k, path):
     """The sup gap of one path, sampled at 0, through simulate_euler, the
     one-row case of the recursion, on the path's increments from to_grid."""
     euler = simulate_euler(x, sp, path.to_grid(k), path.horizon / k)
-    zex = value_at(strategy(replace(path, x0=path.x0 + x), sp), euler.times)
+    zex = value_at(strategy(replace(path, x0=x), sp), euler.times)
     return np.max(np.abs(euler.z - zex))
 
 
@@ -393,7 +399,7 @@ class TestEulerExactGap:
     def test_gap_shrinks_in_mean_with_grid_refinement(self, ref_spec_bv):
         sp = params(b=1.2)
         means = []
-        cols = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, RngStream(47, tag=9), 30)
+        cols = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(47, tag=9), 30)
         for k in (50, 400, 3200):
             gaps = euler_exact_gap(cols, sp, 0.5, k)
             means.append(np.mean(gaps))
@@ -404,7 +410,7 @@ class TestEulerExactGap:
     @pytest.mark.parametrize("x", [-0.3, 0.5, 1.6])
     def test_batch_equals_one_path_runs_bitwise(self, ref_spec_bv, x, alpha):
         sp = params(b=1.2, alpha=alpha)
-        cols = sample_path(replace(ref_spec_bv, x0=0.0), 5.0, EXACT, RngStream(48, tag=9), 12)
+        cols = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(48, tag=9), 12)
         for k in (50, 400):
             gaps = euler_exact_gap(cols, sp, x, k)
             assert gaps.shape == (12,)
