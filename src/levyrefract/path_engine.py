@@ -15,16 +15,17 @@ tolerance 1e-12.  event_steps is the counterpart of strategy_engine.euler_steps 
 records nothing; three readers keep what their callers need of its lanes:
 
 - trajectory_table keeps the trajectories themselves, one SegmentTable
-  of their segments and atoms per role, from one sweep, and
-  read_segments reads the tables at probe times: values, left limits,
-  dividends and injections, and the drivers;
+  per role from one sweep, one row per segment with the lumps paid at its
+  start, and read_segments reads the tables at probe times: values, left
+  limits, dividends and injections, and the drivers;
 - floored_lane_sweep keeps the discounted flows, weak passage times and
   martingale controls of floored (path, start, threshold) lanes;
 - refracted_record_lows keeps the record lows of the paths refracted at
   b = 0, without floor.
 
 Lanes holds the lane bookkeeping that floored_lane_sweep shares with the
-Euler lane reader of strategy_engine.
+Euler lane reader of strategy_engine, and drop_due the rule by which every
+lane reader here and in strategy_engine drops its done lanes.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ BRANCH_ABOVE = 1      # above b, draining at delta - alpha
 BRANCH_AT_B = 2       # sticky at b (Case 2)
 BRANCH_FLOOR = 3      # pinned at 0
 
-# The fields of a SegmentTable by kind: the segments, the injection atoms
-# and the dividend atoms, counted by rows 0, 1 and 2 of its counts.
-TABLE_FIELDS = (("seg_t", "seg_v", "seg_slope", "seg_branch", "seg_lrate", "seg_rrate"),
-                ("r_atom_t", "r_atom"), ("l_atom_t", "l_atom"))
-
 
 @dataclass(frozen=True)
 class SegmentTable:
@@ -55,72 +51,58 @@ class SegmentTable:
 
     Each path is a piecewise-linear cadlag curve: on segment k, from
     seg_t[k] (strictly increasing from 0 on each path) to the path's next
-    knot or the horizon, the value is seg_v[k] + seg_slope[k] * (t -
-    seg_t[k]); a jump shows as a mismatch between the end of one segment
-    and the start of the next.  seg_branch holds the branch code of each
-    segment, seg_lrate/seg_rrate the dividend and injection densities
-    active on it.  The atom arrays carry lump injections (jump top-ups, and
-    the initial top-up when the start is negative) and, in the alpha = inf
-    reflection limit, lump dividends.  counts[:, i] holds the segments,
-    injection atoms and dividend atoms of path i, each path's in time order.
+    knot or the horizon, the value is seg_v[k] + slope * (t - seg_t[k]); a
+    jump shows as a mismatch between the end of one segment and the start
+    of the next.  seg_branch holds the branch code of each segment, and
+    rates[:, code] the (slope, dividend rate, injection rate) of its
+    branch, which the role fixes.  seg_llump and seg_rlump hold the
+    dividend and the injection paid in a lump at the segment's start (0.0
+    where none is): a top-up of a negative start or after a jump, and, in
+    the alpha = inf reflection limit, an overshoot above b.  Every lump is
+    paid at the start or at a jump, so at a knot.  counts[i] holds the
+    segments of path i, each path's in time order.
     """
 
     horizon: float
     seg_t: np.ndarray
     seg_v: np.ndarray
-    seg_slope: np.ndarray
     seg_branch: np.ndarray
-    seg_lrate: np.ndarray
-    seg_rrate: np.ndarray
-    r_atom_t: np.ndarray
-    r_atom: np.ndarray
-    l_atom_t: np.ndarray
-    l_atom: np.ndarray
+    seg_llump: np.ndarray
+    seg_rlump: np.ndarray
+    rates: np.ndarray
     counts: np.ndarray
-
-    @property
-    def sources(self):
-        """The (times, path) of the knots, the injection atoms and the
-        dividend atoms, each in (path, t) order."""
-        paths = np.arange(self.counts.shape[1])
-        return [(getattr(self, names[0]), np.repeat(paths, c))
-                for names, c in zip(TABLE_FIELDS, self.counts)]
-
-    def _offsets(self):
-        """offsets[k, i]: the first entry of kind k of path i; column m the end."""
-        return np.concatenate((np.zeros((3, 1), dtype=int), np.cumsum(self.counts, axis=1)),
-                              axis=1)
 
     def block(self, start: int, stop: int) -> "SegmentTable":
         """The table of paths start to stop - 1."""
-        start, stop, _ = slice(start, stop).indices(self.counts.shape[1])
-        offs = self._offsets()
-        fields = {name: getattr(self, name)[offs[k, start]:offs[k, stop]]
-                  for k, names in enumerate(TABLE_FIELDS) for name in names}
-        return SegmentTable(self.horizon, counts=self.counts[:, start:stop], **fields)
+        start, stop, _ = slice(start, stop).indices(self.counts.size)
+        offs = np.concatenate(([0], np.cumsum(self.counts)))
+        rows = slice(offs[start], offs[stop])
+        return SegmentTable(self.horizon, self.seg_t[rows], self.seg_v[rows],
+                            self.seg_branch[rows], self.seg_llump[rows], self.seg_rlump[rows],
+                            self.rates, self.counts[start:stop])
 
     def discounted_flow(self, q: float) -> tuple:
         """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon] of
         each path, in closed form, as two (m,) arrays.
 
-        One exp pass covers every knot, segment end and atom; np.bincount
-        then adds each path's segment terms and then its atom terms in
-        order, so a path's flows do not depend on the other paths.
+        One exp pass covers every knot and segment end; np.bincount then
+        adds each path's segment terms and then its lump terms in order, so
+        a path's flows do not depend on the other paths.
         """
-        (seg_t, seg_path), (r_t, r_path), (l_t, l_path) = self.sources
-        ns, nr = seg_t.size, r_t.size
+        n, ns = self.counts, self.seg_t.size
+        path = np.repeat(np.arange(n.size), n)
         # the start and end of each segment, each path's last ending at the
-        # horizon, and each atom; then e^{-qt} in place, as tables are large
-        d = np.concatenate((seg_t, np.roll(seg_t, -1), r_t, l_t))
-        d[ns + np.cumsum(self.counts[0]) - 1] = self.horizon
+        # horizon; then e^{-qt} in place, as tables are large
+        d = np.concatenate((self.seg_t, np.roll(self.seg_t, -1)))
+        d[ns + np.cumsum(n) - 1] = self.horizon
         np.exp(np.multiply(d, -q, out=d), out=d)
-        w, d1, r_d, l_d = np.split(d, np.cumsum((ns, ns, nr)))
-        np.subtract(w, d1, out=w)
+        d0, w = np.split(d, 2)
+        np.subtract(d0, w, out=w)
         w /= q
-        return tuple(np.bincount(np.concatenate((seg_path, path)),
-                                 np.concatenate((rate * w, disc * atom)), self.counts.shape[1])
-                     for rate, path, disc, atom in ((self.seg_lrate, l_path, l_d, self.l_atom),
-                                                    (self.seg_rrate, r_path, r_d, self.r_atom)))
+        path = np.concatenate((path, path))
+        return tuple(np.bincount(path, np.concatenate((rate * w, d0 * lump)), n.size)
+                     for rate, lump in zip(self.rates[1:, self.seg_branch],
+                                           (self.seg_llump, self.seg_rlump)))
 
 
 def path_keys(path, t):
@@ -156,9 +138,9 @@ def _lumps(values, counts, path, upto):
 
 
 def table_entries(tables, drivers=None):
-    """The (times, path) of every table's knots, injection and dividend atoms,
-    and the (times, path, sizes) of the events of drivers' columns: (path, t) order."""
-    srcs = [src for tab in tables for src in tab.sources]
+    """The (times, path) of every table's knots, and the (times, path,
+    sizes) of the events of drivers' columns: (path, t) order."""
+    srcs = [(tab.seg_t, np.repeat(np.arange(tab.counts.size), tab.counts)) for tab in tables]
     if drivers is not None:
         # each path's events, path-major, off the padded columns
         cols = drivers[0]
@@ -176,11 +158,12 @@ def read_segments(tables, path, t, drivers=None, full=None, keys=None):
 
     Integer keys that order the probes and the table_entries as (path, t),
     the path_keys of one sort or the keys a caller sorted, place each path's
-    entries among its probes by binary search, so the entries up to a probe,
-    and strictly before it, are counts in integers.  z is read off the
-    segment in force, z_left off the one before a knot at the probe, and the
-    flows, atoms and events add up as lumps, each path's in order: every
-    reading is bit-equal to a per-path searchsorted and cumsum.
+    knots and events among its probes by binary search, so the knots up to
+    a probe, and strictly before it, are counts in integers.  z is read off
+    the segment in force, z_left off the one before a knot at the probe, and
+    the flows, the lumps of the knots up to the probe and the events add up
+    in order, each path's: every reading is bit-equal to a per-path
+    searchsorted and cumsum.
     """
     path, t = np.asarray(path), np.asarray(t, dtype=float)
     srcs = table_entries(tables, drivers)
@@ -189,24 +172,24 @@ def read_segments(tables, path, t, drivers=None, full=None, keys=None):
                             np.concatenate([t] + [src[0] for src in srcs]))
     probes, *keys = np.split(keys, np.cumsum([t.size] + [src[0].size for src in srcs])[:-1])
     readings = []
-    for j, tab in enumerate(tables):
-        (seg, r_at, l_at), (n_seg, n_r, n_l), seg_t = keys[3 * j:3 * j + 3], tab.counts, tab.seg_t
+    for j, (tab, seg) in enumerate(zip(tables, keys)):
+        n, seg_t, slope = tab.counts, tab.seg_t, tab.rates[0]
         i = np.searchsorted(seg, probes, "right") - 1
-        z = tab.seg_v[i] + tab.seg_slope[i] * (t - seg_t[i])
+        z = tab.seg_v[i] + slope[tab.seg_branch[i]] * (t - seg_t[i])
         if full is not None and j >= full:
             readings.append(SegmentReading(z))
             continue
-        ends = np.cumsum(n_seg) - 1  # each path's last segment
+        ends = np.cumsum(n) - 1  # each path's last segment
         below = np.searchsorted(seg, probes, "left")
-        left = np.maximum(below - 1, (ends + 1 - n_seg)[path])
+        left = np.maximum(below - 1, (ends + 1 - n)[path])
         dt = np.diff(seg_t, append=0.0)
         dt[ends] = tab.horizon - seg_t[ends]
-        l, r = (_lumps(rate * dt, n_seg, path, i) + rate[i] * (t - seg_t[i])
-                + _lumps(atom, n_atom, path, np.searchsorted(at, probes, "right"))
-                for rate, atom, n_atom, at in ((tab.seg_lrate, tab.l_atom, n_l, l_at),
-                                               (tab.seg_rrate, tab.r_atom, n_r, r_at)))
+        l, r = (_lumps(rate * dt, n, path, i) + rate[i] * (t - seg_t[i])
+                + _lumps(lump, n, path, i + 1)
+                for rate, lump in zip(tab.rates[1:, tab.seg_branch],
+                                      (tab.seg_llump, tab.seg_rlump)))
         readings.append(SegmentReading(
-            z=z, z_left=tab.seg_v[left] + tab.seg_slope[left] * (t - seg_t[left]),
+            z=z, z_left=tab.seg_v[left] + slope[tab.seg_branch[left]] * (t - seg_t[left]),
             l=l, r=r, knot=i >= below))
     if drivers is None:
         return readings, None
@@ -236,24 +219,26 @@ class LaneFlows:
     c: np.ndarray
 
 
+def drop_due(ndone, nlanes) -> bool:
+    """Whether ndone done lanes of the nlanes running are enough to drop:
+    at least 1/8 of them."""
+    return 8 * ndone >= nlanes
+
+
 class Lanes:
     """The bookkeeping of a lane sweep.  Lane j * m + i runs path[j, i] of
     the (nx, m) array path: point j of nx reads m paths, as when the points
     of a block read different draws laid side by side.  The sweep
     holds the running lanes in id order, (nx, m) until its first drop and
-    1-D after, and drops the done ones once they are at least 1/8 of them:
-    they write their (dl, dr, weak, c) to a (4, nx * m) output, and the
-    lanes left at the end theirs in flows."""
+    1-D after, and drops the done ones when drop_due allows: they write
+    their (dl, dr, weak, c) to a (4, nx * m) output, and the lanes left at
+    the end theirs in flows."""
 
     def __init__(self, path):
         self.ids = np.arange(path.size)
         self.path = np.reshape(path, -1)  # the path index of each running lane
         self._out = np.empty((4, path.size))
         self._shape = path.shape
-
-    def due(self, ndone) -> bool:
-        """Whether ndone done lanes are enough to drop."""
-        return 8 * ndone >= self.ids.size
 
     def drop(self, done, *fields) -> np.ndarray:
         """Write out the four fields of the done lanes and forget them.
@@ -388,9 +373,12 @@ def trajectory_table(columns: EventColumns, x, b, alpha, floor) -> list:
     starts of one draw.
 
     Per event column it keeps the lane, time, value and branch of each
-    segment (the role's _regime_table gives slope and rates by branch) and
-    each lump above 0 as an atom at the column's time.  One stable sort by
-    lane orders each role's entries path-major, each path's as they came.
+    segment (the role's _regime_table gives slope and rates by branch), and
+    each lump above 0 against its lane's next segment, which starts at the
+    lump's time: the lane's count of segments when the lump is paid.  One
+    stable sort by lane orders each role's segments path-major, each path's
+    as they came, and the lumps then add onto their segments in the order
+    they are paid.
     """
     x, b, alpha, floor = np.broadcast_arrays(*(np.reshape(a, (-1, 1))
                                                for a in (x, b, alpha, floor)))
@@ -399,30 +387,39 @@ def trajectory_table(columns: EventColumns, x, b, alpha, floor) -> list:
     for rates, (*rows, branch, _) in zip(by_branch, table.transpose(1, 0, 2)):
         rates[:, branch.astype(int)] = rows
     lanes = np.arange(b.size * columns.counts.size, dtype=np.int32).reshape(b.size, -1)
-    segs = [[] for _ in range(4)]  # per kind, one list per field: the lanes, then the fields
-    r_atoms, l_atoms = ([[lanes[:0, 0]], [np.empty(0)], [np.empty(0)]] for _ in range(2))
-    for stretches, te, dividend, topup in event_steps(columns, x, b, alpha, floor):
+    counts = np.zeros(lanes.size, dtype=int)  # each lane's segments so far
+    segs = [[] for _ in range(4)]  # one list per field: the lanes, then the fields
+    # the dividend, then the top-up lumps: their lanes, each lane's segment, sizes
+    lumps = [([lanes[:0, 0]], [counts[:0]], [np.empty(0)]) for _ in range(2)]
+    for stretches, _, dividend, topup in event_steps(columns, x, b, alpha, floor):
         for at, t, _, z, _, _, _, _, branch, kept in stretches:
             k = np.nonzero(kept)  # t of a first stretch is per path, (m,)
             for into, a in zip(segs, (lanes[at], t, z, branch.astype(np.int8))):
                 into.append(a[k[-a.ndim:]])
-        for into, lumps in ((r_atoms, topup), (l_atoms, dividend)):
-            if lumps is not None:
-                k = np.nonzero(lumps > 0.0)
-                for field, a in zip(into, (lanes[k], te[k[-1]], lumps[k])):
-                    field.append(a)
-    fields, counts = [], []
-    for lane, *values in (segs, r_atoms, l_atoms):
-        lane = np.concatenate(lane)
-        counts.append(np.bincount(lane, minlength=lanes.size).reshape(lanes.shape))
-        order = np.split(np.argsort(lane, kind="stable"), np.cumsum(counts[-1].sum(axis=1))[:-1])
-        for field in values:
-            field[:] = [np.concatenate(field)]  # its pieces freed
-            fields.append([field[0][o] for o in order])
-            field.clear()
-    return [SegmentTable(columns.horizon, seg_t, seg_v, rates[0, br], br.astype(int),
-                         *rates[1:, br], *atoms, counts=np.array(n))
-            for (seg_t, seg_v, br, *atoms), rates, n in zip(zip(*fields), by_branch, zip(*counts))]
+            counts[segs[0][-1]] += 1
+        for (lane, seg, size), paid in zip(lumps, (dividend, topup)):
+            if paid is not None:
+                k = np.nonzero(paid > 0.0)
+                lane.append(lanes[k])
+                seg.append(counts[lane[-1]])
+                size.append(paid[k])
+    n = counts.reshape(lanes.shape)
+    roles = np.cumsum(n.sum(axis=1))[:-1]  # where each role's rows start
+    order = np.split(np.argsort(np.concatenate(segs[0]), kind="stable"), roles)
+    segs[0].clear()
+    fields = []
+    for field in segs[1:]:
+        field[:] = [np.concatenate(field)]  # its pieces freed
+        fields.append([field[0][o] for o in order])
+        field.clear()
+    del order  # before the lump rows are made
+    firsts = np.cumsum(counts) - counts
+    for lane, seg, size in lumps:
+        lump = np.zeros(counts.sum())
+        np.add.at(lump, firsts[np.concatenate(lane)] + np.concatenate(seg), np.concatenate(size))
+        fields.append(np.split(lump, roles))
+    return [SegmentTable(columns.horizon, *role, rates, c)
+            for *role, rates, c in zip(*fields, by_branch, n)]
 
 
 def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
@@ -431,7 +428,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
     every lane, lane (j, i) on path[j, i] of columns for the (J, m) array
     path, started at x[j], with threshold b[j], discounted as it goes.  x, b
     and spliced have length J.
-    A spliced lane halts its flows at its weak passage (atoms at that time
+    A spliced lane halts its flows at its weak passage (lumps at that time
     included) and is done there; the others discount to the horizon.  A
     lane leaves the sweep once it is done, and the sweep ends once every
     lane is.  Stop times equal those read off the trajectory_table of the
@@ -480,7 +477,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
         # a lane is done after its drift to the horizon, and a halting lane
         # at its weak passage
         done = (end <= e) | (halt & (weak < math.inf))
-        if lanes.due(np.count_nonzero(done)):
+        if drop_due(np.count_nonzero(done), lanes.ids.size):
             kept = lanes.drop(done, dl, dr, weak, c)
             dl, dr, disc, weak, halt, c = (
                 a.reshape(-1)[kept] for a in (dl, dr, disc, weak, halt, c))
@@ -521,7 +518,7 @@ def refracted_record_lows(columns: EventColumns, alpha, q, mu, depth=math.inf) -
     stretch that starts below the low after time 0 is a jump episode, one
     that falls below it a drift episode.  c is each lane's running sum of
     e^{-q t_i} s_i over its jumps so far, less drain, and the lanes below
-    -depth leave once they are at least 1/8 of them."""
+    -depth leave when drop_due allows."""
     m, drain, out = columns.counts.size, (mu - columns.drift) / q, []
     ids, low, jumps, final = np.arange(m), np.zeros(m), np.full(m, -drain), np.zeros((2, m))
     steps, keep = event_steps(columns, 0.0, 0.0, alpha, floor=False), None
@@ -541,7 +538,7 @@ def refracted_record_lows(columns: EventColumns, alpha, q, mu, depth=math.inf) -
             low[at] = lo  # a view of every lane for the first stretch
         jumps += np.exp(-q * te) * columns.sizes[e, ids] if e >= 0 else 0.0
         deep, keep = low < -depth, None
-        if 8 * np.count_nonzero(deep) >= ids.size:
+        if drop_due(np.count_nonzero(deep), ids.size):
             final[:, ids[deep]] = low[deep], jumps[deep]
             ids, low, jumps = ids[~deep], low[~deep], jumps[~deep]
             if not ids.size:

@@ -160,21 +160,21 @@ class _Block:
     drivers, if given, their EventColumns and start, as read_segments takes
     them.
 
-    A path's probes are the knots and atom times of its trajectories, the
-    horizon and the midpoints between them; t and path hold them in (path,
-    t) order.  readings[r] is the SegmentReading of role r there (of z alone
+    A path's probes are the knots of its trajectories, where every lump is
+    paid, the horizon and the midpoints between them; t and path hold them
+    in (path, t) order.  readings[r] is the SegmentReading of role r there (of z alone
     from role full on) and driver the drivers' values, both from
     path_engine.read_segments on the one sort of the block's times: their
     path_keys doubled, a midpoint between times[r - 1] and times[r] at 2r - 1.
     """
 
     def __init__(self, tables, drivers=None, full=None):
-        n = tables[0].counts.shape[1]
+        n = tables[0].counts.size
         srcs = [(np.full(n, tables[0].horizon), np.arange(n))] + table_entries(tables, drivers)
         keys, times = path_keys(np.concatenate([src[1] for src in srcs]),
                                 np.concatenate([src[0] for src in srcs]))
         u = np.sort(keys[:keys.size - (0 if drivers is None else srcs[-1][0].size)])
-        u = u[np.append(True, u[1:] != u[:-1])]  # the distinct (path, t) of knots and atoms
+        u = u[np.append(True, u[1:] != u[:-1])]  # the distinct (path, t) of knots
         kp, kt = np.divmod(u, times.size)
         kt = times[kt]
         mid = 0.5 * (kt[:-1] + kt[1:])
@@ -297,7 +297,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
         for j in range(m):
             dl, dr = tables[j].discounted_flow(q)
             vals[j, r0:r0 + LADDER_RUN] = dl - beta * dr
-        for start in range(0, tables[0].counts.shape[1], BLOCK):
+        for start in range(0, tables[0].counts.size, BLOCK):
             blk = _Block([table.block(start, start + BLOCK) for table in tables], full=m)
             zs, ys = blk.readings[:m], blk.readings[m:]
             if alphas[-1] == math.inf:

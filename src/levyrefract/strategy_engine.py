@@ -6,11 +6,11 @@ non-negative.  This module reads draws and never samples: each engine
 takes the one draw format of levy_model.sample_path, a draw of X - x0,
 and its starts apart.  The exact engine sweeps with
 path_engine.trajectory_table: apply_strategy_exact returns the floored
-SegmentTable of one EventColumns draw per start, which the property
-oracle and sample-path (ControlledTrajectory.from_exact) read through
-path_engine.read_segments.  The Monte Carlo estimators run the flows
-reader of the same lane stepper instead.  The
-Euler engine runs the discrete three-branch recursion on the rows of an
+SegmentTable of one EventColumns draw per start, one row per segment with
+the lumps paid at its start, which the property oracle and sample-path
+(ControlledTrajectory.from_exact) read through path_engine.read_segments.
+The Monte Carlo estimators run the flows reader of the same lane stepper
+instead.  The Euler engine runs the discrete three-branch recursion on the rows of an
 increment matrix (euler_steps), and its two readers give the estimators
 what the two readers of path_engine.event_steps give them on event paths:
 euler_lane_flows the LaneFlows of floored lanes, and euler_record_lows the
@@ -21,8 +21,8 @@ the lanes whose block its certificate leaves open; the readers take whole
 blocks, and every reading equals that of one-knot steps bit for bit.
 euler_lane_flows shares the lane bookkeeping of the exact flows reader
 (path_engine.Lanes): a spliced lane leaves at a block edge once both its
-passage times are known, in drops of at least 1/8 of the lanes.  The lane
-arrays stay within the BLOCK_LANES lanes of an estimation block.
+passage times are known, in drops that path_engine.drop_due allows.  The
+lane arrays stay within the BLOCK_LANES lanes of an estimation block.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     lane that holds it, and a lane's discounted steps join its accounts in
     the order of the recursion, by one sum down the block (_sum_down).  The
     done lanes leave at a block edge by the rule of the exact flows reader
-    (path_engine.Lanes), once they are at least 1/8 of the lanes, and until
+    (path_engine.Lanes), when path_engine.drop_due allows, and until
     then a stopped lane's accounts are put back after each block.
 
     The control c is the martingale transform sum over steps j up to the
@@ -313,7 +313,7 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
             total += paid
         dl[above] = total
         ctl[0] = _sum_down(g)
-        if done and lanes.due(done):
+        if done and path_engine.drop_due(done, lanes.ids.size):
             kept = lanes.drop(~live, dl, dr, weak, c)
             dl, dr, weak, open_w, halt, live, c = (
                 a[kept] for a in (dl, dr, weak, open_w, halt, live, c))
@@ -337,7 +337,7 @@ def euler_record_lows(incs: np.ndarray, alpha: float, dt: float, q: float, mu: f
     the running minimum adds no record.  The control at knot j is that of
     euler_lane_flows, sum over i < j of exp(-q i dt) (incs[i] - mu dt), in
     the order of a row's cumsum (drain 0).  The lanes below -depth leave at
-    a block edge once they are at least 1/8 of them.
+    a block edge when path_engine.drop_due allows.
     """
     m, k = incs.shape
     row, low = np.arange(m), np.zeros(m)  # each lane's row, and each row's low
@@ -359,7 +359,7 @@ def euler_record_lows(incs: np.ndarray, alpha: float, dt: float, q: float, mu: f
         low[path] = mins[-1]
         ctl[0] = _sum_down(g)
         deep = low[row] < -depth
-        if 8 * np.count_nonzero(deep) >= row.size:
+        if path_engine.drop_due(np.count_nonzero(deep), row.size):
             row = row[~deep]
             if not row.size:
                 break

@@ -5,9 +5,9 @@ import pytest
 
 from levyrefract.cli_reporting import load_config
 from levyrefract.levy_model import EXACT, EventColumns, JumpDiffusionSpec, sample_path
-from levyrefract.path_engine import TABLE_FIELDS, SegmentTable, trajectory_table
+from levyrefract.path_engine import SegmentTable, trajectory_table
 
-from oracles import EventPath, event_paths, reference_config_text
+from oracles import TABLE_ROWS, EventPath, event_paths, reference_config_text
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -63,7 +63,10 @@ def draw_path(spec, horizon, stream) -> EventPath:
 def event_columns(paths):
     """The events of hand-built event paths, which share drift and horizon,
     packed as the EventColumns that sample_path draws: each path's events,
-    then rows of (horizon, 0).  The starts stay with the paths."""
+    then rows of (horizon, 0).  The starts stay with the paths; paths of
+    two drifts or horizons are refused, as one draw has one of each."""
+    if len({(p.drift, p.horizon) for p in paths}) > 1:
+        raise ValueError("paths of one draw share drift and horizon")
     counts = np.array([p.times.size for p in paths])
     times = np.full((int(counts.max()) + 1, len(paths)), float(paths[0].horizon))
     sizes = np.zeros(times.shape)
@@ -110,6 +113,6 @@ def own_starts(paths, b, alpha, floor):
     _, first, role = np.unique(starts.view(np.int64), return_index=True, return_inverse=True)
     tables = trajectory_table(event_columns(paths), starts[first], b, alpha, floor)
     own = [tables[r].block(i, i + 1) for i, r in enumerate(role.reshape(-1).tolist())]
-    return SegmentTable(paths[0].horizon, counts=np.hstack([t.counts for t in own]),
+    return SegmentTable(paths[0].horizon, rates=tables[0].rates,
                         **{name: np.concatenate([getattr(t, name) for t in own])
-                           for names in TABLE_FIELDS for name in names})
+                           for name in TABLE_ROWS + ("counts",)})

@@ -8,14 +8,17 @@ the reference for euler_exact_gap's shared noise.
 
 _sweep is the event sweep of path_engine.event_steps written for one
 EventPath on Python floats, with the arithmetic of numpy float64; it
-appends each segment as it starts.  The whole regime rule it steps by is
+appends each segment as it starts, with its slope and rates, and each
+lump as an atom, with its time.  The whole regime rule it steps by is
 written apart from the src one, path_engine._regime_table: _regime gives
 the slope, rates and branch of a state, _next_target the level the drift
 heads for, and sticks whether the path sticks at b, which _sweep takes as
 a flag; a guard test keeps them off every src function.  The tests hold
 every SegmentTable of path_engine.trajectory_table to _sweep bit for bit,
 and the regime table to _regime and _next_target.  reference_table joins its
-trajectories of several paths into the fields of a SegmentTable.
+trajectories of several paths into the rows of a SegmentTable (table_rows):
+each atom added onto the knot at its time, and each segment's slope and
+rates as the table's rates give them by branch.
 first_passage_times reads the two passage clocks off every path of a
 floored table at once, and floor_decomposition splits the running infimum
 of a floored path into boundary time, initial part and jump top-ups.
@@ -33,12 +36,13 @@ theorem gives it.
 path_engine.read_segments reads a block of trajectories at once; the
 readers here read one path, or a SegmentCurve, with a searchsorted and a
 cumsum per call, and the tests hold the block reader to them bit for bit.
-They take a RefractedPath or a one-path SegmentTable, which have the same
-fields.  The construction identity residual recomputes a floored
-trajectory from its driver and dividends, independently of the sweep's
-injection bookkeeping, and budget_residual checks the budget of a
-ControlledTrajectory.  draw_random_bv_setup draws the random models of the
-randomized sweeps, and reference_config_text reads a shipped config
+They take a RefractedPath or a one-path SegmentTable, which read alike:
+slopes and rates by branch, lumps on the knots.  The construction
+identity residual recomputes a floored trajectory from its driver and
+dividends, independently of the sweep's injection bookkeeping, and
+budget_residual checks the budget of a ControlledTrajectory.
+draw_random_bv_setup draws the random models of the randomized sweeps,
+and reference_config_text reads a shipped config
 with some of its keys set.  concatenated_grid_increments bins the whole
 jump draw of the grid sampler in one np.add.at, the reference for the
 sampler's binning of each component as it is drawn, and
@@ -61,8 +65,7 @@ from levyrefract.levy_model import (
     Weibull, _compensated_drift, _jump_draw, mean_drift, sample_path,
 )
 from levyrefract.path_engine import (
-    BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS, read_segments,
-    trajectory_table,
+    BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, read_segments, trajectory_table,
 )
 from levyrefract.properties_oracle import EXACT_TOL, Violation, _Block, _Checked
 from levyrefract.strategy_engine import StrategyParams, _floored_euler, apply_strategy_exact
@@ -126,10 +129,17 @@ def columns_side_by_side(parts):
                         np.concatenate([c.counts for c in parts]), times, sizes)
 
 
+# the per-segment rows of a SegmentTable, which reference_table gives
+TABLE_ROWS = ("seg_t", "seg_v", "seg_branch", "seg_llump", "seg_rlump")
+
+
 @dataclass(frozen=True)
 class RefractedPath:
-    """The trajectory _sweep records for one path, with the fields of a
-    one-path SegmentTable."""
+    """The trajectory _sweep records for one path: each segment with its
+    slope and rates, and each lump as an atom, its time and size, in the
+    order paid.  It reads as a one-path SegmentTable: rates gives the
+    segments' slope and rates by branch code, and seg_llump and seg_rlump
+    add each atom onto the knot at its time."""
 
     horizon: float
     seg_t: np.ndarray
@@ -145,25 +155,52 @@ class RefractedPath:
 
     @property
     def counts(self) -> np.ndarray:
-        """The (3, 1) counts of the one-path SegmentTable it mirrors."""
-        return np.array([[getattr(self, names[0]).size] for names in TABLE_FIELDS])
+        """The (1,) counts of the one-path SegmentTable it mirrors."""
+        return np.array([self.seg_t.size])
+
+    @property
+    def rates(self) -> np.ndarray:
+        """(slope, dividend rate, injection rate) by branch code, (3, 4),
+        zero for a branch no segment takes; raises if two segments of one
+        branch differ in a bit."""
+        rows, out = np.stack((self.seg_slope, self.seg_lrate, self.seg_rrate)), np.zeros((3, 4))
+        out[:, self.seg_branch] = rows
+        if out[:, self.seg_branch].tobytes() != rows.tobytes():
+            raise AssertionError("a branch with two sets of rates")
+        return out
+
+    def _on_knots(self, atom_t, atom) -> np.ndarray:
+        """The atoms added onto the knots at their times, one by one in the
+        order paid, from 0.0; raises if an atom falls off every knot."""
+        knots = {t: k for k, t in enumerate(self.seg_t.tolist())}
+        out = [0.0] * len(knots)
+        for t, a in zip(atom_t.tolist(), atom.tolist()):
+            out[knots[t]] += a  # KeyError off the knots
+        return np.array(out)
+
+    @property
+    def seg_llump(self) -> np.ndarray:
+        return self._on_knots(self.l_atom_t, self.l_atom)
+
+    @property
+    def seg_rlump(self) -> np.ndarray:
+        return self._on_knots(self.r_atom_t, self.r_atom)
 
     def discounted_flow(self, q: float, horizon=None) -> tuple:
         """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon],
-        atoms at horizon included, in closed form: the segment terms and
-        then the atom terms added one by one, in time order.  At the
-        trajectory's own horizon (None) SegmentTable.discounted_flow gives
-        these flows per path, bit for bit."""
+        lumps at horizon included, in closed form: the segment terms and
+        then the lump terms of the knots added one by one, in time order.
+        At the trajectory's own horizon (None) SegmentTable.discounted_flow
+        gives these flows per path, bit for bit."""
         t_end = self.horizon if horizon is None else horizon
         t0 = np.minimum(self.seg_t, t_end)
         t1 = np.minimum(np.append(self.seg_t[1:], self.horizon), t_end)
         w = (np.exp(-q * t0) - np.exp(-q * t1)) / q
         flows = []
-        for rate, atom_t, atom in ((self.seg_lrate, self.l_atom_t, self.l_atom),
-                                   (self.seg_rrate, self.r_atom_t, self.r_atom)):
-            keep = atom_t <= t_end
+        for rate, lump in ((self.seg_lrate, self.seg_llump), (self.seg_rrate, self.seg_rlump)):
+            keep = self.seg_t <= t_end
             total = 0.0
-            for term in np.concatenate((rate * w, np.exp(-q * atom_t[keep]) * atom[keep])):
+            for term in np.concatenate((rate * w, np.exp(-q * self.seg_t[keep]) * lump[keep])):
                 total += term
             flows.append(float(total))
         return tuple(flows)
@@ -270,9 +307,10 @@ def _sweep(path, b, alpha, sticky: bool, floor: bool) -> RefractedPath:
                 r_atom_t.append(te)
                 r_atom.append(-z)
             z = 0.0
-    # the lists in the order of the RefractedPath fields
-    return RefractedPath(horizon, *map(np.asarray, (seg_t, seg_v, seg_slope, seg_branch, seg_lrate,
-                                                    seg_rrate, r_atom_t, r_atom, l_atom_t, l_atom)))
+    # the lists in the order of the RefractedPath fields, the branch codes int8
+    return RefractedPath(horizon, *map(np.asarray, (seg_t, seg_v, seg_slope)),
+                         np.asarray(seg_branch, dtype=np.int8), *map(np.asarray, (
+                             seg_lrate, seg_rrate, r_atom_t, r_atom, l_atom_t, l_atom)))
 
 
 def sticks(path, alpha) -> bool:
@@ -281,15 +319,36 @@ def sticks(path, alpha) -> bool:
     return 0.0 <= path.drift <= alpha
 
 
-def reference_table(paths, b, alpha, floor: bool):
-    """The _sweep trajectories of paths joined end to end as the fields of
-    a SegmentTable: a dict of each field and counts."""
-    trajs = [_sweep(p, float(b), float(alpha), sticks(p, alpha), floor) for p in paths]
-    out = {name: np.concatenate([getattr(t, name) for t in trajs])
-           for names in TABLE_FIELDS for name in names}
-    out["counts"] = np.array([[getattr(t, names[0]).size for t in trajs]
-                              for names in TABLE_FIELDS])
+def table_rows(table) -> dict:
+    """The rows of a SegmentTable or RefractedPath, one entry per segment:
+    TABLE_ROWS, and seg_rates, the (3, n) slope and rates of each segment
+    by its branch; and counts."""
+    out = {name: getattr(table, name) for name in TABLE_ROWS + ("counts",)}
+    out["seg_rates"] = table.rates[:, table.seg_branch]
     return out
+
+
+def reference_table(paths, b, alpha, floor: bool):
+    """The _sweep trajectories of paths joined end to end as the table_rows
+    of a SegmentTable, each path's atoms added onto its knots."""
+    rows = [table_rows(_sweep(p, float(b), float(alpha), sticks(p, alpha), floor))
+            for p in paths]
+    return {name: np.concatenate([r[name] for r in rows], axis=-1) for name in rows[0]}
+
+
+def lump_atoms(traj, lumps):
+    """The (times, sizes) of the lumps above 0 of a one-path table, lumps
+    its seg_llump or seg_rlump."""
+    paid = lumps > 0.0
+    return traj.seg_t[paid], lumps[paid]
+
+
+def edge_paths(horizon):
+    """Paths without events, with an event at 0 on a start below the floor
+    (two injection atoms at 0), and with an event at the horizon."""
+    return [EventPath(0.5, horizon, 0.3), EventPath(-0.3, horizon, -0.4),
+            EventPath(-0.5, horizon, 0.2, [0.0, 1.0], [-0.4, 2.5]),
+            EventPath(2.5, horizon, 0.2, [0.5, horizon], [-0.7, 3.0])]
 
 
 class PassageTimes(NamedTuple):
@@ -308,29 +367,28 @@ def first_passage_times(traj) -> PassageTimes:
     """Passage readings off every path of a swept floored table, or of one
     RefractedPath, at once.
 
-    kappa is the first injection lump or the start of the first
-    floor-pinned stretch with a positive injection density, which is where
-    the refracted path without the floor first goes strictly below 0;
-    t_weak is the first lump or knot where the path sits at 0, its first
-    visit.  These are the strict and weak clocks of the randomized passage;
-    t_weak is the splice time of the value estimators, which read it off
-    path_engine.floored_lane_sweep (euler_lane_flows on the Euler engine).
-    The entries of each path are in time order, so its first hit is the
-    first entry of its run among the hits.
+    kappa is the first knot with an injection lump or the start of the
+    first floor-pinned stretch with a positive injection density, which is
+    where the refracted path without the floor first goes strictly below 0;
+    t_weak is the first knot with an injection lump or where the path sits
+    at 0, its first visit.  These are the strict and weak clocks of the
+    randomized passage; t_weak is the splice time of the value estimators,
+    which read it off path_engine.floored_lane_sweep (euler_lane_flows on
+    the Euler engine).
+    The knots of each path are in time order, so its first hit is the
+    first knot of its run among the hits.
     """
-    m = traj.counts.shape[1]
+    n = traj.counts
 
-    def first(t, n, hit):
-        out, path = np.full(m, math.inf), np.repeat(np.arange(m), n)[hit]
+    def first(hit):
+        out, path = np.full(n.size, math.inf), np.repeat(np.arange(n.size), n)[hit]
         new = np.flatnonzero(np.diff(path, prepend=-1))
-        out[path[new]] = t[hit][new]
+        out[path[new]] = traj.seg_t[hit][new]
         return out
 
-    n_seg, n_r = traj.counts[:2]
-    lump = first(traj.r_atom_t, n_r, traj.r_atom > 0)
-    kappa = np.minimum(lump, first(traj.seg_t, n_seg, traj.seg_rrate > 0))
-    t_weak = np.minimum(lump, first(traj.seg_t, n_seg, traj.seg_v == 0.0))
-    return PassageTimes(kappa, np.minimum(t_weak, kappa))
+    lump = traj.seg_rlump > 0
+    kappa = first(lump | (traj.rates[2, traj.seg_branch] > 0))
+    return PassageTimes(kappa, np.minimum(first(lump | (traj.seg_v == 0.0)), kappa))
 
 
 class DegenerateDenominator(RuntimeError):
@@ -488,17 +546,19 @@ class FloorDecomposition:
 
 def floor_decomposition(traj, path) -> FloorDecomposition:
     """Decompose the reflection infimum of traj, the floored sweep of path."""
-    pinned = traj.seg_rrate > 0
+    rrate = traj.rates[2, traj.seg_branch]
+    pinned = rrate > 0
     rest = (traj.seg_branch == BRANCH_FLOOR) & ~pinned
     occ = pinned | rest
     t0 = traj.seg_t[occ]
     t1 = np.append(traj.seg_t[1:], traj.horizon)[occ]
     # driver slope while at the floor: injections accrue at its negative part
-    rate = np.where(pinned[occ], -traj.seg_rrate[occ], 0.0)
+    rate = np.where(pinned[occ], -rrate[occ], 0.0)
     init = min(path.x0, 0.0)
-    at0 = traj.r_atom_t == 0.0
-    jump_t = traj.r_atom_t[~at0]
-    jump_v = -traj.r_atom[~at0]
+    # the top-ups after time 0
+    jumps = (traj.seg_rlump > 0) & (traj.seg_t > 0.0)
+    jump_t = traj.seg_t[jumps]
+    jump_v = -traj.seg_rlump[jumps]
     return FloorDecomposition(
         reflected=traj,
         initial_part=init,
@@ -530,25 +590,33 @@ class SegmentCurve:
     seg_slope: np.ndarray
 
 
+def slopes(curve) -> np.ndarray:
+    """The slope of each segment of a SegmentCurve, or of a SegmentTable or
+    RefractedPath by its branch."""
+    if isinstance(curve, SegmentCurve):
+        return curve.seg_slope
+    return curve.rates[0, curve.seg_branch]
+
+
 def _index(curve, t):
     return np.clip(np.searchsorted(curve.seg_t, t, side="right") - 1, 0, len(curve.seg_t) - 1)
 
 
 def value_at(curve, t):
-    """The value of a RefractedPath or SegmentCurve at t."""
+    """The value of a one-path table or a SegmentCurve at t."""
     t = np.asarray(t, dtype=float)
     i = _index(curve, t)
-    return curve.seg_v[i] + curve.seg_slope[i] * (t - curve.seg_t[i])
+    return curve.seg_v[i] + slopes(curve)[i] * (t - curve.seg_t[i])
 
 
 def left_limit_at(curve, t):
     t = np.asarray(t, dtype=float)
     i = np.clip(np.searchsorted(curve.seg_t, t, side="left") - 1, 0, len(curve.seg_t) - 1)
-    return curve.seg_v[i] + curve.seg_slope[i] * (t - curve.seg_t[i])
+    return curve.seg_v[i] + slopes(curve)[i] * (t - curve.seg_t[i])
 
 
 def end_value(curve) -> float:
-    return float(curve.seg_v[-1] + curve.seg_slope[-1] * (curve.horizon - curve.seg_t[-1]))
+    return float(curve.seg_v[-1] + slopes(curve)[-1] * (curve.horizon - curve.seg_t[-1]))
 
 
 def running_inf_of_neg_part(curve, ts):
@@ -558,48 +626,44 @@ def running_inf_of_neg_part(curve, ts):
     the cumulative minimum over segment starts/ends plus the partial
     current segment.
     """
+    slope = slopes(curve)
     starts = curve.seg_v
-    ends = np.append(curve.seg_v[:-1] + curve.seg_slope[:-1] * np.diff(curve.seg_t),
-                     end_value(curve))
+    ends = np.append(curve.seg_v[:-1] + slope[:-1] * np.diff(curve.seg_t), end_value(curve))
     closed = np.minimum.accumulate(np.minimum(np.minimum(starts, ends), 0.0))
     ts = np.asarray(ts, dtype=float)
     i = _index(curve, ts)
-    partial = np.minimum(curve.seg_v[i],
-                         curve.seg_v[i] + curve.seg_slope[i] * (ts - curve.seg_t[i]))
+    partial = np.minimum(curve.seg_v[i], curve.seg_v[i] + slope[i] * (ts - curve.seg_t[i]))
     prev = np.where(i > 0, closed[np.maximum(i - 1, 0)], 0.0)
     return np.minimum(prev, np.minimum(partial, 0.0))
 
 
-def _cum_rate(traj, rates, atom_t, atom, t):
+def _cum_rate(traj, rates, lumps, t):
+    """The flow at rates per segment with lumps at the knots, up to t."""
     dt = np.append(np.diff(traj.seg_t), traj.horizon - traj.seg_t[-1])
     # the final entry is never indexed; keep an infinite-horizon tail out
     dt = np.where(np.isfinite(dt), dt, 0.0)
     cum = np.concatenate(([0.0], np.cumsum(rates * dt)))
     t = np.asarray(t, dtype=float)
     i = _index(traj, t)
-    out = cum[i] + rates[i] * (t - traj.seg_t[i])
-    if atom_t.size:
-        out = out + np.cumsum(atom)[np.clip(
-            np.searchsorted(atom_t, t, side="right") - 1, -1, len(atom) - 1)] * (
-            np.searchsorted(atom_t, t, side="right") > 0)
-    return out
+    return cum[i] + rates[i] * (t - traj.seg_t[i]) + np.cumsum(lumps)[i]
 
 
 def dividends_at(traj, t):
-    """Cumulative dividends L_t of a RefractedPath."""
-    return _cum_rate(traj, traj.seg_lrate, traj.l_atom_t, traj.l_atom, t)
+    """Cumulative dividends L_t of a one-path table."""
+    return _cum_rate(traj, traj.rates[1, traj.seg_branch], traj.seg_llump, t)
 
 
 def injections_at(traj, t):
-    """Cumulative injections R_t of a RefractedPath."""
-    return _cum_rate(traj, traj.seg_rrate, traj.r_atom_t, traj.r_atom, t)
+    """Cumulative injections R_t of a one-path table."""
+    return _cum_rate(traj, traj.rates[2, traj.seg_branch], traj.seg_rlump, t)
 
 
 def dividend_integral_path(traj) -> SegmentCurve:
     """The cumulative dividend stream L as a continuous segment curve."""
+    lrate = traj.rates[1, traj.seg_branch]
     dt = np.append(np.diff(traj.seg_t), traj.horizon - traj.seg_t[-1])
-    cum = np.concatenate(([0.0], np.cumsum(traj.seg_lrate * dt)))[:-1]
-    return SegmentCurve(traj.horizon, traj.seg_t, cum, traj.seg_lrate)
+    cum = np.concatenate(([0.0], np.cumsum(lrate * dt)))[:-1]
+    return SegmentCurve(traj.horizon, traj.seg_t, cum, lrate)
 
 
 def construction_identity_residual(path, traj) -> float:
@@ -613,7 +677,7 @@ def construction_identity_residual(path, traj) -> float:
     # A = X - L as a segment curve aligned with traj segments
     ts = traj.seg_t
     a_v = path.value_at(ts) - value_at(lcurve, ts)
-    a_slope = np.full(len(ts), path.drift) - traj.seg_lrate
+    a_slope = np.full(len(ts), path.drift) - traj.rates[1, traj.seg_branch]
     acurve = SegmentCurve(traj.horizon, ts, a_v, a_slope)
     probe = np.unique(np.concatenate((ts, path.times, [traj.horizon])))
     inf_part = running_inf_of_neg_part(acurve, probe)

@@ -30,7 +30,7 @@ from levyrefract.estimation import (
 from conftest import REFERENCE_GAMMA, drift_only, event_columns, every_path, refract_exact
 from oracles import (
     DegenerateDenominator, EventPath, draw_random_bv_setup, estimate_underline_nu, euler_knots,
-    event_paths, first_passage_times, solve_pstar,
+    event_paths, first_passage_times, slopes, solve_pstar,
 )
 
 Q = 0.05
@@ -1155,7 +1155,7 @@ def _min_episodes(traj, event_times):
     """
     seg_t = traj.seg_t
     seg_v = traj.seg_v
-    slope = traj.seg_slope
+    slope = slopes(traj)
     ends = np.append(seg_t[1:], traj.horizon)
     crossing = (seg_v[1:] == 0.0) & ~np.isin(seg_t[1:], event_times)
     end_v = np.where(np.append(crossing, False), 0.0, seg_v + slope * (ends - seg_t))

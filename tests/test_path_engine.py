@@ -13,8 +13,8 @@ from levyrefract.levy_model import (
 )
 from levyrefract import path_engine
 from levyrefract.path_engine import (
-    BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, TABLE_FIELDS,
-    _regime_table, floored_lane_sweep, read_segments, trajectory_table,
+    BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, _regime_table, floored_lane_sweep, read_segments,
+    trajectory_table,
 )
 from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
@@ -23,15 +23,27 @@ from conftest import (
     refracted_reflected_exact,
 )
 from oracles import (
-    EventPath, _next_target, _regime, _sweep, construction_identity_residual, dividend_integral_path, dividends_at,
-    draw_random_bv_setup, end_value, event_paths, first_passage_times, floor_decomposition,
-    injections_at, left_limit_at, reference_table, running_floor_reflection,
-    running_inf_of_neg_part, sticks, value_at,
+    TABLE_ROWS, EventPath, _next_target, _regime, _sweep, construction_identity_residual,
+    dividend_integral_path, dividends_at, draw_random_bv_setup, edge_paths, end_value, event_paths,
+    first_passage_times, floor_decomposition, injections_at, left_limit_at, lump_atoms,
+    reference_table, running_floor_reflection, running_inf_of_neg_part, slopes, sticks,
+    table_rows, value_at,
 )
 
 # the transforms on one EventPath, through the src readers
 refract = one_path(refract_exact)
 floored = one_path(refracted_reflected_exact)
+
+
+def test_event_columns_refuses_paths_of_two_drifts():
+    """One draw has one drift and one horizon, so the packer of hand-built
+    paths refuses paths that differ in either rather than sweep them all
+    at the first one's."""
+    for other in (drift_path(-0.4, 0.5, 3.0), drift_path(0.3, 0.5, 4.0)):
+        with pytest.raises(ValueError):
+            event_columns([drift_path(0.3, 0.5, 3.0), other])
+    cols = event_columns([drift_path(0.3, 0.5, 3.0), drift_path(0.3, -1.0, 3.0, [(1.0, 2.0)])])
+    assert (cols.drift, cols.horizon, cols.counts.tolist()) == (0.3, 3.0, [0, 1])
 
 
 class TestRefractExact:
@@ -114,8 +126,8 @@ class TestRefractedReflected:
         ts = np.array([0.25, 1.0, 2.0, 2.5, 3.0, 4.0])
         np.testing.assert_allclose(value_at(traj, ts),
                                    [0.75, 1.3, 0.0, 0.5, 1.0, 1.6])
-        np.testing.assert_allclose(traj.r_atom_t, [2.0])
-        np.testing.assert_allclose(traj.r_atom, [0.1])
+        for got, want in zip(lump_atoms(traj, traj.seg_rlump), ([2.0], [0.1])):
+            np.testing.assert_allclose(got, want)
         np.testing.assert_allclose(dividends_at(traj, 4.0), 0.4 * 1.5 + 0.4 * 1.0)
         np.testing.assert_allclose(injections_at(traj, ts),
                                    [0, 0, 0.1, 0.1, 0.1, 0.1])
@@ -144,8 +156,8 @@ class TestRefractedReflected:
         traj = floored(p, b=1.0, alpha=0.4)
         dec = floor_decomposition(traj, p)
         assert value_at(traj, 0.0) == 0.0
-        np.testing.assert_allclose(traj.r_atom_t, [0.0])
-        np.testing.assert_allclose(traj.r_atom, [0.3])
+        for got, want in zip(lump_atoms(traj, traj.seg_rlump), ([0.0], [0.3])):
+            np.testing.assert_allclose(got, want)
         assert dec.initial_part == pytest.approx(-0.3)
 
     def test_negative_barrier_rejected(self):
@@ -179,10 +191,9 @@ class TestReflectionLimits:
         ts = np.array([0.25, 1.0, 2.0, 2.25, 2.5, 3.0])
         np.testing.assert_allclose(value_at(traj, ts),
                                    [0.75, 1.0, 0.0, 0.25, 1.0, 1.0])
-        np.testing.assert_allclose(traj.l_atom_t, [2.5])
-        np.testing.assert_allclose(traj.l_atom, [1.5])
-        np.testing.assert_allclose(traj.r_atom_t, [2.0])
-        np.testing.assert_allclose(traj.r_atom, [1.0])
+        for got, want in zip(lump_atoms(traj, traj.seg_llump) + lump_atoms(traj, traj.seg_rlump),
+                             ([2.5], [1.5], [2.0], [1.0])):
+            np.testing.assert_allclose(got, want)
         assert dividends_at(traj, 3.0) == pytest.approx(1.5 + 1.5 + 0.5)
         assert injections_at(traj, 3.0) == pytest.approx(1.0)
 
@@ -191,14 +202,14 @@ class TestReflectionLimits:
         ts = np.array([1.0, 2.0, 2.25, 2.5, 3.0])
         np.testing.assert_allclose(value_at(traj, ts), [1.0, -1.0, -0.75, 1.0, 1.0])
         np.testing.assert_allclose(injections_at(traj, ts), 0.0, atol=1e-15)
-        np.testing.assert_allclose(traj.l_atom, [0.5])
+        np.testing.assert_allclose(lump_atoms(traj, traj.seg_llump)[1], [0.5])
         assert dividends_at(traj, 3.0) == pytest.approx(1.5 + 0.5 + 0.5)
 
     def test_start_above_barrier_pays_immediately(self):
         traj = refract(drift_path(0.2, 2.0, 1.0), 1.0, math.inf)
         assert value_at(traj, 0.0) == 1.0
-        np.testing.assert_allclose(traj.l_atom_t, [0.0])
-        np.testing.assert_allclose(traj.l_atom, [1.0])
+        for got, want in zip(lump_atoms(traj, traj.seg_llump), ([0.0], [1.0])):
+            np.testing.assert_allclose(got, want)
 
     def test_two_sided_at_zero_pins_at_the_floor(self):
         """At b = 0 a falling path is pinned at 0, where it draws injections
@@ -209,12 +220,12 @@ class TestReflectionLimits:
         traj = floored(p, 0.0, math.inf)
         refr = floored(p, 0.0, 0.5)
         for t in (traj, refr):
-            pinned = (t.seg_v == 0.0) & (t.seg_slope == 0.0)
+            pinned = (t.seg_v == 0.0) & (slopes(t) == 0.0)
             assert pinned.any()
             assert np.all(t.seg_branch[pinned] == BRANCH_FLOOR)
-            assert np.all(t.seg_rrate[pinned] == -delta)
-        np.testing.assert_allclose(traj.l_atom, [0.4, 0.8])
-        np.testing.assert_allclose(traj.r_atom_t, [2.0])
+            assert np.all(t.rates[2, t.seg_branch][pinned] == -delta)
+        np.testing.assert_allclose(lump_atoms(traj, traj.seg_llump)[1], [0.4, 0.8])
+        np.testing.assert_allclose(lump_atoms(traj, traj.seg_rlump)[0], [2.0])
         assert injections_at(traj, 3.0) == pytest.approx(-delta * 3.0 + 0.6)
 
     def test_gap_to_the_band_limit_never_grows_with_alpha(self, ref_spec_bv):
@@ -266,9 +277,6 @@ class TestInfiniteCapFold:
     reflection limits used: the lump-dividend sweep, sticky at b iff the
     drift is positive."""
 
-    ARRAYS = ("seg_t", "seg_v", "seg_slope", "seg_branch", "seg_lrate",
-              "seg_rrate", "r_atom_t", "r_atom", "l_atom_t", "l_atom")
-
     def test_case_label_reproduces_the_drift_sign_rule(self):
         """Bitwise equal whenever delta != 0.  At delta = 0 the path is in
         Case 2, so a stretch parked at b reads BRANCH_AT_B, as at every
@@ -296,8 +304,9 @@ class TestInfiniteCapFold:
                     got = table.block(i, i + 1)
                     want = _sweep(path, b, math.inf, path.drift > 0, floor)
                     assert got.horizon == want.horizon
-                    for name in self.ARRAYS:
-                        g, w = getattr(got, name), getattr(want, name)
+                    rows = table_rows(want)
+                    for name, g in table_rows(got).items():
+                        w = rows[name]
                         if delta != 0.0:
                             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), (
                                 delta, b, i, name)
@@ -368,7 +377,8 @@ class TestDividendIntegralPath:
         q = 0.05
         for alpha in (0.5, math.inf):
             traj, ref = floored(p, 1.0, alpha), _sweep(p, 1.0, alpha, sticks(p, alpha), True)
-            stops = [None, 2.3, *traj.r_atom_t[-1:], *traj.l_atom_t[-1:]]
+            stops = [None, 2.3, *lump_atoms(traj, traj.seg_rlump)[0][-1:],
+                     *lump_atoms(traj, traj.seg_llump)[0][-1:]]
             assert len(stops) == (3 if alpha == 0.5 else 4)
             for stop in stops:
                 if stop is None:
@@ -385,23 +395,34 @@ class TestDividendIntegralPath:
                 assert dr == pytest.approx(dr_num, abs=2e-5), stop
 
 
+def assert_one_row_per_segment(table):
+    """Every row of table has an entry per segment, counts.sum() of them,
+    and no lump is below 0."""
+    assert table.counts.ndim == 1 and table.rates.shape == (3, 4)
+    for name in TABLE_ROWS:
+        assert getattr(table, name).shape == (table.counts.sum(),), name
+    assert np.all(table.seg_llump >= 0.0) and np.all(table.seg_rlump >= 0.0)
+
+
 def assert_table_is_the_reference(table, paths, b, alpha, floor):
-    """Every field of table, sign bits included, and its counts equal the
-    _sweep trajectories of paths joined end to end."""
+    """Every row of table, the slope and rates of each segment by its branch
+    and the counts equal, sign bits included, those of the _sweep
+    trajectories of paths joined end to end, each path's atoms added onto
+    its knots."""
     want = reference_table(paths, b, alpha, floor)
     assert table.horizon == paths[0].horizon
-    for name in (name for names in TABLE_FIELDS for name in names):
-        got, ref = getattr(table, name), want[name]
+    assert_one_row_per_segment(table)
+    for name, got in table_rows(table).items():
+        ref = want[name]
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert np.array_equal(got, ref), name
         assert np.array_equal(np.signbit(got), np.signbit(ref)), name
-    assert np.array_equal(table.counts, want["counts"])
 
 
 def assert_flows_are_the_reference(table, paths, b, alpha, floor, q) -> int:
     """The discounted flows of table equal, bit for bit, those of the
     _sweep trajectory of each path, added up in order.  Returns the number
-    of paths without atoms."""
+    of paths without lumps."""
     got, n_flat = table.discounted_flow(q), 0
     for i, p in enumerate(paths):
         ref = _sweep(p, b, alpha, sticks(p, alpha), floor)
@@ -410,9 +431,42 @@ def assert_flows_are_the_reference(table, paths, b, alpha, floor, q) -> int:
     return n_flat
 
 
+def random_models():
+    """The random models of TestTrajectoryTable, (columns, paths, params):
+    six paths of each, from starts below 0, at 0, at b, inside (0, b) and
+    above b."""
+    rng = np.random.default_rng(20261019)
+    for j in range(120):
+        spec, pp, x, _, _ = draw_random_bv_setup(rng)
+        cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
+        starts = (x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b)
+        yield cols, [replace(p, x0=s) for p, s in zip(event_paths(cols), starts)], pp
+
+
 class TestTrajectoryTable:
     """The table reader of event_steps against the scalar sweep _sweep, the
     reference it replaces, bit for bit."""
+
+    def test_every_atom_of_the_reference_is_at_a_knot(self):
+        """The premise of a table of one row per segment: every atom _sweep
+        pays falls at a knot of its path, so it rides on the segment that
+        starts there.  The random models, and the edge paths (a start below
+        the floor meets an event at 0, and an event falls at the horizon),
+        each at b = 0 and at its b, at its cap and an infinite one, floored
+        and not.  Atoms of one time on one path, which a table adds into
+        one lump, occur."""
+        models = [(paths, pp.b, pp.alpha) for _, paths, pp in random_models()]
+        n_atoms = n_shared = 0
+        for paths, b0, alpha0 in models + [(edge_paths(3.0), 1.0, 0.5)]:
+            for b, alpha, floor in itertools.product((0.0, b0), (alpha0, math.inf),
+                                                     (False, True)):
+                for p in paths:
+                    ref = _sweep(p, b, alpha, sticks(p, alpha), floor)
+                    for atom_t in (ref.l_atom_t, ref.r_atom_t):
+                        assert np.isin(atom_t, ref.seg_t).all(), (p, b, alpha, floor)
+                        n_atoms += atom_t.size
+                        n_shared += atom_t.size - np.unique(atom_t).size
+        assert n_atoms > 1000 and n_shared > 0
 
     def test_random_models_bitwise(self):
         """Random models at b = 0, at their own b and at b = inf, at their
@@ -420,13 +474,8 @@ class TestTrajectoryTable:
         starts below 0, at 0, at b, inside (0, b) and above b.  The same
         events at the two ends of Case 2, drift 0 and drift alpha, run at
         their own b and cap."""
-        rng = np.random.default_rng(20261019)
         n_models = n_atoms = n_branches = n_flat = 0
-        for j in range(120):
-            spec, pp, x, _, _ = draw_random_bv_setup(rng)
-            cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
-            starts = (x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b)
-            paths = [replace(p, x0=s) for p, s in zip(event_paths(cols), starts)]
+        for cols, paths, pp in random_models():
             for drift in (0.0, pp.alpha):
                 edge = [replace(p, drift=drift) for p in paths]
                 for floor in (False, True):
@@ -439,7 +488,8 @@ class TestTrajectoryTable:
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
                         n_flat += assert_flows_are_the_reference(table, paths, b, alpha,
                                                                  floor, pp.q)
-                        n_atoms += table.r_atom.size + table.l_atom.size
+                        n_atoms += np.count_nonzero(table.seg_rlump)
+                        n_atoms += np.count_nonzero(table.seg_llump)
                         n_branches |= np.bitwise_or.reduce(1 << table.seg_branch)
                         # a one-path table adds up its path alone
                         (one,) = trajectory_table(cols.block(2, 3), pp.b, b, alpha, floor)
@@ -447,6 +497,17 @@ class TestTrajectoryTable:
                                                        pp.q)
             n_models += 1
         assert n_models >= 100 and n_atoms > 0 and n_branches == 0b1111 and n_flat > 0
+
+    def test_one_sort_per_call(self, monkeypatch):
+        """The lumps ride on their segments, so a call sorts once: two
+        roles, one paying lump dividends and top-ups, the other top-ups."""
+        paths = [drift_path(0.5, 0.0, 4.0, jumps=[(1.0, 2.0), (2.0, -3.0)]),
+                 drift_path(0.5, 0.0, 4.0, jumps=[(0.5, -1.0)])]
+        calls, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(a) or argsort(*a, **k))
+        tables = trajectory_table(event_columns(paths), [-0.5, 0.5], 1.0, [math.inf, 0.5], True)
+        assert len(calls) == 1
+        assert tables[0].seg_llump.any() and all(t.seg_rlump.any() for t in tables)
 
     @pytest.mark.parametrize("b,jump_at", [(1e-300, 2.0), (1.0, 4.0)])
     def test_zero_length_segments(self, b, jump_at):
@@ -482,8 +543,9 @@ class TestTrajectoryTable:
         the model's cap, twice it and inf, floored and not, at b = 0 and at
         the model's b, on the model's drift and on the Case-2 drift alpha
         (sticky at b on every rung), from starts below 0, at 0, inside (0,
-        b), at b and above b, the roles taking them in turn."""
-        names = [name for kind in TABLE_FIELDS for name in kind] + ["counts"]
+        b), at b and above b, the roles taking them in turn.  Every table,
+        and blocks of it, has one entry per segment in each row."""
+        names = TABLE_ROWS + ("rates", "counts")
         rng = np.random.default_rng(20261020)
         n_roles = n_sticky = 0
         for j in range(30):
@@ -496,6 +558,8 @@ class TestTrajectoryTable:
                     (0.0, pp.b), (True, False), (pp.alpha, 2.0 * pp.alpha, math.inf)))]
                 for table, role in zip(trajectory_table(edge, *zip(*roles)), roles):
                     (one,) = trajectory_table(edge, *role)
+                    for t in (table, one, table.block(1, 4), table.block(4, 2)):
+                        assert_one_row_per_segment(t)
                     for name in names:
                         assert getattr(table, name).tobytes() == getattr(one, name).tobytes()
                     n_roles += 1
@@ -565,7 +629,7 @@ class TestRegimeTable:
         """_sweep, sticks and the oracle functions they call load no name
         that resolves to a function, class or module of levyrefract, so a
         wrong regime rule in src cannot hide in its own reference.  The
-        BRANCH_* codes and TABLE_FIELDS are shared constants."""
+        BRANCH_* codes are shared constants."""
         todo, seen, shared = [_sweep, sticks], set(), []
         while todo:
             fn = todo.pop()
@@ -598,7 +662,7 @@ class TestReadSegments:
         start) of read_segments."""
         path, t = np.asarray(path), np.asarray(t, dtype=float)
         (got,), driver = read_segments([table], path, t, drivers)
-        for i in range(table.counts.shape[1]):
+        for i in range(table.counts.size):
             traj = table.block(i, i + 1)
             on, ts = path == i, t[path == i]
             for mine, ref in ((got.z, value_at), (got.z_left, left_limit_at),
@@ -612,11 +676,10 @@ class TestReadSegments:
 
     @staticmethod
     def probes(table, extra=()):
-        """Every knot and atom time of every path of table on each of them,
-        with extra, in (path, t) order."""
-        ts = np.unique(np.concatenate([np.asarray(extra, dtype=float), table.seg_t,
-                                       table.r_atom_t, table.l_atom_t]))
-        m = table.counts.shape[1]
+        """Every knot of every path of table, where its lumps are paid, on
+        each of them, with extra, in (path, t) order."""
+        ts = np.unique(np.concatenate([np.asarray(extra, dtype=float), table.seg_t]))
+        m = table.counts.size
         return np.repeat(np.arange(m), ts.size), np.tile(ts, m)
 
     def test_knots_one_ulp_apart(self):

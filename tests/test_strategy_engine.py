@@ -17,7 +17,7 @@ from levyrefract.strategy_engine import (
 from conftest import draw_path, drift_path, event_columns, one_path, refract_exact
 from oracles import (
     budget_residual, draw_random_bv_setup, euler_exact_gap, euler_knots, event_paths,
-    first_passage_times, sticks, value_at,
+    first_passage_times, slopes, sticks, value_at,
 )
 
 # the transforms on one EventPath, through the src reader
@@ -123,7 +123,7 @@ def first_passage_below_reference(traj, level):
     weak) first passage of a piecewise-linear cadlag path below level."""
     seg_t = traj.seg_t
     seg_v = traj.seg_v - level
-    slope = traj.seg_slope
+    slope = slopes(traj)
     ends = np.append(seg_t[1:], traj.horizon)
     end_v = seg_v + slope * (ends - seg_t)
     weak = math.inf
