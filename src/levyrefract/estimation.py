@@ -31,13 +31,15 @@ by path in b, and nu at one threshold is the one-point curve.  Value
 curves run as one job over paths x starts x thresholds: a batch draws once
 on the main stream and once on the at-0 anchor substream and steps every
 (x, b) point, each on its draw, in one lane pass over both, so one set
-of forked workers serves a curve set.  A run steps at most BLOCK_LANES
-lanes at once, in blocks of points.
+of workers serves a curve set.  A run steps at most BLOCK_LANES lanes at
+once, in blocks of points.
 
 Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
 of at most BATCH contiguous chunk draws as one lane set (BATCH // 2 chunks
-per stream of a value job), and a run has a multiple of min(threads, CPUs,
-chunks) batches where the chunks allow, so every worker computes as much.
+per stream of a value job), and a run has a multiple of w = min(threads,
+CPUs, chunks) batches where the chunks allow, so every worker computes as
+much: the calling process is worker 0, and w - 1 forked processes are the
+others.
 Each estimator splits its readings back into chunks and returns one
 partial per chunk; the partials are combined by a fixed-order pairwise
 tree in chunk order, so results are bit-identical for any batching and any
@@ -156,20 +158,27 @@ def _run_chunks(n: int, worker, threads: int, draws: int = 1):
     """worker(batch) returns one partial per chunk of the batch, which it
     draws on draws streams; the partials are reduced in chunk order, so no
     byte depends on the batching or the worker count.  w = min(threads,
-    CPUs, batches) forked workers share the batches, worker i computing
-    batches i, i + w, ..., and each sends its partials, or its error, back
-    as one pickle on its pipe.  All are reaped before this returns or
-    raises, those not heard from killed first; without os.fork the batches
-    run in this process."""
+    CPUs, batches) workers share the batches, worker i computing batches
+    i, i + w, ...: worker 0 is this process, and each of the w - 1 forked
+    ones sends its partials, or its error, back as one pickle on its pipe.
+    Before it forks, this process hands its free heap back to the system
+    (glibc's malloc_trim), so the forks do not copy the heap it kept from
+    its last share.  All are reaped before this returns or raises, those
+    not heard from killed first; the error raised is this process's own,
+    else that of the lowest failed worker.  Without os.fork w is 1."""
     threads = min(threads, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
     batches = _batches(n, threads, draws)
     w = min(threads, len(batches)) if hasattr(os, "fork") else 1
-    if w <= 1:
-        return _tree_reduce(p for batch in batches for p in worker(batch))
+    if w > 1:
+        import ctypes
+        try:
+            ctypes.CDLL(None).malloc_trim(0)
+        except (OSError, AttributeError):  # no glibc: the forks copy what they touch
+            pass
     procs, outs, codes = [], [], []
     try:
-        for i in range(w):
+        for i in range(1, w):
             r, wr = os.pipe()
             pid = os.fork()
             if pid == 0:
@@ -184,6 +193,7 @@ def _run_chunks(n: int, worker, threads: int, draws: int = 1):
                     os._exit(0)
             os.close(wr)
             procs.append((pid, os.fdopen(r, "rb")))
+        parts = [[worker(batch) for batch in batches[::w]]]
         for _, pipe in procs:
             outs.append(pipe.read())
             if outs[-1][:1] != b"+":
@@ -200,7 +210,7 @@ def _run_chunks(n: int, worker, threads: int, draws: int = 1):
                 signal.Signals(-code).name if code < 0 else "exit code %d" % code))
         if out[:1] == b"!":
             raise pickle.loads(out[1:])
-    parts = [pickle.loads(out[1:]) for out in outs]
+    parts += [pickle.loads(out[1:]) for out in outs]
     return _tree_reduce(p for j in range(len(batches)) for p in parts[j % w][j // w])
 
 

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import signal
+import time
 import tracemalloc
 from dataclasses import replace
 from functools import partial
@@ -329,7 +330,8 @@ STEPLESS_EULER_CALLS = {
     "find_bstar": lambda s, st: find_bstar(params(), s, [0.5, 1.0], 5.0, 0, 64, st),
     "nu_curve-one-point": lambda s, st: nu_curve(params(), s, [1.0], 5.0, 0, 64, st),
     "value_curve": lambda s, st: value_curve([0.5], 1.0, params(), s, 5.0, 0, 64, st),
-    # two chunks on two workers: the error crosses the process boundary
+    # two chunks on two workers: the calling process raises the error of
+    # its own share, and the forked worker is killed and reaped
     "value_curve-2-workers": lambda s, st: value_curve(
         [0.5], 1.0, params(), s, 5.0, 0, 300, st, threads=2),
 }
@@ -1081,8 +1083,8 @@ def chunk_ids(batch):
 
 
 class TestForkedWorkers:
-    """_run_chunks forks its workers, reaps every one, and brings their
-    errors back."""
+    """_run_chunks is worker 0 and forks the others, reaps every one, and
+    brings their errors back."""
 
     @pytest.fixture
     def forked(self, monkeypatch):
@@ -1101,10 +1103,10 @@ class TestForkedWorkers:
     @pytest.mark.skipif(CPUS < 2, reason="one CPU plans one worker, in this process")
     @pytest.mark.parametrize("dies", [False, True])
     def test_every_worker_is_reaped(self, forked, dies):
-        """Two chunks on two workers: the second SIGKILLs itself or not.
-        Either way both forked pids are reaped when _run_chunks returns or
-        raises, and a worker that dies raises a RuntimeError naming its
-        signal."""
+        """Two chunks on two workers, the second forked: it SIGKILLs itself
+        or not.  Either way the one forked pid is reaped when _run_chunks
+        returns or raises, and a worker that dies raises a RuntimeError
+        naming its signal."""
         parent = os.getpid()
 
         def worker(batch):
@@ -1117,10 +1119,98 @@ class TestForkedWorkers:
                 estimation._run_chunks(2 * estimation.CHUNK, worker, 2)
         else:
             assert estimation._run_chunks(2 * estimation.CHUNK, worker, 2)[0].tolist() == [1.0]
-        assert len(forked) == 2
+        assert len(forked) == 1
         for pid in forked:
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_caller_computes_every_w_th_batch(self, forked, threads):
+        """20 chunks on w workers plan 3 batches at w = 1 and 4 at w = 2:
+        batch j runs in the calling process iff j % w == 0, the others in
+        the one fork, and w = 1 forks nothing.  Each chunk's partial carries the pid that
+        computed it at the chunk's own index."""
+        n, chunks = 20 * estimation.CHUNK, 20
+
+        def pids(batch):
+            return [(np.eye(chunks)[ci] * os.getpid(),) for ci, _ in batch]
+
+        got = estimation._run_chunks(n, pids, threads)[0].astype(int).tolist()
+        w = min(threads, CPUS)
+        assert len(forked) == w - 1
+        batches = estimation._batches(n, w)
+        assert len(batches) == 2 + w
+        for j, batch in enumerate(batches):
+            want = os.getpid() if j % w == 0 else forked[0]
+            assert [got[ci] for ci, _ in batch] == [want] * len(batch)
+
+    @pytest.mark.skipif(CPUS < 2, reason="one CPU plans one worker, in this process")
+    @pytest.mark.parametrize("error", [ValueError("share 0"), KeyboardInterrupt()])
+    def test_the_callers_error_comes_first_and_the_fork_is_killed(self, forked, error):
+        """The calling process's own share raises while the forked worker
+        would compute for a minute: the caller's exception propagates as it
+        is, and the fork is killed and reaped at once."""
+        parent = os.getpid()
+
+        def worker(batch):
+            if os.getpid() == parent:
+                raise error
+            time.sleep(60)
+            return chunk_ids(batch)
+
+        start = time.monotonic()
+        with pytest.raises(type(error)) as raised:
+            estimation._run_chunks(2 * estimation.CHUNK, worker, 2)
+        assert raised.value is error
+        assert time.monotonic() - start < 30
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    @pytest.mark.skipif(CPUS < 2, reason="one CPU plans one worker, in this process")
+    def test_a_forked_workers_error_is_raised(self, forked):
+        """The caller's share succeeds and the forked worker's raises: its
+        error crosses the pipe, field name and all, and is raised here."""
+        parent = os.getpid()
+
+        def worker(batch):
+            if os.getpid() != parent:
+                raise InvalidParameter("k", "share of chunk %d" % batch[0][0])
+            return chunk_ids(batch)
+
+        with pytest.raises(InvalidParameter, match="share of chunk 1") as raised:
+            estimation._run_chunks(2 * estimation.CHUNK, worker, 2)
+        assert raised.value.field_name == "k"
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
+
+    @pytest.mark.skipif(CPUS < 2, reason="one CPU plans one worker, in this process")
+    @pytest.mark.parametrize("libc", ["no library", "no malloc_trim"])
+    def test_a_heap_that_cannot_be_released_keeps_the_bytes(self, ref_spec_bv, monkeypatch,
+                                                            libc):
+        """Where libc cannot be loaded or has no malloc_trim, a 2-worker
+        nu_curve and value_curve skip the release and write the bytes of a
+        1-worker run; a 1-worker run never looks for the release."""
+        import ctypes
+        loads = []
+
+        def cdll(name, *args, **kwargs):
+            loads.append(name)
+            if libc == "no library":
+                raise OSError("no libc here")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        stream, grid = RngStream(61, tag=1), np.round(np.arange(0.0, 3.0, 0.25), 10)
+        nu = {t: nu_curve(params(), ref_spec_bv, grid, 10.0, 0, 600, stream,
+                          threads=t).to_csv() for t in (1, 2)}
+        assert loads == [None]
+        values = {t: value_curve_csv((x, 1.0, est, "spliced") for x, est in value_curve(
+            [-0.5, 0.0, 0.5, 1.5], 1.0, params(), ref_spec_bv, 10.0, 0, 600, stream,
+            threads=t)) for t in (1, 2)}
+        assert loads == [None, None]
+        assert nu[1] == nu[2] and values[1] == values[2]
 
     def test_the_workers_are_capped_at_the_cpus(self, monkeypatch):
         """threads = 10^4 plans the batches of min(10^4, CPUs) workers, the
