@@ -646,25 +646,27 @@ def _run_alpha_convergence(cfg, outs, threads, desk):
     if cfg.spec.sigma != 0.0:
         raise ValidationError("model.sigma", "the cap ladder needs sigma = 0")
     alphas, x, b = cfg.need("alphas"), cfg.need("x"), cfg.need("b")
+    horizon, n, stream = min(cfg.horizon, 30.0), min(cfg.n, 2000), RngStream(cfg.seed, tag=4)
     try:
-        rep = oracle.alpha_ladder_run(cfg.spec, b, alphas, x, min(cfg.horizon, 30.0),
-                                      min(cfg.n, 2000), RngStream(cfg.seed, tag=4),
-                                      beta=cfg.beta, q=cfg.q)
+        rep = oracle.alpha_ladder_run(cfg.spec, b, alphas, x, horizon, n, stream)
     except oracle.InvalidLadder as err:
         raise ValidationError("task.alphas", str(err))
+    # each rung's direct value, dividends less beta-weighted injections to the horizon
+    vals = [value_curve([x], b, replace(cfg.params_for(b), alpha=a), cfg.spec, horizon,
+                        cfg.k, n, stream, method="direct", engine="exact",
+                        threads=threads)[0][1] for a in rep.alphas]
     lines = ["alpha,v,se,sup_gap_to_limit"]
-    for a, v, s, g in zip(rep.alphas, rep.value_means, rep.value_ses,
-                          rep.sup_gap_to_limit):
+    for a, est, g in zip(rep.alphas, vals, rep.sup_gap_to_limit):
         lines.append("%s,%.17g,%.17g,%.17g" % ("inf" if a == math.inf else "%g" % a,
-                                               v, s, g))
+                                               est.mean, est.std_error, g))
     csv_text = "\n".join(lines) + "\n"
     plot = SvgPlot("Value along the rate-cap ladder", "ladder rung", "value")
     idx = np.arange(1, len(rep.alphas) + 1, dtype=float)
-    plot.line(idx, np.asarray(rep.value_means), _PALETTE[0], label="v estimate")
+    plot.line(idx, np.array([est.mean for est in vals]), _PALETTE[0], label="v estimate")
     plot.xticks = [(float(i), "inf" if a == math.inf else "%g" % a)
                    for i, a in zip(idx, rep.alphas)]
     if rep.alphas[-1] == math.inf:
-        plot.hline(rep.value_means[-1], label="reflected limit")
+        plot.hline(vals[-1].mean, label="reflected limit")
     emit_outputs(outs, "alpha_ladder", csv_text, plot)
     if rep.violations:
         outs.write("violations.csv", oracle.violations_csv(rep.violations))
@@ -688,8 +690,7 @@ def _run_check_properties(cfg, outs, threads, desk):
     rungs = sorted({cfg.alpha, 2 * cfg.alpha, math.inf})
     if len(rungs) > 1:
         reports.append(oracle.alpha_ladder_run(cfg.spec, b, rungs, x, horizon,
-                                               min(n_pair, 150), RngStream(cfg.seed, tag=6),
-                                               beta=cfg.beta, q=cfg.q))
+                                               min(n_pair, 150), RngStream(cfg.seed, tag=6)))
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
                                       max(cfg.n, 40_000), RngStream(cfg.seed, tag=7))
     # negative control: a correct pair must break the budget of a mis-stated shift

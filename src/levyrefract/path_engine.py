@@ -81,29 +81,6 @@ class SegmentTable:
                             self.seg_branch[rows], self.seg_llump[rows], self.seg_rlump[rows],
                             self.rates, self.counts[start:stop])
 
-    def discounted_flow(self, q: float) -> tuple:
-        """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon] of
-        each path, in closed form, as two (m,) arrays.
-
-        One exp pass covers every knot and segment end; np.bincount then
-        adds each path's segment terms and then its lump terms in order, so
-        a path's flows do not depend on the other paths.
-        """
-        n, ns = self.counts, self.seg_t.size
-        path = np.repeat(np.arange(n.size), n)
-        # the start and end of each segment, each path's last ending at the
-        # horizon; then e^{-qt} in place, as tables are large
-        d = np.concatenate((self.seg_t, np.roll(self.seg_t, -1)))
-        d[ns + np.cumsum(n) - 1] = self.horizon
-        np.exp(np.multiply(d, -q, out=d), out=d)
-        d0, w = np.split(d, 2)
-        np.subtract(d0, w, out=w)
-        w /= q
-        path = np.concatenate((path, path))
-        return tuple(np.bincount(path, np.concatenate((rate * w, d0 * lump)), n.size)
-                     for rate, lump in zip(self.rates[1:, self.seg_branch],
-                                           (self.seg_llump, self.seg_rlump)))
-
 
 def path_keys(path, t):
     """Integer keys that order the pairs (path[j], t[j]) as (path, t),
@@ -432,8 +409,7 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
     included) and is done there; the others discount to the horizon.  A
     lane leaves the sweep once it is done, and the sweep ends once every
     lane is.  Stop times equal those read off the trajectory_table of the
-    same lanes bit for bit; the flows match its discounted_flow up to
-    summation order.
+    same lanes bit for bit.
 
     The control c of a lane with stop tau is sum e^{-q t_i} s_i over the
     events of its path at t_i <= tau, the jump that causes a passage

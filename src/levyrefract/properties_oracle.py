@@ -47,10 +47,7 @@ PAIR_PROPS = (
     "budget",
 )
 
-LADDER_PROPS = (
-    "ladder_refracted", "ladder_surplus", "ladder_dividends",
-    "ladder_injections", "ladder_value_monotone",
-)
+LADDER_PROPS = ("ladder_refracted", "ladder_surplus", "ladder_dividends", "ladder_injections")
 
 
 class InvalidLadder(ValueError):
@@ -114,8 +111,6 @@ class AlphaLadderReport(_Checked):
     alphas: tuple
     violations: tuple
     sup_gap_to_limit: tuple
-    value_means: tuple
-    value_ses: tuple
 
 
 @dataclass(frozen=True)
@@ -269,34 +264,29 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
 
 
 def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
-                     horizon: float, n: int, stream: RngStream,
-                     beta: float = 1.5, q: float = 0.05) -> AlphaLadderReport:
+                     horizon: float, n: int, stream: RngStream) -> AlphaLadderReport:
     """Order of trajectories under a strictly increasing rate-cap ladder.
 
     Checks, pairwise along the ladder on shared noise: the refracted driver
     is pointwise ordered, the floored surplus is ordered, cumulative
     dividends and injections grow with the cap.  The sup gap of each
     surplus to the reflected limit is recorded when the last rung is
-    math.inf, and is nan otherwise; discounted values must not decrease
-    along the ladder within paired noise.
+    math.inf, and is nan otherwise.  The threshold b must be at least 0.
     """
     alphas = tuple(float(a) for a in alphas)
     if len(alphas) < 2 or any(a <= 0 for a in alphas):
         raise InvalidLadder("need at least two positive rungs")
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
         raise InvalidLadder("rungs must be strictly increasing")
+    if not (b >= 0):
+        raise InvalidParameter("b", "threshold must be >= 0")
     m = len(alphas)
     viol = []
     sup_gap = np.full(m, 0.0 if alphas[-1] == math.inf else math.nan)
-    vals = np.zeros((m, n))
     cols = sample_path(spec, horizon, EXACT, stream, n)
-    StrategyParams(b=b, alpha=alphas[0], beta=beta, q=q)  # refuses b, beta and q
     for r0 in range(0, n, LADDER_RUN):
         tables = trajectory_table(  # the floored rungs, then the refracted ones, all from x
             cols.block(r0, r0 + LADDER_RUN), x, b, alphas + alphas, [True] * m + [False] * m)
-        for j in range(m):
-            dl, dr = tables[j].discounted_flow(q)
-            vals[j, r0:r0 + LADDER_RUN] = dl - beta * dr
         for start in range(0, tables[0].counts.size, BLOCK):
             blk = _Block([table.block(start, start + BLOCK) for table in tables], full=m)
             zs, ys = blk.readings[:m], blk.readings[m:]
@@ -315,18 +305,8 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
                          ("ladder_injections", dr, dr > EXACT_TOL)]
             viol += blk.violations(rows)
         del tables, blk  # before the next run's tables are swept
-    means = vals.mean(axis=1)
-    ses = vals.std(axis=1, ddof=1) / math.sqrt(n) if n > 1 else np.zeros(m)
-    for j in range(m - 1):
-        diff = vals[j + 1] - vals[j]
-        dm = diff.mean()
-        dse = diff.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-        if dm < -3.0 * dse - EXACT_TOL:
-            viol.append(Violation(float(alphas[j + 1]), "ladder_value_monotone",
-                                  float(-dm)))
     return AlphaLadderReport(n_paths=n, alphas=alphas, violations=tuple(viol),
-                             sup_gap_to_limit=tuple(sup_gap),
-                             value_means=tuple(means), value_ses=tuple(ses))
+                             sup_gap_to_limit=tuple(sup_gap))
 
 
 def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,

@@ -5,9 +5,9 @@ import pytest
 
 from levyrefract.cli_reporting import load_config
 from levyrefract.levy_model import EXACT, EventColumns, JumpDiffusionSpec, sample_path
-from levyrefract.path_engine import SegmentTable, trajectory_table
+from levyrefract.path_engine import SegmentTable, floored_lane_sweep, trajectory_table
 
-from oracles import TABLE_ROWS, EventPath, event_paths, reference_config_text
+from oracles import TABLE_ROWS, EventPath, event_paths, reference_config_text, table_rows
 
 # one line per acceptance criterion, printed after the run
 ACCEPTANCE_LINES = []
@@ -94,12 +94,28 @@ def every_path(nx, m):
     return np.tile(np.arange(m), (nx, 1))
 
 
+def floored_flows(path, b, alpha, q):
+    """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon] of the
+    floored trajectory of path from path.x0 under the cap alpha above b:
+    the one unspliced lane of floored_lane_sweep."""
+    got = floored_lane_sweep(event_columns([path]), [path.x0], [b], [False], alpha, q,
+                             path.drift, every_path(1, 1))
+    return float(got.dl[0, 0]), float(got.dr[0, 0])
+
+
+def assert_floored_is(table, path, b, alpha):
+    """table, a one-path trajectory of path, is row for row its floored
+    trajectory under the cap alpha above b, the one floored_flows reads."""
+    want = table_rows(refracted_reflected_exact(event_columns([path]), path.x0, b, alpha))
+    for name, got in table_rows(table).items():
+        assert np.array_equal(got, want[name]), name
+
+
 def one_path(transform):
     """A path transform of path_engine or strategy_engine, which sweeps the
     paths of EventColumns from a start into a SegmentTable, as a transform
     of one EventPath: the src reader on event_columns([path]) from path.x0.
-    The one-path table has the fields of the path's trajectory, and its
-    discounted_flow gives arrays of one entry."""
+    The one-path table has the fields of the path's trajectory."""
     return lambda path, *args, **kwargs: transform(event_columns([path]), path.x0, *args,
                                                    **kwargs)
 

@@ -189,9 +189,7 @@ class RefractedPath:
     def discounted_flow(self, q: float, horizon=None) -> tuple:
         """(integral e^{-qt} dL, integral e^{-qt} dR) over [0, horizon],
         lumps at horizon included, in closed form: the segment terms and
-        then the lump terms of the knots added one by one, in time order.
-        At the trajectory's own horizon (None) SegmentTable.discounted_flow
-        gives these flows per path, bit for bit."""
+        then the lump terms of the knots added one by one, in time order."""
         t_end = self.horizon if horizon is None else horizon
         t0 = np.minimum(self.seg_t, t_end)
         t1 = np.minimum(np.append(self.seg_t[1:], self.horizon), t_end)

@@ -515,6 +515,34 @@ class TestRunAlphaConvergence:
         assert all(line.startswith("PASS")
                    for line in (tmp_path / "alpha_ladder.txt").read_text().splitlines())
 
+    def test_deterministic_values_from_the_threshold(self, tmp_path):
+        """Drift 2 from x = b = 1 to T = 5: each finite rung pays alpha for
+        good and the band limit pays the drift, so every value is in closed
+        form, with standard error 0."""
+        cfg = load_config(BASE.replace("gamma = -1.0", "gamma = 2.0")
+                          .replace("grid.T = 20", "grid.T = 5").replace("mc.N = 64", "mc.N = 3")
+                          + "task.alphas = 0.5, 1, inf\ntask.b = 1\ntask.x = 1\n")
+        assert run_experiment(cfg, "alpha-convergence", out_dir=str(tmp_path)).status == "pass"
+        rows = [row.split(",") for row in
+                (tmp_path / "alpha_ladder.csv").read_text().splitlines()[1:]]
+        w = (1.0 - math.exp(-0.05 * 5.0)) / 0.05
+        assert [row[0] for row in rows] == ["0.5", "1", "inf"]
+        np.testing.assert_allclose([float(row[1]) for row in rows], [0.5 * w, w, 2.0 * w],
+                                   rtol=1e-12)
+        np.testing.assert_allclose([float(row[2]) for row in rows], 0.0, atol=1e-12)
+        np.testing.assert_allclose([float(row[3]) for row in rows], [7.5, 5.0, 0.0],
+                                   atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_case1_config_passes_at_desk_scale(self, seed, tmp_path):
+        """At a fixed b the value need not rise with the cap, and no row
+        says it must: the shipped case-1 ladder passes every row."""
+        out = tmp_path / "out"
+        assert main(["alpha-convergence", "--config", str(CONFIGS / "paper_case1.cfg"),
+                     "--desk-scale", "--seed", str(seed), "--out", str(out)]) == 0
+        lines = (out / "alpha_ladder.txt").read_text().splitlines()
+        assert lines and all(line.startswith("PASS") for line in lines)
+
     @pytest.mark.parametrize("alphas", ["0.5, 2", "0.5, 2, inf"])
     def test_the_gap_column_reads_nan_without_an_infinite_rung(self, alphas, tmp_path):
         """A ladder without an infinite rung measures no gap to the limit:
@@ -559,6 +587,12 @@ class TestRunCheckProperties:
         text = (tmp_path / "properties.txt").read_text()
         assert "PASS negative_control (fired" in text
         assert "FAIL" not in text
+
+    def test_a_zero_threshold_passes_on_the_case1_model(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1, **{"task.b": 0}))
+        assert main(["check-properties", "--config", str(p), "--out",
+                     str(tmp_path / "out")]) == 0
 
     def test_an_infinite_cap_skips_the_ladder(self, tmp_path):
         cfg = load_config(BASE.replace("control.alpha = 0.5", "control.alpha = inf")

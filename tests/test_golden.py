@@ -95,7 +95,7 @@ THREAD_CHECKED = ("exact-nu-curve", "exact-nu-curve-case2", "exact-bstar",
                   "exact-value-curve", "exact-value-curve-direct", "exact-value-curve-inf",
                   "euler-nu-curve", "euler-nu-curve-inf", "euler-bstar", "euler-value-curve",
                   "euler-value-curve-direct", "euler-value-curve-inf", "reproduce-paper",
-                  "reproduce-paper-euler")
+                  "reproduce-paper-euler", "alpha-convergence")
 
 
 def run_case(name, out_dir, threads=1):
@@ -132,7 +132,7 @@ def test_csv_digests_match_the_record(name, tmp_path):
 
 def test_every_case_that_takes_threads_is_thread_checked():
     takes = {name for name, (_, _, sub, *_) in CASES.items()
-             if sub not in ("sample-path", "check-properties", "alpha-convergence")}
+             if sub not in ("sample-path", "check-properties")}
     assert takes == set(THREAD_CHECKED)
 
 

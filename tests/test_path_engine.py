@@ -19,8 +19,8 @@ from levyrefract.path_engine import (
 from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
 from conftest import (
-    draw_path, drift_path, event_columns, every_path, one_path, own_starts, refract_exact,
-    refracted_reflected_exact,
+    assert_floored_is, draw_path, drift_path, event_columns, every_path, floored_flows, one_path,
+    own_starts, refract_exact, refracted_reflected_exact,
 )
 from oracles import (
     TABLE_ROWS, EventPath, _next_target, _regime, _sweep, construction_identity_residual,
@@ -59,9 +59,10 @@ class TestRefractExact:
 
     def test_discounted_dividends_closed_form(self):
         p = drift_path(1.0, 0.0, 4.0)
-        traj = refract(p, b=1.0, alpha=0.4)
+        # the refracted path from 0 never falls below 0, so it is the floored one
+        assert_floored_is(refract(p, b=1.0, alpha=0.4), p, 1.0, 0.4)
         q = 0.05
-        (dl,), (dr,) = traj.discounted_flow(q)
+        dl, dr = floored_flows(p, 1.0, 0.4, q)
         assert dl == pytest.approx(0.4 * (math.exp(-q) - math.exp(-4 * q)) / q, rel=1e-12)
         assert dr == 0.0
 
@@ -92,8 +93,8 @@ class TestRefractExact:
         # started at the threshold, the sticky stream pays delta for good:
         # e^{-0.05 * 1000} ~ 2e-22 is below the last bit of 0.3 / 0.05
         p = drift_path(0.3, 1.0, 1000.0)
-        traj = refract(p, b=1.0, alpha=0.5)
-        (dl,), _ = traj.discounted_flow(0.05)
+        assert_floored_is(refract(p, b=1.0, alpha=0.5), p, 1.0, 0.5)
+        dl, _ = floored_flows(p, 1.0, 0.5, 0.05)
         assert dl == pytest.approx(0.3 / 0.05, rel=1e-12)
 
     def test_alpha_validation(self):
@@ -372,6 +373,7 @@ class TestDividendIntegralPath:
         cumulative flows: the table's up to the path horizon (None), and the
         reference's up to an interior time and the times of the last
         injection and lump-dividend atoms, which count at the stop time.
+        The table's flows are those floored_flows reads off the lane sweep.
         The two-sided limit carries lump dividends."""
         p = draw_path(ref_spec_bv, 5.0, RngStream(91, tag=5, index=0))
         q = 0.05
@@ -382,7 +384,7 @@ class TestDividendIntegralPath:
             assert len(stops) == (3 if alpha == 0.5 else 4)
             for stop in stops:
                 if stop is None:
-                    (dl,), (dr,) = traj.discounted_flow(q)
+                    dl, dr = floored_flows(p, 1.0, alpha, q)
                 else:
                     dl, dr = ref.discounted_flow(q, stop)
                 end = 5.0 if stop is None else stop
@@ -417,18 +419,6 @@ def assert_table_is_the_reference(table, paths, b, alpha, floor):
         assert got.dtype == ref.dtype and got.shape == ref.shape, name
         assert np.array_equal(got, ref), name
         assert np.array_equal(np.signbit(got), np.signbit(ref)), name
-
-
-def assert_flows_are_the_reference(table, paths, b, alpha, floor, q) -> int:
-    """The discounted flows of table equal, bit for bit, those of the
-    _sweep trajectory of each path, added up in order.  Returns the number
-    of paths without lumps."""
-    got, n_flat = table.discounted_flow(q), 0
-    for i, p in enumerate(paths):
-        ref = _sweep(p, b, alpha, sticks(p, alpha), floor)
-        assert _bits([f[i] for f in got]).tolist() == _bits(ref.discounted_flow(q)).tolist(), i
-        n_flat += not (ref.l_atom.size or ref.r_atom.size)
-    return n_flat
 
 
 def random_models():
@@ -474,7 +464,7 @@ class TestTrajectoryTable:
         starts below 0, at 0, at b, inside (0, b) and above b.  The same
         events at the two ends of Case 2, drift 0 and drift alpha, run at
         their own b and cap."""
-        n_models = n_atoms = n_branches = n_flat = 0
+        n_models = n_atoms = n_branches = 0
         for cols, paths, pp in random_models():
             for drift in (0.0, pp.alpha):
                 edge = [replace(p, drift=drift) for p in paths]
@@ -486,17 +476,14 @@ class TestTrajectoryTable:
                     for floor in (False, True):
                         table = own_starts(paths, b, alpha, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
-                        n_flat += assert_flows_are_the_reference(table, paths, b, alpha,
-                                                                 floor, pp.q)
                         n_atoms += np.count_nonzero(table.seg_rlump)
                         n_atoms += np.count_nonzero(table.seg_llump)
                         n_branches |= np.bitwise_or.reduce(1 << table.seg_branch)
-                        # a one-path table adds up its path alone
+                        # a one-path table is its path alone
                         (one,) = trajectory_table(cols.block(2, 3), pp.b, b, alpha, floor)
-                        assert_flows_are_the_reference(one, paths[2:3], b, alpha, floor,
-                                                       pp.q)
+                        assert_table_is_the_reference(one, paths[2:3], b, alpha, floor)
             n_models += 1
-        assert n_models >= 100 and n_atoms > 0 and n_branches == 0b1111 and n_flat > 0
+        assert n_models >= 100 and n_atoms > 0 and n_branches == 0b1111
 
     def test_one_sort_per_call(self, monkeypatch):
         """The lumps ride on their segments, so a call sorts once: two
@@ -527,7 +514,7 @@ class TestTrajectoryTable:
     @pytest.mark.filterwarnings("error")
     def test_drift_only_tables_without_warnings(self):
         """Every drift-only table at a long horizon equals the reference,
-        with its flows, without a numpy warning."""
+        without a numpy warning."""
         for delta in (-1.0, 0.0, 0.3, 0.5, 2.0):
             for alpha in (0.5, math.inf):
                 for b in (0.0, 1.0, math.inf):
@@ -535,7 +522,6 @@ class TestTrajectoryTable:
                         paths = [drift_path(delta, x, 50.0) for x in (-0.5, 0.0, 0.5, 1.0, 3.0)]
                         table = own_starts(paths, b, alpha, floor)
                         assert_table_is_the_reference(table, paths, b, alpha, floor)
-                        assert_flows_are_the_reference(table, paths, b, alpha, floor, 0.05)
 
     def test_the_roles_of_one_sweep_are_their_own_tables(self):
         """Every role of one multi-role call is, field by field and byte for

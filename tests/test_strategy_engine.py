@@ -14,7 +14,10 @@ from levyrefract.strategy_engine import (
     simulate_euler,
 )
 
-from conftest import draw_path, drift_path, event_columns, one_path, refract_exact
+from conftest import (
+    assert_floored_is, draw_path, drift_path, event_columns, floored_flows, one_path,
+    refract_exact,
+)
 from oracles import (
     budget_residual, draw_random_bv_setup, euler_exact_gap, euler_knots, event_paths,
     first_passage_times, slopes, sticks, value_at,
@@ -85,8 +88,8 @@ class TestExactStrategy:
     def test_perpetual_negative_drift_injects_forever(self):
         # e^{-0.05 * 1000} ~ 2e-22 is below the last bit of 1 / 0.05
         p = drift_path(-1.0, 0.0, 1000.0)
-        traj = strategy(p, params(b=2.0))
-        (dl,), (dr,) = traj.discounted_flow(0.05)
+        assert_floored_is(strategy(p, params(b=2.0)), p, 2.0, 0.5)
+        dl, dr = floored_flows(p, 2.0, 0.5, 0.05)
         assert dl == 0.0
         assert dr == pytest.approx(1.0 / 0.05, rel=1e-12)
 
