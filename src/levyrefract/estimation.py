@@ -269,9 +269,18 @@ def _nu_sums(lows, part, m, bgrid_pos, q):
     the episodes part (a slice) of lows, those of _run_sums: a = w = e^{-q
     kappa(b)} and d = 0, with c the control at kappa(b), at the horizon (w =
     0) on a path that does not pass below -b, read in grid blocks of
-    NU_BLOCK_BYTES tables: a point's sums run down its own column."""
+    NU_BLOCK_BYTES tables: a point's sums run down its own column.  Without
+    a drift episode w is e^{-q t0} at every point an episode covers, so the
+    five terms are made once per episode and repeated into the tables."""
     lo, hi, t0, invrate, c = (getattr(lows, f)[part] for f in ("lo", "hi", "t0", "invrate", "c"))
-    sums, cens = np.zeros((len(bgrid_pos), 9)), np.zeros(len(bgrid_pos))
+    sums, jumps = np.zeros((len(bgrid_pos), 9)), not invrate.any()
+    # a path is censored from the top of its last episode (t0 = inf) down
+    tops = np.searchsorted(bgrid_pos, -np.minimum(hi[t0 == math.inf], 0.0))
+    cens = np.cumsum(np.bincount(tops, minlength=len(bgrid_pos) + 1)[:-1], dtype=float)
+    if jumps:
+        w = np.exp(-q * t0)
+        c = c + lows.drain * w
+        terms = (w, w * w, c, c * c, w * c)
     step = max(1, NU_BLOCK_BYTES // (8 * m))
     for g in range(0, len(bgrid_pos), step):
         grid = bgrid_pos[g:g + step]
@@ -279,13 +288,15 @@ def _nu_sums(lows, part, m, bgrid_pos, q):
         # those in [-min(hi, 0), -lo): grid points j0..j1-1 of the block
         j0 = np.searchsorted(grid, -np.minimum(hi, 0.0))
         n = np.maximum(np.searchsorted(grid, -lo) - j0, 0)
-        # (path, point) tables of the covering episode's fields, summed path by path
-        tt, hh, rr, cc = (np.repeat(a, n).reshape(m, len(grid)) for a in (t0, hi, invrate, c))
-        w = np.exp(-q * (tt + (hh - (-grid)) * rr))
-        cc += lows.drain * w
-        sums[g:g + step, [0, 1, 5, 6, 7]] = np.transpose(
-            [_sum_down(t) for t in (w, w * w, cc, cc * cc, w * cc)])
-        cens[g:g + step] = np.count_nonzero(tt == math.inf, axis=0)
+        # (path, point) tables of the covering episode's terms, summed path by path
+        if jumps:
+            tables = (np.repeat(a, n).reshape(m, len(grid)) for a in terms)
+        else:
+            tt, hh, rr, cc = (np.repeat(a, n).reshape(m, len(grid)) for a in (t0, hi, invrate, c))
+            w = np.exp(-q * (tt + (hh - (-grid)) * rr))
+            cc += lows.drain * w
+            tables = (w, w * w, cc, cc * cc, w * cc)
+        sums[g:g + step, [0, 1, 5, 6, 7]] = np.transpose([_sum_down(t) for t in tables])
     return sums, cens
 
 

@@ -427,22 +427,26 @@ def floored_lane_sweep(columns: EventColumns, x, b, spliced, alpha, q, mu,
     steps = event_steps(columns, np.asarray(x, dtype=float)[:, None],
                         np.asarray(b, dtype=float)[:, None], alpha, True, path)
     end, keep = counts[path], None
+    injects = _regime_table(alpha, columns.drift, True)[2].any()
     for e in range(-1, len(columns.times)):
         stretches, te, dividend, topup = steps.send(keep)
         keep = None
         if e >= 0:
             jumps += np.exp(-q * columns.times[e]) * columns.sizes[e]
         for at, t, t_end, z, _, _, lrate, rrate, _, kept in stretches:
-            # views of every lane for the first stretch, which the stores
-            # below then skip, and copies of the crossed lanes after it
+            # a view of every lane for the first stretch, which needs no
+            # store of weak, and copies of the crossed lanes after it
             wk, d = weak[at], disc[at]
             np.minimum(wk, np.where(kept & (z == 0.0), t, math.inf), out=wk)
             flows = kept & ~(halt[at] & (wk < math.inf))
             d_new = np.exp(-q * t_end)
             w = (d - d_new) / q
-            weak[at], disc[at] = wk, d_new
+            if at is not Ellipsis:
+                weak[at] = wk
+            disc[at] = d_new
             dl[at] += np.where(flows, lrate * w, 0.0)
-            dr[at] += np.where(flows, rrate * w, 0.0)
+            if injects:  # else every rrate is 0
+                dr[at] += np.where(flows, rrate * w, 0.0)
         # every lane has drifted to te, and disc is its lumps' discount
         flows = ~(halt & (weak < math.inf))
         np.putmask(c, flows, jumps[lanes.path].reshape(c.shape))
@@ -492,26 +496,35 @@ def refracted_record_lows(columns: EventColumns, alpha, q, mu, depth=math.inf) -
     trajectory_table(columns, 0.0, 0.0, alpha, False), equal bit for bit to
     those read off its segments.  A kept
     stretch that starts below the low after time 0 is a jump episode, one
-    that falls below it a drift episode.  c is each lane's running sum of
-    e^{-q t_i} s_i over its jumps so far, less drain, and the lanes below
-    -depth leave when drop_due allows."""
+    that falls below it a drift episode.  Only an event's first stretch can
+    start below the low: a crossing stretch starts at b = 0, and the low is
+    at most 0.  Only a stretch at a finite negative slope of the regime
+    table can fall, so without one a sweep reads no stretch after the
+    first.  c is each lane's running sum of e^{-q t_i} s_i over its jumps
+    so far, less drain, and the lanes below -depth leave when drop_due
+    allows."""
     m, drain, out = columns.counts.size, (mu - columns.drift) / q, []
     ids, low, jumps, final = np.arange(m), np.zeros(m), np.full(m, -drain), np.zeros((2, m))
+    # at alpha = inf the slope above b is -inf, but the cap keeps every lane at or below b
+    slopes = _regime_table(alpha, columns.drift, False)[0]
+    falls = ((slopes < 0.0) & (slopes > -math.inf)).any()
     steps, keep = event_steps(columns, 0.0, 0.0, alpha, floor=False), None
     for e in range(-1, len(columns.times)):
         stretches, te, _, _ = steps.send(keep)
-        for at, t, _, z, z_end, slope, _, _, _, kept in stretches:
+        for at, t, _, z, z_end, slope, _, _, _, kept in stretches[:None if falls else 1]:
             lane, lo, js = ids[at], low[at], jumps[at]
-            jump = kept & (t > 0.0) & (z < lo)
-            k = np.nonzero(jump)
-            out.append((lane[k], z[k], lo[k], t[k], np.zeros(k[0].size), js[k]))
-            np.putmask(lo, jump, z)
-            k = np.nonzero(kept & (slope < 0.0) & (z_end < lo))
-            tk, zk, lk, rate = t[k], z[k], lo[k], -slope[k]
-            out.append((lane[k], z_end[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk),
-                        1.0 / rate, js[k]))
-            lo[k] = z_end[k]
-            low[at] = lo  # a view of every lane for the first stretch
+            if at is Ellipsis:  # a view of every lane
+                jump = kept & (t > 0.0) & (z < lo)
+                k = np.nonzero(jump)
+                out.append((lane[k], z[k], lo[k], t[k], np.zeros(k[0].size), js[k]))
+                np.putmask(lo, jump, z)
+            if falls:
+                k = np.nonzero(kept & (slope < 0.0) & (z_end < lo))
+                tk, zk, lk, rate = t[k], z[k], lo[k], -slope[k]
+                out.append((lane[k], z_end[k], lk, np.where(zk > lk, tk + (zk - lk) / rate, tk),
+                            1.0 / rate, js[k]))
+                lo[k] = z_end[k]
+                low[at] = lo
         jumps += np.exp(-q * te) * columns.sizes[e, ids] if e >= 0 else 0.0
         deep, keep = low < -depth, None
         if drop_due(np.count_nonzero(deep), ids.size):

@@ -2,6 +2,7 @@ import ast
 import math
 import os
 import signal
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -751,9 +752,9 @@ class TestNuBatchMemory:
     """An exact nu batch holds one copy of its draws, and a fine grid is
     read in blocks of grid points."""
 
-    # the traced peak of the 8-chunk batch below, in bytes (1.57 times its
+    # the traced peak of the 8-chunk batch below, in bytes (1.51 times its
     # 8.06 MB of columns, measured with numpy 2.4)
-    EXACT_BATCH_PEAK = 12_680_000
+    EXACT_BATCH_PEAK = 12_150_000
 
     def test_an_exact_batch_is_copied_in_as_it_is_drawn(self, ref_spec_bv):
         """The traced peak of one nu batch of 8 chunks x 256 paths at T =
@@ -1360,6 +1361,10 @@ class TestExactNuChunk:
         "inf-delta>0": (spec_with_drift(0.6), math.inf),
         "inf-delta<0": (spec_with_drift(-0.4), math.inf),
     }
+    # the regimes whose lows hold drift episodes, which _nu_sums reads off
+    # (path, point) tables of every field: a drift sets a record low only
+    # below b = 0 at delta < 0, and above b it drains onto b
+    DRIFT_EPISODES = {"delta<0", "inf-delta<0"}
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -1376,7 +1381,64 @@ class TestExactNuChunk:
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
         paths = chunk_paths(spec, self.H, stream, seed, 48)
-        assert_lows_match_scalar(paths, alpha)
+        lows = assert_lows_match_scalar(paths, alpha)
+        assert lows.invrate.any() == (regime in self.DRIFT_EPISODES)
+
+    def test_a_batch_of_drift_and_jump_chunks(self, monkeypatch):
+        """Two hand-built chunks at delta = -0.4 in one batch: chunk 0 drifts
+        below 0, chunk 1 is thrown above 0 at t = 0 and drains there until
+        one jump below 0 at the horizon, so it holds jump episodes alone.
+        Each chunk's sums and censored counts equal the scalar reference,
+        bit for bit, on either branch of _nu_sums."""
+        h, alpha = 5.0, 0.5
+        parts = [[EventPath(0.0, h, -0.4, np.array([1.0, 3.0]), np.array([-0.5, 2.0])),
+                  EventPath(0.0, h, -0.4, np.array([2.5]), np.array([-1.2])),
+                  EventPath(0.0, h, -0.4, np.empty(0), np.empty(0))],
+                 [EventPath(0.0, h, -0.4, np.array([0.0, 2.0, h]), np.array([10.0, -3.0, -6.0])),
+                  EventPath(0.0, h, -0.4, np.array([0.0, h]), np.array([6.0, -4.0]))]]
+        lows = [assert_lows_match_scalar(p, alpha) for p in parts]
+        assert lows[0].invrate.any() and not lows[1].invrate.any()
+        assert lows[1].t0.tolist() == [h, math.inf, h, math.inf]  # one jump record each
+        stream = RngStream(176, tag=4)
+        fake = lambda spec, horizon, kind, s, m: event_columns(parts[s.index - stream.index])
+        for module in (estimation, sys.modules[__name__]):  # the reference's draw too
+            monkeypatch.setattr(module, "sample_path", fake)
+        spec, pp = spec_with_drift(-0.4), params(alpha=alpha)
+        grid = np.array([0.0, 0.3, 0.9, 1.0, 1.7, 2.0, 2.5, 3.0, 4.5])
+        got = _nu_chunk(draw(spec, pp, h), pp, grid, stream, [(0, 3), (1, 2)])
+        for ci, (sums, cens) in enumerate(got):
+            want = scalar_nu_chunk(spec, pp, h, grid, stream, ci, len(parts[ci]))
+            for g, w in zip((sums[:, 0], sums[:, 1], cens), want):
+                assert np.array_equal(g, w)
+
+    def test_censored_counts_of_deep_and_shallow_paths(self, monkeypatch):
+        """delta = 0.6 > alpha = 0.3, so a path rises off 0 at 0.3 and below
+        0 at 0.6.  Two paths jump below -max(grid) at t = 1 and leave the
+        sweep there, one stops near -1.5 at t = 3, one jumps up and one has
+        no event.  The paths that left pass every point and are censored at
+        none; those that never pass below 0 are censored at every point."""
+        h, alpha = 10.0, 0.3
+        paths = [EventPath(0.0, h, 0.6, np.array([1.0, 5.0]), np.array([-10.0, -20.0])),
+                 EventPath(0.0, h, 0.6, np.array([2.0]), np.array([1.0])),
+                 EventPath(0.0, h, 0.6, np.array([3.0]), np.array([-2.4])),
+                 EventPath(0.0, h, 0.6, np.empty(0), np.empty(0)),
+                 EventPath(0.0, h, 0.6, np.array([1.0]), np.array([-4.0]))]
+        for module in (estimation, sys.modules[__name__]):  # the reference's draw too
+            monkeypatch.setattr(module, "sample_path", lambda *args: event_columns(paths))
+        spec, pp = spec_with_drift(0.6), params(alpha=alpha)
+        grid = np.array([0.0, 0.5, 1.0, 2.0, 3.0])
+        stream = RngStream(177, tag=4)
+        lows = draw(spec, pp, h)((stream,), [(0, 5)]).record_lows(grid[-1])
+        final = lows.hi[lows.t0 == math.inf]
+        # the path near -9.7 left before its jump of -20 at t = 5
+        assert -10.0 < final[0] < -grid[-1] and final[4] < -grid[-1]
+        assert final[1] == final[3] == 0.0 and -1.6 < final[2] < -1.4
+        sw, _, cens = exact_nu_chunk(spec, pp, h, grid, stream, 0, 5)
+        assert np.array_equal(cens, [2.0, 2.0, 2.0, 3.0, 3.0])
+        np.testing.assert_allclose(sw, 2 * np.exp(-Q) + np.exp(-3 * Q) * (grid < 1.5),
+                                   rtol=1e-12)
+        for g, w in zip((sw, cens), scalar_nu_chunk(spec, pp, h, grid, stream, 0, 5)[::2]):
+            assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("alpha", [0.3, math.inf])
     def test_no_path_below_zero(self, alpha):
