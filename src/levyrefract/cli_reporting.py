@@ -25,9 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .levy_model import (
-    EXACT,
     Exponential,
-    Grid,
     HyperExponential,
     InvalidParameter,
     JumpDiffusionSpec,
@@ -35,6 +33,7 @@ from .levy_model import (
     RngStream,
     Uniform,
     Weibull,
+    grid_increments,
     is_case2,
     net_drift,
     sample_path,
@@ -549,11 +548,11 @@ def _run_sample_path(cfg, outs, threads, desk):
     params = cfg.params_for(cfg.need("b"))
     stream = RngStream(cfg.seed, tag=1)
     if cfg.engine == "exact":
-        columns = sample_path(cfg.spec, cfg.horizon, EXACT, stream, 1)
+        columns = sample_path(cfg.spec, cfg.horizon, 1, stream)
         (table,) = apply_strategy_exact(columns, cfg.spec.x0, params)
         traj = ControlledTrajectory.from_exact(columns, cfg.spec.x0, table)
     else:
-        incs = sample_path(cfg.spec, cfg.horizon, Grid(cfg.k), stream)[0]
+        incs = grid_increments(cfg.spec, cfg.horizon, cfg.k, 1, stream)[0]
         traj = simulate_euler(cfg.spec.x0, params, incs, cfg.horizon / cfg.k)
     plot = SvgPlot("Controlled surplus sample path", "t", "level")
     plot.line(traj.times, traj.z, _PALETTE[0], label="surplus")
@@ -677,8 +676,7 @@ def _run_alpha_convergence(cfg, outs, threads, desk):
 def _run_check_properties(cfg, outs, threads, desk):
     if cfg.spec.sigma != 0.0:
         raise ValidationError("model.sigma", "property checks need sigma = 0")
-    b = 1.0 if cfg.b is None else cfg.b
-    x = 0.5 if cfg.x is None else cfg.x
+    b, x = cfg.need("b"), cfg.need("x")
     horizon = min(cfg.horizon, 20.0)
     n_pair = min(cfg.n, 300)
     shift = 0.5 * b if b > 0 else 0.5
@@ -694,7 +692,7 @@ def _run_check_properties(cfg, outs, threads, desk):
     char = oracle.char_function_check(cfg.spec, 1.0, [0.5, 1.0, 2.0],
                                       max(cfg.n, 40_000), RngStream(cfg.seed, tag=7))
     # negative control: a correct pair must break the budget of a mis-stated shift
-    cols = sample_path(cfg.spec, horizon, EXACT, RngStream(cfg.seed, tag=8), 1)
+    cols = sample_path(cfg.spec, horizon, 1, RngStream(cfg.seed, tag=8))
     # the draw's 0 shifted by x (a -0.0 start is 0.0), and by shift more
     tk, tl = apply_strategy_exact(cols, [0.0 + x, 0.0 + x + shift], cfg.params_for(b))
     control = oracle.check_pair(tk, tl, 0.5 * shift, b)

@@ -2,9 +2,10 @@
 
 Two engines sit behind every estimator as one sampler and two readers.
 Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
-the one jump draw of levy_model: as padded event columns (EventColumns)
-for the exact engine (sigma = 0), as an (m, k) increment matrix for the
-Euler engine, the one draw format of each engine.
+the one jump draw of levy_model, by the one sampler of each engine:
+levy_model.sample_path as padded event columns (EventColumns) for the
+exact engine (sigma = 0), levy_model.grid_increments as an (m, k)
+increment matrix for the Euler engine.
 _chunk_readers is the one dispatch between the engines.  It lays the
 chunks of a batch, on every stream of a job, side by side, once, and
 reads them as LaneFlows, the discounted flows and weak passage times of
@@ -59,12 +60,11 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .levy_model import (
-    EXACT,
     EventColumns,
     InvalidParameter,
     JumpDiffusionSpec,
     RngStream,
-    _grid_increment_matrix,
+    grid_increments,
     mean_drift,
     sample_path,
 )
@@ -165,7 +165,12 @@ def _run_chunks(n: int, worker, threads: int, draws: int = 1):
     (glibc's malloc_trim), so the forks do not copy the heap it kept from
     its last share.  All are reaped before this returns or raises, those
     not heard from killed first; the error raised is this process's own,
-    else that of the lowest failed worker.  Without os.fork w is 1."""
+    else that of the lowest failed worker.  Without os.fork w is 1.  n and
+    threads are at least 1."""
+    if n < 1:
+        raise InvalidParameter("n", "path count must be >= 1")
+    if threads < 1:
+        raise InvalidParameter("threads", "thread count must be >= 1")
     threads = min(threads, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
     batches = _batches(n, threads, draws)
@@ -242,7 +247,7 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     rows = _chunk_rows(chunks)
     m = rows[-1].stop
     if eng == "exact":
-        columns = EventColumns.side_by_side((sample_path(spec, horizon, EXACT, s.for_path(ci), mi)
+        columns = EventColumns.side_by_side((sample_path(spec, horizon, mi, s.for_path(ci))
                                              for s in streams for ci, mi in chunks),
                                             len(streams) * m)
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
@@ -254,8 +259,8 @@ def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     incs = np.empty((len(streams) * m, k))
     for s, stream in enumerate(streams):
         for (ci, mi), r in zip(chunks, rows):
-            _grid_increment_matrix(spec, horizon, k, mi, stream.for_path(ci).generator(),
-                                   out=incs[s * m + r.start:s * m + r.stop])
+            grid_increments(spec, horizon, k, mi, stream.for_path(ci),
+                            out=incs[s * m + r.start:s * m + r.stop])
     dt = horizon / k
     return _Readers(partial(euler_lane_flows, incs, alpha=params.alpha, dt=dt, q=params.q,
                             mu=mean_drift(spec)),

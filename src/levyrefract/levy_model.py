@@ -6,13 +6,14 @@ models, computes the bounded-variation net drift and the regime it puts a
 refracted path in for a dividend cap (is_case2, one predicate of the drift
 and the cap), and the mean drift E[X_1] that centres the estimators'
 control (mean_drift), evaluates the characteristic exponent, and samples
-m paths of X - x0 at once, whatever start a reader gives them, in one
-draw format per engine: exactly (sigma = 0) as EventColumns, the padded
-event columns that the lane stepper of path_engine reads, or on a uniform
-grid as an (m, k) increment matrix.  Both samplers read one jump draw per
-stream (_jump_draw): Poisson counts of the m paths, uniform times and
-signed marks.  The grid bins it into
-steps; the exact mode scatters it into the columns.
+m paths of X - x0 at once, whatever start a reader gives them, with one
+sampler per engine: sample_path draws them exactly (sigma = 0) as
+EventColumns, the padded event columns that the lane stepper of
+path_engine reads, and grid_increments on a uniform grid as an (m, k)
+increment matrix.  Both read one jump draw per stream (_jump_draw):
+Poisson counts of the m paths, uniform times and signed marks.
+grid_increments bins it into steps; sample_path scatters it into the
+columns.
 """
 
 from __future__ import annotations
@@ -48,9 +49,10 @@ def _require(cond: bool, field_name: str, message: str):
         raise InvalidParameter(field_name, message)
 
 
-def _require_horizon(horizon):
-    """Every sampler draws on [0, horizon] for a horizon in (0, inf)."""
+def _require_draw(horizon, m):
+    """Every sampler draws m >= 1 paths on [0, horizon], 0 < horizon < inf."""
     _require(0.0 < horizon < math.inf, "horizon", "horizon must be positive and finite")
+    _require(m >= 1, "m", "path count must be >= 1")
 
 
 def _finite(x) -> bool:
@@ -493,20 +495,6 @@ class EventColumns:
         return cls(horizon, drift, np.concatenate(counts), times[:top], sizes[:top])
 
 
-class Exact:
-    """Sampling mode marker: exact event-driven path (requires sigma = 0)."""
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Sampling mode marker: uniform grid with k steps."""
-
-    k: int
-
-
-EXACT = Exact()
-
-
 def _jump_draw(spec: JumpDiffusionSpec, horizon: float, m: int, rng: np.random.Generator):
     """Yield the jumps of m paths on [0, horizon] as (path, time, size)
     arrays, one triple per jump component as it is drawn.
@@ -524,18 +512,21 @@ def _jump_draw(spec: JumpDiffusionSpec, horizon: float, m: int, rng: np.random.G
                comp.marks.sample(tot, rng) * comp.sign)
 
 
-def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
-                           rng: np.random.Generator, out=None) -> np.ndarray:
-    """(m, k) step increments of m grid paths; jumps binned rightward.
+def grid_increments(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
+                    stream: RngStream, out=None) -> np.ndarray:
+    """(m, k) step increments of m grid paths of X - x0 on [0, horizon],
+    jumps binned rightward: the Euler engine's draw.  Deterministic in stream.
 
     Each step holds the compensated drift, the Gaussian part, and the jumps
     in (t_{j-1}, t_j].  The draws come in a fixed order: all Gaussians, then
     _jump_draw, each component binned as it is drawn, in the order of the
-    whole draw.  This is the only grid sampler: sample_path(Grid) and every
-    Euler estimator draw through it.  out, a C-contiguous (m, k) array such
-    as a block of rows of a batch matrix, is filled and returned.
+    whole draw.  Every Euler reader draws through it.  out, a C-contiguous
+    (m, k) array such as a block of rows of a batch matrix, is filled and
+    returned.
     """
-    _require_horizon(horizon)
+    _require_draw(horizon, m)
+    _require(k >= 1, "k", "grid steps must be >= 1")
+    rng = stream.generator()
     dt = horizon / k
     incs = np.empty((m, k)) if out is None else out
     if spec.sigma > 0:
@@ -552,28 +543,16 @@ def _grid_increment_matrix(spec: JumpDiffusionSpec, horizon: float, k: int, m: i
     return incs
 
 
-def sample_path(spec: JumpDiffusionSpec, horizon: float, mode, stream: RngStream,
-                m: int = 1):
-    """Draw m paths of X - x0 on [0, horizon] from the one stream.
-    Deterministic in stream.
+def sample_path(spec: JumpDiffusionSpec, horizon: float, m: int, stream: RngStream):
+    """The EventColumns of m exact paths of X - x0 on [0, horizon]: the exact
+    engine's draw, which needs sigma = 0.  Deterministic in stream.
 
-    Exact mode scatters _jump_draw into the EventColumns of the m paths;
-    Grid(k) mode returns the (m, k) increment matrix of
-    _grid_increment_matrix.
+    _jump_draw is scattered into the padded columns of the m paths.
     """
-    _require_horizon(horizon)
-    if m < 1:
-        raise InvalidParameter("m", "path count must be >= 1")
-    rng = stream.generator()
-    if isinstance(mode, Grid):
-        if mode.k < 1:
-            raise InvalidParameter("k", "grid steps must be >= 1")
-        return _grid_increment_matrix(spec, horizon, mode.k, m, rng)
-    if not isinstance(mode, Exact):
-        raise InvalidParameter("mode", "mode must be Exact or Grid(k)")
+    _require_draw(horizon, m)
     if spec.sigma > 0:
         raise ExactModeUnavailable("exact sampling needs sigma = 0")
-    parts = list(_jump_draw(spec, horizon, m, rng))
+    parts = list(_jump_draw(spec, horizon, m, stream.generator()))
     per = [np.bincount(rows, minlength=m) for rows, _, _ in parts]
     counts = sum(per, np.zeros(m, dtype=int))
     width = int(counts.max()) + 1

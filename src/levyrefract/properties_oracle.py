@@ -6,8 +6,9 @@ construction must satisfy path by path: shifted starts stay ordered with a
 conserved shift budget, trajectories under growing rate caps are ordered
 and converge to the reflected limit, and the empirical characteristic
 function matches the analytic exponent.  Exact-engine checks use absolute
-tolerance 1e-9; they draw through levy_model.sample_path, which raises
-ExactModeUnavailable for a model with sigma > 0.
+tolerance 1e-9; they draw the event columns of levy_model.sample_path,
+which raises ExactModeUnavailable for a model with sigma > 0, and the
+characteristic-function check draws X_t by levy_model.grid_increments.
 
 Each run sweeps all its roles (two starts, or every rung floored and
 refracted) over its one draw of X - x0 in one event_steps pass, and reads
@@ -26,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy_model import (
-    EXACT,
     InvalidParameter,
     JumpDiffusionSpec,
     RngStream,
-    _grid_increment_matrix,
     characteristic_exponent,
+    grid_increments,
     sample_path,
 )
 from .path_engine import path_keys, read_segments, table_entries, trajectory_table
@@ -252,7 +252,7 @@ def coupled_pair_run(spec: JumpDiffusionSpec, params: StrategyParams, x: float,
     shift = l - k
     if shift < 0 or (not relaxed and not (0 < shift < params.b)):
         raise InvalidParameter("l", "shift must lie in (0, b); pass relaxed to lift")
-    cols = sample_path(spec, horizon, EXACT, stream, n)
+    cols = sample_path(spec, horizon, n, stream)
     lower = 0.0 + (x + k)  # the draws' 0 shifted by x + k: a -0.0 start is 0.0
     tk, tl = apply_strategy_exact(cols, [lower, 0.0 + (x + l)], params)  # one sweep of both
     viol = []
@@ -283,7 +283,7 @@ def alpha_ladder_run(spec: JumpDiffusionSpec, b: float, alphas, x: float,
     m = len(alphas)
     viol = []
     sup_gap = np.full(m, 0.0 if alphas[-1] == math.inf else math.nan)
-    cols = sample_path(spec, horizon, EXACT, stream, n)
+    cols = sample_path(spec, horizon, n, stream)
     for r0 in range(0, n, LADDER_RUN):
         tables = trajectory_table(  # the floored rungs, then the refracted ones, all from x
             cols.block(r0, r0 + LADDER_RUN), x, b, alphas + alphas, [True] * m + [False] * m)
@@ -314,8 +314,8 @@ def char_function_check(spec: JumpDiffusionSpec, t: float, lambdas, n: int,
     """Empirical characteristic function of X_t against the analytic
     exponent, with the tolerances of CharReport.ok."""
     lambdas = np.asarray(lambdas, dtype=float)
-    # X_t - x0 as the one-step grid of the estimators' sampler
-    xt = _grid_increment_matrix(spec, t, 1, n, stream.generator())[:, 0]
+    # X_t - x0 as the one-step grid of the Euler engine's sampler
+    xt = grid_increments(spec, t, 1, n, stream)[:, 0]
     emp = np.array([np.exp(1j * lam * xt).mean() for lam in lambdas])
     target = np.exp(-t * characteristic_exponent(spec, lambdas))
     # E cos^2 = (1 + Re phi(2 lambda)) / 2 and E sin^2 = (1 - Re phi(2 lambda)) / 2

@@ -3,8 +3,8 @@
 A strategy is (b, alpha, beta, q): dividends are paid at the cap rate alpha
 while the controlled surplus exceeds b, and capital is injected to keep it
 non-negative.  This module reads draws and never samples: each engine
-takes the one draw format of levy_model.sample_path, a draw of X - x0,
-and its starts apart.  The exact engine sweeps with
+takes the draw of X - x0 of its own levy_model sampler, sample_path or
+grid_increments, and its starts apart.  The exact engine sweeps with
 path_engine.trajectory_table: apply_strategy_exact returns the floored
 SegmentTable of one EventColumns draw per start, one row per segment with
 the lumps paid at its start, which the property oracle and sample-path

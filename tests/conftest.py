@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from levyrefract.cli_reporting import load_config
-from levyrefract.levy_model import EXACT, EventColumns, JumpDiffusionSpec, sample_path
+from levyrefract.levy_model import EventColumns, JumpDiffusionSpec, sample_path
 from levyrefract.path_engine import SegmentTable, floored_lane_sweep, trajectory_table
 
 from oracles import TABLE_ROWS, EventPath, event_paths, reference_config_text, table_rows
@@ -57,7 +57,7 @@ def drift_path(delta, x0, horizon, jumps=()):
 def draw_path(spec, horizon, stream) -> EventPath:
     """The one exact path that sample_path draws on stream, as an EventPath
     from spec.x0: column 0 of its one-path EventColumns."""
-    return event_paths(sample_path(spec, horizon, EXACT, stream), spec.x0)[0]
+    return event_paths(sample_path(spec, horizon, 1, stream), spec.x0)[0]
 
 
 def event_columns(paths):

@@ -61,7 +61,7 @@ import numpy as np
 
 from levyrefract.estimation import BATCH, CHUNK, CONTROL_RTOL, McEstimate
 from levyrefract.levy_model import (
-    EXACT, EventColumns, Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform,
+    EventColumns, Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform,
     Weibull, _compensated_drift, _jump_draw, mean_drift, sample_path,
 )
 from levyrefract.path_engine import (
@@ -405,7 +405,7 @@ def clock_readings(params: StrategyParams, spec, x: float, horizon: float, n: in
     out = []
     for c0 in range(0, chunks, BATCH):
         cols = columns_side_by_side([
-            sample_path(spec, horizon, EXACT, stream.for_path(ci), min(CHUNK, n - ci * CHUNK))
+            sample_path(spec, horizon, min(CHUNK, n - ci * CHUNK), stream.for_path(ci))
             for ci in range(c0, min(c0 + BATCH, chunks))])
         (table,) = trajectory_table(cols, x, params.b, params.alpha, True)
         kappa, tau = first_passage_times(table)
@@ -717,7 +717,7 @@ def column_sorted_columns(spec, horizon, m, stream) -> EventColumns:
     """The exact sampler as it was before it sorted path-major rows: the
     whole jump draw concatenated and stably sorted by path, scattered into
     (width, m) columns padded with inf, each column sorted by time.  The
-    bytes reference of sample_path(spec, horizon, EXACT, stream, m)."""
+    bytes reference of sample_path(spec, horizon, m, stream)."""
     rows, times, sizes = (np.concatenate(a) for a in zip(
         (np.empty(0, dtype=int), np.empty(0), np.empty(0)),
         *_jump_draw(spec, horizon, m, stream.generator())))

@@ -14,11 +14,11 @@ import pytest
 
 from levyrefract.cli_reporting import load_config, run_experiment
 from levyrefract.estimation import find_bstar, nu_curve, value_curve
-from levyrefract.levy_model import EXACT, RngStream, net_drift, sample_path
+from levyrefract.levy_model import RngStream, grid_increments, net_drift, sample_path
 from levyrefract.properties_oracle import (alpha_ladder_run,
                                            char_function_check, check_pair,
                                            coupled_pair_run)
-from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
+from levyrefract.strategy_engine import StrategyParams, _floored_euler, apply_strategy_exact
 
 from conftest import (FULL_SCALE, REFERENCE_SPECS, draw_path, drift_only, event_columns,
                       record_acceptance, refracted_reflected_exact)
@@ -173,7 +173,7 @@ def test_05_randomized_models_pathwise_sweep():
             # relation, and a mis-stated cap or a mismatched driver must
             # break its identity
             shift = l - k
-            cpath = sample_path(spec, horizon, EXACT, stream.with_tag(7), 1)
+            cpath = sample_path(spec, horizon, 1, stream.with_tag(7))
             tk, tl = apply_strategy_exact(cpath, [x + k, x + l], params)
             controls += 2
             fired += bool(check_pair(tk, tl, 0.5 * shift, params.b))
@@ -219,7 +219,7 @@ def test_07_euler_gap_shrinks_with_step_count():
     pp = ref_params(1.66)
     means = []
     for k in (100, 1000, 10000):
-        cols = sample_path(spec, 10.0, EXACT, RngStream(SEED, tag=70 + k), 100)
+        cols = sample_path(spec, 10.0, 100, RngStream(SEED, tag=70 + k))
         gaps = euler_exact_gap(cols, pp, 1.0, k)
         means.append(float(np.mean(gaps)))
     ok = means[0] > means[1] > means[2]
@@ -322,3 +322,47 @@ def test_10_csv_bytes_ignore_thread_count(tmp_path):
     detail = ("threads 1 and 4 plus a rerun: %d output files byte-identical "
               "(%s)" % (len(names), ", ".join(names)))
     assert record_acceptance(10, ok, detail), detail
+
+
+def test_11_euler_recursion_converges_strongly():
+    """The paper's second claim at sigma = 1 (case 2): the refracted SDE has
+    one solution, so the floored Euler recursion converges to it pathwise.
+    Every level shares one Brownian and jump draw: the finest, K = 8,000
+    steps on T = 10, is drawn once, and each coarser one is its pairwise
+    sums.  gap_K is the mean over paths of the sup over the knots of the
+    K/2-step level of |Z_K - Z_{K/2}|.  It must fall at every doubling of K
+    from 500 to 8,000 at alpha = 0.5 and inf, from x = 0.5 and b + 1, at a
+    fitted order in [0.35, 0.65] (Lepingle 1995: about 1/2).  Negative
+    control: the coarse level capped at 2 alpha solves another SDE, and its
+    gap stays at 0.9 of its K = 500 value or above."""
+    b, horizon, n, fine = 2.25, 10.0, 400, 8000
+    levels = {fine: grid_increments(REFERENCE_SPECS[2], horizon, fine, n,
+                                    RngStream(SEED, tag=110))}
+    while min(levels) > 500:
+        k = min(levels)
+        levels[k // 2] = levels[k].reshape(n, k // 2, 2).sum(-1)
+    ks = sorted(levels)[1:]  # the finer level of each pair: 1,000 ... 8,000
+
+    def z(k, alpha, x):
+        pp = StrategyParams(b=b, alpha=alpha, beta=1.5, q=0.05)
+        return _floored_euler(x, pp, levels[k], horizon / k)[1]
+
+    def gap(fine_z, coarse_z):
+        return float(np.mean(np.max(np.abs(fine_z[:, ::2] - coarse_z), axis=1)))
+
+    ok, parts = True, []
+    for alpha in (0.5, math.inf):
+        for x in (0.5, b + 1.0):
+            zs = {k: z(k, alpha, x) for k in levels}
+            gaps = [gap(zs[k], zs[k // 2]) for k in ks]
+            order = -np.polyfit(np.log(ks), np.log(gaps), 1)[0]
+            ok &= all(g1 > g2 for g1, g2 in zip(gaps, gaps[1:])) and 0.35 <= order <= 0.65
+            parts.append("alpha=%g x=%g: %s (order %.2f)"
+                         % (alpha, x, "/".join("%.3f" % g for g in gaps), order))
+            if alpha < math.inf:
+                ctrl = [gap(zs[k], z(k // 2, 2 * alpha, x)) for k in ks]
+                ok &= min(ctrl) >= 0.9 * ctrl[0]
+                parts.append("control %s" % "/".join("%.2f" % g for g in ctrl))
+    detail = ("E sup |Z_K - Z_K/2| at K = %s, %d paths: %s"
+              % ("/".join(map(str, ks)), n, "; ".join(parts)))
+    assert record_acceptance(11, ok, detail), detail

@@ -594,6 +594,19 @@ class TestRunCheckProperties:
         assert main(["check-properties", "--config", str(p), "--out",
                      str(tmp_path / "out")]) == 0
 
+    @pytest.mark.parametrize("key", ["task.b", "task.x"])
+    def test_a_config_without_threshold_or_start_exits_two(self, key, tmp_path, capsys):
+        """check-properties used to run at b = 1 and from x = 0.5 when the
+        config set neither, and exit 0."""
+        text = reference_config_text(1, **{"mc.N": 200})
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(line for line in text.splitlines(True)
+                             if line.split("=")[0].strip() != key))
+        out = tmp_path / "out"
+        assert main(["check-properties", "--config", str(p), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists() or os.listdir(out) == []
+
     def test_an_infinite_cap_skips_the_ladder(self, tmp_path):
         cfg = load_config(BASE.replace("control.alpha = 0.5", "control.alpha = inf")
                           + "task.b = 1\ntask.x = 0.5\n")

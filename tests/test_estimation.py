@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, EventColumns, Grid, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform,
-    Weibull, _grid_increment_matrix, is_case2, mean_drift, net_drift, sample_path,
+    EventColumns, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform, Weibull,
+    grid_increments, is_case2, mean_drift, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refracted_record_lows, trajectory_table
@@ -54,7 +54,7 @@ def draw(spec, pp, horizon, k=0, engine="exact"):
 
 def chunk_paths(spec, horizon, stream, ci, m):
     """Chunk ci's exact paths, as _chunk_readers draws them."""
-    return event_paths(sample_path(spec, horizon, EXACT, stream.for_path(ci), m))
+    return event_paths(sample_path(spec, horizon, m, stream.for_path(ci)))
 
 
 def exact_nu_chunk(spec, pp, horizon, grid, stream, ci, m):
@@ -240,7 +240,7 @@ class TestExactSplicedChunk:
         floored strategy path."""
         pp = params(b=b, alpha=alpha)
         stream = RngStream(150, tag=2)
-        (table,) = apply_strategy_exact(sample_path(ref_spec_bv, 8.0, EXACT, stream.for_path(3), 24),
+        (table,) = apply_strategy_exact(sample_path(ref_spec_bv, 8.0, 24, stream.for_path(3)),
                                         x, pp)
         weak = first_passage_times(table).t_weak
         ww = np.exp(-Q * weak)
@@ -284,7 +284,7 @@ class TestHaltingLanes:
             jump_components=((0.32066539000328914, 1,
                               Uniform(0.0625963023373811, 0.7273671791428004)),))
         pp = StrategyParams(b=0.0, alpha=1.2845007357291955, beta=BETA, q=Q)
-        cols = sample_path(spec, 20.0, EXACT, RngStream(129, tag=1), 256)
+        cols = sample_path(spec, 20.0, 256, RngStream(129, tag=1))
         x = np.array([0.0, 0.5, 1.0])
         want = np.stack([first_passage_times(table).t_weak
                          for table in apply_strategy_exact(cols, x, pp)])
@@ -356,8 +356,8 @@ HORIZON_CALLS = {
                                                          RngStream(143, tag=1)),
     "alpha_ladder_run": lambda s, k, h: alpha_ladder_run(s, 1.0, (0.5, 1.0), 0.0, h, 2,
                                                          RngStream(143, tag=1)),
-    "sample_path": lambda s, k, h: sample_path(s, h, Grid(k) if k else EXACT,
-                                               RngStream(143, tag=1)),
+    "sample_path": lambda s, k, h: sample_path(s, h, 1, RngStream(143, tag=1)),
+    "grid_increments": lambda s, k, h: grid_increments(s, h, 10, 1, RngStream(143, tag=1)),
 }
 
 
@@ -405,6 +405,21 @@ BAD_INPUT_CALLS = {
         params(), s, np.empty(0), 5.0, k, 8, st)),
 }
 
+SIZED_CALLS = {
+    "value_curve": lambda s, k, st, n, t: value_curve([0.0, 0.5], 1.0, params(), s, 5.0, k,
+                                                      n, st, threads=t),
+    "nu_curve": lambda s, k, st, n, t: nu_curve(params(), s, [0.5, 1.0], 5.0, k, n, st,
+                                                threads=t),
+    "find_bstar": lambda s, k, st, n, t: find_bstar(params(), s, [0.5, 1.0], 5.0, k, n, st,
+                                                    threads=t),
+}
+# n = 0 or threads = 0 used to fail in a slice of the batches, and threads =
+# -1 to run, reducing the chunk partials out of order
+BAD_INPUT_CALLS.update({
+    "%s-%s=%d" % (name, field, n if field == "n" else t): (field, partial(call, n=n, t=t))
+    for name, call in SIZED_CALLS.items()
+    for field, n, t in (("n", 0, 1), ("n", -5, 1), ("threads", 8, 0), ("threads", 8, -1))})
+
 
 @pytest.mark.parametrize("engine", ["exact", "euler"])
 @pytest.mark.parametrize("name", sorted(BAD_INPUT_CALLS))
@@ -412,12 +427,12 @@ def test_a_bad_threshold_start_or_grid_is_refused_before_a_draw(
         ref_spec_bv, ref_spec_gauss, name, engine, monkeypatch):
     """Inputs the CLI refuses used to run and return numbers: a threshold
     below 0 or NaN, a start that is not finite, a grid point that is not,
-    and an empty grid."""
+    an empty grid, and a path or thread count below 1."""
     def no_draw(*args, **kwargs):
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(estimation, "sample_path", no_draw)
-    monkeypatch.setattr(estimation, "_grid_increment_matrix", no_draw)
+    monkeypatch.setattr(estimation, "grid_increments", no_draw)
     spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 10)
     field, call = BAD_INPUT_CALLS[name]
     with pytest.raises(InvalidParameter) as err:
@@ -538,8 +553,8 @@ class TestEulerRunSums:
         xs, bs = zip(*[(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2),
                        (1.2, 1.2), (2.5, 1.2), (0.6, 2.0)])
         halts = [spliced] * len(xs)
-        incs = _grid_increment_matrix(ref_spec_gauss, 5.0, k, 256,
-                                      RngStream(140, tag=3).for_path(1).generator())
+        incs = grid_increments(ref_spec_gauss, 5.0, k, 256,
+                               RngStream(140, tag=3).for_path(1))
         mu = mean_drift(ref_spec_gauss)
         want = per_point_lane_flows(xs, bs, halts, incs, alpha, 5.0 / k, Q, mu)
         passes = []
@@ -595,8 +610,8 @@ class TestEulerRunSums:
                               (0.0, 1.2, True), (-0.4, 1.2, True), (1.2, 1.2, True),
                               (0.0, 1.2, False), (-0.4, 2.0, False), (2.5, 1.2, False)])
         k, horizon = 2000, 100.0
-        incs = _grid_increment_matrix(ref_spec_gauss, horizon, k, 48,
-                                      RngStream(142, tag=3).for_path(2).generator())
+        incs = grid_increments(ref_spec_gauss, horizon, k, 48,
+                               RngStream(142, tag=3).for_path(2))
         want = per_point_lane_flows(xs, bs, halts, incs, alpha, horizon / k, Q, 0.3)
         drops = []
         drop = path_engine.Lanes.drop
@@ -634,9 +649,9 @@ class TestValueBlocks:
 
         def counted(*a, **kw):
             draws.append(a)
-            return _grid_increment_matrix(*a, **kw)
+            return grid_increments(*a, **kw)
 
-        monkeypatch.setattr(estimation, "_grid_increment_matrix", counted)
+        monkeypatch.setattr(estimation, "grid_increments", counted)
         monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
         (got,) = _run_sums(*args)
         assert len(draws) == (engine == "euler")
@@ -1015,7 +1030,7 @@ class TestBatches:
         assert not hasattr(cols, "x0")  # a draw carries no start
         heights = []
         for (ci, m), r in zip(chunks, estimation._chunk_rows(chunks)):
-            part = sample_path(ref_spec_bv, 10.0, EXACT, stream.for_path(ci), m)
+            part = sample_path(ref_spec_bv, 10.0, m, stream.for_path(ci))
             h = len(part.times)
             assert np.array_equal(cols.counts[r], part.counts)
             assert np.array_equal(cols.times[:h, r], part.times)
@@ -1031,7 +1046,7 @@ class TestBatches:
 
         def columns(*args):
             draws.append(sample_path(*args))
-            assert type(draws[-1]) is EventColumns and draws[-1].counts.size == args[4]
+            assert type(draws[-1]) is EventColumns and draws[-1].counts.size == args[2]
             return draws[-1]
 
         monkeypatch.setattr(estimation, "sample_path", columns)
@@ -1278,7 +1293,7 @@ def scalar_nu_chunk(spec, params, horizon, bgrid_pos, stream, ci, m):
     sw2 = np.zeros(nb)
     cens = np.zeros(nb)
     q = params.q
-    cols = sample_path(spec, horizon, EXACT, stream.for_path(ci), m)
+    cols = sample_path(spec, horizon, m, stream.for_path(ci))
     table = refract_exact(cols, 0.0, 0.0, params.alpha)
     for i, path in enumerate(event_paths(cols)):
         w = table.block(i, i + 1)
@@ -1400,7 +1415,7 @@ class TestExactNuChunk:
         assert lows[0].invrate.any() and not lows[1].invrate.any()
         assert lows[1].t0.tolist() == [h, math.inf, h, math.inf]  # one jump record each
         stream = RngStream(176, tag=4)
-        fake = lambda spec, horizon, kind, s, m: event_columns(parts[s.index - stream.index])
+        fake = lambda spec, horizon, m, s: event_columns(parts[s.index - stream.index])
         for module in (estimation, sys.modules[__name__]):  # the reference's draw too
             monkeypatch.setattr(module, "sample_path", fake)
         spec, pp = spec_with_drift(-0.4), params(alpha=alpha)
@@ -1595,8 +1610,8 @@ class TestEulerNuBlocks:
         record lows read off the full knot matrix, and its controls a per-row
         cumsum, bit for bit."""
         monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
-        incs = _grid_increment_matrix(ref_spec_gauss, 5.0, 200, 64,
-                                      RngStream(173, tag=4).for_path(1).generator())
+        incs = grid_increments(ref_spec_gauss, 5.0, 200, 64,
+                               RngStream(173, tag=4).for_path(1))
         mu = mean_drift(ref_spec_gauss)
         for alpha in (0.5, math.inf):
             lows = euler_record_lows(incs, alpha, 5.0 / 200, Q, mu)
@@ -1617,8 +1632,8 @@ class TestEulerNuBlocks:
         block width at every width."""
         xs, bs, halts = zip(*[(-0.4, 1.2, True), (0.0, 1.2, True), (0.0, 0.0, False),
                               (0.6, 1.2, True), (1.2, 1.2, False), (2.5, 1.2, True)])
-        incs = _grid_increment_matrix(ref_spec_gauss, 5.0, 200, 32,
-                                      RngStream(174, tag=4).for_path(1).generator())
+        incs = grid_increments(ref_spec_gauss, 5.0, 200, 32,
+                               RngStream(174, tag=4).for_path(1))
         pp, mu = params(b=1.2, alpha=alpha), mean_drift(ref_spec_gauss)
 
         def run():

@@ -12,10 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from levyrefract import levy_model
 from levyrefract.levy_model import (
-    EXACT,
     EventColumns,
     Exponential,
-    Grid,
     HyperExponential,
     InvalidParameter,
     JumpDiffusionSpec,
@@ -27,9 +25,9 @@ from levyrefract.levy_model import (
     Weibull,
     _compensated_drift,
     _gammainc,
-    _grid_increment_matrix,
     _jump_draw,
     characteristic_exponent,
+    grid_increments,
     is_case2,
     mean_drift,
     net_drift,
@@ -363,7 +361,7 @@ class TestSampling:
         n, horizon = 3000, 4.0
         counts = np.empty(n)
         for i in range(n):
-            cols = sample_path(ref_spec_bv, horizon, EXACT, RngStream(11, tag=1, index=i))
+            cols = sample_path(ref_spec_bv, horizon, 1, RngStream(11, tag=1, index=i))
             counts[i] = cols.counts[0]
         # both components at rate 1: total rate 2
         lam = 2 * horizon
@@ -393,7 +391,7 @@ class TestSampling:
         k, horizon, n = 64, 8.0, 1500
         dt = horizon / k
         incs = np.concatenate([
-            sample_path(ref_spec_gauss, horizon, Grid(k), RngStream(14, tag=4, index=i))[0]
+            grid_increments(ref_spec_gauss, horizon, k, 1, RngStream(14, tag=4, index=i))[0]
             for i in range(n)])
         growth = 0.6 + (0.5 - math.gamma(1.5))
         se = incs.std(ddof=1) / math.sqrt(len(incs))
@@ -405,8 +403,8 @@ class TestSampling:
     @pytest.mark.parametrize("spec_seed", [0, 1, 2])
     def test_exact_paths_bin_to_the_grid_rows(self, spec_seed):
         """At sigma = 0 both samplers read one jump draw: every exact path
-        of sample_path(..., m) on a k-step grid has the increments of its
-        row of _grid_increment_matrix on the same stream, whatever x0."""
+        of sample_path on a k-step grid has the increments of its row of
+        grid_increments on the same stream, whatever x0."""
         rng = np.random.default_rng(spec_seed)
         spec = JumpDiffusionSpec(
             gamma=rng.uniform(-1.0, 1.0), sigma=0.0,
@@ -416,8 +414,8 @@ class TestSampling:
             x0=rng.uniform(-1.0, 1.0))
         stream = RngStream(15, tag=spec_seed)
         for horizon, k, m in ((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3)):
-            paths = event_paths(sample_path(spec, horizon, EXACT, stream, m))
-            incs = _grid_increment_matrix(spec, horizon, k, m, stream.generator())
+            paths = event_paths(sample_path(spec, horizon, m, stream))
+            incs = grid_increments(spec, horizon, k, m, stream)
             assert len(paths) == m
             for p, row in zip(paths, incs):
                 np.testing.assert_allclose(p.to_grid(k), row, rtol=0, atol=1e-12)
@@ -433,15 +431,15 @@ class TestSampling:
             jump_components=((1.2, 1, Uniform(0.0, 1.0)), (1e-12, -1, Exponential(1.0)),
                              (0.8, -1, HyperExponential((0.3, 0.7), (0.5, 2.0)))))
         for seed, (horizon, k, m) in enumerate(((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3))):
-            rng = RngStream(26, tag=seed).generator
-            got = _grid_increment_matrix(spec, horizon, k, m, rng())
+            stream = RngStream(26, tag=seed)
+            got = grid_increments(spec, horizon, k, m, stream)
             assert got.tobytes() == concatenated_grid_increments(spec, horizon, k, m,
-                                                                 rng()).tobytes()
+                                                                 stream.generator()).tobytes()
             # the rare component draws no jump and yields nothing
-            assert len(list(_jump_draw(spec, horizon, m, rng()))) == 2
+            assert len(list(_jump_draw(spec, horizon, m, stream.generator()))) == 2
 
     def test_flat_binning_is_the_two_dimensional_call(self):
-        """_grid_increment_matrix bins each component with one np.add.at on
+        """grid_increments bins each component with one np.add.at on
         the flat view of the matrix: the adds of np.add.at on (row, bin)
         pairs, in their order, so the bytes are equal; jumps pile up in few
         cells.  Filled as a block of rows of a larger matrix, the block is
@@ -450,54 +448,40 @@ class TestSampling:
             gamma=0.3, sigma=0.0,
             jump_components=((40.0, 1, Uniform(0.0, 1.0)), (30.0, -1, Exponential(2.0))))
         for horizon, k, m in ((20.0, 500, 64), (1.0, 1, 300), (3.0, 7, 5)):
-            rng = RngStream(27, tag=k).generator
+            stream = RngStream(27, tag=k)
             want = np.full((m, k), _compensated_drift(spec) * (horizon / k))
-            for rows, times, sizes in _jump_draw(spec, horizon, m, rng()):
+            for rows, times, sizes in _jump_draw(spec, horizon, m, stream.generator()):
                 bins = np.clip(np.ceil(times / (horizon / k)).astype(int) - 1, 0, k - 1)
                 np.add.at(want, (rows, bins), sizes)
-            assert _grid_increment_matrix(spec, horizon, k, m, rng()).tobytes() == want.tobytes()
+            assert grid_increments(spec, horizon, k, m, stream).tobytes() == want.tobytes()
             batch = np.zeros((m + 3, k))
-            got = _grid_increment_matrix(spec, horizon, k, m, rng(), out=batch[2:m + 2])
+            got = grid_increments(spec, horizon, k, m, stream, out=batch[2:m + 2])
             assert got.base is batch and batch[2:m + 2].tobytes() == want.tobytes()
         with pytest.raises(AssertionError):
-            _grid_increment_matrix(spec, 3.0, 7, 5, rng(), out=np.zeros((7, 5)).T)
+            grid_increments(spec, 3.0, 7, 5, stream, out=np.zeros((7, 5)).T)
 
-    def test_one_path_is_the_one_path_draw(self, ref_spec_bv):
-        """Without m, exact mode draws the one-column EventColumns of m = 1."""
-        stream = RngStream(16, tag=2)
-        one = sample_path(ref_spec_bv, 5.0, EXACT, stream)
-        first = sample_path(ref_spec_bv, 5.0, EXACT, stream, 1)
-        assert isinstance(one, EventColumns) and one.counts.size == 1
-        for name in ("counts", "times", "sizes"):
-            assert getattr(one, name).tobytes() == getattr(first, name).tobytes()
-        assert (one.horizon, one.drift) == (first.horizon, first.drift)
-
-    @pytest.mark.parametrize("spec_name", ["ref_spec_bv", "ref_spec_gauss"])
-    @pytest.mark.parametrize("k,m", [(1, 1), (7, 5), (300, 1)])
-    def test_grid_mode_is_the_increment_matrix(self, request, spec_name, k, m):
-        """Grid(k) mode returns the (m, k) matrix of _grid_increment_matrix
-        on the stream's generator, bit for bit, and no other format."""
-        spec = request.getfixturevalue(spec_name)
-        stream = RngStream(24, tag=k, index=m)
-        got = sample_path(spec, 5.0, Grid(k), stream, m)
-        want = _grid_increment_matrix(spec, 5.0, k, m, stream.generator())
-        assert type(got) is np.ndarray and got.shape == (m, k)
-        assert got.tobytes() == want.tobytes()
-        one = _grid_increment_matrix(spec, 5.0, k, 1, stream.generator())
-        assert sample_path(spec, 5.0, Grid(k), stream).tobytes() == one.tobytes()
-
-    @pytest.mark.parametrize("mode,m", [(EXACT, 0), (Grid(4), 0), (EXACT, -1), (Grid(4), -3)])
-    def test_bad_path_counts(self, ref_spec_bv, mode, m):
+    @pytest.mark.parametrize("draw", [
+        lambda spec, m: sample_path(spec, 5.0, m, RngStream(17)),
+        lambda spec, m: grid_increments(spec, 5.0, 4, m, RngStream(17)),
+    ], ids=["sample_path", "grid_increments"])
+    @pytest.mark.parametrize("m", [0, -1, -3])
+    def test_bad_path_counts(self, ref_spec_bv, draw, m):
         with pytest.raises(InvalidParameter) as err:
-            sample_path(ref_spec_bv, 5.0, mode, RngStream(17), m)
+            draw(ref_spec_bv, m)
         assert err.value.field_name == "m"
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_a_grid_without_steps_is_refused(self, ref_spec_gauss, k):
+        with pytest.raises(InvalidParameter) as err:
+            grid_increments(ref_spec_gauss, 5.0, k, 3, RngStream(17))
+        assert err.value.field_name == "k"
 
 
 class TestEventColumns:
-    """sample_path(..., EXACT, stream, m) as padded event columns."""
+    """sample_path(spec, horizon, m, stream) as padded event columns."""
 
     def test_a_drift_only_model_gives_one_row(self):
-        cols = sample_path(drift_only(0.4, x0=0.7), 3.0, EXACT, RngStream(18), 5)
+        cols = sample_path(drift_only(0.4, x0=0.7), 3.0, 5, RngStream(18))
         assert isinstance(cols, EventColumns)
         assert np.array_equal(cols.counts, np.zeros(5))
         assert np.array_equal(cols.times, np.full((1, 5), 3.0))
@@ -508,9 +492,9 @@ class TestEventColumns:
         """sample_path draws X - x0: the columns of every x0 are those of
         x0 = 0, byte for byte, and EventColumns has no start field."""
         stream = RngStream(20, tag=3)
-        at0 = sample_path(ref_spec_bv, 5.0, EXACT, stream, 7)
+        at0 = sample_path(ref_spec_bv, 5.0, 7, stream)
         for x0 in (-0.7, -0.0, 1.3):
-            got = sample_path(replace(ref_spec_bv, x0=x0), 5.0, EXACT, stream, 7)
+            got = sample_path(replace(ref_spec_bv, x0=x0), 5.0, 7, stream)
             assert all(getattr(got, f).tobytes() == getattr(at0, f).tobytes()
                        for f in ("counts", "times", "sizes"))
             assert (got.horizon, got.drift) == (at0.horizon, at0.drift)
@@ -520,7 +504,7 @@ class TestEventColumns:
     def test_a_path_without_events_among_paths_that_jump(self):
         spec = JumpDiffusionSpec(gamma=0.3, sigma=0.0,
                                  jump_components=((0.4, -1, Uniform(0.0, 1.0)),))
-        cols = sample_path(spec, 2.0, EXACT, RngStream(19), 64)
+        cols = sample_path(spec, 2.0, 64, RngStream(19))
         assert 0 < np.count_nonzero(cols.counts == 0) < 64
         for c, p in zip(cols.counts, event_paths(cols)):
             assert p.times.size == p.sizes.size == c
@@ -529,7 +513,7 @@ class TestEventColumns:
         assert np.all(cols.times[:, quiet] == 2.0) and np.all(cols.sizes[:, quiet] == 0.0)
 
     def test_rows_past_the_counts_are_padding(self, ref_spec_bv):
-        cols = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(20), 40)
+        cols = sample_path(ref_spec_bv, 5.0, 40, RngStream(20))
         assert cols.times.shape == cols.sizes.shape == (cols.counts.max() + 1, 40)
         pad = np.arange(len(cols.times))[:, None] >= cols.counts
         assert np.all(cols.times[pad] == 5.0) and np.all(cols.sizes[pad] == 0.0)
@@ -555,7 +539,7 @@ class TestEventColumns:
                               for a in zip(*_jump_draw(spec, 30.0, m, stream.generator())))
         order = np.lexsort((times, rows))
         cuts = np.cumsum(np.bincount(rows, minlength=m))[:-1]
-        cols = sample_path(spec, 30.0, EXACT, stream, m)
+        cols = sample_path(spec, 30.0, m, stream)
         want = zip(np.split(times[order], cuts), np.split(sizes[order], cuts))
         for i, (t, s) in enumerate(want):
             assert cols.times[:cols.counts[i], i].tobytes() == t.tobytes()
@@ -565,7 +549,7 @@ class TestEventColumns:
         """EventColumns.side_by_side of parts streamed one by one, taller
         parts after shorter ones, equals the parts padded and joined by
         whole copies."""
-        parts = [sample_path(ref_spec_bv, 5.0, EXACT, RngStream(30, tag=i), m)
+        parts = [sample_path(ref_spec_bv, 5.0, m, RngStream(30, tag=i))
                  for i, m in enumerate((1, 9, 3, 40))]
         heights = [len(p.times) for p in parts]
         assert heights[0] < heights[1] and max(heights[:3]) < heights[3]
@@ -594,7 +578,7 @@ class TestEventColumns:
             spec = JumpDiffusionSpec(gamma=rng.uniform(-1, 1), sigma=0.0, jump_components=comps)
             m, horizon = (1, 2, 7, 256)[j % 4], (0.5, 5.0, 100.0)[j % 3]
             stream = RngStream(28, tag=j)
-            got = sample_path(spec, horizon, EXACT, stream, m)
+            got = sample_path(spec, horizon, m, stream)
             want = column_sorted_columns(spec, horizon, m, stream)
             for name in ("counts", "times", "sizes"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (j, name)
@@ -612,7 +596,7 @@ class TestEventColumns:
         sizes = rng.normal(size=900)
         draw = (np.repeat([1, 2], [300, 600]), times, sizes)
         monkeypatch.setattr(levy_model, "_jump_draw", lambda *args: iter([draw]))
-        cols = sample_path(drift_only(0.1), 4.0, EXACT, RngStream(22), 3)
+        cols = sample_path(drift_only(0.1), 4.0, 3, RngStream(22))
         assert np.array_equal(cols.counts, [0, 300, 600])
         order = np.argsort(times[:300])
         assert np.array_equal(cols.times[:300, 1], times[order])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from levyrefract.levy_model import (
-    EXACT, InvalidParameter, RngStream, sample_path,
+    InvalidParameter, RngStream, sample_path,
 )
 from levyrefract import path_engine
 from levyrefract.path_engine import (
@@ -428,7 +428,7 @@ def random_models():
     rng = np.random.default_rng(20261019)
     for j in range(120):
         spec, pp, x, _, _ = draw_random_bv_setup(rng)
-        cols = sample_path(spec, 5.0, EXACT, RngStream(360, tag=j), 6)
+        cols = sample_path(spec, 5.0, 6, RngStream(360, tag=j))
         starts = (x, 0.0, pp.b, -0.3, pp.b + 0.4, 0.5 * pp.b)
         yield cols, [replace(p, x0=s) for p, s in zip(event_paths(cols), starts)], pp
 
@@ -536,7 +536,7 @@ class TestTrajectoryTable:
         n_roles = n_sticky = 0
         for j in range(30):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
-            cols = sample_path(spec, 5.0, EXACT, RngStream(361, tag=j), 5)
+            cols = sample_path(spec, 5.0, 5, RngStream(361, tag=j))
             starts = (-0.3, 0.0, 0.5 * pp.b, pp.b, pp.b + 0.4)
             for drift in (cols.drift, pp.alpha):
                 edge = replace(cols, drift=drift)

@@ -10,7 +10,7 @@ import pytest
 
 from levyrefract import levy_model, path_engine, properties_oracle
 from levyrefract.levy_model import (
-    EXACT, ExactModeUnavailable, Exponential, HyperExponential, InvalidParameter,
+    ExactModeUnavailable, Exponential, HyperExponential, InvalidParameter,
     JumpDiffusionSpec, PointMass, RngStream, Uniform, Weibull, is_case2, net_drift, sample_path,
 )
 from levyrefract.path_engine import read_segments, trajectory_table
@@ -64,7 +64,7 @@ class TestCoupledPair:
         pp1, pp2 = params(b=1.0), params(b=2.5)
         viol = []
         for i in range(10):
-            p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(302, tag=1, index=i), 1)
+            p = sample_path(ref_spec_bv, 5.0, 1, RngStream(302, tag=1, index=i))
             t1 = refracted_reflected_exact(p, 0.0, 1.0, 0.5)
             t2 = refracted_reflected_exact(p, 0.5, 2.5, 0.5)
             viol.extend(check_pair(t1, t2, 0.5, 1.0))
@@ -176,7 +176,7 @@ class TestBlockCheck:
         rng = np.random.default_rng(41)
         for j in range(8):
             spec, pp, x, _, _ = draw_random_bv_setup(rng)
-            paths = event_paths(sample_path(spec, 4.0, EXACT, RngStream(350, tag=j), 6), x)
+            paths = event_paths(sample_path(spec, 4.0, 6, RngStream(350, tag=j)), x)
             for b in (pp.b, 0.0):
                 for alpha in (pp.alpha, math.inf):
                     yield paths, b, alpha
@@ -231,7 +231,7 @@ class TestBlockCheck:
             spec, pp, x, k, l = draw_random_bv_setup(rng)
             for alpha in (pp.alpha, math.inf):
                 p2 = replace(pp, alpha=alpha)
-                cols = sample_path(spec, 4.0, EXACT, RngStream(351, tag=j), 2 * BLOCK + 3)
+                cols = sample_path(spec, 4.0, 2 * BLOCK + 3, RngStream(351, tag=j))
                 tk, tl = apply_strategy_exact(cols, [x + k, x + l], p2)
                 drivers = (cols, x + k + 0.01)
                 shift = 0.5 * (l - k)
@@ -310,7 +310,7 @@ class TestShiftedStarts:
         spec = two_sided(MARK_LAWS[law], 0.4 if case == 2 else 1.3)
         assert is_case2(net_drift(spec), self.ALPHA) == (case == 2)
         n = 9
-        cols = sample_path(spec, 6.0, EXACT, RngStream(370 + case, tag=law), n)
+        cols = sample_path(spec, 6.0, n, RngStream(370 + case, tag=law))
         copies, paths = columns_side_by_side([cols, cols]), event_paths(cols)
         assert cols.counts.sum() > 0
         names = TABLE_ROWS + ("rates", "counts")
@@ -338,7 +338,7 @@ class TestShiftedStarts:
         fired = re.search(r"negative_control \(fired (\d+)", (tmp_path / "properties.txt")
                           .read_text())
         b, shift = cfg.b, 0.5 * cfg.b
-        cols = sample_path(cfg.spec, min(cfg.horizon, 20.0), EXACT, RngStream(cfg.seed, tag=8), 1)
+        cols = sample_path(cfg.spec, min(cfg.horizon, 20.0), 1, RngStream(cfg.seed, tag=8))
         lower = 0.0 + x
         both = trajectory_table(columns_side_by_side([cols, cols]), [lower, lower + shift], b,
                                 cfg.alpha, True)
@@ -360,7 +360,7 @@ class TestShiftedStarts:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(properties_oracle, "check_pair", off)
             rep = coupled_pair_run(spec, pp, x, 0.0, 0.6, 4.0, n, stream)
-        cols = sample_path(spec, 4.0, EXACT, stream, n)
+        cols = sample_path(spec, 4.0, n, stream)
         lower, upper = 0.0 + (x + 0.0), 0.0 + (x + 0.6)
         both = trajectory_table(columns_side_by_side([cols, cols]), [lower, upper], pp.b,
                                 pp.alpha, True)
@@ -419,7 +419,7 @@ class TestOneSweepPerRun:
     def test_a_block_sorts_its_times_once(self, ref_spec_bv, monkeypatch):
         """One path_keys per block, none in read_segments; the refracted
         rung read for z alone has the z of its full reading."""
-        cols = sample_path(ref_spec_bv, 4.0, EXACT, RngStream(353, tag=3), 6)
+        cols = sample_path(ref_spec_bv, 4.0, 6, RngStream(353, tag=3))
         roles = (refracted_reflected_exact(cols, 0.0, 1.0, 0.5),
                  refract_exact(cols, 0.0, 1.0, 0.5))
         full = _Block(roles, (cols, 0.0))
@@ -439,7 +439,7 @@ class TestOneSweepPerRun:
         every array of them: 1.18 times today (5.1 MB against 4.3), and 1.42
         for a reader that made the lump rows before it freed the sort order
         of the segments."""
-        cols = sample_path(ref_spec_bv, 30.0, EXACT, RngStream(353, tag=4), LADDER_RUN)
+        cols = sample_path(ref_spec_bv, 30.0, LADDER_RUN, RngStream(353, tag=4))
         rungs = (0.5, 2.0, 8.0, 32.0, math.inf)
         tracemalloc.start()
         try:
@@ -454,7 +454,7 @@ class TestOneSweepPerRun:
 
 class TestFixedCap:
     def test_zero_threshold_cap_rate(self):
-        p = sample_path(drift_only(1.0), 6.0, EXACT, RngStream(310, tag=1), 1)
+        p = sample_path(drift_only(1.0), 6.0, 1, RngStream(310, tag=1))
         traj = refracted_reflected_exact(p, 0.0, 0.0, 0.4)
         assert fixed_cap_violations(traj, 0.4) == []
         wrong = fixed_cap_violations(traj, 0.3)

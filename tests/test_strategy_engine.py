@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from levyrefract.levy_model import (
-    EXACT, Grid, InvalidParameter, RngStream, sample_path,
+    InvalidParameter, RngStream, grid_increments, sample_path,
 )
 from levyrefract.path_engine import BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR
 from levyrefract import strategy_engine
@@ -80,7 +80,7 @@ class TestExactStrategy:
 
     def test_budget_residual_on_sampled_paths(self, ref_spec_bv):
         for i in range(30):
-            p = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(41, tag=6, index=i), 1)
+            p = sample_path(ref_spec_bv, 5.0, 1, RngStream(41, tag=6, index=i))
             pp = params(b=1.2)
             traj = sampled(p, ref_spec_bv.x0, pp)
             assert budget_residual(traj) <= 1e-12
@@ -218,7 +218,7 @@ class TestEulerRecursion:
 
     def test_budget_identity_on_sampled_grids(self, ref_spec_bv):
         for i in range(10):
-            incs = sample_path(ref_spec_bv, 5.0, Grid(500), RngStream(43, tag=7, index=i))[0]
+            incs = grid_increments(ref_spec_bv, 5.0, 500, 1, RngStream(43, tag=7, index=i))[0]
             traj = simulate_euler(0.5, params(b=1.2), incs, 5.0 / 500)
             assert np.min(traj.z) >= 0.0
             assert np.all(np.diff(traj.l) >= 0)
@@ -265,7 +265,7 @@ def hand_grids():
 def random_grids(spec):
     """(increments, dt) of 20 one-path draws of 300 steps on [0, 5]."""
     for i in range(20):
-        yield sample_path(spec, 5.0, Grid(300), RngStream(61, tag=2, index=i))[0], 5.0 / 300
+        yield grid_increments(spec, 5.0, 300, 1, RngStream(61, tag=2, index=i))[0], 5.0 / 300
 
 
 class TestEulerKernel:
@@ -402,7 +402,7 @@ class TestEulerExactGap:
     def test_gap_shrinks_in_mean_with_grid_refinement(self, ref_spec_bv):
         sp = params(b=1.2)
         means = []
-        cols = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(47, tag=9), 30)
+        cols = sample_path(ref_spec_bv, 5.0, 30, RngStream(47, tag=9))
         for k in (50, 400, 3200):
             gaps = euler_exact_gap(cols, sp, 0.5, k)
             means.append(np.mean(gaps))
@@ -413,7 +413,7 @@ class TestEulerExactGap:
     @pytest.mark.parametrize("x", [-0.3, 0.5, 1.6])
     def test_batch_equals_one_path_runs_bitwise(self, ref_spec_bv, x, alpha):
         sp = params(b=1.2, alpha=alpha)
-        cols = sample_path(ref_spec_bv, 5.0, EXACT, RngStream(48, tag=9), 12)
+        cols = sample_path(ref_spec_bv, 5.0, 12, RngStream(48, tag=9))
         for k in (50, 400):
             gaps = euler_exact_gap(cols, sp, x, k)
             assert gaps.shape == (12,)
