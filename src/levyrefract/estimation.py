@@ -2,13 +2,14 @@
 
 Two engines sit behind every estimator as one sampler and two readers.
 Chunk ci draws its m paths at once on the stream stream.for_path(ci) from
-the one jump draw of levy_model, by the one sampler of each engine:
+the jump draw of levy_model, by the one sampler of each engine:
 levy_model.sample_path as padded event columns (EventColumns) for the
-exact engine (sigma = 0), levy_model.grid_increments as an (m, k)
-increment matrix for the Euler engine.
+exact engine (sigma = 0), levy_model.grid_windows as the windows of an
+(m, k) increment matrix for the Euler engine.
 _chunk_readers is the one dispatch between the engines.  It lays the
-chunks of a batch, on every stream of a job, side by side, once, and
-reads them as LaneFlows, the discounted flows and weak passage times of
+chunks of a batch, on every stream of a job, side by side, once for the
+exact engine and one window at a time for Euler, and reads them as
+LaneFlows, the discounted flows and weak passage times of
 floored (path, start, threshold) lanes, and RecordLows, the record lows of
 the paths refracted at 0: the two readers of each engine's lane stepper,
 path_engine.event_steps or strategy_engine.euler_steps.  Values are one
@@ -33,7 +34,8 @@ curves run as one job over paths x starts x thresholds: a batch draws once
 on the main stream and once on the at-0 anchor substream and steps every
 (x, b) point, each on its draw, in one lane pass over both, so one set
 of workers serves a curve set.  A run steps at most BLOCK_LANES lanes at
-once, in blocks of points.
+once, in blocks of points; an Euler block draws the windows of its batch
+anew, so a run holds one block's lanes and one window at a time.
 
 Paths come in fixed chunks of CHUNK paths.  A worker call reads a batch
 of at most BATCH contiguous chunk draws as one lane set (BATCH // 2 chunks
@@ -63,8 +65,10 @@ from .levy_model import (
     EventColumns,
     InvalidParameter,
     JumpDiffusionSpec,
+    TILE_KNOTS,
     RngStream,
-    grid_increments,
+    _require_draw,
+    grid_windows,
     mean_drift,
     sample_path,
 )
@@ -154,6 +158,13 @@ def _chunk_rows(chunks):
     return [slice(e - m, e) for (_, m), e in zip(chunks, ends.tolist())]
 
 
+def _require_run(n: int, threads: int):
+    if n < 1:
+        raise InvalidParameter("n", "path count must be >= 1")
+    if threads < 1:
+        raise InvalidParameter("threads", "thread count must be >= 1")
+
+
 def _run_chunks(n: int, worker, threads: int, draws: int = 1):
     """worker(batch) returns one partial per chunk of the batch, which it
     draws on draws streams; the partials are reduced in chunk order, so no
@@ -167,10 +178,7 @@ def _run_chunks(n: int, worker, threads: int, draws: int = 1):
     not heard from killed first; the error raised is this process's own,
     else that of the lowest failed worker.  Without os.fork w is 1.  n and
     threads are at least 1."""
-    if n < 1:
-        raise InvalidParameter("n", "path count must be >= 1")
-    if threads < 1:
-        raise InvalidParameter("threads", "thread count must be >= 1")
+    _require_run(n, threads)
     threads = min(threads, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                   else os.cpu_count() or 1)
     batches = _batches(n, threads, draws)
@@ -234,37 +242,68 @@ class _Readers(NamedTuple):
     record_lows: Callable  # (depth) -> path_engine.RecordLows
 
 
+def _require_steps(eng, k):
+    if eng == "euler" and k < 1:
+        raise InvalidParameter("k", "the Euler engine needs a positive step count")
+
+
 def _chunk_readers(spec, params, horizon, k, eng, streams, chunks) -> _Readers:
     """The paths of a batch of (ci, m) chunks on each stream s of a job,
-    chunk ci's m paths of X - x0 drawn in one call on s.for_path(ci), stream by
-    stream and in chunk order: the columns of one EventColumns for the
-    exact engine, laid side by side, and the rows of one (S * M, k)
-    increment matrix for Euler, filled chunk by chunk; draw s is paths
-    s * M to s * M + M.  Returns the two readings of the lane set: the
-    LaneFlows of floored (start, threshold) lanes, each on the path of the
-    lane set it is given, and the RecordLows of the paths refracted at 0.
-    Each reader holds the draws alive for as long as it is kept."""
-    rows = _chunk_rows(chunks)
-    m = rows[-1].stop
+    chunk ci's m paths of X - x0 drawn on s.for_path(ci), stream by stream
+    and in chunk order: the columns of one EventColumns for the exact
+    engine, laid side by side, and the rows of an (S * M, k) increment
+    matrix for Euler, drawn window by window (_batch_windows); draw s is
+    paths s * M to s * M + M.  Returns the two readings of the lane set:
+    the LaneFlows of floored (start, threshold) lanes, each on the path of
+    the lane set it is given, and the RecordLows of the paths refracted at
+    0.  An exact reader holds the draws alive for as long as it is kept;
+    each Euler reading draws the windows of the draws it reads anew and
+    holds one at a time."""
+    per, mu = _chunk_rows(chunks)[-1].stop, mean_drift(spec)  # per: paths per draw
+    m = len(streams) * per
     if eng == "exact":
         columns = EventColumns.side_by_side((sample_path(spec, horizon, mi, s.for_path(ci))
-                                             for s in streams for ci, mi in chunks),
-                                            len(streams) * m)
+                                             for s in streams for ci, mi in chunks), m)
         return _Readers(partial(path_engine.floored_lane_sweep, columns, alpha=params.alpha,
-                                q=params.q, mu=mean_drift(spec)),
+                                q=params.q, mu=mu),
                         partial(path_engine.refracted_record_lows, columns, params.alpha,
-                                params.q, mean_drift(spec)))
-    if k < 1:
-        raise InvalidParameter("k", "the Euler engine needs a positive step count")
-    incs = np.empty((len(streams) * m, k))
-    for s, stream in enumerate(streams):
-        for (ci, mi), r in zip(chunks, rows):
-            grid_increments(spec, horizon, k, mi, stream.for_path(ci),
-                            out=incs[s * m + r.start:s * m + r.stop])
+                                params.q, mu))
+    _require_steps(eng, k)
+    _require_draw(horizon, m)  # before any reading, which draws as it steps
     dt = horizon / k
-    return _Readers(partial(euler_lane_flows, incs, alpha=params.alpha, dt=dt, q=params.q,
-                            mu=mean_drift(spec)),
-                    partial(euler_record_lows, incs, params.alpha, dt, params.q, mean_drift(spec)))
+
+    def lane_flows(x, b, spliced, path):
+        s0, s1 = path.min() // per, path.max() // per + 1  # draw only the draws the lanes read
+        return euler_lane_flows(_batch_windows(spec, horizon, k, streams[s0:s1], chunks),
+                                ((s1 - s0) * per, k), x, b, spliced, params.alpha, dt, params.q,
+                                mu, path - s0 * per)
+
+    def record_lows(depth=math.inf):
+        return euler_record_lows(_batch_windows(spec, horizon, k, streams, chunks), (m, k),
+                                 params.alpha, dt, params.q, mu, depth)
+
+    return _Readers(lane_flows, record_lows)
+
+
+def _batch_windows(spec, horizon, k, streams, chunks):
+    """The windows of a batch's (S * M, k) increment matrix in order, each
+    an (S * M, w) view of one buffer that the next overwrites: chunk ci's m
+    rows of draw s are the next window of levy_model.grid_windows on
+    s.for_path(ci), so each chunk's draw is read once, in its stream
+    order."""
+    rows = _chunk_rows(chunks)
+    m = rows[-1].stop
+    draws = [(slice(s * m + r.start, s * m + r.stop),
+              grid_windows(spec, horizon, k, mi, stream.for_path(ci)))
+             for s, stream in enumerate(streams) for (ci, mi), r in zip(chunks, rows)]
+    # a row is a cache line longer than a window, so no column is read at
+    # a power-of-two stride
+    buf = np.empty((len(streams) * m, min(TILE_KNOTS, k) + 8))
+    for i0 in range(0, k, TILE_KNOTS):
+        incs = buf[:, :min(TILE_KNOTS, k - i0)]
+        for r, window in draws:
+            incs[r] = next(window)
+        yield incs
 
 
 # threshold-free translated sweep --------------------------------------------
@@ -331,10 +370,15 @@ def nu_curve(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
         raise InvalidParameter("grid", "threshold grid must be non-empty and finite")
     if np.any(np.diff(bgrid) <= 0):
         raise InvalidParameter("grid", "threshold grid must be strictly increasing")
-    pos = bgrid >= 0.0
-    draw = partial(_chunk_readers, spec, params, horizon, k, _engine_for(spec, engine))
-    sums, cens = _run_chunks(n, partial(_nu_chunk, draw, params, bgrid[pos], stream), threads)
+    pos, eng = bgrid >= 0.0, _engine_for(spec, engine)
     curve = np.tile([1.0, 0.0, 0.0], (bgrid.size, 1))
+    if not pos.any():  # nothing to simulate: no draw, but the checks of one
+        _require_run(n, threads)
+        _require_draw(horizon, n)
+        _require_steps(eng, k)
+        return NuCurve(bgrid, *curve.T.copy())
+    draw = partial(_chunk_readers, spec, params, horizon, k, eng)
+    sums, cens = _run_chunks(n, partial(_nu_chunk, draw, params, bgrid[pos], stream), threads)
     for i, est in zip(np.flatnonzero(pos), map(partial(_estimate, n=n), sums.tolist(), cens)):
         curve[i] = est.mean, est.std_error, est.censored_fraction
     return NuCurve(bgrid, *curve.T.copy())
@@ -387,7 +431,8 @@ def _run_sums(draw, params, streams, points, chunks):
     s_j * M + i of the lane set.  Points step in blocks of at most
     BLOCK_LANES lanes (and at least one point), one pass each; lanes are
     independent, so the blocking never changes a byte, and a run without
-    points draws nothing."""
+    points draws nothing.  An Euler block draws its windows anew, so a run
+    holds one block's lanes and one window at a time."""
     rows = _chunk_rows(chunks)
     m = rows[-1].stop
     sums, cens = np.zeros((len(rows), len(points), 9)), np.zeros((len(rows), len(points)))
@@ -395,15 +440,23 @@ def _run_sums(draw, params, streams, points, chunks):
     step = max(1, BLOCK_LANES // m)
     for j in range(0, len(points), step):
         x, b, spliced, s = (np.array(c) for c in zip(*points[j:j + step]))
-        fl = lane_flows(x, b, spliced, path=s[:, None] * m + np.arange(m))
-        a, d, censored = _value_terms(params, fl, spliced)
-        c = fl.c
-        moments = (a, a * a, d, d * d, a * d, c, c * c, a * c, d * c)
-        for ci, r in enumerate(rows):
-            # each point's sums reduce along its own contiguous row
-            sums[ci, j:j + step] = np.stack([t[:, r].sum(axis=1) for t in moments], axis=1)
-            cens[ci, j:j + step] = censored[:, r].sum(axis=1)
+        # the block's flows and terms are freed before the next block steps
+        _block_sums(params, lane_flows(x, b, spliced, path=s[:, None] * m + np.arange(m)),
+                    spliced, rows, sums[:, j:j + step], cens[:, j:j + step])
     return list(zip(sums, cens))
+
+
+def _block_sums(params, fl, spliced, rows, sums, cens):
+    """Write the moment sums and censored counts of a block's LaneFlows fl
+    into sums and cens, (chunks, points, 9) and (chunks, points): chunk ci
+    sums the paths rows[ci] of each point."""
+    a, d, censored = _value_terms(params, fl, spliced)
+    c = fl.c
+    moments = (a, a * a, d, d * d, a * d, c, c * c, a * c, d * c)
+    for ci, r in enumerate(rows):
+        # each point's sums reduce along its own contiguous row
+        sums[ci] = np.stack([t[:, r].sum(axis=1) for t in moments], axis=1)
+        cens[ci] = censored[:, r].sum(axis=1)
 
 
 def _estimate(sums, cens, n, cd=0.0, cd_se=0.0):

@@ -9,10 +9,12 @@ control (mean_drift), evaluates the characteristic exponent, and samples
 m paths of X - x0 at once, whatever start a reader gives them, with one
 sampler per engine: sample_path draws them exactly (sigma = 0) as
 EventColumns, the padded event columns that the lane stepper of
-path_engine reads, and grid_increments on a uniform grid as an (m, k)
-increment matrix.  Both read one jump draw per stream (_jump_draw):
-Poisson counts of the m paths, uniform times and signed marks.
-grid_increments bins it into steps; sample_path scatters it into the
+path_engine reads, and grid_windows on a uniform grid as the windows of an
+(m, k) increment matrix, TILE_KNOTS steps each (grid_increments puts them
+side by side).  Both read the jump draw of _jump_draw: Poisson counts of
+the m paths, uniform times and signed marks.  grid_windows bins it into
+steps, a draw per window when sigma > 0 and one for the whole horizon
+when sigma = 0; sample_path scatters the whole-horizon draw into the
 columns.
 """
 
@@ -22,6 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+TILE_KNOTS = 256  # steps per window of the Euler draw, a multiple of strategy_engine.BLOCK_KNOTS
 
 
 class InvalidParameter(ValueError):
@@ -512,35 +517,78 @@ def _jump_draw(spec: JumpDiffusionSpec, horizon: float, m: int, rng: np.random.G
                comp.marks.sample(tot, rng) * comp.sign)
 
 
-def grid_increments(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
-                    stream: RngStream, out=None) -> np.ndarray:
-    """(m, k) step increments of m grid paths of X - x0 on [0, horizon],
-    jumps binned rightward: the Euler engine's draw.  Deterministic in stream.
+def grid_windows(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
+                 stream: RngStream):
+    """The Euler engine's draw: the (m, k) step increments of m grid paths of
+    X - x0 on [0, horizon], jumps binned rightward, as an iterator of its
+    windows, the (m, w) columns of TILE_KNOTS steps each but the last.
+    Deterministic in stream, whose one generator the windows read in order.
 
     Each step holds the compensated drift, the Gaussian part, and the jumps
-    in (t_{j-1}, t_j].  The draws come in a fixed order: all Gaussians, then
-    _jump_draw, each component binned as it is drawn, in the order of the
-    whole draw.  Every Euler reader draws through it.  out, a C-contiguous
-    (m, k) array such as a block of rows of a batch matrix, is filled and
-    returned.
+    in (t_{j-1}, t_j].  With sigma > 0 each window draws its Gaussians, then
+    its own _jump_draw over its span, each component binned as it is drawn;
+    a window ends at its last knot, the horizon for the last.  With sigma =
+    0 the whole-horizon _jump_draw comes first, as sample_path reads it, and
+    each window bins its share, in the order of the draw.  So k <=
+    TILE_KNOTS is one window, the draw of the whole matrix at once.
     """
     _require_draw(horizon, m)
     _require(k >= 1, "k", "grid steps must be >= 1")
-    rng = stream.generator()
+    return _windows(spec, horizon, k, m, stream.generator())
+
+
+def _windows(spec, horizon, k, m, rng):
     dt = horizon / k
-    incs = np.empty((m, k)) if out is None else out
+    shares = [] if spec.sigma > 0 else _shares(spec, horizon, k, m, rng)
+    for tau, i0 in enumerate(range(0, k, TILE_KNOTS)):
+        w = min(TILE_KNOTS, k - i0)
+        if spec.sigma > 0:
+            span = horizon if w == k else w * dt
+            jumps = ((rows, np.clip(np.ceil(times / dt).astype(int) - 1, 0, w - 1), sizes)
+                     for rows, times, sizes in _jump_draw(spec, span, m, rng))
+        else:
+            jumps = ((rows[c[tau]:c[tau + 1]], bins[c[tau]:c[tau + 1]] - i0,
+                      sizes[c[tau]:c[tau + 1]]) for rows, bins, sizes, c in shares)
+        yield _window(spec, m, w, dt, rng, jumps)  # held by no frame here once yielded
+
+
+def _shares(spec, horizon, k, m, rng):
+    """The whole-horizon _jump_draw as (rows, bins, sizes, cuts) per
+    component: its jumps binned into the k steps, by window and in draw
+    order within one, window tau's at cuts[tau]:cuts[tau + 1]."""
+    shares = []
+    for rows, times, sizes in _jump_draw(spec, horizon, m, rng):
+        bins = np.clip(np.ceil(times / (horizon / k)).astype(int) - 1, 0, k - 1)
+        if k > TILE_KNOTS:  # one window takes them as they are
+            order = np.argsort(bins // TILE_KNOTS, kind="stable")
+            rows, bins, sizes = rows[order], bins[order], sizes[order]
+        cuts = np.searchsorted(bins // TILE_KNOTS, np.arange(-(-k // TILE_KNOTS) + 1))
+        shares.append((rows, bins, sizes, cuts.tolist()))
+    return shares
+
+
+def _window(spec, m, w, dt, rng, jumps):
+    """One (m, w) window: the compensated drift and, with sigma > 0, the
+    Gaussians drawn on rng, then the (rows, bins, sizes) of jumps binned
+    into its steps, each component as it comes."""
+    incs = np.empty((m, w))
     if spec.sigma > 0:
         rng.standard_normal(out=incs)
         incs *= spec.sigma * math.sqrt(dt)
         incs += _compensated_drift(spec) * dt
     else:
         incs.fill(_compensated_drift(spec) * dt)
-    flat = incs.reshape(-1)
-    assert np.may_share_memory(flat, incs)  # a view, as incs is C-contiguous
-    for rows, times, sizes in _jump_draw(spec, horizon, m, rng):
-        bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
-        np.add.at(flat, rows * k + bins, sizes)  # the adds of the 2-D call, in its order
+    flat = incs.reshape(-1)  # a view: the adds of the 2-D call, in its order
+    for rows, bins, sizes in jumps:
+        np.add.at(flat, rows * w + bins, sizes)
     return incs
+
+
+def grid_increments(spec: JumpDiffusionSpec, horizon: float, k: int, m: int,
+                    stream: RngStream) -> np.ndarray:
+    """The (m, k) increment matrix of grid_windows, its windows side by side."""
+    windows = list(grid_windows(spec, horizon, k, m, stream))
+    return windows[0] if len(windows) == 1 else np.concatenate(windows, axis=1)
 
 
 def sample_path(spec: JumpDiffusionSpec, horizon: float, m: int, stream: RngStream):

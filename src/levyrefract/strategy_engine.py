@@ -10,15 +10,18 @@ SegmentTable of one EventColumns draw per start, one row per segment with
 the lumps paid at its start, which the property oracle and sample-path
 (ControlledTrajectory.from_exact) read through path_engine.read_segments.
 The Monte Carlo estimators run the flows reader of the same lane stepper
-instead.  The Euler engine runs the discrete three-branch recursion on the rows of an
-increment matrix (euler_steps), and its two readers give the estimators
+instead.  The Euler engine runs the discrete three-branch recursion on the
+rows of an increment matrix (euler_steps), read window by window as
+levy_model.grid_windows draws it, and its two readers give the estimators
 what the two readers of path_engine.event_steps give them on event paths:
 euler_lane_flows the LaneFlows of floored lanes, and euler_record_lows the
-RecordLows of the paths refracted at 0.
+RecordLows of the paths refracted at 0.  None of them needs the whole
+matrix, and a whole matrix is one window.
 
 euler_steps advances its lanes BLOCK_KNOTS knots at a time and steps only
 the lanes whose block its certificate leaves open; the readers take whole
-blocks, and every reading equals that of one-knot steps bit for bit.
+blocks, and every reading equals that of one-knot steps bit for bit,
+whatever the windows.
 euler_lane_flows shares the lane bookkeeping of the exact flows reader
 (path_engine.Lanes): a spliced lane leaves at a block edge once both its
 passage times are known, in drops that path_engine.drop_due allows.  The
@@ -168,82 +171,93 @@ def _step(out, step, b, lhat, rhat, floor, pay):
     lhat[step], rhat[step] = lh, rh
 
 
-def euler_steps(x, increments: np.ndarray, b, alpha: float, dt: float,
-                floor: bool, path=None):
-    """Three-branch Euler recursion, vectorised over the rows of increments
-    and advanced BLOCK_KNOTS knots at a time.
+def euler_steps(x, windows, shape, b, alpha: float, dt: float, floor: bool, path=None):
+    """Three-branch Euler recursion, vectorised over the rows of a driver's
+    increments and advanced BLOCK_KNOTS knots at a time.
 
-    increments is an (m, k) matrix of driver steps.  x and b are scalars or
-    (J, 1) arrays; they broadcast against the rows, so one pass serves every
-    (x, b) point: lane (j, i), in row-major order, runs row i from x[j] with
-    threshold b[j].  The centred driver X-hat sits at knots 0..k-1 (a
-    leading 0, then a running sum of the increments); the dividend account
-    L-hat starts at 0 and the injection account R-hat at the top-up
-    max(0, -x), or 0 without floor.  At each step j = 1..k-1 the state
-    x + X-hat_j - L-hat is corrected to s = state + R-hat and takes one
-    branch: s < 0 tops R-hat up to -state (only when floor is set); s > b
-    pays one dividend step, alpha * dt, or s - b when alpha is infinite;
-    otherwise both accounts carry over.  Ties fall to the carry-over branch.
+    windows yields the (m, k) increment matrix, shape, in windows side by
+    side: (m, w) arrays, each but the last a whole number of BLOCK_KNOTS
+    steps; a matrix is one window.  x and b are scalars or (J, 1) arrays;
+    they broadcast against the rows, so one pass serves every (x, b) point:
+    lane (j, i), in row-major order, runs row i from x[j] with threshold
+    b[j].  The centred driver X-hat sits at knots 0..k-1 (a leading 0, then
+    a running sum of the increments); the dividend account L-hat starts at
+    0 and the injection account R-hat at the top-up max(0, -x), or 0
+    without floor.  At each step j = 1..k-1 the state x + X-hat_j - L-hat
+    is corrected to s = state + R-hat and takes one branch: s < 0 tops
+    R-hat up to -state (only when floor is set); s > b pays one dividend
+    step, alpha * dt, or s - b when alpha is infinite; otherwise both
+    accounts carry over.  Ties fall to the carry-over branch.
 
     Each block is certified lane by lane (_certify): a floored lane whose s
     stays in (0, b] carries over, and with finite alpha one whose s stays
     above b pays alpha * dt at every knot.  The other lanes step knot by
-    knot (_step).  Per block of w knots the generator yields (lanes, state,
-    dl, dr, above): the stepped lanes' flat indices and states (before
-    R-hat), dividend and injection steps, (w, len(lanes)) in one buffer
-    overwritten at the next block, and the lanes that pay at every knot.
+    knot (_step).  Per block of w knots, the blocks of range(1, k,
+    BLOCK_KNOTS), the generator yields (incs, lanes, state, dl, dr, above):
+    the block's (m, w) increments, read in place, and the stepped lanes'
+    flat indices and states (before R-hat), dividend and injection steps,
+    (w, len(lanes)) in one buffer overwritten at the next block, and the
+    lanes that pay at every knot.
 
     A reader may drop lanes by sending (keep, path) in place of next():
     keep masks the current lanes, and path gives the row of increments of
     each lane kept.  Given path, a (J, m) or 1-D array of rows, lane l reads
     row path[l] from the start.
     """
-    m, k = increments.shape
+    m, k = shape
     rows = np.arange(m) if path is None else path
-    shape = np.broadcast_shapes(np.shape(x), np.shape(b), np.shape(rows))
-    row, x, b = (np.broadcast_to(a, shape).reshape(-1) for a in (rows, x, b))
+    lane_shape = np.broadcast_shapes(np.shape(x), np.shape(b), np.shape(rows))
+    row, x, b = (np.broadcast_to(a, lane_shape).reshape(-1) for a in (rows, x, b))
     lhat, rhat = np.zeros(row.size), np.where(floor & (x < 0.0), -x, 0.0)
     pay, buf = alpha * dt, np.empty(0)
     ramp = pay * np.arange(BLOCK_KNOTS + 1)[:, None] if alpha < math.inf else None
     xhat = np.empty((min(BLOCK_KNOTS, k) + 1, m))  # over the block, row 0 its left knot
     xhat[0] = -0.0  # -0.0 + a == a bit for bit
-    for j0 in range(1, k, BLOCK_KNOTS):
-        w = min(BLOCK_KNOTS, k - j0)
-        d = xhat[:w + 1]
-        for r in range(w):
-            np.add(d[r], increments[:, j0 - 1 + r], out=d[r + 1])
-        d, xhat[0] = d[1:], d[w]
-        step, above = _certify(d, x, b, lhat, rhat, row, floor, ramp)
-        paid = lhat[above]
-        for _ in range(w):
-            paid += pay
-        lhat[above] = paid
-        if buf.size < 3 * w * step.size:
-            buf = np.empty(3 * BLOCK_KNOTS * step.size)
-        out = buf[:3 * w * step.size].reshape(3, w, step.size)
-        d.take(row[step], axis=1, out=out[0])
-        out[0] += x[step]
-        _step(out, step, b, lhat, rhat, floor, pay)
-        sent = yield step, *out, above
-        if sent is not None:
-            keep, row = sent
-            x, b, lhat, rhat, row = x[keep], b[keep], lhat[keep], rhat[keep], np.reshape(row, -1)
+    i0 = 0  # the window's first step is to knot i0 + 1
+    for incs in windows:
+        if i0 % BLOCK_KNOTS:
+            raise ValueError("a window before the last must hold whole blocks")
+        for j in range(0, min(incs.shape[1], k - 1 - i0), BLOCK_KNOTS):
+            block = incs[:, j:min(j + BLOCK_KNOTS, k - 1 - i0)]
+            w = block.shape[1]
+            d = xhat[:w + 1]
+            for r in range(w):
+                np.add(d[r], block[:, r], out=d[r + 1])
+            d, xhat[0] = d[1:], d[w]
+            step, above = _certify(d, x, b, lhat, rhat, row, floor, ramp)
+            paid = lhat[above]
+            for _ in range(w):
+                paid += pay
+            lhat[above] = paid
+            if buf.size < 3 * w * step.size:
+                buf = np.empty(3 * BLOCK_KNOTS * step.size)
+            out = buf[:3 * w * step.size].reshape(3, w, step.size)
+            d.take(row[step], axis=1, out=out[0])
+            out[0] += x[step]
+            _step(out, step, b, lhat, rhat, floor, pay)
+            sent = yield block, step, *out, above
+            if sent is not None:
+                keep, row = sent
+                x, b, lhat, rhat = x[keep], b[keep], lhat[keep], rhat[keep]
+                row = np.reshape(row, -1)
+        i0 += incs.shape[1]
 
 
-def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
-                     q: float, mu: float, path) -> path_engine.LaneFlows:
+def euler_lane_flows(windows, shape, x, b, spliced, alpha: float, dt: float, q: float,
+                     mu: float, path) -> path_engine.LaneFlows:
     """The floored recursion on every (start, threshold) lane at once, read
     as path_engine.floored_lane_sweep reads the exact lane stepper.
 
-    Lane (j, i) runs row path[j, i] of incs for the (J, m) array path, from
-    x[j] with threshold b[j]; x, b and spliced have length J, and each
-    field has shape (J, m).  Step j is paid
-    at its knot time j * dt, discounted at exp(-q j dt), and it is the weak
-    passage time (t_weak) when it holds the lane's first state at or below
-    0; math.inf when none does.  A start below 0 is topped up at time 0,
-    undiscounted, and a start at or below 0 passes at time 0.  A spliced
-    lane halts its flows at its weak passage, that step's flows included,
-    and is done there.
+    windows yields the (m, k) increment matrix, shape, as to euler_steps,
+    each window read once, in turn.  Lane (j, i) runs row path[j, i] of the
+    increments for the (J, m) array path, from x[j] with threshold b[j]; x,
+    b and spliced have length J, and each field has shape (J, m).  Step j
+    is paid at its knot time j * dt, discounted at exp(-q j dt), and it is
+    the weak passage time (t_weak) when it holds the lane's first state at
+    or below 0; math.inf when none does.  A start below 0 is topped up at
+    time 0, undiscounted, and a start at or below 0 passes at time 0.  A
+    spliced lane halts its flows at its weak passage, that step's flows
+    included, and is done there.
 
     Each block is read at once: a passage is the first knot of a stepped
     lane that holds it, and a lane's discounted steps join its accounts in
@@ -253,16 +267,16 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     then a stopped lane's accounts are put back after each block.
 
     The control c is the martingale transform sum over steps j up to the
-    lane's stop of exp(-q (j - 1) dt) (incs[j - 1] - mu dt), discounted at
-    the left knot: the weak passage of a halting lane, else the last knot.
-    Each increment has mean mu dt, as the binned jumps have the exact law,
-    so c has mean 0, and a model without noise has c = 0 exactly.  It is
-    read at each stop off one running sum per row, one sum down each block.
+    lane's stop of exp(-q t_{j-1}) (dX_{j-1} - mu dt), t_{j-1} = (j - 1)
+    dt, discounted at the left knot: the weak passage of a halting lane,
+    else the last knot.  Each increment has mean mu dt, as the binned jumps
+    have the exact law, so c has mean 0, and a model without noise has c =
+    0 exactly.  It is read at each stop off one running sum per row, one
+    sum down each block.
     """
     x, b, spliced = (np.asarray(c)[:, None] for c in (x, b, spliced))
-    lo = path.min()  # step only the rows the lanes read
-    incs, path = incs[lo:path.max() + 1], path - lo
-    (m, k), per = incs.shape, path.shape[1]  # per: lanes per point
+    lo, hi = path.min(), path.max() + 1  # step only the rows the lanes read
+    path, per, k = path - lo, path.shape[1], shape[1]  # per: lanes per point
     lanes = path_engine.Lanes(path)
     dl, c, dr, weak, halt = (np.repeat(a, per) for a in (
         np.zeros(x.shape), np.zeros(x.shape), np.where(x < 0.0, -x, 0.0),
@@ -271,17 +285,20 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     open_w = weak == math.inf
     live = ~halt | open_w
     nw, done = np.count_nonzero(open_w), np.count_nonzero(~live)
-    t = dt * np.arange(k)
-    disc, w_left = np.array([math.exp(-q * tj) for tj in t.tolist()]), np.exp(-q * t)
-    ctl = np.zeros((min(BLOCK_KNOTS, k) + 1, m))  # each row's control, row 0 at the last block
-    steps = euler_steps(x, incs, b, alpha, dt, True, path)
+    # each row's control, row 0 at the last block
+    ctl = np.zeros((min(BLOCK_KNOTS, k) + 1, hi - lo))
+    steps = euler_steps(x, (incs[lo:hi] for incs in windows), (hi - lo, k), b, alpha, dt, True,
+                        path)
     keep = None
     for j0 in range(1, k, BLOCK_KNOTS):
-        at, state, step_l, step_r, above = steps.send(keep)
-        keep, w, knots = None, len(state), slice(j0, j0 + len(state))
+        block, at, state, step_l, step_r, above = steps.send(keep)
+        keep, w = None, len(state)
+        # the block's knot times and their discounts, and each step's at its left knot
+        t = dt * np.arange(j0 - 1, j0 + w)
+        disc, w_left = np.array([math.exp(-q * tj) for tj in t[1:].tolist()]), np.exp(-q * t[:-1])
         g = ctl[:w + 1]
-        np.subtract(incs[:, j0 - 1:j0 - 1 + w].T, mu * dt, out=g[1:])
-        g[1:] *= w_left[j0 - 1:j0 - 1 + w, None]
+        np.subtract(block.T, mu * dt, out=g[1:])
+        g[1:] *= w_left[:, None]
         stopped = at[~live[at]]
         held = dl[stopped], dr[stopped]
         inj = (np.fmax.reduce(step_r, axis=0, initial=0.0) > 0.0).nonzero()[0]
@@ -291,14 +308,14 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
         got = got[open_w[at[got]]]
         if got.size:
             first, lane = (state[:, got] <= 0.0).argmax(0), at[got]
-            weak[lane], open_w[lane], nw = t[knots][first], False, nw - got.size
+            weak[lane], open_w[lane], nw = t[1:][first], False, nw - got.size
             h = halt[lane]
             got, first, lane = got[h], first[h] + 1, lane[h]
             c[lane] = np.cumsum(g[:, lanes.path[lane]], axis=0)[first, np.arange(lane.size)]
             live[lane], upto[got], done = False, first, done + lane.size
         for acc, paid, sel in ((dl, step_l, slice(None)), (dr, step_r, inj)):
             paid = paid[:, sel]
-            paid *= disc[knots, None]
+            paid *= disc[:, None]
             part = (upto[sel] < w).nonzero()[0]
             if part.size:
                 cut = paid[:, part]
@@ -309,7 +326,7 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
         dl[stopped], dr[stopped] = held
         above = above[live[above]]
         total = dl[above]
-        for paid in (alpha * dt * disc[knots]).tolist() if above.size else ():
+        for paid in (alpha * dt * disc).tolist() if above.size else ():
             total += paid
         dl[above] = total
         ctl[0] = _sum_down(g)
@@ -324,10 +341,11 @@ def euler_lane_flows(incs: np.ndarray, x, b, spliced, alpha: float, dt: float,
     return lanes.flows(dl, dr, weak, c)
 
 
-def euler_record_lows(incs: np.ndarray, alpha: float, dt: float, q: float, mu: float,
+def euler_record_lows(windows, shape, alpha: float, dt: float, q: float, mu: float,
                       depth=math.inf) -> path_engine.RecordLows:
     """The record lows of the unfloored recursion refracted at 0 and started
-    at 0, one path per row of incs, as path_engine.refracted_record_lows
+    at 0, one path per row of the (m, k) increment matrix, shape, that
+    windows yields as to euler_steps, as path_engine.refracted_record_lows
     reads the exact paths.
 
     Knot 0 is 0.  A knot below the minimum of the knots before it is a
@@ -335,21 +353,20 @@ def euler_record_lows(incs: np.ndarray, alpha: float, dt: float, q: float, mu: f
     at t0 = dt * knot (invrate 0).  A lane that pays at every knot of a
     block stays above 0, and a block whose stepped minimum stays at or above
     the running minimum adds no record.  The control at knot j is that of
-    euler_lane_flows, sum over i < j of exp(-q i dt) (incs[i] - mu dt), in
+    euler_lane_flows, sum over i < j of exp(-q t_i) (incs[i] - mu dt), in
     the order of a row's cumsum (drain 0).  The lanes below -depth leave at
     a block edge when path_engine.drop_due allows.
     """
-    m, k = incs.shape
+    m, k = shape
     row, low = np.arange(m), np.zeros(m)  # each lane's row, and each row's low
-    w_left = np.exp(-q * dt * np.arange(k))
     ctl = np.zeros((min(BLOCK_KNOTS, k) + 1, m))  # each row's control, row 0 at the last block
-    recs, steps, keep = [], euler_steps(0.0, incs, 0.0, alpha, dt, floor=False), None
+    recs, steps, keep = [], euler_steps(0.0, windows, shape, 0.0, alpha, dt, floor=False), None
     for j0 in range(1, k, BLOCK_KNOTS):
-        at, state, _, _, _ = steps.send(keep)
+        block, at, state, _, _, _ = steps.send(keep)
         keep, w = None, len(state)
         g = ctl[:w + 1]
-        np.subtract(incs[:, j0 - 1:j0 - 1 + w].T, mu * dt, out=g[1:])
-        g[1:] *= w_left[j0 - 1:j0 - 1 + w, None]
+        np.subtract(block.T, mu * dt, out=g[1:])
+        g[1:] *= np.exp(-q * (dt * np.arange(j0 - 1, j0 - 1 + w)))[:, None]
         new = np.flatnonzero(state.min(0, initial=math.inf) < low[row[at]])
         path = row[at[new]]
         mins = np.minimum.accumulate(np.vstack((low[path], state[:, new])), axis=0)
@@ -374,7 +391,8 @@ def euler_record_lows(incs: np.ndarray, alpha: float, dt: float, q: float, mu: f
 def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,
                    dt: float):
     """(driver, Z, L-hat, R-hat, dividend steps) of the floored three-branch
-    recursion, one row per row of increments, on knots 0..k-1.
+    recursion, one row per row of increments, on knots 0..k-1: the matrix
+    read as one window.
 
     L-hat accumulates the dividend steps, written a block at a time.  R-hat
     is read back as the running maximum of the negative part of the state,
@@ -383,8 +401,8 @@ def _floored_euler(x: float, params: StrategyParams, increments: np.ndarray,
     """
     m, k = increments.shape
     dl = np.zeros((m, k))
-    steps = euler_steps(x, increments, params.b, params.alpha, dt, floor=True)
-    for j0, (at, _, dl_block, _, above) in zip(range(1, k, BLOCK_KNOTS), steps):
+    steps = euler_steps(x, (increments,), (m, k), params.b, params.alpha, dt, floor=True)
+    for j0, (_, at, _, dl_block, _, above) in zip(range(1, k, BLOCK_KNOTS), steps):
         dl[at, j0:j0 + len(dl_block)] = dl_block.T
         dl[above, j0:j0 + len(dl_block)] = params.alpha * dt
     lhat = np.cumsum(dl, axis=1)

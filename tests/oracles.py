@@ -43,9 +43,10 @@ dividends, independently of the sweep's injection bookkeeping, and
 budget_residual checks the budget of a ControlledTrajectory.
 draw_random_bv_setup draws the random models of the randomized sweeps,
 and reference_config_text reads a shipped config
-with some of its keys set.  concatenated_grid_increments bins the whole
-jump draw of the grid sampler in one np.add.at, the reference for the
-sampler's binning of each component as it is drawn, and
+with some of its keys set.  concatenated_grid_increments bins each jump
+draw of the grid sampler, a window's or the whole horizon's, in one
+np.add.at, the reference for the sampler's window order and its binning
+of each component as it is drawn, and
 column_sorted_columns is the exact sampler that sorted columns, the
 reference of the one that sorts path-major rows.  euler_exact_gap
 measures the Euler recursion against the exact trajectories on shared
@@ -61,8 +62,8 @@ import numpy as np
 
 from levyrefract.estimation import BATCH, CHUNK, CONTROL_RTOL, McEstimate
 from levyrefract.levy_model import (
-    EventColumns, Exponential, InvalidParameter, JumpDiffusionSpec, PointMass, Uniform,
-    Weibull, _compensated_drift, _jump_draw, mean_drift, sample_path,
+    TILE_KNOTS, EventColumns, Exponential, InvalidParameter, JumpDiffusionSpec, PointMass,
+    Uniform, Weibull, _compensated_drift, _jump_draw, mean_drift, sample_path,
 )
 from levyrefract.path_engine import (
     BRANCH_ABOVE, BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, read_segments, trajectory_table,
@@ -697,20 +698,28 @@ def budget_residual(traj) -> float:
     return float(np.max(np.abs(traj.z - (traj.driver - traj.l + traj.r))))
 
 
-def concatenated_grid_increments(spec, horizon, k, m, rng):
-    """The (m, k) grid increments of m paths: the Gaussians, then the whole
-    jump draw concatenated and binned rightward in one np.add.at."""
+def concatenated_grid_increments(spec, horizon, k, m, rng, tile=TILE_KNOTS):
+    """The (m, k) grid increments of m paths in windows of tile steps, each
+    jump draw concatenated and binned rightward in one np.add.at: with sigma
+    > 0 each window's Gaussians, then the jump draw over its span, which
+    ends at its last knot, the horizon for the last; with sigma = 0 the
+    whole-horizon jump draw, on the whole matrix.  tile = k is the draw of
+    the whole matrix at once."""
     dt = horizon / k
     drift = _compensated_drift(spec) * dt
-    if spec.sigma > 0:
-        incs = rng.standard_normal((m, k)) * (spec.sigma * math.sqrt(dt)) + drift
-    else:
-        incs = np.full((m, k), drift)
-    rows, times, sizes = (np.concatenate(a) for a in zip(
-        (np.empty(0, dtype=int), np.empty(0), np.empty(0)), *_jump_draw(spec, horizon, m, rng)))
-    bins = np.clip(np.ceil(times / dt).astype(int) - 1, 0, k - 1)
-    np.add.at(incs, (rows, bins), sizes)
-    return incs
+    parts = []
+    spans = [(k, horizon)] if spec.sigma == 0 or tile >= k else [
+        (min(tile, k - i0), min(tile, k - i0) * dt) for i0 in range(0, k, tile)]
+    for w, span in spans:
+        if spec.sigma > 0:
+            part = rng.standard_normal((m, w)) * (spec.sigma * math.sqrt(dt)) + drift
+        else:
+            part = np.full((m, w), drift)
+        rows, times, sizes = (np.concatenate(a) for a in zip(
+            (np.empty(0, dtype=int), np.empty(0), np.empty(0)), *_jump_draw(spec, span, m, rng)))
+        np.add.at(part, (rows, np.clip(np.ceil(times / dt).astype(int) - 1, 0, w - 1)), sizes)
+        parts.append(part)
+    return np.concatenate(parts, axis=1)
 
 
 def column_sorted_columns(spec, horizon, m, stream) -> EventColumns:
@@ -804,7 +813,7 @@ def euler_knots(steps, shape, pay):
     not step have state NaN there, and dl = pay (alpha * dt) for those
     that pay it at every knot.  Every array is new."""
     n = math.prod(shape)
-    for lanes, *block, above in steps:
+    for _, lanes, *block, above in steps:
         for knot in zip(*block):
             out = (np.full(n, math.nan), np.zeros(n), np.zeros(n))
             out[1][above] = pay

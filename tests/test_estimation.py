@@ -14,7 +14,7 @@ import pytest
 
 from levyrefract.levy_model import (
     EventColumns, InvalidParameter, JumpDiffusionSpec, RngStream, Uniform, Weibull,
-    grid_increments, is_case2, mean_drift, net_drift, sample_path,
+    TILE_KNOTS, grid_increments, grid_windows, is_case2, mean_drift, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
 from levyrefract.path_engine import refracted_record_lows, trajectory_table
@@ -50,6 +50,24 @@ def params(b=1.0, alpha=0.5):
 def draw(spec, pp, horizon, k=0, engine="exact"):
     """The estimators' chunk draw with its two readers."""
     return partial(_chunk_readers, spec, pp, horizon, k, engine)
+
+
+def cut(incs, widths=None):
+    """The increment matrix incs as windows of the given widths, side by
+    side, or as one window."""
+    ends = np.cumsum([0] + list(widths or [incs.shape[1]]))
+    return (incs[:, a:z] for a, z in zip(ends, ends[1:]))
+
+
+def lane_flows(incs, xs, bs, spliced, alpha, dt, q, mu, path, windows=None):
+    """euler_lane_flows read off the increment matrix incs, cut (above)."""
+    return euler_lane_flows(cut(incs, windows), incs.shape, xs, bs, spliced, alpha, dt, q, mu,
+                            path)
+
+
+def record_lows(incs, alpha, dt, q, mu, windows=None):
+    """euler_record_lows read off incs as lane_flows reads it."""
+    return euler_record_lows(cut(incs, windows), incs.shape, alpha, dt, q, mu)
 
 
 def chunk_paths(spec, horizon, stream, ci, m):
@@ -432,12 +450,41 @@ def test_a_bad_threshold_start_or_grid_is_refused_before_a_draw(
         raise AssertionError("drew before refusing")
 
     monkeypatch.setattr(estimation, "sample_path", no_draw)
-    monkeypatch.setattr(estimation, "grid_increments", no_draw)
+    monkeypatch.setattr(estimation, "grid_windows", no_draw)
     spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 10)
     field, call = BAD_INPUT_CALLS[name]
     with pytest.raises(InvalidParameter) as err:
         call(spec, k, RngStream(145, tag=1))
     assert err.value.field_name == field
+
+
+@pytest.mark.parametrize("engine", ["exact", "euler"])
+def test_a_grid_below_0_draws_nothing(ref_spec_bv, ref_spec_gauss, engine, monkeypatch):
+    """nu is 1 below 0 by convention, so a grid without a threshold >= 0
+    runs no chunk: neither sampler is called, the curve is 1 with SE 0 and
+    nothing censored, and a path count, horizon or Euler step count that a
+    run refuses is still refused."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("drew for a grid below 0")
+
+    monkeypatch.setattr(estimation, "sample_path", counted)
+    monkeypatch.setattr(estimation, "grid_windows", counted)
+    spec, k = (ref_spec_bv, 0) if engine == "exact" else (ref_spec_gauss, 10)
+    curve = nu_curve(params(), spec, [-1.0, -0.5], 5.0, k, 256, RngStream(146, tag=1),
+                     engine=engine, threads=2)
+    assert not calls
+    assert curve.grid.tobytes() == np.array([-1.0, -0.5]).tobytes()
+    assert curve.values.tobytes() == np.ones(2).tobytes()
+    assert curve.std_errors.tobytes() == curve.censored_fractions.tobytes() == bytes(16)
+    assert curve.to_csv() == "b,nu,se\n-1,1,0\n-0.5,1,0\n"
+    for field, args in (("n", (5.0, k, 0)), ("horizon", (-5.0, k, 8)),
+                        ("k", (5.0, 0, 8)) if engine == "euler" else ("horizon", (math.inf, k, 8))):
+        with pytest.raises(InvalidParameter) as err:
+            nu_curve(params(), spec, [-1.0], *args, RngStream(146, tag=1), engine=engine)
+        assert err.value.field_name == field
 
 
 @pytest.mark.parametrize("engine", ["exat", "Exact", "", "gpu"])
@@ -524,7 +571,8 @@ def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q, mu):
         dr = np.full(m, -x if x < 0.0 else 0.0)
         weak = np.full(m, 0.0 if x <= 0.0 else math.inf)
         w_left = np.exp(-q * (dt * np.arange(incs.shape[1])))
-        steps = euler_knots(euler_steps(x, incs, b, alpha, dt, floor=True), (m,), alpha * dt)
+        steps = euler_knots(euler_steps(x, [incs], incs.shape, b, alpha, dt, floor=True), (m,),
+                            alpha * dt)
         for j, (state, step_l, step_r) in enumerate(steps, start=1):
             t = dt * j
             disc = math.exp(-q * t)
@@ -564,7 +612,7 @@ class TestEulerRunSums:
             return euler_steps(*args, **kw)
 
         monkeypatch.setattr(strategy_engine, "euler_steps", counted)
-        got = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q, mu, every_path(7, 256))
+        got = lane_flows(incs, xs, bs, halts, alpha, 5.0 / k, Q, mu, every_path(7, 256))
         assert len(passes) == 1  # one recursion pass serves every point
         for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.shape == (len(xs), 256)
@@ -592,10 +640,10 @@ class TestEulerRunSums:
         clean[:, 5:] = 0.0
         incs[:, 5:] = np.nan
         xs, bs = (-0.4, 0.0, 0.5, 2.0, 6.0), (1.2, 1.2, 0.0, 1.2, 1.2)
-        got = euler_lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0, every_path(5, 64))
+        got = lane_flows(incs, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0, every_path(5, 64))
         assert all(np.all(np.isfinite(f)) for f in (got.dl, got.dr, got.c))
         assert np.all(got.t_weak <= 3 * 0.1)
-        want = euler_lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0, every_path(5, 64))
+        want = lane_flows(clean, xs, bs, [True] * 5, alpha, 0.1, Q, 0.0, every_path(5, 64))
         for f in FIELDS:
             assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
 
@@ -621,7 +669,7 @@ class TestEulerRunSums:
             return drop(lanes, done, *fields)
 
         monkeypatch.setattr(path_engine.Lanes, "drop", counted)
-        got = euler_lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q, 0.3, every_path(9, 48))
+        got = lane_flows(incs, xs, bs, halts, alpha, horizon / k, Q, 0.3, every_path(9, 48))
         assert len(drops) >= 4  # at block edges, where the 1/8 rule takes more at once
         for g, w in zip((getattr(got, f) for f in FIELDS), want):
             assert g.tobytes() == w.tobytes()
@@ -636,7 +684,7 @@ class TestValueBlocks:
                                            engine, lanes, monkeypatch):
         """Points run in blocks of at most BLOCK_LANES lanes (one point at
         least): 1 lane is one point per block, 300 lanes two points of 128
-        paths.  An Euler run draws its increments once for every block."""
+        paths.  An Euler block draws its increments anew, once."""
         points = [(x, b, spliced, 0) for x, b in
                   [(-0.4, 1.2), (0.0, 1.2), (0.0, 0.0), (0.6, 1.2), (1.2, 1.2),
                    (2.5, 1.2), (0.6, 2.0)] for spliced in (True, False)]
@@ -649,14 +697,44 @@ class TestValueBlocks:
 
         def counted(*a, **kw):
             draws.append(a)
-            return grid_increments(*a, **kw)
+            return grid_windows(*a, **kw)
 
-        monkeypatch.setattr(estimation, "grid_increments", counted)
+        monkeypatch.setattr(estimation, "grid_windows", counted)
         monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
         (got,) = _run_sums(*args)
-        assert len(draws) == (engine == "euler")
+        assert len(draws) == (len(points) // max(1, lanes // 128) if engine == "euler" else 0)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("lanes", [300, 600])
+    def test_each_point_block_reads_each_window_once(self, ref_spec_gauss, lanes, monkeypatch):
+        """A value job on two draws of three chunks of 100 paths, K = 600
+        (three windows), in 5 or 3 blocks of points: each block draws each
+        chunk of the draws its lanes read once, and reads every window of it
+        once, and the estimates are those of the one-block run."""
+        args = ([-0.4, 0.0, 0.6, 1.5, 2.5], [1.2, 2.0, 1.2, 1.2, 2.0], params(b=1.2),
+                ref_spec_gauss, 5.0, 600, 300, RngStream(195, tag=4))
+        monkeypatch.setattr(estimation, "CHUNK", 100)
+        want = value_curve(*args, engine="euler")
+        draws, windows, blocks = [], [], []
+
+        def reader(windows, shape, x, *args):
+            blocks.append((len(x), shape[0] // 300))  # (points, draws read)
+            return euler_lane_flows(windows, shape, x, *args)
+
+        def counted(spec, horizon, k, m, stream):
+            draws.append((len(blocks), stream.id))
+            for window in grid_windows(spec, horizon, k, m, stream):
+                windows.append((len(blocks), stream.id))
+                yield window
+
+        monkeypatch.setattr(estimation, "grid_windows", counted)
+        monkeypatch.setattr(estimation, "euler_lane_flows", reader)
+        monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
+        assert value_curve(*args, engine="euler") == want
+        assert blocks == ([(1, 1)] * 5 if lanes == 300 else [(2, 1), (2, 2), (1, 1)])
+        assert len(draws) == len(set(draws)) == 3 * sum(s for _, s in blocks)
+        assert sorted(windows) == sorted(draws * 3)
 
 
 class TestOneLanePass:
@@ -665,9 +743,9 @@ class TestOneLanePass:
 
     POINTS = [(-0.4, 1.2, True), (0.0, 1.2, False), (0.6, 1.2, True), (2.5, 2.0, False),
               (1.2, 1.2, True), (0.0, 0.0, False), (0.6, 2.0, True), (2.5, 1.2, True)]
-    # the traced peak of the two-draw Euler batch below, in bytes (9.38 MiB,
-    # measured with numpy 2.4)
-    TWO_DRAW_EULER_PEAK = 9_840_000
+    # the traced peak of the two-draw Euler batch below at K = 2,000, in
+    # bytes (3.33 MiB, measured with numpy 2.4)
+    TWO_DRAW_EULER_PEAK = 3_496_000
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     @pytest.mark.parametrize("engine", ["exact", "euler"])
@@ -737,30 +815,54 @@ class TestOneLanePass:
         monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(estimation, "BLOCK_LANES", lanes)
         got = value_curve(*args, engine=engine)
-        widths = [a[0].counts.size if engine == "exact" else len(a[1]) for a in made]
+        widths = [a[0].counts.size if engine == "exact" else a[2][0] for a in made]
         assert widths == ([512] if lanes == 2 ** 16 else [256, 512])
         assert got == want
 
-    def test_a_two_draw_euler_batch_holds_two_matrices(self, ref_spec_gauss):
-        """The traced peak of one value batch on two draws of 256 paths at
-        K = 2,000: the (512, 2000) increment matrix, 7.8 MiB, and the lane
-        arrays.  The bound is the measured peak plus 10 %, so a change that
-        holds a third copy of the draws fails it."""
+    @staticmethod
+    def two_draw_euler_peak(spec, k, copies=1):
+        """The traced peak of one value batch on two draws of 256 paths, T =
+        100 and K = k: 18 points, 15 starts on the main draw and 3 at-0
+        anchors on theirs, the 18 taken copies times in turn."""
         pp = StrategyParams(b=2.15, alpha=0.5, beta=BETA, q=Q)
         xs = np.arange(-1.0, 3.99, 0.75)
         points = ([(x, b, True, 0) for b in (1.45, 2.15, 2.9) for x in xs if x > 0]
-                  + [(0.0, b, False, 1) for b in (1.45, 2.15, 2.9)])
+                  + [(0.0, b, False, 1) for b in (1.45, 2.15, 2.9)]) * copies
         stream = RngStream(192, tag=4)
-        args = (draw(ref_spec_gauss, pp, 100.0, 2000, "euler"), pp,
+        args = (draw(spec, pp, 100.0, k, "euler"), pp,
                 (stream, stream.with_tag(4 + estimation.V0_TAG_OFFSET)), points, [(0, 256)])
         tracemalloc.start()
         try:
             _run_sums(*args)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak >= 512 * 2000 * 8
+
+    def test_a_two_draw_euler_batch_holds_one_window(self, ref_spec_gauss):
+        """The traced peak of the batch at K = 2,000: one (512, TILE_KNOTS)
+        window of increments, 1 MiB, where the whole (512, 2000) matrix
+        would be 7.8 MiB, and the lane arrays.  The bound is the measured
+        peak plus 10 %, so a change that holds the matrix fails it."""
+        peak = self.two_draw_euler_peak(ref_spec_gauss, 2000)
+        assert peak >= 512 * TILE_KNOTS * 8
         assert peak <= self.TWO_DRAW_EULER_PEAK * 1.1
+
+    def test_the_batch_peak_does_not_grow_with_k(self, ref_spec_gauss):
+        """At K = 16,000 the batch's traced peak lies at most 1 MB above its
+        peak at K = 2,000, where a (512, 16000) matrix alone is 62.5 MiB."""
+        fine, coarse = (self.two_draw_euler_peak(ref_spec_gauss, k) for k in (16000, 2000))
+        assert fine <= coarse + 1_000_000
+
+    def test_the_batch_peak_does_not_grow_with_the_point_blocks(self, ref_spec_gauss,
+                                                                monkeypatch):
+        """Ten copies of the 18 points in ten blocks of 18 (BLOCK_LANES at
+        18 x 256 lanes) peak within 0.1 MB of one block: each block draws
+        its windows anew once the block before has freed its lanes, so the
+        blocks never hold their lanes at once."""
+        one = self.two_draw_euler_peak(ref_spec_gauss, 2000)
+        monkeypatch.setattr(estimation, "BLOCK_LANES", 18 * 256)
+        ten = self.two_draw_euler_peak(ref_spec_gauss, 2000, copies=10)
+        assert ten <= one + 100_000
 
 
 class TestNuBatchMemory:
@@ -1581,10 +1683,10 @@ def knot_record_lows(incs, alpha, dt, mu=0.0):
     the controls read off one cumsum per row of the discounted centred
     increments."""
     m, k = incs.shape
-    ctl = np.cumsum((incs - mu * dt) * np.exp(-Q * dt * np.arange(k)), axis=1)
+    ctl = np.cumsum((incs - mu * dt) * np.exp(-Q * (dt * np.arange(k))), axis=1)
     ctl = np.hstack((np.zeros((m, 1)), ctl))  # column j: the control at knot j
     knots = np.zeros((m, k))
-    steps = euler_knots(euler_steps(0.0, incs, 0.0, alpha, dt, floor=False), (m,),
+    steps = euler_knots(euler_steps(0.0, [incs], incs.shape, 0.0, alpha, dt, floor=False), (m,),
                         alpha * dt)
     for j, (state, _, _) in enumerate(steps, start=1):
         knots[:, j] = state
@@ -1614,7 +1716,7 @@ class TestEulerNuBlocks:
                                RngStream(173, tag=4).for_path(1))
         mu = mean_drift(ref_spec_gauss)
         for alpha in (0.5, math.inf):
-            lows = euler_record_lows(incs, alpha, 5.0 / 200, Q, mu)
+            lows = record_lows(incs, alpha, 5.0 / 200, Q, mu)
             path, lo, hi, t0, c = knot_record_lows(incs, alpha, 5.0 / 200, mu)
             assert path.size > 2 * 64  # most paths set several records
             assert lows.drain == 0.0
@@ -1637,8 +1739,7 @@ class TestEulerNuBlocks:
         pp, mu = params(b=1.2, alpha=alpha), mean_drift(ref_spec_gauss)
 
         def run():
-            flows = euler_lane_flows(incs, xs, bs, halts, alpha, 5.0 / 200, Q, mu,
-                                     every_path(6, 32))
+            flows = lane_flows(incs, xs, bs, halts, alpha, 5.0 / 200, Q, mu, every_path(6, 32))
             paths = [strategy_engine.simulate_euler(x, pp, incs[i], 5.0 / 200)
                      for x in (-0.4, 0.5, 1.2, 2.5) for i in range(0, 32, 8)]
             return ([getattr(flows, f).tobytes() for f in FIELDS]
@@ -1647,6 +1748,31 @@ class TestEulerNuBlocks:
         want = run()
         monkeypatch.setattr(strategy_engine, "BLOCK_KNOTS", width)
         assert run() == want
+
+    @pytest.mark.parametrize("alpha", [0.5, math.inf])
+    @pytest.mark.parametrize("cuts", [[64, 136], [16, 112, 72], [16] * 12 + [8], [48, 192]])
+    def test_windows_never_change_a_byte(self, ref_spec_gauss, cuts, alpha):
+        """Both readers read a matrix sent as windows of whole blocks, the
+        last of any width, with the bytes of the one window."""
+        xs, bs, halts = zip(*[(-0.4, 1.2, True), (0.0, 0.0, False), (0.6, 1.2, True),
+                              (2.5, 1.2, False)])
+        incs = grid_increments(ref_spec_gauss, 5.0, 200, 32, RngStream(175, tag=4).for_path(1))
+        args = (alpha, 5.0 / 200, Q, mean_drift(ref_spec_gauss))
+        got, want = (lane_flows(incs, xs, bs, halts, *args, every_path(4, 32), w)
+                     for w in (cuts, None))
+        assert [getattr(got, f).tobytes() for f in FIELDS] == [
+            getattr(want, f).tobytes() for f in FIELDS]
+        got, want = (record_lows(incs, *args, w) for w in (cuts, None))
+        assert got.drain == want.drain == 0.0
+        for f in ("path", "lo", "hi", "t0", "invrate", "c"):
+            assert getattr(got, f).tobytes() == getattr(want, f).tobytes()
+
+    def test_a_window_of_part_of_a_block_is_refused(self, ref_spec_gauss):
+        """Blocks are cut from each window in turn, so a window before the
+        last that ends inside a block would shift every later knot."""
+        incs = grid_increments(ref_spec_gauss, 5.0, 200, 32, RngStream(175, tag=4).for_path(1))
+        with pytest.raises(ValueError, match="whole blocks"):
+            record_lows(incs, 0.5, 5.0 / 200, Q, 0.0, [7, 193])
 
 
 # the martingale control of nu --------------------------------------------------

@@ -26,6 +26,7 @@ from levyrefract.levy_model import (
     _compensated_drift,
     _gammainc,
     _jump_draw,
+    TILE_KNOTS,
     characteristic_exponent,
     grid_increments,
     is_case2,
@@ -34,6 +35,7 @@ from levyrefract.levy_model import (
     sample_path,
     validate_spec,
 )
+from levyrefract.strategy_engine import BLOCK_KNOTS
 from conftest import REFERENCE_GAMMA, draw_path, drift_only
 from oracles import (
     EventPath, column_sorted_columns, columns_side_by_side, concatenated_grid_increments,
@@ -413,7 +415,7 @@ class TestSampling:
                              (0.01, 1, PointMass(0.4))),
             x0=rng.uniform(-1.0, 1.0))
         stream = RngStream(15, tag=spec_seed)
-        for horizon, k, m in ((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3)):
+        for horizon, k, m in ((20.0, 500, 64), (20.0, 600, 16), (3.0, 7, 5), (1.0, 1, 3)):
             paths = event_paths(sample_path(spec, horizon, m, stream))
             incs = grid_increments(spec, horizon, k, m, stream)
             assert len(paths) == m
@@ -422,15 +424,17 @@ class TestSampling:
 
     @pytest.mark.parametrize("sigma", [0.0, 1.0])
     def test_binning_each_component_equals_binning_the_whole_draw(self, sigma):
-        """Each jump component is binned as it is drawn, in draw order, so
-        the matrix equals the concatenate-then-bin reference bit for bit:
-        three components, one too rare to jump on these paths, and
-        hyperexponential marks."""
+        """Each jump component is binned as it is drawn, in draw order, and
+        the windows come in the documented order, so the matrix equals the
+        concatenate-then-bin reference bit for bit: three components, one
+        too rare to jump on these paths, hyperexponential marks, and one to
+        four windows, the last of 1 to 244 steps."""
         spec = JumpDiffusionSpec(
             gamma=0.3, sigma=sigma,
             jump_components=((1.2, 1, Uniform(0.0, 1.0)), (1e-12, -1, Exponential(1.0)),
                              (0.8, -1, HyperExponential((0.3, 0.7), (0.5, 2.0)))))
-        for seed, (horizon, k, m) in enumerate(((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3))):
+        for seed, (horizon, k, m) in enumerate(((20.0, 500, 64), (3.0, 7, 5), (1.0, 1, 3),
+                                                (20.0, 1000, 9), (5.0, 513, 4))):
             stream = RngStream(26, tag=seed)
             got = grid_increments(spec, horizon, k, m, stream)
             assert got.tobytes() == concatenated_grid_increments(spec, horizon, k, m,
@@ -439,26 +443,61 @@ class TestSampling:
             assert len(list(_jump_draw(spec, horizon, m, stream.generator()))) == 2
 
     def test_flat_binning_is_the_two_dimensional_call(self):
-        """grid_increments bins each component with one np.add.at on
-        the flat view of the matrix: the adds of np.add.at on (row, bin)
-        pairs, in their order, so the bytes are equal; jumps pile up in few
-        cells.  Filled as a block of rows of a larger matrix, the block is
-        written in place; a matrix that is not C-contiguous is refused."""
+        """grid_increments bins each component with one np.add.at on the
+        flat view of each window: the adds of np.add.at on (row, bin) pairs
+        of the whole matrix, in their order, so the bytes are equal; jumps
+        pile up in few cells, and at sigma = 0 a window bins its share of
+        the whole-horizon draw."""
         spec = JumpDiffusionSpec(
             gamma=0.3, sigma=0.0,
             jump_components=((40.0, 1, Uniform(0.0, 1.0)), (30.0, -1, Exponential(2.0))))
-        for horizon, k, m in ((20.0, 500, 64), (1.0, 1, 300), (3.0, 7, 5)):
+        for horizon, k, m in ((20.0, 500, 64), (1.0, 1, 300), (3.0, 7, 5), (20.0, 700, 6)):
             stream = RngStream(27, tag=k)
             want = np.full((m, k), _compensated_drift(spec) * (horizon / k))
             for rows, times, sizes in _jump_draw(spec, horizon, m, stream.generator()):
                 bins = np.clip(np.ceil(times / (horizon / k)).astype(int) - 1, 0, k - 1)
                 np.add.at(want, (rows, bins), sizes)
             assert grid_increments(spec, horizon, k, m, stream).tobytes() == want.tobytes()
-            batch = np.zeros((m + 3, k))
-            got = grid_increments(spec, horizon, k, m, stream, out=batch[2:m + 2])
-            assert got.base is batch and batch[2:m + 2].tobytes() == want.tobytes()
-        with pytest.raises(AssertionError):
-            grid_increments(spec, 3.0, 7, 5, stream, out=np.zeros((7, 5)).T)
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_up_to_one_window_is_the_whole_matrix_draw(self, sigma):
+        """K <= TILE_KNOTS is one window: the Gaussians of the whole
+        matrix, then the whole-horizon jump draw, bit for bit, and at sigma =
+        0 every K draws so; at sigma > 0 and K > TILE_KNOTS the windows draw
+        anew."""
+        spec = JumpDiffusionSpec(
+            gamma=0.3, sigma=sigma,
+            jump_components=((1.2, 1, Uniform(0.0, 1.0)), (0.8, -1, Exponential(2.0))))
+        for k in (1, 7, 200, TILE_KNOTS, TILE_KNOTS + 1, 3 * TILE_KNOTS):
+            stream = RngStream(28, tag=k)
+            got = grid_increments(spec, 20.0, k, 16, stream)
+            whole = concatenated_grid_increments(spec, 20.0, k, 16, stream.generator(), tile=k)
+            assert (got.tobytes() == whole.tobytes()) == (k <= TILE_KNOTS or sigma == 0)
+        assert TILE_KNOTS % BLOCK_KNOTS == 0
+
+    @pytest.mark.parametrize("sigma", [0.0, 1.0])
+    def test_a_jump_at_a_window_end_is_binned_once(self, sigma, monkeypatch):
+        """A jump at the end time of a window, dt = 0.25 exact, lands once,
+        in the last step of that window: at sigma = 0 jumps of the whole
+        draw at t = 64, 128 and the horizon 150; at sigma > 0 a jump at the
+        end of each window's own draw.  Every other cell equals the draw
+        without them."""
+        spec = JumpDiffusionSpec(gamma=0.3, sigma=sigma)
+        horizon, k, ends = 150.0, 600, [TILE_KNOTS - 1, 2 * TILE_KNOTS - 1, 599]
+        assert horizon / k == 0.25 and TILE_KNOTS == 256
+
+        def at_the_end(spec, span, m, rng):
+            times = np.array([64.0, 128.0, 150.0]) if span == horizon else np.array([span])
+            yield np.arange(times.size), times, np.full(times.size, 1.0)
+
+        want = grid_increments(spec, horizon, k, 3, RngStream(29))
+        monkeypatch.setattr(levy_model, "_jump_draw", at_the_end)
+        got = grid_increments(spec, horizon, k, 3, RngStream(29))
+        cells = list(zip(range(3), ends)) if sigma == 0 else [(0, j) for j in ends]
+        for cell in cells:
+            assert got[cell] == want[cell] + 1.0
+            got[cell] = want[cell]
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("draw", [
         lambda spec, m: sample_path(spec, 5.0, m, RngStream(17)),

@@ -289,11 +289,11 @@ class TestEulerKernel:
     def test_rows_are_independent(self, ref_spec_gauss):
         incs = np.stack([row for row, _ in random_grids(ref_spec_gauss)])
         dt = 5.0 / 300
-        batch = list(euler_knots(euler_steps(0.3, incs, 1.0, 0.5, dt, floor=True),
+        batch = list(euler_knots(euler_steps(0.3, [incs], incs.shape, 1.0, 0.5, dt, floor=True),
                                  (len(incs),), 0.5 * dt))
         for i in range(0, len(incs), 7):
-            alone = euler_knots(euler_steps(0.3, incs[i:i + 1], 1.0, 0.5, dt, floor=True),
-                                (1,), 0.5 * dt)
+            alone = euler_knots(euler_steps(0.3, [incs[i:i + 1]], (1, incs.shape[1]), 1.0, 0.5, dt,
+                                            floor=True), (1,), 0.5 * dt)
             for got, want in zip(alone, batch):
                 for a, b in zip(got, want):
                     assert a.tobytes() == b[i:i + 1].tobytes()
@@ -305,9 +305,11 @@ class TestEulerKernel:
         xs = [-0.7, 0.0, 0.0, 0.5, 1.5, 2.25]
         bs = [1.5, 0.0, 1.5, 1.0, 1.5, 0.75]
         dt = 5.0 / 300
-        batch = euler_knots(euler_steps(np.array(xs)[:, None], incs, np.array(bs)[:, None],
-                                        alpha, dt, floor), (len(xs), len(incs)), alpha * dt)
-        alone = [euler_knots(euler_steps(x, incs, b, alpha, dt, floor), (len(incs),), alpha * dt)
+        batch = euler_knots(euler_steps(np.array(xs)[:, None], [incs], incs.shape,
+                                        np.array(bs)[:, None], alpha, dt, floor),
+                            (len(xs), len(incs)), alpha * dt)
+        alone = [euler_knots(euler_steps(x, [incs], incs.shape, b, alpha, dt, floor), (len(incs),),
+                             alpha * dt)
                  for x, b in zip(xs, bs)]
         for got in batch:
             for j, want in enumerate([next(run) for run in alone]):
@@ -319,8 +321,8 @@ class TestEulerKernel:
 
     def test_unfloored_recursion_never_injects(self):
         incs = np.full((2, 6), -0.5)
-        for state, dl, dr in euler_knots(euler_steps(0.2, incs, 1.0, 0.5, 1.0, floor=False),
-                                         (2,), 0.5):
+        for state, dl, dr in euler_knots(euler_steps(0.2, [incs], incs.shape, 1.0, 0.5, 1.0,
+                                                     floor=False), (2,), 0.5):
             assert not dr.any() and not dl.any()
         assert state[0] == pytest.approx(0.2 - 2.5)
 
@@ -357,7 +359,8 @@ class TestEulerBlockEdges:
 
     def knots(self, floor, alpha):
         incs = self.grids()[0]
-        return [list(euler_knots(euler_steps(x, incs, 1.5, alpha, 1.0, floor), (12,), alpha))
+        return [list(euler_knots(euler_steps(x, [incs], incs.shape, 1.5, alpha, 1.0, floor), (12,),
+                                 alpha))
                 for x in self.XS]
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
