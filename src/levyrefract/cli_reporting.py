@@ -7,7 +7,9 @@ outside model. with its field, parse, legal values and default, and the
 subcommands read typed fields only.  Every run writes its outputs plus a
 run_manifest.json recording the config hash, seed, engine, version, and
 file digests.  Reruns with the same config and seed produce byte-identical
-CSVs regardless of thread count.
+CSVs regardless of thread count.  Every output format is written here: the
+estimators, engines and oracle return data, and csv_text and verdict_lines
+print every CSV and PASS/FAIL line.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .levy_model import (
     InvalidParameter,
     JumpDiffusionSpec,
     PointMass,
+    QuadratureFailure,
     RngStream,
     Uniform,
     Weibull,
@@ -51,7 +54,6 @@ from .estimation import (
     find_bstar,
     nu_curve,
     value_curve,
-    value_curve_csv,
 )
 from . import properties_oracle as oracle
 
@@ -482,6 +484,34 @@ class SvgPlot:
         return out.getvalue()
 
 
+# output formats ------------------------------------------------------------
+
+def _cell(value) -> str:
+    return "%.17g" % value if isinstance(value, float) else str(value)
+
+
+def csv_text(header: str, rows) -> str:
+    """header, then one line per row: a float cell as %.17g (numpy's
+    float64 is a float), any other cell as str."""
+    return "".join([header + "\n"] + [",".join(map(_cell, row)) + "\n" for row in rows])
+
+
+def verdict_lines(report) -> list:
+    """PASS p, or FAIL p with its violation count and worst magnitude, for
+    each property p that report checked (its CHECKED), in order."""
+    lines = []
+    for prop in report.CHECKED:
+        mags = [v.magnitude for v in report.violations if v.prop == prop]
+        lines.append("FAIL %s  violations=%d  max=%.3g" % (prop, len(mags), max(mags))
+                     if mags else "PASS " + prop)
+    return lines
+
+
+def _violations_csv(violations) -> str:
+    return csv_text("time,property,magnitude", ((v.time, v.prop, v.magnitude)
+                                                for v in violations))
+
+
 # output collection ---------------------------------------------------------
 
 class _OutputSet:
@@ -560,11 +590,13 @@ def _run_sample_path(cfg, outs, threads, desk):
     plot.line(traj.times, traj.r, _PALETTE[1], label="injections", dashed=True)
     plot.hline(params.b, label="threshold b")
     plot.hline(0.0, color="#bbbbbb")
-    emit_outputs(outs, "sample_path", traj.to_csv(), plot)
+    emit_outputs(outs, "sample_path", csv_text("t,Z,L,R,branch", zip(
+        traj.times, traj.z, traj.l, traj.r, traj.branch)), plot)
     return cfg.engine, "pass"
 
 
-def _nu_plot(curve, beta, title):
+def _emit_nu(outs, curve, beta, title):
+    """Write nu_curve.csv and its plot."""
     plot = SvgPlot(title, "b", "passage transform")
     grid = curve.grid
     plot.line(grid, curve.values, _PALETTE[0], label="nu estimate")
@@ -574,26 +606,26 @@ def _nu_plot(curve, beta, title):
         i = int(np.argmax(cross))
         plot.marker(float(grid[i]), float(curve.values[i]), _PALETTE[1],
                     label="(b*, nu(b*))")
-    return plot
+    emit_outputs(outs, "nu_curve", csv_text("b,nu,se", zip(grid, curve.values,
+                                                            curve.std_errors)), plot)
 
 
 def _run_nu_curve(cfg, outs, threads, desk):
     curve = nu_curve(cfg.params_for(0.0), cfg.spec, cfg.need("b_grid"), cfg.horizon,
                      cfg.k, cfg.n, RngStream(cfg.seed, tag=2), engine=cfg.engine,
                      threads=threads)
-    plot = _nu_plot(curve, cfg.beta, "Passage transform over thresholds")
-    emit_outputs(outs, "nu_curve", curve.to_csv(), plot)
+    _emit_nu(outs, curve, cfg.beta, "Passage transform over thresholds")
     return cfg.engine, "pass"
 
 
 def _bstar(cfg, outs, threads) -> float:
     """Write bstar.csv and the nu curve it was read from; return b*."""
+    stream = RngStream(cfg.seed, tag=2)
     res = find_bstar(cfg.params_for(0.0), cfg.spec, cfg.need("b_grid"), cfg.horizon,
-                     cfg.k, cfg.n, RngStream(cfg.seed, tag=2), engine=cfg.engine,
-                     threads=threads)
-    outs.write("bstar.csv", res.to_csv())
-    plot = _nu_plot(res.curve, cfg.beta, "Threshold estimate")
-    emit_outputs(outs, "nu_curve", res.curve.to_csv(), plot)
+                     cfg.k, cfg.n, stream, engine=cfg.engine, threads=threads)
+    outs.write("bstar.csv", csv_text("b_star,interval_low,interval_high,n,seed", [
+        (res.bstar_hat, res.interval_low, res.interval_high, cfg.n, stream.id)]))
+    _emit_nu(outs, res.curve, cfg.beta, "Threshold estimate")
     return res.bstar_hat
 
 
@@ -602,19 +634,19 @@ def _run_bstar(cfg, outs, threads, desk):
     return cfg.engine, "pass"
 
 
-def _assemble_value_curves(cfg, threads, bs, principal, xs, method):
-    """Every curve of bs over xs, and the plot marker at x = b of each b
-    inside the x range, from one value_curve job."""
+def _emit_value_curves(cfg, outs, threads, bs, principal, xs):
+    """Write value_curves.csv, every curve of bs over xs, from one value_curve
+    job, and its plot, marked at x = b for each b inside the x range."""
     marked = [b for b in bs if xs[0] <= b <= xs[-1]]
     got = value_curve(np.concatenate((np.tile(xs, len(bs)), marked)),
                       np.concatenate((np.repeat(bs, xs.size), marked)),
                       cfg.params_for(principal), cfg.spec, cfg.horizon, cfg.k, cfg.n,
-                      RngStream(cfg.seed, tag=3), method=method, engine=cfg.engine,
+                      RngStream(cfg.seed, tag=3), method=cfg.method, engine=cfg.engine,
                       threads=threads)
     curves = [got[i * xs.size:(i + 1) * xs.size] for i in range(len(bs))]
     marks = dict(zip(marked, got[len(bs) * xs.size:]))
-    rows = [(x, float(b), est, method) for b, curve in zip(bs, curves)
-            for x, est in curve]
+    rows = [(x, float(b), est.mean, est.std_error, cfg.method)
+            for b, curve in zip(bs, curves) for x, est in curve]
     plot = SvgPlot("Value curves by threshold", "x", "value")
     ci = 0
     for b, curve in zip(bs, curves):
@@ -630,14 +662,12 @@ def _assemble_value_curves(cfg, threads, bs, principal, xs, method):
         if b in marks:
             plot.marker(float(b), marks[b][1].mean,
                         _PALETTE[1] if abs(b - principal) < 1e-12 else "#555555")
-    return rows, plot
+    emit_outputs(outs, "value_curves", csv_text("x,b,v,se,method", rows), plot)
 
 
 def _run_value_curve(cfg, outs, threads, desk):
     b = cfg.need("b")
-    rows, plot = _assemble_value_curves(cfg, threads, [b, *cfg.competing_b], b,
-                                        cfg.need("x_grid"), cfg.method)
-    emit_outputs(outs, "value_curves", value_curve_csv(rows), plot)
+    _emit_value_curves(cfg, outs, threads, [b, *cfg.competing_b], b, cfg.need("x_grid"))
     return cfg.engine, "pass"
 
 
@@ -654,22 +684,18 @@ def _run_alpha_convergence(cfg, outs, threads, desk):
     vals = [value_curve([x], b, replace(cfg.params_for(b), alpha=a), cfg.spec, horizon,
                         cfg.k, n, stream, method="direct", engine="exact",
                         threads=threads)[0][1] for a in rep.alphas]
-    lines = ["alpha,v,se,sup_gap_to_limit"]
-    for a, est, g in zip(rep.alphas, vals, rep.sup_gap_to_limit):
-        lines.append("%s,%.17g,%.17g,%.17g" % ("inf" if a == math.inf else "%g" % a,
-                                               est.mean, est.std_error, g))
-    csv_text = "\n".join(lines) + "\n"
     plot = SvgPlot("Value along the rate-cap ladder", "ladder rung", "value")
     idx = np.arange(1, len(rep.alphas) + 1, dtype=float)
     plot.line(idx, np.array([est.mean for est in vals]), _PALETTE[0], label="v estimate")
-    plot.xticks = [(float(i), "inf" if a == math.inf else "%g" % a)
-                   for i, a in zip(idx, rep.alphas)]
+    plot.xticks = [(float(i), "%g" % a) for i, a in zip(idx, rep.alphas)]
     if rep.alphas[-1] == math.inf:
         plot.hline(vals[-1].mean, label="reflected limit")
-    emit_outputs(outs, "alpha_ladder", csv_text, plot)
+    emit_outputs(outs, "alpha_ladder", csv_text("alpha,v,se,sup_gap_to_limit", [
+        ("%g" % a, est.mean, est.std_error, g)
+        for a, est, g in zip(rep.alphas, vals, rep.sup_gap_to_limit)]), plot)
     if rep.violations:
-        outs.write("violations.csv", oracle.violations_csv(rep.violations))
-    outs.write("alpha_ladder.txt", "\n".join(rep.summary_lines()) + "\n")
+        outs.write("violations.csv", _violations_csv(rep.violations))
+    outs.write("alpha_ladder.txt", "\n".join(verdict_lines(rep)) + "\n")
     return "exact", "pass" if rep.ok else "fail"
 
 
@@ -696,7 +722,7 @@ def _run_check_properties(cfg, outs, threads, desk):
     # the draw's 0 shifted by x (a -0.0 start is 0.0), and by shift more
     tk, tl = apply_strategy_exact(cols, [0.0 + x, 0.0 + x + shift], cfg.params_for(b))
     control = oracle.check_pair(tk, tl, 0.5 * shift, b)
-    lines = [line for rep in reports for line in rep.summary_lines()]
+    lines = [line for rep in reports for line in verdict_lines(rep)]
     if len(rungs) == 1:
         lines.append("SKIP alpha_ladder (control.alpha = inf leaves one rate cap)")
     lines.append(("PASS" if char.ok else "FAIL") + " char_function")
@@ -704,7 +730,7 @@ def _run_check_properties(cfg, outs, threads, desk):
                  if control else "FAIL negative_control (silent)")
     outs.write("properties.txt", "\n".join(lines) + "\n")
     viols = [v for rep in reports for v in rep.violations]
-    outs.write("violations.csv", oracle.violations_csv(viols))
+    outs.write("violations.csv", _violations_csv(viols))
     ok = all(rep.ok for rep in reports) and char.ok and bool(control)
     return "exact", "pass" if ok else "fail"
 
@@ -717,8 +743,7 @@ def _run_reproduce(cfg, outs, threads, desk):
     if desk:
         xs = _range_grid(xs[0], DESK_X_STEP, xs[-1])
         cfg = replace(cfg, n=min(cfg.n, DESK_VALUE_N))
-    rows, plot = _assemble_value_curves(cfg, threads, bs, round(bst, 2), xs, cfg.method)
-    emit_outputs(outs, "value_curves", value_curve_csv(rows), plot)
+    _emit_value_curves(cfg, outs, threads, bs, round(bst, 2), xs)
     return cfg.engine, "pass"
 
 
@@ -788,7 +813,7 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError) as err:
         print("config error: %s" % err, file=sys.stderr)
         return 2
-    except NoCrossing as err:
+    except (NoCrossing, QuadratureFailure) as err:
         print("no result: %s" % err, file=sys.stderr)
         return 1
     for rec in manifest.outputs:

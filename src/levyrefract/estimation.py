@@ -106,12 +106,6 @@ class NuCurve:
     std_errors: np.ndarray
     censored_fractions: np.ndarray
 
-    def to_csv(self) -> str:
-        lines = ["b,nu,se"]
-        for b, v, s in zip(self.grid, self.values, self.std_errors):
-            lines.append("%.17g,%.17g,%.17g" % (b, v, s))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class BstarResult:
@@ -119,14 +113,6 @@ class BstarResult:
     interval_low: float
     interval_high: float
     curve: NuCurve
-    n: int
-    stream_id: str
-
-    def to_csv(self) -> str:
-        return ("b_star,interval_low,interval_high,n,seed\n"
-                "%.17g,%.17g,%.17g,%d,%s\n"
-                % (self.bstar_hat, self.interval_low, self.interval_high,
-                   self.n, self.stream_id))
 
 
 def _tree_reduce(partials):
@@ -403,8 +389,7 @@ def find_bstar(params: StrategyParams, spec: JumpDiffusionSpec, bgrid,
         ihigh = float(curve.grid[len(close) - 1 - np.argmax(close[::-1])])
     else:
         ilow = ihigh = bstar
-    return BstarResult(bstar_hat=bstar, interval_low=ilow, interval_high=ihigh,
-                       curve=curve, n=n, stream_id=stream.id)
+    return BstarResult(bstar_hat=bstar, interval_low=ilow, interval_high=ihigh, curve=curve)
 
 
 # value lane runs -----------------------------------------------------------
@@ -546,10 +531,3 @@ def value_curve(xs, b, params: StrategyParams, spec: JumpDiffusionSpec,
                       method == "spliced", eng, threads)
     # a grid's -0.0 start is reported as 0
     return [(0.0 if x == 0 else x, est) for x, est in zip(xs, ests)]
-
-
-def value_curve_csv(rows) -> str:
-    lines = ["x,b,v,se,method"]
-    for x, b, est, method in rows:
-        lines.append("%.17g,%.17g,%.17g,%.17g,%s" % (x, b, est.mean, est.std_error, method))
-    return "\n".join(lines) + "\n"

@@ -20,7 +20,6 @@ runs of LADDER_RUN paths).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -61,39 +60,12 @@ class Violation:
     magnitude: float
 
 
-def violations_csv(violations) -> str:
-    buf = io.StringIO()
-    buf.write("time,property,magnitude\n")
-    for v in violations:
-        buf.write("%.17g,%s,%.17g\n" % (v.time, v.prop, v.magnitude))
-    return buf.getvalue()
-
-
 class _Checked:
-    """What a report tells of its violations, with CHECKED the properties
-    its summary lists in order."""
+    """A report of violations, with CHECKED the properties it checked."""
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    @property
-    def violation_counts(self):
-        out = {}
-        for v in self.violations:
-            out[v.prop] = out.get(v.prop, 0) + 1
-        return out
-
-    def summary_lines(self):
-        counts, lines = self.violation_counts, []
-        for prop in self.CHECKED:
-            n = counts.get(prop, 0)
-            if n:
-                worst = max(v.magnitude for v in self.violations if v.prop == prop)
-                lines.append("FAIL %s  violations=%d  max=%.3g" % (prop, n, worst))
-            else:
-                lines.append("PASS %s" % prop)
-        return lines
 
 
 @dataclass(frozen=True)

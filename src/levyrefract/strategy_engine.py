@@ -30,7 +30,6 @@ lane arrays stay within the BLOCK_LANES lanes of an estimation block.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -93,13 +92,6 @@ class ControlledTrajectory:
             branch=branch,
             driver=driver,
         )
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("t,Z,L,R,branch\n")
-        for row in zip(self.times, self.z, self.l, self.r, self.branch):
-            buf.write("%.17g,%.17g,%.17g,%.17g,%d\n" % row)
-        return buf.getvalue()
 
 
 def apply_strategy_exact(columns: EventColumns, x, params: StrategyParams) -> list:
@@ -293,9 +285,10 @@ def euler_lane_flows(windows, shape, x, b, spliced, alpha: float, dt: float, q: 
     for j0 in range(1, k, BLOCK_KNOTS):
         block, at, state, step_l, step_r, above = steps.send(keep)
         keep, w = None, len(state)
-        # the block's knot times and their discounts, and each step's at its left knot
+        # the block's knot times, each discounted once: a step's at its knot and left knot
         t = dt * np.arange(j0 - 1, j0 + w)
-        disc, w_left = np.array([math.exp(-q * tj) for tj in t[1:].tolist()]), np.exp(-q * t[:-1])
+        e = np.exp(-q * t)
+        disc, w_left = e[1:], e[:-1]
         g = ctl[:w + 1]
         np.subtract(block.T, mu * dt, out=g[1:])
         g[1:] *= w_left[:, None]

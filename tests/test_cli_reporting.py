@@ -9,11 +9,12 @@ import pytest
 
 from levyrefract import cli_reporting
 from levyrefract.cli_reporting import (
-    ExperimentConfig, ParseError, SUBCOMMANDS, SvgPlot, ValidationError, load_config, main,
-    parse_grid, run_experiment,
+    ExperimentConfig, ParseError, SUBCOMMANDS, SvgPlot, ValidationError, csv_text, load_config,
+    main, parse_grid, run_experiment, verdict_lines,
 )
-from levyrefract.estimation import NoCrossing
-from levyrefract.levy_model import MarkDistribution, net_drift
+from levyrefract.estimation import NoCrossing, nu_curve
+from levyrefract.levy_model import MarkDistribution, RngStream, net_drift
+from levyrefract.properties_oracle import CoupledPairReport, PAIR_PROPS, Violation
 
 from oracles import CONFIGS, reference_config_text
 
@@ -350,6 +351,17 @@ class TestDeterminism:
         listed = {r["file"] for r in man.outputs} | {"run_manifest.json"}
         assert set(os.listdir(tmp_path)) == listed
 
+    def test_the_curve_file_reads_back_the_estimates_bit_for_bit(self, tmp_path):
+        self.run_once(tmp_path, 1)
+        cfg = load_config(BASE.replace("mc.seed = 77", "") + self.CFG)
+        curve = nu_curve(cfg.params_for(0.0), cfg.spec, cfg.b_grid, cfg.horizon, cfg.k, cfg.n,
+                         RngStream(cfg.seed, tag=2), engine=cfg.engine)
+        lines = (tmp_path / "nu_curve.csv").read_text().splitlines()
+        assert lines[0] == "b,nu,se"
+        got = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        want = np.stack((curve.grid, curve.values, curve.std_errors), axis=1)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestRunBstar:
     def test_deterministic_threshold(self, tmp_path):
@@ -357,8 +369,10 @@ class TestRunBstar:
         man = run_experiment(cfg, "bstar", out_dir=str(tmp_path))
         assert man.status == "pass"
         lines = (tmp_path / "bstar.csv").read_text().splitlines()
-        assert lines[0].startswith("b_star,")
+        assert lines[0] == "b_star,interval_low,interval_high,n,seed"
         assert float(lines[1].split(",")[0]) == pytest.approx(8.15)
+        # the run's path count and the threshold search's stream
+        assert lines[1].split(",")[3:] == ["64", RngStream(77, tag=2).id]
 
     def test_no_crossing_cleans_up(self, tmp_path):
         cfg = base_cfg("task.b_grid = 0:0.5:3\n")
@@ -789,6 +803,18 @@ class TestMain:
         assert "beta * nu stays >= 1 on the whole grid" in capsys.readouterr().err
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
+    def test_a_char_function_that_cannot_converge_exits_one(self, tmp_path, capsys):
+        """A Weibull down-jump law of shape 0.3 is legal, but the quadrature
+        of its characteristic function does not converge: check-properties
+        says so, exits 1 and writes nothing, where it ended in a traceback."""
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1, **{"model.jump2.params": "0.3, 1", "mc.N": 200}))
+        out = tmp_path / "out"
+        assert main(["check-properties", "--config", str(p), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("no result: tanh-sinh levels differ") and "Traceback" not in err
+        assert not out.exists() or not os.listdir(out)
+
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "0")])
     def test_bad_run_numbers_exit_two(self, flag, value, tmp_path, capsys):
         p = tmp_path / "c.cfg"
@@ -817,6 +843,37 @@ def svg_numbers(svg):
     """Every number in every attribute of an SVG text, inf and nan included."""
     return [float(v) for attr in re.findall(r'="([^"]*)"', svg)
             for v in re.findall(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|inf|nan", attr)]
+
+
+class TestOutputFormats:
+    def test_float_cells_read_back_bit_for_bit(self):
+        floats = [-0.0, 0.0, math.inf, -math.inf, 0.1, 1 / 3, -2.5e-300, 5e-324,
+                  1.7976931348623157e308, 8.15]
+        rows = [(v, np.float64(v)) for v in floats] + [(math.nan, np.float64(math.nan))]
+        lines = csv_text("a,b", rows).splitlines()
+        assert lines[0] == "a,b" and len(lines) == len(rows) + 1
+        back = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
+        assert back[:-1].tobytes() == np.array(rows[:-1]).tobytes()
+        assert lines[-1] == "nan,nan" and np.isnan(back[-1]).all()
+        assert lines[1] == "-0,-0" and lines[3] == "inf,inf"
+
+    def test_other_cells_print_as_before(self):
+        """An int, a str and a branch code of np.int8 print as %d and %s did."""
+        cells = (300, "pair_budget", np.int8(2), np.int8(-1), np.int64(7), "inf")
+        assert csv_text("n,p,b,c,d,alpha", [cells]) == \
+            "n,p,b,c,d,alpha\n%d,%s,%d,%d,%d,%s\n" % cells
+        assert csv_text("h", []) == "h\n"
+
+    def test_a_fail_verdict_line_is_pinned(self):
+        rep = CoupledPairReport(n_paths=2, shift=0.5, violations=(
+            Violation(1.0, "pair_budget", 0.25), Violation(2.0, "pair_gap_range", 1e-7),
+            Violation(3.0, "pair_budget", 1.23456789)))
+        lines = verdict_lines(rep)
+        assert len(lines) == len(PAIR_PROPS)
+        assert lines[0] == "FAIL pair_budget  violations=2  max=1.23"
+        assert lines[1] == "FAIL pair_gap_range  violations=1  max=1e-07"
+        assert lines[2:] == ["PASS " + p for p in PAIR_PROPS[2:]]
+        assert not rep.ok
 
 
 class TestSvgPlot:

@@ -17,6 +17,7 @@ from levyrefract.levy_model import (
     TILE_KNOTS, grid_increments, grid_windows, is_case2, mean_drift, net_drift, sample_path,
 )
 from levyrefract import estimation, path_engine, strategy_engine
+from levyrefract.cli_reporting import csv_text
 from levyrefract.path_engine import refracted_record_lows, trajectory_table
 from levyrefract.properties_oracle import alpha_ladder_run, coupled_pair_run
 from levyrefract.strategy_engine import (
@@ -26,7 +27,7 @@ from levyrefract.strategy_engine import (
 from levyrefract.estimation import (
     McEstimate, NoCrossing, _chunk_readers, _estimate, _nu_chunk, _nu_sums, _run_sums,
     _value_terms,
-    find_bstar, nu_curve, value_curve, value_curve_csv,
+    find_bstar, nu_curve, value_curve,
 )
 
 from conftest import REFERENCE_GAMMA, drift_only, event_columns, every_path, refract_exact
@@ -139,11 +140,6 @@ class TestPassageTransform:
         with pytest.raises(InvalidParameter):
             nu_curve(params(), ref_spec_bv, np.array([1.0, 1.0]), 10.0, 0, 64,
                      RngStream(103, tag=1))
-
-    def test_csv_header(self, ref_spec_bv):
-        curve = nu_curve(params(), ref_spec_bv, np.array([1.0]), 5.0, 0, 64,
-                         RngStream(104, tag=1))
-        assert curve.to_csv().splitlines()[0] == "b,nu,se"
 
     def test_thread_count_does_not_change_results(self, ref_spec_bv):
         s = RngStream(105, tag=1)
@@ -479,7 +475,8 @@ def test_a_grid_below_0_draws_nothing(ref_spec_bv, ref_spec_gauss, engine, monke
     assert curve.grid.tobytes() == np.array([-1.0, -0.5]).tobytes()
     assert curve.values.tobytes() == np.ones(2).tobytes()
     assert curve.std_errors.tobytes() == curve.censored_fractions.tobytes() == bytes(16)
-    assert curve.to_csv() == "b,nu,se\n-1,1,0\n-0.5,1,0\n"
+    assert csv_text("b,nu,se", zip(curve.grid, curve.values, curve.std_errors)) == \
+        "b,nu,se\n-1,1,0\n-0.5,1,0\n"
     for field, args in (("n", (5.0, k, 0)), ("horizon", (-5.0, k, 8)),
                         ("k", (5.0, 0, 8)) if engine == "euler" else ("horizon", (math.inf, k, 8))):
         with pytest.raises(InvalidParameter) as err:
@@ -555,7 +552,8 @@ class TestValueEstimates:
                              PERPETUAL_T, 0, 1, RngStream(137, tag=1),
                              method="direct")[0][1],
                  "direct")]
-        text = value_curve_csv(rows)
+        text = csv_text("x,b,v,se,method", ((x, b, est.mean, est.std_error, method)
+                                            for x, b, est, method in rows))
         assert text.splitlines()[0] == "x,b,v,se,method"
         assert text.splitlines()[1].endswith(",direct")
 
@@ -570,12 +568,13 @@ def per_point_lane_flows(xs, bs, spliced, incs, alpha, dt, q, mu):
         dl, c, drive = np.zeros(m), np.zeros(m), np.zeros(m)
         dr = np.full(m, -x if x < 0.0 else 0.0)
         weak = np.full(m, 0.0 if x <= 0.0 else math.inf)
-        w_left = np.exp(-q * (dt * np.arange(incs.shape[1])))
+        # each knot's discount: step j's flows at knot j, its control at knot j - 1
+        w_left = np.exp(-q * (dt * np.arange(incs.shape[1] + 1)))
         steps = euler_knots(euler_steps(x, [incs], incs.shape, b, alpha, dt, floor=True), (m,),
                             alpha * dt)
         for j, (state, step_l, step_r) in enumerate(steps, start=1):
             t = dt * j
-            disc = math.exp(-q * t)
+            disc = w_left[j]
             drive = drive + (incs[:, j - 1] - mu * dt) * w_left[j - 1]
             live = (weak == math.inf) | (not halts)
             dl[live] += step_l[live] * disc
@@ -1321,12 +1320,14 @@ class TestForkedWorkers:
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
         stream, grid = RngStream(61, tag=1), np.round(np.arange(0.0, 3.0, 0.25), 10)
-        nu = {t: nu_curve(params(), ref_spec_bv, grid, 10.0, 0, 600, stream,
-                          threads=t).to_csv() for t in (1, 2)}
+        nu = {t: nu_curve(params(), ref_spec_bv, grid, 10.0, 0, 600, stream, threads=t)
+              for t in (1, 2)}
+        nu = {t: csv_text("b,nu,se", zip(c.grid, c.values, c.std_errors)) for t, c in nu.items()}
         assert loads == [None]
-        values = {t: value_curve_csv((x, 1.0, est, "spliced") for x, est in value_curve(
-            [-0.5, 0.0, 0.5, 1.5], 1.0, params(), ref_spec_bv, 10.0, 0, 600, stream,
-            threads=t)) for t in (1, 2)}
+        values = {t: csv_text("x,b,v,se,method", (
+            (x, 1.0, est.mean, est.std_error, "spliced") for x, est in value_curve(
+                [-0.5, 0.0, 0.5, 1.5], 1.0, params(), ref_spec_bv, 10.0, 0, 600, stream,
+                threads=t))) for t in (1, 2)}
         assert loads == [None, None]
         assert nu[1] == nu[2] and values[1] == values[2]
 

@@ -17,8 +17,9 @@ from levyrefract.path_engine import read_segments, trajectory_table
 from levyrefract.properties_oracle import (
     BLOCK, CharReport, InvalidLadder, LADDER_PROPS, LADDER_RUN, PAIR_PROPS,
     Violation, _Block, alpha_ladder_run, char_function_check, check_pair,
-    coupled_pair_run, violations_csv,
+    coupled_pair_run,
 )
+from levyrefract.cli_reporting import _violations_csv, verdict_lines
 from levyrefract.strategy_engine import StrategyParams, apply_strategy_exact
 
 from conftest import (
@@ -49,14 +50,14 @@ class TestCoupledPair:
         assert rep.ok
         assert rep.shift == 1.0
         assert rep.n_paths == 4
-        assert all(line.startswith("PASS ") for line in rep.summary_lines())
-        assert len(rep.summary_lines()) == len(PAIR_PROPS)
+        assert all(line.startswith("PASS ") for line in verdict_lines(rep))
+        assert len(verdict_lines(rep)) == len(PAIR_PROPS)
 
     @pytest.mark.parametrize("alpha", [0.5, math.inf])
     def test_clean_on_jump_models(self, ref_spec_bv, alpha):
         rep = coupled_pair_run(ref_spec_bv, params(b=1.2, alpha=alpha), 0.4, 0.0, 0.6, 5.0,
                                25, RngStream(301, tag=1))
-        assert rep.ok, rep.violation_counts
+        assert rep.ok, rep.violations
 
     def test_mismatched_barriers_fire(self, ref_spec_bv):
         # same driver refracted at different thresholds is not a valid
@@ -95,7 +96,7 @@ class TestCoupledPair:
             check_pair(None, None, -0.5, 1.0)
 
     def test_violation_csv_format(self):
-        text = violations_csv([Violation(1.84, "pair_budget", 0.25)])
+        text = _violations_csv([Violation(1.84, "pair_budget", 0.25)])
         lines = text.strip().splitlines()
         assert lines[0] == "time,property,magnitude"
         assert lines[1].split(",")[1] == "pair_budget"
@@ -472,7 +473,7 @@ class TestAlphaLadder:
         assert rep.alphas == (0.5, 1.0, math.inf)
         np.testing.assert_allclose(rep.sup_gap_to_limit, [7.5, 5.0, 0.0],
                                    atol=1e-12)
-        assert len(rep.summary_lines()) == len(LADDER_PROPS)
+        assert len(verdict_lines(rep)) == len(LADDER_PROPS)
 
     def test_clean_on_jump_models(self, ref_spec_bv):
         rep = alpha_ladder_run(ref_spec_bv, 1.0, (0.5, 2.0, 8.0, math.inf),
@@ -585,7 +586,7 @@ class TestValueShape:
         xs, means, ses, bstar = self.good_curve()
         rep = value_shape_check(xs, means, ses, params(), bstar)
         assert rep.ok
-        assert all(line.startswith("PASS ") for line in rep.summary_lines())
+        assert all(line.startswith("PASS ") for line in verdict_lines(rep))
 
     def test_dividend_cap_bound(self):
         xs, means, ses, bstar = self.good_curve()
@@ -637,7 +638,7 @@ class TestRandomizedSweep:
             spec, pp, x, k, l = draw_random_bv_setup(rng)
             rep = coupled_pair_run(spec, pp, x, k, l, 4.0, 8,
                                    RngStream(340, tag=j))
-            assert rep.ok, rep.violation_counts
+            assert rep.ok, rep.violations
             total += rep.n_paths
         assert total == 240
 

@@ -9,6 +9,7 @@ from levyrefract.levy_model import (
 )
 from levyrefract.path_engine import BRANCH_ABOVE, BRANCH_FLOOR, BRANCH_INTERIOR
 from levyrefract import strategy_engine
+from levyrefract.cli_reporting import csv_text
 from levyrefract.strategy_engine import (
     ControlledTrajectory, StrategyParams, _sum_down, apply_strategy_exact, euler_steps,
     simulate_euler,
@@ -212,7 +213,8 @@ class TestEulerRecursion:
 
     def test_csv_shape(self):
         traj = simulate_euler(1.0, params(b=1.5, alpha=0.5), HAND_INCS, 1.0)
-        lines = traj.to_csv().strip().splitlines()
+        lines = csv_text("t,Z,L,R,branch", zip(
+            traj.times, traj.z, traj.l, traj.r, traj.branch)).strip().splitlines()
         assert lines[0] == "t,Z,L,R,branch"
         assert len(lines) == 6
 
