@@ -20,6 +20,7 @@ columns.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -189,24 +190,42 @@ class Weibull(MarkDistribution):
         return out[0] if scalar else out
 
     def _char_one(self, u):
-        # M = scale * S^(1/k) with S ~ Exp(1) on [0, 41.5] (e^-41.5 < 1e-18),
-        # by a tanh-sinh rule on t in [-4, 4] that clusters its nodes at the
-        # branch point of s^(1/k) at 0.  Each halving of h adds the odd nodes;
-        # dividing by the rule's own mass makes char(0) exactly 1.
-        re, im, mass, val = 0.0, 0.0, 0.0, None
+        # M = scale * S^(1/k) with S ~ Exp(1), by a tanh-sinh rule on t in
+        # [-4, 4] that maps onto s in [0, top] and clusters its nodes at the
+        # branch point of s^(1/k) at 0; each halving of h adds the odd nodes.
+        # For k > 1 it integrates e^(iuM - s) on [0, 41.5] (e^-41.5 < 1e-18),
+        # divided by the rule's own mass, which makes char(0) exactly 1.  For
+        # k <= 1, where e^(iuM) oscillates past any rule, s runs on the ray w r,
+        # w = e^(i k phi), phi = min(pi/2, pi/4k) (for u > 0; u < 0 is the
+        # conjugate): there e^(iuM) = e^(iu scale e^(i phi) r^(1/k)) and e^-s
+        # both decay, and up to top, where one of them reaches e^-41.5, both
+        # phases stay under 2 * 41.5 for every u.
+        k, a, top = self.shape, abs(u) * self.scale, 41.5
+        if k <= 1.0:
+            if a == 0.0:
+                return 1.0 + 0.0j
+            phi = min(0.5 * math.pi, 0.25 * math.pi / k)
+            w, v = cmath.exp(1j * k * phi), 1j * a * cmath.exp(1j * phi)
+            top = min(top / w.real, (top / (a * math.sin(phi))) ** k)
+        re, im, mass, total, val = 0.0, 0.0, 0.0, 0.0j, None
         for level in range(_TS_LEVELS + 1):
             h = 2.0 ** -level
             t = np.arange(h - 4.0, 4.0, 2 * h) if level else np.arange(-4.0, 4.5)
             y = math.pi * np.sinh(t)
-            s = 41.5 / (1.0 + np.exp(-y))
-            p = s / (1.0 + np.exp(y)) * math.pi * np.cosh(t) * np.exp(-s)
-            arg = u * self.scale * s ** (1.0 / self.shape)
-            re += (p * np.cos(arg)).sum()
-            im += (p * np.sin(arg)).sum()
-            mass += p.sum()
-            prev, val = val, complex(re / mass, im / mass)
+            s = top / (1.0 + np.exp(-y))
+            p = s / (1.0 + np.exp(y)) * math.pi * np.cosh(t)
+            if k <= 1.0:
+                total += (p * np.exp(v * s ** (1.0 / k) - w * s)).sum()
+                prev, val = val, w * h * total
+            else:
+                p = p * np.exp(-s)
+                arg = u * self.scale * s ** (1.0 / k)
+                re += (p * np.cos(arg)).sum()
+                im += (p * np.sin(arg)).sum()
+                mass += p.sum()
+                prev, val = val, complex(re / mass, im / mass)
             if prev is not None and abs(val - prev) <= _TS_TOL:
-                return val
+                return val.conjugate() if k <= 1.0 and u < 0 else val
         raise QuadratureFailure(f"tanh-sinh levels differ by {abs(val - prev):.2e} at u = {u}")
 
     def sample(self, n, rng):

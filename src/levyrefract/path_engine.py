@@ -16,8 +16,9 @@ records nothing; three readers keep what their callers need of its lanes:
 
 - trajectory_table keeps the trajectories themselves, one SegmentTable
   per role from one sweep, one row per segment with the lumps paid at its
-  start, and read_segments reads the tables at probe times: values, left
-  limits, dividends and injections, and the drivers;
+  start; read_segments reads the tables at given probe times, and
+  read_knots at every path's knots, its horizon and the midpoints between
+  them: values, left limits, dividends and injections, and the drivers;
 - floored_lane_sweep keeps the discounted flows, weak passage times and
   martingale controls of floored (path, start, threshold) lanes;
 - refracted_record_lows keeps the record lows of the paths refracted at
@@ -82,13 +83,23 @@ class SegmentTable:
                             self.rates, self.counts[start:stop])
 
 
-def path_keys(path, t):
-    """Integer keys that order the pairs (path[j], t[j]) as (path, t),
-    exactly: path * (the number of distinct times) + the rank of t[j] among
-    them, from one sort of t.  A float offset per path would merge nearby
-    times.  Returns the keys and the distinct times in order."""
+def _path_keys(path, t, tables, drivers=None):
+    """Integer keys that order the pairs (path[j], t[j]), then the knots of
+    every table and the events of drivers' columns, each path's in time
+    order, as (path, t), exactly: path * (the number of distinct times) +
+    the rank of the time among them, from one sort.  A float offset per
+    path would merge nearby times.  Returns the keys and the distinct times
+    in order."""
+    srcs = [(path, t)] + [(np.repeat(np.arange(tab.counts.size), tab.counts), tab.seg_t)
+                          for tab in tables]
+    if drivers is not None:
+        # each path's events, path-major, off the padded columns
+        cols = drivers[0]
+        on = (np.arange(len(cols.times))[:, None] < cols.counts).T
+        srcs.append((np.repeat(np.arange(cols.counts.size), cols.counts), cols.times.T[on]))
+    path, t = (np.concatenate(a) for a in zip(*srcs))
     times, rank = np.unique(t, return_inverse=True)
-    return np.asarray(path) * times.size + rank, times
+    return path * times.size + rank, times
 
 
 @dataclass(frozen=True)
@@ -104,74 +115,84 @@ class SegmentReading:
     knot: np.ndarray = None
 
 
-def _lumps(values, counts, path, upto):
-    """The sum of the entries of path path[j] among the first upto[j] of
-    values, which holds the paths' entries end to end, counts[i] of them for
-    path i, added in the order of np.cumsum: a zero-padded (path, entry)
-    table summed along its rows."""
-    table = np.zeros((counts.size, counts.max(initial=0) + 1))
-    table[:, 1:][np.arange(1, table.shape[1]) <= counts[:, None]] = values
-    return np.cumsum(table, axis=1)[path, upto - (np.cumsum(counts) - counts)[path]]
-
-
-def table_entries(tables, drivers=None):
-    """The (times, path) of every table's knots, and the (times, path,
-    sizes) of the events of drivers' columns: (path, t) order."""
-    srcs = [(tab.seg_t, np.repeat(np.arange(tab.counts.size), tab.counts)) for tab in tables]
-    if drivers is not None:
-        # each path's events, path-major, off the padded columns
-        cols = drivers[0]
-        on = (np.arange(len(cols.times))[:, None] < cols.counts).T
-        srcs.append((cols.times.T[on], np.repeat(np.arange(cols.counts.size), cols.counts),
-                     cols.sizes.T[on]))
-    return srcs
-
-
-def read_segments(tables, path, t, drivers=None, full=None, keys=None):
+def _read(tables, path, t, keys, drivers=None, full=None):
     """The SegmentReading of each table at the probes (path[j], t[j]), t >= 0,
     and with drivers, the EventColumns of the tables' paths and the start x
     of them all as a pair (columns, x), the driver x + X there as well (else
     None).  Tables from full on are read for z alone.
 
-    Integer keys that order the probes and the table_entries as (path, t),
-    the path_keys of one sort or the keys a caller sorted, place each path's
-    knots and events among its probes by binary search, so the knots up to
-    a probe, and strictly before it, are counts in integers.  z is read off
-    the segment in force, z_left off the one before a knot at the probe, and
-    the flows, the lumps of the knots up to the probe and the events add up
-    in order, each path's: every reading is bit-equal to a per-path
-    searchsorted and cumsum.
+    keys order the probes, then the tables' knots and the drivers' events,
+    as _path_keys does; they place each path's knots and events among its
+    probes by binary search, so the knots up to a probe are counts in
+    integers.  z is read off the segment i in force, which each path's
+    first knot, at t = 0, sets for every probe; a knot falls at the probe
+    where i starts there, and z_left is read off the segment before it.
+    The flows and lumps of each path's segments, and the jumps of its
+    events, add up in order on zero-padded (path, entry) tables: every
+    reading is bit-equal to a per-path searchsorted and cumsum.
     """
-    path, t = np.asarray(path), np.asarray(t, dtype=float)
-    srcs = table_entries(tables, drivers)
-    if keys is None:
-        keys, _ = path_keys(np.concatenate([path] + [src[1] for src in srcs]),
-                            np.concatenate([t] + [src[0] for src in srcs]))
-    probes, *keys = np.split(keys, np.cumsum([t.size] + [src[0].size for src in srcs])[:-1])
+    probes, *seg_keys, events = np.split(keys, np.cumsum([t.size] + [
+        tab.seg_t.size for tab in tables]))
     readings = []
-    for j, (tab, seg) in enumerate(zip(tables, keys)):
+    for j, (tab, seg) in enumerate(zip(tables, seg_keys)):
         n, seg_t, slope = tab.counts, tab.seg_t, tab.rates[0]
         i = np.searchsorted(seg, probes, "right") - 1
         z = tab.seg_v[i] + slope[tab.seg_branch[i]] * (t - seg_t[i])
         if full is not None and j >= full:
             readings.append(SegmentReading(z))
             continue
-        ends = np.cumsum(n) - 1  # each path's last segment
-        below = np.searchsorted(seg, probes, "left")
-        left = np.maximum(below - 1, (ends + 1 - n)[path])
+        first, knot = np.cumsum(n) - n, seg[i] == probes
+        left = np.maximum(i - knot, first[path])
         dt = np.diff(seg_t, append=0.0)
-        dt[ends] = tab.horizon - seg_t[ends]
-        l, r = (_lumps(rate * dt, n, path, i) + rate[i] * (t - seg_t[i])
-                + _lumps(lump, n, path, i + 1)
-                for rate, lump in zip(tab.rates[1:, tab.seg_branch],
-                                      (tab.seg_llump, tab.seg_rlump)))
+        dt[first + n - 1] = tab.horizon - seg_t[first + n - 1]
+        rates = tab.rates[1:, tab.seg_branch]
+        # the dividend and injection flows and lumps of segments 0 .. k - 1 at column k
+        sums = np.zeros((4, n.size, n.max(initial=0) + 1))
+        sums[:, :, 1:][:, np.arange(1, sums.shape[2]) <= n[:, None]] = np.concatenate(
+            (rates * dt, [tab.seg_llump, tab.seg_rlump]))
+        np.cumsum(sums, axis=2, out=sums)
+        col = i - first[path]
+        l, r = sums[:2, path, col] + rates[:, i] * (t - seg_t[i]) + sums[2:, path, col + 1]
         readings.append(SegmentReading(
             z=z, z_left=tab.seg_v[left] + slope[tab.seg_branch[left]] * (t - seg_t[left]),
-            l=l, r=r, knot=i >= below))
+            l=l, r=r, knot=knot))
     if drivers is None:
         return readings, None
-    (columns, x), upto = drivers, np.searchsorted(keys[-1], probes, "right")
-    return readings, x + columns.drift * t + _lumps(srcs[-1][2], columns.counts, path, upto)
+    (columns, x), n = drivers, drivers[0].counts
+    upto = np.searchsorted(events, probes, "right") - (np.cumsum(n) - n)[path]
+    jumps = np.cumsum(np.insert(columns.sizes, 0, 0.0, axis=0), axis=0)
+    return readings, x + columns.drift * t + jumps[upto, path]
+
+
+def read_segments(tables, path, t, drivers=None):
+    """_read at the probes (path[j], t[j]), in any order."""
+    path, t = np.asarray(path), np.asarray(t, dtype=float)
+    return _read(tables, path, t, _path_keys(path, t, tables, drivers)[0], drivers)
+
+
+def read_knots(tables, drivers=None, full=None):
+    """_read at every path's probes, in (path, t) order: the distinct knots
+    of its trajectories in tables, where every lump is paid, the horizon,
+    and a midpoint between each two of them.  Returns the probes' (path, t),
+    the readings and the driver.  The _path_keys of one sort, doubled, leave
+    room for a midpoint between times[r - 1] and times[r] at 2r - 1 (at 2r
+    where it is times[r], a time of another path)."""
+    n = tables[0].counts.size
+    keys, times = _path_keys(np.arange(n), np.full(n, tables[0].horizon), tables, drivers)
+    # the distinct (path, t) of knots, sorted: np.unique of integers hashes, at a higher peak
+    u = np.sort(keys[:n + sum(tab.seg_t.size for tab in tables)])
+    u = u[np.append(True, u[1:] != u[:-1])]
+    kp, kt = np.divmod(u, times.size)
+    kt = times[kt]
+    mid = 0.5 * (kt[:-1] + kt[1:])
+    # a midpoint that rounds onto a knot adds no probe
+    has_mid = (kp[1:] == kp[:-1]) & (mid != kt[:-1]) & (mid != kt[1:])
+    gaps, mid = np.flatnonzero(has_mid) + 1, mid[has_mid]
+    t, path = np.insert(kt, gaps, mid), np.insert(kp, gaps, kp[gaps])
+    at = np.searchsorted(times, mid)
+    probes = np.insert(2 * u, gaps, 2 * (kp[gaps] * times.size + at) - (times[at] != mid))
+    return (path, t), *_read(tables, path, t, np.concatenate((probes, 2 * keys[n:])),
+                             drivers, full)
 
 
 # Threshold or floor crossings a lane may make between two events.  On a

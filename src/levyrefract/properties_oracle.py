@@ -12,10 +12,10 @@ characteristic-function check draws X_t by levy_model.grid_increments.
 
 Each run sweeps all its roles (two starts, or every rung floored and
 refracted) over its one draw of X - x0 in one event_steps pass, and reads
-the tables BLOCK paths at a time, each block in one pass of
-path_engine.read_segments at every probe time of its paths, so no result
-depends on how paths fall into blocks (nor, for the alpha ladder, into
-runs of LADDER_RUN paths).
+the tables BLOCK paths at a time, each block in one call of
+path_engine.read_knots at the knots of its paths, the horizon and the
+midpoints between them, so no result depends on how paths fall into
+blocks (nor, for the alpha ladder, into runs of LADDER_RUN paths).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .levy_model import (
     grid_increments,
     sample_path,
 )
-from .path_engine import path_keys, read_segments, table_entries, trajectory_table
+from .path_engine import read_knots, trajectory_table
 from .strategy_engine import StrategyParams, apply_strategy_exact
 
 EXACT_TOL = 1e-9
@@ -124,36 +124,14 @@ LADDER_RUN = 6 * BLOCK
 class _Block:
     """The trajectories of a block of paths, read at every path's probes at
     once: tables[r] is the SegmentTable of role r on the block's paths, and
-    drivers, if given, their EventColumns and start, as read_segments takes
-    them.
-
-    A path's probes are the knots of its trajectories, where every lump is
-    paid, the horizon and the midpoints between them; t and path hold them
-    in (path, t) order.  readings[r] is the SegmentReading of role r there (of z alone
-    from role full on) and driver the drivers' values, both from
-    path_engine.read_segments on the one sort of the block's times: their
-    path_keys doubled, a midpoint between times[r - 1] and times[r] at 2r - 1.
+    drivers, if given, their EventColumns and start.  t and path hold the
+    probes of path_engine.read_knots, readings[r] the SegmentReading of role
+    r there (of z alone from role full on), and driver the drivers' values.
     """
 
     def __init__(self, tables, drivers=None, full=None):
-        n = tables[0].counts.size
-        srcs = [(np.full(n, tables[0].horizon), np.arange(n))] + table_entries(tables, drivers)
-        keys, times = path_keys(np.concatenate([src[1] for src in srcs]),
-                                np.concatenate([src[0] for src in srcs]))
-        u = np.sort(keys[:keys.size - (0 if drivers is None else srcs[-1][0].size)])
-        u = u[np.append(True, u[1:] != u[:-1])]  # the distinct (path, t) of knots
-        kp, kt = np.divmod(u, times.size)
-        kt = times[kt]
-        mid = 0.5 * (kt[:-1] + kt[1:])
-        # a midpoint that rounds onto a knot adds no probe
-        has_mid = (kp[1:] == kp[:-1]) & (mid != kt[:-1]) & (mid != kt[1:])
-        gaps, mid = np.flatnonzero(has_mid) + 1, mid[has_mid]
-        self.t, self.path = np.insert(kt, gaps, mid), np.insert(kp, gaps, kp[gaps])
-        at = np.searchsorted(times, mid)
-        probes = np.insert(2 * u, gaps, 2 * (kp[gaps] * times.size + at) - (times[at] != mid))
+        (self.path, self.t), self.readings, self.driver = read_knots(tables, drivers, full)
         self.same = self.path[1:] == self.path[:-1]  # probes j and j + 1 on one path
-        self.readings, self.driver = read_segments(tables, self.path, self.t, drivers, full,
-                                                   np.concatenate((probes, 2 * keys[n:])))
 
     def violations(self, rows):
         """The Violations of rows (prop, magnitude, bad) by path, row, time;

@@ -804,16 +804,27 @@ class TestMain:
         assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
 
     def test_a_char_function_that_cannot_converge_exits_one(self, tmp_path, capsys):
-        """A Weibull down-jump law of shape 0.3 is legal, but the quadrature
-        of its characteristic function does not converge: check-properties
-        says so, exits 1 and writes nothing, where it ended in a traceback."""
+        """A Weibull down-jump law of shape 2 and scale 2,500 is legal, but
+        at u scale = 10,000 the quadrature of its characteristic function
+        does not converge: check-properties says so, exits 1 and writes
+        nothing, where it ended in a traceback."""
         p = tmp_path / "c.cfg"
-        p.write_text(reference_config_text(1, **{"model.jump2.params": "0.3, 1", "mc.N": 200}))
+        p.write_text(reference_config_text(1, **{"model.jump2.params": "2, 2500", "mc.N": 200}))
         out = tmp_path / "out"
         assert main(["check-properties", "--config", str(p), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("no result: tanh-sinh levels differ") and "Traceback" not in err
         assert not out.exists() or not os.listdir(out)
+
+    def test_a_heavy_tailed_weibull_law_ends_on_its_verdicts(self, tmp_path, capsys):
+        """A Weibull down-jump law of shape 0.3: every check gets a verdict
+        line, the char-function one included."""
+        p = tmp_path / "c.cfg"
+        p.write_text(reference_config_text(1, **{"model.jump2.params": "0.3, 1", "mc.N": 200}))
+        out = tmp_path / "out"
+        assert main(["check-properties", "--config", str(p), "--out", str(out)]) == 0
+        assert "no result:" not in capsys.readouterr().err
+        assert "PASS char_function" in (out / "properties.txt").read_text().splitlines()
 
     @pytest.mark.parametrize("flag,value", [("--seed", "-1"), ("--threads", "0")])
     def test_bad_run_numbers_exit_two(self, flag, value, tmp_path, capsys):

@@ -123,9 +123,46 @@ class TestMarkDistributions:
             assert abs(g - complex(re, im)) <= 1e-10, (u, g, re, im)
 
     def test_weibull_char_unresolved_raises(self):
-        # u * scale = 100 under a shape-0.5 tail: the finest level cannot resolve it
+        # u * scale = 1e4 under shape 2, where the rule runs on the real
+        # axis: the finest level cannot resolve it
         with pytest.raises(QuadratureFailure):
-            Weibull(0.5, 5.0).char(20.0)
+            Weibull(2.0, 1.0).char(1e4)
+
+    def test_weibull_char_above_shape_one_keeps_its_rule(self):
+        """Shape 2, the shipped down-jump law, reads the values it read
+        before heavy tails were rotated, bit for bit."""
+        got = Weibull(2.0, 1.0).char(np.array([-1.0, 0.5]))
+        want = [("0x1.26b0463b40aa7p-1", "-0x1.61612323d3974p-1"),
+                ("0x1.c299e68c32861p-1", "0x1.aa41c8fb7fbe3p-2")]
+        assert got.tolist() == [complex(*map(float.fromhex, z)) for z in want]
+
+    @pytest.mark.parametrize("shape", [0.1, 0.2, 0.3, 0.4, 0.5, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
+    def test_heavy_weibull_char_on_a_second_ray(self, shape, scale):
+        """For shape k <= 1 the rule integrates over s on a rotated ray.
+        By Cauchy, s on the ray e^(i k pi/8) r, where e^-s and e^(iuM) both
+        decay, gives the same value: scipy integrates it there, from |u|
+        scale of 3e-10 to 2,500."""
+        us = np.array([-1000.0, -4.0, -1e-9, 1e-3, 0.5, 2.0, 20.0])
+        got = Weibull(shape, scale).char(us)
+        w = np.exp(1j * shape * math.pi / 8)
+        for u, g in zip(us, got):
+            v = 1j * abs(u) * scale * np.exp(1j * math.pi / 8)
+
+            def part(f):
+                return scipy.integrate.quad(
+                    lambda r: f(w * np.exp(v * r ** (1.0 / shape) - w * r)), 0, np.inf,
+                    epsabs=1e-14, epsrel=1e-12, limit=2000)[0]
+
+            want = complex(part(np.real), part(np.imag))
+            assert abs(g - (want if u > 0 else want.conjugate())) <= 1e-12, (u, g, want)
+
+    @pytest.mark.parametrize("scale", [0.3, 1.0, 2.5])
+    def test_shape_one_weibull_is_exponential(self, scale):
+        us = np.array([-1000.0, -4.0, -1.0, -1e-9, 0.0, 1e-9, 0.5, 2.0, 100.0])
+        np.testing.assert_allclose(Weibull(1.0, scale).char(us),
+                                   Exponential(1.0 / scale).char(us), rtol=0, atol=1e-12)
+        assert Weibull(1.0, scale).char(0.0) == 1.0
 
     def test_exponential_truncated_mean_vs_quadrature(self):
         d = Exponential(1.7)

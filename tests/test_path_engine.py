@@ -13,8 +13,8 @@ from levyrefract.levy_model import (
 )
 from levyrefract import path_engine
 from levyrefract.path_engine import (
-    BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, _regime_table, floored_lane_sweep, read_segments,
-    trajectory_table,
+    BRANCH_AT_B, BRANCH_FLOOR, BRANCH_INTERIOR, _regime_table, floored_lane_sweep, read_knots,
+    read_segments, trajectory_table,
 )
 from levyrefract.strategy_engine import ControlledTrajectory, StrategyParams
 
@@ -708,6 +708,92 @@ class TestReadSegments:
                           (sampled.driver, path.value_at(times))):
             np.testing.assert_array_equal(_bits(mine), _bits(ref))
 
+
+
+class TestReadKnots:
+    """read_knots: each path's probes, and the readings there equal to
+    read_segments at the same probes, bit for bit."""
+
+    @staticmethod
+    def check(tables, drivers=None, full=None):
+        """read_knots on tables, its probes checked path by path and every
+        reading against read_segments; returns the probes' (path, t)."""
+        (path, t), readings, driver = read_knots(tables, drivers, full)
+        assert (np.diff(path) >= 0).all() and set(path.tolist()) == set(
+            range(tables[0].counts.size))
+        for i in range(tables[0].counts.size):
+            ts = t[path == i]
+            knots = np.unique(np.concatenate(
+                [tab.block(i, i + 1).seg_t for tab in tables] + [[tables[0].horizon]]))
+            assert (np.diff(ts) > 0).all()
+            on = np.isin(ts, knots)
+            assert ts[on].tolist() == knots.tolist()
+            # one midpoint between neighbours, unless it rounds onto one of them
+            mid = 0.5 * (knots[:-1] + knots[1:])
+            assert ts[~on].tolist() == mid[(mid != knots[:-1]) & (mid != knots[1:])].tolist()
+        want, want_driver = read_segments(tables, path, t, drivers)
+        for j, (got, ref) in enumerate(zip(readings, want)):
+            np.testing.assert_array_equal(_bits(got.z), _bits(ref.z))
+            if full is not None and j >= full:
+                assert got.z_left is None and got.l is None and got.knot is None
+                continue
+            for name in ("z_left", "l", "r"):
+                np.testing.assert_array_equal(_bits(getattr(got, name)),
+                                              _bits(getattr(ref, name)))
+            np.testing.assert_array_equal(got.knot, ref.knot)
+        if drivers is None:
+            assert driver is None
+        else:
+            np.testing.assert_array_equal(_bits(driver), _bits(want_driver))
+        return path, t
+
+    def test_a_one_segment_path(self):
+        """A path that never jumps or crosses is one segment: its probes
+        are 0, the midpoint and the horizon."""
+        cols = event_columns([drift_path(0.1, 0.0, 3.0)])
+        table = refracted_reflected_exact(cols, 0.2, 1.0, 0.5)
+        assert table.counts.tolist() == [1]
+        path, t = self.check([table], (cols, 0.2))
+        assert path.tolist() == [0, 0, 0] and t.tolist() == [0.0, 1.5, 3.0]
+
+    @pytest.mark.parametrize("full", [None, 1, 2])
+    def test_lumps_at_first_and_last_segments(self, full):
+        """Roles from below 0 (a top-up at 0), above b at alpha = inf (a
+        dividend at 0) and unfloored, on a one-segment path, a path whose
+        last jump needs a top-up, and one with an event at the horizon."""
+        paths = [drift_path(0.1, 0.0, 3.0),
+                 drift_path(0.1, 0.0, 3.0, jumps=((1.0, 0.3), (2.0, -1.5))),
+                 drift_path(0.1, 0.0, 3.0, jumps=((0.5, 0.4), (3.0, -2.0)))]
+        cols = event_columns(paths)
+        tables = trajectory_table(cols, [-0.4, 2.0, 0.3], 1.0, [math.inf, math.inf, 0.5],
+                                  [True, True, False])
+        low, high, _ = tables
+        assert low.counts[0] == 1 and low.seg_rlump[0] > 0.0  # top-up at the first segment
+        assert high.seg_llump[0] > 0.0  # dividend at the first segment
+        assert low.seg_rlump[low.counts[:2].sum() - 1] > 0.0  # top-up at path 1's last
+        assert low.seg_t[-1] == 3.0 and low.seg_rlump[-1] > 0.0  # and at the horizon
+        self.check(tables, (cols, 0.3), full)
+        self.check(tables, None, full)
+
+    def test_knots_one_ulp_apart(self):
+        """Knots one double apart get no midpoint, which would round onto
+        one of them."""
+        up, down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+        paths = [drift_path(0.2, 0.0, 3.0, jumps=((down, -0.4), (1.0, 0.9), (up, 1.6))),
+                 drift_path(0.2, 0.0, 3.0, jumps=((1.0, -0.9),))]
+        cols = event_columns(paths)
+        path, t = self.check(trajectory_table(cols, [0.3, 1.2], 1.0, 0.5, True), (cols, 0.3))
+        ts = t[path == 0].tolist()
+        assert ts[ts.index(down):ts.index(down) + 3] == [down, 1.0, up]
+
+    def test_a_sampled_block_of_many_roles(self, ref_spec_bv):
+        """Six sampled paths, floored and refracted roles at three caps: the
+        alpha ladder's layout, read with and without full."""
+        cols = sample_path(ref_spec_bv, 4.0, 6, RngStream(353, tag=5))
+        rungs = (0.5, 2.0, math.inf)
+        tables = trajectory_table(cols, 0.5, 1.0, rungs * 2, [True] * 3 + [False] * 3)
+        self.check(tables, (cols, 0.5))
+        self.check(tables, None, 3)
 
 def stepper_lanes(paths, x, b, alpha, floor):
     """What event_steps yields for lane (j, i), path i started at x[j] with

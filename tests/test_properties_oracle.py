@@ -418,15 +418,14 @@ class TestOneSweepPerRun:
             (40, 2), (40, 6), (1, 2)]
 
     def test_a_block_sorts_its_times_once(self, ref_spec_bv, monkeypatch):
-        """One path_keys per block, none in read_segments; the refracted
-        rung read for z alone has the z of its full reading."""
+        """One _path_keys per block; the refracted rung read for z alone
+        has the z of its full reading."""
         cols = sample_path(ref_spec_bv, 4.0, 6, RngStream(353, tag=3))
         roles = (refracted_reflected_exact(cols, 0.0, 1.0, 0.5),
                  refract_exact(cols, 0.0, 1.0, 0.5))
         full = _Block(roles, (cols, 0.0))
-        calls, keys = [], properties_oracle.path_keys
-        for module in (path_engine, properties_oracle):
-            monkeypatch.setattr(module, "path_keys", lambda *a: calls.append(a) or keys(*a))
+        calls, keys = [], path_engine._path_keys
+        monkeypatch.setattr(path_engine, "_path_keys", lambda *a: calls.append(a) or keys(*a))
         blk = _Block(roles, (cols, 0.0), full=1)
         assert len(calls) == 1
         for got, want in zip(blk.readings, full.readings):
@@ -540,6 +539,15 @@ class TestCharFunction:
             rep = char_function_check(spec, 1.0, (0.5, 1.0, 2.0), 40000,
                                       RngStream(seed, tag=7))
             assert rep.ok, seed
+
+    @pytest.mark.parametrize("shape", [0.1, 0.2, 0.3, 0.4])
+    def test_heavy_tailed_weibull_down_jumps(self, ref_spec_bv, shape):
+        """The reference model with its down-jump law made heavy-tailed, at
+        the frequencies and N of check-properties."""
+        up, down = ref_spec_bv.jump_components
+        spec = replace(ref_spec_bv, jump_components=(up, replace(down, marks=Weibull(shape, 1.0))))
+        rep = char_function_check(spec, 1.0, (0.5, 1.0, 2.0), 40000, RngStream(334, tag=1))
+        assert rep.ok, rep.worst_ratio
 
     def test_reads_the_estimators_jump_draw(self, ref_spec_bv, monkeypatch):
         """X_t comes from the jump draw every sampler reads: marks scaled by
